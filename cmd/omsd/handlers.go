@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -96,6 +97,7 @@ func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// without tripping queue-full against itself, while leaving
 	// headroom for other clients.
 	results := make([]searchResult, len(queries))
+	var queueFull atomic.Bool
 	workers := min(len(queries), maxConcurrentSearches)
 	next := make(chan int, workers)
 	var wg sync.WaitGroup
@@ -122,6 +124,9 @@ func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
 				switch {
 				case err != nil:
 					res.Error = err.Error()
+					if errors.Is(err, serve.ErrQueueFull) {
+						queueFull.Store(true)
+					}
 				case ok:
 					res.Peptide = psm.Peptide
 					res.Score = psm.Score
@@ -141,12 +146,9 @@ func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// A queue-full rejection anywhere signals backpressure for the
 	// whole response; partial results still ship in the body.
 	status := http.StatusOK
-	for _, res := range results {
-		if res.Error == serve.ErrQueueFull.Error() {
-			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", "1")
-			break
-		}
+	if queueFull.Load() {
+		status = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", "1")
 	}
 	if r.URL.Query().Get("format") == "tsv" {
 		w.Header().Set("Content-Type", "text/tab-separated-values")
@@ -160,7 +162,9 @@ func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(searchResponse{Results: results})
+	if err := json.NewEncoder(w).Encode(searchResponse{Results: results}); err != nil {
+		log.Printf("omsd: writing JSON response: %v", err)
+	}
 }
 
 // parseQueries decodes the request body: JSON when the content type

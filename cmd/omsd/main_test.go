@@ -300,3 +300,37 @@ func TestSearchBadBodies(t *testing.T) {
 		})
 	}
 }
+
+// TestSearchBackpressure pins the queue-full contract: one rejected
+// search anywhere in a body turns the response into a 503 with
+// Retry-After, and the body still carries every query's outcome.
+func TestSearchBackpressure(t *testing.T) {
+	// One admission slot, held for the whole MaxDelay: of a body's
+	// concurrent submissions all but the first few are refused.
+	d, ds := obsvDaemon(t, serve.Config{MaxBatch: 64, MaxDelay: 200 * time.Millisecond, MaxQueue: 1})
+	var buf bytes.Buffer
+	if err := spectrum.WriteMGF(&buf, ds.Queries); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	d.mux().ServeHTTP(rec, httptest.NewRequest("POST", "/search", &buf))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "1" {
+		t.Fatalf("status %d, Retry-After %q; want 503 and 1", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	var resp searchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != len(ds.Queries) {
+		t.Fatalf("%d results for %d queries", len(resp.Results), len(ds.Queries))
+	}
+	rejected := 0
+	for _, r := range resp.Results {
+		if r.Error == serve.ErrQueueFull.Error() {
+			rejected++
+		}
+	}
+	if rejected == 0 || rejected == len(resp.Results) {
+		t.Errorf("%d of %d results rejected; want some refused, some served", rejected, len(resp.Results))
+	}
+}

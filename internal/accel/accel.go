@@ -170,6 +170,15 @@ func (e *HWEncoder) Encode(peaks []spectrum.QuantizedPeak) (hdc.BinaryHV, error)
 // chunk MVMs into acc.
 func (e *HWEncoder) encodeBatch(batch []spectrum.QuantizedPeak, acc []float64, colTile int) error {
 	n := len(batch)
+	// The item memory unpacks an ID per call; do it once per peak, not
+	// once per column tile.
+	ids := make([]hdc.IntHV, n)
+	for p, pk := range batch {
+		if pk.Bin < 0 || pk.Bin >= e.ids.NumBins() {
+			return fmt.Errorf("accel: peak bin %d out of range", pk.Bin)
+		}
+		ids[p] = e.ids.ID(pk.Bin)
+	}
 	// Column tiling: the D dimensions are spread across ceil(D/colTile)
 	// physical arrays; all share the same row weights (peak IDs).
 	for tileLo := 0; tileLo < e.cfg.D; tileLo += colTile {
@@ -188,11 +197,7 @@ func (e *HWEncoder) encodeBatch(batch []spectrum.QuantizedPeak, acc []float64, c
 			return err
 		}
 		weights := make([][]float64, n)
-		for p, pk := range batch {
-			if pk.Bin < 0 || pk.Bin >= e.ids.NumBins() {
-				return fmt.Errorf("accel: peak bin %d out of range", pk.Bin)
-			}
-			id := e.ids.ID(pk.Bin)
+		for p, id := range ids {
 			row := make([]float64, tileHi-tileLo)
 			for j := tileLo; j < tileHi; j++ {
 				row[j-tileLo] = float64(id.Vals[j])

@@ -3,6 +3,8 @@ package hdc
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/spectrum"
 )
 
 // Allocation baselines for the kernel path, checked in as the gate CI
@@ -23,6 +25,9 @@ const (
 	// topKRangeMaxAllocs bounds the sequential TopKRange steady state:
 	// the returned match slice plus sort.Slice's closure machinery.
 	topKRangeMaxAllocs = 4
+	// encodeVectorMaxAllocs bounds EncodeVector: the quantized peak
+	// list and the result words.
+	encodeVectorMaxAllocs = 2
 )
 
 func allocSearcher(t *testing.T, d, n int, cc CascadeConfig) (*ShardedSearcher, BinaryHV) {
@@ -95,5 +100,31 @@ func TestTopKRangeSteadyStateAllocs(t *testing.T) {
 					allocs, topKRangeMaxAllocs)
 			}
 		})
+	}
+}
+
+// TestEncodeVectorAllocs pins the encode path at its two inherent
+// allocations — the quantized peak list and the result words; the
+// kernel's counters live in registers and on the stack (no per-call
+// accumulator), and its //oms:hotpath contract is enforced by omsvet.
+func TestEncodeVectorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	e, err := NewEncoder(NewItemMemory(2048, 1399, 3, 1), NewChunkedLevelSet(2048, 16, 256, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := spectrum.Vector{NumBins: 1399}
+	for bin := 0; bin < 1399; bin += 14 {
+		v.Entries = append(v.Entries, spectrum.Entry{Bin: bin, Intensity: float64(1 + bin%7)})
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := e.EncodeVector(v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > encodeVectorMaxAllocs {
+		t.Errorf("EncodeVector allocates %.1f allocs/op, baseline %d", allocs, encodeVectorMaxAllocs)
 	}
 }

@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -79,13 +80,14 @@ func TestAccumulateMatchesNaive(t *testing.T) {
 	if err := e.Accumulate(peaks, acc); err != nil {
 		t.Fatal(err)
 	}
-	// Naive recomputation using Bit()/Vals directly.
+	// Naive recomputation from the ID values the seed generator draws,
+	// not from the item memory's resident planes.
+	ids := seedIDs(d, 40, 3, 100)
 	want := make([]int32, d)
 	for _, p := range peaks {
-		id := e.IDs.ID(p.Bin)
 		lv := e.Levels.Level(p.Level)
 		for i := 0; i < d; i++ {
-			want[i] += int32(id.Vals[i]) * int32(lv.Bit(i))
+			want[i] += int32(ids[p.Bin].Vals[i]) * int32(lv.Bit(i))
 		}
 	}
 	for i := range want {
@@ -162,7 +164,7 @@ func TestLevelProximityPreserved(t *testing.T) {
 	}
 }
 
-func TestEncodeVectorAndBatch(t *testing.T) {
+func TestEncodeVector(t *testing.T) {
 	e := testEncoder(t, 512, 1399, 2)
 	b := spectrum.DefaultBinner()
 	s := &spectrum.Spectrum{
@@ -176,12 +178,12 @@ func TestEncodeVectorAndBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := e.EncodeBatch([]spectrum.Vector{v, v})
+	h2, err := e.Encode(v.Quantize(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hs[0].Equal(h1) || !hs[1].Equal(h1) {
-		t.Error("batch encoding differs from single encoding")
+	if !h1.Equal(h2) {
+		t.Error("EncodeVector differs from Encode of the quantized peaks")
 	}
 }
 
@@ -218,61 +220,166 @@ func TestChunkedEncoderEquivalentQuality(t *testing.T) {
 	}
 }
 
-func TestAccumulateWordMatchesReference(t *testing.T) {
-	// The word-walking fast path must agree with a per-bit reference
-	// on every word pattern, including the all-zero / all-one special
-	// cases and tail words.
-	rng := rand.New(rand.NewSource(99))
-	for _, d := range []int{64, 100, 128, 513} {
-		vals := make([]int8, d)
-		for i := range vals {
-			vals[i] = int8(rng.Intn(9) - 4)
-			if vals[i] == 0 {
-				vals[i] = 1
-			}
+// matchReference asserts Encode == Sign(Accumulate) word for word (or
+// the same error text from both) and returns the reference accumulator.
+func matchReference(t testing.TB, e *Encoder, peaks []spectrum.QuantizedPeak) []int32 {
+	t.Helper()
+	acc := make([]int32, e.D())
+	refErr := e.Accumulate(peaks, acc)
+	got, err := e.Encode(peaks)
+	if refErr != nil || err != nil {
+		if refErr == nil || err == nil || refErr.Error() != err.Error() {
+			t.Fatalf("errors differ: Accumulate %v, Encode %v", refErr, err)
 		}
-		patterns := []BinaryHV{
-			NewBinaryHV(d),         // all -1
-			RandomBinaryHV(d, rng), // mixed
+		return nil
+	}
+	want := Sign(acc)
+	if got.D != want.D || len(got.Words) != len(want.Words) {
+		t.Fatalf("shape: D %d/%d words %d/%d", got.D, want.D, len(got.Words), len(want.Words))
+	}
+	for w := range want.Words {
+		if got.Words[w] != want.Words[w] {
+			t.Fatalf("%d peaks, word %d: kernel %#016x, reference %#016x", len(peaks), w, got.Words[w], want.Words[w])
 		}
-		allOne := NewBinaryHV(d)
-		for i := 0; i < d; i++ {
-			allOne.SetBit(i, true)
+	}
+	return acc
+}
+
+// TestEncodeMatchesReference holds the bit-sliced kernel against the
+// scalar reference over every shape the counter width, the tail mask
+// and the tie-break depend on.
+func TestEncodeMatchesReference(t *testing.T) {
+	const bins = 1399
+	for _, d := range []int{64, 1000, 2048, 8192} {
+		if (testing.Short() || raceEnabled) && d > 2048 {
+			continue // single-goroutine arithmetic: nothing for the detector, 10x the time
 		}
-		patterns = append(patterns, allOne)
-		for pi, lv := range patterns {
-			got := make([]int32, d)
-			accumulateWord(got, vals, lv.Words, d)
-			want := make([]int32, d)
-			for i := 0; i < d; i++ {
-				want[i] += int32(vals[i]) * int32(lv.Bit(i))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("d=%d pattern=%d dim=%d: %d vs %d", d, pi, i, got[i], want[i])
+		for precision := 1; precision <= 3; precision++ {
+			ids := NewItemMemory(d, bins, precision, 100)
+			for name, ls := range map[string]LevelSet{
+				"flip":    NewFlipLevelSet(d, 16, 200),
+				"chunked": NewChunkedLevelSet(d, 16, 256, 200),
+			} {
+				e, err := NewEncoder(ids, ls)
+				if err != nil {
+					t.Fatal(err)
 				}
+				t.Run(fmt.Sprintf("D%d/p%d/%s", d, precision, name), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(d + precision)))
+					random := func(n int) []spectrum.QuantizedPeak {
+						peaks := make([]spectrum.QuantizedPeak, n)
+						for i := range peaks {
+							peaks[i] = spectrum.QuantizedPeak{Bin: rng.Intn(bins), Level: rng.Intn(16)}
+						}
+						return peaks
+					}
+					matchReference(t, e, nil)
+					matchReference(t, e, random(1))
+					matchReference(t, e, random(150))
+					every := random(bins)
+					for i := range every {
+						every[i].Bin = i
+					}
+					matchReference(t, e, every)
+
+					// One bin at the two extreme levels: the products
+					// cancel wherever the level hypervectors differ, a
+					// planted zero-sum tie on even and odd dimensions.
+					acc := matchReference(t, e, []spectrum.QuantizedPeak{{Bin: 7, Level: 0}, {Bin: 7, Level: 15}})
+					var ties [2]int
+					for i, v := range acc {
+						if v == 0 {
+							ties[i%2]++
+						}
+					}
+					if ties[0] == 0 || ties[1] == 0 {
+						t.Errorf("planted ties missing: %d even, %d odd", ties[0], ties[1])
+					}
+
+					// Levels clamp to [0, Q) in both implementations.
+					clamped, _ := e.Encode([]spectrum.QuantizedPeak{{Bin: 3, Level: 0}, {Bin: 9, Level: 15}})
+					wild := []spectrum.QuantizedPeak{{Bin: 3, Level: -4}, {Bin: 9, Level: 1 << 40}}
+					matchReference(t, e, wild)
+					if h, _ := e.Encode(wild); !h.Equal(clamped) {
+						t.Error("negative/overflowing levels not clamped")
+					}
+
+					for _, bin := range []int{-1, bins} {
+						bad := append(random(5), spectrum.QuantizedPeak{Bin: bin})
+						if matchReference(t, e, bad) != nil {
+							t.Errorf("bin %d accepted", bin)
+						}
+					}
+				})
 			}
 		}
 	}
 }
 
-func BenchmarkAccumulate(b *testing.B) {
-	ids := NewItemMemory(8192, 1399, 3, 1)
-	ls := NewChunkedLevelSet(8192, 16, 256, 2)
-	e, err := NewEncoder(ids, ls)
-	if err != nil {
-		b.Fatal(err)
+// FuzzEncodeMatchesReference drives the same equality from arbitrary
+// shapes: raw is read as (bin lo, bin hi, level) byte triples, bins
+// and levels deliberately allowed out of range.
+func FuzzEncodeMatchesReference(f *testing.F) {
+	every := make([]byte, 0, 3*64)
+	for b := 0; b < 64; b++ {
+		every = append(every, byte(b), 0, byte(b))
 	}
-	rng := rand.New(rand.NewSource(3))
-	peaks := make([]spectrum.QuantizedPeak, 100)
-	for i := range peaks {
-		peaks[i] = spectrum.QuantizedPeak{Bin: rng.Intn(1399), Level: rng.Intn(16)}
-	}
-	acc := make([]int32, 8192)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Accumulate(peaks, acc); err != nil {
-			b.Fatal(err)
+	for _, d := range []uint16{64, 1000, 2048, 8192} {
+		for precision := uint8(1); precision <= 3; precision++ {
+			f.Add(d, precision, precision%2 == 0, []byte{})
+			f.Add(d, precision, precision%2 == 1, []byte{5, 0, 3})
+			f.Add(d, precision, true, []byte{7, 0, 0, 7, 0, 15})       // planted ties
+			f.Add(d, precision, false, []byte{3, 0, 0xfc, 9, 0, 0x7f}) // clamped levels
+			f.Add(d, precision, false, []byte{1, 0, 2, 64, 0, 1})      // bin == bins
+			f.Add(d, precision, true, []byte{1, 0, 2, 0xff, 0xff, 1})  // bin == -1
+			f.Add(d, precision, d%128 == 0, every)
 		}
+	}
+	f.Fuzz(func(t *testing.T, d uint16, precision uint8, chunked bool, raw []byte) {
+		dim := 1 + int(d)%8192
+		var ls LevelSet = NewFlipLevelSet(dim, 16, 200)
+		if chunked {
+			ls = NewChunkedLevelSet(dim, 16, 256, 200)
+		}
+		e, err := NewEncoder(NewItemMemory(dim, 64, 1+int(precision)%3, 100), ls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peaks := make([]spectrum.QuantizedPeak, len(raw)/3)
+		for i := range peaks {
+			peaks[i] = spectrum.QuantizedPeak{
+				Bin:   int(int16(uint16(raw[3*i]) | uint16(raw[3*i+1])<<8)),
+				Level: int(int8(raw[3*i+2])),
+			}
+		}
+		matchReference(t, e, peaks)
+	})
+}
+
+var benchSink BinaryHV
+
+// BenchmarkEncodeVector is the in-process encode figure: quantize +
+// bit-sliced kernel for a 100-peak spectrum, also reported per peak.
+func BenchmarkEncodeVector(b *testing.B) {
+	const peaks = 100
+	rng := rand.New(rand.NewSource(3))
+	v := spectrum.Vector{Entries: make([]spectrum.Entry, peaks), NumBins: 1399}
+	for i, bin := range rng.Perm(1399)[:peaks] {
+		v.Entries[i] = spectrum.Entry{Bin: bin, Intensity: rng.Float64()}
+	}
+	for _, d := range []int{2048, 8192} {
+		b.Run(fmt.Sprintf("D%d", d), func(b *testing.B) {
+			e, err := NewEncoder(NewItemMemory(d, 1399, 3, 1), NewChunkedLevelSet(d, 16, 256, 2))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if benchSink, err = e.EncodeVector(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/peaks, "ns/peak")
+		})
 	}
 }

@@ -221,34 +221,31 @@ func (h IntHV) D() int { return len(h.Vals) }
 // RandomIntHV draws a random multi-bit hypervector of the given
 // precision (1, 2 or 3 bits). Precision 1 gives bipolar {-1, +1}.
 func RandomIntHV(d, precision int, rng *rand.Rand) IntHV {
-	if precision < 1 {
-		precision = 1
-	}
-	if precision > 3 {
-		precision = 3
-	}
-	maxMag := 1 << (precision - 1)
 	vals := make([]int8, d)
+	fillRandomInt(vals, clampPrecision(precision), rng)
+	return IntHV{Vals: vals}
+}
+
+// fillRandomInt draws one multi-bit hypervector into vals: two rng
+// calls per component, magnitude then sign. Every stored index
+// depends on this draw order.
+func fillRandomInt(vals []int8, precision int, rng *rand.Rand) {
+	maxMag := 1 << (precision - 1)
 	for i := range vals {
 		mag := int8(rng.Intn(maxMag) + 1)
-		if rng.Intn(2) == 0 {
-			mag = -mag
-		}
-		vals[i] = mag
+		vals[i] = mag * int8(2*rng.Intn(2)-1) // branch-free: the sign is a coin flip
 	}
-	return IntHV{Vals: vals}
+}
+
+// clampPrecision bounds an ID precision to the supported 1–3 bits.
+func clampPrecision(precision int) int {
+	return min(max(precision, 1), 3)
 }
 
 // MaxMagnitude returns the largest representable magnitude for an ID
 // precision in bits.
 func MaxMagnitude(precision int) int {
-	if precision < 1 {
-		precision = 1
-	}
-	if precision > 3 {
-		precision = 3
-	}
-	return 1 << (precision - 1)
+	return 1 << (clampPrecision(precision) - 1)
 }
 
 // Sign quantizes an accumulator slice to a packed BinaryHV with the

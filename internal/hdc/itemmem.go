@@ -8,39 +8,76 @@ import (
 // ItemMemory holds the position (ID) hypervectors of the ID-Level
 // encoder: one multi-bit hypervector per m/z bin (§3.2, §4.2.2).
 // Generation is deterministic in (D, bins, precision, seed).
+//
+// The hypervectors are resident bit-sliced, as the encoder consumes
+// them (DESIGN.md §5): with o = 2^(precision-1), every (bin,
+// 64-dimension word) owns idPlaneWords consecutive words — the four
+// bit-planes of the offset product o-id (level bit -1), then the four
+// planes of its XOR-delta to o+id (level bit +1). Both products lie
+// in [0, 8], so the group is one 64-byte cache line at any precision:
+// the footprint of one int8 per dimension. Planes past D stay zero.
 type ItemMemory struct {
 	// D is the hypervector dimension.
 	D int
 	// Precision is the ID component precision in bits (1–3).
 	Precision int
-	ids       []IntHV
+	bins      int
+	planes    []uint64
 }
+
+// idPlaneWords is the plane-group size of one (bin, word).
+const idPlaneWords = 8
 
 // NewItemMemory builds an item memory with numBins ID hypervectors.
 func NewItemMemory(d, numBins, precision int, seed int64) *ItemMemory {
 	if d <= 0 || numBins <= 0 {
 		panic(fmt.Sprintf("hdc: bad item memory shape D=%d bins=%d", d, numBins))
 	}
-	if precision < 1 {
-		precision = 1
-	}
-	if precision > 3 {
-		precision = 3
-	}
+	precision = clampPrecision(precision)
 	rng := rand.New(rand.NewSource(seed))
-	im := &ItemMemory{D: d, Precision: precision, ids: make([]IntHV, numBins)}
-	for i := range im.ids {
-		im.ids[i] = RandomIntHV(d, precision, rng)
+	words := WordsPerHV(d)
+	im := &ItemMemory{D: d, Precision: precision, bins: numBins,
+		planes: make([]uint64, numBins*words*idPlaneWords)}
+	offset := int8(MaxMagnitude(precision))
+	vals := make([]int8, d)
+	for b := 0; b < numBins; b++ {
+		fillRandomInt(vals, precision, rng)
+		for j := 0; j < d; j += 8 {
+			// x packs eight dimensions' planes a byte each: the neg
+			// nibble, then the delta nibble.
+			var x uint64
+			for i, v := range vals[j:min(j+8, d)] {
+				neg := uint64(offset - v)
+				x |= (neg | (neg^uint64(offset+v))<<4) << (8 * i)
+			}
+			g := im.planes[(b*words+j/64)*idPlaneWords:][:idPlaneWords]
+			for k := range g { // bit k of every byte of x, gathered into one byte
+				g[k] |= (x >> k & 0x0101010101010101) * 0x0102040810204080 >> 56 << (j % 64)
+			}
+		}
 	}
 	return im
 }
 
 // NumBins returns the number of ID hypervectors.
-func (im *ItemMemory) NumBins() int { return len(im.ids) }
+func (im *ItemMemory) NumBins() int { return im.bins }
 
-// ID returns the position hypervector for bin i.
+// ID returns the position hypervector for bin i, unpacked from the
+// bit-planes on every call (the crossbar simulator and tests read it;
+// the encoder consumes the planes directly).
 func (im *ItemMemory) ID(i int) IntHV {
-	return im.ids[i]
+	words := WordsPerHV(im.D)
+	offset := int8(MaxMagnitude(im.Precision))
+	vals := make([]int8, im.D)
+	for dim := range vals {
+		g := im.planes[(i*words+dim/64)*idPlaneWords:]
+		var neg int8
+		for k := 0; k < idPlaneWords/2; k++ {
+			neg |= int8(g[k]>>(dim%64)&1) << k
+		}
+		vals[dim] = offset - neg
+	}
+	return IntHV{Vals: vals}
 }
 
 // LevelSet is the interface shared by the two level-hypervector
@@ -66,17 +103,12 @@ type FlipLevelSet struct {
 
 // NewFlipLevelSet builds a flip-based level set with Q levels.
 func NewFlipLevelSet(d, q int, seed int64) *FlipLevelSet {
-	if q < 2 {
-		q = 2
-	}
+	q = max(q, 2)
 	rng := rand.New(rand.NewSource(seed))
 	ls := &FlipLevelSet{levels: make([]BinaryHV, q)}
 	ls.levels[0] = RandomBinaryHV(d, rng)
 	perm := rng.Perm(d)
-	step := d / (2 * q)
-	if step < 1 {
-		step = 1
-	}
+	step := max(d/(2*q), 1)
 	next := 0
 	for j := 1; j < q; j++ {
 		ls.levels[j] = ls.levels[j-1].Clone()
@@ -97,13 +129,7 @@ func (ls *FlipLevelSet) D() int { return ls.levels[0].D }
 
 // Level implements LevelSet.
 func (ls *FlipLevelSet) Level(j int) BinaryHV {
-	if j < 0 {
-		j = 0
-	}
-	if j >= len(ls.levels) {
-		j = len(ls.levels) - 1
-	}
-	return ls.levels[j]
+	return ls.levels[min(max(j, 0), len(ls.levels)-1)]
 }
 
 // ChunkedLevelSet is the paper's hardware/software co-designed level
@@ -124,15 +150,8 @@ type ChunkedLevelSet struct {
 // clamped to [2Q, D] so each level step flips at least one chunk and
 // chunks are at least one dimension wide.
 func NewChunkedLevelSet(d, q, chunks int, seed int64) *ChunkedLevelSet {
-	if q < 2 {
-		q = 2
-	}
-	if chunks < 2*q {
-		chunks = 2 * q
-	}
-	if chunks > d {
-		chunks = d
-	}
+	q = max(q, 2)
+	chunks = min(max(chunks, 2*q), d)
 	rng := rand.New(rand.NewSource(seed))
 	ls := &ChunkedLevelSet{d: d, q: q, chunks: chunks}
 	ls.chunkVals = make([][]int8, q)
@@ -146,10 +165,7 @@ func NewChunkedLevelSet(d, q, chunks int, seed int64) *ChunkedLevelSet {
 	}
 	ls.chunkVals[0] = base
 	perm := rng.Perm(chunks)
-	step := chunks / (2 * q)
-	if step < 1 {
-		step = 1
-	}
+	step := max(chunks/(2*q), 1)
 	next := 0
 	for j := 1; j < q; j++ {
 		cur := make([]int8, chunks)
@@ -197,23 +213,11 @@ func (ls *ChunkedLevelSet) ChunkBounds(c int) (lo, hi int) {
 
 // ChunkValue returns the bipolar value of chunk c at level j.
 func (ls *ChunkedLevelSet) ChunkValue(j, c int) int8 {
-	if j < 0 {
-		j = 0
-	}
-	if j >= ls.q {
-		j = ls.q - 1
-	}
-	return ls.chunkVals[j][c]
+	return ls.chunkVals[min(max(j, 0), ls.q-1)][c]
 }
 
 // Level implements LevelSet, returning the precomputed packed
 // hypervector for the level. Safe for concurrent use.
 func (ls *ChunkedLevelSet) Level(j int) BinaryHV {
-	if j < 0 {
-		j = 0
-	}
-	if j >= ls.q {
-		j = ls.q - 1
-	}
-	return ls.cache[j]
+	return ls.cache[min(max(j, 0), ls.q-1)]
 }

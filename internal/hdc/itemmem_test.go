@@ -1,9 +1,55 @@
 package hdc
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// seedIDs replays the item memory's seed generator without the plane
+// store: the ID hypervectors NewItemMemory(d, bins, precision, seed)
+// must hold, as the seed repo drew them and every stored index
+// assumes.
+func seedIDs(d, bins, precision int, seed int64) []IntHV {
+	rng := rand.New(rand.NewSource(seed))
+	ids := make([]IntHV, bins)
+	for i := range ids {
+		ids[i] = RandomIntHV(d, precision, rng)
+	}
+	return ids
+}
+
+// TestItemMemoryIDRoundTrip checks planes → IntHV against the drawn
+// values, for full and ragged last words, and that the planes past D
+// stay zero (the encoder relies on it for the tail).
+func TestItemMemoryIDRoundTrip(t *testing.T) {
+	for _, d := range []int{1, 64, 100, 1000, 2048} {
+		for precision := 1; precision <= 3; precision++ {
+			im := NewItemMemory(d, 20, precision, 42)
+			for b, want := range seedIDs(d, 20, precision, 42) {
+				got := im.ID(b)
+				if got.D() != d {
+					t.Fatalf("D=%d p=%d bin %d: unpacked D %d", d, precision, b, got.D())
+				}
+				for i, v := range want.Vals {
+					if got.Vals[i] != v {
+						t.Fatalf("D=%d p=%d bin %d dim %d: planes hold %d, generator drew %d", d, precision, b, i, got.Vals[i], v)
+					}
+				}
+			}
+			if rem := d % 64; rem != 0 {
+				words := WordsPerHV(d)
+				for b := 0; b < 20; b++ {
+					for _, w := range im.planes[(b*words+words-1)*idPlaneWords:][:idPlaneWords] {
+						if w>>rem != 0 {
+							t.Fatalf("D=%d p=%d bin %d: plane bits set past D", d, precision, b)
+						}
+					}
+				}
+			}
+		}
+	}
+}
 
 func TestItemMemoryDeterministic(t *testing.T) {
 	a := NewItemMemory(256, 50, 3, 42)

@@ -1,6 +1,10 @@
 package hdc
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/spectrum"
+)
 
 // This file provides the remaining standard hyperdimensional algebra
 // operations beyond what the ID-Level encoder needs directly: bundling
@@ -35,17 +39,25 @@ func Bundle(hvs ...BinaryHV) BinaryHV {
 	if len(hvs) == 0 {
 		panic("hdc: bundle of no hypervectors")
 	}
-	d := hvs[0].D
-	acc := make([]int32, d)
-	for _, h := range hvs {
-		if h.D != d {
-			panic(fmt.Sprintf("hdc: bundle dimension mismatch %d vs %d", h.D, d))
-		}
-		for i := 0; i < d; i++ {
-			acc[i] += int32(h.Bit(i))
-		}
+	out := NewBinaryHV(hvs[0].D)
+	// A bundle is the ID-Level encode of one 1-bit all-(+1) ID under
+	// each input as its level: products 0 and 2, so delta bit 1 is set.
+	planes := make([]uint64, len(out.Words)*idPlaneWords)
+	for i := idPlaneWords/2 + 1; i < len(planes); i += idPlaneWords {
+		planes[i] = ^uint64(0)
 	}
-	return Sign(acc)
+	var lv []uint64
+	peaks := make([]spectrum.QuantizedPeak, len(hvs))
+	for i, h := range hvs {
+		if h.D != out.D {
+			panic(fmt.Sprintf("hdc: bundle dimension mismatch %d vs %d", h.D, out.D))
+		}
+		lv = append(lv, h.Words...)
+		peaks[i].Level = i
+	}
+	signedSumWords(out.Words, planes, lv, 1, peaks)
+	out.maskTail()
+	return out
 }
 
 // Permute rotates the hypervector's components by k positions

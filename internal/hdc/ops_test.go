@@ -76,6 +76,27 @@ func TestBundleMajority(t *testing.T) {
 	}
 }
 
+// TestBundleMatchesSignOfSum holds Bundle (which rides the encoder's
+// vertical counter) against the per-dimension int32 majority, for odd
+// and even (tie-producing) input counts and a ragged last word.
+func TestBundleMatchesSignOfSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, d := range []int{64, 100, 1024} {
+		var hvs []BinaryHV
+		acc := make([]int32, d)
+		for n := 1; n <= 20; n++ {
+			h := RandomBinaryHV(d, rng)
+			hvs = append(hvs, h)
+			for i := range acc {
+				acc[i] += int32(h.Bit(i))
+			}
+			if got, want := Bundle(hvs...), Sign(acc); !got.Equal(want) {
+				t.Fatalf("D=%d n=%d: bundle differs from Sign of the bipolar sum", d, n)
+			}
+		}
+	}
+}
+
 func TestBundleSingleIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := RandomBinaryHV(256, rng)
