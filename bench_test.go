@@ -199,14 +199,15 @@ func BenchmarkHammingSearch1k(b *testing.B) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(8192, rng)
 	}
-	s, err := hdc.NewSearcher(refs)
+	s, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := hdc.RandomBinaryHV(8192, rng)
+	queries := []hdc.BinaryHV{hdc.RandomBinaryHV(8192, rng)}
+	ranges := []hdc.RowRange{{Lo: 0, Hi: s.Len()}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.TopK(q, nil, 5)
+		s.BatchTopKRange(queries, ranges, 5)
 	}
 }
 
@@ -304,13 +305,17 @@ func BenchmarkShardedBatchTopK(b *testing.B) {
 		for _, nRefs := range []int{10_000, 100_000} {
 			b.Run(fmt.Sprintf("D%d/refs%d", d, nRefs), func(b *testing.B) {
 				refs, queries := batchBenchInputs(b, d, nRefs, batchBenchQueries)
-				s, err := hdc.NewSearcher(refs)
+				s, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
 				if err != nil {
 					b.Fatal(err)
 				}
+				ranges := make([]hdc.RowRange, len(queries))
+				for i := range ranges {
+					ranges[i] = hdc.RowRange{Lo: 0, Hi: s.Len()}
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					s.BatchTopK(queries, nil, 5)
+					s.BatchTopKRange(queries, ranges, 5)
 				}
 				b.ReportMetric(float64(batchBenchQueries), "queries/op")
 			})
@@ -322,11 +327,8 @@ func BenchmarkShardedBatchTopK(b *testing.B) {
 // paper's operating point (D=8192, 100k references) with realistic
 // precursor-window occupancy (each query's candidate set is a
 // contiguous 25% slice of the mass-ordered store, windows sliding
-// with query mass). The range variant streams candidates through the
-// block-major BatchTopKRange kernel; the gather variant is the
-// retained per-query candidate-slice path the range engine replaces
-// on the engine hot path. The ratio of the two is the open-search
-// speedup (acceptance: range beats gather).
+// with query mass), streamed through the block-major BatchTopKRange
+// kernel.
 func BenchmarkOpenSearchBatch(b *testing.B) {
 	const (
 		d         = 8192
@@ -335,7 +337,7 @@ func BenchmarkOpenSearchBatch(b *testing.B) {
 		occupancy = 0.25
 	)
 	refs, queries := batchBenchInputs(b, d, nRefs, nQueries)
-	s, err := hdc.NewSearcher(refs)
+	s, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -347,27 +349,11 @@ func BenchmarkOpenSearchBatch(b *testing.B) {
 		lo := i * (nRefs - width) / nQueries
 		ranges[i] = hdc.RowRange{Lo: lo, Hi: lo + width}
 	}
-	cands := make([][]int, nQueries)
-	for i, r := range ranges {
-		cands[i] = make([]int, r.Len())
-		for j := range cands[i] {
-			cands[i][j] = r.Lo + j
-		}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.BatchTopKRange(queries, ranges, 5)
 	}
-	b.Run("range", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.BatchTopKRange(queries, ranges, 5)
-		}
-		b.ReportMetric(float64(nQueries), "queries/op")
-	})
-	b.Run("gather", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.BatchTopK(queries, cands, 5)
-		}
-		b.ReportMetric(float64(nQueries), "queries/op")
-	})
+	b.ReportMetric(float64(nQueries), "queries/op")
 }
 
 // BenchmarkCascadeTopKRange measures the two-tier pruned cascade
@@ -404,11 +390,11 @@ func BenchmarkCascadeTopKRange(b *testing.B) {
 			refs[lo+j].FlipBits(0.03, rng)
 		}
 	}
-	single, err := hdc.NewSearcher(refs)
+	single, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	cascade, err := hdc.NewSearcherCascade(refs, 0, hdc.CascadeConfig{PrefilterWords: prefilterWords})
+	cascade, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{PrefilterWords: prefilterWords})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -552,15 +538,15 @@ func BenchmarkCascadeLadderLayout(b *testing.B) {
 		permQueries[i] = hdc.PermuteBits(queries[i], perm)
 	}
 
-	natural, err := hdc.NewSearcherCascade(refs, 0, hdc.CascadeConfig{Tiers: tiers})
+	natural, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{Tiers: tiers})
 	if err != nil {
 		b.Fatal(err)
 	}
-	entropy, err := hdc.NewSearcherCascade(permRefs, 0, hdc.CascadeConfig{Tiers: tiers})
+	entropy, err := hdc.NewShardedSearcher(permRefs, 0, hdc.CascadeConfig{Tiers: tiers})
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, s *hdc.Searcher, qs []hdc.BinaryHV) {
+	run := func(b *testing.B, s *hdc.ShardedSearcher, qs []hdc.BinaryHV) {
 		before, _ := s.CascadeStats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/hdc"
+	"repro/internal/obsv"
 	"repro/internal/spectrum"
 )
 
@@ -138,10 +139,14 @@ func (e *NoisyEncoder) EncodeVector(v spectrum.Vector) (hdc.BinaryHV, error) {
 }
 
 // NoisySearcher wraps the exact software searcher and perturbs each
-// similarity score with the characterized Gaussian noise.
+// similarity score with the characterized Gaussian noise. Its one
+// search method has the exact engine's batch-range shape
+// (core.Searcher); SimilaritiesRangeInto is the one place a row range
+// becomes per-row scores, which the hardware model needs in order to
+// perturb every candidate before top-k selection.
 type NoisySearcher struct {
 	// Exact is the underlying software searcher.
-	Exact *hdc.Searcher
+	Exact *hdc.ShardedSearcher
 	// Model supplies the error statistics.
 	Model NoisyModel
 	mu    sync.Mutex
@@ -149,68 +154,12 @@ type NoisySearcher struct {
 }
 
 // NewNoisySearcher builds the fast error-injected searcher.
-func NewNoisySearcher(exact *hdc.Searcher, model NoisyModel, seed int64) *NoisySearcher {
+func NewNoisySearcher(exact *hdc.ShardedSearcher, model NoisyModel, seed int64) *NoisySearcher {
 	return &NoisySearcher{Exact: exact, Model: model, rng: rand.New(rand.NewSource(seed))}
 }
 
-// simsPool recycles full-scan similarity buffers across queries.
+// simsPool recycles range similarity buffers across queries.
 var simsPool = sync.Pool{New: func() any { return new([]int) }}
-
-// drawNoise returns n Gaussian similarity perturbations drawn under
-// one lock (so concurrent queries stay safe and deterministic
-// per-searcher), or nil when the model is noiseless.
-func (s *NoisySearcher) drawNoise(n int) []float64 {
-	if s.Model.SearchSigma <= 0 || n <= 0 {
-		return nil
-	}
-	noise := make([]float64, n)
-	s.mu.Lock()
-	for i := range noise {
-		noise[i] = s.rng.NormFloat64() * s.Model.SearchSigma
-	}
-	s.mu.Unlock()
-	return noise
-}
-
-// TopK returns the k best matches under noisy similarity scores,
-// restricted to candidates (nil = all). Full scans bulk-score the
-// references through the sharded exact engine's blocked XOR+popcount
-// kernel before perturbing.
-func (s *NoisySearcher) TopK(q hdc.BinaryHV, candidates []int, k int) []hdc.Match {
-	if k <= 0 {
-		return nil
-	}
-	n := len(candidates)
-	if candidates == nil {
-		n = s.Exact.Len()
-	}
-	noise := s.drawNoise(n)
-	perturb := func(sim float64, pos int) int {
-		if noise != nil {
-			sim += noise[pos]
-		}
-		return int(math.Round(sim))
-	}
-	best := make([]hdc.Match, 0, k)
-	if candidates == nil {
-		bufp := simsPool.Get().(*[]int)
-		sims := s.Exact.Engine().SimilaritiesInto(q, *bufp)
-		for i, sim := range sims {
-			best = insertTopK(best, hdc.Match{Index: i, Similarity: perturb(float64(sim), i)}, k)
-		}
-		*bufp = sims
-		simsPool.Put(bufp)
-		return best
-	}
-	for pos, i := range candidates {
-		if i < 0 || i >= s.Exact.Len() {
-			continue
-		}
-		sim := float64(s.Exact.Similarity(q, i))
-		best = insertTopK(best, hdc.Match{Index: i, Similarity: perturb(sim, pos)}, k)
-	}
-	return best
-}
 
 // noiseSource returns a per-query noise stream seeded from the
 // searcher's master RNG under one lock — O(1) master-RNG consumption
@@ -228,27 +177,17 @@ func (s *NoisySearcher) noiseSource() *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// TopKRange returns the k best matches among packed rows [lo, hi)
-// (clamped to the reference count) under noisy similarity scores. The
-// rows are bulk-scored through the sharded exact engine's blocked
-// kernel — no per-row gather — and every candidate score is perturbed
-// before top-k selection, exactly as on the slice path.
-func (s *NoisySearcher) TopKRange(q hdc.BinaryHV, lo, hi, k int) []hdc.Match {
-	if k <= 0 {
-		return nil
-	}
-	r := hdc.RowRange{Lo: lo, Hi: hi}.Clamp(s.Exact.Len())
-	if r.Empty() {
-		return []hdc.Match{}
-	}
-	return s.topKRangeNoise(q, r.Lo, r.Hi, k, s.noiseSource())
-}
-
-// BatchTopKRange runs TopKRange for every query (ranges[i] restricts
-// query i), parallel across CPU cores. Per-query noise streams are
-// seeded in query order, so results are deterministic per seed
-// regardless of goroutine scheduling.
-func (s *NoisySearcher) BatchTopKRange(queries []hdc.BinaryHV, ranges []hdc.RowRange, k int) [][]hdc.Match {
+// BatchTopKRangeTraced returns, for every query, the k best matches
+// among packed rows ranges[i] (clamped to the reference count) under
+// noisy similarity scores, parallel across CPU cores. The rows are
+// bulk-scored through the exact engine's blocked kernel and every
+// candidate score is perturbed before top-k selection. Per-query noise
+// streams are seeded in query order — one master-RNG draw per
+// non-empty query — so results are deterministic per seed regardless
+// of goroutine scheduling. The hardware model has no tier ladder to
+// attribute time to: tr is accepted for the core.Searcher shape and
+// left untouched.
+func (s *NoisySearcher) BatchTopKRangeTraced(queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, _ *obsv.Trace) [][]hdc.Match {
 	if len(ranges) != len(queries) {
 		panic(fmt.Sprintf("accel: %d queries with %d ranges", len(queries), len(ranges)))
 	}
@@ -298,7 +237,7 @@ func (s *NoisySearcher) BatchTopKRange(queries []hdc.BinaryHV, ranges []hdc.RowR
 // query's noise stream (nil for a noiseless model).
 func (s *NoisySearcher) topKRangeNoise(q hdc.BinaryHV, lo, hi, k int, noise *rand.Rand) []hdc.Match {
 	bufp := simsPool.Get().(*[]int)
-	sims := s.Exact.Engine().SimilaritiesRangeInto(q, lo, hi, *bufp)
+	sims := s.Exact.SimilaritiesRangeInto(q, lo, hi, *bufp)
 	best := make([]hdc.Match, 0, k)
 	for j, sim := range sims {
 		v := float64(sim)

@@ -101,25 +101,9 @@ func TestNoisyEncoderZeroBERIsExact(t *testing.T) {
 	}
 }
 
-func TestNoisySearcherZeroSigmaMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	refs := make([]hdc.BinaryHV, 40)
-	for i := range refs {
-		refs[i] = hdc.RandomBinaryHV(256, rng)
-	}
-	exact, err := hdc.NewSearcher(refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := NewNoisySearcher(exact, NoisyModel{}, 5)
-	q := hdc.RandomBinaryHV(256, rng)
-	got := ns.TopK(q, nil, 5)
-	want := exact.TopK(q, nil, 5)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("result %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
+// noisyTopK runs one query over [lo, hi) — a batch of one.
+func noisyTopK(ns *NoisySearcher, q hdc.BinaryHV, lo, hi, k int) []hdc.Match {
+	return ns.BatchTopKRangeTraced([]hdc.BinaryHV{q}, []hdc.RowRange{{Lo: lo, Hi: hi}}, k, nil)[0]
 }
 
 func TestNoisySearcherDegradesRanking(t *testing.T) {
@@ -129,12 +113,12 @@ func TestNoisySearcherDegradesRanking(t *testing.T) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(512, rng)
 	}
-	exact, _ := hdc.NewSearcher(refs)
+	exact, _ := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
 	ns := NewNoisySearcher(exact, NoisyModel{SearchSigma: 200}, 7)
 	losses := 0
 	for trial := 0; trial < 30; trial++ {
 		q := refs[trial%50].Clone()
-		if top := ns.TopK(q, nil, 1); top[0].Index != trial%50 {
+		if top := noisyTopK(ns, q, 0, 50, 1); top[0].Index != trial%50 {
 			losses++
 		}
 	}
@@ -146,46 +130,32 @@ func TestNoisySearcherDegradesRanking(t *testing.T) {
 func TestNoisySearcherKZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	refs := []hdc.BinaryHV{hdc.RandomBinaryHV(64, rng)}
-	exact, _ := hdc.NewSearcher(refs)
+	exact, _ := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
 	ns := NewNoisySearcher(exact, NoisyModel{}, 9)
-	if got := ns.TopK(refs[0], nil, 0); got != nil {
+	if got := noisyTopK(ns, refs[0], 0, 1, 0); got != nil {
 		t.Error("k=0 returned results")
 	}
 }
 
-func TestNoisySearcherCandidateFilter(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	refs := make([]hdc.BinaryHV, 10)
-	for i := range refs {
-		refs[i] = hdc.RandomBinaryHV(128, rng)
-	}
-	exact, _ := hdc.NewSearcher(refs)
-	ns := NewNoisySearcher(exact, NoisyModel{}, 11)
-	top := ns.TopK(refs[0], []int{3, 4, 5, 77, -2}, 10)
-	if len(top) != 3 {
-		t.Errorf("candidate filter: got %d results", len(top))
-	}
-}
-
 // TestNoisySearcherRangeZeroSigmaParity checks the bulk range path:
-// with a noiseless model, TopKRange and BatchTopKRange must match the
-// exact engine's range results bit for bit, including clamping and
-// empty ranges.
+// with a noiseless model, a batch of one and a whole batch must match
+// the exact engine's results bit for bit, including clamping and empty
+// ranges.
 func TestNoisySearcherRangeZeroSigmaParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	refs := make([]hdc.BinaryHV, 60)
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(256, rng)
 	}
-	exact, err := hdc.NewSearcher(refs)
+	exact, err := hdc.NewShardedSearcher(refs, 16, hdc.CascadeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ns := NewNoisySearcher(exact, NoisyModel{}, 15)
 	q := hdc.RandomBinaryHV(256, rng)
 	for _, r := range [][2]int{{0, 60}, {10, 30}, {-5, 20}, {50, 90}, {25, 25}} {
-		got := ns.TopKRange(q, r[0], r[1], 5)
-		want := exact.TopKRange(q, r[0], r[1], 5)
+		got := noisyTopK(ns, q, r[0], r[1], 5)
+		want := exact.BatchTopKRange([]hdc.BinaryHV{q}, []hdc.RowRange{{Lo: r[0], Hi: r[1]}}, 5)[0]
 		if len(got) != len(want) {
 			t.Fatalf("range %v: %d vs %d results", r, len(got), len(want))
 		}
@@ -197,7 +167,7 @@ func TestNoisySearcherRangeZeroSigmaParity(t *testing.T) {
 	}
 	queries := []hdc.BinaryHV{q, hdc.RandomBinaryHV(256, rng), q}
 	ranges := []hdc.RowRange{{Lo: 5, Hi: 40}, {Lo: 0, Hi: 60}, {Lo: 33, Hi: 33}}
-	got := ns.BatchTopKRange(queries, ranges, 4)
+	got := ns.BatchTopKRangeTraced(queries, ranges, 4, nil)
 	want := exact.BatchTopKRange(queries, ranges, 4)
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
@@ -220,7 +190,7 @@ func TestNoisySearcherBatchRangeDeterministic(t *testing.T) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(512, rng)
 	}
-	exact, err := hdc.NewSearcher(refs)
+	exact, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +200,8 @@ func TestNoisySearcherBatchRangeDeterministic(t *testing.T) {
 		queries[i] = hdc.RandomBinaryHV(512, rng)
 		ranges[i] = hdc.RowRange{Lo: i, Hi: 40 + i*2}
 	}
-	a := NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 99).BatchTopKRange(queries, ranges, 3)
-	b := NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 99).BatchTopKRange(queries, ranges, 3)
+	a := NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 99).BatchTopKRangeTraced(queries, ranges, 3, nil)
+	b := NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 99).BatchTopKRangeTraced(queries, ranges, 3, nil)
 	for i := range a {
 		if len(a[i]) != len(b[i]) {
 			t.Fatalf("query %d: %d vs %d results", i, len(a[i]), len(b[i]))

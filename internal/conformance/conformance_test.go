@@ -1,16 +1,17 @@
 // Package conformance is the single cross-path search oracle: one
-// table-driven suite asserting that every search path in the system —
-// candidate-gather TopK, streamed TopKRange, the block-major batch
-// paths, the K-tier cascade ladder with and without a shortlist, the
-// partitioned mmap-backed engine, and the request-coalescing serving
-// layer — returns bit-identical top-k lists over randomized
-// D/shard/k/ladder-depth/bit-layout/partition-count workloads with
-// planted near-matches. Entropy-layout workloads additionally
+// table-driven suite asserting that every way of reaching the one
+// block-major range sweep — a query alone as a batch of one, a whole
+// batch, the batch reversed, traced and untraced, under the K-tier
+// cascade ladder with and without a shortlist, through the
+// single-store engine, the partitioned mmap-backed engine, and the
+// request-coalescing serving layer — returns bit-identical top-k lists
+// over randomized D/shard/k/ladder-depth/bit-layout/partition-count
+// workloads with planted near-matches. Entropy-layout workloads additionally
 // cross-check the permuted store against a natural-layout store on
 // the de-permuted inputs: the permutation must not move a single
 // result bit. It replaces the earlier per-path parity tests: a new
-// scan path earns its keep by joining this table, not by shipping its
-// own ad-hoc comparison.
+// route to the sweep earns its keep by joining this table, not by
+// shipping its own ad-hoc comparison.
 package conformance
 
 import (
@@ -163,7 +164,7 @@ func buildFixture(t *testing.T, w workload) *fixture {
 			Hi:      hi,
 		}
 	}
-	return &fixture{p: p, lib: lib, refs: refs, queries: queries}
+	return &fixture{p: p, lib: lib, refs: refs, queries: queries, perm: perm}
 }
 
 // hamming is the oracle's independent distance: explicit XOR+popcount
@@ -282,13 +283,33 @@ func assertMatches(t *testing.T, path string, qi int, got, want []hdc.Match) {
 	}
 }
 
-// candidateSlice materializes a query's row range for the gather paths.
-func candidateSlice(q core.PreparedQuery) []int {
-	out := []int{}
-	for i := q.Lo; i < q.Hi; i++ {
-		out = append(out, i)
+// assertOnePath drives the searcher's one entry point three ways — the
+// whole batch, the batch reversed, every query alone as a batch of one
+// — untraced and traced, and fails unless each reproduces the oracle.
+func assertOnePath(t *testing.T, name string, s *hdc.ShardedSearcher, hvs []hdc.BinaryHV, ranges []hdc.RowRange, k int, oracle [][]hdc.Match) {
+	t.Helper()
+	last := len(hvs) - 1
+	revHVs := make([]hdc.BinaryHV, len(hvs))
+	revRanges := make([]hdc.RowRange, len(ranges))
+	for i := range hvs {
+		revHVs[last-i], revRanges[last-i] = hvs[i], ranges[i]
 	}
-	return out
+	for _, tr := range []*obsv.Trace{nil, new(obsv.Trace)} {
+		label := name
+		if tr != nil {
+			label += " traced"
+		}
+		for qi, got := range s.BatchTopKRangeTraced(hvs, ranges, k, tr) {
+			assertMatches(t, label+" batch", qi, got, oracle[qi])
+		}
+		for ri, got := range s.BatchTopKRangeTraced(revHVs, revRanges, k, tr) {
+			assertMatches(t, label+" batch reversed", last-ri, got, oracle[last-ri])
+		}
+		for qi := range hvs {
+			got := s.BatchTopKRangeTraced(hvs[qi:qi+1], ranges[qi:qi+1], k, tr)
+			assertMatches(t, label+" batch of one", qi, got[0], oracle[qi])
+		}
+	}
 }
 
 // stubEncoder satisfies core.Encoder for engines driven exclusively
@@ -313,36 +334,22 @@ func TestConformance(t *testing.T) {
 			}
 
 			cc := hdc.CascadeConfig{Tiers: w.tiers, PrefilterWords: w.prefilter, Shortlist: w.shortlist}
-			searcher, err := hdc.NewShardedSearcherCascade(fx.lib.HVs, w.shard, cc)
+			searcher, err := hdc.NewShardedSearcher(fx.lib.HVs, w.shard, cc)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			// Searcher-level paths.
-			for qi, q := range fx.queries {
-				assertMatches(t, "gather TopK", qi, searcher.TopK(q.HV, candidateSlice(q), w.k), oracle[qi])
-				assertMatches(t, "TopKRange", qi, searcher.TopKRange(q.HV, q.Lo, q.Hi, w.k), oracle[qi])
-			}
+			// Searcher level: the one sweep, reached as the whole batch,
+			// the batch reversed, and every query alone as a batch of one
+			// — each untraced and traced (attaching a stage trace must not
+			// change a single result bit on any workload).
 			hvs := make([]hdc.BinaryHV, len(fx.queries))
 			ranges := make([]hdc.RowRange, len(fx.queries))
-			cands := make([][]int, len(fx.queries))
 			for qi, q := range fx.queries {
 				hvs[qi] = q.HV
 				ranges[qi] = hdc.RowRange{Lo: q.Lo, Hi: q.Hi}
-				cands[qi] = candidateSlice(q)
 			}
-			for qi, got := range searcher.BatchTopK(hvs, cands, w.k) {
-				assertMatches(t, "BatchTopK", qi, got, oracle[qi])
-			}
-			for qi, got := range searcher.BatchTopKRange(hvs, ranges, w.k) {
-				assertMatches(t, "BatchTopKRange", qi, got, oracle[qi])
-			}
-			// Traced sweep parity: attaching a stage trace must not
-			// change a single result bit on any workload.
-			var searcherTrace obsv.Trace
-			for qi, got := range searcher.BatchTopKRangeTraced(hvs, ranges, w.k, &searcherTrace) {
-				assertMatches(t, "BatchTopKRangeTraced", qi, got, oracle[qi])
-			}
+			assertOnePath(t, "workload", searcher, hvs, ranges, w.k, oracle)
 
 			// Natural-vs-entropy bit identity: de-permute the store and
 			// the queries back to the natural layout and search them
@@ -360,56 +367,40 @@ func TestConformance(t *testing.T) {
 				for i, hv := range fx.lib.HVs {
 					natRefs[i] = hdc.PermuteBits(hv, inv)
 				}
-				natural, err := hdc.NewShardedSearcherCascade(natRefs, w.shard, cc)
+				natural, err := hdc.NewShardedSearcher(natRefs, w.shard, cc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for qi, q := range fx.queries {
-					natHV := hdc.PermuteBits(q.HV, inv)
-					assertMatches(t, "natural-layout TopKRange", qi,
-						natural.TopKRange(natHV, q.Lo, q.Hi, w.k),
-						searcher.TopKRange(q.HV, q.Lo, q.Hi, w.k))
+				natHVs := make([]hdc.BinaryHV, len(hvs))
+				for qi, hv := range hvs {
+					natHVs[qi] = hdc.PermuteBits(hv, inv)
+				}
+				for qi, got := range natural.BatchTopKRange(natHVs, ranges, w.k) {
+					assertMatches(t, "natural-layout sweep", qi, got, oracle[qi])
 				}
 			}
 
 			// Edge geometry (coverage inherited from the deleted per-path
 			// parity tests): out-of-bounds and inverted ranges must clamp,
-			// and candidate slices carrying out-of-range entries must skip
-			// them — identically to the oracle over the valid rows.
-			edgeHV := fx.queries[0].HV
+			// empty ranges must stay empty, and a range holding fewer than
+			// k rows must return them all — identically to the oracle over
+			// the valid rows, alone and batched together.
 			edgeRanges := []hdc.RowRange{
 				{Lo: -10, Hi: n + 10},
 				{Lo: n / 2, Hi: n / 3}, // inverted: empty
 				{Lo: 7, Hi: 7},         // empty
 				{Lo: -5, Hi: 3},
 				{Lo: n - 1, Hi: n + 50},
+				{Lo: n / 2, Hi: n/2 + 2}, // fewer than k rows
+				{Lo: n + 3, Hi: n + 9},   // past the end: empty
 			}
+			edgeHVs := make([]hdc.BinaryHV, len(edgeRanges))
+			edgeOracle := make([][]hdc.Match, len(edgeRanges))
 			for ri, r := range edgeRanges {
-				want := fx.oracleFor(w, edgeHV, rangeIndices(r.Lo, r.Hi, n))
-				assertMatches(t, fmt.Sprintf("TopKRange edge %d", ri), 0,
-					searcher.TopKRange(edgeHV, r.Lo, r.Hi, w.k), want)
-				got := searcher.BatchTopKRange([]hdc.BinaryHV{edgeHV}, []hdc.RowRange{r}, w.k)
-				assertMatches(t, fmt.Sprintf("BatchTopKRange edge %d", ri), 0, got[0], want)
+				edgeHVs[ri] = fx.queries[0].HV
+				edgeOracle[ri] = fx.oracleFor(w, edgeHVs[ri], rangeIndices(r.Lo, r.Hi, n))
 			}
-			edgeCands := [][]int{
-				{-5, 0, n - 1, n, n + 3, 1}, // out-of-range entries skipped
-				{},                          // empty, non-nil (nil = all refs)
-				{3, 3, 3},                   // duplicates
-			}
-			for ci, cand := range edgeCands {
-				// The engine scores duplicate candidates repeatedly (they
-				// occupy multiple top-k slots); the oracle mirrors that by
-				// keeping duplicates in the valid set.
-				var valid []int
-				for _, i := range cand {
-					if i >= 0 && i < n {
-						valid = append(valid, i)
-					}
-				}
-				want := fx.oracleFor(w, edgeHV, valid)
-				assertMatches(t, fmt.Sprintf("gather TopK edge %d", ci), 0,
-					searcher.TopK(edgeHV, cand, w.k), want)
-			}
+			assertOnePath(t, "edge", searcher, edgeHVs, edgeRanges, w.k, edgeOracle)
 
 			// Engine-level paths over the same packed store.
 			engine, err := core.NewEngine(fx.p, fx.lib, stubEncoder{}, searcher)

@@ -1,10 +1,12 @@
 // Package core is the end-to-end open modification search engine of
 // the paper (Fig. 2): preprocessing → ID-Level HD encoding →
 // precursor-window candidate selection → Hamming similarity search →
-// FDR filtering. Backends are pluggable: the exact software path
-// ("ideal"), the characterized-noise path replaying the simulated MLC
-// RRAM chip's error statistics, or explicit error injection for the
-// robustness study (Fig. 11).
+// FDR filtering. The library is mass-sorted, so a precursor window is
+// a contiguous row range and every search — one query or many — is one
+// batch range call on the Searcher. Backends are pluggable: the exact
+// software path ("ideal"), the characterized-noise path replaying the
+// simulated MLC RRAM chip's error statistics, or explicit error
+// injection for the robustness study (Fig. 11).
 package core
 
 import (
@@ -26,42 +28,19 @@ type Encoder interface {
 	EncodeVector(v spectrum.Vector) (hdc.BinaryHV, error)
 }
 
-// Searcher abstracts top-k Hamming similarity search over the encoded
-// library. Implementations: *hdc.Searcher (exact) and
-// *accel.NoisySearcher (characterized hardware noise).
+// Searcher is the one search primitive the engine needs, mirroring the
+// accelerator's: a batch of encoded queries, each restricted to a
+// contiguous row range of the mass-sorted library (every precursor
+// window is one), comes back as per-query top-k lists (similarity
+// descending, ties by ascending row), with per-tier timings and row
+// counters accumulated into tr when it is non-nil. A single query is a
+// batch of one. Implementations: *hdc.ShardedSearcher (exact —
+// deterministic, so results are independent of batch composition and
+// of tracing) and *accel.NoisySearcher (characterized hardware noise —
+// per-seed reproducible for a fixed batching, since it draws one noise
+// stream per non-empty query in query order, and untraced).
 type Searcher interface {
-	// TopK returns the k best matches among candidates (nil = all).
-	TopK(q hdc.BinaryHV, candidates []int, k int) []hdc.Match
-}
-
-// BatchSearcher is the optional batch extension of Searcher.
-// SearchAllParallel routes encoded queries through BatchTopK when the
-// engine's searcher provides it, letting the sharded exact engine
-// amortize its per-worker scratch across the whole query set.
-type BatchSearcher interface {
-	Searcher
-	// BatchTopK runs TopK for every query; candidates[i] restricts
-	// query i (nil = all references).
-	BatchTopK(queries []hdc.BinaryHV, candidates [][]int, k int) [][]hdc.Match
-}
-
-// RangeSearcher is the optional contiguous-range extension of
-// Searcher. The library is mass-sorted, so every precursor window is
-// a contiguous row range [lo, hi); range-native searchers (the exact
-// sharded engine, the characterized-noise searcher) stream those rows
-// through the blocked kernel without materializing per-query
-// candidate index slices. Deterministic implementations must return
-// results bit-identical to TopK over the equivalent candidate slice;
-// noisy implementations must apply their error model to every
-// candidate in the range and stay deterministic per seed, but may
-// consume their noise stream differently than the slice path.
-type RangeSearcher interface {
-	Searcher
-	// TopKRange returns the k best matches among rows [lo, hi).
-	TopKRange(q hdc.BinaryHV, lo, hi, k int) []hdc.Match
-	// BatchTopKRange runs TopKRange for every query; ranges[i]
-	// restricts query i.
-	BatchTopKRange(queries []hdc.BinaryHV, ranges []hdc.RowRange, k int) [][]hdc.Match
+	BatchTopKRangeTraced(queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, tr *obsv.Trace) [][]hdc.Match
 }
 
 // SearchEngine is the query-serving surface shared by the single-store
@@ -107,13 +86,6 @@ type TracedSearchEngine interface {
 	// (and, for a partitioned engine, per-partition sweep) telemetry
 	// into tr when non-nil.
 	SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool)
-}
-
-// tracedRangeSearcher is the range searcher's tracing extension
-// (implemented by hdc.ShardedSearcher); searchers without it — e.g.
-// the characterized-noise searcher — run untraced.
-type tracedRangeSearcher interface {
-	BatchTopKRangeTraced(queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, tr *obsv.Trace) [][]hdc.Match
 }
 
 // Params configures an OMS engine.
@@ -219,9 +191,8 @@ type LibraryEntry struct {
 // Library is an encoded, mass-ordered reference library: entries are
 // stored sorted by ascending precursor mass, so entry index == mass
 // rank, every precursor window selects a contiguous index range
-// [lo, hi) (CandidateRange), and a searcher packed over HVs can
-// stream any candidate set as a contiguous row range instead of
-// gathering a materialized index slice.
+// [lo, hi) (CandidateRange), and a searcher packed over HVs streams
+// any candidate set as a contiguous row range.
 type Library struct {
 	// Entries holds metadata parallel to the encoded hypervectors,
 	// sorted by ascending precursor mass.
@@ -339,8 +310,8 @@ func (l *Library) permuteQuery(hv hdc.BinaryHV) hdc.BinaryHV {
 // precursor mass (stable: equal masses keep their build order) and
 // records the permutation back to build order (SourcePos). Libraries
 // built by BuildLibrary are already sorted; a Library constructed by
-// hand must call it before CandidateRange, Candidates or SourcePos
-// are meaningful, and before packing HVs into a searcher.
+// hand must call it before CandidateRange or SourcePos are
+// meaningful, and before packing HVs into a searcher.
 func (l *Library) SortByMass() {
 	if len(l.HVs) != len(l.Entries) {
 		panic(fmt.Sprintf("core: library has %d entries but %d hypervectors", len(l.Entries), len(l.HVs)))
@@ -425,27 +396,6 @@ func (l *Library) CandidateRange(queryMass float64, w units.MassWindow) (lo, hi 
 	return lo, hi
 }
 
-// Candidates materializes CandidateRange as an ascending index slice
-// (nil when empty). The engine's search path uses the range form
-// directly; this slice API is retained for external callers and
-// searchers without range support.
-func (l *Library) Candidates(queryMass float64, w units.MassWindow) []int {
-	return indexSlice(l.CandidateRange(queryMass, w))
-}
-
-// indexSlice expands [lo, hi) into an ascending index slice, nil when
-// the range is empty.
-func indexSlice(lo, hi int) []int {
-	if lo >= hi {
-		return nil
-	}
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
-}
-
 // InjectStorageErrors flips every stored reference bit with the given
 // probability, modelling hypervector storage errors (Figs. 7/11). The
 // library is modified in place.
@@ -464,9 +414,6 @@ type Engine struct {
 	lib      *Library
 	enc      Encoder
 	searcher Searcher
-	// ranger is the searcher's range-native view, nil when the
-	// searcher only supports candidate index slices.
-	ranger RangeSearcher
 	// normD is the score normalizer: the library's actual hypervector
 	// dimension, validated against params.Accel.D at construction.
 	normD float64
@@ -502,9 +449,7 @@ func NewEngine(p Params, lib *Library, enc Encoder, s Searcher) (*Engine, error)
 	if p.TopK < 1 {
 		p.TopK = 1
 	}
-	e := &Engine{params: p, lib: lib, enc: enc, searcher: s, normD: float64(d)}
-	e.ranger, _ = s.(RangeSearcher)
-	return e, nil
+	return &Engine{params: p, lib: lib, enc: enc, searcher: s, normD: float64(d)}, nil
 }
 
 // Library returns the engine's library.
@@ -532,12 +477,16 @@ func (e *Engine) CascadeStats() (hdc.CascadeStats, bool) {
 }
 
 // ReleaseLibraryHVs drops the library's hypervector slices. The
-// searcher packed its own copy of every reference word at
-// construction and the search path reads only Entries and the packed
-// store, so a long-lived serving process can halve its resident
-// memory by releasing the originals. After the call, Library.HVs is
-// nil: the caller must not inject storage errors, rebuild a searcher
-// from this library, or save it to an index.
+// copying searcher constructor packed its own copy of every reference
+// word and retains nothing of the source, and the search path reads
+// only Entries and the packed store, so a long-lived serving process
+// over a built or loaded library (BuildExact, BuildNoisy,
+// NewExactEngineFromLibrary) halves its resident memory by releasing
+// the originals. Over a packed block (NewExactEngineFromPacked) the
+// hypervectors are views into the block the searcher aliases, so only
+// the slice headers are freed. After the call, Library.HVs is nil: the
+// caller must not inject storage errors, rebuild a searcher from this
+// library, or save it to an index.
 func (e *Engine) ReleaseLibraryHVs() { e.lib.HVs = nil }
 
 // PreparedQuery is a query that has passed preprocessing and encoding
@@ -591,31 +540,26 @@ func (e *Engine) psmFor(pq PreparedQuery, best hdc.Match) fdr.PSM {
 	}
 }
 
-// SearchOne runs one query and returns its best-match PSM; ok is
-// false when the query is rejected by preprocessing or finds no
-// candidate in the precursor window.
+// SearchOne runs one query — a batch of one — and returns its
+// best-match PSM; ok is false when the query is rejected by
+// preprocessing or finds no candidate in the precursor window.
 func (e *Engine) SearchOne(q *spectrum.Spectrum) (fdr.PSM, bool, error) {
 	pq, ok, err := e.Prepare(q)
 	if err != nil || !ok {
 		return fdr.PSM{}, false, err
 	}
-	top := e.topKRange(pq.HV, pq.Lo, pq.Hi)
-	if len(top) == 0 {
-		return fdr.PSM{}, false, nil
-	}
-	return e.psmFor(pq, top[0]), true, nil
+	psms, oks := e.SearchPrepared([]PreparedQuery{pq})
+	return psms[0], oks[0], nil
 }
 
-// SearchPrepared scores prepared queries through one batch top-k
-// sweep: range-native searchers sweep each cache-resident row block
-// with every query whose window covers it, so the packed reference
-// store streams from memory once per batch instead of once per query.
-// It returns one slot per input: ok[i] is false when query i's range
-// produced no match. With a deterministic searcher (the exact sharded
-// engine), per-query results are bit-identical to SearchOne and
-// independent of batch composition and order. Noisy searchers draw
-// their error stream in batch query order (see RangeSearcher), so
-// their results may vary with how queries are batched — per-seed
+// SearchPrepared scores prepared queries through one batch sweep: the
+// searcher sweeps each cache-resident row block with every query whose
+// window covers it, so the packed reference store streams from memory
+// once per batch instead of once per query. It returns one slot per
+// input: ok[i] is false when query i's range produced no match. With
+// the exact searcher, per-query results are independent of batch
+// composition and order; the noisy searcher draws its error stream in
+// batch query order (see Searcher), so its results are per-seed
 // reproducible for a fixed batching, but not batch-invariant.
 func (e *Engine) SearchPrepared(qs []PreparedQuery) ([]fdr.PSM, []bool) {
 	return e.SearchPreparedTraced(qs, nil)
@@ -623,50 +567,15 @@ func (e *Engine) SearchPrepared(qs []PreparedQuery) ([]fdr.PSM, []bool) {
 
 // SearchPreparedTraced is SearchPrepared with per-stage tracing (see
 // TracedSearchEngine): a non-nil tr collects per-tier and merge
-// timings and row counters from the range-native sweep. Timing never
-// alters control flow, so results are bit-identical to the untraced
-// call.
+// timings and row counters from the sweep. Timing never alters control
+// flow, so results are bit-identical to the untraced call.
 func (e *Engine) SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool) {
 	psms := make([]fdr.PSM, len(qs))
 	oks := make([]bool, len(qs))
 	if len(qs) == 0 {
 		return psms, oks
 	}
-	var tops [][]hdc.Match
-	switch {
-	case e.ranger != nil:
-		hvs := make([]hdc.BinaryHV, len(qs))
-		ranges := make([]hdc.RowRange, len(qs))
-		for i, pq := range qs {
-			hvs[i] = pq.HV
-			ranges[i] = hdc.RowRange{Lo: pq.Lo, Hi: pq.Hi}
-		}
-		if ts, ok := e.ranger.(tracedRangeSearcher); ok {
-			tops = ts.BatchTopKRangeTraced(hvs, ranges, e.params.TopK, tr)
-		} else {
-			tops = e.ranger.BatchTopKRange(hvs, ranges, e.params.TopK)
-		}
-	default:
-		if bs, ok := e.searcher.(BatchSearcher); ok {
-			hvs := make([]hdc.BinaryHV, len(qs))
-			cands := make([][]int, len(qs))
-			for i, pq := range qs {
-				hvs[i] = pq.HV
-				if cands[i] = indexSlice(pq.Lo, pq.Hi); cands[i] == nil {
-					// An empty range must stay restricted: nil would
-					// mean "all references" to BatchTopK.
-					cands[i] = []int{}
-				}
-			}
-			tops = bs.BatchTopK(hvs, cands, e.params.TopK)
-		} else {
-			tops = make([][]hdc.Match, len(qs))
-			for i, pq := range qs {
-				tops[i] = e.topKRange(pq.HV, pq.Lo, pq.Hi)
-			}
-		}
-	}
-	for i, top := range tops {
+	for i, top := range e.batchTopK(qs, tr) {
 		if len(top) == 0 {
 			continue
 		}
@@ -676,13 +585,26 @@ func (e *Engine) SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr
 	return psms, oks
 }
 
+// batchTopK hands the prepared queries' hypervectors and candidate row
+// ranges to the searcher.
+func (e *Engine) batchTopK(qs []PreparedQuery, tr *obsv.Trace) [][]hdc.Match {
+	hvs := make([]hdc.BinaryHV, len(qs))
+	ranges := make([]hdc.RowRange, len(qs))
+	for i, pq := range qs {
+		hvs[i] = pq.HV
+		ranges[i] = hdc.RowRange{Lo: pq.Lo, Hi: pq.Hi}
+	}
+	return e.searcher.BatchTopKRangeTraced(hvs, ranges, e.params.TopK, tr)
+}
+
 // TopKPrepared returns the full top-k match list of one prepared
 // query — the list SearchOne's PSM is the head of, with indices in
 // mass-rank row space. It is the single-engine leg of the cross-path
-// conformance contract: every search path (gather, range, batch,
-// cascade, partitioned, served) must reproduce this list bit for bit.
+// conformance contract: every way of reaching the sweep (alone,
+// batched, cascade, partitioned, served) must reproduce this list bit
+// for bit.
 func (e *Engine) TopKPrepared(pq PreparedQuery) []hdc.Match {
-	return e.topKRange(pq.HV, pq.Lo, pq.Hi)
+	return e.batchTopK([]PreparedQuery{pq}, nil)[0]
 }
 
 // window returns the precursor window for a query mass: the open
@@ -698,21 +620,6 @@ func (p Params) queryWindow(queryMass float64) units.MassWindow {
 		return p.Window
 	}
 	return units.StandardWindow(queryMass, p.StandardTol)
-}
-
-// topKRange searches the candidate row range [lo, hi): range-native
-// searchers stream it through the blocked kernel; others receive the
-// materialized index slice. An empty range yields no matches (the
-// gather fallback must not pass a nil slice to TopK, which would mean
-// "all references").
-func (e *Engine) topKRange(hv hdc.BinaryHV, lo, hi int) []hdc.Match {
-	if lo >= hi {
-		return nil
-	}
-	if e.ranger != nil {
-		return e.ranger.TopKRange(hv, lo, hi, e.params.TopK)
-	}
-	return e.searcher.TopK(hv, indexSlice(lo, hi), e.params.TopK)
 }
 
 // SearchAll runs every query and returns the PSM list (one best match
@@ -758,7 +665,7 @@ func BuildExact(p Params, library []*spectrum.Spectrum) (*Engine, *hdc.Encoder, 
 	if err != nil {
 		return nil, nil, err
 	}
-	searcher, err := hdc.NewSearcherCascade(lib.HVs, p.ShardSize, p.cascadeConfig())
+	searcher, err := hdc.NewShardedSearcher(lib.HVs, p.ShardSize, p.cascadeConfig())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -773,7 +680,7 @@ func BuildExact(p Params, library []*spectrum.Spectrum) (*Engine, *hdc.Encoder, 
 // already-encoded library — the load path of the persistent library
 // index. The query encoder is rebuilt deterministically from p.Accel
 // (item memories and level sets are seeded), and the sharded searcher
-// is packed straight from the library's stored hypervectors: no
+// is packed (copied) straight from the library's stored hypervectors: no
 // spectrum is re-preprocessed or re-encoded, so construction is
 // bounded by one pass over the packed words instead of the full
 // encoding pipeline. p must carry the same encoder-identity fields
@@ -792,7 +699,7 @@ func NewExactEngineFromLibrary(p Params, lib *Library) (*Engine, *hdc.Encoder, e
 	if lib == nil || lib.Len() == 0 {
 		return nil, nil, fmt.Errorf("core: empty library")
 	}
-	searcher, err := hdc.NewSearcherCascade(lib.HVs, p.ShardSize, p.cascadeConfig())
+	searcher, err := hdc.NewShardedSearcher(lib.HVs, p.ShardSize, p.cascadeConfig())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -877,7 +784,7 @@ func BuildNoisy(p Params, library []*spectrum.Spectrum, spec NoiseSpec) (*Engine
 	// The noisy searcher bulk-scores full similarities, so the cascade
 	// layout is transparent to it; the knobs are threaded anyway so
 	// the packed layout matches the exact engine's.
-	exact, err := hdc.NewSearcherCascade(lib.HVs, p.ShardSize, p.cascadeConfig())
+	exact, err := hdc.NewShardedSearcher(lib.HVs, p.ShardSize, p.cascadeConfig())
 	if err != nil {
 		return nil, err
 	}

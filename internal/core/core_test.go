@@ -128,7 +128,7 @@ func TestStandardSearchMissesModifiedPeptides(t *testing.T) {
 	}
 }
 
-func TestCandidatesWindowSemantics(t *testing.T) {
+func TestCandidateRangeWindowSemantics(t *testing.T) {
 	lib := &Library{
 		Entries: []LibraryEntry{
 			{ID: "a", Mass: 1000},
@@ -141,20 +141,12 @@ func TestCandidatesWindowSemantics(t *testing.T) {
 	lib.SortByMass()
 	// Query mass 1510, window [-150, +500]: accept refs with
 	// queryMass - refMass in window => refMass in [1010, 1660].
-	got := lib.Candidates(1510, units.OpenWindow(-150, 500))
-	if len(got) != 2 {
-		t.Fatalf("candidates = %v", got)
-	}
-	seen := map[int]bool{}
-	for _, i := range got {
-		seen[i] = true
-	}
-	if !seen[1] || !seen[2] {
-		t.Errorf("candidates = %v, want entries b and c", got)
+	if lo, hi := lib.CandidateRange(1510, units.OpenWindow(-150, 500)); lo != 1 || hi != 3 {
+		t.Errorf("candidates = [%d, %d), want entries b and c", lo, hi)
 	}
 	// Empty result outside mass range.
-	if got := lib.Candidates(50, units.OpenWindow(-1, 1)); len(got) != 0 {
-		t.Errorf("far-off query found candidates: %v", got)
+	if lo, hi := lib.CandidateRange(50, units.OpenWindow(-1, 1)); lo < hi {
+		t.Errorf("far-off query found candidates: [%d, %d)", lo, hi)
 	}
 }
 
@@ -228,7 +220,7 @@ func TestNewEngineRejectsDimensionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	searcher, err := hdc.NewSearcher(lib.HVs)
+	searcher, err := hdc.NewShardedSearcher(lib.HVs, 0, hdc.CascadeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +275,9 @@ func TestLibraryMassOrderedWithSourcePermutation(t *testing.T) {
 	}
 }
 
-// TestCandidateRangeMatchesCandidates cross-checks the O(1) range
-// representation against the retained slice API on random windows.
-func TestCandidateRangeMatchesCandidates(t *testing.T) {
+// TestCandidateRangeMatchesWindow cross-checks the O(1) range
+// representation against the window predicate on random windows.
+func TestCandidateRangeMatchesWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	lib := &Library{
 		Entries: make([]LibraryEntry, 200),
@@ -299,85 +291,12 @@ func TestCandidateRangeMatchesCandidates(t *testing.T) {
 		mass := 400 + rng.Float64()*2400
 		w := units.OpenWindow(-rng.Float64()*200, rng.Float64()*500)
 		lo, hi := lib.CandidateRange(mass, w)
-		slice := lib.Candidates(mass, w)
-		if len(slice) != hi-lo {
-			t.Fatalf("trial %d: range [%d,%d) vs slice len %d", trial, lo, hi, len(slice))
-		}
-		for j, idx := range slice {
-			if idx != lo+j {
-				t.Fatalf("trial %d: slice[%d] = %d, want %d", trial, j, idx, lo+j)
-			}
-		}
 		for i, e := range lib.Entries {
 			in := i >= lo && i < hi
 			within := mass-e.Mass >= w.Lower && mass-e.Mass <= w.Upper
 			if in != within {
 				t.Fatalf("trial %d: entry %d (mass %v) in-range=%v but window says %v", trial, i, e.Mass, in, within)
 			}
-		}
-	}
-}
-
-// sliceOnlySearcher hides the range and batch extensions of the
-// sharded engine, forcing the engine onto the retained gather path.
-type sliceOnlySearcher struct{ s *hdc.Searcher }
-
-func (w sliceOnlySearcher) TopK(q hdc.BinaryHV, candidates []int, k int) []hdc.Match {
-	return w.s.TopK(q, candidates, k)
-}
-
-// TestRangePathMatchesGatherPath runs the same workload through the
-// range-native engine and through a slice-only searcher over the same
-// library, asserting PSM-for-PSM identical results on both the serial
-// and the parallel paths — the end-to-end parity criterion.
-func TestRangePathMatchesGatherPath(t *testing.T) {
-	ds := testDataset(t)
-	p := testParams()
-	rangeEng, enc, err := BuildExact(p, ds.Library)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib := rangeEng.Library()
-	searcher, err := hdc.NewSearcherSharded(lib.HVs, p.ShardSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gatherEng, err := NewEngine(p, lib, enc, sliceOnlySearcher{s: searcher})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gatherEng.ranger != nil {
-		t.Fatal("slice-only searcher unexpectedly implements RangeSearcher")
-	}
-	if rangeEng.ranger == nil {
-		t.Fatal("exact engine's searcher lost RangeSearcher support")
-	}
-	want, err := gatherEng.SearchAll(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rangeEng.SearchAll(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("PSM counts differ: range %d vs gather %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("PSM %d differs:\nrange  %+v\ngather %+v", i, got[i], want[i])
-		}
-	}
-	gotPar, err := rangeEng.SearchAllParallel(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotPar) != len(want) {
-		t.Fatalf("parallel PSM counts differ: %d vs %d", len(gotPar), len(want))
-	}
-	for i := range gotPar {
-		if gotPar[i] != want[i] {
-			t.Fatalf("parallel PSM %d differs:\nrange  %+v\ngather %+v", i, gotPar[i], want[i])
 		}
 	}
 }

@@ -41,32 +41,27 @@ func TestEngineTopKClamp(t *testing.T) {
 	}
 }
 
-func TestCandidatesEmptyWindow(t *testing.T) {
+func TestCandidateRangeEmptyWindow(t *testing.T) {
 	lib := &Library{
 		Entries: []LibraryEntry{{Mass: 1000}},
 		HVs:     make([]hdc.BinaryHV, 1),
 	}
 	lib.SortByMass()
 	// Inverted/degenerate window around a far-off mass.
-	if got := lib.Candidates(5000, units.OpenWindow(-1, 1)); got != nil {
-		t.Errorf("expected no candidates, got %v", got)
+	if lo, hi := lib.CandidateRange(5000, units.OpenWindow(-1, 1)); lo < hi {
+		t.Errorf("expected no candidates, got [%d, %d)", lo, hi)
 	}
 }
 
-func TestCandidatesBoundaryInclusive(t *testing.T) {
+func TestCandidateRangeBoundaryInclusive(t *testing.T) {
 	lib := &Library{
 		Entries: []LibraryEntry{{Mass: 1000}, {Mass: 1150}, {Mass: 1500}},
 		HVs:     make([]hdc.BinaryHV, 3),
 	}
 	lib.SortByMass()
 	// Window [-150, +500]: query 1000 accepts refs in [500, 1150].
-	got := lib.Candidates(1000, units.OpenWindow(-150, 500))
-	found := map[int]bool{}
-	for _, i := range got {
-		found[i] = true
-	}
-	if !found[0] || !found[1] || found[2] {
-		t.Errorf("boundary candidates = %v", got)
+	if lo, hi := lib.CandidateRange(1000, units.OpenWindow(-150, 500)); lo != 0 || hi != 2 {
+		t.Errorf("boundary candidates = [%d, %d), want [0, 2)", lo, hi)
 	}
 }
 
@@ -197,8 +192,8 @@ func TestEmptyLibraryRejectedEverywhere(t *testing.T) {
 	if _, _, err := BuildExact(p, nil); err == nil {
 		t.Error("BuildExact accepted an empty library")
 	}
-	if _, err := hdc.NewSearcherSharded(nil, 0); err == nil {
-		t.Error("NewSearcherSharded accepted an empty reference set")
+	if _, err := hdc.NewShardedSearcher(nil, 0, hdc.CascadeConfig{}); err == nil {
+		t.Error("NewShardedSearcher accepted an empty reference set")
 	}
 	if _, err := RestoreLibrary(nil, nil, nil, 0); err == nil {
 		t.Error("RestoreLibrary accepted an empty library")

@@ -136,17 +136,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchPathShardSizes checks the exact searcher takes the batch
-// route and that engine results are invariant to the shard size.
+// TestBatchPathShardSizes checks that engine results are invariant to
+// the shard size.
 func TestBatchPathShardSizes(t *testing.T) {
 	ds := testDataset(t)
 	p := testParams()
 	base, _, err := BuildExact(p, ds.Library)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := base.searcher.(BatchSearcher); !ok {
-		t.Fatal("exact searcher does not implement BatchSearcher")
 	}
 	want, err := base.SearchAllParallel(ds.Queries)
 	if err != nil {

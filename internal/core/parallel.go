@@ -42,46 +42,14 @@ func parallelFor(n int, fn func(i int)) {
 // preprocessing or with empty candidate sets are omitted, exactly as
 // in SearchAll.
 //
-// When the engine's searcher implements RangeSearcher or
-// BatchSearcher (the exact sharded engine and the characterized-noise
-// searcher do), the search runs in two stages: preprocessing,
-// encoding and candidate-range selection fan out per query, then a
-// single batch top-k scores every searchable query — range-native
-// searchers sweep each cache-resident row block with all queries
-// whose precursor windows cover it, so the packed reference store
-// streams from memory once per batch. Other searchers take the
-// per-query path.
+// The search runs in two stages: preparation (preprocessing, encoding,
+// candidate-range selection) fans out per query, then one
+// SearchPrepared sweep scores every searchable query — each
+// cache-resident row block is swept by all queries whose precursor
+// windows cover it, so the packed reference store streams from memory
+// once per batch. Each stage mirrors SearchOne, so with the exact
+// searcher the emitted PSMs are identical to SearchAll's.
 func (e *Engine) SearchAllParallel(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
-	if _, ok := e.searcher.(BatchSearcher); ok || e.ranger != nil {
-		return e.searchAllBatch(queries)
-	}
-	type slot struct {
-		psm fdr.PSM
-		ok  bool
-		err error
-	}
-	slots := make([]slot, len(queries))
-	parallelFor(len(queries), func(i int) {
-		psm, ok, err := e.SearchOne(queries[i])
-		slots[i] = slot{psm: psm, ok: ok, err: err}
-	})
-	psms := make([]fdr.PSM, 0, len(queries))
-	for _, s := range slots {
-		if s.err != nil {
-			return nil, s.err
-		}
-		if s.ok {
-			psms = append(psms, s.psm)
-		}
-	}
-	return psms, nil
-}
-
-// searchAllBatch is the batch-oriented parallel path: preparation
-// (preprocessing, encoding, candidate-range selection) fans out per
-// query, then one SearchPrepared sweep scores every searchable query.
-// Each stage mirrors SearchOne, so the emitted PSMs are identical.
-func (e *Engine) searchAllBatch(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
 	type prep struct {
 		pq  PreparedQuery
 		ok  bool

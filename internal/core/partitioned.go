@@ -44,7 +44,7 @@ type partition struct {
 // partitions (incremental appends), each with its own packed searcher
 // (typically zero-copy views over a memory-mapped index partition, see
 // libindex.OpenManifest). A query's precursor window is routed to the
-// overlapping partitions via the mass fences, BatchTopKRange fans out
+// overlapping partitions via the mass fences, the batch sweep fans out
 // across partitions in parallel, and the per-partition top-k lists are
 // merged exactly: a global top-k member is necessarily in the top-k of
 // the partition holding it (widened by the partition's hidden-row
@@ -181,7 +181,7 @@ func NewPartitionedEngine(p Params, set PartitionSet) (*PartitionedEngine, *hdc.
 				err = fmt.Errorf("core: partition %d block holds %d rows but library has %d entries", i, searcher.Len(), lib.Len())
 			}
 		} else {
-			searcher, err = hdc.NewShardedSearcherCascade(lib.HVs, p.ShardSize, p.cascadeConfig())
+			searcher, err = hdc.NewShardedSearcher(lib.HVs, p.ShardSize, p.cascadeConfig())
 		}
 		if err != nil {
 			return nil, nil, err
@@ -502,41 +502,17 @@ func mergeCands(cands []cand, k int) []hdc.Match {
 }
 
 // TopKPrepared returns the full top-k match list of one prepared
-// query: each overlapping partition's range is scored with its own
-// searcher and the per-partition lists merge exactly (see the type
-// comment). Indices are global rows.
+// query — a batch of one through batchTopKPrepared: each overlapping
+// partition's range is scored with its own searcher and the
+// per-partition lists merge exactly (see the type comment). Indices
+// are global rows.
 func (pe *PartitionedEngine) TopKPrepared(pq PreparedQuery) []hdc.Match {
-	k := pe.params.TopK
-	if !pe.overlay() {
-		var merged []hdc.Match
-		for i := range pe.parts {
-			p := &pe.parts[i]
-			lo, hi := p.clip(pq.Lo, pq.Hi)
-			if lo >= hi {
-				continue
-			}
-			for _, m := range p.searcher.TopKRange(pq.HV, lo, hi, k) {
-				m.Index += p.start
-				merged = append(merged, m)
-			}
-		}
-		return mergeTopK(merged, k)
-	}
-	var cands []cand
-	for i := range pe.parts {
-		p := &pe.parts[i]
-		lo, hi := pe.partRange(p, &pq)
-		if lo >= hi {
-			continue
-		}
-		cands = p.collectCands(cands, p.searcher.TopKRange(pq.HV, lo, hi, p.kEff(k)))
-	}
-	return mergeCands(cands, k)
+	return pe.batchTopKPrepared([]PreparedQuery{pq}, nil)[0]
 }
 
 // batchTopKPrepared scores a prepared batch: queries fan out across
-// partitions in parallel — each partition runs one block-major
-// BatchTopKRange sweep over the queries whose windows reach it — and
+// partitions in parallel — each partition runs one block-major sweep
+// over the queries whose windows reach it — and
 // the per-partition lists merge exactly per query. A non-nil tr
 // collects tier timings from each partition's sweep plus one
 // PartSweep record per visited partition (index, candidate rows, wall
@@ -581,18 +557,18 @@ func (pe *PartitionedEngine) batchTopKPrepared(qs []PreparedQuery, tr *obsv.Trac
 		go func(i int) {
 			defer wg.Done()
 			b := &batches[i]
-			kPart := pe.parts[i].kEff(k)
-			if tr == nil {
-				b.tops = pe.parts[i].searcher.BatchTopKRange(b.hvs, b.ranges, kPart)
-				return
+			var t0 time.Time
+			if tr != nil {
+				t0 = time.Now()
 			}
-			t0 := time.Now()
-			b.tops = pe.parts[i].searcher.BatchTopKRangeTraced(b.hvs, b.ranges, kPart, tr)
-			rows := 0
-			for _, r := range b.ranges {
-				rows += r.Len()
+			b.tops = pe.parts[i].searcher.BatchTopKRangeTraced(b.hvs, b.ranges, pe.parts[i].kEff(k), tr)
+			if tr != nil {
+				rows := 0
+				for _, r := range b.ranges {
+					rows += r.Len()
+				}
+				tr.AddPartition(i, rows, int64(time.Since(t0)))
 			}
-			tr.AddPartition(i, rows, int64(time.Since(t0)))
 		}(i)
 	}
 	wg.Wait()

@@ -72,7 +72,7 @@ func (r *Rescorer) SearchOne(q *spectrum.Spectrum) (fdr.PSM, bool, error) {
 	if lo >= hi {
 		return fdr.PSM{}, false, nil
 	}
-	top := r.engine.topKRange(hv, lo, hi)
+	top := r.engine.TopKPrepared(PreparedQuery{HV: hv, Lo: lo, Hi: hi})
 	if len(top) == 0 {
 		return fdr.PSM{}, false, nil
 	}

@@ -56,7 +56,7 @@ func AblationLevelSets(opts Options) (LevelSetAblation, error) {
 	if err != nil {
 		return LevelSetAblation{}, err
 	}
-	searcher, err := hdc.NewSearcher(lib.HVs)
+	searcher, err := hdc.NewShardedSearcher(lib.HVs, 0, hdc.CascadeConfig{})
 	if err != nil {
 		return LevelSetAblation{}, err
 	}

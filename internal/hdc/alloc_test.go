@@ -1,7 +1,9 @@
 package hdc
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/spectrum"
@@ -10,38 +12,49 @@ import (
 // Allocation baselines for the kernel path, checked in as the gate CI
 // enforces (the -benchmem numbers on BenchmarkCascadeTopKRange trend
 // the same quantities). The scoring sweep itself —
-// SimilaritiesRangeInto over a reused buffer, single- or two-tier —
+// SimilaritiesRangeInto over a reused buffer, single- or multi-tier —
 // must be allocation-free in steady state: it runs per query batch at
 // full occupancy, and the //oms:hotpath contract on its kernels
-// (scoreRows, distRow*, scoreBlockSims) is enforced statically by
-// omsvet's hotalloc analyzer. TopKRange additionally materializes its
-// rank-sorted result slice; that inherent per-call cost is pinned to a
-// small constant so scratch-reuse regressions (heap growth, lost
-// pooling) surface as a count jump, not a silent GC treadmill.
+// (scoreRows, distRow*, scoreBlockSims, the heap primitives) is
+// enforced statically by omsvet's hotalloc analyzer. The top-k sweep
+// additionally materializes its result lists; that inherent per-call
+// cost is pinned exactly so scratch-reuse regressions (heap regrowth,
+// lost pooling, a goroutine where none is needed) surface as a count
+// jump, not a silent GC treadmill.
 const (
 	// kernelSweepAllocs is the steady-state allocs/op of the blocked
 	// similarity sweep over a reused destination buffer.
 	kernelSweepAllocs = 0
-	// topKRangeMaxAllocs bounds the sequential TopKRange steady state:
-	// the returned match slice plus sort.Slice's closure machinery.
-	topKRangeMaxAllocs = 4
 	// encodeVectorMaxAllocs bounds EncodeVector: the quantized peak
 	// list and the result words.
 	encodeVectorMaxAllocs = 2
 )
 
-func allocSearcher(t *testing.T, d, n int, cc CascadeConfig) (*ShardedSearcher, BinaryHV) {
+// sweepAllocs is the steady-state allocs/op of BatchTopKRangeTraced:
+// the result header and one match list per query, plus — when the
+// ranges span several shards — one closure per spawned worker (the
+// calling goroutine is the first worker, and the test box's
+// GOMAXPROCS bounds the rest).
+func sweepAllocs(queries, shards int) int {
+	return 1 + queries + min(runtime.GOMAXPROCS(0), shards) - 1
+}
+
+func allocSearcher(t *testing.T, d, n, shardSize, nq int, cc CascadeConfig) (*ShardedSearcher, []BinaryHV) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	refs := make([]BinaryHV, n)
 	for i := range refs {
 		refs[i] = RandomBinaryHV(d, rng)
 	}
-	s, err := NewShardedSearcherCascade(refs, n, cc)
+	s, err := NewShardedSearcher(refs, shardSize, cc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, RandomBinaryHV(d, rng)
+	queries := make([]BinaryHV, nq)
+	for i := range queries {
+		queries[i] = RandomBinaryHV(d, rng)
+	}
+	return s, queries
 }
 
 // allocLadders is the layout matrix both allocation gates run over:
@@ -67,9 +80,8 @@ func TestKernelSweepAllocationFree(t *testing.T) {
 	}
 	for _, tc := range allocLadders {
 		t.Run(tc.name, func(t *testing.T) {
-			// One shard keeps the sweep on the sequential path: the
-			// parallel fan-out's per-query goroutines allocate by design.
-			s, q := allocSearcher(t, 1024, 4096, tc.cc)
+			s, queries := allocSearcher(t, 1024, 4096, 4096, 1, tc.cc)
+			q := queries[0]
 			dst := s.SimilaritiesRangeInto(q, 0, s.Len(), nil)
 			allocs := testing.AllocsPerRun(50, func() {
 				dst = s.SimilaritiesRangeInto(q, 0, s.Len(), dst)
@@ -82,23 +94,45 @@ func TestKernelSweepAllocationFree(t *testing.T) {
 	}
 }
 
-// TestTopKRangeSteadyStateAllocs pins the sequential top-k range scan
-// to its checked-in baseline across the ladder layouts.
-func TestTopKRangeSteadyStateAllocs(t *testing.T) {
+// TestSweepSteadyStateAllocs pins the one search entry point to its
+// checked-in baseline across ladder layouts × batch size × shard
+// count: a batch allocates its result header plus one match list per
+// query; everything else — plan, heap arena, worker scratch — is
+// pooled, and only a multi-shard span adds the worker goroutines. The
+// last case is a small range inside one shard of a five-shard store:
+// it must cost exactly what the one-shard store costs, i.e. the sweep
+// visits only the shard span its ranges cover and spawns nothing.
+func TestSweepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")
 	}
+	run := func(t *testing.T, s *ShardedSearcher, queries []BinaryHV, r RowRange, want int) {
+		t.Helper()
+		ranges := make([]RowRange, len(queries))
+		for i := range ranges {
+			ranges[i] = r
+		}
+		s.BatchTopKRangeTraced(queries, ranges, 5, nil)
+		allocs := testing.AllocsPerRun(50, func() {
+			s.BatchTopKRangeTraced(queries, ranges, 5, nil)
+		})
+		if int(allocs) > want {
+			t.Errorf("%d-query sweep of %+v over %d shards allocates %.1f allocs/op in steady state, baseline %d",
+				len(queries), r, s.NumShards(), allocs, want)
+		}
+	}
 	for _, tc := range allocLadders {
-		t.Run(tc.name, func(t *testing.T) {
-			s, q := allocSearcher(t, 1024, 4096, tc.cc)
-			s.TopKRange(q, 0, s.Len(), 5)
-			allocs := testing.AllocsPerRun(50, func() {
-				s.TopKRange(q, 0, s.Len(), 5)
-			})
-			if allocs > topKRangeMaxAllocs {
-				t.Errorf("TopKRange allocates %.1f allocs/op in steady state, baseline %d",
-					allocs, topKRangeMaxAllocs)
+		for _, shards := range []int{1, 4} {
+			for _, nq := range []int{1, 64} {
+				t.Run(fmt.Sprintf("%s/shards=%d/queries=%d", tc.name, shards, nq), func(t *testing.T) {
+					s, queries := allocSearcher(t, 1024, 4096, 4096/shards, nq, tc.cc)
+					run(t, s, queries, RowRange{Lo: 0, Hi: s.Len()}, sweepAllocs(nq, shards))
+				})
 			}
+		}
+		t.Run(tc.name+"/one-shard-of-five", func(t *testing.T) {
+			s, queries := allocSearcher(t, 1024, 5000, 1024, 1, tc.cc)
+			run(t, s, queries, RowRange{Lo: 2500, Hi: 2508}, sweepAllocs(1, 1))
 		})
 	}
 }

@@ -37,14 +37,14 @@ func cascadeFixture(t testing.TB, d, n, nq, k int, seed int64) ([]BinaryHV, []Bi
 }
 
 // TestCascadeExactParityParallel exercises the shared atomic pruning
-// bound: a range long enough for the multi-shard fan-out, with the
-// planted cluster far into the range so the bound must propagate
-// across shard workers without breaking exactness.
+// bound: a range spanning many shards, with the planted cluster far
+// into the range so the bound must propagate across shard workers
+// without breaking exactness.
 func TestCascadeExactParityParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large reference set")
 	}
-	d, n, k := 512, parallelMinRefs+3000, 4
+	d, n, k := 512, 1<<13+3000, 4
 	rng := rand.New(rand.NewSource(91))
 	refs := make([]BinaryHV, n)
 	for i := range refs {
@@ -54,18 +54,18 @@ func TestCascadeExactParityParallel(t *testing.T) {
 	for j := 0; j < k; j++ {
 		refs[n/2+j*701] = nearDup(q, 0.02, rng)
 	}
-	base, err := NewSearcherSharded(refs, 1024)
+	base, err := NewShardedSearcher(refs, 1024, CascadeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	casc, err := NewSearcherCascade(refs, 1024, CascadeConfig{PrefilterWords: 2})
+	casc, err := NewShardedSearcher(refs, 1024, CascadeConfig{PrefilterWords: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 5; trial++ {
 		lo, hi := 100, n-50
-		got := casc.TopKRange(q, lo, hi, k)
-		want := base.TopKRange(q, lo, hi, k)
+		got := topKRange(casc, q, lo, hi, k)
+		want := topKRange(base, q, lo, hi, k)
 		if !matchesEqual(got, want) {
 			t.Fatalf("trial %d: parallel cascade diverged\ngot  %v\nwant %v", trial, got, want)
 		}
@@ -77,15 +77,14 @@ func TestCascadeExactParityParallel(t *testing.T) {
 
 // TestCascadeShortlistSemantics pins the approximate-mode contract:
 // a shortlist at least as large as the scanned row count completes
-// everything and therefore equals the exact result, the single-query
-// and batch shortlist paths agree with each other, and the planted
-// near-duplicates — unambiguous tier-A winners — survive even tiny
-// shortlists.
+// everything and therefore equals the exact result, a query alone and
+// in a batch agree, and the planted near-duplicates — unambiguous
+// tier-A winners — survive even tiny shortlists.
 func TestCascadeShortlistSemantics(t *testing.T) {
 	d, n, nq, k := 512, 500, 6, 3
 	words := WordsPerHV(d)
 	refs, queries := cascadeFixture(t, d, n, nq, k, 7)
-	base, err := NewSearcherSharded(refs, 64)
+	base, err := NewShardedSearcher(refs, 64, CascadeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,18 +94,18 @@ func TestCascadeShortlistSemantics(t *testing.T) {
 		ranges[i] = RowRange{Lo: max(0, lo-11), Hi: min(n, lo+n/2)}
 	}
 	for _, shortlist := range []int{k, 16, n, 2 * n} {
-		casc, err := NewSearcherCascade(refs, 64, CascadeConfig{PrefilterWords: words / 4, Shortlist: shortlist})
+		casc, err := NewShardedSearcher(refs, 64, CascadeConfig{PrefilterWords: words / 4, Shortlist: shortlist})
 		if err != nil {
 			t.Fatal(err)
 		}
 		batch := casc.BatchTopKRange(queries, ranges, k)
 		for qi, q := range queries {
-			single := casc.TopKRange(q, ranges[qi].Lo, ranges[qi].Hi, k)
+			single := topKRange(casc, q, ranges[qi].Lo, ranges[qi].Hi, k)
 			if !matchesEqual(single, batch[qi]) {
 				t.Fatalf("shortlist %d query %d: single %v != batch %v", shortlist, qi, single, batch[qi])
 			}
 			if shortlist >= ranges[qi].Len() {
-				want := base.TopKRange(q, ranges[qi].Lo, ranges[qi].Hi, k)
+				want := topKRange(base, q, ranges[qi].Lo, ranges[qi].Hi, k)
 				if !matchesEqual(single, want) {
 					t.Fatalf("shortlist %d >= range %d but diverged from exact:\ngot  %v\nwant %v",
 						shortlist, ranges[qi].Len(), single, want)
@@ -114,7 +113,7 @@ func TestCascadeShortlistSemantics(t *testing.T) {
 			}
 			// The planted cluster dominates tier A by construction, so
 			// the exact top-1 must survive any shortlist >= k.
-			want := base.TopKRange(q, ranges[qi].Lo, ranges[qi].Hi, 1)
+			want := topKRange(base, q, ranges[qi].Lo, ranges[qi].Hi, 1)
 			if len(single) == 0 || len(want) == 0 || single[0] != want[0] {
 				t.Fatalf("shortlist %d query %d: top-1 %v, want %v", shortlist, qi, single, want)
 			}
@@ -129,7 +128,7 @@ func TestCascadeShortlistSemantics(t *testing.T) {
 func TestCascadeStatsCounters(t *testing.T) {
 	d, n, nq, k := 512, 800, 4, 3
 	refs, queries := cascadeFixture(t, d, n, nq, k, 13)
-	casc, err := NewSearcherCascade(refs, 128, CascadeConfig{PrefilterWords: 1})
+	casc, err := NewShardedSearcher(refs, 128, CascadeConfig{PrefilterWords: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestCascadeStatsCounters(t *testing.T) {
 	if cs.PruneRate() <= 0 {
 		t.Fatalf("prune rate %.3f on a planted-cluster workload, want > 0 (stats %+v)", cs.PruneRate(), cs)
 	}
-	if base, _ := NewSearcherSharded(refs, 128); base != nil {
+	if base, _ := NewShardedSearcher(refs, 128, CascadeConfig{}); base != nil {
 		if _, ok := base.CascadeStats(); ok {
 			t.Fatal("single-tier searcher claims cascade stats")
 		}
@@ -165,46 +164,45 @@ func TestCascadeStatsCounters(t *testing.T) {
 // malformed cascade configs and degenerate reference sets.
 func TestCascadeConfigValidation(t *testing.T) {
 	refs := randomRefs(128, 10, 3)
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{PrefilterWords: 1, Shortlist: -2}); err == nil {
+	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{PrefilterWords: 1, Shortlist: -2}); err == nil {
 		t.Error("negative shortlist accepted")
 	}
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{Shortlist: 5}); err == nil {
+	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Shortlist: 5}); err == nil {
 		t.Error("shortlist without a two-tier layout accepted")
 	}
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{PrefilterWords: WordsPerHV(128), Shortlist: 5}); err == nil {
+	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{PrefilterWords: WordsPerHV(128), Shortlist: 5}); err == nil {
 		t.Error("shortlist with prefilter covering every word accepted")
 	}
-	if _, err := NewShardedSearcher([]BinaryHV{{D: 0}}, 0); err == nil {
+	if _, err := NewShardedSearcher([]BinaryHV{{D: 0}}, 0, CascadeConfig{}); err == nil {
 		t.Error("zero-dimension reference accepted")
 	}
-	if _, err := NewShardedSearcher([]BinaryHV{{D: -8, Words: nil}}, 0); err == nil {
+	if _, err := NewShardedSearcher([]BinaryHV{{D: -8, Words: nil}}, 0, CascadeConfig{}); err == nil {
 		t.Error("negative-dimension reference accepted")
 	}
 	words := WordsPerHV(128)
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{Tiers: []int{1, 0, 1}}); err == nil {
+	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Tiers: []int{1, 0, 1}}); err == nil {
 		t.Error("non-positive tier width accepted")
 	}
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{Tiers: []int{words, 1}}); err == nil {
+	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Tiers: []int{words, 1}}); err == nil {
 		t.Error("tier ladder wider than the row accepted")
 	}
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{Tiers: []int{1, 1}, PrefilterWords: 1}); err == nil {
+	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Tiers: []int{1, 1}, PrefilterWords: 1}); err == nil {
 		t.Error("Tiers together with PrefilterWords accepted")
 	}
-	if _, err := NewSearcherCascade(refs, 0, CascadeConfig{Tiers: []int{words}, Shortlist: 3}); err == nil {
+	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Tiers: []int{words}, Shortlist: 3}); err == nil {
 		t.Error("shortlist on a single-tier ladder accepted")
 	}
 }
 
 // TestCascadeLadderExactParity pins the tentpole exactness contract:
 // every K-tier ladder — including unbalanced ones — returns results
-// bit-identical to the single-tier scan, on gather, range and batch
-// paths, and its per-tier counters are monotonically non-increasing
-// down the ladder.
+// bit-identical to the single-tier scan, alone and in a batch, and its
+// per-tier counters are monotonically non-increasing down the ladder.
 func TestCascadeLadderExactParity(t *testing.T) {
 	d, n, nq, k := 512, 900, 5, 4
 	words := WordsPerHV(d) // 8
 	refs, queries := cascadeFixture(t, d, n, nq, k, 41)
-	base, err := NewSearcherSharded(refs, 128)
+	base, err := NewShardedSearcher(refs, 128, CascadeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,23 +219,19 @@ func TestCascadeLadderExactParity(t *testing.T) {
 		{1, 3},               // K=2 with an implicit remainder tier
 	}
 	for _, tiers := range ladders {
-		casc, err := NewSearcherCascade(refs, 128, CascadeConfig{Tiers: append([]int(nil), tiers...)})
+		casc, err := NewShardedSearcher(refs, 128, CascadeConfig{Tiers: append([]int(nil), tiers...)})
 		if err != nil {
 			t.Fatalf("tiers %v: %v", tiers, err)
 		}
 		batch := casc.BatchTopKRange(queries, ranges, k)
 		for qi, q := range queries {
-			want := base.TopKRange(q, ranges[qi].Lo, ranges[qi].Hi, k)
+			want := topKRange(base, q, ranges[qi].Lo, ranges[qi].Hi, k)
 			if !matchesEqual(batch[qi], want) {
 				t.Fatalf("tiers %v query %d: batch diverged\ngot  %v\nwant %v", tiers, qi, batch[qi], want)
 			}
-			single := casc.TopKRange(q, ranges[qi].Lo, ranges[qi].Hi, k)
+			single := topKRange(casc, q, ranges[qi].Lo, ranges[qi].Hi, k)
 			if !matchesEqual(single, want) {
-				t.Fatalf("tiers %v query %d: range diverged\ngot  %v\nwant %v", tiers, qi, single, want)
-			}
-			gather := casc.TopK(q, indexRange(ranges[qi].Lo, ranges[qi].Hi), k)
-			if !matchesEqual(gather, want) {
-				t.Fatalf("tiers %v query %d: gather diverged\ngot  %v\nwant %v", tiers, qi, gather, want)
+				t.Fatalf("tiers %v query %d: batch of one diverged\ngot  %v\nwant %v", tiers, qi, single, want)
 			}
 		}
 		cs, ok := casc.CascadeStats()
@@ -264,20 +258,11 @@ func TestCascadeLadderExactParity(t *testing.T) {
 	}
 }
 
-// indexRange expands [lo, hi) into an index slice for the gather path.
-func indexRange(lo, hi int) []int {
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
-}
-
 // TestCascadePackedRowAssembly pins that PackedRow reassembles the
 // tiered store bit-identically to the source hypervectors.
 func TestCascadePackedRowAssembly(t *testing.T) {
 	refs := randomRefs(320, 41, 19) // 5 words: odd split exercises both tiers
-	casc, err := NewShardedSearcherCascade(refs, 16, CascadeConfig{PrefilterWords: 2})
+	casc, err := NewShardedSearcher(refs, 16, CascadeConfig{PrefilterWords: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,12 @@
 // Hypervectors are conceptually bipolar vectors in {-1,+1}^D but are
 // stored packed, one bit per dimension (bit set = +1), so Hamming
 // similarity reduces to XOR + popcount over 64-dimension words.
+//
+// Search has one entry point, mirroring the accelerator's one
+// primitive: ShardedSearcher.BatchTopKRangeTraced sweeps a batch of
+// queries, each over a contiguous range of packed rows, block-major
+// through one kernel. A single query is a batch of one, a full scan
+// the range [0, Len()), an untraced search a nil trace.
 package hdc
 
 import (

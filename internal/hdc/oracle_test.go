@@ -1,0 +1,133 @@
+package hdc
+
+import (
+	"container/heap"
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"sort"
+)
+
+// naiveTopK is the original flat-scan, container/heap top-k over a
+// reference slice. It is retained as the independent reference
+// implementation the sweep is parity-tested against: it shares no
+// kernel, heap or merge code with the engine.
+func naiveTopK(refs []BinaryHV, d int, q BinaryHV, candidates []int, k int) []Match {
+	if q.D != d {
+		panic(fmt.Sprintf("hdc: query D=%d, searcher D=%d", q.D, d))
+	}
+	if k <= 0 {
+		return nil
+	}
+	h := &matchHeap{}
+	heap.Init(h)
+	consider := func(i int) {
+		sim := HammingSimilarity(q, refs[i])
+		if h.Len() < k {
+			heap.Push(h, Match{Index: i, Similarity: sim})
+		} else if worse((*h)[0], Match{Index: i, Similarity: sim}) {
+			(*h)[0] = Match{Index: i, Similarity: sim}
+			heap.Fix(h, 0)
+		}
+	}
+	if candidates == nil {
+		for i := range refs {
+			consider(i)
+		}
+	} else {
+		for _, i := range candidates {
+			if i >= 0 && i < len(refs) {
+				consider(i)
+			}
+		}
+	}
+	out := make([]Match, h.Len())
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = heap.Pop(h).(Match)
+	}
+	return out
+}
+
+// matchHeap is a min-heap on match rank, keeping the current worst of
+// the top-k at the root (used by the naive reference implementation).
+type matchHeap []Match
+
+func (h matchHeap) Len() int            { return len(h) }
+func (h matchHeap) Less(i, j int) bool  { return worse(h[i], h[j]) }
+func (h matchHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *matchHeap) Push(x interface{}) { *h = append(*h, x.(Match)) }
+func (h *matchHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
+// rangeCands materializes [lo, hi) clamped to [0, n) as the candidate
+// list of the flat-scan oracle (empty, non-nil when nothing is left:
+// nil means "all references" to naiveTopK).
+func rangeCands(lo, hi, n int) []int {
+	out := []int{}
+	for i := max(lo, 0); i < min(hi, n); i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// naiveShortlistTopK is the flat-scan reference for shortlist mode:
+// rank the candidate rows by tier-0 partial distance (ties by
+// ascending index), complete only the best m, then rank those fully.
+func naiveShortlistTopK(refs []BinaryHV, q BinaryHV, candidates []int, k, tier0Words, m int) []Match {
+	type partial struct{ idx, da int }
+	ps := make([]partial, 0, len(candidates))
+	for _, i := range candidates {
+		da := 0
+		for w := 0; w < tier0Words; w++ {
+			da += bits.OnesCount64(q.Words[w] ^ refs[i].Words[w])
+		}
+		ps = append(ps, partial{idx: i, da: da})
+	}
+	sort.Slice(ps, func(a, b int) bool {
+		if ps[a].da != ps[b].da {
+			return ps[a].da < ps[b].da
+		}
+		return ps[a].idx < ps[b].idx
+	})
+	if len(ps) > m {
+		ps = ps[:m]
+	}
+	kept := make([]int, len(ps))
+	for i, p := range ps {
+		kept[i] = p.idx
+	}
+	return naiveTopK(refs, q.D, q, kept, k)
+}
+
+// matchesEqual reports exact equality of two match lists, order and
+// ties included.
+func matchesEqual(a, b []Match) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func randomRefs(d, n int, seed int64) []BinaryHV {
+	rng := rand.New(rand.NewSource(seed))
+	refs := make([]BinaryHV, n)
+	for i := range refs {
+		refs[i] = RandomBinaryHV(d, rng)
+	}
+	return refs
+}
+
+// topKRange is a batch of one: the only way to search a single query.
+func topKRange(s *ShardedSearcher, q BinaryHV, lo, hi, k int) []Match {
+	return s.BatchTopKRange([]BinaryHV{q}, []RowRange{{Lo: lo, Hi: hi}}, k)[0]
+}

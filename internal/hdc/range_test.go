@@ -1,107 +1,165 @@
 package hdc
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"repro/internal/obsv"
 )
 
-// gatherRange materializes [lo, hi) (clamped) as a candidate slice —
-// the retained gather path the range kernel must match bit for bit.
-func gatherRange(lo, hi, n int) []int {
-	if lo < 0 {
-		lo = 0
+// TestOnePathMatrix is the conformance matrix of the one scan path:
+// for every layout (single-tier, exact ladders, shortlist) and shard
+// geometry, every query alone as a batch of one, the whole batch and
+// the batch reversed — each with and without a trace, on one worker
+// and on several — must return lists identical to the flat-scan
+// oracle. The ranges include ones that clamp, are empty or inverted,
+// hold fewer than k rows, sit inside one shard, and span many.
+func TestOnePathMatrix(t *testing.T) {
+	const d, n = 512, 700
+	words := WordsPerHV(d) // 8
+	layouts := []struct {
+		name  string
+		shard int
+		k     int
+		cc    CascadeConfig
+	}{
+		{"single-tier", 64, 5, CascadeConfig{}},
+		{"single-tier-one-shard", n, 5, CascadeConfig{}},
+		{"k-over-shard", 4, 9, CascadeConfig{}},
+		{"two-tier", 100, 4, CascadeConfig{Tiers: []int{2, words - 2}}},
+		{"four-tier", 48, 3, CascadeConfig{Tiers: []int{1, 1, 2}}},
+		{"shortlist", 32, 5, CascadeConfig{Tiers: []int{2}, Shortlist: 25}},
+		{"shortlist-over-shard", 16, 3, CascadeConfig{Tiers: []int{1}, Shortlist: 40}},
 	}
-	if hi > n {
-		hi = n
+	ranges := []RowRange{
+		{Lo: 0, Hi: n},        // full scan
+		{Lo: -10, Hi: n + 10}, // clamps on both sides
+		{Lo: 130, Hi: 138},    // inside one shard
+		{Lo: 60, Hi: 70},      // straddles a shard boundary
+		{Lo: 7, Hi: 7},        // empty
+		{Lo: 400, Hi: 300},    // inverted: empty
+		{Lo: n + 5, Hi: n + 9},
+		{Lo: 250, Hi: 252}, // fewer than k rows
+		{Lo: n - 1, Hi: n + 50},
+		{Lo: 20, Hi: 650},
+		{Lo: 20, Hi: 300}, // same start as the previous range
+		{Lo: 333, Hi: 600},
 	}
-	if lo >= hi {
-		return []int{} // non-nil: nil means "all references" to TopK
-	}
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
-	}
-	return out
-}
-
-// TestTopKRangeParallelPath exercises the multi-shard fan-out branch
-// (range length above parallelMinRefs) against the gather path.
-func TestTopKRangeParallelPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large reference set")
-	}
-	d, n := 64, parallelMinRefs+1500
-	refs := randomRefs(d, n, 17)
-	s, err := NewSearcherSharded(refs, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(18))
-	q := RandomBinaryHV(d, rng)
-	lo, hi := 100, 100+parallelMinRefs+700
-	got := s.TopKRange(q, lo, hi, 7)
-	want := s.TopK(q, gatherRange(lo, hi, n), 7)
-	if !matchesEqual(got, want) {
-		t.Fatalf("parallel range path diverges:\ngot  %v\nwant %v", got, want)
+	for _, lay := range layouts {
+		t.Run(lay.name, func(t *testing.T) {
+			refs, queries := cascadeFixture(t, d, n, len(ranges), lay.k, 77)
+			s, err := NewShardedSearcher(refs, lay.shard, lay.cc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := make([][]Match, len(queries))
+			for i, q := range queries {
+				cands := rangeCands(ranges[i].Lo, ranges[i].Hi, n)
+				if lay.cc.Shortlist > 0 {
+					oracle[i] = naiveShortlistTopK(refs, q, cands, lay.k, lay.cc.Tiers[0], lay.cc.Shortlist)
+				} else {
+					oracle[i] = naiveTopK(refs, d, q, cands, lay.k)
+				}
+			}
+			revQ := make([]BinaryHV, len(queries))
+			revR := make([]RowRange, len(ranges))
+			for i := range queries {
+				revQ[len(queries)-1-i], revR[len(ranges)-1-i] = queries[i], ranges[i]
+			}
+			check := func(path string, qi int, got []Match) {
+				t.Helper()
+				if got == nil || !matchesEqual(got, oracle[qi]) {
+					t.Fatalf("%s: query %d range %+v\ngot  %v\nwant %v", path, qi, ranges[qi], got, oracle[qi])
+				}
+			}
+			for _, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				for _, traced := range []bool{false, true} {
+					var tr *obsv.Trace
+					if traced {
+						tr = new(obsv.Trace)
+					}
+					path := fmt.Sprintf("procs=%d traced=%v", procs, traced)
+					for qi, got := range s.BatchTopKRangeTraced(queries, ranges, lay.k, tr) {
+						check(path+" batch", qi, got)
+					}
+					for ri, got := range s.BatchTopKRangeTraced(revQ, revR, lay.k, tr) {
+						check(path+" reversed", len(queries)-1-ri, got)
+					}
+					for qi := range queries {
+						got := s.BatchTopKRangeTraced(queries[qi:qi+1], ranges[qi:qi+1], lay.k, tr)
+						check(path+" batch of one", qi, got[0])
+					}
+				}
+				runtime.GOMAXPROCS(prev)
+			}
+		})
 	}
 }
 
 // TestSimilaritiesRangeIntoParity checks the bulk range scorer
-// against per-row Similarity, including buffer reuse and clamping.
+// against the scalar similarity, including buffer reuse and clamping.
 func TestSimilaritiesRangeIntoParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	d, n := 130, 300
 	refs := randomRefs(d, n, 22)
-	s, err := NewSearcherSharded(refs, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := RandomBinaryHV(d, rng)
-	var buf []int
-	for _, r := range [][2]int{{0, n}, {10, 200}, {-5, 40}, {250, n + 90}, {60, 60}, {120, 10}} {
-		buf = s.Engine().SimilaritiesRangeInto(q, r[0], r[1], buf)
-		lo, hi := r[0], r[1]
-		if lo < 0 {
-			lo = 0
+	for _, cc := range []CascadeConfig{{}, {Tiers: []int{1, 1}}} {
+		s, err := NewShardedSearcher(refs, 64, cc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if hi > n {
-			hi = n
-		}
-		wantLen := hi - lo
-		if wantLen < 0 {
-			wantLen = 0
-		}
-		if len(buf) != wantLen {
-			t.Fatalf("range %v: len = %d, want %d", r, len(buf), wantLen)
-		}
-		for j := range buf {
-			if want := s.Similarity(q, lo+j); buf[j] != want {
-				t.Fatalf("range %v row %d: sim = %d, want %d", r, lo+j, buf[j], want)
+		q := RandomBinaryHV(d, rng)
+		var buf []int
+		for _, r := range [][2]int{{0, n}, {10, 200}, {-5, 40}, {250, n + 90}, {60, 60}, {120, 10}} {
+			buf = s.SimilaritiesRangeInto(q, r[0], r[1], buf)
+			lo, hi := max(r[0], 0), min(r[1], n)
+			if len(buf) != max(hi-lo, 0) {
+				t.Fatalf("range %v: len = %d, want %d", r, len(buf), max(hi-lo, 0))
 			}
+			for j := range buf {
+				if want := HammingSimilarity(q, refs[lo+j]); buf[j] != want {
+					t.Fatalf("range %v row %d: sim = %d, want %d", r, lo+j, buf[j], want)
+				}
+			}
+		}
+		// Reuse must not reallocate.
+		full := s.SimilaritiesRangeInto(q, 0, n, buf)
+		if again := s.SimilaritiesRangeInto(q, 0, n, full); &again[0] != &full[0] {
+			t.Error("buffer was reallocated on reuse")
 		}
 	}
 }
 
 // TestBatchTopKRangeShapeChecks covers the argument contracts: a
-// ranges slice shorter than queries panics, k <= 0 yields nil rows,
-// and an all-empty batch returns empty (non-nil) match lists.
+// ranges slice shorter than queries panics, a query of the wrong
+// dimension panics, k <= 0 yields nil rows, and an all-empty batch
+// returns empty (non-nil) match lists.
 func TestBatchTopKRangeShapeChecks(t *testing.T) {
 	refs := randomRefs(64, 50, 31)
-	s, err := NewSearcherSharded(refs, 16)
+	s, err := NewShardedSearcher(refs, 16, CascadeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(32))
 	q := RandomBinaryHV(64, rng)
 
-	func() {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Error("mismatched ranges length did not panic")
+				t.Errorf("%s did not panic", name)
 			}
 		}()
+		f()
+	}
+	mustPanic("mismatched ranges length", func() {
 		s.BatchTopKRange([]BinaryHV{q, q}, []RowRange{{Lo: 0, Hi: 10}}, 3)
-	}()
+	})
+	mustPanic("dimension mismatch", func() {
+		s.BatchTopKRange([]BinaryHV{NewBinaryHV(128)}, []RowRange{{Lo: 0, Hi: 10}}, 1)
+	})
 
 	out := s.BatchTopKRange([]BinaryHV{q}, []RowRange{{Lo: 0, Hi: 10}}, 0)
 	if out[0] != nil {
@@ -113,47 +171,6 @@ func TestBatchTopKRangeShapeChecks(t *testing.T) {
 		if matches == nil || len(matches) != 0 {
 			t.Errorf("empty range %d: got %v, want empty non-nil", i, matches)
 		}
-	}
-}
-
-// TestSimilarityBoundsContract asserts Similarity panics with a
-// descriptive message on out-of-range indices instead of a raw slice
-// bounds failure, and that TopK skips out-of-range and handles
-// duplicate candidates exactly like the naive reference scan.
-func TestSimilarityBoundsContract(t *testing.T) {
-	d, n := 96, 40
-	refs := randomRefs(d, n, 41)
-	s, err := NewSearcherSharded(refs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(42))
-	q := RandomBinaryHV(d, rng)
-
-	for _, bad := range []int{-1, n, n + 100} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Errorf("Similarity(%d) did not panic", bad)
-					return
-				}
-				if msg, ok := r.(string); !ok || msg == "" {
-					t.Errorf("Similarity(%d) panic = %v, want descriptive message", bad, r)
-				}
-			}()
-			s.Similarity(q, bad)
-		}()
-	}
-
-	// Duplicates and out-of-range entries in one candidate list: TopK
-	// must match the naive scan (duplicates scored twice, bad indices
-	// skipped), not panic.
-	cand := []int{3, 3, 3, -1, n, 7, 7, 0, n - 1, n - 1}
-	got := s.TopK(q, cand, 6)
-	want := naiveTopK(refs, d, q, cand, 6)
-	if !matchesEqual(got, want) {
-		t.Fatalf("duplicate/out-of-range candidates:\ngot  %v\nwant %v", got, want)
 	}
 }
 

@@ -1,12 +1,5 @@
 package hdc
 
-import (
-	"container/heap"
-	"fmt"
-
-	"repro/internal/obsv"
-)
-
 // Match is one similarity-search result.
 type Match struct {
 	// Index is the reference hypervector index.
@@ -16,111 +9,6 @@ type Match struct {
 	Similarity int
 }
 
-// Searcher performs exact Hamming similarity search over a set of
-// reference hypervectors. It is the software ("ideal") counterpart of
-// the in-memory search the accelerator performs; the RRAM-backed
-// implementation lives in internal/accel. Searcher is a thin wrapper
-// over the sharded batch engine (ShardedSearcher), which packs the
-// references into contiguous per-shard words and scores them with a
-// blocked XOR+popcount kernel; results are bit-identical to the
-// original flat scan.
-type Searcher struct {
-	refs   []BinaryHV
-	engine *ShardedSearcher
-}
-
-// NewSearcher builds a searcher over the reference hypervectors, which
-// must share one dimensionality. The reference words are copied into
-// the packed shard store at construction: mutating a reference
-// hypervector afterwards (e.g. FlipBits) is NOT reflected in search
-// results — inject storage errors before building the searcher. The
-// refs slice itself is retained (aliased, not copied) to serve Ref.
-func NewSearcher(refs []BinaryHV) (*Searcher, error) {
-	return NewSearcherSharded(refs, 0)
-}
-
-// NewSearcherSharded builds a searcher with an explicit shard size
-// (rows per shard; <= 0 selects DefaultShardSize).
-func NewSearcherSharded(refs []BinaryHV, shardSize int) (*Searcher, error) {
-	return NewSearcherCascade(refs, shardSize, CascadeConfig{})
-}
-
-// NewSearcherCascade builds a searcher with an explicit shard size
-// and cascade layout (see CascadeConfig; the zero value selects the
-// single-tier layout).
-func NewSearcherCascade(refs []BinaryHV, shardSize int, cc CascadeConfig) (*Searcher, error) {
-	engine, err := NewShardedSearcherCascade(refs, shardSize, cc)
-	if err != nil {
-		return nil, err
-	}
-	return &Searcher{refs: refs, engine: engine}, nil
-}
-
-// D returns the hypervector dimension.
-func (s *Searcher) D() int { return s.engine.D() }
-
-// Len returns the number of references.
-func (s *Searcher) Len() int { return s.engine.Len() }
-
-// Ref returns reference i.
-func (s *Searcher) Ref(i int) BinaryHV { return s.refs[i] }
-
-// Engine returns the underlying sharded search engine.
-func (s *Searcher) Engine() *ShardedSearcher { return s.engine }
-
-// Similarity returns the Hamming similarity between the query and
-// reference i.
-func (s *Searcher) Similarity(q BinaryHV, i int) int {
-	return s.engine.Similarity(q, i)
-}
-
-// TopK returns the k most similar references among the candidate
-// index set (nil = all references), ordered by descending similarity
-// with ties broken by ascending index.
-func (s *Searcher) TopK(q BinaryHV, candidates []int, k int) []Match {
-	return s.engine.TopK(q, candidates, k)
-}
-
-// BatchTopK runs TopK for many queries in parallel across CPU cores.
-// candidates[i] restricts query i's search space (nil = all). A
-// candidates slice shorter than queries treats the missing entries as
-// nil rather than panicking.
-func (s *Searcher) BatchTopK(queries []BinaryHV, candidates [][]int, k int) [][]Match {
-	return s.engine.BatchTopK(queries, candidates, k)
-}
-
-// TopKRange returns the k most similar references among the
-// contiguous row range [lo, hi) — the candidate representation of the
-// mass-ordered open-search pipeline — bit-identical to TopK over the
-// equivalent materialized candidate slice.
-func (s *Searcher) TopKRange(q BinaryHV, lo, hi, k int) []Match {
-	return s.engine.TopKRange(q, lo, hi, k)
-}
-
-// BatchTopKRange runs TopKRange for every query (ranges[i] restricts
-// query i), block-major and parallel across CPU cores: each
-// cache-resident row block is swept by all queries covering it.
-func (s *Searcher) BatchTopKRange(queries []BinaryHV, ranges []RowRange, k int) [][]Match {
-	return s.engine.BatchTopKRange(queries, ranges, k)
-}
-
-// BatchTopKRangeTraced is BatchTopKRange with per-stage timings and
-// row counters accumulated into tr (nil = untraced); results are
-// bit-identical either way.
-func (s *Searcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowRange, k int, tr *obsv.Trace) [][]Match {
-	return s.engine.BatchTopKRangeTraced(queries, ranges, k, tr)
-}
-
-// CascadeStats returns a snapshot of the per-tier cascade pruning
-// counters; ok is false when the underlying store is single-tier.
-func (s *Searcher) CascadeStats() (CascadeStats, bool) {
-	return s.engine.CascadeStats()
-}
-
-// NumTiers returns the depth of the underlying tier ladder (1 for a
-// single-tier store).
-func (s *Searcher) NumTiers() int { return s.engine.NumTiers() }
-
 // worse reports whether a ranks strictly below b (lower similarity, or
 // equal similarity with a larger index).
 func worse(a, b Match) bool {
@@ -128,59 +16,4 @@ func worse(a, b Match) bool {
 		return a.Similarity < b.Similarity
 	}
 	return a.Index > b.Index
-}
-
-// naiveTopK is the original flat-scan, container/heap top-k over a
-// reference slice. It is retained as the independent reference
-// implementation the sharded engine is parity-tested against.
-func naiveTopK(refs []BinaryHV, d int, q BinaryHV, candidates []int, k int) []Match {
-	if q.D != d {
-		panic(fmt.Sprintf("hdc: query D=%d, searcher D=%d", q.D, d))
-	}
-	if k <= 0 {
-		return nil
-	}
-	h := &matchHeap{}
-	heap.Init(h)
-	consider := func(i int) {
-		sim := HammingSimilarity(q, refs[i])
-		if h.Len() < k {
-			heap.Push(h, Match{Index: i, Similarity: sim})
-		} else if worse((*h)[0], Match{Index: i, Similarity: sim}) {
-			(*h)[0] = Match{Index: i, Similarity: sim}
-			heap.Fix(h, 0)
-		}
-	}
-	if candidates == nil {
-		for i := range refs {
-			consider(i)
-		}
-	} else {
-		for _, i := range candidates {
-			if i >= 0 && i < len(refs) {
-				consider(i)
-			}
-		}
-	}
-	out := make([]Match, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Match)
-	}
-	return out
-}
-
-// matchHeap is a min-heap on match rank, keeping the current worst of
-// the top-k at the root (used by the naive reference implementation).
-type matchHeap []Match
-
-func (h matchHeap) Len() int            { return len(h) }
-func (h matchHeap) Less(i, j int) bool  { return worse(h[i], h[j]) }
-func (h matchHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *matchHeap) Push(x interface{}) { *h = append(*h, x.(Match)) }
-func (h *matchHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -7,28 +7,19 @@ import (
 	"testing/quick"
 )
 
-func randomRefs(d, n int, seed int64) []BinaryHV {
-	rng := rand.New(rand.NewSource(seed))
-	refs := make([]BinaryHV, n)
-	for i := range refs {
-		refs[i] = RandomBinaryHV(d, rng)
-	}
-	return refs
-}
-
-func TestNewSearcherValidation(t *testing.T) {
-	if _, err := NewSearcher(nil); err == nil {
+func TestNewShardedSearcherValidation(t *testing.T) {
+	if _, err := NewShardedSearcher(nil, 0, CascadeConfig{}); err == nil {
 		t.Error("empty reference set accepted")
 	}
 	refs := []BinaryHV{NewBinaryHV(64), NewBinaryHV(65)}
-	if _, err := NewSearcher(refs); err == nil {
+	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{}); err == nil {
 		t.Error("mixed dimensions accepted")
 	}
 }
 
 func TestTopKFindsPlantedMatch(t *testing.T) {
 	refs := randomRefs(2048, 200, 1)
-	s, err := NewSearcher(refs)
+	s, err := NewShardedSearcher(refs, 0, CascadeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +27,7 @@ func TestTopKFindsPlantedMatch(t *testing.T) {
 	// Query = noisy copy of reference 123.
 	q := refs[123].Clone()
 	q.FlipExact(100, rng)
-	top := s.TopK(q, nil, 5)
+	top := topKRange(s, q, 0, s.Len(), 5)
 	if len(top) != 5 {
 		t.Fatalf("topk len = %d", len(top))
 	}
@@ -53,39 +44,22 @@ func TestTopKFindsPlantedMatch(t *testing.T) {
 	}
 }
 
-func TestTopKCandidateRestriction(t *testing.T) {
+// TestTopKRangeRestriction pins that a range is a hard restriction: a
+// perfect match outside it never appears, and inside it ranks first.
+func TestTopKRangeRestriction(t *testing.T) {
 	refs := randomRefs(1024, 50, 3)
-	s, _ := NewSearcher(refs)
+	s, _ := NewShardedSearcher(refs, 16, CascadeConfig{})
 	q := refs[10].Clone()
-	// Candidates exclude 10; it must not appear.
-	cand := []int{0, 1, 2, 3, 4, 20, 30, 49}
-	top := s.TopK(q, cand, 3)
-	for _, m := range top {
-		if m.Index == 10 {
-			t.Fatal("excluded candidate returned")
+	for _, r := range []RowRange{{Lo: 0, Hi: 10}, {Lo: 11, Hi: 50}} {
+		for _, m := range topKRange(s, q, r.Lo, r.Hi, 3) {
+			if m.Index < r.Lo || m.Index >= r.Hi {
+				t.Fatalf("range %+v returned row %d", r, m.Index)
+			}
 		}
 	}
-	// With 10 included, it must rank first with full similarity.
-	top = s.TopK(q, append(cand, 10), 3)
+	top := topKRange(s, q, 5, 30, 3)
 	if top[0].Index != 10 || top[0].Similarity != 1024 {
 		t.Errorf("self match = %+v", top[0])
-	}
-}
-
-func TestTopKCandidateOutOfRangeIgnored(t *testing.T) {
-	refs := randomRefs(256, 10, 4)
-	s, _ := NewSearcher(refs)
-	top := s.TopK(refs[0], []int{-3, 2, 99}, 5)
-	if len(top) != 1 || top[0].Index != 2 {
-		t.Errorf("out-of-range candidates mishandled: %+v", top)
-	}
-}
-
-func TestTopKZeroK(t *testing.T) {
-	refs := randomRefs(128, 5, 5)
-	s, _ := NewSearcher(refs)
-	if got := s.TopK(refs[0], nil, 0); got != nil {
-		t.Errorf("k=0 returned %v", got)
 	}
 }
 
@@ -93,8 +67,8 @@ func TestTopKTieBreaksByIndex(t *testing.T) {
 	// Three identical references: ties resolve to ascending index.
 	base := NewBinaryHV(64)
 	refs := []BinaryHV{base.Clone(), base.Clone(), base.Clone()}
-	s, _ := NewSearcher(refs)
-	top := s.TopK(base, nil, 2)
+	s, _ := NewShardedSearcher(refs, 0, CascadeConfig{})
+	top := topKRange(s, base, 0, 3, 2)
 	if top[0].Index != 0 || top[1].Index != 1 {
 		t.Errorf("tie break wrong: %+v", top)
 	}
@@ -107,9 +81,9 @@ func TestTopKMatchesBruteForceProperty(t *testing.T) {
 		n := 5 + rng.Intn(60)
 		k := 1 + rng.Intn(10)
 		refs := randomRefs(d, n, seed+1)
-		s, _ := NewSearcher(refs)
+		s, _ := NewShardedSearcher(refs, 1+rng.Intn(n), CascadeConfig{})
 		q := RandomBinaryHV(d, rng)
-		got := s.TopK(q, nil, k)
+		got := topKRange(s, q, 0, n, k)
 		// Brute force.
 		all := make([]Match, n)
 		for i := range refs {
@@ -134,49 +108,10 @@ func TestTopKMatchesBruteForceProperty(t *testing.T) {
 	}
 }
 
-func TestBatchTopKMatchesSequential(t *testing.T) {
-	refs := randomRefs(512, 100, 6)
-	s, _ := NewSearcher(refs)
-	rng := rand.New(rand.NewSource(7))
-	queries := make([]BinaryHV, 23)
-	for i := range queries {
-		queries[i] = RandomBinaryHV(512, rng)
-	}
-	batch := s.BatchTopK(queries, nil, 4)
-	for i, q := range queries {
-		seq := s.TopK(q, nil, 4)
-		if len(batch[i]) != len(seq) {
-			t.Fatalf("query %d: batch len %d vs %d", i, len(batch[i]), len(seq))
-		}
-		for j := range seq {
-			if batch[i][j] != seq[j] {
-				t.Fatalf("query %d result %d: %+v vs %+v", i, j, batch[i][j], seq[j])
-			}
-		}
-	}
-}
-
-func TestBatchTopKWithCandidates(t *testing.T) {
-	refs := randomRefs(256, 30, 8)
-	s, _ := NewSearcher(refs)
-	queries := []BinaryHV{refs[3].Clone(), refs[7].Clone()}
-	cands := [][]int{{3, 4}, {6, 7, 8}}
-	out := s.BatchTopK(queries, cands, 1)
-	if out[0][0].Index != 3 || out[1][0].Index != 7 {
-		t.Errorf("candidate-restricted batch: %+v", out)
-	}
-}
-
 func TestSearcherAccessors(t *testing.T) {
 	refs := randomRefs(128, 9, 9)
-	s, _ := NewSearcher(refs)
-	if s.Len() != 9 || s.D() != 128 {
-		t.Errorf("accessors: len=%d d=%d", s.Len(), s.D())
-	}
-	if !s.Ref(4).Equal(refs[4]) {
-		t.Error("Ref returned wrong hypervector")
-	}
-	if s.Similarity(refs[4], 4) != 128 {
-		t.Error("self similarity wrong")
+	s, _ := NewShardedSearcher(refs, 4, CascadeConfig{})
+	if s.Len() != 9 || s.D() != 128 || s.NumShards() != 3 {
+		t.Errorf("accessors: len=%d d=%d shards=%d", s.Len(), s.D(), s.NumShards())
 	}
 }

@@ -1,10 +1,12 @@
 package hdc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,11 +39,6 @@ func blockRows(words int) int {
 	}
 	return r
 }
-
-// parallelMinRefs is the smallest full-scan reference count for which
-// a single-query TopK fans shards out across goroutines. Below it the
-// per-goroutine overhead exceeds the scan cost.
-const parallelMinRefs = 1 << 13
 
 // CascadeConfig selects the K-tier pruned cascade layout — the
 // software articulation of the paper's cascaded-precision deployment
@@ -113,7 +110,7 @@ func normalizeTiers(cc CascadeConfig, words int) ([]int, error) {
 // accumulated across every cascade scan since construction.
 type CascadeStats struct {
 	// TierRows[t] counts rows whose tier-t words were scored by a
-	// cascade scan path. TierRows[0] is the swept candidate volume;
+	// cascade sweep. TierRows[0] is the swept candidate volume;
 	// deeper tiers only see rows the pruning bound (or shortlist)
 	// admitted, so the counts are non-increasing down the ladder.
 	TierRows []uint64
@@ -185,24 +182,25 @@ func (c CascadeStats) Sub(prev CascadeStats) CascadeStats {
 }
 
 // ShardedSearcher is the sharded, batch-oriented exact Hamming search
-// engine — the software analogue of the paper's crossbar-parallel
-// in-memory search (one shard per crossbar tile group) and of the
-// query-level parallelism HyperOMS exploits on GPUs. Reference
+// engine — the software stand-in for the paper's in-memory search,
+// with the accelerator's one primitive: a batch of queries each
+// activates a contiguous block of mass-sorted rows
+// (BatchTopKRangeTraced; one query is a batch of one). Reference
 // hypervectors are packed row-major into fixed-size shards of
-// contiguous words, scored with a blocked XOR+popcount kernel into
-// reusable per-worker similarity buffers, and shard-level top-k lists
-// are merged deterministically (similarity descending, index
-// ascending — the same tie-break as the scalar Searcher).
+// contiguous words (one shard per crossbar tile group), scored with a
+// blocked XOR+popcount kernel into reusable per-worker score buffers,
+// and shard-level top-k heaps are merged deterministically
+// (similarity descending, index ascending).
 //
 // With a CascadeConfig the packed store is word-sliced into K tiers
 // per shard: tier t holds words [off[t], off[t]+tw[t]) of every row,
-// contiguous per tier. Scan paths sweep tier 0 block-major exactly as
-// the single-tier kernel does, maintain the per-query running
-// k-th-best distance, and descend the ladder only while a row's
-// partial distance can still beat that bound — remaining bits can
-// only add distance, so the prune is exact at every rung and the
-// results stay bit-identical to the single-tier kernel. Shortlist
-// mode trades that guarantee for a fixed completion budget per query.
+// contiguous per tier. The sweep scores tier 0 block-major exactly as
+// the single-tier kernel does, maintains the per-query running
+// k-th-best distance, and descends the ladder only while a row's
+// partial distance can still beat that bound (descendBlock) — the
+// prune is exact at every rung, so results stay bit-identical to the
+// single-tier kernel. Shortlist mode trades that guarantee for a
+// fixed completion budget per query.
 type ShardedSearcher struct {
 	d         int   // hypervector dimension
 	words     int   // packed words per hypervector, ceil(d/64)
@@ -215,13 +213,13 @@ type ShardedSearcher struct {
 	shortlist int   // approximate completion budget per query (0 = exact)
 	shards    []shard
 
-	// tierRows[t] counts rows scored against tier t by cascade scan
-	// paths; nil when the layout is single-tier.
+	// tierRows[t] counts rows scored against tier t by a cascade
+	// sweep; nil when the layout is single-tier.
 	tierRows []atomic.Uint64
 
-	// swept counts candidate rows covered by the range-scan paths
-	// (single-tier rows, or tier-0 prefixes under a cascade) — the
-	// serving stack's sweep-volume counter, live for every layout.
+	// swept counts candidate rows covered by the sweep (single-tier
+	// rows, or tier-0 prefixes under a cascade) — the serving stack's
+	// sweep-volume counter, live for every layout.
 	swept atomic.Uint64
 }
 
@@ -264,18 +262,12 @@ func (s *ShardedSearcher) multiTier() bool { return len(s.tw) > 1 }
 
 // NewShardedSearcher builds the engine over the reference
 // hypervectors (which must share one dimensionality), splitting them
-// into shards of shardSize rows. shardSize <= 0 selects
-// DefaultShardSize. The reference words are copied into the packed
-// store: later in-place mutation of the source hypervectors is not
-// seen by this engine.
-func NewShardedSearcher(refs []BinaryHV, shardSize int) (*ShardedSearcher, error) {
-	return NewShardedSearcherCascade(refs, shardSize, CascadeConfig{})
-}
-
-// NewShardedSearcherCascade builds the engine with an explicit
-// cascade layout (see CascadeConfig; the zero value selects the
-// single-tier layout).
-func NewShardedSearcherCascade(refs []BinaryHV, shardSize int, cc CascadeConfig) (*ShardedSearcher, error) {
+// into shards of shardSize rows (<= 0 selects DefaultShardSize) under
+// the cascade layout cc (the zero value is the single-tier layout).
+// The reference words are copied into the packed store: later in-place
+// mutation of the source hypervectors is not seen by this engine, and
+// the source slices may be released.
+func NewShardedSearcher(refs []BinaryHV, shardSize int, cc CascadeConfig) (*ShardedSearcher, error) {
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("hdc: empty reference set")
 	}
@@ -355,7 +347,7 @@ func NewShardedSearcherFromPacked(block []uint64, d, shardSize int, cc CascadeCo
 		if len(tiers) == 1 {
 			// The searcher is the designed owner of this alias: the caller
 			// contract above pins the block (and its mapping) for the
-			// searcher's lifetime, and scan paths only ever read it.
+			// searcher's lifetime, and the sweep only ever reads it.
 			sh.planes[0] = block[start*words : (start+rows)*words : (start+rows)*words] //oms:allow(mmapwrite) documented zero-copy ownership transfer
 		} else {
 			tw0 := tiers[0]
@@ -408,30 +400,8 @@ func (s *ShardedSearcher) Len() int { return s.n }
 // NumShards returns the shard count.
 func (s *ShardedSearcher) NumShards() int { return len(s.shards) }
 
-// ShardSize returns the configured rows-per-shard.
-func (s *ShardedSearcher) ShardSize() int { return s.shardSize }
-
-// TierWords returns a copy of the cascade ladder (words per tier, in
-// descent order). A single-element ladder is the single-tier layout.
-func (s *ShardedSearcher) TierWords() []int {
-	return append([]int(nil), s.tw...)
-}
-
 // NumTiers returns the ladder depth (1 = single-tier).
 func (s *ShardedSearcher) NumTiers() int { return len(s.tw) }
-
-// PrefilterWords returns the tier-0 word count of the cascade layout,
-// 0 when the store is single-tier (the historical two-tier accessor).
-func (s *ShardedSearcher) PrefilterWords() int {
-	if !s.multiTier() {
-		return 0
-	}
-	return s.tw[0]
-}
-
-// ShortlistPerQuery returns the approximate-mode completion budget
-// (0 = exact pruning bound).
-func (s *ShardedSearcher) ShortlistPerQuery() int { return s.shortlist }
 
 // CascadeStats returns a snapshot of the per-tier row counters; ok is
 // false when the store is single-tier (no cascade runs, counters stay
@@ -457,40 +427,25 @@ func (s *ShardedSearcher) addTierRows(counts []uint64) {
 	}
 }
 
-// RowsSwept returns the cumulative candidate rows covered by the
-// range-scan search paths since construction (every layout, unlike
-// the cascade counters).
+// RowsSwept returns the cumulative candidate rows covered by the sweep
+// since construction (every layout, unlike the cascade counters).
 func (s *ShardedSearcher) RowsSwept() uint64 { return s.swept.Load() }
 
-// checkQuery panics on a dimensionality mismatch, matching the scalar
-// Searcher's contract.
+// checkQuery panics on a dimensionality mismatch: a query of the wrong
+// width is a caller bug, and scoring it would read out of bounds.
 func (s *ShardedSearcher) checkQuery(q BinaryHV) {
 	if q.D != s.d {
 		panic(fmt.Sprintf("hdc: query D=%d, searcher D=%d", q.D, s.d))
 	}
 }
 
-// Similarity returns the Hamming similarity between the query and
-// reference i, read from the packed store. It panics with a
-// descriptive message when i is outside [0, Len()) — the same bounds
-// contract TopK applies (which silently skips out-of-range candidate
-// indices rather than scoring them).
-func (s *ShardedSearcher) Similarity(q BinaryHV, i int) int {
-	s.checkQuery(q)
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("hdc: reference index %d out of range [0, %d)", i, s.n))
-	}
-	sh := &s.shards[i/s.shardSize]
-	return s.simRow(q.Words, sh, i-sh.start)
-}
-
 // PackedRow returns the packed words of reference row i exactly as
 // stored in the engine, reassembled from the tiered store into one
 // freshly allocated full-width row (the tiers are not contiguous, so
-// a live view is no longer possible). It panics on an out-of-range
-// index, matching Similarity's bounds contract. The persistent
-// library index uses it to verify that a loaded store is bit-identical
-// to the freshly packed one.
+// a live view is no longer possible). It panics with a descriptive
+// message on an out-of-range index. The persistent library index uses
+// it to verify that a loaded store is bit-identical to the freshly
+// packed one.
 func (s *ShardedSearcher) PackedRow(i int) []uint64 {
 	if i < 0 || i >= s.n {
 		panic(fmt.Sprintf("hdc: reference index %d out of range [0, %d)", i, s.n))
@@ -502,18 +457,6 @@ func (s *ShardedSearcher) PackedRow(i int) []uint64 {
 		copy(out[s.off[t]:s.off[t]+s.tw[t]], s.tierRow(sh, t, row))
 	}
 	return out
-}
-
-// simRow scores one packed row against the query words across every
-// tier.
-//
-//oms:hotpath
-func (s *ShardedSearcher) simRow(qw []uint64, sh *shard, row int) int {
-	dist := 0
-	for t := range s.tw {
-		dist += distRow(s.qtier(qw, t), s.tierRow(sh, t, row))
-	}
-	return s.d - dist
 }
 
 // scoreRows is the XOR+popcount kernel: it scores rows [0, rows) of a
@@ -550,7 +493,7 @@ func scoreRows(qw, packed []uint64, words, rows, d int, sims []int) {
 
 // distRow is the single-row XOR+popcount distance over one packed
 // word segment (same unroll as scoreRows). It is the tier-descent
-// completion kernel and the per-row gather kernel.
+// completion kernel.
 //
 //oms:hotpath
 func distRow(qw, row []uint64) int {
@@ -618,26 +561,6 @@ func (s *ShardedSearcher) scoreBlockSims(qw []uint64, sh *shard, r0, rows int, s
 	}
 }
 
-// SimilaritiesInto scores the query against every reference, writing
-// HammingSimilarity(q, i) to dst[i] through the blocked kernel. dst is
-// grown as needed; the (possibly reallocated) slice of length Len()
-// is returned, so callers can reuse one buffer across queries.
-func (s *ShardedSearcher) SimilaritiesInto(q BinaryHV, dst []int) []int {
-	s.checkQuery(q)
-	if cap(dst) < s.n {
-		dst = make([]int, s.n)
-	}
-	dst = dst[:s.n]
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for b0 := 0; b0 < sh.rows; b0 += s.block {
-			rows := min(s.block, sh.rows-b0)
-			s.scoreBlockSims(q.Words, sh, b0, rows, dst[sh.start+b0:])
-		}
-	}
-	return dst
-}
-
 // RowRange is a half-open contiguous interval [Lo, Hi) of packed
 // reference rows — the candidate-set representation of the
 // mass-ordered open-search pipeline. When references are packed in
@@ -695,71 +618,38 @@ func (s *ShardedSearcher) SimilaritiesRangeInto(q BinaryHV, lo, hi int, dst []in
 	return dst
 }
 
-// searchScratch is the reusable per-worker state: the similarity
-// buffer the kernel writes into, the top-k and tier-0 shortlist
-// heaps, the ladder-descent survivor list and per-tier counter
-// buffers — so steady-state search performs no per-query allocation
-// beyond the returned matches.
+// searchScratch is the reusable per-worker sweep state: the block
+// score buffer the kernel writes into, the ladder-descent survivor
+// list, the per-tier counter buffers and one shard visit's query
+// clips — so a shard visit allocates nothing in steady state.
 type searchScratch struct {
-	sims  []int
-	heap  []Match
-	pheap []Match
-	surv  []int32
-	tcnt  []uint64
-	tns   []int64
+	sims []int
+	surv []int32
+	tcnt []uint64
+	tns  []int64
+	qs   []shardQuery
 }
 
 var scratchPool = sync.Pool{New: func() any { return &searchScratch{} }}
 
-// simsBuf returns the scratch similarity buffer with at least n slots.
-func (sc *searchScratch) simsBuf(n int) []int {
-	if cap(sc.sims) < n {
-		sc.sims = make([]int, n)
+// grown returns buf resliced to n elements, reallocated when its
+// capacity is short. The contents are unspecified.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	return sc.sims[:n]
-}
-
-// survBuf returns the empty survivor index buffer with capacity >= n.
-func (sc *searchScratch) survBuf(n int) []int32 {
-	if cap(sc.surv) < n {
-		sc.surv = make([]int32, 0, n)
-	}
-	return sc.surv[:0]
-}
-
-// tierCounts returns a zeroed per-tier row-count buffer of length k.
-func (sc *searchScratch) tierCounts(k int) []uint64 {
-	if cap(sc.tcnt) < k {
-		sc.tcnt = make([]uint64, k)
-	}
-	c := sc.tcnt[:k]
-	for i := range c {
-		c[i] = 0
-	}
-	return c
-}
-
-// tierNanosBuf returns a zeroed per-tier nanosecond buffer of length k.
-func (sc *searchScratch) tierNanosBuf(k int) []int64 {
-	if cap(sc.tns) < k {
-		sc.tns = make([]int64, k)
-	}
-	c := sc.tns[:k]
-	for i := range c {
-		c[i] = 0
-	}
-	return c
+	return buf[:n]
 }
 
 // --- allocation-free top-k heap ----------------------------------------
 //
 // A binary min-heap on match rank (root = current worst of the kept
-// top-k), operating directly on a scratch slice: container/heap would
-// box every Match through interface{}.
+// top-k), operating directly on a slice carved from the batch's heap
+// arena: container/heap would box every Match through interface{}.
 
 //oms:hotpath
 func heapPushMatch(h []Match, m Match) []Match {
-	h = append(h, m) //oms:allow(hotalloc) callers pass a scratch-backed heap bounded by k; growth amortizes to zero
+	h = append(h, m) //oms:allow(hotalloc) every heap is carved from the batch arena with capacity for its bound, so append never grows it
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -805,12 +695,43 @@ func offerTopK(h []Match, m Match, k int) []Match {
 	return h
 }
 
-// sortedMatches copies the heap into a fresh, rank-sorted result
-// slice (similarity descending, ties by ascending index).
+// offerBlock offers one scored kernel block to a top-k heap — row
+// base+x at score vals[x] — the sweep's one per-row selection loop.
+// Once the heap is full almost every row scores below its current
+// worst, so the steady state rejects on one compare and takes the heap
+// path only for potential entrants (ties resolve inside offerTopK).
+//
+//oms:hotpath
+func offerBlock(h []Match, vals []int, base, k int) []Match {
+	x := 0
+	for ; x < len(vals) && len(h) < k; x++ {
+		h = heapPushMatch(h, Match{Index: base + x, Similarity: vals[x]})
+	}
+	if x == len(vals) {
+		return h
+	}
+	worst := h[0].Similarity
+	for ; x < len(vals); x++ {
+		if vals[x] < worst {
+			continue
+		}
+		h = offerTopK(h, Match{Index: base + x, Similarity: vals[x]}, k)
+		worst = h[0].Similarity
+	}
+	return h
+}
+
+// sortedMatches drains a heap into a fresh rank-sorted result slice
+// (similarity descending, ties by ascending index): the root is the
+// worst of what remains, so popping fills the result back to front.
+// The heap is consumed.
 func sortedMatches(h []Match) []Match {
 	out := make([]Match, len(h))
-	copy(out, h)
-	sort.Slice(out, func(i, j int) bool { return worse(out[j], out[i]) })
+	for n := len(h); n > 0; n-- {
+		out[n-1] = h[0]
+		h[0] = h[n-1]
+		heapFixRoot(h[:n-1])
+	}
 	return out
 }
 
@@ -830,353 +751,87 @@ func (s *ShardedSearcher) completeRow(qw []uint64, pm Match) Match {
 	return Match{Index: pm.Index, Similarity: s.d - full}
 }
 
-// TopK returns the k most similar references among the candidate
-// index set (nil = all references), ordered by descending similarity
-// with ties broken by ascending index — bit-identical to the scalar
-// Searcher. Full scans over large reference sets fan the shards out
-// across CPU cores and merge the shard-level top-k lists.
-func (s *ShardedSearcher) TopK(q BinaryHV, candidates []int, k int) []Match {
-	s.checkQuery(q)
-	if k <= 0 {
-		return nil
-	}
-	if candidates == nil && s.n >= parallelMinRefs && len(s.shards) > 1 {
-		out := make([][]Match, 1)
-		s.batchFullScan([]BinaryHV{q}, []int{0}, k, out)
-		return out[0]
-	}
-	sc := scratchPool.Get().(*searchScratch)
-	out := s.topKScratch(q, candidates, k, sc)
-	scratchPool.Put(sc)
-	return out
+// rangeQuery is one active query of a batch: a clamped, non-empty row
+// range and the arena position of its per-shard heaps. A contiguous
+// range intersects a contiguous shard run, so shard si's heap is arena
+// part part+si-first.
+type rangeQuery struct {
+	qi    int // position in the caller's batch
+	r     RowRange
+	first int // first shard the range intersects
+	part  int // arena part of shard first's heap
 }
 
-// topKScratch is the sequential top-k path over a worker's scratch.
-// A nil candidate set is the full row range; an explicit set takes
-// the per-row gather path.
-func (s *ShardedSearcher) topKScratch(q BinaryHV, candidates []int, k int, sc *searchScratch) []Match {
-	if candidates == nil {
-		return s.topKRangeScratch(q, RowRange{Lo: 0, Hi: s.n}, k, sc)
-	}
-	if s.multiTier() {
-		return s.topKGatherCascade(q, candidates, k, sc)
-	}
-	h := sc.heap[:0]
-	for _, i := range candidates {
-		if i < 0 || i >= s.n {
-			continue
-		}
-		sh := &s.shards[i/s.shardSize]
-		h = offerTopK(h, Match{Index: i, Similarity: s.simRow(q.Words, sh, i-sh.start)}, k)
-	}
-	sc.heap = h
-	return sortedMatches(h)
+// shardQuery is one query's clip onto the shard being visited.
+type shardQuery struct {
+	j      int // position in the batch plan
+	lo, hi int // query range ∩ shard, absolute rows
+	part   int // arena part of this (query, shard) heap
+	heap   []Match
 }
 
-// topKGatherCascade is the candidate-gather path over a tiered store:
-// every candidate's tier-0 prefix is scored, and the deeper rungs
-// only while the running bound (or the shortlist) admits the descent.
-// Exact mode is bit-identical to the single-tier gather: a skipped
-// row has partial distance above the current k-th-best total
-// distance, so offerTopK would have rejected it anyway.
-func (s *ShardedSearcher) topKGatherCascade(q BinaryHV, candidates []int, k int, sc *searchScratch) []Match {
-	qw := q.Words
-	q0 := s.qtier(qw, 0)
-	nt := len(s.tw)
-	tcnt := sc.tierCounts(nt)
-	h := sc.heap[:0]
-	if s.shortlist > 0 {
-		ph := sc.pheap[:0]
-		for _, i := range candidates {
-			if i < 0 || i >= s.n {
-				continue
-			}
-			sh := &s.shards[i/s.shardSize]
-			row := i - sh.start
-			tcnt[0]++
-			ph = offerTopK(ph, Match{Index: i, Similarity: -distRow(q0, s.tierRow(sh, 0, row))}, s.shortlist)
-		}
-		sc.pheap = ph
-		for t := 1; t < nt; t++ {
-			tcnt[t] += uint64(len(ph))
-		}
-		for _, pm := range sortedMatches(ph) {
-			h = offerTopK(h, s.completeRow(qw, pm), k)
-		}
-	} else {
-		bound := math.MaxInt
-		for _, i := range candidates {
-			if i < 0 || i >= s.n {
-				continue
-			}
-			sh := &s.shards[i/s.shardSize]
-			row := i - sh.start
-			tcnt[0]++
-			partial := distRow(q0, s.tierRow(sh, 0, row))
-			pruned := false
-			for t := 1; t < nt; t++ {
-				if partial > bound {
-					pruned = true
-					break
-				}
-				tcnt[t]++
-				partial += distRow(s.qtier(qw, t), s.tierRow(sh, t, row))
-			}
-			if pruned {
-				continue
-			}
-			h = offerTopK(h, Match{Index: i, Similarity: s.d - partial}, k)
-			if len(h) == k {
-				bound = s.d - h[0].Similarity
-			}
-		}
-	}
-	sc.heap = h
-	s.addTierRows(tcnt)
-	return sortedMatches(h)
+// batch is the state of one BatchTopKRangeTraced call, pooled so a
+// steady-state call allocates only the match lists it returns. Every
+// (query, shard) pair owns one fixed-capacity heap carved from the
+// heaps arena — workers fill disjoint parts, the merge reads them all.
+type batch struct {
+	queries []BinaryHV
+	tr      *obsv.Trace
+	k       int          // result depth
+	limit   int          // heap bound: k, or the shortlist under shortlist mode
+	hcap    int          // arena slots per part: min(limit, shardSize)
+	plan    []rangeQuery // active queries, sorted by range start
+	heaps   []Match
+	hlen    []int // per part: the heap's fill after the sweep
+	// bounds carries the per-query pruning bound shard workers share
+	// under an exact cascade (see descendBlock); unused otherwise.
+	bounds []atomic.Int64
+	next   atomic.Int64 // next shard a worker claims, up to last
+	last   int
+	wg     sync.WaitGroup
+	local  searchScratch // the calling goroutine's worker scratch
 }
 
-// BatchTopK runs TopK for many queries, parallel across CPU cores,
-// each worker reusing one scratch heap and similarity buffer (no
-// per-query allocation beyond the returned matches). candidates[i]
-// restricts query i's search space; a nil candidates slice — or one
-// shorter than queries — treats the missing entries as nil (all
-// references). Full-scan queries take the blocked batch path: every
-// query is swept over each cache-resident row block before the scan
-// advances, so the packed reference store streams from memory once
-// per batch instead of once per query.
-func (s *ShardedSearcher) BatchTopK(queries []BinaryHV, candidates [][]int, k int) [][]Match {
-	out := make([][]Match, len(queries))
-	for i := range queries {
-		s.checkQuery(queries[i])
-	}
-	if k <= 0 {
-		return out
-	}
-	// Split full scans from candidate-restricted queries.
-	var full, restricted []int
-	for i := range queries {
-		if i < len(candidates) && candidates[i] != nil {
-			restricted = append(restricted, i)
-		} else {
-			full = append(full, i)
-		}
-	}
-	// The two pools run one after the other: both are CPU-bound and
-	// each already fans out to GOMAXPROCS workers, so overlapping them
-	// would only oversubscribe the cores.
-	if len(full) > 0 {
-		s.batchFullScan(queries, full, k, out)
-	}
-	if len(restricted) > 0 {
-		workers := min(runtime.GOMAXPROCS(0), len(restricted))
-		next := make(chan int, len(restricted))
-		for _, i := range restricted {
-			next <- i
-		}
-		close(next)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := scratchPool.Get().(*searchScratch)
-				defer scratchPool.Put(sc)
-				for i := range next {
-					out[i] = s.topKScratch(queries[i], candidates[i], k, sc)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return out
+var batchPool = sync.Pool{New: func() any { return &batch{} }}
+
+// release returns the batch to the pool without pinning caller memory.
+func (b *batch) release() {
+	b.queries, b.tr = nil, nil
+	batchPool.Put(b)
 }
 
-// batchFullScan scores the full-scan queries qIdx against every
-// shard. A full scan is the row range [0, Len()), so it shares the
-// block-major range machinery: shards fan out across CPU cores and
-// each cache-resident row block is swept by every query.
-func (s *ShardedSearcher) batchFullScan(queries []BinaryHV, qIdx []int, k int, out [][]Match) {
-	ranges := make([]RowRange, len(queries))
-	for _, f := range qIdx {
-		ranges[f] = RowRange{Lo: 0, Hi: s.n}
-	}
-	s.batchRangeScan(queries, ranges, qIdx, k, out, nil)
-}
-
-// TopKRange returns the k most similar references among the
-// contiguous packed-row range [lo, hi) (clamped to [0, Len())),
-// ordered by descending similarity with ties broken by ascending
-// index — bit-identical to TopK over the equivalent materialized
-// candidate slice, but streaming the rows through the blocked kernel
-// instead of gathering them one at a time. Large ranges spanning
-// several shards fan out across CPU cores.
-func (s *ShardedSearcher) TopKRange(q BinaryHV, lo, hi, k int) []Match {
-	s.checkQuery(q)
-	if k <= 0 {
-		return nil
-	}
-	r := RowRange{Lo: lo, Hi: hi}.Clamp(s.n)
-	if r.Empty() {
-		return []Match{}
-	}
-	if r.Len() >= parallelMinRefs && (r.Hi-1)/s.shardSize > r.Lo/s.shardSize {
-		out := make([][]Match, 1)
-		s.batchRangeScan([]BinaryHV{q}, []RowRange{r}, []int{0}, k, out, nil)
-		return out[0]
-	}
-	sc := scratchPool.Get().(*searchScratch)
-	out := s.topKRangeScratch(q, r, k, sc)
-	scratchPool.Put(sc)
-	return out
-}
-
-// topKRangeScratch is the sequential range top-k path over a worker's
-// scratch: shard by shard, kernel block by kernel block.
-func (s *ShardedSearcher) topKRangeScratch(q BinaryHV, r RowRange, k int, sc *searchScratch) []Match {
-	if s.multiTier() {
-		return s.topKRangeCascade(q, r, k, sc)
-	}
-	h := sc.heap[:0]
-	sims := sc.simsBuf(s.block)
-	for row := r.Lo; row < r.Hi; {
-		sh := &s.shards[row/s.shardSize]
-		end := min(r.Hi, sh.start+sh.rows)
-		for b := row; b < end; b += s.block {
-			rows := min(s.block, end-b)
-			scoreRows(q.Words, sh.planes[0][(b-sh.start)*s.tw[0]:], s.tw[0], rows, s.d, sims)
-			for j := 0; j < rows; j++ {
-				h = offerTopK(h, Match{Index: b + j, Similarity: sims[j]}, k)
-			}
-		}
-		row = end
-	}
-	sc.heap = h
-	s.swept.Add(uint64(r.Len()))
-	return sortedMatches(h)
-}
-
-// topKRangeCascade is the sequential cascade sweep of a row range:
-// tier 0 block-major, the deeper rungs per surviving row. In exact
-// mode the pruning bound is the running k-th-best total distance
-// (remaining bits can only add distance, so a row with partial
-// distance above it can never enter the heap): each block's tier-0
-// distances are filtered into a survivor list against the bound as of
-// the block start, intermediate tiers re-filter the survivors, and
-// the final tier re-checks the live bound before completing — the
-// completion decisions are identical to a per-row descent because the
-// bound only ever tightens. Shortlist mode completes only the best
-// Shortlist tier-0 partials.
-func (s *ShardedSearcher) topKRangeCascade(q BinaryHV, r RowRange, k int, sc *searchScratch) []Match {
-	qw := q.Words
-	q0 := s.qtier(qw, 0)
-	nt := len(s.tw)
-	dists := sc.simsBuf(s.block)
-	tcnt := sc.tierCounts(nt)
-	h := sc.heap[:0]
-	if s.shortlist > 0 {
-		ph := sc.pheap[:0]
-		for row := r.Lo; row < r.Hi; {
-			sh := &s.shards[row/s.shardSize]
-			end := min(r.Hi, sh.start+sh.rows)
-			for b := row; b < end; b += s.block {
-				rows := min(s.block, end-b)
-				distRows(q0, sh.planes[0][(b-sh.start)*s.stride[0]:], s.stride[0], rows, dists)
-				tcnt[0] += uint64(rows)
-				for j := 0; j < rows; j++ {
-					ph = offerTopK(ph, Match{Index: b + j, Similarity: -dists[j]}, s.shortlist)
-				}
-			}
-			row = end
-		}
-		sc.pheap = ph
-		for t := 1; t < nt; t++ {
-			tcnt[t] += uint64(len(ph))
-		}
-		for _, pm := range sortedMatches(ph) {
-			h = offerTopK(h, s.completeRow(qw, pm), k)
-		}
-	} else {
-		bound := math.MaxInt
-		for row := r.Lo; row < r.Hi; {
-			sh := &s.shards[row/s.shardSize]
-			end := min(r.Hi, sh.start+sh.rows)
-			for b := row; b < end; b += s.block {
-				rows := min(s.block, end-b)
-				distRows(q0, sh.planes[0][(b-sh.start)*s.stride[0]:], s.stride[0], rows, dists)
-				tcnt[0] += uint64(rows)
-				// Survivors of tier 0 at the bound as of the block start
-				// (a superset of the rows a live bound would admit; the
-				// final rung re-checks the live bound, so completion
-				// decisions match the per-row descent exactly).
-				surv := sc.survBuf(rows)
-				for j, da := range dists[:rows] {
-					if da <= bound {
-						surv = append(surv, int32(j))
-					}
-				}
-				for t := 1; t < nt-1 && len(surv) > 0; t++ {
-					tcnt[t] += uint64(len(surv))
-					qt := s.qtier(qw, t)
-					w := 0
-					for _, j := range surv {
-						brow := b + int(j) - sh.start
-						nd := dists[j] + distRow(qt, s.tierRow(sh, t, brow))
-						if nd <= bound {
-							dists[j] = nd
-							surv[w] = j
-							w++
-						}
-					}
-					surv = surv[:w]
-				}
-				if len(surv) > 0 {
-					last := nt - 1
-					qt := s.qtier(qw, last)
-					for _, j := range surv {
-						if dists[j] > bound {
-							continue
-						}
-						tcnt[last]++
-						brow := b + int(j) - sh.start
-						full := dists[j] + distRow(qt, s.tierRow(sh, last, brow))
-						h = offerTopK(h, Match{Index: b + int(j), Similarity: s.d - full}, k)
-						if len(h) == k {
-							bound = s.d - h[0].Similarity
-						}
-					}
-				}
-				sc.surv = surv[:0]
-			}
-			row = end
-		}
-	}
-	sc.heap = h
-	s.addTierRows(tcnt)
-	s.swept.Add(tcnt[0])
-	return sortedMatches(h)
-}
-
-// BatchTopKRange runs TopKRange for every query: ranges[i] restricts
-// query i to packed rows [Lo, Hi), clamped to the reference count
-// (ranges must have one entry per query; an empty range yields an
-// empty result). The scan is block-major: shards fan out across CPU
-// cores, and within a shard every cache-resident row block is swept
-// by all queries whose ranges cover it before the scan advances.
-// Queries sorted by precursor mass have heavily overlapping ranges,
-// so the packed store streams from memory once per batch — as in the
-// full-scan path — instead of once per query through the per-row
-// gather path. Results are bit-identical to TopK over the equivalent
-// materialized candidate slices.
+// BatchTopKRange is BatchTopKRangeTraced without a trace.
 func (s *ShardedSearcher) BatchTopKRange(queries []BinaryHV, ranges []RowRange, k int) [][]Match {
 	return s.BatchTopKRangeTraced(queries, ranges, k, nil)
 }
 
-// BatchTopKRangeTraced is BatchTopKRange with per-stage tracing: when
-// tr is non-nil the scan accumulates per-tier sweep nanoseconds and
-// row counters into it. Timing never alters control flow, so results
-// are bit-identical to the untraced call; a nil tr makes every
-// recording site a no-op branch.
+// BatchTopKRangeTraced is the engine's one search entry point: for
+// every query i it returns the k most similar references among packed
+// rows ranges[i] = [Lo, Hi) (clamped to the reference count), ordered
+// by descending similarity with ties broken by ascending index.
+// ranges must have one entry per query; an empty range yields an
+// empty, non-nil list and k <= 0 yields nil lists. A single query is a
+// batch of one, a full scan the range [0, Len()), an untraced search a
+// nil tr — there is no other scan path.
+//
+// The scan is block-major: within a shard every cache-resident row
+// block is swept by all queries whose ranges cover it before the scan
+// advances, so the packed store streams from memory once per batch
+// (queries sorted by precursor mass have heavily overlapping ranges).
+// Only the shard span the active ranges cover is visited, by
+// min(GOMAXPROCS, span) workers of which the calling goroutine is one:
+// a batch whose ranges sit inside one shard spawns no goroutine. Per
+// query and shard a top-k heap survives the sweep; the per-shard heaps
+// merge per query — deterministic regardless of shard completion
+// order, and exact because a range-global top-k member is necessarily
+// in its own shard's top-k. Under shortlist mode the per-shard heaps
+// hold tier-0 partials; the merge keeps the global best Shortlist of
+// them and completes only those.
+//
+// When tr is non-nil the scan accumulates per-tier sweep nanoseconds,
+// row counters and the merge time into it. Timing never alters control
+// flow, so results are bit-identical to the untraced call; a nil tr
+// makes every recording site a no-op branch.
 func (s *ShardedSearcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowRange, k int, tr *obsv.Trace) [][]Match {
 	if len(ranges) != len(queries) {
 		panic(fmt.Sprintf("hdc: %d queries with %d ranges", len(queries), len(ranges)))
@@ -1188,139 +843,305 @@ func (s *ShardedSearcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowR
 	if k <= 0 {
 		return out
 	}
-	clamped := make([]RowRange, len(queries))
-	active := make([]int, 0, len(queries))
-	for i, r := range ranges {
-		clamped[i] = r.Clamp(s.n)
-		if clamped[i].Empty() {
-			out[i] = []Match{}
-		} else {
-			active = append(active, i)
-		}
+	b := batchPool.Get().(*batch)
+	defer b.release()
+	b.queries, b.tr, b.k, b.limit = queries, tr, k, k
+	if s.shortlist > 0 {
+		b.limit = s.shortlist
 	}
-	if len(active) == 0 {
+	b.hcap = min(b.limit, s.shardSize)
+	b.plan = b.plan[:0]
+	for i, r := range ranges {
+		if r = r.Clamp(s.n); r.Empty() {
+			out[i] = []Match{}
+			continue
+		}
+		b.plan = append(b.plan, rangeQuery{qi: i, r: r})
+	}
+	if len(b.plan) == 0 {
 		return out
 	}
 	// Sort by range start so each shard sees its queries as a
 	// near-contiguous run (mass-sorted query batches arrive almost
 	// sorted already); stable so equal starts keep query order.
-	sort.SliceStable(active, func(a, b int) bool {
-		return clamped[active[a]].Lo < clamped[active[b]].Lo
-	})
-	s.batchRangeScan(queries, clamped, active, k, out, tr)
-	return out
-}
-
-// batchRangeScan is the block-major range scan over the active query
-// positions (sorted by range start, ranges pre-clamped and non-empty).
-// Each worker owns whole shards; within a shard every kernel block is
-// scored for all queries covering it while the block is
-// cache-resident. Per query and shard a top-k heap survives the sweep;
-// shard-level lists are merged per query by (similarity desc, index
-// asc) — deterministic regardless of shard completion order, and
-// exact because a range-global top-k member is necessarily in its own
-// shard's top-k.
-//
-// Under an exact cascade, workers additionally share one atomic
-// pruning bound per query: any full heap's k-th-best distance is a
-// valid upper bound on the final range-global k-th-best distance, so
-// the tightest published bound prunes ladder descents across shard
-// boundaries without touching the merge logic. Under shortlist mode
-// the per-shard lists hold tier-0 partials; the merge keeps the
-// global best Shortlist of them and completes only those.
-func (s *ShardedSearcher) batchRangeScan(queries []BinaryHV, ranges []RowRange, active []int, k int, out [][]Match, tr *obsv.Trace) {
-	// perQuery[j][t] is query active[j]'s sorted per-shard list within
-	// the t-th shard its range intersects; a contiguous row range
-	// intersects a contiguous shard run, so t = shard index −
-	// firstShard[j].
-	perQuery := make([][][]Match, len(active))
-	firstShard := make([]int, len(active))
-	for j, qi := range active {
-		r := ranges[qi]
-		firstShard[j] = r.Lo / s.shardSize
-		perQuery[j] = make([][]Match, (r.Hi-1)/s.shardSize-firstShard[j]+1)
+	slices.SortStableFunc(b.plan, func(x, y rangeQuery) int { return cmp.Compare(x.r.Lo, y.r.Lo) })
+	parts := 0
+	b.last = 0
+	for j := range b.plan {
+		pq := &b.plan[j]
+		end := (pq.r.Hi - 1) / s.shardSize
+		pq.first, pq.part = pq.r.Lo/s.shardSize, parts
+		parts += end - pq.first + 1
+		b.last = max(b.last, end)
 	}
-	var bounds []atomic.Int64
+	b.heaps = grown(b.heaps, parts*b.hcap)
+	b.hlen = grown(b.hlen, parts)
 	if s.multiTier() && s.shortlist == 0 {
-		bounds = make([]atomic.Int64, len(active))
-		for j := range bounds {
-			bounds[j].Store(math.MaxInt64)
+		b.bounds = grown(b.bounds, len(b.plan))
+		for j := range b.bounds {
+			b.bounds[j].Store(math.MaxInt64)
 		}
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(s.shards))
-	next := make(chan int, len(s.shards))
-	for i := range s.shards {
-		next <- i
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+
+	first := b.plan[0].first
+	b.next.Store(int64(first))
+	workers := min(runtime.GOMAXPROCS(0), b.last-first+1)
+	b.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
+			defer b.wg.Done()
 			sc := scratchPool.Get().(*searchScratch)
 			defer scratchPool.Put(sc)
-			for si := range next {
-				s.scanShardRanges(si, queries, ranges, active, k, perQuery, firstShard, bounds, sc, tr)
-			}
+			s.sweepShards(b, sc)
 		}()
 	}
-	wg.Wait()
+	s.sweepShards(b, &b.local)
+	b.wg.Wait()
+
 	// Trace the merge wall time, splitting out the shortlist ladder
 	// completions (clock reads gated on tr, so untraced scans pay one
 	// branch per query at most).
 	var mergeT0 time.Time
-	var tbNanos int64
+	var completeNanos int64
 	if tr != nil {
 		mergeT0 = time.Now()
 	}
-	var completedShortlist uint64
-	for j, qi := range active {
-		var merged []Match
-		for _, part := range perQuery[j] {
-			merged = append(merged, part...)
+	var completed uint64
+	for j := range b.plan {
+		pq := &b.plan[j]
+		// The first part's heap is the merge heap, grown in place over
+		// the query's arena run: a write lands at or before the slot of
+		// the match just read, so no unread match is overwritten.
+		nparts := (pq.r.Hi-1)/s.shardSize - pq.first + 1
+		base := pq.part * b.hcap
+		h := b.heaps[base : base+b.hlen[pq.part] : base+nparts*b.hcap]
+		for p := pq.part + 1; p < pq.part+nparts; p++ {
+			for _, m := range b.heaps[p*b.hcap:][:b.hlen[p]] {
+				h = offerTopK(h, m, b.limit)
+			}
 		}
-		if s.multiTier() && s.shortlist > 0 {
+		if s.shortlist > 0 {
+			// h is the global shortlist: the best Shortlist tier-0
+			// partials of the whole range, exactly what a single-heap
+			// sweep would keep. Complete them and keep the top k.
 			var ct0 time.Time
 			if tr != nil {
 				ct0 = time.Now()
 			}
-			// The per-shard lists hold tier-0 partials ranked by
-			// negated partial distance; the global shortlist is the
-			// best Shortlist of their union (identical to a
-			// single-heap sweep of the whole range), completed here.
-			sort.Slice(merged, func(a, b int) bool { return worse(merged[b], merged[a]) })
-			if len(merged) > s.shortlist {
-				merged = merged[:s.shortlist]
+			qw := queries[pq.qi].Words
+			top := h[:0]
+			for _, pm := range h {
+				top = offerTopK(top, s.completeRow(qw, pm), k)
 			}
-			qw := queries[qi].Words
-			for x, pm := range merged {
-				merged[x] = s.completeRow(qw, pm)
-			}
-			completedShortlist += uint64(len(merged))
+			completed += uint64(len(h))
+			h = top
 			if tr != nil {
-				tbNanos += int64(time.Since(ct0))
+				completeNanos += int64(time.Since(ct0))
 			}
 		}
-		sort.Slice(merged, func(a, b int) bool { return worse(merged[b], merged[a]) })
-		if len(merged) > k {
-			merged = merged[:k]
-		}
-		out[qi] = merged
+		out[pq.qi] = sortedMatches(h)
 	}
-	if completedShortlist > 0 {
+	if completed > 0 {
 		// A shortlist completion scores every tier past tier 0.
 		for t := 1; t < len(s.tw); t++ {
-			s.tierRows[t].Add(completedShortlist)
+			s.tierRows[t].Add(completed)
 		}
 	}
 	if tr != nil {
 		// Shortlist completion time lands in the final tier's slot —
 		// the deepest rung dominates the completion cost.
-		tr.AddTierNanos(len(s.tw)-1, tbNanos)
-		tr.AddNanos(obsv.StageMerge, int64(time.Since(mergeT0))-tbNanos)
-		tr.AddRows(0, int64(completedShortlist))
+		tr.AddTierNanos(len(s.tw)-1, completeNanos)
+		tr.AddNanos(obsv.StageMerge, int64(time.Since(mergeT0))-completeNanos)
+		tr.AddRows(0, int64(completed))
 	}
+	return out
+}
+
+// sweepShards is one worker's loop: claim the next unvisited shard of
+// the batch's span until the span is exhausted.
+func (s *ShardedSearcher) sweepShards(b *batch, sc *searchScratch) {
+	for si := int(b.next.Add(1)) - 1; si <= b.last; si = int(b.next.Add(1)) - 1 {
+		s.scanShard(b, si, sc)
+	}
+}
+
+// scanShard sweeps one shard's kernel blocks with every query whose
+// range intersects the shard, leaving each (query, shard) heap in the
+// batch arena: top-k matches, or tier-0 shortlist partials (similarity
+// = negated partial distance) under shortlist mode.
+//
+// When b.tr is non-nil the sweep's wall time lands in the per-tier
+// slots: the clock is read once at entry and once at exit, plus one
+// lazy pair around each deeper tier's survivor burst per (block,
+// query) pair — a handful of clock reads per shard visit, never per
+// row. Tier 0 is the remainder: sweep total minus the deeper bursts.
+func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
+	sh := &s.shards[si]
+	shLo, shHi := sh.start, sh.start+sh.rows
+	// The plan is sorted by range start: entries at or past this bound
+	// begin after the shard ends and cannot intersect it.
+	end := sort.Search(len(b.plan), func(j int) bool { return b.plan[j].r.Lo >= shHi })
+	qs := sc.qs[:0]
+	lo, hi := shHi, shLo // hull of the clips: the rows any query covers
+	for j := 0; j < end; j++ {
+		pq := &b.plan[j]
+		if pq.r.Hi <= shLo {
+			continue
+		}
+		part := pq.part + si - pq.first
+		sq := shardQuery{j: j, lo: max(pq.r.Lo, shLo), hi: min(pq.r.Hi, shHi), part: part}
+		sq.heap = b.heaps[part*b.hcap : part*b.hcap : (part+1)*b.hcap]
+		lo, hi = min(lo, sq.lo), max(hi, sq.hi)
+		qs = append(qs, sq)
+	}
+	sc.qs = qs
+	if len(qs) == 0 {
+		return
+	}
+	var t0 time.Time
+	if b.tr != nil {
+		t0 = time.Now()
+	}
+	nt := len(s.tw)
+	sc.sims = grown(sc.sims, s.block)
+	sc.tcnt, sc.tns = grown(sc.tcnt, nt), grown(sc.tns, nt)
+	clear(sc.tcnt)
+	clear(sc.tns)
+	plane0, stride0 := sh.planes[0], s.stride[0]
+	for blockLo := lo - (lo-shLo)%s.block; blockLo < hi; blockLo += s.block {
+		blockHi := min(blockLo+s.block, shHi)
+		for x := range qs {
+			sq := &qs[x]
+			r0, r1 := max(sq.lo, blockLo), min(sq.hi, blockHi)
+			if r0 >= r1 {
+				continue
+			}
+			qw := b.queries[b.plan[sq.j].qi].Words
+			vals := sc.sims[:r1-r0]
+			sc.tcnt[0] += uint64(len(vals))
+			rows := plane0[(r0-shLo)*stride0:]
+			if nt == 1 {
+				scoreRows(qw, rows, stride0, len(vals), s.d, vals)
+				sq.heap = offerBlock(sq.heap, vals, r0, b.k)
+				continue
+			}
+			distRows(s.qtier(qw, 0), rows, stride0, len(vals), vals)
+			if s.shortlist > 0 {
+				for i, da := range vals {
+					vals[i] = -da
+				}
+				sq.heap = offerBlock(sq.heap, vals, r0, s.shortlist)
+			} else {
+				sq.heap = s.descendBlock(sh, qw, r0, vals, sq.heap, b.k, &b.bounds[sq.j], sc, b.tr != nil)
+			}
+		}
+	}
+	for x := range qs {
+		b.hlen[qs[x].part] = len(qs[x].heap)
+	}
+	if nt > 1 {
+		s.addTierRows(sc.tcnt)
+	}
+	s.swept.Add(sc.tcnt[0])
+	if b.tr != nil {
+		var deep, completed int64
+		for t := 1; t < nt; t++ {
+			b.tr.AddTierNanos(t, sc.tns[t])
+			deep += sc.tns[t]
+		}
+		b.tr.AddTierNanos(0, int64(time.Since(t0))-deep)
+		if nt > 1 && s.shortlist == 0 {
+			completed = int64(sc.tcnt[nt-1])
+		}
+		b.tr.AddRows(int64(sc.tcnt[0]), completed)
+	}
+}
+
+// descendBlock is the exact tier-ladder descent of one (block, query)
+// pair: dists holds the tier-0 partial distances of rows r0+x, and the
+// rows that can still enter the top-k heap h are completed rung by
+// rung. The pruning bound is the tighter of this heap's k-th-best
+// distance and the bound other shards have published for the query
+// through shared: any full heap's k-th-best distance is a valid upper
+// bound on the final range-global k-th-best distance, and remaining
+// bits can only add distance, so a row whose partial distance exceeds
+// the bound can never enter the result — the prune is exact at every
+// rung and prunes across shard boundaries without touching the merge.
+//
+// The descent is block-structured: tier-0 distances are filtered into
+// a survivor list against the bound as of the block start,
+// intermediate tiers re-filter the survivors in place, and the final
+// tier re-checks the live bound (tightening as completions land)
+// before scoring — completion decisions are identical to a per-row
+// descent because bounds only ever tighten. Per-tier row counts (and,
+// when traced, each deeper tier's burst nanoseconds) accumulate into
+// sc.
+func (s *ShardedSearcher) descendBlock(sh *shard, qw []uint64, r0 int, dists []int, h []Match, k int, shared *atomic.Int64, sc *searchScratch, traced bool) []Match {
+	gb := shared.Load()
+	local := int64(math.MaxInt64)
+	if len(h) == k {
+		local = int64(s.d - h[0].Similarity)
+	}
+	db := min(gb, local)
+	surv := grown(sc.surv, len(dists))[:0]
+	for x, da := range dists {
+		if int64(da) <= db {
+			surv = append(surv, int32(x))
+		}
+	}
+	sc.surv = surv
+	last := len(s.tw) - 1
+	for t := 1; t < last && len(surv) > 0; t++ {
+		var bt time.Time
+		if traced {
+			bt = time.Now()
+		}
+		sc.tcnt[t] += uint64(len(surv))
+		qt := s.qtier(qw, t)
+		w := 0
+		for _, x := range surv {
+			nd := dists[x] + distRow(qt, s.tierRow(sh, t, r0+int(x)-sh.start))
+			if int64(nd) <= db {
+				dists[x] = nd
+				surv[w] = x
+				w++
+			}
+		}
+		surv = surv[:w]
+		if traced {
+			sc.tns[t] += int64(time.Since(bt))
+		}
+	}
+	if len(surv) > 0 {
+		var bt time.Time
+		if traced {
+			bt = time.Now()
+		}
+		qt := s.qtier(qw, last)
+		for _, x := range surv {
+			// Re-check the live bound: completions below tightened it
+			// past the block-start filter.
+			if int64(dists[x]) > db {
+				continue
+			}
+			sc.tcnt[last]++
+			full := dists[x] + distRow(qt, s.tierRow(sh, last, r0+int(x)-sh.start))
+			h = offerTopK(h, Match{Index: r0 + int(x), Similarity: s.d - full}, k)
+			if len(h) == k {
+				if l := int64(s.d - h[0].Similarity); l < local {
+					local = l
+					db = min(gb, local)
+				}
+			}
+		}
+		if traced {
+			sc.tns[last] += int64(time.Since(bt))
+		}
+	}
+	if local < gb {
+		storeMin(shared, local)
+	}
+	return h
 }
 
 // storeMin lowers the published bound to v when v is smaller. Bounds
@@ -1331,200 +1152,5 @@ func storeMin(a *atomic.Int64, v int64) {
 		if v >= cur || a.CompareAndSwap(cur, v) {
 			return
 		}
-	}
-}
-
-// scanShardRanges sweeps one shard's kernel blocks with every query
-// whose range intersects the shard, writing per-shard sorted lists
-// into perQuery (top-k matches, or tier-0 shortlist partials under
-// shortlist mode). bounds carries the shared per-query pruning bounds
-// of an exact cascade scan, nil otherwise.
-//
-// The exact ladder descent is block-structured: tier-0 distances for
-// the whole block are filtered into a survivor list against the bound
-// as of the block start, intermediate tiers re-filter the survivors
-// in place, and the final tier re-checks the live bound (tightening
-// as completions land) before scoring — completion decisions are
-// identical to a per-row descent because bounds only ever tighten.
-//
-// When tr is non-nil the sweep's wall time lands in the per-tier
-// slots: the clock is read once at entry and once at exit, plus one
-// lazy pair around each deeper tier's survivor burst per (block,
-// query) pair — a handful of clock reads per shard visit, never per
-// row. Tier 0 is the remainder: sweep total minus the deeper bursts.
-func (s *ShardedSearcher) scanShardRanges(si int, queries []BinaryHV, ranges []RowRange, active []int, k int, perQuery [][][]Match, firstShard []int, bounds []atomic.Int64, sc *searchScratch, tr *obsv.Trace) {
-	sh := &s.shards[si]
-	shLo, shHi := sh.start, sh.start+sh.rows
-	// active is sorted by range start: positions at or past this bound
-	// begin after the shard ends and cannot intersect it.
-	bound := sort.Search(len(active), func(j int) bool { return ranges[active[j]].Lo >= shHi })
-	// shardQuery is one query's clip onto this shard.
-	type shardQuery struct {
-		j      int // position in active
-		lo, hi int // query range ∩ shard, absolute rows
-		heap   []Match
-	}
-	var qs []shardQuery
-	for j := 0; j < bound; j++ {
-		r := ranges[active[j]]
-		if r.Hi <= shLo {
-			continue
-		}
-		qs = append(qs, shardQuery{j: j, lo: max(r.Lo, shLo), hi: min(r.Hi, shHi)})
-	}
-	if len(qs) == 0 {
-		return
-	}
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	nt := len(s.tw)
-	sims := sc.simsBuf(s.block)
-	tcnt := sc.tierCounts(nt)
-	tns := sc.tierNanosBuf(nt)
-	var deepNanos int64
-	for b0 := 0; b0 < sh.rows; b0 += s.block {
-		blockLo := shLo + b0
-		blockHi := blockLo + min(s.block, sh.rows-b0)
-		for qi := range qs {
-			sq := &qs[qi]
-			r0, r1 := max(sq.lo, blockLo), min(sq.hi, blockHi)
-			if r0 >= r1 {
-				continue
-			}
-			qw := queries[active[sq.j]].Words
-			switch {
-			case !s.multiTier():
-				scoreRows(qw, sh.planes[0][(r0-shLo)*s.tw[0]:], s.tw[0], r1-r0, s.d, sims)
-				tcnt[0] += uint64(r1 - r0)
-				h := sq.heap
-				if len(h) < k {
-					for x := 0; x < r1-r0; x++ {
-						h = offerTopK(h, Match{Index: r0 + x, Similarity: sims[x]}, k)
-					}
-				} else {
-					// Steady state: almost every row scores below the
-					// current worst of the top-k, so reject on one
-					// compare and take the heap path only for potential
-					// entrants (ties resolve inside).
-					worst := h[0].Similarity
-					for x, sim := range sims[:r1-r0] {
-						if sim < worst {
-							continue
-						}
-						h = offerTopK(h, Match{Index: r0 + x, Similarity: sim}, k)
-						worst = h[0].Similarity
-					}
-				}
-				sq.heap = h
-			case s.shortlist > 0:
-				distRows(s.qtier(qw, 0), sh.planes[0][(r0-shLo)*s.stride[0]:], s.stride[0], r1-r0, sims)
-				tcnt[0] += uint64(r1 - r0)
-				h := sq.heap
-				for x, da := range sims[:r1-r0] {
-					h = offerTopK(h, Match{Index: r0 + x, Similarity: -da}, s.shortlist)
-				}
-				sq.heap = h
-			default:
-				distRows(s.qtier(qw, 0), sh.planes[0][(r0-shLo)*s.stride[0]:], s.stride[0], r1-r0, sims)
-				tcnt[0] += uint64(r1 - r0)
-				h := sq.heap
-				// The pruning bound is the tighter of this heap's
-				// k-th-best distance and the bound other shards have
-				// published for the query; both are valid upper bounds
-				// on the final k-th-best total distance.
-				gb := bounds[sq.j].Load()
-				local := int64(math.MaxInt64)
-				if len(h) == k {
-					local = int64(s.d - h[0].Similarity)
-				}
-				db := min(gb, local)
-				surv := sc.survBuf(r1 - r0)
-				for x, da := range sims[:r1-r0] {
-					if int64(da) <= db {
-						surv = append(surv, int32(x))
-					}
-				}
-				for t := 1; t < nt-1 && len(surv) > 0; t++ {
-					var bt time.Time
-					if tr != nil {
-						bt = time.Now()
-					}
-					tcnt[t] += uint64(len(surv))
-					qt := s.qtier(qw, t)
-					w := 0
-					for _, x := range surv {
-						row := r0 + int(x) - shLo
-						nd := sims[x] + distRow(qt, s.tierRow(sh, t, row))
-						if int64(nd) <= db {
-							sims[x] = nd
-							surv[w] = x
-							w++
-						}
-					}
-					surv = surv[:w]
-					if tr != nil {
-						n := int64(time.Since(bt))
-						tns[t] += n
-						deepNanos += n
-					}
-				}
-				if len(surv) > 0 {
-					last := nt - 1
-					var bt time.Time
-					if tr != nil {
-						bt = time.Now()
-					}
-					qt := s.qtier(qw, last)
-					for _, x := range surv {
-						// Re-check the live bound: completions below
-						// tightened it past the block-start filter.
-						if int64(sims[x]) > db {
-							continue
-						}
-						tcnt[last]++
-						row := r0 + int(x) - shLo
-						full := sims[x] + distRow(qt, s.tierRow(sh, last, row))
-						h = offerTopK(h, Match{Index: r0 + int(x), Similarity: s.d - full}, k)
-						if len(h) == k {
-							if l := int64(s.d - h[0].Similarity); l < local {
-								local = l
-								db = min(gb, local)
-							}
-						}
-					}
-					if tr != nil {
-						n := int64(time.Since(bt))
-						tns[last] += n
-						deepNanos += n
-					}
-				}
-				sc.surv = surv[:0]
-				sq.heap = h
-				if local < gb {
-					storeMin(&bounds[sq.j], local)
-				}
-			}
-		}
-	}
-	for qi := range qs {
-		sq := &qs[qi]
-		perQuery[sq.j][si-firstShard[sq.j]] = sortedMatches(sq.heap)
-	}
-	if s.multiTier() {
-		s.addTierRows(tcnt)
-	}
-	s.swept.Add(tcnt[0])
-	if tr != nil {
-		tr.AddTierNanos(0, int64(time.Since(t0))-deepNanos)
-		for t := 1; t < nt; t++ {
-			tr.AddTierNanos(t, tns[t])
-		}
-		var comp int64
-		if s.multiTier() && s.shortlist == 0 {
-			comp = int64(tcnt[nt-1])
-		}
-		tr.AddRows(int64(tcnt[0]), comp)
 	}
 }

@@ -78,7 +78,7 @@ func NewEngine(p Params, library []*spectrum.Spectrum) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	searcher, err := hdc.NewSearcher(lib.HVs)
+	searcher, err := hdc.NewShardedSearcher(lib.HVs, 0, hdc.CascadeConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -6,16 +6,19 @@ import (
 	"testing"
 )
 
-// FuzzIndexLoad drives crafted index images through both loaders: the
-// streaming checksummed Load and the in-memory parser behind the
-// mmap-backed OpenFile. Neither may panic, and neither may size an
-// allocation from an unvalidated header field — Load grows its
-// metadata sections chunk by chunk against the bytes actually present,
-// and parseIndex checks the claimed entry count against the image size
-// before allocating anything. Structure-aware seeds start from a valid
-// save so the fuzzer explores deep states, not just magic-number
-// rejections. When both loaders accept an image they must agree on
-// what it contains.
+// FuzzIndexLoad drives crafted index images through the one decoder
+// from both sides: the copying Load, and parseIndex plus the
+// verifyImage pass a mapped index runs on request (Index.Verify). The
+// two must accept and reject exactly the same images — Load is
+// nothing but parse + verify, so a divergence means one side grew a
+// check the other lacks — and neither may panic or size an allocation
+// from an unvalidated header field: parseIndex checks the claimed
+// entry count against the image size before allocating anything, so
+// whatever an accepted image decodes to is backed byte for byte by the
+// image (asserted below; an over-allocation on a rejected image
+// surfaces as the fuzz worker's memory blow-up). Structure-aware seeds
+// start from a valid save so the fuzzer explores deep states, not
+// just magic-number rejections.
 func FuzzIndexLoad(f *testing.F) {
 	valid := validIndexImage(f)
 	f.Add(valid)
@@ -61,28 +64,26 @@ func FuzzIndexLoad(f *testing.F) {
 	f.Add(badLen)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lp, llib, lerr := Load(bytes.NewReader(data))
-		pp, plib, _, perr := parseIndex(data)
+		pp, plib, block, perr := parseIndex(data)
+		if perr == nil {
+			perr = verifyImage(data, block, pp.Accel.D)
+		}
+		if (lerr == nil) != (perr == nil) {
+			t.Fatalf("Load and parseIndex+verifyImage disagree: Load err = %v, parse+verify err = %v", lerr, perr)
+		}
 		if lerr != nil {
 			return
 		}
-		// Load's full checksum pass accepts strictly fewer images than
-		// the structural parser; anything Load takes, parseIndex must
-		// take and agree on.
-		if perr != nil {
-			t.Fatalf("Load accepted an image parseIndex rejects: %v", perr)
-		}
-		if lp.Accel.D != pp.Accel.D || llib.Len() != plib.Len() || llib.Skipped != plib.Skipped {
-			t.Fatalf("loaders disagree: load D=%d n=%d, parse D=%d n=%d",
-				lp.Accel.D, llib.Len(), pp.Accel.D, plib.Len())
+		// Every entry costs at least a mass, a source position, its
+		// metadata record and its packed words in the image.
+		n, words := llib.Len(), len(llib.HVs[0].Words)
+		if n != plib.Len() || lp.Accel.D != pp.Accel.D || n*(8+8+9+8*words) > len(data) {
+			t.Fatalf("accepted image of %d bytes decodes to %d entries × %d words (parse: %d entries)",
+				len(data), n, words, plib.Len())
 		}
 		if !permsEqual(llib.DimPerm, plib.DimPerm) {
-			t.Fatalf("loaders disagree on bit-layout permutation: %d vs %d entries",
+			t.Fatalf("bit-layout permutation differs between Load and parseIndex: %d vs %d entries",
 				len(llib.DimPerm), len(plib.DimPerm))
-		}
-		for i := 0; i < llib.Len(); i++ {
-			if llib.Entries[i] != plib.Entries[i] || !llib.HVs[i].Equal(plib.HVs[i]) {
-				t.Fatalf("loaders disagree on entry %d", i)
-			}
 		}
 	})
 }

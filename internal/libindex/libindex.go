@@ -32,15 +32,19 @@
 // The perm section (new in version 3) records the entropy-guided
 // bit-layout permutation the stored hypervector words were packed
 // under. Queries must be permuted identically before scoring, so the
-// permutation is part of the index, not a serving-time option; both
-// loaders validate it is a true bijection over [0, d) before any
+// permutation is part of the index, not a serving-time option; the
+// decoder validates it is a true bijection over [0, d) before any
 // search engine is built on the words.
 //
-// The trailing checksum covers the header too, so truncation, bit rot
-// and partial writes are all detected; Load additionally validates the
-// structural invariants the engine relies on (ascending masses, a true
-// permutation, zero tail bits beyond dimension d) so a corrupted file
-// can never silently mis-score searches.
+// One decoder (parseIndex) reads the format, for the mmap-backed
+// OpenFile and the copying Load alike, and validates the structural
+// invariants the engine relies on (ascending masses, a true
+// permutation) so a corrupted file can never silently mis-score
+// searches. The trailing checksum covers the header too, so
+// truncation, bit rot and partial writes are all detected; checking it
+// — and the zero tail bits beyond dimension d — touches every word
+// page, so Load does it eagerly and a mapped index on request
+// (Index.Verify).
 package libindex
 
 import (
@@ -66,20 +70,16 @@ var magic = [6]byte{'O', 'M', 'S', 'I', 'D', 'X'}
 const Version = 3
 
 // Sanity bounds on header fields, so a corrupted length can't drive a
-// huge allocation before the payload bytes confirm it. Metadata
-// sections are additionally read with chunk-growing slices: the
-// allocation tracks bytes actually present in the file, so a tiny
-// crafted file with an enormous header count fails on truncation
-// after a bounded allocation, and the bulk word section is only sized
-// from the header after ~29 bytes per claimed entry have already been
-// consumed.
+// huge allocation. The decoder additionally checks the claimed entry
+// count against the bytes actually present before allocating anything
+// (parseIndex), so a tiny crafted file with an enormous header count
+// fails on truncation.
 const (
 	maxDim        = 1 << 22 // 4M-dimensional hypervectors
 	maxEntries    = 1 << 28 // 268M library entries (paper scale: 3M)
 	maxTotalWords = 1 << 33 // 64 GiB of packed hypervector words
 	maxParamsLen  = 1 << 20 // 1 MiB of params JSON
 	maxStringLen  = 1 << 20 // 1 MiB per ID/peptide string
-	allocChunk    = 1 << 16 // elements pre-allocated ahead of payload bytes
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -227,160 +227,53 @@ func SaveFile(path string, p core.Params, lib *core.Library) error {
 // built with. The returned library is ready for
 // core.NewExactEngineFromLibrary — no spectrum is re-encoded.
 func Load(r io.Reader) (core.Params, *core.Library, error) {
-	p, lib, _, err := load(r)
+	p, lib, _, err := loadImage(r)
 	return p, lib, err
 }
 
-// load is Load exposing the contiguous packed word block the
-// per-entry hypervectors are views over — the copying twin of
-// OpenFile, whose Index carries the same block for packed searcher
-// construction.
-func load(r io.Reader) (core.Params, *core.Library, []uint64, error) {
-	crc := crc32.New(castagnoli)
-	br := bufio.NewReaderSize(r, 1<<16)
-	dec := sectionReader{r: io.TeeReader(br, crc)}
-
-	var hdr [6]byte
-	dec.bytes(hdr[:])
-	if dec.err != nil {
-		return core.Params{}, nil, nil, loadErr(dec.err)
+// loadImage is the copying loader: the whole image is read to the
+// heap, decoded by parseIndex — the one decoder, shared with the
+// mmap-backed OpenFile — and then, unlike OpenFile, eagerly verified
+// (verifyImage), which the heap copy has already paid the page touches
+// for. It also returns the contiguous packed word block the per-entry
+// hypervectors are views over, for packed searcher construction.
+func loadImage(r io.Reader) (core.Params, *core.Library, []uint64, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return core.Params{}, nil, nil, fmt.Errorf("libindex: reading index: %w", err)
 	}
-	if hdr != magic {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: not an OMS library index (bad magic %q)", hdr[:])
-	}
-	version := dec.u16()
-	if dec.err == nil && version != Version {
-		return core.Params{}, nil, nil, versionErr(version)
-	}
-	d := int(dec.u32())
-	shardSize := int(dec.u32())
-	n64 := dec.u64()
-	skipped := dec.u64()
-	paramsLen := int(dec.u32())
-	if dec.err != nil {
-		return core.Params{}, nil, nil, loadErr(dec.err)
-	}
-	if d <= 0 || d > maxDim {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: implausible hypervector dimension %d in header", d)
-	}
-	if n64 == 0 || n64 > maxEntries {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: implausible entry count %d in header", n64)
-	}
-	if paramsLen <= 0 || paramsLen > maxParamsLen {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: implausible params length %d in header", paramsLen)
-	}
-	n := int(n64)
-	words := hdc.WordsPerHV(d)
-	if int64(n)*int64(words) > maxTotalWords {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: implausible index size: %d entries × %d words", n, words)
-	}
-
-	paramsJSON := make([]byte, paramsLen)
-	dec.bytes(paramsJSON)
-	permLen := int(dec.u32())
-	if dec.err == nil && permLen != 0 && permLen != d {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: bit-layout permutation has %d entries, want 0 (natural layout) or %d", permLen, d)
-	}
-	var perm []int
-	if permLen > 0 {
-		perm = make([]int, 0, min(permLen, allocChunk))
-		for len(perm) < permLen && dec.err == nil {
-			perm = append(perm, int(dec.u32()))
-		}
-	}
-	masses := make([]float64, 0, min(n, allocChunk))
-	for len(masses) < n && dec.err == nil {
-		masses = append(masses, dec.f64())
-	}
-	srcPos := make([]int, 0, min(n, allocChunk))
-	for len(srcPos) < n && dec.err == nil {
-		p64 := dec.u64()
-		if dec.err == nil && p64 >= n64 {
-			return core.Params{}, nil, nil, fmt.Errorf("libindex: source position %d out of range [0,%d)", p64, n)
-		}
-		srcPos = append(srcPos, int(p64))
-	}
-	entries := make([]core.LibraryEntry, 0, min(n, allocChunk))
-	for len(entries) < n && dec.err == nil {
-		flags := dec.u8()
-		entries = append(entries, core.LibraryEntry{
-			ID:      dec.str(),
-			Peptide: dec.str(),
-			IsDecoy: flags&1 != 0,
-			Mass:    masses[len(entries)],
-		})
-	}
-	if dec.err != nil {
-		return core.Params{}, nil, nil, loadErr(dec.err)
-	}
-	// Skip the alignment pad; its bytes must be zero (they are covered
-	// by the checksum, but a crafted file deserves the clearer error).
-	var pad [8]byte
-	dec.bytes(pad[:-dec.n&7])
-	if dec.err == nil && pad != [8]byte{} {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: nonzero alignment padding")
-	}
-	if dec.err != nil {
-		return core.Params{}, nil, nil, loadErr(dec.err)
-	}
-	// The bulk section: by now the file has backed its claimed entry
-	// count with the full metadata sections, so the exact allocation
-	// is warranted.
-	block := make([]uint64, n*words)
-	dec.u64s(block)
-	if dec.err != nil {
-		return core.Params{}, nil, nil, loadErr(dec.err)
-	}
-
-	// Checksum trailer: read from the raw reader so it does not hash
-	// itself, then confirm nothing trails it.
-	var tail [4]byte
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return core.Params{}, nil, nil, loadErr(err)
-	}
-	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(tail[:]); got != want {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: checksum mismatch (file %08x, computed %08x): index is corrupted", want, got)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: trailing data after checksum")
-	}
-
-	var p core.Params
-	if err := json.Unmarshal(paramsJSON, &p); err != nil {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: decoding params: %w", err)
-	}
-	if p.Accel.D != d {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: params dimension D=%d disagrees with header dimension %d", p.Accel.D, d)
-	}
-	p.ShardSize = shardSize // header is authoritative for the shard hint
-	for i, m := range masses {
-		if math.IsNaN(m) || math.IsInf(m, 0) {
-			return core.Params{}, nil, nil, fmt.Errorf("libindex: non-finite precursor mass at entry %d", i)
-		}
-	}
-	// Slice the contiguous word block into per-entry hypervectors and
-	// re-check the packed-tail invariant (bits beyond dimension d must
-	// be zero, or every Hamming similarity would be silently skewed).
-	hvs := make([]hdc.BinaryHV, n)
-	tailMask := ^uint64(0)
-	if rem := d % 64; rem != 0 {
-		tailMask = (1 << uint(rem)) - 1
-	}
-	for i := range hvs {
-		row := block[i*words : (i+1)*words : (i+1)*words]
-		if row[words-1]&^tailMask != 0 {
-			return core.Params{}, nil, nil, fmt.Errorf("libindex: hypervector %d has bits set beyond dimension %d", i, d)
-		}
-		hvs[i] = hdc.BinaryHV{D: d, Words: row}
-	}
-	lib, err := core.RestoreLibrary(entries, hvs, srcPos, int(skipped))
+	p, lib, block, err := parseIndex(data)
 	if err != nil {
 		return core.Params{}, nil, nil, err
 	}
-	if err := lib.SetDimPerm(perm); err != nil {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: %w", err)
+	if err := verifyImage(data, block, p.Accel.D); err != nil {
+		return core.Params{}, nil, nil, err
 	}
 	return p, lib, block, nil
+}
+
+// verifyImage is the integrity pass over a parsed index image that
+// touches every word page: the CRC-32C trailer must match every
+// preceding byte (truncation, bit rot and partial writes all land
+// here), and the packed-tail invariant must hold — bits beyond
+// dimension d are zero, or every Hamming similarity would be silently
+// skewed. The checksum goes first, so damage reports as corruption
+// rather than as whichever invariant it happened to break.
+func verifyImage(data []byte, block []uint64, d int) error {
+	got := crc32.Checksum(data[:len(data)-4], castagnoli)
+	want := binary.LittleEndian.Uint32(data[len(data)-4:])
+	if got != want {
+		return fmt.Errorf("libindex: checksum mismatch (file %08x, computed %08x): index is corrupted", want, got)
+	}
+	if rem := d % 64; rem != 0 {
+		words := hdc.WordsPerHV(d)
+		for i := words - 1; i < len(block); i += words {
+			if block[i]>>uint(rem) != 0 {
+				return fmt.Errorf("libindex: hypervector %d has bits set beyond dimension %d", i/words, d)
+			}
+		}
+	}
+	return nil
 }
 
 // versionErr renders a version mismatch with enough history to tell
@@ -402,15 +295,6 @@ func LoadFile(path string) (core.Params, *core.Library, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-// loadErr normalizes read failures: any EOF inside a section means the
-// file ends before the format says it should.
-func loadErr(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("libindex: truncated index: %w", io.ErrUnexpectedEOF)
-	}
-	return fmt.Errorf("libindex: reading index: %w", err)
 }
 
 // sectionWriter writes fixed-width little-endian fields, capturing the
@@ -477,82 +361,6 @@ func (s *sectionWriter) u64s(vs []uint64) {
 		s.bytes(buf)
 		if s.err != nil {
 			return
-		}
-		vs = vs[c:]
-	}
-}
-
-// sectionReader mirrors sectionWriter for reads, counting bytes
-// consumed so the alignment pad can be located.
-type sectionReader struct {
-	r   io.Reader
-	err error
-	n   int64
-	buf [8]byte
-}
-
-func (s *sectionReader) bytes(b []byte) {
-	if s.err != nil {
-		return
-	}
-	_, s.err = io.ReadFull(s.r, b)
-	if s.err == nil {
-		s.n += int64(len(b))
-	}
-}
-
-func (s *sectionReader) u8() byte {
-	s.bytes(s.buf[:1])
-	return s.buf[0]
-}
-
-func (s *sectionReader) u16() uint16 {
-	s.bytes(s.buf[:2])
-	return binary.LittleEndian.Uint16(s.buf[:2])
-}
-
-func (s *sectionReader) u32() uint32 {
-	s.bytes(s.buf[:4])
-	return binary.LittleEndian.Uint32(s.buf[:4])
-}
-
-func (s *sectionReader) u64() uint64 {
-	s.bytes(s.buf[:8])
-	return binary.LittleEndian.Uint64(s.buf[:8])
-}
-
-func (s *sectionReader) f64() float64 { return math.Float64frombits(s.u64()) }
-
-func (s *sectionReader) str() string {
-	ln := int(s.u32())
-	if s.err != nil {
-		return ""
-	}
-	if ln < 0 || ln > maxStringLen {
-		s.err = fmt.Errorf("string length %d exceeds limit %d", ln, maxStringLen)
-		return ""
-	}
-	b := make([]byte, ln)
-	s.bytes(b)
-	return string(b)
-}
-
-// u64s fills a word slice in chunks through one scratch buffer.
-func (s *sectionReader) u64s(vs []uint64) {
-	if s.err != nil {
-		return
-	}
-	const chunkWords = 8192
-	buf := make([]byte, 0, chunkWords*8)
-	for len(vs) > 0 {
-		c := min(chunkWords, len(vs))
-		buf = buf[:c*8]
-		s.bytes(buf)
-		if s.err != nil {
-			return
-		}
-		for i := range vs[:c] {
-			vs[i] = binary.LittleEndian.Uint64(buf[i*8:])
 		}
 		vs = vs[c:]
 	}

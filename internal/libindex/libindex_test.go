@@ -133,7 +133,7 @@ func TestPackedStoreMatchesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := hdc.NewShardedSearcher(lib.HVs, lp.ShardSize)
+	s, err := hdc.NewShardedSearcher(lib.HVs, lp.ShardSize, hdc.CascadeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestLoadRejectsNonBijectivePerm(t *testing.T) {
 	copy(img[off+8:off+12], img[off+4:off+8])
 	fixCRC(img)
 	if _, _, err := Load(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "not a bijection") {
-		t.Fatalf("streaming loader: got %v, want a not-a-bijection rejection", err)
+		t.Fatalf("copying loader: got %v, want a not-a-bijection rejection", err)
 	}
 	path := t.TempDir() + "/dup.omsidx"
 	if err := writeFile(path, img); err != nil {
@@ -367,6 +367,41 @@ func TestLoadRejectsNonBijectivePerm(t *testing.T) {
 	}
 	if _, err := OpenFile(path); err == nil || !strings.Contains(err.Error(), "not a bijection") {
 		t.Fatalf("mmap loader: got %v, want a not-a-bijection rejection", err)
+	}
+}
+
+// TestVerifyRejectsTailBits pins the packed-tail invariant of the
+// verify pass: a checksummed image with a bit set beyond dimension d
+// is structurally perfect, so only verifyImage — eagerly in Load, on
+// request through Index.Verify for a mapped index — can reject it.
+func TestVerifyRejectsTailBits(t *testing.T) {
+	p, lib := syntheticLibrary(t, 6, 100) // 2 words per row, 36 live bits in the last
+	var buf bytes.Buffer
+	if err := Save(&buf, p, lib); err != nil {
+		t.Fatal(err)
+	}
+	img := append([]byte(nil), buf.Bytes()...)
+	// The image ends words…|crc: set the top bit of the last row's last
+	// word and re-seal the checksum.
+	img[len(img)-5] |= 0x80
+	fixCRC(img)
+	if _, _, err := Load(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "bits set beyond dimension 100") {
+		t.Fatalf("Load: got %v, want a tail-bit rejection", err)
+	}
+	if !mmapSupported {
+		return // OpenFile is the copying loader here: same rejection, at open
+	}
+	path := t.TempDir() + "/tail.omsidx"
+	if err := writeFile(path, img); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenFile(path)
+	if err != nil {
+		t.Fatalf("OpenFile rejected a structurally valid image: %v", err)
+	}
+	defer ix.Close()
+	if err := ix.Verify(); err == nil || !strings.Contains(err.Error(), "bits set beyond dimension 100") {
+		t.Fatalf("Verify: got %v, want a tail-bit rejection", err)
 	}
 }
 

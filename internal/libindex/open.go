@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"unsafe"
@@ -77,23 +76,18 @@ func (ix *Index) Close() error {
 	return munmapFile(m)
 }
 
-// Verify checksums the full index image against its CRC-32C trailer.
-// OpenFile validates the metadata sections structurally but — unlike
-// Load — does not touch the bulk word pages, so a mapped index of
-// untrusted provenance can be verified explicitly here (at the cost of
-// faulting in every page). A copied index already passed the loader's
-// checksum; Verify reports nil without re-reading it.
+// Verify checksums the full index image against its CRC-32C trailer
+// and re-checks the packed-tail invariant (verifyImage). OpenFile
+// validates the metadata sections structurally but — unlike Load —
+// does not touch the bulk word pages, so a mapped index of untrusted
+// provenance can be verified explicitly here (at the cost of faulting
+// in every page). A copied index already passed the same pass in the
+// loader; Verify reports nil without re-reading it.
 func (ix *Index) Verify() error {
 	if ix.mapped == nil {
 		return nil
 	}
-	data := ix.mapped
-	got := crc32.Checksum(data[:len(data)-4], castagnoli)
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got != want {
-		return fmt.Errorf("libindex: checksum mismatch (file %08x, computed %08x): index is corrupted", want, got)
-	}
-	return nil
+	return verifyImage(ix.mapped, ix.words, ix.Params.Accel.D)
 }
 
 // OpenFile opens a library index with the bulk word section
@@ -135,7 +129,7 @@ func OpenFile(path string) (*Index, error) {
 // openCopied is OpenFile's fallback: the copying loader, wrapped in
 // the same Index shape (heap-backed block, nil mapping).
 func openCopied(f *os.File, path string) (*Index, error) {
-	p, lib, block, err := load(f)
+	p, lib, block, err := loadImage(f)
 	if err != nil {
 		return nil, err
 	}
@@ -143,8 +137,8 @@ func openCopied(f *os.File, path string) (*Index, error) {
 }
 
 // byteCursor walks an in-memory index image with bounds-checked reads,
-// capturing the first error so call sites stay linear (the in-memory
-// mirror of sectionReader; every length is validated against the bytes
+// capturing the first error so call sites stay linear (the read-side
+// mirror of sectionWriter; every length is validated against the bytes
 // actually present before any slice is taken, so a crafted header can
 // neither panic nor drive an oversized allocation).
 type byteCursor struct {
@@ -200,11 +194,14 @@ func (c *byteCursor) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// parseIndex decodes an index image in place: metadata is copied out
-// (entry strings must survive the mapping), the packed words become a
-// view over data when the section is 8-byte aligned (always, for a
-// page-aligned mapping of a version-2 file) and are copied otherwise.
-// The CRC trailer is located but not verified — see OpenFile.
+// parseIndex is the one index decoder, behind both the mmap-backed
+// OpenFile and the copying Load. It decodes an image in place:
+// metadata is copied out (entry strings must survive the mapping), the
+// packed words become a view over data when the section is 8-byte
+// aligned (always, for a page-aligned mapping) and are copied
+// otherwise. The CRC trailer is located but not verified, and the word
+// pages are not touched — that is verifyImage, which Load runs eagerly
+// and a mapped index runs on request (Index.Verify).
 func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
 	fail := func(format string, args ...any) (core.Params, *core.Library, []uint64, error) {
 		return core.Params{}, nil, nil, fmt.Errorf("libindex: "+format, args...)

@@ -168,19 +168,24 @@ func benchHVs(nRefs, nQueries int) ([]hdc.BinaryHV, []hdc.BinaryHV) {
 	return refs, queries
 }
 
-// runSharded measures the block-major full-scan batch kernel: every
-// query swept over each cache-resident row block.
+// runSharded measures the block-major batch kernel on full scans —
+// every query's range is [0, Len()) — so each cache-resident row
+// block is swept by the whole batch.
 func runSharded(o Options) (Point, error) {
 	nRefs, nQueries, k, _ := sizes(o)
 	refs, queries := benchHVs(nRefs, nQueries)
-	s, err := hdc.NewSearcher(refs)
+	s, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
 	if err != nil {
 		return Point{}, fmt.Errorf("perfbench sharded: %v", err)
+	}
+	ranges := make([]hdc.RowRange, nQueries)
+	for i := range ranges {
+		ranges[i] = hdc.RowRange{Lo: 0, Hi: s.Len()}
 	}
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.BatchTopK(queries, nil, k)
+			s.BatchTopKRange(queries, ranges, k)
 		}
 	})
 	return point("sharded", r, nQueries), nil
@@ -204,7 +209,7 @@ func runCascade(o Options) (Point, error) {
 			refs[lo+j].FlipBits(0.03, rng)
 		}
 	}
-	s, err := hdc.NewSearcherCascade(refs, 0, hdc.CascadeConfig{PrefilterWords: prefilterWords})
+	s, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{PrefilterWords: prefilterWords})
 	if err != nil {
 		return Point{}, fmt.Errorf("perfbench cascade: %v", err)
 	}
@@ -303,7 +308,7 @@ func runLadder(o Options) (Point, error) {
 	}
 
 	measure := func(rs, qs []hdc.BinaryHV) (testing.BenchmarkResult, hdc.CascadeStats, error) {
-		s, err := hdc.NewSearcherCascade(rs, 0, hdc.CascadeConfig{Tiers: tiers})
+		s, err := hdc.NewShardedSearcher(rs, 0, hdc.CascadeConfig{Tiers: tiers})
 		if err != nil {
 			return testing.BenchmarkResult{}, hdc.CascadeStats{}, err
 		}
