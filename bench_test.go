@@ -394,7 +394,7 @@ func BenchmarkCascadeTopKRange(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cascade, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{PrefilterWords: prefilterWords})
+	cascade, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{Tiers: []int{prefilterWords}})
 	if err != nil {
 		b.Fatal(err)
 	}

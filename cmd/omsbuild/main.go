@@ -15,8 +15,7 @@
 // entry metadata, under a CRC-32C checksum.
 //
 // -tiers bakes a default K-tier cascade ladder into the index
-// (override at query time with omsearch/omsd -tiers);
-// -prefilter-words N is the deprecated two-tier alias. -bit-layout
+// (override at query time with omsearch/omsd -tiers). -bit-layout
 // entropy measures each encoded dimension's bit balance and permutes
 // the dimensions so the most discriminative ones pack into the
 // leading words — shallow tiers then carry the most pruning power per
@@ -67,7 +66,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	tiersSpec := flag.String("tiers", "", "K-tier cascade ladder baked into the index: comma-separated packed-word widths per tier, e.g. 4,12,112 (empty = single-tier default)")
 	bitLayout := flag.String("bit-layout", "", "bit layout: natural (default) or entropy (pack the most discriminative dimensions into the leading words; persisted in the index)")
-	prefilterWords := flag.Int("prefilter-words", -1, "deprecated two-tier alias for -tiers N,rest (-1 = unset)")
 	partitions := flag.Int("partitions", 0, "split the index into N mass-contiguous partitions plus a manifest (0 = single file)")
 	appendMode := flag.Bool("append", false, "append -library as delta partitions to the existing partitioned index at -out (new manifest generation)")
 	retractIDs := flag.String("retract", "", "publish tombstones for these comma-separated source ids to the partitioned index at -out")
@@ -77,16 +75,13 @@ func main() {
 	if *appendMode || *retractIDs != "" {
 		incremental(*out, *libPath, *appendMode, *retractIDs, *maxPartRefs,
 			*d != 8192 || *precision != 3 || *shardSize != 0 || *seed != 1 ||
-				*tiersSpec != "" || *bitLayout != "" || *prefilterWords >= 0 || *partitions != 0)
+				*tiersSpec != "" || *bitLayout != "" || *partitions != 0)
 		return
 	}
 
 	if *libPath == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *tiersSpec != "" && *prefilterWords >= 0 {
-		fatalIf(fmt.Errorf("-tiers and -prefilter-words (its deprecated two-tier alias) are mutually exclusive"))
 	}
 	tiers, err := core.ParseTiers(*tiersSpec)
 	fatalIf(err)
@@ -103,9 +98,6 @@ func main() {
 	p.Accel.Seed = *seed
 	p.ShardSize = *shardSize
 	p.BitLayout = *bitLayout
-	if *prefilterWords >= 0 {
-		p.PrefilterWords = *prefilterWords
-	}
 	p.Tiers = tiers
 
 	engine, _, err := core.BuildExact(p, library)
@@ -145,7 +137,7 @@ func incremental(out, libPath string, appendMode bool, retractIDs string, maxPar
 		fatalIf(fmt.Errorf("-append and -retract are separate publishes; run them one at a time"))
 	}
 	if structuralFlags {
-		fatalIf(fmt.Errorf("-append/-retract use the library's stored params; -d/-precision/-shardsize/-seed/-tiers/-bit-layout/-prefilter-words/-partitions must not be set"))
+		fatalIf(fmt.Errorf("-append/-retract use the library's stored params; -d/-precision/-shardsize/-seed/-tiers/-bit-layout/-partitions must not be set"))
 	}
 	if kind, err := libindex.DetectKind(out); err != nil {
 		fatalIf(err)

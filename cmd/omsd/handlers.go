@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/spectrum"
 )
@@ -247,9 +246,10 @@ func (d *daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds":    int64(time.Since(d.started).Seconds()),
 	}
 	if sv.partitions > 0 {
-		health["manifest_generation"] = sv.overlay.Generation
-		health["delta_partitions"] = sv.overlay.DeltaPartitions
-		health["tombstones"] = sv.overlay.Tombstones
+		ov := sv.engine.OverlayStats()
+		health["manifest_generation"] = ov.Generation
+		health["delta_partitions"] = ov.DeltaPartitions
+		health["tombstones"] = ov.Tombstones
 	}
 	writeJSON(w, health)
 }
@@ -349,8 +349,8 @@ func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 		CascadeTierRows:    st.CascadeTierRows,
 		CascadeTierPrune:   st.CascadeTierPruneRates,
 	}
-	if pe, ok := sv.engine.(interface{ PartitionStats() []core.PartitionStat }); ok {
-		for _, ps := range pe.PartitionStats() {
+	if sv.partitions > 0 {
+		for _, ps := range sv.engine.PartitionStats() {
 			view.Partitions = append(view.Partitions, partitionView{
 				StartRow:    ps.StartRow,
 				Refs:        ps.Refs,
@@ -365,7 +365,7 @@ func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 				TierRows:    ps.Cascade.TierRows,
 			})
 		}
-		ov := sv.overlay
+		ov := sv.engine.OverlayStats()
 		view.Overlay = &overlayView{
 			Generation:      ov.Generation,
 			DeltaPartitions: ov.DeltaPartitions,

@@ -32,12 +32,11 @@
 // externally.
 //
 // -tiers selects the K-tier pruned cascade ladder (exact for any
-// ladder; -shortlist M switches it to approximate best-M completion);
-// -prefilter-words N is the deprecated two-tier alias, mutually
-// exclusive with -tiers. GET /stats reports the measured per-tier row
-// counts and pruning rates, per partition for a partitioned index. An
-// index built with -bit-layout entropy serves transparently: the
-// stored permutation is applied to every query at encode time.
+// ladder; -shortlist M switches it to approximate best-M completion).
+// GET /stats reports the measured per-tier row counts and pruning
+// rates, per partition for a partitioned index. An index built with
+// -bit-layout entropy serves transparently: the stored permutation is
+// applied to every query at encode time.
 //
 // Endpoints:
 //
@@ -91,7 +90,6 @@ func main() {
 	standard := flag.Bool("standard", false, "narrow-window standard search instead of open search")
 	topk := flag.Int("topk", 0, "matches retrieved per query (0 = index setting)")
 	tiersSpec := flag.String("tiers", "", "K-tier cascade ladder: comma-separated packed-word widths per tier, e.g. 4,12,112 (empty = index setting)")
-	prefilterWords := flag.Int("prefilter-words", -1, "deprecated two-tier alias for -tiers N,rest (-1 = index setting, 0 = single-tier scan)")
 	shortlist := flag.Int("shortlist", -1, "approximate cascade: complete only the best N tier-0 rows per query (-1 = index setting, 0 = exact pruning bound)")
 	slowQuery := flag.Duration("slow-query", 0, "log a structured line for requests at or above this latency (0 = off)")
 	accessLog := flag.Bool("access-log", false, "log one structured line per HTTP request")
@@ -104,22 +102,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *tiersSpec != "" && *prefilterWords >= 0 {
-		fatalIf(fmt.Errorf("-tiers and -prefilter-words (its deprecated two-tier alias) are mutually exclusive"))
-	}
 	tiers, err := core.ParseTiers(*tiersSpec)
 	fatalIf(err)
 	cfg := servingConfig{
-		indexPath:      *indexPath,
-		maxBatch:       *maxBatch,
-		maxDelay:       *maxDelay,
-		maxQueue:       *maxQueue,
-		standard:       *standard,
-		topk:           *topk,
-		tiers:          tiers,
-		prefilterWords: *prefilterWords,
-		shortlist:      *shortlist,
-		slowQuery:      *slowQuery,
+		indexPath: *indexPath,
+		maxBatch:  *maxBatch,
+		maxDelay:  *maxDelay,
+		maxQueue:  *maxQueue,
+		standard:  *standard,
+		topk:      *topk,
+		tiers:     tiers,
+		shortlist: *shortlist,
+		slowQuery: *slowQuery,
 	}
 	d := newDaemon(func() (*serving, error) { return buildServing(cfg) })
 	start := time.Now()
@@ -129,14 +123,8 @@ func main() {
 	// Report the effective layout (the searcher falls back to
 	// single-tier when the configured ladder covers a row in one tier).
 	if cs, cascadeOn := sv.engine.CascadeStats(); cascadeOn {
-		switch {
-		case len(sv.tiers) > 0:
-			fmt.Fprintf(os.Stderr, "omsd: %d-tier cascade search: tiers %s, shortlist %d\n",
-				cs.NumTiers(), core.FormatTiers(sv.tiers), sv.shortlist)
-		default:
-			fmt.Fprintf(os.Stderr, "omsd: cascade search: %d prefilter words, shortlist %d\n",
-				sv.prefilterWords, sv.shortlist)
-		}
+		fmt.Fprintf(os.Stderr, "omsd: %d-tier cascade search: tiers %s, shortlist %d\n",
+			cs.NumTiers(), core.FormatTiers(sv.tiers), sv.shortlist)
 	}
 
 	httpSrv := &http.Server{Handler: withRequestID(d.mux(), *accessLog)}
@@ -162,7 +150,7 @@ func main() {
 		}()
 	}
 	if *compactInterval > 0 {
-		if kind, err := libindex.DetectKind(*indexPath); err != nil || kind != libindex.KindManifest {
+		if sv.partitions == 0 {
 			fatalIf(fmt.Errorf("-compact-interval needs a partitioned index manifest at -index"))
 		}
 		go func() {

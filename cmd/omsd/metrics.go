@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obsv"
 	"repro/internal/serve"
 )
@@ -89,8 +88,8 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if pe, ok := sv.engine.(interface{ PartitionStats() []core.PartitionStat }); ok {
-		stats := pe.PartitionStats()
+	if sv.partitions > 0 {
+		stats := sv.engine.PartitionStats()
 		p.Family("oms_partition_refs", "References per partition.", "gauge")
 		for i, ps := range stats {
 			p.Sample("oms_partition_refs", partLabel(i), float64(ps.Refs))
@@ -107,10 +106,8 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for i, ps := range stats {
 			p.Sample("oms_partition_rows_completed_total", partLabel(i), float64(ps.Cascade.Completed()))
 		}
-	}
 
-	if sv.partitions > 0 {
-		ov := sv.overlay
+		ov := sv.engine.OverlayStats()
 		p.Gauge("oms_manifest_generation", "Manifest-log generation the current index serves.", float64(ov.Generation))
 		p.Gauge("oms_delta_partitions", "Delta-tier partitions in the current generation.", float64(ov.DeltaPartitions))
 		p.Gauge("oms_delta_refs", "References in the delta tier.", float64(ov.DeltaRefs))
@@ -175,7 +172,11 @@ func (d *daemon) handleSlowest(w http.ResponseWriter, r *http.Request) {
 	traces := sv.srv.Slowest()
 	views := make([]slowTraceView, 0, len(traces))
 	for i := range traces {
-		views = append(views, slowView(&traces[i]))
+		v := slowView(&traces[i])
+		if sv.partitions == 0 {
+			v.Partitions = nil // a single index file reports no partition series anywhere
+		}
+		views = append(views, v)
 	}
 	writeJSON(w, map[string]any{"slowest": views})
 }

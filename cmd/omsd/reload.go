@@ -23,43 +23,38 @@ type servingConfig struct {
 	standard  bool
 	topk      int
 	// tiers overrides the index's cascade ladder (nil = keep the index
-	// setting); prefilterWords is the deprecated two-tier alias (-1 =
-	// keep). Setting either replaces the stored ladder outright.
-	tiers          []int
-	prefilterWords int
-	shortlist      int
+	// setting); shortlist its completion budget (-1 = keep).
+	tiers     []int
+	shortlist int
 	// slowQuery is the -slow-query latency threshold (0 = no threshold;
 	// the slow ring still keeps the worst traces).
 	slowQuery time.Duration
 }
 
 // serving is one generation of the daemon's serving state: an opened
-// index (single-file or partitioned manifest), the engine over it, and
-// the micro-batcher. Generations are reference-counted: the current
-// pointer holds one reference and every in-flight search holds one
-// more, so after a hot swap the old generation drains naturally — its
-// batcher closes and its index unmaps only when the last search using
-// it has returned. A search therefore always completes against exactly
-// the generation it was admitted to: never a mix of old and new index,
-// and never a mapping unmapped under a live scan.
+// index, the engine over it, and the micro-batcher. Generations are
+// reference-counted: the current pointer holds one reference and every
+// in-flight search holds one more, so after a hot swap the old
+// generation drains naturally — its batcher closes and its index
+// unmaps only when the last search using it has returned. A search
+// therefore always completes against exactly the generation it was
+// admitted to: never a mix of old and new index, and never a mapping
+// unmapped under a live scan.
 type serving struct {
 	srv        *serve.Server
-	engine     core.SearchEngine
+	engine     *core.Engine
 	closeIndex func() error
 	desc       string
+	// partitions is the manifest's partition count, 0 for a single
+	// index file: what was opened, not how the engine holds it, decides
+	// whether the partition and overlay telemetry is reported.
 	partitions int
-	// tiers/prefilterWords/shortlist are the effective cascade settings
-	// the engine was built with (index params after flag overrides) —
-	// the startup log must report these, not the "index setting" flag
-	// sentinels.
-	tiers          []int
-	prefilterWords int
-	shortlist      int
-	loaded         time.Time
-	// overlay is the incremental-update state of a partitioned index
-	// (manifest generation, delta tier, tombstones); zero for
-	// single-file indexes.
-	overlay core.OverlayStats
+	// tiers/shortlist are the effective cascade settings the engine was
+	// built with (index params after flag overrides) — the startup log
+	// must report these, not the "index setting" flag sentinels.
+	tiers     []int
+	shortlist int
+	loaded    time.Time
 
 	refs atomic.Int64
 }
@@ -79,75 +74,51 @@ func (sv *serving) release() {
 	}
 }
 
-// buildServing opens the index path (sniffing single index file vs
-// partition manifest), wires the engine and starts a micro-batcher
-// over it.
+// buildServing opens the index path (a single index file or a
+// partition manifest — libindex.Open tells them apart), wires the
+// engine and starts a micro-batcher over it.
 func buildServing(cfg servingConfig) (*serving, error) {
-	override := func(p core.Params) core.Params {
-		p.Open = !cfg.standard
-		if cfg.topk > 0 {
-			p.TopK = cfg.topk
-		}
-		if cfg.prefilterWords >= 0 {
-			p.Tiers, p.PrefilterWords = nil, cfg.prefilterWords
-		}
-		if len(cfg.tiers) > 0 {
-			p.Tiers, p.PrefilterWords = cfg.tiers, 0
-		}
-		if cfg.shortlist >= 0 {
-			p.ShortlistPerQuery = cfg.shortlist
-		}
-		return p
-	}
-	kind, err := libindex.DetectKind(cfg.indexPath)
+	ix, err := libindex.Open(cfg.indexPath)
 	if err != nil {
 		return nil, err
 	}
-	sv := &serving{loaded: time.Now()}
-	record := func(p core.Params) core.Params {
-		sv.tiers = p.Tiers
-		sv.prefilterWords = p.PrefilterWords
-		sv.shortlist = p.ShortlistPerQuery
-		return p
+	p := ix.Params
+	p.Open = !cfg.standard
+	if cfg.topk > 0 {
+		p.TopK = cfg.topk
 	}
-	switch kind {
-	case libindex.KindManifest:
-		pi, err := libindex.OpenManifest(cfg.indexPath)
-		if err != nil {
-			return nil, err
-		}
-		set := pi.PartitionSet()
-		engine, _, err := core.NewPartitionedEngine(record(override(pi.Params)), set)
-		if err != nil {
-			pi.Close()
-			return nil, err
-		}
-		sv.engine = engine //oms:transfer the serving generation owns the mapping; release() closes engine and index together
-		sv.closeIndex = pi.Close
-		sv.partitions = engine.NumPartitions()
-		sv.overlay = engine.OverlayStats()
+	if len(cfg.tiers) > 0 {
+		p.Tiers = cfg.tiers
+	}
+	if cfg.shortlist >= 0 {
+		p.ShortlistPerQuery = cfg.shortlist
+	}
+	engine, _, err := core.NewPartitionedEngine(p, ix.PartitionSet())
+	if err != nil {
+		ix.Close()
+		return nil, err
+	}
+	// The searchers read the packed blocks; the per-entry hypervector
+	// views are dead weight in a resident process.
+	engine.ReleaseLibraryHVs()
+	sv := &serving{ //oms:transfer the serving generation owns the mapping; release() closes engine and index together
+		engine:     engine,
+		closeIndex: ix.Close,
+		partitions: ix.Partitions,
+		tiers:      p.Tiers,
+		shortlist:  p.ShortlistPerQuery,
+		loaded:     time.Now(),
+	}
+	if ix.Partitions > 0 {
+		ov := engine.OverlayStats()
 		sv.desc = fmt.Sprintf("%s: manifest generation %d, %d references in %d partitions (%d deltas, %d tombstones), D=%d",
-			cfg.indexPath, sv.overlay.Generation, engine.NumRefs(), engine.NumPartitions(),
-			sv.overlay.DeltaPartitions, sv.overlay.Tombstones, pi.Params.Accel.D)
-	default:
-		ix, err := libindex.OpenFile(cfg.indexPath)
-		if err != nil {
-			return nil, err
-		}
-		engine, _, err := core.NewExactEngineFromPacked(record(override(ix.Params)), ix.Lib, ix.Words())
-		if err != nil {
-			ix.Close()
-			return nil, err
-		}
-		// The searcher reads the packed block; the per-entry hypervector
-		// views are dead weight in a resident process.
-		engine.ReleaseLibraryHVs()
-		sv.engine = engine //oms:transfer the serving generation owns the mapping; release() closes engine and index together
-		sv.closeIndex = ix.Close
+			cfg.indexPath, ov.Generation, engine.NumRefs(), ix.Partitions,
+			ov.DeltaPartitions, ov.Tombstones, p.Accel.D)
+	} else {
 		sv.desc = fmt.Sprintf("%s: %d references, D=%d, mmap=%t",
-			cfg.indexPath, engine.NumRefs(), ix.Params.Accel.D, ix.Mapped())
+			cfg.indexPath, engine.NumRefs(), p.Accel.D, ix.Mapped)
 	}
-	srv, err := serve.New(sv.engine, serve.Config{
+	sv.srv, err = serve.New(engine, serve.Config{
 		MaxBatch:           cfg.maxBatch,
 		MaxDelay:           cfg.maxDelay,
 		MaxQueue:           cfg.maxQueue,
@@ -155,10 +126,9 @@ func buildServing(cfg servingConfig) (*serving, error) {
 		OnSlowQuery:        logSlowQuery,
 	})
 	if err != nil {
-		sv.closeIndex()
+		ix.Close()
 		return nil, err
 	}
-	sv.srv = srv
 	return sv, nil
 }
 

@@ -73,7 +73,7 @@ func TestReloadSwapConsistency(t *testing.T) {
 
 	var gen atomic.Int64
 	d := newDaemon(func() (*serving, error) {
-		engine := core.SearchEngine(engineA)
+		engine := engineA
 		if gen.Add(1)%2 == 0 {
 			engine = engineB
 		}
@@ -220,7 +220,7 @@ func TestIncrementalReloadSwapConsistency(t *testing.T) {
 
 	cfg := servingConfig{
 		indexPath: manifest, maxBatch: 8, maxDelay: 200 * time.Microsecond,
-		maxQueue: 1024, prefilterWords: -1, shortlist: -1,
+		maxQueue: 1024, shortlist: -1,
 	}
 	d := newDaemon(func() (*serving, error) { return buildServing(cfg) })
 	if _, err := d.reload(); err != nil {

@@ -12,10 +12,8 @@
 // row's packed words are sliced into the given widths, tier 0 scores
 // every candidate, and each deeper tier scores only the rows whose
 // partial distance can still enter the top-k — exact by construction
-// for any ladder. -prefilter-words N is the deprecated two-tier alias
-// (equivalent to -tiers N,rest); the two flags are mutually
-// exclusive. With -shortlist M the ladder instead completes only the
-// M best tier-0 rows per query (approximate,
+// for any ladder. With -shortlist M the ladder instead completes only
+// the M best tier-0 rows per query (approximate,
 // ANN-SoLo/HyperOMS-style). Per-tier pruning rates are reported on
 // stderr.
 //
@@ -53,7 +51,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fdr"
-	"repro/internal/hdc"
 	"repro/internal/libindex"
 	"repro/internal/spectrum"
 )
@@ -71,7 +68,6 @@ func main() {
 	shardSize := flag.Int("shardsize", 0, "reference rows per search shard (0 = default)")
 	tiersSpec := flag.String("tiers", "", "K-tier cascade ladder: comma-separated packed-word widths per tier, e.g. 4,12,112 (empty = index/default setting)")
 	bitLayout := flag.String("bit-layout", "", "bit layout for -library builds: natural or entropy (empty = natural; an index's layout is fixed at build time)")
-	prefilterWords := flag.Int("prefilter-words", -1, "deprecated two-tier alias for -tiers N,rest (-1 = index/default setting, 0 = single-tier scan)")
 	shortlist := flag.Int("shortlist", -1, "approximate cascade: complete only the best N tier-0 rows per query (-1 = index/default setting, 0 = exact pruning bound)")
 	rescore := flag.Float64("rescore", 0, "blend factor for shifted-dot rescoring of the HD shortlist (0 = off, 1 = pure shifted-dot)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -82,17 +78,33 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *tiersSpec != "" && *prefilterWords >= 0 {
-		fatalIf(fmt.Errorf("-tiers and -prefilter-words (its deprecated two-tier alias) are mutually exclusive"))
-	}
 	tiers, err := core.ParseTiers(*tiersSpec)
 	fatalIf(err)
 	queries, err := spectrum.ReadSpectraFile(*qPath)
 	fatalIf(err)
 
+	// Query-time settings come from flags whichever way the library
+	// arrives; over an index the encoder identity stays as built.
+	queryTime := func(p core.Params) core.Params {
+		p.FDRAlpha = *alpha
+		p.Open = !*standard
+		if *shardSize > 0 {
+			p.ShardSize = *shardSize
+		}
+		if len(tiers) > 0 {
+			p.Tiers = tiers
+		}
+		if *shortlist >= 0 {
+			p.ShortlistPerQuery = *shortlist
+		}
+		return p
+	}
 	var (
-		engine  searchRunner
+		engine  *core.Engine
 		library []*spectrum.Spectrum
+		// partitions is the manifest partition count behind -index (0
+		// for a single index file or a -library build).
+		partitions int
 	)
 	if *indexPath != "" {
 		if *backend != "ideal" {
@@ -104,43 +116,13 @@ func main() {
 		if *bitLayout != "" {
 			fatalIf(fmt.Errorf("-bit-layout applies to -library builds; an index's layout is fixed when omsbuild writes it"))
 		}
-		// Query-time settings come from flags; encoder identity stays
-		// as the index was built. Setting either cascade flag replaces
-		// the index's stored ladder outright (Tiers and PrefilterWords
-		// are mutually exclusive in core.Params).
-		override := func(p core.Params) core.Params {
-			p.FDRAlpha = *alpha
-			p.Open = !*standard
-			if *shardSize > 0 {
-				p.ShardSize = *shardSize
-			}
-			if *prefilterWords >= 0 {
-				p.Tiers, p.PrefilterWords = nil, *prefilterWords
-			}
-			if len(tiers) > 0 {
-				p.Tiers, p.PrefilterWords = tiers, 0
-			}
-			if *shortlist >= 0 {
-				p.ShortlistPerQuery = *shortlist
-			}
-			return p
-		}
-		kind, kerr := libindex.DetectKind(*indexPath)
-		fatalIf(kerr)
-		switch kind {
-		case libindex.KindManifest:
-			pi, perr := libindex.OpenManifest(*indexPath)
-			fatalIf(perr)
-			engine, _, err = core.NewPartitionedEngine(override(pi.Params), pi.PartitionSet())
-			fatalIf(err)
-		default:
-			ix, oerr := libindex.OpenFile(*indexPath)
-			fatalIf(oerr)
-			engine, _, err = core.NewExactEngineFromPacked(override(ix.Params), ix.Lib, ix.Words())
-			fatalIf(err)
-		}
 		// The index mappings stay open for the process lifetime; the
 		// searcher rows are views over them.
+		ix, oerr := libindex.Open(*indexPath)
+		fatalIf(oerr)
+		engine, _, err = core.NewPartitionedEngine(queryTime(ix.Params), ix.PartitionSet())
+		fatalIf(err)
+		partitions = ix.Partitions
 	} else {
 		library, err = spectrum.ReadSpectraFile(*libPath)
 		fatalIf(err)
@@ -149,19 +131,8 @@ func main() {
 		p.Accel.NumChunks = max(*d/32, 32)
 		p.Accel.IDPrecision = *precision
 		p.Accel.Seed = *seed
-		p.FDRAlpha = *alpha
-		p.Open = !*standard
-		p.ShardSize = *shardSize
 		p.BitLayout = *bitLayout
-		if *prefilterWords >= 0 {
-			p.Tiers, p.PrefilterWords = nil, *prefilterWords
-		}
-		if len(tiers) > 0 {
-			p.Tiers, p.PrefilterWords = tiers, 0
-		}
-		if *shortlist >= 0 {
-			p.ShortlistPerQuery = *shortlist
-		}
+		p = queryTime(p)
 
 		switch *backend {
 		case "ideal":
@@ -182,7 +153,7 @@ func main() {
 	var res fdr.Result
 	switch {
 	case *rescore > 0:
-		rs, rerr := core.NewRescorer(engine.(*core.Engine), library, *rescore)
+		rs, rerr := core.NewRescorer(engine, library, *rescore)
 		fatalIf(rerr)
 		res, err = rs.Run(queries)
 	case *parallel:
@@ -206,8 +177,8 @@ func main() {
 				t, cs.TierRows[t], 100*cs.TierPruneRate(t), t+1)
 		}
 	}
-	if pe, ok := engine.(*core.PartitionedEngine); ok {
-		for i, st := range pe.PartitionStats() {
+	if partitions > 0 {
+		for i, st := range engine.PartitionStats() {
 			line := fmt.Sprintf("omsearch: partition %d: rows [%d,%d) masses [%.2f,%.2f]",
 				i, st.StartRow, st.StartRow+st.Refs, st.MinMass, st.MaxMass)
 			if st.CascadeEnabled {
@@ -216,16 +187,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, line)
 		}
 	}
-}
-
-// searchRunner is the engine surface omsearch drives: the single-store
-// exact/noisy engine or the partitioned engine behind -index.
-type searchRunner interface {
-	Run(queries []*spectrum.Spectrum) (fdr.Result, error)
-	RunParallel(queries []*spectrum.Spectrum) (fdr.Result, error)
-	NumRefs() int
-	Skipped() int
-	CascadeStats() (hdc.CascadeStats, bool)
 }
 
 // writePSMs writes the accepted PSMs as TSV through one buffered

@@ -158,6 +158,13 @@ func NewNoisySearcher(exact *hdc.ShardedSearcher, model NoisyModel, seed int64) 
 	return &NoisySearcher{Exact: exact, Model: model, rng: rand.New(rand.NewSource(seed))}
 }
 
+// CascadeStats reports no ladder: every candidate row is bulk-scored
+// whole, whatever tier layout the packed store has.
+func (s *NoisySearcher) CascadeStats() (hdc.CascadeStats, bool) { return hdc.CascadeStats{}, false }
+
+// RowsSwept forwards the packed store's sweep counter.
+func (s *NoisySearcher) RowsSwept() uint64 { return s.Exact.RowsSwept() }
+
 // simsPool recycles range similarity buffers across queries.
 var simsPool = sync.Pool{New: func() any { return new([]int) }}
 

@@ -3,9 +3,9 @@
 // through, and must not escape into structures whose lifetime the
 // index's Close does not control.
 //
-// The packed word block returned by libindex.Index.Words (and its
-// partitioned sibling PartitionedIndex.Blocks) is a PROT_READ,
-// MAP_SHARED view of the index file on unix. A write through it does
+// The packed word block returned by libindex.Index.Words (and carried
+// per partition by the PartitionSet of a PartitionedIndex or an Opened
+// path) is a PROT_READ, MAP_SHARED view of the index file on unix. A write through it does
 // not fail politely at compile time — it SIGSEGVs at best, and on a
 // platform where the fallback copying loader was in effect instead, it
 // silently corrupts the store every serving generation shares. Rows
@@ -15,12 +15,12 @@
 //
 // The analyzer taint-tracks, per function and flow-insensitively:
 //
-//   - results of the source calls (Words, Blocks, PackedRow) and
+//   - results of the source calls (Words, PartitionSet, PackedRow) and
 //     slices/elements derived from them by assignment, reslicing and
 //     indexing;
 //   - the packed-block argument of the aliasing constructors
 //     (hdc.NewShardedSearcherFromPacked, core.NewExactEngineFromPacked,
-//     core.NewPartitionedExactEngine) — after that call the block is
+//     core.NewPartitionedEngine) — after that call the block is
 //     shared with a searcher, so the caller must not write it either;
 //   - inside those constructors' own bodies, the block parameter
 //     itself.
@@ -61,8 +61,8 @@ const FactReturnsMmapView = "returns-mmap-view"
 // keyed by types.Func.FullName.
 var sourceCalls = map[string]bool{
 	"(*repro/internal/libindex.Index).Words":                   true,
-	"(*repro/internal/libindex.PartitionedIndex).Blocks":       true,
 	"(*repro/internal/libindex.PartitionedIndex).PartitionSet": true,
+	"(*repro/internal/libindex.Opened).PartitionSet":           true,
 	"(*repro/internal/hdc.ShardedSearcher).PackedRow":          true,
 }
 
@@ -71,7 +71,6 @@ var sourceCalls = map[string]bool{
 var sinkParams = map[string][]int{
 	"repro/internal/hdc.NewShardedSearcherFromPacked": {0},
 	"repro/internal/core.NewExactEngineFromPacked":    {2},
-	"repro/internal/core.NewPartitionedExactEngine":   {2},
 	"repro/internal/core.NewPartitionedEngine":        {1},
 }
 
@@ -161,23 +160,6 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, fnObj *types.Func) {
 				for i, v := range x.Values {
 					if i < len(x.Names) && t.taintedExpr(v) {
 						t.taintIdent(x.Names[i])
-					}
-				}
-			case *ast.RangeStmt:
-				// Ranging over a tainted [][]uint64 yields tainted rows. The
-				// value variable is a definition, so its type comes from the
-				// object, not the expression-type map.
-				if t.taintedExpr(x.X) && x.Value != nil {
-					if ident, ok := x.Value.(*ast.Ident); ok {
-						obj := pass.TypesInfo.Defs[ident]
-						if obj == nil {
-							obj = pass.TypesInfo.Uses[ident]
-						}
-						if obj != nil {
-							if _, isSlice := obj.Type().Underlying().(*types.Slice); isSlice {
-								t.taintIdent(ident)
-							}
-						}
 					}
 				}
 			case *ast.CallExpr:

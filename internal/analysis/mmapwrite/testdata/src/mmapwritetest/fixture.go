@@ -1,18 +1,20 @@
 // Package mmapwritetest plants writes and escapes of mmap-derived word
 // slices for the mmapwrite analyzer, against the real source APIs
-// (libindex.Index.Words, PartitionedIndex.Blocks,
-// ShardedSearcher.PackedRow) and the aliasing constructor sink. Reads,
+// (libindex.Index.Words, PartitionedIndex.PartitionSet,
+// Opened.PartitionSet, ShardedSearcher.PackedRow) and the aliasing constructor sink. Reads,
 // fresh copies and //oms:allow-annotated ownership transfers must stay
 // silent.
 package mmapwritetest
 
 import (
+	"repro/internal/core"
 	"repro/internal/hdc"
 	"repro/internal/libindex"
 )
 
 type holder struct {
 	block []uint64
+	set   core.PartitionSet
 }
 
 func writes(ix *libindex.Index) uint64 {
@@ -33,10 +35,13 @@ func escapes(ix *libindex.Index, h *holder) holder {
 	return holder{block: w} // want `mmap-derived slice escapes into a composite literal`
 }
 
-func partitioned(pi *libindex.PartitionedIndex) {
-	for _, blk := range pi.Blocks() {
-		blk[0] = 1 // want `write through a slice derived from the mmap-backed packed block \(blk\)`
-	}
+func partitioned(pi *libindex.PartitionedIndex, h *holder) {
+	set := pi.PartitionSet()
+	h.set = set // want `mmap-derived slice escapes into struct field set`
+}
+
+func opened(o *libindex.Opened, h *holder) {
+	h.set = o.PartitionSet() // want `mmap-derived slice escapes into struct field set`
 }
 
 func packedRow(s *hdc.ShardedSearcher) {

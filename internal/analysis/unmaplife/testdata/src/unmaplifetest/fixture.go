@@ -60,10 +60,19 @@ func engineAfterClose(ix *libindex.Index) int {
 	return engine.NumRefs() // want `engine is a view into ix's mapping and is used after ix is closed`
 }
 
-func partitionedUseAfterClose(pi *libindex.PartitionedIndex) uint64 {
-	blocks := pi.Blocks()
+func partitionedUseAfterClose(pi *libindex.PartitionedIndex) int {
+	set := pi.PartitionSet()
 	pi.Close()
-	return blocks[0][0] // want `blocks is a view into pi's mapping and is used after pi is closed`
+	return len(set.Specs) // want `set is a view into pi's mapping and is used after pi is closed`
+}
+
+func openedEngineAfterClose(o *libindex.Opened) int {
+	engine, _, err := core.NewPartitionedEngine(o.Params, o.PartitionSet())
+	if err != nil {
+		return 0
+	}
+	o.Close()
+	return engine.NumRefs() // want `engine is a view into o's mapping and is used after o is closed`
 }
 
 func aliasClose(ix *libindex.Index) uint64 {

@@ -3,7 +3,7 @@
 //
 // Index.Close munmaps the file (and since the runtime poisoning in
 // libindex, zero-lengths the words view), so any slice derived from
-// Index.Words / PartitionedIndex.Blocks / ShardedSearcher.PackedRow —
+// Index.Words / PartitionSet / ShardedSearcher.PackedRow —
 // directly, through reslicing/indexing/conversion, through one of the
 // aliasing constructors (a searcher built by NewShardedSearcherFromPacked
 // IS a view of its block argument), or parked in a struct field — is
@@ -239,11 +239,6 @@ func (st *state) collect(n ast.Node) {
 					st.bindView(x.Names[0], owner)
 				}
 			}
-		}
-	case *ast.RangeStmt:
-		// Ranging over a view of views (pi.Blocks()) yields views.
-		if owner := st.viewExpr(x.X); owner != nil && x.Value != nil {
-			st.bindView(x.Value, owner)
 		}
 	}
 }

@@ -2,9 +2,9 @@
 // table-driven suite asserting that every way of reaching the one
 // block-major range sweep — a query alone as a batch of one, a whole
 // batch, the batch reversed, traced and untraced, under the K-tier
-// cascade ladder with and without a shortlist, through the
-// single-store engine, the partitioned mmap-backed engine, and the
-// request-coalescing serving layer — returns bit-identical top-k lists
+// cascade ladder with and without a shortlist, through the engine
+// over one partition, over a real mmap-backed manifest's partitions,
+// and the request-coalescing serving layer — returns bit-identical top-k lists
 // over randomized D/shard/k/ladder-depth/bit-layout/partition-count
 // workloads with planted near-matches. Entropy-layout workloads additionally
 // cross-check the permuted store against a natural-layout store on
@@ -40,8 +40,7 @@ type workload struct {
 	d         int
 	shard     int
 	k         int
-	prefilter int   // cascade tier-A words (0 = single tier)
-	tiers     []int // K-tier ladder prefix (mutually exclusive with prefilter)
+	tiers     []int // K-tier ladder prefix (nil = single tier)
 	entropy   bool  // pack the store under the entropy bit-layout permutation
 	shortlist int   // approximate completion budget (0 = exact)
 	nRefs     int
@@ -52,15 +51,15 @@ type workload struct {
 
 var workloads = []workload{
 	{name: "flat", d: 512, shard: 64, k: 5, nRefs: 600, nQueries: 40, parts: []int{1, 2, 3, 7}, seed: 1},
-	{name: "cascade-exact", d: 1024, shard: 100, k: 3, prefilter: 4, nRefs: 900, nQueries: 40, parts: []int{2, 3}, seed: 2},
-	{name: "tail-mask", d: 1000, shard: 0, k: 7, prefilter: 3, nRefs: 500, nQueries: 30, parts: []int{1, 3, 7}, seed: 3},
+	{name: "cascade-exact", d: 1024, shard: 100, k: 3, tiers: []int{4}, nRefs: 900, nQueries: 40, parts: []int{2, 3}, seed: 2},
+	{name: "tail-mask", d: 1000, shard: 0, k: 7, tiers: []int{3}, nRefs: 500, nQueries: 30, parts: []int{1, 3, 7}, seed: 3},
 	{name: "tiny-k-over", d: 256, shard: 16, k: 10, nRefs: 64, nQueries: 20, parts: []int{1, 7}, seed: 4},
-	{name: "shortlist", d: 512, shard: 32, k: 5, prefilter: 2, shortlist: 25, nRefs: 600, nQueries: 30, seed: 5},
-	// prefilter = words-1 leaves a one-word completion tier; prefilter
-	// = words must fall back to the single-tier layout with identical
-	// results (the degenerate-cascade contract).
-	{name: "cascade-wide-prefilter", d: 512, shard: 48, k: 4, prefilter: 7, nRefs: 500, nQueries: 30, parts: []int{2}, seed: 6},
-	{name: "cascade-degenerate-fallback", d: 512, shard: 64, k: 5, prefilter: 8, nRefs: 400, nQueries: 20, parts: []int{1, 2}, seed: 7},
+	{name: "shortlist", d: 512, shard: 32, k: 5, tiers: []int{2}, shortlist: 25, nRefs: 600, nQueries: 30, seed: 5},
+	// A first tier of words-1 leaves a one-word completion tier; one of
+	// all 8 words is the single-tier layout with identical results (the
+	// degenerate-cascade contract).
+	{name: "cascade-wide-prefilter", d: 512, shard: 48, k: 4, tiers: []int{7}, nRefs: 500, nQueries: 30, parts: []int{2}, seed: 6},
+	{name: "cascade-degenerate-fallback", d: 512, shard: 64, k: 5, tiers: []int{8}, nRefs: 400, nQueries: 20, parts: []int{1, 2}, seed: 7},
 	// K-tier ladders and the entropy bit layout, separately and
 	// together: a K=3 ladder on the natural layout, K=4 on the entropy
 	// layout, entropy on the single-tier scan, and a deep ladder with a
@@ -131,7 +130,6 @@ func buildFixture(t *testing.T, w workload) *fixture {
 	p.Accel.NumChunks = max(w.d/32, 32)
 	p.ShardSize = w.shard
 	p.TopK = w.k
-	p.PrefilterWords = w.prefilter
 	p.Tiers = w.tiers
 	p.ShortlistPerQuery = w.shortlist
 
@@ -247,7 +245,7 @@ func (fx *fixture) oracleShortlistOver(hv hdc.BinaryHV, indices []int, k, prefil
 // oracleFor routes a valid-index set through the workload's mode.
 func (fx *fixture) oracleFor(w workload, hv hdc.BinaryHV, indices []int) []hdc.Match {
 	if w.shortlist > 0 {
-		return fx.oracleShortlistOver(hv, indices, w.k, w.prefilter, w.shortlist)
+		return fx.oracleShortlistOver(hv, indices, w.k, w.tiers[0], w.shortlist)
 	}
 	return fx.oracleOver(hv, indices, w.k)
 }
@@ -333,7 +331,7 @@ func TestConformance(t *testing.T) {
 				oracle[qi] = fx.oracleFor(w, q.HV, rangeIndices(q.Lo, q.Hi, n))
 			}
 
-			cc := hdc.CascadeConfig{Tiers: w.tiers, PrefilterWords: w.prefilter, Shortlist: w.shortlist}
+			cc := hdc.CascadeConfig{Tiers: w.tiers, Shortlist: w.shortlist}
 			searcher, err := hdc.NewShardedSearcher(fx.lib.HVs, w.shard, cc)
 			if err != nil {
 				t.Fatal(err)
@@ -453,7 +451,7 @@ func TestConformance(t *testing.T) {
 			wg.Wait()
 			srv.Close()
 
-			// Partitioned engine over the real on-disk manifest: exact
+			// The engine over the real on-disk manifest's partition set: exact
 			// modes must be bit-identical to the oracle for every
 			// partition count (shortlist mode applies its budget per
 			// partition — a different approximation by design, so it
@@ -469,18 +467,18 @@ func TestConformance(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer pi.Close()
-					pe, _, err := core.NewPartitionedExactEngine(pi.Params, pi.Libraries(), pi.Blocks())
+					pe, _, err := core.NewPartitionedEngine(pi.Params, pi.PartitionSet())
 					if err != nil {
 						t.Fatal(err)
 					}
 					for qi, q := range fx.queries {
-						assertMatches(t, "PartitionedEngine.TopKPrepared", qi, pe.TopKPrepared(q), oracle[qi])
+						assertMatches(t, "partitioned Engine.TopKPrepared", qi, pe.TopKPrepared(q), oracle[qi])
 					}
 					ppsms, poks := pe.SearchPrepared(fx.queries)
 					for qi, q := range fx.queries {
 						wantPSM, wantOK := fx.wantPSM(q, oracle[qi])
 						if poks[qi] != wantOK || (wantOK && ppsms[qi] != wantPSM) {
-							t.Fatalf("PartitionedEngine.SearchPrepared: query %d = %+v ok=%v, oracle %+v ok=%v",
+							t.Fatalf("partitioned Engine.SearchPrepared: query %d = %+v ok=%v, oracle %+v ok=%v",
 								qi, ppsms[qi], poks[qi], wantPSM, wantOK)
 						}
 					}
@@ -489,7 +487,7 @@ func TestConformance(t *testing.T) {
 					for qi, q := range fx.queries {
 						wantPSM, wantOK := fx.wantPSM(q, oracle[qi])
 						if ttoks[qi] != wantOK || (wantOK && tpsms[qi] != wantPSM) {
-							t.Fatalf("PartitionedEngine.SearchPreparedTraced: query %d = %+v ok=%v, oracle %+v ok=%v",
+							t.Fatalf("partitioned Engine.SearchPreparedTraced: query %d = %+v ok=%v, oracle %+v ok=%v",
 								qi, tpsms[qi], ttoks[qi], wantPSM, wantOK)
 						}
 					}

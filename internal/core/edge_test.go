@@ -123,7 +123,7 @@ func TestSingleEntryLibraryEngine(t *testing.T) {
 		p := testParams()
 		p.TopK = 7 // far above the 1-entry candidate range
 		if cascade {
-			p.PrefilterWords = 2
+			p.Tiers = []int{2}
 		}
 		engine, _, err := BuildExact(p, ds.Library[:1])
 		if err != nil {

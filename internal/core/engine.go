@@ -1,0 +1,792 @@
+package core
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"sort"
+	"sync"
+	"time"
+
+	"repro/internal/accel"
+	"repro/internal/fdr"
+	"repro/internal/hdc"
+	"repro/internal/obsv"
+	"repro/internal/spectrum"
+	"repro/internal/units"
+)
+
+// partition is one mass-contiguous slice of the library: its own
+// entries and packed searcher, plus the routing and generation
+// coordinates the router and the merge consult.
+type partition struct {
+	lib      *Library
+	searcher Searcher
+	// start is the global row index of the partition's first entry;
+	// local searcher row r is global row start+r.
+	start int
+	// minMass, maxMass are the partition's mass fences (first and last
+	// entry mass — entries are mass-sorted).
+	minMass, maxMass float64
+	// gen is the manifest generation that introduced the rows and
+	// genRow the partition's row offset within that generation:
+	// (gen, genRow+r) totally orders rows by append order.
+	gen    uint64
+	genRow int
+	// delta marks a delta-tier partition whose fences may overlap the
+	// base tiling.
+	delta bool
+	// hidden is the set of local rows excluded from the visible set
+	// (re-added in a newer generation, or tombstoned); nil when none.
+	hidden map[int]struct{}
+}
+
+// Engine serves OMS queries over an encoded, mass-ordered library held
+// as a list of partitions — the software shape of the paper's
+// accelerator, which spreads the references over many crossbar arrays,
+// broadcasts each query and merges the per-array best matches. N
+// mass-contiguous base partitions tile the initial build and any
+// number of delta partitions (incremental appends) follow, each with
+// its own packed searcher (typically a zero-copy view over a
+// memory-mapped index file, see libindex.Open). A library that fits
+// one store — a single index file, or one built in memory — is the
+// same engine with one partition.
+//
+// A query's precursor window is routed to the overlapping partitions
+// via the mass fences, the batch sweep fans out across them, and the
+// per-partition top-k lists merge exactly: a global top-k member is
+// necessarily in the top-k of the partition holding it (widened by the
+// partition's hidden-row count, so shadowed rows can never crowd a
+// visible one out), and the merge order (rowBefore) reproduces, bit
+// for bit, what a one-partition engine over the mass-sorted visible
+// set returns. That exactness claim holds for single-tier and
+// exact-cascade layouts; shortlist mode (Params.ShortlistPerQuery)
+// applies its completion budget per partition, a different — strictly
+// wider — approximation than one global shortlist, so shortlisted
+// results are not comparable across partition counts.
+type Engine struct {
+	params  Params
+	enc     Encoder
+	parts   []partition
+	total   int
+	skipped int
+	// normD is the score normalizer: the hypervector dimension, which
+	// every partition is validated against at construction.
+	normD float64
+	// dimPerm is the bit-layout permutation shared by every partition
+	// (validated identical at construction); queries are permuted with
+	// it at encode time. nil = natural layout.
+	dimPerm []int
+	// nBase is the number of base-tier partitions (a prefix of parts);
+	// generation is the manifest generation the engine serves.
+	nBase      int
+	generation uint64
+	// tombstoneCount and hiddenTotal size the overlay: outstanding
+	// retractions and the rows they (or newer re-additions) shadow.
+	tombstoneCount int
+	hiddenTotal    int
+}
+
+// newExactEncoder builds the exact ID-Level query/reference encoder,
+// deterministically from the operating point (item memories and level
+// sets are seeded).
+func newExactEncoder(a accel.Config) (*hdc.Encoder, error) {
+	ids, levels, err := accel.NewEncoderComponents(a)
+	if err != nil {
+		return nil, err
+	}
+	return hdc.NewEncoder(ids, levels)
+}
+
+// exactSearcher packs one partition's exact sharded searcher: over the
+// spec's packed word block when it has one (aliased, not copied),
+// otherwise copied from the library's hypervectors.
+func (p Params) exactSearcher(spec PartitionSpec) (Searcher, error) {
+	if spec.Block == nil {
+		return hdc.NewShardedSearcher(spec.Lib.HVs, p.ShardSize, p.cascadeConfig())
+	}
+	s, err := hdc.NewShardedSearcherFromPacked(spec.Block, p.Accel.D, p.ShardSize, p.cascadeConfig())
+	if err != nil {
+		return nil, err
+	}
+	if s.Len() != spec.Lib.Len() {
+		return nil, fmt.Errorf("packed block holds %d rows but library has %d entries", s.Len(), spec.Lib.Len())
+	}
+	return s, nil
+}
+
+// oneSpec is the partition set of a library held in one store:
+// generation 1, rows from 0, nothing retracted.
+func oneSpec(lib *Library, block []uint64) PartitionSet {
+	set := PartitionSet{Specs: []PartitionSpec{{Lib: lib, Block: block, Gen: 1}}, Generation: 1}
+	if lib != nil {
+		set.Skipped = lib.Skipped
+	}
+	return set
+}
+
+// NewPartitionedEngine wires the exact engine over a partition set:
+// base-tier specs first (ascending, non-overlapping mass fences), then
+// delta-tier specs in publish order. Tombstones and cross-generation
+// re-additions are resolved at construction into per-partition
+// hidden-row sets, so every search serves exactly the visible set. The
+// query encoder is rebuilt deterministically from p.Accel, and each
+// partition's sharded searcher aliases its spec's packed block (a
+// memory-mapped index stays zero-copy: single-tier rows and the deeper
+// cascade tiers remain views that fault in lazily) or, without one, is
+// packed from the library's hypervectors. No spectrum is
+// re-preprocessed or re-encoded. p must carry the same
+// encoder-identity fields (D, Q, NumChunks, IDPrecision, NumBins, Seed,
+// binner, preprocessing) the library was built with; query-time fields
+// (window, TopK, FDRAlpha, ShardSize, the cascade ladder) are free to
+// differ. Blocks must stay alive (and mapped) for the engine's
+// lifetime.
+func NewPartitionedEngine(p Params, set PartitionSet) (*Engine, *hdc.Encoder, error) {
+	enc, err := newExactEncoder(p.Accel)
+	if err != nil {
+		return nil, nil, err
+	}
+	e, err := newEngine(p, enc, set, p.exactSearcher)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e, enc, nil
+}
+
+// NewExactEngineFromLibrary is NewPartitionedEngine over one
+// already-encoded library (the copying load path of the library
+// index).
+func NewExactEngineFromLibrary(p Params, lib *Library) (*Engine, *hdc.Encoder, error) {
+	return NewPartitionedEngine(p, oneSpec(lib, nil))
+}
+
+// NewExactEngineFromPacked is NewPartitionedEngine over one
+// already-encoded library whose hypervectors are views into block, the
+// contiguous packed words of a memory-mapped index file
+// (libindex.OpenFile).
+func NewExactEngineFromPacked(p Params, lib *Library, block []uint64) (*Engine, *hdc.Encoder, error) {
+	return NewPartitionedEngine(p, oneSpec(lib, block))
+}
+
+// BuildExact constructs the ideal (software) engine from spectra: exact
+// ID-Level encoding with chunked levels and exact Hamming search over
+// one partition. It returns the engine and the encoder used for the
+// library so callers can reuse or wrap it.
+func BuildExact(p Params, library []*spectrum.Spectrum) (*Engine, *hdc.Encoder, error) {
+	enc, err := newExactEncoder(p.Accel)
+	if err != nil {
+		return nil, nil, err
+	}
+	lib, err := BuildLibrary(library, p, enc)
+	if err != nil {
+		return nil, nil, err
+	}
+	e, err := newEngine(p, enc, oneSpec(lib, nil), p.exactSearcher)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e, enc, nil
+}
+
+// NewEngine is the one-partition engine over a caller-supplied encoder
+// and searcher (the noisy hardware model, a baseline's encoder). The
+// searcher must be packed over lib.HVs in order.
+func NewEngine(p Params, lib *Library, enc Encoder, s Searcher) (*Engine, error) {
+	if enc == nil || s == nil {
+		return nil, fmt.Errorf("core: nil encoder or searcher")
+	}
+	return newEngine(p, enc, oneSpec(lib, nil), func(PartitionSpec) (Searcher, error) { return s, nil })
+}
+
+// newEngine validates a partition set and assembles the engine over
+// it, obtaining each partition's searcher from searcherFor once the
+// partition's library has passed validation. The configured dimension
+// Params.Accel.D must match every library's actual hypervector
+// dimension: similarity scores are normalized by it, so a silent
+// mismatch would mis-scale every PSM score.
+func newEngine(p Params, enc Encoder, set PartitionSet, searcherFor func(PartitionSpec) (Searcher, error)) (*Engine, error) {
+	if len(set.Specs) == 0 {
+		return nil, fmt.Errorf("core: no partitions")
+	}
+	if p.TopK < 1 {
+		p.TopK = 1
+	}
+	e := &Engine{
+		params:         p,
+		enc:            enc,
+		normD:          float64(p.Accel.D),
+		generation:     set.Generation,
+		skipped:        set.Skipped,
+		tombstoneCount: len(set.Tombstones),
+	}
+	for i, spec := range set.Specs {
+		if spec.Lib == nil || spec.Lib.Len() == 0 {
+			return nil, fmt.Errorf("core: partition %d: empty library", i)
+		}
+	}
+	hidden := HiddenRows(set.Specs, set.Tombstones)
+	for i, spec := range set.Specs {
+		lib := spec.Lib
+		if len(lib.HVs) != lib.Len() {
+			return nil, fmt.Errorf("core: partition %d has %d entries but %d hypervectors", i, lib.Len(), len(lib.HVs))
+		}
+		if d := lib.HVs[0].D; d != p.Accel.D {
+			return nil, fmt.Errorf("core: partition %d: configured dimension D=%d does not match library hypervector dimension D=%d", i, p.Accel.D, d)
+		}
+		if len(lib.DimPerm) > 0 {
+			if err := hdc.ValidatePermutation(lib.DimPerm, p.Accel.D); err != nil {
+				return nil, fmt.Errorf("core: partition %d bit-layout permutation: %w", i, err)
+			}
+		}
+		if i == 0 {
+			e.dimPerm = lib.DimPerm
+		} else if !slices.Equal(e.dimPerm, lib.DimPerm) {
+			return nil, fmt.Errorf("core: partition %d bit-layout permutation differs from partition 0 (mixed build generations?)", i)
+		}
+		minMass := lib.Entries[0].Mass
+		maxMass := lib.Entries[lib.Len()-1].Mass
+		if !spec.Delta {
+			if i != e.nBase {
+				return nil, fmt.Errorf("core: base partition %d listed after a delta partition (base tier must come first)", i)
+			}
+			if i > 0 && minMass < e.parts[i-1].maxMass {
+				return nil, fmt.Errorf("core: partition %d starts at mass %g, below partition %d's last mass %g (base partitions must be in ascending mass order)",
+					i, minMass, i-1, e.parts[i-1].maxMass)
+			}
+			e.nBase++
+		}
+		searcher, err := searcherFor(spec)
+		if err != nil {
+			return nil, fmt.Errorf("core: partition %d: %w", i, err)
+		}
+		e.parts = append(e.parts, partition{
+			lib:      lib,
+			searcher: searcher,
+			start:    e.total,
+			minMass:  minMass,
+			maxMass:  maxMass,
+			gen:      spec.Gen,
+			genRow:   spec.GenRow,
+			delta:    spec.Delta,
+			hidden:   hidden[i],
+		})
+		e.total += lib.Len()
+		e.hiddenTotal += len(hidden[i])
+	}
+	if e.hiddenTotal >= e.total {
+		return nil, fmt.Errorf("core: every reference row is shadowed (all %d rows hidden)", e.total)
+	}
+	return e, nil
+}
+
+// Library returns the library of a one-partition engine, nil when the
+// engine holds several partitions.
+func (e *Engine) Library() *Library {
+	if len(e.parts) != 1 {
+		return nil
+	}
+	return e.parts[0].lib
+}
+
+// NumRefs returns the total reference count across partitions
+// (physical rows, including shadowed ones).
+func (e *Engine) NumRefs() int { return e.total }
+
+// Skipped returns the count of reference spectra rejected by
+// preprocessing at build time (carried by the partition set: base
+// build plus every delta batch).
+func (e *Engine) Skipped() int { return e.skipped }
+
+// ReleaseLibraryHVs drops every partition's hypervector slices. A
+// copying searcher packed its own copy of every reference word and
+// retains nothing of the source, and the search path reads only
+// Entries and the packed store, so a long-lived serving process over a
+// built or loaded library halves its resident memory by releasing the
+// originals. Over a packed block the hypervectors are views into the
+// block the searcher aliases, so only the slice headers are freed.
+// After the call every Library.HVs is nil: the caller must not inject
+// storage errors, rebuild a searcher from these libraries, or save
+// them to an index.
+func (e *Engine) ReleaseLibraryHVs() {
+	for i := range e.parts {
+		e.parts[i].lib.HVs = nil
+	}
+}
+
+// OverlayStats describes the engine's incremental-update state: the
+// manifest generation it serves, the delta tier's size, and the
+// overlay resolved at construction.
+type OverlayStats struct {
+	// Generation is the manifest generation the engine was built from.
+	Generation uint64
+	// DeltaPartitions and DeltaRefs size the delta tier.
+	DeltaPartitions, DeltaRefs int
+	// Tombstones counts outstanding retractions; HiddenRefs the rows
+	// shadowed by tombstones or newer-generation re-additions.
+	Tombstones, HiddenRefs int
+}
+
+// OverlayStats snapshots the incremental-update state — the serving
+// layer's delta/compaction telemetry for /stats and /metrics.
+func (e *Engine) OverlayStats() OverlayStats {
+	st := OverlayStats{
+		Generation: e.generation,
+		Tombstones: e.tombstoneCount,
+		HiddenRefs: e.hiddenTotal,
+	}
+	for i := e.nBase; i < len(e.parts); i++ {
+		st.DeltaPartitions++
+		st.DeltaRefs += e.parts[i].lib.Len()
+	}
+	return st
+}
+
+// CascadeStats sums the per-tier cascade pruning counters across
+// partitions (element-wise over tier slots; every partition is built
+// with the same ladder, but a deeper partition's tail still sums
+// correctly); ok is false when no partition runs a multi-tier layout.
+func (e *Engine) CascadeStats() (hdc.CascadeStats, bool) {
+	var sum hdc.CascadeStats
+	any := false
+	for i := range e.parts {
+		if cs, ok := e.parts[i].searcher.CascadeStats(); ok {
+			if len(sum.TierRows) < len(cs.TierRows) {
+				sum.TierRows = append(sum.TierRows, make([]uint64, len(cs.TierRows)-len(sum.TierRows))...)
+			}
+			for t, v := range cs.TierRows {
+				sum.TierRows[t] += v
+			}
+			any = true
+		}
+	}
+	return sum, any
+}
+
+// PartitionStat is one partition's identity and pruning telemetry.
+type PartitionStat struct {
+	// StartRow is the partition's first global row, Refs its size.
+	StartRow, Refs int
+	// MinMass, MaxMass are the partition's mass fences.
+	MinMass, MaxMass float64
+	// Gen is the generation that introduced the partition; Delta marks
+	// the delta tier; HiddenRefs counts its shadowed rows.
+	Gen        uint64
+	Delta      bool
+	HiddenRefs int
+	// CascadeEnabled reports whether the partition's searcher runs a
+	// multi-tier layout; Cascade holds its per-tier counters when so.
+	CascadeEnabled bool
+	Cascade        hdc.CascadeStats
+	// RowsSwept is the partition's cumulative range-scan row coverage
+	// (live for every layout, unlike the cascade counters).
+	RowsSwept uint64
+}
+
+// PartitionStats snapshots per-partition identity and cascade pruning
+// counters — the serving layer's /stats surface for partitioned
+// indexes.
+func (e *Engine) PartitionStats() []PartitionStat {
+	out := make([]PartitionStat, len(e.parts))
+	for i := range e.parts {
+		p := &e.parts[i]
+		st := PartitionStat{
+			StartRow: p.start, Refs: p.lib.Len(),
+			MinMass: p.minMass, MaxMass: p.maxMass,
+			Gen: p.gen, Delta: p.delta, HiddenRefs: len(p.hidden),
+		}
+		st.Cascade, st.CascadeEnabled = p.searcher.CascadeStats()
+		st.RowsSwept = p.searcher.RowsSwept()
+		out[i] = st
+	}
+	return out
+}
+
+// PreparedQuery is a query that has passed preprocessing and encoding
+// and has had its precursor window resolved to a candidate row range
+// in the mass-ordered library. Preparation is the per-query,
+// trivially parallel half of a search; scoring prepared queries is
+// the bandwidth-bound half, which batch paths (SearchPrepared, the
+// serving layer's micro-batcher) amortize across whole query sets.
+type PreparedQuery struct {
+	// QueryID is the source spectrum ID, carried into the PSM.
+	QueryID string
+	// HV is the encoded query hypervector.
+	HV hdc.BinaryHV
+	// Mass is the neutral precursor mass in Da.
+	Mass float64
+	// Lo, Hi is the candidate range [Lo, Hi) in the base tier's global
+	// row space; delta partitions resolve their own rows from Mass.
+	Lo, Hi int
+}
+
+// encodeQuery is the engine's one query-side encode step: preprocess,
+// vectorize, encode, and permute into the library's bit layout. ok is
+// false when preprocessing rejects the spectrum as uninformative. The
+// binned vector is returned for callers that also score in the
+// spectral domain (Rescorer).
+func (e *Engine) encodeQuery(q *spectrum.Spectrum) (spectrum.Vector, hdc.BinaryHV, bool, error) {
+	pre, err := e.params.Preprocess.Preprocess(q)
+	if err != nil {
+		return spectrum.Vector{}, hdc.BinaryHV{}, false, nil
+	}
+	v := e.params.Binner.Vectorize(pre)
+	hv, err := e.enc.EncodeVector(v)
+	if err != nil {
+		return spectrum.Vector{}, hdc.BinaryHV{}, false, fmt.Errorf("core: encoding query %s: %w", q.ID, err)
+	}
+	if len(e.dimPerm) > 0 {
+		hv = hdc.PermuteBits(hv, e.dimPerm)
+	}
+	return v, hv, true, nil
+}
+
+// Prepare preprocesses and encodes one query and resolves its
+// candidate row range. ok is false when the query is rejected by
+// preprocessing or no library mass lies inside its precursor window —
+// exactly the conditions under which SearchOne reports no PSM.
+func (e *Engine) Prepare(q *spectrum.Spectrum) (PreparedQuery, bool, error) {
+	_, hv, ok, err := e.encodeQuery(q)
+	if err != nil || !ok {
+		return PreparedQuery{}, false, err
+	}
+	pq, ok := e.ResolvePrepared(q.ID, hv, q.PrecursorMass())
+	if !ok {
+		return PreparedQuery{}, false, nil
+	}
+	return pq, true, nil
+}
+
+// ResolvePrepared assembles a prepared query from an already encoded
+// (and, under an entropy layout, already permuted) hypervector: the
+// base-tier candidate range is resolved through the mass fences, and
+// ok reports whether any partition — base or delta — holds candidate
+// rows. It is Prepare without the preprocessing and encoding stages,
+// for callers that build hypervectors directly (conformance harness,
+// benchmarks).
+func (e *Engine) ResolvePrepared(id string, hv hdc.BinaryHV, mass float64) (PreparedQuery, bool) {
+	lo, hi := e.candidateRange(mass, e.params.queryWindow(mass))
+	pq := PreparedQuery{QueryID: id, HV: hv, Mass: mass, Lo: lo, Hi: hi}
+	ok := lo < hi
+	for i := e.nBase; !ok && i < len(e.parts); i++ {
+		plo, phi := e.partRange(&e.parts[i], &pq)
+		ok = plo < phi
+	}
+	return pq, ok
+}
+
+// queryWindow returns the precursor window for a query mass: the open
+// window, or the narrow standard-search window around the mass.
+func (p Params) queryWindow(queryMass float64) units.MassWindow {
+	if p.Open {
+		return p.Window
+	}
+	return units.StandardWindow(queryMass, p.StandardTol)
+}
+
+// candidateRange resolves a query's precursor window to a global row
+// range by routing it through the base-tier mass fences: partitions
+// whose fences cannot overlap the window are skipped without a binary
+// search. Base partitions tile the mass-sorted initial build, so the
+// union of the per-partition candidate ranges is one contiguous
+// global range — exactly what Library.CandidateRange returns over the
+// concatenated library. Delta partitions are excluded: their fences
+// may overlap the base tiling, so their local ranges are resolved per
+// partition at sweep time (partRange).
+func (e *Engine) candidateRange(queryMass float64, w units.MassWindow) (lo, hi int) {
+	mLo := queryMass - w.Upper
+	mHi := queryMass - w.Lower
+	found := false
+	for i := 0; i < e.nBase; i++ {
+		p := &e.parts[i]
+		if p.maxMass < mLo || p.minMass > mHi {
+			continue
+		}
+		plo, phi := p.lib.CandidateRange(queryMass, w)
+		if plo >= phi {
+			continue
+		}
+		if !found {
+			lo = p.start + plo
+			found = true
+		}
+		hi = p.start + phi
+	}
+	if !found {
+		return 0, 0
+	}
+	return lo, hi
+}
+
+// partRange resolves one partition's local candidate range for a
+// prepared query: base partitions clip the query's precomputed global
+// range, delta partitions binary-search their own mass-sorted rows
+// under the precursor window, since an overlapping fence cannot be
+// expressed as a slice of the base tier's contiguous range.
+func (e *Engine) partRange(p *partition, pq *PreparedQuery) (int, int) {
+	if !p.delta {
+		return max(pq.Lo, p.start) - p.start, min(pq.Hi, p.start+p.lib.Len()) - p.start
+	}
+	w := e.params.queryWindow(pq.Mass)
+	if p.maxMass < pq.Mass-w.Upper || p.minMass > pq.Mass-w.Lower {
+		return 0, 0
+	}
+	return p.lib.CandidateRange(pq.Mass, w)
+}
+
+// partBatch is one partition's share of a prepared batch: the queries
+// whose windows reach it (qIdx, ascending), their hypervectors and
+// local row ranges, and — after the sweep — their top-k lists. next is
+// the merge's cursor into qIdx.
+type partBatch struct {
+	qIdx   []int
+	hvs    []hdc.BinaryHV
+	ranges []hdc.RowRange
+	tops   [][]hdc.Match
+	next   int
+}
+
+// sweep runs partition i's block-major batch sweep. The retrieval
+// depth is the global k widened by the partition's hidden-row count,
+// so that after shadowed rows are dropped the partition still surfaces
+// its full visible top-k — the containment argument the merge's
+// exactness rests on. A non-nil tr collects the searcher's tier
+// timings plus one partition record (index, candidate rows, wall
+// time).
+func (e *Engine) sweep(i int, b *partBatch, tr *obsv.Trace) {
+	p := &e.parts[i]
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	b.tops = p.searcher.BatchTopKRangeTraced(b.hvs, b.ranges, e.params.TopK+len(p.hidden), tr)
+	if tr != nil {
+		rows := 0
+		for _, r := range b.ranges {
+			rows += r.Len()
+		}
+		tr.AddPartition(i, rows, int64(time.Since(t0)))
+	}
+}
+
+// visible drops the partition's hidden rows from one of its result
+// lists and moves the survivors to global row space, in place (the
+// searcher hands its lists over).
+func (p *partition) visible(top []hdc.Match) []hdc.Match {
+	out := top[:0]
+	for _, m := range top {
+		if _, shadowed := p.hidden[m.Index]; shadowed {
+			continue
+		}
+		m.Index += p.start
+		out = append(out, m)
+	}
+	return out
+}
+
+// locate returns the partition holding a global row and the row's
+// index within it.
+func (e *Engine) locate(global int) (*partition, int) {
+	i := sort.Search(len(e.parts), func(i int) bool { return e.parts[i].start > global }) - 1
+	p := &e.parts[i]
+	return p, global - p.start
+}
+
+// rowBefore is the merge order over global matches: similarity
+// descending, ties by ascending (mass, generation, generation-row).
+// Over the visible set this is exactly the order a from-scratch build
+// yields — a stable mass sort of the entries in append order — so the
+// merge is bit-identical to a one-partition engine over that build.
+// Within one partition it is the searcher's own order (similarity
+// descending, ties by ascending row): rows are mass-sorted, the
+// generation is constant and the generation-row ascends with the row.
+func (e *Engine) rowBefore(a, b hdc.Match) int {
+	if c := cmp.Compare(b.Similarity, a.Similarity); c != 0 {
+		return c
+	}
+	pa, ra := e.locate(a.Index)
+	pb, rb := e.locate(b.Index)
+	return cmp.Or(
+		cmp.Compare(pa.lib.Entries[ra].Mass, pb.lib.Entries[rb].Mass),
+		cmp.Compare(pa.gen, pb.gen),
+		cmp.Compare(pa.genRow+ra, pb.genRow+rb))
+}
+
+// batchTopK scores a prepared batch — the engine's one search path.
+// Each partition resolves its local row range for every query and runs
+// one block-major sweep over the queries whose windows reach it; the
+// first such partition is swept on the calling goroutine and the rest
+// in parallel, so a batch that lands in one partition spawns nothing.
+// The per-partition lists then merge per query under rowBefore. A
+// query that drew rows from a single partition is already in that
+// order (see rowBefore), so only queries spanning partitions are
+// sorted. Indices in the result are global rows. A non-nil tr
+// additionally collects the cross-partition merge time; timing never
+// alters control flow.
+func (e *Engine) batchTopK(qs []PreparedQuery, tr *obsv.Trace) [][]hdc.Match {
+	batches := make([]partBatch, len(e.parts))
+	for i := range e.parts {
+		p := &e.parts[i]
+		b := &batches[i]
+		for qi := range qs {
+			lo, hi := e.partRange(p, &qs[qi])
+			if lo >= hi {
+				continue
+			}
+			if b.qIdx == nil {
+				b.qIdx = make([]int, 0, len(qs)-qi)
+				b.hvs = make([]hdc.BinaryHV, 0, len(qs)-qi)
+				b.ranges = make([]hdc.RowRange, 0, len(qs)-qi)
+			}
+			b.qIdx = append(b.qIdx, qi)
+			b.hvs = append(b.hvs, qs[qi].HV)
+			b.ranges = append(b.ranges, hdc.RowRange{Lo: lo, Hi: hi})
+		}
+	}
+	var wg sync.WaitGroup
+	inline := -1
+	for i := range batches {
+		switch {
+		case batches[i].qIdx == nil:
+		case inline < 0:
+			inline = i
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e.sweep(i, &batches[i], tr)
+			}()
+		}
+	}
+	if inline >= 0 {
+		e.sweep(inline, &batches[inline], tr)
+	}
+	wg.Wait()
+	var mergeT0 time.Time
+	if tr != nil {
+		mergeT0 = time.Now()
+	}
+	out := make([][]hdc.Match, len(qs))
+	for qi := range out {
+		contributors := 0
+		for i := range batches {
+			b := &batches[i]
+			if b.next == len(b.qIdx) || b.qIdx[b.next] != qi {
+				continue
+			}
+			top := e.parts[i].visible(b.tops[b.next])
+			b.next++
+			if contributors++; contributors == 1 {
+				out[qi] = top
+			} else {
+				out[qi] = append(out[qi], top...)
+			}
+		}
+		if contributors > 1 {
+			slices.SortFunc(out[qi], e.rowBefore)
+		}
+		if len(out[qi]) > e.params.TopK {
+			out[qi] = out[qi][:e.params.TopK]
+		}
+	}
+	if tr != nil {
+		tr.AddNanos(obsv.StageMerge, int64(time.Since(mergeT0)))
+	}
+	return out
+}
+
+// TopKPrepared returns the full top-k match list of one prepared
+// query — a batch of one — with indices in global row space: the list
+// SearchOne's PSM is the head of. It is the engine's leg of the
+// cross-path conformance contract: every way of reaching the sweep
+// (alone, batched, cascade, any partitioning, served) must reproduce
+// the flat-scan oracle's list bit for bit.
+func (e *Engine) TopKPrepared(pq PreparedQuery) []hdc.Match {
+	return e.batchTopK([]PreparedQuery{pq}, nil)[0]
+}
+
+// EntryAt returns the library entry behind a global match index as
+// reported by TopKPrepared. Global indexes depend on the engine's
+// partition layout, so cross-engine comparisons (the build-equivalence
+// conformance harness) resolve matches to entries before comparing.
+func (e *Engine) EntryAt(global int) LibraryEntry {
+	p, r := e.locate(global)
+	return p.lib.Entries[r]
+}
+
+// SearchPrepared scores prepared queries through one batch sweep: each
+// partition's searcher sweeps each cache-resident row block with every
+// query whose window covers it, so the packed reference store streams
+// from memory once per batch instead of once per query. It returns one
+// slot per input: ok[i] is false when query i produced no match. With
+// the exact searcher, per-query results are independent of batch
+// composition and order; the noisy searcher draws its error stream in
+// batch query order (see Searcher), so its results are per-seed
+// reproducible for a fixed batching, but not batch-invariant.
+func (e *Engine) SearchPrepared(qs []PreparedQuery) ([]fdr.PSM, []bool) {
+	return e.SearchPreparedTraced(qs, nil)
+}
+
+// SearchPreparedTraced is SearchPrepared recording per-tier, merge and
+// per-partition sweep telemetry into tr when it is non-nil. Timing
+// never alters control flow, so results are bit-identical to the
+// untraced call.
+func (e *Engine) SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool) {
+	psms := make([]fdr.PSM, len(qs))
+	oks := make([]bool, len(qs))
+	if len(qs) == 0 {
+		return psms, oks
+	}
+	for i, top := range e.batchTopK(qs, tr) {
+		if len(top) == 0 {
+			continue
+		}
+		entry := e.EntryAt(top[0].Index)
+		psms[i] = fdr.PSM{
+			QueryID:   qs[i].QueryID,
+			Peptide:   entry.Peptide,
+			Score:     float64(top[0].Similarity) / e.normD,
+			IsDecoy:   entry.IsDecoy,
+			MassShift: qs[i].Mass - entry.Mass,
+		}
+		oks[i] = true
+	}
+	return psms, oks
+}
+
+// SearchOne runs one query — a batch of one — and returns its
+// best-match PSM; ok is false when the query is rejected by
+// preprocessing or finds no candidate in the precursor window.
+func (e *Engine) SearchOne(q *spectrum.Spectrum) (fdr.PSM, bool, error) {
+	pq, ok, err := e.Prepare(q)
+	if err != nil || !ok {
+		return fdr.PSM{}, false, err
+	}
+	psms, oks := e.SearchPrepared([]PreparedQuery{pq})
+	return psms[0], oks[0], nil
+}
+
+// SearchAll runs every query serially and returns the PSM list (one
+// best match per searchable query).
+func (e *Engine) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
+	psms := make([]fdr.PSM, 0, len(queries))
+	for _, q := range queries {
+		psm, ok, err := e.SearchOne(q)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			psms = append(psms, psm)
+		}
+	}
+	return psms, nil
+}
+
+// Run searches all queries and applies the FDR filter, returning the
+// accepted identifications.
+func (e *Engine) Run(queries []*spectrum.Spectrum) (fdr.Result, error) {
+	psms, err := e.SearchAll(queries)
+	if err != nil {
+		return fdr.Result{}, err
+	}
+	return fdr.Filter(psms, e.params.FDRAlpha)
+}

@@ -45,10 +45,11 @@ func parallelFor(n int, fn func(i int)) {
 // The search runs in two stages: preparation (preprocessing, encoding,
 // candidate-range selection) fans out per query, then one
 // SearchPrepared sweep scores every searchable query — each
-// cache-resident row block is swept by all queries whose precursor
-// windows cover it, so the packed reference store streams from memory
-// once per batch. Each stage mirrors SearchOne, so with the exact
-// searcher the emitted PSMs are identical to SearchAll's.
+// cache-resident row block of each partition is swept by all queries
+// whose precursor windows cover it, so the packed reference store
+// streams from memory once per batch. Each stage mirrors SearchOne, so
+// with the exact searcher the emitted PSMs are identical to
+// SearchAll's.
 func (e *Engine) SearchAllParallel(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
 	type prep struct {
 		pq  PreparedQuery

@@ -17,6 +17,7 @@ import (
 // beyond the published system, disabled by default.
 type Rescorer struct {
 	engine *Engine
+	lib    *Library
 	binner spectrum.Binner
 	// vectors[i] is the preprocessed binned vector of library entry i.
 	vectors []spectrum.Vector
@@ -27,12 +28,17 @@ type Rescorer struct {
 // NewRescorer builds the spectral-domain vectors for every library
 // entry. The library spectra must be the same slice the engine's
 // library was built from (order is re-derived through preprocessing,
-// skipping the same entries).
+// skipping the same entries), which only a one-partition engine can
+// promise.
 func NewRescorer(engine *Engine, library []*spectrum.Spectrum, alpha float64) (*Rescorer, error) {
 	if alpha < 0 || alpha > 1 {
 		return nil, fmt.Errorf("core: rescore alpha %v outside [0,1]", alpha)
 	}
-	r := &Rescorer{engine: engine, binner: engine.params.Binner, Alpha: alpha}
+	lib := engine.Library()
+	if lib == nil {
+		return nil, fmt.Errorf("core: rescoring needs the spectra of one library in build order; the engine holds %d partitions", len(engine.parts))
+	}
+	r := &Rescorer{engine: engine, lib: lib, binner: engine.params.Binner, Alpha: alpha}
 	var built []spectrum.Vector
 	for _, s := range library {
 		pre, err := engine.params.Preprocess.Preprocess(s)
@@ -41,38 +47,33 @@ func NewRescorer(engine *Engine, library []*spectrum.Spectrum, alpha float64) (*
 		}
 		built = append(built, r.binner.Vectorize(pre).Normalized())
 	}
-	if len(built) != engine.lib.Len() {
+	if len(built) != lib.Len() {
 		return nil, fmt.Errorf("core: rescorer has %d vectors, library has %d entries — pass the same library slice",
-			len(built), engine.lib.Len())
+			len(built), lib.Len())
 	}
 	// The library was sorted by ascending mass at build time; apply the
 	// recorded permutation so vectors stay parallel to its entries.
 	r.vectors = make([]spectrum.Vector, len(built))
 	for i := range r.vectors {
-		r.vectors[i] = built[engine.lib.SourcePos(i)]
+		r.vectors[i] = built[lib.SourcePos(i)]
 	}
 	return r, nil
 }
 
 // SearchOne runs the HD search for a shortlist and rescores it.
 func (r *Rescorer) SearchOne(q *spectrum.Spectrum) (fdr.PSM, bool, error) {
-	pre, err := r.engine.params.Preprocess.Preprocess(q)
-	if err != nil {
-		return fdr.PSM{}, false, nil
-	}
-	qv := r.binner.Vectorize(pre)
-	hv, err := r.engine.enc.EncodeVector(qv)
-	if err != nil {
+	qv, hv, ok, err := r.engine.encodeQuery(q)
+	if err != nil || !ok {
 		return fdr.PSM{}, false, err
 	}
 	mass := q.PrecursorMass()
 	// The open window bounds candidates even in standard mode: the
 	// shortlist is rescored, so the wider net costs only HD search.
-	lo, hi := r.engine.lib.CandidateRange(mass, r.engine.params.Window)
+	lo, hi := r.lib.CandidateRange(mass, r.engine.params.Window)
 	if lo >= hi {
 		return fdr.PSM{}, false, nil
 	}
-	top := r.engine.TopKPrepared(PreparedQuery{HV: hv, Lo: lo, Hi: hi})
+	top := r.engine.TopKPrepared(PreparedQuery{HV: hv, Mass: mass, Lo: lo, Hi: hi})
 	if len(top) == 0 {
 		return fdr.PSM{}, false, nil
 	}
@@ -80,7 +81,7 @@ func (r *Rescorer) SearchOne(q *spectrum.Spectrum) (fdr.PSM, bool, error) {
 	bestIdx, bestScore := -1, math.Inf(-1)
 	d := r.engine.normD
 	for _, m := range top {
-		entry := r.engine.lib.Entries[m.Index]
+		entry := r.lib.Entries[m.Index]
 		shiftBins := int(math.Round((mass - entry.Mass) / r.binner.BinWidth))
 		sd := spectrum.ShiftedDot(qn, r.vectors[m.Index], shiftBins)
 		hd := float64(m.Similarity) / d
@@ -89,7 +90,7 @@ func (r *Rescorer) SearchOne(q *spectrum.Spectrum) (fdr.PSM, bool, error) {
 			bestIdx, bestScore = m.Index, score
 		}
 	}
-	entry := r.engine.lib.Entries[bestIdx]
+	entry := r.lib.Entries[bestIdx]
 	return fdr.PSM{
 		QueryID:   q.ID,
 		Peptide:   entry.Peptide,

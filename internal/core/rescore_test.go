@@ -1,7 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
+
+	"repro/internal/fdr"
 )
 
 func TestRescorerValidation(t *testing.T) {
@@ -20,6 +23,51 @@ func TestRescorerValidation(t *testing.T) {
 	// Mismatched library slice must be rejected.
 	if _, err := NewRescorer(engine, ds.Library[:1], 0.5); err == nil {
 		t.Error("truncated library accepted")
+	}
+	// Several partitions have no single build order to realign to.
+	split, _, err := NewPartitionedEngine(p, splitSet(t, engine.Library(), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRescorer(split, ds.Library, 0.5); err == nil || !strings.Contains(err.Error(), "3 partitions") {
+		t.Errorf("3-partition engine: err = %v, want a rejection naming the partition count", err)
+	}
+}
+
+// TestRescorerBitLayoutInvariant is the regression for the rescorer
+// encoding queries on its own and skipping the library's bit-layout
+// permutation: under the entropy layout it scored unpermuted queries
+// against permuted references. The layout must not move a single PSM.
+func TestRescorerBitLayoutInvariant(t *testing.T) {
+	ds := testDataset(t)
+	run := func(layout string) []fdr.PSM {
+		p := testParams()
+		p.BitLayout = layout
+		engine, _, err := BuildExact(p, ds.Library)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if layout == BitLayoutEntropy && len(engine.Library().DimPerm) == 0 {
+			t.Fatal("entropy layout produced no permutation; the test would prove nothing")
+		}
+		r, err := NewRescorer(engine, ds.Library, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		psms, err := r.SearchAll(ds.Queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return psms
+	}
+	natural, entropy := run(BitLayoutNatural), run(BitLayoutEntropy)
+	if len(natural) == 0 || len(natural) != len(entropy) {
+		t.Fatalf("PSM counts: natural %d, entropy %d", len(natural), len(entropy))
+	}
+	for i := range natural {
+		if natural[i] != entropy[i] {
+			t.Errorf("PSM %d: natural %+v, entropy %+v", i, natural[i], entropy[i])
+		}
 	}
 }
 

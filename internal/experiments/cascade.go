@@ -63,7 +63,7 @@ func CascadeSweep(opts Options) ([]CascadeRow, error) {
 	rows := make([]CascadeRow, 0, len(shortlists))
 	for _, m := range shortlists {
 		cp := p
-		cp.PrefilterWords = prefilter
+		cp.Tiers = []int{prefilter}
 		cp.ShortlistPerQuery = m
 		engine, _, err := core.BuildExact(cp, ds.Library)
 		if err != nil {

@@ -67,7 +67,7 @@ var allocLadders = []struct {
 	cc   CascadeConfig
 }{
 	{"single-tier", CascadeConfig{}},
-	{"two-tier", CascadeConfig{PrefilterWords: 4}},
+	{"two-tier", CascadeConfig{Tiers: []int{4}}},
 	{"three-tier", CascadeConfig{Tiers: []int{2, 4, 10}}},
 	{"four-tier", CascadeConfig{Tiers: []int{1, 3, 4, 8}}},
 }

@@ -58,7 +58,7 @@ func TestCascadeExactParityParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	casc, err := NewShardedSearcher(refs, 1024, CascadeConfig{PrefilterWords: 2})
+	casc, err := NewShardedSearcher(refs, 1024, CascadeConfig{Tiers: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCascadeShortlistSemantics(t *testing.T) {
 		ranges[i] = RowRange{Lo: max(0, lo-11), Hi: min(n, lo+n/2)}
 	}
 	for _, shortlist := range []int{k, 16, n, 2 * n} {
-		casc, err := NewShardedSearcher(refs, 64, CascadeConfig{PrefilterWords: words / 4, Shortlist: shortlist})
+		casc, err := NewShardedSearcher(refs, 64, CascadeConfig{Tiers: []int{words / 4}, Shortlist: shortlist})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestCascadeShortlistSemantics(t *testing.T) {
 func TestCascadeStatsCounters(t *testing.T) {
 	d, n, nq, k := 512, 800, 4, 3
 	refs, queries := cascadeFixture(t, d, n, nq, k, 13)
-	casc, err := NewShardedSearcher(refs, 128, CascadeConfig{PrefilterWords: 1})
+	casc, err := NewShardedSearcher(refs, 128, CascadeConfig{Tiers: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +164,11 @@ func TestCascadeStatsCounters(t *testing.T) {
 // malformed cascade configs and degenerate reference sets.
 func TestCascadeConfigValidation(t *testing.T) {
 	refs := randomRefs(128, 10, 3)
-	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{PrefilterWords: 1, Shortlist: -2}); err == nil {
+	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Tiers: []int{1}, Shortlist: -2}); err == nil {
 		t.Error("negative shortlist accepted")
 	}
 	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Shortlist: 5}); err == nil {
 		t.Error("shortlist without a two-tier layout accepted")
-	}
-	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{PrefilterWords: WordsPerHV(128), Shortlist: 5}); err == nil {
-		t.Error("shortlist with prefilter covering every word accepted")
 	}
 	if _, err := NewShardedSearcher([]BinaryHV{{D: 0}}, 0, CascadeConfig{}); err == nil {
 		t.Error("zero-dimension reference accepted")
@@ -185,9 +182,6 @@ func TestCascadeConfigValidation(t *testing.T) {
 	}
 	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Tiers: []int{words, 1}}); err == nil {
 		t.Error("tier ladder wider than the row accepted")
-	}
-	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Tiers: []int{1, 1}, PrefilterWords: 1}); err == nil {
-		t.Error("Tiers together with PrefilterWords accepted")
 	}
 	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Tiers: []int{words}, Shortlist: 3}); err == nil {
 		t.Error("shortlist on a single-tier ladder accepted")
@@ -262,7 +256,7 @@ func TestCascadeLadderExactParity(t *testing.T) {
 // tiered store bit-identically to the source hypervectors.
 func TestCascadePackedRowAssembly(t *testing.T) {
 	refs := randomRefs(320, 41, 19) // 5 words: odd split exercises both tiers
-	casc, err := NewShardedSearcher(refs, 16, CascadeConfig{PrefilterWords: 2})
+	casc, err := NewShardedSearcher(refs, 16, CascadeConfig{Tiers: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}

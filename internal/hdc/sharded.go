@@ -49,15 +49,9 @@ type CascadeConfig struct {
 	// tier t, descended in order. Every entry must be positive and the
 	// widths must sum to at most the per-row word count; a sum short of
 	// the row implicitly appends one remainder tier. A single tier
-	// covering the whole row is the single-tier layout. Empty defers to
-	// PrefilterWords (setting both is an error).
+	// covering the whole row, like an empty ladder, is the single-tier
+	// layout.
 	Tiers []int
-	// PrefilterWords is the deprecated two-tier knob, kept as a
-	// compatibility alias: a value in (0, words) is equivalent to
-	// Tiers = [PrefilterWords, words-PrefilterWords]. <= 0 disables the
-	// cascade, and a value >= the full per-row word count leaves
-	// nothing to prune, so it too falls back to the single-tier layout.
-	PrefilterWords int
 	// Shortlist switches cascade scans from the exact pruning bound to
 	// approximate mode: per query, only the Shortlist rows with the
 	// best tier-0 partial distance (ties by ascending index) are
@@ -71,30 +65,19 @@ type CascadeConfig struct {
 // widths over a row of `words` packed words (len >= 1; len == 1 is
 // the single-tier layout).
 func normalizeTiers(cc CascadeConfig, words int) ([]int, error) {
-	if cc.PrefilterWords > 0 && len(cc.Tiers) > 0 {
-		return nil, fmt.Errorf("hdc: CascadeConfig sets both Tiers and the deprecated PrefilterWords alias")
+	sum := 0
+	for t, w := range cc.Tiers {
+		if w <= 0 {
+			return nil, fmt.Errorf("hdc: cascade tier %d has non-positive width %d words", t, w)
+		}
+		sum += w
 	}
-	var tiers []int
-	switch {
-	case len(cc.Tiers) > 0:
-		sum := 0
-		for t, w := range cc.Tiers {
-			if w <= 0 {
-				return nil, fmt.Errorf("hdc: cascade tier %d has non-positive width %d words", t, w)
-			}
-			sum += w
-		}
-		if sum > words {
-			return nil, fmt.Errorf("hdc: cascade tier widths sum to %d words, row has only %d", sum, words)
-		}
-		tiers = append(tiers, cc.Tiers...)
-		if sum < words {
-			tiers = append(tiers, words-sum)
-		}
-	case cc.PrefilterWords > 0 && cc.PrefilterWords < words:
-		tiers = []int{cc.PrefilterWords, words - cc.PrefilterWords}
-	default:
-		tiers = []int{words}
+	if sum > words {
+		return nil, fmt.Errorf("hdc: cascade tier widths sum to %d words, row has only %d", sum, words)
+	}
+	tiers := append([]int(nil), cc.Tiers...)
+	if sum < words {
+		tiers = append(tiers, words-sum)
 	}
 	if cc.Shortlist < 0 {
 		return nil, fmt.Errorf("hdc: negative cascade shortlist %d", cc.Shortlist)

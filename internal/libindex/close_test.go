@@ -93,8 +93,8 @@ func TestClosePoisonsCopiedIndex(t *testing.T) {
 }
 
 // TestClosePoisonsPartitionedIndex pins that closing a manifest closes
-// and poisons every partition — Blocks panics via the partition's Words
-// — and stays idempotent.
+// and poisons every partition — PartitionSet panics via the partition's
+// Words — and stays idempotent.
 func TestClosePoisonsPartitionedIndex(t *testing.T) {
 	ds := testWorkload(t)
 	p := testParams(512, 100, 3)
@@ -108,8 +108,8 @@ func TestClosePoisonsPartitionedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(pi.Blocks()); got != 3 {
-		t.Fatalf("%d blocks before Close, want 3", got)
+	if got := len(pi.PartitionSet().Specs); got != 3 {
+		t.Fatalf("%d partition specs before Close, want 3", got)
 	}
 	if err := pi.Close(); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestClosePoisonsPartitionedIndex(t *testing.T) {
 	if err := pi.Close(); err != nil {
 		t.Fatalf("second Close: %v, want nil (idempotent)", err)
 	}
-	mustPanicClosed(t, "Blocks", func() { pi.Blocks() })
+	mustPanicClosed(t, "PartitionSet", func() { pi.PartitionSet() })
 	for i, part := range pi.Parts {
 		if !part.closed {
 			t.Fatalf("partition %d not poisoned by manifest Close", i)

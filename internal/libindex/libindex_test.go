@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -160,7 +161,7 @@ func TestPackedStoreMatchesIndex(t *testing.T) {
 func TestRoundTripCascadeParams(t *testing.T) {
 	ds := testWorkload(t)
 	p := testParams(1024, 64, 3)
-	p.PrefilterWords = 4
+	p.Tiers = []int{4}
 	built := buildEngine(t, p, ds.Library)
 
 	var buf bytes.Buffer
@@ -171,9 +172,9 @@ func TestRoundTripCascadeParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lp.PrefilterWords != p.PrefilterWords || lp.ShortlistPerQuery != p.ShortlistPerQuery {
-		t.Fatalf("cascade knobs did not round-trip: saved %d/%d, loaded %d/%d",
-			p.PrefilterWords, p.ShortlistPerQuery, lp.PrefilterWords, lp.ShortlistPerQuery)
+	if !slices.Equal(lp.Tiers, p.Tiers) || lp.ShortlistPerQuery != p.ShortlistPerQuery {
+		t.Fatalf("cascade knobs did not round-trip: saved %v/%d, loaded %v/%d",
+			p.Tiers, p.ShortlistPerQuery, lp.Tiers, lp.ShortlistPerQuery)
 	}
 	loaded, _, err := core.NewExactEngineFromLibrary(lp, lib)
 	if err != nil {
@@ -198,10 +199,10 @@ func TestRoundTripCascadeParams(t *testing.T) {
 	if cs, ok := loaded.CascadeStats(); !ok || cs.Prefiltered() == 0 {
 		t.Fatalf("loaded engine did not run the cascade: stats %+v ok=%v", cs, ok)
 	}
-	// Loader overrides: -prefilter-words 0 must fall back to the
+	// Loader overrides: dropping the ladder must fall back to the
 	// single-tier layout with identical results.
 	flat := lp
-	flat.PrefilterWords, flat.ShortlistPerQuery = 0, 0
+	flat.Tiers, flat.ShortlistPerQuery = nil, 0
 	flatEngine, _, err := core.NewExactEngineFromLibrary(flat, lib)
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/hdc"
 )
 
 // permsEqual reports whether two bit-layout permutations are the same
@@ -80,9 +81,29 @@ type PartitionInfo struct {
 
 // DecodeParams decodes the engine parameters the base record stored.
 func (st *ManifestState) DecodeParams() (core.Params, error) {
-	var p core.Params
-	if err := json.Unmarshal(st.Params, &p); err != nil {
+	p, err := decodeParams(st.Params, st.D)
+	if err != nil {
 		return core.Params{}, fmt.Errorf("libindex: decoding manifest params: %w", err)
+	}
+	return p, nil
+}
+
+// decodeParams decodes stored engine parameters — the one place both
+// the index file and the manifest read them. Images written before the
+// K-tier ladder carry the two-tier cascade as a PrefilterWords count;
+// it is translated here to the ladder it meant: [pf, rest] over the
+// d-dimension row, or no ladder when pf leaves nothing to complete.
+func decodeParams(raw []byte, d int) (core.Params, error) {
+	var stored struct {
+		core.Params
+		PrefilterWords int
+	}
+	if err := json.Unmarshal(raw, &stored); err != nil {
+		return core.Params{}, err
+	}
+	p := stored.Params
+	if words := hdc.WordsPerHV(d); len(p.Tiers) == 0 && stored.PrefilterWords > 0 && stored.PrefilterWords < words {
+		p.Tiers = []int{stored.PrefilterWords, words - stored.PrefilterWords}
 	}
 	return p, nil
 }
@@ -275,31 +296,12 @@ type PartitionedIndex struct {
 // Path returns the manifest path the index was opened from.
 func (pi *PartitionedIndex) Path() string { return pi.path }
 
-// Libraries returns the per-partition libraries in engine order —
-// with Blocks, the inputs of core.NewPartitionedExactEngine.
-func (pi *PartitionedIndex) Libraries() []*core.Library {
-	libs := make([]*core.Library, len(pi.Parts))
-	for i, part := range pi.Parts {
-		libs[i] = part.Lib
-	}
-	return libs
-}
-
-// Blocks returns the per-partition contiguous packed word blocks in
-// engine order (views over the mappings when the partitions are
-// mmap-backed).
-func (pi *PartitionedIndex) Blocks() [][]uint64 {
-	blocks := make([][]uint64, len(pi.Parts))
-	for i, part := range pi.Parts {
-		blocks[i] = part.Words()
-	}
-	return blocks
-}
-
 // PartitionSet assembles the core engine inputs: every live partition
 // with its generation coordinates and packed block view, the
 // outstanding tombstones, and the manifest generation — what
-// core.NewPartitionedEngine needs to serve the visible set exactly.
+// core.NewPartitionedEngine needs to serve the visible set exactly. The
+// blocks alias the mappings: no engine built from the set outlives
+// Close.
 func (pi *PartitionedIndex) PartitionSet() core.PartitionSet {
 	states := pi.State.Partitions()
 	set := core.PartitionSet{
@@ -326,9 +328,9 @@ func (pi *PartitionedIndex) PartitionSet() core.PartitionSet {
 }
 
 // Close releases every partition mapping and poisons every partition:
-// engines built over the index are invalid afterwards, and Blocks (via
-// Index.Words) panics descriptively rather than handing out views into
-// unmapped memory. Idempotent — each partition's Close is, so calling
+// engines built over the index are invalid afterwards, and PartitionSet
+// (via Index.Words) panics descriptively rather than handing out views
+// into unmapped memory. Idempotent — each partition's Close is, so calling
 // Close again returns nil.
 func (pi *PartitionedIndex) Close() error {
 	var first error
@@ -523,4 +525,56 @@ func DetectKind(path string) (Kind, error) {
 		return KindManifest, nil
 	}
 	return 0, fmt.Errorf("libindex: %s is neither an OMS index nor a partition manifest", path)
+}
+
+// Opened is an index path opened for searching: the stored engine
+// parameters and the partition set core.NewPartitionedEngine serves,
+// whichever layout the path holds.
+type Opened struct {
+	// Params are the engine parameters the index was built with.
+	Params core.Params
+	// Partitions is the manifest's live partition count; 0 means a
+	// single index file.
+	Partitions int
+	// Mapped reports whether every file is memory-mapped (false: the
+	// copying fallback loader ran).
+	Mapped bool
+
+	set   func() core.PartitionSet
+	close func() error
+}
+
+// PartitionSet assembles the engine input; a single index file is a
+// one-spec set over its mapped words. The blocks alias the index's
+// mappings: no engine built from the set outlives Close, after which
+// PartitionSet panics (via Index.Words).
+func (o *Opened) PartitionSet() core.PartitionSet { return o.set() }
+
+// Close releases the index's mappings. Idempotent.
+func (o *Opened) Close() error { return o.close() }
+
+// Open opens path as whichever index layout it holds — the one place
+// that tells a single index file from a partition manifest on behalf of
+// the search commands (OpenFile and OpenManifest do the work).
+func Open(path string) (*Opened, error) {
+	kind, err := DetectKind(path)
+	if err != nil {
+		return nil, err
+	}
+	if kind == KindManifest {
+		pi, err := OpenManifest(path)
+		if err != nil {
+			return nil, err
+		}
+		o := &Opened{Params: pi.Params, Partitions: len(pi.Parts), Mapped: true, set: pi.PartitionSet, close: pi.Close}
+		for _, part := range pi.Parts {
+			o.Mapped = o.Mapped && part.Mapped()
+		}
+		return o, nil
+	}
+	ix, err := OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return &Opened{Params: ix.Params, Mapped: ix.Mapped(), set: ix.partitionSet, close: ix.Close}, nil
 }

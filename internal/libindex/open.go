@@ -2,7 +2,6 @@ package libindex
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -45,6 +44,16 @@ func (ix *Index) Words() []uint64 {
 		panic("libindex: Words on closed index " + ix.path + " (no view outlives its generation's Close)")
 	}
 	return ix.words
+}
+
+// partitionSet is the index as core.NewPartitionedEngine's input: one
+// generation-1 partition over the packed words.
+func (ix *Index) partitionSet() core.PartitionSet {
+	return core.PartitionSet{
+		Specs:      []core.PartitionSpec{{Lib: ix.Lib, Block: ix.Words(), Gen: 1}}, //oms:allow(mmapwrite) zero-copy view; the set's consumers live inside the index's refcounted generation
+		Generation: 1,
+		Skipped:    ix.Lib.Skipped,
+	}
 }
 
 // Mapped reports whether the index is memory-mapped (true) or was
@@ -305,8 +314,8 @@ func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
 		return fail("trailing data after checksum")
 	}
 
-	var p core.Params
-	if err := json.Unmarshal(paramsJSON, &p); err != nil {
+	p, err := decodeParams(paramsJSON, d)
+	if err != nil {
 		return fail("decoding params: %v", err)
 	}
 	if p.Accel.D != d {

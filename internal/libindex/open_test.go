@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,7 +43,9 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("D%d/shard%d/pf%d", tc.d, tc.shard, tc.prefilter), func(t *testing.T) {
 			p := testParams(tc.d, tc.shard, 3)
-			p.PrefilterWords = tc.prefilter
+			if tc.prefilter > 0 {
+				p.Tiers = []int{tc.prefilter}
+			}
 			built := buildEngine(t, p, ds.Library)
 			path := filepath.Join(t.TempDir(), "lib.omsidx")
 			if err := SaveFile(path, p, built.Library()); err != nil {
@@ -62,7 +65,7 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 				t.Fatal("OpenFile did not map the index on a unix platform")
 			}
 			if ix.Params.Accel != lp.Accel || ix.Params.ShardSize != lp.ShardSize ||
-				ix.Params.PrefilterWords != lp.PrefilterWords {
+				!slices.Equal(ix.Params.Tiers, lp.Tiers) {
 				t.Fatalf("params mismatch: open %+v load %+v", ix.Params.Accel, lp.Accel)
 			}
 			if ix.Lib.Len() != lib.Len() || ix.Lib.Skipped != lib.Skipped {

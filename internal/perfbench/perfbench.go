@@ -209,7 +209,7 @@ func runCascade(o Options) (Point, error) {
 			refs[lo+j].FlipBits(0.03, rng)
 		}
 	}
-	s, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{PrefilterWords: prefilterWords})
+	s, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{Tiers: []int{prefilterWords}})
 	if err != nil {
 		return Point{}, fmt.Errorf("perfbench cascade: %v", err)
 	}
@@ -381,7 +381,7 @@ func runPartitioned(o Options) (Point, error) {
 	// Split into 3 contiguous mass slices; entries are already
 	// mass-ordered, so each slice is a valid partition.
 	const nParts = 3
-	var libs []*core.Library
+	set := core.PartitionSet{Generation: 1}
 	for pi := 0; pi < nParts; pi++ {
 		lo := pi * nRefs / nParts
 		hi := (pi + 1) * nRefs / nParts
@@ -393,9 +393,9 @@ func runPartitioned(o Options) (Point, error) {
 		if err != nil {
 			return Point{}, fmt.Errorf("perfbench partitioned: slice %d: %v", pi, err)
 		}
-		libs = append(libs, plib)
+		set.Specs = append(set.Specs, core.PartitionSpec{Lib: plib, Gen: 1, GenRow: lo})
 	}
-	pe, _, err := core.NewPartitionedExactEngine(p, libs, nil)
+	pe, _, err := core.NewPartitionedEngine(p, set)
 	if err != nil {
 		return Point{}, fmt.Errorf("perfbench partitioned: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fdr"
 	"repro/internal/hdc"
+	"repro/internal/obsv"
 	"repro/internal/spectrum"
 )
 
@@ -27,13 +28,11 @@ func (e *stubEngine) SearchPrepared(qs []core.PreparedQuery) ([]fdr.PSM, []bool)
 	return e.psms[:len(qs)], e.oks[:len(qs)]
 }
 
-func (e *stubEngine) TopKPrepared(pq core.PreparedQuery) []hdc.Match { return nil }
+func (e *stubEngine) SearchPreparedTraced(qs []core.PreparedQuery, _ *obsv.Trace) ([]fdr.PSM, []bool) {
+	return e.SearchPrepared(qs)
+}
 
 func (e *stubEngine) CascadeStats() (hdc.CascadeStats, bool) { return hdc.CascadeStats{}, false }
-
-func (e *stubEngine) NumRefs() int { return 1 }
-
-func (e *stubEngine) Skipped() int { return 0 }
 
 // flushSteadyStateAllocs is the checked-in baseline for the dispatch
 // flush loop: with the prepared-query scratch owned by the Server

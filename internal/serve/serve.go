@@ -135,11 +135,6 @@ type Server struct {
 	// MaxBatch once and steady-state flushes allocate nothing.
 	preps []core.PreparedQuery
 
-	// traced is the engine's tracing surface when it has one (the
-	// single-store and partitioned engines do), nil otherwise — a nil
-	// traced falls back to the untraced sweep with batch-level stages
-	// only.
-	traced core.TracedSearchEngine
 	// trace and qt are the dispatcher-owned tracing scratch: one Trace
 	// reset per flush (no allocation per batch) and one QueryTrace
 	// record reused per delivered request. batchSeq numbers flushes for
@@ -149,10 +144,9 @@ type Server struct {
 	batchSeq uint64
 }
 
-// New starts the micro-batcher over an engine — the single-store
-// exact engine or the partitioned engine over a mmap-backed manifest;
-// anything satisfying core.SearchEngine. The returned server must be
-// Closed to stop its dispatcher goroutine.
+// New starts the micro-batcher over an engine (*core.Engine, or a
+// test's stand-in). The returned server must be Closed to stop its
+// dispatcher goroutine.
 func New(engine core.SearchEngine, cfg Config) (*Server, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("serve: nil engine")
@@ -165,16 +159,10 @@ func New(engine core.SearchEngine, cfg Config) (*Server, error) {
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	if te, ok := engine.(core.TracedSearchEngine); ok {
-		s.traced = te
-	}
 	s.stats.init(cfg)
 	go s.dispatch()
 	return s, nil
 }
-
-// Engine returns the underlying engine.
-func (s *Server) Engine() core.SearchEngine { return s.engine }
 
 // Search prepares one query in the caller's goroutine (preprocessing,
 // encoding and candidate-range selection parallelize naturally across
@@ -374,13 +362,7 @@ func (s *Server) flush(batch []*request) {
 	tr.Reset()
 	tr.AddNanos(obsv.StageAssemble, int64(time.Since(flushStart)))
 	sweepStart := time.Now()
-	var psms []fdr.PSM
-	var oks []bool
-	if s.traced != nil {
-		psms, oks = s.traced.SearchPreparedTraced(preps, tr)
-	} else {
-		psms, oks = s.engine.SearchPrepared(preps)
-	}
+	psms, oks := s.engine.SearchPreparedTraced(preps, tr)
 	tr.AddNanos(obsv.StageSweep, int64(time.Since(sweepStart)))
 	s.batchSeq++
 	now := time.Now()

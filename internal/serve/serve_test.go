@@ -105,7 +105,7 @@ func TestCascadeServeConcurrent(t *testing.T) {
 	p := core.DefaultParams()
 	p.Accel.D = 1024
 	p.Accel.NumChunks = 64
-	p.PrefilterWords = 2
+	p.Tiers = []int{2}
 	engine, _, err := core.BuildExact(p, ds.Library)
 	if err != nil {
 		t.Fatal(err)
