@@ -6,7 +6,7 @@
 // the packed reference store:
 //
 //	omsd -index lib.omsidx [-addr :8993] [-maxbatch 64] \
-//	     [-maxdelay 1ms] [-maxqueue 4096] [-standard] [-topk 5] \
+//	     [-maxqueue 4096] [-standard] [-topk 5] \
 //	     [-tiers 4,12,112] [-shortlist 0]
 //
 // -index accepts either a single index file or a partition manifest
@@ -81,11 +81,24 @@ import (
 	"repro/internal/libindex"
 )
 
+// Edge timeouts: a client gets readHeaderTimeout to finish its request
+// headers, and a keep-alive connection idleTimeout between requests,
+// before the daemon takes the connection back. Bodies and responses
+// are not timed here — a large MGF upload or a long sweep is legitimate.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the query listener's server over the given handler.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	indexPath := flag.String("index", "", "library index or partition manifest path (required; build with omsbuild)")
 	addr := flag.String("addr", ":8993", "HTTP listen address")
-	maxBatch := flag.Int("maxbatch", 64, "flush a batch at this many coalesced requests")
-	maxDelay := flag.Duration("maxdelay", time.Millisecond, "flush a non-empty batch after this delay")
+	maxBatch := flag.Int("maxbatch", 64, "most queued requests one batched sweep takes")
 	maxQueue := flag.Int("maxqueue", 4096, "admission bound on outstanding requests")
 	standard := flag.Bool("standard", false, "narrow-window standard search instead of open search")
 	topk := flag.Int("topk", 0, "matches retrieved per query (0 = index setting)")
@@ -107,7 +120,6 @@ func main() {
 	cfg := servingConfig{
 		indexPath: *indexPath,
 		maxBatch:  *maxBatch,
-		maxDelay:  *maxDelay,
 		maxQueue:  *maxQueue,
 		standard:  *standard,
 		topk:      *topk,
@@ -127,7 +139,7 @@ func main() {
 			cs.NumTiers(), core.FormatTiers(sv.tiers), sv.shortlist)
 	}
 
-	httpSrv := &http.Server{Handler: withRequestID(d.mux(), *accessLog)}
+	httpSrv := newHTTPServer(withRequestID(d.mux(), *accessLog))
 	ln, err := net.Listen("tcp", *addr)
 	fatalIf(err)
 	if *debugAddr != "" {

@@ -17,7 +17,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fdr"
 	"repro/internal/msdata"
+	"repro/internal/obsv"
 	"repro/internal/serve"
 	"repro/internal/spectrum"
 )
@@ -38,7 +40,7 @@ func testDaemon(t *testing.T) (*daemon, *core.Engine, *msdata.Dataset) {
 		t.Fatal(err)
 	}
 	d := newDaemon(func() (*serving, error) {
-		srv, err := serve.New(engine, serve.Config{MaxBatch: 16, MaxDelay: time.Millisecond})
+		srv, err := serve.New(engine, serve.Config{MaxBatch: 16})
 		if err != nil {
 			return nil, err
 		}
@@ -275,6 +277,61 @@ func TestServeUntilShutdownServeError(t *testing.T) {
 	}
 }
 
+// TestStalledHeadersAreCutOff pins the edge timeout: a connection that
+// never finishes its request headers is closed by the daemon after
+// readHeaderTimeout, and while it stalls a /search on another
+// connection is answered as usual.
+func TestStalledHeadersAreCutOff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the header timeout")
+	}
+	d, _, ds := testDaemon(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan os.Signal, 1)
+	served := make(chan error, 1)
+	go func() { served <- serveUntilShutdown(newHTTPServer(d.mux()), ln, stop, 5*time.Second) }()
+
+	stalled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	start := time.Now()
+	if _, err := io.WriteString(stalled, "POST /search HTTP/1.1\r\nHost: omsd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := spectrum.WriteMGF(&buf, ds.Queries); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+ln.Addr().String()+"/search", "", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/search beside a stalled connection: status %d", resp.StatusCode)
+	}
+
+	// The daemon hangs up without a response; a daemon that waits
+	// forever runs into the read deadline instead.
+	stalled.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	if n, err := stalled.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("stalled connection read %d bytes, err %v; want it closed by the daemon", n, err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout {
+		t.Fatalf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
+	stop <- syscall.SIGTERM
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSearchBadBodies pins 400s for malformed input.
 func TestSearchBadBodies(t *testing.T) {
 	d, _, _ := testDaemon(t)
@@ -301,19 +358,55 @@ func TestSearchBadBodies(t *testing.T) {
 	}
 }
 
+// heldEngine parks every sweep until hold is closed.
+type heldEngine struct {
+	core.SearchEngine
+	hold chan struct{}
+}
+
+func (e heldEngine) SearchPreparedTraced(qs []core.PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool) {
+	<-e.hold
+	return e.SearchEngine.SearchPreparedTraced(qs, tr)
+}
+
 // TestSearchBackpressure pins the queue-full contract: one rejected
 // search anywhere in a body turns the response into a 503 with
 // Retry-After, and the body still carries every query's outcome.
 func TestSearchBackpressure(t *testing.T) {
-	// One admission slot, held for the whole MaxDelay: of a body's
-	// concurrent submissions all but the first few are refused.
-	d, ds := obsvDaemon(t, serve.Config{MaxBatch: 64, MaxDelay: 200 * time.Millisecond, MaxQueue: 1})
+	// One admission slot, held by the first search for as long as its
+	// sweep is parked: of a body's concurrent submissions the others
+	// are refused until the sweep is let go.
+	_, engine, ds := testDaemon(t)
+	held := heldEngine{SearchEngine: engine, hold: make(chan struct{})}
+	srv, err := serve.New(held, serve.Config{MaxBatch: 64, MaxQueue: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDaemon(func() (*serving, error) {
+		return &serving{srv: srv, engine: engine, loaded: time.Now()}, nil
+	})
+	if _, err := d.reload(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.shutdown)
 	var buf bytes.Buffer
 	if err := spectrum.WriteMGF(&buf, ds.Queries); err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	d.mux().ServeHTTP(rec, httptest.NewRequest("POST", "/search", &buf))
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		d.mux().ServeHTTP(rec, httptest.NewRequest("POST", "/search", &buf))
+	}()
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Rejected == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(held.hold)
+			t.Fatal("no search was refused while the only slot was held")
+		}
+	}
+	close(held.hold)
+	<-served
 	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "1" {
 		t.Fatalf("status %d, Retry-After %q; want 503 and 1", rec.Code, rec.Header().Get("Retry-After"))
 	}

@@ -100,7 +100,7 @@ func scrape(t *testing.T, h http.Handler) map[string]*obsv.PromFamily {
 // the right types, and every counter must be monotonic across scrapes
 // with traffic in between.
 func TestMetricsExposition(t *testing.T) {
-	d, ds := obsvDaemon(t, serve.Config{MaxBatch: 16, MaxDelay: time.Millisecond})
+	d, ds := obsvDaemon(t, serve.Config{MaxBatch: 16})
 	mux := d.mux()
 	postQueries(t, mux, ds, nil)
 	fams := scrape(t, mux)
@@ -191,7 +191,7 @@ func TestMetricsCascadeTierFamilies(t *testing.T) {
 	// D=1024 → 16 packed words; the 2,4-word prefix ladder normalizes
 	// to 3 tiers. BitLayout entropy rides along: the permutation must
 	// be invisible to the telemetry surface.
-	d, ds := obsvDaemonParams(t, serve.Config{MaxBatch: 16, MaxDelay: time.Millisecond}, func(p *core.Params) {
+	d, ds := obsvDaemonParams(t, serve.Config{MaxBatch: 16}, func(p *core.Params) {
 		p.Tiers = []int{2, 4}
 		p.BitLayout = core.BitLayoutEntropy
 	})
@@ -257,7 +257,7 @@ func TestMetricsCascadeTierFamilies(t *testing.T) {
 // traffic runs — the scrape path must be race-free against the
 // dispatcher and engine counters (run under -race in CI).
 func TestMetricsConcurrentWithSearch(t *testing.T) {
-	d, ds := obsvDaemon(t, serve.Config{MaxBatch: 16, MaxDelay: time.Millisecond})
+	d, ds := obsvDaemon(t, serve.Config{MaxBatch: 16})
 	mux := d.mux()
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -287,7 +287,7 @@ func TestMetricsConcurrentWithSearch(t *testing.T) {
 // concurrently with generation reloads — pinning that a stats read
 // never tears against a SIGHUP swap (run under -race in CI).
 func TestStatsVsReloadRace(t *testing.T) {
-	d, ds := obsvDaemon(t, serve.Config{MaxBatch: 16, MaxDelay: time.Millisecond})
+	d, ds := obsvDaemon(t, serve.Config{MaxBatch: 16})
 	mux := d.mux()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -355,7 +355,6 @@ func TestStatsVsReloadRace(t *testing.T) {
 func TestSlowestEndpoint(t *testing.T) {
 	d, ds := obsvDaemon(t, serve.Config{
 		MaxBatch:           16,
-		MaxDelay:           time.Millisecond,
 		SlowQueryThreshold: time.Nanosecond,
 	})
 	// Route through the middleware so X-Request-ID lands in traces.

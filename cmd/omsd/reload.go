@@ -18,7 +18,6 @@ import (
 type servingConfig struct {
 	indexPath string
 	maxBatch  int
-	maxDelay  time.Duration
 	maxQueue  int
 	standard  bool
 	topk      int
@@ -120,7 +119,6 @@ func buildServing(cfg servingConfig) (*serving, error) {
 	}
 	sv.srv, err = serve.New(engine, serve.Config{
 		MaxBatch:           cfg.maxBatch,
-		MaxDelay:           cfg.maxDelay,
 		MaxQueue:           cfg.maxQueue,
 		SlowQueryThreshold: cfg.slowQuery,
 		OnSlowQuery:        logSlowQuery,

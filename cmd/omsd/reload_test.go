@@ -77,7 +77,7 @@ func TestReloadSwapConsistency(t *testing.T) {
 		if gen.Add(1)%2 == 0 {
 			engine = engineB
 		}
-		srv, err := serve.New(engine, serve.Config{MaxBatch: 8, MaxDelay: 200 * time.Microsecond})
+		srv, err := serve.New(engine, serve.Config{MaxBatch: 8})
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +219,7 @@ func TestIncrementalReloadSwapConsistency(t *testing.T) {
 	plan[0] = snapshot()
 
 	cfg := servingConfig{
-		indexPath: manifest, maxBatch: 8, maxDelay: 200 * time.Microsecond,
+		indexPath: manifest, maxBatch: 8,
 		maxQueue: 1024, shortlist: -1,
 	}
 	d := newDaemon(func() (*serving, error) { return buildServing(cfg) })

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fdr"
@@ -428,7 +427,7 @@ func TestConformance(t *testing.T) {
 
 			// Served/coalesced path: concurrent submissions through the
 			// micro-batcher must match the oracle regardless of batching.
-			srv, err := serve.New(engine, serve.Config{MaxBatch: 7, MaxDelay: 300 * time.Microsecond})
+			srv, err := serve.New(engine, serve.Config{MaxBatch: 7})
 			if err != nil {
 				t.Fatal(err)
 			}

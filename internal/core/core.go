@@ -16,7 +16,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/accel"
 	"repro/internal/fdr"
@@ -201,32 +204,93 @@ type Library struct {
 	Skipped int
 }
 
+// buildChunk is how many spectra a build worker claims at a time:
+// enough that claiming costs nothing next to encoding them, few
+// enough that a small library still spreads over every CPU.
+const buildChunk = 256
+
 // BuildLibrary preprocesses, vectorizes and encodes the reference
 // spectra. Spectra failing preprocessing are skipped (counted in
-// Skipped), matching library-building practice.
+// Skipped), matching library-building practice; an encode failure is
+// reported for the first failing spectrum in input order.
+//
+// The exact *hdc.Encoder is stateless (request goroutines already
+// share one through Engine.Prepare), so with it the spectra are
+// processed on every CPU, in fixed-size chunks whose results land at
+// their input positions — the library is the same at any GOMAXPROCS.
+// Any other encoder may carry state: the noisy model draws its seeded
+// error stream in encode order, so it gets one worker walking the
+// chunks in input order.
 func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc Encoder) (*Library, error) {
 	if enc == nil {
 		return nil, fmt.Errorf("core: nil encoder")
 	}
-	lib := &Library{}
-	for _, s := range spectra {
-		pre, err := p.Preprocess.Preprocess(s)
-		if err != nil {
-			lib.Skipped++
-			continue
-		}
-		hv, err := enc.EncodeVector(p.Binner.Vectorize(pre))
-		if err != nil {
-			return nil, fmt.Errorf("core: encoding library spectrum %s: %w", s.ID, err)
-		}
-		lib.Entries = append(lib.Entries, LibraryEntry{
-			ID:      s.ID,
-			Peptide: s.Peptide,
-			IsDecoy: s.IsDecoy,
-			Mass:    s.PrecursorMass(),
-		})
-		lib.HVs = append(lib.HVs, hv)
+	numChunks := (len(spectra) + buildChunk - 1) / buildChunk
+	workers := 1
+	if _, stateless := enc.(*hdc.Encoder); stateless {
+		workers = min(runtime.GOMAXPROCS(0), numChunks)
 	}
+	entries := make([]LibraryEntry, len(spectra))
+	hvs := make([]hdc.BinaryHV, len(spectra))
+	kept := make([]bool, len(spectra))
+	errs := make([]error, numChunks)
+	// Chunks are claimed in input order and a claimed chunk is always
+	// finished, so once a chunk fails and claiming stops, every chunk
+	// before it has run: the first non-nil errs entry is the first
+	// failure in input order.
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			c := int(next.Add(1)) - 1
+			if c >= numChunks {
+				return
+			}
+			for i := c * buildChunk; i < min((c+1)*buildChunk, len(spectra)); i++ {
+				s := spectra[i]
+				pre, err := p.Preprocess.Preprocess(s)
+				if err != nil {
+					continue
+				}
+				hvs[i], err = enc.EncodeVector(p.Binner.Vectorize(pre))
+				if err != nil {
+					errs[c] = fmt.Errorf("core: encoding library spectrum %s: %w", s.ID, err)
+					failed.Store(true)
+					break
+				}
+				entries[i] = LibraryEntry{
+					ID:      s.ID,
+					Peptide: s.Peptide,
+					IsDecoy: s.IsDecoy,
+					Mass:    s.PrecursorMass(),
+				}
+				kept[i] = true
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	n := 0
+	for i, ok := range kept {
+		if ok {
+			entries[n], hvs[n] = entries[i], hvs[i]
+			n++
+		}
+	}
+	lib := &Library{Entries: entries[:n], HVs: hvs[:n], Skipped: len(spectra) - n}
 	if len(lib.Entries) == 0 {
 		return nil, fmt.Errorf("core: empty library after preprocessing")
 	}

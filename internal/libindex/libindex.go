@@ -299,12 +299,15 @@ func LoadFile(path string) (core.Params, *core.Library, error) {
 
 // sectionWriter writes fixed-width little-endian fields, capturing the
 // first error so call sites stay linear and counting bytes written so
-// the alignment pad before the words section can be sized.
+// the alignment pad before the words section can be sized. scratch
+// stages strings and word runs; it belongs to the writer, so writing a
+// row allocates nothing once it has grown to the longest one.
 type sectionWriter struct {
-	w   io.Writer
-	err error
-	n   int64
-	buf [8]byte
+	w       io.Writer
+	err     error
+	n       int64
+	buf     [8]byte
+	scratch []byte
 }
 
 func (s *sectionWriter) bytes(b []byte) {
@@ -341,27 +344,21 @@ func (s *sectionWriter) f64(v float64) { s.u64(math.Float64bits(v)) }
 
 func (s *sectionWriter) str(v string) {
 	s.u32(uint32(len(v)))
-	s.bytes([]byte(v))
+	s.scratch = append(s.scratch[:0], v...)
+	s.bytes(s.scratch)
 }
 
-// u64s writes a word slice in chunks through one scratch buffer,
+// u64s writes a word slice in chunks through the scratch buffer,
 // avoiding a per-word Write without materializing the whole section.
 func (s *sectionWriter) u64s(vs []uint64) {
-	if s.err != nil {
-		return
-	}
 	const chunkWords = 8192
-	buf := make([]byte, 0, chunkWords*8)
-	for len(vs) > 0 {
+	for len(vs) > 0 && s.err == nil {
 		c := min(chunkWords, len(vs))
-		buf = buf[:c*8]
-		for i, v := range vs[:c] {
-			binary.LittleEndian.PutUint64(buf[i*8:], v)
+		s.scratch = s.scratch[:0]
+		for _, v := range vs[:c] {
+			s.scratch = binary.LittleEndian.AppendUint64(s.scratch, v)
 		}
-		s.bytes(buf)
-		if s.err != nil {
-			return
-		}
+		s.bytes(s.scratch)
 		vs = vs[c:]
 	}
 }

@@ -2,6 +2,7 @@ package libindex
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -31,4 +32,24 @@ func syntheticLibrary(tb testing.TB, n, d int) (core.Params, *core.Library) {
 		tb.Fatal(err)
 	}
 	return testParams(d, 0, 3), lib
+}
+
+// TestSaveAllocsIndependentOfRows pins that Save stages every row
+// through the writer's one scratch buffer: the number of allocations
+// does not grow with the number of rows (it used to make a 64 KiB
+// buffer per hypervector and a copy per string).
+func TestSaveAllocsIndependentOfRows(t *testing.T) {
+	allocs := func(n int) float64 {
+		p, lib := syntheticLibrary(t, n, 2048)
+		return testing.AllocsPerRun(3, func() {
+			if err := Save(io.Discard, p, lib); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// One allocation per row would be 3000 apart; the slack absorbs the
+	// race detector's own bookkeeping.
+	if small, large := allocs(1000), allocs(4000); large > small+16 {
+		t.Errorf("Save allocates %.0f times for 1000 rows and %.0f for 4000; want the same", small, large)
+	}
 }

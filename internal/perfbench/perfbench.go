@@ -564,7 +564,6 @@ func runServed(o Options) (Point, error) {
 	const clients = 16
 	srv, err := serve.New(engine, serve.Config{
 		MaxBatch: clients,
-		MaxDelay: 200 * time.Microsecond,
 		MaxQueue: 4 * clients,
 	})
 	if err != nil {

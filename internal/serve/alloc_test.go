@@ -50,7 +50,7 @@ func TestFlushAllocationFree(t *testing.T) {
 		t.Skip("allocation counts include race-detector instrumentation")
 	}
 	const batchSize = 64
-	cfg := Config{MaxBatch: batchSize, MaxDelay: time.Millisecond, MaxQueue: 4 * batchSize}.withDefaults()
+	cfg := Config{MaxBatch: batchSize, MaxQueue: 4 * batchSize}.withDefaults()
 	s := &Server{
 		engine: &stubEngine{psms: make([]fdr.PSM, batchSize), oks: make([]bool, batchSize)},
 		cfg:    cfg,

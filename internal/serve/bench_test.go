@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/hdc"
@@ -112,7 +111,7 @@ func BenchmarkServeCoalesced(b *testing.B) {
 	}
 
 	b.Run("coalesced", func(b *testing.B) {
-		srv, err := New(engine, Config{MaxBatch: clients, MaxDelay: 2 * time.Millisecond, MaxQueue: 4 * clients})
+		srv, err := New(engine, Config{MaxBatch: clients, MaxQueue: 4 * clients})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,13 +1,17 @@
 // Package serve is the request-coalescing serving layer over the OMS
 // engine: it accepts individual Search calls from arbitrarily many
-// concurrent goroutines, collects them for a bounded window (max-batch
-// size / max-delay), and flushes each batch through one block-major
-// batched top-k sweep — turning N concurrent single-query requests
-// into the same once-per-batch memory stream the offline batch path
-// enjoys. The paper's deployment story is a resident accelerator that
-// amortizes one expensive library write across millions of searches;
-// this package is the software articulation of that story's serving
-// half.
+// concurrent goroutines and flushes them through one block-major
+// batched top-k sweep per batch — turning N concurrent single-query
+// requests into the same once-per-batch memory stream the offline
+// batch path enjoys. Batching is group commit, not a timed window: the
+// single dispatcher goroutine blocks for a request, takes whatever
+// else is already queued (up to MaxBatch) and sweeps; requests that
+// arrive during a sweep form the next batch. An idle server therefore
+// answers a lone request at once, and batch size rises with load on
+// its own. The paper's deployment story is a resident accelerator that
+// amortizes one expensive library write across millions of searches
+// and answers a query as soon as its rows are activated; this package
+// is the software articulation of that story's serving half.
 //
 // Guarantees:
 //
@@ -51,14 +55,12 @@ var ErrClosed = errors.New("serve: server closed")
 
 // Config tunes the micro-batcher.
 type Config struct {
-	// MaxBatch flushes a batch as soon as it holds this many requests
-	// (default 64 — one full sweep of queries per pass over the packed
-	// store is the knee of the bandwidth-amortization curve).
+	// MaxBatch caps how many queued requests one sweep takes; the rest
+	// wait for the next (default 64 — one full sweep of queries per
+	// pass over the packed store is the knee of the
+	// bandwidth-amortization curve). There is no minimum and no wait:
+	// a batch is whatever was queued when the dispatcher came free.
 	MaxBatch int
-	// MaxDelay flushes a non-empty batch this long after its first
-	// request arrived, bounding the latency cost of coalescing
-	// (default 1ms).
-	MaxDelay time.Duration
 	// MaxQueue bounds outstanding requests — queued plus being scored
 	// — for admission control (default 4096).
 	MaxQueue int
@@ -80,9 +82,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = time.Millisecond
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4096
@@ -270,61 +269,47 @@ func (s *Server) Close() {
 	})
 }
 
-// dispatch is the coalescing loop: it owns the batch under
-// construction and is the only goroutine that touches the engine's
-// batch path, so a flush is one deterministic BatchTopKRange sweep.
+// dispatch is the coalescing loop. It is the only goroutine that
+// touches the engine's batch path, so "no sweep in flight" is simply
+// "the dispatcher is here, blocked": it takes the first request the
+// moment it arrives, adds whatever queued up behind it — while the
+// previous sweep ran — and flushes; no timer is needed to bound the
+// wait because nothing ever waits on an idle dispatcher.
 func (s *Server) dispatch() {
 	defer close(s.done)
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	defer timer.Stop()
-	var batch []*request
-	flush := func() {
-		s.flush(batch)
-		batch = batch[:0]
-	}
+	batch := make([]*request, 0, s.cfg.MaxBatch)
 	for {
 		select {
 		case r := <-s.in:
-			batch = append(batch, r)
-			if len(batch) == 1 {
-				timer.Reset(s.cfg.MaxDelay)
-			}
-			if len(batch) >= s.cfg.MaxBatch {
-				// Go 1.23+ timer semantics: after Stop returns, no stale
-				// expiry is delivered on timer.C, so the next batch
-				// cannot be cut short by this window's timer. The
-				// len(batch) guard below stays as defense in depth.
-				timer.Stop()
-				flush()
-			}
-		case <-timer.C:
-			if len(batch) > 0 {
-				flush()
-			}
+			batch = s.fill(append(batch[:0], r))
+			s.flush(batch)
 		case <-s.quit:
-			// Drain whatever was admitted before shutdown and flush it
-			// in MaxBatch-sized sweeps (the backlog can approach
-			// MaxQueue, and batch sizes — and their histogram — stay
-			// bounded by MaxBatch everywhere); anything submitted after
-			// done closes gets ErrClosed.
+			// Flush whatever was admitted before shutdown, still in
+			// MaxBatch-sized sweeps (the backlog can approach MaxQueue);
+			// anything submitted after done closes gets ErrClosed.
 			for {
-				select {
-				case r := <-s.in:
-					batch = append(batch, r)
-					continue
-				default:
+				batch = s.fill(batch[:0])
+				if len(batch) == 0 {
+					return
 				}
-				break
+				s.flush(batch)
 			}
-			for len(batch) > 0 {
-				c := min(len(batch), s.cfg.MaxBatch)
-				s.flush(batch[:c])
-				batch = batch[c:]
-			}
-			return
 		}
 	}
+}
+
+// fill tops batch up to MaxBatch with requests that are already
+// queued, without waiting for more.
+func (s *Server) fill(batch []*request) []*request {
+	for len(batch) < s.cfg.MaxBatch {
+		select {
+		case r := <-s.in:
+			batch = append(batch, r)
+		default:
+			return batch
+		}
+	}
+	return batch
 }
 
 // flush scores one batch through the engine's batched search and

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fdr"
 	"repro/internal/msdata"
+	"repro/internal/obsv"
 	"repro/internal/spectrum"
 )
 
@@ -50,8 +51,8 @@ func TestSearchMatchesEngine(t *testing.T) {
 	}
 
 	for _, cfg := range []Config{
-		{MaxBatch: 4, MaxDelay: 200 * time.Microsecond},
-		{MaxBatch: 64, MaxDelay: 5 * time.Millisecond},
+		{MaxBatch: 4},
+		{MaxBatch: 64},
 	} {
 		srv, err := New(engine, cfg)
 		if err != nil {
@@ -125,7 +126,7 @@ func TestCascadeServeConcurrent(t *testing.T) {
 		}
 	}
 
-	srv, err := New(engine, Config{MaxBatch: 8, MaxDelay: 500 * time.Microsecond})
+	srv, err := New(engine, Config{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,153 +170,288 @@ func TestCascadeServeConcurrent(t *testing.T) {
 	}
 }
 
-// TestCoalescing pins that concurrent requests actually share batches
-// rather than degenerating to one flush per request.
-func TestCoalescing(t *testing.T) {
-	engine, queries := testEngine(t)
-	const clients = 8
-	srv, err := New(engine, Config{MaxBatch: clients, MaxDelay: 250 * time.Millisecond})
+// gatedEngine wraps an engine so that each sweep announces its batch
+// size and then blocks until released. With no timer to hold a batch
+// open, this is how a test parks requests: the batch that is in the
+// sweep holds the dispatcher, and everything submitted meanwhile
+// queues behind it.
+type gatedEngine struct {
+	core.SearchEngine
+	entered chan int
+	release chan struct{}
+}
+
+func (e *gatedEngine) SearchPreparedTraced(qs []core.PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool) {
+	e.entered <- len(qs)
+	<-e.release
+	return e.SearchEngine.SearchPreparedTraced(qs, tr)
+}
+
+// newGated starts a server over a gated stub engine. At cleanup the
+// gate is held open until Close returns, so a test that fails with
+// sweeps still parked ends all the same.
+func newGated(t *testing.T, cfg Config) (*Server, *gatedEngine) {
+	t.Helper()
+	return newGatedOver(t, &stubEngine{psms: make([]fdr.PSM, 64), oks: make([]bool, 64)}, cfg)
+}
+
+// newGatedOver is newGated with the engine behind the gate supplied.
+func newGatedOver(t *testing.T, inner core.SearchEngine, cfg Config) (*Server, *gatedEngine) {
+	t.Helper()
+	e := &gatedEngine{
+		SearchEngine: inner,
+		// Sized past the number of sweeps any test here runs, so a sweep
+		// whose size the test does not read never blocks on reporting it.
+		entered: make(chan int, 16),
+		release: make(chan struct{}),
+	}
+	srv, err := New(e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(q *spectrum.Spectrum) {
-			defer wg.Done()
-			if _, _, err := srv.Search(context.Background(), q); err != nil {
-				t.Errorf("Search: %v", err)
+	t.Cleanup(func() {
+		go srv.Close()
+		for {
+			select {
+			case e.release <- struct{}{}:
+			case <-srv.done:
+				return
 			}
-		}(queries[i])
-	}
-	wg.Wait()
-	st := srv.Stats()
-	if st.Completed == 0 {
-		t.Fatal("no requests completed")
-	}
-	// All clients were in flight well within the 250ms window, so they
-	// must have been scored in far fewer flushes than requests — with
-	// the full-batch flush triggering at MaxBatch, typically exactly
-	// one.
-	if st.Batches >= st.Completed {
-		t.Fatalf("no coalescing: %d batches for %d completed requests", st.Batches, st.Completed)
-	}
-	if st.MeanBatchSize <= 1 {
-		t.Fatalf("mean batch size %.2f, want > 1", st.MeanBatchSize)
+		}
+	})
+	return srv, e
+}
+
+// submit runs one SearchPrepared on its own goroutine and returns the
+// channel its error arrives on.
+func submit(srv *Server, ctx context.Context, pq core.PreparedQuery) <-chan error {
+	res := make(chan error, 1)
+	go func() {
+		_, _, err := srv.SearchPrepared(ctx, pq)
+		res <- err
+	}()
+	return res
+}
+
+// sweepSize waits for the next sweep to start and returns its batch size.
+func sweepSize(t *testing.T, e *gatedEngine) int {
+	t.Helper()
+	select {
+	case n := <-e.entered:
+		return n
+	case <-time.After(5 * time.Second):
+		t.Fatal("no sweep started")
+		return 0
 	}
 }
 
-// TestQueueFull pins admission control: with MaxQueue outstanding
-// requests parked in the coalescing window, the next submission fails
-// fast with ErrQueueFull.
-func TestQueueFull(t *testing.T) {
-	engine, queries := testEngine(t)
-	srv, err := New(engine, Config{MaxBatch: 64, MaxDelay: time.Minute, MaxQueue: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	prep := func(i int) core.PreparedQuery {
-		for _, q := range queries[i:] {
-			pq, ok, err := engine.Prepare(q)
-			if err == nil && ok {
-				return pq
-			}
-		}
-		t.Fatal("no preparable query")
-		return core.PreparedQuery{}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		pq := prep(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Parked until cancel: the minute-long window keeps the batch open.
-			srv.SearchPrepared(ctx, pq)
-		}()
-	}
-	// Wait for both to be admitted.
+// waitQueued waits until exactly n requests sit in the queue behind
+// the sweep in flight.
+func waitQueued(t *testing.T, srv *Server, n int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().QueueDepth < 2 {
+	for len(srv.in) != n {
 		if time.Now().After(deadline) {
-			t.Fatal("requests never reached the queue")
+			t.Fatalf("%d requests queued, want %d", len(srv.in), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := srv.SearchPrepared(context.Background(), prep(2)); !errors.Is(err, ErrQueueFull) {
+}
+
+// waitBatches waits until n flushes have been recorded: a waiter gets
+// its result before the dispatcher books the batch, so statistics
+// trail the last response by a moment.
+func waitBatches(t *testing.T, srv *Server, n uint64) Stats {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := srv.Stats()
+		if st.Batches == n {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d batches recorded, want %d", st.Batches, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLoneRequestFlushesImmediately pins work conservation: one
+// request on an idle server is swept at once, alone — there is no
+// window it has to wait out.
+func TestLoneRequestFlushesImmediately(t *testing.T) {
+	srv, e := newGated(t, Config{MaxBatch: 64})
+	res := submit(srv, context.Background(), core.PreparedQuery{})
+	if n := sweepSize(t, e); n != 1 {
+		t.Fatalf("lone request swept in a batch of %d", n)
+	}
+	e.release <- struct{}{}
+	if err := <-res; err != nil {
+		t.Fatal(err)
+	}
+	if st := waitBatches(t, srv, 1); st.Completed != 1 {
+		t.Fatalf("%d requests completed, want 1", st.Completed)
+	}
+	if tr := srv.Slowest(); len(tr) != 1 || tr[0].BatchSize != 1 {
+		t.Fatalf("traces %+v, want one with BatchSize 1", tr)
+	}
+}
+
+// TestGroupCommit pins the batching rule: requests submitted while a
+// sweep is in flight come out as the next batch, capped at MaxBatch,
+// the remainder as the one after.
+func TestGroupCommit(t *testing.T) {
+	const maxBatch, n = 4, 6
+	srv, e := newGated(t, Config{MaxBatch: maxBatch})
+	ctx := context.Background()
+	results := []<-chan error{submit(srv, ctx, core.PreparedQuery{})}
+	if got := sweepSize(t, e); got != 1 {
+		t.Fatalf("first sweep took %d requests, want 1", got)
+	}
+	for i := 0; i < n; i++ {
+		results = append(results, submit(srv, ctx, core.PreparedQuery{}))
+	}
+	waitQueued(t, srv, n)
+	for _, want := range []int{maxBatch, n - maxBatch} {
+		e.release <- struct{}{}
+		if got := sweepSize(t, e); got != want {
+			t.Fatalf("sweep took %d requests, want %d", got, want)
+		}
+	}
+	e.release <- struct{}{}
+	for _, res := range results {
+		if err := <-res; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := waitBatches(t, srv, 3); st.Completed != 1+n {
+		t.Fatalf("%d requests completed, want %d", st.Completed, 1+n)
+	}
+}
+
+// TestCoalescing pins group commit end to end on the real engine:
+// requests that arrive while a sweep is in flight share the next one,
+// and the batch statistics say so.
+func TestCoalescing(t *testing.T) {
+	engine, queries := testEngine(t)
+	const clients = 8
+	srv, e := newGatedOver(t, engine, Config{MaxBatch: clients})
+	var results []<-chan error
+	for _, q := range queries {
+		pq, ok, err := engine.Prepare(q)
+		if err != nil || !ok {
+			continue
+		}
+		results = append(results, submit(srv, context.Background(), pq))
+		if len(results) == 1 {
+			sweepSize(t, e) // the first request now holds the dispatcher
+		}
+		if len(results) == clients {
+			break
+		}
+	}
+	if len(results) != clients {
+		t.Fatalf("only %d preparable queries", len(results))
+	}
+	waitQueued(t, srv, clients-1)
+	e.release <- struct{}{}
+	e.release <- struct{}{}
+	for _, res := range results {
+		if err := <-res; err != nil {
+			t.Fatalf("Search: %v", err)
+		}
+	}
+	st := waitBatches(t, srv, 2)
+	if st.Completed != clients {
+		t.Fatalf("%d requests completed, want %d", st.Completed, clients)
+	}
+	if want := float64(clients) / 2; st.MeanBatchSize != want {
+		t.Fatalf("mean batch size %.2f, want %.2f", st.MeanBatchSize, want)
+	}
+}
+
+// TestQueueFull pins admission control: with MaxQueue requests
+// outstanding — one in the sweep, one queued behind it — the next
+// submission fails fast with ErrQueueFull.
+func TestQueueFull(t *testing.T) {
+	srv, e := newGated(t, Config{MaxBatch: 64, MaxQueue: 2})
+	ctx := context.Background()
+	first := submit(srv, ctx, core.PreparedQuery{})
+	sweepSize(t, e)
+	second := submit(srv, ctx, core.PreparedQuery{})
+	waitQueued(t, srv, 1)
+	if _, _, err := srv.SearchPrepared(ctx, core.PreparedQuery{}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third request got %v, want ErrQueueFull", err)
 	}
-	if srv.Stats().Rejected == 0 {
-		t.Fatal("rejection not counted")
+	if srv.Stats().Rejected != 1 {
+		t.Fatalf("rejected count %d, want 1", srv.Stats().Rejected)
 	}
-	cancel()
-	wg.Wait()
+	// The shed request cost the admitted ones nothing.
+	e.release <- struct{}{}
+	e.release <- struct{}{}
+	for _, res := range []<-chan error{first, second} {
+		if err := <-res; err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestContextCancel pins that a waiter whose context ends stops
-// waiting immediately and is counted as canceled.
+// waiting immediately, is counted as canceled, and is skipped by the
+// flush that would have scored it.
 func TestContextCancel(t *testing.T) {
-	engine, queries := testEngine(t)
-	srv, err := New(engine, Config{MaxBatch: 64, MaxDelay: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, _, err = srv.Search(ctx, queries[0])
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("got %v, want DeadlineExceeded", err)
-	}
-	if since := time.Since(start); since > 5*time.Second {
-		t.Fatalf("cancellation took %v", since)
+	srv, e := newGated(t, Config{MaxBatch: 64})
+	first := submit(srv, context.Background(), core.PreparedQuery{})
+	sweepSize(t, e)
+	ctx, cancel := context.WithCancel(context.Background())
+	canceled := submit(srv, ctx, core.PreparedQuery{})
+	waitQueued(t, srv, 1)
+	third := submit(srv, context.Background(), core.PreparedQuery{})
+	waitQueued(t, srv, 2)
+	cancel()
+	// The first sweep is still parked: the waiter leaves without it.
+	if err := <-canceled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if srv.Stats().Canceled != 1 {
 		t.Fatalf("canceled count %d, want 1", srv.Stats().Canceled)
 	}
+	e.release <- struct{}{}
+	if n := sweepSize(t, e); n != 1 {
+		t.Fatalf("sweep after the cancellation took %d requests, want 1 (the canceled slot skipped)", n)
+	}
+	e.release <- struct{}{}
+	for _, res := range []<-chan error{first, third} {
+		if err := <-res; err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
-// TestClose pins shutdown: queued requests are flushed, later ones
-// get ErrClosed, and Close is idempotent.
+// TestClose pins shutdown: the request in the sweep and the one queued
+// behind it are both answered, later ones get ErrClosed, and Close is
+// idempotent.
 func TestClose(t *testing.T) {
-	engine, queries := testEngine(t)
-	srv, err := New(engine, Config{MaxBatch: 64, MaxDelay: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A request parked in the coalescing window is still answered at
-	// shutdown: Close drains and flushes before releasing waiters.
-	type result struct {
-		ok  bool
-		err error
-	}
-	res := make(chan result, 1)
+	srv, e := newGated(t, Config{MaxBatch: 64})
+	ctx := context.Background()
+	first := submit(srv, ctx, core.PreparedQuery{})
+	sweepSize(t, e)
+	second := submit(srv, ctx, core.PreparedQuery{})
+	waitQueued(t, srv, 1)
+	closed := make(chan struct{})
 	go func() {
-		_, ok, err := srv.Search(context.Background(), queries[0])
-		res <- result{ok: ok, err: err}
+		srv.Close()
+		close(closed)
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().QueueDepth == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never queued")
+	e.release <- struct{}{}
+	e.release <- struct{}{}
+	for _, res := range []<-chan error{first, second} {
+		if err := <-res; err != nil {
+			t.Fatalf("admitted request got %v, want flushed result", err)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	srv.Close()
-	r := <-res
-	if r.err != nil {
-		t.Fatalf("queued request got %v, want flushed result", r.err)
-	}
-	if _, _, err := srv.Search(context.Background(), queries[1]); !errors.Is(err, ErrClosed) {
+	<-closed
+	if _, _, err := srv.SearchPrepared(ctx, core.PreparedQuery{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close search got %v, want ErrClosed", err)
 	}
 	srv.Close() // idempotent
@@ -377,7 +513,7 @@ func TestBatchHistogramBucketEdges(t *testing.T) {
 // TestStatsHistograms sanity-checks the histogram plumbing.
 func TestStatsHistograms(t *testing.T) {
 	engine, queries := testEngine(t)
-	srv, err := New(engine, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	srv, err := New(engine, Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +559,7 @@ func TestCloseRacesEnqueue(t *testing.T) {
 		}
 	}
 	for round := 0; round < 8; round++ {
-		srv, err := New(engine, Config{MaxBatch: 8, MaxDelay: 100 * time.Microsecond})
+		srv, err := New(engine, Config{MaxBatch: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

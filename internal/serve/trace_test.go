@@ -28,7 +28,7 @@ func TestRequestIDContext(t *testing.T) {
 // slow ring captured traces with coherent identity and stage timings.
 func TestTraceRecordsReachRing(t *testing.T) {
 	engine, queries := testEngine(t)
-	srv, err := New(engine, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	srv, err := New(engine, Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,6 @@ func TestSlowQueryCallback(t *testing.T) {
 	var seen []obsv.QueryTrace
 	srv, err := New(engine, Config{
 		MaxBatch:           4,
-		MaxDelay:           time.Millisecond,
 		SlowQueryThreshold: time.Nanosecond,
 		OnSlowQuery: func(qt obsv.QueryTrace) {
 			mu.Lock()
@@ -149,7 +148,6 @@ func TestNoThresholdNoCallback(t *testing.T) {
 	called := false
 	srv, err := New(engine, Config{
 		MaxBatch:    4,
-		MaxDelay:    time.Millisecond,
 		OnSlowQuery: func(obsv.QueryTrace) { called = true },
 	})
 	if err != nil {
@@ -176,7 +174,7 @@ func TestNoThresholdNoCallback(t *testing.T) {
 // and rows counters move when the engine reports them.
 func TestStageTotalsAccumulate(t *testing.T) {
 	engine, queries := testEngine(t)
-	srv, err := New(engine, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	srv, err := New(engine, Config{MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

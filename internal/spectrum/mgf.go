@@ -2,10 +2,12 @@ package spectrum
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // This file implements a reader and writer for the Mascot Generic
@@ -58,17 +60,19 @@ func ReadMGF(r io.Reader) ([]*Spectrum, error) {
 	)
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		// Lines stay bytes: a peak line — nearly every line of a library
+		// — is split and parsed in place; only headers become strings.
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
 		switch {
-		case line == "BEGIN IONS":
+		case string(line) == "BEGIN IONS":
 			if cur != nil {
 				return nil, fmt.Errorf("mgf line %d: nested BEGIN IONS", lineNo)
 			}
 			cur = &Spectrum{Charge: 1}
-		case line == "END IONS":
+		case string(line) == "END IONS":
 			if cur == nil {
 				return nil, fmt.Errorf("mgf line %d: END IONS without BEGIN", lineNo)
 			}
@@ -77,8 +81,8 @@ func ReadMGF(r io.Reader) ([]*Spectrum, error) {
 			cur = nil
 		case cur == nil:
 			// Global headers outside blocks are permitted and ignored.
-		case strings.Contains(line, "="):
-			key, val, _ := strings.Cut(line, "=")
+		case bytes.IndexByte(line, '=') >= 0:
+			key, val, _ := strings.Cut(string(line), "=")
 			if err := applyHeader(cur, strings.ToUpper(key), val); err != nil {
 				return nil, fmt.Errorf("mgf line %d: %v", lineNo, err)
 			}
@@ -133,18 +137,26 @@ func applyHeader(s *Spectrum, key, val string) error {
 	return nil
 }
 
-func parsePeakLine(line string) (Peak, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 2 {
+// parsePeakLine parses the first two whitespace-separated fields of a
+// trimmed line as m/z and intensity; further fields are ignored. The
+// string conversions do not escape (strconv copies what its errors
+// quote), so a well-formed line allocates nothing.
+func parsePeakLine(line []byte) (Peak, error) {
+	i := bytes.IndexFunc(line, unicode.IsSpace)
+	if i < 0 {
 		return Peak{}, fmt.Errorf("bad peak line %q", line)
 	}
-	mz, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return Peak{}, fmt.Errorf("bad m/z %q: %v", fields[0], err)
+	mzField, inField := line[:i], bytes.TrimLeftFunc(line[i:], unicode.IsSpace)
+	if j := bytes.IndexFunc(inField, unicode.IsSpace); j >= 0 {
+		inField = inField[:j]
 	}
-	in, err := strconv.ParseFloat(fields[1], 64)
+	mz, err := strconv.ParseFloat(string(mzField), 64)
 	if err != nil {
-		return Peak{}, fmt.Errorf("bad intensity %q: %v", fields[1], err)
+		return Peak{}, fmt.Errorf("bad m/z %q: %v", mzField, err)
+	}
+	in, err := strconv.ParseFloat(string(inField), 64)
+	if err != nil {
+		return Peak{}, fmt.Errorf("bad intensity %q: %v", inField, err)
 	}
 	return Peak{MZ: mz, Intensity: in}, nil
 }

@@ -152,7 +152,7 @@ func ReadMSP(r io.Reader) ([]*Spectrum, error) {
 		case strings.Contains(line, ":"):
 			// Unknown header: ignored for forward compatibility.
 		default:
-			p, err := parsePeakLine(line)
+			p, err := parsePeakLine([]byte(line))
 			if err != nil {
 				return nil, fmt.Errorf("msp line %d: %v", lineNo, err)
 			}
