@@ -12,6 +12,7 @@ package repro
 import (
 	"container/heap"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -354,6 +355,73 @@ func BenchmarkOpenSearchBatch(b *testing.B) {
 		s.BatchTopKRange(queries, ranges, 5)
 	}
 	b.ReportMetric(float64(nQueries), "queries/op")
+}
+
+// seedScoreRows replicates the scalar scoring kernel every sweep ran
+// before the AVX-512 one (hdc's Go reference keeps the same loop, and
+// is what `dispatch` measures under -tags purego): 8-way unrolled
+// XOR+popcount with two accumulators. It is BenchmarkSweepKernel's
+// fixed baseline.
+func seedScoreRows(qw, packed []uint64, words, rows, d int, sims []int) {
+	for r := 0; r < rows; r++ {
+		row := packed[r*words : (r+1)*words]
+		var d0, d1 int
+		i := 0
+		for ; i+8 <= len(row); i += 8 {
+			x := (*[8]uint64)(row[i:])
+			y := (*[8]uint64)(qw[i:])
+			d0 += bits.OnesCount64(x[0]^y[0]) + bits.OnesCount64(x[1]^y[1]) +
+				bits.OnesCount64(x[2]^y[2]) + bits.OnesCount64(x[3]^y[3])
+			d1 += bits.OnesCount64(x[4]^y[4]) + bits.OnesCount64(x[5]^y[5]) +
+				bits.OnesCount64(x[6]^y[6]) + bits.OnesCount64(x[7]^y[7])
+		}
+		for ; i < len(row); i++ {
+			d0 += bits.OnesCount64(row[i] ^ qw[i])
+		}
+		sims[r] = d - (d0 + d1)
+	}
+}
+
+// BenchmarkSweepKernel holds the XOR+popcount kernel against the
+// machine at the sweep's own shape: one L1-resident 16 KiB row block
+// scored by 48 queries in turn, at the row widths the layouts use (8-
+// and 24-word ladder tiers, 32 words = D 2048, 128 words = D 8192).
+// `go` is the scalar loop, `dispatch` whatever hdc selected at init
+// (hdc.KernelName), reached the way a sweep reaches it — one
+// SimilaritiesRangeInto call per (block, query). Both report ns per
+// XOR+popcount word, the roofline figure bench/'s
+// hdc.sweep_ns_per_word is read against.
+func BenchmarkSweepKernel(b *testing.B) {
+	const blockBytes, nQueries = 16 << 10, 48
+	for _, words := range []int{8, 24, 32, 128} {
+		d, rows := 64*words, blockBytes/(8*words)
+		refs, queries := batchBenchInputs(b, d, rows, nQueries)
+		packed := make([]uint64, 0, rows*words)
+		for _, r := range refs {
+			packed = append(packed, r.Words...)
+		}
+		s, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sims := make([]int, rows)
+		for _, k := range []struct {
+			name  string
+			score func(q hdc.BinaryHV)
+		}{
+			{"go", func(q hdc.BinaryHV) { seedScoreRows(q.Words, packed, words, rows, d, sims) }},
+			{"dispatch", func(q hdc.BinaryHV) { sims = s.SimilaritiesRangeInto(q, 0, rows, sims) }},
+		} {
+			b.Run(fmt.Sprintf("%s/words%d", k.name, words), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, q := range queries {
+						k.score(q)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nQueries*rows*words), "ns/word")
+			})
+		}
+	}
 }
 
 // BenchmarkCascadeTopKRange measures the two-tier pruned cascade

@@ -78,6 +78,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hdc"
 	"repro/internal/libindex"
 )
 
@@ -131,7 +132,7 @@ func main() {
 	start := time.Now()
 	sv, err := d.reload()
 	fatalIf(err)
-	fmt.Fprintf(os.Stderr, "omsd: loaded %s, engine up in %v\n", sv.desc, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "omsd: loaded %s, engine up in %v, sweep kernel %s\n", sv.desc, time.Since(start).Round(time.Millisecond), hdc.KernelName())
 	// Report the effective layout (the searcher falls back to
 	// single-tier when the configured ladder covers a row in one tier).
 	if cs, cascadeOn := sv.engine.CascadeStats(); cascadeOn {

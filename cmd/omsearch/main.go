@@ -51,6 +51,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fdr"
+	"repro/internal/hdc"
 	"repro/internal/libindex"
 	"repro/internal/spectrum"
 )
@@ -165,8 +166,8 @@ func main() {
 
 	fatalIf(writePSMs(os.Stdout, res))
 	fmt.Fprintf(os.Stderr,
-		"omsearch: %d queries, %d library spectra (%d skipped), %d identifications at FDR %.2g\n",
-		len(queries), engine.NumRefs(), engine.Skipped(), len(res.Accepted), *alpha)
+		"omsearch: %d queries, %d library spectra (%d skipped), %d identifications at FDR %.2g, sweep kernel %s\n",
+		len(queries), engine.NumRefs(), engine.Skipped(), len(res.Accepted), *alpha, hdc.KernelName())
 	if cs, ok := engine.CascadeStats(); ok {
 		fmt.Fprintf(os.Stderr,
 			"omsearch: %d-tier cascade pruned %.1f%% of %d tier-0 rows (%d completed)\n",

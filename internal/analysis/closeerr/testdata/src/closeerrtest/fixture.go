@@ -58,3 +58,7 @@ func allowed(c conn) {
 func unknownDirective(c conn) {
 	_ = c.Close() //oms:allow(nosuchcheck) typo // want `unknown analyzer "nosuchcheck" in //oms:allow directive`
 }
+
+// assemblyBacked has no body (the shape of hdc's AVX-512 kernel): there
+// is no control flow to build and nothing to report.
+func assemblyBacked(qw, packed []uint64, dst []int)

@@ -2,14 +2,16 @@
 // scoring kernels: a function annotated `//oms:hotpath` in its doc
 // comment must not allocate in steady state.
 //
-// The scoreRows family, tier-B completion and the serve flush loop run
-// per query batch at full occupancy — an allocation there is not a
-// cost, it is a GC treadmill that turns the cascade's microsecond
-// budget into millisecond pauses, and ROADMAP item 1 (SIMD dispatch)
-// is about to multiply these bodies across ISAs. The benchmarks gate
-// allocs/op dynamically (testing.AllocsPerRun; -benchmem in CI); this
-// analyzer is the static side of the same contract, so a regression is
-// caught at vet time, on every build, for every dispatch variant.
+// The xorPopRows kernel wrapper and its Go reference, the ladder
+// completions and the serve flush loop run per query batch at full
+// occupancy — an allocation there is not a cost, it is a GC treadmill
+// that turns the cascade's microsecond budget into millisecond pauses.
+// The benchmarks gate allocs/op dynamically (testing.AllocsPerRun;
+// -benchmem in CI); this analyzer is the static side of the same
+// contract, so a regression is caught at vet time, on every build. The
+// kernel's one ISA variant (hdc's AVX-512 assembly) is a body-less
+// declaration: it cannot allocate and there is nothing to walk, so the
+// analyzer skips it and checks the Go wrapper that dispatches to it.
 //
 // Inside an annotated function the analyzer flags every construct that
 // allocates on Go's managed heap:

@@ -158,3 +158,9 @@ func hotPointerShapedIsFine(m *match, fn func()) any {
 func hotAllowedGrowth(dst []int16, v int16) []int16 {
 	return append(dst, v) //oms:allow(hotalloc) amortized growth measured at <1 alloc per 10k calls
 }
+
+// hotAssembly is an assembly-backed hot-path declaration (the shape of
+// hdc's AVX-512 kernel): no body to walk, nothing to report.
+//
+//oms:hotpath
+func hotAssembly(qw, packed []uint64, dst []int)

@@ -66,3 +66,7 @@ func freshCopyIsWritable(ix *libindex.Index) []uint64 {
 func allowedTransfer(ix *libindex.Index, h *holder) {
 	h.block = ix.Words() //oms:allow(mmapwrite) fixture: documented ownership transfer
 }
+
+// assemblyBacked has no body (the shape of hdc's AVX-512 kernel): there
+// is no control flow to build and nothing to report.
+func assemblyBacked(qw, packed []uint64, dst []int)

@@ -141,3 +141,7 @@ func allowedUseAfterClose(ix *libindex.Index) uint64 {
 	ix.Close()
 	return w[0] //oms:allow(unmaplife) fixture: documented intentional read of poisoned view
 }
+
+// assemblyBacked has no body (the shape of hdc's AVX-512 kernel): there
+// is no control flow to build and nothing to report.
+func assemblyBacked(qw, packed []uint64, dst []int)

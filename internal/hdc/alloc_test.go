@@ -15,7 +15,7 @@ import (
 // SimilaritiesRangeInto over a reused buffer, single- or multi-tier —
 // must be allocation-free in steady state: it runs per query batch at
 // full occupancy, and the //oms:hotpath contract on its kernels
-// (scoreRows, distRow*, scoreBlockSims, the heap primitives) is
+// (xorPopRows and its Go kernel, scoreBlockSims, the heap primitives) is
 // enforced statically by omsvet's hotalloc analyzer. The top-k sweep
 // additionally materializes its result lists; that inherent per-call
 // cost is pinned exactly so scratch-reuse regressions (heap regrowth,

@@ -15,8 +15,19 @@ import (
 // the batch reversed — each with and without a trace, on one worker
 // and on several — must return lists identical to the flat-scan
 // oracle. The ranges include ones that clamp, are empty or inverted,
-// hold fewer than k rows, sit inside one shard, and span many.
+// hold fewer than k rows, sit inside one shard, and span many. The
+// whole matrix then runs again under go-kernel/ with the package's
+// kernel value swapped to the Go reference, so one `go test` run holds
+// both kernels to the oracle, not only a -tags purego run.
 func TestOnePathMatrix(t *testing.T) {
+	onePathMatrix(t)
+	t.Run("go-kernel", func(t *testing.T) {
+		useGoKernel(t)
+		onePathMatrix(t)
+	})
+}
+
+func onePathMatrix(t *testing.T) {
 	const d, n = 512, 700
 	words := WordsPerHV(d) // 8
 	layouts := []struct {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -239,6 +238,17 @@ func (s *ShardedSearcher) qtier(qw []uint64, t int) []uint64 {
 	return qw[s.off[t] : s.off[t]+s.tw[t]]
 }
 
+// addTierDist accumulates into acc[0] the distance between the tier-t
+// query words qt and shard row's tier-t words — the ladder's one-row
+// completion step. acc must be heap-backed scratch: the kernel is
+// called through a function value, which escape analysis cannot see
+// past.
+//
+//oms:hotpath
+func (s *ShardedSearcher) addTierDist(qt []uint64, sh *shard, t, row int, acc []int) {
+	xorPopRows(qt, sh.planes[t][row*s.stride[t]:], s.stride[t], s.tw[t], 1, acc, true)
+}
+
 // multiTier reports whether the store is word-sliced into a cascade
 // ladder (K >= 2).
 func (s *ShardedSearcher) multiTier() bool { return len(s.tw) > 1 }
@@ -442,102 +452,14 @@ func (s *ShardedSearcher) PackedRow(i int) []uint64 {
 	return out
 }
 
-// scoreRows is the XOR+popcount kernel: it scores rows [0, rows) of a
-// packed block against the query words, writing Hamming similarities
-// into sims. The word loop is 8-way unrolled through array pointers
-// (one bounds check per stride) with two accumulators so the popcounts
-// pipeline.
-//
-//oms:hotpath
-func scoreRows(qw, packed []uint64, words, rows, d int, sims []int) {
-	for r := 0; r < rows; r++ {
-		base := r * words
-		row := packed[base : base+words]
-		var d0, d1 int
-		i := 0
-		for ; i+8 <= len(row); i += 8 {
-			x := (*[8]uint64)(row[i:])
-			y := (*[8]uint64)(qw[i:])
-			d0 += bits.OnesCount64(x[0]^y[0]) +
-				bits.OnesCount64(x[1]^y[1]) +
-				bits.OnesCount64(x[2]^y[2]) +
-				bits.OnesCount64(x[3]^y[3])
-			d1 += bits.OnesCount64(x[4]^y[4]) +
-				bits.OnesCount64(x[5]^y[5]) +
-				bits.OnesCount64(x[6]^y[6]) +
-				bits.OnesCount64(x[7]^y[7])
-		}
-		for ; i < len(row); i++ {
-			d0 += bits.OnesCount64(row[i] ^ qw[i])
-		}
-		sims[r] = d - (d0 + d1)
-	}
-}
-
-// distRow is the single-row XOR+popcount distance over one packed
-// word segment (same unroll as scoreRows). It is the tier-descent
-// completion kernel.
-//
-//oms:hotpath
-func distRow(qw, row []uint64) int {
-	var d0, d1 int
-	i := 0
-	for ; i+8 <= len(row); i += 8 {
-		x := (*[8]uint64)(row[i:])
-		y := (*[8]uint64)(qw[i:])
-		d0 += bits.OnesCount64(x[0]^y[0]) +
-			bits.OnesCount64(x[1]^y[1]) +
-			bits.OnesCount64(x[2]^y[2]) +
-			bits.OnesCount64(x[3]^y[3])
-		d1 += bits.OnesCount64(x[4]^y[4]) +
-			bits.OnesCount64(x[5]^y[5]) +
-			bits.OnesCount64(x[6]^y[6]) +
-			bits.OnesCount64(x[7]^y[7])
-	}
-	for ; i < len(row); i++ {
-		d0 += bits.OnesCount64(row[i] ^ qw[i])
-	}
-	return d0 + d1
-}
-
-// distRows writes the Hamming distances of rows [0, rows) of a packed
-// block (row stride words) against qw into dist — the tier-0
-// prefilter kernel.
-//
-//oms:hotpath
-func distRows(qw, packed []uint64, words, rows int, dist []int) {
-	for r := 0; r < rows; r++ {
-		base := r * words
-		dist[r] = distRow(qw, packed[base:base+words])
-	}
-}
-
-// distRowsAdd accumulates the distances of a deeper tier on top of
-// dist — one rung of a full-similarity block score. stride is the row
-// stride within packed, width the words scored per row (stride >
-// width walks a tier view over a full-width block).
-//
-//oms:hotpath
-func distRowsAdd(qw, packed []uint64, stride, width, rows int, dist []int) {
-	for r := 0; r < rows; r++ {
-		base := r * stride
-		dist[r] += distRow(qw, packed[base:base+width])
-	}
-}
-
 // scoreBlockSims writes full Hamming similarities for shard rows
-// [r0, r0+rows) into sims: the single-tier kernel directly, or — under
-// a tiered layout — one pass per tier with the distances summed.
+// [r0, r0+rows) into sims: one xorPopRows pass per tier with the
+// distances summed (a single-tier layout is a ladder of one).
 //
 //oms:hotpath
 func (s *ShardedSearcher) scoreBlockSims(qw []uint64, sh *shard, r0, rows int, sims []int) {
-	if !s.multiTier() {
-		scoreRows(qw, sh.planes[0][r0*s.tw[0]:], s.tw[0], rows, s.d, sims)
-		return
-	}
-	distRows(s.qtier(qw, 0), sh.planes[0][r0*s.stride[0]:], s.stride[0], rows, sims)
-	for t := 1; t < len(s.tw); t++ {
-		distRowsAdd(s.qtier(qw, t), sh.planes[t][r0*s.stride[t]:], s.stride[t], s.tw[t], rows, sims)
+	for t := range s.tw {
+		xorPopRows(s.qtier(qw, t), sh.planes[t][r0*s.stride[t]:], s.stride[t], s.tw[t], rows, sims, t > 0)
 	}
 	for r := 0; r < rows; r++ {
 		sims[r] = s.d - sims[r]
@@ -721,17 +643,16 @@ func sortedMatches(h []Match) []Match {
 // completeRow finishes a shortlisted tier-0 partial match (Similarity
 // carries the negated partial distance) into a full-similarity match
 // by scoring the row's remaining tiers. qw is the full query word
-// row.
+// row, acc one word of scratch for the running distance.
 //
 //oms:hotpath
-func (s *ShardedSearcher) completeRow(qw []uint64, pm Match) Match {
+func (s *ShardedSearcher) completeRow(qw []uint64, pm Match, acc []int) Match {
 	sh := &s.shards[pm.Index/s.shardSize]
-	row := pm.Index - sh.start
-	full := -pm.Similarity
+	acc[0] = -pm.Similarity
 	for t := 1; t < len(s.tw); t++ {
-		full += distRow(s.qtier(qw, t), s.tierRow(sh, t, row))
+		s.addTierDist(s.qtier(qw, t), sh, t, pm.Index-sh.start, acc)
 	}
-	return Match{Index: pm.Index, Similarity: s.d - full}
+	return Match{Index: pm.Index, Similarity: s.d - acc[0]}
 }
 
 // rangeQuery is one active query of a batch: a clamped, non-empty row
@@ -912,9 +833,10 @@ func (s *ShardedSearcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowR
 				ct0 = time.Now()
 			}
 			qw := queries[pq.qi].Words
+			b.local.sims = grown(b.local.sims, 1)
 			top := h[:0]
 			for _, pm := range h {
-				top = offerTopK(top, s.completeRow(qw, pm), k)
+				top = offerTopK(top, s.completeRow(qw, pm, b.local.sims), k)
 			}
 			completed += uint64(len(h))
 			h = top
@@ -1002,13 +924,14 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 			qw := b.queries[b.plan[sq.j].qi].Words
 			vals := sc.sims[:r1-r0]
 			sc.tcnt[0] += uint64(len(vals))
-			rows := plane0[(r0-shLo)*stride0:]
+			xorPopRows(s.qtier(qw, 0), plane0[(r0-shLo)*stride0:], stride0, s.tw[0], len(vals), vals, false)
 			if nt == 1 {
-				scoreRows(qw, rows, stride0, len(vals), s.d, vals)
+				for i, dist := range vals {
+					vals[i] = s.d - dist
+				}
 				sq.heap = offerBlock(sq.heap, vals, r0, b.k)
 				continue
 			}
-			distRows(s.qtier(qw, 0), rows, stride0, len(vals), vals)
 			if s.shortlist > 0 {
 				for i, da := range vals {
 					vals[i] = -da
@@ -1083,9 +1006,8 @@ func (s *ShardedSearcher) descendBlock(sh *shard, qw []uint64, r0 int, dists []i
 		qt := s.qtier(qw, t)
 		w := 0
 		for _, x := range surv {
-			nd := dists[x] + distRow(qt, s.tierRow(sh, t, r0+int(x)-sh.start))
-			if int64(nd) <= db {
-				dists[x] = nd
+			s.addTierDist(qt, sh, t, r0+int(x)-sh.start, dists[x:x+1])
+			if int64(dists[x]) <= db {
 				surv[w] = x
 				w++
 			}
@@ -1108,8 +1030,8 @@ func (s *ShardedSearcher) descendBlock(sh *shard, qw []uint64, r0 int, dists []i
 				continue
 			}
 			sc.tcnt[last]++
-			full := dists[x] + distRow(qt, s.tierRow(sh, last, r0+int(x)-sh.start))
-			h = offerTopK(h, Match{Index: r0 + int(x), Similarity: s.d - full}, k)
+			s.addTierDist(qt, sh, last, r0+int(x)-sh.start, dists[x:x+1])
+			h = offerTopK(h, Match{Index: r0 + int(x), Similarity: s.d - dists[x]}, k)
 			if len(h) == k {
 				if l := int64(s.d - h[0].Similarity); l < local {
 					local = l
