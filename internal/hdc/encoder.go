@@ -19,7 +19,8 @@ type Encoder struct {
 	IDs *ItemMemory
 	// Levels is the level hypervector set.
 	Levels LevelSet
-	// lv is the Q levels' packed words back to back, for the kernel.
+	// lv is the Q levels' packed words back to back, each level padded
+	// with zero words to whole plane groups, for the kernel.
 	lv []uint64
 }
 
@@ -31,8 +32,10 @@ func NewEncoder(ids *ItemMemory, levels LevelSet) (*Encoder, error) {
 			ids.D, levels.D())
 	}
 	e := &Encoder{IDs: ids, Levels: levels}
+	stride := groupsPerHV(WordsPerHV(ids.D)) * groupWords
+	e.lv = make([]uint64, levels.Q()*stride)
 	for j := 0; j < levels.Q(); j++ {
-		e.lv = append(e.lv, levels.Level(j).Words...)
+		copy(e.lv[j*stride:], levels.Level(j).Words)
 	}
 	return e, nil
 }
@@ -83,52 +86,97 @@ func (e *Encoder) Encode(peaks []spectrum.QuantizedPeak) (BinaryHV, error) {
 	return h, nil
 }
 
-// signedSumWords is the bit-sliced ID-Level kernel (DESIGN.md §5):
-// out[w] receives Sign(Σ ID ⊗ LV) for the 64 dimensions of word w,
-// every word-op working on all 64. planes is an ItemMemory's plane
-// store, lv a level table of len(out) words per level; bins are
-// already range-checked, levels clamped here. Per peak, the level
-// word selects each dimension's offset product o±id from the planes
-// and a ripple-carry adder adds it into a vertical counter (plane k
-// holds bit k of the 64 running sums): full adders on the low four
-// planes, then a half-adder chain until the carry word is zero. The
-// sums are acc+o·P ≤ 2o·P for P peaks; comparing them, top plane
-// down, against o·P gives the acc>0 and acc==0 lanes, and the
-// even-dimension mask on the latter is Sign's tie-break.
+// signedSumWords is the bit-sliced ID-Level primitive (DESIGN.md §5):
+// out[w] receives Sign(Σ ID ⊗ LV) for the 64 dimensions of word w.
+// planes is a group-major plane store (ItemMemory), lv a level table
+// of whole groups per level; levels are clamped by the kernel. Like
+// xorPopRows it forwards to the package's kernel value —
+// signedSumWordsGo unless kernel_amd64.go's init found the AVX-512 one
+// — after holding the geometry to the stores' lengths, so a bin outside
+// the plane store or an empty level table panics here, in Go, and an
+// assembly kernel needs no bounds checks of its own.
 //
 //oms:hotpath
 func signedSumWords(out, planes, lv []uint64, precision int, peaks []spectrum.QuantizedPeak) {
-	words := len(out)
-	top := len(lv)/words - 1
+	groups := groupsPerHV(len(out))
+	if len(lv) < groups*groupWords {
+		panic("hdc: level table shorter than one level")
+	}
+	bins := len(planes) / (groups * idGroupWords)
+	for _, p := range peaks {
+		if uint(p.Bin) >= uint(bins) {
+			panic("hdc: peak bin outside the plane store")
+		}
+	}
+	signedSumKernel(out, planes, lv, precision, peaks)
+}
+
+// signedSumBlock is how many peaks signedSumWordsGo adds into one word
+// before moving to the group's next: their plane groups (64 bytes per
+// plane, 512 per peak) stay in L1 while the other seven words read them.
+const signedSumBlock = 32
+
+// signedSumWordsGo is the reference kernel and the fallback everywhere
+// the assembly is not, every word-op working on 64 dimensions. Per
+// peak, the level word selects each dimension's offset product o±id
+// from the planes and a ripple-carry adder adds it into a vertical
+// counter (plane k holds bit k of the 64 running sums): full adders on
+// the low four planes, then a half-adder chain until the carry word is
+// zero. The walk is group-outer, then signedSumBlock peaks at a time,
+// then word: a plane group's eight cache lines each hold one plane of
+// all eight words, so a word-outer walk would touch all eight per
+// (peak, word); the counters of the group's words wait in cnt between
+// blocks. The sums are acc+o·P ≤ 2o·P for P peaks; comparing them, top
+// plane down, against o·P gives the acc>0 and acc==0 lanes, and the
+// even-dimension mask on the latter is Sign's tie-break.
+//
+//oms:hotpath
+func signedSumWordsGo(out, planes, lv []uint64, precision int, peaks []spectrum.QuantizedPeak) {
+	groups := groupsPerHV(len(out))
+	lvStride := groups * groupWords
+	top := len(lv)/lvStride - 1
 	maxSum := uint64(len(peaks)) << precision
-	for w := range out {
-		var c0, c1, c2, c3 uint64
-		var cnt [64]uint64 // planes 4 and up while adding, all planes for the compare
-		for _, p := range peaks {
-			l := lv[min(max(p.Level, 0), top)*words+w]
-			g := planes[(p.Bin*words+w)*idPlaneWords:][:idPlaneWords]
-			a0, a1 := g[0]^g[4]&l, g[1]^g[5]&l
-			a2, a3 := g[2]^g[6]&l, g[3]^g[7]&l
-			carry := c0 & a0
-			c0 ^= a0
-			t := c1 ^ a1
-			c1, carry = t^carry, c1&a1|t&carry
-			t = c2 ^ a2
-			c2, carry = t^carry, c2&a2|t&carry
-			t = c3 ^ a3
-			c3, carry = t^carry, c3&a3|t&carry
-			for k := 4; carry != 0; k++ {
-				cnt[k&63], carry = cnt[k&63]^carry, cnt[k&63]&carry
+	for g := 0; g < groups; g++ {
+		outg := out[g*groupWords : min((g+1)*groupWords, len(out))]
+		var cnt [groupWords][64]uint64 // per word: the vertical counter, plane by plane
+		for lo := 0; lo < len(peaks); lo += signedSumBlock {
+			block := peaks[lo:min(lo+signedSumBlock, len(peaks))]
+			for w := range outg {
+				w &= groupWords - 1 // no-op (len(outg) <= groupWords) that lets the compiler drop the bounds checks
+				c := &cnt[w]
+				c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+				for _, p := range block {
+					l := lv[min(max(p.Level, 0), top)*lvStride+g*groupWords+w]
+					pg := (*[idGroupWords]uint64)(planes[(p.Bin*groups+g)*idGroupWords:])
+					a0 := pg[0*groupWords+w] ^ pg[4*groupWords+w]&l
+					a1 := pg[1*groupWords+w] ^ pg[5*groupWords+w]&l
+					a2 := pg[2*groupWords+w] ^ pg[6*groupWords+w]&l
+					a3 := pg[3*groupWords+w] ^ pg[7*groupWords+w]&l
+					carry := c0 & a0
+					c0 ^= a0
+					t := c1 ^ a1
+					c1, carry = t^carry, c1&a1|t&carry
+					t = c2 ^ a2
+					c2, carry = t^carry, c2&a2|t&carry
+					t = c3 ^ a3
+					c3, carry = t^carry, c3&a3|t&carry
+					for k := 4; carry != 0; k++ {
+						c[k&63], carry = c[k&63]^carry, c[k&63]&carry
+					}
+				}
+				c[0], c[1], c[2], c[3] = c0, c1, c2, c3
 			}
 		}
-		cnt[0], cnt[1], cnt[2], cnt[3] = c0, c1, c2, c3
-		gt, eq := uint64(0), ^uint64(0)
-		for k := bits.Len64(maxSum) - 1; k >= 0; k-- {
-			m := -(maxSum >> (k + 1) & 1) // bit k of o·P, spread over the lanes
-			gt |= eq & cnt[k] &^ m
-			eq &^= cnt[k] ^ m
+		for w := range outg {
+			c := &cnt[w&(groupWords-1)]
+			gt, eq := uint64(0), ^uint64(0)
+			for k := bits.Len64(maxSum) - 1; k >= 0; k-- {
+				m := -(maxSum >> (k + 1) & 1) // bit k of o·P, spread over the lanes
+				gt |= eq & c[k] &^ m
+				eq &^= c[k] ^ m
+			}
+			outg[w] = gt | eq&0x5555555555555555
 		}
-		out[w] = gt | eq&0x5555555555555555
 	}
 }
 

@@ -220,6 +220,25 @@ func TestChunkedEncoderEquivalentQuality(t *testing.T) {
 	}
 }
 
+// useGoEncodeKernel swaps the encoder's kernel value to the Go
+// reference for the rest of the test.
+func useGoEncodeKernel(t *testing.T) {
+	prev := signedSumKernel
+	signedSumKernel = signedSumWordsGo
+	t.Cleanup(func() { signedSumKernel = prev })
+}
+
+// onBothEncodeKernels runs f under the dispatched kernel, then under
+// the Go kernel swapped in (the same kernel twice on a box or build
+// without the assembly).
+func onBothEncodeKernels(t *testing.T, f func(t *testing.T)) {
+	t.Run("dispatched", f)
+	t.Run("go", func(t *testing.T) {
+		useGoEncodeKernel(t)
+		f(t)
+	})
+}
+
 // matchReference asserts Encode == Sign(Accumulate) word for word (or
 // the same error text from both) and returns the reference accumulator.
 func matchReference(t testing.TB, e *Encoder, peaks []spectrum.QuantizedPeak) []int32 {
@@ -245,12 +264,14 @@ func matchReference(t testing.TB, e *Encoder, peaks []spectrum.QuantizedPeak) []
 	return acc
 }
 
-// TestEncodeMatchesReference holds the bit-sliced kernel against the
-// scalar reference over every shape the counter width, the tail mask
-// and the tie-break depend on.
+// TestEncodeMatchesReference holds both bit-sliced kernels against the
+// scalar reference over every shape the counter width, the group and
+// tail masks and the tie-break depend on: one-word, ragged-word and
+// partial-last-group hypervectors, and peak counts from none to past
+// the assembly's sixteen counter planes.
 func TestEncodeMatchesReference(t *testing.T) {
 	const bins = 1399
-	for _, d := range []int{64, 1000, 2048, 8192} {
+	for _, d := range []int{64, 1000, 1536, 2048, 8192} {
 		if (testing.Short() || raceEnabled) && d > 2048 {
 			continue // single-goroutine arithmetic: nothing for the detector, 10x the time
 		}
@@ -265,66 +286,84 @@ func TestEncodeMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Run(fmt.Sprintf("D%d/p%d/%s", d, precision, name), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(d + precision)))
-					random := func(n int) []spectrum.QuantizedPeak {
-						peaks := make([]spectrum.QuantizedPeak, n)
-						for i := range peaks {
-							peaks[i] = spectrum.QuantizedPeak{Bin: rng.Intn(bins), Level: rng.Intn(16)}
-						}
-						return peaks
-					}
-					matchReference(t, e, nil)
-					matchReference(t, e, random(1))
-					matchReference(t, e, random(150))
-					every := random(bins)
-					for i := range every {
-						every[i].Bin = i
-					}
-					matchReference(t, e, every)
-
-					// One bin at the two extreme levels: the products
-					// cancel wherever the level hypervectors differ, a
-					// planted zero-sum tie on even and odd dimensions.
-					acc := matchReference(t, e, []spectrum.QuantizedPeak{{Bin: 7, Level: 0}, {Bin: 7, Level: 15}})
-					var ties [2]int
-					for i, v := range acc {
-						if v == 0 {
-							ties[i%2]++
-						}
-					}
-					if ties[0] == 0 || ties[1] == 0 {
-						t.Errorf("planted ties missing: %d even, %d odd", ties[0], ties[1])
-					}
-
-					// Levels clamp to [0, Q) in both implementations.
-					clamped, _ := e.Encode([]spectrum.QuantizedPeak{{Bin: 3, Level: 0}, {Bin: 9, Level: 15}})
-					wild := []spectrum.QuantizedPeak{{Bin: 3, Level: -4}, {Bin: 9, Level: 1 << 40}}
-					matchReference(t, e, wild)
-					if h, _ := e.Encode(wild); !h.Equal(clamped) {
-						t.Error("negative/overflowing levels not clamped")
-					}
-
-					for _, bin := range []int{-1, bins} {
-						bad := append(random(5), spectrum.QuantizedPeak{Bin: bin})
-						if matchReference(t, e, bad) != nil {
-							t.Errorf("bin %d accepted", bin)
-						}
-					}
+					onBothEncodeKernels(t, func(t *testing.T) { checkEncodeShapes(t, e) })
 				})
 			}
 		}
 	}
 }
 
-// FuzzEncodeMatchesReference drives the same equality from arbitrary
-// shapes: raw is read as (bin lo, bin hi, level) byte triples, bins
+// checkEncodeShapes holds e's Encode to the scalar reference on every
+// peak-list shape, under whichever kernel is in place.
+func checkEncodeShapes(t *testing.T, e *Encoder) {
+	d, precision, bins := e.D(), e.IDs.Precision, e.IDs.NumBins()
+	rng := rand.New(rand.NewSource(int64(d + precision)))
+	random := func(n int) []spectrum.QuantizedPeak {
+		peaks := make([]spectrum.QuantizedPeak, n)
+		for i := range peaks {
+			peaks[i] = spectrum.QuantizedPeak{Bin: rng.Intn(bins), Level: rng.Intn(16)}
+		}
+		return peaks
+	}
+	matchReference(t, e, nil)
+	matchReference(t, e, random(1))
+	matchReference(t, e, random(150))
+	matchReference(t, e, random(151))
+	every := random(bins)
+	for i := range every {
+		every[i].Bin = i
+	}
+	matchReference(t, e, every)
+	if d == 64 || d == 1536 && precision == 3 && !testing.Short() && !raceEnabled {
+		// Either side of the sixteen-plane hand-over: at precision 3,
+		// 8191 peaks are the assembly's widest sums and 8192 the first
+		// that stay on the Go kernel (the scalar reference is slow at
+		// this size, so only the one-word and the partial-group shape).
+		wide := random(8200)
+		matchReference(t, e, wide[:8191])
+		matchReference(t, e, wide[:8192])
+		matchReference(t, e, wide)
+	}
+
+	// One bin at the two extreme levels: the products cancel wherever
+	// the level hypervectors differ, a planted zero-sum tie on even and
+	// odd dimensions.
+	acc := matchReference(t, e, []spectrum.QuantizedPeak{{Bin: 7, Level: 0}, {Bin: 7, Level: 15}})
+	var ties [2]int
+	for i, v := range acc {
+		if v == 0 {
+			ties[i%2]++
+		}
+	}
+	if ties[0] == 0 || ties[1] == 0 {
+		t.Errorf("planted ties missing: %d even, %d odd", ties[0], ties[1])
+	}
+
+	// Levels clamp to [0, Q) in every implementation.
+	clamped, _ := e.Encode([]spectrum.QuantizedPeak{{Bin: 3, Level: 0}, {Bin: 9, Level: 15}, {Bin: 11, Level: 15}, {Bin: 12, Level: 0}})
+	wild := []spectrum.QuantizedPeak{{Bin: 3, Level: -4}, {Bin: 9, Level: 1 << 40}, {Bin: 11, Level: 16}, {Bin: 12, Level: -1 << 62}}
+	matchReference(t, e, wild)
+	if h, _ := e.Encode(wild); !h.Equal(clamped) {
+		t.Error("negative/overflowing levels not clamped")
+	}
+
+	for _, bin := range []int{-1, bins} {
+		bad := append(random(5), spectrum.QuantizedPeak{Bin: bin})
+		if matchReference(t, e, bad) != nil {
+			t.Errorf("bin %d accepted", bin)
+		}
+	}
+}
+
+// FuzzEncodeMatchesReference drives the same equality, on both kernels,
+// from arbitrary shapes: raw is read as (bin lo, bin hi, level) byte triples, bins
 // and levels deliberately allowed out of range.
 func FuzzEncodeMatchesReference(f *testing.F) {
 	every := make([]byte, 0, 3*64)
 	for b := 0; b < 64; b++ {
 		every = append(every, byte(b), 0, byte(b))
 	}
-	for _, d := range []uint16{64, 1000, 2048, 8192} {
+	for _, d := range []uint16{64, 1000, 1536, 2048, 8192} {
 		for precision := uint8(1); precision <= 3; precision++ {
 			f.Add(d, precision, precision%2 == 0, []byte{})
 			f.Add(d, precision, precision%2 == 1, []byte{5, 0, 3})
@@ -352,6 +391,8 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 				Level: int(int8(raw[3*i+2])),
 			}
 		}
+		matchReference(t, e, peaks)
+		useGoEncodeKernel(t)
 		matchReference(t, e, peaks)
 	})
 }

@@ -10,12 +10,16 @@ import (
 // Generation is deterministic in (D, bins, precision, seed).
 //
 // The hypervectors are resident bit-sliced, as the encoder consumes
-// them (DESIGN.md §5): with o = 2^(precision-1), every (bin,
-// 64-dimension word) owns idPlaneWords consecutive words — the four
-// bit-planes of the offset product o-id (level bit -1), then the four
-// planes of its XOR-delta to o+id (level bit +1). Both products lie
-// in [0, 8], so the group is one 64-byte cache line at any precision:
-// the footprint of one int8 per dimension. Planes past D stay zero.
+// them (DESIGN.md §5): with o = 2^(precision-1), every dimension owns
+// idPlanes plane bits — the four bit-planes of the offset product o-id
+// (level bit -1), then the four planes of its XOR-delta to o+id (level
+// bit +1). Both products lie in [0, 8], so the footprint is one int8
+// per dimension at any precision. The store is group-major: the
+// hypervector's words are taken groupWords at a time — 512 dimensions —
+// and every (bin, group) owns idGroupWords consecutive words, plane k
+// of the group's eight words at [k*groupWords:][:groupWords], so one
+// plane of a group is one 64-byte vector load. The last group is padded
+// to a whole one; padding words, like plane bits past D, stay zero.
 type ItemMemory struct {
 	// D is the hypervector dimension.
 	D int
@@ -25,8 +29,25 @@ type ItemMemory struct {
 	planes    []uint64
 }
 
-// idPlaneWords is the plane-group size of one (bin, word).
-const idPlaneWords = 8
+const (
+	// idPlanes is the plane count per dimension: four of o-id, four of
+	// the delta.
+	idPlanes = 8
+	// groupWords is the hypervector words per plane group.
+	groupWords = 8
+	// idGroupWords is the plane-store size of one (bin, group).
+	idGroupWords = idPlanes * groupWords
+)
+
+// groupsPerHV returns the plane-group count of a hypervector of the
+// given packed word count: ceil(words/groupWords).
+func groupsPerHV(words int) int { return (words + groupWords - 1) / groupWords }
+
+// planeWord indexes, in a plane store of `groups` groups per bin, plane
+// k of hypervector word w of bin b.
+func planeWord(groups, b, w, k int) int {
+	return (b*groups+w/groupWords)*idGroupWords + k*groupWords + w%groupWords
+}
 
 // NewItemMemory builds an item memory with numBins ID hypervectors.
 func NewItemMemory(d, numBins, precision int, seed int64) *ItemMemory {
@@ -35,9 +56,9 @@ func NewItemMemory(d, numBins, precision int, seed int64) *ItemMemory {
 	}
 	precision = clampPrecision(precision)
 	rng := rand.New(rand.NewSource(seed))
-	words := WordsPerHV(d)
+	groups := groupsPerHV(WordsPerHV(d))
 	im := &ItemMemory{D: d, Precision: precision, bins: numBins,
-		planes: make([]uint64, numBins*words*idPlaneWords)}
+		planes: make([]uint64, numBins*groups*idGroupWords)}
 	offset := int8(MaxMagnitude(precision))
 	vals := make([]int8, d)
 	for b := 0; b < numBins; b++ {
@@ -50,9 +71,8 @@ func NewItemMemory(d, numBins, precision int, seed int64) *ItemMemory {
 				neg := uint64(offset - v)
 				x |= (neg | (neg^uint64(offset+v))<<4) << (8 * i)
 			}
-			g := im.planes[(b*words+j/64)*idPlaneWords:][:idPlaneWords]
-			for k := range g { // bit k of every byte of x, gathered into one byte
-				g[k] |= (x >> k & 0x0101010101010101) * 0x0102040810204080 >> 56 << (j % 64)
+			for k := 0; k < idPlanes; k++ { // bit k of every byte of x, gathered into one byte
+				im.planes[planeWord(groups, b, j/64, k)] |= (x >> k & 0x0101010101010101) * 0x0102040810204080 >> 56 << (j % 64)
 			}
 		}
 	}
@@ -66,14 +86,13 @@ func (im *ItemMemory) NumBins() int { return im.bins }
 // bit-planes on every call (the crossbar simulator and tests read it;
 // the encoder consumes the planes directly).
 func (im *ItemMemory) ID(i int) IntHV {
-	words := WordsPerHV(im.D)
+	groups := groupsPerHV(WordsPerHV(im.D))
 	offset := int8(MaxMagnitude(im.Precision))
 	vals := make([]int8, im.D)
 	for dim := range vals {
-		g := im.planes[(i*words+dim/64)*idPlaneWords:]
 		var neg int8
-		for k := 0; k < idPlaneWords/2; k++ {
-			neg |= int8(g[k]>>(dim%64)&1) << k
+		for k := 0; k < idPlanes/2; k++ {
+			neg |= int8(im.planes[planeWord(groups, i, dim/64, k)]>>(dim%64)&1) << k
 		}
 		vals[dim] = offset - neg
 	}

@@ -20,10 +20,10 @@ func seedIDs(d, bins, precision int, seed int64) []IntHV {
 }
 
 // TestItemMemoryIDRoundTrip checks planes → IntHV against the drawn
-// values, for full and ragged last words, and that the planes past D
-// stay zero (the encoder relies on it for the tail).
+// values, for full and ragged last words and groups, and that the
+// planes past D stay zero (the encoder relies on it for the tail).
 func TestItemMemoryIDRoundTrip(t *testing.T) {
-	for _, d := range []int{1, 64, 100, 1000, 2048} {
+	for _, d := range []int{1, 64, 100, 512, 1000, 1536, 2048} {
 		for precision := 1; precision <= 3; precision++ {
 			im := NewItemMemory(d, 20, precision, 42)
 			for b, want := range seedIDs(d, 20, precision, 42) {
@@ -37,12 +37,21 @@ func TestItemMemoryIDRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			if rem := d % 64; rem != 0 {
-				words := WordsPerHV(d)
-				for b := 0; b < 20; b++ {
-					for _, w := range im.planes[(b*words+words-1)*idPlaneWords:][:idPlaneWords] {
-						if w>>rem != 0 {
-							t.Fatalf("D=%d p=%d bin %d: plane bits set past D", d, precision, b)
+			// No plane bit past D: the ragged last word's high bits and
+			// the last group's padding words, in every plane.
+			words := WordsPerHV(d)
+			groups := groupsPerHV(words)
+			if len(im.planes) != 20*groups*idGroupWords {
+				t.Fatalf("D=%d p=%d: plane store holds %d words, want %d", d, precision, len(im.planes), 20*groups*idGroupWords)
+			}
+			for b := 0; b < 20; b++ {
+				for k := 0; k < idPlanes; k++ {
+					if rem := d % 64; rem != 0 && im.planes[planeWord(groups, b, words-1, k)]>>rem != 0 {
+						t.Fatalf("D=%d p=%d bin %d plane %d: bits set past D", d, precision, b, k)
+					}
+					for w := words; w < groups*groupWords; w++ {
+						if im.planes[planeWord(groups, b, w, k)] != 0 {
+							t.Fatalf("D=%d p=%d bin %d plane %d: padding word %d not zero", d, precision, b, k, w)
 						}
 					}
 				}

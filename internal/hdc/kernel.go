@@ -2,19 +2,21 @@ package hdc
 
 import "math/bits"
 
-// The sweep's one scoring primitive and its one dispatch point. Every
+// The package's two primitives and their one dispatch point. Every
 // XOR+popcount the searcher computes — a single-tier kernel block, a
 // ladder tier plane, one survivor's completion — is a call to
-// xorPopRows, which forwards to the package's kernel value:
-// xorPopRowsGo, the portable reference, unless an ISA file's init
-// found something wider (kernel_amd64.go).
+// xorPopRows, and every encode and bundle a call to signedSumWords
+// (encoder.go); each forwards to the package's kernel value, the
+// portable Go reference unless an ISA file's init found something
+// wider (kernel_amd64.go: one gate, both values).
 var (
-	xorPopKernel = xorPopRowsGo
-	kernelName   = "go"
+	xorPopKernel    = xorPopRowsGo
+	signedSumKernel = signedSumWordsGo
+	kernelName      = "go"
 )
 
-// KernelName names the XOR+popcount kernel this process sweeps with:
-// "avx512-vpopcntdq" or "go" (the portable loop — the CPU or OS lacks
+// KernelName names the kernels this process sweeps and encodes with:
+// "avx512-vpopcntdq" or "go" (the portable loops — the CPU or OS lacks
 // the ISA, the build is not amd64, or it carries the purego tag).
 func KernelName() string { return kernelName }
 

@@ -3,10 +3,13 @@
 package hdc
 
 import (
+	"fmt"
 	"slices"
 	"syscall"
 	"testing"
 	"unsafe"
+
+	"repro/internal/spectrum"
 )
 
 // guardedWords returns n writable words whose end is flush against an
@@ -58,6 +61,43 @@ func TestKernelReadsNothingPastLastRow(t *testing.T) {
 					t.Fatalf("%s kernel, width %d stride %d rows %d:\ngot  %v\nwant %v", KernelName(), width, stride, rows, got[:rows], want[:rows])
 				}
 			}
+		}
+	}
+}
+
+// TestEncodeKernelTouchesNothingPastItsStores puts the plane store, the
+// level table and the result words each flush against a PROT_NONE page
+// and encodes peaks on the last bin and the top (and a clamped-from-
+// beyond) level: the assembly's whole-vector loads of the last bin's
+// last group and the top level's last group must end with the padded
+// stores, and its store of a partial last group must write the result's
+// words and nothing after them.
+func TestEncodeKernelTouchesNothingPastItsStores(t *testing.T) {
+	const bins, q = 40, 16
+	for _, d := range []int{64, 1000, 1536, 2048} {
+		for precision := 1; precision <= 3; precision++ {
+			e, err := NewEncoder(NewItemMemory(d, bins, precision, 100), NewFlipLevelSet(d, q, 200))
+			if err != nil {
+				t.Fatal(err)
+			}
+			planes, lv := guardedWords(t, len(e.IDs.planes)), guardedWords(t, len(e.lv))
+			copy(planes, e.IDs.planes)
+			copy(lv, e.lv)
+			peaks := []spectrum.QuantizedPeak{{Bin: bins - 1, Level: q - 1}, {Bin: 0, Level: 0}, {Bin: bins - 1, Level: q + 5}, {Bin: bins / 2, Level: -3}}
+			want, err := e.Encode(peaks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("D%d/p%d", d, precision), func(t *testing.T) {
+				onBothEncodeKernels(t, func(t *testing.T) {
+					got := guardedWords(t, len(want.Words))
+					signedSumWords(got, planes, lv, precision, peaks)
+					BinaryHV{D: d, Words: got}.maskTail()
+					if !slices.Equal(got, want.Words) {
+						t.Fatalf("guarded stores encode\n%x, heap stores\n%x", got, want.Words)
+					}
+				})
+			})
 		}
 	}
 }

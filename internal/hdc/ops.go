@@ -42,17 +42,18 @@ func Bundle(hvs ...BinaryHV) BinaryHV {
 	out := NewBinaryHV(hvs[0].D)
 	// A bundle is the ID-Level encode of one 1-bit all-(+1) ID under
 	// each input as its level: products 0 and 2, so delta bit 1 is set.
-	planes := make([]uint64, len(out.Words)*idPlaneWords)
-	for i := idPlaneWords/2 + 1; i < len(planes); i += idPlaneWords {
-		planes[i] = ^uint64(0)
+	groups := groupsPerHV(len(out.Words))
+	planes := make([]uint64, groups*idGroupWords)
+	for w := 0; w < groups*groupWords; w++ {
+		planes[planeWord(groups, 0, w, idPlanes/2+1)] = ^uint64(0)
 	}
-	var lv []uint64
+	lv := make([]uint64, len(hvs)*groups*groupWords)
 	peaks := make([]spectrum.QuantizedPeak, len(hvs))
 	for i, h := range hvs {
 		if h.D != out.D {
 			panic(fmt.Sprintf("hdc: bundle dimension mismatch %d vs %d", h.D, out.D))
 		}
-		lv = append(lv, h.Words...)
+		copy(lv[i*groups*groupWords:], h.Words)
 		peaks[i].Level = i
 	}
 	signedSumWords(out.Words, planes, lv, 1, peaks)

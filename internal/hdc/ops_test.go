@@ -77,24 +77,27 @@ func TestBundleMajority(t *testing.T) {
 }
 
 // TestBundleMatchesSignOfSum holds Bundle (which rides the encoder's
-// vertical counter) against the per-dimension int32 majority, for odd
-// and even (tie-producing) input counts and a ragged last word.
+// vertical counter, on either kernel) against the per-dimension int32
+// majority, for odd and even (tie-producing) input counts, a ragged
+// last word and a partial last group.
 func TestBundleMatchesSignOfSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, d := range []int{64, 100, 1024} {
-		var hvs []BinaryHV
-		acc := make([]int32, d)
-		for n := 1; n <= 20; n++ {
-			h := RandomBinaryHV(d, rng)
-			hvs = append(hvs, h)
-			for i := range acc {
-				acc[i] += int32(h.Bit(i))
-			}
-			if got, want := Bundle(hvs...), Sign(acc); !got.Equal(want) {
-				t.Fatalf("D=%d n=%d: bundle differs from Sign of the bipolar sum", d, n)
+	onBothEncodeKernels(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		for _, d := range []int{64, 100, 1024, 1536} {
+			var hvs []BinaryHV
+			acc := make([]int32, d)
+			for n := 1; n <= 20; n++ {
+				h := RandomBinaryHV(d, rng)
+				hvs = append(hvs, h)
+				for i := range acc {
+					acc[i] += int32(h.Bit(i))
+				}
+				if got, want := Bundle(hvs...), Sign(acc); !got.Equal(want) {
+					t.Fatalf("D=%d n=%d: bundle differs from Sign of the bipolar sum", d, n)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestBundleSingleIsIdentity(t *testing.T) {

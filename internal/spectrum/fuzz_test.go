@@ -21,7 +21,20 @@ func FuzzReadMGF(f *testing.F) {
 	f.Add("BEGIN IONS\nPEPMASS=nan\nCHARGE=x\n100 1 extra\nnot-a-peak\nEND IONS\n")
 	f.Add("BEGIN IONS\nPEPMASS=1e309\n100 1\nEND IONS\n")
 	f.Add("")
+	f.Add("BEGIN IONS\nPEPMASS=300\n100\t1\n101 \t 2  3\n102\v3\n103\u00a04\n104\u20035 6\n10\xff5 7\n106 7\f8\n107\nEND IONS\n")
 	f.Fuzz(func(t *testing.T, data string) {
+		// The byte-loop peak-line splitter and the unicode.IsSpace one
+		// it stands in for cut every line alike, trimmed (as ReadMGF
+		// passes them) or not.
+		for _, line := range bytes.Split([]byte(data), []byte("\n")) {
+			for _, l := range [][]byte{line, bytes.TrimSpace(line)} {
+				mz, in, ok := splitPeakLine(l)
+				umz, uin, uok := splitPeakLineUnicode(l)
+				if ok != uok || !bytes.Equal(mz, umz) || !bytes.Equal(in, uin) {
+					t.Fatalf("line %q: byte splitter (%q, %q, %v), unicode splitter (%q, %q, %v)", l, mz, in, ok, umz, uin, uok)
+				}
+			}
+		}
 		first, err := ReadMGF(strings.NewReader(data))
 		second, err2 := ReadMGF(strings.NewReader(data))
 		if (err == nil) != (err2 == nil) || len(first) != len(second) {

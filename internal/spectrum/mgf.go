@@ -142,13 +142,9 @@ func applyHeader(s *Spectrum, key, val string) error {
 // string conversions do not escape (strconv copies what its errors
 // quote), so a well-formed line allocates nothing.
 func parsePeakLine(line []byte) (Peak, error) {
-	i := bytes.IndexFunc(line, unicode.IsSpace)
-	if i < 0 {
+	mzField, inField, ok := splitPeakLine(line)
+	if !ok {
 		return Peak{}, fmt.Errorf("bad peak line %q", line)
-	}
-	mzField, inField := line[:i], bytes.TrimLeftFunc(line[i:], unicode.IsSpace)
-	if j := bytes.IndexFunc(inField, unicode.IsSpace); j >= 0 {
-		inField = inField[:j]
 	}
 	mz, err := strconv.ParseFloat(string(mzField), 64)
 	if err != nil {
@@ -159,4 +155,49 @@ func parsePeakLine(line []byte) (Peak, error) {
 		return Peak{}, fmt.Errorf("bad intensity %q: %v", inField, err)
 	}
 	return Peak{MZ: mz, Intensity: in}, nil
+}
+
+// splitPeakLine cuts a line's first two fields at ASCII spaces and
+// tabs with a byte loop. A line that, up to the end of its second
+// field, holds anything else unicode.IsSpace could call a space — the
+// other ASCII controls, or any byte of a multi-byte rune — is left to
+// splitPeakLineUnicode, so the two always agree. ok is false when the
+// line has no separator at all.
+func splitPeakLine(line []byte) (mz, in []byte, ok bool) {
+	blank := func(c byte) bool { return c == ' ' || c == '\t' }
+	other := func(c byte) bool { return c >= 0x80 || '\n' <= c && c <= '\r' }
+	i := 0
+	for ; i < len(line) && !blank(line[i]); i++ {
+		if other(line[i]) {
+			return splitPeakLineUnicode(line)
+		}
+	}
+	if i == len(line) {
+		return nil, nil, false
+	}
+	j := i
+	for j < len(line) && blank(line[j]) {
+		j++
+	}
+	k := j
+	for ; k < len(line) && !blank(line[k]); k++ {
+		if other(line[k]) {
+			return splitPeakLineUnicode(line)
+		}
+	}
+	return line[:i], line[j:k], true
+}
+
+// splitPeakLineUnicode is the general splitter: any unicode.IsSpace
+// rune separates.
+func splitPeakLineUnicode(line []byte) (mz, in []byte, ok bool) {
+	i := bytes.IndexFunc(line, unicode.IsSpace)
+	if i < 0 {
+		return nil, nil, false
+	}
+	mz, in = line[:i], bytes.TrimLeftFunc(line[i:], unicode.IsSpace)
+	if j := bytes.IndexFunc(in, unicode.IsSpace); j >= 0 {
+		in = in[:j]
+	}
+	return mz, in, true
 }

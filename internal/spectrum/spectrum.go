@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -50,9 +51,31 @@ func max(a, b int) int {
 	return b
 }
 
-// SortPeaks sorts the peak list by ascending m/z in place.
+// SortPeaks sorts the peak list by ascending m/z in place. A list
+// already in order — the readers sort, then Preprocess sorts its clone
+// again — is left alone; the check is false on any NaN, so the sort
+// still sees every list it could reorder.
 func (s *Spectrum) SortPeaks() {
-	sort.Slice(s.Peaks, func(i, j int) bool { return s.Peaks[i].MZ < s.Peaks[j].MZ })
+	for i := 1; i < len(s.Peaks); i++ {
+		if !(s.Peaks[i-1].MZ <= s.Peaks[i].MZ) {
+			slices.SortFunc(s.Peaks, func(a, b Peak) int { return ascending(a.MZ, b.MZ) })
+			return
+		}
+	}
+}
+
+// ascending is the sorts' comparison: negative exactly when a < b (a
+// NaN is neither before nor after anything), so slices' pdqsort makes
+// the comparisons sort.Slice made with a < b, sees the same outcomes
+// and leaves ties in the same places.
+func ascending(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // BasePeak returns the most intense peak, or a zero Peak if empty.
@@ -199,9 +222,7 @@ func (cfg PreprocessConfig) Preprocess(s *Spectrum) (*Spectrum, error) {
 
 	// Top-N by intensity, then restore m/z order.
 	if cfg.MaxPeaks > 0 && len(out.Peaks) > cfg.MaxPeaks {
-		sort.Slice(out.Peaks, func(i, j int) bool {
-			return out.Peaks[i].Intensity > out.Peaks[j].Intensity
-		})
+		slices.SortFunc(out.Peaks, func(a, b Peak) int { return ascending(b.Intensity, a.Intensity) })
 		out.Peaks = out.Peaks[:cfg.MaxPeaks]
 		out.SortPeaks()
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -245,5 +246,57 @@ func TestPreprocessPropertyInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// tiePeaks is a tie-heavy peak list: 13 distinct m/z values a quarter
+// apart, visited out of order, under 12 distinct intensities.
+func tiePeaks(n int) []Peak {
+	peaks := make([]Peak, n)
+	for i := range peaks {
+		peaks[i] = Peak{MZ: 200 + 0.25*float64(i*7%13), Intensity: float64(i*5%4+1) + 0.1*float64(i%3)}
+	}
+	return peaks
+}
+
+// TestSortsKeepTheirTiePermutations pins where the prepare path's
+// unstable sorts leave equal keys — equal m/z in SortPeaks, equal
+// intensities at the top-N cut in Preprocess — to the outputs of the
+// sort.Slice calls they replaced, captured as literals: every stored
+// index and golden result was computed from those permutations.
+func TestSortsKeepTheirTiePermutations(t *testing.T) {
+	for n, want := range map[int][]float64{
+		10: {1, 3.2, 1.1, 3, 1.2, 2.1, 4, 2.2, 4.1, 2},
+		40: {2.1, 4, 3.2, 1, 1.1, 4, 3.2, 3, 2.2, 1.1, 1.2, 3, 4.1, 1.2, 2, 3.1, 3.1, 1, 4.2, 3.2, 1, 2.1, 2.1, 3.2, 4, 2.2, 4, 1.1, 2.2, 4.1, 3, 4.1, 2, 1.2, 2, 4.2, 3.1, 4.2, 1, 2.1},
+		64: {1.1, 1, 2.1, 4, 3.2, 3, 1.1, 4, 2.2, 3.2, 1.2, 1.1, 3, 2.2, 4.1, 3, 2, 4.1, 1.2, 3.1, 4.2, 1.2, 3.1, 2, 1, 2.1, 4.2, 3.1, 3.2, 1, 3.2, 4, 1, 2.1, 4, 2.2, 2.1, 1.1, 3.2, 2.2, 4.1, 4, 1.1, 3, 1.2, 3, 4.1, 2, 2.2, 1.2, 4.1, 3.1, 4.2, 2, 1, 3.1, 2, 4.2, 2.1, 2.1, 3.2, 4.2, 1, 4},
+	} {
+		s := &Spectrum{Peaks: tiePeaks(n)}
+		s.SortPeaks()
+		for i, p := range s.Peaks {
+			if i > 0 && p.MZ < s.Peaks[i-1].MZ {
+				t.Fatalf("%d peaks: not sorted at %d", n, i)
+			}
+			if p.Intensity != want[i] {
+				t.Fatalf("%d peaks: peak %d carries intensity %v, sort.Slice left %v there", n, i, p.Intensity, want[i])
+			}
+		}
+		again := s.Clone()
+		again.SortPeaks() // sorted input: returns at once, and would have been a no-op
+		if !slices.Equal(again.Peaks, s.Peaks) {
+			t.Fatalf("%d peaks: re-sorting a sorted list moved a peak", n)
+		}
+	}
+	for n, want := range map[int][]Peak{
+		40: {{200, 4}, {200.25, 4}, {200.25, 3.2}, {200.75, 4.1}, {201.25, 4.2}, {201.5, 3.2}, {201.75, 4}, {202, 4}, {202.25, 4.1}, {202.5, 4.1}, {202.75, 4.2}, {203, 4.2}},
+		64: {{200.5, 4.1}, {200.75, 4.1}, {201, 4.2}, {201.25, 4.2}, {201.75, 4}, {202, 4.1}, {202, 4}, {202.25, 4.1}, {202.5, 4.2}, {202.5, 4.1}, {202.75, 4.2}, {203, 4.2}},
+	} {
+		cfg := PreprocessConfig{MaxPeaks: 12, Norm: NormNone}
+		out, err := cfg.Preprocess(&Spectrum{PrecursorMZ: 900, Charge: 2, Peaks: tiePeaks(n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(out.Peaks, want) {
+			t.Errorf("top 12 of %d peaks:\ngot  %v\nwant %v", n, out.Peaks, want)
+		}
 	}
 }

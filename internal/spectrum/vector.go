@@ -1,9 +1,10 @@
 package spectrum
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Binner converts preprocessed spectra into sparse binned vectors:
@@ -71,20 +72,25 @@ type Vector struct {
 }
 
 // Vectorize bins the spectrum's peaks, summing intensities of peaks
-// that share a bin.
+// that share a bin in peak order.
 func (b Binner) Vectorize(s *Spectrum) Vector {
-	acc := make(map[int]float64, len(s.Peaks))
+	entries := make([]Entry, 0, len(s.Peaks))
 	for _, p := range s.Peaks {
 		if i, ok := b.Bin(p.MZ); ok {
-			acc[i] += p.Intensity
+			entries = append(entries, Entry{Bin: i, Intensity: 0 + p.Intensity}) // 0+: a lone -0 sums to +0
 		}
 	}
-	entries := make([]Entry, 0, len(acc))
-	for i, v := range acc {
-		entries = append(entries, Entry{Bin: i, Intensity: v})
+	// Stable, so equal bins keep peak order; a no-op on peaks in m/z order.
+	slices.SortStableFunc(entries, func(a, c Entry) int { return cmp.Compare(a.Bin, c.Bin) })
+	merged := entries[:0]
+	for _, e := range entries {
+		if n := len(merged); n > 0 && merged[n-1].Bin == e.Bin {
+			merged[n-1].Intensity += e.Intensity
+		} else {
+			merged = append(merged, e)
+		}
 	}
-	sort.Slice(entries, func(a, c int) bool { return entries[a].Bin < entries[c].Bin })
-	return Vector{Entries: entries, NumBins: b.NumBins()}
+	return Vector{Entries: merged, NumBins: b.NumBins()}
 }
 
 // Norm returns the Euclidean norm of the vector.

@@ -225,3 +225,38 @@ func TestCosineBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestVectorizeSumsInPeakOrder pins the per-bin sums bit for bit to the
+// map-accumulating Vectorize this one replaced (outputs captured as
+// literals): a dozen peaks per bin whose float sum depends on the order
+// of addition, in m/z order and — the stable sort's job — out of it.
+func TestVectorizeSumsInPeakOrder(t *testing.T) {
+	b := Binner{MinMZ: 200, MaxMZ: 203, BinWidth: 1}
+	for sorted, want := range map[bool][]uint64{
+		true:  {0x4016000000000002, 0x401199999999999a, 0x401199999999999a},
+		false: {0x4016000000000000, 0x401199999999999b, 0x401199999999999a},
+	} {
+		s := &Spectrum{Peaks: tiePeaks(40)}
+		for i := range s.Peaks {
+			s.Peaks[i].Intensity = 0.1 * float64(i%7+1)
+		}
+		if sorted {
+			s.SortPeaks()
+		}
+		v := b.Vectorize(s)
+		if v.NumBins != 3 || len(v.Entries) != 3 {
+			t.Fatalf("sorted=%v: %d entries over %d bins, want 3 over 3", sorted, len(v.Entries), v.NumBins)
+		}
+		for i, e := range v.Entries {
+			if e.Bin != i || math.Float64bits(e.Intensity) != want[i] {
+				t.Errorf("sorted=%v entry %d: bin %d intensity %#x, want bin %d intensity %#x",
+					sorted, i, e.Bin, math.Float64bits(e.Intensity), i, want[i])
+			}
+		}
+	}
+	// A bin's only peak at -0 summed to +0 in the map (0 + -0).
+	v := b.Vectorize(&Spectrum{Peaks: []Peak{{MZ: 200.5, Intensity: math.Copysign(0, -1)}}})
+	if len(v.Entries) != 1 || math.Signbit(v.Entries[0].Intensity) {
+		t.Errorf("lone -0 peak: entries %v, want one +0", v.Entries)
+	}
+}
