@@ -1,12 +1,12 @@
-// Benchmarks regenerating the paper's tables and figures (one bench
-// per evaluation artifact) plus ablation benches for the design
-// choices called out in DESIGN.md §5. Run:
+// Engine microbenchmarks (the ones README, DESIGN.md or the CI bench
+// smoke name) plus ablation benches for the design choices called out
+// in DESIGN.md §5. Run:
 //
 //	go test -bench=. -benchmem
 //
-// Each figure bench reports its headline quantity as custom metrics
-// (b.ReportMetric) so `go test -bench` output doubles as the data
-// table; cmd/omsrepro prints the full series.
+// The ablation benches report their headline quantity as custom
+// metrics (b.ReportMetric); cmd/omsrepro prints the paper's tables and
+// figures, and `go run ./bench` is the repository benchmark.
 package repro
 
 import (
@@ -20,177 +20,15 @@ import (
 	"time"
 
 	"repro/internal/accel"
-	"repro/internal/annsolo"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/hdc"
-	"repro/internal/hyperoms"
 	"repro/internal/msdata"
 	"repro/internal/obsv"
 	"repro/internal/perf"
 	"repro/internal/rram"
-	"repro/internal/spectrum"
 )
 
-func benchOptions() experiments.Options {
-	return experiments.Options{Scale: 0.001, Seed: 1, Quick: true}
-}
-
-// BenchmarkTable1Workloads generates both dataset presets (Table 1).
-func BenchmarkTable1Workloads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure7Storage measures the storage bit-error sweep and
-// reports the 3 bits/cell BER at one day.
-func BenchmarkFigure7Storage(b *testing.B) {
-	var last float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure7(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rows[len(rows)-1].BER[2]
-	}
-	b.ReportMetric(last*100, "%BER_3b_1day")
-}
-
-// BenchmarkFigure8Relaxation regenerates the conductance histograms.
-func BenchmarkFigure8Relaxation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure8(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure9Encoding measures in-memory encoding errors vs
-// activated rows; reports the 3 bits/cell error at the largest count.
-func BenchmarkFigure9Encoding(b *testing.B) {
-	var last float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure9Encoding(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rows[len(rows)-1].Err[2]
-	}
-	b.ReportMetric(last*100, "%encErr_3b_128rows")
-}
-
-// BenchmarkFigure9Search measures in-memory search RMSE vs rows.
-func BenchmarkFigure9Search(b *testing.B) {
-	var last float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure9Search(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rows[len(rows)-1].Err[2]
-	}
-	b.ReportMetric(last, "RMSE_3b_128rows")
-}
-
-// BenchmarkFigure10Venn runs the three-tool comparison.
-func BenchmarkFigure10Venn(b *testing.B) {
-	var shared, total int
-	for i := 0; i < b.N; i++ {
-		results, err := experiments.Figure10(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		v := results[0]
-		shared = v.Regions["TAH"] + v.Regions["TA"] + v.Regions["TH"]
-		total = v.ThisWork
-	}
-	if total > 0 {
-		b.ReportMetric(100*float64(shared)/float64(total), "%shared_thiswork")
-	}
-}
-
-// BenchmarkFigure11Robustness runs the BER sweep on iPRG2012 and
-// reports the retention of identifications at 10% BER.
-func BenchmarkFigure11Robustness(b *testing.B) {
-	var retention float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure11(benchOptions(), "iPRG2012")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rows[0].IDs[2] > 0 {
-			retention = float64(rows[3].IDs[2]) / float64(rows[0].IDs[2])
-		}
-	}
-	b.ReportMetric(retention*100, "%IDs_at_10pcBER")
-}
-
-// BenchmarkFigure12Perf evaluates the analytical cost model and
-// reports the headline energy improvement.
-func BenchmarkFigure12Perf(b *testing.B) {
-	var energy float64
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure12()
-		energy = rows[len(rows)-1].EnergyImprovement
-	}
-	b.ReportMetric(energy, "energyImprovement_x")
-}
-
-// BenchmarkFigure13Dimension sweeps the HD dimension.
-func BenchmarkFigure13Dimension(b *testing.B) {
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure13(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		hi := rows[0]
-		if hi.Ideal > 0 {
-			gap = float64(hi.InRRAM) / float64(hi.Ideal)
-		}
-	}
-	b.ReportMetric(gap*100, "%RRAM_vs_ideal_atMaxD")
-}
-
 // --- Core operation microbenchmarks -----------------------------------
-
-// benchWorkload caches a dataset for the operation benches.
-func benchWorkload(b *testing.B) *msdata.Dataset {
-	b.Helper()
-	ds, err := msdata.Generate(msdata.IPRG2012(0.001))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ds
-}
-
-// BenchmarkEncodeSpectrum measures ID-Level encoding throughput at the
-// paper's D=8192, 3-bit precision operating point.
-func BenchmarkEncodeSpectrum(b *testing.B) {
-	cfg := accel.DefaultConfig()
-	ids, levels, err := accel.NewEncoderComponents(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc, err := hdc.NewEncoder(ids, levels)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	peaks := make([]spectrum.QuantizedPeak, 100)
-	for i := range peaks {
-		peaks[i] = spectrum.QuantizedPeak{Bin: rng.Intn(cfg.NumBins), Level: rng.Intn(cfg.Q)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := enc.Encode(peaks); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkHammingSearch1k measures exact Hamming top-5 search over 1k
 // references at D=8192.
@@ -467,16 +305,16 @@ func BenchmarkCascadeTopKRange(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("cascade", func(b *testing.B) {
-		before, _ := cascade.CascadeStats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cascade.BatchTopKRange(queries, ranges, k)
 		}
 		b.StopTimer()
-		after, _ := cascade.CascadeStats()
-		delta := after.Sub(before)
+		// The counters are cumulative, and every sweep of this searcher
+		// so far is this workload.
+		cs, _ := cascade.CascadeStats()
 		b.ReportMetric(float64(nQueries), "queries/op")
-		b.ReportMetric(100*delta.PruneRate(), "%pruned")
+		b.ReportMetric(100*cs.PruneRate(), "%pruned")
 	})
 	// cascade-traced is the observability overhead gate: the identical
 	// sweep with a live stage trace attached. Acceptance: within 2% of
@@ -526,125 +364,6 @@ func BenchmarkCascadeTopKRange(b *testing.B) {
 	}
 }
 
-// skewedBenchInputs builds references and queries whose dimension
-// balance is deliberately uneven: even dimensions are nearly constant
-// (ones with probability 0.02), odd dimensions are balanced coin
-// flips. Interleaving means every natural packed word is half wasted —
-// the workload shape the entropy-guided bit layout exists for.
-func skewedBenchInputs(b *testing.B, d, nRefs, nQueries int) ([]hdc.BinaryHV, []hdc.BinaryHV) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(23))
-	gen := func() hdc.BinaryHV {
-		hv := hdc.NewBinaryHV(d)
-		for j := 0; j < d; j++ {
-			if j%2 == 0 {
-				hv.SetBit(j, rng.Float64() < 0.02)
-			} else {
-				hv.SetBit(j, rng.Intn(2) == 1)
-			}
-		}
-		return hv
-	}
-	refs := make([]hdc.BinaryHV, nRefs)
-	for i := range refs {
-		refs[i] = gen()
-	}
-	queries := make([]hdc.BinaryHV, nQueries)
-	for i := range queries {
-		queries[i] = gen()
-	}
-	return refs, queries
-}
-
-// BenchmarkCascadeLadderLayout compares the entropy-guided bit layout
-// against the natural dimension order at an identical tier budget — a
-// [4, rest]-word ladder over a skewed-balance workload (see
-// skewedBenchInputs). The natural order interleaves near-constant and
-// balanced dimensions, so a 4-word tier-0 prefix carries only ~2
-// words' worth of discrimination and the bound rarely prunes; the
-// entropy permutation packs the discriminative dimensions into the
-// leading words, so the same prefix budget prunes decisively.
-// Acceptance (ISSUE 9): entropy >= 1.2x over natural (ratio of the
-// two sub-benchmarks) with a strictly higher tier-0 pruning rate, both
-// reported as metrics. Exactness: both layouts must return identical
-// matches — the permutation is applied to references and queries
-// alike, so every Hamming distance is unchanged.
-func BenchmarkCascadeLadderLayout(b *testing.B) {
-	const (
-		d         = 2048
-		nRefs     = 50_000
-		nQueries  = batchBenchQueries
-		occupancy = 0.25
-		k         = 5
-	)
-	refs, queries := skewedBenchInputs(b, d, nRefs, nQueries)
-	rng := rand.New(rand.NewSource(13))
-	width := int(occupancy * nRefs)
-	ranges := make([]hdc.RowRange, nQueries)
-	for i := range ranges {
-		lo := i * (nRefs - width) / nQueries
-		ranges[i] = hdc.RowRange{Lo: lo, Hi: lo + width}
-		for j := 0; j < k; j++ {
-			refs[lo+j] = queries[i].Clone()
-			refs[lo+j].FlipBits(0.03, rng)
-		}
-	}
-	tiers := []int{4, hdc.WordsPerHV(d) - 4}
-
-	// The permutation is measured over the final reference set (planted
-	// matches included), exactly as BuildLibrary would see it.
-	perm := hdc.EntropyPermutation(refs)
-	if perm == nil {
-		b.Fatal("no entropy permutation for skewed refs")
-	}
-	permRefs := make([]hdc.BinaryHV, nRefs)
-	for i := range refs {
-		permRefs[i] = hdc.PermuteBits(refs[i], perm)
-	}
-	permQueries := make([]hdc.BinaryHV, nQueries)
-	for i := range queries {
-		permQueries[i] = hdc.PermuteBits(queries[i], perm)
-	}
-
-	natural, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{Tiers: tiers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	entropy, err := hdc.NewShardedSearcher(permRefs, 0, hdc.CascadeConfig{Tiers: tiers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, s *hdc.ShardedSearcher, qs []hdc.BinaryHV) {
-		before, _ := s.CascadeStats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.BatchTopKRange(qs, ranges, k)
-		}
-		b.StopTimer()
-		after, _ := s.CascadeStats()
-		delta := after.Sub(before)
-		b.ReportMetric(float64(nQueries), "queries/op")
-		b.ReportMetric(100*delta.PruneRate(), "%pruned")
-		b.ReportMetric(100*delta.TierPruneRate(0), "%pruned_tier0")
-	}
-	b.Run("natural", func(b *testing.B) { run(b, natural, queries) })
-	b.Run("entropy", func(b *testing.B) { run(b, entropy, permQueries) })
-
-	// Exactness spot check outside the timed sections.
-	want := natural.BatchTopKRange(queries, ranges, k)
-	got := entropy.BatchTopKRange(permQueries, ranges, k)
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			b.Fatalf("query %d: entropy layout changed the match count", i)
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				b.Fatalf("query %d match %d: entropy %+v, natural %+v", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
-}
-
 // BenchmarkSeedBatchTopK is the seed flat-scan baseline for
 // BenchmarkShardedBatchTopK.
 func BenchmarkSeedBatchTopK(b *testing.B) {
@@ -658,57 +377,6 @@ func BenchmarkSeedBatchTopK(b *testing.B) {
 				}
 				b.ReportMetric(float64(batchBenchQueries), "queries/op")
 			})
-		}
-	}
-}
-
-// BenchmarkOMSQueryThisWork measures one end-to-end HD query.
-func BenchmarkOMSQueryThisWork(b *testing.B) {
-	ds := benchWorkload(b)
-	p := core.DefaultParams()
-	p.Accel.D = 2048
-	p.Accel.NumChunks = 128
-	engine, _, err := core.BuildExact(p, ds.Library)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.SearchOne(ds.Queries[i%len(ds.Queries)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOMSQueryANNSoLo measures one end-to-end cascade query.
-func BenchmarkOMSQueryANNSoLo(b *testing.B) {
-	ds := benchWorkload(b)
-	eng, err := annsolo.NewEngine(annsolo.DefaultParams(), ds.Library)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.SearchOne(ds.Queries[i%len(ds.Queries)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOMSQueryHyperOMS measures one end-to-end binary-HD query.
-func BenchmarkOMSQueryHyperOMS(b *testing.B) {
-	ds := benchWorkload(b)
-	p := hyperoms.DefaultParams()
-	p.D = 2048
-	eng, err := hyperoms.NewEngine(p, ds.Library)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := ds.Queries
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.SearchAll(queries[i%len(queries) : i%len(queries)+1]); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -762,7 +430,10 @@ func BenchmarkAblationChunkedLevels(b *testing.B) {
 // BenchmarkAblationIDPrecision reports identifications per ID
 // precision at a fixed dimension (the §4.2.2 multi-bit gain).
 func BenchmarkAblationIDPrecision(b *testing.B) {
-	ds := benchWorkload(b)
+	ds, err := msdata.Generate(msdata.IPRG2012(0.001))
+	if err != nil {
+		b.Fatal(err)
+	}
 	ids := [3]int{}
 	for i := 0; i < b.N; i++ {
 		for precision := 1; precision <= 3; precision++ {
@@ -836,61 +507,4 @@ func BenchmarkAblationGrayCoding(b *testing.B) {
 	}
 	b.ReportMetric(plain*100, "%BER_binary")
 	b.ReportMetric(gray*100, "%BER_gray")
-}
-
-// BenchmarkOMSQueryParallel measures the multicore search path.
-func BenchmarkOMSQueryParallel(b *testing.B) {
-	ds := benchWorkload(b)
-	p := core.DefaultParams()
-	p.Accel.D = 2048
-	p.Accel.NumChunks = 128
-	engine, _, err := core.BuildExact(p, ds.Library)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.SearchAllParallel(ds.Queries); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(ds.Queries)), "queries/op")
-}
-
-// BenchmarkOMSQueryRescored measures the hybrid HD + shifted-dot path.
-func BenchmarkOMSQueryRescored(b *testing.B) {
-	ds := benchWorkload(b)
-	p := core.DefaultParams()
-	p.Accel.D = 2048
-	p.Accel.NumChunks = 128
-	engine, _, err := core.BuildExact(p, ds.Library)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := core.NewRescorer(engine, ds.Library, 0.7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := r.SearchOne(ds.Queries[i%len(ds.Queries)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSchedulePaperScale costs the paper-scale workload through
-// the analytical chip scheduler and the stats-based energy model.
-func BenchmarkSchedulePaperScale(b *testing.B) {
-	var energy float64
-	for i := 0; i < b.N; i++ {
-		cfg := accel.DefaultConfig()
-		s, err := accel.PlanSearch(cfg, accel.DefaultChipSpec(), 1_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stats := s.WorkloadStats(16000, 100, 0.25)
-		energy = perf.DefaultStatsModel().FromStats(stats).Total()
-	}
-	b.ReportMetric(energy, "joules_iPRG2012")
 }

@@ -6,8 +6,7 @@
 // the packed reference store:
 //
 //	omsd -index lib.omsidx [-addr :8993] [-maxbatch 64] \
-//	     [-maxqueue 4096] [-standard] [-topk 5] \
-//	     [-tiers 4,12,112] [-shortlist 0]
+//	     [-maxqueue 4096] [-standard] [-topk 5]
 //
 // -index accepts either a single index file or a partition manifest
 // written by omsbuild -partitions; a partitioned library routes each
@@ -31,12 +30,11 @@
 // writer; use the standalone omscompact when compaction is driven
 // externally.
 //
-// -tiers selects the K-tier pruned cascade ladder (exact for any
-// ladder; -shortlist M switches it to approximate best-M completion).
+// The K-tier pruned cascade ladder and the bit layout are the index's
+// (omsbuild -tiers/-bit-layout; exact for any ladder): omsd serves them
+// as stored, the permutation applied to every query at encode time.
 // GET /stats reports the measured per-tier row counts and pruning
-// rates, per partition for a partitioned index. An index built with
-// -bit-layout entropy serves transparently: the stored permutation is
-// applied to every query at encode time.
+// rates, per partition for a partitioned index.
 //
 // Endpoints:
 //
@@ -77,7 +75,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/hdc"
 	"repro/internal/libindex"
 )
@@ -103,8 +100,6 @@ func main() {
 	maxQueue := flag.Int("maxqueue", 4096, "admission bound on outstanding requests")
 	standard := flag.Bool("standard", false, "narrow-window standard search instead of open search")
 	topk := flag.Int("topk", 0, "matches retrieved per query (0 = index setting)")
-	tiersSpec := flag.String("tiers", "", "K-tier cascade ladder: comma-separated packed-word widths per tier, e.g. 4,12,112 (empty = index setting)")
-	shortlist := flag.Int("shortlist", -1, "approximate cascade: complete only the best N tier-0 rows per query (-1 = index setting, 0 = exact pruning bound)")
 	slowQuery := flag.Duration("slow-query", 0, "log a structured line for requests at or above this latency (0 = off)")
 	accessLog := flag.Bool("access-log", false, "log one structured line per HTTP request")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off)")
@@ -116,16 +111,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	tiers, err := core.ParseTiers(*tiersSpec)
-	fatalIf(err)
 	cfg := servingConfig{
 		indexPath: *indexPath,
 		maxBatch:  *maxBatch,
 		maxQueue:  *maxQueue,
 		standard:  *standard,
 		topk:      *topk,
-		tiers:     tiers,
-		shortlist: *shortlist,
 		slowQuery: *slowQuery,
 	}
 	d := newDaemon(func() (*serving, error) { return buildServing(cfg) })
@@ -133,12 +124,6 @@ func main() {
 	sv, err := d.reload()
 	fatalIf(err)
 	fmt.Fprintf(os.Stderr, "omsd: loaded %s, engine up in %v, sweep kernel %s\n", sv.desc, time.Since(start).Round(time.Millisecond), hdc.KernelName())
-	// Report the effective layout (the searcher falls back to
-	// single-tier when the configured ladder covers a row in one tier).
-	if cs, cascadeOn := sv.engine.CascadeStats(); cascadeOn {
-		fmt.Fprintf(os.Stderr, "omsd: %d-tier cascade search: tiers %s, shortlist %d\n",
-			cs.NumTiers(), core.FormatTiers(sv.tiers), sv.shortlist)
-	}
 
 	httpSrv := newHTTPServer(withRequestID(d.mux(), *accessLog))
 	ln, err := net.Listen("tcp", *addr)

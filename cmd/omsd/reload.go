@@ -21,10 +21,6 @@ type servingConfig struct {
 	maxQueue  int
 	standard  bool
 	topk      int
-	// tiers overrides the index's cascade ladder (nil = keep the index
-	// setting); shortlist its completion budget (-1 = keep).
-	tiers     []int
-	shortlist int
 	// slowQuery is the -slow-query latency threshold (0 = no threshold;
 	// the slow ring still keeps the worst traces).
 	slowQuery time.Duration
@@ -48,12 +44,7 @@ type serving struct {
 	// index file: what was opened, not how the engine holds it, decides
 	// whether the partition and overlay telemetry is reported.
 	partitions int
-	// tiers/shortlist are the effective cascade settings the engine was
-	// built with (index params after flag overrides) — the startup log
-	// must report these, not the "index setting" flag sentinels.
-	tiers     []int
-	shortlist int
-	loaded    time.Time
+	loaded     time.Time
 
 	refs atomic.Int64
 }
@@ -86,12 +77,6 @@ func buildServing(cfg servingConfig) (*serving, error) {
 	if cfg.topk > 0 {
 		p.TopK = cfg.topk
 	}
-	if len(cfg.tiers) > 0 {
-		p.Tiers = cfg.tiers
-	}
-	if cfg.shortlist >= 0 {
-		p.ShortlistPerQuery = cfg.shortlist
-	}
 	engine, _, err := core.NewPartitionedEngine(p, ix.PartitionSet())
 	if err != nil {
 		ix.Close()
@@ -100,12 +85,15 @@ func buildServing(cfg servingConfig) (*serving, error) {
 	// The searchers read the packed blocks; the per-entry hypervector
 	// views are dead weight in a resident process.
 	engine.ReleaseLibraryHVs()
+	// Report the effective layout (the searcher falls back to
+	// single-tier when the stored ladder covers a row in one tier).
+	if cs, cascadeOn := engine.CascadeStats(); cascadeOn {
+		fmt.Fprintf(os.Stderr, "omsd: %d-tier cascade search: tiers %v\n", cs.NumTiers(), p.Tiers)
+	}
 	sv := &serving{ //oms:transfer the serving generation owns the mapping; release() closes engine and index together
 		engine:     engine,
 		closeIndex: ix.Close,
 		partitions: ix.Partitions,
-		tiers:      p.Tiers,
-		shortlist:  p.ShortlistPerQuery,
 		loaded:     time.Now(),
 	}
 	if ix.Partitions > 0 {

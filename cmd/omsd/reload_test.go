@@ -220,7 +220,7 @@ func TestIncrementalReloadSwapConsistency(t *testing.T) {
 
 	cfg := servingConfig{
 		indexPath: manifest, maxBatch: 8,
-		maxQueue: 1024, shortlist: -1,
+		maxQueue: 1024,
 	}
 	d := newDaemon(func() (*serving, error) { return buildServing(cfg) })
 	if _, err := d.reload(); err != nil {

@@ -2,27 +2,10 @@
 // file against an MGF spectral library using the HD engine:
 //
 //	omsearch -library lib.mgf -queries q.mgf [-backend ideal|rram] \
-//	         [-d 8192] [-precision 3] [-fdr 0.01] [-standard] \
-//	         [-parallel] [-shardsize 2048] [-tiers 4,12,112] \
-//	         [-bit-layout entropy] [-shortlist 0]
-//	omsearch -index lib.omsidx -queries q.mgf [-fdr 0.01] [-standard] \
-//	         [-parallel] [-tiers 4,12,112] [-shortlist 0]
-//
-// -tiers selects the K-tier pruned cascade ladder: each reference
-// row's packed words are sliced into the given widths, tier 0 scores
-// every candidate, and each deeper tier scores only the rows whose
-// partial distance can still enter the top-k — exact by construction
-// for any ladder. With -shortlist M the ladder instead completes only
-// the M best tier-0 rows per query (approximate,
-// ANN-SoLo/HyperOMS-style). Per-tier pruning rates are reported on
-// stderr.
-//
-// -bit-layout entropy (library builds only — an index's layout is
-// fixed at omsbuild time) measures each dimension's bit balance over
-// the encoded library and packs the most discriminative dimensions
-// into the leading words, so shallow tiers carry the most pruning
-// power per word. Queries are permuted identically at encode time:
-// every Hamming distance, and therefore every result, is unchanged.
+//	         [-d 8192] [-precision 3] [-seed 1] [-rescore 0] \
+//	         [-fdr 0.01] [-standard] [-parallel] [-shardsize 2048]
+//	omsearch -index lib.omsidx -queries q.mgf \
+//	         [-fdr 0.01] [-standard] [-parallel] [-shardsize 2048]
 //
 // With -library the encoded library is built from scratch; with
 // -index (built by omsbuild) the encoded, mass-ordered library and
@@ -34,7 +17,11 @@
 // manifest written by omsbuild -partitions, which routes each query's
 // precursor window to the overlapping mass-fenced partitions and
 // merges their top-k exactly — output is bit-identical to the
-// single-file index over the same library. Either way each query's
+// single-file index over the same library. The K-tier cascade ladder
+// and the bit layout are the index's (omsbuild -tiers/-bit-layout;
+// exact for any ladder, so output does not depend on them) and
+// per-tier pruning rates are reported on stderr; a -library build runs
+// the single-tier natural layout. Either way each query's
 // precursor window is a contiguous row range streamed through the
 // sharded engine's blocked XOR+popcount kernel; with -parallel the
 // whole query set is scored by one block-major batch sweep of the
@@ -67,10 +54,7 @@ func main() {
 	standard := flag.Bool("standard", false, "narrow-window standard search instead of open search")
 	parallel := flag.Bool("parallel", false, "search queries across CPU cores")
 	shardSize := flag.Int("shardsize", 0, "reference rows per search shard (0 = default)")
-	tiersSpec := flag.String("tiers", "", "K-tier cascade ladder: comma-separated packed-word widths per tier, e.g. 4,12,112 (empty = index/default setting)")
-	bitLayout := flag.String("bit-layout", "", "bit layout for -library builds: natural or entropy (empty = natural; an index's layout is fixed at build time)")
-	shortlist := flag.Int("shortlist", -1, "approximate cascade: complete only the best N tier-0 rows per query (-1 = index/default setting, 0 = exact pruning bound)")
-	rescore := flag.Float64("rescore", 0, "blend factor for shifted-dot rescoring of the HD shortlist (0 = off, 1 = pure shifted-dot)")
+	rescore := flag.Float64("rescore", 0, "blend factor for shifted-dot rescoring of the HD top-k candidates (0 = off, 1 = pure shifted-dot)")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
@@ -79,24 +63,17 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	tiers, err := core.ParseTiers(*tiersSpec)
-	fatalIf(err)
 	queries, err := spectrum.ReadSpectraFile(*qPath)
 	fatalIf(err)
 
 	// Query-time settings come from flags whichever way the library
-	// arrives; over an index the encoder identity stays as built.
+	// arrives; over an index the encoder identity, ladder and bit layout
+	// stay as built.
 	queryTime := func(p core.Params) core.Params {
 		p.FDRAlpha = *alpha
 		p.Open = !*standard
 		if *shardSize > 0 {
 			p.ShardSize = *shardSize
-		}
-		if len(tiers) > 0 {
-			p.Tiers = tiers
-		}
-		if *shortlist >= 0 {
-			p.ShortlistPerQuery = *shortlist
 		}
 		return p
 	}
@@ -114,9 +91,6 @@ func main() {
 		if *rescore > 0 {
 			fatalIf(fmt.Errorf("-rescore needs the original library spectra: use -library"))
 		}
-		if *bitLayout != "" {
-			fatalIf(fmt.Errorf("-bit-layout applies to -library builds; an index's layout is fixed when omsbuild writes it"))
-		}
 		// The index mappings stay open for the process lifetime; the
 		// searcher rows are views over them.
 		ix, oerr := libindex.Open(*indexPath)
@@ -132,7 +106,6 @@ func main() {
 		p.Accel.NumChunks = max(*d/32, 32)
 		p.Accel.IDPrecision = *precision
 		p.Accel.Seed = *seed
-		p.BitLayout = *bitLayout
 		p = queryTime(p)
 
 		switch *backend {

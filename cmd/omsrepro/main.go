@@ -6,18 +6,7 @@
 // Output is the text form of Table 1, Figures 7-13, the §5.2.2
 // throughput comparison and the storage-density table. A scale of 1
 // generates paper-sized datasets (1M-3M reference spectra); the
-// default keeps runtime in minutes on a laptop. -only cascade-sweep
-// runs the K-tier ladder sweep: every (ladder depth, bit layout)
-// point checked PSM-identical against the single-tier engine, with
-// the measured per-tier prune rates logged per point.
-//
-// -bench switches to the tracked performance trajectory instead: it
-// measures the four canonical operating points (sharded full-scan
-// batch, exact pruned cascade, partitioned fan-out, served
-// micro-batching) and writes a schema-versioned BENCH_<date>.json
-// into -bench-out (-bench-quick shrinks the reference sets for CI
-// smoke runs). -bench-validate FILE checks an existing document
-// against the schema and exits.
+// default keeps runtime in minutes on a laptop.
 package main
 
 import (
@@ -28,48 +17,16 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/perfbench"
 	"repro/internal/report"
 )
 
 func main() {
 	scale := flag.Float64("scale", 0.004, "dataset scale relative to Table 1 sizes")
 	seed := flag.Int64("seed", 1, "random seed")
-	only := flag.String("only", "", "comma-separated subset: table1,fig7,fig8,fig9,fig10,fig11,fig12,fig13,throughput,storage,ablations,cascade-sweep,characterize")
+	only := flag.String("only", "", "comma-separated subset: table1,fig7,fig8,fig9,fig10,fig11,fig12,fig13,throughput,storage,ablations,characterize")
 	quick := flag.Bool("quick", false, "reduce Monte-Carlo sample counts")
 	csvDir := flag.String("csv", "", "run every experiment and write CSVs to this directory instead of printing text")
-	bench := flag.Bool("bench", false, "run the canonical operating-point benchmarks and write BENCH_<date>.json")
-	benchOut := flag.String("bench-out", ".", "directory for the -bench JSON document")
-	benchQuick := flag.Bool("bench-quick", false, "-bench with CI-sized reference sets")
-	benchValidate := flag.String("bench-validate", "", "validate an existing BENCH_*.json against the schema and exit")
 	flag.Parse()
-
-	if *benchValidate != "" {
-		data, err := os.ReadFile(*benchValidate)
-		exitOn(err)
-		exitOn(perfbench.Validate(data))
-		fmt.Fprintf(os.Stderr, "omsrepro: %s is a valid %s document\n", *benchValidate, perfbench.Schema)
-		return
-	}
-	if *bench || *benchQuick {
-		start := time.Now()
-		doc, err := perfbench.Run(perfbench.Options{Quick: *benchQuick})
-		exitOn(err)
-		path, err := doc.WriteFile(*benchOut)
-		exitOn(err)
-		// Round-trip the emitted file through the validator so the CI
-		// artifact is schema-checked at the source.
-		data, err := os.ReadFile(path)
-		exitOn(err)
-		exitOn(perfbench.Validate(data))
-		fmt.Println(path)
-		for _, pt := range doc.Points {
-			fmt.Fprintf(os.Stderr, "omsrepro: bench %-12s %12.0f ns/op  %8.0f ns/query  %6d allocs/op\n",
-				pt.Name, pt.NsPerOp, pt.NsPerQuery, pt.AllocsPerOp)
-		}
-		fmt.Fprintf(os.Stderr, "omsrepro: bench trajectory written in %v\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
 
 	opts := experiments.Options{Scale: *scale, Seed: *seed, Quick: *quick}
 	if *csvDir != "" {
@@ -155,11 +112,6 @@ func main() {
 		ch, err := experiments.AblationChimeric(opts)
 		exitOn(err)
 		fmt.Println(experiments.RenderChimeric(ch))
-	}
-	if run("cascade-sweep") {
-		rows, err := experiments.LadderSweep(opts)
-		exitOn(err)
-		fmt.Println(experiments.RenderLadderSweep(rows))
 	}
 	if run("characterize") {
 		model, err := experiments.Characterized(opts)

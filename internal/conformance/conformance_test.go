@@ -2,7 +2,7 @@
 // table-driven suite asserting that every way of reaching the one
 // block-major range sweep — a query alone as a batch of one, a whole
 // batch, the batch reversed, traced and untraced, under the K-tier
-// cascade ladder with and without a shortlist, through the engine
+// cascade ladder, through the engine
 // over one partition, over a real mmap-backed manifest's partitions,
 // and the request-coalescing serving layer — returns bit-identical top-k lists
 // over randomized D/shard/k/ladder-depth/bit-layout/partition-count
@@ -35,17 +35,16 @@ import (
 
 // workload is one randomized configuration of the conformance matrix.
 type workload struct {
-	name      string
-	d         int
-	shard     int
-	k         int
-	tiers     []int // K-tier ladder prefix (nil = single tier)
-	entropy   bool  // pack the store under the entropy bit-layout permutation
-	shortlist int   // approximate completion budget (0 = exact)
-	nRefs     int
-	nQueries  int
-	parts     []int // partition counts to cross-check (exact modes only)
-	seed      int64
+	name     string
+	d        int
+	shard    int
+	k        int
+	tiers    []int // K-tier ladder prefix (nil = single tier)
+	entropy  bool  // pack the store under the entropy bit-layout permutation
+	nRefs    int
+	nQueries int
+	parts    []int // partition counts to cross-check
+	seed     int64
 }
 
 var workloads = []workload{
@@ -53,7 +52,6 @@ var workloads = []workload{
 	{name: "cascade-exact", d: 1024, shard: 100, k: 3, tiers: []int{4}, nRefs: 900, nQueries: 40, parts: []int{2, 3}, seed: 2},
 	{name: "tail-mask", d: 1000, shard: 0, k: 7, tiers: []int{3}, nRefs: 500, nQueries: 30, parts: []int{1, 3, 7}, seed: 3},
 	{name: "tiny-k-over", d: 256, shard: 16, k: 10, nRefs: 64, nQueries: 20, parts: []int{1, 7}, seed: 4},
-	{name: "shortlist", d: 512, shard: 32, k: 5, tiers: []int{2}, shortlist: 25, nRefs: 600, nQueries: 30, seed: 5},
 	// A first tier of words-1 leaves a one-word completion tier; one of
 	// all 8 words is the single-tier layout with identical results (the
 	// degenerate-cascade contract).
@@ -130,7 +128,6 @@ func buildFixture(t *testing.T, w workload) *fixture {
 	p.ShardSize = w.shard
 	p.TopK = w.k
 	p.Tiers = w.tiers
-	p.ShortlistPerQuery = w.shortlist
 
 	queries := make([]core.PreparedQuery, w.nQueries)
 	for qi := range queries {
@@ -209,46 +206,6 @@ func (fx *fixture) oracleOver(hv hdc.BinaryHV, indices []int, k int) []hdc.Match
 	return all
 }
 
-// oracleShortlistOver is the independent reference for shortlist mode
-// over an explicit valid-index set: rank rows by tier-A partial
-// distance (ties by ascending index), complete only the best M, then
-// rank those fully.
-func (fx *fixture) oracleShortlistOver(hv hdc.BinaryHV, indices []int, k, prefilterWords, m int) []hdc.Match {
-	type partial struct {
-		idx, da int
-	}
-	var ps []partial
-	for _, i := range indices {
-		ps = append(ps, partial{idx: i, da: hamming(hv.Words[:prefilterWords], fx.refs[i].Words[:prefilterWords])})
-	}
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].da != ps[b].da {
-			return ps[a].da < ps[b].da
-		}
-		return ps[a].idx < ps[b].idx
-	})
-	if len(ps) > m {
-		ps = ps[:m]
-	}
-	var all []hdc.Match
-	for _, pp := range ps {
-		all = append(all, hdc.Match{Index: pp.idx, Similarity: fx.p.Accel.D - hamming(hv.Words, fx.refs[pp.idx].Words)})
-	}
-	sort.Slice(all, func(a, b int) bool { return rankBefore(all[a], all[b]) })
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
-// oracleFor routes a valid-index set through the workload's mode.
-func (fx *fixture) oracleFor(w workload, hv hdc.BinaryHV, indices []int) []hdc.Match {
-	if w.shortlist > 0 {
-		return fx.oracleShortlistOver(hv, indices, w.k, w.tiers[0], w.shortlist)
-	}
-	return fx.oracleOver(hv, indices, w.k)
-}
-
 // wantPSM derives the expected PSM from an oracle list, mirroring the
 // engines' score normalization and metadata lookup.
 func (fx *fixture) wantPSM(q core.PreparedQuery, top []hdc.Match) (fdr.PSM, bool) {
@@ -318,8 +275,7 @@ func (stubEncoder) EncodeVector(v spectrum.Vector) (hdc.BinaryHV, error) {
 }
 
 // TestConformance is the matrix: for every workload, every search path
-// must reproduce the oracle's top-k bit for bit (or, in shortlist
-// mode, the shortlist oracle's).
+// must reproduce the oracle's top-k bit for bit.
 func TestConformance(t *testing.T) {
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
@@ -327,10 +283,10 @@ func TestConformance(t *testing.T) {
 			n := fx.lib.Len()
 			oracle := make([][]hdc.Match, len(fx.queries))
 			for qi, q := range fx.queries {
-				oracle[qi] = fx.oracleFor(w, q.HV, rangeIndices(q.Lo, q.Hi, n))
+				oracle[qi] = fx.oracleOver(q.HV, rangeIndices(q.Lo, q.Hi, n), w.k)
 			}
 
-			cc := hdc.CascadeConfig{Tiers: w.tiers, Shortlist: w.shortlist}
+			cc := hdc.CascadeConfig{Tiers: w.tiers}
 			searcher, err := hdc.NewShardedSearcher(fx.lib.HVs, w.shard, cc)
 			if err != nil {
 				t.Fatal(err)
@@ -352,10 +308,8 @@ func TestConformance(t *testing.T) {
 			// the queries back to the natural layout and search them
 			// through a natural-layout searcher — every match list must be
 			// identical, because the permutation relabels dimensions
-			// without moving a single Hamming distance. (Shortlist mode is
-			// excluded: its tier-0 partial ranking is layout-dependent by
-			// design — that is the entire point of the entropy layout.)
-			if len(fx.perm) > 0 && w.shortlist == 0 {
+			// without moving a single Hamming distance.
+			if len(fx.perm) > 0 {
 				inv := make([]int, len(fx.perm))
 				for j, d := range fx.perm {
 					inv[d] = j
@@ -395,7 +349,7 @@ func TestConformance(t *testing.T) {
 			edgeOracle := make([][]hdc.Match, len(edgeRanges))
 			for ri, r := range edgeRanges {
 				edgeHVs[ri] = fx.queries[0].HV
-				edgeOracle[ri] = fx.oracleFor(w, edgeHVs[ri], rangeIndices(r.Lo, r.Hi, n))
+				edgeOracle[ri] = fx.oracleOver(edgeHVs[ri], rangeIndices(r.Lo, r.Hi, n), w.k)
 			}
 			assertOnePath(t, "edge", searcher, edgeHVs, edgeRanges, w.k, edgeOracle)
 
@@ -450,11 +404,9 @@ func TestConformance(t *testing.T) {
 			wg.Wait()
 			srv.Close()
 
-			// The engine over the real on-disk manifest's partition set: exact
-			// modes must be bit-identical to the oracle for every
-			// partition count (shortlist mode applies its budget per
-			// partition — a different approximation by design, so it
-			// stays out of the cross-partition contract).
+			// The engine over the real on-disk manifest's partition set
+			// must be bit-identical to the oracle for every partition
+			// count.
 			for _, parts := range w.parts {
 				t.Run(fmt.Sprintf("partitions-%d", parts), func(t *testing.T) {
 					manifest := filepath.Join(t.TempDir(), "lib.manifest")

@@ -111,8 +111,8 @@ type Params struct {
 	// packed words form tier t of every row, scanned in order with the
 	// pruning bound checked between tiers. Empty keeps the single-tier
 	// scan; a two-element ladder is the classic prefilter/completion
-	// cascade. Exact-mode results stay bit-identical to the
-	// single-tier kernel for every ladder.
+	// cascade. Results stay bit-identical to the single-tier kernel
+	// for every ladder.
 	Tiers []int
 	// BitLayout selects the build-time dimension layout:
 	// ""/"natural" stores encoded dimensions in encoder order;
@@ -122,20 +122,13 @@ type Params struct {
 	// references at build time and queries at prepare time, so results
 	// are unchanged by construction.
 	BitLayout string
-	// ShortlistPerQuery switches the cascade to approximate mode:
-	// per query, only the ShortlistPerQuery rows with the best
-	// tier-0 partial distance are completed — the
-	// HyperOMS/ANN-SoLo-style recall-for-speed trade. 0 keeps the
-	// exact pruning bound; a positive value requires a multi-tier
-	// ladder.
-	ShortlistPerQuery int
 	// FDRAlpha is the FDR acceptance level (paper: 0.01).
 	FDRAlpha float64
 }
 
-// cascadeConfig maps the cascade knobs onto the searcher's config.
+// cascadeConfig maps the ladder onto the searcher's config.
 func (p Params) cascadeConfig() hdc.CascadeConfig {
-	return hdc.CascadeConfig{Tiers: p.Tiers, Shortlist: p.ShortlistPerQuery}
+	return hdc.CascadeConfig{Tiers: p.Tiers}
 }
 
 // Bit-layout names accepted by Params.BitLayout.

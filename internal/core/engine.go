@@ -59,11 +59,7 @@ type partition struct {
 // partition's hidden-row count, so shadowed rows can never crowd a
 // visible one out), and the merge order (rowBefore) reproduces, bit
 // for bit, what a one-partition engine over the mass-sorted visible
-// set returns. That exactness claim holds for single-tier and
-// exact-cascade layouts; shortlist mode (Params.ShortlistPerQuery)
-// applies its completion budget per partition, a different — strictly
-// wider — approximation than one global shortlist, so shortlisted
-// results are not comparable across partition counts.
+// set returns, for every ladder and bit layout.
 type Engine struct {
 	params  Params
 	enc     Encoder

@@ -32,16 +32,3 @@ func ParseTiers(s string) ([]int, error) {
 	}
 	return tiers, nil
 }
-
-// FormatTiers renders a ladder specification back into the -tiers
-// flag syntax ("" for nil: no explicit ladder).
-func FormatTiers(tiers []int) string {
-	if len(tiers) == 0 {
-		return ""
-	}
-	parts := make([]string, len(tiers))
-	for i, w := range tiers {
-		parts[i] = strconv.Itoa(w)
-	}
-	return strings.Join(parts, ",")
-}

@@ -16,8 +16,8 @@ func nearDup(hv BinaryHV, rate float64, rng *rand.Rand) BinaryHV {
 }
 
 // cascadeFixture builds a reference set with, per query, a cluster of
-// planted near-duplicates inside [plantLo, plantLo+k), so exact-mode
-// pruning fires and shortlist mode has unambiguous best rows.
+// planted near-duplicates inside [plantLo, plantLo+k), so the exact
+// pruning bound fires.
 func cascadeFixture(t testing.TB, d, n, nq, k int, seed int64) ([]BinaryHV, []BinaryHV) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -75,52 +75,6 @@ func TestCascadeExactParityParallel(t *testing.T) {
 	}
 }
 
-// TestCascadeShortlistSemantics pins the approximate-mode contract:
-// a shortlist at least as large as the scanned row count completes
-// everything and therefore equals the exact result, a query alone and
-// in a batch agree, and the planted near-duplicates — unambiguous
-// tier-A winners — survive even tiny shortlists.
-func TestCascadeShortlistSemantics(t *testing.T) {
-	d, n, nq, k := 512, 500, 6, 3
-	words := WordsPerHV(d)
-	refs, queries := cascadeFixture(t, d, n, nq, k, 7)
-	base, err := NewShardedSearcher(refs, 64, CascadeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranges := make([]RowRange, nq)
-	for i := range ranges {
-		lo := (i * n) / (2 * nq)
-		ranges[i] = RowRange{Lo: max(0, lo-11), Hi: min(n, lo+n/2)}
-	}
-	for _, shortlist := range []int{k, 16, n, 2 * n} {
-		casc, err := NewShardedSearcher(refs, 64, CascadeConfig{Tiers: []int{words / 4}, Shortlist: shortlist})
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := casc.BatchTopKRange(queries, ranges, k)
-		for qi, q := range queries {
-			single := topKRange(casc, q, ranges[qi].Lo, ranges[qi].Hi, k)
-			if !matchesEqual(single, batch[qi]) {
-				t.Fatalf("shortlist %d query %d: single %v != batch %v", shortlist, qi, single, batch[qi])
-			}
-			if shortlist >= ranges[qi].Len() {
-				want := topKRange(base, q, ranges[qi].Lo, ranges[qi].Hi, k)
-				if !matchesEqual(single, want) {
-					t.Fatalf("shortlist %d >= range %d but diverged from exact:\ngot  %v\nwant %v",
-						shortlist, ranges[qi].Len(), single, want)
-				}
-			}
-			// The planted cluster dominates tier A by construction, so
-			// the exact top-1 must survive any shortlist >= k.
-			want := topKRange(base, q, ranges[qi].Lo, ranges[qi].Hi, 1)
-			if len(single) == 0 || len(want) == 0 || single[0] != want[0] {
-				t.Fatalf("shortlist %d query %d: top-1 %v, want %v", shortlist, qi, single, want)
-			}
-		}
-	}
-}
-
 // TestCascadeStatsCounters pins the pruning telemetry: counters
 // accumulate on cascade scans, completions never exceed prefilters,
 // pruning actually happens on the planted-cluster workload, and a
@@ -164,12 +118,6 @@ func TestCascadeStatsCounters(t *testing.T) {
 // malformed cascade configs and degenerate reference sets.
 func TestCascadeConfigValidation(t *testing.T) {
 	refs := randomRefs(128, 10, 3)
-	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Tiers: []int{1}, Shortlist: -2}); err == nil {
-		t.Error("negative shortlist accepted")
-	}
-	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Shortlist: 5}); err == nil {
-		t.Error("shortlist without a two-tier layout accepted")
-	}
 	if _, err := NewShardedSearcher([]BinaryHV{{D: 0}}, 0, CascadeConfig{}); err == nil {
 		t.Error("zero-dimension reference accepted")
 	}
@@ -182,9 +130,6 @@ func TestCascadeConfigValidation(t *testing.T) {
 	}
 	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Tiers: []int{words, 1}}); err == nil {
 		t.Error("tier ladder wider than the row accepted")
-	}
-	if _, err := NewShardedSearcher(refs, 0, CascadeConfig{Tiers: []int{words}, Shortlist: 3}); err == nil {
-		t.Error("shortlist on a single-tier ladder accepted")
 	}
 }
 

@@ -3,9 +3,7 @@ package hdc
 import (
 	"container/heap"
 	"fmt"
-	"math/bits"
 	"math/rand"
-	"sort"
 )
 
 // naiveTopK is the original flat-scan, container/heap top-k over a
@@ -73,35 +71,6 @@ func rangeCands(lo, hi, n int) []int {
 		out = append(out, i)
 	}
 	return out
-}
-
-// naiveShortlistTopK is the flat-scan reference for shortlist mode:
-// rank the candidate rows by tier-0 partial distance (ties by
-// ascending index), complete only the best m, then rank those fully.
-func naiveShortlistTopK(refs []BinaryHV, q BinaryHV, candidates []int, k, tier0Words, m int) []Match {
-	type partial struct{ idx, da int }
-	ps := make([]partial, 0, len(candidates))
-	for _, i := range candidates {
-		da := 0
-		for w := 0; w < tier0Words; w++ {
-			da += bits.OnesCount64(q.Words[w] ^ refs[i].Words[w])
-		}
-		ps = append(ps, partial{idx: i, da: da})
-	}
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].da != ps[b].da {
-			return ps[a].da < ps[b].da
-		}
-		return ps[a].idx < ps[b].idx
-	})
-	if len(ps) > m {
-		ps = ps[:m]
-	}
-	kept := make([]int, len(ps))
-	for i, p := range ps {
-		kept[i] = p.idx
-	}
-	return naiveTopK(refs, q.D, q, kept, k)
 }
 
 // matchesEqual reports exact equality of two match lists, order and

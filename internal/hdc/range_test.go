@@ -10,7 +10,7 @@ import (
 )
 
 // TestOnePathMatrix is the conformance matrix of the one scan path:
-// for every layout (single-tier, exact ladders, shortlist) and shard
+// for every layout (single-tier, exact ladders) and shard
 // geometry, every query alone as a batch of one, the whole batch and
 // the batch reversed — each with and without a trace, on one worker
 // and on several — must return lists identical to the flat-scan
@@ -41,8 +41,6 @@ func onePathMatrix(t *testing.T) {
 		{"k-over-shard", 4, 9, CascadeConfig{}},
 		{"two-tier", 100, 4, CascadeConfig{Tiers: []int{2, words - 2}}},
 		{"four-tier", 48, 3, CascadeConfig{Tiers: []int{1, 1, 2}}},
-		{"shortlist", 32, 5, CascadeConfig{Tiers: []int{2}, Shortlist: 25}},
-		{"shortlist-over-shard", 16, 3, CascadeConfig{Tiers: []int{1}, Shortlist: 40}},
 	}
 	ranges := []RowRange{
 		{Lo: 0, Hi: n},        // full scan
@@ -68,11 +66,7 @@ func onePathMatrix(t *testing.T) {
 			oracle := make([][]Match, len(queries))
 			for i, q := range queries {
 				cands := rangeCands(ranges[i].Lo, ranges[i].Hi, n)
-				if lay.cc.Shortlist > 0 {
-					oracle[i] = naiveShortlistTopK(refs, q, cands, lay.k, lay.cc.Tiers[0], lay.cc.Shortlist)
-				} else {
-					oracle[i] = naiveTopK(refs, d, q, cands, lay.k)
-				}
+				oracle[i] = naiveTopK(refs, d, q, cands, lay.k)
 			}
 			revQ := make([]BinaryHV, len(queries))
 			revR := make([]RowRange, len(ranges))

@@ -51,13 +51,6 @@ type CascadeConfig struct {
 	// covering the whole row, like an empty ladder, is the single-tier
 	// layout.
 	Tiers []int
-	// Shortlist switches cascade scans from the exact pruning bound to
-	// approximate mode: per query, only the Shortlist rows with the
-	// best tier-0 partial distance (ties by ascending index) are
-	// completed against the deeper tiers. 0 keeps the exact bound; a
-	// positive value requires a multi-tier layout. Negative values are
-	// rejected.
-	Shortlist int
 }
 
 // normalizeTiers resolves a CascadeConfig into the per-tier word
@@ -78,13 +71,6 @@ func normalizeTiers(cc CascadeConfig, words int) ([]int, error) {
 	if sum < words {
 		tiers = append(tiers, words-sum)
 	}
-	if cc.Shortlist < 0 {
-		return nil, fmt.Errorf("hdc: negative cascade shortlist %d", cc.Shortlist)
-	}
-	if cc.Shortlist > 0 && len(tiers) < 2 {
-		return nil, fmt.Errorf("hdc: cascade shortlist %d requires a multi-tier layout (tier 0 covers all %d words, leaving nothing to prune)",
-			cc.Shortlist, words)
-	}
 	return tiers, nil
 }
 
@@ -93,8 +79,8 @@ func normalizeTiers(cc CascadeConfig, words int) ([]int, error) {
 type CascadeStats struct {
 	// TierRows[t] counts rows whose tier-t words were scored by a
 	// cascade sweep. TierRows[0] is the swept candidate volume;
-	// deeper tiers only see rows the pruning bound (or shortlist)
-	// admitted, so the counts are non-increasing down the ladder.
+	// deeper tiers only see rows the pruning bound admitted, so the
+	// counts are non-increasing down the ladder.
 	TierRows []uint64
 }
 
@@ -150,19 +136,6 @@ func (c CascadeStats) TierPruneRate(t int) float64 {
 	return float64(c.TierRows[t]-next) / float64(c.TierRows[t])
 }
 
-// Sub returns the per-tier difference c - prev (counter deltas over a
-// measurement interval). Mismatched depths return c unchanged.
-func (c CascadeStats) Sub(prev CascadeStats) CascadeStats {
-	if len(prev.TierRows) != len(c.TierRows) {
-		return c
-	}
-	out := CascadeStats{TierRows: make([]uint64, len(c.TierRows))}
-	for t := range c.TierRows {
-		out.TierRows[t] = c.TierRows[t] - prev.TierRows[t]
-	}
-	return out
-}
-
 // ShardedSearcher is the sharded, batch-oriented exact Hamming search
 // engine — the software stand-in for the paper's in-memory search,
 // with the accelerator's one primitive: a batch of queries each
@@ -181,8 +154,7 @@ func (c CascadeStats) Sub(prev CascadeStats) CascadeStats {
 // k-th-best distance, and descends the ladder only while a row's
 // partial distance can still beat that bound (descendBlock) — the
 // prune is exact at every rung, so results stay bit-identical to the
-// single-tier kernel. Shortlist mode trades that guarantee for a
-// fixed completion budget per query.
+// single-tier kernel.
 type ShardedSearcher struct {
 	d         int   // hypervector dimension
 	words     int   // packed words per hypervector, ceil(d/64)
@@ -192,7 +164,6 @@ type ShardedSearcher struct {
 	tw        []int // words per tier (len K >= 1; K == 1 is single-tier)
 	off       []int // word offset of tier t within a full row
 	stride    []int // row stride within a shard's tier-t plane
-	shortlist int   // approximate completion budget per query (0 = exact)
 	shards    []shard
 
 	// tierRows[t] counts rows scored against tier t by a cascade
@@ -281,7 +252,7 @@ func NewShardedSearcher(refs []BinaryHV, shardSize int, cc CascadeConfig) (*Shar
 	if err != nil {
 		return nil, err
 	}
-	s := newShardedShell(d, words, len(refs), shardSize, tiers, cc.Shortlist)
+	s := newShardedShell(d, words, len(refs), shardSize, tiers)
 	for start := 0; start < len(refs); start += shardSize {
 		rows := min(shardSize, len(refs)-start)
 		sh := shard{start: start, rows: rows, planes: make([][]uint64, len(tiers))}
@@ -326,7 +297,7 @@ func NewShardedSearcherFromPacked(block []uint64, d, shardSize int, cc CascadeCo
 	if err != nil {
 		return nil, err
 	}
-	s := newShardedShell(d, words, n, shardSize, tiers, cc.Shortlist)
+	s := newShardedShell(d, words, n, shardSize, tiers)
 	if len(tiers) > 1 {
 		// Deeper tiers alias the caller's full-width rows: stride is the
 		// whole row, width the tier's words.
@@ -360,7 +331,7 @@ func NewShardedSearcherFromPacked(block []uint64, d, shardSize int, cc CascadeCo
 // newShardedShell assembles the searcher metadata shared by both
 // constructors: tier offsets, private-copy strides (FromPacked
 // overrides the deep strides), kernel block size and counters.
-func newShardedShell(d, words, n, shardSize int, tiers []int, shortlist int) *ShardedSearcher {
+func newShardedShell(d, words, n, shardSize int, tiers []int) *ShardedSearcher {
 	s := &ShardedSearcher{
 		d:         d,
 		words:     words,
@@ -370,7 +341,6 @@ func newShardedShell(d, words, n, shardSize int, tiers []int, shortlist int) *Sh
 		tw:        tiers,
 		off:       make([]int, len(tiers)),
 		stride:    make([]int, len(tiers)),
-		shortlist: shortlist,
 	}
 	o := 0
 	for t, tw := range tiers {
@@ -640,21 +610,6 @@ func sortedMatches(h []Match) []Match {
 	return out
 }
 
-// completeRow finishes a shortlisted tier-0 partial match (Similarity
-// carries the negated partial distance) into a full-similarity match
-// by scoring the row's remaining tiers. qw is the full query word
-// row, acc one word of scratch for the running distance.
-//
-//oms:hotpath
-func (s *ShardedSearcher) completeRow(qw []uint64, pm Match, acc []int) Match {
-	sh := &s.shards[pm.Index/s.shardSize]
-	acc[0] = -pm.Similarity
-	for t := 1; t < len(s.tw); t++ {
-		s.addTierDist(s.qtier(qw, t), sh, t, pm.Index-sh.start, acc)
-	}
-	return Match{Index: pm.Index, Similarity: s.d - acc[0]}
-}
-
 // rangeQuery is one active query of a batch: a clamped, non-empty row
 // range and the arena position of its per-shard heaps. A contiguous
 // range intersects a contiguous shard run, so shard si's heap is arena
@@ -682,13 +637,12 @@ type batch struct {
 	queries []BinaryHV
 	tr      *obsv.Trace
 	k       int          // result depth
-	limit   int          // heap bound: k, or the shortlist under shortlist mode
-	hcap    int          // arena slots per part: min(limit, shardSize)
+	hcap    int          // arena slots per part: min(k, shardSize)
 	plan    []rangeQuery // active queries, sorted by range start
 	heaps   []Match
 	hlen    []int // per part: the heap's fill after the sweep
 	// bounds carries the per-query pruning bound shard workers share
-	// under an exact cascade (see descendBlock); unused otherwise.
+	// under a cascade (see descendBlock); unused otherwise.
 	bounds []atomic.Int64
 	next   atomic.Int64 // next shard a worker claims, up to last
 	last   int
@@ -728,9 +682,7 @@ func (s *ShardedSearcher) BatchTopKRange(queries []BinaryHV, ranges []RowRange, 
 // query and shard a top-k heap survives the sweep; the per-shard heaps
 // merge per query — deterministic regardless of shard completion
 // order, and exact because a range-global top-k member is necessarily
-// in its own shard's top-k. Under shortlist mode the per-shard heaps
-// hold tier-0 partials; the merge keeps the global best Shortlist of
-// them and completes only those.
+// in its own shard's top-k.
 //
 // When tr is non-nil the scan accumulates per-tier sweep nanoseconds,
 // row counters and the merge time into it. Timing never alters control
@@ -749,11 +701,8 @@ func (s *ShardedSearcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowR
 	}
 	b := batchPool.Get().(*batch)
 	defer b.release()
-	b.queries, b.tr, b.k, b.limit = queries, tr, k, k
-	if s.shortlist > 0 {
-		b.limit = s.shortlist
-	}
-	b.hcap = min(b.limit, s.shardSize)
+	b.queries, b.tr, b.k = queries, tr, k
+	b.hcap = min(k, s.shardSize)
 	b.plan = b.plan[:0]
 	for i, r := range ranges {
 		if r = r.Clamp(s.n); r.Empty() {
@@ -780,7 +729,7 @@ func (s *ShardedSearcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowR
 	}
 	b.heaps = grown(b.heaps, parts*b.hcap)
 	b.hlen = grown(b.hlen, parts)
-	if s.multiTier() && s.shortlist == 0 {
+	if s.multiTier() {
 		b.bounds = grown(b.bounds, len(b.plan))
 		for j := range b.bounds {
 			b.bounds[j].Store(math.MaxInt64)
@@ -802,15 +751,10 @@ func (s *ShardedSearcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowR
 	s.sweepShards(b, &b.local)
 	b.wg.Wait()
 
-	// Trace the merge wall time, splitting out the shortlist ladder
-	// completions (clock reads gated on tr, so untraced scans pay one
-	// branch per query at most).
 	var mergeT0 time.Time
-	var completeNanos int64
 	if tr != nil {
 		mergeT0 = time.Now()
 	}
-	var completed uint64
 	for j := range b.plan {
 		pq := &b.plan[j]
 		// The first part's heap is the merge heap, grown in place over
@@ -821,43 +765,13 @@ func (s *ShardedSearcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowR
 		h := b.heaps[base : base+b.hlen[pq.part] : base+nparts*b.hcap]
 		for p := pq.part + 1; p < pq.part+nparts; p++ {
 			for _, m := range b.heaps[p*b.hcap:][:b.hlen[p]] {
-				h = offerTopK(h, m, b.limit)
-			}
-		}
-		if s.shortlist > 0 {
-			// h is the global shortlist: the best Shortlist tier-0
-			// partials of the whole range, exactly what a single-heap
-			// sweep would keep. Complete them and keep the top k.
-			var ct0 time.Time
-			if tr != nil {
-				ct0 = time.Now()
-			}
-			qw := queries[pq.qi].Words
-			b.local.sims = grown(b.local.sims, 1)
-			top := h[:0]
-			for _, pm := range h {
-				top = offerTopK(top, s.completeRow(qw, pm, b.local.sims), k)
-			}
-			completed += uint64(len(h))
-			h = top
-			if tr != nil {
-				completeNanos += int64(time.Since(ct0))
+				h = offerTopK(h, m, k)
 			}
 		}
 		out[pq.qi] = sortedMatches(h)
 	}
-	if completed > 0 {
-		// A shortlist completion scores every tier past tier 0.
-		for t := 1; t < len(s.tw); t++ {
-			s.tierRows[t].Add(completed)
-		}
-	}
 	if tr != nil {
-		// Shortlist completion time lands in the final tier's slot —
-		// the deepest rung dominates the completion cost.
-		tr.AddTierNanos(len(s.tw)-1, completeNanos)
-		tr.AddNanos(obsv.StageMerge, int64(time.Since(mergeT0))-completeNanos)
-		tr.AddRows(0, int64(completed))
+		tr.AddNanos(obsv.StageMerge, int64(time.Since(mergeT0)))
 	}
 	return out
 }
@@ -871,9 +785,8 @@ func (s *ShardedSearcher) sweepShards(b *batch, sc *searchScratch) {
 }
 
 // scanShard sweeps one shard's kernel blocks with every query whose
-// range intersects the shard, leaving each (query, shard) heap in the
-// batch arena: top-k matches, or tier-0 shortlist partials (similarity
-// = negated partial distance) under shortlist mode.
+// range intersects the shard, leaving each (query, shard) top-k heap in
+// the batch arena.
 //
 // When b.tr is non-nil the sweep's wall time lands in the per-tier
 // slots: the clock is read once at entry and once at exit, plus one
@@ -932,14 +845,7 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 				sq.heap = offerBlock(sq.heap, vals, r0, b.k)
 				continue
 			}
-			if s.shortlist > 0 {
-				for i, da := range vals {
-					vals[i] = -da
-				}
-				sq.heap = offerBlock(sq.heap, vals, r0, s.shortlist)
-			} else {
-				sq.heap = s.descendBlock(sh, qw, r0, vals, sq.heap, b.k, &b.bounds[sq.j], sc, b.tr != nil)
-			}
+			sq.heap = s.descendBlock(sh, qw, r0, vals, sq.heap, b.k, &b.bounds[sq.j], sc, b.tr != nil)
 		}
 	}
 	for x := range qs {
@@ -956,7 +862,7 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 			deep += sc.tns[t]
 		}
 		b.tr.AddTierNanos(0, int64(time.Since(t0))-deep)
-		if nt > 1 && s.shortlist == 0 {
+		if nt > 1 {
 			completed = int64(sc.tcnt[nt-1])
 		}
 		b.tr.AddRows(int64(sc.tcnt[0]), completed)

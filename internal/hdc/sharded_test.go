@@ -38,7 +38,7 @@ func TestSingleReferenceEdges(t *testing.T) {
 	refs := randomRefs(192, 1, 51)
 	rng := rand.New(rand.NewSource(52))
 	q := RandomBinaryHV(192, rng)
-	for _, cc := range []CascadeConfig{{}, {Tiers: []int{1}}, {Tiers: []int{1}, Shortlist: 3}} {
+	for _, cc := range []CascadeConfig{{}, {Tiers: []int{1}}} {
 		s, err := NewShardedSearcher(refs, 16, cc)
 		if err != nil {
 			t.Fatalf("%+v: %v", cc, err)

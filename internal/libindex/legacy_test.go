@@ -17,17 +17,27 @@ import (
 	"repro/internal/spectrum"
 )
 
-// legacyParams rewrites stored params JSON the way a build before the
-// K-tier ladder wrote it: no ladder, the two-tier cascade as a
-// PrefilterWords count.
-func legacyParams(t *testing.T, params []byte, pf int) []byte {
+// paramsRewrite edits the fields of stored params JSON into what an
+// older build wrote.
+type paramsRewrite func(fields map[string]json.RawMessage)
+
+// prefilterWords is the params of a build before the K-tier ladder: no
+// ladder, the two-tier cascade as a PrefilterWords count.
+func prefilterWords(pf int) paramsRewrite {
+	return func(fields map[string]json.RawMessage) {
+		fields["Tiers"] = json.RawMessage("null")
+		fields["PrefilterWords"] = json.RawMessage(strconv.Itoa(pf))
+	}
+}
+
+// legacyParams applies rewrite to stored params JSON.
+func legacyParams(t *testing.T, params []byte, rewrite paramsRewrite) []byte {
 	t.Helper()
 	var fields map[string]json.RawMessage
 	if err := json.Unmarshal(params, &fields); err != nil {
 		t.Fatal(err)
 	}
-	fields["Tiers"] = json.RawMessage("null")
-	fields["PrefilterWords"] = json.RawMessage(strconv.Itoa(pf))
+	rewrite(fields)
 	out, err := json.Marshal(fields)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +49,7 @@ func legacyParams(t *testing.T, params []byte, pf int) []byte {
 // with the new params length, the params, the metadata sections as
 // they were, fresh alignment padding, the untouched words and a new
 // CRC trailer.
-func legacyImage(t *testing.T, img []byte, pf int) []byte {
+func legacyImage(t *testing.T, img []byte, rewrite paramsRewrite) []byte {
 	t.Helper()
 	const paramsOff = 36
 	le := binary.LittleEndian
@@ -58,7 +68,7 @@ func legacyImage(t *testing.T, img []byte, pf int) []byte {
 	if pad := wordsOff - off; pad < 0 || pad > 7 {
 		t.Fatalf("metadata walk ended at %d, words start at %d", off, wordsOff)
 	}
-	params := legacyParams(t, img[paramsOff:paramsEnd], pf)
+	params := legacyParams(t, img[paramsOff:paramsEnd], rewrite)
 	out := append([]byte(nil), img[:paramsOff]...)
 	le.PutUint32(out[32:], uint32(len(params)))
 	out = append(out, params...)
@@ -77,46 +87,23 @@ func searchAll(t *testing.T, e *core.Engine, queries []*spectrum.Spectrum) []fdr
 	return psms
 }
 
-// TestLegacyPrefilterWordsTranslated pins the one-time translation of
-// the removed two-tier alias: an image whose params carry
-// PrefilterWords = pf opens — as a file, copied or mapped, and as a
-// manifest — with the ladder [pf, words−pf] it always meant, the same
-// CascadeStats shape and the same results as the image that stores that
-// ladder outright; pf covering the whole row means no ladder.
-func TestLegacyPrefilterWordsTranslated(t *testing.T) {
-	ds := testWorkload(t)
-	const d, pf = 1024, 4
-	words := hdc.WordsPerHV(d)
-	p := testParams(d, 64, 3)
-	p.Tiers = []int{pf, words - pf}
-	built := buildEngine(t, p, ds.Library)
+// openLegacy saves lib under p, rewrites the stored params the way an
+// older build wrote them, and hands check the params and engine of
+// every way the image opens: Load (copied), Open on the file (mapped
+// where supported) and Open on a two-partition manifest whose base
+// record and partition files are all rewritten.
+func openLegacy(t *testing.T, p core.Params, lib *core.Library, rewrite paramsRewrite, check func(name string, lp core.Params, e *core.Engine)) {
+	t.Helper()
 	var modern bytes.Buffer
-	if err := Save(&modern, p, built.Library()); err != nil {
+	if err := Save(&modern, p, lib); err != nil {
 		t.Fatal(err)
 	}
-	want := searchAll(t, built, ds.Queries)
-	wantStats, _ := built.CascadeStats()
-	check := func(name string, lp core.Params, e *core.Engine) {
-		t.Helper()
-		if !slices.Equal(lp.Tiers, p.Tiers) {
-			t.Fatalf("%s: opened with ladder %v, want %v", name, lp.Tiers, p.Tiers)
-		}
-		if got := searchAll(t, e, ds.Queries); !slices.Equal(got, want) {
-			t.Fatalf("%s: results differ from the engine built with the ladder", name)
-		}
-		// Same depth and the same swept volume; how many rows survive to
-		// the deeper tier depends on the partitioning, not on the params.
-		if cs, ok := e.CascadeStats(); !ok || cs.NumTiers() != wantStats.NumTiers() || cs.Prefiltered() != wantStats.Prefiltered() {
-			t.Fatalf("%s: cascade stats %+v ok=%v, want the shape of %+v", name, cs, ok, wantStats)
-		}
-	}
-
-	legacy := legacyImage(t, modern.Bytes(), pf)
-	lp, lib, err := Load(bytes.NewReader(legacy))
+	legacy := legacyImage(t, modern.Bytes(), rewrite)
+	lp, llib, err := Load(bytes.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := core.NewExactEngineFromLibrary(lp, lib)
+	loaded, _, err := core.NewExactEngineFromLibrary(lp, llib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,28 +128,9 @@ func TestLegacyPrefilterWordsTranslated(t *testing.T) {
 	}
 	check("Open(file)", o.Params, opened)
 
-	// A count covering the whole row left nothing to complete: no ladder.
-	lp, lib, err = Load(bytes.NewReader(legacyImage(t, modern.Bytes(), words)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lp.Tiers) != 0 {
-		t.Fatalf("PrefilterWords = %d of %d words opened with ladder %v, want none", words, words, lp.Tiers)
-	}
-	flat, _, err := core.NewExactEngineFromLibrary(lp, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := flat.CascadeStats(); ok {
-		t.Fatal("whole-row PrefilterWords still runs a cascade")
-	}
-	if got := searchAll(t, flat, ds.Queries); !slices.Equal(got, want) {
-		t.Fatal("single-tier fallback results differ")
-	}
-
 	// Manifest: the base record's params and every partition file's.
 	manifest := filepath.Join(dir, "legacy.manifest")
-	if err := SavePartitioned(manifest, p, built.Library(), 2); err != nil {
+	if err := SavePartitioned(manifest, p, lib, 2); err != nil {
 		t.Fatal(err)
 	}
 	line, err := os.ReadFile(manifest)
@@ -173,7 +141,7 @@ func TestLegacyPrefilterWordsTranslated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Params = legacyParams(t, rec.Params, pf)
+	rec.Params = legacyParams(t, rec.Params, rewrite)
 	for i := range rec.Partitions {
 		info := &rec.Partitions[i]
 		partPath := filepath.Join(dir, info.File)
@@ -181,7 +149,7 @@ func TestLegacyPrefilterWordsTranslated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img = legacyImage(t, img, pf)
+		img = legacyImage(t, img, rewrite)
 		if err := os.WriteFile(partPath, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -206,4 +174,82 @@ func TestLegacyPrefilterWordsTranslated(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Open(manifest)", om.Params, parted)
+}
+
+// ladderCheck is the check both legacy cases share: the image opens
+// with p's ladder, the CascadeStats shape of the engine built with that
+// ladder outright, and its results.
+func ladderCheck(t *testing.T, p core.Params, built *core.Engine, queries []*spectrum.Spectrum) func(name string, lp core.Params, e *core.Engine) {
+	want := searchAll(t, built, queries)
+	wantStats, _ := built.CascadeStats()
+	return func(name string, lp core.Params, e *core.Engine) {
+		t.Helper()
+		if !slices.Equal(lp.Tiers, p.Tiers) {
+			t.Fatalf("%s: opened with ladder %v, want %v", name, lp.Tiers, p.Tiers)
+		}
+		if got := searchAll(t, e, queries); !slices.Equal(got, want) {
+			t.Fatalf("%s: results differ from the engine built with the ladder", name)
+		}
+		// Same depth and the same swept volume; how many rows survive to
+		// the deeper tier depends on the partitioning, not on the params.
+		if cs, ok := e.CascadeStats(); !ok || cs.NumTiers() != wantStats.NumTiers() || cs.Prefiltered() != wantStats.Prefiltered() {
+			t.Fatalf("%s: cascade stats %+v ok=%v, want the shape of %+v", name, cs, ok, wantStats)
+		}
+	}
+}
+
+// TestLegacyPrefilterWordsTranslated pins the one-time translation of
+// the removed two-tier alias: an image whose params carry
+// PrefilterWords = pf opens — as a file, copied or mapped, and as a
+// manifest — with the ladder [pf, words−pf] it always meant, the same
+// CascadeStats shape and the same results as the image that stores that
+// ladder outright; pf covering the whole row means no ladder.
+func TestLegacyPrefilterWordsTranslated(t *testing.T) {
+	ds := testWorkload(t)
+	const d, pf = 1024, 4
+	words := hdc.WordsPerHV(d)
+	p := testParams(d, 64, 3)
+	p.Tiers = []int{pf, words - pf}
+	built := buildEngine(t, p, ds.Library)
+	openLegacy(t, p, built.Library(), prefilterWords(pf), ladderCheck(t, p, built, ds.Queries))
+
+	// A count covering the whole row left nothing to complete: no ladder.
+	var modern bytes.Buffer
+	if err := Save(&modern, p, built.Library()); err != nil {
+		t.Fatal(err)
+	}
+	lp, lib, err := Load(bytes.NewReader(legacyImage(t, modern.Bytes(), prefilterWords(words))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lp.Tiers) != 0 {
+		t.Fatalf("PrefilterWords = %d of %d words opened with ladder %v, want none", words, words, lp.Tiers)
+	}
+	flat, _, err := core.NewExactEngineFromLibrary(lp, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := flat.CascadeStats(); ok {
+		t.Fatal("whole-row PrefilterWords still runs a cascade")
+	}
+	if got, want := searchAll(t, flat, ds.Queries), searchAll(t, built, ds.Queries); !slices.Equal(got, want) {
+		t.Fatal("single-tier fallback results differ")
+	}
+}
+
+// TestLegacyShortlistIgnored pins how an image from a build that still
+// had the approximate shortlist mode opens: its params'
+// "ShortlistPerQuery" is an unknown field, so the image — as a file,
+// copied or mapped, and as a manifest — is the exact ladder it
+// describes, with that ladder's results.
+func TestLegacyShortlistIgnored(t *testing.T) {
+	ds := testWorkload(t)
+	const d = 1024
+	p := testParams(d, 64, 3)
+	p.Tiers = []int{4, hdc.WordsPerHV(d) - 4}
+	built := buildEngine(t, p, ds.Library)
+	shortlist := func(fields map[string]json.RawMessage) {
+		fields["ShortlistPerQuery"] = json.RawMessage("25")
+	}
+	openLegacy(t, p, built.Library(), shortlist, ladderCheck(t, p, built, ds.Queries))
 }

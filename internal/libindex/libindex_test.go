@@ -172,9 +172,8 @@ func TestRoundTripCascadeParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(lp.Tiers, p.Tiers) || lp.ShortlistPerQuery != p.ShortlistPerQuery {
-		t.Fatalf("cascade knobs did not round-trip: saved %v/%d, loaded %v/%d",
-			p.Tiers, p.ShortlistPerQuery, lp.Tiers, lp.ShortlistPerQuery)
+	if !slices.Equal(lp.Tiers, p.Tiers) {
+		t.Fatalf("cascade ladder did not round-trip: saved %v, loaded %v", p.Tiers, lp.Tiers)
 	}
 	loaded, _, err := core.NewExactEngineFromLibrary(lp, lib)
 	if err != nil {
@@ -202,7 +201,7 @@ func TestRoundTripCascadeParams(t *testing.T) {
 	// Loader overrides: dropping the ladder must fall back to the
 	// single-tier layout with identical results.
 	flat := lp
-	flat.Tiers, flat.ShortlistPerQuery = nil, 0
+	flat.Tiers = nil
 	flatEngine, _, err := core.NewExactEngineFromLibrary(flat, lib)
 	if err != nil {
 		t.Fatal(err)
