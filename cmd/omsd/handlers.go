@@ -18,8 +18,12 @@ import (
 	"repro/internal/spectrum"
 )
 
-// maxBodyBytes bounds a /search request body.
-const maxBodyBytes = 64 << 20
+// maxBodyBytes bounds a /search request body, maxBodyPrealloc what a
+// declared length makes the daemon allocate before any of it arrives.
+const (
+	maxBodyBytes    = 64 << 20
+	maxBodyPrealloc = 1 << 20
+)
 
 // maxConcurrentSearches bounds one request body's concurrent
 // submissions into the micro-batcher: several MaxBatch windows' worth
@@ -75,12 +79,14 @@ type searchResponse struct {
 // requests and multi-spectrum bodies coalesce into shared engine
 // sweeps.
 func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
+	// A body of the declared length is read into one allocation.
+	var body bytes.Buffer
+	body.Grow(int(min(max(r.ContentLength, 0), maxBodyPrealloc)) + bytes.MinRead)
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
 		return
 	}
-	queries, err := parseQueries(r.Header.Get("Content-Type"), body)
+	queries, err := parseQueries(r.Header.Get("Content-Type"), body.Bytes())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -169,6 +175,7 @@ func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
 // parseQueries decodes the request body: JSON when the content type
 // says application/json, MGF text otherwise.
 func parseQueries(contentType string, body []byte) ([]*spectrum.Spectrum, error) {
+	var queries []*spectrum.Spectrum
 	if strings.HasPrefix(contentType, "application/json") {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
@@ -181,7 +188,7 @@ func parseQueries(contentType string, body []byte) ([]*spectrum.Spectrum, error)
 				return nil, fmt.Errorf("decoding JSON spectra: %v", err)
 			}
 		}
-		queries := make([]*spectrum.Spectrum, 0, len(req.Spectra))
+		queries = make([]*spectrum.Spectrum, 0, len(req.Spectra))
 		for i, js := range req.Spectra {
 			s := &spectrum.Spectrum{
 				ID:          js.ID,
@@ -198,16 +205,18 @@ func parseQueries(contentType string, body []byte) ([]*spectrum.Spectrum, error)
 				s.Peaks = append(s.Peaks, spectrum.Peak{MZ: p[0], Intensity: p[1]})
 			}
 			s.SortPeaks()
-			if err := s.Validate(); err != nil {
-				return nil, fmt.Errorf("spectrum %d: %v", i, err)
-			}
 			queries = append(queries, s)
 		}
-		return queries, nil
+	} else {
+		var err error
+		if queries, err = spectrum.ReadMGF(bytes.NewReader(body)); err != nil {
+			return nil, fmt.Errorf("parsing MGF body: %v", err)
+		}
 	}
-	queries, err := spectrum.ReadMGF(bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("parsing MGF body: %v", err)
+	for i, s := range queries {
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("spectrum %d: %v", i, err)
+		}
 	}
 	return queries, nil
 }

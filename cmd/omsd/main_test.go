@@ -129,6 +129,35 @@ func TestSearchMGF(t *testing.T) {
 	}
 }
 
+// TestSearchBodyLengths pins that how a body's length is declared does
+// not show in the answer: unknown (chunked), and longer than what a
+// Content-Length may preallocate.
+func TestSearchBodyLengths(t *testing.T) {
+	d, _, ds := testDaemon(t)
+	var buf bytes.Buffer
+	if err := spectrum.WriteMGF(&buf, ds.Queries); err != nil {
+		t.Fatal(err)
+	}
+	post := func(body io.Reader) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		d.mux().ServeHTTP(rec, httptest.NewRequest("POST", "/search", body))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("search status %d: %s", rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+	want := post(bytes.NewReader(buf.Bytes()))
+	unknown := struct{ io.Reader }{bytes.NewReader(buf.Bytes())} // httptest sees no Len: ContentLength -1
+	if got := post(unknown); !bytes.Equal(got, want) {
+		t.Errorf("body of undeclared length answered differently:\n%s\nwant\n%s", got, want)
+	}
+	padded := append(buf.Bytes(), bytes.Repeat([]byte("# padding\n"), maxBodyPrealloc/10+1)...)
+	if got := post(bytes.NewReader(padded)); !bytes.Equal(got, want) {
+		t.Errorf("body longer than maxBodyPrealloc answered differently:\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestSearchJSON posts one spectrum as a JSON peak list.
 func TestSearchJSON(t *testing.T) {
 	d, engine, ds := testDaemon(t)
@@ -342,6 +371,11 @@ func TestSearchBadBodies(t *testing.T) {
 		{"bad MGF", "", "BEGIN IONS\nTITLE=x\nnot a peak\nEND IONS\n"},
 		{"bad JSON", "application/json", "{"},
 		{"invalid spectrum", "application/json", `{"spectra":[{"id":"x","precursor_mz":-5,"charge":1,"peaks":[[100,1]]}]}`},
+		// An MGF body is held to the same Validate as a JSON one.
+		{"MGF NaN m/z", "", "BEGIN IONS\nTITLE=x\nPEPMASS=500\nNaN 10\nEND IONS\n"},
+		{"MGF NaN intensity", "", "BEGIN IONS\nTITLE=x\nPEPMASS=500\n190 NaN\nEND IONS\n"},
+		{"MGF negative intensity", "", "BEGIN IONS\nTITLE=x\nPEPMASS=500\n190 -4\nEND IONS\n"},
+		{"MGF NaN precursor", "", "BEGIN IONS\nTITLE=x\nPEPMASS=NaN\n190 4\nEND IONS\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,9 +2,32 @@ package spectrum
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
+
+// referencePeakLine is what a peak line means: the first two fields of
+// a trimmed line, split at unicode spaces, each converted by strconv.
+func referencePeakLine(line []byte) (Peak, error) {
+	fields := bytes.FieldsFunc(line, unicode.IsSpace)
+	if len(fields) < 2 {
+		return Peak{}, fmt.Errorf("bad peak line %q", line)
+	}
+	mz, err := strconv.ParseFloat(string(fields[0]), 64)
+	if err != nil {
+		return Peak{}, fmt.Errorf("bad m/z %q: %v", fields[0], err)
+	}
+	in, err := strconv.ParseFloat(string(fields[1]), 64)
+	if err != nil {
+		return Peak{}, fmt.Errorf("bad intensity %q: %v", fields[1], err)
+	}
+	return Peak{MZ: mz, Intensity: in}, nil
+}
 
 // The MGF/MSP parsers sit on the network request path of the omsd
 // search daemon, so they must be total: any byte stream either parses
@@ -22,23 +45,48 @@ func FuzzReadMGF(f *testing.F) {
 	f.Add("BEGIN IONS\nPEPMASS=1e309\n100 1\nEND IONS\n")
 	f.Add("")
 	f.Add("BEGIN IONS\nPEPMASS=300\n100\t1\n101 \t 2  3\n102\v3\n103\u00a04\n104\u20035 6\n10\xff5 7\n106 7\f8\n107\nEND IONS\n")
+	// Decimals on and around the edges of the exact fast path.
+	f.Add("BEGIN IONS\n1. .5\n. 1e3\n+1.5 -0.0\n0x1p3 1_0\n1..2 inf\n" +
+		"123456789012345678 1234567890123456789\n12345678901234567890 9007199254740993\n9007199254740992 9007199254740991\n" +
+		"0.0000000000000000000001 0.00000000000000000000001\n1.0000000000000000000000 000000000000000000.5\n4.35 0.1\nEND IONS\n")
+	// What may sit at a block cut.
+	f.Add("BEGIN IONS\nTITLE=a\nPEPMASS=1\n1 1\nBEGIN IONS\nTITLE=b\nPEPMASS=1\nEND IONS\n")
+	f.Add("BEGIN IONS\nPEPMASS=1\nEND IONS\n  BEGIN IONS\nPEPMASS=2\nEND IONS\nBEGIN IONS\nTITLE=BEGIN IONS\nPEPMASS=3\nEND IONS")
+	f.Add("BEGIN IONS\r\nPEPMASS=1\r\n1 2\r\nEND IONS\r\nBEGIN IONS\r\nPEPMASS=1\r\n3 4\r\nEND IONS\r\n")
+	f.Add("BEGIN IONS\nTITLE=" + strings.Repeat("long ", 20) + "\nPEPMASS=1\nEND IONS\nBEGIN IONS\nBEGIN IONS=\nBEGIN IONS 1\n")
 	f.Fuzz(func(t *testing.T, data string) {
-		// The byte-loop peak-line splitter and the unicode.IsSpace one
-		// it stands in for cut every line alike, trimmed (as ReadMGF
-		// passes them) or not.
 		for _, line := range bytes.Split([]byte(data), []byte("\n")) {
-			for _, l := range [][]byte{line, bytes.TrimSpace(line)} {
-				mz, in, ok := splitPeakLine(l)
-				umz, uin, uok := splitPeakLineUnicode(l)
-				if ok != uok || !bytes.Equal(mz, umz) || !bytes.Equal(in, uin) {
-					t.Fatalf("line %q: byte splitter (%q, %q, %v), unicode splitter (%q, %q, %v)", l, mz, in, ok, umz, uin, uok)
+			// Whatever the exact fast path takes, it reads to the bits
+			// strconv reads it to.
+			for _, field := range bytes.Fields(line) {
+				if v, end, ok := scanDecimal(field, 0); ok && end == len(field) {
+					want, err := strconv.ParseFloat(string(field), 64)
+					if err != nil || math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("field %q: fast path %v, strconv %v (%v)", field, v, want, err)
+					}
 				}
+			}
+			// And a peak line parses, or fails, as it does without the
+			// fast path: split at unicode spaces, both fields to strconv.
+			line = bytes.TrimSpace(line)
+			got, gerr := parsePeakLine(line)
+			want, werr := referencePeakLine(line)
+			if errText(gerr) != errText(werr) || math.Float64bits(got.MZ) != math.Float64bits(want.MZ) ||
+				math.Float64bits(got.Intensity) != math.Float64bits(want.Intensity) {
+				t.Fatalf("line %q: parsed %v (%v), reference %v (%v)", line, got, gerr, want, werr)
 			}
 		}
 		first, err := ReadMGF(strings.NewReader(data))
 		second, err2 := ReadMGF(strings.NewReader(data))
 		if (err == nil) != (err2 == nil) || len(first) != len(second) {
 			t.Fatalf("non-deterministic parse: %d/%v vs %d/%v", len(first), err, len(second), err2)
+		}
+		// Where the reader cuts its input into blocks shows in nothing.
+		for _, size := range []int{16, 64} {
+			got, gerr := readMGFIn(data, size)
+			if errText(gerr) != errText(err) || !reflect.DeepEqual(got, first) {
+				t.Fatalf("%d-byte blocks: %d spectra, error %v; one block: %d spectra, error %v", size, len(got), gerr, len(first), err)
+			}
 		}
 		if err != nil {
 			return

@@ -5,8 +5,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unicode"
 )
 
@@ -47,22 +51,131 @@ func WriteMGF(w io.Writer, spectra []*Spectrum) error {
 	return bw.Flush()
 }
 
+// mgfBlockSize is how much text one parseMGF call is handed: enough to
+// bury a block's fixed costs, little enough that GOMAXPROCS+1 blocks in
+// flight are no memory to speak of.
+const mgfBlockSize = 1 << 20
+
 // ReadMGF parses all spectra from an MGF stream. Unknown header lines
 // are ignored; malformed peak lines or structure produce an error with
 // the offending line number.
 func ReadMGF(r io.Reader) ([]*Spectrum, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	return readMGF(r, mgfBlockSize)
+}
+
+// readMGF reads r in blocks of about blockSize bytes, each cut where a
+// line is exactly BEGIN IONS: there the parser's state does not depend
+// on the text before — no block is open, or the line is the "nested
+// BEGIN IONS" error. Input that fits one block (a request body, a small
+// file) is parsed on the caller's goroutine; otherwise blocks are parsed
+// GOMAXPROCS at a time and joined in input order, the earliest error
+// winning, with at most GOMAXPROCS+1 blocks of text alive at once. A
+// read error comes after the errors of the whole blocks before it; the
+// cut-off text it leaves is not parsed.
+func readMGF(r io.Reader, blockSize int) ([]*Spectrum, error) {
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() < blockSize {
+		blockSize = l.Len() + 1 // the spare byte lets the first read see EOF
+	}
+	type part struct {
+		spectra []*Spectrum
+		err     error
+	}
+	var (
+		parts   []*part
+		wg      sync.WaitGroup
+		sem     = make(chan struct{}, runtime.GOMAXPROCS(0))
+		failed  atomic.Bool // a block has an error: the text after it cannot matter
+		readErr error
+		buf     = make([]byte, blockSize)
+		fill    int // bytes of buf that hold text
+		lines   int // lines of input before buf
+	)
+	for !failed.Load() {
+		n, err := io.ReadFull(r, buf[fill:])
+		fill += n
+		cut, last := fill, err == io.EOF || err == io.ErrUnexpectedEOF
+		if err != nil && !last {
+			readErr = err
+			break
+		}
+		if !last {
+			if cut = lastBeginIONS(buf[:fill]); cut == 0 {
+				buf = append(buf, make([]byte, len(buf))...) // a spectrum longer than the buffer
+				continue
+			}
+		}
+		block, tail, baseLine := buf[:cut], buf[cut:fill], lines
+		if last && len(parts) == 0 {
+			return parseMGF(block, 0, true)
+		}
+		p := new(part)
+		parts = append(parts, p)
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if p.spectra, p.err = parseMGF(block, baseLine, last); p.err != nil {
+				failed.Store(true)
+			}
+			<-sem
+		}()
+		if last {
+			break
+		}
+		lines += bytes.Count(block, []byte("\n"))
+		buf = make([]byte, max(blockSize, len(tail)))
+		fill = copy(buf, tail)
+	}
+	wg.Wait()
+	var spectra []*Spectrum
+	for _, p := range parts {
+		if p.err != nil {
+			return nil, p.err
+		}
+		spectra = append(spectra, p.spectra...)
+	}
+	if readErr != nil {
+		return nil, readErr
+	}
+	return spectra, nil
+}
+
+// lastBeginIONS returns where the last complete line of text that
+// starts at column 0 and that the parser reads as BEGIN IONS begins, or
+// 0 when there is none past the first line.
+func lastBeginIONS(text []byte) int {
+	for {
+		i := bytes.LastIndex(text, []byte("\nBEGIN IONS"))
+		if i < 0 {
+			return 0
+		}
+		if line, _, whole := bytes.Cut(text[i+1:], []byte("\n")); whole && string(bytes.TrimSpace(line)) == "BEGIN IONS" {
+			return i + 1
+		}
+		text = text[:i+1]
+	}
+}
+
+// parseMGF parses one block of MGF text in place: baseLine lines come
+// before it, no IONS block is open where it starts, and last says the
+// input ends with it. All its peaks go into one arena — the block's
+// line count bounds them — and each spectrum takes a cap-limited piece,
+// so appending to one spectrum's Peaks copies them instead of writing
+// over its neighbour's.
+func parseMGF(block []byte, baseLine int, last bool) ([]*Spectrum, error) {
 	var (
 		spectra []*Spectrum
+		arena   = make([]Peak, 0, bytes.Count(block, []byte("\n"))+1)
 		cur     *Spectrum
-		lineNo  int
+		first   int // cur's first peak in arena
+		lineNo  = baseLine
 	)
-	for sc.Scan() {
-		lineNo++
+	for line, rest := []byte(nil), block; len(rest) > 0; {
 		// Lines stay bytes: a peak line — nearly every line of a library
 		// — is split and parsed in place; only headers become strings.
-		line := bytes.TrimSpace(sc.Bytes())
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
+		line = bytes.TrimSpace(line)
+		lineNo++
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
@@ -71,12 +184,15 @@ func ReadMGF(r io.Reader) ([]*Spectrum, error) {
 			if cur != nil {
 				return nil, fmt.Errorf("mgf line %d: nested BEGIN IONS", lineNo)
 			}
-			cur = &Spectrum{Charge: 1}
+			cur, first = &Spectrum{Charge: 1}, len(arena)
 		case string(line) == "END IONS":
 			if cur == nil {
 				return nil, fmt.Errorf("mgf line %d: END IONS without BEGIN", lineNo)
 			}
-			cur.SortPeaks()
+			if n := len(arena); n > first {
+				cur.Peaks = arena[first:n:n]
+				cur.SortPeaks()
+			}
 			spectra = append(spectra, cur)
 			cur = nil
 		case cur == nil:
@@ -91,14 +207,13 @@ func ReadMGF(r io.Reader) ([]*Spectrum, error) {
 			if err != nil {
 				return nil, fmt.Errorf("mgf line %d: %v", lineNo, err)
 			}
-			cur.Peaks = append(cur.Peaks, p)
+			arena = append(arena, p)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if cur != nil {
+	if cur != nil && last {
 		return nil, fmt.Errorf("mgf: unterminated IONS block at EOF")
+	} else if cur != nil { // the line the block was cut at
+		return nil, fmt.Errorf("mgf line %d: nested BEGIN IONS", lineNo+1)
 	}
 	return spectra, nil
 }
@@ -138,13 +253,28 @@ func applyHeader(s *Spectrum, key, val string) error {
 }
 
 // parsePeakLine parses the first two whitespace-separated fields of a
-// trimmed line as m/z and intensity; further fields are ignored. The
-// string conversions do not escape (strconv copies what its errors
-// quote), so a well-formed line allocates nothing.
+// trimmed line as m/z and intensity; further fields are ignored. Two
+// plain decimals set off by spaces or tabs — a well-formed line — are
+// read in one pass that allocates nothing; any other line is split at
+// whatever unicode.IsSpace calls a space and converted by strconv,
+// which reads those decimals to the same bits.
 func parsePeakLine(line []byte) (Peak, error) {
-	mzField, inField, ok := splitPeakLine(line)
-	if !ok {
+	blank := func(i int) bool { return i < len(line) && (line[i] == ' ' || line[i] == '\t') }
+	if mz, i, ok := scanDecimal(line, 0); ok && blank(i) {
+		for blank(i) {
+			i++
+		}
+		if in, j, ok := scanDecimal(line, i); ok && (j == len(line) || blank(j)) {
+			return Peak{MZ: mz, Intensity: in}, nil
+		}
+	}
+	i := bytes.IndexFunc(line, unicode.IsSpace)
+	if i < 0 {
 		return Peak{}, fmt.Errorf("bad peak line %q", line)
+	}
+	mzField, inField := line[:i], bytes.TrimLeftFunc(line[i:], unicode.IsSpace)
+	if j := bytes.IndexFunc(inField, unicode.IsSpace); j >= 0 {
+		inField = inField[:j]
 	}
 	mz, err := strconv.ParseFloat(string(mzField), 64)
 	if err != nil {
@@ -157,47 +287,34 @@ func parsePeakLine(line []byte) (Peak, error) {
 	return Peak{MZ: mz, Intensity: in}, nil
 }
 
-// splitPeakLine cuts a line's first two fields at ASCII spaces and
-// tabs with a byte loop. A line that, up to the end of its second
-// field, holds anything else unicode.IsSpace could call a space — the
-// other ASCII controls, or any byte of a multi-byte rune — is left to
-// splitPeakLineUnicode, so the two always agree. ok is false when the
-// line has no separator at all.
-func splitPeakLine(line []byte) (mz, in []byte, ok bool) {
-	blank := func(c byte) bool { return c == ' ' || c == '\t' }
-	other := func(c byte) bool { return c >= 0x80 || '\n' <= c && c <= '\r' }
-	i := 0
-	for ; i < len(line) && !blank(line[i]); i++ {
-		if other(line[i]) {
-			return splitPeakLineUnicode(line)
+// scanDecimal reads the unsigned plain decimal at line[i:] — digits
+// with at most one point — and returns its value and where it stops.
+// ok is Clinger's exact case: at most 18 digits that, read as an
+// integer, stay under 2^53, at most 22 of them after the point. Such a
+// decimal is that integer over a power of ten, both exact float64s, so
+// the one correctly rounded division is what strconv.ParseFloat
+// returns (its atof64exact is this very operation). Whatever stops the
+// scan is the caller's to judge: a sign, an exponent, inf, nan, hex,
+// '_' or a second point all leave it short of the field's end.
+func scanDecimal(line []byte, i int) (v float64, end int, ok bool) {
+	var m uint64
+	start, point := i, -1
+	for ; i < len(line); i++ {
+		if c := line[i]; c-'0' <= 9 {
+			m = m*10 + uint64(c-'0')
+		} else if c == '.' && point < 0 {
+			point = i
+		} else {
+			break
 		}
 	}
-	if i == len(line) {
-		return nil, nil, false
+	digits, frac := i-start, 0
+	if point >= 0 {
+		digits--
+		frac = i - 1 - point
 	}
-	j := i
-	for j < len(line) && blank(line[j]) {
-		j++
+	if digits == 0 || digits > 18 || m >= 1<<53 || frac > 22 {
+		return 0, i, false
 	}
-	k := j
-	for ; k < len(line) && !blank(line[k]); k++ {
-		if other(line[k]) {
-			return splitPeakLineUnicode(line)
-		}
-	}
-	return line[:i], line[j:k], true
-}
-
-// splitPeakLineUnicode is the general splitter: any unicode.IsSpace
-// rune separates.
-func splitPeakLineUnicode(line []byte) (mz, in []byte, ok bool) {
-	i := bytes.IndexFunc(line, unicode.IsSpace)
-	if i < 0 {
-		return nil, nil, false
-	}
-	mz, in = line[:i], bytes.TrimLeftFunc(line[i:], unicode.IsSpace)
-	if j := bytes.IndexFunc(in, unicode.IsSpace); j >= 0 {
-		in = in[:j]
-	}
-	return mz, in, true
+	return float64(m) / math.Pow10(frac), i, true
 }

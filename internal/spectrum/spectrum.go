@@ -44,13 +44,6 @@ func (s *Spectrum) PrecursorMass() float64 {
 
 const protonMass = 1.007276466622
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // SortPeaks sorts the peak list by ascending m/z in place. A list
 // already in order — the readers sort, then Preprocess sorts its clone
 // again — is left alone; the check is false on any NaN, so the sort
@@ -106,11 +99,11 @@ func (s *Spectrum) Clone() *Spectrum {
 	return &c
 }
 
-// Validate checks structural invariants: positive precursor, charge,
-// finite non-negative peaks.
+// Validate checks structural invariants: positive finite precursor,
+// charge, finite non-negative peaks.
 func (s *Spectrum) Validate() error {
-	if s.PrecursorMZ <= 0 {
-		return fmt.Errorf("spectrum %s: non-positive precursor m/z %v", s.ID, s.PrecursorMZ)
+	if !(s.PrecursorMZ > 0) || math.IsInf(s.PrecursorMZ, 1) {
+		return fmt.Errorf("spectrum %s: bad precursor m/z %v", s.ID, s.PrecursorMZ)
 	}
 	if s.Charge < 1 {
 		return fmt.Errorf("spectrum %s: charge %d < 1", s.ID, s.Charge)

@@ -68,6 +68,8 @@ func TestValidate(t *testing.T) {
 		makeSpec("b3", 500, 2, Peak{MZ: -5, Intensity: 1}),
 		makeSpec("b4", 500, 2, Peak{MZ: 100, Intensity: math.NaN()}),
 		makeSpec("b5", 500, 2, Peak{MZ: math.Inf(1), Intensity: 1}),
+		makeSpec("b6", math.NaN(), 2),
+		makeSpec("b7", math.Inf(1), 2),
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
