@@ -14,8 +14,8 @@
 // hypervectors, the precursor masses, the sort permutation and the
 // entry metadata, under a CRC-32C checksum.
 //
-// -tiers bakes a default K-tier cascade ladder into the index
-// (override at query time with omsearch/omsd -tiers). -bit-layout
+// -tiers bakes a K-tier cascade ladder into the index; omsearch -index
+// and omsd search with the ladder the index stores. -bit-layout
 // entropy measures each encoded dimension's bit balance and permutes
 // the dimensions so the most discriminative ones pack into the
 // leading words — shallow tiers then carry the most pruning power per
@@ -64,7 +64,7 @@ func main() {
 	precision := flag.Int("precision", 3, "ID hypervector precision in bits (1-3)")
 	shardSize := flag.Int("shardsize", 0, "reference rows per search shard (0 = default)")
 	seed := flag.Int64("seed", 1, "random seed")
-	tiersSpec := flag.String("tiers", "", "K-tier cascade ladder baked into the index: comma-separated packed-word widths per tier, e.g. 4,12,112 (empty = single-tier default)")
+	tiersSpec := flag.String("tiers", "", "K-tier cascade ladder baked into the index: comma-separated packed-word widths per tier, e.g. 4,12,112 (empty = single tier); fixed at build time, omsearch -index and omsd take no -tiers")
 	bitLayout := flag.String("bit-layout", "", "bit layout: natural (default) or entropy (pack the most discriminative dimensions into the leading words; persisted in the index)")
 	partitions := flag.Int("partitions", 0, "split the index into N mass-contiguous partitions plus a manifest (0 = single file)")
 	appendMode := flag.Bool("append", false, "append -library as delta partitions to the existing partitioned index at -out (new manifest generation)")

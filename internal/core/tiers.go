@@ -7,12 +7,13 @@ import (
 )
 
 // ParseTiers parses a comma-separated cascade-ladder specification
-// ("4,12,112") into per-tier packed-word widths — the shared parser
-// behind every CLI's -tiers flag. An empty string means "no explicit
-// ladder" (nil). Widths must be positive integers; structural
-// validity against the store's word count (the widths must not exceed
-// it, a trailing remainder tier is appended automatically) is checked
-// by the kernel layer when the engine is built.
+// ("4,12,112") into per-tier packed-word widths — the parser behind
+// omsbuild's -tiers flag, the one place a ladder is chosen. An empty
+// string means "no explicit ladder" (nil). Widths must be positive
+// integers; structural validity against the store's word count (the
+// widths must not exceed it, a trailing remainder tier is appended
+// automatically) is checked by the kernel layer when the engine is
+// built.
 func ParseTiers(s string) ([]int, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {

@@ -1,7 +1,12 @@
 package hdc
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -213,6 +218,163 @@ func TestCascadePackedRowAssembly(t *testing.T) {
 		for w := range row {
 			if row[w] != r.Words[w] {
 				t.Fatalf("row %d word %d: %#x != %#x", i, w, row[w], r.Words[w])
+			}
+		}
+	}
+}
+
+// refDescentRows is the descent one row and one tier at a time — the
+// loop the run-completing descendBlock replaced — reduced to the rows
+// it scores per tier for one query over one range, shards and blocks
+// visited in order: tier 0 and the intermediate tiers filter against the
+// bound as of the block start (this shard's k-th-best distance or the
+// one earlier shards published, whichever is tighter), the final tier
+// against the bound as of the row.
+func refDescentRows(refs []BinaryHV, q BinaryHV, r RowRange, k, shardSize int, tiers []int) []uint64 {
+	tierDist := func(row, t int) int {
+		off := 0
+		for _, w := range tiers[:t] {
+			off += w
+		}
+		dist := 0
+		for w := off; w < off+tiers[t]; w++ {
+			dist += bits.OnesCount64(refs[row].Words[w] ^ q.Words[w])
+		}
+		return dist
+	}
+	counts := make([]uint64, len(tiers))
+	last, block := len(tiers)-1, blockRows(tiers[0])
+	shared := math.MaxInt
+	for shLo := 0; shLo < len(refs); shLo += shardSize {
+		var best []int // this shard's k smallest distances, ascending
+		bound := func() int {
+			if len(best) < k {
+				return shared
+			}
+			return min(shared, best[k-1])
+		}
+		for bLo := shLo; bLo < min(shLo+shardSize, len(refs)); bLo += block {
+			db := bound()
+			for row := max(bLo, r.Lo); row < min(bLo+block, shLo+shardSize, r.Hi); row++ {
+				dist := 0
+				for t := 0; t <= last; t++ {
+					if t == last {
+						db = bound()
+					}
+					if t > 0 && dist > db {
+						break
+					}
+					counts[t]++
+					dist += tierDist(row, t)
+					if t == last {
+						best = append(best, dist)
+						sort.Ints(best)
+						best = best[:min(len(best), k)]
+					}
+				}
+			}
+			// A block publishes its shard's bound when it leaves.
+			shared = bound()
+		}
+	}
+	return counts
+}
+
+// TestLadderRunCompletion drives the ladder descent through survivor
+// patterns chosen for the shape of their runs — none, a whole block,
+// runs of one, runs that differ between tiers, runs ending flush with a
+// kernel block, a shard and the store — and requires the single-tier
+// searcher's matches and the per-row descent's per-tier row counts, on
+// both kernels, over private tier planes and over a packed block whose
+// deep tiers are strided at the full row width.
+//
+// The k seed rows (exact copies of the query, the only rows of the
+// range's first block) pin the bound at zero from the second block on,
+// so a row survives tier t exactly when its words up to tier t are the
+// query's: depth(row) tiers of it are.
+func TestLadderRunCompletion(t *testing.T) {
+	const d, n, shardSize, k = 2048, 1500, 600, 3
+	tiers := []int{8, 8, 16}
+	block := blockRows(tiers[0]) // 256: shard 0 is blocks [0,256) [256,512) [512,600)
+	within := func(row, lo, hi int) bool { return lo <= row && row < hi }
+	cases := []struct {
+		name  string
+		depth func(row int) int
+	}{
+		{"none", func(int) int { return 0 }},
+		{"all", func(int) int { return 2 }},
+		{"alternating", func(row int) int { return 2 * (row % 2) }},
+		{"per-tier", func(row int) int { return row % 3 }}, // tier 1 in runs of two, tier 2 of one
+		{"block-end", func(row int) int {
+			if within(row, 2*block-12, 2*block) {
+				return 2
+			}
+			if within(row, 2*block-22, 2*block) {
+				return 1
+			}
+			return 0
+		}},
+		{"shard-end", func(row int) int {
+			if within(row, shardSize-10, shardSize+3) || within(row, 2*shardSize-9, 2*shardSize) {
+				return 2
+			}
+			return 0
+		}},
+		{"store-end", func(row int) int {
+			if within(row, n-11, n) {
+				return 2
+			}
+			return 0
+		}},
+	}
+	// One worker sweeps the shards in order, as the reference does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for ci, c := range cases {
+		rng := rand.New(rand.NewSource(int64(100 + ci)))
+		q := RandomBinaryHV(d, rng)
+		r := RowRange{Lo: block - k, Hi: n}
+		refs := make([]BinaryHV, n)
+		var packed []uint64
+		for row := range refs {
+			refs[row] = RandomBinaryHV(d, rng)
+			keep := 0 // leading words copied from the query
+			if within(row, r.Lo, block) {
+				keep = len(q.Words)
+			} else if row >= block {
+				for _, w := range tiers[:c.depth(row)] {
+					keep += w
+				}
+			}
+			copy(refs[row].Words[:keep], q.Words)
+			packed = append(packed, refs[row].Words...)
+		}
+		single, err := NewShardedSearcher(refs, shardSize, CascadeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := topKRange(single, q, r.Lo, r.Hi, k)
+		wantRows := refDescentRows(refs, q, r, k, shardSize, tiers)
+		for _, kernel := range []string{"dispatched", "go"} {
+			for _, store := range []string{"planes", "packed"} {
+				t.Run(c.name+"/"+kernel+"/"+store, func(t *testing.T) {
+					if kernel == "go" {
+						useGoKernel(t)
+					}
+					cc := CascadeConfig{Tiers: tiers[:2]} // the last tier is the remainder
+					casc, err := NewShardedSearcher(refs, shardSize, cc)
+					if store == "packed" {
+						casc, err = NewShardedSearcherFromPacked(packed, d, shardSize, cc)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := topKRange(casc, q, r.Lo, r.Hi, k); !matchesEqual(got, want) {
+						t.Fatalf("matches diverged from the single-tier searcher\ngot  %v\nwant %v", got, want)
+					}
+					if cs, _ := casc.CascadeStats(); !slices.Equal(cs.TierRows, wantRows) {
+						t.Fatalf("tier rows %v, per-row descent %v", cs.TierRows, wantRows)
+					}
+				})
 			}
 		}
 	}

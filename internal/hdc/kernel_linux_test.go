@@ -36,10 +36,11 @@ func guardedWords(t *testing.T, n int) []uint64 {
 // TestKernelReadsNothingPastLastRow puts the last row — and the query —
 // flush against a PROT_NONE page, at every tail width, with the last
 // row falling in an eight-row group (rows 8) and in the one-row
-// remainder (rows 1, 3, 11). The served index is a file mapping whose
-// final row can end on the mapping's last page, so a kernel that rounds
-// its last read up to a whole vector would be a SIGBUS in production;
-// here it is a crash of this test.
+// remainder (rows 1, 3, 11), then as the ladder's run completion calls
+// the kernel (a strided deep tier, several groups). The served index is
+// a file mapping whose final row can end on the mapping's last page, so
+// a kernel that rounds its last read up to a whole vector would be a
+// SIGBUS in production; here it is a crash of this test.
 func TestKernelReadsNothingPastLastRow(t *testing.T) {
 	const maxWidth, maxRows, pad = 130, 11, 3
 	rowMem, qMem := guardedWords(t, maxRows*(maxWidth+pad)), guardedWords(t, maxWidth)
@@ -61,6 +62,24 @@ func TestKernelReadsNothingPastLastRow(t *testing.T) {
 					t.Fatalf("%s kernel, width %d stride %d rows %d:\ngot  %v\nwant %v", KernelName(), width, stride, rows, got[:rows], want[:rows])
 				}
 			}
+		}
+	}
+	// The ladder's run completion over a mapped index: a deep tier's 24
+	// words at the full row's stride of 32, accumulated onto the partial
+	// distances, more rows than one eight-row group, the run's last row
+	// being the mapping's.
+	const width, stride = 24, 32
+	for _, rows := range []int{9, 16, 19, 40} {
+		qw := qMem[len(qMem)-width:]
+		packed := rowMem[len(rowMem)-((rows-1)*stride+width):]
+		got, want := make([]int, rows), make([]int, rows)
+		for i := range got {
+			got[i], want[i] = 7*i, 7*i
+		}
+		xorPopRowsGo(qw, packed, stride, width, rows, want, true)
+		xorPopRows(qw, packed, stride, width, rows, got, true)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s kernel, run of %d rows:\ngot  %v\nwant %v", KernelName(), rows, got, want)
 		}
 	}
 }

@@ -33,14 +33,7 @@ func EntropyPermutation(hvs []BinaryHV) []int {
 		return nil
 	}
 	d := hvs[0].D
-	ones := make([]int, d)
-	for _, hv := range hvs {
-		for j := 0; j < d; j++ {
-			if hv.Bit(j) == 1 {
-				ones[j]++
-			}
-		}
-	}
+	ones := columnOnes(hvs, d)
 	n := float64(len(hvs))
 	score := make([]float64, d)
 	for j := range score {
@@ -55,6 +48,40 @@ func EntropyPermutation(hvs []BinaryHV) []int {
 		return score[perm[a]] > score[perm[b]]
 	})
 	return perm
+}
+
+// columnOnes counts, per dimension, the hypervectors whose bit is
+// set, 64 dimensions per word-op: a vertical counter per packed word
+// (plane k holds bit k of that word's 64 running counts, as in
+// signedSumWordsGo) takes each row's word through a half-adder chain
+// that stops when the carry dies — two planes on average — and is
+// spilled into the counts before its top plane can overflow.
+func columnOnes(hvs []BinaryHV, d int) []int {
+	const planes = 16
+	ones := make([]int, d)
+	cnt := make([][planes]uint64, WordsPerHV(d))
+	spill := func() {
+		for j := range ones {
+			c := &cnt[j/64]
+			for k := range c {
+				ones[j] += int(c[k]>>(uint(j)%64)&1) << k
+			}
+		}
+		clear(cnt)
+	}
+	for i, hv := range hvs {
+		for w, carry := range hv.Words {
+			c := &cnt[w]
+			for k := 0; carry != 0; k++ {
+				c[k], carry = c[k]^carry, c[k]&carry
+			}
+		}
+		if (i+1)%(1<<planes-1) == 0 {
+			spill()
+		}
+	}
+	spill()
+	return ones
 }
 
 // binaryEntropy returns H(p) = -p log2 p - (1-p) log2 (1-p), the
@@ -104,13 +131,18 @@ func IsIdentityPermutation(perm []int) bool {
 // PermuteBits returns a new hypervector whose permuted position j
 // holds hv's bit perm[j] (a gather). perm must be a bijection on
 // [0, hv.D) — validate with ValidatePermutation; tail bits of the
-// result are zero, preserving the packed-store invariant.
+// result are zero, preserving the packed-store invariant. Each output
+// word is shifted together in a register, source bit by source bit
+// from the top, and stored once.
 func PermuteBits(hv BinaryHV, perm []int) BinaryHV {
 	out := NewBinaryHV(hv.D)
-	for j, p := range perm {
-		if hv.Bit(p) == 1 {
-			out.SetBit(j, true)
+	for j := 0; j < len(perm); j += 64 {
+		chunk := perm[j:min(j+64, len(perm))]
+		var word uint64
+		for _, p := range chunk {
+			word = word>>1 | hv.Words[uint(p)/64]>>(uint(p)%64)<<63
 		}
+		out.Words[j/64] = word >> uint(64-len(chunk))
 	}
 	return out
 }

@@ -209,17 +209,6 @@ func (s *ShardedSearcher) qtier(qw []uint64, t int) []uint64 {
 	return qw[s.off[t] : s.off[t]+s.tw[t]]
 }
 
-// addTierDist accumulates into acc[0] the distance between the tier-t
-// query words qt and shard row's tier-t words — the ladder's one-row
-// completion step. acc must be heap-backed scratch: the kernel is
-// called through a function value, which escape analysis cannot see
-// past.
-//
-//oms:hotpath
-func (s *ShardedSearcher) addTierDist(qt []uint64, sh *shard, t, row int, acc []int) {
-	xorPopRows(qt, sh.planes[t][row*s.stride[t]:], s.stride[t], s.tw[t], 1, acc, true)
-}
-
 // multiTier reports whether the store is word-sliced into a cascade
 // ladder (K >= 2).
 func (s *ShardedSearcher) multiTier() bool { return len(s.tw) > 1 }
@@ -881,13 +870,17 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 // rung and prunes across shard boundaries without touching the merge.
 //
 // The descent is block-structured: tier-0 distances are filtered into
-// a survivor list against the bound as of the block start,
-// intermediate tiers re-filter the survivors in place, and the final
-// tier re-checks the live bound (tightening as completions land)
-// before scoring — completion decisions are identical to a per-row
-// descent because bounds only ever tighten. Per-tier row counts (and,
-// when traced, each deeper tier's burst nanoseconds) accumulate into
-// sc.
+// a survivor list against the bound as of the block start, and every
+// deeper tier walks that list once, scoring each maximal run of
+// consecutive surviving rows with one kernel call — a lone survivor is
+// a run of one, a block nothing was pruned from is a single call into
+// the kernel's widest loop. Intermediate tiers re-filter the survivors
+// in place; the final tier offers each completed run to the heap and
+// re-reads the bound, so a run is admitted against the bound as of its
+// first row. Bounds only ever tighten, so a row scored under an older
+// bound is at worst rejected by the heap: the result is the per-row
+// descent's. Per-tier row counts (and, when traced, each deeper tier's
+// burst nanoseconds) accumulate into sc.
 func (s *ShardedSearcher) descendBlock(sh *shard, qw []uint64, r0 int, dists []int, h []Match, k int, shared *atomic.Int64, sc *searchScratch, traced bool) []Match {
 	gb := shared.Load()
 	local := int64(math.MaxInt64)
@@ -903,50 +896,47 @@ func (s *ShardedSearcher) descendBlock(sh *shard, qw []uint64, r0 int, dists []i
 	}
 	sc.surv = surv
 	last := len(s.tw) - 1
-	for t := 1; t < last && len(surv) > 0; t++ {
+	for t := 1; t <= last && len(surv) > 0; t++ {
 		var bt time.Time
 		if traced {
 			bt = time.Now()
 		}
-		sc.tcnt[t] += uint64(len(surv))
-		qt := s.qtier(qw, t)
+		qt, plane, stride := s.qtier(qw, t), sh.planes[t], s.stride[t]
 		w := 0
-		for _, x := range surv {
-			s.addTierDist(qt, sh, t, r0+int(x)-sh.start, dists[x:x+1])
-			if int64(dists[x]) <= db {
-				surv[w] = x
-				w++
+		for i := 0; i < len(surv); {
+			x0 := int(surv[i])
+			n := 0
+			for i < len(surv) && int(surv[i]) == x0+n && int64(dists[x0+n]) <= db {
+				i, n = i+1, n+1
+			}
+			if n == 0 {
+				// The final tier's bound tightened past this survivor.
+				i++
+				continue
+			}
+			run := dists[x0 : x0+n]
+			sc.tcnt[t] += uint64(n)
+			xorPopRows(qt, plane[(r0+x0-sh.start)*stride:], stride, s.tw[t], n, run, true)
+			if t < last {
+				for y, dist := range run {
+					if int64(dist) <= db {
+						surv[w] = int32(x0 + y)
+						w++
+					}
+				}
+				continue
+			}
+			for y, dist := range run {
+				run[y] = s.d - dist
+			}
+			if h = offerBlock(h, run, r0+x0, k); len(h) == k {
+				local = int64(s.d - h[0].Similarity)
+				db = min(gb, local)
 			}
 		}
 		surv = surv[:w]
 		if traced {
 			sc.tns[t] += int64(time.Since(bt))
-		}
-	}
-	if len(surv) > 0 {
-		var bt time.Time
-		if traced {
-			bt = time.Now()
-		}
-		qt := s.qtier(qw, last)
-		for _, x := range surv {
-			// Re-check the live bound: completions below tightened it
-			// past the block-start filter.
-			if int64(dists[x]) > db {
-				continue
-			}
-			sc.tcnt[last]++
-			s.addTierDist(qt, sh, last, r0+int(x)-sh.start, dists[x:x+1])
-			h = offerTopK(h, Match{Index: r0 + int(x), Similarity: s.d - dists[x]}, k)
-			if len(h) == k {
-				if l := int64(s.d - h[0].Similarity); l < local {
-					local = l
-					db = min(gb, local)
-				}
-			}
-		}
-		if traced {
-			sc.tns[last] += int64(time.Since(bt))
 		}
 	}
 	if local < gb {
