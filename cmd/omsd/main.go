@@ -119,7 +119,8 @@ func main() {
 		topk:      *topk,
 		slowQuery: *slowQuery,
 	}
-	d := newDaemon(func() (*serving, error) { return buildServing(cfg) })
+	var d *daemon
+	d = newDaemon(func() (*serving, error) { return buildNext(cfg, d.acquire()) })
 	start := time.Now()
 	sv, err := d.reload()
 	fatalIf(err)

@@ -7,7 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/accel"
 	"repro/internal/core"
+	"repro/internal/hdc"
 	"repro/internal/libindex"
 	"repro/internal/serve"
 )
@@ -36,8 +38,11 @@ type servingConfig struct {
 // admitted to: never a mix of old and new index, and never a mapping
 // unmapped under a live scan.
 type serving struct {
-	srv        *serve.Server
-	engine     *core.Engine
+	srv    *serve.Server
+	engine *core.Engine
+	// enc is the engine's encoder, accel what it was drawn for (buildNext).
+	enc        *hdc.Encoder
+	accel      accel.Config
 	closeIndex func() error
 	desc       string
 	// partitions is the manifest's partition count, 0 for a single
@@ -64,10 +69,20 @@ func (sv *serving) release() {
 	}
 }
 
-// buildServing opens the index path (a single index file or a
-// partition manifest — libindex.Open tells them apart), wires the
-// engine and starts a micro-batcher over it.
-func buildServing(cfg servingConfig) (*serving, error) {
+// buildServing builds a first generation: nothing to keep an encoder from.
+func buildServing(cfg servingConfig) (*serving, error) { return buildNext(cfg, nil) }
+
+// buildNext opens the index path (a single index file or a partition
+// manifest — libindex.Open tells them apart), wires the engine and
+// starts a micro-batcher over it. prev is a reference, released here, to
+// the generation being replaced (nil on the first load): an encoder is
+// immutable and a pure function of the operating point, so while that
+// is unchanged the new engine shares prev's instead of drawing the item
+// memory again — most of a reload's cost; desc, which is logged, says so.
+func buildNext(cfg servingConfig, prev *serving) (*serving, error) {
+	if prev != nil {
+		defer prev.release()
+	}
 	ix, err := libindex.Open(cfg.indexPath)
 	if err != nil {
 		return nil, err
@@ -77,7 +92,12 @@ func buildServing(cfg servingConfig) (*serving, error) {
 	if cfg.topk > 0 {
 		p.TopK = cfg.topk
 	}
-	engine, _, err := core.NewPartitionedEngine(p, ix.PartitionSet())
+	set := ix.PartitionSet()
+	encoder := "drawn"
+	if prev != nil && prev.accel == p.Accel {
+		set.Encoder, encoder = prev.enc, "kept"
+	}
+	engine, enc, err := core.NewPartitionedEngine(p, set)
 	if err != nil {
 		ix.Close()
 		return nil, err
@@ -92,18 +112,20 @@ func buildServing(cfg servingConfig) (*serving, error) {
 	}
 	sv := &serving{ //oms:transfer the serving generation owns the mapping; release() closes engine and index together
 		engine:     engine,
+		enc:        enc,
+		accel:      p.Accel,
 		closeIndex: ix.Close,
 		partitions: ix.Partitions,
 		loaded:     time.Now(),
 	}
 	if ix.Partitions > 0 {
 		ov := engine.OverlayStats()
-		sv.desc = fmt.Sprintf("%s: manifest generation %d, %d references in %d partitions (%d deltas, %d tombstones), D=%d",
+		sv.desc = fmt.Sprintf("%s: manifest generation %d, %d references in %d partitions (%d deltas, %d tombstones), D=%d, encoder %s",
 			cfg.indexPath, ov.Generation, engine.NumRefs(), ix.Partitions,
-			ov.DeltaPartitions, ov.Tombstones, p.Accel.D)
+			ov.DeltaPartitions, ov.Tombstones, p.Accel.D, encoder)
 	} else {
-		sv.desc = fmt.Sprintf("%s: %d references, D=%d, mmap=%t",
-			cfg.indexPath, engine.NumRefs(), p.Accel.D, ix.Mapped)
+		sv.desc = fmt.Sprintf("%s: %d references, D=%d, mmap=%t, encoder %s",
+			cfg.indexPath, engine.NumRefs(), p.Accel.D, ix.Mapped, encoder)
 	}
 	sv.srv, err = serve.New(engine, serve.Config{
 		MaxBatch:           cfg.maxBatch,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -339,4 +340,151 @@ func TestIncrementalReloadSwapConsistency(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	publisher.Wait()
+}
+
+// TestReloadKeepsEncoder pins the one-encoder-per-daemon rule through
+// the real serving path (on-disk manifest, the builder main wires): a
+// reload of an index with the same operating point serves with the
+// retiring generation's encoder — the same pointer — while searches
+// still run on both generations (under -race in CI: the two engines
+// share it concurrently), and an index rebuilt at the same path with
+// another dimension, ID precision or seed gets a freshly drawn one.
+// Every generation's answers equal a from-scratch engine's over the
+// manifest as it stands.
+func TestReloadKeepsEncoder(t *testing.T) {
+	ds, err := msdata.Generate(msdata.Config{
+		Name: "keep-encoder", NumReferences: 260, NumQueries: 16,
+		DecoyFraction: 0.5, ModifiedFraction: 0.3, ForeignFraction: 0.1,
+		PeptideLenMin: 7, PeptideLenMax: 20, NoisePeaks: 8,
+		PeakJitterDa: 0.02, IntensityJitter: 0.25, DropPeakProb: 0.1,
+		MaxFragmentCharge: 2, Seed: 43,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.DefaultParams()
+	p.Accel.D = 512
+	p.Accel.NumChunks = 32
+	base, pool := ds.Library[:200], ds.Library[200:]
+	manifest := filepath.Join(t.TempDir(), "lib.manifest")
+	build := func(p core.Params) {
+		t.Helper()
+		engine, _, err := core.BuildExact(p, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := libindex.SavePartitioned(manifest, p, engine.Library(), 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// check searches every query on sv from four goroutines and holds the
+	// answers to a fresh engine over the manifest.
+	check := func(step string, svs ...*serving) {
+		t.Helper()
+		pi, err := libindex.OpenManifest(manifest)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		defer pi.Close()
+		sp := pi.Params
+		sp.Open = true
+		fresh, _, err := core.NewPartitionedEngine(sp, pi.PartitionSet())
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := range ds.Queries {
+					q := ds.Queries[(w+i)%len(ds.Queries)]
+					// Only the newest generation is held to the manifest; an
+					// older one just has to keep answering while it drains.
+					for g, sv := range svs {
+						psm, ok, err := sv.srv.Search(context.Background(), q)
+						if err != nil {
+							t.Errorf("%s: search %s on generation %d: %v", step, q.ID, g, err)
+							return
+						}
+						if g < len(svs)-1 {
+							continue
+						}
+						want, wantOK, err := fresh.SearchOne(q)
+						if err != nil || ok != wantOK || psm != want {
+							t.Errorf("%s: query %s = %+v ok=%v, a fresh engine says %+v ok=%v (err %v)", step, q.ID, psm, ok, want, wantOK, err)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+
+	build(p)
+	cfg := servingConfig{indexPath: manifest, maxBatch: 8, maxQueue: 1024}
+	var d *daemon
+	d = newDaemon(func() (*serving, error) { return buildNext(cfg, d.acquire()) })
+	first, err := d.reload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.shutdown()
+	if first.enc == nil || !strings.HasSuffix(first.desc, "encoder drawn") {
+		t.Fatalf("first load: encoder %p, logged as %q", first.enc, first.desc)
+	}
+	check("first load", first)
+
+	// Same index parameters, one more generation: the encoder is kept,
+	// and the retiring generation keeps serving with it meanwhile.
+	st, err := libindex.LoadManifestLog(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, err := st.DecodeParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := libindex.BuildDeltaLibrary(pool[:20], mp, st.DimPerm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := libindex.AppendDelta(manifest, st, delta, 32); err != nil {
+		t.Fatal(err)
+	}
+	old := d.acquire()
+	second, err := d.reload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.enc != first.enc || !strings.HasSuffix(second.desc, "encoder kept") {
+		t.Fatalf("reload of an unchanged operating point: encoder %p, first load drew %p; logged as %q", second.enc, first.enc, second.desc)
+	}
+	check("append + reload", old, second)
+	old.release()
+
+	// The index rebuilt under another operating point: a fresh draw.
+	kept := second.enc
+	for _, change := range []struct {
+		name string
+		edit func(*core.Params)
+	}{
+		{"another -d", func(p *core.Params) { p.Accel.D, p.Accel.NumChunks = 1024, 64 }},
+		{"another -precision", func(p *core.Params) { p.Accel.IDPrecision = 2 }},
+		{"another seed", func(p *core.Params) { p.Accel.Seed = 77 }},
+	} {
+		np := p
+		change.edit(&np)
+		build(np)
+		sv, err := d.reload()
+		if err != nil {
+			t.Fatalf("%s: %v", change.name, err)
+		}
+		if sv.enc == kept || !strings.HasSuffix(sv.desc, "encoder drawn") || sv.enc.D() != np.Accel.D {
+			t.Fatalf("%s: encoder %p (D=%d) after %p; logged as %q", change.name, sv.enc, sv.enc.D(), kept, sv.desc)
+		}
+		check(change.name, sv)
+		kept = sv.enc
+	}
 }

@@ -16,10 +16,12 @@ import (
 // across a 4-partition manifest — the cost of mass-fence routing and
 // the exact per-query merge on top of the identical kernel work — and
 // against a deltas-present manifest of the same visible set, adding
-// the overlay costs: overlapping delta fences, tombstone and shadowed
-// -row dedup in the merge. All engines are opened from real on-disk
-// indexes, as omsd would, and pre-verified bit-identical. ~30%
-// precursor-window occupancy at 100k references.
+// the overlay costs: overlapping delta fences, more partitions to merge
+// and shadowed rows (hidden_refs) masked inside the sweep — which should
+// cost within a few percent of the plain partitioned leg, whatever the
+// hidden count. All engines are opened from real on-disk indexes, as
+// omsd would, and pre-verified bit-identical. ~30% precursor-window
+// occupancy at 100k references.
 func BenchmarkPartitionedTopKRange(b *testing.B) {
 	const n, d, nq, k = 100_000, 2048, 256, 5
 	rng := rand.New(rand.NewSource(11))
@@ -87,7 +89,7 @@ func BenchmarkPartitionedTopKRange(b *testing.B) {
 	// A third index with the SAME visible set published incrementally:
 	// 95% of the rows as the base build, the remaining 5% appended as
 	// delta partitions, plus a slice of base ids retracted and then
-	// re-added by the delta so the overlay merge pays for tombstones
+	// re-added by the delta so the overlay sweep pays for tombstones
 	// and shadowed rows — the state omsd serves between an append and
 	// the next compaction.
 	const nTail, nChurn = n / 20, n / 100
@@ -171,6 +173,7 @@ func BenchmarkPartitionedTopKRange(b *testing.B) {
 			overlay.SearchPrepared(queries)
 		}
 		b.ReportMetric(float64(nq), "queries/op")
+		b.ReportMetric(float64(overlay.OverlayStats().HiddenRefs), "hidden_refs")
 	})
 }
 

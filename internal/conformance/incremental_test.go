@@ -10,7 +10,7 @@
 // so similarity cannot break the tie), same-id re-additions that
 // shadow older generations, and retract-then-re-add churn. The
 // incremental path earns its keep here: if delta merge order, hidden
-// -row filtering or compaction re-tiling drops or reorders a single
+// -row masking or compaction re-tiling drops or reorders a single
 // result bit, this suite fails.
 package conformance
 
@@ -405,4 +405,117 @@ func TestIncrementalBuildEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOverlayManyHidden holds the masked sweep to the from-scratch
+// oracle where the old retrieve-deep-and-filter merge was at its worst:
+// more than a thousand hidden rows in one base partition — half
+// retracted outright, half re-added under their own ids with changed
+// peaks — beside identical-hypervector clones of surviving base rows
+// planted at equal mass across the base/delta boundary.
+func TestOverlayManyHidden(t *testing.T) {
+	w := incrWorkload{name: "many-hidden", seed: 104, d: 512, shard: 64, k: 5, baseParts: 2, maxPartRefs: 400, nBase: 2400}
+	rng := rand.New(rand.NewSource(w.seed))
+	ds, err := msdata.Generate(msdata.Config{
+		Name: "incr-" + w.name, NumReferences: w.nBase, NumQueries: 24,
+		DecoyFraction: 0.5, ModifiedFraction: 0.35, ForeignFraction: 0.1,
+		PeptideLenMin: 7, PeptideLenMax: 22, NoisePeaks: 8,
+		PeakJitterDa: 0.02, IntensityJitter: 0.25, DropPeakProb: 0.1,
+		MaxFragmentCharge: 2, Seed: w.seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := incrParams(w)
+	manifest := filepath.Join(t.TempDir(), "lib.manifest")
+	engine, _, err := core.BuildExact(p, ds.Library)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := engine.Library()
+	if lib.Skipped != 0 {
+		t.Fatalf("fixture: %d library spectra rejected by preprocessing", lib.Skipped)
+	}
+	if err := libindex.SavePartitioned(manifest, p, lib, w.baseParts); err != nil {
+		t.Fatal(err)
+	}
+	st := &incrState{visible: append([]*spectrum.Spectrum{}, ds.Library...)}
+	byID := make(map[string]*spectrum.Spectrum, len(ds.Library))
+	for _, sp := range ds.Library {
+		byID[sp.ID] = sp
+	}
+
+	// Partition 0 is the lower-mass half of the library. Of its first
+	// 1 050 rows the even ones are retracted and the odd ones re-added;
+	// three of the rows it keeps are cloned into the delta.
+	const nHide = 1050
+	var retract []string
+	var chunk []*spectrum.Spectrum
+	for r, e := range lib.Entries[:nHide] {
+		if r%2 == 0 {
+			retract = append(retract, e.ID)
+		} else {
+			chunk = append(chunk, mutateSpectrum(byID[e.ID], rng))
+		}
+	}
+	for c, e := range lib.Entries[nHide : nHide+3] {
+		clone := cloneSpectrum(byID[e.ID], fmt.Sprintf("%s-tieclone-%d", e.ID, c))
+		chunk = append(chunk, clone)
+		st.probes = append(st.probes, clone)
+	}
+
+	pi, err := libindex.OpenManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := pi.LiveIDs()
+	if err := pi.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mlog, err := libindex.LoadManifestLog(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := libindex.AppendRetract(manifest, mlog, retract, known); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range retract {
+		st.remove(id)
+	}
+	mp, err := mlog.DecodeParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := libindex.BuildDeltaLibrary(chunk, mp, mlog.DimPerm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := libindex.AppendDelta(manifest, mlog, delta, w.maxPartRefs); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range chunk {
+		st.remove(sp.ID)
+		st.visible = append(st.visible, sp)
+	}
+
+	if pi, err = libindex.OpenManifest(manifest); err != nil {
+		t.Fatal(err)
+	}
+	pe, _, err := core.NewPartitionedEngine(pi.Params, pi.PartitionSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hiddenIn0 := pe.PartitionStats()[0].HiddenRefs //oms:allow(unmaplife) value snapshot taken before the Close below
+	if err := pi.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if hiddenIn0 != nHide {
+		t.Fatalf("partition 0 hides %d rows, want %d", hiddenIn0, nHide)
+	}
+	// The retracted and re-added spectra query their own old neighbourhood.
+	queries := append([]*spectrum.Spectrum{}, ds.Queries...)
+	for _, e := range lib.Entries[:40] {
+		queries = append(queries, byID[e.ID])
+	}
+	verifyStep(t, "many-hidden", manifest, p, st, queries)
 }

@@ -36,9 +36,9 @@ type partition struct {
 	// delta marks a delta-tier partition whose fences may overlap the
 	// base tiling.
 	delta bool
-	// hidden is the set of local rows excluded from the visible set
-	// (re-added in a newer generation, or tombstoned); nil when none.
-	hidden map[int]struct{}
+	// hidden lists, ascending, the local rows outside the visible set
+	// (re-added in a newer generation, or tombstoned), masked by searcher.
+	hidden []int
 }
 
 // Engine serves OMS queries over an encoded, mass-ordered library held
@@ -54,12 +54,11 @@ type partition struct {
 //
 // A query's precursor window is routed to the overlapping partitions
 // via the mass fences, the batch sweep fans out across them, and the
-// per-partition top-k lists merge exactly: a global top-k member is
-// necessarily in the top-k of the partition holding it (widened by the
-// partition's hidden-row count, so shadowed rows can never crowd a
-// visible one out), and the merge order (rowBefore) reproduces, bit
-// for bit, what a one-partition engine over the mass-sorted visible
-// set returns, for every ladder and bit layout.
+// per-partition top-k lists merge exactly: hidden rows are never offered
+// to a heap, so each partition returns the top-k of its visible rows, a
+// global top-k member is necessarily among them, and the merge order
+// (rowBefore) reproduces, bit for bit, what a one-partition engine over
+// the mass-sorted visible set returns, for every ladder and bit layout.
 type Engine struct {
 	params  Params
 	enc     Encoder
@@ -125,8 +124,8 @@ func oneSpec(lib *Library, block []uint64) PartitionSet {
 // base-tier specs first (ascending, non-overlapping mass fences), then
 // delta-tier specs in publish order. Tombstones and cross-generation
 // re-additions are resolved at construction into per-partition
-// hidden-row sets, so every search serves exactly the visible set. The
-// query encoder is rebuilt deterministically from p.Accel, and each
+// hidden-row lists the sweep masks, so every search serves exactly the
+// visible set. The query encoder is set.Encoder, or drawn from p.Accel; each
 // partition's sharded searcher aliases its spec's packed block (a
 // memory-mapped index stays zero-copy: single-tier rows and the deeper
 // cascade tiers remain views that fault in lazily) or, without one, is
@@ -138,9 +137,12 @@ func oneSpec(lib *Library, block []uint64) PartitionSet {
 // differ. Blocks must stay alive (and mapped) for the engine's
 // lifetime.
 func NewPartitionedEngine(p Params, set PartitionSet) (*Engine, *hdc.Encoder, error) {
-	enc, err := newExactEncoder(p.Accel)
-	if err != nil {
-		return nil, nil, err
+	enc := set.Encoder
+	if enc == nil {
+		var err error
+		if enc, err = newExactEncoder(p.Accel); err != nil {
+			return nil, nil, err
+		}
 	}
 	e, err := newEngine(p, enc, set, p.exactSearcher)
 	if err != nil {
@@ -254,6 +256,11 @@ func newEngine(p Params, enc Encoder, set PartitionSet, searcherFor func(Partiti
 		searcher, err := searcherFor(spec)
 		if err != nil {
 			return nil, fmt.Errorf("core: partition %d: %w", i, err)
+		}
+		if h, ok := searcher.(interface{ Hide(rows []int) }); ok {
+			h.Hide(hidden[i])
+		} else if len(hidden[i]) > 0 {
+			return nil, fmt.Errorf("core: partition %d: %d of its rows are shadowed, but a %T cannot hide rows from its results", i, len(hidden[i]), searcher)
 		}
 		e.parts = append(e.parts, partition{
 			lib:      lib,
@@ -541,20 +548,17 @@ type partBatch struct {
 	next   int
 }
 
-// sweep runs partition i's block-major batch sweep. The retrieval
-// depth is the global k widened by the partition's hidden-row count,
-// so that after shadowed rows are dropped the partition still surfaces
-// its full visible top-k — the containment argument the merge's
-// exactness rests on. A non-nil tr collects the searcher's tier
-// timings plus one partition record (index, candidate rows, wall
-// time).
+// sweep runs partition i's block-major batch sweep at the global k: its
+// searcher masks the hidden rows, so what comes back is the partition's
+// visible top-k. A non-nil tr collects the searcher's tier timings plus
+// one partition record (index, candidate rows, wall time).
 func (e *Engine) sweep(i int, b *partBatch, tr *obsv.Trace) {
 	p := &e.parts[i]
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	b.tops = p.searcher.BatchTopKRangeTraced(b.hvs, b.ranges, e.params.TopK+len(p.hidden), tr)
+	b.tops = p.searcher.BatchTopKRangeTraced(b.hvs, b.ranges, e.params.TopK, tr)
 	if tr != nil {
 		rows := 0
 		for _, r := range b.ranges {
@@ -562,21 +566,6 @@ func (e *Engine) sweep(i int, b *partBatch, tr *obsv.Trace) {
 		}
 		tr.AddPartition(i, rows, int64(time.Since(t0)))
 	}
-}
-
-// visible drops the partition's hidden rows from one of its result
-// lists and moves the survivors to global row space, in place (the
-// searcher hands its lists over).
-func (p *partition) visible(top []hdc.Match) []hdc.Match {
-	out := top[:0]
-	for _, m := range top {
-		if _, shadowed := p.hidden[m.Index]; shadowed {
-			continue
-		}
-		m.Index += p.start
-		out = append(out, m)
-	}
-	return out
 }
 
 // locate returns the partition holding a global row and the row's
@@ -669,7 +658,10 @@ func (e *Engine) batchTopK(qs []PreparedQuery, tr *obsv.Trace) [][]hdc.Match {
 			if b.next == len(b.qIdx) || b.qIdx[b.next] != qi {
 				continue
 			}
-			top := e.parts[i].visible(b.tops[b.next])
+			top := b.tops[b.next] // visible rows only; to global row space in place
+			for j := range top {
+				top[j].Index += e.parts[i].start
+			}
 			b.next++
 			if contributors++; contributors == 1 {
 				out[qi] = top

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/hdc"
+
 // PartitionSpec describes one live partition of an incrementally
 // updated library: its library (and optionally the contiguous packed
 // word block its hypervectors are views over), plus the generation
@@ -36,18 +38,21 @@ type PartitionSet struct {
 	Tombstones map[string]uint64
 	Generation uint64
 	Skipped    int
+	// Encoder, when non-nil, is an earlier engine's encoder for the same
+	// Params.Accel, shared instead of drawn again (it is immutable).
+	Encoder *hdc.Encoder
 }
 
-// HiddenRows computes, per partition spec, the set of local rows the
-// visible set excludes under newest-generation-wins dedup and
+// HiddenRows computes, per partition spec, the ascending list of local
+// rows the visible set excludes under newest-generation-wins dedup and
 // tombstones: a row is hidden when a strictly newer generation
 // re-added its source id, or when a tombstone from a strictly newer
 // generation retracted it. Rows sharing an id within one generation
 // all stay visible (exactly as a from-scratch build of that input
 // would keep them). The result slice is aligned with specs; entries
 // are nil when the partition hides nothing.
-func HiddenRows(specs []PartitionSpec, tombstones map[string]uint64) []map[int]struct{} {
-	hidden := make([]map[int]struct{}, len(specs))
+func HiddenRows(specs []PartitionSpec, tombstones map[string]uint64) [][]int {
+	hidden := make([][]int, len(specs))
 	minGen, maxGen := ^uint64(0), uint64(0)
 	for _, s := range specs {
 		minGen = min(minGen, s.Gen)
@@ -72,18 +77,8 @@ func HiddenRows(specs []PartitionSpec, tombstones map[string]uint64) []map[int]s
 	}
 	for i, s := range specs {
 		for r, e := range s.Lib.Entries {
-			shadowed := false
-			if g, ok := newestAdd[e.ID]; ok && g > s.Gen {
-				shadowed = true
-			}
-			if g, ok := tombstones[e.ID]; ok && g > s.Gen {
-				shadowed = true
-			}
-			if shadowed {
-				if hidden[i] == nil {
-					hidden[i] = make(map[int]struct{})
-				}
-				hidden[i][r] = struct{}{}
+			if newestAdd[e.ID] > s.Gen || tombstones[e.ID] > s.Gen {
+				hidden[i] = append(hidden[i], r)
 			}
 		}
 	}

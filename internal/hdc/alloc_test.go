@@ -72,8 +72,19 @@ var allocLadders = []struct {
 	{"four-tier", CascadeConfig{Tiers: []int{1, 3, 4, 8}}},
 }
 
+// everyNth lists rows 0, step, 2*step, … below n: a hidden list that
+// lands in every kernel block of the allocation gates' stores.
+func everyNth(n, step int) []int {
+	var rows []int
+	for r := 0; r < n; r += step {
+		rows = append(rows, r)
+	}
+	return rows
+}
+
 // TestKernelSweepAllocationFree gates the scoring kernel at zero
-// steady-state allocations across the ladder layouts.
+// steady-state allocations across the ladder layouts, with and without
+// hidden rows.
 func TestKernelSweepAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")
@@ -83,12 +94,15 @@ func TestKernelSweepAllocationFree(t *testing.T) {
 			s, queries := allocSearcher(t, 1024, 4096, 4096, 1, tc.cc)
 			q := queries[0]
 			dst := s.SimilaritiesRangeInto(q, 0, s.Len(), nil)
-			allocs := testing.AllocsPerRun(50, func() {
-				dst = s.SimilaritiesRangeInto(q, 0, s.Len(), dst)
-			})
-			if allocs > kernelSweepAllocs {
-				t.Errorf("similarity sweep allocates %.1f allocs/op in steady state, baseline %d",
-					allocs, kernelSweepAllocs)
+			for _, hidden := range [][]int{nil, everyNth(s.Len(), 37)} {
+				s.Hide(hidden)
+				allocs := testing.AllocsPerRun(50, func() {
+					dst = s.SimilaritiesRangeInto(q, 0, s.Len(), dst)
+				})
+				if allocs > kernelSweepAllocs {
+					t.Errorf("similarity sweep with %d hidden rows allocates %.1f allocs/op in steady state, baseline %d",
+						len(hidden), allocs, kernelSweepAllocs)
+				}
 			}
 		})
 	}
@@ -101,7 +115,9 @@ func TestKernelSweepAllocationFree(t *testing.T) {
 // pooled, and only a multi-shard span adds the worker goroutines. The
 // last case is a small range inside one shard of a five-shard store:
 // it must cost exactly what the one-shard store costs, i.e. the sweep
-// visits only the shard span its ranges cover and spawns nothing.
+// visits only the shard span its ranges cover and spawns nothing. Every
+// case runs again with rows hidden in every kernel block, at the same
+// pinned count: masking allocates nothing.
 func TestSweepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")
@@ -112,13 +128,16 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 		for i := range ranges {
 			ranges[i] = r
 		}
-		s.BatchTopKRangeTraced(queries, ranges, 5, nil)
-		allocs := testing.AllocsPerRun(50, func() {
+		for _, hidden := range [][]int{nil, everyNth(s.Len(), 37)} {
+			s.Hide(hidden)
 			s.BatchTopKRangeTraced(queries, ranges, 5, nil)
-		})
-		if int(allocs) > want {
-			t.Errorf("%d-query sweep of %+v over %d shards allocates %.1f allocs/op in steady state, baseline %d",
-				len(queries), r, s.NumShards(), allocs, want)
+			allocs := testing.AllocsPerRun(50, func() {
+				s.BatchTopKRangeTraced(queries, ranges, 5, nil)
+			})
+			if int(allocs) > want {
+				t.Errorf("%d-query sweep of %+v over %d shards with %d hidden rows allocates %.1f allocs/op in steady state, baseline %d",
+					len(queries), r, s.NumShards(), len(hidden), allocs, want)
+			}
 		}
 	}
 	for _, tc := range allocLadders {

@@ -174,6 +174,8 @@ type ShardedSearcher struct {
 	// rows, or tier-0 prefixes under a cascade) — the serving stack's
 	// sweep-volume counter, live for every layout.
 	swept atomic.Uint64
+	// hidden lists, ascending, the rows no search returns (see Hide).
+	hidden []int
 }
 
 // shard is one fixed-size slice of the reference store.
@@ -382,6 +384,14 @@ func (s *ShardedSearcher) addTierRows(counts []uint64) {
 // RowsSwept returns the cumulative candidate rows covered by the sweep
 // since construction (every layout, unlike the cascade counters).
 func (s *ShardedSearcher) RowsSwept() uint64 { return s.swept.Load() }
+
+// Hide sets the rows no search may return (a live overlay's shadowed rows;
+// any order, repeats allowed), replacing any earlier list; call it before
+// the searcher is shared. A hidden row is scored with its block and counted
+// as swept but never offered to a heap: results are the visible top-k.
+func (s *ShardedSearcher) Hide(rows []int) {
+	s.hidden = slices.Compact(slices.Sorted(slices.Values(rows)))
+}
 
 // checkQuery panics on a dimensionality mismatch: a query of the wrong
 // width is a caller bug, and scoring it would read out of bounds.
@@ -653,8 +663,8 @@ func (s *ShardedSearcher) BatchTopKRange(queries []BinaryHV, ranges []RowRange, 
 }
 
 // BatchTopKRangeTraced is the engine's one search entry point: for
-// every query i it returns the k most similar references among packed
-// rows ranges[i] = [Lo, Hi) (clamped to the reference count), ordered
+// every query i it returns the k most similar visible (see Hide) rows
+// of ranges[i] = [Lo, Hi) (clamped to the reference count), ordered
 // by descending similarity with ties broken by ascending index.
 // ranges must have one entry per query; an empty range yields an
 // empty, non-nil list and k <= 0 yields nil lists. A single query is a
@@ -815,6 +825,8 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 	clear(sc.tcnt)
 	clear(sc.tns)
 	plane0, stride0 := sh.planes[0], s.stride[0]
+	// The hidden list: cut once per visit, advanced as each block is left.
+	hid := s.hidden[sort.SearchInts(s.hidden, lo):]
 	for blockLo := lo - (lo-shLo)%s.block; blockLo < hi; blockLo += s.block {
 		blockHi := min(blockLo+s.block, shHi)
 		for x := range qs {
@@ -831,10 +843,26 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 				for i, dist := range vals {
 					vals[i] = s.d - dist
 				}
-				sq.heap = offerBlock(sq.heap, vals, r0, b.k)
-				continue
 			}
-			sq.heap = s.descendBlock(sh, qw, r0, vals, sq.heap, b.k, &b.bounds[sq.j], sc, b.tr != nil)
+			// One kernel call scored the clip; it is offered one visible run
+			// [run, end) at a time — whole, when nothing in it is hidden.
+			for run, i := r0, 0; run < r1; i++ {
+				end := r1
+				if i < len(hid) && hid[i] < r1 {
+					end = hid[i]
+				}
+				switch {
+				case end <= run: // a hidden row at or below run: nothing between them
+				case nt == 1:
+					sq.heap = offerBlock(sq.heap, vals[run-r0:end-r0], run, b.k)
+				default:
+					sq.heap = s.descendBlock(sh, qw, run, vals[run-r0:end-r0], sq.heap, b.k, &b.bounds[sq.j], sc, b.tr != nil)
+				}
+				run = max(run, end+1)
+			}
+		}
+		for len(hid) > 0 && hid[0] < blockHi {
+			hid = hid[1:]
 		}
 	}
 	for x := range qs {

@@ -112,8 +112,10 @@ func Compact(manifestPath string, maxPartRefs int) (CompactStats, error) {
 		drop = append(drop, states[i].File)
 		stats.DroppedPartitions++
 		lib := pi.Parts[i].Lib
+		shadowed := hidden[i] // ascending: consumed from the front as r passes
 		for r := range lib.Entries {
-			if _, shadowed := hidden[i][r]; shadowed {
+			if len(shadowed) > 0 && shadowed[0] == r {
+				shadowed = shadowed[1:]
 				stats.RemovedRefs++
 				continue
 			}
