@@ -28,6 +28,10 @@ const (
 	// encodeVectorMaxAllocs bounds EncodeVector: the quantized peak
 	// list and the result words.
 	encodeVectorMaxAllocs = 2
+	// itemMemoryAllocs is NewItemMemory's count at any bin count: the
+	// ItemMemory, its plane store, the stream buffer and the seeded
+	// math/rand source.
+	itemMemoryAllocs = 4
 )
 
 // sweepAllocs is the steady-state allocs/op of BatchTopKRangeTraced:

@@ -226,21 +226,16 @@ func (h IntHV) D() int { return len(h.Vals) }
 
 // RandomIntHV draws a random multi-bit hypervector of the given
 // precision (1, 2 or 3 bits). Precision 1 gives bipolar {-1, +1}.
+// Two rng calls per component, magnitude then sign: the draw order
+// NewItemMemory reproduces and every stored index depends on.
 func RandomIntHV(d, precision int, rng *rand.Rand) IntHV {
 	vals := make([]int8, d)
-	fillRandomInt(vals, clampPrecision(precision), rng)
-	return IntHV{Vals: vals}
-}
-
-// fillRandomInt draws one multi-bit hypervector into vals: two rng
-// calls per component, magnitude then sign. Every stored index
-// depends on this draw order.
-func fillRandomInt(vals []int8, precision int, rng *rand.Rand) {
-	maxMag := 1 << (precision - 1)
+	maxMag := MaxMagnitude(precision)
 	for i := range vals {
 		mag := int8(rng.Intn(maxMag) + 1)
 		vals[i] = mag * int8(2*rng.Intn(2)-1) // branch-free: the sign is a coin flip
 	}
+	return IntHV{Vals: vals}
 }
 
 // clampPrecision bounds an ID precision to the supported 1–3 bits.

@@ -49,32 +49,86 @@ func planeWord(groups, b, w, k int) int {
 	return (b*groups+w/groupWords)*idGroupWords + k*groupWords + w%groupWords
 }
 
-// NewItemMemory builds an item memory with numBins ID hypervectors.
+// lfgLag and lfgTap are the lags of math/rand's additive
+// lagged-Fibonacci source (its rngLen and rngTap): once lfgLag outputs
+// exist, output n is output n-lfgLag plus output n-lfgTap, mod 2^64.
+const (
+	lfgLag = 607
+	lfgTap = 273
+)
+
+// NewItemMemory builds an item memory with numBins ID hypervectors:
+// bin after bin, the components RandomIntHV draws from
+// rand.New(rand.NewSource(seed)), which every stored index assumes.
+// Dimension i of a bin takes the stream's next two outputs y, y': the
+// magnitude is ((y>>32)&(o-1))+1 and the sign bit (y'>>32)&1 — what
+// Intn(o) and Intn(2) return for a power of two. Only the first lfgLag
+// outputs come from the source; the rest continue its recurrence in a
+// local buffer (DESIGN.md §5).
 func NewItemMemory(d, numBins, precision int, seed int64) *ItemMemory {
 	if d <= 0 || numBins <= 0 {
 		panic(fmt.Sprintf("hdc: bad item memory shape D=%d bins=%d", d, numBins))
 	}
 	precision = clampPrecision(precision)
-	rng := rand.New(rand.NewSource(seed))
 	groups := groupsPerHV(WordsPerHV(d))
 	im := &ItemMemory{D: d, Precision: precision, bins: numBins,
 		planes: make([]uint64, numBins*groups*idGroupWords)}
-	offset := int8(MaxMagnitude(precision))
-	vals := make([]int8, d)
+	// planeByte[mag-1 | sign<<2] is a dimension's eight planes a bit
+	// each: the neg nibble o-id, then the delta nibble (o-id)^(o+id).
+	o := MaxMagnitude(precision)
+	var planeByte [8]uint64
+	for i := range planeByte {
+		v := (i&3 + 1) * (i>>2*2 - 1)
+		planeByte[i] = uint64(byte(o-v) | byte((o-v)^(o+v))<<4)
+	}
+	magMask := uint64(o - 1)
+
+	// buf holds the last lfgLag outputs, then the 2d a bin takes; pos is
+	// the first one not yet taken.
+	buf := make([]uint64, lfgLag+2*d)
+	src := rand.NewSource(seed).(rand.Source64)
+	for i := range buf[:lfgLag] {
+		buf[i] = src.Uint64()
+	}
+	pos := 0
 	for b := 0; b < numBins; b++ {
-		fillRandomInt(vals, precision, rng)
-		for j := 0; j < d; j += 8 {
-			// x packs eight dimensions' planes a byte each: the neg
-			// nibble, then the delta nibble.
-			var x uint64
-			for i, v := range vals[j:min(j+8, d)] {
-				neg := uint64(offset - v)
-				x |= (neg | (neg^uint64(offset+v))<<4) << (8 * i)
-			}
-			for k := 0; k < idPlanes; k++ { // bit k of every byte of x, gathered into one byte
-				im.planes[planeWord(groups, b, j/64, k)] |= (x >> k & 0x0101010101010101) * 0x0102040810204080 >> 56 << (j % 64)
+		// Continue the stream to the bin's end, lfgTap outputs at a time:
+		// a block reads only outputs before it.
+		end := pos + 2*d
+		for n := lfgLag; n < end; n += lfgTap {
+			dst := buf[n:min(n+lfgTap, end)]
+			lag, tap := buf[n-lfgLag:][:len(dst)], buf[n-lfgTap:][:len(dst)]
+			for i := range dst {
+				dst[i] = lag[i] + tap[i]
 			}
 		}
+		ys := buf[pos:end]
+		for w := 0; 128*w < len(ys); w++ {
+			// planes[k] gathers plane k of the word's 64 dimensions, eight
+			// at a time: x packs eight dimensions' plane bytes, and the
+			// multiply takes bit k of every byte into one.
+			var planes [idPlanes]uint64
+			word := ys[128*w : min(128*w+128, len(ys))]
+			for j := 0; j < len(word); j += 16 {
+				var x uint64
+				pairs := word[j:min(j+16, len(word))]
+				for i := 1; i < len(pairs); i += 2 {
+					x |= planeByte[(pairs[i-1]>>32&magMask|pairs[i]>>32&1<<2)&7] << (4 * (i - 1))
+				}
+				for k := range planes {
+					planes[k] |= (x >> k & 0x0101010101010101) * 0x0102040810204080 >> 56 << (j / 2)
+				}
+			}
+			for k, p := range planes {
+				im.planes[planeWord(groups, b, w, k)] = p
+			}
+		}
+		// Carry the last lfgLag outputs to the front for the next bin.
+		if end > lfgLag {
+			copy(buf, buf[end-lfgLag:end])
+			end = lfgLag
+		}
+		pos = end
 	}
 	return im
 }

@@ -1,6 +1,11 @@
 package hdc
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -17,6 +22,131 @@ func seedIDs(d, bins, precision int, seed int64) []IntHV {
 		ids[i] = RandomIntHV(d, precision, rng)
 	}
 	return ids
+}
+
+// seedPlanes packs the seed generator's draw into a plane store the
+// way NewItemMemory did while it called rand per component: bin by
+// bin, eight dimensions per multiply-gather, ORed into place. It is the
+// reference the identity tests and the benchmark's seed-loop leg hold
+// the plane store against, padding words included.
+func seedPlanes(d, bins, precision int, seed int64) []uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	groups := groupsPerHV(WordsPerHV(d))
+	planes := make([]uint64, bins*groups*idGroupWords)
+	offset := int8(MaxMagnitude(precision))
+	for b := 0; b < bins; b++ {
+		vals := RandomIntHV(d, precision, rng).Vals
+		for j := 0; j < d; j += 8 {
+			var x uint64
+			for i, v := range vals[j:min(j+8, d)] {
+				neg := uint64(offset - v)
+				x |= (neg | (neg^uint64(offset+v))<<4) << (8 * i)
+			}
+			for k := 0; k < idPlanes; k++ {
+				planes[planeWord(groups, b, j/64, k)] |= (x >> k & 0x0101010101010101) * 0x0102040810204080 >> 56 << (j % 64)
+			}
+		}
+	}
+	return planes
+}
+
+// checkSeedPlanes fails t unless NewItemMemory holds seedPlanes' words.
+func checkSeedPlanes(t *testing.T, d, bins, precision int, seed int64) {
+	t.Helper()
+	got, want := NewItemMemory(d, bins, precision, seed).planes, seedPlanes(d, bins, precision, seed)
+	if len(got) != len(want) {
+		t.Fatalf("D=%d bins=%d p=%d seed=%d: plane store holds %d words, want %d", d, bins, precision, seed, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("D=%d bins=%d p=%d seed=%d: plane word %d is %#x, the seed draw packs %#x", d, bins, precision, seed, i, got[i], want[i])
+		}
+	}
+}
+
+// TestItemMemoryMatchesSeedDraw holds the plane store to the seed draw
+// where the continued stream is easiest to get wrong: D so small that
+// a bin straddles the first lfgLag outputs, the ones taken from the
+// source (2*303 = 606 fits inside them, 2*304 = 608 crosses in the
+// first bin, D = 1, 7 and 100 cross in a later one), at every precision
+// and on seeds that exercise rand's reduction of the seed (0, -1,
+// 1<<40, math.MinInt64).
+func TestItemMemoryMatchesSeedDraw(t *testing.T) {
+	for _, seed := range []int64{0, -1, 1 << 40, math.MinInt64} {
+		for _, d := range []int{1, 7, 100, 303, 304} {
+			for precision := 1; precision <= 3; precision++ {
+				checkSeedPlanes(t, d, 400, precision, seed)
+			}
+		}
+	}
+}
+
+// FuzzItemMemory holds NewItemMemory to the seed draw at any shape,
+// precision (clamped included) and seed.
+func FuzzItemMemory(f *testing.F) {
+	f.Add(uint16(303), uint16(3), uint8(3), int64(1))
+	f.Add(uint16(1), uint16(400), uint8(1), int64(math.MinInt64))
+	f.Add(uint16(1000), uint16(2), uint8(9), int64(-1))
+	f.Fuzz(func(t *testing.T, d, bins uint16, precision uint8, seed int64) {
+		checkSeedPlanes(t, int(d%1100)+1, int(bins%400)+1, int(precision%5), seed)
+	})
+}
+
+// TestItemMemoryPinnedDigest pins the plane store at omsbuild's default
+// operating point and at the benchmark's. Its words are what every
+// index built there was encoded with.
+func TestItemMemoryPinnedDigest(t *testing.T) {
+	for _, tc := range []struct {
+		d, bins, precision int
+		seed               int64
+		want               string
+	}{
+		{8192, 1399, 3, 1, "e5a03c3d1d52a941291f72dd747223ef9b1da35b46a8aef6411dd301133c7153"},
+		{2048, 1399, 3, 1, "f22f2dcb3c577084e717f73ed3adc01fb168a5da11954a24c75b1301d35ab0b3"},
+	} {
+		h := sha256.New()
+		if err := binary.Write(h, binary.LittleEndian, NewItemMemory(tc.d, tc.bins, tc.precision, tc.seed).planes); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("NewItemMemory(%d, %d, %d, %d) planes hash to %s, pinned %s: the ID hypervectors moved, and every stored index built at this operating point no longer decodes against them (a Go toolchain change to math/rand's source would do the same)",
+				tc.d, tc.bins, tc.precision, tc.seed, got, tc.want)
+		}
+	}
+}
+
+// TestNewItemMemoryAllocs pins NewItemMemory at a constant allocation
+// count, the same at 10 bins and at 1399: nothing is allocated per bin.
+func TestNewItemMemoryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	for _, bins := range []int{10, 1399} {
+		allocs := testing.AllocsPerRun(5, func() { NewItemMemory(64, bins, 3, 1) })
+		if allocs != itemMemoryAllocs {
+			t.Errorf("NewItemMemory over %d bins allocates %.1f allocs/op, baseline %d", bins, allocs, itemMemoryAllocs)
+		}
+	}
+}
+
+// BenchmarkNewItemMemory times the item memory every process draws at
+// start-up, also per dimension, beside the seed-loop reference at D =
+// 2048 in the same run.
+func BenchmarkNewItemMemory(b *testing.B) {
+	for _, d := range []int{2048, 8192} {
+		b.Run(fmt.Sprintf("D%d", d), func(b *testing.B) {
+			for b.Loop() {
+				NewItemMemory(d, 1399, 3, 1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d*1399), "ns/dim")
+		})
+	}
+	b.Run("seed-loop-D2048", func(b *testing.B) {
+		for b.Loop() {
+			seedPlanes(2048, 1399, 3, 1)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2048*1399), "ns/dim")
+	})
 }
 
 // TestItemMemoryIDRoundTrip checks planes → IntHV against the drawn

@@ -58,6 +58,33 @@ func TestClosePoisonsIndex(t *testing.T) {
 	mustPanicClosed(t, "Words", func() { ix.Words() })
 }
 
+// TestEntryStringsSurviveClose pins that a mapped index's entry strings
+// are a copy, not a view of the mapping: they read back intact after
+// Close has unmapped the file (an alias would fault here).
+func TestEntryStringsSurviveClose(t *testing.T) {
+	p, lib := syntheticLibrary(t, 300, 512)
+	path := filepath.Join(t.TempDir(), "lib.omsidx")
+	if err := SaveFile(path, p, lib); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mmapSupported && !ix.Mapped() {
+		t.Fatal("index not mapped")
+	}
+	entries := ix.Lib.Entries
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range entries {
+		if want := lib.Entries[i]; e.ID != want.ID || e.Peptide != want.Peptide {
+			t.Fatalf("entry %d after Close: %q/%q, want %q/%q", i, e.ID, e.Peptide, want.ID, want.Peptide)
+		}
+	}
+}
+
 // TestClosePoisonsCopiedIndex pins that the poison does not depend on
 // which loader ran: a heap-copied index (no mapping to release) closes
 // to the same panicking state as a mapped one.

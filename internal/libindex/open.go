@@ -287,18 +287,29 @@ func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
 		}
 		srcPos[i] = int(p64)
 	}
-	entries := make([]core.LibraryEntry, n)
-	for i := range entries {
-		flags := c.u8()
-		id := c.str()
-		pep := c.str()
-		if c.err != nil {
-			return fail("%v", c.err)
-		}
-		entries[i] = core.LibraryEntry{ID: id, Peptide: pep, IsDecoy: flags&1 != 0, Mass: masses[i]}
+	// The entry section is validated first, then copied off the image
+	// once (entry strings must survive an unmapped index): every ID and
+	// peptide is a substring of that one copy.
+	entriesOff := c.off
+	for range n {
+		c.u8()
+		c.str()
+		c.str()
 	}
 	if c.err != nil {
 		return fail("%v", c.err)
+	}
+	strs := string(data[entriesOff:c.off])
+	sec := &byteCursor{data: data[entriesOff:c.off]}
+	next := func() string { // the section's next string, out of strs
+		ln := len(sec.str())
+		return strs[sec.off-ln : sec.off]
+	}
+	entries := make([]core.LibraryEntry, n)
+	for i := range entries {
+		flags := sec.u8()
+		id := next()
+		entries[i] = core.LibraryEntry{ID: id, Peptide: next(), IsDecoy: flags&1 != 0, Mass: masses[i]}
 	}
 	pad := c.take(int(-int64(c.off) & 7))
 	for _, b := range pad {
@@ -356,16 +367,16 @@ func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
 	return p, lib, block, nil
 }
 
-// str reads a length-prefixed string, copying it off the backing
-// buffer (entry strings must survive an unmapped index).
-func (c *byteCursor) str() string {
+// str consumes a length-prefixed string, returning its bytes: a view of
+// the backing buffer.
+func (c *byteCursor) str() []byte {
 	ln := int(c.u32())
 	if c.err != nil {
-		return ""
+		return nil
 	}
 	if ln > maxStringLen {
 		c.err = fmt.Errorf("string length %d exceeds limit %d", ln, maxStringLen)
-		return ""
+		return nil
 	}
-	return string(c.take(ln))
+	return c.take(ln)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -51,5 +52,30 @@ func TestSaveAllocsIndependentOfRows(t *testing.T) {
 	// race detector's own bookkeeping.
 	if small, large := allocs(1000), allocs(4000); large > small+16 {
 		t.Errorf("Save allocates %.0f times for 1000 rows and %.0f for 4000; want the same", small, large)
+	}
+}
+
+// TestOpenAllocsIndependentOfRows pins that opening an index copies its
+// entry strings off the image once, whole, not a string per ID and
+// peptide: the allocation count does not grow with the number of rows.
+func TestOpenAllocsIndependentOfRows(t *testing.T) {
+	allocs := func(n int) float64 {
+		p, lib := syntheticLibrary(t, n, 512)
+		path := filepath.Join(t.TempDir(), "lib.omsidx")
+		if err := SaveFile(path, p, lib); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			ix, err := OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(4000); large > small+16 {
+		t.Errorf("OpenFile allocates %.0f times for 1000 rows and %.0f for 4000; want the same", small, large)
 	}
 }
