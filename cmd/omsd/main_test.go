@@ -323,12 +323,14 @@ func TestStalledHeadersAreCutOff(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- serveUntilShutdown(newHTTPServer(d.mux()), ln, stop, 5*time.Second) }()
 
+	// The daemon's header deadline starts at accept, which can precede
+	// Dial's return: start the clock before dialing.
+	start := time.Now()
 	stalled, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stalled.Close()
-	start := time.Now()
 	if _, err := io.WriteString(stalled, "POST /search HTTP/1.1\r\nHost: omsd\r\n"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -486,5 +489,114 @@ func TestReloadKeepsEncoder(t *testing.T) {
 		}
 		check(change.name, sv)
 		kept = sv.enc
+	}
+}
+
+// TestGenerationRefsBalanced pins the serving generation's reference
+// count: every handler releases each generation it acquires, on the
+// error paths too, so the daemon's own reference is the only one left
+// once a request returns; a reload releases the reference buildNext
+// took on the generation it replaces, so that generation's index closes
+// exactly once when the swap retires it, and shutdown closes the last.
+func TestGenerationRefsBalanced(t *testing.T) {
+	ds, err := msdata.Generate(msdata.IPRG2012(0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.DefaultParams()
+	p.Accel.D = 1024
+	p.Accel.NumChunks = 64
+	engine, _, err := core.BuildExact(p, ds.Library)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lib.omsidx")
+	if err := libindex.SaveFile(path, p, engine.Library()); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := servingConfig{indexPath: path, maxBatch: 8, maxQueue: 1024}
+	closes := map[*serving]*atomic.Int32{} // written only by reload, below
+	var d *daemon
+	d = newDaemon(func() (*serving, error) {
+		sv, err := buildNext(cfg, d.acquire())
+		if err != nil {
+			return nil, err
+		}
+		n, closeIndex := new(atomic.Int32), sv.closeIndex
+		sv.closeIndex = func() error { n.Add(1); return closeIndex() }
+		closes[sv] = n
+		return sv, nil
+	})
+	first, err := d.reload()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	h := d.mux()
+	requests := []struct {
+		name string
+		req  func() *http.Request
+		code int
+	}{
+		{"search", func() *http.Request {
+			var body bytes.Buffer
+			if err := spectrum.WriteMGF(&body, ds.Queries); err != nil {
+				t.Fatal(err)
+			}
+			return httptest.NewRequest("POST", "/search", &body)
+		}, http.StatusOK},
+		{"search bad body", func() *http.Request {
+			req := httptest.NewRequest("POST", "/search", strings.NewReader("{"))
+			req.Header.Set("Content-Type", "application/json")
+			return req
+		}, http.StatusBadRequest},
+		{"healthz", func() *http.Request { return httptest.NewRequest("GET", "/healthz", nil) }, http.StatusOK},
+		{"stats", func() *http.Request { return httptest.NewRequest("GET", "/stats", nil) }, http.StatusOK},
+		{"metrics", func() *http.Request { return httptest.NewRequest("GET", "/metrics", nil) }, http.StatusOK},
+		{"slowest", func() *http.Request { return httptest.NewRequest("GET", "/debug/slowest", nil) }, http.StatusOK},
+	}
+	serveAll := func(sv *serving) {
+		t.Helper()
+		for _, r := range requests {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r.req())
+			if rec.Code != r.code {
+				t.Fatalf("%s: status %d, want %d: %s", r.name, rec.Code, r.code, rec.Body.String())
+			}
+			if refs := sv.refs.Load(); refs != 1 {
+				t.Fatalf("%s: serving generation holds %d references after the request, want 1", r.name, refs)
+			}
+		}
+	}
+	serveAll(first)
+
+	second, err := d.reload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := closes[first].Load(); n != 1 {
+		t.Fatalf("retired generation's index closed %d times after the reload, want 1", n)
+	}
+	if refs := second.refs.Load(); refs != 1 {
+		t.Fatalf("new generation holds %d references after the reload, want 1", refs)
+	}
+	serveAll(second)
+
+	d.shutdown()
+	if n := closes[second].Load(); n != 1 {
+		t.Fatalf("last generation's index closed %d times after shutdown, want 1", n)
+	}
+	// After shutdown there is no generation to pin: a search answers
+	// each query with the closed error and touches no reference count.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, requests[0].req())
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), serve.ErrClosed.Error()) {
+		t.Fatalf("search after shutdown: status %d: %s", rec.Code, rec.Body.String())
+	}
+	for sv, n := range closes {
+		if refs, closed := sv.refs.Load(), n.Load(); refs != 0 || closed != 1 {
+			t.Fatalf("%s: %d references, index closed %d times; want 0 and 1", sv.desc, refs, closed)
+		}
 	}
 }

@@ -1,34 +1,17 @@
-// Command omsvet runs the repo's invariant analyzers — the mechanical
-// enforcement of the correctness rules the mmap-backed index, the
-// cascade's shared atomic bound, and the hot-reload generation
-// pinning depend on (DESIGN.md §9):
+// Command omsvet runs the repo's invariant analyzers as a go vet tool —
+// the mechanical enforcement of the correctness rules the mmap-backed
+// index depends on (DESIGN.md §9):
 //
-//	mmapwrite   no write/append to, or struct escape of, slices derived
-//	            from the mmap-backed packed word block
-//	atomicfield a field accessed through sync/atomic anywhere must be
-//	            accessed atomically everywhere
-//	genpin      every acquired serving generation is released on all
-//	            paths (a CFG dataflow pass: defer, or provably released
-//	            before every exit along every branch)
 //	closeerr    Close/Shutdown/Sync/Munmap errors must not be silently
 //	            discarded outside deferred cleanup and error paths
+//	mmapwrite   no write/append to, or struct escape of, slices derived
+//	            from the mmap-backed packed word block
 //	unmaplife   no view into an mmap generation is used or escapes after
 //	            the owning Close/Munmap — "no view outlives its
 //	            generation's Close"; //oms:transfer marks deliberate
 //	            ownership handoffs
-//	hotalloc    functions annotated //oms:hotpath must be allocation-free
-//	            in steady state (no literals/make/new/naive append/boxing
-//	            /defer-in-loop)
 //
-// Standalone (loads and typechecks from source, no toolchain cache):
-//
-//	go run ./cmd/omsvet ./...
-//	omsvet [-test=false] [-json] [packages...]
-//
-// -json emits findings as a JSON array of {file,line,col,analyzer,
-// message} objects on stdout instead of file:line:col text lines.
-//
-// As a go vet tool (uses the go command's export data and caching):
+// Usage (the go command supplies export data, facts and caching):
 //
 //	go build -o bin/omsvet ./cmd/omsvet
 //	go vet -vettool=$PWD/bin/omsvet ./...
@@ -45,125 +28,35 @@ package main
 
 import (
 	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomicfield"
 	"repro/internal/analysis/closeerr"
-	"repro/internal/analysis/genpin"
-	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/mmapwrite"
 	"repro/internal/analysis/unmaplife"
 )
 
-func analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		atomicfield.Analyzer,
-		closeerr.Analyzer,
-		genpin.Analyzer,
-		hotalloc.Analyzer,
-		mmapwrite.Analyzer,
-		unmaplife.Analyzer,
-	}
-}
+var analyzers = []*analysis.Analyzer{closeerr.Analyzer, mmapwrite.Analyzer, unmaplife.Analyzer}
 
 func main() {
+	switch {
 	// The go vet protocol probes the tool identity first (the response
 	// keys vet's result cache, so it must change when the binary does),
 	// then asks for the tool's registered flags.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
+	case len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V"):
 		fmt.Printf("omsvet version %s\n", selfHash())
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
+	case len(os.Args) == 2 && os.Args[1] == "-flags":
 		fmt.Println("[]")
-		return
-	}
 	// A single *.cfg argument is a unitchecker invocation from go vet.
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(analysis.RunUnitchecker(os.Args[1], analyzers(), os.Stderr))
+	case len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg"):
+		os.Exit(analysis.RunUnitchecker(os.Args[1], analyzers, os.Stderr))
+	default:
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$PWD/bin/omsvet ./...")
+		os.Exit(2)
 	}
-
-	tests := flag.Bool("test", true, "analyze _test.go files (in-package and external test variants)")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text lines")
-	flag.Parse()
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	os.Exit(runStandalone(patterns, *tests, *jsonOut, os.Stdout))
-}
-
-// finding is one diagnostic in -json output.
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// runStandalone loads the patterns from source and reports findings to
-// w: one file:line:col line each, or a JSON array with jsonOut.
-func runStandalone(patterns []string, tests, jsonOut bool, w io.Writer) int {
-	loader := analysis.NewLoader("")
-	pkgs, err := loader.Load(patterns, tests)
-	if err != nil {
-		fmt.Fprintf(w, "omsvet: %v\n", err)
-		return 1
-	}
-	exit := 0
-	// A file shared by a package and its `go list -test` variant (or by
-	// several test binaries) is analyzed more than once; report each
-	// finding a single time.
-	seen := map[string]bool{}
-	var findings []finding
-	// One fact set spans the whole run: Load returns packages in
-	// dependency order, so facts a package exports (mmapwrite's
-	// returns-mmap-view seeds) are visible when its dependents run —
-	// the standalone equivalent of the unitchecker's .vetx files.
-	facts := analysis.NewFactSet()
-	for _, pkg := range pkgs {
-		diags, err := analysis.RunAnalyzers(loader.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, analyzers(), facts)
-		if err != nil {
-			fmt.Fprintf(w, "omsvet: %v\n", err)
-			return 1
-		}
-		for _, d := range diags {
-			pos := loader.Fset.Position(d.Pos)
-			line := fmt.Sprintf("%s: %s: %s", pos, d.Analyzer, d.Message)
-			if seen[line] {
-				continue
-			}
-			seen[line] = true
-			if jsonOut {
-				findings = append(findings, finding{
-					File: pos.Filename, Line: pos.Line, Col: pos.Column,
-					Analyzer: d.Analyzer, Message: d.Message,
-				})
-			} else {
-				fmt.Fprintln(w, line)
-			}
-			exit = 2
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "\t")
-		if findings == nil {
-			findings = []finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(os.Stderr, "omsvet: %v\n", err)
-			return 1
-		}
-	}
-	return exit
 }
 
 // selfHash digests the tool's own binary, giving go vet a version

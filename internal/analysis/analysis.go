@@ -3,15 +3,14 @@
 // the shape of golang.org/x/tools/go/analysis — an Analyzer owns a Run
 // function over a typechecked Pass and reports position-anchored
 // Diagnostics — but is built on the standard library alone
-// (go/parser + go/types, with package metadata from `go list`), so the
-// suite runs in hermetic environments with no module downloads.
+// (go/parser + go/types), so the suite runs in hermetic environments
+// with no module downloads.
 //
-// Two drivers share the analyzers: the standalone loader (load.go,
-// used by `go run ./cmd/omsvet ./...` and the analysistest fixtures)
-// typechecks the whole dependency graph from source, and the
-// unitchecker driver (unitchecker.go) speaks the `go vet -vettool`
-// protocol, importing dependencies from the compiler export data the
-// go command hands it.
+// The one driver, RunUnitchecker (unitchecker.go), speaks the `go vet
+// -vettool` protocol, importing dependencies from the compiler export
+// data the go command hands it. The analysistest fixtures are loaded
+// from source instead (load.go), since they never build into the
+// module.
 //
 // Findings are suppressed line-by-line with an explicit, audited
 // directive: `//oms:allow(analyzer)` — see suppress.go.
@@ -44,10 +43,8 @@ type Pass struct {
 
 	// facts holds cross-package facts: those imported from dependency
 	// packages plus those exported while analyzing this one. The driver
-	// owns the set — in the standalone loader it accumulates across the
-	// whole topologically-ordered run; in the unitchecker it is loaded
-	// from the dependencies' .vetx files and written back out for this
-	// package.
+	// owns the set: it is loaded from the dependencies' .vetx files and
+	// written back out for this package.
 	facts *FactSet
 
 	diags []Diagnostic

@@ -31,10 +31,7 @@ import (
 
 	// Link every production analyzer so fixtures exercise //oms:allow
 	// directive validation against the same registry cmd/omsvet ships.
-	_ "repro/internal/analysis/atomicfield"
 	_ "repro/internal/analysis/closeerr"
-	_ "repro/internal/analysis/genpin"
-	_ "repro/internal/analysis/hotalloc"
 	_ "repro/internal/analysis/mmapwrite"
 	_ "repro/internal/analysis/unmaplife"
 )

@@ -1,8 +1,7 @@
 // Package cfg builds intraprocedural control-flow graphs from go/ast
-// function bodies — the dataflow substrate of the omsvet analyzers
-// that reason about "reachable after" and "on every path" properties
-// (genpin's release-before-exit, unmaplife's use-after-unmap), which a
-// statement-tree walk can only approximate.
+// function bodies — the substrate of unmaplife's "reachable after" and
+// "on every path" reasoning (use-after-unmap), which a statement-tree
+// walk can only approximate.
 //
 // The graph is a list of basic blocks of "atomic" nodes — simple
 // statements and the control expressions that guard branches — with
@@ -54,14 +53,9 @@ type Block struct {
 	Live bool
 }
 
-// Edge is one successor edge, optionally guarded by a branch
-// condition: the edge is taken when Cond evaluates to !Neg. Analyzers
-// use the condition to refine state along branches (genpin's
-// `if v == nil` exemption); nil Cond is an unconditional edge.
+// Edge is one successor edge.
 type Edge struct {
-	To   *Block
-	Cond ast.Expr
-	Neg  bool
+	To *Block
 }
 
 // Returns reports whether the block ends the function with an explicit
@@ -137,8 +131,8 @@ func (b *builder) jump(to *Block) {
 }
 
 // edgeTo adds an edge without moving the current block.
-func (b *builder) edgeTo(to *Block, cond ast.Expr, neg bool) {
-	b.cur.Succs = append(b.cur.Succs, Edge{To: to, Cond: cond, Neg: neg})
+func (b *builder) edgeTo(to *Block) {
+	b.cur.Succs = append(b.cur.Succs, Edge{To: to})
 }
 
 // terminate ends the current block with no successors (return, panic)
@@ -184,8 +178,8 @@ func (b *builder) stmt(s ast.Stmt) {
 		if x.Else != nil {
 			els = b.newBlock()
 		}
-		b.edgeTo(then, x.Cond, false)
-		b.edgeTo(els, x.Cond, true)
+		b.edgeTo(then)
+		b.edgeTo(els)
 		b.cur = then
 		b.stmtList(x.Body.List)
 		b.jump(done)
@@ -212,10 +206,10 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.jump(head)
 		if x.Cond != nil {
 			b.add(x.Cond)
-			b.edgeTo(body, x.Cond, false)
-			b.edgeTo(done, x.Cond, true)
+			b.edgeTo(body)
+			b.edgeTo(done)
 		} else {
-			b.edgeTo(body, nil, false)
+			b.edgeTo(body)
 		}
 		b.cur = body
 		b.targets = &targets{outer: b.targets, breakTo: done, continueTo: cont}
@@ -240,8 +234,8 @@ func (b *builder) stmt(s ast.Stmt) {
 		// iteration. Dataflow walkers visit X/Key/Value only — the body
 		// statements live in their own blocks.
 		b.add(x)
-		b.edgeTo(body, nil, false)
-		b.edgeTo(done, nil, false)
+		b.edgeTo(body)
+		b.edgeTo(done)
 		b.cur = body
 		b.targets = &targets{outer: b.targets, breakTo: done, continueTo: head}
 		b.stmtList(x.Body.List)
@@ -304,19 +298,19 @@ func (b *builder) stmt(s ast.Stmt) {
 		switch x.Tok {
 		case token.BREAK:
 			if to := b.branchTarget(x, b.labelDone, func(t *targets) *Block { return t.breakTo }); to != nil {
-				b.edgeTo(to, nil, false)
+				b.edgeTo(to)
 			}
 		case token.CONTINUE:
 			if to := b.branchTarget(x, b.labelCont, func(t *targets) *Block { return t.continueTo }); to != nil {
-				b.edgeTo(to, nil, false)
+				b.edgeTo(to)
 			}
 		case token.GOTO:
 			if x.Label != nil {
-				b.edgeTo(b.labelBlock(b.labelStart, x.Label.Name), nil, false)
+				b.edgeTo(b.labelBlock(b.labelStart, x.Label.Name))
 			}
 		case token.FALLTHROUGH:
 			if b.fallthroughTo != nil {
-				b.edgeTo(b.fallthroughTo, nil, false)
+				b.edgeTo(b.fallthroughTo)
 			}
 		}
 		b.terminate()
@@ -466,14 +460,7 @@ func (g *CFG) Format(fset *token.FileSet) string {
 		if len(blk.Succs) > 0 {
 			sb.WriteString(" ->")
 			for _, e := range blk.Succs {
-				tag := ""
-				if e.Cond != nil {
-					tag = "?t"
-					if e.Neg {
-						tag = "?f"
-					}
-				}
-				fmt.Fprintf(&sb, " b%d%s", e.To.Index, tag)
+				fmt.Fprintf(&sb, " b%d", e.To.Index)
 			}
 		}
 		sb.WriteString("\n")

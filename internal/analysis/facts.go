@@ -13,11 +13,9 @@ import (
 // recognize a helper in another package that returns a view into an
 // mmap-backed index.
 //
-// Keys are names rather than opaque object handles so the same fact
-// file works in both drivers: the standalone loader (which typechecks
-// everything from source and shares one in-memory set) and the
-// unitchecker (which serializes the set to the .vetx file the go
-// command caches per package — see RunUnitchecker).
+// Keys are names rather than opaque object handles so the set
+// serializes to the .vetx file the go command caches per package (see
+// RunUnitchecker) and reads back against another package's types.
 type FactSet struct {
 	m map[string]map[string]bool
 }

@@ -14,8 +14,8 @@ import (
 // otherwise fixed file, parses it, and checks the parser invariants:
 //
 //   - no panic on any input;
-//   - every parsed directive names only registered analyzers, with a
-//     position inside the file;
+//   - every parsed directive names only registered analyzers (the three
+//     cmd/omsvet ships), with a position inside the file;
 //   - a directive with an unclosed '(' or an unknown name produces a
 //     validation diagnostic, never a silent Directive;
 //   - //oms:transfer with an argument list is flagged, and longer words
@@ -24,9 +24,9 @@ import (
 func FuzzDirectiveParser(f *testing.F) {
 	seeds := []string{
 		"//oms:allow(mmapwrite) tier repack owns this block",
-		"//oms:allow(genpin,atomicfield) two names",
+		"//oms:allow(genpin,atomicfield) deleted analyzers: unknown",
 		"//oms:allow(unmaplife)",
-		"//oms:allow(hotalloc) amortized growth",
+		"//oms:allow(closeerr,hotalloc) one valid, one deleted",
 		"//oms:allow(nosuchanalyzer) typo",
 		"//oms:allow(mmapwrite", // missing ')'
 		"//oms:allow()",
@@ -47,6 +47,7 @@ func FuzzDirectiveParser(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	registerShipped()
 
 	f.Fuzz(func(t *testing.T, input string) {
 		// Newlines would break out of the line comment; keep each input

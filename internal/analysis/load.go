@@ -18,25 +18,19 @@ import (
 	"strings"
 )
 
-// Package is one typechecked package as the standalone driver sees it.
+// Package is one typechecked fixture package.
 type Package struct {
-	PkgPath   string
-	Dir       string
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
-	// Root marks a package matched by the load patterns (as opposed to
-	// a dependency pulled in only for typechecking) — the set the
-	// analyzers actually run over.
-	Root bool
 }
 
-// Loader typechecks packages from source, resolving the dependency
-// graph with `go list -json -deps` — no compiler export data and no
-// network, so it works identically in CI, sandboxes, and the
-// analysistest fixtures. Dependencies arrive from `go list` in
-// topological order, so each package typechecks against the already
-// checked *types.Package of its imports.
+// Loader typechecks analysistest fixtures from source, resolving their
+// dependency graph with `go list -json -deps` — no compiler export data
+// and no network, so it works identically in CI and sandboxes.
+// Dependencies arrive from `go list` in topological order, so each
+// package typechecks against the already checked *types.Package of its
+// imports.
 type Loader struct {
 	// Dir is the directory `go list` runs in (any directory inside the
 	// module; "" = current directory).
@@ -59,8 +53,6 @@ type listedPackage struct {
 	GoFiles    []string
 	Imports    []string
 	ImportMap  map[string]string
-	DepOnly    bool
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
@@ -89,42 +81,6 @@ func (l *Loader) golist(args ...string) ([]*listedPackage, error) {
 		pkgs = append(pkgs, &p)
 	}
 	return pkgs, nil
-}
-
-// Load typechecks the packages matching patterns (plus their full
-// dependency graph) and returns the matched packages. With tests set,
-// the in-package and external test variants are included — the
-// analyzers then see _test.go files too, under the variant import
-// paths `go list -test` reports.
-func (l *Loader) Load(patterns []string, tests bool) ([]*Package, error) {
-	args := []string{"-deps"}
-	if tests {
-		args = append(args, "-test")
-	}
-	listed, err := l.golist(append(args, patterns...)...)
-	if err != nil {
-		return nil, err
-	}
-	var roots []*Package
-	for _, lp := range listed {
-		// The synthetic test main ("pkg.test") references a generated
-		// _testmain.go that exists only inside the build cache; there is
-		// nothing of ours to analyze in it.
-		if strings.HasSuffix(lp.ImportPath, ".test") {
-			continue
-		}
-		if lp.Error != nil {
-			return nil, fmt.Errorf("go list: %s: %s", lp.ImportPath, lp.Error.Err)
-		}
-		pkg, err := l.check(lp, !lp.DepOnly)
-		if err != nil {
-			return nil, err
-		}
-		if !lp.DepOnly && pkg != nil {
-			roots = append(roots, pkg)
-		}
-	}
-	return roots, nil
 }
 
 // LoadFixtureDir typechecks every .go file in dir as one package (the
@@ -175,44 +131,39 @@ func (l *Loader) LoadFixtureDir(dir string) (*Package, error) {
 			if lp.Error != nil {
 				return nil, fmt.Errorf("go list: %s: %s", lp.ImportPath, lp.Error.Err)
 			}
-			if _, err := l.check(lp, false); err != nil {
+			if err := l.check(lp); err != nil {
 				return nil, err
 			}
 		}
 	}
-	pkgPath := "fixture/" + files[0].Name.Name
-	return l.typecheck(pkgPath, dir, files, nil, true)
+	return l.typecheck("fixture/"+files[0].Name.Name, files, nil, true)
 }
 
-// check parses and typechecks one listed package, memoizing by import
-// path. Dependencies are checked without AST retention or type-use
-// maps; root packages keep both for the analyzers.
-func (l *Loader) check(lp *listedPackage, root bool) (*Package, error) {
+// check parses and typechecks one listed dependency, memoizing by
+// import path. Dependencies keep no comments and no type-use maps.
+func (l *Loader) check(lp *listedPackage) error {
 	if lp.ImportPath == "unsafe" {
 		l.pkgs["unsafe"] = types.Unsafe
-		return nil, nil
+		return nil
 	}
-	if _, done := l.pkgs[lp.ImportPath]; done && !root {
-		return nil, nil
-	}
-	mode := parser.SkipObjectResolution
-	if root {
-		// Roots keep comments: the suppression directives live there.
-		mode |= parser.ParseComments
+	if _, done := l.pkgs[lp.ImportPath]; done {
+		return nil
 	}
 	var files []*ast.File
 	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(lp.Dir, name), nil, mode)
+		f, err := parser.ParseFile(l.Fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		files = append(files, f)
 	}
-	return l.typecheck(lp.ImportPath, lp.Dir, files, lp.ImportMap, root)
+	_, err := l.typecheck(lp.ImportPath, files, lp.ImportMap, false)
+	return err
 }
 
-// typecheck runs go/types over one parsed package.
-func (l *Loader) typecheck(pkgPath, dir string, files []*ast.File, importMap map[string]string, root bool) (*Package, error) {
+// typecheck runs go/types over one parsed package; root (the fixture
+// itself) keeps the type-use maps the analyzers read.
+func (l *Loader) typecheck(pkgPath string, files []*ast.File, importMap map[string]string, root bool) (*Package, error) {
 	var info *types.Info
 	if root {
 		info = &types.Info{
@@ -242,7 +193,7 @@ func (l *Loader) typecheck(pkgPath, dir string, files []*ast.File, importMap map
 		return nil, fmt.Errorf("typechecking %s: %v", pkgPath, err)
 	}
 	l.pkgs[pkgPath] = tpkg
-	return &Package{PkgPath: pkgPath, Dir: dir, Files: files, Types: tpkg, TypesInfo: info, Root: root}, nil
+	return &Package{Files: files, Types: tpkg, TypesInfo: info}, nil
 }
 
 // mapImporter resolves imports against the loader's already checked

@@ -63,25 +63,38 @@ var b = 2
 	}
 }
 
+// registerShipped registers the analyzers cmd/omsvet links, as their
+// packages' init functions do.
+func registerShipped() {
+	for _, name := range []string{"closeerr", "mmapwrite", "unmaplife"} {
+		RegisterName(name)
+	}
+}
+
 func TestCollectDirectivesUnknownName(t *testing.T) {
-	RegisterName("realcheck")
+	registerShipped()
+	// genpin, atomicfield and hotalloc were analyzers once; a directive
+	// naming one now suppresses nothing and must say so.
 	fset, files := parseSrc(t, `package p
 
 var a = 1 //oms:allow(bogus) typo
-var b = 2 //oms:allow(realcheck,bogus2) one valid, one not
+var b = 2 //oms:allow(mmapwrite,bogus2) one valid, one not
+var c = 3 //oms:allow(genpin,atomicfield) deleted analyzers
+var d = 4 //oms:allow(unmaplife,hotalloc) one valid, one deleted
 `)
 	dirs, bad := CollectDirectives(fset, files)
-	if len(bad) != 2 {
-		t.Fatalf("got %d validation findings, want 2: %+v", len(bad), bad)
+	if len(bad) != 5 {
+		t.Fatalf("got %d validation findings, want 5: %+v", len(bad), bad)
 	}
 	for _, d := range bad {
 		if d.Analyzer != "omsvet" || !strings.Contains(d.Message, "unknown analyzer") {
 			t.Errorf("unexpected validation finding %+v", d)
 		}
 	}
-	// The valid name still suppresses.
-	if len(dirs) != 1 || len(dirs[0].Names) != 1 || dirs[0].Names[0] != "realcheck" {
-		t.Fatalf("directives = %+v, want just realcheck", dirs)
+	// The valid names still suppress.
+	if len(dirs) != 2 || len(dirs[0].Names) != 1 || dirs[0].Names[0] != "mmapwrite" ||
+		len(dirs[1].Names) != 1 || dirs[1].Names[0] != "unmaplife" {
+		t.Fatalf("directives = %+v, want just mmapwrite and unmaplife", dirs)
 	}
 }
 

@@ -31,7 +31,7 @@
 // omsd storing the engine and the Close into a refcounted serving
 // struct whose release() orders the Close after the last use — is
 // annotated `//oms:transfer` at the escape site, keeping the exception
-// auditable the way genpin treats escape-as-transfer.
+// auditable by grep.
 package unmaplife
 
 import (

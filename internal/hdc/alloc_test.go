@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/obsv"
 	"repro/internal/spectrum"
 )
 
@@ -14,9 +15,8 @@ import (
 // the same quantities). The scoring sweep itself —
 // SimilaritiesRangeInto over a reused buffer, single- or multi-tier —
 // must be allocation-free in steady state: it runs per query batch at
-// full occupancy, and the //oms:hotpath contract on its kernels
-// (xorPopRows and its Go kernel, scoreBlockSims, the heap primitives) is
-// enforced statically by omsvet's hotalloc analyzer. The top-k sweep
+// full occupancy, through xorPopRows and its Go kernel, scoreBlockSims
+// and the heap primitives. The top-k sweep
 // additionally materializes its result lists; that inherent per-call
 // cost is pinned exactly so scratch-reuse regressions (heap regrowth,
 // lost pooling, a goroutine where none is needed) surface as a count
@@ -120,8 +120,9 @@ func TestKernelSweepAllocationFree(t *testing.T) {
 // last case is a small range inside one shard of a five-shard store:
 // it must cost exactly what the one-shard store costs, i.e. the sweep
 // visits only the shard span its ranges cover and spawns nothing. Every
-// case runs again with rows hidden in every kernel block, at the same
-// pinned count: masking allocates nothing.
+// case runs again with rows hidden in every kernel block, and again
+// with a trace recording it, at the same pinned count: neither masking
+// nor tracing allocates.
 func TestSweepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")
@@ -134,13 +135,15 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 		}
 		for _, hidden := range [][]int{nil, everyNth(s.Len(), 37)} {
 			s.Hide(hidden)
-			s.BatchTopKRangeTraced(queries, ranges, 5, nil)
-			allocs := testing.AllocsPerRun(50, func() {
-				s.BatchTopKRangeTraced(queries, ranges, 5, nil)
-			})
-			if int(allocs) > want {
-				t.Errorf("%d-query sweep of %+v over %d shards with %d hidden rows allocates %.1f allocs/op in steady state, baseline %d",
-					len(queries), r, s.NumShards(), len(hidden), allocs, want)
+			for _, tr := range []*obsv.Trace{nil, {}} {
+				s.BatchTopKRangeTraced(queries, ranges, 5, tr)
+				allocs := testing.AllocsPerRun(50, func() {
+					s.BatchTopKRangeTraced(queries, ranges, 5, tr)
+				})
+				if int(allocs) > want {
+					t.Errorf("%d-query sweep of %+v over %d shards with %d hidden rows (traced: %t) allocates %.1f allocs/op in steady state, baseline %d",
+						len(queries), r, s.NumShards(), len(hidden), tr != nil, allocs, want)
+				}
 			}
 		}
 	}
@@ -164,8 +167,7 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 // allocations — the quantized peak list and the result words — on both
 // kernels; their counters live in registers and on the stack (no
 // per-call accumulator, and nothing escapes through the kernel value:
-// groups are written straight into the result words), and the
-// //oms:hotpath contract is enforced by omsvet.
+// groups are written straight into the result words).
 func TestEncodeVectorAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")

@@ -95,8 +95,6 @@ func (e *Encoder) Encode(peaks []spectrum.QuantizedPeak) (BinaryHV, error) {
 // — after holding the geometry to the stores' lengths, so a bin outside
 // the plane store or an empty level table panics here, in Go, and an
 // assembly kernel needs no bounds checks of its own.
-//
-//oms:hotpath
 func signedSumWords(out, planes, lv []uint64, precision int, peaks []spectrum.QuantizedPeak) {
 	groups := groupsPerHV(len(out))
 	if len(lv) < groups*groupWords {
@@ -129,8 +127,6 @@ const signedSumBlock = 32
 // blocks. The sums are acc+o·P ≤ 2o·P for P peaks; comparing them, top
 // plane down, against o·P gives the acc>0 and acc==0 lanes, and the
 // even-dimension mask on the latter is Sign's tie-break.
-//
-//oms:hotpath
 func signedSumWordsGo(out, planes, lv []uint64, precision int, peaks []spectrum.QuantizedPeak) {
 	groups := groupsPerHV(len(out))
 	lvStride := groups * groupWords

@@ -26,8 +26,6 @@ func KernelName() string { return kernelName }
 // rung of a tiered score). The slices are cut to exactly the words the
 // kernel may touch, so an out-of-range geometry panics here, in Go, and
 // an assembly kernel needs no bounds checks of its own.
-//
-//oms:hotpath
 func xorPopRows(qw, packed []uint64, stride, width, rows int, dst []int, add bool) {
 	if rows <= 0 {
 		return
@@ -39,8 +37,6 @@ func xorPopRows(qw, packed []uint64, stride, width, rows int, dst []int, add boo
 // assembly is not: the word loop is 8-way unrolled through array
 // pointers (one bounds check per stride) with two accumulators so the
 // scalar popcounts pipeline.
-//
-//oms:hotpath
 func xorPopRowsGo(qw, packed []uint64, stride, width, rows int, dst []int, add bool) {
 	for r := 0; r < rows; r++ {
 		row := packed[r*stride : r*stride+width]

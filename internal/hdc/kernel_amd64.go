@@ -43,8 +43,6 @@ const signedSumRegPlanes = 16
 // signedSumWordsAVX512 is signedSumWordsGo a plane group per adder op.
 // Sums too wide for the register counter (8192 peaks at precision 3)
 // take the Go kernel.
-//
-//oms:hotpath
 func signedSumWordsAVX512(out, planes, lv []uint64, precision int, peaks []spectrum.QuantizedPeak) {
 	maxSum := uint64(len(peaks)) << precision
 	nplanes := bits.Len64(maxSum)

@@ -197,16 +197,12 @@ type shard struct {
 }
 
 // tierRow returns reference row's tier-t words within the shard.
-//
-//oms:hotpath
 func (s *ShardedSearcher) tierRow(sh *shard, t, row int) []uint64 {
 	base := row * s.stride[t]
 	return sh.planes[t][base : base+s.tw[t]]
 }
 
 // qtier returns the query words of tier t.
-//
-//oms:hotpath
 func (s *ShardedSearcher) qtier(qw []uint64, t int) []uint64 {
 	return qw[s.off[t] : s.off[t]+s.tw[t]]
 }
@@ -424,8 +420,6 @@ func (s *ShardedSearcher) PackedRow(i int) []uint64 {
 // scoreBlockSims writes full Hamming similarities for shard rows
 // [r0, r0+rows) into sims: one xorPopRows pass per tier with the
 // distances summed (a single-tier layout is a ladder of one).
-//
-//oms:hotpath
 func (s *ShardedSearcher) scoreBlockSims(qw []uint64, sh *shard, r0, rows int, sims []int) {
 	for t := range s.tw {
 		xorPopRows(s.qtier(qw, t), sh.planes[t][r0*s.stride[t]:], s.stride[t], s.tw[t], rows, sims, t > 0)
@@ -521,9 +515,8 @@ func grown[T any](buf []T, n int) []T {
 // top-k), operating directly on a slice carved from the batch's heap
 // arena: container/heap would box every Match through interface{}.
 
-//oms:hotpath
 func heapPushMatch(h []Match, m Match) []Match {
-	h = append(h, m) //oms:allow(hotalloc) every heap is carved from the batch arena with capacity for its bound, so append never grows it
+	h = append(h, m)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -536,7 +529,6 @@ func heapPushMatch(h []Match, m Match) []Match {
 	return h
 }
 
-//oms:hotpath
 func heapFixRoot(h []Match) {
 	i, n := 0, len(h)
 	for {
@@ -556,8 +548,6 @@ func heapFixRoot(h []Match) {
 }
 
 // offerTopK keeps m if it ranks within the current top-k.
-//
-//oms:hotpath
 func offerTopK(h []Match, m Match, k int) []Match {
 	if len(h) < k {
 		return heapPushMatch(h, m)
@@ -574,8 +564,6 @@ func offerTopK(h []Match, m Match, k int) []Match {
 // Once the heap is full almost every row scores below its current
 // worst, so the steady state rejects on one compare and takes the heap
 // path only for potential entrants (ties resolve inside offerTopK).
-//
-//oms:hotpath
 func offerBlock(h []Match, vals []int, base, k int) []Match {
 	x := 0
 	for ; x < len(vals) && len(h) < k; x++ {

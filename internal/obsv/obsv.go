@@ -20,9 +20,8 @@
 // Tracing is allocation-free on the hot path by construction: a Trace
 // is a fixed block of atomic counters owned by its caller (the serving
 // layer reuses one per dispatcher), a Span is a value, and every
-// method is nil-safe so untraced paths pay one branch. The hot-path
-// methods carry the //oms:hotpath contract, statically enforced by
-// omsvet's hotalloc analyzer.
+// method is nil-safe so untraced paths pay one branch;
+// TestSpanZeroAlloc pins the hot-path methods at zero allocations.
 package obsv
 
 import (
@@ -139,8 +138,6 @@ func (t *Trace) Reset() {
 }
 
 // AddNanos accumulates d nanoseconds into a stage.
-//
-//oms:hotpath
 func (t *Trace) AddNanos(s Stage, d int64) {
 	if t == nil || s >= NumStages {
 		return
@@ -152,8 +149,6 @@ func (t *Trace) AddNanos(s Stage, d int64) {
 // and raises the observed ladder depth. Negative slots are dropped;
 // slots past MaxTierSlots clamp to the last one, so deep ladders lose
 // attribution granularity but never time.
-//
-//oms:hotpath
 func (t *Trace) AddTierNanos(tier int, d int64) {
 	if t == nil || tier < 0 {
 		return
@@ -173,8 +168,6 @@ func (t *Trace) AddTierNanos(tier int, d int64) {
 // AddRows accumulates row counters: swept rows had their prefilter
 // tier (or full row) scored, completed rows also had their completion
 // tier scored.
-//
-//oms:hotpath
 func (t *Trace) AddRows(swept, completed int64) {
 	if t == nil {
 		return
@@ -187,8 +180,6 @@ func (t *Trace) AddRows(swept, completed int64) {
 // workers reserve distinct slots through the atomic counter; records
 // past MaxTracedPartitions are dropped (the stage totals still carry
 // their time).
-//
-//oms:hotpath
 func (t *Trace) AddPartition(index, rows int, nanos int64) {
 	if t == nil {
 		return
@@ -202,8 +193,6 @@ func (t *Trace) AddPartition(index, rows int, nanos int64) {
 // Start opens a span on a stage; End accumulates its elapsed time.
 // The monotonic clock inside time.Now carries through time.Since, so
 // spans are immune to wall-clock steps.
-//
-//oms:hotpath
 func (t *Trace) Start(s Stage) Span {
 	if t == nil {
 		return Span{}
@@ -221,8 +210,6 @@ type Span struct {
 
 // End closes the span, adding its elapsed nanoseconds to the stage.
 // Ending the zero Span (from a nil trace) is a no-op.
-//
-//oms:hotpath
 func (sp Span) End() {
 	if sp.tr == nil {
 		return
@@ -323,8 +310,6 @@ func (qt *QueryTrace) Stage(s Stage) time.Duration {
 // The caller then overwrites the per-request stages (QueueWait,
 // Encode) with the request's own values. Snapshotting into a
 // caller-owned record keeps the hot path allocation-free.
-//
-//oms:hotpath
 func (t *Trace) Snapshot(qt *QueryTrace) {
 	if t == nil {
 		return

@@ -222,15 +222,15 @@ func TestTraceConcurrent(t *testing.T) {
 }
 
 // TestSpanZeroAlloc is the zero-allocation baseline for span
-// start/stop on the kernel path — the dynamic half of the
-// //oms:hotpath contract (the static half is omsvet's hotalloc
-// analyzer over the annotated obsv methods).
+// start/stop on the kernel path: every Trace method a search calls,
+// on a live trace and on a nil one.
 func TestSpanZeroAlloc(t *testing.T) {
 	tr := &Trace{}
 	var qt QueryTrace
 	allocs := testing.AllocsPerRun(200, func() {
 		sp := tr.Start(StageSweep)
 		sp.End()
+		tr.AddNanos(StageEncode, 1)
 		tr.AddTierNanos(1, 1)
 		tr.AddTierNanos(0, 1)
 		tr.AddRows(128, 2)

@@ -37,9 +37,8 @@ func (e *stubEngine) CascadeStats() (hdc.CascadeStats, bool) { return hdc.Cascad
 // flushSteadyStateAllocs is the checked-in baseline for the dispatch
 // flush loop: with the prepared-query scratch owned by the Server
 // (grown once, reused every batch) a steady-state flush performs no
-// allocation of its own — the //oms:hotpath contract on Server.flush,
-// enforced statically by omsvet's hotalloc analyzer and dynamically
-// here (and trended by -benchmem on BenchmarkServeCoalesced in CI).
+// allocation of its own — pinned here (and trended by -benchmem on
+// BenchmarkServeCoalesced in CI).
 const flushSteadyStateAllocs = 0
 
 // TestFlushAllocationFree gates the flush path at its baseline: a

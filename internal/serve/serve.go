@@ -322,8 +322,6 @@ func (s *Server) fill(batch []*request) []*request {
 // delivered request snapshots the batch-level trace into the reusable
 // QueryTrace record, overlays its own queue-wait and encode times, and
 // feeds the latency stats and the slow-query ring.
-//
-//oms:hotpath
 func (s *Server) flush(batch []*request) {
 	flushStart := time.Now()
 	live := batch[:0:len(batch)]
