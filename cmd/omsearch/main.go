@@ -3,9 +3,9 @@
 //
 //	omsearch -library lib.mgf -queries q.mgf [-backend ideal|rram] \
 //	         [-d 8192] [-precision 3] [-seed 1] [-rescore 0] \
-//	         [-fdr 0.01] [-standard] [-parallel] [-shardsize 2048]
+//	         [-fdr 0.01] [-standard] [-shardsize 2048]
 //	omsearch -index lib.omsidx -queries q.mgf \
-//	         [-fdr 0.01] [-standard] [-parallel] [-shardsize 2048]
+//	         [-fdr 0.01] [-standard] [-shardsize 2048]
 //
 // With -library the encoded library is built from scratch; with
 // -index (built by omsbuild) the encoded, mass-ordered library and
@@ -21,12 +21,13 @@
 // and the bit layout are the index's (omsbuild -tiers/-bit-layout;
 // exact for any ladder, so output does not depend on them) and
 // per-tier pruning rates are reported on stderr; a -library build runs
-// the single-tier natural layout. Either way each query's
-// precursor window is a contiguous row range streamed through the
-// sharded engine's blocked XOR+popcount kernel; with -parallel the
-// whole query set is scored by one block-major batch sweep of the
-// packed store. Results are written to stdout as a TSV of accepted
-// PSMs.
+// the single-tier natural layout. Either way the queries are prepared
+// on every CPU (in input order on one, for the seeded rram encoder) and
+// the whole query set is scored by one block-major batch sweep of the
+// packed store, each query's precursor window a contiguous row range
+// streamed through the sharded engine's blocked XOR+popcount kernel.
+// -parallel is still accepted and has no effect. Results are written to
+// stdout as a TSV of accepted PSMs.
 package main
 
 import (
@@ -52,7 +53,7 @@ func main() {
 	precision := flag.Int("precision", 3, "ID hypervector precision in bits (1-3)")
 	alpha := flag.Float64("fdr", 0.01, "FDR acceptance level")
 	standard := flag.Bool("standard", false, "narrow-window standard search instead of open search")
-	parallel := flag.Bool("parallel", false, "search queries across CPU cores")
+	flag.Bool("parallel", false, "no effect: every search prepares on all CPUs and scores the query set in one sweep")
 	shardSize := flag.Int("shardsize", 0, "reference rows per search shard (0 = default)")
 	rescore := flag.Float64("rescore", 0, "blend factor for shifted-dot rescoring of the HD top-k candidates (0 = off, 1 = pure shifted-dot)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -125,14 +126,11 @@ func main() {
 	}
 
 	var res fdr.Result
-	switch {
-	case *rescore > 0:
+	if *rescore > 0 {
 		rs, rerr := core.NewRescorer(engine, library, *rescore)
 		fatalIf(rerr)
 		res, err = rs.Run(queries)
-	case *parallel:
-		res, err = engine.RunParallel(queries)
-	default:
+	} else {
 		res, err = engine.Run(queries)
 	}
 	fatalIf(err)

@@ -16,7 +16,7 @@ import (
 // preprocessing.
 func buildSpectra() []*spectrum.Spectrum {
 	rng := rand.New(rand.NewSource(11))
-	spectra := make([]*spectrum.Spectrum, 3*buildChunk+17)
+	spectra := make([]*spectrum.Spectrum, 3*spectrumChunk+17)
 	for i := range spectra {
 		s := &spectrum.Spectrum{
 			ID:          fmt.Sprintf("ref-%d", i),
@@ -87,7 +87,7 @@ func TestBuildLibraryReportsFirstEncodeError(t *testing.T) {
 	wide := p
 	wide.Preprocess.MaxMZ, wide.Binner.MaxMZ = 3000, 3000
 	spectra := buildSpectra()
-	first, second := buildChunk-2, buildChunk
+	first, second := spectrumChunk-2, spectrumChunk
 	for _, i := range []int{first, second} {
 		spectra[i].Peaks = append(spectra[i].Peaks, spectrum.Peak{MZ: 2500, Intensity: 50})
 	}

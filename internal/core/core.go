@@ -14,6 +14,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -197,35 +198,23 @@ type Library struct {
 	Skipped int
 }
 
-// buildChunk is how many spectra a build worker claims at a time:
-// enough that claiming costs nothing next to encoding them, few
-// enough that a small library still spreads over every CPU.
-const buildChunk = 256
+// spectrumChunk is how many spectra a worker claims at a time: enough
+// that claiming costs nothing next to encoding them, few enough that a
+// small list still spreads over every CPU.
+const spectrumChunk = 256
 
-// BuildLibrary preprocesses, vectorizes and encodes the reference
-// spectra. Spectra failing preprocessing are skipped (counted in
-// Skipped), matching library-building practice; an encode failure is
-// reported for the first failing spectrum in input order.
-//
-// The exact *hdc.Encoder is stateless (request goroutines already
-// share one through Engine.Prepare), so with it the spectra are
-// processed on every CPU, in fixed-size chunks whose results land at
-// their input positions — the library is the same at any GOMAXPROCS.
-// Any other encoder may carry state: the noisy model draws its seeded
-// error stream in encode order, so it gets one worker walking the
-// chunks in input order.
-func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc Encoder) (*Library, error) {
-	if enc == nil {
-		return nil, fmt.Errorf("core: nil encoder")
-	}
-	numChunks := (len(spectra) + buildChunk - 1) / buildChunk
+// eachSpectrum runs fn(i), which encodes through enc and writes its
+// result at position i, for every i in [0, n) and returns the first
+// error in input order. The exact *hdc.Encoder is stateless, so with it
+// chunks claimed in input order run on every CPU; any other encoder may
+// carry state (the noisy model draws its seeded errors in encode
+// order), so it gets one worker, the caller, walking the input in order.
+func eachSpectrum(n int, enc Encoder, fn func(i int) error) error {
+	numChunks := (n + spectrumChunk - 1) / spectrumChunk
 	workers := 1
 	if _, stateless := enc.(*hdc.Encoder); stateless {
 		workers = min(runtime.GOMAXPROCS(0), numChunks)
 	}
-	entries := make([]LibraryEntry, len(spectra))
-	hvs := make([]hdc.BinaryHV, len(spectra))
-	kept := make([]bool, len(spectra))
 	errs := make([]error, numChunks)
 	// Chunks are claimed in input order and a claimed chunk is always
 	// finished, so once a chunk fails and claiming stops, every chunk
@@ -239,25 +228,12 @@ func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc Encoder) (*Library
 			if c >= numChunks {
 				return
 			}
-			for i := c * buildChunk; i < min((c+1)*buildChunk, len(spectra)); i++ {
-				s := spectra[i]
-				pre, err := p.Preprocess.Preprocess(s)
-				if err != nil {
-					continue
-				}
-				hvs[i], err = enc.EncodeVector(p.Binner.Vectorize(pre))
-				if err != nil {
-					errs[c] = fmt.Errorf("core: encoding library spectrum %s: %w", s.ID, err)
+			for i := c * spectrumChunk; i < min((c+1)*spectrumChunk, n); i++ {
+				if err := fn(i); err != nil {
+					errs[c] = err
 					failed.Store(true)
 					break
 				}
-				entries[i] = LibraryEntry{
-					ID:      s.ID,
-					Peptide: s.Peptide,
-					IsDecoy: s.IsDecoy,
-					Mass:    s.PrecursorMass(),
-				}
-				kept[i] = true
 			}
 		}
 	}
@@ -271,10 +247,41 @@ func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc Encoder) (*Library
 	}
 	work()
 	wg.Wait()
-	for _, err := range errs {
+	return cmp.Or(errs...)
+}
+
+// BuildLibrary preprocesses, vectorizes and encodes the reference
+// spectra through eachSpectrum, so the library is the same at any
+// GOMAXPROCS. Spectra failing preprocessing are skipped (counted in
+// Skipped), matching library-building practice; an encode failure is
+// reported for the first failing spectrum in input order.
+func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc Encoder) (*Library, error) {
+	if enc == nil {
+		return nil, fmt.Errorf("core: nil encoder")
+	}
+	entries := make([]LibraryEntry, len(spectra))
+	hvs := make([]hdc.BinaryHV, len(spectra))
+	kept := make([]bool, len(spectra))
+	err := eachSpectrum(len(spectra), enc, func(i int) error {
+		s := spectra[i]
+		pre, err := p.Preprocess.Preprocess(s)
 		if err != nil {
-			return nil, err
+			return nil
 		}
+		if hvs[i], err = enc.EncodeVector(p.Binner.Vectorize(pre)); err != nil {
+			return fmt.Errorf("core: encoding library spectrum %s: %w", s.ID, err)
+		}
+		entries[i] = LibraryEntry{
+			ID:      s.ID,
+			Peptide: s.Peptide,
+			IsDecoy: s.IsDecoy,
+			Mass:    s.PrecursorMass(),
+		}
+		kept[i] = true
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	n := 0
 	for i, ok := range kept {

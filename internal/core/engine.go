@@ -753,20 +753,34 @@ func (e *Engine) SearchOne(q *spectrum.Spectrum) (fdr.PSM, bool, error) {
 	return psms[0], oks[0], nil
 }
 
-// SearchAll runs every query serially and returns the PSM list (one
-// best match per searchable query).
+// SearchAll prepares every query through eachSpectrum and scores the
+// ones that pass in one SearchPrepared sweep, returning one best-match
+// PSM per searchable query in query order. Encoder and searcher draw in
+// query order, so on every backend the list equals a SearchOne loop's.
 func (e *Engine) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
-	psms := make([]fdr.PSM, 0, len(queries))
-	for _, q := range queries {
-		psm, ok, err := e.SearchOne(q)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			psms = append(psms, psm)
+	pqs := make([]PreparedQuery, len(queries))
+	ok := make([]bool, len(queries))
+	err := eachSpectrum(len(queries), e.enc, func(i int) (err error) {
+		pqs[i], ok[i], err = e.Prepare(queries[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	batch := pqs[:0]
+	for i := range pqs {
+		if ok[i] {
+			batch = append(batch, pqs[i])
 		}
 	}
-	return psms, nil
+	psms, found := e.SearchPrepared(batch)
+	out := psms[:0]
+	for i := range psms {
+		if found[i] {
+			out = append(out, psms[i])
+		}
+	}
+	return out, nil
 }
 
 // Run searches all queries and applies the FDR filter, returning the

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/fdr"
@@ -109,33 +112,6 @@ func TestMGFPipelineMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial checks SearchAllParallel returns exactly
-// the serial results on the deterministic exact backend.
-func TestParallelMatchesSerial(t *testing.T) {
-	ds := testDataset(t)
-	p := testParams()
-	engine, _, err := BuildExact(p, ds.Library)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := engine.SearchAll(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := engine.SearchAllParallel(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("counts: %d serial vs %d parallel", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("PSM %d differs: %+v vs %+v", i, serial[i], parallel[i])
-		}
-	}
-}
-
 // TestBatchPathShardSizes checks that engine results are invariant to
 // the shard size.
 func TestBatchPathShardSizes(t *testing.T) {
@@ -145,7 +121,7 @@ func TestBatchPathShardSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := base.SearchAllParallel(ds.Queries)
+	want, err := base.SearchAll(ds.Queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +132,7 @@ func TestBatchPathShardSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := engine.SearchAllParallel(ds.Queries)
+		got, err := engine.SearchAll(ds.Queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,26 +147,46 @@ func TestBatchPathShardSizes(t *testing.T) {
 	}
 }
 
-// TestParallelNoisyBackendSafe runs the noisy backend concurrently;
-// results differ from serial (noise draws interleave) but must remain
-// race-free and structurally sound. Run under -race in CI.
-func TestParallelNoisyBackendSafe(t *testing.T) {
+// TestNoisySearchAllMatchesSearchOne pins the noisy backend's list path
+// to its per-query path: on twin engines built with one seed, SearchAll
+// over the query list and a SearchOne loop must return the same PSMs at
+// any GOMAXPROCS — the encoder and the searcher each draw their seeded
+// streams in query order, however the work is spread.
+func TestNoisySearchAllMatchesSearchOne(t *testing.T) {
 	ds := testDataset(t)
 	p := testParams()
-	engine, err := BuildNoisy(p, ds.Library, NoiseSpec{
-		EncodeBER: 0.02, SearchSigma: 10, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := engine.RunParallel(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, psm := range res.Accepted {
-		if psm.QueryID == "" || psm.Peptide == "" {
-			t.Fatalf("malformed PSM: %+v", psm)
-		}
+	spec := NoiseSpec{EncodeBER: 0.02, RefStorageBER: 0.01, SearchSigma: 10, Seed: 9}
+	// Several chunks' worth, so a fan-out would have work to spread.
+	queries := slices.Repeat(ds.Queries, 2*spectrumChunk/len(ds.Queries)+1)
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			list, err := BuildNoisy(p, ds.Library, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loop, err := BuildNoisy(p, ds.Library, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := list.SearchAll(queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []fdr.PSM
+			for _, q := range queries {
+				psm, ok, err := loop.SearchOne(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					want = append(want, psm)
+				}
+			}
+			if len(want) == 0 || !slices.Equal(got, want) {
+				t.Fatalf("SearchAll returned %d PSMs, the SearchOne loop %d, and they differ", len(got), len(want))
+			}
+		})
 	}
 }
 

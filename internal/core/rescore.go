@@ -60,57 +60,63 @@ func NewRescorer(engine *Engine, library []*spectrum.Spectrum, alpha float64) (*
 	return r, nil
 }
 
-// SearchOne runs the HD search for a shortlist and rescores it.
-func (r *Rescorer) SearchOne(q *spectrum.Spectrum) (fdr.PSM, bool, error) {
-	qv, hv, ok, err := r.engine.encodeQuery(q)
-	if err != nil || !ok {
-		return fdr.PSM{}, false, err
-	}
-	mass := q.PrecursorMass()
-	// The open window bounds candidates even in standard mode: the
-	// shortlist is rescored, so the wider net costs only HD search.
-	lo, hi := r.lib.CandidateRange(mass, r.engine.params.Window)
-	if lo >= hi {
-		return fdr.PSM{}, false, nil
-	}
-	top := r.engine.TopKPrepared(PreparedQuery{HV: hv, Mass: mass, Lo: lo, Hi: hi})
-	if len(top) == 0 {
-		return fdr.PSM{}, false, nil
-	}
-	qn := qv.Normalized()
-	bestIdx, bestScore := -1, math.Inf(-1)
-	d := r.engine.normD
-	for _, m := range top {
-		entry := r.lib.Entries[m.Index]
-		shiftBins := int(math.Round((mass - entry.Mass) / r.binner.BinWidth))
-		sd := spectrum.ShiftedDot(qn, r.vectors[m.Index], shiftBins)
-		hd := float64(m.Similarity) / d
-		score := (1-r.Alpha)*hd + r.Alpha*sd
-		if score > bestScore {
-			bestIdx, bestScore = m.Index, score
-		}
-	}
-	entry := r.lib.Entries[bestIdx]
-	return fdr.PSM{
-		QueryID:   q.ID,
-		Peptide:   entry.Peptide,
-		Score:     bestScore,
-		IsDecoy:   entry.IsDecoy,
-		MassShift: mass - entry.Mass,
-	}, true, nil
-}
-
-// SearchAll rescoring over all queries.
+// SearchAll encodes every query through eachSpectrum, keeping its binned
+// vector, shortlists the ones with candidates in one batch sweep and
+// rescores each shortlist: one PSM per shortlisted query, in query order.
 func (r *Rescorer) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
-	psms := make([]fdr.PSM, 0, len(queries))
-	for _, q := range queries {
-		psm, ok, err := r.SearchOne(q)
-		if err != nil {
-			return nil, err
+	e := r.engine
+	pqs := make([]PreparedQuery, len(queries))
+	qvs := make([]spectrum.Vector, len(queries))
+	err := eachSpectrum(len(queries), e.enc, func(i int) error {
+		q := queries[i]
+		v, hv, ok, err := e.encodeQuery(q)
+		if err != nil || !ok {
+			return err
 		}
-		if ok {
-			psms = append(psms, psm)
+		mass := q.PrecursorMass()
+		// The open window bounds candidates even in standard mode: the
+		// shortlist is rescored, so the wider net costs only HD search.
+		lo, hi := r.lib.CandidateRange(mass, e.params.Window)
+		pqs[i] = PreparedQuery{QueryID: q.ID, HV: hv, Mass: mass, Lo: lo, Hi: hi}
+		qvs[i] = v.Normalized()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var batch []PreparedQuery
+	var batchVecs []spectrum.Vector
+	for i := range pqs {
+		if pqs[i].Lo < pqs[i].Hi {
+			batch = append(batch, pqs[i])
+			batchVecs = append(batchVecs, qvs[i])
 		}
+	}
+	psms := make([]fdr.PSM, 0, len(batch))
+	for j, top := range e.batchTopK(batch, nil) {
+		if len(top) == 0 {
+			continue
+		}
+		pq := &batch[j]
+		bestIdx, bestScore := -1, math.Inf(-1)
+		for _, m := range top {
+			entry := r.lib.Entries[m.Index]
+			shiftBins := int(math.Round((pq.Mass - entry.Mass) / r.binner.BinWidth))
+			sd := spectrum.ShiftedDot(batchVecs[j], r.vectors[m.Index], shiftBins)
+			hd := float64(m.Similarity) / e.normD
+			score := (1-r.Alpha)*hd + r.Alpha*sd
+			if score > bestScore {
+				bestIdx, bestScore = m.Index, score
+			}
+		}
+		entry := r.lib.Entries[bestIdx]
+		psms = append(psms, fdr.PSM{
+			QueryID:   pq.QueryID,
+			Peptide:   entry.Peptide,
+			Score:     bestScore,
+			IsDecoy:   entry.IsDecoy,
+			MassShift: pq.Mass - entry.Mass,
+		})
 	}
 	return psms, nil
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fdr"
 	"repro/internal/hdc"
 	"repro/internal/spectrum"
 	"repro/internal/units"
@@ -48,14 +47,10 @@ func DefaultParams() Params {
 	}
 }
 
-// Engine is a built HyperOMS search engine. It reuses the core OMS
-// machinery with binary IDs and flip-based levels.
-type Engine struct {
-	inner *core.Engine
-}
-
-// NewEngine encodes the library with binary ID-Level encoding.
-func NewEngine(p Params, library []*spectrum.Spectrum) (*Engine, error) {
+// NewEngine encodes the library with binary ID-Level encoding and
+// returns the core OMS engine over it: the same machinery as this
+// work's, with binary IDs and flip-based levels.
+func NewEngine(p Params, library []*spectrum.Spectrum) (*core.Engine, error) {
 	if p.D <= 0 {
 		return nil, fmt.Errorf("hyperoms: non-positive dimension %d", p.D)
 	}
@@ -82,38 +77,5 @@ func NewEngine(p Params, library []*spectrum.Spectrum) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := core.NewEngine(cp, lib, enc, searcher)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{inner: inner}, nil
+	return core.NewEngine(cp, lib, enc, searcher)
 }
-
-// SearchAll runs all queries, returning one best-match PSM per
-// searchable query.
-func (e *Engine) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
-	return e.inner.SearchAll(queries)
-}
-
-// SearchAllParallel is SearchAll through the core batch path: the
-// library is mass-ordered, so each query's precursor window is a
-// contiguous row range that the sharded exact engine streams through
-// its block-major batch kernel across CPU cores — matching HyperOMS's
-// original GPU query-level parallelism without materializing
-// per-query candidate lists.
-func (e *Engine) SearchAllParallel(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
-	return e.inner.SearchAllParallel(queries)
-}
-
-// Run searches all queries and applies FDR filtering.
-func (e *Engine) Run(queries []*spectrum.Spectrum) (fdr.Result, error) {
-	return e.inner.Run(queries)
-}
-
-// RunParallel is Run using the parallel batch search path.
-func (e *Engine) RunParallel(queries []*spectrum.Spectrum) (fdr.Result, error) {
-	return e.inner.RunParallel(queries)
-}
-
-// Library exposes the encoded library (for size accounting).
-func (e *Engine) Library() *core.Library { return e.inner.Library() }

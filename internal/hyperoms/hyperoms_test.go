@@ -91,29 +91,3 @@ func TestLibraryAccessible(t *testing.T) {
 		t.Error("empty library exposed")
 	}
 }
-
-// TestParallelMatchesSerial checks the batch parallel path returns
-// exactly the serial PSMs on this deterministic exact engine.
-func TestParallelMatchesSerial(t *testing.T) {
-	ds := testDataset(t)
-	eng, err := NewEngine(testParams(), ds.Library)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := eng.SearchAll(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := eng.SearchAllParallel(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("counts: %d serial vs %d parallel", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("PSM %d differs: %+v vs %+v", i, serial[i], parallel[i])
-		}
-	}
-}

@@ -37,7 +37,7 @@ func BenchmarkIndexLoad(b *testing.B) {
 	b.Run("load", func(b *testing.B) {
 		b.SetBytes(int64(len(img)))
 		for i := 0; i < b.N; i++ {
-			lp, lib, err := Load(bytes.NewReader(img))
+			lp, lib, _, err := loadImage(bytes.NewReader(img))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -99,9 +99,9 @@ func BenchmarkAppendPublish(b *testing.B) {
 	b.ReportMetric(dn, "refs/op")
 }
 
-// BenchmarkIndexOpen compares the mmap-backed OpenFile against the
-// copying LoadFile at 100k references — the economics of the
-// partitioned out-of-core design. LoadFile checksums and copies the
+// BenchmarkIndexOpen compares the mmap-backed OpenFile against its
+// copying fallback at 100k references — the economics of the
+// partitioned out-of-core design. The copying loader checksums and copies the
 // full ~100 MiB word payload; OpenFile parses only the metadata
 // sections and aliases the words, so open cost is independent of
 // library size. Acceptance: mmap open ≥ 5x faster than copying load.
@@ -135,7 +135,7 @@ func BenchmarkIndexOpen(b *testing.B) {
 	b.Run("copy-load", func(b *testing.B) {
 		b.SetBytes(st.Size())
 		for i := 0; i < b.N; i++ {
-			if _, _, err := LoadFile(path); err != nil {
+			if _, _, err := loadFile(path); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -7,9 +7,9 @@ import (
 )
 
 // FuzzIndexLoad drives crafted index images through the one decoder
-// from both sides: the copying Load, and parseIndex plus the
+// from both sides: the copying loadImage, and parseIndex plus the
 // verifyImage pass a mapped index runs on request (Index.Verify). The
-// two must accept and reject exactly the same images — Load is
+// two must accept and reject exactly the same images — loadImage is
 // nothing but parse + verify, so a divergence means one side grew a
 // check the other lacks — and neither may panic or size an allocation
 // from an unvalidated header field: parseIndex checks the claimed
@@ -63,7 +63,7 @@ func FuzzIndexLoad(f *testing.F) {
 	binary.LittleEndian.PutUint32(badLen[permSectionOffset(badLen):], 7)
 	f.Add(badLen)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lp, llib, lerr := Load(bytes.NewReader(data))
+		lp, llib, _, lerr := loadImage(bytes.NewReader(data))
 		pp, plib, block, perr := parseIndex(data)
 		if perr == nil {
 			perr = verifyImage(data, block, pp.Accel.D)

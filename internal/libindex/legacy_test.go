@@ -99,7 +99,7 @@ func openLegacy(t *testing.T, p core.Params, lib *core.Library, rewrite paramsRe
 		t.Fatal(err)
 	}
 	legacy := legacyImage(t, modern.Bytes(), rewrite)
-	lp, llib, err := Load(bytes.NewReader(legacy))
+	lp, llib, _, err := loadImage(bytes.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestLegacyPrefilterWordsTranslated(t *testing.T) {
 	if err := Save(&modern, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	lp, lib, err := Load(bytes.NewReader(legacyImage(t, modern.Bytes(), prefilterWords(words))))
+	lp, lib, _, err := loadImage(bytes.NewReader(legacyImage(t, modern.Bytes(), prefilterWords(words))))
 	if err != nil {
 		t.Fatal(err)
 	}

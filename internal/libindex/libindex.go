@@ -37,13 +37,13 @@
 // search engine is built on the words.
 //
 // One decoder (parseIndex) reads the format, for the mmap-backed
-// OpenFile and the copying Load alike, and validates the structural
+// OpenFile and its copying fallback alike, and validates the structural
 // invariants the engine relies on (ascending masses, a true
 // permutation) so a corrupted file can never silently mis-score
 // searches. The trailing checksum covers the header too, so
 // truncation, bit rot and partial writes are all detected; checking it
 // — and the zero tail bits beyond dimension d — touches every word
-// page, so Load does it eagerly and a mapped index on request
+// page, so the copying loader does it eagerly and a mapped index on request
 // (Index.Verify).
 package libindex
 
@@ -98,7 +98,7 @@ func Save(w io.Writer, p core.Params, lib *core.Library) error {
 	if p.Accel.D != d {
 		return fmt.Errorf("libindex: params dimension D=%d does not match library hypervector dimension D=%d", p.Accel.D, d)
 	}
-	// Refuse to write a file Load would reject: a hand-assembled
+	// Refuse to write a file the decoder would reject: a hand-assembled
 	// library that never ran SortByMass has no permutation and may be
 	// out of mass order, and the failure should surface now rather
 	// than after the expensive build is gone.
@@ -120,7 +120,7 @@ func Save(w io.Writer, p core.Params, lib *core.Library) error {
 	}
 	perm := lib.DimPerm
 	if len(perm) != 0 {
-		// Refuse to persist a permutation Load would reject.
+		// Refuse to persist a permutation the decoder would reject.
 		if err := hdc.ValidatePermutation(perm, d); err != nil {
 			return fmt.Errorf("libindex: library bit-layout permutation: %w", err)
 		}
@@ -222,21 +222,13 @@ func SaveFile(path string, p core.Params, lib *core.Library) error {
 	return nil
 }
 
-// Load reads an index from r, verifies its checksum and structural
-// invariants, and reconstructs the library and the parameters it was
-// built with. The returned library is ready for
-// core.NewExactEngineFromLibrary — no spectrum is re-encoded.
-func Load(r io.Reader) (core.Params, *core.Library, error) {
-	p, lib, _, err := loadImage(r)
-	return p, lib, err
-}
-
-// loadImage is the copying loader: the whole image is read to the
-// heap, decoded by parseIndex — the one decoder, shared with the
-// mmap-backed OpenFile — and then, unlike OpenFile, eagerly verified
-// (verifyImage), which the heap copy has already paid the page touches
-// for. It also returns the contiguous packed word block the per-entry
-// hypervectors are views over, for packed searcher construction.
+// loadImage is the copying loader behind OpenFile's fallback: the
+// whole image is read to the heap, decoded by parseIndex — the one
+// decoder, shared with the mmap-backed path — and then, unlike a
+// mapping, eagerly verified (verifyImage), which the heap copy has
+// already paid the page touches for. It returns the parameters the
+// library was built with, the library, and the contiguous packed word
+// block its hypervectors are views over — no spectrum is re-encoded.
 func loadImage(r io.Reader) (core.Params, *core.Library, []uint64, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -285,16 +277,6 @@ func versionErr(version uint16) error {
 	default:
 		return fmt.Errorf("libindex: index version %d is newer than this build understands (version %d): upgrade the reader or rebuild the index", version, Version)
 	}
-}
-
-// LoadFile loads a library index from path.
-func LoadFile(path string) (core.Params, *core.Library, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return core.Params{}, nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 // sectionWriter writes fixed-width little-endian fields, capturing the

@@ -47,6 +47,21 @@ func buildEngine(t testing.TB, p core.Params, library []*spectrum.Spectrum) *cor
 	return engine
 }
 
+// loadFile reads an index file the way OpenFile does without a mapping:
+// through openCopied, the eagerly verified copying loader.
+func loadFile(path string) (core.Params, *core.Library, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return core.Params{}, nil, err
+	}
+	defer f.Close()
+	ix, err := openCopied(f, path)
+	if err != nil {
+		return core.Params{}, nil, err
+	}
+	return ix.Params, ix.Lib, nil
+}
+
 // TestRoundTripSearchIdentical pins the core contract: save → load →
 // search is bit-identical to searching with the freshly built engine,
 // across dimensions, shard sizes and ID precisions.
@@ -67,7 +82,7 @@ func TestRoundTripSearchIdentical(t *testing.T) {
 			if err := Save(&buf, p, built.Library()); err != nil {
 				t.Fatalf("Save: %v", err)
 			}
-			lp, lib, err := Load(bytes.NewReader(buf.Bytes()))
+			lp, lib, _, err := loadImage(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
@@ -130,7 +145,7 @@ func TestPackedStoreMatchesIndex(t *testing.T) {
 	if err := Save(&buf, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	lp, lib, err := Load(bytes.NewReader(buf.Bytes()))
+	lp, lib, _, err := loadImage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +183,7 @@ func TestRoundTripCascadeParams(t *testing.T) {
 	if err := Save(&buf, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	lp, lib, err := Load(bytes.NewReader(buf.Bytes()))
+	lp, lib, _, err := loadImage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +249,7 @@ func TestRoundTripSingleEntry(t *testing.T) {
 	if err := SaveFile(path, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	lp, lib, err := LoadFile(path)
+	lp, lib, err := loadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +297,7 @@ func TestRoundTripEntropyLayout(t *testing.T) {
 	if err := Save(&buf, p, built.Library()); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	lp, lib, err := Load(bytes.NewReader(buf.Bytes()))
+	lp, lib, _, err := loadImage(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -358,7 +373,7 @@ func TestLoadRejectsNonBijectivePerm(t *testing.T) {
 	off := permSectionOffset(img)
 	copy(img[off+8:off+12], img[off+4:off+8])
 	fixCRC(img)
-	if _, _, err := Load(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "not a bijection") {
+	if _, _, _, err := loadImage(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "not a bijection") {
 		t.Fatalf("copying loader: got %v, want a not-a-bijection rejection", err)
 	}
 	path := t.TempDir() + "/dup.omsidx"
@@ -385,7 +400,7 @@ func TestVerifyRejectsTailBits(t *testing.T) {
 	// word and re-seal the checksum.
 	img[len(img)-5] |= 0x80
 	fixCRC(img)
-	if _, _, err := Load(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "bits set beyond dimension 100") {
+	if _, _, _, err := loadImage(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "bits set beyond dimension 100") {
 		t.Fatalf("Load: got %v, want a tail-bit rejection", err)
 	}
 	if !mmapSupported {
@@ -519,7 +534,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			img := append([]byte(nil), valid...)
 			img = tc.mutate(img)
-			_, _, err := Load(bytes.NewReader(img))
+			_, _, _, err := loadImage(bytes.NewReader(img))
 			if err == nil {
 				t.Fatalf("Load accepted a %s index", tc.name)
 			}
@@ -529,7 +544,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		})
 	}
 	// The pristine image must still load after all that slicing.
-	if _, _, err := Load(bytes.NewReader(valid)); err != nil {
+	if _, _, _, err := loadImage(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("pristine image failed to load: %v", err)
 	}
 }
@@ -543,7 +558,7 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if err := SaveFile(path, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	lp, lib, err := LoadFile(path)
+	lp, lib, err := loadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

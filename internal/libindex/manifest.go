@@ -293,9 +293,6 @@ type PartitionedIndex struct {
 	path string
 }
 
-// Path returns the manifest path the index was opened from.
-func (pi *PartitionedIndex) Path() string { return pi.path }
-
 // PartitionSet assembles the core engine inputs: every live partition
 // with its generation coordinates and packed block view, the
 // outstanding tombstones, and the manifest generation — what

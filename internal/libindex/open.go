@@ -60,9 +60,6 @@ func (ix *Index) partitionSet() core.PartitionSet {
 // copied to the heap by the fallback loader (false).
 func (ix *Index) Mapped() bool { return ix.mapped != nil }
 
-// Path returns the file the index was opened from.
-func (ix *Index) Path() string { return ix.path }
-
 // Close releases the mapping and poisons the index: the words view is
 // zeroed and Words panics afterwards, for a copied index exactly as
 // for a mapped one, so misuse does not depend on which loader ran.
@@ -87,8 +84,8 @@ func (ix *Index) Close() error {
 
 // Verify checksums the full index image against its CRC-32C trailer
 // and re-checks the packed-tail invariant (verifyImage). OpenFile
-// validates the metadata sections structurally but — unlike Load —
-// does not touch the bulk word pages, so a mapped index of untrusted
+// validates the metadata sections structurally but — unlike the
+// copying loader — does not touch the bulk word pages, so a mapped index of untrusted
 // provenance can be verified explicitly here (at the cost of faulting
 // in every page). A copied index already passed the same pass in the
 // loader; Verify reports nil without re-reading it.
@@ -101,13 +98,14 @@ func (ix *Index) Verify() error {
 
 // OpenFile opens a library index with the bulk word section
 // memory-mapped: the metadata sections (params, masses, permutation,
-// entry strings) are decoded and validated exactly as Load does, but
+// entry strings) are decoded and validated exactly as the copying
+// loader does, but
 // the packed words become a zero-copy []uint64 view over the mapping,
 // so opening is metadata-bound — independent of library size — and the
 // resident cost of a partition is only the pages its searches touch.
 // The word payload itself is not checksummed here (that would fault in
-// every page, defeating the point); use Load, or Index.Verify, when
-// the file's integrity is in question. On platforms without mmap, or
+// every page, defeating the point); use Index.Verify when the file's
+// integrity is in question. On platforms without mmap, or
 // when mapping fails, OpenFile falls back to the copying loader —
 // callers observe the same Index either way.
 func OpenFile(path string) (*Index, error) {
@@ -204,12 +202,12 @@ func (c *byteCursor) u64() uint64 {
 }
 
 // parseIndex is the one index decoder, behind both the mmap-backed
-// OpenFile and the copying Load. It decodes an image in place:
+// OpenFile and the copying loadImage. It decodes an image in place:
 // metadata is copied out (entry strings must survive the mapping), the
 // packed words become a view over data when the section is 8-byte
 // aligned (always, for a page-aligned mapping) and are copied
 // otherwise. The CRC trailer is located but not verified, and the word
-// pages are not touched — that is verifyImage, which Load runs eagerly
+// pages are not touched — that is verifyImage, which loadImage runs eagerly
 // and a mapped index runs on request (Index.Verify).
 func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
 	fail := func(format string, args ...any) (core.Params, *core.Library, []uint64, error) {

@@ -52,7 +52,7 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			lp, lib, err := LoadFile(path)
+			lp, lib, err := loadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
