@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hdc"
 	"repro/internal/msdata"
-	"repro/internal/obsv"
 	"repro/internal/perf"
 	"repro/internal/rram"
 )
@@ -38,7 +37,7 @@ func BenchmarkHammingSearch1k(b *testing.B) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(8192, rng)
 	}
-	s, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
+	s, err := hdc.NewShardedSearcher(refs, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func BenchmarkShardedBatchTopK(b *testing.B) {
 		for _, nRefs := range []int{10_000, 100_000} {
 			b.Run(fmt.Sprintf("D%d/refs%d", d, nRefs), func(b *testing.B) {
 				refs, queries := batchBenchInputs(b, d, nRefs, batchBenchQueries)
-				s, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
+				s, err := hdc.NewShardedSearcher(refs, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -176,7 +175,7 @@ func BenchmarkOpenSearchBatch(b *testing.B) {
 		occupancy = 0.25
 	)
 	refs, queries := batchBenchInputs(b, d, nRefs, nQueries)
-	s, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
+	s, err := hdc.NewShardedSearcher(refs, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -238,7 +237,7 @@ func BenchmarkSweepKernel(b *testing.B) {
 		for _, r := range refs {
 			packed = append(packed, r.Words...)
 		}
-		s, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
+		s, err := hdc.NewShardedSearcher(refs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,116 +258,6 @@ func BenchmarkSweepKernel(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nQueries*rows*words), "ns/word")
 			})
 		}
-	}
-}
-
-// BenchmarkCascadeTopKRange measures the ladder (16 words of tier 0,
-// the other 112 as the remainder tier) against the single-tier range
-// sweep at the paper's operating point (D=8192, 100k references, 25%
-// sliding window occupancy, top-5), at both ends of what the bound can
-// do. `cascade` is the shape the ladder exists for: each query's window
-// holds a cluster of near matches (the true peptide and modified
-// variants) planted at its start, so the running k-th-best distance
-// drops below what a random row's 1024-bit prefix can reach and the
-// exact bound prunes the completion of almost every row. `dense` is its
-// worst case, and what omsgen-shaped libraries deliver: uniform random
-// references with nothing planted, no row pruned, every survivor list a
-// whole block — the ladder then costs what run completion makes it
-// cost over `single-tier`, which sweeps the same rows unladdered. Each
-// leg reports ns per candidate word and its measured prune rate.
-func BenchmarkCascadeTopKRange(b *testing.B) {
-	const (
-		d              = 8192
-		nRefs          = 100_000
-		nQueries       = batchBenchQueries
-		occupancy      = 0.25
-		k              = 5
-		prefilterWords = 16
-	)
-	refs, queries := batchBenchInputs(b, d, nRefs, nQueries)
-	// The searchers copy the words, so the dense store is built before
-	// the clusters are planted into refs.
-	dense, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{Tiers: []int{prefilterWords}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	width := int(occupancy * nRefs)
-	ranges := make([]hdc.RowRange, nQueries)
-	for i := range ranges {
-		lo := i * (nRefs - width) / nQueries
-		ranges[i] = hdc.RowRange{Lo: lo, Hi: lo + width}
-		// Plant k near matches (3% bit flips) at the window start.
-		for j := 0; j < k; j++ {
-			refs[lo+j] = queries[i].Clone()
-			refs[lo+j].FlipBits(0.03, rng)
-		}
-	}
-	single, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cascade, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{Tiers: []int{prefilterWords}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sweep := func(s *hdc.ShardedSearcher) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.BatchTopKRange(queries, ranges, k)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(nQueries), "queries/op")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nQueries*width*hdc.WordsPerHV(d)), "ns/word")
-			// The counters are cumulative, and every sweep of a searcher
-			// so far is its leg's workload.
-			if cs, ok := s.CascadeStats(); ok {
-				b.ReportMetric(100*cs.PruneRate(), "%pruned")
-			}
-		}
-	}
-	b.Run("cascade", sweep(cascade))
-	b.Run("dense", sweep(dense))
-	// cascade-traced is the observability overhead gate: the identical
-	// sweep with a live stage trace attached. Acceptance: within 2% of
-	// the untraced cascade sub-benchmark (the trace costs two clock
-	// reads per shard visit plus one lazy burst timer per completing
-	// (block, query) pair — never per row).
-	b.Run("cascade-traced", func(b *testing.B) {
-		var tr obsv.Trace
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr.Reset()
-			cascade.BatchTopKRangeTraced(queries, ranges, k, &tr)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(nQueries), "queries/op")
-	})
-	b.Run("single-tier", sweep(single))
-	// Parity spot check outside the timed sections: the exact cascade
-	// must be bit-identical to the single-tier kernel on this
-	// workload, traced or not — timing never alters control flow.
-	var tr obsv.Trace
-	got := cascade.BatchTopKRange(queries, ranges, k)
-	traced := cascade.BatchTopKRangeTraced(queries, ranges, k, &tr)
-	want := single.BatchTopKRange(queries, ranges, k)
-	for i := range want {
-		if len(got[i]) != len(want[i]) || len(traced[i]) != len(want[i]) {
-			b.Fatalf("query %d: cascade diverged from single-tier", i)
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				b.Fatalf("query %d match %d: cascade %+v, single-tier %+v", i, j, got[i][j], want[i][j])
-			}
-			if traced[i][j] != want[i][j] {
-				b.Fatalf("query %d match %d: traced cascade %+v, single-tier %+v", i, j, traced[i][j], want[i][j])
-			}
-		}
-	}
-	if swept, _ := tr.Rows(); tr.TierNanos(0) <= 0 || swept == 0 {
-		b.Fatalf("traced sweep recorded no tier time or rows (tier_0=%dns, swept=%d)",
-			tr.TierNanos(0), swept)
 	}
 }
 

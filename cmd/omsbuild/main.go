@@ -7,21 +7,14 @@
 //
 //	omsbuild -library lib.mgf -out lib.omsidx \
 //	         [-d 8192] [-precision 3] [-shardsize 2048] [-seed 1] \
-//	         [-tiers 4,12,112] [-bit-layout entropy] [-partitions N]
+//	         [-partitions N]
 //
 // The index records the full engine parameters (encoder seeds, binner,
-// preprocessing, the cascade ladder) alongside the packed mass-ordered
-// hypervectors, the precursor masses, the sort permutation and the
-// entry metadata, under a CRC-32C checksum.
-//
-// -tiers bakes a K-tier cascade ladder into the index; omsearch -index
-// and omsd search with the ladder the index stores. -bit-layout
-// entropy measures each encoded dimension's bit balance and permutes
-// the dimensions so the most discriminative ones pack into the
-// leading words — shallow tiers then carry the most pruning power per
-// word. The permutation is persisted in the index (format version 3)
-// and applied to every query at search time, so results are
-// bit-identical to the natural layout.
+// preprocessing) alongside the packed mass-ordered hypervectors, the
+// precursor masses, the sort permutation and the entry metadata, under
+// a CRC-32C checksum. Every index has one row layout: whole rows in
+// the encoder's dimension order, swept in full. -tiers and -bit-layout
+// are accepted and ignored.
 //
 // With -partitions N the library is instead split into N
 // mass-contiguous partition index files (<out>.part000 …) plus a
@@ -37,8 +30,8 @@
 //	omsbuild -retract -ids id1,id2,... -out lib.manifest
 //
 // -append encodes the new spectra with the library's stored params
-// (encoder identity, binner, bit layout — the structural flags above
-// are rejected) and publishes them as small delta partitions under
+// (encoder identity, binner — the structural flags above are
+// rejected) and publishes them as small delta partitions under
 // one new manifest generation; -retract publishes tombstones hiding
 // the listed source ids. Both publish by appending one fsynced record
 // to the manifest log — a running omsd picks the new generation up on
@@ -64,8 +57,12 @@ func main() {
 	precision := flag.Int("precision", 3, "ID hypervector precision in bits (1-3)")
 	shardSize := flag.Int("shardsize", 0, "reference rows per search shard (0 = default)")
 	seed := flag.Int64("seed", 1, "random seed")
-	tiersSpec := flag.String("tiers", "", "K-tier cascade ladder baked into the index: comma-separated packed-word widths per tier, e.g. 4,12,112 (empty = single tier); fixed at build time, omsearch -index and omsd take no -tiers")
-	bitLayout := flag.String("bit-layout", "", "bit layout: natural (default) or entropy (pack the most discriminative dimensions into the leading words; persisted in the index)")
+	// -tiers and -bit-layout selected the removed K-tier ladder and
+	// entropy bit layout. They stay accepted only because the frozen
+	// benchmark's batch-offline build passes them; ROADMAP item 1
+	// deletes both.
+	flag.String("tiers", "", "no effect (the K-tier ladder is gone); accepted for old command lines")
+	flag.String("bit-layout", "", "no effect (the entropy bit layout is gone); accepted for old command lines")
 	partitions := flag.Int("partitions", 0, "split the index into N mass-contiguous partitions plus a manifest (0 = single file)")
 	appendMode := flag.Bool("append", false, "append -library as delta partitions to the existing partitioned index at -out (new manifest generation)")
 	retractIDs := flag.String("retract", "", "publish tombstones for these comma-separated source ids to the partitioned index at -out")
@@ -74,8 +71,7 @@ func main() {
 
 	if *appendMode || *retractIDs != "" {
 		incremental(*out, *libPath, *appendMode, *retractIDs, *maxPartRefs,
-			*d != 8192 || *precision != 3 || *shardSize != 0 || *seed != 1 ||
-				*tiersSpec != "" || *bitLayout != "" || *partitions != 0)
+			*d != 8192 || *precision != 3 || *shardSize != 0 || *seed != 1 || *partitions != 0)
 		return
 	}
 
@@ -83,8 +79,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	tiers, err := core.ParseTiers(*tiersSpec)
-	fatalIf(err)
 	if *out == "" {
 		*out = *libPath + ".omsidx"
 	}
@@ -97,8 +91,6 @@ func main() {
 	p.Accel.IDPrecision = *precision
 	p.Accel.Seed = *seed
 	p.ShardSize = *shardSize
-	p.BitLayout = *bitLayout
-	p.Tiers = tiers
 
 	engine, _, err := core.BuildExact(p, library)
 	fatalIf(err)
@@ -137,7 +129,7 @@ func incremental(out, libPath string, appendMode bool, retractIDs string, maxPar
 		fatalIf(fmt.Errorf("-append and -retract are separate publishes; run them one at a time"))
 	}
 	if structuralFlags {
-		fatalIf(fmt.Errorf("-append/-retract use the library's stored params; -d/-precision/-shardsize/-seed/-tiers/-bit-layout/-partitions must not be set"))
+		fatalIf(fmt.Errorf("-append/-retract use the library's stored params; -d/-precision/-shardsize/-seed/-partitions must not be set"))
 	}
 	if kind, err := libindex.DetectKind(out); err != nil {
 		fatalIf(err)
@@ -173,7 +165,7 @@ func incremental(out, libPath string, appendMode bool, retractIDs string, maxPar
 	fatalIf(err)
 	p, err := st.DecodeParams()
 	fatalIf(err)
-	lib, err := libindex.BuildDeltaLibrary(spectra, p, st.DimPerm)
+	lib, err := libindex.BuildDeltaLibrary(spectra, p)
 	fatalIf(err)
 	if lib.Len() == 0 {
 		fatalIf(fmt.Errorf("every spectrum in %s was rejected by preprocessing; nothing to append", libPath))

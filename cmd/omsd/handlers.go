@@ -280,20 +280,9 @@ type statsView struct {
 	LatencyP50US  int64               `json:"latency_p50_us"`
 	LatencyP99US  int64               `json:"latency_p99_us"`
 
-	// Cascade pruning telemetry; the counters are meaningful (and zero
-	// is a legitimate value) whenever CascadeEnabled is true. The
-	// prefiltered/completed pair is the legacy first/last-tier view;
-	// the tier slices carry the full ladder.
-	CascadeEnabled     bool      `json:"cascade_enabled"`
-	CascadePrefiltered uint64    `json:"cascade_prefiltered"`
-	CascadeCompleted   uint64    `json:"cascade_completed"`
-	CascadePruneRate   float64   `json:"cascade_prune_rate"`
-	CascadeTierRows    []uint64  `json:"cascade_tier_rows,omitempty"`
-	CascadeTierPrune   []float64 `json:"cascade_tier_prune_rates,omitempty"`
-
 	// Partitions is present for a partitioned index: one entry per
-	// partition with its global row span, mass fences and pruning
-	// counters.
+	// partition with its global row span, mass fences and shadowed
+	// rows.
 	Partitions []partitionView `json:"partitions,omitempty"`
 
 	// Overlay is present for a partitioned index: the incremental-update
@@ -304,17 +293,13 @@ type statsView struct {
 
 // partitionView maps core.PartitionStat onto stable wire names.
 type partitionView struct {
-	StartRow    int      `json:"start_row"`
-	Refs        int      `json:"refs"`
-	MinMass     float64  `json:"min_mass"`
-	MaxMass     float64  `json:"max_mass"`
-	Generation  uint64   `json:"generation"`
-	Delta       bool     `json:"delta,omitempty"`
-	HiddenRefs  int      `json:"hidden_refs,omitempty"`
-	Prefiltered uint64   `json:"cascade_prefiltered"`
-	Completed   uint64   `json:"cascade_completed"`
-	PruneRate   float64  `json:"cascade_prune_rate"`
-	TierRows    []uint64 `json:"cascade_tier_rows,omitempty"`
+	StartRow   int     `json:"start_row"`
+	Refs       int     `json:"refs"`
+	MinMass    float64 `json:"min_mass"`
+	MaxMass    float64 `json:"max_mass"`
+	Generation uint64  `json:"generation"`
+	Delta      bool    `json:"delta,omitempty"`
+	HiddenRefs int     `json:"hidden_refs,omitempty"`
 }
 
 // overlayView maps core.OverlayStats onto stable wire names.
@@ -350,28 +335,17 @@ func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 		BatchSizes:    st.BatchSizes,
 		LatencyP50US:  st.LatencyP50.Microseconds(),
 		LatencyP99US:  st.LatencyP99.Microseconds(),
-
-		CascadeEnabled:     st.CascadeEnabled,
-		CascadePrefiltered: st.CascadePrefiltered,
-		CascadeCompleted:   st.CascadeCompleted,
-		CascadePruneRate:   st.CascadePruneRate,
-		CascadeTierRows:    st.CascadeTierRows,
-		CascadeTierPrune:   st.CascadeTierPruneRates,
 	}
 	if sv.partitions > 0 {
 		for _, ps := range sv.engine.PartitionStats() {
 			view.Partitions = append(view.Partitions, partitionView{
-				StartRow:    ps.StartRow,
-				Refs:        ps.Refs,
-				MinMass:     ps.MinMass,
-				MaxMass:     ps.MaxMass,
-				Generation:  ps.Gen,
-				Delta:       ps.Delta,
-				HiddenRefs:  ps.HiddenRefs,
-				Prefiltered: ps.Cascade.Prefiltered(),
-				Completed:   ps.Cascade.Completed(),
-				PruneRate:   ps.Cascade.PruneRate(),
-				TierRows:    ps.Cascade.TierRows,
+				StartRow:   ps.StartRow,
+				Refs:       ps.Refs,
+				MinMass:    ps.MinMass,
+				MaxMass:    ps.MaxMass,
+				Generation: ps.Gen,
+				Delta:      ps.Delta,
+				HiddenRefs: ps.HiddenRefs,
 			})
 		}
 		ov := sv.engine.OverlayStats()

@@ -30,12 +30,6 @@
 // writer; use the standalone omscompact when compaction is driven
 // externally.
 //
-// The K-tier pruned cascade ladder and the bit layout are the index's
-// (omsbuild -tiers/-bit-layout; exact for any ladder): omsd serves them
-// as stored, the permutation applied to every query at encode time.
-// GET /stats reports the measured per-tier row counts and pruning
-// rates, per partition for a partitioned index.
-//
 // Endpoints:
 //
 //	POST /search   MGF body (default) or JSON peak lists
@@ -43,8 +37,8 @@
 //	               responds with PSM JSON, or TSV with ?format=tsv
 //	GET  /healthz  liveness + library identity
 //	GET  /stats    serving counters: queue depth, batch size
-//	               histogram, latency quantiles, cascade pruning rate,
-//	               per-partition rows/fences/pruning
+//	               histogram, latency quantiles, per-partition
+//	               rows/fences/shadowed rows
 //	GET  /metrics  the same telemetry in Prometheus text exposition
 //	               format, plus per-stage pipeline timings, reload
 //	               generation and slow-query counters (DESIGN.md §10)

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -61,32 +60,7 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Sample("oms_stage_seconds_total", obsv.Label("stage", s.Stage), float64(s.Nanos)/1e9)
 	}
 
-	p.Counter("oms_search_rows_swept_total", "Candidate rows covered by traced sweeps (tier-0 prefixes under a cascade).", float64(st.RowsSwept))
-	p.Counter("oms_search_rows_completed_total", "Rows whose final ladder tier was scored in traced sweeps.", float64(st.RowsCompleted))
-
-	if len(st.TierTotals) > 0 {
-		p.Family("oms_tier_seconds_total", "Cumulative per-cascade-tier sweep time across traced batches.", "counter")
-		for _, s := range st.TierTotals {
-			p.Sample("oms_tier_seconds_total", obsv.Label("tier", s.Stage), float64(s.Nanos)/1e9)
-		}
-	}
-
-	if st.CascadeEnabled {
-		p.Family("oms_cascade_rows_total", "Cascade pruning counters by tier across every search path (legacy first/last-tier pair).", "counter")
-		p.Sample("oms_cascade_rows_total", obsv.Label("tier", "prefiltered"), float64(st.CascadePrefiltered))
-		p.Sample("oms_cascade_rows_total", obsv.Label("tier", "completed"), float64(st.CascadeCompleted))
-		p.Gauge("oms_cascade_prune_rate", "Fraction of tier-0 rows the cascade never completed.", st.CascadePruneRate)
-		p.Family("oms_cascade_tier_rows_total", "Rows entering each cascade ladder tier.", "counter")
-		for t, n := range st.CascadeTierRows {
-			p.Sample("oms_cascade_tier_rows_total", obsv.Label("tier", strconv.Itoa(t)), float64(n))
-		}
-		if len(st.CascadeTierPruneRates) > 0 {
-			p.Family("oms_cascade_tier_prune_rate", "Fraction of tier-t rows pruned before descending to tier t+1.", "gauge")
-			for t, rate := range st.CascadeTierPruneRates {
-				p.Sample("oms_cascade_tier_prune_rate", obsv.Label("tier", strconv.Itoa(t)), rate)
-			}
-		}
-	}
+	p.Counter("oms_search_rows_swept_total", "Candidate rows covered by traced sweeps.", float64(st.RowsSwept))
 
 	if sv.partitions > 0 {
 		stats := sv.engine.PartitionStats()
@@ -97,14 +71,6 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Family("oms_partition_rows_swept_total", "Candidate rows swept per partition.", "counter")
 		for i, ps := range stats {
 			p.Sample("oms_partition_rows_swept_total", partLabel(i), float64(ps.RowsSwept))
-		}
-		p.Family("oms_partition_rows_prefiltered_total", "Cascade-prefiltered (tier-0) rows per partition.", "counter")
-		for i, ps := range stats {
-			p.Sample("oms_partition_rows_prefiltered_total", partLabel(i), float64(ps.Cascade.Prefiltered()))
-		}
-		p.Family("oms_partition_rows_completed_total", "Cascade-completed (final-tier) rows per partition.", "counter")
-		for i, ps := range stats {
-			p.Sample("oms_partition_rows_completed_total", partLabel(i), float64(ps.Cascade.Completed()))
 		}
 
 		ov := sv.engine.OverlayStats()
@@ -141,16 +107,14 @@ func partLabel(i int) string {
 // microseconds keyed by stage name, plus the identity joining it to
 // the access log (request_id) and its batch (batch_id).
 type slowTraceView struct {
-	QueryID       string           `json:"query_id"`
-	RequestID     string           `json:"request_id,omitempty"`
-	BatchID       uint64           `json:"batch_id"`
-	BatchSize     int              `json:"batch_size"`
-	TotalUS       int64            `json:"total_us"`
-	StagesUS      map[string]int64 `json:"stages_us"`
-	TiersUS       map[string]int64 `json:"tiers_us,omitempty"`
-	RowsSwept     int64            `json:"rows_swept"`
-	RowsCompleted int64            `json:"rows_completed"`
-	Partitions    []slowPartView   `json:"partitions,omitempty"`
+	QueryID    string           `json:"query_id"`
+	RequestID  string           `json:"request_id,omitempty"`
+	BatchID    uint64           `json:"batch_id"`
+	BatchSize  int              `json:"batch_size"`
+	TotalUS    int64            `json:"total_us"`
+	StagesUS   map[string]int64 `json:"stages_us"`
+	RowsSwept  int64            `json:"rows_swept"`
+	Partitions []slowPartView   `json:"partitions,omitempty"`
 }
 
 // slowPartView is one partition's share of a slow query's batch sweep.
@@ -184,23 +148,16 @@ func (d *daemon) handleSlowest(w http.ResponseWriter, r *http.Request) {
 // slowView converts a trace record to its wire shape.
 func slowView(qt *obsv.QueryTrace) slowTraceView {
 	v := slowTraceView{
-		QueryID:       qt.QueryID,
-		RequestID:     qt.RequestID,
-		BatchID:       qt.BatchID,
-		BatchSize:     qt.BatchSize,
-		TotalUS:       qt.Total.Microseconds(),
-		StagesUS:      make(map[string]int64, int(obsv.NumStages)),
-		RowsSwept:     qt.RowsSwept,
-		RowsCompleted: qt.RowsCompleted,
+		QueryID:   qt.QueryID,
+		RequestID: qt.RequestID,
+		BatchID:   qt.BatchID,
+		BatchSize: qt.BatchSize,
+		TotalUS:   qt.Total.Microseconds(),
+		StagesUS:  make(map[string]int64, int(obsv.NumStages)),
+		RowsSwept: qt.RowsSwept,
 	}
 	for s := obsv.Stage(0); s < obsv.NumStages; s++ {
 		v.StagesUS[s.String()] = qt.Stage(s).Microseconds()
-	}
-	if qt.NumTiers > 0 {
-		v.TiersUS = make(map[string]int64, qt.NumTiers)
-		for t := 0; t < qt.NumTiers; t++ {
-			v.TiersUS[obsv.TierName(t)] = time.Duration(qt.TierNanos[t]).Microseconds()
-		}
 	}
 	for _, ps := range qt.Parts[:qt.NumParts] {
 		v.Partitions = append(v.Partitions, slowPartView{
@@ -216,17 +173,12 @@ func slowView(qt *obsv.QueryTrace) slowTraceView {
 // as the batcher's OnSlowQuery callback (dispatcher goroutine — one
 // Fprintf, no locks).
 func logSlowQuery(qt obsv.QueryTrace) {
-	var tiers strings.Builder
-	for t := 0; t < qt.NumTiers; t++ {
-		fmt.Fprintf(&tiers, " %s_us=%d", obsv.TierName(t), time.Duration(qt.TierNanos[t]).Microseconds())
-	}
 	fmt.Fprintf(os.Stderr,
-		"omsd: slow-query query_id=%s request_id=%s batch_id=%d batch_size=%d total_us=%d queue_wait_us=%d encode_us=%d assemble_us=%d sweep_us=%d%s merge_us=%d rows_swept=%d rows_completed=%d\n",
+		"omsd: slow-query query_id=%s request_id=%s batch_id=%d batch_size=%d total_us=%d queue_wait_us=%d encode_us=%d assemble_us=%d sweep_us=%d merge_us=%d rows_swept=%d\n",
 		qt.QueryID, qt.RequestID, qt.BatchID, qt.BatchSize, qt.Total.Microseconds(),
 		qt.Stage(obsv.StageQueueWait).Microseconds(), qt.Stage(obsv.StageEncode).Microseconds(),
 		qt.Stage(obsv.StageAssemble).Microseconds(), qt.Stage(obsv.StageSweep).Microseconds(),
-		tiers.String(),
-		qt.Stage(obsv.StageMerge).Microseconds(), qt.RowsSwept, qt.RowsCompleted)
+		qt.Stage(obsv.StageMerge).Microseconds(), qt.RowsSwept)
 }
 
 // reqSeq numbers generated request IDs.

@@ -23,12 +23,6 @@ import (
 // obsvDaemon is testDaemon with an explicit serve.Config, so
 // observability tests can set slow-query thresholds and ring sizes.
 func obsvDaemon(t *testing.T, cfg serve.Config) (*daemon, *msdata.Dataset) {
-	return obsvDaemonParams(t, cfg, nil)
-}
-
-// obsvDaemonParams is obsvDaemon with an engine-params hook, so the
-// cascade-telemetry tests can serve a K-tier ladder engine.
-func obsvDaemonParams(t *testing.T, cfg serve.Config, mutate func(*core.Params)) (*daemon, *msdata.Dataset) {
 	t.Helper()
 	ds, err := msdata.Generate(msdata.IPRG2012(0.001))
 	if err != nil {
@@ -37,9 +31,6 @@ func obsvDaemonParams(t *testing.T, cfg serve.Config, mutate func(*core.Params))
 	p := core.DefaultParams()
 	p.Accel.D = 1024
 	p.Accel.NumChunks = 64
-	if mutate != nil {
-		mutate(&p)
-	}
 	engine, _, err := core.BuildExact(p, ds.Library)
 	if err != nil {
 		t.Fatal(err)
@@ -106,24 +97,38 @@ func TestMetricsExposition(t *testing.T) {
 	fams := scrape(t, mux)
 
 	wantType := map[string]string{
-		"oms_requests_total":              "counter",
-		"oms_requests_completed_total":    "counter",
-		"oms_requests_rejected_total":     "counter",
-		"oms_requests_canceled_total":     "counter",
-		"oms_request_errors_total":        "counter",
-		"oms_batches_total":               "counter",
-		"oms_slow_queries_total":          "counter",
-		"oms_queue_depth":                 "gauge",
-		"oms_batch_size":                  "histogram",
-		"oms_request_latency_seconds":     "histogram",
-		"oms_stage_seconds_total":         "counter",
-		"oms_search_rows_swept_total":     "counter",
-		"oms_search_rows_completed_total": "counter",
-		"oms_reload_generation":           "gauge",
-		"oms_reload_total":                "counter",
-		"oms_reload_failures_total":       "counter",
-		"oms_index_references":            "gauge",
-		"oms_uptime_seconds":              "gauge",
+		"oms_requests_total":           "counter",
+		"oms_requests_completed_total": "counter",
+		"oms_requests_rejected_total":  "counter",
+		"oms_requests_canceled_total":  "counter",
+		"oms_request_errors_total":     "counter",
+		"oms_batches_total":            "counter",
+		"oms_slow_queries_total":       "counter",
+		"oms_queue_depth":              "gauge",
+		"oms_batch_size":               "histogram",
+		"oms_request_latency_seconds":  "histogram",
+		"oms_stage_seconds_total":      "counter",
+		"oms_search_rows_swept_total":  "counter",
+		"oms_reload_generation":        "gauge",
+		"oms_reload_total":             "counter",
+		"oms_reload_failures_total":    "counter",
+		"oms_index_references":         "gauge",
+		"oms_uptime_seconds":           "gauge",
+	}
+	// The K-tier ladder's families went with it; none may come back.
+	for _, name := range []string{
+		"oms_tier_seconds_total",
+		"oms_cascade_rows_total",
+		"oms_cascade_prune_rate",
+		"oms_cascade_tier_rows_total",
+		"oms_cascade_tier_prune_rate",
+		"oms_partition_rows_prefiltered_total",
+		"oms_partition_rows_completed_total",
+		"oms_search_rows_completed_total",
+	} {
+		if _, ok := fams[name]; ok {
+			t.Fatalf("removed family %s is exported", name)
+		}
 	}
 	for name, typ := range wantType {
 		f, ok := fams[name]
@@ -178,78 +183,6 @@ func TestMetricsExposition(t *testing.T) {
 	was, _ := fams["oms_requests_completed_total"].Sample("oms_requests_completed_total", "")
 	if got, _ := fams2["oms_requests_completed_total"].Sample("oms_requests_completed_total", ""); got <= was {
 		t.Fatalf("completed counter did not advance with traffic: %v -> %v", was, got)
-	}
-}
-
-// TestMetricsCascadeTierFamilies is the /metrics golden test for the
-// K-tier ladder telemetry: serving a ladder engine must add the
-// per-tier families — oms_tier_seconds_total,
-// oms_cascade_tier_rows_total, oms_cascade_tier_prune_rate — with one
-// sample per tier, while the per-stage rollup stays exactly NumStages
-// samples (tier timings are a separate family, never extra stages).
-func TestMetricsCascadeTierFamilies(t *testing.T) {
-	// D=1024 → 16 packed words; the 2,4-word prefix ladder normalizes
-	// to 3 tiers. BitLayout entropy rides along: the permutation must
-	// be invisible to the telemetry surface.
-	d, ds := obsvDaemonParams(t, serve.Config{MaxBatch: 16}, func(p *core.Params) {
-		p.Tiers = []int{2, 4}
-		p.BitLayout = core.BitLayoutEntropy
-	})
-	mux := d.mux()
-	postQueries(t, mux, ds, nil)
-	fams := scrape(t, mux)
-
-	const tiers = 3
-	wantType := map[string]string{
-		"oms_tier_seconds_total":      "counter",
-		"oms_cascade_rows_total":      "counter",
-		"oms_cascade_prune_rate":      "gauge",
-		"oms_cascade_tier_rows_total": "counter",
-	}
-	for name, typ := range wantType {
-		f, ok := fams[name]
-		if !ok {
-			t.Fatalf("family %s missing from a ladder engine's scrape", name)
-		}
-		if f.Type != typ {
-			t.Fatalf("family %s has type %s, want %s", name, f.Type, typ)
-		}
-		if f.Help == "" {
-			t.Fatalf("family %s has no HELP line", name)
-		}
-	}
-	rows := fams["oms_cascade_tier_rows_total"]
-	if len(rows.Samples) != tiers {
-		t.Fatalf("%d tier-row samples, want %d: %v", len(rows.Samples), tiers, rows.Samples)
-	}
-	if v, ok := rows.Sample("oms_cascade_tier_rows_total", `tier="0"`); !ok || v <= 0 {
-		t.Fatalf("tier-0 rows %v after traffic", v)
-	}
-	// Admission is non-increasing down the ladder.
-	var prev float64
-	for tier := 0; tier < tiers; tier++ {
-		v, ok := rows.Sample("oms_cascade_tier_rows_total", fmt.Sprintf(`tier="%d"`, tier))
-		if !ok {
-			t.Fatalf("tier %d missing from %v", tier, rows.Samples)
-		}
-		if tier > 0 && v > prev {
-			t.Fatalf("tier %d admitted %v rows, more than tier %d's %v", tier, v, tier-1, prev)
-		}
-		prev = v
-	}
-	if rates, ok := fams["oms_cascade_tier_prune_rate"]; ok {
-		for sample, v := range rates.Samples {
-			if v < 0 || v > 1 {
-				t.Fatalf("prune rate %s = %v out of [0,1]", sample, v)
-			}
-		}
-	}
-	// Tier timings must not leak into the stage rollup.
-	if got := len(fams["oms_stage_seconds_total"].Samples); got != int(obsv.NumStages) {
-		t.Fatalf("%d stage samples with a ladder engine, want %d", got, int(obsv.NumStages))
-	}
-	if got := len(fams["oms_tier_seconds_total"].Samples); got != tiers {
-		t.Fatalf("%d tier-seconds samples, want %d: %v", got, tiers, fams["oms_tier_seconds_total"].Samples)
 	}
 }
 
@@ -318,9 +251,6 @@ func TestStatsVsReloadRace(t *testing.T) {
 				st := sv.srv.Stats()
 				if st.Completed > st.Requests {
 					t.Errorf("torn stats: completed %d > requests %d", st.Completed, st.Requests)
-				}
-				if st.CascadeCompleted > st.CascadePrefiltered {
-					t.Errorf("torn cascade stats: completed %d > prefiltered %d", st.CascadeCompleted, st.CascadePrefiltered)
 				}
 				sv.release()
 			}

@@ -105,11 +105,6 @@ func buildNext(cfg servingConfig, prev *serving) (*serving, error) {
 	// The searchers read the packed blocks; the per-entry hypervector
 	// views are dead weight in a resident process.
 	engine.ReleaseLibraryHVs()
-	// Report the effective layout (the searcher falls back to
-	// single-tier when the stored ladder covers a row in one tier).
-	if cs, cascadeOn := engine.CascadeStats(); cascadeOn {
-		fmt.Fprintf(os.Stderr, "omsd: %d-tier cascade search: tiers %v\n", cs.NumTiers(), p.Tiers)
-	}
 	sv := &serving{ //oms:transfer the serving generation owns the mapping; release() closes engine and index together
 		engine:     engine,
 		enc:        enc,

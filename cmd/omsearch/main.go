@@ -17,11 +17,8 @@
 // manifest written by omsbuild -partitions, which routes each query's
 // precursor window to the overlapping mass-fenced partitions and
 // merges their top-k exactly — output is bit-identical to the
-// single-file index over the same library. The K-tier cascade ladder
-// and the bit layout are the index's (omsbuild -tiers/-bit-layout;
-// exact for any ladder, so output does not depend on them) and
-// per-tier pruning rates are reported on stderr; a -library build runs
-// the single-tier natural layout. Either way the queries are prepared
+// single-file index over the same library, and to a -library build at
+// the same D/precision/seed. Either way the queries are prepared
 // on every CPU (in input order on one, for the seeded rram encoder) and
 // the whole query set is scored by one block-major batch sweep of the
 // packed store, each query's precursor window a contiguous row range
@@ -68,8 +65,7 @@ func main() {
 	fatalIf(err)
 
 	// Query-time settings come from flags whichever way the library
-	// arrives; over an index the encoder identity, ladder and bit layout
-	// stay as built.
+	// arrives; over an index the encoder identity stays as built.
 	queryTime := func(p core.Params) core.Params {
 		p.FDRAlpha = *alpha
 		p.Open = !*standard
@@ -139,24 +135,10 @@ func main() {
 	fmt.Fprintf(os.Stderr,
 		"omsearch: %d queries, %d library spectra (%d skipped), %d identifications at FDR %.2g, sweep kernel %s\n",
 		len(queries), engine.NumRefs(), engine.Skipped(), len(res.Accepted), *alpha, hdc.KernelName())
-	if cs, ok := engine.CascadeStats(); ok {
-		fmt.Fprintf(os.Stderr,
-			"omsearch: %d-tier cascade pruned %.1f%% of %d tier-0 rows (%d completed)\n",
-			cs.NumTiers(), 100*cs.PruneRate(), cs.Prefiltered(), cs.Completed())
-		for t := 0; t+1 < cs.NumTiers(); t++ {
-			fmt.Fprintf(os.Stderr,
-				"omsearch: tier %d: %d rows, %.1f%% pruned before tier %d\n",
-				t, cs.TierRows[t], 100*cs.TierPruneRate(t), t+1)
-		}
-	}
 	if partitions > 0 {
 		for i, st := range engine.PartitionStats() {
-			line := fmt.Sprintf("omsearch: partition %d: rows [%d,%d) masses [%.2f,%.2f]",
+			fmt.Fprintf(os.Stderr, "omsearch: partition %d: rows [%d,%d) masses [%.2f,%.2f]\n",
 				i, st.StartRow, st.StartRow+st.Refs, st.MinMass, st.MaxMass)
-			if st.CascadeEnabled {
-				line += fmt.Sprintf(", pruned %.1f%% of %d", 100*st.Cascade.PruneRate(), st.Cascade.Prefiltered())
-			}
-			fmt.Fprintln(os.Stderr, line)
 		}
 	}
 }

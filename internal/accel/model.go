@@ -158,10 +158,6 @@ func NewNoisySearcher(exact *hdc.ShardedSearcher, model NoisyModel, seed int64) 
 	return &NoisySearcher{Exact: exact, Model: model, rng: rand.New(rand.NewSource(seed))}
 }
 
-// CascadeStats reports no ladder: every candidate row is bulk-scored
-// whole, whatever tier layout the packed store has.
-func (s *NoisySearcher) CascadeStats() (hdc.CascadeStats, bool) { return hdc.CascadeStats{}, false }
-
 // RowsSwept forwards the packed store's sweep counter.
 func (s *NoisySearcher) RowsSwept() uint64 { return s.Exact.RowsSwept() }
 
@@ -191,9 +187,8 @@ func (s *NoisySearcher) noiseSource() *rand.Rand {
 // candidate score is perturbed before top-k selection. Per-query noise
 // streams are seeded in query order — one master-RNG draw per
 // non-empty query — so results are deterministic per seed regardless
-// of goroutine scheduling. The hardware model has no tier ladder to
-// attribute time to: tr is accepted for the core.Searcher shape and
-// left untouched.
+// of goroutine scheduling. tr is accepted for the core.Searcher shape
+// and left untouched.
 func (s *NoisySearcher) BatchTopKRangeTraced(queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, _ *obsv.Trace) [][]hdc.Match {
 	if len(ranges) != len(queries) {
 		panic(fmt.Sprintf("accel: %d queries with %d ranges", len(queries), len(ranges)))

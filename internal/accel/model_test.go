@@ -113,7 +113,7 @@ func TestNoisySearcherDegradesRanking(t *testing.T) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(512, rng)
 	}
-	exact, _ := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
+	exact, _ := hdc.NewShardedSearcher(refs, 0)
 	ns := NewNoisySearcher(exact, NoisyModel{SearchSigma: 200}, 7)
 	losses := 0
 	for trial := 0; trial < 30; trial++ {
@@ -130,7 +130,7 @@ func TestNoisySearcherDegradesRanking(t *testing.T) {
 func TestNoisySearcherKZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	refs := []hdc.BinaryHV{hdc.RandomBinaryHV(64, rng)}
-	exact, _ := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
+	exact, _ := hdc.NewShardedSearcher(refs, 0)
 	ns := NewNoisySearcher(exact, NoisyModel{}, 9)
 	if got := noisyTopK(ns, refs[0], 0, 1, 0); got != nil {
 		t.Error("k=0 returned results")
@@ -147,7 +147,7 @@ func TestNoisySearcherRangeZeroSigmaParity(t *testing.T) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(256, rng)
 	}
-	exact, err := hdc.NewShardedSearcher(refs, 16, hdc.CascadeConfig{})
+	exact, err := hdc.NewShardedSearcher(refs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestNoisySearcherBatchRangeDeterministic(t *testing.T) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(512, rng)
 	}
-	exact, err := hdc.NewShardedSearcher(refs, 0, hdc.CascadeConfig{})
+	exact, err := hdc.NewShardedSearcher(refs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,11 @@
 // Package conformance is the single cross-path search oracle: one
 // table-driven suite asserting that every way of reaching the one
 // block-major range sweep — a query alone as a batch of one, a whole
-// batch, the batch reversed, traced and untraced, under the K-tier
-// cascade ladder, through the engine
+// batch, the batch reversed, traced and untraced, through the engine
 // over one partition, over a real mmap-backed manifest's partitions,
-// and the request-coalescing serving layer — returns bit-identical top-k lists
-// over randomized D/shard/k/ladder-depth/bit-layout/partition-count
-// workloads with planted near-matches. Entropy-layout workloads additionally
-// cross-check the permuted store against a natural-layout store on
-// the de-permuted inputs: the permutation must not move a single
-// result bit. It replaces the earlier per-path parity tests: a new
+// and the request-coalescing serving layer — returns bit-identical
+// top-k lists over randomized D/shard/k/partition-count workloads with
+// planted near-matches. It replaces the earlier per-path parity tests: a new
 // route to the sweep earns its keep by joining this table, not by
 // shipping its own ad-hoc comparison.
 package conformance
@@ -39,8 +35,6 @@ type workload struct {
 	d        int
 	shard    int
 	k        int
-	tiers    []int // K-tier ladder prefix (nil = single tier)
-	entropy  bool  // pack the store under the entropy bit-layout permutation
 	nRefs    int
 	nQueries int
 	parts    []int // partition counts to cross-check
@@ -49,22 +43,12 @@ type workload struct {
 
 var workloads = []workload{
 	{name: "flat", d: 512, shard: 64, k: 5, nRefs: 600, nQueries: 40, parts: []int{1, 2, 3, 7}, seed: 1},
-	{name: "cascade-exact", d: 1024, shard: 100, k: 3, tiers: []int{4}, nRefs: 900, nQueries: 40, parts: []int{2, 3}, seed: 2},
-	{name: "tail-mask", d: 1000, shard: 0, k: 7, tiers: []int{3}, nRefs: 500, nQueries: 30, parts: []int{1, 3, 7}, seed: 3},
+	{name: "shard-100", d: 1024, shard: 100, k: 3, nRefs: 900, nQueries: 40, parts: []int{2, 3}, seed: 2},
+	// d % 64 != 0: every row's last word carries masked tail bits.
+	{name: "tail-mask", d: 1000, shard: 0, k: 7, nRefs: 500, nQueries: 30, parts: []int{1, 3, 7}, seed: 3},
 	{name: "tiny-k-over", d: 256, shard: 16, k: 10, nRefs: 64, nQueries: 20, parts: []int{1, 7}, seed: 4},
-	// A first tier of words-1 leaves a one-word completion tier; one of
-	// all 8 words is the single-tier layout with identical results (the
-	// degenerate-cascade contract).
-	{name: "cascade-wide-prefilter", d: 512, shard: 48, k: 4, tiers: []int{7}, nRefs: 500, nQueries: 30, parts: []int{2}, seed: 6},
-	{name: "cascade-degenerate-fallback", d: 512, shard: 64, k: 5, tiers: []int{8}, nRefs: 400, nQueries: 20, parts: []int{1, 2}, seed: 7},
-	// K-tier ladders and the entropy bit layout, separately and
-	// together: a K=3 ladder on the natural layout, K=4 on the entropy
-	// layout, entropy on the single-tier scan, and a deep ladder with a
-	// masked tail word (d % 64 != 0) under entropy.
-	{name: "ladder-k3", d: 1024, shard: 96, k: 5, tiers: []int{2, 4}, nRefs: 800, nQueries: 40, parts: []int{2, 5}, seed: 8},
-	{name: "ladder-k4-entropy", d: 1024, shard: 64, k: 3, tiers: []int{1, 3, 4}, entropy: true, nRefs: 700, nQueries: 40, parts: []int{1, 3}, seed: 9},
-	{name: "entropy-flat", d: 512, shard: 32, k: 5, entropy: true, nRefs: 500, nQueries: 30, parts: []int{2}, seed: 10},
-	{name: "ladder-entropy-tail-mask", d: 1000, shard: 0, k: 4, tiers: []int{1, 2, 3, 4}, entropy: true, nRefs: 400, nQueries: 30, parts: []int{3}, seed: 11},
+	{name: "shard-48", d: 512, shard: 48, k: 4, nRefs: 500, nQueries: 30, parts: []int{2}, seed: 6},
+	{name: "shard-96", d: 1024, shard: 96, k: 5, nRefs: 800, nQueries: 40, parts: []int{2, 5}, seed: 8},
 }
 
 // fixture is one workload's generated library and query set.
@@ -73,22 +57,12 @@ type fixture struct {
 	lib     *core.Library
 	refs    []hdc.BinaryHV // mass-rank order, stored layout, the oracle's view
 	queries []core.PreparedQuery
-	// perm is the entropy bit-layout permutation the store (and every
-	// query HV) is packed under — nil for natural-layout workloads.
-	perm []int
 }
 
 // buildFixture generates the synthetic mass-sorted library (equal-mass
 // tie runs included) and a query set dominated by planted near-matches
 // — clones of library rows with a few bits flipped, placed at masses
-// inside the open window — plus random and out-of-window queries. For
-// entropy workloads the reference rows are re-packed under the
-// measured entropy permutation before the library is restored — what
-// BuildLibrary does on the real path — so every query HV (cloned from
-// a permuted row, or random and therefore layout-free) is already in
-// the stored layout, the same invariant Prepare maintains by
-// permuting encoder output. The oracle and every searcher then see
-// one consistent layout.
+// inside the open window — plus random and out-of-window queries.
 func buildFixture(t *testing.T, w workload) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(w.seed))
@@ -105,21 +79,8 @@ func buildFixture(t *testing.T, w workload) *fixture {
 		}
 		refs[i] = hdc.RandomBinaryHV(w.d, rng)
 	}
-	var perm []int
-	if w.entropy {
-		perm = hdc.EntropyPermutation(refs)
-		if err := hdc.ValidatePermutation(perm, w.d); err != nil {
-			t.Fatal(err)
-		}
-		for i := range refs {
-			refs[i] = hdc.PermuteBits(refs[i], perm)
-		}
-	}
 	lib, err := core.RestoreLibrary(entries, refs, rng.Perm(w.nRefs), 0)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lib.SetDimPerm(perm); err != nil {
 		t.Fatal(err)
 	}
 	p := core.DefaultParams()
@@ -127,7 +88,6 @@ func buildFixture(t *testing.T, w workload) *fixture {
 	p.Accel.NumChunks = max(w.d/32, 32)
 	p.ShardSize = w.shard
 	p.TopK = w.k
-	p.Tiers = w.tiers
 
 	queries := make([]core.PreparedQuery, w.nQueries)
 	for qi := range queries {
@@ -158,7 +118,7 @@ func buildFixture(t *testing.T, w workload) *fixture {
 			Hi:      hi,
 		}
 	}
-	return &fixture{p: p, lib: lib, refs: refs, queries: queries, perm: perm}
+	return &fixture{p: p, lib: lib, refs: refs, queries: queries}
 }
 
 // hamming is the oracle's independent distance: explicit XOR+popcount
@@ -286,8 +246,7 @@ func TestConformance(t *testing.T) {
 				oracle[qi] = fx.oracleOver(q.HV, rangeIndices(q.Lo, q.Hi, n), w.k)
 			}
 
-			cc := hdc.CascadeConfig{Tiers: w.tiers}
-			searcher, err := hdc.NewShardedSearcher(fx.lib.HVs, w.shard, cc)
+			searcher, err := hdc.NewShardedSearcher(fx.lib.HVs, w.shard)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,33 +262,6 @@ func TestConformance(t *testing.T) {
 				ranges[qi] = hdc.RowRange{Lo: q.Lo, Hi: q.Hi}
 			}
 			assertOnePath(t, "workload", searcher, hvs, ranges, w.k, oracle)
-
-			// Natural-vs-entropy bit identity: de-permute the store and
-			// the queries back to the natural layout and search them
-			// through a natural-layout searcher — every match list must be
-			// identical, because the permutation relabels dimensions
-			// without moving a single Hamming distance.
-			if len(fx.perm) > 0 {
-				inv := make([]int, len(fx.perm))
-				for j, d := range fx.perm {
-					inv[d] = j
-				}
-				natRefs := make([]hdc.BinaryHV, len(fx.lib.HVs))
-				for i, hv := range fx.lib.HVs {
-					natRefs[i] = hdc.PermuteBits(hv, inv)
-				}
-				natural, err := hdc.NewShardedSearcher(natRefs, w.shard, cc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				natHVs := make([]hdc.BinaryHV, len(hvs))
-				for qi, hv := range hvs {
-					natHVs[qi] = hdc.PermuteBits(hv, inv)
-				}
-				for qi, got := range natural.BatchTopKRange(natHVs, ranges, w.k) {
-					assertMatches(t, "natural-layout sweep", qi, got, oracle[qi])
-				}
-			}
 
 			// Edge geometry (coverage inherited from the deleted per-path
 			// parity tests): out-of-bounds and inverted ranges must clamp,

@@ -35,7 +35,6 @@ type incrWorkload struct {
 	k           int
 	baseParts   int
 	maxPartRefs int
-	entropy     bool
 	nBase       int // spectra in the initial partitioned build
 	chunk       int // fresh spectra per append step
 	ops         int // schedule length (append/retract/compact steps)
@@ -43,7 +42,6 @@ type incrWorkload struct {
 
 var incrWorkloads = []incrWorkload{
 	{name: "dense", seed: 101, d: 512, shard: 48, k: 6, baseParts: 3, maxPartRefs: 40, nBase: 220, chunk: 30, ops: 9},
-	{name: "entropy-layout", seed: 102, d: 1024, shard: 64, k: 4, baseParts: 2, maxPartRefs: 64, entropy: true, nBase: 160, chunk: 24, ops: 7},
 	{name: "churn", seed: 103, d: 512, shard: 32, k: 5, baseParts: 4, maxPartRefs: 24, nBase: 180, chunk: 20, ops: 11},
 }
 
@@ -113,9 +111,6 @@ func incrParams(w incrWorkload) core.Params {
 	p.Accel.NumChunks = max(w.d/32, 32)
 	p.ShardSize = w.shard
 	p.TopK = w.k
-	if w.entropy {
-		p.BitLayout = core.BitLayoutEntropy
-	}
 	return p
 }
 
@@ -249,7 +244,7 @@ func TestIncrementalBuildEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", step, err)
 				}
-				lib, err := libindex.BuildDeltaLibrary(chunk, mp, mlog.DimPerm)
+				lib, err := libindex.BuildDeltaLibrary(chunk, mp)
 				if err != nil {
 					t.Fatalf("%s: building delta: %v", step, err)
 				}
@@ -474,7 +469,7 @@ func TestOverlayManyHidden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := libindex.BuildDeltaLibrary(chunk, mp, mlog.DimPerm)
+	delta, err := libindex.BuildDeltaLibrary(chunk, mp)
 	if err != nil {
 		t.Fatal(err)
 	}

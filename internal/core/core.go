@@ -41,8 +41,8 @@ type Encoder interface {
 // each restricted to a contiguous row range of the mass-sorted store
 // (every precursor window is one), comes back as per-query top-k lists
 // (similarity descending, ties by ascending row) that the caller owns,
-// with per-tier timings and row counters accumulated into tr when it
-// is non-nil. A single query is a batch of one. Implementations:
+// with the swept-row counter accumulated into tr when it is non-nil.
+// A single query is a batch of one. Implementations:
 // *hdc.ShardedSearcher (exact — deterministic, so results are
 // independent of batch composition and of tracing) and
 // *accel.NoisySearcher (characterized hardware noise — per-seed
@@ -50,18 +50,15 @@ type Encoder interface {
 // per non-empty query in query order, and untraced).
 type Searcher interface {
 	BatchTopKRangeTraced(queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, tr *obsv.Trace) [][]hdc.Match
-	// CascadeStats reports the per-tier pruning counters; ok is false
-	// when no tier ladder runs.
-	CascadeStats() (hdc.CascadeStats, bool)
 	// RowsSwept is the cumulative candidate-row coverage of the sweeps.
 	RowsSwept() uint64
 }
 
 // SearchEngine is the part of Engine the serving layer
 // (internal/serve) drives: prepare a spectrum into an encoded query
-// with a resolved candidate row range, score prepared queries through
-// one batched sweep, and report the cascade pruning telemetry. It is an
-// interface so tests can substitute a stub.
+// with a resolved candidate row range and score prepared queries
+// through one batched sweep. It is an interface so tests can substitute
+// a stub.
 type SearchEngine interface {
 	// Prepare preprocesses and encodes one query and resolves its
 	// candidate row range; ok is false when the query is rejected by
@@ -74,15 +71,23 @@ type SearchEngine interface {
 	// timings and row counters into tr when it is non-nil. Tracing must
 	// never change results.
 	SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool)
-	// CascadeStats reports the aggregate per-tier cascade pruning
-	// counters; ok is false when no underlying searcher runs a
-	// multi-tier layout.
-	CascadeStats() (hdc.CascadeStats, bool)
 }
 
-// TracedSearchEngine is the name bench/ (frozen by BENCHMARK.json) knows
-// SearchEngine by; it has no other user.
-type TracedSearchEngine = SearchEngine
+// TracedSearchEngine is SearchEngine plus the pruning report the frozen
+// benchmark (bench/) still reads. Nothing prunes, so CascadeStats always
+// reports false. ROADMAP item 1 deletes it together with that caller.
+type TracedSearchEngine interface {
+	SearchEngine
+	CascadeStats() (PruneStats, bool)
+}
+
+// PruneStats is what TracedSearchEngine.CascadeStats reports: every
+// sweep scores whole rows, so nothing is pruned. ROADMAP item 1
+// deletes it.
+type PruneStats struct{}
+
+// PruneRate is always 0.
+func (PruneStats) PruneRate() float64 { return 0 }
 
 // Params configures an OMS engine.
 type Params struct {
@@ -108,39 +113,9 @@ type Params struct {
 	// ShardSize is the rows-per-shard of the exact sharded search
 	// engine (0 = hdc.DefaultShardSize).
 	ShardSize int
-	// Tiers is the cascade ladder of the sharded searcher: Tiers[t]
-	// packed words form tier t of every row, scanned in order with the
-	// pruning bound checked between tiers. Empty keeps the single-tier
-	// scan; a two-element ladder is the classic prefilter/completion
-	// cascade. Results stay bit-identical to the single-tier kernel
-	// for every ladder.
-	Tiers []int
-	// BitLayout selects the build-time dimension layout:
-	// ""/"natural" stores encoded dimensions in encoder order;
-	// "entropy" permutes them so the most discriminative (highest
-	// bit-balance entropy) dimensions pack into the leading words,
-	// raising the tier-0 pruning rate. The permutation is applied to
-	// references at build time and queries at prepare time, so results
-	// are unchanged by construction.
-	BitLayout string
 	// FDRAlpha is the FDR acceptance level (paper: 0.01).
 	FDRAlpha float64
 }
-
-// cascadeConfig maps the ladder onto the searcher's config.
-func (p Params) cascadeConfig() hdc.CascadeConfig {
-	return hdc.CascadeConfig{Tiers: p.Tiers}
-}
-
-// Bit-layout names accepted by Params.BitLayout.
-const (
-	// BitLayoutNatural stores dimensions in encoder order (the
-	// default; "" means the same).
-	BitLayoutNatural = "natural"
-	// BitLayoutEntropy permutes dimensions by descending bit-balance
-	// entropy over the encoded library at build time.
-	BitLayoutEntropy = "entropy"
-)
 
 // DefaultParams returns the paper's evaluation configuration.
 func DefaultParams() Params {
@@ -187,13 +162,6 @@ type Library struct {
 	// is the position entry i (equivalently: packed searcher row i)
 	// occupied in the original build order of the kept spectra.
 	srcPos []int
-	// DimPerm is the bit-layout dimension permutation the stored
-	// hypervectors are under: stored position j holds encoder
-	// dimension DimPerm[j]. nil means the natural (encoder-order)
-	// layout. Queries must be permuted identically before scoring
-	// (Engine.Prepare does this), which keeps every Hamming
-	// distance — and therefore every result — unchanged.
-	DimPerm []int
 	// Skipped counts reference spectra rejected by preprocessing.
 	Skipped int
 }
@@ -295,56 +263,7 @@ func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc Encoder) (*Library
 		return nil, fmt.Errorf("core: empty library after preprocessing")
 	}
 	lib.SortByMass()
-	if err := lib.applyBitLayout(p.BitLayout); err != nil {
-		return nil, err
-	}
 	return lib, nil
-}
-
-// applyBitLayout applies the configured dimension layout to the
-// encoded library: "entropy" measures per-dimension bit-balance
-// entropy over the encoded references and permutes every hypervector
-// so the most discriminative dimensions land in the leading packed
-// words. An identity permutation (e.g. a degenerate library) is
-// dropped so callers never pay the query-time gather for a no-op.
-func (l *Library) applyBitLayout(layout string) error {
-	switch layout {
-	case "", BitLayoutNatural:
-		return nil
-	case BitLayoutEntropy:
-		perm := hdc.EntropyPermutation(l.HVs)
-		if perm == nil || hdc.IsIdentityPermutation(perm) {
-			return nil
-		}
-		for i := range l.HVs {
-			l.HVs[i] = hdc.PermuteBits(l.HVs[i], perm)
-		}
-		l.DimPerm = perm
-		return nil
-	default:
-		return fmt.Errorf("core: unknown bit layout %q (valid: %q, %q)", layout, BitLayoutNatural, BitLayoutEntropy)
-	}
-}
-
-// SetDimPerm installs the bit-layout permutation the library's
-// hypervectors are already stored under — the load path of a
-// persisted entropy-layout index (the index stores permuted words, so
-// restoring must record the permutation without re-permuting). An
-// empty perm clears it (natural layout); a non-bijection is rejected.
-func (l *Library) SetDimPerm(perm []int) error {
-	if len(perm) == 0 {
-		l.DimPerm = nil
-		return nil
-	}
-	d := 0
-	if len(l.HVs) > 0 {
-		d = l.HVs[0].D
-	}
-	if err := hdc.ValidatePermutation(perm, d); err != nil {
-		return err
-	}
-	l.DimPerm = perm
-	return nil
 }
 
 // SortByMass sorts entries and hypervectors in place by ascending
@@ -481,10 +400,7 @@ func BuildNoisy(p Params, library []*spectrum.Spectrum, spec NoiseSpec) (*Engine
 	if spec.RefStorageBER > 0 {
 		lib.InjectStorageErrors(spec.RefStorageBER, rand.New(rand.NewSource(spec.Seed+1)))
 	}
-	// The noisy searcher bulk-scores full similarities, so the cascade
-	// layout is transparent to it; the knobs are threaded anyway so
-	// the packed layout matches the exact engine's.
-	exact, err := hdc.NewShardedSearcher(lib.HVs, p.ShardSize, p.cascadeConfig())
+	exact, err := hdc.NewShardedSearcher(lib.HVs, p.ShardSize)
 	if err != nil {
 		return nil, err
 	}

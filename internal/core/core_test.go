@@ -220,7 +220,7 @@ func TestNewEngineRejectsDimensionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	searcher, err := hdc.NewShardedSearcher(lib.HVs, 0, hdc.CascadeConfig{})
+	searcher, err := hdc.NewShardedSearcher(lib.HVs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,58 +114,52 @@ func TestBuildNoisyZeroSpecEqualsExactAssignments(t *testing.T) {
 }
 
 // TestSingleEntryLibraryEngine pins the degenerate 1-entry library end
-// to end: build, candidate selection, search (single-tier and cascade)
-// and k far larger than the candidate range must all behave, not
-// panic or mis-size results.
+// to end: build, candidate selection, search and k far larger than the
+// candidate range must all behave, not panic or mis-size results.
 func TestSingleEntryLibraryEngine(t *testing.T) {
 	ds := testDataset(t)
-	for _, cascade := range []bool{false, true} {
-		p := testParams()
-		p.TopK = 7 // far above the 1-entry candidate range
-		if cascade {
-			p.Tiers = []int{2}
-		}
-		engine, _, err := BuildExact(p, ds.Library[:1])
+	p := testParams()
+	p.TopK = 7 // far above the 1-entry candidate range
+	engine, _, err := BuildExact(p, ds.Library[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := engine.Library()
+	if lib.Len() != 1 || lib.SourcePos(0) != 0 {
+		t.Fatalf("len=%d srcPos(0)=%d", lib.Len(), lib.SourcePos(0))
+	}
+	if lo, hi := lib.CandidateRange(lib.Entries[0].Mass, p.Window); hi-lo != 1 {
+		t.Fatalf("candidate range [%d,%d) over 1-entry library", lo, hi)
+	}
+	var matched int
+	for _, q := range ds.Queries {
+		psm, ok, err := engine.SearchOne(q)
 		if err != nil {
-			t.Fatalf("cascade=%v: %v", cascade, err)
+			t.Fatal(err)
 		}
-		lib := engine.Library()
-		if lib.Len() != 1 || lib.SourcePos(0) != 0 {
-			t.Fatalf("cascade=%v: len=%d srcPos(0)=%d", cascade, lib.Len(), lib.SourcePos(0))
-		}
-		if lo, hi := lib.CandidateRange(lib.Entries[0].Mass, p.Window); hi-lo != 1 {
-			t.Fatalf("cascade=%v: candidate range [%d,%d) over 1-entry library", cascade, lo, hi)
-		}
-		var matched int
-		for _, q := range ds.Queries {
-			psm, ok, err := engine.SearchOne(q)
-			if err != nil {
-				t.Fatalf("cascade=%v: %v", cascade, err)
-			}
-			if ok {
-				matched++
-				if psm.Peptide != lib.Entries[0].Peptide {
-					t.Fatalf("cascade=%v: matched %q, library holds only %q", cascade, psm.Peptide, lib.Entries[0].Peptide)
-				}
+		if ok {
+			matched++
+			if psm.Peptide != lib.Entries[0].Peptide {
+				t.Fatalf("matched %q, library holds only %q", psm.Peptide, lib.Entries[0].Peptide)
 			}
 		}
-		if matched == 0 {
-			t.Fatalf("cascade=%v: no query matched the 1-entry library", cascade)
-		}
-		// Batch scoring over the same degenerate library must agree.
-		psms, oks := engine.SearchPrepared(prepareAll(t, engine, ds.Queries))
-		var batchMatched int
-		for i, ok := range oks {
-			if ok {
-				batchMatched++
-				if psms[i].Peptide != lib.Entries[0].Peptide {
-					t.Fatalf("cascade=%v: batch matched %q", cascade, psms[i].Peptide)
-				}
+	}
+	if matched == 0 {
+		t.Fatal("no query matched the 1-entry library")
+	}
+	// Batch scoring over the same degenerate library must agree.
+	psms, oks := engine.SearchPrepared(prepareAll(t, engine, ds.Queries))
+	var batchMatched int
+	for i, ok := range oks {
+		if ok {
+			batchMatched++
+			if psms[i].Peptide != lib.Entries[0].Peptide {
+				t.Fatalf("batch matched %q", psms[i].Peptide)
 			}
 		}
-		if batchMatched != matched {
-			t.Fatalf("cascade=%v: batch matched %d, serial %d", cascade, batchMatched, matched)
-		}
+	}
+	if batchMatched != matched {
+		t.Fatalf("batch matched %d, serial %d", batchMatched, matched)
 	}
 }
 
@@ -192,7 +186,7 @@ func TestEmptyLibraryRejectedEverywhere(t *testing.T) {
 	if _, _, err := BuildExact(p, nil); err == nil {
 		t.Error("BuildExact accepted an empty library")
 	}
-	if _, err := hdc.NewShardedSearcher(nil, 0, hdc.CascadeConfig{}); err == nil {
+	if _, err := hdc.NewShardedSearcher(nil, 0); err == nil {
 		t.Error("NewShardedSearcher accepted an empty reference set")
 	}
 	if _, err := RestoreLibrary(nil, nil, nil, 0); err == nil {

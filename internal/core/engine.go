@@ -58,7 +58,7 @@ type partition struct {
 // to a heap, so each partition returns the top-k of its visible rows, a
 // global top-k member is necessarily among them, and the merge order
 // (rowBefore) reproduces, bit for bit, what a one-partition engine over
-// the mass-sorted visible set returns, for every ladder and bit layout.
+// the mass-sorted visible set returns.
 type Engine struct {
 	params  Params
 	enc     Encoder
@@ -68,10 +68,6 @@ type Engine struct {
 	// normD is the score normalizer: the hypervector dimension, which
 	// every partition is validated against at construction.
 	normD float64
-	// dimPerm is the bit-layout permutation shared by every partition
-	// (validated identical at construction); queries are permuted with
-	// it at encode time. nil = natural layout.
-	dimPerm []int
 	// nBase is the number of base-tier partitions (a prefix of parts);
 	// generation is the manifest generation the engine serves.
 	nBase      int
@@ -98,9 +94,9 @@ func newExactEncoder(a accel.Config) (*hdc.Encoder, error) {
 // otherwise copied from the library's hypervectors.
 func (p Params) exactSearcher(spec PartitionSpec) (Searcher, error) {
 	if spec.Block == nil {
-		return hdc.NewShardedSearcher(spec.Lib.HVs, p.ShardSize, p.cascadeConfig())
+		return hdc.NewShardedSearcher(spec.Lib.HVs, p.ShardSize)
 	}
-	s, err := hdc.NewShardedSearcherFromPacked(spec.Block, p.Accel.D, p.ShardSize, p.cascadeConfig())
+	s, err := hdc.NewShardedSearcherFromPacked(spec.Block, p.Accel.D, p.ShardSize, hdc.CascadeConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -127,14 +123,13 @@ func oneSpec(lib *Library, block []uint64) PartitionSet {
 // hidden-row lists the sweep masks, so every search serves exactly the
 // visible set. The query encoder is set.Encoder, or drawn from p.Accel; each
 // partition's sharded searcher aliases its spec's packed block (a
-// memory-mapped index stays zero-copy: single-tier rows and the deeper
-// cascade tiers remain views that fault in lazily) or, without one, is
+// memory-mapped index stays zero-copy: rows remain views that fault in
+// lazily) or, without one, is
 // packed from the library's hypervectors. No spectrum is
 // re-preprocessed or re-encoded. p must carry the same
 // encoder-identity fields (D, Q, NumChunks, IDPrecision, NumBins, Seed,
 // binner, preprocessing) the library was built with; query-time fields
-// (window, TopK, FDRAlpha, ShardSize, the cascade ladder) are free to
-// differ. Blocks must stay alive (and mapped) for the engine's
+// (window, TopK, FDRAlpha, ShardSize) are free to differ. Blocks must stay alive (and mapped) for the engine's
 // lifetime.
 func NewPartitionedEngine(p Params, set PartitionSet) (*Engine, *hdc.Encoder, error) {
 	enc := set.Encoder
@@ -230,16 +225,6 @@ func newEngine(p Params, enc Encoder, set PartitionSet, searcherFor func(Partiti
 		}
 		if d := lib.HVs[0].D; d != p.Accel.D {
 			return nil, fmt.Errorf("core: partition %d: configured dimension D=%d does not match library hypervector dimension D=%d", i, p.Accel.D, d)
-		}
-		if len(lib.DimPerm) > 0 {
-			if err := hdc.ValidatePermutation(lib.DimPerm, p.Accel.D); err != nil {
-				return nil, fmt.Errorf("core: partition %d bit-layout permutation: %w", i, err)
-			}
-		}
-		if i == 0 {
-			e.dimPerm = lib.DimPerm
-		} else if !slices.Equal(e.dimPerm, lib.DimPerm) {
-			return nil, fmt.Errorf("core: partition %d bit-layout permutation differs from partition 0 (mixed build generations?)", i)
 		}
 		minMass := lib.Entries[0].Mass
 		maxMass := lib.Entries[lib.Len()-1].Mass
@@ -344,28 +329,11 @@ func (e *Engine) OverlayStats() OverlayStats {
 	return st
 }
 
-// CascadeStats sums the per-tier cascade pruning counters across
-// partitions (element-wise over tier slots; every partition is built
-// with the same ladder, but a deeper partition's tail still sums
-// correctly); ok is false when no partition runs a multi-tier layout.
-func (e *Engine) CascadeStats() (hdc.CascadeStats, bool) {
-	var sum hdc.CascadeStats
-	any := false
-	for i := range e.parts {
-		if cs, ok := e.parts[i].searcher.CascadeStats(); ok {
-			if len(sum.TierRows) < len(cs.TierRows) {
-				sum.TierRows = append(sum.TierRows, make([]uint64, len(cs.TierRows)-len(sum.TierRows))...)
-			}
-			for t, v := range cs.TierRows {
-				sum.TierRows[t] += v
-			}
-			any = true
-		}
-	}
-	return sum, any
-}
+// CascadeStats always reports false: every sweep scores whole rows. It
+// makes Engine a TracedSearchEngine; ROADMAP item 1 deletes both.
+func (e *Engine) CascadeStats() (PruneStats, bool) { return PruneStats{}, false }
 
-// PartitionStat is one partition's identity and pruning telemetry.
+// PartitionStat is one partition's identity and sweep telemetry.
 type PartitionStat struct {
 	// StartRow is the partition's first global row, Refs its size.
 	StartRow, Refs int
@@ -376,16 +344,11 @@ type PartitionStat struct {
 	Gen        uint64
 	Delta      bool
 	HiddenRefs int
-	// CascadeEnabled reports whether the partition's searcher runs a
-	// multi-tier layout; Cascade holds its per-tier counters when so.
-	CascadeEnabled bool
-	Cascade        hdc.CascadeStats
-	// RowsSwept is the partition's cumulative range-scan row coverage
-	// (live for every layout, unlike the cascade counters).
+	// RowsSwept is the partition's cumulative range-scan row coverage.
 	RowsSwept uint64
 }
 
-// PartitionStats snapshots per-partition identity and cascade pruning
+// PartitionStats snapshots per-partition identity and swept-row
 // counters — the serving layer's /stats surface for partitioned
 // indexes.
 func (e *Engine) PartitionStats() []PartitionStat {
@@ -396,9 +359,8 @@ func (e *Engine) PartitionStats() []PartitionStat {
 			StartRow: p.start, Refs: p.lib.Len(),
 			MinMass: p.minMass, MaxMass: p.maxMass,
 			Gen: p.gen, Delta: p.delta, HiddenRefs: len(p.hidden),
+			RowsSwept: p.searcher.RowsSwept(),
 		}
-		st.Cascade, st.CascadeEnabled = p.searcher.CascadeStats()
-		st.RowsSwept = p.searcher.RowsSwept()
 		out[i] = st
 	}
 	return out
@@ -423,7 +385,7 @@ type PreparedQuery struct {
 }
 
 // encodeQuery is the engine's one query-side encode step: preprocess,
-// vectorize, encode, and permute into the library's bit layout. ok is
+// vectorize and encode. ok is
 // false when preprocessing rejects the spectrum as uninformative. The
 // binned vector is returned for callers that also score in the
 // spectral domain (Rescorer).
@@ -436,9 +398,6 @@ func (e *Engine) encodeQuery(q *spectrum.Spectrum) (spectrum.Vector, hdc.BinaryH
 	hv, err := e.enc.EncodeVector(v)
 	if err != nil {
 		return spectrum.Vector{}, hdc.BinaryHV{}, false, fmt.Errorf("core: encoding query %s: %w", q.ID, err)
-	}
-	if len(e.dimPerm) > 0 {
-		hv = hdc.PermuteBits(hv, e.dimPerm)
 	}
 	return v, hv, true, nil
 }
@@ -460,7 +419,7 @@ func (e *Engine) Prepare(q *spectrum.Spectrum) (PreparedQuery, bool, error) {
 }
 
 // ResolvePrepared assembles a prepared query from an already encoded
-// (and, under an entropy layout, already permuted) hypervector: the
+// hypervector: the
 // base-tier candidate range is resolved through the mass fences, and
 // ok reports whether any partition — base or delta — holds candidate
 // rows. It is Prepare without the preprocessing and encoding stages,
@@ -550,7 +509,7 @@ type partBatch struct {
 
 // sweep runs partition i's block-major batch sweep at the global k: its
 // searcher masks the hidden rows, so what comes back is the partition's
-// visible top-k. A non-nil tr collects the searcher's tier timings plus
+// visible top-k. A non-nil tr collects the searcher's swept rows plus
 // one partition record (index, candidate rows, wall time).
 func (e *Engine) sweep(i int, b *partBatch, tr *obsv.Trace) {
 	p := &e.parts[i]
@@ -686,7 +645,7 @@ func (e *Engine) batchTopK(qs []PreparedQuery, tr *obsv.Trace) [][]hdc.Match {
 // query — a batch of one — with indices in global row space: the list
 // SearchOne's PSM is the head of. It is the engine's leg of the
 // cross-path conformance contract: every way of reaching the sweep
-// (alone, batched, cascade, any partitioning, served) must reproduce
+// (alone, batched, any partitioning, served) must reproduce
 // the flat-scan oracle's list bit for bit.
 func (e *Engine) TopKPrepared(pq PreparedQuery) []hdc.Match {
 	return e.batchTopK([]PreparedQuery{pq}, nil)[0]
@@ -714,7 +673,7 @@ func (e *Engine) SearchPrepared(qs []PreparedQuery) ([]fdr.PSM, []bool) {
 	return e.SearchPreparedTraced(qs, nil)
 }
 
-// SearchPreparedTraced is SearchPrepared recording per-tier, merge and
+// SearchPreparedTraced is SearchPrepared recording swept-row, merge and
 // per-partition sweep telemetry into tr when it is non-nil. Timing
 // never alters control flow, so results are bit-identical to the
 // untraced call.

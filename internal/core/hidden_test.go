@@ -78,7 +78,7 @@ func TestHiddenRowsSweptAtTopK(t *testing.T) {
 		set := overlaySet(t, built.Library())
 		var recs []*recordingSearcher
 		engine, err := newEngine(p, enc, set, func(spec PartitionSpec) (Searcher, error) {
-			exact, err := hdc.NewShardedSearcher(spec.Lib.HVs, 64, hdc.CascadeConfig{})
+			exact, err := hdc.NewShardedSearcher(spec.Lib.HVs, 64)
 			recs = append(recs, &recordingSearcher{ShardedSearcher: exact})
 			return recs[len(recs)-1], err
 		})

@@ -22,9 +22,6 @@ func splitSet(t *testing.T, lib *Library, n int) PartitionSet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := part.SetDimPerm(lib.DimPerm); err != nil {
-			t.Fatal(err)
-		}
 		set.Specs = append(set.Specs, PartitionSpec{Lib: part, Gen: 1, GenRow: lo})
 	}
 	return set

@@ -56,7 +56,7 @@ func AblationLevelSets(opts Options) (LevelSetAblation, error) {
 	if err != nil {
 		return LevelSetAblation{}, err
 	}
-	searcher, err := hdc.NewShardedSearcher(lib.HVs, 0, hdc.CascadeConfig{})
+	searcher, err := hdc.NewShardedSearcher(lib.HVs, 0)
 	if err != nil {
 		return LevelSetAblation{}, err
 	}

@@ -11,10 +11,9 @@ import (
 )
 
 // Allocation baselines for the kernel path, checked in as the gate CI
-// enforces (the -benchmem numbers on BenchmarkCascadeTopKRange trend
+// enforces (the -benchmem numbers on the range-sweep benchmarks trend
 // the same quantities). The scoring sweep itself —
-// SimilaritiesRangeInto over a reused buffer, single- or multi-tier —
-// must be allocation-free in steady state: it runs per query batch at
+// SimilaritiesRangeInto over a reused buffer — must be allocation-free in steady state: it runs per query batch at
 // full occupancy, through xorPopRows and its Go kernel, scoreBlockSims
 // and the heap primitives. The top-k sweep
 // additionally materializes its result lists; that inherent per-call
@@ -43,14 +42,14 @@ func sweepAllocs(queries, shards int) int {
 	return 1 + queries + min(runtime.GOMAXPROCS(0), shards) - 1
 }
 
-func allocSearcher(t *testing.T, d, n, shardSize, nq int, cc CascadeConfig) (*ShardedSearcher, []BinaryHV) {
+func allocSearcher(t *testing.T, d, n, shardSize, nq int) (*ShardedSearcher, []BinaryHV) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	refs := make([]BinaryHV, n)
 	for i := range refs {
 		refs[i] = RandomBinaryHV(d, rng)
 	}
-	s, err := NewShardedSearcher(refs, shardSize, cc)
+	s, err := NewShardedSearcher(refs, shardSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,21 +58,6 @@ func allocSearcher(t *testing.T, d, n, shardSize, nq int, cc CascadeConfig) (*Sh
 		queries[i] = RandomBinaryHV(d, rng)
 	}
 	return s, queries
-}
-
-// allocLadders is the layout matrix both allocation gates run over:
-// the single-tier store, the legacy two-tier alias, and deeper
-// K-tier ladders (the descend-while-bounded sweep must stay
-// allocation-free at any depth, not just the K=2 shape it grew out
-// of). d=1024 → 16 packed words.
-var allocLadders = []struct {
-	name string
-	cc   CascadeConfig
-}{
-	{"single-tier", CascadeConfig{}},
-	{"two-tier", CascadeConfig{Tiers: []int{4}}},
-	{"three-tier", CascadeConfig{Tiers: []int{2, 4, 10}}},
-	{"four-tier", CascadeConfig{Tiers: []int{1, 3, 4, 8}}},
 }
 
 // everyNth lists rows 0, step, 2*step, … below n: a hidden list that
@@ -87,34 +71,31 @@ func everyNth(n, step int) []int {
 }
 
 // TestKernelSweepAllocationFree gates the scoring kernel at zero
-// steady-state allocations across the ladder layouts, with and without
-// hidden rows.
+// steady-state allocations over the single-tier store (d=1024 → 16
+// packed words), with and without hidden rows.
 func TestKernelSweepAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")
 	}
-	for _, tc := range allocLadders {
-		t.Run(tc.name, func(t *testing.T) {
-			s, queries := allocSearcher(t, 1024, 4096, 4096, 1, tc.cc)
-			q := queries[0]
-			dst := s.SimilaritiesRangeInto(q, 0, s.Len(), nil)
-			for _, hidden := range [][]int{nil, everyNth(s.Len(), 37)} {
-				s.Hide(hidden)
-				allocs := testing.AllocsPerRun(50, func() {
-					dst = s.SimilaritiesRangeInto(q, 0, s.Len(), dst)
-				})
-				if allocs > kernelSweepAllocs {
-					t.Errorf("similarity sweep with %d hidden rows allocates %.1f allocs/op in steady state, baseline %d",
-						len(hidden), allocs, kernelSweepAllocs)
-				}
+	t.Run("single-tier", func(t *testing.T) {
+		s, queries := allocSearcher(t, 1024, 4096, 4096, 1)
+		q := queries[0]
+		dst := s.SimilaritiesRangeInto(q, 0, s.Len(), nil)
+		for _, hidden := range [][]int{nil, everyNth(s.Len(), 37)} {
+			s.Hide(hidden)
+			allocs := testing.AllocsPerRun(50, func() {
+				dst = s.SimilaritiesRangeInto(q, 0, s.Len(), dst)
+			})
+			if allocs > kernelSweepAllocs {
+				t.Errorf("similarity sweep with %d hidden rows allocates %.1f allocs/op in steady state, baseline %d",
+					len(hidden), allocs, kernelSweepAllocs)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSweepSteadyStateAllocs pins the one search entry point to its
-// checked-in baseline across ladder layouts × batch size × shard
-// count: a batch allocates its result header plus one match list per
+// checked-in baseline across batch size × shard count: a batch allocates its result header plus one match list per
 // query; everything else — plan, heap arena, worker scratch — is
 // pooled, and only a multi-shard span adds the worker goroutines. The
 // last case is a small range inside one shard of a five-shard store:
@@ -147,20 +128,18 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
-	for _, tc := range allocLadders {
-		for _, shards := range []int{1, 4} {
-			for _, nq := range []int{1, 64} {
-				t.Run(fmt.Sprintf("%s/shards=%d/queries=%d", tc.name, shards, nq), func(t *testing.T) {
-					s, queries := allocSearcher(t, 1024, 4096, 4096/shards, nq, tc.cc)
-					run(t, s, queries, RowRange{Lo: 0, Hi: s.Len()}, sweepAllocs(nq, shards))
-				})
-			}
+	for _, shards := range []int{1, 4} {
+		for _, nq := range []int{1, 64} {
+			t.Run(fmt.Sprintf("single-tier/shards=%d/queries=%d", shards, nq), func(t *testing.T) {
+				s, queries := allocSearcher(t, 1024, 4096, 4096/shards, nq)
+				run(t, s, queries, RowRange{Lo: 0, Hi: s.Len()}, sweepAllocs(nq, shards))
+			})
 		}
-		t.Run(tc.name+"/one-shard-of-five", func(t *testing.T) {
-			s, queries := allocSearcher(t, 1024, 5000, 1024, 1, tc.cc)
-			run(t, s, queries, RowRange{Lo: 2500, Hi: 2508}, sweepAllocs(1, 1))
-		})
 	}
+	t.Run("single-tier/one-shard-of-five", func(t *testing.T) {
+		s, queries := allocSearcher(t, 1024, 5000, 1024, 1)
+		run(t, s, queries, RowRange{Lo: 2500, Hi: 2508}, sweepAllocs(1, 1))
+	})
 }
 
 // TestEncodeVectorAllocs pins the encode path at its two inherent

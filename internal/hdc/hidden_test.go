@@ -32,13 +32,12 @@ func packedBlock(refs []BinaryHV) []uint64 {
 // TestHiddenRowsMatchOracle holds the masked sweep to naiveTopK over
 // the visible rows only. The hidden list sits on every edge the run
 // walk can trip over — the first and last row of a kernel block (64
-// rows single-tier, 256 under the ladder), of a shard, of the store and
+// rows), of a shard, of the store and
 // of a query range, a run of consecutive rows across a block boundary,
 // a range hidden whole, a range with fewer visible rows than k — and is
 // handed to Hide shuffled and with repeats. Every query's best matches
 // are planted on hidden rows, so a sweep that lets one through cannot
-// pass. Single tier and Tiers{8, 24}, copying and packed-block stores,
-// a batch of 64 and each query as a batch of one, both kernels.
+// pass. Copying and packed-block stores, a batch of 64 and each query as a batch of one, both kernels.
 func TestHiddenRowsMatchOracle(t *testing.T) {
 	hiddenRowsMatchOracle(t)
 	t.Run("go-kernel", func(t *testing.T) {
@@ -51,8 +50,7 @@ func hiddenRowsMatchOracle(t *testing.T) {
 	const d, n, shard, nq = 2048, 900, 320, 64
 	hidden := []int{
 		0, n - 1, // the store's edges
-		63, 64, 127, 128, // single-tier block edges
-		255, 256, // ladder block edges
+		63, 64, 127, 128, 255, 256, // kernel block edges
 		shard - 1, shard, 2*shard - 1, 2 * shard, // shard edges
 		700, 709, // both edges of range 700..710
 		720, 721, 723, 724, 726, 727, 729, // range 720..730 keeps 3 rows
@@ -70,7 +68,7 @@ func hiddenRowsMatchOracle(t *testing.T) {
 		{Lo: 700, Hi: 710}, // first and last row hidden
 		{Lo: 720, Hi: 730}, // 3 visible rows, fewer than k
 		{Lo: 100, Hi: 330}, // crosses the run and a shard edge
-		{Lo: 64, Hi: 128},  // one single-tier block, both edge rows hidden
+		{Lo: 64, Hi: 128},  // one kernel block, both edge rows hidden
 		{Lo: 390, Hi: 430}, // the hidden stretch in the middle
 		{Lo: 500, Hi: 600}, // no hidden row at all
 	}
@@ -99,67 +97,55 @@ func hiddenRowsMatchOracle(t *testing.T) {
 	shuffled := append(append([]int{}, hidden...), hidden[3:11]...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
-	for _, lay := range []struct {
-		name  string
-		cc    CascadeConfig
-		block int
-	}{
-		{"single-tier", CascadeConfig{}, 64},
-		{"tiers-8-24", CascadeConfig{Tiers: []int{8, 24}}, 256},
-	} {
-		for _, store := range []string{"copied", "packed"} {
-			for _, k := range []int{1, 5} {
-				t.Run(fmt.Sprintf("%s/%s/k=%d", lay.name, store, k), func(t *testing.T) {
-					var s *ShardedSearcher
-					var err error
-					if store == "copied" {
-						s, err = NewShardedSearcher(refs, shard, lay.cc)
-					} else {
-						s, err = NewShardedSearcherFromPacked(packedBlock(refs), d, shard, lay.cc)
+	for _, store := range []string{"copied", "packed"} {
+		for _, k := range []int{1, 5} {
+			t.Run(fmt.Sprintf("single-tier/%s/k=%d", store, k), func(t *testing.T) {
+				var s *ShardedSearcher
+				var err error
+				if store == "copied" {
+					s, err = NewShardedSearcher(refs, shard)
+				} else {
+					s, err = NewShardedSearcherFromPacked(packedBlock(refs), d, shard, CascadeConfig{})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.block != 64 {
+					t.Fatalf("kernel block is %d rows, the hidden list was laid out for 64", s.block)
+				}
+				s.Hide(shuffled)
+				if !slices.Equal(s.hidden, slices.Compact(slices.Sorted(slices.Values(hidden)))) {
+					t.Fatalf("Hide kept %v", s.hidden)
+				}
+				check := func(path string, qi int, got []Match) {
+					t.Helper()
+					want := naiveTopK(refs, d, queries[qi], visibleCands(qRanges[qi].Lo, qRanges[qi].Hi, n, hidden), k)
+					if got == nil || !matchesEqual(got, want) {
+						t.Fatalf("%s: query %d range %+v\ngot  %v\nwant %v", path, qi, qRanges[qi], got, want)
 					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if s.block != lay.block {
-						t.Fatalf("kernel block is %d rows, the hidden list was laid out for %d", s.block, lay.block)
-					}
-					s.Hide(shuffled)
-					if !slices.Equal(s.hidden, slices.Compact(slices.Sorted(slices.Values(hidden)))) {
-						t.Fatalf("Hide kept %v", s.hidden)
-					}
-					check := func(path string, qi int, got []Match) {
-						t.Helper()
-						want := naiveTopK(refs, d, queries[qi], visibleCands(qRanges[qi].Lo, qRanges[qi].Hi, n, hidden), k)
-						if got == nil || !matchesEqual(got, want) {
-							t.Fatalf("%s: query %d range %+v\ngot  %v\nwant %v", path, qi, qRanges[qi], got, want)
-						}
-					}
-					sweptBefore := s.RowsSwept()
-					for qi, got := range s.BatchTopKRange(queries, qRanges, k) {
-						check("batch of 64", qi, got)
-					}
-					// Hidden rows are still swept, and counted as such.
-					var rows uint64
-					for _, r := range qRanges {
-						rows += uint64(r.Clamp(n).Len())
-					}
-					if got := s.RowsSwept() - sweptBefore; got != rows {
-						t.Errorf("RowsSwept advanced by %d over ranges holding %d rows", got, rows)
-					}
-					if cs, ok := s.CascadeStats(); ok && cs.TierRows[0] != rows {
-						t.Errorf("TierRows[0] = %d over ranges holding %d rows", cs.TierRows[0], rows)
-					}
-					for qi := range queries[:len(ranges)] {
-						check("batch of one", qi, topKRange(s, queries[qi], qRanges[qi].Lo, qRanges[qi].Hi, k))
-					}
-					// Unhiding restores the plain sweep.
-					s.Hide(nil)
-					want := naiveTopK(refs, d, queries[0], rangeCands(0, n, n), k)
-					if got := topKRange(s, queries[0], 0, n, k); !matchesEqual(got, want) {
-						t.Fatalf("after Hide(nil)\ngot  %v\nwant %v", got, want)
-					}
-				})
-			}
+				}
+				sweptBefore := s.RowsSwept()
+				for qi, got := range s.BatchTopKRange(queries, qRanges, k) {
+					check("batch of 64", qi, got)
+				}
+				// Hidden rows are still swept, and counted as such.
+				var rows uint64
+				for _, r := range qRanges {
+					rows += uint64(r.Clamp(n).Len())
+				}
+				if got := s.RowsSwept() - sweptBefore; got != rows {
+					t.Errorf("RowsSwept advanced by %d over ranges holding %d rows", got, rows)
+				}
+				for qi := range queries[:len(ranges)] {
+					check("batch of one", qi, topKRange(s, queries[qi], qRanges[qi].Lo, qRanges[qi].Hi, k))
+				}
+				// Unhiding restores the plain sweep.
+				s.Hide(nil)
+				want := naiveTopK(refs, d, queries[0], rangeCands(0, n, n), k)
+				if got := topKRange(s, queries[0], 0, n, k); !matchesEqual(got, want) {
+					t.Fatalf("after Hide(nil)\ngot  %v\nwant %v", got, want)
+				}
+			})
 		}
 	}
 }
@@ -169,7 +155,7 @@ func hiddenRowsMatchOracle(t *testing.T) {
 func TestHideIgnoresRowsOutsideTheStore(t *testing.T) {
 	const d, n = 64, 10
 	refs := randomRefs(d, n, 1)
-	s, err := NewShardedSearcher(refs, 4, CascadeConfig{})
+	s, err := NewShardedSearcher(refs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +167,13 @@ func TestHideIgnoresRowsOutsideTheStore(t *testing.T) {
 }
 
 // FuzzHiddenRows draws a store geometry, a hidden set and a batch of
-// ranges from the seed and holds both layouts to the oracle.
+// ranges from the seed and holds the sweep to the oracle.
 func FuzzHiddenRows(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(3))
 	f.Add(int64(2), uint16(0), uint8(1))
 	f.Add(int64(3), uint16(600), uint8(9))
 	f.Fuzz(func(t *testing.T, seed int64, nHidden uint16, k8 uint8) {
-		const d = 256 // 4 words: 512-row kernel blocks, 2048 under Tiers{1}
+		const d = 256 // 4 words: 512-row kernel blocks
 		rng := rand.New(rand.NewSource(seed))
 		n, k := 1+rng.Intn(3000), 1+int(k8)%12
 		refs := randomRefs(d, n, seed+1)
@@ -205,18 +191,16 @@ func FuzzHiddenRows(f *testing.F) {
 				refs[hidden[rng.Intn(len(hidden))]] = nearDup(queries[i], 0.02, rng)
 			}
 		}
-		for _, cc := range []CascadeConfig{{}, {Tiers: []int{1}}} {
-			s, err := NewShardedSearcher(refs, 1+rng.Intn(n), cc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Hide(hidden)
-			for qi, got := range s.BatchTopKRange(queries, ranges, k) {
-				want := naiveTopK(refs, d, queries[qi], visibleCands(ranges[qi].Lo, ranges[qi].Hi, n, hidden), k)
-				if !matchesEqual(got, want) {
-					t.Fatalf("tiers %v shard %d: query %d range %+v hidden %v\ngot  %v\nwant %v",
-						cc.Tiers, s.shardSize, qi, ranges[qi], hidden, got, want)
-				}
+		s, err := NewShardedSearcher(refs, 1+rng.Intn(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Hide(hidden)
+		for qi, got := range s.BatchTopKRange(queries, ranges, k) {
+			want := naiveTopK(refs, d, queries[qi], visibleCands(ranges[qi].Lo, ranges[qi].Hi, n, hidden), k)
+			if !matchesEqual(got, want) {
+				t.Fatalf("shard %d: query %d range %+v hidden %v\ngot  %v\nwant %v",
+					s.shardSize, qi, ranges[qi], hidden, got, want)
 			}
 		}
 	})
@@ -240,7 +224,7 @@ func BenchmarkSweepHidden(b *testing.B) {
 	}
 	for _, nHidden := range []int{0, 64, 1024} {
 		b.Run(fmt.Sprintf("hidden=%d", nHidden), func(b *testing.B) {
-			s, err := NewShardedSearcher(refs, 0, CascadeConfig{})
+			s, err := NewShardedSearcher(refs, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -3,9 +3,8 @@ package hdc
 import "math/bits"
 
 // The package's two primitives and their one dispatch point. Every
-// XOR+popcount the searcher computes — a single-tier kernel block, a
-// ladder tier plane, one survivor's completion — is a call to
-// xorPopRows, and every encode and bundle a call to signedSumWords
+// XOR+popcount the searcher computes — one query's clip of a kernel
+// block — is a call to xorPopRows, and every encode and bundle a call to signedSumWords
 // (encoder.go); each forwards to the package's kernel value, the
 // portable Go reference unless an ISA file's init found something
 // wider (kernel_amd64.go: one gate, both values).
@@ -22,8 +21,8 @@ func KernelName() string { return kernelName }
 
 // xorPopRows computes the Hamming distance between qw[:width] and each
 // of `rows` rows of width words, row r starting at packed[r*stride],
-// and writes it to dst[r] — or, with add, accumulates it there (one
-// rung of a tiered score). The slices are cut to exactly the words the
+// and writes it to dst[r] — or, with add, accumulates it there. The
+// slices are cut to exactly the words the
 // kernel may touch, so an out-of-range geometry panics here, in Go, and
 // an assembly kernel needs no bounds checks of its own.
 func xorPopRows(qw, packed []uint64, stride, width, rows int, dst []int, add bool) {

@@ -55,7 +55,7 @@
 // operand), the lanes popcounted (VPOPCNTQ) and added into one
 // accumulator per row (VPADDQ); the eight accumulators then reduce
 // together into eight distances stored by one write. Fewer than eight
-// rows left — a block's ragged end, a ladder completion's single row —
+// rows left — a block's ragged end, a clip of a few rows —
 // take the same steps one row at a time. A tail of width%8 words is
 // read under K1 with zeroing, by the query's masked load and the rows'
 // masked VPXORQ alike: masked-out lanes are never accessed, so the last

@@ -36,8 +36,8 @@ func guardedWords(t *testing.T, n int) []uint64 {
 // TestKernelReadsNothingPastLastRow puts the last row — and the query —
 // flush against a PROT_NONE page, at every tail width, with the last
 // row falling in an eight-row group (rows 8) and in the one-row
-// remainder (rows 1, 3, 11), then as the ladder's run completion calls
-// the kernel (a strided deep tier, several groups). The served index is
+// remainder (rows 1, 3, 11), then strided and accumulating over
+// several groups. The served index is
 // a file mapping whose final row can end on the mapping's last page, so
 // a kernel that rounds its last read up to a whole vector would be a
 // SIGBUS in production; here it is a crash of this test.
@@ -64,10 +64,9 @@ func TestKernelReadsNothingPastLastRow(t *testing.T) {
 			}
 		}
 	}
-	// The ladder's run completion over a mapped index: a deep tier's 24
-	// words at the full row's stride of 32, accumulated onto the partial
-	// distances, more rows than one eight-row group, the run's last row
-	// being the mapping's.
+	// A 24-word prefix of 32-word rows, accumulated onto partial
+	// distances, more rows than one eight-row group, the last row being
+	// the mapping's.
 	const width, stride = 24, 32
 	for _, rows := range []int{9, 16, 19, 40} {
 		qw := qMem[len(qMem)-width:]

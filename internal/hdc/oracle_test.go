@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"testing"
 )
 
 // naiveTopK is the original flat-scan, container/heap top-k over a
@@ -99,4 +100,33 @@ func randomRefs(d, n int, seed int64) []BinaryHV {
 // topKRange is a batch of one: the only way to search a single query.
 func topKRange(s *ShardedSearcher, q BinaryHV, lo, hi, k int) []Match {
 	return s.BatchTopKRange([]BinaryHV{q}, []RowRange{{Lo: lo, Hi: hi}}, k)[0]
+}
+
+// nearDup returns a copy of hv with roughly rate of its bits flipped —
+// a planted close match.
+func nearDup(hv BinaryHV, rate float64, rng *rand.Rand) BinaryHV {
+	c := hv.Clone()
+	c.FlipBits(rate, rng)
+	return c
+}
+
+// plantedFixture builds a reference set with, per query, a cluster of
+// k planted near-duplicates at row i·n/(2·nq), so every query's best
+// matches sit at known rows among random ones.
+func plantedFixture(t testing.TB, d, n, nq, k int, seed int64) ([]BinaryHV, []BinaryHV) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	refs := make([]BinaryHV, n)
+	for i := range refs {
+		refs[i] = RandomBinaryHV(d, rng)
+	}
+	queries := make([]BinaryHV, nq)
+	for i := range queries {
+		queries[i] = RandomBinaryHV(d, rng)
+		lo := (i * n) / (2 * nq)
+		for j := 0; j < k && lo+j < n; j++ {
+			refs[lo+j] = nearDup(queries[i], 0.03, rng)
+		}
+	}
+	return refs, queries
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // TestOnePathMatrix is the conformance matrix of the one scan path:
-// for every layout (single-tier, exact ladders) and shard
-// geometry, every query alone as a batch of one, the whole batch and
+// for every shard geometry, every query alone as a batch of one, the whole batch and
 // the batch reversed — each with and without a trace, on one worker
 // and on several — must return lists identical to the flat-scan
 // oracle. The ranges include ones that clamp, are empty or inverted,
@@ -29,18 +28,16 @@ func TestOnePathMatrix(t *testing.T) {
 
 func onePathMatrix(t *testing.T) {
 	const d, n = 512, 700
-	words := WordsPerHV(d) // 8
 	layouts := []struct {
 		name  string
 		shard int
 		k     int
-		cc    CascadeConfig
 	}{
-		{"single-tier", 64, 5, CascadeConfig{}},
-		{"single-tier-one-shard", n, 5, CascadeConfig{}},
-		{"k-over-shard", 4, 9, CascadeConfig{}},
-		{"two-tier", 100, 4, CascadeConfig{Tiers: []int{2, words - 2}}},
-		{"four-tier", 48, 3, CascadeConfig{Tiers: []int{1, 1, 2}}},
+		{"single-tier", 64, 5},
+		{"single-tier-one-shard", n, 5},
+		{"k-over-shard", 4, 9},
+		{"odd-shard", 100, 4},
+		{"small-shard-k3", 48, 3},
 	}
 	ranges := []RowRange{
 		{Lo: 0, Hi: n},        // full scan
@@ -58,8 +55,8 @@ func onePathMatrix(t *testing.T) {
 	}
 	for _, lay := range layouts {
 		t.Run(lay.name, func(t *testing.T) {
-			refs, queries := cascadeFixture(t, d, n, len(ranges), lay.k, 77)
-			s, err := NewShardedSearcher(refs, lay.shard, lay.cc)
+			refs, queries := plantedFixture(t, d, n, len(ranges), lay.k, 77)
+			s, err := NewShardedSearcher(refs, lay.shard)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,30 +107,28 @@ func TestSimilaritiesRangeIntoParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	d, n := 130, 300
 	refs := randomRefs(d, n, 22)
-	for _, cc := range []CascadeConfig{{}, {Tiers: []int{1, 1}}} {
-		s, err := NewShardedSearcher(refs, 64, cc)
-		if err != nil {
-			t.Fatal(err)
+	s, err := NewShardedSearcher(refs, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := RandomBinaryHV(d, rng)
+	var buf []int
+	for _, r := range [][2]int{{0, n}, {10, 200}, {-5, 40}, {250, n + 90}, {60, 60}, {120, 10}} {
+		buf = s.SimilaritiesRangeInto(q, r[0], r[1], buf)
+		lo, hi := max(r[0], 0), min(r[1], n)
+		if len(buf) != max(hi-lo, 0) {
+			t.Fatalf("range %v: len = %d, want %d", r, len(buf), max(hi-lo, 0))
 		}
-		q := RandomBinaryHV(d, rng)
-		var buf []int
-		for _, r := range [][2]int{{0, n}, {10, 200}, {-5, 40}, {250, n + 90}, {60, 60}, {120, 10}} {
-			buf = s.SimilaritiesRangeInto(q, r[0], r[1], buf)
-			lo, hi := max(r[0], 0), min(r[1], n)
-			if len(buf) != max(hi-lo, 0) {
-				t.Fatalf("range %v: len = %d, want %d", r, len(buf), max(hi-lo, 0))
-			}
-			for j := range buf {
-				if want := HammingSimilarity(q, refs[lo+j]); buf[j] != want {
-					t.Fatalf("range %v row %d: sim = %d, want %d", r, lo+j, buf[j], want)
-				}
+		for j := range buf {
+			if want := HammingSimilarity(q, refs[lo+j]); buf[j] != want {
+				t.Fatalf("range %v row %d: sim = %d, want %d", r, lo+j, buf[j], want)
 			}
 		}
-		// Reuse must not reallocate.
-		full := s.SimilaritiesRangeInto(q, 0, n, buf)
-		if again := s.SimilaritiesRangeInto(q, 0, n, full); &again[0] != &full[0] {
-			t.Error("buffer was reallocated on reuse")
-		}
+	}
+	// Reuse must not reallocate.
+	full := s.SimilaritiesRangeInto(q, 0, n, buf)
+	if again := s.SimilaritiesRangeInto(q, 0, n, full); &again[0] != &full[0] {
+		t.Error("buffer was reallocated on reuse")
 	}
 }
 
@@ -143,7 +138,7 @@ func TestSimilaritiesRangeIntoParity(t *testing.T) {
 // returns empty (non-nil) match lists.
 func TestBatchTopKRangeShapeChecks(t *testing.T) {
 	refs := randomRefs(64, 50, 31)
-	s, err := NewShardedSearcher(refs, 16, CascadeConfig{})
+	s, err := NewShardedSearcher(refs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func NewEngine(p Params, library []*spectrum.Spectrum) (*core.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	searcher, err := hdc.NewShardedSearcher(lib.HVs, 0, hdc.CascadeConfig{})
+	searcher, err := hdc.NewShardedSearcher(lib.HVs, 0)
 	if err != nil {
 		return nil, err
 	}

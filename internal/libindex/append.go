@@ -25,13 +25,9 @@ import (
 // opening, and SweepOrphans reclaims the files.
 
 // BuildDeltaLibrary encodes a batch of spectra for appending to an
-// existing library: the batch is built with the library's stored
-// params but under the NATURAL bit layout — re-deriving an entropy
-// permutation from a small batch would disagree with the base
-// layout — and then permuted under the library's shared dimension
-// permutation, so its packed rows are directly comparable with every
-// existing partition's.
-func BuildDeltaLibrary(spectra []*spectrum.Spectrum, p core.Params, dimPerm []int) (*core.Library, error) {
+// existing library with the library's stored params, so its packed
+// rows are directly comparable with every existing partition's.
+func BuildDeltaLibrary(spectra []*spectrum.Spectrum, p core.Params) (*core.Library, error) {
 	ids, levels, err := accel.NewEncoderComponents(p.Accel)
 	if err != nil {
 		return nil, err
@@ -40,20 +36,7 @@ func BuildDeltaLibrary(spectra []*spectrum.Spectrum, p core.Params, dimPerm []in
 	if err != nil {
 		return nil, err
 	}
-	p.BitLayout = core.BitLayoutNatural
-	lib, err := core.BuildLibrary(spectra, p, enc)
-	if err != nil {
-		return nil, err
-	}
-	if len(dimPerm) > 0 {
-		for i := range lib.HVs {
-			lib.HVs[i] = hdc.PermuteBits(lib.HVs[i], dimPerm)
-		}
-		if err := lib.SetDimPerm(dimPerm); err != nil {
-			return nil, err
-		}
-	}
-	return lib, nil
+	return core.BuildLibrary(spectra, p, enc)
 }
 
 // AppendDelta publishes a built delta batch as generation
@@ -69,9 +52,6 @@ func AppendDelta(manifestPath string, st *ManifestState, lib *core.Library, maxP
 	}
 	if d := lib.HVs[0].D; d != st.D {
 		return 0, fmt.Errorf("libindex: delta batch has dimension D=%d, library has D=%d", d, st.D)
-	}
-	if !permsEqual(lib.DimPerm, st.DimPerm) {
-		return 0, fmt.Errorf("libindex: delta batch is packed under a different bit-layout permutation than the library (build it with BuildDeltaLibrary)")
 	}
 	var p core.Params
 	if err := json.Unmarshal(st.Params, &p); err != nil {
@@ -94,9 +74,6 @@ func AppendDelta(manifestPath string, st *ManifestState, lib *core.Library, maxP
 			0,
 		)
 		if err != nil {
-			return 0, fmt.Errorf("libindex: assembling delta partition %d: %w", i, err)
-		}
-		if err := sub.SetDimPerm(lib.DimPerm); err != nil {
 			return 0, fmt.Errorf("libindex: assembling delta partition %d: %w", i, err)
 		}
 		path := GenPartitionFileName(manifestPath, gen, i)

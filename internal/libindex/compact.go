@@ -207,9 +207,6 @@ func Compact(manifestPath string, maxPartRefs int) (CompactStats, error) {
 			if err != nil {
 				return CompactStats{}, fmt.Errorf("libindex: assembling compacted partition %d: %w", fileIdx, err)
 			}
-			if err := sub.SetDimPerm(st.DimPerm); err != nil {
-				return CompactStats{}, fmt.Errorf("libindex: assembling compacted partition %d: %w", fileIdx, err)
-			}
 			path := GenPartitionFileName(manifestPath, newGen, fileIdx)
 			crc, size, err := savePartitionFile(path, pi.Params, sub)
 			if err != nil {

@@ -8,7 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -21,13 +21,15 @@ import (
 // older build wrote.
 type paramsRewrite func(fields map[string]json.RawMessage)
 
-// prefilterWords is the params of a build before the K-tier ladder: no
-// ladder, the two-tier cascade as a PrefilterWords count.
-func prefilterWords(pf int) paramsRewrite {
-	return func(fields map[string]json.RawMessage) {
-		fields["Tiers"] = json.RawMessage("null")
-		fields["PrefilterWords"] = json.RawMessage(strconv.Itoa(pf))
-	}
+// ladderParams is the params of a build that stored a search ladder:
+// the removed K-tier cascade's tiers and bit layout, and the
+// PrefilterWords count of the two-tier cascade before it. (encoding/json
+// matches keys to fields case-insensitively, so "bitlayout" is the
+// field such a build wrote.)
+func ladderParams(fields map[string]json.RawMessage) {
+	fields["Tiers"] = json.RawMessage("[4,12]")
+	fields["bitlayout"] = json.RawMessage(`"natural"`)
+	fields["PrefilterWords"] = json.RawMessage("4")
 }
 
 // legacyParams applies rewrite to stored params JSON.
@@ -176,80 +178,85 @@ func openLegacy(t *testing.T, p core.Params, lib *core.Library, rewrite paramsRe
 	check("Open(manifest)", om.Params, parted)
 }
 
-// ladderCheck is the check both legacy cases share: the image opens
-// with p's ladder, the CascadeStats shape of the engine built with that
-// ladder outright, and its results.
-func ladderCheck(t *testing.T, p core.Params, built *core.Engine, queries []*spectrum.Spectrum) func(name string, lp core.Params, e *core.Engine) {
+// plainCheck is the check every legacy case shares: the image opens
+// with the plain build's params and its results.
+func plainCheck(t *testing.T, p core.Params, built *core.Engine, queries []*spectrum.Spectrum) func(name string, lp core.Params, e *core.Engine) {
 	want := searchAll(t, built, queries)
-	wantStats, _ := built.CascadeStats()
 	return func(name string, lp core.Params, e *core.Engine) {
 		t.Helper()
-		if !slices.Equal(lp.Tiers, p.Tiers) {
-			t.Fatalf("%s: opened with ladder %v, want %v", name, lp.Tiers, p.Tiers)
+		if got, want := mustJSON(t, lp), mustJSON(t, p); got != want {
+			t.Fatalf("%s: opened with params %s, want the plain build's %s", name, got, want)
 		}
 		if got := searchAll(t, e, queries); !slices.Equal(got, want) {
-			t.Fatalf("%s: results differ from the engine built with the ladder", name)
-		}
-		// Same depth and the same swept volume; how many rows survive to
-		// the deeper tier depends on the partitioning, not on the params.
-		if cs, ok := e.CascadeStats(); !ok || cs.NumTiers() != wantStats.NumTiers() || cs.Prefiltered() != wantStats.Prefiltered() {
-			t.Fatalf("%s: cascade stats %+v ok=%v, want the shape of %+v", name, cs, ok, wantStats)
+			t.Fatalf("%s: results differ from the plain build's", name)
 		}
 	}
 }
 
-// TestLegacyPrefilterWordsTranslated pins the one-time translation of
-// the removed two-tier alias: an image whose params carry
-// PrefilterWords = pf opens — as a file, copied or mapped, and as a
-// manifest — with the ladder [pf, words−pf] it always meant, the same
-// CascadeStats shape and the same results as the image that stores that
-// ladder outright; pf covering the whole row means no ladder.
-func TestLegacyPrefilterWordsTranslated(t *testing.T) {
-	ds := testWorkload(t)
-	const d, pf = 1024, 4
-	words := hdc.WordsPerHV(d)
-	p := testParams(d, 64, 3)
-	p.Tiers = []int{pf, words - pf}
-	built := buildEngine(t, p, ds.Library)
-	openLegacy(t, p, built.Library(), prefilterWords(pf), ladderCheck(t, p, built, ds.Queries))
+// mustJSON is the canonical JSON of stored params.
+func mustJSON(t *testing.T, p core.Params) string {
+	t.Helper()
+	raw, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
 
-	// A count covering the whole row left nothing to complete: no ladder.
-	var modern bytes.Buffer
-	if err := Save(&modern, p, built.Library()); err != nil {
-		t.Fatal(err)
-	}
-	lp, lib, _, err := loadImage(bytes.NewReader(legacyImage(t, modern.Bytes(), prefilterWords(words))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lp.Tiers) != 0 {
-		t.Fatalf("PrefilterWords = %d of %d words opened with ladder %v, want none", words, words, lp.Tiers)
-	}
-	flat, _, err := core.NewExactEngineFromLibrary(lp, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := flat.CascadeStats(); ok {
-		t.Fatal("whole-row PrefilterWords still runs a cascade")
-	}
-	if got, want := searchAll(t, flat, ds.Queries), searchAll(t, built, ds.Queries); !slices.Equal(got, want) {
-		t.Fatal("single-tier fallback results differ")
-	}
+// TestLegacyLadderIgnored pins how an image from a build that stored a
+// ladder opens: its params' ladder fields and PrefilterWords are
+// unknown fields, so the image — as a file, copied or mapped, and as a
+// manifest — opens as the plain build, with the plain build's results.
+func TestLegacyLadderIgnored(t *testing.T) {
+	ds := testWorkload(t)
+	p := testParams(1024, 64, 3)
+	built := buildEngine(t, p, ds.Library)
+	openLegacy(t, p, built.Library(), ladderParams, plainCheck(t, p, built, ds.Queries))
 }
 
 // TestLegacyShortlistIgnored pins how an image from a build that still
 // had the approximate shortlist mode opens: its params'
 // "ShortlistPerQuery" is an unknown field, so the image — as a file,
-// copied or mapped, and as a manifest — is the exact ladder it
-// describes, with that ladder's results.
+// copied or mapped, and as a manifest — is the plain build it
+// describes, with that build's results.
 func TestLegacyShortlistIgnored(t *testing.T) {
 	ds := testWorkload(t)
-	const d = 1024
-	p := testParams(d, 64, 3)
-	p.Tiers = []int{4, hdc.WordsPerHV(d) - 4}
+	p := testParams(1024, 64, 3)
 	built := buildEngine(t, p, ds.Library)
 	shortlist := func(fields map[string]json.RawMessage) {
 		fields["ShortlistPerQuery"] = json.RawMessage("25")
 	}
-	openLegacy(t, p, built.Library(), shortlist, ladderCheck(t, p, built, ds.Queries))
+	openLegacy(t, p, built.Library(), shortlist, plainCheck(t, p, built, ds.Queries))
+}
+
+// TestOpenManifestRejectsStoredPermutation pins the legacy contract for a
+// manifest an older build wrote under the entropy bit layout: its base
+// record carries the dim_perm its partitions' words are permuted
+// under, which no query is encoded in any more, so opening it fails
+// with a rebuild message.
+func TestOpenManifestRejectsStoredPermutation(t *testing.T) {
+	p, lib := syntheticLibrary(t, 6, 128)
+	manifest := filepath.Join(t.TempDir(), "entropy.manifest")
+	if err := SavePartitioned(manifest, p, lib, 2); err != nil {
+		t.Fatal(err)
+	}
+	line, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := decodeRecord(bytes.TrimSuffix(line, []byte("\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.LegacyPerm = reversal(128)
+	if line, err = marshalRecord(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, line, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "rebuild the partitioned index with omsbuild"
+	if _, err := Open(manifest); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open: got %v, want %q", err, want)
+	}
 }

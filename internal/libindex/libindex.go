@@ -16,8 +16,7 @@
 //	skipped    uint64   spectra rejected by preprocessing at build time
 //	paramsLen  uint32   length of the params JSON
 //	params     []byte   JSON-encoded core.Params the library was built with
-//	permLen    uint32   bit-layout permutation length (0 = natural layout, else = d)
-//	perm       permLen×u32  dimension permutation (stored position j holds original dim perm[j])
+//	permLen    uint32   0 (see below)
 //	masses     n×f64    ascending precursor masses (entry order = mass rank)
 //	srcPos     n×u64    mass-rank → build-order permutation (Library.SourcePositions)
 //	entries    n×{flags u8, idLen u32, id, pepLen u32, pep}
@@ -29,16 +28,15 @@
 // 8-byte file offset, so a memory-mapped index (OpenFile) can expose
 // the words as an aligned []uint64 view with zero copying.
 //
-// The perm section (new in version 3) records the entropy-guided
-// bit-layout permutation the stored hypervector words were packed
-// under. Queries must be permuted identically before scoring, so the
-// permutation is part of the index, not a serving-time option; the
-// decoder validates it is a true bijection over [0, d) before any
-// search engine is built on the words.
+// The permLen field (new in version 3) once introduced a bit-layout
+// permutation section. Every index is now written in the encoder's own
+// dimension order with permLen 0, and a file that carries a
+// permutation is rejected with a rebuild message rather than served
+// under a layout no query is encoded in.
 //
 // One decoder (parseIndex) reads the format, for the mmap-backed
 // OpenFile and its copying fallback alike, and validates the structural
-// invariants the engine relies on (ascending masses, a true
+// invariants the engine relies on (ascending masses, a true source
 // permutation) so a corrupted file can never silently mis-score
 // searches. The trailing checksum covers the header too, so
 // truncation, bit rot and partial writes are all detected; checking it
@@ -64,7 +62,7 @@ import (
 var magic = [6]byte{'O', 'M', 'S', 'I', 'D', 'X'}
 
 // Version is the current index file format version. Version 3 added
-// the bit-layout permutation section; version 2 added the alignment
+// the permLen field (always 0 on write); version 2 added the alignment
 // pad before the words section. Older files are rejected with a
 // version-specific message — rebuild them with omsbuild.
 const Version = 3
@@ -118,14 +116,6 @@ func Save(w io.Writer, p core.Params, lib *core.Library) error {
 	if len(paramsJSON) > maxParamsLen {
 		return fmt.Errorf("libindex: params JSON of %d bytes exceeds limit %d", len(paramsJSON), maxParamsLen)
 	}
-	perm := lib.DimPerm
-	if len(perm) != 0 {
-		// Refuse to persist a permutation the decoder would reject.
-		if err := hdc.ValidatePermutation(perm, d); err != nil {
-			return fmt.Errorf("libindex: library bit-layout permutation: %w", err)
-		}
-	}
-
 	bw := bufio.NewWriterSize(w, 1<<16)
 	crc := crc32.New(castagnoli)
 	out := io.MultiWriter(bw, crc)
@@ -139,10 +129,7 @@ func Save(w io.Writer, p core.Params, lib *core.Library) error {
 	enc.u64(uint64(lib.Skipped))
 	enc.u32(uint32(len(paramsJSON)))
 	enc.bytes(paramsJSON)
-	enc.u32(uint32(len(perm)))
-	for _, dim := range perm {
-		enc.u32(uint32(dim))
-	}
+	enc.u32(0) // permLen: no bit-layout permutation
 	for _, e := range lib.Entries {
 		enc.f64(e.Mass)
 	}

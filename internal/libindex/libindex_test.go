@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"slices"
 	"strings"
 	"testing"
 
@@ -149,7 +148,7 @@ func TestPackedStoreMatchesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := hdc.NewShardedSearcher(lib.HVs, lp.ShardSize, hdc.CascadeConfig{})
+	s, err := hdc.NewShardedSearcher(lib.HVs, lp.ShardSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,74 +162,6 @@ func TestPackedStoreMatchesIndex(t *testing.T) {
 			if v != built.Library().HVs[i].Words[w] {
 				t.Fatalf("row %d word %d differs from built library", i, w)
 			}
-		}
-	}
-}
-
-// TestRoundTripCascadeParams pins that the cascade knobs ride the
-// params JSON: an index built with a two-tier cascade configuration
-// reloads with the same knobs, the loaded engine actually runs the
-// cascade (pruning counters move), and its results stay PSM-for-PSM
-// identical to the freshly built cascade engine — and, exact mode
-// being exact, to a single-tier engine over the same library.
-func TestRoundTripCascadeParams(t *testing.T) {
-	ds := testWorkload(t)
-	p := testParams(1024, 64, 3)
-	p.Tiers = []int{4}
-	built := buildEngine(t, p, ds.Library)
-
-	var buf bytes.Buffer
-	if err := Save(&buf, p, built.Library()); err != nil {
-		t.Fatal(err)
-	}
-	lp, lib, _, err := loadImage(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(lp.Tiers, p.Tiers) {
-		t.Fatalf("cascade ladder did not round-trip: saved %v, loaded %v", p.Tiers, lp.Tiers)
-	}
-	loaded, _, err := core.NewExactEngineFromLibrary(lp, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := built.SearchAll(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.SearchAll(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("PSM count mismatch: loaded %d, built %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PSM %d mismatch:\nloaded %+v\nbuilt  %+v", i, got[i], want[i])
-		}
-	}
-	if cs, ok := loaded.CascadeStats(); !ok || cs.Prefiltered() == 0 {
-		t.Fatalf("loaded engine did not run the cascade: stats %+v ok=%v", cs, ok)
-	}
-	// Loader overrides: dropping the ladder must fall back to the
-	// single-tier layout with identical results.
-	flat := lp
-	flat.Tiers = nil
-	flatEngine, _, err := core.NewExactEngineFromLibrary(flat, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := flatEngine.CascadeStats(); ok {
-		t.Fatal("single-tier override still reports cascade stats")
-	}
-	flatPSMs, err := flatEngine.SearchAll(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if flatPSMs[i] != want[i] {
-			t.Fatalf("exact cascade diverged from single-tier on PSM %d: %+v vs %+v", i, flatPSMs[i], want[i])
 		}
 	}
 }
@@ -278,110 +209,68 @@ func TestRoundTripSingleEntry(t *testing.T) {
 	}
 }
 
-// TestRoundTripEntropyLayout pins the version-3 permutation section:
-// an entropy-laid-out library round-trips its bit-layout permutation
-// through Save/Load, the loaded engine searches PSM-for-PSM
-// identically to the built one, and — the exactness claim — both agree
-// with a natural-layout build of the same library.
-func TestRoundTripEntropyLayout(t *testing.T) {
-	ds := testWorkload(t)
-	p := testParams(1024, 64, 3)
-	p.Tiers = []int{2, 4, 10}
-	p.BitLayout = core.BitLayoutEntropy
-	built := buildEngine(t, p, ds.Library)
-	if len(built.Library().DimPerm) == 0 {
-		t.Fatal("entropy build produced no bit-layout permutation")
-	}
-
-	var buf bytes.Buffer
-	if err := Save(&buf, p, built.Library()); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	lp, lib, _, err := loadImage(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if lp.BitLayout != core.BitLayoutEntropy || len(lp.Tiers) != 3 {
-		t.Fatalf("layout knobs did not round-trip: %+v", lp)
-	}
-	if !permsEqual(lib.DimPerm, built.Library().DimPerm) {
-		t.Fatalf("bit-layout permutation did not round-trip: %d vs %d entries",
-			len(lib.DimPerm), len(built.Library().DimPerm))
-	}
-	loaded, _, err := core.NewExactEngineFromLibrary(lp, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := built.SearchAll(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.SearchAll(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	natural := p
-	natural.BitLayout = core.BitLayoutNatural
-	natEngine := buildEngine(t, natural, ds.Library)
-	natPSMs, err := natEngine.SearchAll(ds.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) || len(natPSMs) != len(want) {
-		t.Fatalf("PSM counts diverge: loaded %d, built %d, natural %d", len(got), len(want), len(natPSMs))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PSM %d mismatch after round trip:\nloaded %+v\nbuilt  %+v", i, got[i], want[i])
-		}
-		if natPSMs[i] != want[i] {
-			t.Fatalf("entropy layout changed PSM %d vs natural layout:\nentropy %+v\nnatural %+v", i, want[i], natPSMs[i])
-		}
-	}
-}
-
 // fixCRC recomputes the CRC-32C trailer after a deliberate mutation,
 // so a test can craft a structurally valid but semantically bad image.
 func fixCRC(img []byte) {
 	binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.Checksum(img[:len(img)-4], castagnoli))
 }
 
-// permSectionOffset locates the version-3 perm-length field in an
-// index image (fixed 36-byte header, then the params JSON).
+// permSectionOffset locates the version-3 permLen field in an index
+// image (fixed 36-byte header, then the params JSON).
 func permSectionOffset(img []byte) int {
 	return 36 + int(binary.LittleEndian.Uint32(img[32:36]))
 }
 
-// TestLoadRejectsNonBijectivePerm pins that both loaders reject a
-// checksummed image whose stored permutation is not a bijection — the
-// invariant that keeps permuted search exact.
-func TestLoadRejectsNonBijectivePerm(t *testing.T) {
-	ds := testWorkload(t)
-	p := testParams(512, 0, 3)
-	p.BitLayout = core.BitLayoutEntropy
-	built := buildEngine(t, p, ds.Library)
-	if len(built.Library().DimPerm) == 0 {
-		t.Fatal("entropy build produced no bit-layout permutation")
+// reversal is a non-identity dimension permutation over [0, d).
+func reversal(d int) []int {
+	perm := make([]int, d)
+	for i := range perm {
+		perm[i] = d - 1 - i
 	}
+	return perm
+}
+
+// withPermSection rewrites a current image the way an older build
+// wrote an entropy-layout index: permLen = len(perm) followed by the
+// permutation, checksum re-sealed. len(perm) must be even, so the
+// insert keeps the word section 8-byte aligned.
+func withPermSection(tb testing.TB, img []byte, perm []int) []byte {
+	tb.Helper()
+	if len(perm)%2 != 0 {
+		tb.Fatalf("odd permutation length %d would misalign the word section", len(perm))
+	}
+	off := permSectionOffset(img)
+	out := binary.LittleEndian.AppendUint32(append([]byte(nil), img[:off]...), uint32(len(perm)))
+	for _, dim := range perm {
+		out = binary.LittleEndian.AppendUint32(out, uint32(dim))
+	}
+	out = append(out, img[off+4:]...)
+	fixCRC(out)
+	return out
+}
+
+// TestOpenRejectsStoredPermutation pins the legacy contract for an
+// index an older build wrote under the entropy bit layout: its words
+// are permuted, and no query is encoded that way any more, so both
+// loaders refuse it with a rebuild message instead of serving wrong
+// distances.
+func TestOpenRejectsStoredPermutation(t *testing.T) {
+	p, lib := syntheticLibrary(t, 6, 128)
 	var buf bytes.Buffer
-	if err := Save(&buf, p, built.Library()); err != nil {
+	if err := Save(&buf, p, lib); err != nil {
 		t.Fatal(err)
 	}
-	img := append([]byte(nil), buf.Bytes()...)
-	// Duplicate perm entry 0 into entry 1 and re-seal the checksum:
-	// structurally perfect, semantically a non-bijection.
-	off := permSectionOffset(img)
-	copy(img[off+8:off+12], img[off+4:off+8])
-	fixCRC(img)
-	if _, _, _, err := loadImage(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "not a bijection") {
-		t.Fatalf("copying loader: got %v, want a not-a-bijection rejection", err)
+	img := withPermSection(t, buf.Bytes(), reversal(128))
+	const want = "rebuild the index with omsbuild"
+	if _, _, _, err := loadImage(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("copying loader: got %v, want %q", err, want)
 	}
-	path := t.TempDir() + "/dup.omsidx"
+	path := t.TempDir() + "/entropy.omsidx"
 	if err := writeFile(path, img); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFile(path); err == nil || !strings.Contains(err.Error(), "not a bijection") {
-		t.Fatalf("mmap loader: got %v, want a not-a-bijection rejection", err)
+	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open: got %v, want %q", err, want)
 	}
 }
 
@@ -519,15 +408,15 @@ func TestLoadRejectsCorruption(t *testing.T) {
 			wantSub: "truncated",
 		},
 		{
-			// A perm length that is neither 0 nor d fails before any perm
-			// entry is read (and before the checksum, so no re-CRC here).
+			// Any nonzero perm length fails before a perm entry is read
+			// (and before the checksum, so no re-CRC here).
 			name: "bad perm length",
 			mutate: func(img []byte) []byte {
 				off := permSectionOffset(img)
 				binary.LittleEndian.PutUint32(img[off:off+4], 7)
 				return img
 			},
-			wantSub: "bit-layout permutation has 7 entries",
+			wantSub: "stores a 7-entry bit-layout permutation",
 		},
 	}
 	for _, tc := range cases {

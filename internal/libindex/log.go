@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"repro/internal/hdc"
 )
 
 // The manifest is a generation log: one JSON record per line, each
@@ -17,9 +15,9 @@ import (
 // Record types:
 //
 //	base    — generation 1, written by SavePartitioned: library
-//	          identity (d, params, bit-layout permutation, skipped
-//	          count) plus the base-tier partition table, which tiles
-//	          the mass-sorted library with non-overlapping fences.
+//	          identity (d, params, skipped count) plus the
+//	          base-tier partition table, which tiles the
+//	          mass-sorted library with non-overlapping fences.
 //	delta   — a small batch of newly encoded references published as
 //	          one or more mass-contiguous delta partitions whose
 //	          fences MAY overlap the base tier (and each other).
@@ -62,8 +60,11 @@ type LogRecord struct {
 	// Params is the JSON-encoded core.Params of the build (base only);
 	// every delta batch must be encoded with exactly these parameters.
 	Params json.RawMessage `json:"params,omitempty"`
-	// DimPerm is the shared bit-layout permutation (base only).
-	DimPerm []int `json:"dim_perm,omitempty"`
+	// LegacyPerm is the bit-layout permutation older builds stored in the
+	// base record. It is never written; a base record carrying one is
+	// rejected (applyBase), and the field stays only so that record's
+	// checksum still verifies and the rejection can say why.
+	LegacyPerm []int `json:"dim_perm,omitempty"`
 	// Partitions lists partition files introduced by this record (base,
 	// delta and compact records). StartRow is the row offset within
 	// this record — with the generation number it totally orders every
@@ -133,8 +134,6 @@ type ManifestState struct {
 	Skipped int
 	// Params is the JSON-encoded core.Params from the base record.
 	Params json.RawMessage
-	// DimPerm is the shared bit-layout permutation (empty = natural).
-	DimPerm []int
 	// Base holds the base-tier partitions in ascending mass order
 	// (non-overlapping fences up to boundary ties); Deltas holds the
 	// delta-tier partitions in publish order.
@@ -339,10 +338,8 @@ func (st *ManifestState) applyBase(rec LogRecord) error {
 	if len(rec.Params) == 0 {
 		return fmt.Errorf("base record carries no params")
 	}
-	if len(rec.DimPerm) != 0 {
-		if err := hdc.ValidatePermutation(rec.DimPerm, rec.D); err != nil {
-			return fmt.Errorf("bit-layout permutation: %w", err)
-		}
+	if len(rec.LegacyPerm) != 0 {
+		return fmt.Errorf("base record stores a %d-entry bit-layout permutation (dim_perm, the removed entropy layout), which this build does not read: rebuild the partitioned index with omsbuild", len(rec.LegacyPerm))
 	}
 	parts, err := st.takePartitions(rec, false)
 	if err != nil {
@@ -352,7 +349,6 @@ func (st *ManifestState) applyBase(rec LogRecord) error {
 	st.D = rec.D
 	st.Skipped = rec.Skipped
 	st.Params = rec.Params
-	st.DimPerm = rec.DimPerm
 	st.Base = parts
 	return st.checkBaseOrder()
 }

@@ -12,22 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/hdc"
 )
-
-// permsEqual reports whether two bit-layout permutations are the same
-// (both empty counts as equal: natural layout).
-func permsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // ManifestFormat identifies a partition manifest document.
 const ManifestFormat = "oms-library-manifest"
@@ -37,7 +22,8 @@ const ManifestFormat = "oms-library-manifest"
 // record per line — base, delta, retract, compact; see log.go), so
 // incremental library updates publish by appending one fsynced line
 // instead of rewriting the document. Version 3 added the shared
-// bit-layout permutation (dim_perm); version 2 changed the meaning of
+// bit-layout permutation (dim_perm, no longer written and rejected on
+// read); version 2 changed the meaning of
 // PartitionInfo.CRC32C from a whole-file checksum to the content
 // checksum (image minus the CRC trailer): a CRC over data that ends
 // with its own CRC folds to the same residue constant for every
@@ -81,7 +67,7 @@ type PartitionInfo struct {
 
 // DecodeParams decodes the engine parameters the base record stored.
 func (st *ManifestState) DecodeParams() (core.Params, error) {
-	p, err := decodeParams(st.Params, st.D)
+	p, err := decodeParams(st.Params)
 	if err != nil {
 		return core.Params{}, fmt.Errorf("libindex: decoding manifest params: %w", err)
 	}
@@ -89,23 +75,14 @@ func (st *ManifestState) DecodeParams() (core.Params, error) {
 }
 
 // decodeParams decodes stored engine parameters — the one place both
-// the index file and the manifest read them. Images written before the
-// K-tier ladder carry the two-tier cascade as a PrefilterWords count;
-// it is translated here to the ladder it meant: [pf, rest] over the
-// d-dimension row, or no ladder when pf leaves nothing to complete.
-func decodeParams(raw []byte, d int) (core.Params, error) {
-	var stored struct {
-		core.Params
-		PrefilterWords int
-	}
-	if err := json.Unmarshal(raw, &stored); err != nil {
-		return core.Params{}, err
-	}
-	p := stored.Params
-	if words := hdc.WordsPerHV(d); len(p.Tiers) == 0 && stored.PrefilterWords > 0 && stored.PrefilterWords < words {
-		p.Tiers = []int{stored.PrefilterWords, words - stored.PrefilterWords}
-	}
-	return p, nil
+// the index file and the manifest read them. Fields of removed search
+// modes an older build stored (the ladder's tiers and bit layout,
+// PrefilterWords, ShortlistPerQuery) are unknown to core.Params and
+// ignored: every index is searched with the one full-row sweep.
+func decodeParams(raw []byte) (core.Params, error) {
+	var p core.Params
+	err := json.Unmarshal(raw, &p)
+	return p, err
 }
 
 // PartitionFileName returns the conventional base-build partition
@@ -161,7 +138,6 @@ func SavePartitioned(manifestPath string, p core.Params, lib *core.Library, part
 		D:          lib.HVs[0].D,
 		Skipped:    lib.Skipped,
 		Params:     paramsJSON,
-		DimPerm:    lib.DimPerm,
 	}
 	for i := 0; i < parts; i++ {
 		lo, hi := i*n/parts, (i+1)*n/parts
@@ -176,12 +152,6 @@ func SavePartitioned(manifestPath string, p core.Params, lib *core.Library, part
 			skipped,
 		)
 		if err != nil {
-			return fmt.Errorf("libindex: assembling partition %d: %w", i, err)
-		}
-		// Every partition was packed under the library's shared
-		// bit-layout permutation; each file must carry it so a partition
-		// opened on its own still permutes queries correctly.
-		if err := sub.SetDimPerm(lib.DimPerm); err != nil {
 			return fmt.Errorf("libindex: assembling partition %d: %w", i, err)
 		}
 		path := PartitionFileName(manifestPath, i)
@@ -439,13 +409,6 @@ func OpenManifest(path string) (*PartitionedIndex, error) {
 		if string(partParams) != string(manifestParams) {
 			pi.Close()
 			return nil, fmt.Errorf("libindex: partition %d (%s) was built with different params than the manifest (mixed build generations?)", i, info.File)
-		}
-		// Same for the bit-layout permutation: a partition packed under a
-		// different permutation than the manifest advertises would be
-		// swept with wrongly-permuted queries.
-		if !permsEqual(lib.DimPerm, st.DimPerm) {
-			pi.Close()
-			return nil, fmt.Errorf("libindex: partition %d (%s) was packed under a different bit-layout permutation than the manifest records (mixed build generations?)", i, info.File)
 		}
 		if lib.Len() != info.Refs {
 			pi.Close()

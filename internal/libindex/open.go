@@ -97,12 +97,12 @@ func (ix *Index) Verify() error {
 }
 
 // OpenFile opens a library index with the bulk word section
-// memory-mapped: the metadata sections (params, masses, permutation,
-// entry strings) are decoded and validated exactly as the copying
-// loader does, but
-// the packed words become a zero-copy []uint64 view over the mapping,
-// so opening is metadata-bound — independent of library size — and the
-// resident cost of a partition is only the pages its searches touch.
+// memory-mapped: the metadata sections (params, masses, source
+// positions, entry strings) are decoded and validated exactly as the
+// copying loader does, but the packed words become a zero-copy
+// []uint64 view over the mapping, so opening is metadata-bound —
+// independent of library size — and the resident cost of a partition
+// is only the pages its searches touch.
 // The word payload itself is not checksummed here (that would fault in
 // every page, defeating the point); use Index.Verify when the file's
 // integrity is in question. On platforms without mmap, or
@@ -250,28 +250,16 @@ func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
 	// The whole image is in hand, so the claimed entry count can be
 	// checked against the bytes actually present before any allocation:
 	// every entry costs at least 8 (mass) + 8 (srcPos) + 9 (metadata)
-	// bytes plus its words, and the params, perm-length field and CRC
-	// trailer are fixed (the perm section itself is re-checked once its
-	// length field is read).
+	// bytes plus its words, and the params, permLen field and CRC
+	// trailer are fixed.
 	minSize := int64(c.off) + int64(paramsLen) + 4 + int64(n)*(8+8+9) + int64(n)*int64(words)*8 + 4
 	if minSize > int64(len(data)) {
 		return fail("truncated index: %d entries need at least %d bytes, file has %d", n, minSize, len(data))
 	}
 
 	paramsJSON := c.take(paramsLen)
-	permLen := int(c.u32())
-	if c.err == nil && permLen != 0 && permLen != d {
-		return fail("bit-layout permutation has %d entries, want 0 (natural layout) or %d", permLen, d)
-	}
-	var perm []int
-	if permLen > 0 {
-		if int64(c.off)+int64(permLen)*4 > int64(len(data)) {
-			return fail("truncated index: %d-entry bit-layout permutation needs %d bytes at offset %d, file has %d", permLen, permLen*4, c.off, len(data))
-		}
-		perm = make([]int, permLen)
-		for i := range perm {
-			perm[i] = int(c.u32())
-		}
+	if permLen := c.u32(); c.err == nil && permLen != 0 {
+		return fail("index stores a %d-entry bit-layout permutation (the removed entropy layout), which this build does not read: rebuild the index with omsbuild", permLen)
 	}
 	masses := make([]float64, n)
 	for i := range masses {
@@ -323,7 +311,7 @@ func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
 		return fail("trailing data after checksum")
 	}
 
-	p, err := decodeParams(paramsJSON, d)
+	p, err := decodeParams(paramsJSON)
 	if err != nil {
 		return fail("decoding params: %v", err)
 	}
@@ -358,9 +346,6 @@ func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
 	lib, err := core.RestoreLibrary(entries, hvs, srcPos, int(skipped))
 	if err != nil {
 		return core.Params{}, nil, nil, err
-	}
-	if err := lib.SetDimPerm(perm); err != nil {
-		return fail("%v", err)
 	}
 	return p, lib, block, nil
 }

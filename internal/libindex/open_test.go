@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -35,17 +34,14 @@ func resealRecordLine(t *testing.T, line string) []byte {
 // identically to one over the loaded library.
 func TestOpenFileMatchesLoad(t *testing.T) {
 	ds := testWorkload(t)
-	cases := []struct{ d, shard, prefilter int }{
-		{512, 0, 0},
-		{1024, 64, 4},
-		{1000, 96, 3}, // non-multiple-of-64 dimension exercises the tail mask
+	cases := []struct{ d, shard int }{
+		{512, 0},
+		{1024, 64},
+		{1000, 96}, // non-multiple-of-64 dimension exercises the tail mask
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("D%d/shard%d/pf%d", tc.d, tc.shard, tc.prefilter), func(t *testing.T) {
+		t.Run(fmt.Sprintf("D%d/shard%d", tc.d, tc.shard), func(t *testing.T) {
 			p := testParams(tc.d, tc.shard, 3)
-			if tc.prefilter > 0 {
-				p.Tiers = []int{tc.prefilter}
-			}
 			built := buildEngine(t, p, ds.Library)
 			path := filepath.Join(t.TempDir(), "lib.omsidx")
 			if err := SaveFile(path, p, built.Library()); err != nil {
@@ -64,8 +60,7 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 			if !ix.Mapped() {
 				t.Fatal("OpenFile did not map the index on a unix platform")
 			}
-			if ix.Params.Accel != lp.Accel || ix.Params.ShardSize != lp.ShardSize ||
-				!slices.Equal(ix.Params.Tiers, lp.Tiers) {
+			if ix.Params.Accel != lp.Accel || ix.Params.ShardSize != lp.ShardSize {
 				t.Fatalf("params mismatch: open %+v load %+v", ix.Params.Accel, lp.Accel)
 			}
 			if ix.Lib.Len() != lib.Len() || ix.Lib.Skipped != lib.Skipped {

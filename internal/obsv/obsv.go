@@ -7,15 +7,11 @@
 // The stage model mirrors the serving pipeline. A request waits in the
 // coalescing queue (StageQueueWait), its batch is assembled
 // (StageAssemble), the engine sweep runs (StageSweep, wall time of the
-// batched engine call), inside which the cascade kernel attributes its
-// per-shard work to bounded per-tier slots (AddTierNanos; tier 0 is
-// the swept prefilter tier — or the whole row under a single-tier
-// layout — and deeper slots are the pruned ladder descents) while the
-// partition/shard results merge (StageMerge); query encoding
-// (StageEncode) happens per request before admission. Tier and
-// partition times are summed across concurrent workers, so they are
-// CPU-time-like and may exceed the wall-clock StageSweep that contains
-// them.
+// batched engine call), inside which the partition/shard results merge
+// (StageMerge); query encoding (StageEncode) happens per request before
+// admission. Partition times are summed across concurrent workers, so
+// they are CPU-time-like and may exceed the wall-clock StageSweep that
+// contains them.
 //
 // Tracing is allocation-free on the hot path by construction: a Trace
 // is a fixed block of atomic counters owned by its caller (the serving
@@ -42,8 +38,7 @@ const (
 	// filtering and prepared-query copy, per batch.
 	StageAssemble
 	// StageSweep is the wall time of the batched engine call, per
-	// batch. The cascade kernel's per-tier breakdown of the sweep
-	// lives in the tier slots (AddTierNanos), not the stage enum.
+	// batch.
 	StageSweep
 	// StageMerge is shard- and partition-level top-k merging.
 	StageMerge
@@ -69,30 +64,6 @@ func (s Stage) String() string {
 // stage totals but drop their per-partition record.
 const MaxTracedPartitions = 16
 
-// MaxTierSlots bounds the per-tier sweep-time slots a Trace keeps.
-// Ladders deeper than the cap fold their tail into the last slot
-// (AddTierNanos clamps), so no time is lost — only attribution
-// granularity.
-const MaxTierSlots = 8
-
-// TierName returns the stable exposition name of tier slot t
-// ("tier_0", "tier_1", …).
-func TierName(t int) string {
-	if t < 0 {
-		return "invalid"
-	}
-	if t >= MaxTierSlots {
-		t = MaxTierSlots - 1
-	}
-	return tierNames[t]
-}
-
-// tierNames are precomputed so hot-path exposition renderers never
-// format.
-var tierNames = [MaxTierSlots]string{
-	"tier_0", "tier_1", "tier_2", "tier_3", "tier_4", "tier_5", "tier_6", "tier_7",
-}
-
 // PartSweep is one partition's share of a batch sweep.
 type PartSweep struct {
 	// Index is the partition index in engine order.
@@ -104,20 +75,17 @@ type PartSweep struct {
 	Nanos int64
 }
 
-// Trace accumulates one batch's stage timings, row counters and
+// Trace accumulates one batch's stage timings, swept-row counter and
 // per-partition sweeps. Stage slots are atomics because shard and
 // partition workers add concurrently; a Trace must not be copied.
 // The zero value is ready to use, and all methods are nil-safe: a nil
 // *Trace turns every recording call into a no-op branch, which is how
 // untraced scan paths share the traced code.
 type Trace struct {
-	stages        [NumStages]atomic.Int64
-	tiers         [MaxTierSlots]atomic.Int64
-	ntiers        atomic.Int32
-	rowsSwept     atomic.Int64
-	rowsCompleted atomic.Int64
-	nparts        atomic.Int32
-	parts         [MaxTracedPartitions]PartSweep
+	stages    [NumStages]atomic.Int64
+	rowsSwept atomic.Int64
+	nparts    atomic.Int32
+	parts     [MaxTracedPartitions]PartSweep
 }
 
 // Reset clears the trace for reuse by the next batch.
@@ -128,12 +96,7 @@ func (t *Trace) Reset() {
 	for i := range t.stages {
 		t.stages[i].Store(0)
 	}
-	for i := range t.tiers {
-		t.tiers[i].Store(0)
-	}
-	t.ntiers.Store(0)
 	t.rowsSwept.Store(0)
-	t.rowsCompleted.Store(0)
 	t.nparts.Store(0)
 }
 
@@ -145,35 +108,12 @@ func (t *Trace) AddNanos(s Stage, d int64) {
 	t.stages[s].Add(d)
 }
 
-// AddTierNanos accumulates d nanoseconds into cascade tier slot tier
-// and raises the observed ladder depth. Negative slots are dropped;
-// slots past MaxTierSlots clamp to the last one, so deep ladders lose
-// attribution granularity but never time.
-func (t *Trace) AddTierNanos(tier int, d int64) {
-	if t == nil || tier < 0 {
-		return
-	}
-	if tier >= MaxTierSlots {
-		tier = MaxTierSlots - 1
-	}
-	t.tiers[tier].Add(d)
-	for {
-		cur := t.ntiers.Load()
-		if int32(tier) < cur || t.ntiers.CompareAndSwap(cur, int32(tier)+1) {
-			return
-		}
-	}
-}
-
-// AddRows accumulates row counters: swept rows had their prefilter
-// tier (or full row) scored, completed rows also had their completion
-// tier scored.
-func (t *Trace) AddRows(swept, completed int64) {
+// AddRows accumulates the count of candidate rows the sweep scored.
+func (t *Trace) AddRows(swept int64) {
 	if t == nil {
 		return
 	}
 	t.rowsSwept.Add(swept)
-	t.rowsCompleted.Add(completed)
 }
 
 // AddPartition records one partition's sweep. Concurrent partition
@@ -225,31 +165,12 @@ func (t *Trace) StageNanos(s Stage) int64 {
 	return t.stages[s].Load()
 }
 
-// TierNanos returns the accumulated nanoseconds of cascade tier slot
-// tier (0 for out-of-range slots).
-func (t *Trace) TierNanos(tier int) int64 {
-	if t == nil || tier < 0 || tier >= MaxTierSlots {
-		return 0
-	}
-	return t.tiers[tier].Load()
-}
-
-// NumTiers returns the ladder depth observed so far: one past the
-// deepest tier slot any AddTierNanos call touched (0 when no tier
-// time was recorded).
-func (t *Trace) NumTiers() int {
+// RowsSwept returns the accumulated swept-row counter.
+func (t *Trace) RowsSwept() int64 {
 	if t == nil {
 		return 0
 	}
-	return int(t.ntiers.Load())
-}
-
-// Rows returns the accumulated row counters.
-func (t *Trace) Rows() (swept, completed int64) {
-	if t == nil {
-		return 0, 0
-	}
-	return t.rowsSwept.Load(), t.rowsCompleted.Load()
+	return t.rowsSwept.Load()
 }
 
 // Partitions returns a copy of the recorded per-partition sweeps.
@@ -285,13 +206,8 @@ type QueryTrace struct {
 	// QueueWait and Encode are this request's own; the batch-level
 	// stages are shared with every request in the batch.
 	StageNanos [NumStages]int64
-	// TierNanos[:NumTiers] are the batch's per-cascade-tier sweep
-	// nanoseconds (tier 0 = prefilter sweep; deeper slots = ladder
-	// descents, the last slot absorbing tiers past MaxTierSlots).
-	NumTiers  int
-	TierNanos [MaxTierSlots]int64
-	// RowsSwept and RowsCompleted are the batch's cascade row counters.
-	RowsSwept, RowsCompleted int64
+	// RowsSwept is the batch's swept-row counter.
+	RowsSwept int64
 	// Parts[:NumParts] are the batch's per-partition sweeps.
 	NumParts int
 	Parts    [MaxTracedPartitions]PartSweep
@@ -306,7 +222,7 @@ func (qt *QueryTrace) Stage(s Stage) time.Duration {
 }
 
 // Snapshot copies the trace's accumulated batch-level state into a
-// query record: stage timings, row counters and partition sweeps.
+// query record: stage timings, the row counter and partition sweeps.
 // The caller then overwrites the per-request stages (QueueWait,
 // Encode) with the request's own values. Snapshotting into a
 // caller-owned record keeps the hot path allocation-free.
@@ -317,12 +233,7 @@ func (t *Trace) Snapshot(qt *QueryTrace) {
 	for i := range t.stages {
 		qt.StageNanos[i] = t.stages[i].Load()
 	}
-	for i := range t.tiers {
-		qt.TierNanos[i] = t.tiers[i].Load()
-	}
-	qt.NumTiers = int(t.ntiers.Load())
 	qt.RowsSwept = t.rowsSwept.Load()
-	qt.RowsCompleted = t.rowsCompleted.Load()
 	qt.NumParts = min(int(t.nparts.Load()), len(t.parts))
 	copy(qt.Parts[:], t.parts[:qt.NumParts])
 }

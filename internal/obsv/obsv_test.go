@@ -29,69 +29,13 @@ func TestStageNames(t *testing.T) {
 	}
 }
 
-// TestTierNames pins the per-tier slot names and the clamp behavior of
-// deep ladders.
-func TestTierNames(t *testing.T) {
-	for i := 0; i < MaxTierSlots; i++ {
-		want := "tier_" + string(rune('0'+i))
-		if TierName(i) != want {
-			t.Errorf("TierName(%d) = %q, want %q", i, TierName(i), want)
-		}
-	}
-	if TierName(MaxTierSlots+3) != TierName(MaxTierSlots-1) {
-		t.Errorf("deep tier name %q did not clamp to last slot %q", TierName(MaxTierSlots+3), TierName(MaxTierSlots-1))
-	}
-	if TierName(-1) != "invalid" {
-		t.Errorf("TierName(-1) = %q, want invalid", TierName(-1))
-	}
-}
-
-// TestTierAccumulation exercises the per-tier slot recording: depth
-// tracking, clamping past MaxTierSlots, snapshot and reset.
-func TestTierAccumulation(t *testing.T) {
-	tr := &Trace{}
-	if tr.NumTiers() != 0 {
-		t.Fatalf("fresh trace NumTiers = %d", tr.NumTiers())
-	}
-	tr.AddTierNanos(0, 100)
-	tr.AddTierNanos(2, 30)
-	tr.AddTierNanos(2, 10)
-	if got := tr.TierNanos(0); got != 100 {
-		t.Errorf("TierNanos(0) = %d, want 100", got)
-	}
-	if got := tr.TierNanos(2); got != 40 {
-		t.Errorf("TierNanos(2) = %d, want 40", got)
-	}
-	if got := tr.NumTiers(); got != 3 {
-		t.Errorf("NumTiers = %d, want 3", got)
-	}
-	// Slots past the cap fold into the last one.
-	tr.AddTierNanos(MaxTierSlots+5, 7)
-	if got := tr.TierNanos(MaxTierSlots - 1); got != 7 {
-		t.Errorf("clamped tier slot = %d, want 7", got)
-	}
-	if got := tr.NumTiers(); got != MaxTierSlots {
-		t.Errorf("NumTiers after deep add = %d, want %d", got, MaxTierSlots)
-	}
-	tr.AddTierNanos(-1, 99) // dropped
-	var qt QueryTrace
-	tr.Snapshot(&qt)
-	if qt.NumTiers != MaxTierSlots || qt.TierNanos[0] != 100 || qt.TierNanos[2] != 40 {
-		t.Errorf("Snapshot tiers = %d %v", qt.NumTiers, qt.TierNanos)
-	}
-	tr.Reset()
-	if tr.NumTiers() != 0 || tr.TierNanos(0) != 0 {
-		t.Errorf("after Reset: NumTiers=%d TierNanos(0)=%d", tr.NumTiers(), tr.TierNanos(0))
-	}
-}
-
 // TestTraceAccumulation exercises the recording API end to end.
 func TestTraceAccumulation(t *testing.T) {
 	tr := &Trace{}
 	tr.AddNanos(StageSweep, 100)
 	tr.AddNanos(StageSweep, 50)
-	tr.AddRows(1000, 30)
-	tr.AddRows(500, 0)
+	tr.AddRows(1000)
+	tr.AddRows(500)
 	tr.AddPartition(0, 400, 7)
 	tr.AddPartition(2, 600, 9)
 	if got := tr.StageNanos(StageSweep); got != 150 {
@@ -100,9 +44,8 @@ func TestTraceAccumulation(t *testing.T) {
 	if got := tr.StageNanos(StageMerge); got != 0 {
 		t.Errorf("StageNanos(merge) = %d, want 0", got)
 	}
-	swept, comp := tr.Rows()
-	if swept != 1500 || comp != 30 {
-		t.Errorf("Rows() = %d, %d, want 1500, 30", swept, comp)
+	if swept := tr.RowsSwept(); swept != 1500 {
+		t.Errorf("RowsSwept() = %d, want 1500", swept)
 	}
 	parts := tr.Partitions()
 	if len(parts) != 2 || parts[0] != (PartSweep{Index: 0, Rows: 400, Nanos: 7}) || parts[1] != (PartSweep{Index: 2, Rows: 600, Nanos: 9}) {
@@ -111,7 +54,7 @@ func TestTraceAccumulation(t *testing.T) {
 
 	var qt QueryTrace
 	tr.Snapshot(&qt)
-	if qt.StageNanos[StageSweep] != 150 || qt.RowsSwept != 1500 || qt.RowsCompleted != 30 || qt.NumParts != 2 {
+	if qt.StageNanos[StageSweep] != 150 || qt.RowsSwept != 1500 || qt.NumParts != 2 {
 		t.Errorf("Snapshot = %+v", qt)
 	}
 	if qt.Stage(StageSweep) != 150*time.Nanosecond {
@@ -122,8 +65,8 @@ func TestTraceAccumulation(t *testing.T) {
 	if got := tr.StageNanos(StageSweep); got != 0 {
 		t.Errorf("after Reset, StageNanos(sweep) = %d", got)
 	}
-	if swept, comp := tr.Rows(); swept != 0 || comp != 0 {
-		t.Errorf("after Reset, Rows() = %d, %d", swept, comp)
+	if swept := tr.RowsSwept(); swept != 0 {
+		t.Errorf("after Reset, RowsSwept() = %d", swept)
 	}
 	if parts := tr.Partitions(); len(parts) != 0 {
 		t.Errorf("after Reset, Partitions() = %+v", parts)
@@ -152,8 +95,7 @@ func TestNilTraceSafe(t *testing.T) {
 	var tr *Trace
 	tr.Reset()
 	tr.AddNanos(StageSweep, 5)
-	tr.AddTierNanos(0, 5)
-	tr.AddRows(1, 1)
+	tr.AddRows(1)
 	tr.AddPartition(0, 1, 1)
 	sp := tr.Start(StageSweep)
 	sp.End()
@@ -162,10 +104,7 @@ func TestNilTraceSafe(t *testing.T) {
 	if tr.StageNanos(StageSweep) != 0 {
 		t.Error("nil trace reported nonzero stage")
 	}
-	if tr.TierNanos(0) != 0 || tr.NumTiers() != 0 {
-		t.Error("nil trace reported tier time")
-	}
-	if s, c := tr.Rows(); s != 0 || c != 0 {
+	if tr.RowsSwept() != 0 {
 		t.Error("nil trace reported rows")
 	}
 	if tr.Partitions() != nil {
@@ -202,19 +141,18 @@ func TestTraceConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < adds; i++ {
-				tr.AddTierNanos(0, 1)
-				tr.AddRows(2, 1)
+				tr.AddNanos(StageSweep, 1)
+				tr.AddRows(2)
 			}
 			tr.AddPartition(w, 1, 1)
 		}(w)
 	}
 	wg.Wait()
-	if got := tr.TierNanos(0); got != workers*adds {
-		t.Errorf("concurrent AddTierNanos lost updates: %d, want %d", got, workers*adds)
+	if got := tr.StageNanos(StageSweep); got != workers*adds {
+		t.Errorf("concurrent AddNanos lost updates: %d, want %d", got, workers*adds)
 	}
-	swept, comp := tr.Rows()
-	if swept != 2*workers*adds || comp != workers*adds {
-		t.Errorf("concurrent AddRows lost updates: %d, %d", swept, comp)
+	if swept := tr.RowsSwept(); swept != 2*workers*adds {
+		t.Errorf("concurrent AddRows lost updates: %d", swept)
 	}
 	if got := len(tr.Partitions()); got != workers {
 		t.Errorf("concurrent AddPartition kept %d records, want %d", got, workers)
@@ -231,9 +169,7 @@ func TestSpanZeroAlloc(t *testing.T) {
 		sp := tr.Start(StageSweep)
 		sp.End()
 		tr.AddNanos(StageEncode, 1)
-		tr.AddTierNanos(1, 1)
-		tr.AddTierNanos(0, 1)
-		tr.AddRows(128, 2)
+		tr.AddRows(128)
 		tr.AddPartition(0, 128, 1)
 		tr.Snapshot(&qt)
 		tr.Reset()
@@ -245,8 +181,7 @@ func TestSpanZeroAlloc(t *testing.T) {
 	allocs = testing.AllocsPerRun(200, func() {
 		sp := nilTr.Start(StageSweep)
 		sp.End()
-		nilTr.AddTierNanos(0, 1)
-		nilTr.AddRows(1, 0)
+		nilTr.AddRows(1)
 	})
 	if allocs != 0 {
 		t.Errorf("nil-trace span path allocates %.1f allocs/op, want 0", allocs)

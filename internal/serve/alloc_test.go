@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fdr"
-	"repro/internal/hdc"
 	"repro/internal/obsv"
 	"repro/internal/spectrum"
 )
@@ -31,8 +30,6 @@ func (e *stubEngine) SearchPrepared(qs []core.PreparedQuery) ([]fdr.PSM, []bool)
 func (e *stubEngine) SearchPreparedTraced(qs []core.PreparedQuery, _ *obsv.Trace) ([]fdr.PSM, []bool) {
 	return e.SearchPrepared(qs)
 }
-
-func (e *stubEngine) CascadeStats() (hdc.CascadeStats, bool) { return hdc.CascadeStats{}, false }
 
 // flushSteadyStateAllocs is the checked-in baseline for the dispatch
 // flush loop: with the prepared-query scratch owned by the Server

@@ -241,22 +241,9 @@ func (s *Server) searchPrepared(ctx context.Context, pq core.PreparedQuery, encN
 	}
 }
 
-// Stats returns a snapshot of the serving counters, including the
-// engine's per-tier cascade pruning telemetry when its searcher runs
-// a multi-tier layout.
+// Stats returns a snapshot of the serving counters.
 func (s *Server) Stats() Stats {
-	st := s.stats.snapshot(int(s.pending.Load()))
-	if cs, ok := s.engine.CascadeStats(); ok {
-		st.CascadeEnabled = true
-		st.CascadePrefiltered = cs.Prefiltered()
-		st.CascadeCompleted = cs.Completed()
-		st.CascadePruneRate = cs.PruneRate()
-		st.CascadeTierRows = append([]uint64(nil), cs.TierRows...)
-		for t := 0; t+1 < cs.NumTiers(); t++ {
-			st.CascadeTierPruneRates = append(st.CascadeTierPruneRates, cs.TierPruneRate(t))
-		}
-	}
-	return st
+	return s.stats.snapshot(int(s.pending.Load()))
 }
 
 // Close stops the dispatcher after flushing every request already
@@ -317,7 +304,7 @@ func (s *Server) fill(batch []*request) []*request {
 // already done are skipped — their waiters have left.
 //
 // Every flush is traced into the dispatcher-owned Trace (reset here,
-// never allocated): assembly and sweep wall times plus whatever tier
+// never allocated): assembly and sweep wall times plus whatever row
 // and partition detail the engine's traced sweep records. Each
 // delivered request snapshots the batch-level trace into the reusable
 // QueryTrace record, overlays its own queue-wait and encode times, and

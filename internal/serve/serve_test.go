@@ -92,84 +92,6 @@ func TestSearchMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestCascadeServeConcurrent pins the serving contract over a
-// cascade-enabled engine under -race: concurrent coalesced searches
-// through the two-tier pruned kernel (whose shard workers share
-// atomic per-query pruning bounds) must be PSM-for-PSM identical to
-// serial Engine.SearchOne, and the cascade telemetry must surface in
-// Stats.
-func TestCascadeServeConcurrent(t *testing.T) {
-	ds, err := msdata.Generate(msdata.IPRG2012(0.001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := core.DefaultParams()
-	p.Accel.D = 1024
-	p.Accel.NumChunks = 64
-	p.Tiers = []int{2}
-	engine, _, err := core.BuildExact(p, ds.Library)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := ds.Queries
-
-	want := make(map[string]fdr.PSM)
-	wantOK := make(map[string]bool)
-	for _, q := range queries {
-		psm, ok, err := engine.SearchOne(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantOK[q.ID] = ok
-		if ok {
-			want[q.ID] = psm
-		}
-	}
-
-	srv, err := New(engine, Config{MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	const rounds = 3 // repeat so requests land in varying batch shapes
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	failed := false
-	for r := 0; r < rounds; r++ {
-		for _, q := range queries {
-			wg.Add(1)
-			go func(q *spectrum.Spectrum) {
-				defer wg.Done()
-				psm, ok, err := srv.Search(context.Background(), q)
-				mu.Lock()
-				defer mu.Unlock()
-				if failed {
-					return
-				}
-				switch {
-				case err != nil:
-					failed = true
-					t.Errorf("Search(%s): %v", q.ID, err)
-				case ok != wantOK[q.ID]:
-					failed = true
-					t.Errorf("query %s: ok=%v, serial says %v", q.ID, ok, wantOK[q.ID])
-				case ok && psm != want[q.ID]:
-					failed = true
-					t.Errorf("query %s: cascade served %+v, serial %+v", q.ID, psm, want[q.ID])
-				}
-			}(q)
-		}
-	}
-	wg.Wait()
-	st := srv.Stats()
-	if !st.CascadeEnabled || st.CascadePrefiltered == 0 {
-		t.Fatalf("cascade telemetry missing from stats: %+v", st)
-	}
-	if st.CascadeCompleted > st.CascadePrefiltered {
-		t.Fatalf("completed %d > prefiltered %d", st.CascadeCompleted, st.CascadePrefiltered)
-	}
-}
-
 // gatedEngine wraps an engine so that each sweep announces its batch
 // size and then blocks until released. With no timer to hold a batch
 // open, this is how a test parks requests: the batch that is in the

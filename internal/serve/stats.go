@@ -55,34 +55,12 @@ type Stats struct {
 	// StageTotals is the cumulative per-stage time across all traced
 	// requests/batches, one entry per obsv stage in stage order.
 	StageTotals []StageTotal
-	// TierTotals is the cumulative per-cascade-tier sweep time across
-	// traced batches, one entry per observed ladder tier in tier order
-	// (empty under a single-tier layout or when nothing was traced).
-	TierTotals []StageTotal
-	// RowsSwept and RowsCompleted are the cumulative candidate-row
-	// counters of the traced sweeps (tier-0 swept rows, and final-tier
-	// completions under a cascade).
-	RowsSwept, RowsCompleted uint64
+	// RowsSwept is the cumulative candidate-row counter of the traced
+	// sweeps.
+	RowsSwept uint64
 	// SlowQueries counts requests at or above Config.SlowQueryThreshold
 	// (0 while the threshold is unset).
 	SlowQueries uint64
-	// CascadeEnabled reports whether the engine's searcher runs a
-	// multi-tier pruned cascade layout; the counters below are zero
-	// when it does not.
-	CascadeEnabled bool
-	// CascadePrefiltered counts reference rows whose first (tier-0)
-	// ladder tier was scored; CascadeCompleted counts the rows that
-	// descended all the way to the final tier (the prune survivors).
-	CascadePrefiltered, CascadeCompleted uint64
-	// CascadePruneRate is the fraction of tier-0 rows the cascade
-	// never completed.
-	CascadePruneRate float64
-	// CascadeTierRows[t] counts rows entering ladder tier t (TierRows[0]
-	// == CascadePrefiltered, last == CascadeCompleted).
-	CascadeTierRows []uint64
-	// CascadeTierPruneRates[t] is the fraction of tier-t rows pruned
-	// before reaching tier t+1 (one entry per non-final tier).
-	CascadeTierPruneRates []float64
 }
 
 // BucketCount is one histogram bucket: Count observations with value
@@ -118,10 +96,7 @@ type collector struct {
 
 	latSumNanos int64
 	stageNanos  [obsv.NumStages]int64
-	tierNanos   [obsv.MaxTierSlots]int64
-	ntiers      int
 	rowsSwept   uint64
-	rowsDone    uint64
 	slow        uint64
 
 	// ring holds the worst-latency query traces (preallocated to
@@ -247,7 +222,7 @@ func (c *collector) slowestSnapshot() []obsv.QueryTrace {
 }
 
 // observeBatch records one flushed batch: its size and the batch-level
-// trace stages (assemble, sweep, tier/merge detail) plus row counters.
+// trace stages (assemble, sweep, merge) plus the swept-row counter.
 func (c *collector) observeBatch(size int, tr *obsv.Trace) {
 	c.mu.Lock()
 	c.batches++
@@ -259,17 +234,7 @@ func (c *collector) observeBatch(size int, tr *obsv.Trace) {
 	for s := obsv.StageAssemble; s < obsv.NumStages; s++ {
 		c.stageNanos[s] += tr.StageNanos(s)
 	}
-	if n := tr.NumTiers(); n > 0 {
-		if n > c.ntiers {
-			c.ntiers = n
-		}
-		for t := 0; t < n; t++ {
-			c.tierNanos[t] += tr.TierNanos(t)
-		}
-	}
-	swept, done := tr.Rows()
-	c.rowsSwept += uint64(swept)
-	c.rowsDone += uint64(done)
+	c.rowsSwept += uint64(tr.RowsSwept())
 	c.mu.Unlock()
 }
 
@@ -304,11 +269,7 @@ func (c *collector) snapshot(queueDepth int) Stats {
 	for s := obsv.Stage(0); s < obsv.NumStages; s++ {
 		st.StageTotals = append(st.StageTotals, StageTotal{Stage: s.String(), Nanos: c.stageNanos[s]})
 	}
-	for t := 0; t < c.ntiers; t++ {
-		st.TierTotals = append(st.TierTotals, StageTotal{Stage: obsv.TierName(t), Nanos: c.tierNanos[t]})
-	}
 	st.RowsSwept = c.rowsSwept
-	st.RowsCompleted = c.rowsDone
 	st.SlowQueries = c.slow
 	return st
 }
