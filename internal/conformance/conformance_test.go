@@ -41,14 +41,22 @@ type workload struct {
 	seed     int64
 }
 
+// The cascade-, ladder- and entropy- workloads keep the names they had
+// while they also ran the deleted K-tier ladder and entropy bit layout;
+// each now runs the one sweep over its own geometry and seed.
 var workloads = []workload{
 	{name: "flat", d: 512, shard: 64, k: 5, nRefs: 600, nQueries: 40, parts: []int{1, 2, 3, 7}, seed: 1},
-	{name: "shard-100", d: 1024, shard: 100, k: 3, nRefs: 900, nQueries: 40, parts: []int{2, 3}, seed: 2},
+	{name: "cascade-exact", d: 1024, shard: 100, k: 3, nRefs: 900, nQueries: 40, parts: []int{2, 3}, seed: 2},
 	// d % 64 != 0: every row's last word carries masked tail bits.
 	{name: "tail-mask", d: 1000, shard: 0, k: 7, nRefs: 500, nQueries: 30, parts: []int{1, 3, 7}, seed: 3},
 	{name: "tiny-k-over", d: 256, shard: 16, k: 10, nRefs: 64, nQueries: 20, parts: []int{1, 7}, seed: 4},
-	{name: "shard-48", d: 512, shard: 48, k: 4, nRefs: 500, nQueries: 30, parts: []int{2}, seed: 6},
-	{name: "shard-96", d: 1024, shard: 96, k: 5, nRefs: 800, nQueries: 40, parts: []int{2, 5}, seed: 8},
+	{name: "cascade-wide-prefilter", d: 512, shard: 48, k: 4, nRefs: 500, nQueries: 30, parts: []int{2}, seed: 6},
+	{name: "cascade-degenerate-fallback", d: 512, shard: 64, k: 5, nRefs: 400, nQueries: 20, parts: []int{1, 2}, seed: 7},
+	{name: "ladder-k3", d: 1024, shard: 96, k: 5, nRefs: 800, nQueries: 40, parts: []int{2, 5}, seed: 8},
+	{name: "ladder-k4-entropy", d: 1024, shard: 64, k: 3, nRefs: 700, nQueries: 40, parts: []int{1, 3}, seed: 9},
+	{name: "entropy-flat", d: 512, shard: 32, k: 5, nRefs: 500, nQueries: 30, parts: []int{2}, seed: 10},
+	// A second masked-tail geometry: one shard, k=4, three partitions.
+	{name: "ladder-entropy-tail-mask", d: 1000, shard: 0, k: 4, nRefs: 400, nQueries: 30, parts: []int{3}, seed: 11},
 }
 
 // fixture is one workload's generated library and query set.

@@ -42,6 +42,9 @@ type incrWorkload struct {
 
 var incrWorkloads = []incrWorkload{
 	{name: "dense", seed: 101, d: 512, shard: 48, k: 6, baseParts: 3, maxPartRefs: 40, nBase: 220, chunk: 30, ops: 9},
+	// Named for the deleted entropy bit layout it also ran; it is the
+	// schedule over the widest rows and the fewest base partitions.
+	{name: "entropy-layout", seed: 102, d: 1024, shard: 64, k: 4, baseParts: 2, maxPartRefs: 64, nBase: 160, chunk: 24, ops: 7},
 	{name: "churn", seed: 103, d: 512, shard: 32, k: 5, baseParts: 4, maxPartRefs: 24, nBase: 180, chunk: 20, ops: 11},
 }
 

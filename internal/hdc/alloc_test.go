@@ -60,6 +60,22 @@ func allocSearcher(t *testing.T, d, n, shardSize, nq int) (*ShardedSearcher, []B
 	return s, queries
 }
 
+// allocStores is the row-width matrix both allocation gates run over.
+// Past the single-tier case the names are those of the K-tier ladders
+// the gates covered until the ladder was deleted; each now sweeps the
+// one row layout at its own width, so the kernel blocks hold a
+// different number of rows: 128 at 16 words, 256 at 8, 64 at 32, and
+// 128 again at 16 words with a masked tail.
+var allocStores = []struct {
+	name string
+	d    int
+}{
+	{"single-tier", 1024},
+	{"two-tier", 512},
+	{"three-tier", 2048},
+	{"four-tier", 1000},
+}
+
 // everyNth lists rows 0, step, 2*step, … below n: a hidden list that
 // lands in every kernel block of the allocation gates' stores.
 func everyNth(n, step int) []int {
@@ -71,32 +87,34 @@ func everyNth(n, step int) []int {
 }
 
 // TestKernelSweepAllocationFree gates the scoring kernel at zero
-// steady-state allocations over the single-tier store (d=1024 → 16
-// packed words), with and without hidden rows.
+// steady-state allocations across the row widths, with and without
+// hidden rows.
 func TestKernelSweepAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")
 	}
-	t.Run("single-tier", func(t *testing.T) {
-		s, queries := allocSearcher(t, 1024, 4096, 4096, 1)
-		q := queries[0]
-		dst := s.SimilaritiesRangeInto(q, 0, s.Len(), nil)
-		for _, hidden := range [][]int{nil, everyNth(s.Len(), 37)} {
-			s.Hide(hidden)
-			allocs := testing.AllocsPerRun(50, func() {
-				dst = s.SimilaritiesRangeInto(q, 0, s.Len(), dst)
-			})
-			if allocs > kernelSweepAllocs {
-				t.Errorf("similarity sweep with %d hidden rows allocates %.1f allocs/op in steady state, baseline %d",
-					len(hidden), allocs, kernelSweepAllocs)
+	for _, tc := range allocStores {
+		t.Run(tc.name, func(t *testing.T) {
+			s, queries := allocSearcher(t, tc.d, 4096, 4096, 1)
+			q := queries[0]
+			dst := s.SimilaritiesRangeInto(q, 0, s.Len(), nil)
+			for _, hidden := range [][]int{nil, everyNth(s.Len(), 37)} {
+				s.Hide(hidden)
+				allocs := testing.AllocsPerRun(50, func() {
+					dst = s.SimilaritiesRangeInto(q, 0, s.Len(), dst)
+				})
+				if allocs > kernelSweepAllocs {
+					t.Errorf("similarity sweep with %d hidden rows allocates %.1f allocs/op in steady state, baseline %d",
+						len(hidden), allocs, kernelSweepAllocs)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestSweepSteadyStateAllocs pins the one search entry point to its
-// checked-in baseline across batch size × shard count: a batch allocates its result header plus one match list per
-// query; everything else — plan, heap arena, worker scratch — is
+// checked-in baseline across row width × batch size × shard count: a
+// batch allocates its result header plus one match list per query; everything else — plan, heap arena, worker scratch — is
 // pooled, and only a multi-shard span adds the worker goroutines. The
 // last case is a small range inside one shard of a five-shard store:
 // it must cost exactly what the one-shard store costs, i.e. the sweep
@@ -128,18 +146,20 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
-	for _, shards := range []int{1, 4} {
-		for _, nq := range []int{1, 64} {
-			t.Run(fmt.Sprintf("single-tier/shards=%d/queries=%d", shards, nq), func(t *testing.T) {
-				s, queries := allocSearcher(t, 1024, 4096, 4096/shards, nq)
-				run(t, s, queries, RowRange{Lo: 0, Hi: s.Len()}, sweepAllocs(nq, shards))
-			})
+	for _, tc := range allocStores {
+		for _, shards := range []int{1, 4} {
+			for _, nq := range []int{1, 64} {
+				t.Run(fmt.Sprintf("%s/shards=%d/queries=%d", tc.name, shards, nq), func(t *testing.T) {
+					s, queries := allocSearcher(t, tc.d, 4096, 4096/shards, nq)
+					run(t, s, queries, RowRange{Lo: 0, Hi: s.Len()}, sweepAllocs(nq, shards))
+				})
+			}
 		}
+		t.Run(tc.name+"/one-shard-of-five", func(t *testing.T) {
+			s, queries := allocSearcher(t, tc.d, 5000, 1024, 1)
+			run(t, s, queries, RowRange{Lo: 2500, Hi: 2508}, sweepAllocs(1, 1))
+		})
 	}
-	t.Run("single-tier/one-shard-of-five", func(t *testing.T) {
-		s, queries := allocSearcher(t, 1024, 5000, 1024, 1)
-		run(t, s, queries, RowRange{Lo: 2500, Hi: 2508}, sweepAllocs(1, 1))
-	})
 }
 
 // TestEncodeVectorAllocs pins the encode path at its two inherent

@@ -32,12 +32,13 @@ func packedBlock(refs []BinaryHV) []uint64 {
 // TestHiddenRowsMatchOracle holds the masked sweep to naiveTopK over
 // the visible rows only. The hidden list sits on every edge the run
 // walk can trip over — the first and last row of a kernel block (64
-// rows), of a shard, of the store and
+// rows at 2048 bits, 256 at 512), of a shard, of the store and
 // of a query range, a run of consecutive rows across a block boundary,
 // a range hidden whole, a range with fewer visible rows than k — and is
 // handed to Hide shuffled and with repeats. Every query's best matches
 // are planted on hidden rows, so a sweep that lets one through cannot
-// pass. Copying and packed-block stores, a batch of 64 and each query as a batch of one, both kernels.
+// pass. Both row widths, copying and packed-block stores, a batch of
+// 64 and each query as a batch of one, both kernels.
 func TestHiddenRowsMatchOracle(t *testing.T) {
 	hiddenRowsMatchOracle(t)
 	t.Run("go-kernel", func(t *testing.T) {
@@ -97,57 +98,81 @@ func hiddenRowsMatchOracle(t *testing.T) {
 	shuffled := append(append([]int{}, hidden...), hidden[3:11]...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
-	for _, store := range []string{"copied", "packed"} {
-		for _, k := range []int{1, 5} {
-			t.Run(fmt.Sprintf("single-tier/%s/k=%d", store, k), func(t *testing.T) {
-				var s *ShardedSearcher
-				var err error
-				if store == "copied" {
-					s, err = NewShardedSearcher(refs, shard)
-				} else {
-					s, err = NewShardedSearcherFromPacked(packedBlock(refs), d, shard, CascadeConfig{})
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s.block != 64 {
-					t.Fatalf("kernel block is %d rows, the hidden list was laid out for 64", s.block)
-				}
-				s.Hide(shuffled)
-				if !slices.Equal(s.hidden, slices.Compact(slices.Sorted(slices.Values(hidden)))) {
-					t.Fatalf("Hide kept %v", s.hidden)
-				}
-				check := func(path string, qi int, got []Match) {
-					t.Helper()
-					want := naiveTopK(refs, d, queries[qi], visibleCands(qRanges[qi].Lo, qRanges[qi].Hi, n, hidden), k)
-					if got == nil || !matchesEqual(got, want) {
-						t.Fatalf("%s: query %d range %+v\ngot  %v\nwant %v", path, qi, qRanges[qi], got, want)
+	// The tiers-8-24 leg keeps the name of the ladder layout it once
+	// ran: it sweeps each row's first 8 words — that ladder's first tier —
+	// as a 512-bit store, whose 256-row kernel blocks put hidden rows 255
+	// and 256 on a block edge, as the ladder's blocks did.
+	for _, lay := range []struct {
+		name  string
+		d     int
+		block int
+	}{
+		{"single-tier", d, 64},
+		{"tiers-8-24", 512, 256},
+	} {
+		lrefs, lqueries := prefixHVs(refs, lay.d), prefixHVs(queries, lay.d)
+		for _, store := range []string{"copied", "packed"} {
+			for _, k := range []int{1, 5} {
+				t.Run(fmt.Sprintf("%s/%s/k=%d", lay.name, store, k), func(t *testing.T) {
+					var s *ShardedSearcher
+					var err error
+					if store == "copied" {
+						s, err = NewShardedSearcher(lrefs, shard)
+					} else {
+						s, err = NewShardedSearcherFromPacked(packedBlock(lrefs), lay.d, shard, CascadeConfig{})
 					}
-				}
-				sweptBefore := s.RowsSwept()
-				for qi, got := range s.BatchTopKRange(queries, qRanges, k) {
-					check("batch of 64", qi, got)
-				}
-				// Hidden rows are still swept, and counted as such.
-				var rows uint64
-				for _, r := range qRanges {
-					rows += uint64(r.Clamp(n).Len())
-				}
-				if got := s.RowsSwept() - sweptBefore; got != rows {
-					t.Errorf("RowsSwept advanced by %d over ranges holding %d rows", got, rows)
-				}
-				for qi := range queries[:len(ranges)] {
-					check("batch of one", qi, topKRange(s, queries[qi], qRanges[qi].Lo, qRanges[qi].Hi, k))
-				}
-				// Unhiding restores the plain sweep.
-				s.Hide(nil)
-				want := naiveTopK(refs, d, queries[0], rangeCands(0, n, n), k)
-				if got := topKRange(s, queries[0], 0, n, k); !matchesEqual(got, want) {
-					t.Fatalf("after Hide(nil)\ngot  %v\nwant %v", got, want)
-				}
-			})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s.block != lay.block {
+						t.Fatalf("kernel block is %d rows, the hidden list was laid out for %d", s.block, lay.block)
+					}
+					s.Hide(shuffled)
+					if !slices.Equal(s.hidden, slices.Compact(slices.Sorted(slices.Values(hidden)))) {
+						t.Fatalf("Hide kept %v", s.hidden)
+					}
+					check := func(path string, qi int, got []Match) {
+						t.Helper()
+						want := naiveTopK(lrefs, lay.d, lqueries[qi], visibleCands(qRanges[qi].Lo, qRanges[qi].Hi, n, hidden), k)
+						if got == nil || !matchesEqual(got, want) {
+							t.Fatalf("%s: query %d range %+v\ngot  %v\nwant %v", path, qi, qRanges[qi], got, want)
+						}
+					}
+					sweptBefore := s.RowsSwept()
+					for qi, got := range s.BatchTopKRange(lqueries, qRanges, k) {
+						check("batch of 64", qi, got)
+					}
+					// Hidden rows are still swept, and counted as such.
+					var rows uint64
+					for _, r := range qRanges {
+						rows += uint64(r.Clamp(n).Len())
+					}
+					if got := s.RowsSwept() - sweptBefore; got != rows {
+						t.Errorf("RowsSwept advanced by %d over ranges holding %d rows", got, rows)
+					}
+					for qi := range lqueries[:len(ranges)] {
+						check("batch of one", qi, topKRange(s, lqueries[qi], qRanges[qi].Lo, qRanges[qi].Hi, k))
+					}
+					// Unhiding restores the plain sweep.
+					s.Hide(nil)
+					want := naiveTopK(lrefs, lay.d, lqueries[0], rangeCands(0, n, n), k)
+					if got := topKRange(s, lqueries[0], 0, n, k); !matchesEqual(got, want) {
+						t.Fatalf("after Hide(nil)\ngot  %v\nwant %v", got, want)
+					}
+				})
+			}
 		}
 	}
+}
+
+// prefixHVs cuts each hypervector to its first d dimensions, d a
+// multiple of 64; the words are shared, not copied.
+func prefixHVs(hvs []BinaryHV, d int) []BinaryHV {
+	out := make([]BinaryHV, len(hvs))
+	for i, hv := range hvs {
+		out[i] = BinaryHV{D: d, Words: hv.Words[:WordsPerHV(d)]}
+	}
+	return out
 }
 
 // TestHideIgnoresRowsOutsideTheStore: a hidden row the store does not

@@ -36,8 +36,10 @@ func onePathMatrix(t *testing.T) {
 		{"single-tier", 64, 5},
 		{"single-tier-one-shard", n, 5},
 		{"k-over-shard", 4, 9},
-		{"odd-shard", 100, 4},
-		{"small-shard-k3", 48, 3},
+		// These two keep the names of the ladder layouts that ran their
+		// geometries until the ladder was deleted.
+		{"two-tier", 100, 4},
+		{"four-tier", 48, 3},
 	}
 	ranges := []RowRange{
 		{Lo: 0, Hi: n},        // full scan

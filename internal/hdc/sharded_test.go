@@ -63,3 +63,170 @@ func TestSingleReferenceEdges(t *testing.T) {
 		t.Fatalf("empty batch ranges returned %v", got)
 	}
 }
+
+// TestCascadeExactParityParallel spreads a query's planted near-matches
+// across a range of many shards, far into it and far apart, so several
+// workers each hold one of the top k and the merge must bring them
+// together; repeated trials catch a merge that depends on which worker
+// finishes first. The name dates from when this pinned the pruning
+// ladder's shared bound; it now holds the one sweep to the flat scan.
+func TestCascadeExactParityParallel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large reference set")
+	}
+	d, n, k := 512, 1<<13+3000, 4
+	rng := rand.New(rand.NewSource(91))
+	refs := make([]BinaryHV, n)
+	for i := range refs {
+		refs[i] = RandomBinaryHV(d, rng)
+	}
+	q := RandomBinaryHV(d, rng)
+	for j := 0; j < k; j++ {
+		refs[n/2+j*701] = nearDup(q, 0.02, rng)
+	}
+	s, err := NewShardedSearcher(refs, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := 100, n-50
+	want := naiveTopK(refs, d, q, rangeCands(lo, hi, n), k)
+	for trial := 0; trial < 5; trial++ {
+		if got := topKRange(s, q, lo, hi, k); !matchesEqual(got, want) {
+			t.Fatalf("trial %d: parallel sweep diverged\ngot  %v\nwant %v", trial, got, want)
+		}
+	}
+}
+
+// TestCascadeConfigValidation pins constructor rejection of degenerate
+// reference sets and packed blocks. (The name dates from when the
+// constructors also validated the pruning ladder's tier widths.)
+func TestCascadeConfigValidation(t *testing.T) {
+	if _, err := NewShardedSearcher([]BinaryHV{{D: 0}}, 0); err == nil {
+		t.Error("zero-dimension reference accepted")
+	}
+	if _, err := NewShardedSearcher([]BinaryHV{{D: -8, Words: nil}}, 0); err == nil {
+		t.Error("negative-dimension reference accepted")
+	}
+	if _, err := NewShardedSearcher(nil, 0); err == nil {
+		t.Error("empty reference set accepted")
+	}
+	if _, err := NewShardedSearcher([]BinaryHV{RandomBinaryHV(128, rand.New(rand.NewSource(1))), RandomBinaryHV(192, rand.New(rand.NewSource(2)))}, 0); err == nil {
+		t.Error("references of mixed dimension accepted")
+	}
+	if _, err := NewShardedSearcherFromPacked(make([]uint64, 4), 0, 0, CascadeConfig{}); err == nil {
+		t.Error("zero-dimension packed block accepted")
+	}
+	if _, err := NewShardedSearcherFromPacked(make([]uint64, 5), 128, 0, CascadeConfig{}); err == nil {
+		t.Error("packed block of a partial row accepted")
+	}
+}
+
+// TestCascadePackedRowAssembly pins that PackedRow returns every row
+// bit-identical to its source hypervector, over a copied store and
+// over a packed block, at an odd word count (5).
+func TestCascadePackedRowAssembly(t *testing.T) {
+	refs := randomRefs(320, 41, 19)
+	copied, err := NewShardedSearcher(refs, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := NewShardedSearcherFromPacked(packedBlock(refs), 320, 16, CascadeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*ShardedSearcher{copied, packed} {
+		for i, r := range refs {
+			row := s.PackedRow(i)
+			if len(row) != len(r.Words) {
+				t.Fatalf("row %d: %d words, want %d", i, len(row), len(r.Words))
+			}
+			for w := range row {
+				if row[w] != r.Words[w] {
+					t.Fatalf("row %d word %d: %#x != %#x", i, w, row[w], r.Words[w])
+				}
+			}
+		}
+	}
+}
+
+// TestLadderRunCompletion keeps the name and the row patterns of the
+// test that drove the deleted pruning ladder through survivor runs of
+// every shape. Each row shares 0, 8 or 16 of its 32 leading words with
+// the query — none, all, alternating, in mixed runs, and in runs that
+// end flush with a kernel block, a shard and the store — so the rows
+// nearest the query sit where the block and shard walk turns. The
+// sweep must return the flat scan's matches on both kernels, over a
+// copied store ("planes") and a packed block, and count every row of
+// the range as swept.
+func TestLadderRunCompletion(t *testing.T) {
+	const d, n, shardSize, k = 2048, 1500, 600, 3
+	shared := []int{0, 8, 16}  // leading words copied from the query, by depth
+	block := blockRows(d / 64) // 64: shard 0 is blocks of 64 rows up to 576, then 24 rows
+	r := RowRange{Lo: block - k, Hi: n}
+	within := func(row, lo, hi int) bool { return lo <= row && row < hi }
+	cases := []struct {
+		name  string
+		depth func(row int) int
+	}{
+		{"none", func(int) int { return 0 }},
+		{"all", func(int) int { return 2 }},
+		{"alternating", func(row int) int { return 2 * (row % 2) }},
+		{"per-tier", func(row int) int { return row % 3 }},
+		{"block-end", func(row int) int {
+			if within(row, 2*block-12, 2*block) {
+				return 2
+			}
+			if within(row, 2*block-22, 2*block) {
+				return 1
+			}
+			return 0
+		}},
+		{"shard-end", func(row int) int {
+			if within(row, shardSize-10, shardSize+3) || within(row, 2*shardSize-9, 2*shardSize) {
+				return 2
+			}
+			return 0
+		}},
+		{"store-end", func(row int) int {
+			if within(row, n-11, n) {
+				return 2
+			}
+			return 0
+		}},
+	}
+	for ci, c := range cases {
+		rng := rand.New(rand.NewSource(int64(100 + ci)))
+		q := RandomBinaryHV(d, rng)
+		refs := make([]BinaryHV, n)
+		for row := range refs {
+			refs[row] = RandomBinaryHV(d, rng)
+			copy(refs[row].Words[:shared[c.depth(row)]], q.Words)
+		}
+		want := naiveTopK(refs, d, q, rangeCands(r.Lo, r.Hi, n), k)
+		for _, kernel := range []string{"dispatched", "go"} {
+			for _, store := range []string{"planes", "packed"} {
+				t.Run(c.name+"/"+kernel+"/"+store, func(t *testing.T) {
+					if kernel == "go" {
+						useGoKernel(t)
+					}
+					s, err := NewShardedSearcher(refs, shardSize)
+					if store == "packed" {
+						s, err = NewShardedSearcherFromPacked(packedBlock(refs), d, shardSize, CascadeConfig{})
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s.block != block {
+						t.Fatalf("kernel block is %d rows, the patterns were laid out for %d", s.block, block)
+					}
+					if got := topKRange(s, q, r.Lo, r.Hi, k); !matchesEqual(got, want) {
+						t.Fatalf("matches diverged from the flat scan\ngot  %v\nwant %v", got, want)
+					}
+					if got := s.RowsSwept(); got != uint64(r.Len()) {
+						t.Fatalf("RowsSwept = %d over a range of %d rows", got, r.Len())
+					}
+				})
+			}
+		}
+	}
+}

@@ -274,6 +274,32 @@ func TestOpenRejectsStoredPermutation(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsNonBijectivePerm pins that a malformed stored
+// permutation — an entry repeated, so no bijection — meets the same
+// rebuild rejection as a valid one, from the copying and the mapping
+// loader alike: no permutation section is read past its length.
+func TestLoadRejectsNonBijectivePerm(t *testing.T) {
+	p, lib := syntheticLibrary(t, 6, 128)
+	var buf bytes.Buffer
+	if err := Save(&buf, p, lib); err != nil {
+		t.Fatal(err)
+	}
+	perm := reversal(128)
+	perm[1] = perm[0]
+	img := withPermSection(t, buf.Bytes(), perm)
+	const want = "rebuild the index with omsbuild"
+	if _, _, _, err := loadImage(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("copying loader: got %v, want %q", err, want)
+	}
+	path := t.TempDir() + "/dup.omsidx"
+	if err := writeFile(path, img); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFile(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("mmap loader: got %v, want %q", err, want)
+	}
+}
+
 // TestVerifyRejectsTailBits pins the packed-tail invariant of the
 // verify pass: a checksummed image with a bit set beyond dimension d
 // is structurally perfect, so only verifyImage — eagerly in Load, on

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,21 +32,35 @@ func resealRecordLine(t *testing.T, line string) []byte {
 // TestOpenFileMatchesLoad pins that the mmap-backed open path yields a
 // library, params and packed block bit-identical to the copying
 // loader, and that an engine over the packed block searches
-// identically to one over the loaded library.
+// identically to one over the loaded library. A case with pf > 0
+// stores the PrefilterWords = pf an older build's two-tier cascade
+// wrote into its params; both paths must ignore it alike.
 func TestOpenFileMatchesLoad(t *testing.T) {
 	ds := testWorkload(t)
-	cases := []struct{ d, shard int }{
-		{512, 0},
-		{1024, 64},
-		{1000, 96}, // non-multiple-of-64 dimension exercises the tail mask
+	cases := []struct{ d, shard, prefilter int }{
+		{512, 0, 0},
+		{1024, 64, 4},
+		{1000, 96, 3}, // non-multiple-of-64 dimension exercises the tail mask
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("D%d/shard%d", tc.d, tc.shard), func(t *testing.T) {
+		t.Run(fmt.Sprintf("D%d/shard%d/pf%d", tc.d, tc.shard, tc.prefilter), func(t *testing.T) {
 			p := testParams(tc.d, tc.shard, 3)
 			built := buildEngine(t, p, ds.Library)
 			path := filepath.Join(t.TempDir(), "lib.omsidx")
 			if err := SaveFile(path, p, built.Library()); err != nil {
 				t.Fatal(err)
+			}
+			if tc.prefilter > 0 {
+				img, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				img = legacyImage(t, img, func(fields map[string]json.RawMessage) {
+					fields["PrefilterWords"] = json.RawMessage(strconv.Itoa(tc.prefilter))
+				})
+				if err := os.WriteFile(path, img, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			lp, lib, err := loadFile(path)
@@ -62,6 +77,9 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 			}
 			if ix.Params.Accel != lp.Accel || ix.Params.ShardSize != lp.ShardSize {
 				t.Fatalf("params mismatch: open %+v load %+v", ix.Params.Accel, lp.Accel)
+			}
+			if got, want := mustJSON(t, lp), mustJSON(t, p); got != want {
+				t.Fatalf("loaded params %s, want the saved %s", got, want)
 			}
 			if ix.Lib.Len() != lib.Len() || ix.Lib.Skipped != lib.Skipped {
 				t.Fatalf("library size mismatch: open %d/%d load %d/%d",
