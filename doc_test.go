@@ -23,6 +23,10 @@ var (
 	qualifiedIdent = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Za-z][A-Za-z0-9]*)\b(?:\.([A-Za-z][A-Za-z0-9]*)\b)?`)
 	// metricFamily matches an oms_* metric name.
 	metricFamily = regexp.MustCompile(`\boms_[a-z0-9_]+`)
+	// testName matches a test, benchmark or fuzz target name; testDecl
+	// its declaration in a _test.go file.
+	testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*`)
+	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
 )
 
 // modulePackage is what the docs may name in one of this module's
@@ -31,10 +35,13 @@ var (
 type modulePackage map[string]bool
 
 // loadModulePackages parses every non-test Go file in the module and
-// indexes the declared names by package name.
-func loadModulePackages(t *testing.T) (map[string]modulePackage, string) {
+// indexes the declared names by package name; it also returns the
+// non-test source and the test, benchmark and fuzz target names the
+// _test.go files declare.
+func loadModulePackages(t *testing.T) (map[string]modulePackage, string, map[string]bool) {
 	t.Helper()
 	pkgs := map[string]modulePackage{}
+	tests := map[string]bool{}
 	var src strings.Builder
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -44,12 +51,18 @@ func loadModulePackages(t *testing.T) (map[string]modulePackage, string) {
 		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) && path != "." {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range testDecl.FindAllSubmatch(data, -1) {
+				tests[string(m[1])] = true
+			}
+			return nil
 		}
 		src.Write(data)
 		f, err := parser.ParseFile(fset, path, data, parser.SkipObjectResolution)
@@ -105,14 +118,15 @@ func loadModulePackages(t *testing.T) (map[string]modulePackage, string) {
 	}
 	// A command is named in the docs by its directory, not "main".
 	delete(pkgs, "main")
-	return pkgs, src.String()
+	return pkgs, src.String(), tests
 }
 
 // TestDocsNameLiveCode fails when README.md or DESIGN.md back-quotes a
-// pkg.Identifier of this module, or an oms_* metric family, that the
-// code no longer has: a rename or a deletion must take its prose along.
+// pkg.Identifier of this module, an oms_* metric family, or a Test,
+// Benchmark or Fuzz name that the code no longer has: a rename or a
+// deletion must take its prose along.
 func TestDocsNameLiveCode(t *testing.T) {
-	pkgs, src := loadModulePackages(t)
+	pkgs, src, tests := loadModulePackages(t)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		data, err := os.ReadFile(doc)
 		if err != nil {
@@ -134,6 +148,11 @@ func TestDocsNameLiveCode(t *testing.T) {
 			for _, metric := range metricFamily.FindAllString(span[1], -1) {
 				if !strings.Contains(src, `"`+metric+`"`) {
 					t.Errorf("%s: `%s` names metric family %s, which no code emits", doc, span[1], metric)
+				}
+			}
+			for _, name := range testName.FindAllString(span[1], -1) {
+				if !tests[name] {
+					t.Errorf("%s: `%s` names %s, which no _test.go file declares", doc, span[1], name)
 				}
 			}
 		}

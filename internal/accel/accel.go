@@ -105,8 +105,6 @@ type HWEncoder struct {
 	levels *hdc.ChunkedLevelSet
 	ideal  *hdc.Encoder
 	dev    *rram.Device
-	// Stats accumulates crossbar operation counts.
-	Stats rram.OpStats
 }
 
 // NewHWEncoder builds the in-memory encoder.
@@ -233,7 +231,6 @@ func (e *HWEncoder) encodeBatch(batch []spectrum.QuantizedPeak, acc []float64, c
 				acc[lo+j] += v
 			}
 		}
-		e.Stats.Add(xb.Stats)
 	}
 	return nil
 }
@@ -273,8 +270,6 @@ type HWSearcher struct {
 	// tiles[g][t] covers row group g (ActiveRows dims) and column tile
 	// t (ArrayCols references).
 	tiles [][]*rram.Crossbar
-	// Stats accumulates crossbar operation counts.
-	Stats rram.OpStats
 }
 
 // NewHWSearcher programs the reference set into crossbar tiles.
@@ -330,8 +325,6 @@ func NewHWSearcher(cfg Config, refs []hdc.BinaryHV) (*HWSearcher, error) {
 			if err := xb.ProgramWeights(weights); err != nil {
 				return nil, err
 			}
-			s.Stats.Add(xb.Stats)
-			xb.Stats = rram.OpStats{}
 			s.tiles[g][t] = xb
 		}
 	}
@@ -364,61 +357,9 @@ func (s *HWSearcher) DotProducts(q hdc.BinaryHV) ([]float64, error) {
 			for j, v := range out {
 				dots[refLo+j] += v
 			}
-			s.Stats.Add(xb.Stats)
-			xb.Stats = rram.OpStats{}
 		}
 	}
 	return dots, nil
-}
-
-// TopK returns the k best matches by estimated Hamming similarity
-// (= (dot + D) / 2), restricted to the candidate set (nil = all).
-func (s *HWSearcher) TopK(q hdc.BinaryHV, candidates []int, k int) ([]hdc.Match, error) {
-	dots, err := s.DotProducts(q)
-	if err != nil {
-		return nil, err
-	}
-	idx := candidates
-	if idx == nil {
-		idx = make([]int, len(dots))
-		for i := range idx {
-			idx[i] = i
-		}
-	}
-	best := make([]hdc.Match, 0, k)
-	for _, i := range idx {
-		if i < 0 || i >= len(dots) {
-			continue
-		}
-		sim := int(math.Round((dots[i] + float64(s.cfg.D)) / 2))
-		m := hdc.Match{Index: i, Similarity: sim}
-		best = insertTopK(best, m, k)
-	}
-	return best, nil
-}
-
-// insertTopK inserts m into the sorted top-k slice, keeping at most k
-// entries ordered by descending similarity, ties by ascending index.
-func insertTopK(best []hdc.Match, m hdc.Match, k int) []hdc.Match {
-	pos := len(best)
-	for pos > 0 {
-		b := best[pos-1]
-		if b.Similarity > m.Similarity ||
-			(b.Similarity == m.Similarity && b.Index < m.Index) {
-			break
-		}
-		pos--
-	}
-	if pos >= k {
-		return best
-	}
-	best = append(best, hdc.Match{})
-	copy(best[pos+1:], best[pos:])
-	best[pos] = m
-	if len(best) > k {
-		best = best[:k]
-	}
-	return best
 }
 
 // SearchRMSE measures the signal-normalized RMSE between in-memory and

@@ -253,6 +253,30 @@ func (s *NoisySearcher) topKRangeNoise(q hdc.BinaryHV, lo, hi, k int, noise *ran
 	return best
 }
 
+// insertTopK inserts m into the sorted top-k slice, keeping at most k
+// entries ordered by descending similarity, ties by ascending index.
+func insertTopK(best []hdc.Match, m hdc.Match, k int) []hdc.Match {
+	pos := len(best)
+	for pos > 0 {
+		b := best[pos-1]
+		if b.Similarity > m.Similarity ||
+			(b.Similarity == m.Similarity && b.Index < m.Index) {
+			break
+		}
+		pos--
+	}
+	if pos >= k {
+		return best
+	}
+	best = append(best, hdc.Match{})
+	copy(best[pos+1:], best[pos:])
+	best[pos] = m
+	if len(best) > k {
+		best = best[:k]
+	}
+	return best
+}
+
 // String formats the model for reports.
 func (m NoisyModel) String() string {
 	return fmt.Sprintf("NoisyModel{encodeBER=%.4f, searchSigma=%.1f}", m.EncodeBER, m.SearchSigma)

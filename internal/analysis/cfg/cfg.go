@@ -58,16 +58,6 @@ type Edge struct {
 	To *Block
 }
 
-// Returns reports whether the block ends the function with an explicit
-// return statement.
-func (b *Block) Returns() bool {
-	if len(b.Nodes) == 0 {
-		return false
-	}
-	_, ok := b.Nodes[len(b.Nodes)-1].(*ast.ReturnStmt)
-	return ok && len(b.Succs) == 0
-}
-
 // New builds the CFG of body. mayReturn classifies calls: a call for
 // which it reports false (panic, os.Exit, testing's Fatal family)
 // terminates its block like a return. A nil mayReturn treats every

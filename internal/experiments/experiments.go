@@ -28,12 +28,6 @@ type Options struct {
 	Quick bool
 }
 
-// DefaultOptions returns the report configuration: large enough for
-// stable statistics, small enough for commodity hardware.
-func DefaultOptions() Options {
-	return Options{Scale: 0.004, Seed: 1}
-}
-
 // TestOptions returns the fast configuration used by unit tests.
 func TestOptions() Options {
 	return Options{Scale: 0.001, Seed: 1, Quick: true}

@@ -19,26 +19,25 @@ var (
 // the ISA, the build is not amd64, or it carries the purego tag).
 func KernelName() string { return kernelName }
 
-// xorPopRows computes the Hamming distance between qw[:width] and each
-// of `rows` rows of width words, row r starting at packed[r*stride],
-// and writes it to dst[r] — or, with add, accumulates it there. The
-// slices are cut to exactly the words the
-// kernel may touch, so an out-of-range geometry panics here, in Go, and
-// an assembly kernel needs no bounds checks of its own.
-func xorPopRows(qw, packed []uint64, stride, width, rows int, dst []int, add bool) {
+// xorPopRows writes to dst[r] the Hamming distance between qw[:width]
+// and each of `rows` contiguous rows of width words, row r starting at
+// packed[r*width]. The slices are cut to exactly the words the kernel
+// may touch, so an out-of-range geometry panics here, in Go, and an
+// assembly kernel needs no bounds checks of its own.
+func xorPopRows(qw, packed []uint64, width, rows int, dst []int) {
 	if rows <= 0 {
 		return
 	}
-	xorPopKernel(qw[:width], packed[:(rows-1)*stride+width], stride, width, rows, dst[:rows], add)
+	xorPopKernel(qw[:width], packed[:rows*width], width, rows, dst[:rows])
 }
 
 // xorPopRowsGo is the reference kernel and the fallback everywhere the
 // assembly is not: the word loop is 8-way unrolled through array
-// pointers (one bounds check per stride) with two accumulators so the
-// scalar popcounts pipeline.
-func xorPopRowsGo(qw, packed []uint64, stride, width, rows int, dst []int, add bool) {
+// pointers (one bounds check per eight words) with two accumulators so
+// the scalar popcounts pipeline.
+func xorPopRowsGo(qw, packed []uint64, width, rows int, dst []int) {
 	for r := 0; r < rows; r++ {
-		row := packed[r*stride : r*stride+width]
+		row := packed[r*width : (r+1)*width]
 		var d0, d1 int
 		i := 0
 		for ; i+8 <= len(row); i += 8 {
@@ -56,10 +55,6 @@ func xorPopRowsGo(qw, packed []uint64, stride, width, rows int, dst []int, add b
 		for ; i < len(row); i++ {
 			d0 += bits.OnesCount64(row[i] ^ qw[i])
 		}
-		if add {
-			dst[r] += d0 + d1
-		} else {
-			dst[r] = d0 + d1
-		}
+		dst[r] = d0 + d1
 	}
 }

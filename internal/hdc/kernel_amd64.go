@@ -16,7 +16,7 @@ import (
 // reads nothing past a row's last word.
 //
 //go:noescape
-func xorPopRowsAVX512(qw, packed []uint64, stride, width, rows int, dst []int, add bool)
+func xorPopRowsAVX512(qw, packed []uint64, width, rows int, dst []int)
 
 // signedSumGroupAVX512 is one plane group — eight words, 512
 // dimensions — of signedSumWordsGo with the vertical counter's low

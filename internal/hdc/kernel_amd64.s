@@ -48,7 +48,7 @@
 	QUAD(Z12, Z14, Z12)  \
 	QUAD(Z8, Z12, Z8)
 
-// func xorPopRowsAVX512(qw, packed []uint64, stride, width, rows int, dst []int, add bool)
+// func xorPopRowsAVX512(qw, packed []uint64, width, rows int, dst []int)
 //
 // Eight rows at a time: each 8-word query vector is loaded once and
 // XORed with the matching words of eight rows (VPXORQ with a memory
@@ -62,16 +62,14 @@
 // row of a mapping may end flush against an unmapped page. The
 // caller guarantees rows >= 1, width >= 1 and that every row lies
 // inside packed.
-TEXT ·xorPopRowsAVX512(SB), NOSPLIT, $0-97
-	MOVQ    qw_base+0(FP), SI
-	MOVQ    packed_base+24(FP), DI
-	MOVQ    stride+48(FP), R8
-	MOVQ    width+56(FP), R9
-	MOVQ    rows+64(FP), R10
-	MOVQ    dst_base+72(FP), DX
-	MOVBQZX add+96(FP), R11
+TEXT ·xorPopRowsAVX512(SB), NOSPLIT, $0-88
+	MOVQ qw_base+0(FP), SI
+	MOVQ packed_base+24(FP), DI
+	MOVQ width+48(FP), R9
+	MOVQ rows+56(FP), R10
+	MOVQ dst_base+64(FP), DX
 
-	SHLQ $3, R8 // row stride in bytes
+	LEAQ (R9*8), R8 // row stride in bytes: rows are contiguous
 
 	// AX, K1 = low width%8 bits; R9 = bytes in whole 8-word vectors.
 	MOVQ  R9, CX
@@ -135,11 +133,6 @@ gtail:
 
 greduce:
 	REDUCE8
-	TESTQ  R11, R11
-	JZ     gstore
-	VPADDQ (DX), Z8, Z8
-
-gstore:
 	VMOVDQU64 Z8, (DX)
 	ADDQ      $64, DX
 	LEAQ      (DI)(R8*8), DI
@@ -181,17 +174,11 @@ reduce:
 	VPADDQ        X0, X8, X8
 	VPSHUFD       $0xee, X8, X0
 	VPADDQ        X0, X8, X8
-	VMOVQ         X8, CX
-	TESTQ         R11, R11
-	JZ            store
-	ADDQ          (DX), CX
-
-store:
-	MOVQ CX, (DX)
-	ADDQ $8, DX
-	ADDQ R8, DI
-	DECQ R10
-	JNZ  row
+	VMOVQ         X8, (DX)
+	ADDQ          $8, DX
+	ADDQ          R8, DI
+	DECQ          R10
+	JNZ           row
 
 done:
 	VZEROUPPER

@@ -36,14 +36,14 @@ func guardedWords(t *testing.T, n int) []uint64 {
 // TestKernelReadsNothingPastLastRow puts the last row — and the query —
 // flush against a PROT_NONE page, at every tail width, with the last
 // row falling in an eight-row group (rows 8) and in the one-row
-// remainder (rows 1, 3, 11), then strided and accumulating over
-// several groups. The served index is
+// remainder (rows 1, 3, 11), then over several groups. The served
+// index is
 // a file mapping whose final row can end on the mapping's last page, so
 // a kernel that rounds its last read up to a whole vector would be a
 // SIGBUS in production; here it is a crash of this test.
 func TestKernelReadsNothingPastLastRow(t *testing.T) {
-	const maxWidth, maxRows, pad = 130, 11, 3
-	rowMem, qMem := guardedWords(t, maxRows*(maxWidth+pad)), guardedWords(t, maxWidth)
+	const maxWidth, maxRows = 130, 11
+	rowMem, qMem := guardedWords(t, maxRows*maxWidth), guardedWords(t, maxWidth)
 	for i := range rowMem {
 		rowMem[i] = uint64(i) * 0x9e3779b97f4a7c15
 	}
@@ -52,31 +52,25 @@ func TestKernelReadsNothingPastLastRow(t *testing.T) {
 	}
 	got, want := make([]int, maxRows), make([]int, maxRows)
 	for width := 1; width <= maxWidth; width++ {
-		for _, stride := range []int{width, width + pad} {
-			for _, rows := range []int{1, 3, 8, maxRows} {
-				qw := qMem[len(qMem)-width:]
-				packed := rowMem[len(rowMem)-((rows-1)*stride+width):]
-				xorPopRowsGo(qw, packed, stride, width, rows, want, false)
-				xorPopRows(qw, packed, stride, width, rows, got, false)
-				if !slices.Equal(got[:rows], want[:rows]) {
-					t.Fatalf("%s kernel, width %d stride %d rows %d:\ngot  %v\nwant %v", KernelName(), width, stride, rows, got[:rows], want[:rows])
-				}
+		for _, rows := range []int{1, 3, 8, maxRows} {
+			qw := qMem[len(qMem)-width:]
+			packed := rowMem[len(rowMem)-rows*width:]
+			xorPopRowsGo(qw, packed, width, rows, want)
+			xorPopRows(qw, packed, width, rows, got)
+			if !slices.Equal(got[:rows], want[:rows]) {
+				t.Fatalf("%s kernel, width %d rows %d:\ngot  %v\nwant %v", KernelName(), width, rows, got[:rows], want[:rows])
 			}
 		}
 	}
-	// A 24-word prefix of 32-word rows, accumulated onto partial
-	// distances, more rows than one eight-row group, the last row being
-	// the mapping's.
-	const width, stride = 24, 32
+	// More rows than one eight-row group, the last row being the
+	// mapping's.
+	const width = 24
 	for _, rows := range []int{9, 16, 19, 40} {
 		qw := qMem[len(qMem)-width:]
-		packed := rowMem[len(rowMem)-((rows-1)*stride+width):]
+		packed := rowMem[len(rowMem)-rows*width:]
 		got, want := make([]int, rows), make([]int, rows)
-		for i := range got {
-			got[i], want[i] = 7*i, 7*i
-		}
-		xorPopRowsGo(qw, packed, stride, width, rows, want, true)
-		xorPopRows(qw, packed, stride, width, rows, got, true)
+		xorPopRowsGo(qw, packed, width, rows, want)
+		xorPopRows(qw, packed, width, rows, got)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s kernel, run of %d rows:\ngot  %v\nwant %v", KernelName(), rows, got, want)
 		}

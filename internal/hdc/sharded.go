@@ -197,7 +197,7 @@ func (s *ShardedSearcher) PackedRow(i int) []uint64 {
 // scoreBlockSims writes full Hamming similarities for shard rows
 // [r0, r0+rows) into sims.
 func (s *ShardedSearcher) scoreBlockSims(qw []uint64, sh *shard, r0, rows int, sims []int) {
-	xorPopRows(qw, sh.packed[r0*s.words:], s.words, s.words, rows, sims, false)
+	xorPopRows(qw, sh.packed[r0*s.words:], s.words, rows, sims)
 	for r := 0; r < rows; r++ {
 		sims[r] = s.d - sims[r]
 	}

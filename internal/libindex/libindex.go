@@ -176,37 +176,10 @@ func Save(w io.Writer, p core.Params, lib *core.Library) error {
 	return nil
 }
 
-// SaveFile saves the library index to path atomically: the index is
-// written to a temporary sibling file and renamed over path only after
-// a successful flush, so readers never observe a half-written index.
+// SaveFile saves the library index to path atomically (writeAtomic):
+// readers, and a crash, see either the old index or the whole new one.
 func SaveFile(path string, p core.Params, lib *core.Library) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := Save(f, p, lib); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	// Flush the data blocks before the rename is journaled, or a crash
-	// could leave path pointing at an unwritten file — replacing a good
-	// index with a corrupt one.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return writeAtomic(path, func(f *os.File) error { return Save(f, p, lib) })
 }
 
 // loadImage is the copying loader behind OpenFile's fallback: the

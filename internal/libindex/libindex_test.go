@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -482,6 +483,47 @@ func TestSaveFileLoadFile(t *testing.T) {
 	}
 	if _, _, err := core.NewExactEngineFromLibrary(lp, lib); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailedSaveFileKeepsIndex pins writeAtomic's failure contract: a
+// save that fails while writing leaves the existing index byte for
+// byte, one that fails at the rename leaves nothing, and neither leaves
+// its temporary behind.
+func TestFailedSaveFileKeepsIndex(t *testing.T) {
+	ds := testWorkload(t)
+	p := testParams(512, 0, 3)
+	built := buildEngine(t, p, ds.Library)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lib.omsidx")
+	if err := SaveFile(path, p, built.Library()); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := p
+	wrong.Accel.D = 1024
+	if err := SaveFile(path, wrong, built.Library()); err == nil {
+		t.Fatal("SaveFile accepted params whose D disagrees with the library")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("failed save changed the existing index (read err %v)", err)
+	}
+	// A non-empty directory at the target makes the rename fail after
+	// a complete write.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveFile(blocked, p, built.Library()); err == nil {
+		t.Fatal("SaveFile renamed over a non-empty directory")
+	}
+	for _, tmp := range []string{path + ".tmp", blocked + ".tmp"} {
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Errorf("%s left behind (stat err %v)", filepath.Base(tmp), err)
+		}
 	}
 }
 

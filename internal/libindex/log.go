@@ -539,6 +539,36 @@ func appendLogRecord(path string, st *ManifestState, rec LogRecord) error {
 	return nil
 }
 
+// writeAtomic is every index and manifest publish: write fills a
+// temporary sibling, which is fsynced, closed and renamed over path;
+// then the directory is fsynced so the rename itself is durable. The
+// data blocks are flushed before the rename is journaled, or a crash
+// could leave path naming an unwritten file. On any failure the
+// temporary is removed and path is untouched.
+func writeAtomic(path string, write func(*os.File) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	syncDir(filepath.Dir(path))
+	return nil
+}
+
 // syncDir best-effort fsyncs a directory so a just-written file's
 // directory entry is durable (no-op where unsupported).
 func syncDir(dir string) {

@@ -173,16 +173,10 @@ func SavePartitioned(manifestPath string, p core.Params, lib *core.Library, part
 	if err != nil {
 		return err
 	}
-	tmp := manifestPath + ".tmp"
-	if err := os.WriteFile(tmp, line, 0o644); err != nil {
+	return writeAtomic(manifestPath, func(f *os.File) error {
+		_, err := f.Write(line)
 		return err
-	}
-	if err := os.Rename(tmp, manifestPath); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(filepath.Dir(manifestPath))
-	return nil
+	})
 }
 
 // localizePositions rank-compresses a slice of global build positions
@@ -205,43 +199,23 @@ func localizePositions(global []int) []int {
 // the content CRC-32C (the file's own trailer: the checksum of the
 // image minus the trailer's 4 bytes) and size — the manifest's
 // integrity record.
-func savePartitionFile(path string, p core.Params, lib *core.Library) (uint32, int64, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := Save(f, p, lib); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, 0, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, 0, err
-	}
-	var trailer [4]byte
-	if _, err := f.ReadAt(trailer[:], st.Size()-4); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, 0, err
-	}
-	return binary.LittleEndian.Uint32(trailer[:]), st.Size(), nil
+func savePartitionFile(path string, p core.Params, lib *core.Library) (crc uint32, size int64, err error) {
+	err = writeAtomic(path, func(f *os.File) error {
+		if err := Save(f, p, lib); err != nil {
+			return err
+		}
+		st, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		var trailer [4]byte
+		if _, err := f.ReadAt(trailer[:], st.Size()-4); err != nil {
+			return err
+		}
+		crc, size = binary.LittleEndian.Uint32(trailer[:]), st.Size()
+		return nil
+	})
+	return crc, size, err
 }
 
 // PartitionedIndex is an opened partitioned library: the folded

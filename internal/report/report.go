@@ -133,6 +133,8 @@ type RunResult struct {
 	Finished time.Time
 }
 
+var fig11Datasets = []string{"iPRG2012", "HEK293"} // Collect's run order and WriteDir's write order
+
 // Collect runs every experiment with the options.
 func Collect(opts experiments.Options) (*RunResult, error) {
 	rr := &RunResult{Started: time.Now(), Fig11: map[string][]experiments.Fig11Row{}}
@@ -155,7 +157,7 @@ func Collect(opts experiments.Options) (*RunResult, error) {
 	if rr.Fig10, err = experiments.Figure10(opts); err != nil {
 		return nil, fmt.Errorf("fig10: %w", err)
 	}
-	for _, ds := range []string{"iPRG2012", "HEK293"} {
+	for _, ds := range fig11Datasets {
 		rows, err := experiments.Figure11(opts, ds)
 		if err != nil {
 			return nil, fmt.Errorf("fig11 %s: %w", ds, err)
@@ -178,8 +180,7 @@ func (rr *RunResult) WriteDir(dir string) ([]string, error) {
 	}
 	var written []string
 	emit := func(name string, fn func(io.Writer) error) error {
-		path := filepath.Join(dir, name)
-		fh, err := os.Create(path)
+		fh, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			return err
 		}
@@ -208,10 +209,9 @@ func (rr *RunResult) WriteDir(dir string) ([]string, error) {
 			return nil, fmt.Errorf("report: writing %s: %w", s.name, err)
 		}
 	}
-	for ds, rows := range rr.Fig11 {
+	for _, ds := range fig11Datasets {
 		name := fmt.Sprintf("fig11_%s.csv", ds)
-		rowsCopy := rows
-		if err := emit(name, func(w io.Writer) error { return Figure11CSV(w, ds, rowsCopy) }); err != nil {
+		if err := emit(name, func(w io.Writer) error { return Figure11CSV(w, ds, rr.Fig11[ds]) }); err != nil {
 			return nil, fmt.Errorf("report: writing %s: %w", name, err)
 		}
 	}

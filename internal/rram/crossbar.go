@@ -86,29 +86,6 @@ type Crossbar struct {
 	dev    *Device
 	cells  [][]Cell // [row][col]
 	nPairs int
-	// Stats accumulates operation counts for the energy/latency model.
-	Stats OpStats
-}
-
-// OpStats counts crossbar operations for performance modelling.
-type OpStats struct {
-	// MVMCycles is the number of MVM sense cycles executed.
-	MVMCycles int64
-	// RowActivations is the total number of (differential pair) row
-	// drives across all cycles.
-	RowActivations int64
-	// ADCConversions is the number of column ADC conversions.
-	ADCConversions int64
-	// CellsProgrammed counts program operations.
-	CellsProgrammed int64
-}
-
-// Add accumulates another stats block.
-func (s *OpStats) Add(o OpStats) {
-	s.MVMCycles += o.MVMCycles
-	s.RowActivations += o.RowActivations
-	s.ADCConversions += o.ADCConversions
-	s.CellsProgrammed += o.CellsProgrammed
 }
 
 // NewCrossbar allocates an array backed by the device simulator.
@@ -165,7 +142,6 @@ func (x *Crossbar) ProgramWeights(weights [][]float64) error {
 			gn := 0.5 * (1 - w/wmax) * gmax // Eq. 3
 			x.dev.Program(&x.cells[2*i][j], gp)
 			x.dev.Program(&x.cells[2*i+1][j], gn)
-			x.Stats.CellsProgrammed += 2
 		}
 	}
 	return nil
@@ -234,10 +210,7 @@ func (x *Crossbar) MVM(pairLo int, inputs []float64, cols []int, elapsed time.Du
 		v = q/(codes-1)*2 - 1
 		// Back to weight units: multiply by N·Wmax.
 		out[oi] = v * nF * wmax
-		x.Stats.ADCConversions++
 	}
-	x.Stats.MVMCycles++
-	x.Stats.RowActivations += int64(n)
 	return out, nil
 }
 
