@@ -161,37 +161,43 @@ func BenchmarkShardedBatchTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkOpenSearchBatch measures the open-search hot path at the
-// paper's operating point (D=8192, 100k references) with realistic
-// precursor-window occupancy (each query's candidate set is a
-// contiguous 25% slice of the mass-ordered store, windows sliding
-// with query mass), streamed through the block-major BatchTopKRange
-// kernel.
+// BenchmarkOpenSearchBatch measures the open-search hot path with
+// realistic precursor-window occupancy (each query's candidate set is
+// a contiguous 25% slice of the mass-ordered store, windows sliding
+// with query mass), a batch of 64 streamed through the block-major
+// BatchTopKRange sweep, at the paper's operating point (D=8192, 100k
+// references) and at the repository benchmark's (D=2048, 40k), where
+// rows are 4× shorter and the per-row selection work 4× more visible.
+// ns/word is the time per XOR+popcount word swept; at -cpu 1 it is the
+// figure bench/'s hdc.sweep_ns_per_word reports.
 func BenchmarkOpenSearchBatch(b *testing.B) {
 	const (
-		d         = 8192
-		nRefs     = 100_000
 		nQueries  = batchBenchQueries
 		occupancy = 0.25
 	)
-	refs, queries := batchBenchInputs(b, d, nRefs, nQueries)
-	s, err := hdc.NewShardedSearcher(refs, 0)
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct{ d, nRefs int }{{8192, 100_000}, {2048, 40_000}} {
+		b.Run(fmt.Sprintf("D%d/refs%dk", c.d, c.nRefs/1000), func(b *testing.B) {
+			refs, queries := batchBenchInputs(b, c.d, c.nRefs, nQueries)
+			s, err := hdc.NewShardedSearcher(refs, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			width := int(occupancy * float64(c.nRefs))
+			ranges := make([]hdc.RowRange, nQueries)
+			for i := range ranges {
+				// Mass-sorted queries: window starts slide monotonically
+				// across the store and neighbouring windows overlap heavily.
+				lo := i * (c.nRefs - width) / nQueries
+				ranges[i] = hdc.RowRange{Lo: lo, Hi: lo + width}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.BatchTopKRange(queries, ranges, 5)
+			}
+			b.ReportMetric(float64(nQueries), "queries/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nQueries*width*hdc.WordsPerHV(c.d)), "ns/word")
+		})
 	}
-	width := int(occupancy * nRefs)
-	ranges := make([]hdc.RowRange, nQueries)
-	for i := range ranges {
-		// Mass-sorted queries: window starts slide monotonically
-		// across the store and neighbouring windows overlap heavily.
-		lo := i * (nRefs - width) / nQueries
-		ranges[i] = hdc.RowRange{Lo: lo, Hi: lo + width}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.BatchTopKRange(queries, ranges, 5)
-	}
-	b.ReportMetric(float64(nQueries), "queries/op")
 }
 
 // seedScoreRows replicates the scalar scoring kernel every sweep ran
@@ -219,19 +225,19 @@ func seedScoreRows(qw, packed []uint64, words, rows, d int, sims []int) {
 	}
 }
 
-// BenchmarkSweepKernel holds the XOR+popcount kernel against the
-// machine at the sweep's own shape: one L1-resident 16 KiB row block
-// scored by 48 queries in turn, at the row widths the layouts use (8-
-// and 24-word ladder tiers, 32 words = D 2048, 128 words = D 8192).
-// `go` is the scalar loop, `dispatch` whatever hdc selected at init
-// (hdc.KernelName), reached the way a sweep reaches it — one
-// SimilaritiesRangeInto call per (block, query). Both report ns per
-// XOR+popcount word, the roofline figure bench/'s
-// hdc.sweep_ns_per_word is read against.
+// BenchmarkSweepKernel holds the sweep's inner call against the
+// machine at D = 2048 (32-word rows) and D = 8192 (128): sixteen
+// 16 KiB row blocks, each scored by 48 queries in turn. `go` is the
+// scalar distance loop alone; `dispatch` is the sweep itself — one
+// BatchTopKRange of the 48 queries over the blocks, so every (query,
+// block) is one call of the kernel hdc selected at init
+// (hdc.KernelName) with its top-5 admission bound, plus the walk over
+// the rows it admits. Both report ns per XOR+popcount word, the
+// roofline figure bench/'s hdc.sweep_ns_per_word is read against.
 func BenchmarkSweepKernel(b *testing.B) {
-	const blockBytes, nQueries = 16 << 10, 48
-	for _, words := range []int{8, 24, 32, 128} {
-		d, rows := 64*words, blockBytes/(8*words)
+	const blockBytes, blocks, nQueries = 16 << 10, 16, 48
+	for _, words := range []int{32, 128} {
+		d, rows := 64*words, blocks*blockBytes/(8*words)
 		refs, queries := batchBenchInputs(b, d, rows, nQueries)
 		packed := make([]uint64, 0, rows*words)
 		for _, r := range refs {
@@ -241,19 +247,25 @@ func BenchmarkSweepKernel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		ranges := make([]hdc.RowRange, nQueries)
+		for i := range ranges {
+			ranges[i] = hdc.RowRange{Lo: 0, Hi: rows}
+		}
 		sims := make([]int, rows)
 		for _, k := range []struct {
 			name  string
-			score func(q hdc.BinaryHV)
+			sweep func()
 		}{
-			{"go", func(q hdc.BinaryHV) { seedScoreRows(q.Words, packed, words, rows, d, sims) }},
-			{"dispatch", func(q hdc.BinaryHV) { sims = s.SimilaritiesRangeInto(q, 0, rows, sims) }},
+			{"go", func() {
+				for _, q := range queries {
+					seedScoreRows(q.Words, packed, words, rows, d, sims)
+				}
+			}},
+			{"dispatch", func() { s.BatchTopKRange(queries, ranges, 5) }},
 		} {
 			b.Run(fmt.Sprintf("%s/words%d", k.name, words), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					for _, q := range queries {
-						k.score(q)
-					}
+					k.sweep()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nQueries*rows*words), "ns/word")
 			})

@@ -13,13 +13,14 @@ import (
 // Allocation baselines for the kernel path, checked in as the gate CI
 // enforces (the -benchmem numbers on the range-sweep benchmarks trend
 // the same quantities). The scoring sweep itself —
-// SimilaritiesRangeInto over a reused buffer — must be allocation-free in steady state: it runs per query batch at
-// full occupancy, through xorPopRows and its Go kernel, scoreBlockSims
-// and the heap primitives. The top-k sweep
-// additionally materializes its result lists; that inherent per-call
-// cost is pinned exactly so scratch-reuse regressions (heap regrowth,
-// lost pooling, a goroutine where none is needed) surface as a count
-// jump, not a silent GC treadmill.
+// SimilaritiesRangeInto over a reused buffer — must be
+// allocation-free in steady state: it runs per query batch at full
+// occupancy, through xorPopRows, its kernel value and the pooled mask
+// scratch. The top-k sweep, whose kernel calls also select the rows
+// the heaps admit, additionally materializes its result lists; that
+// inherent per-call cost is pinned exactly so scratch-reuse
+// regressions (heap regrowth, lost pooling, a goroutine where none is
+// needed) surface as a count jump, not a silent GC treadmill.
 const (
 	// kernelSweepAllocs is the steady-state allocs/op of the blocked
 	// similarity sweep over a reused destination buffer.

@@ -234,8 +234,8 @@ func FuzzHiddenRows(f *testing.F) {
 // BenchmarkSweepHidden sweeps 64 queries, each over a 10 000-row window
 // of a 40 000-row store at D = 2048 and k = 1 — the benchmark's
 // serve-open shape — with 0, 64 and 1 024 rows hidden at random. Hidden
-// rows split a block's offer into runs and cost nothing else, so the
-// three legs' ns per XOR+popcount word must read alike.
+// rows cost only a merge step against the rows the kernel admits, so
+// the three legs' ns per XOR+popcount word must read alike.
 func BenchmarkSweepHidden(b *testing.B) {
 	const d, n, nq, window = 2048, 40_000, 64, 10_000
 	refs := randomRefs(d, n, 7)

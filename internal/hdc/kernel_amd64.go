@@ -11,12 +11,13 @@ import (
 
 // Implemented in kernel_amd64.s and encode_amd64.s.
 
-// xorPopRowsAVX512 is xorPopRowsGo eight words per instruction. It
-// trusts its geometry (xorPopRows has already cut the slices to it) and
-// reads nothing past a row's last word.
+// xorPopRowsAVX512 is xorPopRowsGo eight words per instruction, its
+// mask stored a byte per eight rows. It trusts its geometry (xorPopRows
+// has already cut the slices to it and cleared the mask's last word)
+// and reads nothing past a row's last word.
 //
 //go:noescape
-func xorPopRowsAVX512(qw, packed []uint64, width, rows int, dst []int)
+func xorPopRowsAVX512(qw, packed []uint64, width, rows, limit int, dst []int, mask []uint64)
 
 // signedSumGroupAVX512 is one plane group — eight words, 512
 // dimensions — of signedSumWordsGo with the vertical counter's low

@@ -48,26 +48,29 @@
 	QUAD(Z12, Z14, Z12)  \
 	QUAD(Z8, Z12, Z8)
 
-// func xorPopRowsAVX512(qw, packed []uint64, width, rows int, dst []int)
+// func xorPopRowsAVX512(qw, packed []uint64, width, rows, limit int, dst []int, mask []uint64)
 //
 // Eight rows at a time: each 8-word query vector is loaded once and
 // XORed with the matching words of eight rows (VPXORQ with a memory
 // operand), the lanes popcounted (VPOPCNTQ) and added into one
 // accumulator per row (VPADDQ); the eight accumulators then reduce
-// together into eight distances stored by one write. Fewer than eight
-// rows left — a block's ragged end, a clip of a few rows —
-// take the same steps one row at a time. A tail of width%8 words is
-// read under K1 with zeroing, by the query's masked load and the rows'
+// together into eight distances stored by one write, and one VPCMPQ
+// against the broadcast limit yields the group's mask byte. Fewer than
+// eight rows left — a block's ragged end, a clip of a few rows — take
+// the same steps one row at a time, each compared in a scalar register,
+// their bits stored as one last byte. A tail of width%8 words is read
+// under K1 with zeroing, by the query's masked load and the rows'
 // masked VPXORQ alike: masked-out lanes are never accessed, so the last
-// row of a mapping may end flush against an unmapped page. The
-// caller guarantees rows >= 1, width >= 1 and that every row lies
-// inside packed.
-TEXT ·xorPopRowsAVX512(SB), NOSPLIT, $0-88
+// row of a mapping may end flush against an unmapped page. The caller
+// guarantees rows >= 1, width >= 1, that every row lies inside packed
+// and that mask holds ceil(rows/8) bytes.
+TEXT ·xorPopRowsAVX512(SB), NOSPLIT, $0-120
 	MOVQ qw_base+0(FP), SI
 	MOVQ packed_base+24(FP), DI
 	MOVQ width+48(FP), R9
 	MOVQ rows+56(FP), R10
-	MOVQ dst_base+64(FP), DX
+	MOVQ dst_base+72(FP), DX
+	MOVQ mask_base+96(FP), R11
 
 	LEAQ (R9*8), R8 // row stride in bytes: rows are contiguous
 
@@ -83,6 +86,7 @@ TEXT ·xorPopRowsAVX512(SB), NOSPLIT, $0-88
 
 	CMPQ R10, $8
 	JB   rows
+	VPBROADCASTQ limit+64(FP), Z17
 	LEAQ (R8)(R8*2), R12  // 3 strides
 	LEAQ (R8)(R8*4), R13  // 5 strides
 	LEAQ (R12)(R8*4), R14 // 7 strides
@@ -134,6 +138,10 @@ gtail:
 greduce:
 	REDUCE8
 	VMOVDQU64 Z8, (DX)
+	VPCMPQ    $1, Z17, Z8, K2 // lanes with distance < limit
+	KMOVW     K2, CX          // KMOVB would need AVX512DQ, which the gate does not check
+	MOVB      CX, (R11)
+	INCQ      R11
 	ADDQ      $64, DX
 	LEAQ      (DI)(R8*8), DI
 	SUBQ      $8, R10
@@ -143,6 +151,9 @@ greduce:
 rows:
 	TESTQ R10, R10
 	JZ    done
+	MOVQ  limit+64(FP), R12
+	XORL  R13, R13 // the tail's mask bits
+	MOVL  $1, R14  // the current row's bit
 
 row:
 	VPXORQ Z8, Z8, Z8
@@ -174,11 +185,18 @@ reduce:
 	VPADDQ        X0, X8, X8
 	VPSHUFD       $0xee, X8, X0
 	VPADDQ        X0, X8, X8
-	VMOVQ         X8, (DX)
+	VMOVQ         X8, CX
+	MOVQ          CX, (DX)
+	MOVQ          R13, BX
+	ORQ           R14, BX
+	CMPQ          CX, R12
+	CMOVQLT       BX, R13 // distance < limit: set the row's bit
+	SHLQ          $1, R14
 	ADDQ          $8, DX
 	ADDQ          R8, DI
 	DECQ          R10
 	JNZ           row
+	MOVB          R13, (R11)
 
 done:
 	VZEROUPPER

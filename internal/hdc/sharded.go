@@ -3,6 +3,7 @@ package hdc
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -194,15 +195,6 @@ func (s *ShardedSearcher) PackedRow(i int) []uint64 {
 	return slices.Clone(sh.packed[row : row+s.words])
 }
 
-// scoreBlockSims writes full Hamming similarities for shard rows
-// [r0, r0+rows) into sims.
-func (s *ShardedSearcher) scoreBlockSims(qw []uint64, sh *shard, r0, rows int, sims []int) {
-	xorPopRows(qw, sh.packed[r0*s.words:], s.words, rows, sims)
-	for r := 0; r < rows; r++ {
-		sims[r] = s.d - sims[r]
-	}
-}
-
 // RowRange is a half-open contiguous interval [Lo, Hi) of packed
 // reference rows — the candidate-set representation of the
 // mass-ordered open-search pipeline. When references are packed in
@@ -239,7 +231,8 @@ func (r RowRange) Clamp(n int) RowRange {
 // (clamped to [0, Len())) through the blocked kernel, writing
 // HammingSimilarity(q, lo+j) to dst[j]. dst is grown as needed; the
 // (possibly reallocated) slice of length max(0, hi-lo) is returned, so
-// callers can reuse one buffer across queries.
+// callers can reuse one buffer across queries. Its kernel calls admit
+// nothing (limit 0): the mask they write is scratch.
 func (s *ShardedSearcher) SimilaritiesRangeInto(q BinaryHV, lo, hi int, dst []int) []int {
 	s.checkQuery(q)
 	r := RowRange{Lo: lo, Hi: hi}.Clamp(s.n)
@@ -248,23 +241,29 @@ func (s *ShardedSearcher) SimilaritiesRangeInto(q BinaryHV, lo, hi int, dst []in
 		dst = make([]int, n)
 	}
 	dst = dst[:n]
+	sc := scratchPool.Get().(*searchScratch)
+	defer scratchPool.Put(sc)
+	sc.mask = grown(sc.mask, maskWords(s.block))
 	for row := r.Lo; row < r.Hi; {
 		sh := &s.shards[row/s.shardSize]
 		end := min(r.Hi, sh.start+sh.rows)
 		for b := row; b < end; b += s.block {
-			rows := min(s.block, end-b)
-			s.scoreBlockSims(q.Words, sh, b-sh.start, rows, dst[b-r.Lo:])
+			xorPopRows(q.Words, sh.packed[(b-sh.start)*s.words:], s.words, min(s.block, end-b), 0, dst[b-r.Lo:], sc.mask)
 		}
 		row = end
+	}
+	for j := range dst {
+		dst[j] = s.d - dst[j]
 	}
 	return dst
 }
 
 // searchScratch is the reusable per-worker sweep state: the block
-// score buffer the kernel writes into and one shard visit's query
-// clips — so a shard visit allocates nothing in steady state.
+// distances and admission mask the kernel writes and one shard visit's
+// query clips — so a shard visit allocates nothing in steady state.
 type searchScratch struct {
-	sims []int
+	dist []int
+	mask []uint64
 	qs   []shardQuery
 }
 
@@ -325,30 +324,6 @@ func offerTopK(h []Match, m Match, k int) []Match {
 	if worse(h[0], m) {
 		h[0] = m
 		heapFixRoot(h)
-	}
-	return h
-}
-
-// offerBlock offers one scored kernel block to a top-k heap — row
-// base+x at score vals[x] — the sweep's one per-row selection loop.
-// Once the heap is full almost every row scores below its current
-// worst, so the steady state rejects on one compare and takes the heap
-// path only for potential entrants (ties resolve inside offerTopK).
-func offerBlock(h []Match, vals []int, base, k int) []Match {
-	x := 0
-	for ; x < len(vals) && len(h) < k; x++ {
-		h = heapPushMatch(h, Match{Index: base + x, Similarity: vals[x]})
-	}
-	if x == len(vals) {
-		return h
-	}
-	worst := h[0].Similarity
-	for ; x < len(vals); x++ {
-		if vals[x] < worst {
-			continue
-		}
-		h = offerTopK(h, Match{Index: base + x, Similarity: vals[x]}, k)
-		worst = h[0].Similarity
 	}
 	return h
 }
@@ -558,7 +533,8 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 	if len(qs) == 0 {
 		return
 	}
-	sc.sims = grown(sc.sims, s.block)
+	sc.dist = grown(sc.dist, s.block)
+	sc.mask = grown(sc.mask, maskWords(s.block))
 	var swept int
 	// The hidden list: cut once per visit, advanced as each block is left.
 	hid := s.hidden[sort.SearchInts(s.hidden, lo):]
@@ -570,20 +546,31 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 			if r0 >= r1 {
 				continue
 			}
-			vals := sc.sims[:r1-r0]
-			swept += len(vals)
-			s.scoreBlockSims(b.queries[b.plan[sq.j].qi].Words, sh, r0-shLo, len(vals), vals)
-			// One kernel call scored the clip; it is offered one visible run
-			// [run, end) at a time — whole, when nothing in it is hidden.
-			for run, i := r0, 0; run < r1; i++ {
-				end := r1
-				if i < len(hid) && hid[i] < r1 {
-					end = hid[i]
+			swept += r1 - r0
+			// A full heap admits a row only at or above its worst
+			// similarity, i.e. below this distance. The bound holds at
+			// the clip's start and only tightens within it, so the mask
+			// drops no entrant; offerTopK's exact check decides the rest,
+			// ties included.
+			limit := s.d + 1
+			if len(sq.heap) == b.k {
+				limit = s.d - sq.heap[0].Similarity + 1
+			}
+			xorPopRows(b.queries[b.plan[sq.j].qi].Words, sh.packed[(r0-shLo)*s.words:], s.words, r1-r0, limit, sc.dist, sc.mask)
+			// Walk the admitted rows, skipping hidden ones by a merge
+			// with the block's cut of the hidden list.
+			h := 0
+			for w, m := range sc.mask[:maskWords(r1-r0)] {
+				for ; m != 0; m &= m - 1 {
+					i := w<<6 | bits.TrailingZeros64(m)
+					for h < len(hid) && hid[h] < r0+i {
+						h++
+					}
+					if h < len(hid) && hid[h] == r0+i {
+						continue
+					}
+					sq.heap = offerTopK(sq.heap, Match{Index: r0 + i, Similarity: s.d - sc.dist[i]}, b.k)
 				}
-				if end > run {
-					sq.heap = offerBlock(sq.heap, vals[run-r0:end-r0], run, b.k)
-				}
-				run = max(run, end+1)
 			}
 		}
 		for len(hid) > 0 && hid[0] < blockHi {
