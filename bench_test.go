@@ -75,7 +75,7 @@ func seedBatchTopK(refs []hdc.BinaryHV, queries []hdc.BinaryHV, k int) [][]hdc.M
 				h := &seedMatchHeap{}
 				heap.Init(h)
 				for r := range refs {
-					m := hdc.Match{Index: r, Similarity: hdc.HammingSimilarity(queries[i], refs[r])}
+					m := hdc.Match{Index: r, Similarity: queries[i].D - hdc.HammingDistance(queries[i], refs[r])}
 					if h.Len() < k {
 						heap.Push(h, m)
 					} else if seedWorse((*h)[0], m) {

@@ -131,12 +131,6 @@ func incremental(out, libPath string, appendMode bool, retractIDs string, maxPar
 	if structuralFlags {
 		fatalIf(fmt.Errorf("-append/-retract use the library's stored params; -d/-precision/-shardsize/-seed/-partitions must not be set"))
 	}
-	if kind, err := libindex.DetectKind(out); err != nil {
-		fatalIf(err)
-	} else if kind != libindex.KindManifest {
-		fatalIf(fmt.Errorf("%s is a single-file index; incremental updates need a partitioned index (rebuild with -partitions)", out))
-	}
-
 	if !appendMode {
 		var ids []string
 		for _, id := range strings.Split(retractIDs, ",") {

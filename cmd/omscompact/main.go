@@ -42,12 +42,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if kind, err := libindex.DetectKind(*indexPath); err != nil {
-		fatalIf(err)
-	} else if kind != libindex.KindManifest {
-		fatalIf(fmt.Errorf("%s is a single-file index; only partitioned indexes compact", *indexPath))
-	}
-
 	stats, err := libindex.Compact(*indexPath, *maxPartRefs)
 	fatalIf(err)
 	if stats.Noop {

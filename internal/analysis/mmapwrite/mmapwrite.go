@@ -8,14 +8,11 @@
 // path) is a PROT_READ, MAP_SHARED view of the index file on unix. A write through it does
 // not fail politely at compile time — it SIGSEGVs at best, and on a
 // platform where the fallback copying loader was in effect instead, it
-// silently corrupts the store every serving generation shares. Rows
-// handed out by ShardedSearcher.PackedRow carry the same contract:
-// today they are defensive copies, but the API reserves the right to
-// return live views.
+// silently corrupts the store every serving generation shares.
 //
 // The analyzer taint-tracks, per function and flow-insensitively:
 //
-//   - results of the source calls (Words, PartitionSet, PackedRow) and
+//   - results of the source calls (Words, PartitionSet) and
 //     slices/elements derived from them by assignment, reslicing and
 //     indexing;
 //   - the packed-block argument of the aliasing constructors
@@ -63,7 +60,6 @@ var sourceCalls = map[string]bool{
 	"(*repro/internal/libindex.Index).Words":                   true,
 	"(*repro/internal/libindex.PartitionedIndex).PartitionSet": true,
 	"(*repro/internal/libindex.Opened).PartitionSet":           true,
-	"(*repro/internal/hdc.ShardedSearcher).PackedRow":          true,
 }
 
 // sinkParams maps the aliasing constructors to the indices of the

@@ -1,7 +1,7 @@
 // Package mmapwritetest plants writes and escapes of mmap-derived word
 // slices for the mmapwrite analyzer, against the real source APIs
 // (libindex.Index.Words, PartitionedIndex.PartitionSet,
-// Opened.PartitionSet, ShardedSearcher.PackedRow) and the aliasing constructor sink. Reads,
+// Opened.PartitionSet) and the aliasing constructor sink. Reads,
 // fresh copies and //oms:allow-annotated ownership transfers must stay
 // silent.
 package mmapwritetest
@@ -42,11 +42,6 @@ func partitioned(pi *libindex.PartitionedIndex, h *holder) {
 
 func opened(o *libindex.Opened, h *holder) {
 	h.set = o.PartitionSet() // want `mmap-derived slice escapes into struct field set`
-}
-
-func packedRow(s *hdc.ShardedSearcher) {
-	row := s.PackedRow(0)
-	row[0] = 1 // want `write through a slice derived from the mmap-backed packed block \(row\)`
 }
 
 func sharedWithSearcher(block []uint64, d int) error {

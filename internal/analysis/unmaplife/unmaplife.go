@@ -3,7 +3,7 @@
 //
 // Index.Close munmaps the file (and since the runtime poisoning in
 // libindex, zero-lengths the words view), so any slice derived from
-// Index.Words / PartitionSet / ShardedSearcher.PackedRow —
+// Index.Words / PartitionSet —
 // directly, through reslicing/indexing/conversion, through one of the
 // aliasing constructors (a searcher built by NewShardedSearcherFromPacked
 // IS a view of its block argument), or parked in a struct field — is

@@ -142,7 +142,7 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 				})
 				if int(allocs) > want {
 					t.Errorf("%d-query sweep of %+v over %d shards with %d hidden rows (traced: %t) allocates %.1f allocs/op in steady state, baseline %d",
-						len(queries), r, s.NumShards(), len(hidden), tr != nil, allocs, want)
+						len(queries), r, s.numShards(), len(hidden), tr != nil, allocs, want)
 				}
 			}
 		}

@@ -128,8 +128,8 @@ func TestSimilarSpectraEncodeSimilarly(t *testing.T) {
 	hb, _ := e.Encode(base)
 	hn, _ := e.Encode(near)
 	hf, _ := e.Encode(far)
-	simNear := HammingSimilarity(hb, hn)
-	simFar := HammingSimilarity(hb, hf)
+	simNear := hammingSimilarity(hb, hn)
+	simFar := hammingSimilarity(hb, hf)
 	if simNear <= simFar+d/20 {
 		t.Errorf("near sim %d not clearly above far sim %d (D=%d)", simNear, simFar, d)
 	}
@@ -157,8 +157,8 @@ func TestLevelProximityPreserved(t *testing.T) {
 		return h
 	}
 	h7, h8, h15 := at(7), at(8), at(15)
-	simAdj := HammingSimilarity(h7, h8)
-	simFar := HammingSimilarity(h7, h15)
+	simAdj := hammingSimilarity(h7, h8)
+	simFar := hammingSimilarity(h7, h15)
 	if simAdj <= simFar {
 		t.Errorf("adjacent-level sim %d <= distant-level sim %d", simAdj, simFar)
 	}
@@ -215,7 +215,7 @@ func TestChunkedEncoderEquivalentQuality(t *testing.T) {
 	hb, _ := e.Encode(base)
 	hn, _ := e.Encode(near)
 	hf, _ := e.Encode(far)
-	if HammingSimilarity(hb, hn) <= HammingSimilarity(hb, hf) {
+	if hammingSimilarity(hb, hn) <= hammingSimilarity(hb, hf) {
 		t.Error("chunked levels destroyed locality")
 	}
 }
@@ -239,7 +239,7 @@ func onBothEncodeKernels(t *testing.T, f func(t *testing.T)) {
 	})
 }
 
-// matchReference asserts Encode == Sign(Accumulate) word for word (or
+// matchReference asserts Encode == sign(Accumulate) word for word (or
 // the same error text from both) and returns the reference accumulator.
 func matchReference(t testing.TB, e *Encoder, peaks []spectrum.QuantizedPeak) []int32 {
 	t.Helper()
@@ -252,7 +252,7 @@ func matchReference(t testing.TB, e *Encoder, peaks []spectrum.QuantizedPeak) []
 		}
 		return nil
 	}
-	want := Sign(acc)
+	want := sign(acc)
 	if got.D != want.D || len(got.Words) != len(want.Words) {
 		t.Fatalf("shape: D %d/%d words %d/%d", got.D, want.D, len(got.Words), len(want.Words))
 	}

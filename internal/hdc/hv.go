@@ -122,13 +122,6 @@ func HammingDistance(a, b BinaryHV) int {
 	return d
 }
 
-// HammingSimilarity returns the number of equal components, the score
-// the paper's in-memory search computes (§3.3): equivalently the
-// bipolar dot product shifted into [0, D].
-func HammingSimilarity(a, b BinaryHV) int {
-	return a.D - HammingDistance(a, b)
-}
-
 // Dot returns the bipolar dot product in [-D, D]:
 // D - 2*HammingDistance.
 func Dot(a, b BinaryHV) int {
@@ -197,17 +190,6 @@ func (h BinaryHV) Ints() []int8 {
 	return out
 }
 
-// FromInts packs a bipolar slice (>0 becomes +1) into a BinaryHV.
-func FromInts(vals []int8) BinaryHV {
-	h := NewBinaryHV(len(vals))
-	for i, v := range vals {
-		if v > 0 {
-			h.SetBit(i, true)
-		}
-	}
-	return h
-}
-
 // String summarizes the hypervector.
 func (h BinaryHV) String() string {
 	return fmt.Sprintf("BinaryHV{D=%d, +1s=%d}", h.D, h.PopCount())
@@ -224,44 +206,13 @@ type IntHV struct {
 // D returns the dimensionality.
 func (h IntHV) D() int { return len(h.Vals) }
 
-// RandomIntHV draws a random multi-bit hypervector of the given
-// precision (1, 2 or 3 bits). Precision 1 gives bipolar {-1, +1}.
-// Two rng calls per component, magnitude then sign: the draw order
-// NewItemMemory reproduces and every stored index depends on.
-func RandomIntHV(d, precision int, rng *rand.Rand) IntHV {
-	vals := make([]int8, d)
-	maxMag := MaxMagnitude(precision)
-	for i := range vals {
-		mag := int8(rng.Intn(maxMag) + 1)
-		vals[i] = mag * int8(2*rng.Intn(2)-1) // branch-free: the sign is a coin flip
-	}
-	return IntHV{Vals: vals}
-}
-
 // clampPrecision bounds an ID precision to the supported 1–3 bits.
 func clampPrecision(precision int) int {
 	return min(max(precision, 1), 3)
 }
 
-// MaxMagnitude returns the largest representable magnitude for an ID
+// maxMagnitude returns the largest representable magnitude for an ID
 // precision in bits.
-func MaxMagnitude(precision int) int {
+func maxMagnitude(precision int) int {
 	return 1 << (clampPrecision(precision) - 1)
-}
-
-// Sign quantizes an accumulator slice to a packed BinaryHV with the
-// Sign() function of Eq. 1. Zero accumulator entries resolve by the
-// tie-break bit of the dimension index, keeping encoding deterministic
-// without biasing the hyperspace.
-func Sign(acc []int32) BinaryHV {
-	h := NewBinaryHV(len(acc))
-	for i, v := range acc {
-		switch {
-		case v > 0:
-			h.SetBit(i, true)
-		case v == 0 && i%2 == 0:
-			h.SetBit(i, true)
-		}
-	}
-	return h
 }

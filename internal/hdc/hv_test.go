@@ -68,7 +68,7 @@ func TestRandomBinaryHVTailMasked(t *testing.T) {
 func TestHammingDistanceAndSimilarity(t *testing.T) {
 	a := NewBinaryHV(128)
 	b := NewBinaryHV(128)
-	if HammingDistance(a, b) != 0 || HammingSimilarity(a, b) != 128 {
+	if HammingDistance(a, b) != 0 || hammingSimilarity(a, b) != 128 {
 		t.Error("identical HVs")
 	}
 	b.SetBit(3, true)
@@ -76,8 +76,8 @@ func TestHammingDistanceAndSimilarity(t *testing.T) {
 	if HammingDistance(a, b) != 2 {
 		t.Errorf("distance = %d", HammingDistance(a, b))
 	}
-	if HammingSimilarity(a, b) != 126 {
-		t.Errorf("similarity = %d", HammingSimilarity(a, b))
+	if hammingSimilarity(a, b) != 126 {
+		t.Errorf("similarity = %d", hammingSimilarity(a, b))
 	}
 	if Dot(a, b) != 128-4 {
 		t.Errorf("dot = %d", Dot(a, b))
@@ -205,7 +205,7 @@ func TestFlipExact(t *testing.T) {
 func TestIntsFromIntsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	h := RandomBinaryHV(333, rng)
-	back := FromInts(h.Ints())
+	back := fromInts(h.Ints())
 	if !h.Equal(back) {
 		t.Error("Ints/FromInts round trip failed")
 	}
@@ -214,8 +214,8 @@ func TestIntsFromIntsRoundTrip(t *testing.T) {
 func TestRandomIntHVPrecisionRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for p := 1; p <= 3; p++ {
-		maxMag := MaxMagnitude(p)
-		h := RandomIntHV(2000, p, rng)
+		maxMag := maxMagnitude(p)
+		h := randomIntHV(2000, p, rng)
 		sawMax := false
 		for _, v := range h.Vals {
 			if v == 0 {
@@ -235,17 +235,17 @@ func TestRandomIntHVPrecisionRanges(t *testing.T) {
 }
 
 func TestMaxMagnitudeClamps(t *testing.T) {
-	if MaxMagnitude(0) != 1 || MaxMagnitude(5) != 4 {
+	if maxMagnitude(0) != 1 || maxMagnitude(5) != 4 {
 		t.Error("precision clamping wrong")
 	}
-	if MaxMagnitude(1) != 1 || MaxMagnitude(2) != 2 || MaxMagnitude(3) != 4 {
+	if maxMagnitude(1) != 1 || maxMagnitude(2) != 2 || maxMagnitude(3) != 4 {
 		t.Error("magnitudes wrong")
 	}
 }
 
 func TestSignQuantization(t *testing.T) {
 	acc := []int32{5, -3, 0, 0, 7, -1}
-	h := Sign(acc)
+	h := sign(acc)
 	if h.Bit(0) != 1 || h.Bit(1) != -1 || h.Bit(4) != 1 || h.Bit(5) != -1 {
 		t.Error("sign of nonzero entries wrong")
 	}
@@ -266,4 +266,56 @@ func TestOrthogonalityOfRandomHVs(t *testing.T) {
 	if dot > 6*math.Sqrt(float64(d)) {
 		t.Errorf("random HVs not orthogonal: |dot| = %v", dot)
 	}
+}
+
+// Test references: the scalar forms the kernels and the item memory
+// are checked against.
+
+// hammingSimilarity returns the number of equal components, the score
+// the paper's in-memory search computes (§3.3): equivalently the
+// bipolar dot product shifted into [0, D].
+func hammingSimilarity(a, b BinaryHV) int {
+	return a.D - HammingDistance(a, b)
+}
+
+// fromInts packs a bipolar slice (>0 becomes +1) into a BinaryHV.
+func fromInts(vals []int8) BinaryHV {
+	h := NewBinaryHV(len(vals))
+	for i, v := range vals {
+		if v > 0 {
+			h.SetBit(i, true)
+		}
+	}
+	return h
+}
+
+// randomIntHV draws a random multi-bit hypervector of the given
+// precision (1, 2 or 3 bits). Precision 1 gives bipolar {-1, +1}.
+// Two rng calls per component, magnitude then sign: the draw order
+// NewItemMemory reproduces and every stored index depends on.
+func randomIntHV(d, precision int, rng *rand.Rand) IntHV {
+	vals := make([]int8, d)
+	maxMag := maxMagnitude(precision)
+	for i := range vals {
+		mag := int8(rng.Intn(maxMag) + 1)
+		vals[i] = mag * int8(2*rng.Intn(2)-1) // branch-free: the sign is a coin flip
+	}
+	return IntHV{Vals: vals}
+}
+
+// sign quantizes an accumulator slice to a packed BinaryHV with the
+// Sign() function of Eq. 1. Zero accumulator entries resolve by the
+// tie-break bit of the dimension index, keeping encoding deterministic
+// without biasing the hyperspace.
+func sign(acc []int32) BinaryHV {
+	h := NewBinaryHV(len(acc))
+	for i, v := range acc {
+		switch {
+		case v > 0:
+			h.SetBit(i, true)
+		case v == 0 && i%2 == 0:
+			h.SetBit(i, true)
+		}
+	}
+	return h
 }

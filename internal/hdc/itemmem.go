@@ -58,7 +58,7 @@ const (
 )
 
 // NewItemMemory builds an item memory with numBins ID hypervectors:
-// bin after bin, the components RandomIntHV draws from
+// bin after bin, the components randomIntHV (hv_test.go) draws from
 // rand.New(rand.NewSource(seed)), which every stored index assumes.
 // Dimension i of a bin takes the stream's next two outputs y, y': the
 // magnitude is ((y>>32)&(o-1))+1 and the sign bit (y'>>32)&1 — what
@@ -75,7 +75,7 @@ func NewItemMemory(d, numBins, precision int, seed int64) *ItemMemory {
 		planes: make([]uint64, numBins*groups*idGroupWords)}
 	// planeByte[mag-1 | sign<<2] is a dimension's eight planes a bit
 	// each: the neg nibble o-id, then the delta nibble (o-id)^(o+id).
-	o := MaxMagnitude(precision)
+	o := maxMagnitude(precision)
 	var planeByte [8]uint64
 	for i := range planeByte {
 		v := (i&3 + 1) * (i>>2*2 - 1)
@@ -141,7 +141,7 @@ func (im *ItemMemory) NumBins() int { return im.bins }
 // the encoder consumes the planes directly).
 func (im *ItemMemory) ID(i int) IntHV {
 	groups := groupsPerHV(WordsPerHV(im.D))
-	offset := int8(MaxMagnitude(im.Precision))
+	offset := int8(maxMagnitude(im.Precision))
 	vals := make([]int8, im.D)
 	for dim := range vals {
 		var neg int8

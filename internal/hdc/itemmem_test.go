@@ -19,7 +19,7 @@ func seedIDs(d, bins, precision int, seed int64) []IntHV {
 	rng := rand.New(rand.NewSource(seed))
 	ids := make([]IntHV, bins)
 	for i := range ids {
-		ids[i] = RandomIntHV(d, precision, rng)
+		ids[i] = randomIntHV(d, precision, rng)
 	}
 	return ids
 }
@@ -33,9 +33,9 @@ func seedPlanes(d, bins, precision int, seed int64) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	groups := groupsPerHV(WordsPerHV(d))
 	planes := make([]uint64, bins*groups*idGroupWords)
-	offset := int8(MaxMagnitude(precision))
+	offset := int8(maxMagnitude(precision))
 	for b := 0; b < bins; b++ {
-		vals := RandomIntHV(d, precision, rng).Vals
+		vals := randomIntHV(d, precision, rng).Vals
 		for j := 0; j < d; j += 8 {
 			var x uint64
 			for i, v := range vals[j:min(j+8, d)] {
@@ -254,7 +254,7 @@ func TestFlipLevelSetMonotoneSimilarity(t *testing.T) {
 	l0 := ls.Level(0)
 	prev := d + 1
 	for j := 1; j < q; j++ {
-		sim := HammingSimilarity(l0, ls.Level(j))
+		sim := hammingSimilarity(l0, ls.Level(j))
 		if sim >= prev {
 			t.Errorf("similarity not strictly decreasing at level %d: %d >= %d", j, sim, prev)
 		}
@@ -323,7 +323,7 @@ func TestChunkedLevelSetMonotone(t *testing.T) {
 	l0 := ls.Level(0)
 	prev := 4097
 	for j := 1; j < 16; j++ {
-		sim := HammingSimilarity(l0, ls.Level(j))
+		sim := hammingSimilarity(l0, ls.Level(j))
 		if sim >= prev {
 			t.Errorf("chunked similarity not decreasing at level %d", j)
 		}

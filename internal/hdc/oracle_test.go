@@ -21,7 +21,7 @@ func naiveTopK(refs []BinaryHV, d int, q BinaryHV, candidates []int, k int) []Ma
 	h := &matchHeap{}
 	heap.Init(h)
 	consider := func(i int) {
-		sim := HammingSimilarity(q, refs[i])
+		sim := hammingSimilarity(q, refs[i])
 		if h.Len() < k {
 			heap.Push(h, Match{Index: i, Similarity: sim})
 		} else if worse((*h)[0], Match{Index: i, Similarity: sim}) {

@@ -122,7 +122,7 @@ func TestSimilaritiesRangeIntoParity(t *testing.T) {
 			t.Fatalf("range %v: len = %d, want %d", r, len(buf), max(hi-lo, 0))
 		}
 		for j := range buf {
-			if want := HammingSimilarity(q, refs[lo+j]); buf[j] != want {
+			if want := hammingSimilarity(q, refs[lo+j]); buf[j] != want {
 				t.Fatalf("range %v row %d: sim = %d, want %d", r, lo+j, buf[j], want)
 			}
 		}

@@ -87,7 +87,7 @@ func TestTopKMatchesBruteForceProperty(t *testing.T) {
 		// Brute force.
 		all := make([]Match, n)
 		for i := range refs {
-			all[i] = Match{Index: i, Similarity: HammingSimilarity(q, refs[i])}
+			all[i] = Match{Index: i, Similarity: hammingSimilarity(q, refs[i])}
 		}
 		sort.Slice(all, func(i, j int) bool { return worse(all[j], all[i]) })
 		if k > n {
@@ -111,7 +111,7 @@ func TestTopKMatchesBruteForceProperty(t *testing.T) {
 func TestSearcherAccessors(t *testing.T) {
 	refs := randomRefs(128, 9, 9)
 	s, _ := NewShardedSearcher(refs, 4)
-	if s.Len() != 9 || s.D() != 128 || s.NumShards() != 3 {
-		t.Errorf("accessors: len=%d d=%d shards=%d", s.Len(), s.D(), s.NumShards())
+	if s.Len() != 9 || s.D() != 128 || s.numShards() != 3 {
+		t.Errorf("accessors: len=%d d=%d shards=%d", s.Len(), s.D(), s.numShards())
 	}
 }

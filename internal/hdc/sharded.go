@@ -158,9 +158,6 @@ func (s *ShardedSearcher) D() int { return s.d }
 // Len returns the number of references.
 func (s *ShardedSearcher) Len() int { return s.n }
 
-// NumShards returns the shard count.
-func (s *ShardedSearcher) NumShards() int { return len(s.shards) }
-
 // RowsSwept returns the cumulative candidate rows covered by the sweep
 // since construction.
 func (s *ShardedSearcher) RowsSwept() uint64 { return s.swept.Load() }
@@ -179,20 +176,6 @@ func (s *ShardedSearcher) checkQuery(q BinaryHV) {
 	if q.D != s.d {
 		panic(fmt.Sprintf("hdc: query D=%d, searcher D=%d", q.D, s.d))
 	}
-}
-
-// PackedRow returns a freshly allocated copy of the packed words of
-// reference row i exactly as stored in the engine. It panics with a
-// descriptive message on an out-of-range index. The persistent library
-// index uses it to verify that a loaded store is bit-identical to the
-// freshly packed one.
-func (s *ShardedSearcher) PackedRow(i int) []uint64 {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("hdc: reference index %d out of range [0, %d)", i, s.n))
-	}
-	sh := &s.shards[i/s.shardSize]
-	row := (i - sh.start) * s.words
-	return slices.Clone(sh.packed[row : row+s.words])
 }
 
 // RowRange is a half-open contiguous interval [Lo, Hi) of packed
@@ -228,8 +211,8 @@ func (r RowRange) Clamp(n int) RowRange {
 }
 
 // SimilaritiesRangeInto scores the query against packed rows [lo, hi)
-// (clamped to [0, Len())) through the blocked kernel, writing
-// HammingSimilarity(q, lo+j) to dst[j]. dst is grown as needed; the
+// (clamped to [0, Len())) through the blocked kernel, writing row
+// lo+j's similarity D − HammingDistance to dst[j]. dst is grown as needed; the
 // (possibly reallocated) slice of length max(0, hi-lo) is returned, so
 // callers can reuse one buffer across queries. Its kernel calls admit
 // nothing (limit 0): the mask they write is scratch.

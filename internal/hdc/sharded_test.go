@@ -1,7 +1,9 @@
 package hdc
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -15,7 +17,7 @@ func TestSweepLargeParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumShards() < 2 {
+	if s.numShards() < 2 {
 		t.Fatal("test needs multiple shards")
 	}
 	rng := rand.New(rand.NewSource(43))
@@ -42,7 +44,7 @@ func TestSingleReferenceEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSim := HammingSimilarity(q, refs[0])
+	wantSim := hammingSimilarity(q, refs[0])
 	for _, k := range []int{1, 5} {
 		for _, got := range [][]Match{
 			topKRange(s, q, 0, 1, k),
@@ -136,7 +138,7 @@ func TestCascadePackedRowAssembly(t *testing.T) {
 	}
 	for _, s := range []*ShardedSearcher{copied, packed} {
 		for i, r := range refs {
-			row := s.PackedRow(i)
+			row := s.packedRow(i)
 			if len(row) != len(r.Words) {
 				t.Fatalf("row %d: %d words, want %d", i, len(row), len(r.Words))
 			}
@@ -229,4 +231,19 @@ func TestLadderRunCompletion(t *testing.T) {
 			}
 		}
 	}
+}
+
+// numShards returns the shard count.
+func (s *ShardedSearcher) numShards() int { return len(s.shards) }
+
+// packedRow returns a freshly allocated copy of the packed words of
+// reference row i exactly as stored in the engine. It panics with a
+// descriptive message on an out-of-range index.
+func (s *ShardedSearcher) packedRow(i int) []uint64 {
+	if i < 0 || i >= s.n {
+		panic(fmt.Sprintf("hdc: reference index %d out of range [0, %d)", i, s.n))
+	}
+	sh := &s.shards[i/s.shardSize]
+	row := (i - sh.start) * s.words
+	return slices.Clone(sh.packed[row : row+s.words])
 }

@@ -1,8 +1,8 @@
 package libindex
 
 import (
-	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 
@@ -12,17 +12,126 @@ import (
 	"repro/internal/spectrum"
 )
 
-// The writers in this file (and Compact in compact.go) assume a single
-// writer at a time: each one loads the log's validated prefix, writes
-// its partition files, then publishes by appending one fsynced record
-// at the prefix end. Two concurrent writers would race on that offset.
-// Readers are unaffected — they only ever see a prefix of the log.
+// publish is the one publish path of the four manifest writers
+// (SavePartitioned, AppendDelta, AppendRetract, Compact): each builds
+// rec and the libraries its partition files hold, and publish, in order:
 //
-// Crash-safety ordering: partition files are written, fsynced and
-// renamed into place BEFORE the record referencing them is appended. A
-// crash between the two leaves orphaned partition files and an
-// unchanged (or torn-tailed) manifest — the last good generation keeps
-// opening, and SweepOrphans reclaims the files.
+//   - refuses a stale writer: unless rec is the base record (st == nil),
+//     the log must still be at st's generation, or this writer would
+//     overwrite a newer generation's files and truncate its record away;
+//   - writes one partition file per chunk, in record-row order, and
+//     describes each in rec.Partitions;
+//   - publishes rec: the base record replaces the manifest, any later
+//     one is appended to the log and folded into st.
+//
+// A crash before the record lands leaves orphaned files and the last
+// good generation (SweepOrphans reclaims the files). The stale check is
+// not exclusion: two writers racing between it and the append are kept
+// apart only by the single-writer contract. It returns the published
+// generation.
+func publish(manifestPath string, st *ManifestState, p core.Params, rec LogRecord, chunks []*core.Library) (uint64, error) {
+	rec.Generation = 1
+	if st != nil {
+		cur, err := LoadManifestLog(manifestPath)
+		if err != nil {
+			return 0, err
+		}
+		if cur.Generation != st.Generation {
+			return 0, fmt.Errorf("libindex: manifest %s is at generation %d, this writer loaded %d: another writer published in between; reload and retry",
+				manifestPath, cur.Generation, st.Generation)
+		}
+		rec.Generation = st.Generation + 1
+	}
+	row := 0
+	for i, c := range chunks {
+		path := PartitionFileName(manifestPath, i)
+		if st != nil {
+			path = GenPartitionFileName(manifestPath, rec.Generation, i)
+		}
+		crc, size, err := savePartitionFile(path, p, c)
+		if err != nil {
+			return 0, fmt.Errorf("libindex: writing %s partition %d: %w", rec.Type, i, err)
+		}
+		rec.Partitions = append(rec.Partitions, PartitionInfo{
+			File:     filepath.Base(path),
+			Refs:     c.Len(),
+			StartRow: row,
+			MinMass:  c.Entries[0].Mass,
+			MaxMass:  c.Entries[c.Len()-1].Mass,
+			Bytes:    size,
+			CRC32C:   crc,
+		})
+		row += c.Len()
+	}
+	line, err := marshalRecord(rec)
+	if err != nil {
+		return 0, err
+	}
+	if st == nil {
+		if err := writeAtomic(manifestPath, func(f *os.File) error {
+			_, err := f.Write(line)
+			return err
+		}); err != nil {
+			return 0, err
+		}
+		return rec.Generation, nil
+	}
+	if err := appendLogRecord(manifestPath, st, line); err != nil {
+		return 0, err
+	}
+	if err := st.apply(rec, false); err != nil {
+		return 0, fmt.Errorf("libindex: folding just-published %s record: %w", rec.Type, err)
+	}
+	return rec.Generation, nil
+}
+
+// cutLibrary cuts a mass-sorted library into the row-contiguous
+// libraries ending at the ascending row offsets ends (the last is
+// lib.Len()). Each keeps the relative build order of its own rows
+// (localizePositions) — what a partition file stores.
+func cutLibrary(lib *core.Library, ends []int) ([]*core.Library, error) {
+	srcPos := lib.SourcePositions()
+	if len(srcPos) != lib.Len() {
+		return nil, fmt.Errorf("libindex: library has %d entries but %d source positions (SortByMass never ran?)", lib.Len(), len(srcPos))
+	}
+	chunks := make([]*core.Library, len(ends))
+	lo := 0
+	for i, hi := range ends {
+		var err error
+		chunks[i], err = core.RestoreLibrary(lib.Entries[lo:hi:hi], lib.HVs[lo:hi:hi], localizePositions(srcPos[lo:hi]), 0)
+		if err != nil {
+			return nil, fmt.Errorf("libindex: assembling partition %d: %w", i, err)
+		}
+		lo = hi
+	}
+	return chunks, nil
+}
+
+// evenEnds returns the row ends of n rows split into parts
+// near-equal ranges.
+func evenEnds(n, parts int) []int {
+	ends := make([]int, parts)
+	for i := range ends {
+		ends[i] = (i + 1) * n / parts
+	}
+	return ends
+}
+
+// localizePositions rank-compresses a slice of global build positions
+// into a local permutation of [0, len): element i becomes the rank of
+// global[i] within the slice, preserving relative build order.
+func localizePositions(global []int) []int {
+	idx := make([]int, len(global))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return global[idx[a]] < global[idx[b]] })
+	local := make([]int, len(global))
+	for rank, i := range idx {
+		local[i] = rank
+	}
+	return local
+}
 
 // BuildDeltaLibrary encodes a batch of spectra for appending to an
 // existing library with the library's stored params, so its packed
@@ -42,10 +151,10 @@ func BuildDeltaLibrary(spectra []*spectrum.Spectrum, p core.Params) (*core.Libra
 // AppendDelta publishes a built delta batch as generation
 // st.Generation+1: the batch is split into mass-contiguous delta
 // partition files of at most maxPartRefs rows (0 = one partition),
-// each written and fsynced, and then one delta record is appended to
-// the manifest log. On success st is advanced to the new generation.
-// The delta partitions' fences may overlap the base tier — no
-// re-tiling happens here; that is the compactor's job.
+// then one delta record is appended to the manifest log. On success st
+// is advanced to the new generation. The delta partitions' fences may
+// overlap the base tier — no re-tiling happens here; that is the
+// compactor's job.
 func AppendDelta(manifestPath string, st *ManifestState, lib *core.Library, maxPartRefs int) (uint64, error) {
 	if lib == nil || lib.Len() == 0 {
 		return 0, fmt.Errorf("libindex: refusing to append an empty delta batch")
@@ -53,51 +162,19 @@ func AppendDelta(manifestPath string, st *ManifestState, lib *core.Library, maxP
 	if d := lib.HVs[0].D; d != st.D {
 		return 0, fmt.Errorf("libindex: delta batch has dimension D=%d, library has D=%d", d, st.D)
 	}
-	var p core.Params
-	if err := json.Unmarshal(st.Params, &p); err != nil {
-		return 0, fmt.Errorf("libindex: decoding manifest params: %w", err)
-	}
-	n := lib.Len()
-	parts := 1
-	if maxPartRefs > 0 {
-		parts = (n + maxPartRefs - 1) / maxPartRefs
-	}
-	gen := st.Generation + 1
-	srcPos := lib.SourcePositions()
-	rec := LogRecord{Type: recordDelta, Generation: gen, Skipped: lib.Skipped}
-	for i := 0; i < parts; i++ {
-		lo, hi := i*n/parts, (i+1)*n/parts
-		sub, err := core.RestoreLibrary(
-			lib.Entries[lo:hi:hi],
-			lib.HVs[lo:hi:hi],
-			localizePositions(srcPos[lo:hi]),
-			0,
-		)
-		if err != nil {
-			return 0, fmt.Errorf("libindex: assembling delta partition %d: %w", i, err)
-		}
-		path := GenPartitionFileName(manifestPath, gen, i)
-		crc, size, err := savePartitionFile(path, p, sub)
-		if err != nil {
-			return 0, fmt.Errorf("libindex: writing delta partition %d: %w", i, err)
-		}
-		rec.Partitions = append(rec.Partitions, PartitionInfo{
-			File:     filepath.Base(path),
-			Refs:     hi - lo,
-			StartRow: lo,
-			MinMass:  lib.Entries[lo].Mass,
-			MaxMass:  lib.Entries[hi-1].Mass,
-			Bytes:    size,
-			CRC32C:   crc,
-		})
-	}
-	if err := appendLogRecord(manifestPath, st, rec); err != nil {
+	p, err := st.DecodeParams()
+	if err != nil {
 		return 0, err
 	}
-	if err := st.apply(rec, false); err != nil {
-		return 0, fmt.Errorf("libindex: folding just-published delta record: %w", err)
+	parts := 1
+	if maxPartRefs > 0 {
+		parts = (lib.Len() + maxPartRefs - 1) / maxPartRefs
 	}
-	return gen, nil
+	chunks, err := cutLibrary(lib, evenEnds(lib.Len(), parts))
+	if err != nil {
+		return 0, err
+	}
+	return publish(manifestPath, st, p, LogRecord{Type: recordDelta, Skipped: lib.Skipped}, chunks)
 }
 
 // AppendRetract publishes tombstones for the listed source ids as
@@ -126,15 +203,7 @@ func AppendRetract(manifestPath string, st *ManifestState, ids []string, known m
 		sorted = append(sorted, id)
 	}
 	sort.Strings(sorted)
-	gen := st.Generation + 1
-	rec := LogRecord{Type: recordRetract, Generation: gen, Ids: sorted}
-	if err := appendLogRecord(manifestPath, st, rec); err != nil {
-		return 0, err
-	}
-	if err := st.apply(rec, false); err != nil {
-		return 0, fmt.Errorf("libindex: folding just-published retract record: %w", err)
-	}
-	return gen, nil
+	return publish(manifestPath, st, core.Params{}, LogRecord{Type: recordRetract, Ids: sorted}, nil)
 }
 
 // LiveIDs collects every source id the open index's partitions carry —

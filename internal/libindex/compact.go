@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/hdc"
 )
 
 // CompactStats summarizes one compaction.
@@ -93,149 +92,81 @@ func Compact(manifestPath string, maxPartRefs int) (CompactStats, error) {
 		}
 	}
 
-	// Merge the affected partitions' visible rows in canonical order:
-	// ascending mass, ties by append order (generation, then the row's
-	// offset within its generation).
-	type mrow struct {
-		entry core.LibraryEntry
-		hv    hdc.BinaryHV
-		gen   uint64
-		seq   int
-	}
-	var rows []mrow
-	stats := CompactStats{ClearedTombstones: len(st.Tombstones)}
-	var drop []string
-	for i := range states {
-		if !affected[i] {
-			continue
+	// Merge the affected partitions' visible rows: gathered in append
+	// order (generation, then row within it) and mass-sorted stably, as
+	// a from-scratch build sorts them — so each row's source position is
+	// its append-order rank.
+	rec := LogRecord{Type: recordCompact}
+	var affectedIdx []int
+	var kept []PartitionState
+	for i, ps := range states {
+		if affected[i] {
+			rec.Drop = append(rec.Drop, ps.File)
+			affectedIdx = append(affectedIdx, i)
+		} else {
+			kept = append(kept, ps)
 		}
-		drop = append(drop, states[i].File)
-		stats.DroppedPartitions++
+	}
+	sort.Slice(affectedIdx, func(a, b int) bool {
+		sa, sb := states[affectedIdx[a]], states[affectedIdx[b]]
+		return sa.Gen < sb.Gen || sa.Gen == sb.Gen && sa.GenRow < sb.GenRow
+	})
+	merged := &core.Library{}
+	for _, i := range affectedIdx {
 		lib := pi.Parts[i].Lib
 		shadowed := hidden[i] // ascending: consumed from the front as r passes
 		for r := range lib.Entries {
 			if len(shadowed) > 0 && shadowed[0] == r {
 				shadowed = shadowed[1:]
-				stats.RemovedRefs++
 				continue
 			}
-			rows = append(rows, mrow{lib.Entries[r], lib.HVs[r], states[i].Gen, states[i].GenRow + r})
+			merged.Entries = append(merged.Entries, lib.Entries[r])
+			merged.HVs = append(merged.HVs, lib.HVs[r])
 		}
 	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		if rows[a].entry.Mass != rows[b].entry.Mass {
-			return rows[a].entry.Mass < rows[b].entry.Mass
-		}
-		if rows[a].gen != rows[b].gen {
-			return rows[a].gen < rows[b].gen
-		}
-		return rows[a].seq < rows[b].seq
-	})
-	stats.MergedRefs = len(rows)
-
-	var kept []PartitionState
-	for i := range states {
-		if !affected[i] {
-			kept = append(kept, states[i])
-		}
-	}
-	if len(rows) == 0 && len(kept) == 0 {
+	merged.SortByMass()
+	n := merged.Len()
+	if n == 0 && len(kept) == 0 {
 		return CompactStats{}, fmt.Errorf("libindex: compaction would leave no live partitions (every reference is retracted); refusing — rebuild instead")
 	}
 
-	// Partition the merged rows into the gaps between kept partitions:
-	// closure guarantees every merged mass lies strictly outside every
-	// kept fence interval, so each row maps to exactly one gap and the
-	// new partitions cannot straddle a kept one.
-	groups := make(map[int][]mrow)
-	var gapOrder []int
-	for _, r := range rows {
-		g := sort.Search(len(kept), func(k int) bool { return kept[k].MaxMass >= r.entry.Mass })
-		if g < len(kept) && kept[g].MinMass <= r.entry.Mass {
+	// One pass over the merged rows cuts them at every gap between kept
+	// partitions — closure guarantees every merged mass lies strictly
+	// outside every kept fence interval, so no new partition straddles a
+	// kept one — and after maxPartRefs rows, but never inside an
+	// equal-mass run (the exactness invariant above).
+	var ends []int
+	for i, k, lo := 0, 0, 0; i < n; i++ {
+		m, gap := merged.Entries[i].Mass, k
+		for k < len(kept) && kept[k].MaxMass < m {
+			k++
+		}
+		if k < len(kept) && kept[k].MinMass <= m {
 			return CompactStats{}, fmt.Errorf("libindex: internal: merged row mass %g falls inside kept partition %s [%g, %g]",
-				r.entry.Mass, kept[g].File, kept[g].MinMass, kept[g].MaxMass)
+				m, kept[k].File, kept[k].MinMass, kept[k].MaxMass)
 		}
-		if _, ok := groups[g]; !ok {
-			gapOrder = append(gapOrder, g)
+		if i > lo && (k != gap || maxPartRefs > 0 && i-lo >= maxPartRefs && m != merged.Entries[i-1].Mass) {
+			ends = append(ends, i)
+			lo = i
 		}
-		groups[g] = append(groups[g], r)
 	}
-	sort.Ints(gapOrder)
-
-	newGen := st.Generation + 1
-	rec := LogRecord{Type: recordCompact, Generation: newGen, Drop: drop}
+	if n > 0 {
+		ends = append(ends, n)
+	}
+	chunks, err := cutLibrary(merged, ends)
+	if err != nil {
+		return CompactStats{}, err
+	}
 	for id := range st.Tombstones {
 		rec.Clear = append(rec.Clear, id)
 	}
 	sort.Strings(rec.Clear)
-
-	startRow, fileIdx := 0, 0
-	for _, g := range gapOrder {
-		group := groups[g]
-		for lo := 0; lo < len(group); {
-			hi := len(group)
-			if maxPartRefs > 0 && lo+maxPartRefs < hi {
-				hi = lo + maxPartRefs
-				// Never split an equal-mass run across output partitions —
-				// the exactness invariant above.
-				for hi < len(group) && group[hi].entry.Mass == group[hi-1].entry.Mass {
-					hi++
-				}
-			}
-			chunk := group[lo:hi]
-			entries := make([]core.LibraryEntry, len(chunk))
-			hvs := make([]hdc.BinaryHV, len(chunk))
-			ord := make([]int, len(chunk))
-			for i, r := range chunk {
-				entries[i] = r.entry
-				hvs[i] = r.hv
-				ord[i] = i
-			}
-			// srcPos: each row's rank in append order — what a from-scratch
-			// build's stable mass sort would have recorded.
-			sort.SliceStable(ord, func(a, b int) bool {
-				if chunk[ord[a]].gen != chunk[ord[b]].gen {
-					return chunk[ord[a]].gen < chunk[ord[b]].gen
-				}
-				return chunk[ord[a]].seq < chunk[ord[b]].seq
-			})
-			srcPos := make([]int, len(chunk))
-			for rank, i := range ord {
-				srcPos[i] = rank
-			}
-			sub, err := core.RestoreLibrary(entries, hvs, srcPos, 0)
-			if err != nil {
-				return CompactStats{}, fmt.Errorf("libindex: assembling compacted partition %d: %w", fileIdx, err)
-			}
-			path := GenPartitionFileName(manifestPath, newGen, fileIdx)
-			crc, size, err := savePartitionFile(path, pi.Params, sub)
-			if err != nil {
-				return CompactStats{}, fmt.Errorf("libindex: writing compacted partition %d: %w", fileIdx, err)
-			}
-			rec.Partitions = append(rec.Partitions, PartitionInfo{
-				File:     filepath.Base(path),
-				Refs:     len(chunk),
-				StartRow: startRow,
-				MinMass:  chunk[0].entry.Mass,
-				MaxMass:  chunk[len(chunk)-1].entry.Mass,
-				Bytes:    size,
-				CRC32C:   crc,
-			})
-			startRow += len(chunk)
-			fileIdx++
-			lo = hi
-		}
-	}
-	stats.NewPartitions = fileIdx
-
-	if err := appendLogRecord(manifestPath, st, rec); err != nil {
+	gen, err := publish(manifestPath, st, pi.Params, rec, chunks)
+	if err != nil {
 		return CompactStats{}, err
 	}
-	if err := st.apply(rec, false); err != nil {
-		return CompactStats{}, fmt.Errorf("libindex: folding just-published compact record: %w", err)
-	}
-	stats.Generation = newGen
-	return stats, nil
+	return CompactStats{Generation: gen, DroppedPartitions: len(rec.Drop), NewPartitions: len(chunks),
+		MergedRefs: n, RemovedRefs: hiddenTotal, ClearedTombstones: len(rec.Clear)}, nil
 }
 
 // partitionFileRE matches the partition files belonging to a manifest

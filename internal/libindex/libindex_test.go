@@ -135,7 +135,8 @@ func TestRoundTripSearchIdentical(t *testing.T) {
 
 // TestPackedStoreMatchesIndex verifies the loaded engine's packed rows
 // are bit-identical to the saved hypervector words, through the
-// sharded searcher's PackedRow accessor.
+// sharded searcher's kernel: every built hypervector must score full
+// similarity D against its own packed row.
 func TestPackedStoreMatchesIndex(t *testing.T) {
 	ds := testWorkload(t)
 	p := testParams(512, 100, 3)
@@ -153,16 +154,10 @@ func TestPackedStoreMatchesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := hdc.WordsPerHV(p.Accel.D)
-	for i := 0; i < lib.Len(); i++ {
-		row := s.PackedRow(i)
-		if len(row) != words {
-			t.Fatalf("row %d has %d words, want %d", i, len(row), words)
-		}
-		for w, v := range row {
-			if v != built.Library().HVs[i].Words[w] {
-				t.Fatalf("row %d word %d differs from built library", i, w)
-			}
+	var sim []int
+	for i, hv := range built.Library().HVs {
+		if sim = s.SimilaritiesRangeInto(hv, i, i+1, sim); sim[0] != p.Accel.D {
+			t.Fatalf("row %d scores %d against its built hypervector, want D=%d", i, sim[0], p.Accel.D)
 		}
 	}
 }

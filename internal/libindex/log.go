@@ -204,10 +204,13 @@ func LoadManifestLog(path string) (*ManifestState, error) {
 // rejected descriptively; a final unterminated line is accepted when
 // it validates completely and silently discarded otherwise (torn
 // append — the state is the last good generation, never a partially
-// applied one).
+// applied one). A single-file index is refused with a rebuild hint.
 func ParseManifestLog(data []byte) (*ManifestState, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("empty manifest")
+	}
+	if bytes.HasPrefix(data, magic[:]) {
+		return nil, fmt.Errorf("a single-file index, not a partition manifest: rebuild it with omsbuild -partitions to append, retract or compact")
 	}
 	st := &ManifestState{Tombstones: map[string]uint64{}, everFiles: map[string]bool{}}
 	off := int64(0)
@@ -284,13 +287,19 @@ func legacyManifestErr(data []byte) error {
 	if json.Unmarshal(data, &doc) != nil || doc.Format != ManifestFormat {
 		return nil
 	}
-	if doc.Version < ManifestVersion {
-		return fmt.Errorf("manifest version %d predates the generation log (this build reads version %d): rebuild the partitioned index with omsbuild", doc.Version, ManifestVersion)
+	return manifestVersionErr(doc.Version)
+}
+
+// manifestVersionErr is the operator-facing error for a manifest version this
+// build does not read — rebuild an older one, upgrade for a newer one —
+// and nil for the current version.
+func manifestVersionErr(v int) error {
+	if v < ManifestVersion {
+		return fmt.Errorf("manifest version %d predates the generation log (this build reads version %d): rebuild the partitioned index with omsbuild", v, ManifestVersion)
 	}
-	if doc.Version > ManifestVersion {
-		return fmt.Errorf("manifest version %d is newer than this build understands (version %d): upgrade the reader or rebuild the index", doc.Version, ManifestVersion)
+	if v > ManifestVersion {
+		return fmt.Errorf("manifest version %d is newer than this build understands (version %d): upgrade the reader or rebuild the index", v, ManifestVersion)
 	}
-	// Current version: not a legacy document — surface the record error.
 	return nil
 }
 
@@ -326,11 +335,8 @@ func (st *ManifestState) applyBase(rec LogRecord) error {
 	if rec.Format != ManifestFormat {
 		return fmt.Errorf("not a library manifest (format %q)", rec.Format)
 	}
-	if rec.Version != ManifestVersion {
-		if rec.Version < ManifestVersion {
-			return fmt.Errorf("manifest version %d predates the generation log (this build reads version %d): rebuild the partitioned index with omsbuild", rec.Version, ManifestVersion)
-		}
-		return fmt.Errorf("manifest version %d is newer than this build understands (version %d): upgrade the reader or rebuild the index", rec.Version, ManifestVersion)
+	if err := manifestVersionErr(rec.Version); err != nil {
+		return err
 	}
 	if rec.D <= 0 {
 		return fmt.Errorf("base record dimension d=%d", rec.D)
@@ -496,17 +502,13 @@ func (st *ManifestState) checkBaseOrder() error {
 	return nil
 }
 
-// appendLogRecord seals rec and appends it to the log at path with
-// the durability the publish contract requires: the record line (and
-// a repairing newline, when the previous append lost its terminator)
-// is written at the validated prefix length — truncating any torn
+// appendLogRecord appends a sealed record line to the log at path with
+// the durability the publish contract requires: the line (after a
+// repairing newline, when the previous append lost its terminator) is
+// written at the validated prefix length — truncating any torn
 // fragment a crashed writer left — then the file and its directory
 // are fsynced before the append is reported published.
-func appendLogRecord(path string, st *ManifestState, rec LogRecord) error {
-	line, err := marshalRecord(rec)
-	if err != nil {
-		return err
-	}
+func appendLogRecord(path string, st *ManifestState, line []byte) error {
 	if st.unterminated {
 		line = append([]byte{'\n'}, line...)
 	}

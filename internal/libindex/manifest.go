@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -114,85 +113,27 @@ func SavePartitioned(manifestPath string, p core.Params, lib *core.Library, part
 	if lib == nil || lib.Len() == 0 {
 		return fmt.Errorf("libindex: refusing to save empty library")
 	}
-	n := lib.Len()
 	if parts < 1 {
 		return fmt.Errorf("libindex: partition count %d < 1", parts)
-	}
-	if parts > n {
-		parts = n
 	}
 	paramsJSON, err := json.Marshal(p)
 	if err != nil {
 		return fmt.Errorf("libindex: encoding params: %w", err)
 	}
-	srcPos := lib.SourcePositions()
-	if len(srcPos) != n {
-		return fmt.Errorf("libindex: library has %d entries but %d source positions (SortByMass never ran?)", n, len(srcPos))
-	}
-
-	rec := LogRecord{
-		Type:       recordBase,
-		Format:     ManifestFormat,
-		Version:    ManifestVersion,
-		Generation: 1,
-		D:          lib.HVs[0].D,
-		Skipped:    lib.Skipped,
-		Params:     paramsJSON,
-	}
-	for i := 0; i < parts; i++ {
-		lo, hi := i*n/parts, (i+1)*n/parts
-		skipped := 0
-		if i == 0 {
-			skipped = lib.Skipped
-		}
-		sub, err := core.RestoreLibrary(
-			lib.Entries[lo:hi:hi],
-			lib.HVs[lo:hi:hi],
-			localizePositions(srcPos[lo:hi]),
-			skipped,
-		)
-		if err != nil {
-			return fmt.Errorf("libindex: assembling partition %d: %w", i, err)
-		}
-		path := PartitionFileName(manifestPath, i)
-		crc, size, err := savePartitionFile(path, p, sub)
-		if err != nil {
-			return fmt.Errorf("libindex: writing partition %d: %w", i, err)
-		}
-		rec.Partitions = append(rec.Partitions, PartitionInfo{
-			File:     filepath.Base(path),
-			Refs:     hi - lo,
-			StartRow: lo,
-			MinMass:  lib.Entries[lo].Mass,
-			MaxMass:  lib.Entries[hi-1].Mass,
-			Bytes:    size,
-			CRC32C:   crc,
-		})
-	}
-	line, err := marshalRecord(rec)
+	chunks, err := cutLibrary(lib, evenEnds(lib.Len(), min(parts, lib.Len())))
 	if err != nil {
 		return err
 	}
-	return writeAtomic(manifestPath, func(f *os.File) error {
-		_, err := f.Write(line)
-		return err
-	})
-}
-
-// localizePositions rank-compresses a slice of global build positions
-// into a local permutation of [0, len): element i becomes the rank of
-// global[i] within the slice, preserving relative build order.
-func localizePositions(global []int) []int {
-	idx := make([]int, len(global))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return global[idx[a]] < global[idx[b]] })
-	local := make([]int, len(global))
-	for rank, i := range idx {
-		local[i] = rank
-	}
-	return local
+	chunks[0].Skipped = lib.Skipped
+	_, err = publish(manifestPath, nil, p, LogRecord{
+		Type:    recordBase,
+		Format:  ManifestFormat,
+		Version: ManifestVersion,
+		D:       lib.HVs[0].D,
+		Skipped: lib.Skipped,
+		Params:  paramsJSON,
+	}, chunks)
+	return err
 }
 
 // savePartitionFile writes one partition index atomically, returning

@@ -34,6 +34,16 @@ func appendSyntheticDelta(t *testing.T, manifest, tag string, n int) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen, err := AppendDelta(manifest, st, syntheticDelta(t, tag, n), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
+}
+
+// syntheticDelta builds n synthetic delta rows with ids "<tag>-<i>".
+func syntheticDelta(t *testing.T, tag string, n int) *core.Library {
+	t.Helper()
 	rng := rand.New(rand.NewSource(int64(len(tag)) * 7919))
 	entries := make([]core.LibraryEntry, n)
 	hvs := make([]hdc.BinaryHV, n)
@@ -49,11 +59,80 @@ func appendSyntheticDelta(t *testing.T, manifest, tag string, n int) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := AppendDelta(manifest, st, dlib, 3)
-	if err != nil {
-		t.Fatal(err)
+	return dlib
+}
+
+// TestStaleWriterRefused pins the publish path's stale-writer check:
+// two writers load the same generation, the first publishes, and the
+// second must fail descriptively instead of truncating the log at the
+// length it loaded — which used to erase the first record while both
+// writers reported the same new generation. The first record and its
+// partition files must survive.
+func TestStaleWriterRefused(t *testing.T) {
+	writers := []struct {
+		name  string
+		write func(t *testing.T, manifest string, st *ManifestState, i int) (uint64, error)
+	}{
+		{"retract", func(t *testing.T, manifest string, st *ManifestState, i int) (uint64, error) {
+			pi, err := OpenManifest(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			known := pi.LiveIDs()
+			if err := pi.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return AppendRetract(manifest, st, []string{fmt.Sprintf("ref-%d", i)}, known)
+		}},
+		{"delta", func(t *testing.T, manifest string, st *ManifestState, i int) (uint64, error) {
+			return AppendDelta(manifest, st, syntheticDelta(t, fmt.Sprintf("w%d", i), 5), 2)
+		}},
 	}
-	return gen
+	for _, w := range writers {
+		t.Run(w.name, func(t *testing.T) {
+			manifest := recoveryFixture(t)
+			first, err := LoadManifestLog(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := LoadManifestLog(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded := first.Generation
+			gen, err := w.write(t, manifest, first, 1)
+			if err != nil || gen != loaded+1 {
+				t.Fatalf("first writer published generation %d, %v; want %d", gen, err, loaded+1)
+			}
+			want, err := os.ReadFile(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			gen, err = w.write(t, manifest, second, 2)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("is at generation %d, this writer loaded %d", loaded+1, loaded)) {
+				t.Fatalf("stale writer published generation %d, err %v; want a stale-writer refusal", gen, err)
+			}
+			if second.Generation != loaded {
+				t.Fatalf("refused writer's state advanced to generation %d", second.Generation)
+			}
+			got, err := os.ReadFile(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("refused writer changed the log:\n%s\nwant:\n%s", got, want)
+			}
+			pi, err := OpenManifest(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pi.Close()
+			if err := pi.VerifyPartitions(); err != nil {
+				t.Fatalf("first writer's partition files damaged: %v", err)
+			}
+		})
+	}
 }
 
 // TestCrashRecoveryOrphanedDelta simulates a writer that crashed
