@@ -105,7 +105,7 @@ func buildNext(cfg servingConfig, prev *serving) (*serving, error) {
 	// The searchers read the packed blocks; the per-entry hypervector
 	// views are dead weight in a resident process.
 	engine.ReleaseLibraryHVs()
-	sv := &serving{ //oms:transfer the serving generation owns the mapping; release() closes engine and index together
+	sv := &serving{
 		engine:     engine,
 		enc:        enc,
 		accel:      p.Accel,
@@ -115,9 +115,9 @@ func buildNext(cfg servingConfig, prev *serving) (*serving, error) {
 	}
 	if ix.Partitions > 0 {
 		ov := engine.OverlayStats()
-		sv.desc = fmt.Sprintf("%s: manifest generation %d, %d references in %d partitions (%d deltas, %d tombstones), D=%d, encoder %s",
+		sv.desc = fmt.Sprintf("%s: manifest generation %d, %d references in %d partitions (%d deltas, %d tombstones), D=%d, mmap=%t, encoder %s",
 			cfg.indexPath, ov.Generation, engine.NumRefs(), ix.Partitions,
-			ov.DeltaPartitions, ov.Tombstones, p.Accel.D, encoder)
+			ov.DeltaPartitions, ov.Tombstones, p.Accel.D, ix.Mapped, encoder)
 	} else {
 		sv.desc = fmt.Sprintf("%s: %d references, D=%d, mmap=%t, encoder %s",
 			cfg.indexPath, engine.NumRefs(), p.Accel.D, ix.Mapped, encoder)

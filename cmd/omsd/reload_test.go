@@ -434,7 +434,9 @@ func TestReloadKeepsEncoder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.shutdown()
-	if first.enc == nil || !strings.HasSuffix(first.desc, "encoder drawn") {
+	// libindex.Open ANDs Mapped over the partitions; the load line must
+	// say so for a manifest as it does for a single file.
+	if first.enc == nil || !strings.HasSuffix(first.desc, "mmap=true, encoder drawn") {
 		t.Fatalf("first load: encoder %p, logged as %q", first.enc, first.desc)
 	}
 	check("first load", first)
@@ -461,7 +463,7 @@ func TestReloadKeepsEncoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.enc != first.enc || !strings.HasSuffix(second.desc, "encoder kept") {
+	if second.enc != first.enc || !strings.HasSuffix(second.desc, "mmap=true, encoder kept") {
 		t.Fatalf("reload of an unchanged operating point: encoder %p, first load drew %p; logged as %q", second.enc, first.enc, second.desc)
 	}
 	check("append + reload", old, second)

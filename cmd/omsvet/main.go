@@ -1,17 +1,15 @@
-// Command omsvet runs the repo's invariant analyzers as a go vet tool —
-// the mechanical enforcement of the correctness rules the mmap-backed
-// index depends on (DESIGN.md §9):
+// Command omsvet runs the repo's invariant analyzer as a go vet tool
+// (DESIGN.md §9):
 //
 //	closeerr    Close/Shutdown/Sync/Munmap errors must not be silently
 //	            discarded outside deferred cleanup and error paths
-//	mmapwrite   no write/append to, or struct escape of, slices derived
-//	            from the mmap-backed packed word block
-//	unmaplife   no view into an mmap generation is used or escapes after
-//	            the owning Close/Munmap — "no view outlives its
-//	            generation's Close"; //oms:transfer marks deliberate
-//	            ownership handoffs
 //
-// Usage (the go command supplies export data, facts and caching):
+// The index mapping's own rules — no write through a view, no read
+// after Close — are enforced at run time: the mapping is
+// read-only, and in test binaries Close leaves the range reserved so a
+// stale view faults.
+//
+// Usage (the go command supplies export data and caching):
 //
 //	go build -o bin/omsvet ./cmd/omsvet
 //	go vet -vettool=$PWD/bin/omsvet ./...
@@ -19,11 +17,11 @@
 // A finding is suppressed — visibly, auditable by grep — with an
 // end-of-line directive naming the analyzer and a justification:
 //
-//	sh.a = block[lo:hi] //oms:allow(mmapwrite) searcher owns the alias
+//	c.Close() //oms:allow(closeerr) teardown of a doomed conn
 //
 // The directive covers its own line and the next; an unknown analyzer
-// name in a directive is itself a finding. Exit status: 0 clean,
-// nonzero on findings or load errors.
+// name in a directive (a deleted analyzer's included) is itself a
+// finding. Exit status: 0 clean, nonzero on findings or load errors.
 package main
 
 import (
@@ -35,11 +33,9 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/closeerr"
-	"repro/internal/analysis/mmapwrite"
-	"repro/internal/analysis/unmaplife"
 )
 
-var analyzers = []*analysis.Analyzer{closeerr.Analyzer, mmapwrite.Analyzer, unmaplife.Analyzer}
+var analyzers = []*analysis.Analyzer{closeerr.Analyzer}
 
 func main() {
 	switch {

@@ -27,7 +27,18 @@ var (
 	// its declaration in a _test.go file.
 	testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*`)
 	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
+	// flagSpan matches a span that starts with a command-line flag;
+	// flagDecl a flag package call registering one.
+	flagSpan = regexp.MustCompile(`^-([A-Za-z][A-Za-z0-9-]*)`)
+	flagDecl = regexp.MustCompile(`\bflag\.[A-Z][A-Za-z0-9]*\((?:&[A-Za-z0-9_.]+, *)?"([a-z0-9-]+)"`)
 )
+
+// toolchainFlags are the go command's flags the docs may quote.
+var toolchainFlags = map[string]bool{
+	"race": true, "cpu": true, "benchtime": true, "benchmem": true, "bench": true,
+	"tags": true, "run": true, "count": true, "fuzz": true, "fuzztime": true,
+	"cpuprofile": true, "memprofile": true, "timeout": true, "short": true, "v": true,
+}
 
 // modulePackage is what the docs may name in one of this module's
 // packages: its package-level identifiers, and Type.Member for every
@@ -36,12 +47,14 @@ type modulePackage map[string]bool
 
 // loadModulePackages parses every non-test Go file in the module and
 // indexes the declared names by package name; it also returns the
-// non-test source and the test, benchmark and fuzz target names the
-// _test.go files declare.
-func loadModulePackages(t *testing.T) (map[string]modulePackage, string, map[string]bool) {
+// non-test source, the test, benchmark and fuzz target names the
+// _test.go files declare, and the flags the commands under cmd/ and
+// bench/ register.
+func loadModulePackages(t *testing.T) (map[string]modulePackage, string, map[string]bool, map[string]bool) {
 	t.Helper()
 	pkgs := map[string]modulePackage{}
 	tests := map[string]bool{}
+	flags := map[string]bool{}
 	var src strings.Builder
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -65,6 +78,11 @@ func loadModulePackages(t *testing.T) (map[string]modulePackage, string, map[str
 			return nil
 		}
 		src.Write(data)
+		if strings.HasPrefix(path, "cmd/") || strings.HasPrefix(path, "bench/") {
+			for _, m := range flagDecl.FindAllSubmatch(data, -1) {
+				flags[string(m[1])] = true
+			}
+		}
 		f, err := parser.ParseFile(fset, path, data, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -118,15 +136,16 @@ func loadModulePackages(t *testing.T) (map[string]modulePackage, string, map[str
 	}
 	// A command is named in the docs by its directory, not "main".
 	delete(pkgs, "main")
-	return pkgs, src.String(), tests
+	return pkgs, src.String(), tests, flags
 }
 
 // TestDocsNameLiveCode fails when README.md or DESIGN.md back-quotes a
-// pkg.Identifier of this module, an oms_* metric family, or a Test,
-// Benchmark or Fuzz name that the code no longer has: a rename or a
-// deletion must take its prose along.
+// pkg.Identifier of this module, an oms_* metric family, a Test,
+// Benchmark or Fuzz name, or a -flag that the code no longer has (a
+// -flag may also be one of the go command's): a rename or a deletion
+// must take its prose along.
 func TestDocsNameLiveCode(t *testing.T) {
-	pkgs, src, tests := loadModulePackages(t)
+	pkgs, src, tests, flags := loadModulePackages(t)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		data, err := os.ReadFile(doc)
 		if err != nil {
@@ -154,6 +173,9 @@ func TestDocsNameLiveCode(t *testing.T) {
 				if !tests[name] {
 					t.Errorf("%s: `%s` names %s, which no _test.go file declares", doc, span[1], name)
 				}
+			}
+			if m := flagSpan.FindStringSubmatch(span[1]); m != nil && !flags[m[1]] && !toolchainFlags[m[1]] {
+				t.Errorf("%s: `%s` names flag -%s, which no command under cmd/ or bench/ registers", doc, span[1], m[1])
 			}
 		}
 	}

@@ -41,26 +41,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// facts holds cross-package facts: those imported from dependency
-	// packages plus those exported while analyzing this one. The driver
-	// owns the set: it is loaded from the dependencies' .vetx files and
-	// written back out for this package.
-	facts *FactSet
-
 	diags []Diagnostic
-}
-
-// HasFact reports whether the named fact is recorded — by a dependency
-// package's run or earlier in this one — for the object named objKey
-// (a types.Func.FullName-style fully qualified name).
-func (p *Pass) HasFact(objKey, fact string) bool { return p.facts.Has(objKey, fact) }
-
-// ExportFact records a fact about objKey for dependent packages (and
-// later analyzers over this one) to consult.
-func (p *Pass) ExportFact(objKey, fact string) {
-	if p.facts != nil {
-		p.facts.Add(objKey, fact)
-	}
 }
 
 // Diagnostic is one finding, anchored to a source position.
@@ -104,15 +85,7 @@ func KnownNames() []string {
 // through the //oms:allow directives in the package's files, plus a
 // directive-validation finding for every unknown analyzer name. The
 // result is sorted by position.
-//
-// facts carries cross-package facts in and out: facts already present
-// (imported from dependencies) are visible to the analyzers, and facts
-// they export about this package are added to the same set. Passing
-// nil runs with a private, discarded set.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, facts *FactSet) ([]Diagnostic, error) {
-	if facts == nil {
-		facts = NewFactSet()
-	}
+func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -121,7 +94,6 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
-			facts:     facts,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path(), err)
@@ -129,9 +101,7 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 		diags = append(diags, pass.diags...)
 	}
 	dirs, bad := CollectDirectives(fset, files)
-	_, badTransfers := CollectTransfers(fset, files)
 	diags = append(Suppress(fset, diags, dirs), bad...)
-	diags = append(diags, badTransfers...)
 	sort.SliceStable(diags, func(i, j int) bool {
 		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {

@@ -8,7 +8,7 @@
 // Lines that must trigger a finding carry a comment with one or more
 // backquoted regexps:
 //
-//	w[0] = 1 // want `write through a slice derived from`
+//	f.Close() // want `error from Close is discarded`
 //
 // Each expectation must be matched by exactly one diagnostic on its
 // line, and every diagnostic must match an expectation — a planted
@@ -32,8 +32,6 @@ import (
 	// Link every production analyzer so fixtures exercise //oms:allow
 	// directive validation against the same registry cmd/omsvet ships.
 	_ "repro/internal/analysis/closeerr"
-	_ "repro/internal/analysis/mmapwrite"
-	_ "repro/internal/analysis/unmaplife"
 )
 
 // wantRE matches the expectation clause of a comment: the word "want"
@@ -85,7 +83,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 		}
 	}
 
-	diags, err := analysis.RunAnalyzers(loader.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, []*analysis.Analyzer{a}, nil)
+	diags, err := analysis.RunAnalyzers(loader.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}

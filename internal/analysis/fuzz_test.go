@@ -9,23 +9,21 @@ import (
 )
 
 // FuzzDirectiveParser throws arbitrary comment text at the //oms:allow
-// and //oms:transfer parsers. The directives ride on real source
-// comments, so the harness embeds each input as line comments in an
-// otherwise fixed file, parses it, and checks the parser invariants:
+// parser. The directives ride on real source comments, so the harness
+// embeds each input as line comments in an otherwise fixed file,
+// parses it, and checks the parser invariants:
 //
 //   - no panic on any input;
-//   - every parsed directive names only registered analyzers (the three
+//   - every parsed directive names only registered analyzers (the one
 //     cmd/omsvet ships), with a position inside the file;
-//   - a directive with an unclosed '(' or an unknown name produces a
-//     validation diagnostic, never a silent Directive;
-//   - //oms:transfer with an argument list is flagged, and longer words
-//     sharing the prefix are not directives;
-//   - TransferLines covers exactly each transfer's line and the next.
+//   - a directive with an unclosed '(' or an unknown name — a deleted
+//     analyzer's included — produces a validation diagnostic, never a
+//     silent Directive.
 func FuzzDirectiveParser(f *testing.F) {
 	seeds := []string{
-		"//oms:allow(mmapwrite) tier repack owns this block",
+		"//oms:allow(mmapwrite) tier repack owns this block", // deleted analyzer
 		"//oms:allow(genpin,atomicfield) deleted analyzers: unknown",
-		"//oms:allow(unmaplife)",
+		"//oms:allow(unmaplife)", // deleted analyzer
 		"//oms:allow(closeerr,hotalloc) one valid, one deleted",
 		"//oms:allow(nosuchanalyzer) typo",
 		"//oms:allow(mmapwrite", // missing ')'
@@ -33,16 +31,16 @@ func FuzzDirectiveParser(f *testing.F) {
 		"//oms:allow(,,)",
 		"//oms:allow( mmapwrite , closeerr ) spaced",
 		"//oms:allowance is not a directive",
-		"//oms:transfer serving generation owns the mapping",
-		"//oms:transfer",
-		"//oms:transfer\ttab justification",
-		"//oms:transfer(bad) argument list",
-		"//oms:transferred is not a directive",
-		"//oms:allow(mmapwrite) x //oms:transfer y", // two directives, one line
+		"//oms:allow(closeerr) teardown of a doomed conn",
+		"//oms:allow(closeerr)",
+		"//oms:allow(closeerr)\ttab justification",
+		"//oms:allow(closeerr,closeerr) repeated name",
+		"//oms:allow(Closeerr) names are case-sensitive",
+		"//oms:allow(closeerr) x //oms:allow(unmaplife) y", // one directive: the second is justification
 		"// plain comment",
 		"//oms:allow(mmapwrite\x00) NUL in name",
 		"//oms:allow(мма) unicode name",
-		"//oms:transfer — unicode justification",
+		"//oms:allow(closeerr) — unicode justification",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -70,7 +68,7 @@ func FuzzDirectiveParser(f *testing.F) {
 		fset := token.NewFileSet()
 		file, err := parser.ParseFile(fset, "fuzz.go", sb.String(), parser.ParseComments)
 		if err != nil {
-			return // not valid source: nothing for the directive parsers to see
+			return // not valid source: nothing for the directive parser to see
 		}
 		files := []*ast.File{file}
 
@@ -92,31 +90,6 @@ func FuzzDirectiveParser(f *testing.F) {
 			if b.Analyzer != "omsvet" || b.Message == "" {
 				t.Fatalf("validation diagnostic malformed: %+v", b)
 			}
-		}
-
-		trans, badTrans := CollectTransfers(fset, files)
-		for _, b := range badTrans {
-			if b.Analyzer != "omsvet" || b.Message == "" {
-				t.Fatalf("transfer diagnostic malformed: %+v", b)
-			}
-		}
-		lines := TransferLines(trans)
-		covered := 0
-		for _, perFile := range lines {
-			covered += len(perFile)
-		}
-		if len(trans) == 0 && covered != 0 {
-			t.Fatalf("TransferLines covers %d lines with no transfers", covered)
-		}
-		for _, tr := range trans {
-			if !lines[tr.File][tr.Line] || !lines[tr.File][tr.Line+1] {
-				t.Fatalf("transfer at %s:%d not covering its own and next line", tr.File, tr.Line)
-			}
-		}
-		// Each transfer covers its line and the next; distinct transfers
-		// can share coverage, so the covered count is bounded, not exact.
-		if covered > 2*len(trans) {
-			t.Fatalf("TransferLines covers %d lines for %d transfers", covered, len(trans))
 		}
 	})
 }

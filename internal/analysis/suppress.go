@@ -12,7 +12,7 @@ import (
 // and on the line immediately below it — covering both the
 // end-of-line form
 //
-//	w[0] = 1 //oms:allow(mmapwrite) tier repack owns this block
+//	c.Close() //oms:allow(closeerr) teardown of a doomed conn
 //
 // and the standalone form on the preceding line. Anything after the
 // closing parenthesis is a free-form justification; by convention
@@ -26,14 +26,6 @@ type Directive struct {
 
 // directivePrefix is the exact comment prefix of a suppression.
 const directivePrefix = "//oms:allow("
-
-// transferPrefix marks a generation-transfer directive: the statement
-// it covers hands ownership of an mmap-derived view (and the duty to
-// close its generation) to whatever it escapes into, so unmaplife must
-// not treat the escape as a lifetime violation. Like //oms:allow it
-// covers its own line and the one below; anything after the keyword is
-// a free-form justification. It takes no argument list.
-const transferPrefix = "//oms:transfer"
 
 // CollectDirectives parses every //oms:allow directive in files. The
 // second result holds validation findings: a directive naming an
@@ -84,66 +76,6 @@ func CollectDirectives(fset *token.FileSet, files []*ast.File) ([]Directive, []D
 		}
 	}
 	return dirs, bad
-}
-
-// Transfer is one parsed //oms:transfer directive.
-type Transfer struct {
-	Pos  token.Pos
-	File string
-	Line int
-}
-
-// CollectTransfers parses every //oms:transfer directive in files. The
-// second result holds validation findings for malformed forms: the
-// directive takes no argument list, so `//oms:transfer(...)` is a typo
-// that must not silently read as plain comment.
-func CollectTransfers(fset *token.FileSet, files []*ast.File) ([]Transfer, []Diagnostic) {
-	var trans []Transfer
-	var bad []Diagnostic
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, transferPrefix) {
-					continue
-				}
-				rest := c.Text[len(transferPrefix):]
-				switch {
-				case rest == "" || rest[0] == ' ' || rest[0] == '\t':
-					pos := fset.Position(c.Pos())
-					trans = append(trans, Transfer{Pos: c.Pos(), File: pos.Filename, Line: pos.Line})
-				case rest[0] == '(':
-					bad = append(bad, Diagnostic{
-						Pos:      c.Pos(),
-						Analyzer: "omsvet",
-						Message:  "malformed //oms:transfer directive: takes no argument list (write `//oms:transfer justification`)",
-					})
-				default:
-					// Longer word sharing the prefix (//oms:transferred):
-					// not a directive.
-				}
-			}
-		}
-	}
-	return trans, bad
-}
-
-// TransferLines indexes transfers by file: the set of lines each
-// directive covers (its own and the one below).
-func TransferLines(trans []Transfer) map[string]map[int]bool {
-	if len(trans) == 0 {
-		return nil
-	}
-	out := map[string]map[int]bool{}
-	for _, t := range trans {
-		lines, ok := out[t.File]
-		if !ok {
-			lines = map[int]bool{}
-			out[t.File] = lines
-		}
-		lines[t.Line] = true
-		lines[t.Line+1] = true
-	}
-	return out
 }
 
 // Suppress filters diags through the directives: a finding is dropped

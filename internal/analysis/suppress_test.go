@@ -63,28 +63,27 @@ var b = 2
 	}
 }
 
-// registerShipped registers the analyzers cmd/omsvet links, as their
-// packages' init functions do.
-func registerShipped() {
-	for _, name := range []string{"closeerr", "mmapwrite", "unmaplife"} {
-		RegisterName(name)
-	}
-}
+// registerShipped registers the analyzer cmd/omsvet links, as its
+// package's init function does.
+func registerShipped() { RegisterName("closeerr") }
 
 func TestCollectDirectivesUnknownName(t *testing.T) {
 	registerShipped()
-	// genpin, atomicfield and hotalloc were analyzers once; a directive
-	// naming one now suppresses nothing and must say so.
+	// genpin, atomicfield, hotalloc, mmapwrite and unmaplife were
+	// analyzers once; a directive naming one now suppresses nothing and
+	// must say so.
 	fset, files := parseSrc(t, `package p
 
 var a = 1 //oms:allow(bogus) typo
-var b = 2 //oms:allow(mmapwrite,bogus2) one valid, one not
+var b = 2 //oms:allow(closeerr,bogus2) one valid, one not
 var c = 3 //oms:allow(genpin,atomicfield) deleted analyzers
-var d = 4 //oms:allow(unmaplife,hotalloc) one valid, one deleted
+var d = 4 //oms:allow(closeerr,hotalloc) one valid, one deleted
+var e = 5 //oms:allow(mmapwrite) leftover of a deleted analyzer
+var f = 6 //oms:allow(unmaplife) leftover of a deleted analyzer
 `)
 	dirs, bad := CollectDirectives(fset, files)
-	if len(bad) != 5 {
-		t.Fatalf("got %d validation findings, want 5: %+v", len(bad), bad)
+	if len(bad) != 7 {
+		t.Fatalf("got %d validation findings, want 7: %+v", len(bad), bad)
 	}
 	for _, d := range bad {
 		if d.Analyzer != "omsvet" || !strings.Contains(d.Message, "unknown analyzer") {
@@ -92,9 +91,9 @@ var d = 4 //oms:allow(unmaplife,hotalloc) one valid, one deleted
 		}
 	}
 	// The valid names still suppress.
-	if len(dirs) != 2 || len(dirs[0].Names) != 1 || dirs[0].Names[0] != "mmapwrite" ||
-		len(dirs[1].Names) != 1 || dirs[1].Names[0] != "unmaplife" {
-		t.Fatalf("directives = %+v, want just mmapwrite and unmaplife", dirs)
+	if len(dirs) != 2 || len(dirs[0].Names) != 1 || dirs[0].Names[0] != "closeerr" ||
+		len(dirs[1].Names) != 1 || dirs[1].Names[0] != "closeerr" {
+		t.Fatalf("directives = %+v, want closeerr twice", dirs)
 	}
 }
 

@@ -15,9 +15,8 @@ import (
 
 // vetConfig is the JSON configuration the go command writes for a
 // vettool invocation (`go vet -vettool=omsvet`): one package's file
-// set plus the compiler export data of its dependencies and the .vetx
-// fact files of their earlier vettool runs. Only the fields this
-// driver consumes are declared.
+// set plus the compiler export data of its dependencies. Only the
+// fields this driver consumes are declared.
 type vetConfig struct {
 	ID          string
 	ImportPath  string
@@ -26,7 +25,6 @@ type vetConfig struct {
 	NonGoFiles  []string
 	ImportMap   map[string]string
 	PackageFile map[string]string
-	PackageVetx map[string]string
 	GoVersion   string
 
 	VetxOnly   bool
@@ -38,18 +36,13 @@ type vetConfig struct {
 // RunUnitchecker implements the `go vet -vettool` protocol for one
 // package: it parses the config at cfgPath, typechecks the package
 // against the export data the go command supplied, runs the analyzers
-// with the facts imported from the dependencies' .vetx files, and
-// prints surviving findings to w in the file:line:col form the go
+// and prints surviving findings to w in the file:line:col form the go
 // command relays. The returned exit code follows the protocol: 0 clean,
 // nonzero when findings or errors must fail the vet run.
 //
-// Dependency invocations — VetxOnly — run the same pipeline but only
-// for its side effect: the facts the analyzers export (mmapwrite's
-// returns-mmap-view seeds) are serialized to VetxOutput for dependent
-// packages to import, and diagnostics are discarded. A dependency that
-// fails to parse or typecheck (cgo-heavy stdlib packages, say) yields
-// an empty fact file rather than an error: missing facts weaken the
-// analysis, they must never break the build.
+// No analyzer exchanges facts across packages, so a dependency
+// invocation (VetxOnly) has nothing to do, and every run writes an
+// empty VetxOutput for the go command to cache.
 func RunUnitchecker(cfgPath string, analyzers []*Analyzer, w io.Writer) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -61,51 +54,25 @@ func RunUnitchecker(cfgPath string, analyzers []*Analyzer, w io.Writer) int {
 		fmt.Fprintf(w, "omsvet: parsing %s: %v\n", cfgPath, err)
 		return 1
 	}
-
-	// finish writes the accumulated facts to VetxOutput (the go command
-	// caches the file per package) and returns code.
-	finish := func(facts *FactSet, code int) int {
-		if cfg.VetxOutput == "" {
-			return code
-		}
-		payload, err := facts.Encode()
-		if err != nil {
-			fmt.Fprintf(w, "omsvet: encoding facts: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.VetxOutput, payload, 0o666); err != nil {
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			fmt.Fprintf(w, "omsvet: %v\n", err)
 			return 1
 		}
-		return code
+	}
+	if cfg.VetxOnly {
+		return 0
 	}
 
-	// Import the dependencies' facts. A missing or corrupt fact file is
-	// treated as empty for the same reason as VetxOnly soft failure.
-	facts := NewFactSet()
-	for _, vetxFile := range cfg.PackageVetx {
-		payload, err := os.ReadFile(vetxFile)
-		if err != nil {
-			continue
-		}
-		imported, err := DecodeFacts(payload)
-		if err != nil {
-			continue
-		}
-		facts.Merge(imported)
-	}
-
-	// softFail: how to exit on parse/typecheck trouble. Fact-only runs
-	// always succeed (with whatever facts were imported); diagnostic
-	// runs honor SucceedOnTypecheckFailure.
+	// softFail: how to exit on parse/typecheck trouble, honoring
+	// SucceedOnTypecheckFailure.
 	softFail := func(err error) int {
-		if cfg.VetxOnly || cfg.SucceedOnTypecheckFailure {
-			return finish(facts, 0)
+		if cfg.SucceedOnTypecheckFailure {
+			return 0
 		}
 		fmt.Fprintf(w, "omsvet: %v\n", err)
 		return 1
 	}
-
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, name := range cfg.GoFiles {
@@ -147,23 +114,16 @@ func RunUnitchecker(cfgPath string, analyzers []*Analyzer, w io.Writer) int {
 		return softFail(fmt.Errorf("typechecking %s: %v", cfg.ImportPath, err))
 	}
 
-	diags, err := RunAnalyzers(fset, files, pkg, info, analyzers, facts)
+	diags, err := RunAnalyzers(fset, files, pkg, info, analyzers)
 	if err != nil {
-		if cfg.VetxOnly {
-			return finish(facts, 0)
-		}
 		fmt.Fprintf(w, "omsvet: %v\n", err)
 		return 1
-	}
-	if cfg.VetxOnly {
-		return finish(facts, 0)
 	}
 	for _, d := range diags {
 		fmt.Fprintf(w, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
-	code := 0
 	if len(diags) > 0 {
-		code = 2
+		return 2
 	}
-	return finish(facts, code)
+	return 0
 }

@@ -367,7 +367,7 @@ func TestIncrementalBuildEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", step, err)
 						}
-						ov := pe.OverlayStats() //oms:allow(unmaplife) value snapshot taken before the Close below; the loop back-edge confuses the lifetime check
+						ov := pe.OverlayStats()
 						if err := pi.Close(); err != nil {
 							t.Fatalf("%s: %v", step, err)
 						}
@@ -491,7 +491,7 @@ func TestOverlayManyHidden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hiddenIn0 := pe.PartitionStats()[0].HiddenRefs //oms:allow(unmaplife) value snapshot taken before the Close below
+	hiddenIn0 := pe.PartitionStats()[0].HiddenRefs
 	if err := pi.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func NewShardedSearcherFromPacked(block []uint64, d, shardSize int, _ CascadeCon
 		// The searcher is the designed owner of this alias: the caller
 		// contract above pins the block (and its mapping) for the
 		// searcher's lifetime, and the sweep only ever reads it.
-		s.shards = append(s.shards, shard{start: start, rows: rows, packed: block[lo:hi:hi]}) //oms:allow(mmapwrite) documented zero-copy ownership transfer
+		s.shards = append(s.shards, shard{start: start, rows: rows, packed: block[lo:hi:hi]})
 	}
 	return s, nil
 }

@@ -194,7 +194,7 @@ func (pi *PartitionedIndex) PartitionSet() core.PartitionSet {
 	for i, part := range pi.Parts {
 		set.Specs[i] = core.PartitionSpec{
 			Lib:    part.Lib,
-			Block:  part.Words(), //oms:allow(mmapwrite) zero-copy view; PartitionSet consumers live inside the index's refcounted generation
+			Block:  part.Words(),
 			Gen:    states[i].Gen,
 			GenRow: states[i].GenRow,
 			Delta:  states[i].Delta,

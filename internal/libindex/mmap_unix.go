@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"syscall"
+	"testing"
 )
 
 // mmapSupported reports whether this platform can memory-map an index
@@ -15,7 +16,8 @@ const mmapSupported = true
 // mmapFile maps size bytes of f read-only. The mapping is shared, so
 // the pages are backed by the page cache: cold partitions cost no heap
 // and fault in lazily, and a re-opened index whose pages are still
-// resident costs no I/O at all.
+// resident costs no I/O at all. It is never writable, so a write
+// through any view of it faults.
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("libindex: cannot map %d-byte file", size)
@@ -26,7 +28,12 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
-// munmapFile releases a mapping created by mmapFile.
+// munmapFile releases a mapping created by mmapFile. In a test binary
+// it keeps the address range reserved instead (reserveFreed), so a
+// view that outlived Close can never read a later mapping.
 func munmapFile(data []byte) error {
+	if testing.Testing() {
+		return reserveFreed(data)
+	}
 	return syscall.Munmap(data)
 }

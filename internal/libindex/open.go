@@ -50,7 +50,7 @@ func (ix *Index) Words() []uint64 {
 // generation-1 partition over the packed words.
 func (ix *Index) partitionSet() core.PartitionSet {
 	return core.PartitionSet{
-		Specs:      []core.PartitionSpec{{Lib: ix.Lib, Block: ix.Words(), Gen: 1}}, //oms:allow(mmapwrite) zero-copy view; the set's consumers live inside the index's refcounted generation
+		Specs:      []core.PartitionSpec{{Lib: ix.Lib, Block: ix.Words(), Gen: 1}},
 		Generation: 1,
 		Skipped:    ix.Lib.Skipped,
 	}
