@@ -14,13 +14,14 @@
 // disk, because a not-yet-reloaded omsd may still be serving from
 // them. -sweep removes orphaned files no manifest record ever
 // referenced (the leftovers of a writer that crashed between writing
-// its partition files and publishing its record) — always safe when no
-// writer is running. -gc additionally removes files that earlier
+// its partition files and publishing its record); it takes the
+// manifest's writer lock, so it never runs beside a publish. -gc additionally removes files that earlier
 // generations referenced but the current one no longer does; run it
 // only once every reader has reloaded past the compaction.
 //
-// omscompact is a manifest writer: run at most one writer (omsbuild
-// -append/-retract, omscompact, or omsd -compact-interval) at a time.
+// omscompact is a manifest writer: while another writer (omsbuild
+// -append/-retract, omscompact, or omsd -compact-interval) holds the
+// manifest's lock, it fails instead of racing it.
 package main
 
 import (
@@ -34,7 +35,7 @@ import (
 func main() {
 	indexPath := flag.String("index", "", "partitioned index manifest path (required)")
 	maxPartRefs := flag.Int("max-part-refs", 0, "max references per compacted partition (0 = one partition per mass gap)")
-	sweep := flag.Bool("sweep", false, "after compacting, remove orphaned partition files no manifest record ever referenced (crash leftovers; safe when no writer is running)")
+	sweep := flag.Bool("sweep", false, "after compacting, remove orphaned partition files no manifest record ever referenced (crash leftovers)")
 	gc := flag.Bool("gc", false, "after compacting, also remove retired partition files dropped by earlier generations (UNSAFE while readers of older generations are live)")
 	flag.Parse()
 

@@ -26,9 +26,9 @@
 // and -compact-interval D runs the in-process compactor every D,
 // folding accumulated deltas and tombstones back into the base tier
 // and hot-reloading the compacted generation — all without dropping a
-// query. With -compact-interval set, omsd must be the manifest's only
-// writer; use the standalone omscompact when compaction is driven
-// externally.
+// query. Each pass publishes under the manifest's writer lock, so a
+// pass that meets another writer (omsbuild -append, omscompact) fails,
+// leaves the index unchanged, and is retried at the next interval.
 //
 // Endpoints:
 //
@@ -97,7 +97,7 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 0, "log a structured line for requests at or above this latency (0 = off)")
 	accessLog := flag.Bool("access-log", false, "log one structured line per HTTP request")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off)")
-	compactInterval := flag.Duration("compact-interval", 0, "run the in-process compactor this often on a partitioned index, folding delta partitions and tombstones into the base tier and hot-reloading the result (0 = off; omsd must be the only manifest writer)")
+	compactInterval := flag.Duration("compact-interval", 0, "run the in-process compactor this often on a partitioned index, folding delta partitions and tombstones into the base tier and hot-reloading the result (0 = off; a pass that meets another manifest writer fails and is retried next interval)")
 	compactMaxRefs := flag.Int("compact-max-part-refs", 0, "with -compact-interval: max references per compacted partition (0 = one partition per mass gap)")
 	flag.Parse()
 
@@ -147,11 +147,11 @@ func main() {
 			fatalIf(fmt.Errorf("-compact-interval needs a partitioned index manifest at -index"))
 		}
 		go func() {
-			// The in-process compactor presumes omsd is the only manifest
-			// writer (see libindex: single-writer publish). Each pass that
-			// actually publishes a generation is followed by a hot reload,
-			// exactly like a SIGHUP — in-flight searches finish against the
-			// generation that admitted them.
+			// A pass that finds another writer holding the manifest's
+			// lock fails and is counted; the next tick retries. Each
+			// pass that actually publishes a generation is followed by
+			// a hot reload, exactly like a SIGHUP — in-flight searches
+			// finish against the generation that admitted them.
 			ticker := time.NewTicker(*compactInterval)
 			defer ticker.Stop()
 			for range ticker.C {

@@ -2,7 +2,6 @@ package libindex
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -16,30 +15,28 @@ import (
 // (SavePartitioned, AppendDelta, AppendRetract, Compact): each builds
 // rec and the libraries its partition files hold, and publish, in order:
 //
-//   - refuses a stale writer: unless rec is the base record (st == nil),
-//     the log must still be at st's generation, or this writer would
-//     overwrite a newer generation's files and truncate its record away;
+//   - unless rec is the base record (st == nil), takes the manifest's
+//     writer lock and refuses a stale writer (lockWriter): a second
+//     writer fails instead of racing this one, and one whose loaded
+//     generation is no longer the newest fails instead of overwriting
+//     the newer generation's files. The lock is held through the log
+//     append;
 //   - writes one partition file per chunk, in record-row order, and
 //     describes each in rec.Partitions;
 //   - publishes rec: the base record replaces the manifest, any later
 //     one is appended to the log and folded into st.
 //
 // A crash before the record lands leaves orphaned files and the last
-// good generation (SweepOrphans reclaims the files). The stale check is
-// not exclusion: two writers racing between it and the append are kept
-// apart only by the single-writer contract. It returns the published
-// generation.
+// good generation (SweepOrphans reclaims the files); an error means
+// nothing was published. It returns the published generation.
 func publish(manifestPath string, st *ManifestState, p core.Params, rec LogRecord, chunks []*core.Library) (uint64, error) {
 	rec.Generation = 1
 	if st != nil {
-		cur, err := LoadManifestLog(manifestPath)
+		unlock, err := lockWriter(manifestPath, st)
 		if err != nil {
 			return 0, err
 		}
-		if cur.Generation != st.Generation {
-			return 0, fmt.Errorf("libindex: manifest %s is at generation %d, this writer loaded %d: another writer published in between; reload and retry",
-				manifestPath, cur.Generation, st.Generation)
-		}
+		defer unlock()
 		rec.Generation = st.Generation + 1
 	}
 	row := 0
@@ -68,7 +65,7 @@ func publish(manifestPath string, st *ManifestState, p core.Params, rec LogRecor
 		return 0, err
 	}
 	if st == nil {
-		if err := writeAtomic(manifestPath, func(f *os.File) error {
+		if err := writeAtomic(manifestPath, func(f file) error {
 			_, err := f.Write(line)
 			return err
 		}); err != nil {

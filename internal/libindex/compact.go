@@ -45,7 +45,9 @@ type CompactStats struct {
 // so the merge comparator's (generation, generation-row) tie-break
 // always equals append order (see DESIGN.md §11).
 //
-// Like every writer, Compact assumes it is the only writer; it is safe
+// Like every writer, Compact publishes under the manifest's writer
+// lock: a concurrent writer fails it instead of racing it, and one that
+// published while it planned makes it fail as stale. It is safe
 // against concurrent readers, which keep serving the previous
 // generation until they reload.
 func Compact(manifestPath string, maxPartRefs int) (CompactStats, error) {
@@ -181,10 +183,11 @@ func partitionFileRE(manifestBase string) *regexp.Regexp {
 // stale atomic-write temporaries: the leftovers of a writer that
 // crashed between writing its partition files and appending its
 // record. Removing them is always safe for readers (nothing can map a
-// never-published file), but assumes no writer is mid-publish. The
-// removed file names are returned.
+// never-published file); it takes the writer lock, so it fails rather
+// than sweep while another writer is mid-publish, and it refuses an st
+// older than the log. The removed file names are returned.
 func SweepOrphans(manifestPath string, st *ManifestState) ([]string, error) {
-	return sweep(manifestPath, func(name string, tmp bool) bool {
+	return sweep(manifestPath, st, func(name string, tmp bool) bool {
 		return tmp || !st.everFiles[name]
 	})
 }
@@ -201,14 +204,21 @@ func SweepRetired(manifestPath string, st *ManifestState) ([]string, error) {
 	for _, p := range st.Partitions() {
 		live[p.File] = true
 	}
-	return sweep(manifestPath, func(name string, tmp bool) bool {
+	return sweep(manifestPath, st, func(name string, tmp bool) bool {
 		return !tmp && st.everFiles[name] && !live[name]
 	})
 }
 
 // sweep removes the manifest's partition-named directory entries
-// selected by rm(name, isTmp) and returns their names.
-func sweep(manifestPath string, rm func(name string, tmp bool) bool) ([]string, error) {
+// selected by rm(name, isTmp) and returns their names. It holds the
+// writer lock, so no publish is in flight, and refuses a stale st, or
+// it would take a newer generation's files for orphans.
+func sweep(manifestPath string, st *ManifestState, rm func(name string, tmp bool) bool) ([]string, error) {
+	unlock, err := lockWriter(manifestPath, st)
+	if err != nil {
+		return nil, err
+	}
+	defer unlock()
 	dir := filepath.Dir(manifestPath)
 	re := partitionFileRE(filepath.Base(manifestPath))
 	entries, err := os.ReadDir(dir)
@@ -224,13 +234,15 @@ func sweep(manifestPath string, rm func(name string, tmp bool) bool) ([]string, 
 		if !rm(name, filepath.Ext(name) == ".tmp") {
 			continue
 		}
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+		if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
 			return removed, err
 		}
 		removed = append(removed, name)
 	}
 	if len(removed) > 0 {
-		syncDir(dir)
+		if err := fsys.SyncDir(dir); err != nil {
+			return removed, err
+		}
 	}
 	return removed, nil
 }

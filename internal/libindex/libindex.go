@@ -53,7 +53,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/hdc"
@@ -179,7 +178,7 @@ func Save(w io.Writer, p core.Params, lib *core.Library) error {
 // SaveFile saves the library index to path atomically (writeAtomic):
 // readers, and a crash, see either the old index or the whole new one.
 func SaveFile(path string, p core.Params, lib *core.Library) error {
-	return writeAtomic(path, func(f *os.File) error { return Save(f, p, lib) })
+	return writeAtomic(path, func(f file) error { return Save(f, p, lib) })
 }
 
 // loadImage is the copying loader behind OpenFile's fallback: the

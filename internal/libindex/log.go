@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -506,50 +507,74 @@ func (st *ManifestState) checkBaseOrder() error {
 // the durability the publish contract requires: the line (after a
 // repairing newline, when the previous append lost its terminator) is
 // written at the validated prefix length — truncating any torn
-// fragment a crashed writer left — then the file and its directory
-// are fsynced before the append is reported published.
+// fragment a crashed writer left — then the file is fsynced before the
+// append is reported published. The log's directory entry is not
+// touched, so no directory sync is needed. If the write, the fsync or
+// the close fails, the log is cut back to the validated prefix, so an
+// error means the record is not published.
 func appendLogRecord(path string, st *ManifestState, line []byte) error {
 	if st.unterminated {
 		line = append([]byte{'\n'}, line...)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	f, err := fsys.OpenRW(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if info, err := f.Stat(); err != nil {
-		return err
-	} else if info.Size() < st.goodLen {
-		return fmt.Errorf("libindex: manifest %s shrank to %d bytes below the loaded state's %d (concurrent rewrite?)", path, info.Size(), st.goodLen)
+	info, err := f.Stat()
+	if err == nil && info.Size() < st.goodLen {
+		err = fmt.Errorf("libindex: manifest %s shrank to %d bytes below the loaded state's %d (concurrent rewrite?)", path, info.Size(), st.goodLen)
 	}
-	if err := f.Truncate(st.goodLen); err != nil {
-		return fmt.Errorf("libindex: truncating torn manifest tail: %w", err)
-	}
-	if _, err := f.WriteAt(line, st.goodLen); err != nil {
+	if err != nil {
+		f.Close() // error path: the error above is the one reported
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		return err
+	if err = f.Truncate(st.goodLen); err != nil {
+		err = fmt.Errorf("libindex: truncating torn manifest tail: %w", err)
+	} else if _, err = f.WriteAt(line, st.goodLen); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	syncDir(filepath.Dir(path))
+	if err != nil {
+		return truncateLog(path, st.goodLen, err)
+	}
 	st.goodLen += int64(len(line))
 	st.unterminated = false
 	st.tornTail = false
 	return nil
 }
 
+// truncateLog rolls a failed append back: it cuts the log at path to
+// size and fsyncs it, then returns cause — wrapped with the rollback's
+// own error if that failed too, when the record may still be visible.
+func truncateLog(path string, size int64, cause error) error {
+	f, err := fsys.OpenRW(path)
+	if err == nil {
+		if err = f.Truncate(size); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("%w; cutting the manifest back to %d bytes also failed, so the record may be published: %v", cause, size, err)
+	}
+	return cause
+}
+
 // writeAtomic is every index and manifest publish: write fills a
 // temporary sibling, which is fsynced, closed and renamed over path;
 // then the directory is fsynced so the rename itself is durable. The
 // data blocks are flushed before the rename is journaled, or a crash
-// could leave path naming an unwritten file. On any failure the
-// temporary is removed and path is untouched.
-func writeAtomic(path string, write func(*os.File) error) error {
+// could leave path naming an unwritten file. On a failure before the
+// rename the temporary is removed and path is untouched; if the
+// directory sync fails, path is removed again — its entry may not
+// survive a crash — so an error always means nothing was published.
+func writeAtomic(path string, write func(file) error) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
@@ -561,25 +586,84 @@ func writeAtomic(path string, write func(*os.File) error) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = fsys.Rename(tmp, path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		_ = fsys.Remove(tmp) // err is the failure to report; a leftover temporary is swept
 		return err
 	}
-	syncDir(filepath.Dir(path))
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		_ = fsys.Remove(path) // err is the failure to report; a leftover is swept
+		return err
+	}
 	return nil
 }
 
-// syncDir best-effort fsyncs a directory so a just-written file's
-// directory entry is durable (no-op where unsupported).
-func syncDir(dir string) {
-	d, err := os.Open(dir)
+// fsys is the filesystem under the write path: writeAtomic,
+// appendLogRecord and sweep make every create, open, write, sync,
+// close, rename, remove and directory sync through it, one call per
+// system call. It is a variable so that a test can substitute a
+// filesystem that fails any one of them.
+var fsys fileSystem = osFS{}
+
+// fileSystem is the part of package os the write path uses.
+type fileSystem interface {
+	Create(name string) (file, error)
+	OpenRW(name string) (file, error)
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	SyncDir(dir string) error
+}
+
+// file is the part of *os.File the write path uses.
+type file interface {
+	io.Writer
+	io.WriterAt
+	io.ReaderAt
+	Stat() (os.FileInfo, error)
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
+// osFS is the production fileSystem.
+type osFS struct{}
+
+func (osFS) Create(name string) (file, error)     { return os.Create(name) }
+func (osFS) OpenRW(name string) (file, error)     { return os.OpenFile(name, os.O_RDWR, 0) }
+func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error             { return os.Remove(name) }
+func (osFS) SyncDir(dir string) error             { return syncDir(dir) }
+
+// lockWriter takes the manifest's writer lock — a non-blocking
+// exclusive flock on the log, which the kernel drops when its holder
+// exits, so there is no lock file to clean up — and then refuses a
+// writer whose loaded state is stale: the log must still be at st's
+// generation, or this writer would overwrite a newer generation's
+// files and truncate its record away. Readers never lock. The returned
+// function releases the lock.
+func lockWriter(manifestPath string, st *ManifestState) (unlock func(), err error) {
+	f, err := os.Open(manifestPath)
 	if err != nil {
-		return
+		return nil, err
 	}
-	_ = d.Sync()
-	_ = d.Close()
+	// Closing the read-only descriptor releases the lock; it has
+	// nothing to flush, so its error carries no news.
+	unlock = func() { f.Close() }
+	if err := lockExclusive(f); err != nil {
+		unlock()
+		return nil, fmt.Errorf("libindex: locking manifest %s for writing: %w", manifestPath, err)
+	}
+	cur, err := LoadManifestLog(manifestPath)
+	if err == nil && cur.Generation != st.Generation {
+		err = fmt.Errorf("libindex: manifest %s is at generation %d, this writer loaded %d: another writer published in between; reload and retry",
+			manifestPath, cur.Generation, st.Generation)
+	}
+	if err != nil {
+		unlock()
+		return nil, err
+	}
+	return unlock, nil
 }
 
 // GenPartitionFileName returns the partition file name for generation

@@ -141,7 +141,7 @@ func SavePartitioned(manifestPath string, p core.Params, lib *core.Library, part
 // image minus the trailer's 4 bytes) and size — the manifest's
 // integrity record.
 func savePartitionFile(path string, p core.Params, lib *core.Library) (crc uint32, size int64, err error) {
-	err = writeAtomic(path, func(f *os.File) error {
+	err = writeAtomic(path, func(f file) error {
 		if err := Save(f, p, lib); err != nil {
 			return err
 		}

@@ -22,3 +22,9 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 func munmapFile(data []byte) error {
 	return nil
 }
+
+// syncDir is a no-op: this platform cannot fsync a directory.
+func syncDir(dir string) error { return nil }
+
+// lockExclusive is a no-op: writers on this platform are not excluded.
+func lockExclusive(f *os.File) error { return nil }

@@ -3,6 +3,7 @@
 package libindex
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"syscall"
@@ -36,4 +37,27 @@ func munmapFile(data []byte) error {
 		return reserveFreed(data)
 	}
 	return syscall.Munmap(data)
+}
+
+// syncDir fsyncs a directory so the entries just created, renamed or
+// removed in it are durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// lockExclusive takes a non-blocking exclusive flock on f.
+func lockExclusive(f *os.File) error {
+	err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
+	if err == syscall.EWOULDBLOCK {
+		return errors.New("another writer holds the lock")
+	}
+	return err
 }
