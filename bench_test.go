@@ -11,6 +11,7 @@ package repro
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -45,7 +46,7 @@ func BenchmarkHammingSearch1k(b *testing.B) {
 	ranges := []hdc.RowRange{{Lo: 0, Hi: s.Len()}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.BatchTopKRange(queries, ranges, 5)
+		s.Search(context.Background(), queries, ranges, 5, nil)
 	}
 }
 
@@ -153,7 +154,7 @@ func BenchmarkShardedBatchTopK(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					s.BatchTopKRange(queries, ranges, 5)
+					s.Search(context.Background(), queries, ranges, 5, nil)
 				}
 				b.ReportMetric(float64(batchBenchQueries), "queries/op")
 			})
@@ -165,7 +166,7 @@ func BenchmarkShardedBatchTopK(b *testing.B) {
 // realistic precursor-window occupancy (each query's candidate set is
 // a contiguous 25% slice of the mass-ordered store, windows sliding
 // with query mass), a batch of 64 streamed through the block-major
-// BatchTopKRange sweep, at the paper's operating point (D=8192, 100k
+// Search sweep, at the paper's operating point (D=8192, 100k
 // references) and at the repository benchmark's (D=2048, 40k), where
 // rows are 4× shorter and the per-row selection work 4× more visible.
 // ns/word is the time per XOR+popcount word swept; at -cpu 1 it is the
@@ -192,7 +193,7 @@ func BenchmarkOpenSearchBatch(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.BatchTopKRange(queries, ranges, 5)
+				s.Search(context.Background(), queries, ranges, 5, nil)
 			}
 			b.ReportMetric(float64(nQueries), "queries/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nQueries*width*hdc.WordsPerHV(c.d)), "ns/word")
@@ -229,7 +230,7 @@ func seedScoreRows(qw, packed []uint64, words, rows, d int, sims []int) {
 // machine at D = 2048 (32-word rows) and D = 8192 (128): sixteen
 // 16 KiB row blocks, each scored by 48 queries in turn. `go` is the
 // scalar distance loop alone; `dispatch` is the sweep itself — one
-// BatchTopKRange of the 48 queries over the blocks, so every (query,
+// Search of the 48 queries over the blocks, so every (query,
 // block) is one call of the kernel hdc selected at init
 // (hdc.KernelName) with its top-5 admission bound, plus the walk over
 // the rows it admits. Both report ns per XOR+popcount word, the
@@ -261,7 +262,7 @@ func BenchmarkSweepKernel(b *testing.B) {
 					seedScoreRows(q.Words, packed, words, rows, d, sims)
 				}
 			}},
-			{"dispatch", func() { s.BatchTopKRange(queries, ranges, 5) }},
+			{"dispatch", func() { s.Search(context.Background(), queries, ranges, 5, nil) }},
 		} {
 			b.Run(fmt.Sprintf("%s/words%d", k.name, words), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

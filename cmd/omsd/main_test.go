@@ -104,7 +104,7 @@ func TestSearchMGF(t *testing.T) {
 		t.Fatal("no query matched")
 	}
 	for _, q := range ds.Queries {
-		psm, ok, err := engine.SearchOne(q)
+		psm, ok, err := searchOne(engine, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestSearchJSON(t *testing.T) {
 	if len(resp.Results) != 1 || resp.Results[0].QueryID != q.ID {
 		t.Fatalf("unexpected results %+v", resp.Results)
 	}
-	psm, ok, err := engine.SearchOne(q)
+	psm, ok, err := searchOne(engine, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,9 +400,18 @@ type heldEngine struct {
 	hold chan struct{}
 }
 
-func (e heldEngine) SearchPreparedTraced(qs []core.PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool) {
+func (e heldEngine) Search(ctx context.Context, qs []core.PreparedQuery, tr *obsv.Trace) ([]core.SearchResult, error) {
 	<-e.hold
-	return e.SearchEngine.SearchPreparedTraced(qs, tr)
+	return e.SearchEngine.Search(ctx, qs, tr)
+}
+
+// searchOne is one query searched alone: a batch of one.
+func searchOne(e *core.Engine, q *spectrum.Spectrum) (fdr.PSM, bool, error) {
+	psms, err := e.SearchAll([]*spectrum.Spectrum{q})
+	if err != nil || len(psms) == 0 {
+		return fdr.PSM{}, false, err
+	}
+	return psms[0], true, nil
 }
 
 // TestSearchBackpressure pins the queue-full contract: one rejected

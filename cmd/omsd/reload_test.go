@@ -61,11 +61,11 @@ func TestReloadSwapConsistency(t *testing.T) {
 	}
 	want := make(map[string]expectation)
 	for _, q := range ds.Queries {
-		pa, oka, err := engineA.SearchOne(q)
+		pa, oka, err := searchOne(engineA, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, okb, err := engineB.SearchOne(q)
+		pb, okb, err := searchOne(engineB, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestIncrementalReloadSwapConsistency(t *testing.T) {
 		}
 		exp := make(map[string]expectation, len(queries))
 		for _, q := range queries {
-			psm, ok, err := pe.SearchOne(q)
+			psm, ok, err := searchOne(pe, q)
 			if err != nil {
 				t.Fatalf("snapshot %s: %v", q.ID, err)
 			}
@@ -413,7 +413,7 @@ func TestReloadKeepsEncoder(t *testing.T) {
 						if g < len(svs)-1 {
 							continue
 						}
-						want, wantOK, err := fresh.SearchOne(q)
+						want, wantOK, err := searchOne(fresh, q)
 						if err != nil || ok != wantOK || psm != want {
 							t.Errorf("%s: query %s = %+v ok=%v, a fresh engine says %+v ok=%v (err %v)", step, q.ID, psm, ok, want, wantOK, err)
 							return

@@ -1,11 +1,13 @@
 package accel
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hdc"
 	"repro/internal/obsv"
@@ -140,7 +142,7 @@ func (e *NoisyEncoder) EncodeVector(v spectrum.Vector) (hdc.BinaryHV, error) {
 
 // NoisySearcher wraps the exact software searcher and perturbs each
 // similarity score with the characterized Gaussian noise. Its one
-// search method has the exact engine's batch-range shape
+// search method, Search, has the exact engine's batch-range shape
 // (core.Searcher); SimilaritiesRangeInto is the one place a row range
 // becomes per-row scores, which the hardware model needs in order to
 // perturb every candidate before top-k selection.
@@ -180,58 +182,52 @@ func (s *NoisySearcher) noiseSource() *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// BatchTopKRangeTraced returns, for every query, the k best matches
-// among packed rows ranges[i] (clamped to the reference count) under
-// noisy similarity scores, parallel across CPU cores. The rows are
+// Search returns, for every query, the k best matches among packed
+// rows ranges[i] (clamped to the reference count) under noisy
+// similarity scores, parallel across CPU cores. The rows are
 // bulk-scored through the exact engine's blocked kernel and every
 // candidate score is perturbed before top-k selection. Per-query noise
 // streams are seeded in query order — one master-RNG draw per
 // non-empty query — so results are deterministic per seed regardless
-// of goroutine scheduling. tr is accepted for the core.Searcher shape
-// and left untouched.
-func (s *NoisySearcher) BatchTopKRangeTraced(queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, _ *obsv.Trace) [][]hdc.Match {
+// of goroutine scheduling. ctx is checked once, on entry, before any
+// noise is drawn: a done ctx returns ctx.Err() and leaves the noise
+// stream where it was. tr is accepted for the core.Searcher shape and
+// left untouched.
+func (s *NoisySearcher) Search(ctx context.Context, queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, _ *obsv.Trace) ([][]hdc.Match, error) {
 	if len(ranges) != len(queries) {
 		panic(fmt.Sprintf("accel: %d queries with %d ranges", len(queries), len(ranges)))
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := make([][]hdc.Match, len(queries))
 	if k <= 0 {
-		return out
+		return out, nil
 	}
 	n := s.Exact.Len()
-	clamped := make([]hdc.RowRange, len(queries))
 	noise := make([]*rand.Rand, len(queries))
 	for i, r := range ranges {
-		clamped[i] = r.Clamp(n)
-		if !clamped[i].Empty() {
+		if r.Clamp(n).Empty() {
+			out[i] = []hdc.Match{}
+		} else {
 			noise[i] = s.noiseSource()
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	next := make(chan int, len(queries))
-	for i := range queries {
-		next <- i
-	}
-	close(next)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(runtime.GOMAXPROCS(0), len(queries)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				r := clamped[i]
-				if r.Empty() {
-					out[i] = []hdc.Match{}
-					continue
+			for i := int(next.Add(1)) - 1; i < len(queries); i = int(next.Add(1)) - 1 {
+				if r := ranges[i].Clamp(n); !r.Empty() {
+					out[i] = s.topKRangeNoise(queries[i], r.Lo, r.Hi, k, noise[i])
 				}
-				out[i] = s.topKRangeNoise(queries[i], r.Lo, r.Hi, k, noise[i])
 			}
 		}()
 	}
 	wg.Wait()
-	return out
+	return out, nil
 }
 
 // topKRangeNoise bulk-scores rows [lo, hi) and selects the top k of

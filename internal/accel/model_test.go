@@ -1,12 +1,15 @@
 package accel
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/hdc"
+	"repro/internal/obsv"
 	"repro/internal/spectrum"
 )
 
@@ -101,9 +104,25 @@ func TestNoisyEncoderZeroBERIsExact(t *testing.T) {
 	}
 }
 
+// searcher is the batch-range shape NoisySearcher shares with the
+// exact searcher.
+type searcher interface {
+	Search(ctx context.Context, queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, tr *obsv.Trace) ([][]hdc.Match, error)
+}
+
+// sweep is an untraced Search under context.Background(), which never
+// stops it.
+func sweep(s searcher, queries []hdc.BinaryHV, ranges []hdc.RowRange, k int) [][]hdc.Match {
+	out, err := s.Search(context.Background(), queries, ranges, k, nil)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // noisyTopK runs one query over [lo, hi) — a batch of one.
 func noisyTopK(ns *NoisySearcher, q hdc.BinaryHV, lo, hi, k int) []hdc.Match {
-	return ns.BatchTopKRangeTraced([]hdc.BinaryHV{q}, []hdc.RowRange{{Lo: lo, Hi: hi}}, k, nil)[0]
+	return sweep(ns, []hdc.BinaryHV{q}, []hdc.RowRange{{Lo: lo, Hi: hi}}, k)[0]
 }
 
 func TestNoisySearcherDegradesRanking(t *testing.T) {
@@ -155,7 +174,7 @@ func TestNoisySearcherRangeZeroSigmaParity(t *testing.T) {
 	q := hdc.RandomBinaryHV(256, rng)
 	for _, r := range [][2]int{{0, 60}, {10, 30}, {-5, 20}, {50, 90}, {25, 25}} {
 		got := noisyTopK(ns, q, r[0], r[1], 5)
-		want := exact.BatchTopKRange([]hdc.BinaryHV{q}, []hdc.RowRange{{Lo: r[0], Hi: r[1]}}, 5)[0]
+		want := sweep(exact, []hdc.BinaryHV{q}, []hdc.RowRange{{Lo: r[0], Hi: r[1]}}, 5)[0]
 		if len(got) != len(want) {
 			t.Fatalf("range %v: %d vs %d results", r, len(got), len(want))
 		}
@@ -167,18 +186,7 @@ func TestNoisySearcherRangeZeroSigmaParity(t *testing.T) {
 	}
 	queries := []hdc.BinaryHV{q, hdc.RandomBinaryHV(256, rng), q}
 	ranges := []hdc.RowRange{{Lo: 5, Hi: 40}, {Lo: 0, Hi: 60}, {Lo: 33, Hi: 33}}
-	got := ns.BatchTopKRangeTraced(queries, ranges, 4, nil)
-	want := exact.BatchTopKRange(queries, ranges, 4)
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("query %d: %d vs %d results", i, len(got[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Errorf("query %d result %d: %+v vs %+v", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
+	sameMatches(t, sweep(ns, queries, ranges, 4), sweep(exact, queries, ranges, 4))
 }
 
 // TestNoisySearcherBatchRangeDeterministic asserts the batch range
@@ -200,8 +208,39 @@ func TestNoisySearcherBatchRangeDeterministic(t *testing.T) {
 		queries[i] = hdc.RandomBinaryHV(512, rng)
 		ranges[i] = hdc.RowRange{Lo: i, Hi: 40 + i*2}
 	}
-	a := NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 99).BatchTopKRangeTraced(queries, ranges, 3, nil)
-	b := NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 99).BatchTopKRangeTraced(queries, ranges, 3, nil)
+	a := sweep(NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 99), queries, ranges, 3)
+	b := sweep(NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 99), queries, ranges, 3)
+	sameMatches(t, a, b)
+}
+
+// TestCancelDrawsNoNoise pins that the noisy searcher checks its
+// context before drawing noise: a call under a done context returns
+// its error, and the next call draws what a fresh searcher with the
+// same seed draws.
+func TestCancelDrawsNoNoise(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	refs := make([]hdc.BinaryHV, 80)
+	for i := range refs {
+		refs[i] = hdc.RandomBinaryHV(512, rng)
+	}
+	exact, err := hdc.NewShardedSearcher(refs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []hdc.BinaryHV{hdc.RandomBinaryHV(512, rng), hdc.RandomBinaryHV(512, rng)}
+	ranges := []hdc.RowRange{{Lo: 0, Hi: 80}, {Lo: 10, Hi: 50}}
+	ns := NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 7)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if out, err := ns.Search(ctx, queries, ranges, 3, nil); !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("canceled: got %d lists, err %v; want none and context.Canceled", len(out), err)
+	}
+	sameMatches(t, sweep(ns, queries, ranges, 3), sweep(NewNoisySearcher(exact, NoisyModel{SearchSigma: 30}, 7), queries, ranges, 3))
+}
+
+// sameMatches fails unless two batches of match lists are equal.
+func sameMatches(t *testing.T, a, b [][]hdc.Match) {
+	t.Helper()
 	for i := range a {
 		if len(a[i]) != len(b[i]) {
 			t.Fatalf("query %d: %d vs %d results", i, len(a[i]), len(b[i]))

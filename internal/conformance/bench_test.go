@@ -144,33 +144,31 @@ func BenchmarkPartitionedTopKRange(b *testing.B) {
 	// Both partitioned sweeps must be bit-identical before they are
 	// timed — the overlay engine through entry values, since its global
 	// match indexes depend on the partition layout.
-	sp, so := single.SearchPrepared(queries)
-	pp, po := part.SearchPrepared(queries)
-	op, oo := overlay.SearchPrepared(queries)
+	sRes, pRes, oRes := search(b, single, queries, nil), search(b, part, queries, nil), search(b, overlay, queries, nil)
 	for i := range queries {
-		if so[i] != po[i] || (so[i] && sp[i] != pp[i]) {
-			b.Fatalf("query %d: partitioned %+v ok=%v, single %+v ok=%v", i, pp[i], po[i], sp[i], so[i])
+		if len(sRes[i].Top) > 0 != (len(pRes[i].Top) > 0) || sRes[i].PSM != pRes[i].PSM {
+			b.Fatalf("query %d: partitioned %+v, single %+v", i, pRes[i].PSM, sRes[i].PSM)
 		}
-		if so[i] != oo[i] || (so[i] && sp[i] != op[i]) {
-			b.Fatalf("query %d: delta overlay %+v ok=%v, single %+v ok=%v", i, op[i], oo[i], sp[i], so[i])
+		if len(sRes[i].Top) > 0 != (len(oRes[i].Top) > 0) || sRes[i].PSM != oRes[i].PSM {
+			b.Fatalf("query %d: delta overlay %+v, single %+v", i, oRes[i].PSM, sRes[i].PSM)
 		}
 	}
 
 	b.Run("single-file", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			single.SearchPrepared(queries)
+			search(b, single, queries, nil)
 		}
 		b.ReportMetric(float64(nq), "queries/op")
 	})
 	b.Run("partitioned-4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			part.SearchPrepared(queries)
+			search(b, part, queries, nil)
 		}
 		b.ReportMetric(float64(nq), "queries/op")
 	})
 	b.Run("partitioned-4+delta", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			overlay.SearchPrepared(queries)
+			search(b, overlay, queries, nil)
 		}
 		b.ReportMetric(float64(nq), "queries/op")
 		b.ReportMetric(float64(overlay.OverlayStats().HiddenRefs), "hidden_refs")

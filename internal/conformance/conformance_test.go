@@ -221,15 +221,59 @@ func assertOnePath(t *testing.T, name string, s *hdc.ShardedSearcher, hvs []hdc.
 		if tr != nil {
 			label += " traced"
 		}
-		for qi, got := range s.BatchTopKRangeTraced(hvs, ranges, k, tr) {
+		sweep := func(hvs []hdc.BinaryHV, ranges []hdc.RowRange) [][]hdc.Match {
+			out, err := s.Search(context.Background(), hvs, ranges, k, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		for qi, got := range sweep(hvs, ranges) {
 			assertMatches(t, label+" batch", qi, got, oracle[qi])
 		}
-		for ri, got := range s.BatchTopKRangeTraced(revHVs, revRanges, k, tr) {
+		for ri, got := range sweep(revHVs, revRanges) {
 			assertMatches(t, label+" batch reversed", last-ri, got, oracle[last-ri])
 		}
 		for qi := range hvs {
-			got := s.BatchTopKRangeTraced(hvs[qi:qi+1], ranges[qi:qi+1], k, tr)
+			got := sweep(hvs[qi:qi+1], ranges[qi:qi+1])
 			assertMatches(t, label+" batch of one", qi, got[0], oracle[qi])
+		}
+	}
+}
+
+// search is an uncancellable Search.
+func search(t testing.TB, e *core.Engine, qs []core.PreparedQuery, tr *obsv.Trace) []core.SearchResult {
+	t.Helper()
+	res, err := e.Search(context.Background(), qs, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// assertEngine drives Engine.Search with the whole batch and with every
+// query alone, untraced and traced, and fails unless each result's
+// top-k list is the oracle's and its PSM is that list's head.
+func (fx *fixture) assertEngine(t *testing.T, name string, e *core.Engine, oracle [][]hdc.Match) {
+	t.Helper()
+	check := func(label string, qi int, r core.SearchResult) {
+		t.Helper()
+		assertMatches(t, label, qi, r.Top, oracle[qi])
+		wantPSM, wantOK := fx.wantPSM(fx.queries[qi], oracle[qi])
+		if ok := len(r.Top) > 0; ok != wantOK || (wantOK && r.PSM != wantPSM) {
+			t.Fatalf("%s: query %d = %+v ok=%v, oracle %+v ok=%v", label, qi, r.PSM, ok, wantPSM, wantOK)
+		}
+	}
+	for _, tr := range []*obsv.Trace{nil, new(obsv.Trace)} {
+		label := name
+		if tr != nil {
+			label += " traced"
+		}
+		for qi, r := range search(t, e, fx.queries, tr) {
+			check(label+" batch", qi, r)
+		}
+		for qi := range fx.queries {
+			check(label+" batch of one", qi, search(t, e, fx.queries[qi:qi+1], tr)[0])
 		}
 	}
 }
@@ -298,26 +342,7 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for qi, q := range fx.queries {
-				assertMatches(t, "Engine.TopKPrepared", qi, engine.TopKPrepared(q), oracle[qi])
-			}
-			psms, oks := engine.SearchPrepared(fx.queries)
-			for qi, q := range fx.queries {
-				wantPSM, wantOK := fx.wantPSM(q, oracle[qi])
-				if oks[qi] != wantOK || (wantOK && psms[qi] != wantPSM) {
-					t.Fatalf("Engine.SearchPrepared: query %d = %+v ok=%v, oracle %+v ok=%v",
-						qi, psms[qi], oks[qi], wantPSM, wantOK)
-				}
-			}
-			var engineTrace obsv.Trace
-			tpsms, toks := engine.SearchPreparedTraced(fx.queries, &engineTrace)
-			for qi, q := range fx.queries {
-				wantPSM, wantOK := fx.wantPSM(q, oracle[qi])
-				if toks[qi] != wantOK || (wantOK && tpsms[qi] != wantPSM) {
-					t.Fatalf("Engine.SearchPreparedTraced: query %d = %+v ok=%v, oracle %+v ok=%v",
-						qi, tpsms[qi], toks[qi], wantPSM, wantOK)
-				}
-			}
+			fx.assertEngine(t, "Engine.Search", engine, oracle)
 
 			// Served/coalesced path: concurrent submissions through the
 			// micro-batcher must match the oracle regardless of batching.
@@ -362,26 +387,7 @@ func TestConformance(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for qi, q := range fx.queries {
-						assertMatches(t, "partitioned Engine.TopKPrepared", qi, pe.TopKPrepared(q), oracle[qi])
-					}
-					ppsms, poks := pe.SearchPrepared(fx.queries)
-					for qi, q := range fx.queries {
-						wantPSM, wantOK := fx.wantPSM(q, oracle[qi])
-						if poks[qi] != wantOK || (wantOK && ppsms[qi] != wantPSM) {
-							t.Fatalf("partitioned Engine.SearchPrepared: query %d = %+v ok=%v, oracle %+v ok=%v",
-								qi, ppsms[qi], poks[qi], wantPSM, wantOK)
-						}
-					}
-					var partTrace obsv.Trace
-					tpsms, ttoks := pe.SearchPreparedTraced(fx.queries, &partTrace)
-					for qi, q := range fx.queries {
-						wantPSM, wantOK := fx.wantPSM(q, oracle[qi])
-						if ttoks[qi] != wantOK || (wantOK && tpsms[qi] != wantPSM) {
-							t.Fatalf("partitioned Engine.SearchPreparedTraced: query %d = %+v ok=%v, oracle %+v ok=%v",
-								qi, tpsms[qi], ttoks[qi], wantPSM, wantOK)
-						}
-					}
+					fx.assertEngine(t, "partitioned Engine.Search", pe, oracle)
 				})
 			}
 		})

@@ -1,0 +1,54 @@
+package core
+
+import (
+	"context"
+
+	"repro/internal/fdr"
+	"repro/internal/obsv"
+	"repro/internal/spectrum"
+)
+
+// The frozen benchmark (bench/) still names what follows: forwards to
+// Prepare and Search. ROADMAP item 1 deletes this file.
+
+// TracedSearchEngine is the engine surface bench/ replays through.
+type TracedSearchEngine interface {
+	SearchEngine
+	SearchPrepared(qs []PreparedQuery) ([]fdr.PSM, []bool)
+	SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool)
+	CascadeStats() (PruneStats, bool)
+}
+
+// PruneStats reports that nothing is pruned.
+type PruneStats struct{}
+
+// PruneRate is always 0.
+func (PruneStats) PruneRate() float64 { return 0 }
+
+// CascadeStats always reports false: every sweep scores whole rows.
+func (e *Engine) CascadeStats() (PruneStats, bool) { return PruneStats{}, false }
+
+// SearchOne is SearchAll of one query.
+func (e *Engine) SearchOne(q *spectrum.Spectrum) (fdr.PSM, bool, error) {
+	psms, err := e.SearchAll([]*spectrum.Spectrum{q})
+	if len(psms) == 0 {
+		return fdr.PSM{}, false, err
+	}
+	return psms[0], true, err
+}
+
+// SearchPrepared is SearchPreparedTraced without a trace.
+func (e *Engine) SearchPrepared(qs []PreparedQuery) ([]fdr.PSM, []bool) {
+	return e.SearchPreparedTraced(qs, nil)
+}
+
+// SearchPreparedTraced is an uncancellable Search split into PSMs and
+// found flags.
+func (e *Engine) SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool) {
+	res, _ := e.Search(context.Background(), qs, tr)
+	psms, oks := make([]fdr.PSM, len(res)), make([]bool, len(res))
+	for i, r := range res {
+		psms[i], oks[i] = r.PSM, len(r.Top) > 0
+	}
+	return psms, oks
+}

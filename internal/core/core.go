@@ -5,7 +5,7 @@
 // list of partitions (one for a library built in memory or stored in a
 // single index file, several for a partitioned, incrementally updated
 // index), a precursor window is a contiguous row range in each
-// partition it reaches, and every search — one query or many — is one
+// partition it reaches, and every search is one Engine.Search: a
 // batch range call per partition followed by an exact merge. Backends
 // are pluggable: the exact software path ("ideal"), the
 // characterized-noise path replaying the simulated MLC RRAM chip's
@@ -15,6 +15,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -23,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/accel"
-	"repro/internal/fdr"
 	"repro/internal/hdc"
 	"repro/internal/obsv"
 	"repro/internal/spectrum"
@@ -38,56 +38,26 @@ type Encoder interface {
 
 // Searcher is one partition's packed reference store. Its one search
 // primitive mirrors the accelerator's: a batch of encoded queries,
-// each restricted to a contiguous row range of the mass-sorted store
-// (every precursor window is one), comes back as per-query top-k lists
-// (similarity descending, ties by ascending row) that the caller owns,
-// with the swept-row counter accumulated into tr when it is non-nil.
-// A single query is a batch of one. Implementations:
-// *hdc.ShardedSearcher (exact — deterministic, so results are
-// independent of batch composition and of tracing) and
-// *accel.NoisySearcher (characterized hardware noise — per-seed
-// reproducible for a fixed batching, since it draws one noise stream
-// per non-empty query in query order, and untraced).
+// each restricted to a contiguous row range of the mass-sorted store,
+// comes back as per-query top-k lists (similarity descending, ties by
+// ascending row) that the caller owns, or as ctx.Err() once ctx is
+// done. Implementations: *hdc.ShardedSearcher (exact, so results do
+// not depend on the batch) and *accel.NoisySearcher (characterized
+// hardware noise, one seeded stream per non-empty query in query
+// order, so reproducible for a fixed batching; untraced).
 type Searcher interface {
-	BatchTopKRangeTraced(queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, tr *obsv.Trace) [][]hdc.Match
+	Search(ctx context.Context, queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, tr *obsv.Trace) ([][]hdc.Match, error)
 	// RowsSwept is the cumulative candidate-row coverage of the sweeps.
 	RowsSwept() uint64
 }
 
 // SearchEngine is the part of Engine the serving layer
-// (internal/serve) drives: prepare a spectrum into an encoded query
-// with a resolved candidate row range and score prepared queries
-// through one batched sweep. It is an interface so tests can substitute
-// a stub.
+// (internal/serve) drives: Prepare and Search. It is an interface so
+// tests can substitute a stub.
 type SearchEngine interface {
-	// Prepare preprocesses and encodes one query and resolves its
-	// candidate row range; ok is false when the query is rejected by
-	// preprocessing or no library mass lies in its precursor window.
 	Prepare(q *spectrum.Spectrum) (PreparedQuery, bool, error)
-	// SearchPrepared scores prepared queries through one batched
-	// sweep; ok[i] is false when query i produced no match.
-	SearchPrepared(qs []PreparedQuery) ([]fdr.PSM, []bool)
-	// SearchPreparedTraced is SearchPrepared accumulating per-stage
-	// timings and row counters into tr when it is non-nil. Tracing must
-	// never change results.
-	SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool)
+	Search(ctx context.Context, qs []PreparedQuery, tr *obsv.Trace) ([]SearchResult, error)
 }
-
-// TracedSearchEngine is SearchEngine plus the pruning report the frozen
-// benchmark (bench/) still reads. Nothing prunes, so CascadeStats always
-// reports false. ROADMAP item 1 deletes it together with that caller.
-type TracedSearchEngine interface {
-	SearchEngine
-	CascadeStats() (PruneStats, bool)
-}
-
-// PruneStats is what TracedSearchEngine.CascadeStats reports: every
-// sweep scores whole rows, so nothing is pruned. ROADMAP item 1
-// deletes it.
-type PruneStats struct{}
-
-// PruneRate is always 0.
-func (PruneStats) PruneRate() float64 { return 0 }
 
 // Params configures an OMS engine.
 type Params struct {

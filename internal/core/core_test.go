@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,33 @@ import (
 	"repro/internal/spectrum"
 	"repro/internal/units"
 )
+
+// search is an untraced Search under context.Background(), which never
+// stops it, so it never fails.
+func search(e *Engine, qs []PreparedQuery) []SearchResult {
+	res, err := e.Search(context.Background(), qs, nil)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// searchOne is a batch of one through Prepare and Search: ok is false
+// when preprocessing rejects the query, no visible row lies in its
+// window or nothing matches.
+func searchOne(e *Engine, q *spectrum.Spectrum) (fdr.PSM, bool, error) {
+	pq, ok, err := e.Prepare(q)
+	if err != nil || !ok {
+		return fdr.PSM{}, false, err
+	}
+	res := search(e, []PreparedQuery{pq})[0]
+	return res.PSM, len(res.Top) > 0, nil
+}
+
+// topKList is one prepared query's full top-k list in global rows.
+func topKList(e *Engine, pq PreparedQuery) []hdc.Match {
+	return search(e, []PreparedQuery{pq})[0].Top
+}
 
 // testParams returns a small, fast parameter set.
 func testParams() Params {
@@ -309,7 +337,7 @@ func TestSearchOneSkipsUnsearchableQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sparse query: preprocessing rejects.
-	_, ok, err := engine.SearchOne(&spectrum.Spectrum{
+	_, ok, err := searchOne(engine, &spectrum.Spectrum{
 		ID: "sparse", PrecursorMZ: 600, Charge: 2,
 		Peaks: []spectrum.Peak{{MZ: 200, Intensity: 1}},
 	})
@@ -317,7 +345,7 @@ func TestSearchOneSkipsUnsearchableQueries(t *testing.T) {
 		t.Errorf("sparse query: ok=%v err=%v", ok, err)
 	}
 	// Query far outside any precursor window.
-	_, ok, err = engine.SearchOne(&spectrum.Spectrum{
+	_, ok, err = searchOne(engine, &spectrum.Spectrum{
 		ID: "heavy", PrecursorMZ: 1e5, Charge: 2,
 		Peaks: []spectrum.Peak{
 			{MZ: 200, Intensity: 10}, {MZ: 300, Intensity: 20},

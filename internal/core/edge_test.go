@@ -32,7 +32,7 @@ func TestEngineTopKClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psm, ok, err := engine.SearchOne(ds.Queries[0])
+	psm, ok, err := searchOne(engine, ds.Queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSingleEntryLibraryEngine(t *testing.T) {
 	}
 	var matched int
 	for _, q := range ds.Queries {
-		psm, ok, err := engine.SearchOne(q)
+		psm, ok, err := searchOne(engine, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,13 +148,12 @@ func TestSingleEntryLibraryEngine(t *testing.T) {
 		t.Fatal("no query matched the 1-entry library")
 	}
 	// Batch scoring over the same degenerate library must agree.
-	psms, oks := engine.SearchPrepared(prepareAll(t, engine, ds.Queries))
 	var batchMatched int
-	for i, ok := range oks {
-		if ok {
+	for _, r := range search(engine, prepareAll(t, engine, ds.Queries)) {
+		if len(r.Top) > 0 {
 			batchMatched++
-			if psms[i].Peptide != lib.Entries[0].Peptide {
-				t.Fatalf("batch matched %q", psms[i].Peptide)
+			if r.PSM.Peptide != lib.Entries[0].Peptide {
+				t.Fatalf("batch matched %q", r.PSM.Peptide)
 			}
 		}
 	}

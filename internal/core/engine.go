@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -329,10 +330,6 @@ func (e *Engine) OverlayStats() OverlayStats {
 	return st
 }
 
-// CascadeStats always reports false: every sweep scores whole rows. It
-// makes Engine a TracedSearchEngine; ROADMAP item 1 deletes both.
-func (e *Engine) CascadeStats() (PruneStats, bool) { return PruneStats{}, false }
-
 // PartitionStat is one partition's identity and sweep telemetry.
 type PartitionStat struct {
 	// StartRow is the partition's first global row, Refs its size.
@@ -370,8 +367,7 @@ func (e *Engine) PartitionStats() []PartitionStat {
 // and has had its precursor window resolved to a candidate row range
 // in the mass-ordered library. Preparation is the per-query,
 // trivially parallel half of a search; scoring prepared queries is
-// the bandwidth-bound half, which batch paths (SearchPrepared, the
-// serving layer's micro-batcher) amortize across whole query sets.
+// the bandwidth-bound half, which Search amortizes across a batch.
 type PreparedQuery struct {
 	// QueryID is the source spectrum ID, carried into the PSM.
 	QueryID string
@@ -404,8 +400,8 @@ func (e *Engine) encodeQuery(q *spectrum.Spectrum) (spectrum.Vector, hdc.BinaryH
 
 // Prepare preprocesses and encodes one query and resolves its
 // candidate row range. ok is false when the query is rejected by
-// preprocessing or no library mass lies inside its precursor window —
-// exactly the conditions under which SearchOne reports no PSM.
+// preprocessing or no visible library row lies inside its precursor
+// window — exactly the conditions under which Search finds no match.
 func (e *Engine) Prepare(q *spectrum.Spectrum) (PreparedQuery, bool, error) {
 	_, hv, ok, err := e.encodeQuery(q)
 	if err != nil || !ok {
@@ -419,21 +415,22 @@ func (e *Engine) Prepare(q *spectrum.Spectrum) (PreparedQuery, bool, error) {
 }
 
 // ResolvePrepared assembles a prepared query from an already encoded
-// hypervector: the
-// base-tier candidate range is resolved through the mass fences, and
-// ok reports whether any partition — base or delta — holds candidate
-// rows. It is Prepare without the preprocessing and encoding stages,
-// for callers that build hypervectors directly (conformance harness,
-// benchmarks).
+// hypervector: the base-tier candidate range is resolved through the
+// mass fences, and ok reports whether any partition — base or delta —
+// holds a visible candidate row. It is Prepare without the
+// preprocessing and encoding stages, for tests that build
+// hypervectors directly.
 func (e *Engine) ResolvePrepared(id string, hv hdc.BinaryHV, mass float64) (PreparedQuery, bool) {
 	lo, hi := e.candidateRange(mass, e.params.queryWindow(mass))
 	pq := PreparedQuery{QueryID: id, HV: hv, Mass: mass, Lo: lo, Hi: hi}
-	ok := lo < hi
-	for i := e.nBase; !ok && i < len(e.parts); i++ {
-		plo, phi := e.partRange(&e.parts[i], &pq)
-		ok = plo < phi
+	for i := range e.parts {
+		p := &e.parts[i]
+		plo, phi := e.partRange(p, &pq)
+		if plo < phi && phi-plo > sort.SearchInts(p.hidden, phi)-sort.SearchInts(p.hidden, plo) {
+			return pq, true
+		}
 	}
-	return pq, ok
+	return pq, false
 }
 
 // queryWindow returns the precursor window for a query mass: the open
@@ -497,13 +494,14 @@ func (e *Engine) partRange(p *partition, pq *PreparedQuery) (int, int) {
 
 // partBatch is one partition's share of a prepared batch: the queries
 // whose windows reach it (qIdx, ascending), their hypervectors and
-// local row ranges, and — after the sweep — their top-k lists. next is
-// the merge's cursor into qIdx.
+// local row ranges, and — after the sweep — their top-k lists or the
+// sweep's error. next is the merge's cursor into qIdx.
 type partBatch struct {
 	qIdx   []int
 	hvs    []hdc.BinaryHV
 	ranges []hdc.RowRange
 	tops   [][]hdc.Match
+	err    error
 	next   int
 }
 
@@ -511,13 +509,13 @@ type partBatch struct {
 // searcher masks the hidden rows, so what comes back is the partition's
 // visible top-k. A non-nil tr collects the searcher's swept rows plus
 // one partition record (index, candidate rows, wall time).
-func (e *Engine) sweep(i int, b *partBatch, tr *obsv.Trace) {
+func (e *Engine) sweep(ctx context.Context, i int, b *partBatch, tr *obsv.Trace) {
 	p := &e.parts[i]
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	b.tops = p.searcher.BatchTopKRangeTraced(b.hvs, b.ranges, e.params.TopK, tr)
+	b.tops, b.err = p.searcher.Search(ctx, b.hvs, b.ranges, e.params.TopK, tr)
 	if tr != nil {
 		rows := 0
 		for _, r := range b.ranges {
@@ -555,18 +553,27 @@ func (e *Engine) rowBefore(a, b hdc.Match) int {
 		cmp.Compare(pa.genRow+ra, pb.genRow+rb))
 }
 
-// batchTopK scores a prepared batch — the engine's one search path.
-// Each partition resolves its local row range for every query and runs
-// one block-major sweep over the queries whose windows reach it; the
-// first such partition is swept on the calling goroutine and the rest
-// in parallel, so a batch that lands in one partition spawns nothing.
-// The per-partition lists then merge per query under rowBefore. A
-// query that drew rows from a single partition is already in that
-// order (see rowBefore), so only queries spanning partitions are
-// sorted. Indices in the result are global rows. A non-nil tr
-// additionally collects the cross-partition merge time; timing never
-// alters control flow.
-func (e *Engine) batchTopK(qs []PreparedQuery, tr *obsv.Trace) [][]hdc.Match {
+// SearchResult is one prepared query's answer: its top-k list in global
+// rows and the PSM of the list's head. An empty Top means no match.
+type SearchResult struct {
+	PSM fdr.PSM
+	Top []hdc.Match
+}
+
+// Search scores prepared queries — the engine's one search path — and
+// returns one result per query, in order. Each partition runs one
+// block-major sweep over the queries whose windows reach it, the first
+// on the calling goroutine and the rest in parallel, so a batch that
+// lands in one partition spawns nothing. The per-partition lists then
+// merge per query under rowBefore; only queries spanning partitions
+// need the sort. Exact results do not depend on the batch (see
+// Searcher).
+//
+// A ctx done before or during the call stops every sweep at its next
+// row block, and Search returns ctx.Err() once all have returned. A
+// non-nil tr collects swept rows, per-partition sweep records and the
+// merge time; timing never alters control flow.
+func (e *Engine) Search(ctx context.Context, qs []PreparedQuery, tr *obsv.Trace) ([]SearchResult, error) {
 	batches := make([]partBatch, len(e.parts))
 	for i := range e.parts {
 		p := &e.parts[i]
@@ -597,20 +604,26 @@ func (e *Engine) batchTopK(qs []PreparedQuery, tr *obsv.Trace) [][]hdc.Match {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				e.sweep(i, &batches[i], tr)
+				e.sweep(ctx, i, &batches[i], tr)
 			}()
 		}
 	}
 	if inline >= 0 {
-		e.sweep(inline, &batches[inline], tr)
+		e.sweep(ctx, inline, &batches[inline], tr)
 	}
 	wg.Wait()
+	for i := range batches {
+		if err := batches[i].err; err != nil {
+			return nil, err
+		}
+	}
 	var mergeT0 time.Time
 	if tr != nil {
 		mergeT0 = time.Now()
 	}
-	out := make([][]hdc.Match, len(qs))
+	out := make([]SearchResult, len(qs))
 	for qi := range out {
+		r := &out[qi]
 		contributors := 0
 		for i := range batches {
 			b := &batches[i]
@@ -623,36 +636,31 @@ func (e *Engine) batchTopK(qs []PreparedQuery, tr *obsv.Trace) [][]hdc.Match {
 			}
 			b.next++
 			if contributors++; contributors == 1 {
-				out[qi] = top
+				r.Top = top
 			} else {
-				out[qi] = append(out[qi], top...)
+				r.Top = append(r.Top, top...)
 			}
 		}
 		if contributors > 1 {
-			slices.SortFunc(out[qi], e.rowBefore)
+			slices.SortFunc(r.Top, e.rowBefore)
 		}
-		if len(out[qi]) > e.params.TopK {
-			out[qi] = out[qi][:e.params.TopK]
+		if len(r.Top) > e.params.TopK {
+			r.Top = r.Top[:e.params.TopK]
+		}
+		if len(r.Top) > 0 {
+			entry := e.EntryAt(r.Top[0].Index)
+			r.PSM = fdr.PSM{QueryID: qs[qi].QueryID, Peptide: entry.Peptide, IsDecoy: entry.IsDecoy,
+				Score: float64(r.Top[0].Similarity) / e.normD, MassShift: qs[qi].Mass - entry.Mass}
 		}
 	}
 	if tr != nil {
 		tr.AddNanos(obsv.StageMerge, int64(time.Since(mergeT0)))
 	}
-	return out
-}
-
-// TopKPrepared returns the full top-k match list of one prepared
-// query — a batch of one — with indices in global row space: the list
-// SearchOne's PSM is the head of. It is the engine's leg of the
-// cross-path conformance contract: every way of reaching the sweep
-// (alone, batched, any partitioning, served) must reproduce
-// the flat-scan oracle's list bit for bit.
-func (e *Engine) TopKPrepared(pq PreparedQuery) []hdc.Match {
-	return e.batchTopK([]PreparedQuery{pq}, nil)[0]
+	return out, nil
 }
 
 // EntryAt returns the library entry behind a global match index as
-// reported by TopKPrepared. Global indexes depend on the engine's
+// reported in SearchResult.Top. Global indexes depend on the engine's
 // partition layout, so cross-engine comparisons (the build-equivalence
 // conformance harness) resolve matches to entries before comparing.
 func (e *Engine) EntryAt(global int) LibraryEntry {
@@ -660,62 +668,11 @@ func (e *Engine) EntryAt(global int) LibraryEntry {
 	return p.lib.Entries[r]
 }
 
-// SearchPrepared scores prepared queries through one batch sweep: each
-// partition's searcher sweeps each cache-resident row block with every
-// query whose window covers it, so the packed reference store streams
-// from memory once per batch instead of once per query. It returns one
-// slot per input: ok[i] is false when query i produced no match. With
-// the exact searcher, per-query results are independent of batch
-// composition and order; the noisy searcher draws its error stream in
-// batch query order (see Searcher), so its results are per-seed
-// reproducible for a fixed batching, but not batch-invariant.
-func (e *Engine) SearchPrepared(qs []PreparedQuery) ([]fdr.PSM, []bool) {
-	return e.SearchPreparedTraced(qs, nil)
-}
-
-// SearchPreparedTraced is SearchPrepared recording swept-row, merge and
-// per-partition sweep telemetry into tr when it is non-nil. Timing
-// never alters control flow, so results are bit-identical to the
-// untraced call.
-func (e *Engine) SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool) {
-	psms := make([]fdr.PSM, len(qs))
-	oks := make([]bool, len(qs))
-	if len(qs) == 0 {
-		return psms, oks
-	}
-	for i, top := range e.batchTopK(qs, tr) {
-		if len(top) == 0 {
-			continue
-		}
-		entry := e.EntryAt(top[0].Index)
-		psms[i] = fdr.PSM{
-			QueryID:   qs[i].QueryID,
-			Peptide:   entry.Peptide,
-			Score:     float64(top[0].Similarity) / e.normD,
-			IsDecoy:   entry.IsDecoy,
-			MassShift: qs[i].Mass - entry.Mass,
-		}
-		oks[i] = true
-	}
-	return psms, oks
-}
-
-// SearchOne runs one query — a batch of one — and returns its
-// best-match PSM; ok is false when the query is rejected by
-// preprocessing or finds no candidate in the precursor window.
-func (e *Engine) SearchOne(q *spectrum.Spectrum) (fdr.PSM, bool, error) {
-	pq, ok, err := e.Prepare(q)
-	if err != nil || !ok {
-		return fdr.PSM{}, false, err
-	}
-	psms, oks := e.SearchPrepared([]PreparedQuery{pq})
-	return psms[0], oks[0], nil
-}
-
 // SearchAll prepares every query through eachSpectrum and scores the
-// ones that pass in one SearchPrepared sweep, returning one best-match
-// PSM per searchable query in query order. Encoder and searcher draw in
-// query order, so on every backend the list equals a SearchOne loop's.
+// ones that pass in one uncancellable Search, returning one best-match
+// PSM per matched query in query order. Encoder and searcher draw in
+// query order, so on every backend the list equals that of a loop of
+// batches of one.
 func (e *Engine) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
 	pqs := make([]PreparedQuery, len(queries))
 	ok := make([]bool, len(queries))
@@ -732,11 +689,14 @@ func (e *Engine) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
 			batch = append(batch, pqs[i])
 		}
 	}
-	psms, found := e.SearchPrepared(batch)
-	out := psms[:0]
-	for i := range psms {
-		if found[i] {
-			out = append(out, psms[i])
+	res, err := e.Search(context.Background(), batch, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]fdr.PSM, 0, len(res))
+	for _, r := range res {
+		if len(r.Top) > 0 {
+			out = append(out, r.PSM)
 		}
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/hdc"
 	"repro/internal/obsv"
+	"repro/internal/units"
 )
 
 // recordingSearcher is an exact searcher that notes the depth of every
@@ -24,11 +26,11 @@ func (r *recordingSearcher) Hide(rows []int) {
 	r.ShardedSearcher.Hide(rows)
 }
 
-func (r *recordingSearcher) BatchTopKRangeTraced(qs []hdc.BinaryHV, ranges []hdc.RowRange, k int, tr *obsv.Trace) [][]hdc.Match {
+func (r *recordingSearcher) Search(ctx context.Context, qs []hdc.BinaryHV, ranges []hdc.RowRange, k int, tr *obsv.Trace) ([][]hdc.Match, error) {
 	r.mu.Lock()
 	r.ks = append(r.ks, k)
 	r.mu.Unlock()
-	return r.ShardedSearcher.BatchTopKRangeTraced(qs, ranges, k, tr)
+	return r.ShardedSearcher.Search(ctx, qs, ranges, k, tr)
 }
 
 // overlaySet is splitSet's two base partitions plus an overlay hiding
@@ -103,9 +105,9 @@ func TestHiddenRowsSweptAtTopK(t *testing.T) {
 				qs = append(qs, pq)
 			}
 		}
-		engine.SearchPrepared(qs)
+		search(engine, qs)
 		for _, pq := range qs {
-			for _, m := range engine.TopKPrepared(pq) {
+			for _, m := range topKList(engine, pq) {
 				part, row := engine.locate(m.Index)
 				if slices.Contains(part.hidden, row) {
 					t.Fatalf("TopK=%d: query %s was answered with hidden row %d of a partition", topK, pq.QueryID, row)
@@ -176,6 +178,46 @@ func TestKeptEncoderIsTheEnginesEncoder(t *testing.T) {
 	for name, e := range map[string]*Engine{"kept": kept, "fresh": fresh} {
 		if psms, err := e.SearchAll(ds.Queries); err != nil || !slices.Equal(psms, want) {
 			t.Errorf("%s encoder: results differ from the built engine's (err %v)", name, err)
+		}
+	}
+}
+
+// TestPrepareOKMeansVisibleRows pins Prepare's ok to what Search
+// finds: on a 4-partition engine, a standard-search window whose every
+// row is tombstoned resolves to ok=false and Search finds nothing in
+// it; leaving one of its rows visible resolves to ok=true and Search
+// finds that row.
+func TestPrepareOKMeansVisibleRows(t *testing.T) {
+	ds := testDataset(t)
+	p := testParams()
+	p.Open = false
+	p.StandardTol = units.Da(0.001)
+	built, _, err := BuildExact(p, ds.Library)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := built.Library()
+	row := lib.Len() / 2
+	mass := lib.Entries[row].Mass
+	lo, hi := lib.CandidateRange(mass, p.queryWindow(mass))
+	for _, visible := range []int{-1, lo} {
+		set := splitSet(t, lib, 4)
+		set.Generation = 2
+		set.Tombstones = map[string]uint64{}
+		for r := lo; r < hi; r++ {
+			if r != visible {
+				set.Tombstones[lib.Entries[r].ID] = 2
+			}
+		}
+		engine, _, err := NewPartitionedEngine(p, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq, ok := engine.ResolvePrepared("q", lib.HVs[row], mass)
+		top := topKList(engine, pq)
+		if want := visible >= 0; ok != want || len(top) > 0 != want {
+			t.Fatalf("window rows [%d,%d), row %d left visible: ok=%v and %d matches, want ok=%v and a match iff ok",
+				lo, hi, visible, ok, len(top), want)
 		}
 	}
 }

@@ -149,9 +149,9 @@ func TestBatchPathShardSizes(t *testing.T) {
 
 // TestNoisySearchAllMatchesSearchOne pins the noisy backend's list path
 // to its per-query path: on twin engines built with one seed, SearchAll
-// over the query list and a SearchOne loop must return the same PSMs at
-// any GOMAXPROCS — the encoder and the searcher each draw their seeded
-// streams in query order, however the work is spread.
+// over the query list and a loop of batches of one must return the
+// same PSMs at any GOMAXPROCS — the encoder and the searcher each draw
+// their seeded streams in query order, however the work is spread.
 func TestNoisySearchAllMatchesSearchOne(t *testing.T) {
 	ds := testDataset(t)
 	p := testParams()
@@ -175,7 +175,7 @@ func TestNoisySearchAllMatchesSearchOne(t *testing.T) {
 			}
 			var want []fdr.PSM
 			for _, q := range queries {
-				psm, ok, err := loop.SearchOne(q)
+				psm, ok, err := searchOne(loop, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +184,7 @@ func TestNoisySearchAllMatchesSearchOne(t *testing.T) {
 				}
 			}
 			if len(want) == 0 || !slices.Equal(got, want) {
-				t.Fatalf("SearchAll returned %d PSMs, the SearchOne loop %d, and they differ", len(got), len(want))
+				t.Fatalf("SearchAll returned %d PSMs, the loop of batches of one %d, and they differ", len(got), len(want))
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -27,7 +28,7 @@ func splitSet(t *testing.T, lib *Library, n int) PartitionSet {
 	return set
 }
 
-// engineAllocs returns what one SearchPrepared over qs allocates beyond
+// engineAllocs returns what one Search over qs allocates beyond
 // the sweep of partition part, the only partition qs may reach: the
 // engine's own bookkeeping, with the searcher's result lists taken out.
 func engineAllocs(t *testing.T, e *Engine, part int, qs []PreparedQuery) float64 {
@@ -47,11 +48,12 @@ func engineAllocs(t *testing.T, e *Engine, part int, qs []PreparedQuery) float64
 		}
 		hvs[i], ranges[i] = qs[i].HV, hdc.RowRange{Lo: lo, Hi: hi}
 	}
-	sweep := testing.AllocsPerRun(20, func() { p.searcher.BatchTopKRangeTraced(hvs, ranges, e.params.TopK, nil) })
-	return testing.AllocsPerRun(20, func() { e.SearchPrepared(qs) }) - sweep
+	ctx := context.Background()
+	sweep := testing.AllocsPerRun(20, func() { p.searcher.Search(ctx, hvs, ranges, e.params.TopK, nil) })
+	return testing.AllocsPerRun(20, func() { e.Search(ctx, qs, nil) }) - sweep
 }
 
-// maxEngineAllocs bounds the engine's own allocations per SearchPrepared
+// maxEngineAllocs bounds the engine's own allocations per Search
 // that stays inside one partition: the result slots, the per-partition
 // batch table, that partition's query/range lists and the output lists
 // header — nothing per query. The single-store engine this one replaced
@@ -134,14 +136,14 @@ func TestWindowInsideOnePartitionTakesNoSort(t *testing.T) {
 	// above could not have seen a sort.
 	fence := engine.parts[part].start
 	span := PreparedQuery{QueryID: "span", HV: lib.HVs[fence], Mass: lib.Entries[fence].Mass, Lo: fence - 3, Hi: fence + 3}
-	spanning := testing.AllocsPerRun(20, func() { engine.SearchPrepared([]PreparedQuery{span}) })
-	within := testing.AllocsPerRun(20, func() { engine.SearchPrepared(inside[:1]) })
+	spanning := testing.AllocsPerRun(20, func() { search(engine, []PreparedQuery{span}) })
+	within := testing.AllocsPerRun(20, func() { search(engine, inside[:1]) })
 	if spanning <= within {
 		t.Errorf("a window spanning two partitions allocates %.0f, one inside a partition %.0f; want more", spanning, within)
 	}
 	// And it merges exactly: the 4-partition list equals the
 	// one-partition list.
-	if got, want := engine.TopKPrepared(span), built.TopKPrepared(span); !slices.Equal(got, want) {
+	if got, want := topKList(engine, span), topKList(built, span); !slices.Equal(got, want) {
 		t.Errorf("spanning window: 4 partitions %v, one partition %v", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -84,25 +85,22 @@ func (r *Rescorer) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
 	if err != nil {
 		return nil, err
 	}
-	var batch []PreparedQuery
-	var batchVecs []spectrum.Vector
-	for i := range pqs {
-		if pqs[i].Lo < pqs[i].Hi {
-			batch = append(batch, pqs[i])
-			batchVecs = append(batchVecs, qvs[i])
-		}
+	// A rejected query's empty range reaches no row of the one partition.
+	shortlists, err := e.Search(context.Background(), pqs, nil)
+	if err != nil {
+		return nil, err
 	}
-	psms := make([]fdr.PSM, 0, len(batch))
-	for j, top := range e.batchTopK(batch, nil) {
-		if len(top) == 0 {
+	psms := make([]fdr.PSM, 0, len(pqs))
+	for j, sl := range shortlists {
+		if len(sl.Top) == 0 {
 			continue
 		}
-		pq := &batch[j]
+		pq := &pqs[j]
 		bestIdx, bestScore := -1, math.Inf(-1)
-		for _, m := range top {
+		for _, m := range sl.Top {
 			entry := r.lib.Entries[m.Index]
 			shiftBins := int(math.Round((pq.Mass - entry.Mass) / r.binner.BinWidth))
-			sd := spectrum.ShiftedDot(batchVecs[j], r.vectors[m.Index], shiftBins)
+			sd := spectrum.ShiftedDot(qvs[j], r.vectors[m.Index], shiftBins)
 			hd := float64(m.Similarity) / e.normD
 			score := (1-r.Alpha)*hd + r.Alpha*sd
 			if score > bestScore {

@@ -34,7 +34,7 @@ const (
 	itemMemoryAllocs = 4
 )
 
-// sweepAllocs is the steady-state allocs/op of BatchTopKRangeTraced:
+// sweepAllocs is the steady-state allocs/op of Search:
 // the result header and one match list per query, plus — when the
 // ranges span several shards — one closure per spawned worker (the
 // calling goroutine is the first worker, and the test box's
@@ -136,9 +136,9 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 		for _, hidden := range [][]int{nil, everyNth(s.Len(), 37)} {
 			s.Hide(hidden)
 			for _, tr := range []*obsv.Trace{nil, {}} {
-				s.BatchTopKRangeTraced(queries, ranges, 5, tr)
+				sweepBatch(s, queries, ranges, 5, tr)
 				allocs := testing.AllocsPerRun(50, func() {
-					s.BatchTopKRangeTraced(queries, ranges, 5, tr)
+					sweepBatch(s, queries, ranges, 5, tr)
 				})
 				if int(allocs) > want {
 					t.Errorf("%d-query sweep of %+v over %d shards with %d hidden rows (traced: %t) allocates %.1f allocs/op in steady state, baseline %d",

@@ -90,7 +90,7 @@ func admissionBoundMatchesOracle(t *testing.T) {
 						t.Fatalf("%s: range %+v\ngot  %v\nwant %v", path, ranges[qi], got, want)
 					}
 				}
-				for qi, got := range s.BatchTopKRange(queries, ranges, k) {
+				for qi, got := range sweepBatch(s, queries, ranges, k, nil) {
 					check("batch", qi, got)
 				}
 				for qi, r := range ranges {

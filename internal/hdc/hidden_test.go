@@ -139,7 +139,7 @@ func hiddenRowsMatchOracle(t *testing.T) {
 						}
 					}
 					sweptBefore := s.RowsSwept()
-					for qi, got := range s.BatchTopKRange(lqueries, qRanges, k) {
+					for qi, got := range sweepBatch(s, lqueries, qRanges, k, nil) {
 						check("batch of 64", qi, got)
 					}
 					// Hidden rows are still swept, and counted as such.
@@ -221,7 +221,7 @@ func FuzzHiddenRows(f *testing.F) {
 			t.Fatal(err)
 		}
 		s.Hide(hidden)
-		for qi, got := range s.BatchTopKRange(queries, ranges, k) {
+		for qi, got := range sweepBatch(s, queries, ranges, k, nil) {
 			want := naiveTopK(refs, d, queries[qi], visibleCands(ranges[qi].Lo, ranges[qi].Hi, n, hidden), k)
 			if !matchesEqual(got, want) {
 				t.Fatalf("shard %d: query %d range %+v hidden %v\ngot  %v\nwant %v",
@@ -256,7 +256,7 @@ func BenchmarkSweepHidden(b *testing.B) {
 			s.Hide(rng.Perm(n)[:nHidden])
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.BatchTopKRange(queries, ranges, 1)
+				sweepBatch(s, queries, ranges, 1, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nq*window*WordsPerHV(d)), "ns/word")
 		})

@@ -9,10 +9,10 @@
 // similarity reduces to XOR + popcount over 64-dimension words.
 //
 // Search has one entry point, mirroring the accelerator's one
-// primitive: ShardedSearcher.BatchTopKRangeTraced sweeps a batch of
-// queries, each over a contiguous range of packed rows, block-major
-// through one kernel. A single query is a batch of one, a full scan
-// the range [0, Len()), an untraced search a nil trace.
+// primitive: ShardedSearcher.Search sweeps a batch of queries, each
+// over a contiguous range of packed rows, block-major through one
+// kernel. A single query is a batch of one, a full scan the range
+// [0, Len()), an untraced search a nil trace.
 package hdc
 
 import (

@@ -2,9 +2,12 @@ package hdc
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/obsv"
 )
 
 // naiveTopK is the original flat-scan, container/heap top-k over a
@@ -97,9 +100,19 @@ func randomRefs(d, n int, seed int64) []BinaryHV {
 	return refs
 }
 
+// sweepBatch is Search under context.Background(), which never stops
+// it, so it never fails.
+func sweepBatch(s *ShardedSearcher, queries []BinaryHV, ranges []RowRange, k int, tr *obsv.Trace) [][]Match {
+	out, err := s.Search(context.Background(), queries, ranges, k, tr)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // topKRange is a batch of one: the only way to search a single query.
 func topKRange(s *ShardedSearcher, q BinaryHV, lo, hi, k int) []Match {
-	return s.BatchTopKRange([]BinaryHV{q}, []RowRange{{Lo: lo, Hi: hi}}, k)[0]
+	return sweepBatch(s, []BinaryHV{q}, []RowRange{{Lo: lo, Hi: hi}}, k, nil)[0]
 }
 
 // nearDup returns a copy of hv with roughly rate of its bits flipped —

@@ -86,14 +86,14 @@ func onePathMatrix(t *testing.T) {
 						tr = new(obsv.Trace)
 					}
 					path := fmt.Sprintf("procs=%d traced=%v", procs, traced)
-					for qi, got := range s.BatchTopKRangeTraced(queries, ranges, lay.k, tr) {
+					for qi, got := range sweepBatch(s, queries, ranges, lay.k, tr) {
 						check(path+" batch", qi, got)
 					}
-					for ri, got := range s.BatchTopKRangeTraced(revQ, revR, lay.k, tr) {
+					for ri, got := range sweepBatch(s, revQ, revR, lay.k, tr) {
 						check(path+" reversed", len(queries)-1-ri, got)
 					}
 					for qi := range queries {
-						got := s.BatchTopKRangeTraced(queries[qi:qi+1], ranges[qi:qi+1], lay.k, tr)
+						got := sweepBatch(s, queries[qi:qi+1], ranges[qi:qi+1], lay.k, tr)
 						check(path+" batch of one", qi, got[0])
 					}
 				}
@@ -157,18 +157,18 @@ func TestBatchTopKRangeShapeChecks(t *testing.T) {
 		f()
 	}
 	mustPanic("mismatched ranges length", func() {
-		s.BatchTopKRange([]BinaryHV{q, q}, []RowRange{{Lo: 0, Hi: 10}}, 3)
+		sweepBatch(s, []BinaryHV{q, q}, []RowRange{{Lo: 0, Hi: 10}}, 3, nil)
 	})
 	mustPanic("dimension mismatch", func() {
-		s.BatchTopKRange([]BinaryHV{NewBinaryHV(128)}, []RowRange{{Lo: 0, Hi: 10}}, 1)
+		sweepBatch(s, []BinaryHV{NewBinaryHV(128)}, []RowRange{{Lo: 0, Hi: 10}}, 1, nil)
 	})
 
-	out := s.BatchTopKRange([]BinaryHV{q}, []RowRange{{Lo: 0, Hi: 10}}, 0)
+	out := sweepBatch(s, []BinaryHV{q}, []RowRange{{Lo: 0, Hi: 10}}, 0, nil)
 	if out[0] != nil {
 		t.Errorf("k=0: got %v, want nil", out[0])
 	}
 
-	out = s.BatchTopKRange([]BinaryHV{q, q}, []RowRange{{Lo: 5, Hi: 5}, {Lo: 40, Hi: 20}}, 3)
+	out = sweepBatch(s, []BinaryHV{q, q}, []RowRange{{Lo: 5, Hi: 5}, {Lo: 40, Hi: 20}}, 3, nil)
 	for i, matches := range out {
 		if matches == nil || len(matches) != 0 {
 			t.Errorf("empty range %d: got %v, want empty non-nil", i, matches)

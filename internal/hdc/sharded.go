@@ -2,6 +2,7 @@ package hdc
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -47,7 +48,7 @@ type CascadeConfig struct{}
 // engine — the software stand-in for the paper's in-memory search,
 // with the accelerator's one primitive: a batch of queries each
 // activates a contiguous block of mass-sorted rows
-// (BatchTopKRangeTraced; one query is a batch of one). Reference
+// (Search; one query is a batch of one). Reference
 // hypervectors are packed row-major into fixed-size shards of
 // contiguous words (one shard per crossbar tile group), scored in full
 // with a blocked XOR+popcount kernel into reusable per-worker score
@@ -344,11 +345,12 @@ type shardQuery struct {
 	heap   []Match
 }
 
-// batch is the state of one BatchTopKRangeTraced call, pooled so a
+// batch is the state of one Search call, pooled so a
 // steady-state call allocates only the match lists it returns. Every
 // (query, shard) pair owns one fixed-capacity heap carved from the
 // heaps arena — workers fill disjoint parts, the merge reads them all.
 type batch struct {
+	ctx     context.Context
 	queries []BinaryHV
 	tr      *obsv.Trace
 	k       int          // result depth
@@ -365,55 +367,59 @@ type batch struct {
 var batchPool = sync.Pool{New: func() any { return &batch{} }}
 
 // release returns the batch to the pool without pinning caller memory.
+// Search calls it only after every worker has returned.
 func (b *batch) release() {
-	b.queries, b.tr = nil, nil
+	b.ctx, b.queries, b.tr = nil, nil, nil
 	batchPool.Put(b)
 }
 
-// BatchTopKRange is BatchTopKRangeTraced without a trace.
-func (s *ShardedSearcher) BatchTopKRange(queries []BinaryHV, ranges []RowRange, k int) [][]Match {
-	return s.BatchTopKRangeTraced(queries, ranges, k, nil)
+// stopped polls the call's context without blocking.
+func (b *batch) stopped() bool {
+	select {
+	case <-b.ctx.Done():
+		return true
+	default:
+		return false
+	}
 }
 
-// BatchTopKRangeTraced is the engine's one search entry point: for
-// every query i it returns the k most similar visible (see Hide) rows
-// of ranges[i] = [Lo, Hi) (clamped to the reference count), ordered
-// by descending similarity with ties broken by ascending index.
-// ranges must have one entry per query; an empty range yields an
-// empty, non-nil list and k <= 0 yields nil lists. A single query is a
-// batch of one, a full scan the range [0, Len()), an untraced search a
-// nil tr — there is no other scan path.
+// Search is the engine's one search entry point: for every query i it
+// returns the k most similar visible (see Hide) rows of ranges[i] =
+// [Lo, Hi) (clamped to the reference count), ordered by descending
+// similarity with ties broken by ascending index. ranges must have one
+// entry per query; an empty range yields an empty, non-nil list and
+// k <= 0 yields nil lists.
 //
 // The scan is block-major: within a shard every cache-resident row
 // block is swept by all queries whose ranges cover it before the scan
-// advances, so the packed store streams from memory once per batch
-// (queries sorted by precursor mass have heavily overlapping ranges).
-// Only the shard span the active ranges cover is visited, by
-// min(GOMAXPROCS, span) workers of which the calling goroutine is one:
-// a batch whose ranges sit inside one shard spawns no goroutine. Per
-// query and shard a top-k heap survives the sweep; the per-shard heaps
-// merge per query — deterministic regardless of shard completion
-// order, and exact because a range-global top-k member is necessarily
-// in its own shard's top-k.
+// advances, so the packed store streams from memory once per batch.
+// Only the shard span the ranges cover is visited, by min(GOMAXPROCS,
+// span) workers of which the calling goroutine is one. Per query and
+// shard a top-k heap survives the sweep; the heaps merge per query,
+// exact because a range's top-k member is in its own shard's top-k.
 //
-// When tr is non-nil the scan accumulates the swept rows and the merge
-// time into it. Timing never alters control flow, so results are
-// bit-identical to the untraced call; a nil tr makes every recording
-// site a no-op branch.
-func (s *ShardedSearcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowRange, k int, tr *obsv.Trace) [][]Match {
+// Workers poll ctx.Done() per claimed shard and per row block: once ctx
+// is done, each stops at its next block and Search returns ctx.Err()
+// and no lists (RowsSwept keeps the rows swept before the stop). A
+// non-nil tr accumulates the swept rows and the merge time; timing
+// never alters control flow.
+func (s *ShardedSearcher) Search(ctx context.Context, queries []BinaryHV, ranges []RowRange, k int, tr *obsv.Trace) ([][]Match, error) {
 	if len(ranges) != len(queries) {
 		panic(fmt.Sprintf("hdc: %d queries with %d ranges", len(queries), len(ranges)))
 	}
 	for i := range queries {
 		s.checkQuery(queries[i])
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := make([][]Match, len(queries))
 	if k <= 0 {
-		return out
+		return out, nil
 	}
 	b := batchPool.Get().(*batch)
 	defer b.release()
-	b.queries, b.tr, b.k = queries, tr, k
+	b.ctx, b.queries, b.tr, b.k = ctx, queries, tr, k
 	b.hcap = min(k, s.shardSize)
 	b.plan = b.plan[:0]
 	for i, r := range ranges {
@@ -424,7 +430,7 @@ func (s *ShardedSearcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowR
 		b.plan = append(b.plan, rangeQuery{qi: i, r: r})
 	}
 	if len(b.plan) == 0 {
-		return out
+		return out, nil
 	}
 	// Sort by range start so each shard sees its queries as a
 	// near-contiguous run (mass-sorted query batches arrive almost
@@ -456,6 +462,9 @@ func (s *ShardedSearcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowR
 	}
 	s.sweepShards(b, &b.local)
 	b.wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	var mergeT0 time.Time
 	if tr != nil {
@@ -479,13 +488,13 @@ func (s *ShardedSearcher) BatchTopKRangeTraced(queries []BinaryHV, ranges []RowR
 	if tr != nil {
 		tr.AddNanos(obsv.StageMerge, int64(time.Since(mergeT0)))
 	}
-	return out
+	return out, nil
 }
 
 // sweepShards is one worker's loop: claim the next unvisited shard of
-// the batch's span until the span is exhausted.
+// the batch's span until it is exhausted or the call's ctx is done.
 func (s *ShardedSearcher) sweepShards(b *batch, sc *searchScratch) {
-	for si := int(b.next.Add(1)) - 1; si <= b.last; si = int(b.next.Add(1)) - 1 {
+	for si := int(b.next.Add(1)) - 1; si <= b.last && !b.stopped(); si = int(b.next.Add(1)) - 1 {
 		s.scanShard(b, si, sc)
 	}
 }
@@ -521,7 +530,7 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 	var swept int
 	// The hidden list: cut once per visit, advanced as each block is left.
 	hid := s.hidden[sort.SearchInts(s.hidden, lo):]
-	for blockLo := lo - (lo-shLo)%s.block; blockLo < hi; blockLo += s.block {
+	for blockLo := lo - (lo-shLo)%s.block; blockLo < hi && !b.stopped(); blockLo += s.block {
 		blockHi := min(blockLo+s.block, shHi)
 		for x := range qs {
 			sq := &qs[x]

@@ -61,7 +61,7 @@ func TestSingleReferenceEdges(t *testing.T) {
 	if got := topKRange(s, q, 5, 9, 3); len(got) != 0 {
 		t.Fatalf("past-the-end range returned %v", got)
 	}
-	if got := s.BatchTopKRange([]BinaryHV{q, q}, []RowRange{{Lo: 0, Hi: 0}, {Lo: 2, Hi: 1}}, 3); len(got[0]) != 0 || len(got[1]) != 0 {
+	if got := sweepBatch(s, []BinaryHV{q, q}, []RowRange{{Lo: 0, Hi: 0}, {Lo: 2, Hi: 1}}, 3, nil); len(got[0]) != 0 || len(got[1]) != 0 {
 		t.Fatalf("empty batch ranges returned %v", got)
 	}
 }

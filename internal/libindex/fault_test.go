@@ -1,6 +1,7 @@
 package libindex
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -239,13 +240,18 @@ func faultQueries() []hdc.BinaryHV {
 	return qs
 }
 
-// searchEngine returns every query's top-k from e.
+// searchEngine returns every query's top-k from e, each searched
+// alone.
 func searchEngine(e *core.Engine) [][]match {
 	var out [][]match
 	for i, hv := range faultQueries() {
 		pq, ok := e.ResolvePrepared(fmt.Sprint("q", i), hv, 500+float64(i))
+		res, err := e.Search(context.Background(), []core.PreparedQuery{pq}, nil)
+		if err != nil {
+			panic(err)
+		}
 		var ms []match
-		for _, m := range e.TopKPrepared(pq) {
+		for _, m := range res[0].Top {
 			if ok {
 				ent := e.EntryAt(m.Index)
 				ms = append(ms, match{ent.ID, ent.Mass, m.Similarity})

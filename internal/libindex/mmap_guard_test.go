@@ -3,6 +3,7 @@
 package libindex
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -111,7 +112,9 @@ func (g *guardFixture) search(engine *core.Engine, err error) {
 	if err != nil {
 		g.t.Fatal(err)
 	}
-	engine.SearchPrepared(g.queries)
+	if _, err := engine.Search(context.Background(), g.queries, nil); err != nil {
+		g.t.Fatal(err)
+	}
 }
 
 // faultIn runs fn under debug.SetPanicOnFault and returns the address

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fdr"
 	"repro/internal/obsv"
 	"repro/internal/spectrum"
 )
@@ -15,20 +14,15 @@ import (
 // the flush gate measures the serving layer's own allocations and not
 // the engine's.
 type stubEngine struct {
-	psms []fdr.PSM
-	oks  []bool
+	res []core.SearchResult
 }
 
 func (e *stubEngine) Prepare(q *spectrum.Spectrum) (core.PreparedQuery, bool, error) {
 	return core.PreparedQuery{}, true, nil
 }
 
-func (e *stubEngine) SearchPrepared(qs []core.PreparedQuery) ([]fdr.PSM, []bool) {
-	return e.psms[:len(qs)], e.oks[:len(qs)]
-}
-
-func (e *stubEngine) SearchPreparedTraced(qs []core.PreparedQuery, _ *obsv.Trace) ([]fdr.PSM, []bool) {
-	return e.SearchPrepared(qs)
+func (e *stubEngine) Search(_ context.Context, qs []core.PreparedQuery, _ *obsv.Trace) ([]core.SearchResult, error) {
+	return e.res[:len(qs)], nil
 }
 
 // flushSteadyStateAllocs is the checked-in baseline for the dispatch
@@ -48,7 +42,7 @@ func TestFlushAllocationFree(t *testing.T) {
 	const batchSize = 64
 	cfg := Config{MaxBatch: batchSize, MaxQueue: 4 * batchSize}.withDefaults()
 	s := &Server{
-		engine: &stubEngine{psms: make([]fdr.PSM, batchSize), oks: make([]bool, batchSize)},
+		engine: &stubEngine{res: make([]core.SearchResult, batchSize)},
 		cfg:    cfg,
 	}
 	s.stats.init(cfg)
@@ -56,7 +50,7 @@ func TestFlushAllocationFree(t *testing.T) {
 	ctx := context.Background()
 	batch := make([]*request, batchSize)
 	for i := range batch {
-		batch[i] = &request{ctx: ctx, enqueued: time.Now(), out: make(chan response, 1)}
+		batch[i] = &request{ctx: ctx, enqueued: time.Now(), out: make(chan core.SearchResult, 1)}
 	}
 	drain := func() {
 		for _, r := range batch {

@@ -78,8 +78,9 @@ func benchQueries(n int) []*spectrum.Spectrum {
 // clients against the paper's operating point (D=8192, 100k refs,
 // ~25% window occupancy). The coalesced variant routes every client
 // through the micro-batcher (one block-major sweep per flushed
-// batch); the perrequest variant is the same client fleet calling
-// Engine.SearchOne directly, re-streaming the packed store per query.
+// batch); the perrequest variant is the same client fleet searching
+// the engine directly one query at a time, re-streaming the packed
+// store per query.
 // Acceptance: coalesced ≥ 1.3x the per-request throughput (ns/op is
 // per query — lower is better).
 func BenchmarkServeCoalesced(b *testing.B) {
@@ -130,7 +131,7 @@ func BenchmarkServeCoalesced(b *testing.B) {
 	b.Run("perrequest", func(b *testing.B) {
 		b.ResetTimer()
 		run(b, func(q *spectrum.Spectrum) {
-			if _, _, err := engine.SearchOne(q); err != nil {
+			if _, _, err := searchOne(engine, q); err != nil {
 				b.Error(err)
 			}
 		})

@@ -16,10 +16,10 @@
 // Guarantees:
 //
 //   - With a deterministic searcher (the exact sharded engine — what
-//     omsd runs) per-request results are bit-identical to
-//     Engine.SearchOne: a query's PSM does not depend on which batch
-//     it lands in, on the batch's composition, or on its position
-//     within the batch. An engine wired to a noisy searcher draws its
+//     omsd runs) per-request results are bit-identical to a batch of
+//     one: a query's PSM does not depend on which batch it lands in,
+//     on the batch's composition, or on its position within the
+//     batch. An engine wired to a noisy searcher draws its
 //     error stream in batch order, so its serving results vary with
 //     traffic timing — acceptable for robustness studies, not for the
 //     deterministic serving contract.
@@ -28,7 +28,8 @@
 //     ErrQueueFull instead of building an unbounded backlog.
 //   - Every request carries a context: a caller that gives up stops
 //     waiting immediately, and its slot is skipped at flush time if
-//     the batch has not started scoring yet.
+//     the batch has not started scoring yet. A lone request's sweep
+//     runs under its context and stops at the next row block.
 package serve
 
 import (
@@ -92,12 +93,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// response is what a flushed batch delivers back to one waiter.
-type response struct {
-	psm fdr.PSM
-	ok  bool
-}
-
 // request is one queued search: a prepared query plus the plumbing to
 // deliver its result.
 type request struct {
@@ -109,9 +104,9 @@ type request struct {
 	// the request's trace record.
 	encNanos int64
 	reqID    string
-	// out is buffered (capacity 1) so the dispatcher never blocks on a
-	// waiter that already gave up.
-	out chan response
+	// out delivers the result; it is buffered (capacity 1) so the
+	// dispatcher never blocks on a waiter that already gave up.
+	out chan core.SearchResult
 }
 
 // Server coalesces concurrent searches into batched engine sweeps.
@@ -166,11 +161,10 @@ func New(engine core.SearchEngine, cfg Config) (*Server, error) {
 // Search prepares one query in the caller's goroutine (preprocessing,
 // encoding and candidate-range selection parallelize naturally across
 // clients) and submits it for batched scoring. ok is false when the
-// query is rejected by preprocessing, finds no candidate in the
-// precursor window, or finds no match — the same conditions as
-// Engine.SearchOne. The error is non-nil for encoding failures,
-// admission rejection (ErrQueueFull), cancellation (the context's
-// error) and shutdown (ErrClosed).
+// query is rejected by preprocessing, finds no visible candidate in
+// the precursor window, or finds no match. The error is non-nil for
+// encoding failures, admission rejection (ErrQueueFull), cancellation
+// (the context's error) and shutdown (ErrClosed).
 func (s *Server) Search(ctx context.Context, q *spectrum.Spectrum) (fdr.PSM, bool, error) {
 	encStart := time.Now()
 	pq, ok, err := s.engine.Prepare(q)
@@ -207,7 +201,7 @@ func (s *Server) searchPrepared(ctx context.Context, pq core.PreparedQuery, encN
 	defer s.pending.Add(-1)
 
 	r := &request{pq: pq, ctx: ctx, enqueued: time.Now(), encNanos: encNanos,
-		reqID: RequestIDFrom(ctx), out: make(chan response, 1)}
+		reqID: RequestIDFrom(ctx), out: make(chan core.SearchResult, 1)}
 	select {
 	case s.in <- r:
 	case <-s.done:
@@ -221,8 +215,8 @@ func (s *Server) searchPrepared(ctx context.Context, pq core.PreparedQuery, encN
 		return fdr.PSM{}, false, ErrQueueFull
 	}
 	select {
-	case resp := <-r.out:
-		return resp.psm, resp.ok, nil
+	case res := <-r.out:
+		return res.PSM, len(res.Top) > 0, nil
 	case <-ctx.Done():
 		s.stats.cancel()
 		return fdr.PSM{}, false, ctx.Err()
@@ -232,8 +226,8 @@ func (s *Server) searchPrepared(ctx context.Context, pq core.PreparedQuery, encN
 		// prefer it over ErrClosed (select picks ready cases at
 		// random, so the race is real).
 		select {
-		case resp := <-r.out:
-			return resp.psm, resp.ok, nil
+		case res := <-r.out:
+			return res.PSM, len(res.Top) > 0, nil
 		default:
 		}
 		s.stats.closedReject()
@@ -301,7 +295,9 @@ func (s *Server) fill(batch []*request) []*request {
 
 // flush scores one batch through the engine's batched search and
 // delivers each result to its waiter. Requests whose context is
-// already done are skipped — their waiters have left.
+// already done are skipped — their waiters have left. A batch of one
+// sweeps under its request's context, any other batch uncancellably,
+// so a failed sweep is a lone request's whose waiter has left too.
 //
 // Every flush is traced into the dispatcher-owned Trace (reset here,
 // never allocated): assembly and sweep wall times plus whatever row
@@ -331,13 +327,20 @@ func (s *Server) flush(batch []*request) {
 	tr := &s.trace
 	tr.Reset()
 	tr.AddNanos(obsv.StageAssemble, int64(time.Since(flushStart)))
+	ctx := context.Background()
+	if len(live) == 1 {
+		ctx = live[0].ctx
+	}
 	sweepStart := time.Now()
-	psms, oks := s.engine.SearchPreparedTraced(preps, tr)
+	res, err := s.engine.Search(ctx, preps, tr)
+	if err != nil {
+		return
+	}
 	tr.AddNanos(obsv.StageSweep, int64(time.Since(sweepStart)))
 	s.batchSeq++
 	now := time.Now()
 	for i, r := range live {
-		r.out <- response{psm: psms[i], ok: oks[i]}
+		r.out <- res[i]
 		lat := now.Sub(r.enqueued)
 		tr.Snapshot(&s.qt)
 		s.qt.QueryID = r.pq.QueryID
@@ -348,7 +351,7 @@ func (s *Server) flush(batch []*request) {
 		s.qt.Total = lat
 		s.qt.StageNanos[obsv.StageQueueWait] = int64(flushStart.Sub(r.enqueued))
 		s.qt.StageNanos[obsv.StageEncode] = r.encNanos
-		if s.stats.observeRequest(lat, oks[i], &s.qt) && s.cfg.OnSlowQuery != nil {
+		if s.stats.observeRequest(lat, len(res[i].Top) > 0, &s.qt) && s.cfg.OnSlowQuery != nil {
 			s.cfg.OnSlowQuery(s.qt)
 		}
 	}

@@ -32,15 +32,25 @@ func testEngine(t testing.TB) (*core.Engine, []*spectrum.Spectrum) {
 	return engine, ds.Queries
 }
 
+// searchOne is one query searched alone: a batch of one.
+func searchOne(e *core.Engine, q *spectrum.Spectrum) (fdr.PSM, bool, error) {
+	psms, err := e.SearchAll([]*spectrum.Spectrum{q})
+	if err != nil || len(psms) == 0 {
+		return fdr.PSM{}, false, err
+	}
+	return psms[0], true, nil
+}
+
 // TestSearchMatchesEngine pins the serving contract: results from
 // concurrent coalesced searches are PSM-for-PSM identical to serial
-// Engine.SearchOne, regardless of how requests landed in batches.
+// searches of one query each, regardless of how requests landed in
+// batches.
 func TestSearchMatchesEngine(t *testing.T) {
 	engine, queries := testEngine(t)
 	want := make(map[string]fdr.PSM)
 	wantOK := make(map[string]bool)
 	for _, q := range queries {
-		psm, ok, err := engine.SearchOne(q)
+		psm, ok, err := searchOne(engine, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,10 +113,10 @@ type gatedEngine struct {
 	release chan struct{}
 }
 
-func (e *gatedEngine) SearchPreparedTraced(qs []core.PreparedQuery, tr *obsv.Trace) ([]fdr.PSM, []bool) {
+func (e *gatedEngine) Search(ctx context.Context, qs []core.PreparedQuery, tr *obsv.Trace) ([]core.SearchResult, error) {
 	e.entered <- len(qs)
 	<-e.release
-	return e.SearchEngine.SearchPreparedTraced(qs, tr)
+	return e.SearchEngine.Search(ctx, qs, tr)
 }
 
 // newGated starts a server over a gated stub engine. At cleanup the
@@ -114,7 +124,7 @@ func (e *gatedEngine) SearchPreparedTraced(qs []core.PreparedQuery, tr *obsv.Tra
 // sweeps still parked ends all the same.
 func newGated(t *testing.T, cfg Config) (*Server, *gatedEngine) {
 	t.Helper()
-	return newGatedOver(t, &stubEngine{psms: make([]fdr.PSM, 64), oks: make([]bool, 64)}, cfg)
+	return newGatedOver(t, &stubEngine{res: make([]core.SearchResult, 64)}, cfg)
 }
 
 // newGatedOver is newGated with the engine behind the gate supplied.
@@ -350,6 +360,67 @@ func TestContextCancel(t *testing.T) {
 	}
 }
 
+// TestCancelStopsLoneRequestSweep pins that a batch of one sweeps under
+// its request's own context: a lone request canceled while its sweep is
+// parked is counted once, as canceled and not completed, its sweep
+// stops instead of scoring it, and the dispatcher then serves the next
+// request with the engine's own answer.
+func TestCancelStopsLoneRequestSweep(t *testing.T) {
+	engine, queries := testEngine(t)
+	var q *spectrum.Spectrum
+	var want fdr.PSM
+	for _, q = range queries {
+		psm, ok, err := searchOne(engine, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			want = psm
+			break
+		}
+	}
+	pq, ok, err := engine.Prepare(q)
+	if err != nil || !ok {
+		t.Fatalf("Prepare(%s): ok=%v err=%v", q.ID, ok, err)
+	}
+	srv, e := newGatedOver(t, engine, Config{MaxBatch: 64})
+	before := engine.PartitionStats()[0].RowsSwept
+	ctx, cancel := context.WithCancel(context.Background())
+	lone := submit(srv, ctx, pq)
+	if n := sweepSize(t, e); n != 1 {
+		t.Fatalf("lone request swept in a batch of %d", n)
+	}
+	cancel()
+	if err := <-lone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	e.release <- struct{}{}
+
+	type result struct {
+		psm fdr.PSM
+		ok  bool
+		err error
+	}
+	next := make(chan result, 1)
+	go func() {
+		psm, ok, err := srv.SearchPrepared(context.Background(), pq)
+		next <- result{psm, ok, err}
+	}()
+	if n := sweepSize(t, e); n != 1 {
+		t.Fatalf("next request swept in a batch of %d", n)
+	}
+	swept := engine.PartitionStats()[0].RowsSwept - before
+	e.release <- struct{}{}
+	if r := <-next; r.err != nil || !r.ok || r.psm != want {
+		t.Fatalf("next request: %+v ok=%v err=%v, want %+v", r.psm, r.ok, r.err, want)
+	}
+	srv.Close() // books every flush
+	if st := srv.Stats(); st.Canceled != 1 || st.Completed != 1 || st.Batches != 1 || swept != 0 {
+		t.Fatalf("canceled %d, completed %d, batches %d, %d rows swept for the canceled request; want 1, 1, 1 and 0",
+			st.Canceled, st.Completed, st.Batches, swept)
+	}
+}
+
 // TestClose pins shutdown: the request in the sweep and the one queued
 // behind it are both answered, later ones get ErrClosed, and Close is
 // idempotent.
@@ -471,7 +542,7 @@ func TestCloseRacesEnqueue(t *testing.T) {
 	want := make(map[string]fdr.PSM)
 	wantOK := make(map[string]bool)
 	for _, q := range queries {
-		psm, ok, err := engine.SearchOne(q)
+		psm, ok, err := searchOne(engine, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,8 +15,8 @@ type Stats struct {
 	Requests uint64
 	// Completed counts requests whose batch delivered a result —
 	// including waiters that had already given up, so a cancellation
-	// racing the scoring sweep may appear in both Completed and
-	// Canceled.
+	// racing a shared batch's sweep may appear in both Completed and
+	// Canceled (a lone request's sweep stops, so it is only Canceled).
 	Completed uint64
 	// Matched counts completed requests that produced a PSM.
 	Matched uint64
