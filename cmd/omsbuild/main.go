@@ -92,9 +92,8 @@ func main() {
 	p.Accel.Seed = *seed
 	p.ShardSize = *shardSize
 
-	engine, _, err := core.BuildExact(p, library)
+	lib, err := libindex.BuildLibrary(library, p)
 	fatalIf(err)
-	lib := engine.Library()
 	if *partitions > 0 {
 		fatalIf(libindex.SavePartitioned(*out, p, lib, *partitions))
 		st, err := libindex.LoadManifestLog(*out)
@@ -159,7 +158,7 @@ func incremental(out, libPath string, appendMode bool, retractIDs string, maxPar
 	fatalIf(err)
 	p, err := st.DecodeParams()
 	fatalIf(err)
-	lib, err := libindex.BuildDeltaLibrary(spectra, p)
+	lib, err := libindex.BuildLibrary(spectra, p)
 	fatalIf(err)
 	if lib.Len() == 0 {
 		fatalIf(fmt.Errorf("every spectrum in %s was rejected by preprocessing; nothing to append", libPath))

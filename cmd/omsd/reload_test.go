@@ -275,7 +275,7 @@ func TestIncrementalReloadSwapConsistency(t *testing.T) {
 					t.Errorf("publish gen %d: %v", g, err)
 					return
 				}
-				lib, err := libindex.BuildDeltaLibrary(chunk, mp)
+				lib, err := libindex.BuildLibrary(chunk, mp)
 				if err != nil {
 					t.Errorf("publish gen %d: %v", g, err)
 					return
@@ -451,7 +451,7 @@ func TestReloadKeepsEncoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := libindex.BuildDeltaLibrary(pool[:20], mp)
+	delta, err := libindex.BuildLibrary(pool[:20], mp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,10 @@
 // the whole query set is scored by one block-major batch sweep of the
 // packed store, each query's precursor window a contiguous row range
 // streamed through the sharded engine's blocked XOR+popcount kernel.
-// -parallel is still accepted and has no effect. Results are written to
+// -parallel is still accepted and has no effect. The query file is
+// parsed while the index opens (or the library is read and encoded)
+// and the engine, item memory included, is built; an unreadable query
+// file is still the error reported first. Results are written to
 // stdout as a TSV of accepted PSMs.
 package main
 
@@ -61,8 +64,26 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	queries, err := spectrum.ReadSpectraFile(*qPath)
-	fatalIf(err)
+	// The queries are parsed while the library arrives. A failure of
+	// either is reported only once the query file is read, and the
+	// query file's own error first, as if it were read before.
+	var (
+		queries []*spectrum.Spectrum
+		qerr    error
+	)
+	parsed := make(chan struct{})
+	go func() {
+		defer close(parsed)
+		queries, qerr = spectrum.ReadSpectraFile(*qPath)
+	}()
+	check := func(err error) {
+		if err != nil {
+			<-parsed
+			fatalIf(qerr)
+			fatalIf(err)
+		}
+	}
+	var err error
 
 	// Query-time settings come from flags whichever way the library
 	// arrives; over an index the encoder identity stays as built.
@@ -83,21 +104,21 @@ func main() {
 	)
 	if *indexPath != "" {
 		if *backend != "ideal" {
-			fatalIf(fmt.Errorf("backend %q requires -library (the index stores the exact encoded library)", *backend))
+			check(fmt.Errorf("backend %q requires -library (the index stores the exact encoded library)", *backend))
 		}
 		if *rescore > 0 {
-			fatalIf(fmt.Errorf("-rescore needs the original library spectra: use -library"))
+			check(fmt.Errorf("-rescore needs the original library spectra: use -library"))
 		}
 		// The index mappings stay open for the process lifetime; the
 		// searcher rows are views over them.
 		ix, oerr := libindex.Open(*indexPath)
-		fatalIf(oerr)
+		check(oerr)
 		engine, _, err = core.NewPartitionedEngine(queryTime(ix.Params), ix.PartitionSet())
-		fatalIf(err)
+		check(err)
 		partitions = ix.Partitions
 	} else {
 		library, err = spectrum.ReadSpectraFile(*libPath)
-		fatalIf(err)
+		check(err)
 		p := core.DefaultParams()
 		p.Accel.D = *d
 		p.Accel.NumChunks = max(*d/32, 32)
@@ -118,8 +139,10 @@ func main() {
 		default:
 			err = fmt.Errorf("unknown backend %q", *backend)
 		}
-		fatalIf(err)
+		check(err)
 	}
+	<-parsed
+	fatalIf(qerr)
 
 	var res fdr.Result
 	if *rescore > 0 {

@@ -248,7 +248,7 @@ func TestIncrementalBuildEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", step, err)
 				}
-				lib, err := libindex.BuildDeltaLibrary(chunk, mp)
+				lib, err := libindex.BuildLibrary(chunk, mp)
 				if err != nil {
 					t.Fatalf("%s: building delta: %v", step, err)
 				}
@@ -473,7 +473,7 @@ func TestOverlayManyHidden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := libindex.BuildDeltaLibrary(chunk, mp)
+	delta, err := libindex.BuildLibrary(chunk, mp)
 	if err != nil {
 		t.Fatal(err)
 	}

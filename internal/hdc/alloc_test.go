@@ -28,10 +28,11 @@ const (
 	// encodeVectorMaxAllocs bounds EncodeVector: the quantized peak
 	// list and the result words.
 	encodeVectorMaxAllocs = 2
-	// itemMemoryAllocs is NewItemMemory's count at any bin count: the
-	// ItemMemory, its plane store, the stream buffer and the seeded
-	// math/rand source.
-	itemMemoryAllocs = 4
+	// itemMemoryAllocs is NewItemMemory's count at any bin count and
+	// worker count: the ItemMemory, its plane store, the seeded
+	// math/rand source, the build state, the workers' stream buffers
+	// (one slab) and the worker function value.
+	itemMemoryAllocs = 6
 )
 
 // sweepAllocs is the steady-state allocs/op of Search:

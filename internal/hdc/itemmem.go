@@ -3,6 +3,9 @@ package hdc
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // ItemMemory holds the position (ID) hypervectors of the ID-Level
@@ -57,14 +60,23 @@ const (
 	lfgTap = 273
 )
 
+// chunkWords caps a build worker's stream buffer: the lfgLag outputs
+// before its chunk, then the chunk's own (one bin at least).
+const chunkWords = 8 << 10
+
 // NewItemMemory builds an item memory with numBins ID hypervectors:
 // bin after bin, the components randomIntHV (hv_test.go) draws from
 // rand.New(rand.NewSource(seed)), which every stored index assumes.
 // Dimension i of a bin takes the stream's next two outputs y, y': the
 // magnitude is ((y>>32)&(o-1))+1 and the sign bit (y'>>32)&1 — what
 // Intn(o) and Intn(2) return for a power of two. Only the first lfgLag
-// outputs come from the source; the rest continue its recurrence in a
-// local buffer (DESIGN.md §5).
+// outputs come from the source; the rest continue its recurrence.
+//
+// The build is pipelined over up to maxBuildWorkers workers, GOMAXPROCS
+// permitting (DESIGN.md §5): the bins are cut into chunks, the
+// recurrence runs through them in order, each chunk starting from the
+// last lfgLag outputs of the one before, and a worker packs its chunk
+// while the next continues the stream.
 func NewItemMemory(d, numBins, precision int, seed int64) *ItemMemory {
 	if d <= 0 || numBins <= 0 {
 		panic(fmt.Sprintf("hdc: bad item memory shape D=%d bins=%d", d, numBins))
@@ -73,64 +85,148 @@ func NewItemMemory(d, numBins, precision int, seed int64) *ItemMemory {
 	groups := groupsPerHV(WordsPerHV(d))
 	im := &ItemMemory{D: d, Precision: precision, bins: numBins,
 		planes: make([]uint64, numBins*groups*idGroupWords)}
-	// planeByte[mag-1 | sign<<2] is a dimension's eight planes a bit
-	// each: the neg nibble o-id, then the delta nibble (o-id)^(o+id).
+	chunkBins := max(1, (chunkWords-lfgLag)/(2*d))
+	b := &itemBuild{im: im, src: rand.NewSource(seed).(rand.Source64),
+		groups: groups, chunkBins: chunkBins, chunks: (numBins + chunkBins - 1) / chunkBins,
+		bufWords: lfgLag + chunkBins*2*d}
+	// truth[k][c] is plane k of a dimension whose three stream bits
+	// form minterm c = a | b<<1 | s<<2, as a mask: the neg nibble o-id,
+	// then the delta nibble (o-id)^(o+id), of id = ±((a|b<<1)&(o-1)+1),
+	// positive when s is set.
 	o := maxMagnitude(precision)
-	var planeByte [8]uint64
-	for i := range planeByte {
-		v := (i&3 + 1) * (i>>2*2 - 1)
-		planeByte[i] = uint64(byte(o-v) | byte((o-v)^(o+v))<<4)
-	}
-	magMask := uint64(o - 1)
-
-	// buf holds the last lfgLag outputs, then the 2d a bin takes; pos is
-	// the first one not yet taken.
-	buf := make([]uint64, lfgLag+2*d)
-	src := rand.NewSource(seed).(rand.Source64)
-	for i := range buf[:lfgLag] {
-		buf[i] = src.Uint64()
-	}
-	pos := 0
-	for b := 0; b < numBins; b++ {
-		// Continue the stream to the bin's end, lfgTap outputs at a time:
-		// a block reads only outputs before it.
-		end := pos + 2*d
-		for n := lfgLag; n < end; n += lfgTap {
-			dst := buf[n:min(n+lfgTap, end)]
-			lag, tap := buf[n-lfgLag:][:len(dst)], buf[n-lfgTap:][:len(dst)]
-			for i := range dst {
-				dst[i] = lag[i] + tap[i]
-			}
+	for c := range 8 {
+		v := (c&(o-1) + 1) * (c>>2*2 - 1)
+		planes := byte(o-v) | byte((o-v)^(o+v))<<4
+		for k := range b.truth {
+			b.truth[k][c] = -uint64(planes >> k & 1)
 		}
-		ys := buf[pos:end]
-		for w := 0; 128*w < len(ys); w++ {
-			// planes[k] gathers plane k of the word's 64 dimensions, eight
-			// at a time: x packs eight dimensions' plane bytes, and the
-			// multiply takes bit k of every byte into one.
-			var planes [idPlanes]uint64
-			word := ys[128*w : min(128*w+128, len(ys))]
-			for j := 0; j < len(word); j += 16 {
-				var x uint64
-				pairs := word[j:min(j+16, len(word))]
-				for i := 1; i < len(pairs); i += 2 {
-					x |= planeByte[(pairs[i-1]>>32&magMask|pairs[i]>>32&1<<2)&7] << (4 * (i - 1))
-				}
-				for k := range planes {
-					planes[k] |= (x >> k & 0x0101010101010101) * 0x0102040810204080 >> 56 << (j / 2)
-				}
-			}
-			for k, p := range planes {
-				im.planes[planeWord(groups, b, w, k)] = p
-			}
-		}
-		// Carry the last lfgLag outputs to the front for the next bin.
-		if end > lfgLag {
-			copy(buf, buf[end-lfgLag:end])
-			end = lfgLag
-		}
-		pos = end
 	}
+	workers := min(runtime.GOMAXPROCS(0), b.chunks, maxBuildWorkers)
+	b.bufs = make([]uint64, workers*b.bufWords)
+	work := b.work
+	b.wg.Add(workers)
+	for range workers - 1 {
+		go work()
+	}
+	work()
+	b.wg.Wait()
 	return im
+}
+
+// maxBuildWorkers caps NewItemMemory's workers: the recurrence is
+// about a quarter of the work and runs in chunk order, so a fifth
+// worker would only wait for it.
+const maxBuildWorkers = 4
+
+// itemBuild is the shared state of one NewItemMemory build. Chunk c
+// holds bins [c*chunkBins, (c+1)*chunkBins); every chunk but the last
+// holds at least lfgLag outputs, so the tail it hands on is its own.
+// Each worker owns one buffer of bufWords for its chunk: the lfgLag
+// outputs before the chunk, then the chunk's.
+type itemBuild struct {
+	im                *ItemMemory
+	src               rand.Source64
+	groups            int
+	chunkBins, chunks int
+	bufWords          int
+	bufs              []uint64
+	truth             [idPlanes][8]uint64
+
+	// workers counts the buffers handed out, next the chunks claimed
+	// and published the chunks whose outputs are complete.
+	workers, next, published atomic.Int64
+	// tail is the last lfgLag outputs of chunk published-1, in the
+	// buffer of the worker that continued the stream through it.
+	tail []uint64
+	wg   sync.WaitGroup
+}
+
+// work claims chunks until none is left: it waits for the chunk
+// before to publish its tail, continues the stream from it through
+// the chunk, publishes the chunk's own tail, then packs the chunk. A
+// worker writes its buffer only once its chunk's predecessor is
+// published, so every chunk that reads the buffer's tail already has.
+//
+// The wait yields instead of blocking. It is short — only the earlier
+// chunks' additions remain — and a goroutine woken from a block would
+// queue behind the packing worker that woke it rather than take the
+// idle core.
+func (b *itemBuild) work() {
+	defer b.wg.Done()
+	buf := b.bufs[(b.workers.Add(1)-1)*int64(b.bufWords):][:b.bufWords]
+	for {
+		c := int(b.next.Add(1) - 1)
+		if c >= b.chunks {
+			return
+		}
+		for b.published.Load() < int64(c) {
+			runtime.Gosched()
+		}
+		bin := c * b.chunkBins
+		n := (min(bin+b.chunkBins, b.im.bins) - bin) * 2 * b.im.D
+		from := lfgLag
+		if c == 0 {
+			for i := range min(n, lfgLag) {
+				buf[lfgLag+i] = b.src.Uint64()
+			}
+			from += lfgLag
+		} else {
+			copy(buf, b.tail)
+		}
+		// lfgTap outputs at a time: a block reads only outputs before it.
+		end := lfgLag + n
+		for i := from; i < end; i += lfgTap {
+			dst := buf[i:min(i+lfgTap, end)]
+			lag, tap := buf[i-lfgLag:][:len(dst)], buf[i-lfgTap:][:len(dst)]
+			for j := range dst {
+				dst[j] = lag[j] + tap[j]
+			}
+		}
+		b.tail = buf[n:end]
+		b.published.Add(1)
+
+		for i, ys := 0, buf[lfgLag:end]; len(ys) > 0; i, ys = i+1, ys[2*b.im.D:] {
+			b.packBin(bin+i, ys[:2*b.im.D])
+		}
+	}
+}
+
+// packBin stores the planes of bin from its 2D stream outputs ys, one
+// hypervector word — 64 dimensions, 128 outputs — at a time.
+func (b *itemBuild) packBin(bin int, ys []uint64) {
+	for w := 0; 128*w < len(ys); w++ {
+		word := ys[128*w:]
+		valid := ^uint64(0)
+		if len(word) < 128 {
+			// The last word of a ragged bin: zero outputs in, and planes
+			// past D masked off.
+			var full [128]uint64
+			copy(full[:], word)
+			word, valid = full[:], 1<<(len(word)/2)-1
+		}
+		am, bm, sm := streamBits((*[128]uint64)(word))
+		// The eight minterms c = a | b<<1 | s<<2, dimension by dimension.
+		ab := [4]uint64{^am &^ bm, am &^ bm, bm &^ am, am & bm}
+		m := [8]uint64{ab[0] &^ sm, ab[1] &^ sm, ab[2] &^ sm, ab[3] &^ sm, ab[0] & sm, ab[1] & sm, ab[2] & sm, ab[3] & sm}
+		for k, t := range &b.truth {
+			b.im.planes[planeWord(b.groups, bin, w, k)] = valid & (m[0]&t[0] | m[1]&t[1] | m[2]&t[2] | m[3]&t[3] |
+				m[4]&t[4] | m[5]&t[5] | m[6]&t[6] | m[7]&t[7])
+		}
+	}
+}
+
+// streamBits gathers the three random bits of a word's 64 dimensions
+// from their 128 stream outputs: a and b are bits 32 and 33 of the
+// even output, s is bit 32 of the odd one. Eight dimensions at a time,
+// each bit moves by a constant shift and enters at the top.
+func streamBits(ys *[128]uint64) (a, b, s uint64) {
+	for j := 0; j < 128; j += 16 {
+		p := (*[16]uint64)(ys[j:])
+		a = a>>8 | (p[0]>>32&1|p[2]>>31&2|p[4]>>30&4|p[6]>>29&8|p[8]>>28&16|p[10]>>27&32|p[12]>>26&64|p[14]>>25&128)<<56
+		b = b>>8 | (p[0]>>33&1|p[2]>>32&2|p[4]>>31&4|p[6]>>30&8|p[8]>>29&16|p[10]>>28&32|p[12]>>27&64|p[14]>>26&128)<<56
+		s = s>>8 | (p[1]>>32&1|p[3]>>31&2|p[5]>>30&4|p[7]>>29&8|p[9]>>28&16|p[11]>>27&32|p[13]>>26&64|p[15]>>25&128)<<56
+	}
+	return a, b, s
 }
 
 // NumBins returns the number of ID hypervectors.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -72,12 +73,26 @@ func checkSeedPlanes(t *testing.T, d, bins, precision int, seed int64) {
 // and on seeds that exercise rand's reduction of the seed (0, -1,
 // 1<<40, math.MinInt64).
 func TestItemMemoryMatchesSeedDraw(t *testing.T) {
-	for _, seed := range []int64{0, -1, 1 << 40, math.MinInt64} {
-		for _, d := range []int{1, 7, 100, 303, 304} {
-			for precision := 1; precision <= 3; precision++ {
-				checkSeedPlanes(t, d, 400, precision, seed)
+	atBuildProcs(t, func(t *testing.T) {
+		for _, seed := range []int64{0, -1, 1 << 40, math.MinInt64} {
+			for _, d := range []int{1, 7, 100, 303, 304} {
+				for precision := 1; precision <= 3; precision++ {
+					checkSeedPlanes(t, d, 400, precision, seed)
+				}
 			}
 		}
+	})
+}
+
+// atBuildProcs runs f as one subtest per GOMAXPROCS the item memory is
+// built at: serially, by the two-core pipeline, and by more workers
+// than the recurrence keeps busy.
+func atBuildProcs(t *testing.T, f func(t *testing.T)) {
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f(t)
+		})
 	}
 }
 
@@ -104,14 +119,16 @@ func TestItemMemoryPinnedDigest(t *testing.T) {
 		{8192, 1399, 3, 1, "e5a03c3d1d52a941291f72dd747223ef9b1da35b46a8aef6411dd301133c7153"},
 		{2048, 1399, 3, 1, "f22f2dcb3c577084e717f73ed3adc01fb168a5da11954a24c75b1301d35ab0b3"},
 	} {
-		h := sha256.New()
-		if err := binary.Write(h, binary.LittleEndian, NewItemMemory(tc.d, tc.bins, tc.precision, tc.seed).planes); err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
-			t.Errorf("NewItemMemory(%d, %d, %d, %d) planes hash to %s, pinned %s: the ID hypervectors moved, and every stored index built at this operating point no longer decodes against them (a Go toolchain change to math/rand's source would do the same)",
-				tc.d, tc.bins, tc.precision, tc.seed, got, tc.want)
-		}
+		atBuildProcs(t, func(t *testing.T) {
+			h := sha256.New()
+			if err := binary.Write(h, binary.LittleEndian, NewItemMemory(tc.d, tc.bins, tc.precision, tc.seed).planes); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("NewItemMemory(%d, %d, %d, %d) planes hash to %s, pinned %s: the ID hypervectors moved, and every stored index built at this operating point no longer decodes against them (a Go toolchain change to math/rand's source would do the same)",
+					tc.d, tc.bins, tc.precision, tc.seed, got, tc.want)
+			}
+		})
 	}
 }
 
@@ -130,8 +147,9 @@ func TestNewItemMemoryAllocs(t *testing.T) {
 }
 
 // BenchmarkNewItemMemory times the item memory every process draws at
-// start-up, also per dimension, beside the seed-loop reference at D =
-// 2048 in the same run.
+// start-up, also per dimension: pipelined at D = 2048 and 8192, then
+// serially (GOMAXPROCS=1) and by the seed loop at D = 2048, so one run
+// shows what the pipeline and the packing each save.
 func BenchmarkNewItemMemory(b *testing.B) {
 	for _, d := range []int{2048, 8192} {
 		b.Run(fmt.Sprintf("D%d", d), func(b *testing.B) {
@@ -141,6 +159,13 @@ func BenchmarkNewItemMemory(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d*1399), "ns/dim")
 		})
 	}
+	b.Run("serial-D2048", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		for b.Loop() {
+			NewItemMemory(2048, 1399, 3, 1)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2048*1399), "ns/dim")
+	})
 	b.Run("seed-loop-D2048", func(b *testing.B) {
 		for b.Loop() {
 			seedPlanes(2048, 1399, 3, 1)

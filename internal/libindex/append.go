@@ -130,10 +130,11 @@ func localizePositions(global []int) []int {
 	return local
 }
 
-// BuildDeltaLibrary encodes a batch of spectra for appending to an
-// existing library with the library's stored params, so its packed
+// BuildLibrary encodes spectra into a mass-ordered library under p,
+// without packing a searcher over it: omsbuild's base build, and each
+// batch it appends with the library's stored params, so the appended
 // rows are directly comparable with every existing partition's.
-func BuildDeltaLibrary(spectra []*spectrum.Spectrum, p core.Params) (*core.Library, error) {
+func BuildLibrary(spectra []*spectrum.Spectrum, p core.Params) (*core.Library, error) {
 	ids, levels, err := accel.NewEncoderComponents(p.Accel)
 	if err != nil {
 		return nil, err
