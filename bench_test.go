@@ -24,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hdc"
 	"repro/internal/msdata"
+	"repro/internal/obsv"
 	"repro/internal/perf"
 	"repro/internal/rram"
 )
@@ -170,7 +171,9 @@ func BenchmarkShardedBatchTopK(b *testing.B) {
 // references) and at the repository benchmark's (D=2048, 40k), where
 // rows are 4× shorter and the per-row selection work 4× more visible.
 // ns/word is the time per XOR+popcount word swept; at -cpu 1 it is the
-// figure bench/'s hdc.sweep_ns_per_word reports.
+// figure bench/'s hdc.sweep_ns_per_word reports. admitted/query is the
+// rows per query the kernel admitted to a top-k heap, read from the
+// Trace of one more, untimed batch.
 func BenchmarkOpenSearchBatch(b *testing.B) {
 	const (
 		nQueries  = batchBenchQueries
@@ -195,8 +198,12 @@ func BenchmarkOpenSearchBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s.Search(context.Background(), queries, ranges, 5, nil)
 			}
+			b.StopTimer()
+			var tr obsv.Trace
+			s.Search(context.Background(), queries, ranges, 5, &tr)
 			b.ReportMetric(float64(nQueries), "queries/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nQueries*width*hdc.WordsPerHV(c.d)), "ns/word")
+			b.ReportMetric(float64(tr.RowsAdmitted())/nQueries, "admitted/query")
 		})
 	}
 }

@@ -61,6 +61,7 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	p.Counter("oms_search_rows_swept_total", "Candidate rows covered by traced sweeps.", float64(st.RowsSwept))
+	p.Counter("oms_search_rows_admitted_total", "Swept rows the sweep kernel admitted to a top-k heap.", float64(st.RowsAdmitted))
 
 	if sv.partitions > 0 {
 		stats := sv.engine.PartitionStats()
@@ -107,14 +108,15 @@ func partLabel(i int) string {
 // microseconds keyed by stage name, plus the identity joining it to
 // the access log (request_id) and its batch (batch_id).
 type slowTraceView struct {
-	QueryID    string           `json:"query_id"`
-	RequestID  string           `json:"request_id,omitempty"`
-	BatchID    uint64           `json:"batch_id"`
-	BatchSize  int              `json:"batch_size"`
-	TotalUS    int64            `json:"total_us"`
-	StagesUS   map[string]int64 `json:"stages_us"`
-	RowsSwept  int64            `json:"rows_swept"`
-	Partitions []slowPartView   `json:"partitions,omitempty"`
+	QueryID      string           `json:"query_id"`
+	RequestID    string           `json:"request_id,omitempty"`
+	BatchID      uint64           `json:"batch_id"`
+	BatchSize    int              `json:"batch_size"`
+	TotalUS      int64            `json:"total_us"`
+	StagesUS     map[string]int64 `json:"stages_us"`
+	RowsSwept    int64            `json:"rows_swept"`
+	RowsAdmitted int64            `json:"rows_admitted"`
+	Partitions   []slowPartView   `json:"partitions,omitempty"`
 }
 
 // slowPartView is one partition's share of a slow query's batch sweep.
@@ -148,13 +150,14 @@ func (d *daemon) handleSlowest(w http.ResponseWriter, r *http.Request) {
 // slowView converts a trace record to its wire shape.
 func slowView(qt *obsv.QueryTrace) slowTraceView {
 	v := slowTraceView{
-		QueryID:   qt.QueryID,
-		RequestID: qt.RequestID,
-		BatchID:   qt.BatchID,
-		BatchSize: qt.BatchSize,
-		TotalUS:   qt.Total.Microseconds(),
-		StagesUS:  make(map[string]int64, int(obsv.NumStages)),
-		RowsSwept: qt.RowsSwept,
+		QueryID:      qt.QueryID,
+		RequestID:    qt.RequestID,
+		BatchID:      qt.BatchID,
+		BatchSize:    qt.BatchSize,
+		TotalUS:      qt.Total.Microseconds(),
+		StagesUS:     make(map[string]int64, int(obsv.NumStages)),
+		RowsSwept:    qt.RowsSwept,
+		RowsAdmitted: qt.RowsAdmitted,
 	}
 	for s := obsv.Stage(0); s < obsv.NumStages; s++ {
 		v.StagesUS[s.String()] = qt.Stage(s).Microseconds()
@@ -174,11 +177,11 @@ func slowView(qt *obsv.QueryTrace) slowTraceView {
 // Fprintf, no locks).
 func logSlowQuery(qt obsv.QueryTrace) {
 	fmt.Fprintf(os.Stderr,
-		"omsd: slow-query query_id=%s request_id=%s batch_id=%d batch_size=%d total_us=%d queue_wait_us=%d encode_us=%d assemble_us=%d sweep_us=%d merge_us=%d rows_swept=%d\n",
+		"omsd: slow-query query_id=%s request_id=%s batch_id=%d batch_size=%d total_us=%d queue_wait_us=%d encode_us=%d assemble_us=%d sweep_us=%d merge_us=%d rows_swept=%d rows_admitted=%d\n",
 		qt.QueryID, qt.RequestID, qt.BatchID, qt.BatchSize, qt.Total.Microseconds(),
 		qt.Stage(obsv.StageQueueWait).Microseconds(), qt.Stage(obsv.StageEncode).Microseconds(),
 		qt.Stage(obsv.StageAssemble).Microseconds(), qt.Stage(obsv.StageSweep).Microseconds(),
-		qt.Stage(obsv.StageMerge).Microseconds(), qt.RowsSwept)
+		qt.Stage(obsv.StageMerge).Microseconds(), qt.RowsSwept, qt.RowsAdmitted)
 }
 
 // reqSeq numbers generated request IDs.

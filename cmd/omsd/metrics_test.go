@@ -97,23 +97,24 @@ func TestMetricsExposition(t *testing.T) {
 	fams := scrape(t, mux)
 
 	wantType := map[string]string{
-		"oms_requests_total":           "counter",
-		"oms_requests_completed_total": "counter",
-		"oms_requests_rejected_total":  "counter",
-		"oms_requests_canceled_total":  "counter",
-		"oms_request_errors_total":     "counter",
-		"oms_batches_total":            "counter",
-		"oms_slow_queries_total":       "counter",
-		"oms_queue_depth":              "gauge",
-		"oms_batch_size":               "histogram",
-		"oms_request_latency_seconds":  "histogram",
-		"oms_stage_seconds_total":      "counter",
-		"oms_search_rows_swept_total":  "counter",
-		"oms_reload_generation":        "gauge",
-		"oms_reload_total":             "counter",
-		"oms_reload_failures_total":    "counter",
-		"oms_index_references":         "gauge",
-		"oms_uptime_seconds":           "gauge",
+		"oms_requests_total":             "counter",
+		"oms_requests_completed_total":   "counter",
+		"oms_requests_rejected_total":    "counter",
+		"oms_requests_canceled_total":    "counter",
+		"oms_request_errors_total":       "counter",
+		"oms_batches_total":              "counter",
+		"oms_slow_queries_total":         "counter",
+		"oms_queue_depth":                "gauge",
+		"oms_batch_size":                 "histogram",
+		"oms_request_latency_seconds":    "histogram",
+		"oms_stage_seconds_total":        "counter",
+		"oms_search_rows_swept_total":    "counter",
+		"oms_search_rows_admitted_total": "counter",
+		"oms_reload_generation":          "gauge",
+		"oms_reload_total":               "counter",
+		"oms_reload_failures_total":      "counter",
+		"oms_index_references":           "gauge",
+		"oms_uptime_seconds":             "gauge",
 	}
 	// The K-tier ladder's families went with it; none may come back.
 	for _, name := range []string{
@@ -314,6 +315,9 @@ func TestSlowestEndpoint(t *testing.T) {
 		}
 		if v.RequestID != "req-slowest" {
 			t.Fatalf("trace %d request id %q, want req-slowest", i, v.RequestID)
+		}
+		if v.RowsAdmitted > v.RowsSwept {
+			t.Fatalf("trace %d admits %d rows of %d swept", i, v.RowsAdmitted, v.RowsSwept)
 		}
 		for s := obsv.Stage(0); s < obsv.NumStages; s++ {
 			if _, ok := v.StagesUS[s.String()]; !ok {

@@ -53,7 +53,9 @@
 // Eight rows at a time: each 8-word query vector is loaded once and
 // XORed with the matching words of eight rows (VPXORQ with a memory
 // operand), the lanes popcounted (VPOPCNTQ) and added into one
-// accumulator per row (VPADDQ); the eight accumulators then reduce
+// accumulator per row (VPADDQ) — the first vector's popcounts are the
+// accumulators' start, so a group zeroes them only when width < 8
+// leaves the masked tail alone; the eight accumulators then reduce
 // together into eight distances stored by one write, and one VPCMPQ
 // against the broadcast limit yields the group's mask byte. Fewer than
 // eight rows left — a block's ragged end, a clip of a few rows — take
@@ -90,8 +92,9 @@ TEXT ·xorPopRowsAVX512(SB), NOSPLIT, $0-120
 	LEAQ (R8)(R8*2), R12  // 3 strides
 	LEAQ (R8)(R8*4), R13  // 5 strides
 	LEAQ (R12)(R8*4), R14 // 7 strides
+	JMP  group
 
-group:
+gzero: // width < 8: the masked tail is all there is
 	VPXORQ Z8, Z8, Z8
 	VPXORQ Z9, Z9, Z9
 	VPXORQ Z10, Z10, Z10
@@ -100,10 +103,37 @@ group:
 	VPXORQ Z13, Z13, Z13
 	VPXORQ Z14, Z14, Z14
 	VPXORQ Z15, Z15, Z15
-	MOVQ   DI, CX // CX walks the group's first row, BX the query
 	XORQ   BX, BX
-	CMPQ   BX, R9
-	JAE    gtail
+	JMP    gtail
+
+group:
+	MOVQ  DI, CX // CX walks the group's first row, BX the query
+	TESTQ R9, R9
+	JZ    gzero
+
+	// The first vector's popcounts seed the accumulators: nothing to
+	// zero and add to.
+	VMOVDQU64 (SI), Z16
+	VPXORQ    (CX), Z16, Z8
+	VPXORQ    (CX)(R8*1), Z16, Z9
+	VPXORQ    (CX)(R8*2), Z16, Z10
+	VPXORQ    (CX)(R12*1), Z16, Z11
+	VPXORQ    (CX)(R8*4), Z16, Z12
+	VPXORQ    (CX)(R13*1), Z16, Z13
+	VPXORQ    (CX)(R12*2), Z16, Z14
+	VPXORQ    (CX)(R14*1), Z16, Z15
+	VPOPCNTQ  Z8, Z8
+	VPOPCNTQ  Z9, Z9
+	VPOPCNTQ  Z10, Z10
+	VPOPCNTQ  Z11, Z11
+	VPOPCNTQ  Z12, Z12
+	VPOPCNTQ  Z13, Z13
+	VPOPCNTQ  Z14, Z14
+	VPOPCNTQ  Z15, Z15
+	ADDQ      $64, CX
+	MOVL      $64, BX
+	CMPQ      BX, R9
+	JAE       gtail
 
 gvec:
 	VMOVDQU64 (SI)(BX*1), Z16

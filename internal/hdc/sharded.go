@@ -357,11 +357,16 @@ type batch struct {
 	hcap    int          // arena slots per part: min(k, shardSize)
 	plan    []rangeQuery // active queries, sorted by range start
 	heaps   []Match
-	hlen    []int        // per part: the heap's fill after the sweep
-	next    atomic.Int64 // next shard a worker claims, up to last
-	last    int
-	wg      sync.WaitGroup
-	local   searchScratch // the calling goroutine's worker scratch
+	hlen    []int // per part: the heap's fill after the sweep
+	// floors holds, per plan entry, the query's admission floor: the
+	// highest worst similarity any of its full (query, shard) heaps has
+	// published, −1 while none has filled. Its k-th best row is at least
+	// that similar, so every clip of the query admits no row below it.
+	floors []atomic.Int64
+	next   atomic.Int64 // next shard a worker claims, up to last
+	last   int
+	wg     sync.WaitGroup
+	local  searchScratch // the calling goroutine's worker scratch
 }
 
 var batchPool = sync.Pool{New: func() any { return &batch{} }}
@@ -397,12 +402,18 @@ func (b *batch) stopped() bool {
 // span) workers of which the calling goroutine is one. Per query and
 // shard a top-k heap survives the sweep; the heaps merge per query,
 // exact because a range's top-k member is in its own shard's top-k.
+// Each clip's kernel call admits only rows that can still enter its
+// heap: none below the heap's worst once it is full, and none below
+// the query's floor, the best worst similarity any of the query's full
+// heaps, in whichever shard, has published. A full heap holds k
+// visible rows of the range, so the query's top-k lies at or above the
+// floor; ties are admitted, so the index tie-break is unaffected.
 //
 // Workers poll ctx.Done() per claimed shard and per row block: once ctx
 // is done, each stops at its next block and Search returns ctx.Err()
 // and no lists (RowsSwept keeps the rows swept before the stop). A
-// non-nil tr accumulates the swept rows and the merge time; timing
-// never alters control flow.
+// non-nil tr accumulates the swept and admitted rows and the merge
+// time; timing never alters control flow.
 func (s *ShardedSearcher) Search(ctx context.Context, queries []BinaryHV, ranges []RowRange, k int, tr *obsv.Trace) ([][]Match, error) {
 	if len(ranges) != len(queries) {
 		panic(fmt.Sprintf("hdc: %d queries with %d ranges", len(queries), len(ranges)))
@@ -419,35 +430,10 @@ func (s *ShardedSearcher) Search(ctx context.Context, queries []BinaryHV, ranges
 	}
 	b := batchPool.Get().(*batch)
 	defer b.release()
-	b.ctx, b.queries, b.tr, b.k = ctx, queries, tr, k
-	b.hcap = min(k, s.shardSize)
-	b.plan = b.plan[:0]
-	for i, r := range ranges {
-		if r = r.Clamp(s.n); r.Empty() {
-			out[i] = []Match{}
-			continue
-		}
-		b.plan = append(b.plan, rangeQuery{qi: i, r: r})
-	}
-	if len(b.plan) == 0 {
+	b.ctx = ctx
+	if !s.prepare(b, queries, ranges, k, tr, out) {
 		return out, nil
 	}
-	// Sort by range start so each shard sees its queries as a
-	// near-contiguous run (mass-sorted query batches arrive almost
-	// sorted already); stable so equal starts keep query order.
-	slices.SortStableFunc(b.plan, func(x, y rangeQuery) int { return cmp.Compare(x.r.Lo, y.r.Lo) })
-	parts := 0
-	b.last = 0
-	for j := range b.plan {
-		pq := &b.plan[j]
-		end := (pq.r.Hi - 1) / s.shardSize
-		pq.first, pq.part = pq.r.Lo/s.shardSize, parts
-		parts += end - pq.first + 1
-		b.last = max(b.last, end)
-	}
-	b.heaps = grown(b.heaps, parts*b.hcap)
-	b.hlen = grown(b.hlen, parts)
-
 	first := b.plan[0].first
 	b.next.Store(int64(first))
 	workers := min(runtime.GOMAXPROCS(0), b.last-first+1)
@@ -465,9 +451,54 @@ func (s *ShardedSearcher) Search(ctx context.Context, queries []BinaryHV, ranges
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	s.merge(b, out)
+	return out, nil
+}
 
+// prepare loads one call into the pooled batch: its plan of active
+// queries (an empty range's list is set in out here), their heap
+// arena and their floors, reset. It reports whether any query is
+// active.
+func (s *ShardedSearcher) prepare(b *batch, queries []BinaryHV, ranges []RowRange, k int, tr *obsv.Trace, out [][]Match) bool {
+	b.queries, b.tr, b.k = queries, tr, k
+	b.hcap = min(k, s.shardSize)
+	b.plan = b.plan[:0]
+	for i, r := range ranges {
+		if r = r.Clamp(s.n); r.Empty() {
+			out[i] = []Match{}
+			continue
+		}
+		b.plan = append(b.plan, rangeQuery{qi: i, r: r})
+	}
+	if len(b.plan) == 0 {
+		return false
+	}
+	// Sort by range start so each shard sees its queries as a
+	// near-contiguous run (mass-sorted query batches arrive almost
+	// sorted already); stable so equal starts keep query order.
+	slices.SortStableFunc(b.plan, func(x, y rangeQuery) int { return cmp.Compare(x.r.Lo, y.r.Lo) })
+	parts := 0
+	b.last = 0
+	for j := range b.plan {
+		pq := &b.plan[j]
+		end := (pq.r.Hi - 1) / s.shardSize
+		pq.first, pq.part = pq.r.Lo/s.shardSize, parts
+		parts += end - pq.first + 1
+		b.last = max(b.last, end)
+	}
+	b.heaps = grown(b.heaps, parts*b.hcap)
+	b.hlen = grown(b.hlen, parts)
+	b.floors = grown(b.floors, len(b.plan))
+	for j := range b.floors {
+		b.floors[j].Store(-1)
+	}
+	return true
+}
+
+// merge folds each active query's shard heaps into its result list.
+func (s *ShardedSearcher) merge(b *batch, out [][]Match) {
 	var mergeT0 time.Time
-	if tr != nil {
+	if b.tr != nil {
 		mergeT0 = time.Now()
 	}
 	for j := range b.plan {
@@ -480,15 +511,14 @@ func (s *ShardedSearcher) Search(ctx context.Context, queries []BinaryHV, ranges
 		h := b.heaps[base : base+b.hlen[pq.part] : base+nparts*b.hcap]
 		for p := pq.part + 1; p < pq.part+nparts; p++ {
 			for _, m := range b.heaps[p*b.hcap:][:b.hlen[p]] {
-				h = offerTopK(h, m, k)
+				h = offerTopK(h, m, b.k)
 			}
 		}
 		out[pq.qi] = sortedMatches(h)
 	}
-	if tr != nil {
-		tr.AddNanos(obsv.StageMerge, int64(time.Since(mergeT0)))
+	if b.tr != nil {
+		b.tr.AddNanos(obsv.StageMerge, int64(time.Since(mergeT0)))
 	}
-	return out, nil
 }
 
 // sweepShards is one worker's loop: claim the next unvisited shard of
@@ -496,6 +526,12 @@ func (s *ShardedSearcher) Search(ctx context.Context, queries []BinaryHV, ranges
 func (s *ShardedSearcher) sweepShards(b *batch, sc *searchScratch) {
 	for si := int(b.next.Add(1)) - 1; si <= b.last && !b.stopped(); si = int(b.next.Add(1)) - 1 {
 		s.scanShard(b, si, sc)
+	}
+}
+
+// raiseFloor lifts a query's floor to sim unless it is already as high.
+func raiseFloor(floor *atomic.Int64, sim int) {
+	for old := floor.Load(); int64(sim) > old && !floor.CompareAndSwap(old, int64(sim)); old = floor.Load() {
 	}
 }
 
@@ -527,7 +563,7 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 	}
 	sc.dist = grown(sc.dist, s.block)
 	sc.mask = grown(sc.mask, maskWords(s.block))
-	var swept int
+	var swept, admitted int
 	// The hidden list: cut once per visit, advanced as each block is left.
 	hid := s.hidden[sort.SearchInts(s.hidden, lo):]
 	for blockLo := lo - (lo-shLo)%s.block; blockLo < hi && !b.stopped(); blockLo += s.block {
@@ -540,13 +576,16 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 			}
 			swept += r1 - r0
 			// A full heap admits a row only at or above its worst
-			// similarity, i.e. below this distance. The bound holds at
-			// the clip's start and only tightens within it, so the mask
-			// drops no entrant; offerTopK's exact check decides the rest,
-			// ties included.
-			limit := s.d + 1
+			// similarity, i.e. below this distance, and no clip of the
+			// query needs a row below its floor. Both bounds hold at the
+			// clip's start and only rise within it, so the mask drops no
+			// entrant; offerTopK's exact check decides the rest, ties
+			// included.
+			floor := &b.floors[sq.j]
+			f := int(floor.Load())
+			limit := s.d - f + 1
 			if len(sq.heap) == b.k {
-				limit = s.d - sq.heap[0].Similarity + 1
+				limit = min(limit, s.d-sq.heap[0].Similarity+1)
 			}
 			xorPopRows(b.queries[b.plan[sq.j].qi].Words, sh.packed[(r0-shLo)*s.words:], s.words, r1-r0, limit, sc.dist, sc.mask)
 			// Walk the admitted rows, skipping hidden ones by a merge
@@ -561,8 +600,12 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 					if h < len(hid) && hid[h] == r0+i {
 						continue
 					}
+					admitted++
 					sq.heap = offerTopK(sq.heap, Match{Index: r0 + i, Similarity: s.d - sc.dist[i]}, b.k)
 				}
+			}
+			if len(sq.heap) == b.k && sq.heap[0].Similarity > f {
+				raiseFloor(floor, sq.heap[0].Similarity)
 			}
 		}
 		for len(hid) > 0 && hid[0] < blockHi {
@@ -574,4 +617,5 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 	}
 	s.swept.Add(uint64(swept))
 	b.tr.AddRows(int64(swept))
+	b.tr.AddAdmitted(int64(admitted))
 }

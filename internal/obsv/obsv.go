@@ -75,17 +75,19 @@ type PartSweep struct {
 	Nanos int64
 }
 
-// Trace accumulates one batch's stage timings, swept-row counter and
-// per-partition sweeps. Stage slots are atomics because shard and
-// partition workers add concurrently; a Trace must not be copied.
+// Trace accumulates one batch's stage timings, swept- and admitted-row
+// counters and per-partition sweeps. Stage slots are atomics because
+// shard and partition workers add concurrently; a Trace must not be
+// copied.
 // The zero value is ready to use, and all methods are nil-safe: a nil
 // *Trace turns every recording call into a no-op branch, which is how
 // untraced scan paths share the traced code.
 type Trace struct {
-	stages    [NumStages]atomic.Int64
-	rowsSwept atomic.Int64
-	nparts    atomic.Int32
-	parts     [MaxTracedPartitions]PartSweep
+	stages       [NumStages]atomic.Int64
+	rowsSwept    atomic.Int64
+	rowsAdmitted atomic.Int64
+	nparts       atomic.Int32
+	parts        [MaxTracedPartitions]PartSweep
 }
 
 // Reset clears the trace for reuse by the next batch.
@@ -97,6 +99,7 @@ func (t *Trace) Reset() {
 		t.stages[i].Store(0)
 	}
 	t.rowsSwept.Store(0)
+	t.rowsAdmitted.Store(0)
 	t.nparts.Store(0)
 }
 
@@ -114,6 +117,15 @@ func (t *Trace) AddRows(swept int64) {
 		return
 	}
 	t.rowsSwept.Add(swept)
+}
+
+// AddAdmitted accumulates the count of swept rows the kernel admitted
+// to a top-k heap: with the swept count, the sweep's useful-work ratio.
+func (t *Trace) AddAdmitted(admitted int64) {
+	if t == nil {
+		return
+	}
+	t.rowsAdmitted.Add(admitted)
 }
 
 // AddPartition records one partition's sweep. Concurrent partition
@@ -173,6 +185,14 @@ func (t *Trace) RowsSwept() int64 {
 	return t.rowsSwept.Load()
 }
 
+// RowsAdmitted returns the accumulated admitted-row counter.
+func (t *Trace) RowsAdmitted() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.rowsAdmitted.Load()
+}
+
 // Partitions returns a copy of the recorded per-partition sweeps.
 func (t *Trace) Partitions() []PartSweep {
 	if t == nil {
@@ -206,8 +226,10 @@ type QueryTrace struct {
 	// QueueWait and Encode are this request's own; the batch-level
 	// stages are shared with every request in the batch.
 	StageNanos [NumStages]int64
-	// RowsSwept is the batch's swept-row counter.
-	RowsSwept int64
+	// RowsSwept and RowsAdmitted are the batch's swept-row and
+	// admitted-row counters.
+	RowsSwept    int64
+	RowsAdmitted int64
 	// Parts[:NumParts] are the batch's per-partition sweeps.
 	NumParts int
 	Parts    [MaxTracedPartitions]PartSweep
@@ -222,7 +244,7 @@ func (qt *QueryTrace) Stage(s Stage) time.Duration {
 }
 
 // Snapshot copies the trace's accumulated batch-level state into a
-// query record: stage timings, the row counter and partition sweeps.
+// query record: stage timings, the row counters and partition sweeps.
 // The caller then overwrites the per-request stages (QueueWait,
 // Encode) with the request's own values. Snapshotting into a
 // caller-owned record keeps the hot path allocation-free.
@@ -234,6 +256,7 @@ func (t *Trace) Snapshot(qt *QueryTrace) {
 		qt.StageNanos[i] = t.stages[i].Load()
 	}
 	qt.RowsSwept = t.rowsSwept.Load()
+	qt.RowsAdmitted = t.rowsAdmitted.Load()
 	qt.NumParts = min(int(t.nparts.Load()), len(t.parts))
 	copy(qt.Parts[:], t.parts[:qt.NumParts])
 }

@@ -36,6 +36,8 @@ func TestTraceAccumulation(t *testing.T) {
 	tr.AddNanos(StageSweep, 50)
 	tr.AddRows(1000)
 	tr.AddRows(500)
+	tr.AddAdmitted(30)
+	tr.AddAdmitted(12)
 	tr.AddPartition(0, 400, 7)
 	tr.AddPartition(2, 600, 9)
 	if got := tr.StageNanos(StageSweep); got != 150 {
@@ -47,6 +49,9 @@ func TestTraceAccumulation(t *testing.T) {
 	if swept := tr.RowsSwept(); swept != 1500 {
 		t.Errorf("RowsSwept() = %d, want 1500", swept)
 	}
+	if admitted := tr.RowsAdmitted(); admitted != 42 {
+		t.Errorf("RowsAdmitted() = %d, want 42", admitted)
+	}
 	parts := tr.Partitions()
 	if len(parts) != 2 || parts[0] != (PartSweep{Index: 0, Rows: 400, Nanos: 7}) || parts[1] != (PartSweep{Index: 2, Rows: 600, Nanos: 9}) {
 		t.Errorf("Partitions() = %+v", parts)
@@ -54,7 +59,7 @@ func TestTraceAccumulation(t *testing.T) {
 
 	var qt QueryTrace
 	tr.Snapshot(&qt)
-	if qt.StageNanos[StageSweep] != 150 || qt.RowsSwept != 1500 || qt.NumParts != 2 {
+	if qt.StageNanos[StageSweep] != 150 || qt.RowsSwept != 1500 || qt.RowsAdmitted != 42 || qt.NumParts != 2 {
 		t.Errorf("Snapshot = %+v", qt)
 	}
 	if qt.Stage(StageSweep) != 150*time.Nanosecond {
@@ -67,6 +72,9 @@ func TestTraceAccumulation(t *testing.T) {
 	}
 	if swept := tr.RowsSwept(); swept != 0 {
 		t.Errorf("after Reset, RowsSwept() = %d", swept)
+	}
+	if admitted := tr.RowsAdmitted(); admitted != 0 {
+		t.Errorf("after Reset, RowsAdmitted() = %d", admitted)
 	}
 	if parts := tr.Partitions(); len(parts) != 0 {
 		t.Errorf("after Reset, Partitions() = %+v", parts)
@@ -96,6 +104,7 @@ func TestNilTraceSafe(t *testing.T) {
 	tr.Reset()
 	tr.AddNanos(StageSweep, 5)
 	tr.AddRows(1)
+	tr.AddAdmitted(1)
 	tr.AddPartition(0, 1, 1)
 	sp := tr.Start(StageSweep)
 	sp.End()
@@ -104,7 +113,7 @@ func TestNilTraceSafe(t *testing.T) {
 	if tr.StageNanos(StageSweep) != 0 {
 		t.Error("nil trace reported nonzero stage")
 	}
-	if tr.RowsSwept() != 0 {
+	if tr.RowsSwept() != 0 || tr.RowsAdmitted() != 0 {
 		t.Error("nil trace reported rows")
 	}
 	if tr.Partitions() != nil {
@@ -170,6 +179,7 @@ func TestSpanZeroAlloc(t *testing.T) {
 		sp.End()
 		tr.AddNanos(StageEncode, 1)
 		tr.AddRows(128)
+		tr.AddAdmitted(8)
 		tr.AddPartition(0, 128, 1)
 		tr.Snapshot(&qt)
 		tr.Reset()
@@ -182,6 +192,7 @@ func TestSpanZeroAlloc(t *testing.T) {
 		sp := nilTr.Start(StageSweep)
 		sp.End()
 		nilTr.AddRows(1)
+		nilTr.AddAdmitted(1)
 	})
 	if allocs != 0 {
 		t.Errorf("nil-trace span path allocates %.1f allocs/op, want 0", allocs)

@@ -56,8 +56,9 @@ type Stats struct {
 	// requests/batches, one entry per obsv stage in stage order.
 	StageTotals []StageTotal
 	// RowsSwept is the cumulative candidate-row counter of the traced
-	// sweeps.
-	RowsSwept uint64
+	// sweeps, RowsAdmitted that of the swept rows their kernel admitted
+	// to a top-k heap.
+	RowsSwept, RowsAdmitted uint64
 	// SlowQueries counts requests at or above Config.SlowQueryThreshold
 	// (0 while the threshold is unset).
 	SlowQueries uint64
@@ -94,10 +95,10 @@ type collector struct {
 	batchHist []uint64 // power-of-two buckets, index i ⇒ size ≤ 2^i
 	latHist   [latBuckets + 1]uint64
 
-	latSumNanos int64
-	stageNanos  [obsv.NumStages]int64
-	rowsSwept   uint64
-	slow        uint64
+	latSumNanos             int64
+	stageNanos              [obsv.NumStages]int64
+	rowsSwept, rowsAdmitted uint64
+	slow                    uint64
 
 	// ring holds the worst-latency query traces (preallocated to
 	// SlowRingSize once; inserts replace the current minimum), and
@@ -222,7 +223,7 @@ func (c *collector) slowestSnapshot() []obsv.QueryTrace {
 }
 
 // observeBatch records one flushed batch: its size and the batch-level
-// trace stages (assemble, sweep, merge) plus the swept-row counter.
+// trace stages (assemble, sweep, merge) plus the row counters.
 func (c *collector) observeBatch(size int, tr *obsv.Trace) {
 	c.mu.Lock()
 	c.batches++
@@ -235,6 +236,7 @@ func (c *collector) observeBatch(size int, tr *obsv.Trace) {
 		c.stageNanos[s] += tr.StageNanos(s)
 	}
 	c.rowsSwept += uint64(tr.RowsSwept())
+	c.rowsAdmitted += uint64(tr.RowsAdmitted())
 	c.mu.Unlock()
 }
 
@@ -269,7 +271,7 @@ func (c *collector) snapshot(queueDepth int) Stats {
 	for s := obsv.Stage(0); s < obsv.NumStages; s++ {
 		st.StageTotals = append(st.StageTotals, StageTotal{Stage: s.String(), Nanos: c.stageNanos[s]})
 	}
-	st.RowsSwept = c.rowsSwept
+	st.RowsSwept, st.RowsAdmitted = c.rowsSwept, c.rowsAdmitted
 	st.SlowQueries = c.slow
 	return st
 }

@@ -207,4 +207,7 @@ func TestStageTotalsAccumulate(t *testing.T) {
 	if st.RowsSwept == 0 {
 		t.Fatal("no rows swept recorded")
 	}
+	if st.RowsAdmitted == 0 || st.RowsAdmitted > st.RowsSwept {
+		t.Fatalf("%d rows admitted of %d swept", st.RowsAdmitted, st.RowsSwept)
+	}
 }
