@@ -19,7 +19,8 @@
 // merges their top-k exactly — output is bit-identical to the
 // single-file index over the same library, and to a -library build at
 // the same D/precision/seed. Either way the queries are prepared
-// on every CPU (in input order on one, for the seeded rram encoder) and
+// on every CPU (in input order on one, for the rram backend's seeded
+// query flips) and
 // the whole query set is scored by one block-major batch sweep of the
 // packed store, each query's precursor window a contiguous row range
 // streamed through the sharded engine's blocked XOR+popcount kernel.

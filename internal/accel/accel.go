@@ -4,13 +4,13 @@
 // MVM), in-memory Hamming similarity search with differential weight
 // mapping (§4.1), and a chip floorplan/capacity model.
 //
-// Two execution paths are provided. The exact path drives the
-// cell-accurate rram.Crossbar simulator and is used to characterize
-// hardware error rates (Fig. 9). The fast path (NoisyModel) replays
-// those characterized error rates at the algorithm level, which is how
-// the paper itself evaluates end-to-end search quality at dataset
-// scale (Fig. 10, 11, 13) — measuring the chip once, then injecting
-// the measured error statistics.
+// The HW encoder and searcher drive the cell-accurate rram.Crossbar
+// simulator to characterize hardware error rates (Fig. 9).
+// Characterize condenses them into a NoisyModel, which core.BuildNoisy
+// replays at the algorithm level — how the paper itself evaluates
+// end-to-end search quality at dataset scale (Fig. 10, 11, 13):
+// measuring the chip once, then injecting the measured error
+// statistics.
 package accel
 
 import (

@@ -198,30 +198,3 @@ func TestSearchRMSEGrowsWithActiveRows(t *testing.T) {
 		t.Errorf("search RMSE should grow with rows: 16 -> %v, 128 -> %v", e16, e128)
 	}
 }
-
-func TestInsertTopK(t *testing.T) {
-	var best []hdc.Match
-	ms := []hdc.Match{
-		{Index: 0, Similarity: 10},
-		{Index: 1, Similarity: 30},
-		{Index: 2, Similarity: 20},
-		{Index: 3, Similarity: 30},
-		{Index: 4, Similarity: 5},
-	}
-	for _, m := range ms {
-		best = insertTopK(best, m, 3)
-	}
-	want := []hdc.Match{
-		{Index: 1, Similarity: 30},
-		{Index: 3, Similarity: 30},
-		{Index: 2, Similarity: 20},
-	}
-	if len(best) != 3 {
-		t.Fatalf("len = %d", len(best))
-	}
-	for i := range want {
-		if best[i] != want[i] {
-			t.Errorf("best[%d] = %+v, want %+v", i, best[i], want[i])
-		}
-	}
-}

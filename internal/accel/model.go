@@ -1,16 +1,11 @@
 package accel
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/hdc"
-	"repro/internal/obsv"
 	"repro/internal/spectrum"
 )
 
@@ -103,174 +98,6 @@ func Characterize(cfg Config, numProbe int, seed int64) (NoisyModel, error) {
 		EncodeBER:   ber,
 		SearchSigma: sigmaDotProbe * scale / 2,
 	}, nil
-}
-
-// NoisyEncoder wraps an ideal encoder and flips output bits at the
-// characterized rate.
-type NoisyEncoder struct {
-	// Ideal is the underlying software encoder.
-	Ideal *hdc.Encoder
-	// Model supplies the error statistics.
-	Model NoisyModel
-	mu    sync.Mutex
-	rng   *rand.Rand
-}
-
-// NewNoisyEncoder builds the fast error-injected encoder.
-func NewNoisyEncoder(ideal *hdc.Encoder, model NoisyModel, seed int64) *NoisyEncoder {
-	return &NoisyEncoder{Ideal: ideal, Model: model, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Encode encodes the peak list and applies the characterized bit-flip
-// rate.
-func (e *NoisyEncoder) Encode(peaks []spectrum.QuantizedPeak) (hdc.BinaryHV, error) {
-	h, err := e.Ideal.Encode(peaks)
-	if err != nil {
-		return hdc.BinaryHV{}, err
-	}
-	e.mu.Lock()
-	h.FlipBits(e.Model.EncodeBER, e.rng)
-	e.mu.Unlock()
-	return h, nil
-}
-
-// EncodeVector quantizes and encodes a binned spectrum vector with
-// error injection.
-func (e *NoisyEncoder) EncodeVector(v spectrum.Vector) (hdc.BinaryHV, error) {
-	return e.Encode(v.Quantize(e.Ideal.Levels.Q()))
-}
-
-// NoisySearcher wraps the exact software searcher and perturbs each
-// similarity score with the characterized Gaussian noise. Its one
-// search method, Search, has the exact engine's batch-range shape
-// (core.Searcher); SimilaritiesRangeInto is the one place a row range
-// becomes per-row scores, which the hardware model needs in order to
-// perturb every candidate before top-k selection.
-type NoisySearcher struct {
-	// Exact is the underlying software searcher.
-	Exact *hdc.ShardedSearcher
-	// Model supplies the error statistics.
-	Model NoisyModel
-	mu    sync.Mutex
-	rng   *rand.Rand
-}
-
-// NewNoisySearcher builds the fast error-injected searcher.
-func NewNoisySearcher(exact *hdc.ShardedSearcher, model NoisyModel, seed int64) *NoisySearcher {
-	return &NoisySearcher{Exact: exact, Model: model, rng: rand.New(rand.NewSource(seed))}
-}
-
-// RowsSwept forwards the packed store's sweep counter.
-func (s *NoisySearcher) RowsSwept() uint64 { return s.Exact.RowsSwept() }
-
-// simsPool recycles range similarity buffers across queries.
-var simsPool = sync.Pool{New: func() any { return new([]int) }}
-
-// noiseSource returns a per-query noise stream seeded from the
-// searcher's master RNG under one lock — O(1) master-RNG consumption
-// per query, so a batch never materializes per-candidate noise
-// buffers up front (a query window can span hundreds of thousands of
-// rows) yet stays deterministic per seed regardless of goroutine
-// scheduling. Nil for a noiseless model.
-func (s *NoisySearcher) noiseSource() *rand.Rand {
-	if s.Model.SearchSigma <= 0 {
-		return nil
-	}
-	s.mu.Lock()
-	seed := s.rng.Int63()
-	s.mu.Unlock()
-	return rand.New(rand.NewSource(seed))
-}
-
-// Search returns, for every query, the k best matches among packed
-// rows ranges[i] (clamped to the reference count) under noisy
-// similarity scores, parallel across CPU cores. The rows are
-// bulk-scored through the exact engine's blocked kernel and every
-// candidate score is perturbed before top-k selection. Per-query noise
-// streams are seeded in query order — one master-RNG draw per
-// non-empty query — so results are deterministic per seed regardless
-// of goroutine scheduling. ctx is checked once, on entry, before any
-// noise is drawn: a done ctx returns ctx.Err() and leaves the noise
-// stream where it was. tr is accepted for the core.Searcher shape and
-// left untouched.
-func (s *NoisySearcher) Search(ctx context.Context, queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, _ *obsv.Trace) ([][]hdc.Match, error) {
-	if len(ranges) != len(queries) {
-		panic(fmt.Sprintf("accel: %d queries with %d ranges", len(queries), len(ranges)))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([][]hdc.Match, len(queries))
-	if k <= 0 {
-		return out, nil
-	}
-	n := s.Exact.Len()
-	noise := make([]*rand.Rand, len(queries))
-	for i, r := range ranges {
-		if r.Clamp(n).Empty() {
-			out[i] = []hdc.Match{}
-		} else {
-			noise[i] = s.noiseSource()
-		}
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(queries)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(queries); i = int(next.Add(1)) - 1 {
-				if r := ranges[i].Clamp(n); !r.Empty() {
-					out[i] = s.topKRangeNoise(queries[i], r.Lo, r.Hi, k, noise[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// topKRangeNoise bulk-scores rows [lo, hi) and selects the top k of
-// the perturbed scores, drawing one noise value per row from the
-// query's noise stream (nil for a noiseless model).
-func (s *NoisySearcher) topKRangeNoise(q hdc.BinaryHV, lo, hi, k int, noise *rand.Rand) []hdc.Match {
-	bufp := simsPool.Get().(*[]int)
-	sims := s.Exact.SimilaritiesRangeInto(q, lo, hi, *bufp)
-	best := make([]hdc.Match, 0, k)
-	for j, sim := range sims {
-		v := float64(sim)
-		if noise != nil {
-			v += noise.NormFloat64() * s.Model.SearchSigma
-		}
-		best = insertTopK(best, hdc.Match{Index: lo + j, Similarity: int(math.Round(v))}, k)
-	}
-	*bufp = sims
-	simsPool.Put(bufp)
-	return best
-}
-
-// insertTopK inserts m into the sorted top-k slice, keeping at most k
-// entries ordered by descending similarity, ties by ascending index.
-func insertTopK(best []hdc.Match, m hdc.Match, k int) []hdc.Match {
-	pos := len(best)
-	for pos > 0 {
-		b := best[pos-1]
-		if b.Similarity > m.Similarity ||
-			(b.Similarity == m.Similarity && b.Index < m.Index) {
-			break
-		}
-		pos--
-	}
-	if pos >= k {
-		return best
-	}
-	best = append(best, hdc.Match{})
-	copy(best[pos+1:], best[pos:])
-	best[pos] = m
-	if len(best) > k {
-		best = best[:k]
-	}
-	return best
 }
 
 // String formats the model for reports.

@@ -26,7 +26,6 @@ import (
 	"repro/internal/libindex"
 	"repro/internal/obsv"
 	"repro/internal/serve"
-	"repro/internal/spectrum"
 )
 
 // workload is one randomized configuration of the conformance matrix.
@@ -278,14 +277,6 @@ func (fx *fixture) assertEngine(t *testing.T, name string, e *core.Engine, oracl
 	}
 }
 
-// stubEncoder satisfies core.Encoder for engines driven exclusively
-// through prepared queries.
-type stubEncoder struct{}
-
-func (stubEncoder) EncodeVector(v spectrum.Vector) (hdc.BinaryHV, error) {
-	return hdc.BinaryHV{}, fmt.Errorf("conformance: encoder must not be reached")
-}
-
 // TestConformance is the matrix: for every workload, every search path
 // must reproduce the oracle's top-k bit for bit.
 func TestConformance(t *testing.T) {
@@ -337,8 +328,10 @@ func TestConformance(t *testing.T) {
 			}
 			assertOnePath(t, "edge", searcher, edgeHVs, edgeRanges, w.k, edgeOracle)
 
-			// Engine-level paths over the same packed store.
-			engine, err := core.NewEngine(fx.p, fx.lib, stubEncoder{}, searcher)
+			// Engine-level paths over the same library, packed at the
+			// workload's shard size, with the encoder fx.p.Accel draws (the
+			// prepared queries carry their own hypervectors).
+			engine, _, err := core.NewExactEngineFromLibrary(fx.p, fx.lib)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,11 +6,12 @@
 // single index file, several for a partitioned, incrementally updated
 // index), a precursor window is a contiguous row range in each
 // partition it reaches, and every search is one Engine.Search: a
-// batch range call per partition followed by an exact merge. Backends
-// are pluggable: the exact software path ("ideal"), the
-// characterized-noise path replaying the simulated MLC RRAM chip's
-// error statistics, or explicit error injection for the robustness
-// study (Fig. 11).
+// batch range call per partition followed by an exact merge. The engine
+// is always the exact software one ("ideal"); BuildNoisy gives it data
+// to replay the simulated MLC RRAM chip's characterized error
+// statistics, or an explicit error spec for the robustness study
+// (Fig. 11): bit flips on the encodings and stored references, and
+// noise on every similarity score.
 package core
 
 import (
@@ -29,27 +30,6 @@ import (
 	"repro/internal/spectrum"
 	"repro/internal/units"
 )
-
-// Encoder abstracts the query/reference hypervector encoder.
-type Encoder interface {
-	// EncodeVector encodes a binned spectrum vector.
-	EncodeVector(v spectrum.Vector) (hdc.BinaryHV, error)
-}
-
-// Searcher is one partition's packed reference store. Its one search
-// primitive mirrors the accelerator's: a batch of encoded queries,
-// each restricted to a contiguous row range of the mass-sorted store,
-// comes back as per-query top-k lists (similarity descending, ties by
-// ascending row) that the caller owns, or as ctx.Err() once ctx is
-// done. Implementations: *hdc.ShardedSearcher (exact, so results do
-// not depend on the batch) and *accel.NoisySearcher (characterized
-// hardware noise, one seeded stream per non-empty query in query
-// order, so reproducible for a fixed batching; untraced).
-type Searcher interface {
-	Search(ctx context.Context, queries []hdc.BinaryHV, ranges []hdc.RowRange, k int, tr *obsv.Trace) ([][]hdc.Match, error)
-	// RowsSwept is the cumulative candidate-row coverage of the sweeps.
-	RowsSwept() uint64
-}
 
 // SearchEngine is the part of Engine the serving layer
 // (internal/serve) drives: Prepare and Search. It is an interface so
@@ -141,16 +121,15 @@ type Library struct {
 // small list still spreads over every CPU.
 const spectrumChunk = 256
 
-// eachSpectrum runs fn(i), which encodes through enc and writes its
-// result at position i, for every i in [0, n) and returns the first
-// error in input order. The exact *hdc.Encoder is stateless, so with it
-// chunks claimed in input order run on every CPU; any other encoder may
-// carry state (the noisy model draws its seeded errors in encode
-// order), so it gets one worker, the caller, walking the input in order.
-func eachSpectrum(n int, enc Encoder, fn func(i int) error) error {
+// eachSpectrum runs fn(i), which writes its result at position i, for
+// every i in [0, n) and returns the first error in input order. Chunks
+// claimed in input order run on every CPU, unless serial: then one
+// worker, the caller, walks the input in order (the noise model draws
+// its seeded query flips in encode order).
+func eachSpectrum(n int, serial bool, fn func(i int) error) error {
 	numChunks := (n + spectrumChunk - 1) / spectrumChunk
 	workers := 1
-	if _, stateless := enc.(*hdc.Encoder); stateless {
+	if !serial {
 		workers = min(runtime.GOMAXPROCS(0), numChunks)
 	}
 	errs := make([]error, numChunks)
@@ -193,14 +172,14 @@ func eachSpectrum(n int, enc Encoder, fn func(i int) error) error {
 // GOMAXPROCS. Spectra failing preprocessing are skipped (counted in
 // Skipped), matching library-building practice; an encode failure is
 // reported for the first failing spectrum in input order.
-func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc Encoder) (*Library, error) {
+func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc *hdc.Encoder) (*Library, error) {
 	if enc == nil {
 		return nil, fmt.Errorf("core: nil encoder")
 	}
 	entries := make([]LibraryEntry, len(spectra))
 	hvs := make([]hdc.BinaryHV, len(spectra))
 	kept := make([]bool, len(spectra))
-	err := eachSpectrum(len(spectra), enc, func(i int) error {
+	err := eachSpectrum(len(spectra), false, func(i int) error {
 		s := spectra[i]
 		pre, err := p.Preprocess.Preprocess(s)
 		if err != nil {
@@ -353,27 +332,37 @@ type NoiseSpec struct {
 	Seed int64
 }
 
-// BuildNoisy constructs an engine whose encoder and searcher replay
-// the given error statistics — either characterized from the chip
-// simulation (accel.Characterize) or swept explicitly (Fig. 11).
+// BuildNoisy constructs an exact engine that replays the given error
+// statistics — either characterized from the chip simulation
+// (accel.Characterize) or swept explicitly (Fig. 11). The library is
+// encoded exactly, on every CPU, and its encodings then flipped in
+// build order; the stored references take storage errors from
+// spec.Seed+1; each query's encoding is flipped as it is prepared and
+// every score perturbed as it is swept (see noise).
 func BuildNoisy(p Params, library []*spectrum.Spectrum, spec NoiseSpec) (*Engine, error) {
-	ideal, err := newExactEncoder(p.Accel)
+	enc, err := newExactEncoder(p.Accel)
 	if err != nil {
 		return nil, err
 	}
-	model := accel.NoisyModel{EncodeBER: spec.EncodeBER, SearchSigma: spec.SearchSigma}
-	noisyEnc := accel.NewNoisyEncoder(ideal, model, spec.Seed)
-	lib, err := BuildLibrary(library, p, noisyEnc)
+	lib, err := BuildLibrary(library, p, enc)
 	if err != nil {
 		return nil, err
+	}
+	nz := newNoise(spec)
+	byBuild := make([]int, lib.Len())
+	for row, pos := range lib.srcPos {
+		byBuild[pos] = row
+	}
+	for _, row := range byBuild {
+		nz.flip(lib.HVs[row])
 	}
 	if spec.RefStorageBER > 0 {
 		lib.InjectStorageErrors(spec.RefStorageBER, rand.New(rand.NewSource(spec.Seed+1)))
 	}
-	exact, err := hdc.NewShardedSearcher(lib.HVs, p.ShardSize)
+	e, err := newEngine(p, enc, oneSpec(lib, nil))
 	if err != nil {
 		return nil, err
 	}
-	searcher := accel.NewNoisySearcher(exact, model, spec.Seed+2)
-	return NewEngine(p, lib, noisyEnc, searcher)
+	e.noise = nz
+	return e, nil
 }

@@ -199,7 +199,7 @@ func TestBuildLibrarySkipsBadSpectra(t *testing.T) {
 	}
 }
 
-func exactEncoder(t *testing.T, p Params) Encoder {
+func exactEncoder(t *testing.T, p Params) *hdc.Encoder {
 	t.Helper()
 	engine, enc, err := BuildExact(p, []*spectrum.Spectrum{{
 		ID: "seed", PrecursorMZ: 600, Charge: 2, Peptide: "SEEDK",
@@ -230,8 +230,11 @@ func TestBuildLibraryEmptyFails(t *testing.T) {
 
 func TestNewEngineValidation(t *testing.T) {
 	p := testParams()
-	if _, err := NewEngine(p, nil, nil, nil); err == nil {
+	if _, err := NewEngine(p, nil, exactEncoder(t, p)); err == nil {
 		t.Error("nil library accepted")
+	}
+	if _, err := NewEngine(p, &Library{}, nil); err == nil {
+		t.Error("nil encoder accepted")
 	}
 }
 
@@ -248,16 +251,12 @@ func TestNewEngineRejectsDimensionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	searcher, err := hdc.NewShardedSearcher(lib.HVs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewEngine(p, lib, enc, searcher); err != nil {
+	if _, err := NewEngine(p, lib, enc); err != nil {
 		t.Fatalf("matched dimensions rejected: %v", err)
 	}
 	bad := p
 	bad.Accel.D = p.Accel.D * 2
-	if _, err := NewEngine(bad, lib, enc, searcher); err == nil {
+	if _, err := NewEngine(bad, lib, enc); err == nil {
 		t.Error("dimension mismatch accepted: scores would be mis-normalized")
 	}
 }

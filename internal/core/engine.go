@@ -22,7 +22,7 @@ import (
 // coordinates the router and the merge consult.
 type partition struct {
 	lib      *Library
-	searcher Searcher
+	searcher *hdc.ShardedSearcher
 	// start is the global row index of the partition's first entry;
 	// local searcher row r is global row start+r.
 	start int
@@ -62,7 +62,7 @@ type partition struct {
 // the mass-sorted visible set returns.
 type Engine struct {
 	params  Params
-	enc     Encoder
+	enc     *hdc.Encoder
 	parts   []partition
 	total   int
 	skipped int
@@ -77,6 +77,9 @@ type Engine struct {
 	// retractions and the rows they (or newer re-additions) shadow.
 	tombstoneCount int
 	hiddenTotal    int
+	// noise, set only by BuildNoisy, replays the chip's error
+	// statistics on each query's encoding and on every score.
+	noise *noise
 }
 
 // newExactEncoder builds the exact ID-Level query/reference encoder,
@@ -93,7 +96,7 @@ func newExactEncoder(a accel.Config) (*hdc.Encoder, error) {
 // exactSearcher packs one partition's exact sharded searcher: over the
 // spec's packed word block when it has one (aliased, not copied),
 // otherwise copied from the library's hypervectors.
-func (p Params) exactSearcher(spec PartitionSpec) (Searcher, error) {
+func (p Params) exactSearcher(spec PartitionSpec) (*hdc.ShardedSearcher, error) {
 	if spec.Block == nil {
 		return hdc.NewShardedSearcher(spec.Lib.HVs, p.ShardSize)
 	}
@@ -140,7 +143,7 @@ func NewPartitionedEngine(p Params, set PartitionSet) (*Engine, *hdc.Encoder, er
 			return nil, nil, err
 		}
 	}
-	e, err := newEngine(p, enc, set, p.exactSearcher)
+	e, err := newEngine(p, enc, set)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -175,30 +178,31 @@ func BuildExact(p Params, library []*spectrum.Spectrum) (*Engine, *hdc.Encoder, 
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := newEngine(p, enc, oneSpec(lib, nil), p.exactSearcher)
+	e, err := newEngine(p, enc, oneSpec(lib, nil))
 	if err != nil {
 		return nil, nil, err
 	}
 	return e, enc, nil
 }
 
-// NewEngine is the one-partition engine over a caller-supplied encoder
-// and searcher (the noisy hardware model, a baseline's encoder). The
-// searcher must be packed over lib.HVs in order.
-func NewEngine(p Params, lib *Library, enc Encoder, s Searcher) (*Engine, error) {
-	if enc == nil || s == nil {
-		return nil, fmt.Errorf("core: nil encoder or searcher")
+// NewEngine is the one-partition engine over a library encoded by a
+// caller-supplied encoder (a baseline's item memory or level set),
+// which also encodes its queries.
+func NewEngine(p Params, lib *Library, enc *hdc.Encoder) (*Engine, error) {
+	if enc == nil {
+		return nil, fmt.Errorf("core: nil encoder")
 	}
-	return newEngine(p, enc, oneSpec(lib, nil), func(PartitionSpec) (Searcher, error) { return s, nil })
+	return newEngine(p, enc, oneSpec(lib, nil))
 }
 
 // newEngine validates a partition set and assembles the engine over
-// it, obtaining each partition's searcher from searcherFor once the
-// partition's library has passed validation. The configured dimension
-// Params.Accel.D must match every library's actual hypervector
-// dimension: similarity scores are normalized by it, so a silent
-// mismatch would mis-scale every PSM score.
-func newEngine(p Params, enc Encoder, set PartitionSet, searcherFor func(PartitionSpec) (Searcher, error)) (*Engine, error) {
+// it, packing each partition's exact searcher once the partition's
+// library has passed validation and handing it the partition's hidden
+// rows. The configured dimension Params.Accel.D must match every
+// library's actual hypervector dimension: similarity scores are
+// normalized by it, so a silent mismatch would mis-scale every PSM
+// score.
+func newEngine(p Params, enc *hdc.Encoder, set PartitionSet) (*Engine, error) {
 	if len(set.Specs) == 0 {
 		return nil, fmt.Errorf("core: no partitions")
 	}
@@ -239,15 +243,11 @@ func newEngine(p Params, enc Encoder, set PartitionSet, searcherFor func(Partiti
 			}
 			e.nBase++
 		}
-		searcher, err := searcherFor(spec)
+		searcher, err := p.exactSearcher(spec)
 		if err != nil {
 			return nil, fmt.Errorf("core: partition %d: %w", i, err)
 		}
-		if h, ok := searcher.(interface{ Hide(rows []int) }); ok {
-			h.Hide(hidden[i])
-		} else if len(hidden[i]) > 0 {
-			return nil, fmt.Errorf("core: partition %d: %d of its rows are shadowed, but a %T cannot hide rows from its results", i, len(hidden[i]), searcher)
-		}
+		searcher.Hide(hidden[i])
 		e.parts = append(e.parts, partition{
 			lib:      lib,
 			searcher: searcher,
@@ -381,7 +381,7 @@ type PreparedQuery struct {
 }
 
 // encodeQuery is the engine's one query-side encode step: preprocess,
-// vectorize and encode. ok is
+// vectorize and encode, then flip bits under the noise model. ok is
 // false when preprocessing rejects the spectrum as uninformative. The
 // binned vector is returned for callers that also score in the
 // spectral domain (Rescorer).
@@ -394,6 +394,9 @@ func (e *Engine) encodeQuery(q *spectrum.Spectrum) (spectrum.Vector, hdc.BinaryH
 	hv, err := e.enc.EncodeVector(v)
 	if err != nil {
 		return spectrum.Vector{}, hdc.BinaryHV{}, false, fmt.Errorf("core: encoding query %s: %w", q.ID, err)
+	}
+	if e.noise != nil {
+		e.noise.flip(hv)
 	}
 	return v, hv, true, nil
 }
@@ -507,15 +510,20 @@ type partBatch struct {
 
 // sweep runs partition i's block-major batch sweep at the global k: its
 // searcher masks the hidden rows, so what comes back is the partition's
-// visible top-k. A non-nil tr collects the searcher's swept rows plus
-// one partition record (index, candidate rows, wall time).
+// visible top-k, under noisy scores when the engine carries noise. A
+// non-nil tr collects the exact sweep's rows plus one partition record
+// (index, candidate rows, wall time).
 func (e *Engine) sweep(ctx context.Context, i int, b *partBatch, tr *obsv.Trace) {
 	p := &e.parts[i]
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	b.tops, b.err = p.searcher.Search(ctx, b.hvs, b.ranges, e.params.TopK, tr)
+	if e.noise != nil {
+		b.tops, b.err = e.noise.search(ctx, p.searcher, b.hvs, b.ranges, e.params.TopK)
+	} else {
+		b.tops, b.err = p.searcher.Search(ctx, b.hvs, b.ranges, e.params.TopK, tr)
+	}
 	if tr != nil {
 		rows := 0
 		for _, r := range b.ranges {
@@ -566,8 +574,8 @@ type SearchResult struct {
 // on the calling goroutine and the rest in parallel, so a batch that
 // lands in one partition spawns nothing. The per-partition lists then
 // merge per query under rowBefore; only queries spanning partitions
-// need the sort. Exact results do not depend on the batch (see
-// Searcher).
+// need the sort. Exact results do not depend on the batch; noisy ones
+// draw one score seed per query in batch order (see noise).
 //
 // A ctx done before or during the call stops every sweep at its next
 // row block, and Search returns ctx.Err() once all have returned. A
@@ -668,15 +676,15 @@ func (e *Engine) EntryAt(global int) LibraryEntry {
 	return p.lib.Entries[r]
 }
 
-// SearchAll prepares every query through eachSpectrum and scores the
-// ones that pass in one uncancellable Search, returning one best-match
-// PSM per matched query in query order. Encoder and searcher draw in
-// query order, so on every backend the list equals that of a loop of
-// batches of one.
+// SearchAll prepares every query through eachSpectrum — in query order
+// on one worker under the noise model — and scores the ones that pass
+// in one uncancellable Search, returning one best-match PSM per matched
+// query in query order. The noise streams draw in query order, so with
+// or without noise the list equals that of a loop of batches of one.
 func (e *Engine) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
 	pqs := make([]PreparedQuery, len(queries))
 	ok := make([]bool, len(queries))
-	err := eachSpectrum(len(queries), e.enc, func(i int) (err error) {
+	err := eachSpectrum(len(queries), e.noise != nil, func(i int) (err error) {
 		pqs[i], ok[i], err = e.Prepare(queries[i])
 		return err
 	})

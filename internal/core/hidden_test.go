@@ -1,37 +1,13 @@
 package core
 
 import (
-	"context"
 	"slices"
-	"strings"
-	"sync"
+	"sort"
 	"testing"
 
 	"repro/internal/hdc"
-	"repro/internal/obsv"
 	"repro/internal/units"
 )
-
-// recordingSearcher is an exact searcher that notes the depth of every
-// sweep it is asked for and the hidden list it was given.
-type recordingSearcher struct {
-	*hdc.ShardedSearcher
-	mu     sync.Mutex
-	ks     []int
-	hidden []int
-}
-
-func (r *recordingSearcher) Hide(rows []int) {
-	r.hidden = rows
-	r.ShardedSearcher.Hide(rows)
-}
-
-func (r *recordingSearcher) Search(ctx context.Context, qs []hdc.BinaryHV, ranges []hdc.RowRange, k int, tr *obsv.Trace) ([][]hdc.Match, error) {
-	r.mu.Lock()
-	r.ks = append(r.ks, k)
-	r.mu.Unlock()
-	return r.ShardedSearcher.Search(ctx, qs, ranges, k, tr)
-}
 
 // overlaySet is splitSet's two base partitions plus an overlay hiding
 // about a third of partition 0: every third of its rows re-added by a
@@ -65,9 +41,11 @@ func overlaySet(t *testing.T, lib *Library) PartitionSet {
 }
 
 // TestHiddenRowsSweptAtTopK pins the masked-sweep contract from the
-// engine's side: whatever a partition hides, its searcher is asked for
-// exactly Params.TopK matches and is the one told what to hide, and no
-// index that comes back names a hidden row.
+// engine's side: each partition holds exactly the rows HiddenRows
+// shadows, no index that comes back names a hidden row, and every
+// answer is full — Params.TopK matches, or every visible candidate
+// when there are fewer — so no partition spends a slot of its top-k
+// on a row it hides.
 func TestHiddenRowsSweptAtTopK(t *testing.T) {
 	ds := testDataset(t)
 	built, enc, err := BuildExact(testParams(), ds.Library)
@@ -77,13 +55,10 @@ func TestHiddenRowsSweptAtTopK(t *testing.T) {
 	for _, topK := range []int{1, 5} {
 		p := testParams()
 		p.TopK = topK
+		p.ShardSize = 64
 		set := overlaySet(t, built.Library())
-		var recs []*recordingSearcher
-		engine, err := newEngine(p, enc, set, func(spec PartitionSpec) (Searcher, error) {
-			exact, err := hdc.NewShardedSearcher(spec.Lib.HVs, 64)
-			recs = append(recs, &recordingSearcher{ShardedSearcher: exact})
-			return recs[len(recs)-1], err
-		})
+		set.Encoder = enc
+		engine, _, err := NewPartitionedEngine(p, set)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,8 +66,10 @@ func TestHiddenRowsSweptAtTopK(t *testing.T) {
 		if n := len(hidden[0]); n < set.Specs[0].Lib.Len()/3 || len(hidden[1])+len(hidden[2]) != 0 {
 			t.Fatalf("fixture hides %d, %d, %d rows; want a third of partition 0 and nothing else", n, len(hidden[1]), len(hidden[2]))
 		}
-		if !slices.Equal(recs[0].hidden, hidden[0]) || recs[1].hidden != nil || recs[2].hidden != nil {
-			t.Fatalf("searchers were told to hide %v, %v, %v; HiddenRows says %v", recs[0].hidden, recs[1].hidden, recs[2].hidden, hidden)
+		for i := range engine.parts {
+			if got := engine.parts[i].hidden; !slices.Equal(got, hidden[i]) {
+				t.Fatalf("partition %d hides %v; HiddenRows says %v", i, got, hidden[i])
+			}
 		}
 		if got := engine.OverlayStats().HiddenRefs; got != len(hidden[0]) {
 			t.Errorf("OverlayStats.HiddenRefs = %d, want %d", got, len(hidden[0]))
@@ -105,49 +82,25 @@ func TestHiddenRowsSweptAtTopK(t *testing.T) {
 				qs = append(qs, pq)
 			}
 		}
-		search(engine, qs)
-		for _, pq := range qs {
-			for _, m := range topKList(engine, pq) {
+		for qi, r := range search(engine, qs) {
+			visible := 0
+			for i := range engine.parts {
+				part := &engine.parts[i]
+				lo, hi := engine.partRange(part, &qs[qi])
+				if lo < hi {
+					visible += hi - lo - (sort.SearchInts(part.hidden, hi) - sort.SearchInts(part.hidden, lo))
+				}
+			}
+			if want := min(topK, visible); len(r.Top) != want {
+				t.Fatalf("TopK=%d: query %s got %d matches, want %d (%d visible candidates)", topK, qs[qi].QueryID, len(r.Top), want, visible)
+			}
+			for _, m := range r.Top {
 				part, row := engine.locate(m.Index)
 				if slices.Contains(part.hidden, row) {
-					t.Fatalf("TopK=%d: query %s was answered with hidden row %d of a partition", topK, pq.QueryID, row)
+					t.Fatalf("TopK=%d: query %s was answered with hidden row %d of a partition", topK, qs[qi].QueryID, row)
 				}
 			}
 		}
-		for i, rec := range recs {
-			if len(rec.ks) == 0 {
-				t.Fatalf("partition %d was never swept", i)
-			}
-			for _, k := range rec.ks {
-				if k != topK {
-					t.Fatalf("partition %d (%d hidden rows) was swept at k=%d, want TopK=%d", i, len(hidden[i]), k, topK)
-				}
-			}
-		}
-	}
-}
-
-// TestHiddenRowsNeedAHidingSearcher: a partition with shadowed rows over a
-// searcher that cannot mask them is a construction error that says so,
-// not an engine that serves retracted spectra.
-func TestHiddenRowsNeedAHidingSearcher(t *testing.T) {
-	ds := testDataset(t)
-	p := testParams()
-	built, enc, err := BuildExact(p, ds.Library)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := func(spec PartitionSpec) (Searcher, error) {
-		exact, err := p.exactSearcher(spec)
-		return struct{ Searcher }{exact}, err // the interface's methods only: no Hide
-	}
-	_, err = newEngine(p, enc, overlaySet(t, built.Library()), plain)
-	if err == nil || !strings.Contains(err.Error(), "cannot hide rows") || !strings.Contains(err.Error(), "partition 0") {
-		t.Fatalf("newEngine over a non-hiding searcher with shadowed rows: err = %v, want a partition-0 \"cannot hide rows\" error", err)
-	}
-	// With nothing to hide the same searcher is fine.
-	if _, err := newEngine(p, enc, splitSet(t, built.Library(), 2), plain); err != nil {
-		t.Fatalf("newEngine over a non-hiding searcher with no shadowed rows: %v", err)
 	}
 }
 

@@ -150,14 +150,17 @@ func TestBatchPathShardSizes(t *testing.T) {
 // TestNoisySearchAllMatchesSearchOne pins the noisy backend's list path
 // to its per-query path: on twin engines built with one seed, SearchAll
 // over the query list and a loop of batches of one must return the
-// same PSMs at any GOMAXPROCS — the encoder and the searcher each draw
-// their seeded streams in query order, however the work is spread.
+// same PSMs at any GOMAXPROCS — the query flips and the score noise
+// each draw their seeded streams in query order, however the work is
+// spread. The library is encoded on every CPU and flipped in build
+// order, so every leg must also return the GOMAXPROCS=1 leg's PSMs.
 func TestNoisySearchAllMatchesSearchOne(t *testing.T) {
 	ds := testDataset(t)
 	p := testParams()
 	spec := NoiseSpec{EncodeBER: 0.02, RefStorageBER: 0.01, SearchSigma: 10, Seed: 9}
 	// Several chunks' worth, so a fan-out would have work to spread.
 	queries := slices.Repeat(ds.Queries, 2*spectrumChunk/len(ds.Queries)+1)
+	var oneCPU []fdr.PSM
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -185,6 +188,11 @@ func TestNoisySearchAllMatchesSearchOne(t *testing.T) {
 			}
 			if len(want) == 0 || !slices.Equal(got, want) {
 				t.Fatalf("SearchAll returned %d PSMs, the loop of batches of one %d, and they differ", len(got), len(want))
+			}
+			if oneCPU == nil {
+				oneCPU = got
+			} else if !slices.Equal(got, oneCPU) {
+				t.Fatalf("%d PSMs differ from the GOMAXPROCS=1 leg's %d", len(got), len(oneCPU))
 			}
 		})
 	}

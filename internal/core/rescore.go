@@ -68,7 +68,7 @@ func (r *Rescorer) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
 	e := r.engine
 	pqs := make([]PreparedQuery, len(queries))
 	qvs := make([]spectrum.Vector, len(queries))
-	err := eachSpectrum(len(queries), e.enc, func(i int) error {
+	err := eachSpectrum(len(queries), e.noise != nil, func(i int) error {
 		q := queries[i]
 		v, hv, ok, err := e.encodeQuery(q)
 		if err != nil || !ok {

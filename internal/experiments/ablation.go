@@ -56,11 +56,7 @@ func AblationLevelSets(opts Options) (LevelSetAblation, error) {
 	if err != nil {
 		return LevelSetAblation{}, err
 	}
-	searcher, err := hdc.NewShardedSearcher(lib.HVs, 0)
-	if err != nil {
-		return LevelSetAblation{}, err
-	}
-	flipEng, err := core.NewEngine(p, lib, enc, searcher)
+	flipEng, err := core.NewEngine(p, lib, enc)
 	if err != nil {
 		return LevelSetAblation{}, err
 	}

@@ -73,9 +73,5 @@ func NewEngine(p Params, library []*spectrum.Spectrum) (*core.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	searcher, err := hdc.NewShardedSearcher(lib.HVs, 0)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewEngine(cp, lib, enc, searcher)
+	return core.NewEngine(cp, lib, enc)
 }

@@ -15,12 +15,11 @@
 //
 // Guarantees:
 //
-//   - With a deterministic searcher (the exact sharded engine — what
-//     omsd runs) per-request results are bit-identical to a batch of
-//     one: a query's PSM does not depend on which batch it lands in,
-//     on the batch's composition, or on its position within the
-//     batch. An engine wired to a noisy searcher draws its
-//     error stream in batch order, so its serving results vary with
+//   - With an exact engine (what omsd runs) per-request results are
+//     bit-identical to a batch of one: a query's PSM does not depend
+//     on which batch it lands in, on the batch's composition, or on
+//     its position within the batch. A core.BuildNoisy engine draws
+//     its error streams in batch order, so its serving results vary with
 //     traffic timing — acceptable for robustness studies, not for the
 //     deterministic serving contract.
 //   - Admission is bounded: at most MaxQueue requests are outstanding
