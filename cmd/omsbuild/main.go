@@ -137,11 +137,11 @@ func incremental(out, libPath string, appendMode bool, retractIDs string, maxPar
 				ids = append(ids, id)
 			}
 		}
-		pi, err := libindex.OpenManifest(out)
+		ix, err := libindex.Open(out)
 		fatalIf(err)
-		known := pi.LiveIDs()
-		st := pi.State
-		fatalIf(pi.Close())
+		known := ix.LiveIDs()
+		st := ix.State
+		fatalIf(ix.Close())
 		gen, err := libindex.AppendRetract(out, st, ids, known)
 		fatalIf(err)
 		fmt.Fprintf(os.Stderr, "omsbuild: %s: generation %d retracts %d ids (%d tombstones outstanding)\n",

@@ -246,21 +246,18 @@ func (d *daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sv.release()
-	health := map[string]any{
-		"status":            "ok",
-		"references":        sv.engine.NumRefs(),
-		"skipped":           sv.engine.Skipped(),
-		"partitions":        sv.partitions,
-		"index_age_seconds": int64(time.Since(sv.loaded).Seconds()),
-		"uptime_seconds":    int64(time.Since(d.started).Seconds()),
-	}
-	if sv.partitions > 0 {
-		ov := sv.engine.OverlayStats()
-		health["manifest_generation"] = ov.Generation
-		health["delta_partitions"] = ov.DeltaPartitions
-		health["tombstones"] = ov.Tombstones
-	}
-	writeJSON(w, health)
+	ov := sv.engine.OverlayStats()
+	writeJSON(w, map[string]any{
+		"status":              "ok",
+		"references":          sv.engine.NumRefs(),
+		"skipped":             sv.engine.Skipped(),
+		"partitions":          len(sv.engine.PartitionStats()),
+		"manifest_generation": ov.Generation,
+		"delta_partitions":    ov.DeltaPartitions,
+		"tombstones":          ov.Tombstones,
+		"index_age_seconds":   int64(time.Since(sv.loaded).Seconds()),
+		"uptime_seconds":      int64(time.Since(d.started).Seconds()),
+	})
 }
 
 // statsView maps serve.Stats onto stable wire names.
@@ -280,15 +277,14 @@ type statsView struct {
 	LatencyP50US  int64               `json:"latency_p50_us"`
 	LatencyP99US  int64               `json:"latency_p99_us"`
 
-	// Partitions is present for a partitioned index: one entry per
-	// partition with its global row span, mass fences and shadowed
-	// rows.
-	Partitions []partitionView `json:"partitions,omitempty"`
+	// Partitions has one entry per partition with its global row span,
+	// mass fences and shadowed rows.
+	Partitions []partitionView `json:"partitions"`
 
-	// Overlay is present for a partitioned index: the incremental-update
-	// state the generation serves (manifest generation, delta tier,
-	// outstanding tombstones and the rows they shadow).
-	Overlay *overlayView `json:"overlay,omitempty"`
+	// Overlay is the incremental-update state the generation serves
+	// (manifest generation, delta tier, outstanding tombstones and the
+	// rows they shadow).
+	Overlay overlayView `json:"overlay"`
 }
 
 // partitionView maps core.PartitionStat onto stable wire names.
@@ -336,26 +332,24 @@ func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 		LatencyP50US:  st.LatencyP50.Microseconds(),
 		LatencyP99US:  st.LatencyP99.Microseconds(),
 	}
-	if sv.partitions > 0 {
-		for _, ps := range sv.engine.PartitionStats() {
-			view.Partitions = append(view.Partitions, partitionView{
-				StartRow:   ps.StartRow,
-				Refs:       ps.Refs,
-				MinMass:    ps.MinMass,
-				MaxMass:    ps.MaxMass,
-				Generation: ps.Gen,
-				Delta:      ps.Delta,
-				HiddenRefs: ps.HiddenRefs,
-			})
-		}
-		ov := sv.engine.OverlayStats()
-		view.Overlay = &overlayView{
-			Generation:      ov.Generation,
-			DeltaPartitions: ov.DeltaPartitions,
-			DeltaRefs:       ov.DeltaRefs,
-			Tombstones:      ov.Tombstones,
-			HiddenRefs:      ov.HiddenRefs,
-		}
+	for _, ps := range sv.engine.PartitionStats() {
+		view.Partitions = append(view.Partitions, partitionView{
+			StartRow:   ps.StartRow,
+			Refs:       ps.Refs,
+			MinMass:    ps.MinMass,
+			MaxMass:    ps.MaxMass,
+			Generation: ps.Gen,
+			Delta:      ps.Delta,
+			HiddenRefs: ps.HiddenRefs,
+		})
+	}
+	ov := sv.engine.OverlayStats()
+	view.Overlay = overlayView{
+		Generation:      ov.Generation,
+		DeltaPartitions: ov.DeltaPartitions,
+		DeltaRefs:       ov.DeltaRefs,
+		Tombstones:      ov.Tombstones,
+		HiddenRefs:      ov.HiddenRefs,
 	}
 	writeJSON(w, view)
 }

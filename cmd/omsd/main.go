@@ -8,11 +8,12 @@
 //	omsd -index lib.omsidx [-addr :8993] [-maxbatch 64] \
 //	     [-maxqueue 4096] [-standard] [-topk 5]
 //
-// -index accepts either a single index file or a partition manifest
-// written by omsbuild -partitions; a partitioned library routes each
-// query's precursor window through the manifest's mass fences, fans
-// the batched search out across partitions, and merges per-partition
-// top-k exactly — bit-identical to serving the single-file index.
+// -index accepts a partition manifest written by omsbuild -partitions
+// or a bare index file, which is served as a one-partition generation
+// 1 and reported as one on every endpoint. Each query's precursor
+// window is routed through the partitions' mass fences, the batched
+// search fans out across the partitions it reaches, and per-partition
+// top-k lists merge exactly — bit-identical over any partitioning.
 //
 // SIGHUP hot-reloads the index: the daemon rebuilds the engine from
 // the (possibly rewritten) index path and swaps it under live traffic.
@@ -143,9 +144,9 @@ func main() {
 		}()
 	}
 	if *compactInterval > 0 {
-		if sv.partitions == 0 {
-			fatalIf(fmt.Errorf("-compact-interval needs a partitioned index manifest at -index"))
-		}
+		// Only a manifest has a log to compact.
+		_, err = libindex.LoadManifestLog(*indexPath)
+		fatalIf(err)
 		go func() {
 			// A pass that finds another writer holding the manifest's
 			// lock fails and is counted; the next tick retries. Each

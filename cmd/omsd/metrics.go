@@ -63,24 +63,23 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("oms_search_rows_swept_total", "Candidate rows covered by traced sweeps.", float64(st.RowsSwept))
 	p.Counter("oms_search_rows_admitted_total", "Swept rows the sweep kernel admitted to a top-k heap.", float64(st.RowsAdmitted))
 
-	if sv.partitions > 0 {
-		stats := sv.engine.PartitionStats()
-		p.Family("oms_partition_refs", "References per partition.", "gauge")
-		for i, ps := range stats {
-			p.Sample("oms_partition_refs", partLabel(i), float64(ps.Refs))
-		}
-		p.Family("oms_partition_rows_swept_total", "Candidate rows swept per partition.", "counter")
-		for i, ps := range stats {
-			p.Sample("oms_partition_rows_swept_total", partLabel(i), float64(ps.RowsSwept))
-		}
-
-		ov := sv.engine.OverlayStats()
-		p.Gauge("oms_manifest_generation", "Manifest-log generation the current index serves.", float64(ov.Generation))
-		p.Gauge("oms_delta_partitions", "Delta-tier partitions in the current generation.", float64(ov.DeltaPartitions))
-		p.Gauge("oms_delta_refs", "References in the delta tier.", float64(ov.DeltaRefs))
-		p.Gauge("oms_tombstones", "Outstanding retractions (tombstones).", float64(ov.Tombstones))
-		p.Gauge("oms_hidden_refs", "Physical rows shadowed by tombstones or newer-generation re-additions.", float64(ov.HiddenRefs))
+	stats := sv.engine.PartitionStats()
+	p.Family("oms_partition_refs", "References per partition.", "gauge")
+	for i, ps := range stats {
+		p.Sample("oms_partition_refs", partLabel(i), float64(ps.Refs))
 	}
+	p.Family("oms_partition_rows_swept_total", "Candidate rows swept per partition.", "counter")
+	for i, ps := range stats {
+		p.Sample("oms_partition_rows_swept_total", partLabel(i), float64(ps.RowsSwept))
+	}
+
+	ov := sv.engine.OverlayStats()
+	p.Gauge("oms_manifest_generation", "Manifest-log generation the current index serves.", float64(ov.Generation))
+	p.Gauge("oms_delta_partitions", "Delta-tier partitions in the current generation.", float64(ov.DeltaPartitions))
+	p.Gauge("oms_delta_refs", "References in the delta tier.", float64(ov.DeltaRefs))
+	p.Gauge("oms_tombstones", "Outstanding retractions (tombstones).", float64(ov.Tombstones))
+	p.Gauge("oms_hidden_refs", "Physical rows shadowed by tombstones or newer-generation re-additions.", float64(ov.HiddenRefs))
+
 	p.Counter("oms_compactions_total", "In-process compactions published (omsd -compact-interval).", float64(d.compactions.Load()))
 	p.Counter("oms_compaction_failures_total", "In-process compaction attempts that failed.", float64(d.compactFailures.Load()))
 
@@ -90,7 +89,7 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	p.Gauge("oms_index_references", "Encoded references served by the current generation.", float64(sv.engine.NumRefs()))
 	p.Gauge("oms_index_skipped_refs", "Reference spectra rejected by preprocessing at build time.", float64(sv.engine.Skipped()))
-	p.Gauge("oms_index_partitions", "Partition count of the current index (0 = single file).", float64(sv.partitions))
+	p.Gauge("oms_index_partitions", "Partition count of the current index (a bare index file is one).", float64(len(stats)))
 	p.Gauge("oms_index_age_seconds", "Seconds since the current generation loaded.", time.Since(sv.loaded).Seconds())
 	p.Gauge("oms_uptime_seconds", "Seconds since daemon start.", time.Since(d.started).Seconds())
 
@@ -138,11 +137,7 @@ func (d *daemon) handleSlowest(w http.ResponseWriter, r *http.Request) {
 	traces := sv.srv.Slowest()
 	views := make([]slowTraceView, 0, len(traces))
 	for i := range traces {
-		v := slowView(&traces[i])
-		if sv.partitions == 0 {
-			v.Partitions = nil // a single index file reports no partition series anywhere
-		}
-		views = append(views, v)
+		views = append(views, slowView(&traces[i]))
 	}
 	writeJSON(w, map[string]any{"slowest": views})
 }

@@ -8,12 +8,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/libindex"
 	"repro/internal/msdata"
 	"repro/internal/obsv"
 	"repro/internal/serve"
@@ -389,5 +391,78 @@ func TestRequestIDMiddleware(t *testing.T) {
 		if !strings.Contains(string(line), want) {
 			t.Fatalf("access log line %q missing %q", line, want)
 		}
+	}
+}
+
+// TestBareFileReportsOnePartition pins that a daemon over a bare index
+// file reports what a one-partition generation-1 manifest reports, on
+// every surface: /healthz, /stats and /metrics.
+func TestBareFileReportsOnePartition(t *testing.T) {
+	ds, err := msdata.Generate(msdata.IPRG2012(0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.DefaultParams()
+	p.Accel.D = 1024
+	p.Accel.NumChunks = 64
+	engine, _, err := core.BuildExact(p, ds.Library)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lib.omsidx")
+	if err := libindex.SaveFile(path, p, engine.Library()); err != nil {
+		t.Fatal(err)
+	}
+	cfg := servingConfig{indexPath: path, maxBatch: 8, maxQueue: 1024}
+	d := newDaemon(func() (*serving, error) { return buildServing(cfg) })
+	sv, err := d.reload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.shutdown()
+	if !strings.Contains(sv.desc, "manifest generation 1, ") || !strings.Contains(sv.desc, " in 1 partitions (0 deltas, 0 tombstones)") {
+		t.Fatalf("load line %q", sv.desc)
+	}
+	mux := d.mux()
+
+	get := func(path string, v any) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	var health map[string]any
+	get("/healthz", &health)
+	if health["partitions"] != 1.0 || health["manifest_generation"] != 1.0 || health["delta_partitions"] != 0.0 {
+		t.Fatalf("healthz %v, want one partition at generation 1", health)
+	}
+	var stats statsView
+	get("/stats", &stats)
+	if len(stats.Partitions) != 1 || stats.Partitions[0].Refs != engine.NumRefs() || stats.Overlay.Generation != 1 {
+		t.Fatalf("stats partitions %+v overlay %+v, want one partition of %d refs at generation 1",
+			stats.Partitions, stats.Overlay, engine.NumRefs())
+	}
+
+	fams := scrape(t, mux)
+	for _, want := range []struct {
+		family, labels string
+		v              float64
+	}{
+		{"oms_index_partitions", "", 1},
+		{"oms_manifest_generation", "", 1},
+		{"oms_partition_refs", `partition="0"`, float64(engine.NumRefs())},
+	} {
+		f := fams[want.family]
+		if f == nil {
+			t.Fatalf("family %s missing", want.family)
+		}
+		if v, ok := f.Sample(want.family, want.labels); !ok || v != want.v {
+			t.Fatalf("%s{%s} = %v (present %v), want %v", want.family, want.labels, v, ok, want.v)
+		}
+	}
+	if n := len(fams["oms_partition_refs"].Samples); n != 1 {
+		t.Fatalf("%d oms_partition_refs series, want 1", n)
 	}
 }

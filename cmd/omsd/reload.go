@@ -45,10 +45,6 @@ type serving struct {
 	accel      accel.Config
 	closeIndex func() error
 	desc       string
-	// partitions is the manifest's partition count, 0 for a single
-	// index file: what was opened, not how the engine holds it, decides
-	// whether the partition and overlay telemetry is reported.
-	partitions int
 	loaded     time.Time
 
 	refs atomic.Int64
@@ -72,10 +68,10 @@ func (sv *serving) release() {
 // buildServing builds a first generation: nothing to keep an encoder from.
 func buildServing(cfg servingConfig) (*serving, error) { return buildNext(cfg, nil) }
 
-// buildNext opens the index path (a single index file or a partition
-// manifest — libindex.Open tells them apart), wires the engine and
-// starts a micro-batcher over it. prev is a reference, released here, to
-// the generation being replaced (nil on the first load): an encoder is
+// buildNext opens the index path (libindex.Open: a bare index file is
+// a one-partition generation), wires the engine and starts a
+// micro-batcher over it. prev is a reference, released here, to the
+// generation being replaced (nil on the first load): an encoder is
 // immutable and a pure function of the operating point, so while that
 // is unchanged the new engine shares prev's instead of drawing the item
 // memory again — most of a reload's cost; desc, which is logged, says so.
@@ -105,22 +101,16 @@ func buildNext(cfg servingConfig, prev *serving) (*serving, error) {
 	// The searchers read the packed blocks; the per-entry hypervector
 	// views are dead weight in a resident process.
 	engine.ReleaseLibraryHVs()
+	ov := engine.OverlayStats()
 	sv := &serving{
 		engine:     engine,
 		enc:        enc,
 		accel:      p.Accel,
 		closeIndex: ix.Close,
-		partitions: ix.Partitions,
-		loaded:     time.Now(),
-	}
-	if ix.Partitions > 0 {
-		ov := engine.OverlayStats()
-		sv.desc = fmt.Sprintf("%s: manifest generation %d, %d references in %d partitions (%d deltas, %d tombstones), D=%d, mmap=%t, encoder %s",
-			cfg.indexPath, ov.Generation, engine.NumRefs(), ix.Partitions,
-			ov.DeltaPartitions, ov.Tombstones, p.Accel.D, ix.Mapped, encoder)
-	} else {
-		sv.desc = fmt.Sprintf("%s: %d references, D=%d, mmap=%t, encoder %s",
-			cfg.indexPath, engine.NumRefs(), p.Accel.D, ix.Mapped, encoder)
+		desc: fmt.Sprintf("%s: manifest generation %d, %d references in %d partitions (%d deltas, %d tombstones), D=%d, mmap=%t, encoder %s",
+			cfg.indexPath, ov.Generation, engine.NumRefs(), len(set.Specs),
+			ov.DeltaPartitions, ov.Tombstones, p.Accel.D, ix.Mapped(), encoder),
+		loaded: time.Now(),
 	}
 	sv.srv, err = serve.New(engine, serve.Config{
 		MaxBatch:           cfg.maxBatch,

@@ -197,7 +197,7 @@ func TestIncrementalReloadSwapConsistency(t *testing.T) {
 	// snapshot answers every query against the manifest as it stands —
 	// the complete per-generation truth a served response must match.
 	snapshot := func() map[string]expectation {
-		pi, err := libindex.OpenManifest(manifest)
+		pi, err := libindex.Open(manifest)
 		if err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
@@ -384,7 +384,7 @@ func TestReloadKeepsEncoder(t *testing.T) {
 	// answers to a fresh engine over the manifest.
 	check := func(step string, svs ...*serving) {
 		t.Helper()
-		pi, err := libindex.OpenManifest(manifest)
+		pi, err := libindex.Open(manifest)
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}

@@ -11,14 +11,15 @@
 // -index (built by omsbuild) the encoded, mass-ordered library and
 // its engine parameters are loaded from the persistent index in
 // milliseconds — the encoder-identity flags (-d, -precision, -seed)
-// come from the index and are ignored. -index accepts either a single
-// index file (opened memory-mapped where supported: the packed words
-// become zero-copy searcher rows and fault in lazily) or a partition
-// manifest written by omsbuild -partitions, which routes each query's
-// precursor window to the overlapping mass-fenced partitions and
-// merges their top-k exactly — output is bit-identical to the
-// single-file index over the same library, and to a -library build at
-// the same D/precision/seed. Either way the queries are prepared
+// come from the index and are ignored. -index accepts a partition
+// manifest written by omsbuild -partitions or a bare index file, a
+// one-partition generation; either is opened memory-mapped where
+// supported (the packed words become zero-copy searcher rows and fault
+// in lazily), each query's precursor window is routed to the
+// overlapping mass-fenced partitions, and their top-k lists merge
+// exactly — output is bit-identical over any partitioning, and to a
+// -library build at the same D/precision/seed. One stderr line per
+// partition follows the summary. Either way the queries are prepared
 // on every CPU (in input order on one, for the rram backend's seeded
 // query flips) and
 // the whole query set is scored by one block-major batch sweep of the
@@ -99,9 +100,6 @@ func main() {
 	var (
 		engine  *core.Engine
 		library []*spectrum.Spectrum
-		// partitions is the manifest partition count behind -index (0
-		// for a single index file or a -library build).
-		partitions int
 	)
 	if *indexPath != "" {
 		if *backend != "ideal" {
@@ -116,7 +114,6 @@ func main() {
 		check(oerr)
 		engine, _, err = core.NewPartitionedEngine(queryTime(ix.Params), ix.PartitionSet())
 		check(err)
-		partitions = ix.Partitions
 	} else {
 		library, err = spectrum.ReadSpectraFile(*libPath)
 		check(err)
@@ -159,11 +156,9 @@ func main() {
 	fmt.Fprintf(os.Stderr,
 		"omsearch: %d queries, %d library spectra (%d skipped), %d identifications at FDR %.2g, sweep kernel %s\n",
 		len(queries), engine.NumRefs(), engine.Skipped(), len(res.Accepted), *alpha, hdc.KernelName())
-	if partitions > 0 {
-		for i, st := range engine.PartitionStats() {
-			fmt.Fprintf(os.Stderr, "omsearch: partition %d: rows [%d,%d) masses [%.2f,%.2f]\n",
-				i, st.StartRow, st.StartRow+st.Refs, st.MinMass, st.MaxMass)
-		}
+	for i, st := range engine.PartitionStats() {
+		fmt.Fprintf(os.Stderr, "omsearch: partition %d: rows [%d,%d) masses [%.2f,%.2f]\n",
+			i, st.StartRow, st.StartRow+st.Refs, st.MinMass, st.MaxMass)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/obsv"
 )
 
 var (
@@ -31,6 +33,10 @@ var (
 	// flagDecl a flag package call registering one.
 	flagSpan = regexp.MustCompile(`^-([A-Za-z][A-Za-z0-9-]*)`)
 	flagDecl = regexp.MustCompile(`\bflag\.[A-Z][A-Za-z0-9]*\((?:&[A-Za-z0-9_.]+, *)?"([a-z0-9-]+)"`)
+	// stageLabel matches a stage="name" label, in code blocks too;
+	// stageRow a stage table row's back-quoted first cell.
+	stageLabel = regexp.MustCompile(`stage="([^"]*)"`)
+	stageRow   = regexp.MustCompile("(?m)^\\| `([^`]+)` +\\|")
 )
 
 // toolchainFlags are the go command's flags the docs may quote.
@@ -190,4 +196,47 @@ func isTypeWithMembers(names modulePackage, name string) bool {
 		}
 	}
 	return false
+}
+
+// TestDocsNameLiveStages fails when README.md or DESIGN.md quotes a
+// stage="X" label that names no obsv stage, or when DESIGN.md §10's
+// stage table does not list exactly obsv's stages, in order.
+func TestDocsNameLiveStages(t *testing.T) {
+	var stages []string
+	live := map[string]bool{}
+	for s := obsv.Stage(0); s < obsv.NumStages; s++ {
+		stages = append(stages, s.String())
+		live[s.String()] = true
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range stageLabel.FindAllStringSubmatch(string(data), -1) {
+			if !live[m[1]] {
+				t.Errorf("%s: %s names stage %q, which obsv does not have", doc, m[0], m[1])
+			}
+		}
+	}
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := string(data)
+	start := strings.Index(section, "\n## 10. ")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no section 10")
+	}
+	section = section[start+1:]
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	var table []string
+	for _, m := range stageRow.FindAllStringSubmatch(section, -1) {
+		table = append(table, m[1])
+	}
+	if strings.Join(table, " ") != strings.Join(stages, " ") {
+		t.Errorf("DESIGN.md §10 stage table lists %q, obsv's stages are %q", table, stages)
+	}
 }

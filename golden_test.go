@@ -98,12 +98,12 @@ func TestGoldenEndToEnd(t *testing.T) {
 	}
 
 	// Single-file path, exactly as omsearch -index takes it.
-	ix, err := libindex.OpenFile(singlePath)
+	ix, err := libindex.Open(singlePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	singleEngine, _, err := core.NewExactEngineFromPacked(ix.Params, ix.Lib, ix.Words())
+	singleEngine, _, err := core.NewPartitionedEngine(ix.Params, ix.PartitionSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestGoldenEndToEnd(t *testing.T) {
 	singleTSV := renderGoldenTSV(singleRes)
 
 	// Partitioned path over the manifest.
-	pi, err := libindex.OpenManifest(manifestPath)
+	pi, err := libindex.Open(manifestPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,16 +67,16 @@ func BenchmarkPartitionedTopKRange(b *testing.B) {
 	if err := libindex.SavePartitioned(manifestPath, p, lib, 4); err != nil {
 		b.Fatal(err)
 	}
-	ix, err := libindex.OpenFile(singlePath)
+	ix, err := libindex.Open(singlePath)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer ix.Close()
-	single, _, err := core.NewExactEngineFromPacked(ix.Params, ix.Lib, ix.Words())
+	single, _, err := core.NewPartitionedEngine(ix.Params, ix.PartitionSet())
 	if err != nil {
 		b.Fatal(err)
 	}
-	pi, err := libindex.OpenManifest(manifestPath)
+	pi, err := libindex.Open(manifestPath)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func BenchmarkPartitionedTopKRange(b *testing.B) {
 	if _, err := libindex.AppendDelta(deltaPath, st, dLib, (len(dEntries)+2)/3); err != nil {
 		b.Fatal(err)
 	}
-	di, err := libindex.OpenManifest(deltaPath)
+	di, err := libindex.Open(deltaPath)
 	if err != nil {
 		b.Fatal(err)
 	}

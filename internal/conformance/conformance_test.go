@@ -371,7 +371,7 @@ func TestConformance(t *testing.T) {
 					if err := libindex.SavePartitioned(manifest, fx.p, fx.lib, parts); err != nil {
 						t.Fatal(err)
 					}
-					pi, err := libindex.OpenManifest(manifest)
+					pi, err := libindex.Open(manifest)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -124,7 +124,7 @@ func incrParams(w incrWorkload) core.Params {
 // where the overlay merge actually runs.
 func verifyStep(t *testing.T, step string, manifest string, p core.Params, st *incrState, queries []*spectrum.Spectrum) {
 	t.Helper()
-	pi, err := libindex.OpenManifest(manifest)
+	pi, err := libindex.Open(manifest)
 	if err != nil {
 		t.Fatalf("%s: reopening manifest: %v", step, err)
 	}
@@ -336,7 +336,7 @@ func TestIncrementalBuildEquivalence(t *testing.T) {
 						seen[src.ID] = true
 						ids = append(ids, src.ID)
 					}
-					pi, err := libindex.OpenManifest(manifest)
+					pi, err := libindex.Open(manifest)
 					if err != nil {
 						t.Fatalf("%s: %v", step, err)
 					}
@@ -360,7 +360,7 @@ func TestIncrementalBuildEquivalence(t *testing.T) {
 					if !stats.Noop {
 						// A compacted generation serves the same visible set
 						// with no overlay left at all.
-						pi, err := libindex.OpenManifest(manifest)
+						pi, err := libindex.Open(manifest)
 						if err != nil {
 							t.Fatalf("%s: %v", step, err)
 						}
@@ -382,13 +382,13 @@ func TestIncrementalBuildEquivalence(t *testing.T) {
 
 			// The final generation (a compacted one) must also pass the
 			// partition checksum verifier.
-			pi, err := libindex.OpenManifest(manifest)
+			pi, err := libindex.Open(manifest)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer pi.Close()
-			if err := pi.VerifyPartitions(); err != nil {
-				t.Fatalf("final VerifyPartitions: %v", err)
+			if err := pi.Verify(); err != nil {
+				t.Fatalf("final Verify: %v", err)
 			}
 		})
 	}
@@ -451,7 +451,7 @@ func TestOverlayManyHidden(t *testing.T) {
 		st.probes = append(st.probes, clone)
 	}
 
-	pi, err := libindex.OpenManifest(manifest)
+	pi, err := libindex.Open(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestOverlayManyHidden(t *testing.T) {
 		st.visible = append(st.visible, sp)
 	}
 
-	if pi, err = libindex.OpenManifest(manifest); err != nil {
+	if pi, err = libindex.Open(manifest); err != nil {
 		t.Fatal(err)
 	}
 	pe, _, err := core.NewPartitionedEngine(pi.Params, pi.PartitionSet())

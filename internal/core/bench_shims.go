@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/fdr"
+	"repro/internal/hdc"
 	"repro/internal/obsv"
 	"repro/internal/spectrum"
 )
@@ -51,4 +52,10 @@ func (e *Engine) SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr
 		psms[i], oks[i] = r.PSM, len(r.Top) > 0
 	}
 	return psms, oks
+}
+
+// NewExactEngineFromPacked is NewPartitionedEngine over one library
+// whose hypervectors are views into block.
+func NewExactEngineFromPacked(p Params, lib *Library, block []uint64) (*Engine, *hdc.Encoder, error) {
+	return NewPartitionedEngine(p, oneSpec(lib, block))
 }

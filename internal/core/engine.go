@@ -157,14 +157,6 @@ func NewExactEngineFromLibrary(p Params, lib *Library) (*Engine, *hdc.Encoder, e
 	return NewPartitionedEngine(p, oneSpec(lib, nil))
 }
 
-// NewExactEngineFromPacked is NewPartitionedEngine over one
-// already-encoded library whose hypervectors are views into block, the
-// contiguous packed words of a memory-mapped index file
-// (libindex.OpenFile).
-func NewExactEngineFromPacked(p Params, lib *Library, block []uint64) (*Engine, *hdc.Encoder, error) {
-	return NewPartitionedEngine(p, oneSpec(lib, block))
-}
-
 // BuildExact constructs the ideal (software) engine from spectra: exact
 // ID-Level encoding with chunked levels and exact Hamming search over
 // one partition. It returns the engine and the encoder used for the

@@ -118,7 +118,7 @@ func NewShardedSearcher(refs []BinaryHV, shardSize int) (*ShardedSearcher, error
 // BinaryHV.Words concatenated, and of the words section of a library
 // index file). Unlike NewShardedSearcher, the block is aliased, not
 // copied: every shard's rows are zero-copy views into it, so with a
-// memory-mapped block (libindex.OpenFile) construction touches no word
+// memory-mapped block (libindex.Open) construction touches no word
 // page and pages fault in as sweeps reach them. The caller must keep
 // the block alive — and, for a mapped block, mapped — for the
 // searcher's lifetime, and must not mutate it. The CascadeConfig is

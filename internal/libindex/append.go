@@ -177,9 +177,9 @@ func AppendDelta(manifestPath string, st *ManifestState, lib *core.Library, maxP
 
 // AppendRetract publishes tombstones for the listed source ids as
 // generation st.Generation+1. known must hold every source id the
-// live partitions carry (e.g. collected from an OpenManifest handle):
-// a tombstone for an id no generation carries would hide nothing and
-// make the log unopenable (OpenManifest rejects it), so it is refused
+// live partitions carry (Index.LiveIDs of the opened manifest): a
+// tombstone for an id no generation carries would hide nothing and
+// make the log unopenable (Open rejects it), so it is refused
 // here, at the writer. On success st is advanced.
 func AppendRetract(manifestPath string, st *ManifestState, ids []string, known map[string]bool) (uint64, error) {
 	if len(ids) == 0 {
@@ -202,16 +202,4 @@ func AppendRetract(manifestPath string, st *ManifestState, ids []string, known m
 	}
 	sort.Strings(sorted)
 	return publish(manifestPath, st, core.Params{}, LogRecord{Type: recordRetract, Ids: sorted}, nil)
-}
-
-// LiveIDs collects every source id the open index's partitions carry —
-// the known set AppendRetract validates against.
-func (pi *PartitionedIndex) LiveIDs() map[string]bool {
-	ids := make(map[string]bool)
-	for _, part := range pi.Parts {
-		for _, e := range part.Lib.Entries {
-			ids[e.ID] = true
-		}
-	}
-	return ids
 }

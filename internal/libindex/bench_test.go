@@ -37,7 +37,7 @@ func BenchmarkIndexLoad(b *testing.B) {
 	b.Run("load", func(b *testing.B) {
 		b.SetBytes(int64(len(img)))
 		for i := 0; i < b.N; i++ {
-			lp, lib, _, err := loadImage(bytes.NewReader(img))
+			lp, lib, _, err := loadImage(img)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -99,10 +99,10 @@ func BenchmarkAppendPublish(b *testing.B) {
 	b.ReportMetric(dn, "refs/op")
 }
 
-// BenchmarkIndexOpen compares the mmap-backed OpenFile against its
+// BenchmarkIndexOpen compares the mmap-backed Open against its
 // copying fallback at 100k references — the economics of the
 // partitioned out-of-core design. The copying loader checksums and copies the
-// full ~100 MiB word payload; OpenFile parses only the metadata
+// full ~100 MiB word payload; Open parses only the metadata
 // sections and aliases the words, so open cost is independent of
 // library size. Acceptance: mmap open ≥ 5x faster than copying load.
 func BenchmarkIndexOpen(b *testing.B) {
@@ -119,7 +119,7 @@ func BenchmarkIndexOpen(b *testing.B) {
 	b.Run("mmap-open", func(b *testing.B) {
 		b.SetBytes(st.Size())
 		for i := 0; i < b.N; i++ {
-			ix, err := OpenFile(path)
+			ix, err := Open(path)
 			if err != nil {
 				b.Fatal(err)
 			}

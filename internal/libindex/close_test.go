@@ -24,9 +24,10 @@ func mustPanicClosed(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// TestClosePoisonsIndex pins the use-after-close contract: Close zeroes
-// the words view and flips the index closed, Words panics descriptively
-// afterwards, and a second Close is a nil no-op.
+// TestClosePoisonsIndex pins the use-after-close contract on a bare
+// index file: Close zeroes its partition's words view and flips it
+// closed, Words and PartitionSet panic descriptively afterwards, and a
+// second Close is a nil no-op.
 func TestClosePoisonsIndex(t *testing.T) {
 	ds := testWorkload(t)
 	p := testParams(512, 0, 3)
@@ -36,17 +37,18 @@ func TestClosePoisonsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ix, err := OpenFile(path)
+	ix, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.Words()) == 0 {
+	part := ix.parts[0]
+	if len(part.Words()) == 0 {
 		t.Fatal("open index has an empty words view")
 	}
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if ix.words != nil {
+	if part.words != nil {
 		t.Fatal("Close left the words view populated")
 	}
 	if ix.Mapped() {
@@ -55,7 +57,8 @@ func TestClosePoisonsIndex(t *testing.T) {
 	if err := ix.Close(); err != nil {
 		t.Fatalf("second Close: %v, want nil (idempotent)", err)
 	}
-	mustPanicClosed(t, "Words", func() { ix.Words() })
+	mustPanicClosed(t, "Words", func() { part.Words() })
+	mustPanicClosed(t, "PartitionSet", func() { ix.PartitionSet() })
 }
 
 // TestEntryStringsSurviveClose pins that a mapped index's entry strings
@@ -67,14 +70,14 @@ func TestEntryStringsSurviveClose(t *testing.T) {
 	if err := SaveFile(path, p, lib); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := OpenFile(path)
+	ix, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mmapSupported && !ix.Mapped() {
 		t.Fatal("index not mapped")
 	}
-	entries := ix.Lib.Entries
+	entries := ix.parts[0].Lib.Entries
 	if err := ix.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,7 @@ func TestClosePoisonsCopiedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Mapped() {
+	if ix.mapped != nil {
 		t.Fatal("copying loader produced a mapped index")
 	}
 	if err := ix.Close(); err != nil {
@@ -131,7 +134,7 @@ func TestClosePoisonsPartitionedIndex(t *testing.T) {
 	if err := SavePartitioned(manifest, p, built.Library(), 3); err != nil {
 		t.Fatal(err)
 	}
-	pi, err := OpenManifest(manifest)
+	pi, err := Open(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func TestClosePoisonsPartitionedIndex(t *testing.T) {
 		t.Fatalf("second Close: %v, want nil (idempotent)", err)
 	}
 	mustPanicClosed(t, "PartitionSet", func() { pi.PartitionSet() })
-	for i, part := range pi.Parts {
+	for i, part := range pi.parts {
 		if !part.closed {
 			t.Fatalf("partition %d not poisoned by manifest Close", i)
 		}

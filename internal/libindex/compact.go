@@ -51,14 +51,17 @@ type CompactStats struct {
 // against concurrent readers, which keep serving the previous
 // generation until they reload.
 func Compact(manifestPath string, maxPartRefs int) (CompactStats, error) {
-	pi, err := OpenManifest(manifestPath)
+	ix, err := Open(manifestPath)
 	if err != nil {
 		return CompactStats{}, err
 	}
-	defer pi.Close()
+	defer ix.Close()
 
-	st := pi.State
-	set := pi.PartitionSet()
+	st := ix.State
+	if st.bare {
+		return CompactStats{}, fmt.Errorf("libindex: manifest %s: %w", manifestPath, errSingleFile)
+	}
+	set := ix.PartitionSet()
 	hidden := core.HiddenRows(set.Specs, set.Tombstones)
 	hiddenTotal := 0
 	for _, h := range hidden {
@@ -115,7 +118,7 @@ func Compact(manifestPath string, maxPartRefs int) (CompactStats, error) {
 	})
 	merged := &core.Library{}
 	for _, i := range affectedIdx {
-		lib := pi.Parts[i].Lib
+		lib := ix.parts[i].Lib
 		shadowed := hidden[i] // ascending: consumed from the front as r passes
 		for r := range lib.Entries {
 			if len(shadowed) > 0 && shadowed[0] == r {
@@ -163,7 +166,7 @@ func Compact(manifestPath string, maxPartRefs int) (CompactStats, error) {
 		rec.Clear = append(rec.Clear, id)
 	}
 	sort.Strings(rec.Clear)
-	gen, err := publish(manifestPath, st, pi.Params, rec, chunks)
+	gen, err := publish(manifestPath, st, ix.Params, rec, chunks)
 	if err != nil {
 		return CompactStats{}, err
 	}

@@ -286,12 +286,12 @@ func manifestGeneration(t *testing.T, manifest string) (uint64, [][]match) {
 	if _, err := os.Stat(manifest); os.IsNotExist(err) {
 		return 0, nil
 	}
-	pi, err := OpenManifest(manifest)
+	pi, err := Open(manifest)
 	if err != nil {
 		t.Fatalf("manifest does not open: %v", err)
 	}
 	defer pi.Close()
-	if err := pi.VerifyPartitions(); err != nil {
+	if err := pi.Verify(); err != nil {
 		t.Fatal(err)
 	}
 	set := pi.PartitionSet()
@@ -391,7 +391,7 @@ var faultWriters = []faultWriter{
 			if err != nil {
 				t.Fatal(err)
 			}
-			pi, err := OpenManifest(manifest)
+			pi, err := Open(manifest)
 			if err != nil {
 				t.Fatal(err)
 			}

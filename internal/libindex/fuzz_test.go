@@ -63,7 +63,7 @@ func FuzzIndexLoad(f *testing.F) {
 	binary.LittleEndian.PutUint32(badLen[permSectionOffset(badLen):], 7)
 	f.Add(badLen)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lp, llib, _, lerr := loadImage(bytes.NewReader(data))
+		lp, llib, _, lerr := loadImage(data)
 		pp, plib, block, perr := parseIndex(data)
 		if perr == nil {
 			perr = verifyImage(data, block, pp.Accel.D)

@@ -101,7 +101,7 @@ func openLegacy(t *testing.T, p core.Params, lib *core.Library, rewrite paramsRe
 		t.Fatal(err)
 	}
 	legacy := legacyImage(t, modern.Bytes(), rewrite)
-	lp, llib, _, err := loadImage(bytes.NewReader(legacy))
+	lp, llib, _, err := loadImage(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func openLegacy(t *testing.T, p core.Params, lib *core.Library, rewrite paramsRe
 		t.Fatal(err)
 	}
 	defer o.Close()
-	if o.Partitions != 0 {
-		t.Fatalf("single file opened with Partitions = %d", o.Partitions)
+	if n := len(o.parts); n != 1 {
+		t.Fatalf("single file opened with %d partitions, want 1", n)
 	}
 	opened, _, err := core.NewPartitionedEngine(o.Params, o.PartitionSet())
 	if err != nil {
@@ -168,8 +168,8 @@ func openLegacy(t *testing.T, p core.Params, lib *core.Library, rewrite paramsRe
 		t.Fatal(err)
 	}
 	defer om.Close()
-	if om.Partitions != 2 {
-		t.Fatalf("manifest opened with Partitions = %d, want 2", om.Partitions)
+	if n := len(om.parts); n != 2 {
+		t.Fatalf("manifest opened with %d partitions, want 2", n)
 	}
 	parted, _, err := core.NewPartitionedEngine(om.Params, om.PartitionSet())
 	if err != nil {

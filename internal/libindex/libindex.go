@@ -1,10 +1,15 @@
 // Package libindex persists a built core.Library — the expensive
 // product of preprocessing and HD-encoding an entire spectral library
-// — as a versioned, checksummed binary index file. Loading an index
-// reconstructs a search engine in milliseconds (one pass over packed
-// words) instead of re-encoding every spectrum, which is what makes a
-// resident search service (cmd/omsd) economical: one library write is
-// amortized across arbitrarily many queries.
+// — as versioned, checksummed binary index files. Opening an index
+// reconstructs a search engine in milliseconds (the words are mapped,
+// not re-encoded), which is what makes a resident search service
+// (cmd/omsd) economical: one library write is amortized across
+// arbitrarily many queries.
+//
+// Every index is a generation of partition files: a manifest log
+// (manifest.go, log.go) names the live files of its newest generation,
+// and a bare index file is generation 1 with one partition, itself.
+// Open is the one way to open either, and Index the one opened type.
 //
 // # File format (version 3, all integers little-endian)
 //
@@ -25,8 +30,8 @@
 //	crc        uint32   CRC-32C (Castagnoli) of every preceding byte
 //
 // The pad section (new in version 2) puts the bulk word section on an
-// 8-byte file offset, so a memory-mapped index (OpenFile) can expose
-// the words as an aligned []uint64 view with zero copying.
+// 8-byte file offset, so a memory-mapped partition can expose the
+// words as an aligned []uint64 view with zero copying.
 //
 // The permLen field (new in version 3) once introduced a bit-layout
 // permutation section. Every index is now written in the encoder's own
@@ -34,8 +39,8 @@
 // permutation is rejected with a rebuild message rather than served
 // under a layout no query is encoded in.
 //
-// One decoder (parseIndex) reads the format, for the mmap-backed
-// OpenFile and its copying fallback alike, and validates the structural
+// One decoder (parseIndex) reads the format, for a mapped partition
+// and its copying fallback alike, and validates the structural
 // invariants the engine relies on (ascending masses, a true source
 // permutation) so a corrupted file can never silently mis-score
 // searches. The trailing checksum covers the header too, so
@@ -181,18 +186,14 @@ func SaveFile(path string, p core.Params, lib *core.Library) error {
 	return writeAtomic(path, func(f file) error { return Save(f, p, lib) })
 }
 
-// loadImage is the copying loader behind OpenFile's fallback: the
-// whole image is read to the heap, decoded by parseIndex — the one
+// loadImage is the copying loader behind openPartition's fallback: a
+// whole image read to the heap is decoded by parseIndex — the one
 // decoder, shared with the mmap-backed path — and then, unlike a
 // mapping, eagerly verified (verifyImage), which the heap copy has
 // already paid the page touches for. It returns the parameters the
 // library was built with, the library, and the contiguous packed word
 // block its hypervectors are views over — no spectrum is re-encoded.
-func loadImage(r io.Reader) (core.Params, *core.Library, []uint64, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: reading index: %w", err)
-	}
+func loadImage(data []byte) (core.Params, *core.Library, []uint64, error) {
 	p, lib, block, err := parseIndex(data)
 	if err != nil {
 		return core.Params{}, nil, nil, err

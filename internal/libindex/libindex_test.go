@@ -47,7 +47,7 @@ func buildEngine(t testing.TB, p core.Params, library []*spectrum.Spectrum) *cor
 	return engine
 }
 
-// loadFile reads an index file the way OpenFile does without a mapping:
+// loadFile reads an index file the way Open does without a mapping:
 // through openCopied, the eagerly verified copying loader.
 func loadFile(path string) (core.Params, *core.Library, error) {
 	f, err := os.Open(path)
@@ -82,7 +82,7 @@ func TestRoundTripSearchIdentical(t *testing.T) {
 			if err := Save(&buf, p, built.Library()); err != nil {
 				t.Fatalf("Save: %v", err)
 			}
-			lp, lib, _, err := loadImage(bytes.NewReader(buf.Bytes()))
+			lp, lib, _, err := loadImage(buf.Bytes())
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
@@ -146,7 +146,7 @@ func TestPackedStoreMatchesIndex(t *testing.T) {
 	if err := Save(&buf, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	lp, lib, _, err := loadImage(bytes.NewReader(buf.Bytes()))
+	lp, lib, _, err := loadImage(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestOpenRejectsStoredPermutation(t *testing.T) {
 	}
 	img := withPermSection(t, buf.Bytes(), reversal(128))
 	const want = "rebuild the index with omsbuild"
-	if _, _, _, err := loadImage(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), want) {
+	if _, _, _, err := loadImage(img); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("copying loader: got %v, want %q", err, want)
 	}
 	path := t.TempDir() + "/entropy.omsidx"
@@ -284,14 +284,14 @@ func TestLoadRejectsNonBijectivePerm(t *testing.T) {
 	perm[1] = perm[0]
 	img := withPermSection(t, buf.Bytes(), perm)
 	const want = "rebuild the index with omsbuild"
-	if _, _, _, err := loadImage(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), want) {
+	if _, _, _, err := loadImage(img); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("copying loader: got %v, want %q", err, want)
 	}
 	path := t.TempDir() + "/dup.omsidx"
 	if err := writeFile(path, img); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFile(path); err == nil || !strings.Contains(err.Error(), want) {
+	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("mmap loader: got %v, want %q", err, want)
 	}
 }
@@ -311,19 +311,19 @@ func TestVerifyRejectsTailBits(t *testing.T) {
 	// word and re-seal the checksum.
 	img[len(img)-5] |= 0x80
 	fixCRC(img)
-	if _, _, _, err := loadImage(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "bits set beyond dimension 100") {
+	if _, _, _, err := loadImage(img); err == nil || !strings.Contains(err.Error(), "bits set beyond dimension 100") {
 		t.Fatalf("Load: got %v, want a tail-bit rejection", err)
 	}
 	if !mmapSupported {
-		return // OpenFile is the copying loader here: same rejection, at open
+		return // Open runs the copying loader here: same rejection, at open
 	}
 	path := t.TempDir() + "/tail.omsidx"
 	if err := writeFile(path, img); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := OpenFile(path)
+	ix, err := Open(path)
 	if err != nil {
-		t.Fatalf("OpenFile rejected a structurally valid image: %v", err)
+		t.Fatalf("Open rejected a structurally valid image: %v", err)
 	}
 	defer ix.Close()
 	if err := ix.Verify(); err == nil || !strings.Contains(err.Error(), "bits set beyond dimension 100") {
@@ -445,7 +445,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			img := append([]byte(nil), valid...)
 			img = tc.mutate(img)
-			_, _, _, err := loadImage(bytes.NewReader(img))
+			_, _, _, err := loadImage(img)
 			if err == nil {
 				t.Fatalf("Load accepted a %s index", tc.name)
 			}
@@ -455,7 +455,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		})
 	}
 	// The pristine image must still load after all that slicing.
-	if _, _, _, err := loadImage(bytes.NewReader(valid)); err != nil {
+	if _, _, _, err := loadImage(valid); err != nil {
 		t.Fatalf("pristine image failed to load: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package libindex
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -156,7 +157,14 @@ type ManifestState struct {
 	// referenced, including dropped ones — the sweeper's notion of
 	// "not an orphan".
 	everFiles map[string]bool
+	// bare marks the state Open synthesizes for a bare index file. No
+	// log backs it: Compact refuses it up front, and every other writer
+	// fails at lockWriter, which re-reads the file as a log.
+	bare bool
 }
+
+// errSingleFile is every writer's refusal of a bare index file.
+var errSingleFile = errors.New("a single-file index, not a partition manifest: rebuild it with omsbuild -partitions to append, retract or compact")
 
 // TornTail reports whether the log ended in an unterminated,
 // non-validating fragment that was discarded — the signature of a
@@ -211,7 +219,7 @@ func ParseManifestLog(data []byte) (*ManifestState, error) {
 		return nil, fmt.Errorf("empty manifest")
 	}
 	if bytes.HasPrefix(data, magic[:]) {
-		return nil, fmt.Errorf("a single-file index, not a partition manifest: rebuild it with omsbuild -partitions to append, retract or compact")
+		return nil, errSingleFile
 	}
 	st := &ManifestState{Tombstones: map[string]uint64{}, everFiles: map[string]bool{}}
 	off := int64(0)

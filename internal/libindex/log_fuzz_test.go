@@ -13,13 +13,13 @@ import (
 )
 
 // FuzzManifestLog drives crafted manifest generation logs through the
-// fold (ParseManifestLog) and the full opener (OpenManifest, run next
+// fold (ParseManifestLog) and the full opener (Open, run next
 // to a real partition-file set). Neither may panic. A log the fold
 // accepts must describe an internally consistent state — contiguous
 // generations folded to completion, ascending non-overlapping base
 // fences, positive row counts — and a log the opener accepts must
 // additionally verify against the partition files byte for byte:
-// OpenManifest never serves a partially-applied generation. Structure
+// Open never serves a partially-applied generation. Structure
 // -aware seeds start from a real append/retract/compact history and
 // plant the interesting corruptions: a crash-truncated tail, a
 // duplicated generation, a tombstone for an id no partition carries,
@@ -100,28 +100,28 @@ func FuzzManifestLog(f *testing.F) {
 		if err := os.WriteFile(mpath, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		pi, oerr := OpenManifest(mpath)
+		pi, oerr := Open(mpath)
 		if oerr != nil {
 			return
 		}
 		defer pi.Close()
 		if perr != nil {
-			t.Fatalf("OpenManifest accepted a log the fold rejects: %v", perr)
+			t.Fatalf("Open accepted a log the fold rejects: %v", perr)
 		}
 		if pi.State.Generation != st.Generation {
-			t.Fatalf("OpenManifest serves generation %d, the fold says %d", pi.State.Generation, st.Generation)
+			t.Fatalf("Open serves generation %d, the fold says %d", pi.State.Generation, st.Generation)
 		}
 		states := pi.State.Partitions()
-		if len(pi.Parts) != len(states) {
-			t.Fatalf("OpenManifest holds %d partitions, the fold says %d", len(pi.Parts), len(states))
+		if len(pi.parts) != len(states) {
+			t.Fatalf("Open holds %d partitions, the fold says %d", len(pi.parts), len(states))
 		}
-		for i, part := range pi.Parts {
+		for i, part := range pi.parts {
 			if part.Lib == nil || part.Lib.Len() != states[i].Refs {
 				t.Fatalf("partition %d: %d loaded rows, record says %d", i, part.Lib.Len(), states[i].Refs)
 			}
 		}
-		if err := pi.VerifyPartitions(); err != nil {
-			t.Fatalf("OpenManifest accepted a manifest VerifyPartitions rejects: %v", err)
+		if err := pi.Verify(); err != nil {
+			t.Fatalf("Open accepted a manifest Verify rejects: %v", err)
 		}
 	})
 }

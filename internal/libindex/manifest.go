@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -53,10 +52,10 @@ type PartitionInfo struct {
 	MinMass float64 `json:"min_mass"`
 	MaxMass float64 `json:"max_mass"`
 	// Bytes is the partition file's size, cross-checked cheaply on
-	// every OpenManifest; CRC32C is the content checksum recorded at
-	// build time — the CRC-32C of the file image minus its own 4-byte
+	// every Open; CRC32C is the content checksum recorded at build
+	// time — the CRC-32C of the file image minus its own 4-byte
 	// trailer, i.e. the trailer value — cross-checked by the explicit
-	// VerifyPartitions pass. Recording the content CRC (not a whole-file
+	// Index.Verify pass. Recording the content CRC (not a whole-file
 	// CRC, which is a constant for any file ending in its own CRC) is
 	// what lets the manifest distinguish an internally consistent file
 	// from a different build generation.
@@ -159,201 +158,169 @@ func savePartitionFile(path string, p core.Params, lib *core.Library) (crc uint3
 	return crc, size, err
 }
 
-// PartitionedIndex is an opened partitioned library: the folded
-// manifest state, the decoded shared params, and one Index handle per
-// live partition in engine order (base tier ascending by mass, then
-// the delta tier in publish order). Partitions are opened through
-// OpenFile, so on unix each one is a lazy memory mapping — opening a
-// library far bigger than RAM is metadata-bound, and only the
-// partitions (indeed only the pages) a query load actually touches
-// become resident.
-type PartitionedIndex struct {
-	// State is the folded generation-log state the index was opened at.
+// Index is an opened library index: a generation of partition files,
+// memory-mapped where supported, so opening a library far bigger than
+// RAM is metadata-bound and only the pages a query load touches become
+// resident. A manifest names the files in its log; a bare index file is
+// generation 1 with one base partition, itself, so either layout opens,
+// verifies and closes through the same per-partition code.
+type Index struct {
+	// State is the folded generation-log state the index was opened at
+	// (for a bare index file, the fold of the base record a
+	// one-partition manifest of it would hold).
 	State *ManifestState
 	// Params are the shared engine parameters from the base record.
 	Params core.Params
-	// Parts are the opened partitions, aligned with State.Partitions().
-	Parts []*Index
 
-	path string
+	parts []*partition // aligned with State.Partitions()
 }
 
-// PartitionSet assembles the core engine inputs: every live partition
-// with its generation coordinates and packed block view, the
-// outstanding tombstones, and the manifest generation — what
-// core.NewPartitionedEngine needs to serve the visible set exactly. The
-// blocks alias the mappings: no engine built from the set outlives
-// Close.
-func (pi *PartitionedIndex) PartitionSet() core.PartitionSet {
-	states := pi.State.Partitions()
-	set := core.PartitionSet{
-		Specs:      make([]core.PartitionSpec, len(pi.Parts)),
-		Generation: pi.State.Generation,
-		Skipped:    pi.State.Skipped,
+// Open opens an index path, whichever layout it holds: a manifest (its
+// first non-space byte is '{') has its generation log folded, and
+// anything else is decoded as a bare index file. Every live partition
+// file is then cross-checked against its record (openParts). The bulk
+// words are not checksummed here — call Verify for the full pass.
+func Open(path string) (*Index, error) {
+	manifest, err := isManifest(path)
+	if err != nil {
+		return nil, err
 	}
-	for i, part := range pi.Parts {
-		set.Specs[i] = core.PartitionSpec{
-			Lib:    part.Lib,
-			Block:  part.Words(),
-			Gen:    states[i].Gen,
-			GenRow: states[i].GenRow,
-			Delta:  states[i].Delta,
+	ix := &Index{}
+	if manifest {
+		ix.State, err = LoadManifestLog(path)
+	} else {
+		// The file is opened first: its own contents are its record.
+		var part *partition
+		if part, err = openPartition(path); err == nil {
+			ix.parts = []*partition{part}
+			ix.State, err = bareState(filepath.Base(path), part)
 		}
 	}
-	if len(pi.State.Tombstones) > 0 {
-		set.Tombstones = make(map[string]uint64, len(pi.State.Tombstones))
-		for id, gen := range pi.State.Tombstones {
-			set.Tombstones[id] = gen
-		}
+	if err == nil {
+		err = ix.openParts(filepath.Dir(path))
 	}
-	return set
+	if err != nil {
+		ix.Close()
+		return nil, err
+	}
+	return ix, nil
 }
 
-// Close releases every partition mapping and poisons every partition:
-// engines built over the index are invalid afterwards, and PartitionSet
-// (via Index.Words) panics descriptively rather than handing out views
-// into unmapped memory. Idempotent — each partition's Close is, so calling
-// Close again returns nil.
-func (pi *PartitionedIndex) Close() error {
-	var first error
-	for _, part := range pi.Parts {
-		if err := part.Close(); err != nil && first == nil {
-			first = err
-		}
+// isManifest sniffs whether path holds a manifest log rather than an
+// index file.
+func isManifest(path string) (bool, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return false, err
 	}
-	return first
+	defer f.Close()
+	var head [64]byte
+	k, err := f.Read(head[:])
+	if err != nil && err != io.EOF {
+		return false, err
+	}
+	return strings.HasPrefix(strings.TrimLeft(string(head[:k]), " \t\r\n"), "{"), nil
 }
 
-// VerifyPartitions checksums every partition file image against both
-// its own CRC trailer (Index.Verify) and the content CRC-32C the
-// manifest recorded at build time — the explicit integrity pass
-// OpenManifest deliberately skips (it would fault in every page of
-// every mapping). The manifest cross-check is computed over the image
-// minus the trailer, which is what lets it catch a partition file that
-// is internally consistent but from a different build than the
-// manifest describes (a whole-file CRC would be the same residue
-// constant for every self-consistent file).
-func (pi *PartitionedIndex) VerifyPartitions() error {
-	dir := filepath.Dir(pi.path)
-	states := pi.State.Partitions()
-	for i, part := range pi.Parts {
-		info := states[i].PartitionInfo
-		if err := part.Verify(); err != nil {
-			return fmt.Errorf("libindex: partition %d (%s): %w", i, info.File, err)
-		}
-		var got uint32
-		if part.mapped != nil {
-			got = crc32.Checksum(part.mapped[:len(part.mapped)-4], castagnoli)
-		} else {
-			img, err := os.ReadFile(filepath.Join(dir, info.File))
+// bareState is the fold of the base record SavePartitioned(…, 1)
+// would write for the library in a bare index file: generation 1, one
+// base partition spanning the file. Writers refuse it (there is no log
+// to append to).
+func bareState(name string, part *partition) (*ManifestState, error) {
+	params, err := json.Marshal(part.Params)
+	if err != nil {
+		return nil, fmt.Errorf("libindex: re-encoding params: %w", err)
+	}
+	lib := part.Lib
+	st := &ManifestState{Tombstones: map[string]uint64{}, everFiles: map[string]bool{}, bare: true}
+	return st, st.apply(LogRecord{
+		Type:       recordBase,
+		Format:     ManifestFormat,
+		Version:    ManifestVersion,
+		Generation: 1,
+		D:          part.Params.Accel.D,
+		Skipped:    lib.Skipped,
+		Params:     params,
+		Partitions: []PartitionInfo{{
+			File:    name,
+			Refs:    lib.Len(),
+			MinMass: lib.Entries[0].Mass,
+			MaxMass: lib.Entries[lib.Len()-1].Mass,
+			Bytes:   part.size,
+			CRC32C:  part.crc,
+		}},
+	}, true)
+}
+
+// openParts opens every live partition not yet open, in engine order
+// (base tier ascending by mass, then the delta tier in publish order),
+// and cross-checks each against its record: size, row count, mass
+// fences, and the full params — encoder identity above all, or a
+// partition file from a different build generation would open cleanly
+// and silently mis-score every query against hypervectors its encoder
+// never produced. Every outstanding tombstone must name an id that some
+// older-generation partition carries.
+func (ix *Index) openParts(dir string) error {
+	st := ix.State
+	p, err := st.DecodeParams()
+	if err != nil {
+		return err
+	}
+	if p.Accel.D != st.D {
+		return fmt.Errorf("libindex: manifest params dimension D=%d disagrees with manifest dimension %d", p.Accel.D, st.D)
+	}
+	ix.Params = p
+	want, err := json.Marshal(p)
+	if err != nil {
+		return fmt.Errorf("libindex: re-encoding manifest params: %w", err)
+	}
+	for i, ps := range st.Partitions() {
+		info := ps.PartitionInfo
+		if i == len(ix.parts) {
+			partPath := filepath.Join(dir, info.File)
+			if fst, err := os.Stat(partPath); err != nil {
+				return fmt.Errorf("libindex: partition %d (generation %d): %w", i, ps.Gen, err)
+			} else if fst.Size() != info.Bytes {
+				return fmt.Errorf("libindex: partition %d (%s) is %d bytes, manifest records %d", i, info.File, fst.Size(), info.Bytes)
+			}
+			part, err := openPartition(partPath)
 			if err != nil {
 				return fmt.Errorf("libindex: partition %d: %w", i, err)
 			}
-			if len(img) < 4 {
-				return fmt.Errorf("libindex: partition %d (%s): truncated (%d bytes)", i, info.File, len(img))
-			}
-			got = crc32.Checksum(img[:len(img)-4], castagnoli)
+			ix.parts = append(ix.parts, part)
 		}
-		if got != info.CRC32C {
-			return fmt.Errorf("libindex: partition %d (%s): file CRC %08x disagrees with manifest CRC %08x (file replaced since the manifest was written?)",
-				i, info.File, got, info.CRC32C)
-		}
-	}
-	return nil
-}
-
-// OpenManifest opens a partitioned library index: the generation log
-// is folded and validated, every live partition file is opened via
-// OpenFile (mmap-backed where supported) and cross-checked against
-// its record's fences, row counts and sizes, and every outstanding
-// tombstone must name an id that some older-generation partition
-// actually carries. Like OpenFile, the bulk word payloads are not
-// checksummed here — call VerifyPartitions for the full integrity
-// pass.
-func OpenManifest(path string) (*PartitionedIndex, error) {
-	st, err := LoadManifestLog(path)
-	if err != nil {
-		return nil, err
-	}
-	p, err := st.DecodeParams()
-	if err != nil {
-		return nil, err
-	}
-	if p.Accel.D != st.D {
-		return nil, fmt.Errorf("libindex: manifest params dimension D=%d disagrees with manifest dimension %d", p.Accel.D, st.D)
-	}
-	// Canonical form of the manifest's params for the per-partition
-	// build-generation check below.
-	manifestParams, err := json.Marshal(p)
-	if err != nil {
-		return nil, fmt.Errorf("libindex: re-encoding manifest params: %w", err)
-	}
-	dir := filepath.Dir(path)
-	pi := &PartitionedIndex{State: st, Params: p, path: path}
-	for i, ps := range st.Partitions() {
-		info := ps.PartitionInfo
-		partPath := filepath.Join(dir, info.File)
-		if fst, err := os.Stat(partPath); err != nil {
-			pi.Close()
-			return nil, fmt.Errorf("libindex: partition %d (generation %d): %w", i, ps.Gen, err)
-		} else if fst.Size() != info.Bytes {
-			pi.Close()
-			return nil, fmt.Errorf("libindex: partition %d (%s) is %d bytes, manifest records %d", i, info.File, fst.Size(), info.Bytes)
-		}
-		part, err := OpenFile(partPath)
-		if err != nil {
-			pi.Close()
-			return nil, fmt.Errorf("libindex: partition %d: %w", i, err)
-		}
-		pi.Parts = append(pi.Parts, part)
+		part := ix.parts[i]
 		lib := part.Lib
-		if part.Params.Accel.D != st.D {
-			pi.Close()
-			return nil, fmt.Errorf("libindex: partition %d has D=%d, manifest says %d", i, part.Params.Accel.D, st.D)
-		}
-		// The full params — encoder identity above all (seed, precision,
-		// chunks, binner, preprocessing) — must agree with the manifest,
-		// or a partition file from a different build generation would
-		// open cleanly and silently mis-score every query against
-		// hypervectors its encoder never produced.
-		partParams, err := json.Marshal(part.Params)
+		got, err := json.Marshal(part.Params)
 		if err != nil {
-			pi.Close()
-			return nil, fmt.Errorf("libindex: partition %d: re-encoding params: %w", i, err)
+			return fmt.Errorf("libindex: partition %d: re-encoding params: %w", i, err)
 		}
-		if string(partParams) != string(manifestParams) {
-			pi.Close()
-			return nil, fmt.Errorf("libindex: partition %d (%s) was built with different params than the manifest (mixed build generations?)", i, info.File)
+		if string(got) != string(want) {
+			return fmt.Errorf("libindex: partition %d (%s) was built with different params than the manifest (mixed build generations?)", i, info.File)
 		}
 		if lib.Len() != info.Refs {
-			pi.Close()
-			return nil, fmt.Errorf("libindex: partition %d has %d refs, manifest records %d", i, lib.Len(), info.Refs)
+			return fmt.Errorf("libindex: partition %d has %d refs, manifest records %d", i, lib.Len(), info.Refs)
 		}
 		if lo, hi := lib.Entries[0].Mass, lib.Entries[lib.Len()-1].Mass; lo != info.MinMass || hi != info.MaxMass {
-			pi.Close()
-			return nil, fmt.Errorf("libindex: partition %d spans masses [%g, %g], manifest fences are [%g, %g]",
+			return fmt.Errorf("libindex: partition %d spans masses [%g, %g], manifest fences are [%g, %g]",
 				i, lo, hi, info.MinMass, info.MaxMass)
 		}
 	}
-	if err := pi.checkTombstones(); err != nil {
-		pi.Close()
-		return nil, err
-	}
-	return pi, nil
+	return ix.checkTombstones()
 }
 
 // checkTombstones verifies every outstanding tombstone retracts an id
 // that exists in some strictly older generation — a tombstone for an
 // unknown id hides nothing and signals a corrupt or mis-assembled
 // log, so it is rejected rather than silently carried.
-func (pi *PartitionedIndex) checkTombstones() error {
-	tombs := pi.State.Tombstones
+func (ix *Index) checkTombstones() error {
+	tombs := ix.State.Tombstones
 	if len(tombs) == 0 {
 		return nil
 	}
 	known := make(map[string]bool, len(tombs))
-	states := pi.State.Partitions()
-	for i, part := range pi.Parts {
+	states := ix.State.Partitions()
+	for i, part := range ix.parts {
 		gen := states[i].Gen
 		for _, e := range part.Lib.Entries {
 			if tgen, ok := tombs[e.ID]; ok && gen < tgen {
@@ -369,87 +336,98 @@ func (pi *PartitionedIndex) checkTombstones() error {
 	return nil
 }
 
-// Kind distinguishes the two on-disk index layouts an -index flag can
-// point at.
-type Kind int
-
-const (
-	// KindIndex is a single binary index file ("OMSIDX" magic).
-	KindIndex Kind = iota
-	// KindManifest is a partitioned-index manifest (generation log).
-	KindManifest
-)
-
-// DetectKind sniffs whether path is a single index file or a partition
-// manifest, so CLIs can accept either behind one flag.
-func DetectKind(path string) (Kind, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
+// PartitionSet assembles the core engine inputs: every live partition
+// with its generation coordinates and packed block view, the
+// outstanding tombstones, and the generation — what
+// core.NewPartitionedEngine needs to serve the visible set exactly. The
+// blocks alias the mappings: no engine built from the set outlives
+// Close, after which PartitionSet panics descriptively rather than
+// handing out views into unmapped memory.
+func (ix *Index) PartitionSet() core.PartitionSet {
+	states := ix.State.Partitions()
+	set := core.PartitionSet{
+		Specs:      make([]core.PartitionSpec, len(ix.parts)),
+		Generation: ix.State.Generation,
+		Skipped:    ix.State.Skipped,
 	}
-	defer f.Close()
-	var head [64]byte
-	k, err := f.Read(head[:])
-	if err != nil && err != io.EOF {
-		return 0, err
+	for i, part := range ix.parts {
+		set.Specs[i] = core.PartitionSpec{
+			Lib:    part.Lib,
+			Block:  part.Words(),
+			Gen:    states[i].Gen,
+			GenRow: states[i].GenRow,
+			Delta:  states[i].Delta,
+		}
 	}
-	if k >= len(magic) && [6]byte(head[:6]) == magic {
-		return KindIndex, nil
+	if len(ix.State.Tombstones) > 0 {
+		set.Tombstones = make(map[string]uint64, len(ix.State.Tombstones))
+		for id, gen := range ix.State.Tombstones {
+			set.Tombstones[id] = gen
+		}
 	}
-	if s := strings.TrimLeft(string(head[:k]), " \t\r\n"); strings.HasPrefix(s, "{") {
-		return KindManifest, nil
-	}
-	return 0, fmt.Errorf("libindex: %s is neither an OMS index nor a partition manifest", path)
+	return set
 }
 
-// Opened is an index path opened for searching: the stored engine
-// parameters and the partition set core.NewPartitionedEngine serves,
-// whichever layout the path holds.
-type Opened struct {
-	// Params are the engine parameters the index was built with.
-	Params core.Params
-	// Partitions is the manifest's live partition count; 0 means a
-	// single index file.
-	Partitions int
-	// Mapped reports whether every file is memory-mapped (false: the
-	// copying fallback loader ran).
-	Mapped bool
-
-	set   func() core.PartitionSet
-	close func() error
+// Mapped reports whether every partition file is memory-mapped (false:
+// the copying fallback loader ran for at least one).
+func (ix *Index) Mapped() bool {
+	for _, part := range ix.parts {
+		if part.mapped == nil {
+			return false
+		}
+	}
+	return true
 }
 
-// PartitionSet assembles the engine input; a single index file is a
-// one-spec set over its mapped words. The blocks alias the index's
-// mappings: no engine built from the set outlives Close, after which
-// PartitionSet panics (via Index.Words).
-func (o *Opened) PartitionSet() core.PartitionSet { return o.set() }
-
-// Close releases the index's mappings. Idempotent.
-func (o *Opened) Close() error { return o.close() }
-
-// Open opens path as whichever index layout it holds — the one place
-// that tells a single index file from a partition manifest on behalf of
-// the search commands (OpenFile and OpenManifest do the work).
-func Open(path string) (*Opened, error) {
-	kind, err := DetectKind(path)
-	if err != nil {
-		return nil, err
-	}
-	if kind == KindManifest {
-		pi, err := OpenManifest(path)
-		if err != nil {
-			return nil, err
+// LiveIDs collects every source id the open index's partitions carry —
+// the known set AppendRetract validates against.
+func (ix *Index) LiveIDs() map[string]bool {
+	ids := make(map[string]bool)
+	for _, part := range ix.parts {
+		for _, e := range part.Lib.Entries {
+			ids[e.ID] = true
 		}
-		o := &Opened{Params: pi.Params, Partitions: len(pi.Parts), Mapped: true, set: pi.PartitionSet, close: pi.Close}
-		for _, part := range pi.Parts {
-			o.Mapped = o.Mapped && part.Mapped()
+	}
+	return ids
+}
+
+// Close releases every partition mapping and poisons every partition:
+// engines built over the index are invalid afterwards, and
+// PartitionSet panics. Idempotent — each partition's Close is, so
+// calling Close again returns nil.
+func (ix *Index) Close() error {
+	var first error
+	for _, part := range ix.parts {
+		if err := part.Close(); err != nil && first == nil {
+			first = err
 		}
-		return o, nil
 	}
-	ix, err := OpenFile(path)
-	if err != nil {
-		return nil, err
+	return first
+}
+
+// Verify checksums every partition file image against both its own
+// CRC-32C trailer (verifyImage, which also re-checks the packed-tail
+// invariant) and the content CRC-32C its record carries — the
+// explicit integrity pass Open deliberately skips (it would fault in
+// every page of every mapping). The record's checksum is over the
+// image minus the trailer, which is what lets it catch a partition
+// file that is internally consistent but from a different build than
+// the manifest describes (a whole-file CRC would be the same residue
+// constant for every self-consistent file).
+func (ix *Index) Verify() error {
+	states := ix.State.Partitions()
+	for i, part := range ix.parts {
+		info := states[i].PartitionInfo
+		// A copied image passed verifyImage in the loader already.
+		if part.mapped != nil {
+			if err := verifyImage(part.mapped, part.words, part.Params.Accel.D); err != nil {
+				return fmt.Errorf("libindex: partition %d (%s): %w", i, info.File, err)
+			}
+		}
+		if part.crc != info.CRC32C {
+			return fmt.Errorf("libindex: partition %d (%s): file CRC %08x disagrees with manifest CRC %08x (file replaced since the manifest was written?)",
+				i, info.File, part.crc, info.CRC32C)
+		}
 	}
-	return &Opened{Params: ix.Params, Mapped: ix.Mapped(), set: ix.partitionSet, close: ix.Close}, nil
+	return nil
 }

@@ -45,55 +45,27 @@ func (g *guardFixture) inSpan(addr uintptr) bool {
 	return false
 }
 
-// openFile opens path, asserts it is mapped (the guard must never move
-// OpenFile onto the copying loader) and tracks its mapping.
-func (g *guardFixture) openFile(path string) *Index {
+// open opens path through Open, asserts every partition is mapped
+// (the guard must never move a partition onto the copying loader) and
+// tracks the mappings.
+func (g *guardFixture) open(path string) *Index {
 	g.t.Helper()
-	ix, err := OpenFile(path)
+	ix, err := Open(path)
 	if err != nil {
 		g.t.Fatal(err)
 	}
-	if !ix.Mapped() {
-		g.t.Fatalf("%s: not mapped", path)
+	for i, part := range ix.parts {
+		if part.mapped == nil {
+			g.t.Fatalf("%s partition %d: not mapped", path, i)
+		}
+		g.track(unsafe.Pointer(&part.mapped[0]), uintptr(len(part.mapped)))
 	}
-	g.track(unsafe.Pointer(&ix.mapped[0]), uintptr(len(ix.mapped)))
 	g.t.Cleanup(func() { g.must(ix.Close()) })
 	return ix
 }
 
-func (g *guardFixture) openManifest() *PartitionedIndex {
-	g.t.Helper()
-	pi, err := OpenManifest(g.manifest)
-	if err != nil {
-		g.t.Fatal(err)
-	}
-	for i, part := range pi.Parts {
-		if !part.Mapped() {
-			g.t.Fatalf("partition %d: not mapped", i)
-		}
-		g.track(unsafe.Pointer(&part.mapped[0]), uintptr(len(part.mapped)))
-	}
-	g.t.Cleanup(func() { g.must(pi.Close()) })
-	return pi
-}
-
-// open opens the single-file index through Open; its one partition
-// block is what a row can reach.
-func (g *guardFixture) open() *Opened {
-	g.t.Helper()
-	o, err := Open(g.file)
-	if err != nil {
-		g.t.Fatal(err)
-	}
-	if !o.Mapped {
-		g.t.Fatal("Opened: not mapped")
-	}
-	for _, spec := range o.PartitionSet().Specs {
-		g.track(unsafe.Pointer(&spec.Block[0]), uintptr(len(spec.Block))*8)
-	}
-	g.t.Cleanup(func() { g.must(o.Close()) })
-	return o
-}
+// words is the packed word block of a bare index file's one partition.
+func (ix *Index) words() []uint64 { return ix.parts[0].Words() }
 
 // must fails the row on a Close error: the reservation that replaces
 // an unmap has to succeed.
@@ -223,31 +195,31 @@ func runGuardRows(t *testing.T, rows []guardRow) {
 func TestMappingGuardFaultsOnWrite(t *testing.T) {
 	runGuardRows(t, []guardRow{
 		{"writes: w[0] = 1", "file", true, func(g *guardFixture) {
-			w := g.openFile(g.file).Words()
+			w := g.open(g.file).words()
 			w[0] = 1
 		}},
 		{"writes: w[1]++", "file", true, func(g *guardFixture) {
-			w := g.openFile(g.file).Words()
+			w := g.open(g.file).words()
 			w[1]++
 		}},
 		{"writes: s[0] = 1 through s := w[2:8]", "file", true, func(g *guardFixture) {
-			s := g.openFile(g.file).Words()[2:8]
+			s := g.open(g.file).words()[2:8]
 			s[0] = 1
 		}},
 		{"writes: copy(w, s)", "file", true, func(g *guardFixture) {
-			w := g.openFile(g.file).Words()
+			w := g.open(g.file).words()
 			copy(w, w[2:8])
 		}},
 		{"writes: append(w, 1) reallocates", "file", false, func(g *guardFixture) {
 			// Every view is handed out with len == cap, so an append
 			// copies to the heap instead of writing past the view.
-			ix := g.openFile(g.file)
-			pi := g.openManifest()
-			views := [][]uint64{ix.Words()}
+			ix := g.open(g.file)
+			pi := g.open(g.manifest)
+			views := [][]uint64{ix.words()}
 			for _, spec := range pi.PartitionSet().Specs {
 				views = append(views, spec.Block)
 			}
-			for _, hv := range ix.Lib.HVs {
+			for _, hv := range ix.parts[0].Lib.HVs {
 				views = append(views, hv.Words)
 			}
 			for i, v := range views {
@@ -255,43 +227,43 @@ func TestMappingGuardFaultsOnWrite(t *testing.T) {
 					g.t.Fatalf("view %d: len %d, cap %d", i, len(v), cap(v))
 				}
 			}
-			w := ix.Words()
+			w := ix.words()
 			if grown := append(w, 1); &grown[0] == &w[0] {
 				g.t.Fatal("append wrote into the mapping")
 			}
 		}},
 		{"writes: ix.Words()[2] = 3", "file", true, func(g *guardFixture) {
-			g.openFile(g.file).Words()[2] = 3
+			g.open(g.file).words()[2] = 3
 		}},
 		{"escapes: h.block = w", "file", true, func(g *guardFixture) {
 			var h holder
-			h.block = g.openFile(g.file).Words()
+			h.block = g.open(g.file).words()
 			h.block[0] = 1
 		}},
 		{"escapes: holder{block: w}", "file", true, func(g *guardFixture) {
-			h := holder{block: g.openFile(g.file).Words()}
+			h := holder{block: g.open(g.file).words()}
 			h.block[0] = 1
 		}},
 		{"partitioned: h.set = set", "manifest", true, func(g *guardFixture) {
 			var h holder
-			h.set = g.openManifest().PartitionSet()
+			h.set = g.open(g.manifest).PartitionSet()
 			h.set.Specs[1].Block[0] = 1
 		}},
 		{"opened: h.set = o.PartitionSet()", "opened", true, func(g *guardFixture) {
 			var h holder
-			h.set = g.open().PartitionSet()
+			h.set = g.open(g.file).PartitionSet()
 			h.set.Specs[0].Block[0] = 1
 		}},
 		{"sharedWithSearcher: block[0] = 1", "file", true, func(g *guardFixture) {
-			ix := g.openFile(g.file)
-			block := ix.Words()
+			ix := g.open(g.file)
+			block := ix.words()
 			if _, err := hdc.NewShardedSearcherFromPacked(block, ix.Params.Accel.D, 1024, hdc.CascadeConfig{}); err != nil {
 				g.t.Fatal(err)
 			}
 			block[0] = 1
 		}},
 		{"freshCopyIsWritable", "file", false, func(g *guardFixture) {
-			w := g.openFile(g.file).Words()
+			w := g.open(g.file).words()
 			cp := make([]uint64, len(w))
 			copy(cp, w)
 			cp[0] = 1
@@ -307,53 +279,53 @@ func TestMappingGuardFaultsOnWrite(t *testing.T) {
 func TestMappingGuardFaultsOnStaleRead(t *testing.T) {
 	runGuardRows(t, []guardRow{
 		{"useAfterClose", "file", true, func(g *guardFixture) {
-			ix := g.openFile(g.file)
-			w := ix.Words()
+			ix := g.open(g.file)
+			w := ix.words()
 			g.must(ix.Close())
 			sink = w[0]
 		}},
 		{"derivedUseAfterClose", "file", true, func(g *guardFixture) {
-			ix := g.openFile(g.file)
-			s := ix.Words()[2:8]
+			ix := g.open(g.file)
+			s := ix.words()[2:8]
 			g.must(ix.Close())
 			sink = s[0]
 		}},
 		{"branchOrdersUseAfterClose", "file", true, func(g *guardFixture) {
-			ix := g.openFile(g.file)
-			w := ix.Words()
+			ix := g.open(g.file)
+			w := ix.words()
 			if flush := len(w) > 0; flush {
 				g.must(ix.Close())
 			}
 			sink = w[0]
 		}},
 		{"engineAfterClose", "file", true, func(g *guardFixture) {
-			ix := g.openFile(g.file)
-			engine, _, err := core.NewExactEngineFromPacked(ix.Params, ix.Lib, ix.Words())
+			ix := g.open(g.file)
+			engine, _, err := core.NewPartitionedEngine(ix.Params, ix.PartitionSet())
 			g.must(ix.Close())
 			g.search(engine, err)
 		}},
 		{"partitionedUseAfterClose", "manifest", true, func(g *guardFixture) {
-			pi := g.openManifest()
+			pi := g.open(g.manifest)
 			set := pi.PartitionSet()
 			g.must(pi.Close())
 			sink = set.Specs[len(set.Specs)-1].Block[0]
 		}},
 		{"openedEngineAfterClose", "opened", true, func(g *guardFixture) {
-			o := g.open()
+			o := g.open(g.file)
 			engine, _, err := core.NewPartitionedEngine(o.Params, o.PartitionSet())
 			g.must(o.Close())
 			g.search(engine, err)
 		}},
 		{"aliasClose", "file", true, func(g *guardFixture) {
-			ix := g.openFile(g.file)
-			w := ix.Words()
+			ix := g.open(g.file)
+			w := ix.words()
 			ix2 := ix
 			g.must(ix2.Close())
 			sink = w[0]
 		}},
 		{"storedCloserClose", "file", true, func(g *guardFixture) {
-			ix := g.openFile(g.file)
-			w := ix.Words()
+			ix := g.open(g.file)
+			w := ix.words()
 			cl := ix.Close
 			g.must(cl())
 			sink = w[0]
@@ -361,16 +333,16 @@ func TestMappingGuardFaultsOnStaleRead(t *testing.T) {
 		{"fieldUseAfterClose: the escaped field read by the caller", "file", true, func(g *guardFixture) {
 			var h holder
 			func() {
-				ix := g.openFile(g.file)
-				h.block = ix.Words()
+				ix := g.open(g.file)
+				h.block = ix.words()
 				g.must(ix.Close())
 			}()
 			sink = h.block[0]
 		}},
 		{"fieldUseAfterClose: h.block[1] after Close", "file", true, func(g *guardFixture) {
 			var h holder
-			ix := g.openFile(g.file)
-			h.block = ix.Words()
+			ix := g.open(g.file)
+			h.block = ix.words()
 			sink = h.block[0]
 			g.must(ix.Close())
 			sink = h.block[1]
@@ -378,8 +350,8 @@ func TestMappingGuardFaultsOnStaleRead(t *testing.T) {
 		{"escapeThenClose", "file", true, func(g *guardFixture) {
 			var h holder
 			func() {
-				ix := g.openFile(g.file)
-				w := ix.Words()
+				ix := g.open(g.file)
+				w := ix.words()
 				h.block = w
 				g.must(ix.Close())
 			}()
@@ -387,31 +359,31 @@ func TestMappingGuardFaultsOnStaleRead(t *testing.T) {
 		}},
 		{"returnViewWithDeferredClose", "file", true, func(g *guardFixture) {
 			w := func() []uint64 {
-				ix := g.openFile(g.file)
+				ix := g.open(g.file)
 				defer ix.Close()
-				return ix.Words()
+				return ix.words()
 			}()
 			sink = w[0]
 		}},
 		{"useBeforeCloseIsFine", "file", false, func(g *guardFixture) {
-			ix := g.openFile(g.file)
-			sink = ix.Words()[0]
+			ix := g.open(g.file)
+			sink = ix.words()[0]
 			g.must(ix.Close())
 		}},
 		{"deferredCloseIsFine", "file", false, func(g *guardFixture) {
-			ix := g.openFile(g.file)
+			ix := g.open(g.file)
 			defer ix.Close()
-			sink = ix.Words()[0]
+			sink = ix.words()[0]
 		}},
 		{"returnViewWithoutCloseIsFine", "file", false, func(g *guardFixture) {
-			ix := g.openFile(g.file)
-			w := func() []uint64 { return ix.Words() }()
+			ix := g.open(g.file)
+			w := func() []uint64 { return ix.words() }()
 			sink = w[0]
 			g.must(ix.Close())
 		}},
 		{"freshCopyOutlivesClose", "file", false, func(g *guardFixture) {
-			ix := g.openFile(g.file)
-			w := ix.Words()
+			ix := g.open(g.file)
+			w := ix.words()
 			cp := make([]uint64, len(w))
 			copy(cp, w)
 			g.must(ix.Close())
@@ -422,10 +394,10 @@ func TestMappingGuardFaultsOnStaleRead(t *testing.T) {
 		// range to the next same-size mapping, and the stale view reads
 		// the other index's words without a fault.
 		{"stale view after close, then reopen a same-size file", "file", true, func(g *guardFixture) {
-			a := g.openFile(g.file)
-			w := a.Words()
+			a := g.open(g.file)
+			w := a.words()
 			g.must(a.Close())
-			g.openFile(g.twin)
+			g.open(g.twin)
 			sink = w[0]
 		}},
 	})

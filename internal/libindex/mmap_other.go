@@ -8,10 +8,10 @@ import (
 )
 
 // mmapSupported reports whether this platform can memory-map an index
-// file; when false OpenFile silently falls back to the copying loader.
+// file; when false openPartition silently falls back to the copying loader.
 const mmapSupported = false
 
-// mmapFile is unavailable on this platform; OpenFile falls back to the
+// mmapFile is unavailable on this platform; openPartition falls back to the
 // copying loader before ever calling it.
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return nil, fmt.Errorf("libindex: memory mapping not supported on this platform")

@@ -11,7 +11,7 @@ import (
 )
 
 // mmapSupported reports whether this platform can memory-map an index
-// file; when false OpenFile silently falls back to the copying loader.
+// file; when false openPartition silently falls back to the copying loader.
 const mmapSupported = true
 
 // mmapFile maps size bytes of f read-only. The mapping is shared, so

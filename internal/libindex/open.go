@@ -3,6 +3,7 @@ package libindex
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"unsafe"
@@ -11,16 +12,16 @@ import (
 	"repro/internal/hdc"
 )
 
-// Index is an opened library index: the decoded library and build
+// partition is one opened index file: the decoded library and build
 // parameters plus the contiguous packed word block every hypervector
-// is a view over. When the index is memory-mapped (the normal case on
+// is a view over. When the file is memory-mapped (the normal case on
 // unix), the block aliases the mapping directly — opening costs one
 // metadata parse, not a copy of the bulk words, and the word pages
 // fault in lazily as searches touch them. On platforms without mmap,
-// or when mapping fails, OpenFile transparently falls back to the
+// or when mapping fails, openPartition transparently falls back to the
 // copying loader and the block lives on the heap.
-type Index struct {
-	// Params are the engine parameters the library was built with
+type partition struct {
+	// Params are the engine parameters the file was built with
 	// (ShardSize from the header, everything else from the params JSON).
 	Params core.Params
 	// Lib is the decoded library; its HVs are views over Words.
@@ -28,87 +29,56 @@ type Index struct {
 
 	words  []uint64
 	mapped []byte // non-nil iff mmap-backed
+	// size is the file's length and crc its CRC-32C trailer — the
+	// content checksum a manifest records for it.
+	size   int64
+	crc    uint32
 	closed bool
 	path   string
 }
 
 // Words returns the contiguous packed word block (n × WordsPerHV(d)),
 // row-major in mass order — the input of the packed searcher
-// constructors. The block aliases the mapping when Mapped reports
-// true: no view outlives the index's Close. Words panics after Close —
+// constructors. The block aliases the mapping when the file is mapped:
+// no view outlives the partition's Close. Words panics after Close —
 // deterministically, on every platform, so a lifetime bug surfaces as
 // a descriptive panic at the call site instead of a SIGSEGV inside a
 // kernel loop on mmap platforms and silent success elsewhere.
-func (ix *Index) Words() []uint64 {
-	if ix.closed {
-		panic("libindex: Words on closed index " + ix.path + " (no view outlives its generation's Close)")
+func (pt *partition) Words() []uint64 {
+	if pt.closed {
+		panic("libindex: Words on closed index " + pt.path + " (no view outlives its generation's Close)")
 	}
-	return ix.words
+	return pt.words
 }
 
-// partitionSet is the index as core.NewPartitionedEngine's input: one
-// generation-1 partition over the packed words.
-func (ix *Index) partitionSet() core.PartitionSet {
-	return core.PartitionSet{
-		Specs:      []core.PartitionSpec{{Lib: ix.Lib, Block: ix.Words(), Gen: 1}},
-		Generation: 1,
-		Skipped:    ix.Lib.Skipped,
-	}
-}
-
-// Mapped reports whether the index is memory-mapped (true) or was
-// copied to the heap by the fallback loader (false).
-func (ix *Index) Mapped() bool { return ix.mapped != nil }
-
-// Close releases the mapping and poisons the index: the words view is
-// zeroed and Words panics afterwards, for a copied index exactly as
+// Close releases the mapping and poisons the partition: the words view
+// is zeroed and Words panics afterwards, for a copied file exactly as
 // for a mapped one, so misuse does not depend on which loader ran.
 // Every view already handed out — Lib.HVs, Words results, and any
-// searcher or engine packed over them — is invalid after Close; close
-// only after the engine built over this index is unreachable. Close is
-// idempotent: the second and later calls return nil without touching
+// searcher or engine packed over them — is invalid after Close.
+// Idempotent: the second and later calls return nil without touching
 // the mapping again.
-func (ix *Index) Close() error {
-	if ix.closed {
+func (pt *partition) Close() error {
+	if pt.closed {
 		return nil
 	}
-	ix.closed = true
-	ix.words = nil
-	m := ix.mapped
-	ix.mapped = nil
+	pt.closed = true
+	pt.words = nil
+	m := pt.mapped
+	pt.mapped = nil
 	if m == nil {
 		return nil
 	}
 	return munmapFile(m)
 }
 
-// Verify checksums the full index image against its CRC-32C trailer
-// and re-checks the packed-tail invariant (verifyImage). OpenFile
-// validates the metadata sections structurally but — unlike the
-// copying loader — does not touch the bulk word pages, so a mapped index of untrusted
-// provenance can be verified explicitly here (at the cost of faulting
-// in every page). A copied index already passed the same pass in the
-// loader; Verify reports nil without re-reading it.
-func (ix *Index) Verify() error {
-	if ix.mapped == nil {
-		return nil
-	}
-	return verifyImage(ix.mapped, ix.words, ix.Params.Accel.D)
-}
-
-// OpenFile opens a library index with the bulk word section
-// memory-mapped: the metadata sections (params, masses, source
-// positions, entry strings) are decoded and validated exactly as the
-// copying loader does, but the packed words become a zero-copy
-// []uint64 view over the mapping, so opening is metadata-bound —
-// independent of library size — and the resident cost of a partition
-// is only the pages its searches touch.
-// The word payload itself is not checksummed here (that would fault in
-// every page, defeating the point); use Index.Verify when the file's
-// integrity is in question. On platforms without mmap, or
-// when mapping fails, OpenFile falls back to the copying loader —
-// callers observe the same Index either way.
-func OpenFile(path string) (*Index, error) {
+// openPartition opens an index file with the bulk word section
+// memory-mapped: the metadata sections are decoded and validated as
+// the copying loader does, but the packed words become a zero-copy
+// view over the mapping, so opening is metadata-bound and the words
+// are not checksummed (Index.Verify does that on request). Without
+// mmap, or when mapping fails, it falls back to the copying loader.
+func openPartition(path string) (*partition, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -130,17 +100,28 @@ func OpenFile(path string) (*Index, error) {
 		munmapFile(data)
 		return nil, err
 	}
-	return &Index{Params: p, Lib: lib, words: words, mapped: data, path: path}, nil
+	return newPartition(path, data, data, p, lib, words), nil
 }
 
-// openCopied is OpenFile's fallback: the copying loader, wrapped in
-// the same Index shape (heap-backed block, nil mapping).
-func openCopied(f *os.File, path string) (*Index, error) {
-	p, lib, block, err := loadImage(f)
+// openCopied is openPartition's fallback: the copying loader, wrapped
+// in the same partition shape (heap-backed block, nil mapping).
+func openCopied(f *os.File, path string) (*partition, error) {
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, fmt.Errorf("libindex: reading index: %w", err)
+	}
+	p, lib, block, err := loadImage(data)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{Params: p, Lib: lib, words: block, path: path}, nil
+	return newPartition(path, data, nil, p, lib, block), nil
+}
+
+// newPartition wraps a decoded image; mapped is the image if it is a
+// mapping, nil if it is a heap copy.
+func newPartition(path string, data, mapped []byte, p core.Params, lib *core.Library, words []uint64) *partition {
+	return &partition{Params: p, Lib: lib, words: words, mapped: mapped, path: path,
+		size: int64(len(data)), crc: binary.LittleEndian.Uint32(data[len(data)-4:])}
 }
 
 // byteCursor walks an in-memory index image with bounds-checked reads,
@@ -202,7 +183,7 @@ func (c *byteCursor) u64() uint64 {
 }
 
 // parseIndex is the one index decoder, behind both the mmap-backed
-// OpenFile and the copying loadImage. It decodes an image in place:
+// openPartition and the copying loadImage. It decodes an image in place:
 // metadata is copied out (entry strings must survive the mapping), the
 // packed words become a view over data when the section is 8-byte
 // aligned (always, for a page-aligned mapping) and are copied

@@ -29,10 +29,11 @@ func resealRecordLine(t *testing.T, line string) []byte {
 	return out
 }
 
-// TestOpenFileMatchesLoad pins that the mmap-backed open path yields a
-// library, params and packed block bit-identical to the copying
-// loader, and that an engine over the packed block searches
-// identically to one over the loaded library. A case with pf > 0
+// TestOpenFileMatchesLoad pins that Open on a bare index file (the
+// mmap-backed path) yields a library, params and packed block
+// bit-identical to the copying loader, and that an engine over the
+// opened partition set searches identically to one over the loaded
+// library. A case with pf > 0
 // stores the PrefilterWords = pf an older build's two-tier cascade
 // wrote into its params; both paths must ignore it alike.
 func TestOpenFileMatchesLoad(t *testing.T) {
@@ -67,32 +68,33 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix, err := OpenFile(path)
+			ix, err := Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ix.Close()
 			if !ix.Mapped() {
-				t.Fatal("OpenFile did not map the index on a unix platform")
+				t.Fatal("Open did not map the index on a unix platform")
 			}
+			olib := ix.parts[0].Lib
 			if ix.Params.Accel != lp.Accel || ix.Params.ShardSize != lp.ShardSize {
 				t.Fatalf("params mismatch: open %+v load %+v", ix.Params.Accel, lp.Accel)
 			}
 			if got, want := mustJSON(t, lp), mustJSON(t, p); got != want {
 				t.Fatalf("loaded params %s, want the saved %s", got, want)
 			}
-			if ix.Lib.Len() != lib.Len() || ix.Lib.Skipped != lib.Skipped {
+			if olib.Len() != lib.Len() || olib.Skipped != lib.Skipped {
 				t.Fatalf("library size mismatch: open %d/%d load %d/%d",
-					ix.Lib.Len(), ix.Lib.Skipped, lib.Len(), lib.Skipped)
+					olib.Len(), olib.Skipped, lib.Len(), lib.Skipped)
 			}
 			for i := 0; i < lib.Len(); i++ {
-				if ix.Lib.Entries[i] != lib.Entries[i] {
+				if olib.Entries[i] != lib.Entries[i] {
 					t.Fatalf("entry %d mismatch", i)
 				}
-				if !ix.Lib.HVs[i].Equal(lib.HVs[i]) {
+				if !olib.HVs[i].Equal(lib.HVs[i]) {
 					t.Fatalf("hypervector %d differs between open and load", i)
 				}
-				if ix.Lib.SourcePos(i) != lib.SourcePos(i) {
+				if olib.SourcePos(i) != lib.SourcePos(i) {
 					t.Fatalf("source position %d mismatch", i)
 				}
 			}
@@ -102,7 +104,7 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 
 			// Engine over the zero-copy block == engine over the loaded
 			// library, PSM for PSM.
-			packedEngine, _, err := core.NewExactEngineFromPacked(ix.Params, ix.Lib, ix.Words())
+			packedEngine, _, err := core.NewPartitionedEngine(ix.Params, ix.PartitionSet())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,9 +133,9 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 }
 
 // TestOpenFileRejectsCorruption runs the Load corruption matrix
-// through the mmap parser — same crafted images, same refusals —
+// through Open's mmap parser — same crafted images, same refusals —
 // except the flipped-body-bit case, which only the full checksum pass
-// can see (OpenFile defers it to Verify by design).
+// can see (Open defers it to Verify by design).
 func TestOpenFileRejectsCorruption(t *testing.T) {
 	ds := testWorkload(t)
 	p := testParams(512, 0, 3)
@@ -150,7 +152,7 @@ func TestOpenFileRejectsCorruption(t *testing.T) {
 		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ix, err := OpenFile(path)
+		ix, err := Open(path)
 		if err == nil {
 			if cerr := ix.Close(); cerr != nil {
 				t.Fatal(cerr)
@@ -174,24 +176,24 @@ func TestOpenFileRejectsCorruption(t *testing.T) {
 			img = tc.mutate(img)
 			err := open(img)
 			if err == nil {
-				t.Fatalf("OpenFile accepted a %s index", tc.name)
+				t.Fatalf("Open accepted a %s index", tc.name)
 			}
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
 	}
-	// A flipped word bit is structurally invisible to OpenFile but must
-	// be caught by the explicit Verify pass.
+	// A flipped word bit is structurally invisible to Open but must be
+	// caught by the explicit Verify pass.
 	img := append([]byte(nil), valid...)
 	img[len(img)-100] ^= 0x40
 	path := filepath.Join(dir, "flipped.omsidx")
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := OpenFile(path)
+	ix, err := Open(path)
 	if err != nil {
-		t.Fatalf("OpenFile rejected a structurally valid image: %v", err)
+		t.Fatalf("Open rejected a structurally valid image: %v", err)
 	}
 	defer ix.Close()
 	if err := ix.Verify(); err == nil || !strings.Contains(err.Error(), "corrupted") {
@@ -221,30 +223,30 @@ func TestSavePartitionedRoundTrip(t *testing.T) {
 			if err := SavePartitioned(manifest, p, lib, parts); err != nil {
 				t.Fatal(err)
 			}
-			if kind, err := DetectKind(manifest); err != nil || kind != KindManifest {
-				t.Fatalf("DetectKind(manifest) = %v, %v", kind, err)
+			if m, err := isManifest(manifest); err != nil || !m {
+				t.Fatalf("isManifest(manifest) = %v, %v", m, err)
 			}
-			if kind, err := DetectKind(PartitionFileName(manifest, 0)); err != nil || kind != KindIndex {
-				t.Fatalf("DetectKind(partition) = %v, %v", kind, err)
+			if m, err := isManifest(PartitionFileName(manifest, 0)); err != nil || m {
+				t.Fatalf("isManifest(partition) = %v, %v", m, err)
 			}
-			pi, err := OpenManifest(manifest)
+			pi, err := Open(manifest)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer pi.Close()
-			if got := len(pi.Parts); got != parts {
+			if got := len(pi.parts); got != parts {
 				t.Fatalf("%d partitions opened, want %d", got, parts)
 			}
 			if pi.State.TotalRefs() != lib.Len() || pi.State.Skipped != lib.Skipped {
 				t.Fatalf("manifest identity %d/%d, want %d/%d",
 					pi.State.TotalRefs(), pi.State.Skipped, lib.Len(), lib.Skipped)
 			}
-			if err := pi.VerifyPartitions(); err != nil {
-				t.Fatalf("VerifyPartitions: %v", err)
+			if err := pi.Verify(); err != nil {
+				t.Fatalf("Verify: %v", err)
 			}
 			skippedSum, row := 0, 0
 			states := pi.State.Partitions()
-			for pidx, part := range pi.Parts {
+			for pidx, part := range pi.parts {
 				info := states[pidx]
 				if info.StartRow != row {
 					t.Fatalf("partition %d starts at %d, want %d", pidx, info.StartRow, row)
@@ -267,6 +269,52 @@ func TestSavePartitionedRoundTrip(t *testing.T) {
 				t.Fatalf("partition skipped counts sum to %d, want %d", skippedSum, lib.Skipped)
 			}
 		})
+	}
+}
+
+// TestOpenBareFileIsGenerationOne pins what Open makes of a bare index
+// file: generation 1 with one base partition whose record — refs,
+// fences, size and content CRC — is exactly what SavePartitioned(…, 1)
+// records for the same library.
+func TestOpenBareFileIsGenerationOne(t *testing.T) {
+	p, lib := syntheticLibrary(t, 300, 512)
+	lib.Skipped = 5
+	dir := t.TempDir()
+	path, manifest := filepath.Join(dir, "lib.omsidx"), filepath.Join(dir, "lib.manifest")
+	if err := SaveFile(path, p, lib); err != nil {
+		t.Fatal(err)
+	}
+	if err := SavePartitioned(manifest, p, lib, 1); err != nil {
+		t.Fatal(err)
+	}
+	want, err := LoadManifestLog(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	st := ix.State
+	if st.Generation != 1 || len(st.Base) != 1 || len(st.Deltas) != 0 || len(ix.parts) != 1 {
+		t.Fatalf("bare file opened at generation %d with %d base, %d delta partitions and %d handles; want generation 1, one partition",
+			st.Generation, len(st.Base), len(st.Deltas), len(ix.parts))
+	}
+	got, rec := st.Base[0], want.Base[0]
+	if got.File != "lib.omsidx" {
+		t.Fatalf("partition file %q, want the file's base name", got.File)
+	}
+	got.File = rec.File
+	if got != rec {
+		t.Fatalf("bare file's partition record %+v, SavePartitioned records %+v", got, rec)
+	}
+	if st.D != want.D || st.Skipped != want.Skipped || string(st.Params) != string(want.Params) {
+		t.Fatalf("bare file's identity D=%d skipped=%d params %s, SavePartitioned records D=%d skipped=%d params %s",
+			st.D, st.Skipped, st.Params, want.D, want.Skipped, want.Params)
+	}
+	if err := ix.Verify(); err != nil {
+		t.Fatalf("Verify on a pristine bare file: %v", err)
 	}
 }
 
@@ -303,8 +351,8 @@ func TestOpenManifestRejectsTampering(t *testing.T) {
 			if _, err := os.Stat(PartitionFileName(manifest, 0)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := OpenManifest(path); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
-				t.Fatalf("OpenManifest(%s) = %v, want %q", tc.name, err, tc.wantSub)
+			if _, err := Open(path); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("Open(%s) = %v, want %q", tc.name, err, tc.wantSub)
 			}
 		})
 	}
@@ -317,8 +365,8 @@ func TestOpenManifestRejectsTampering(t *testing.T) {
 		if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenManifest(path); err == nil || !strings.Contains(err.Error(), "checksum") {
-			t.Fatalf("OpenManifest(unsealed edit) = %v, want checksum error", err)
+		if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("Open(unsealed edit) = %v, want checksum error", err)
 		}
 	})
 
@@ -359,8 +407,8 @@ func TestOpenManifestRejectsTampering(t *testing.T) {
 		if err := os.WriteFile(mixed, mixedDoc, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenManifest(mixed); err == nil || !strings.Contains(err.Error(), "different params") {
-			t.Fatalf("OpenManifest with a mixed-generation partition = %v, want params mismatch", err)
+		if _, err := Open(mixed); err == nil || !strings.Contains(err.Error(), "different params") {
+			t.Fatalf("Open with a mixed-generation partition = %v, want params mismatch", err)
 		}
 	})
 
@@ -376,8 +424,8 @@ func TestOpenManifestRejectsTampering(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenManifest(manifest); err == nil || !strings.Contains(err.Error(), "bytes") {
-			t.Fatalf("OpenManifest with size drift = %v, want size mismatch", err)
+		if _, err := Open(manifest); err == nil || !strings.Contains(err.Error(), "bytes") {
+			t.Fatalf("Open with size drift = %v, want size mismatch", err)
 		}
 	})
 
@@ -385,8 +433,8 @@ func TestOpenManifestRejectsTampering(t *testing.T) {
 		if err := os.Remove(PartitionFileName(manifest, 1)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenManifest(manifest); err == nil {
-			t.Fatal("OpenManifest accepted a manifest with a missing partition file")
+		if _, err := Open(manifest); err == nil {
+			t.Fatal("Open accepted a manifest with a missing partition file")
 		}
 	})
 }

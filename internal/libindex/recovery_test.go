@@ -74,7 +74,7 @@ func TestStaleWriterRefused(t *testing.T) {
 		write func(t *testing.T, manifest string, st *ManifestState, i int) (uint64, error)
 	}{
 		{"retract", func(t *testing.T, manifest string, st *ManifestState, i int) (uint64, error) {
-			pi, err := OpenManifest(manifest)
+			pi, err := Open(manifest)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,12 +123,12 @@ func TestStaleWriterRefused(t *testing.T) {
 			if string(got) != string(want) {
 				t.Fatalf("refused writer changed the log:\n%s\nwant:\n%s", got, want)
 			}
-			pi, err := OpenManifest(manifest)
+			pi, err := Open(manifest)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer pi.Close()
-			if err := pi.VerifyPartitions(); err != nil {
+			if err := pi.Verify(); err != nil {
 				t.Fatalf("first writer's partition files damaged: %v", err)
 			}
 		})
@@ -142,7 +142,7 @@ func TestStaleWriterRefused(t *testing.T) {
 // leftovers, and the next append must publish cleanly over them.
 func TestCrashRecoveryOrphanedDelta(t *testing.T) {
 	manifest := recoveryFixture(t)
-	before, err := OpenManifest(manifest)
+	before, err := Open(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestCrashRecoveryOrphanedDelta(t *testing.T) {
 		}
 	}
 
-	pi, err := OpenManifest(manifest)
+	pi, err := Open(manifest)
 	if err != nil {
 		t.Fatalf("orphaned partition files must not affect opening: %v", err)
 	}
@@ -204,12 +204,12 @@ func TestCrashRecoveryOrphanedDelta(t *testing.T) {
 	if gen != wantGen+1 {
 		t.Fatalf("post-crash append published generation %d, want %d", gen, wantGen+1)
 	}
-	pi, err = OpenManifest(manifest)
+	pi, err = Open(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pi.Close()
-	if err := pi.VerifyPartitions(); err != nil {
+	if err := pi.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -246,7 +246,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if st.Generation != wantGen {
 		t.Fatalf("torn log folded to generation %d, want last good %d", st.Generation, wantGen)
 	}
-	pi, err := OpenManifest(manifest)
+	pi, err := Open(manifest)
 	if err != nil {
 		t.Fatalf("torn tail must not reject opening: %v", err)
 	}
@@ -343,12 +343,12 @@ func TestRetiredFilesSurviveSweepOrphans(t *testing.T) {
 	if len(retired) != stats.DroppedPartitions {
 		t.Fatalf("SweepRetired removed %d files, compaction dropped %d", len(retired), stats.DroppedPartitions)
 	}
-	pi, err := OpenManifest(manifest)
+	pi, err := Open(manifest)
 	if err != nil {
 		t.Fatalf("manifest must open after both sweeps: %v", err)
 	}
 	defer pi.Close()
-	if err := pi.VerifyPartitions(); err != nil {
+	if err := pi.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -369,9 +369,9 @@ func TestOpenManifestVersionMessages(t *testing.T) {
 			if err := os.WriteFile(manifest, []byte(tc.doc+"\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := OpenManifest(manifest)
+			_, err := Open(manifest)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("OpenManifest error = %v, want %q", err, tc.want)
+				t.Fatalf("Open error = %v, want %q", err, tc.want)
 			}
 		})
 	}

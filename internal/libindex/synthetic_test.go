@@ -66,7 +66,7 @@ func TestOpenAllocsIndependentOfRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(3, func() {
-			ix, err := OpenFile(path)
+			ix, err := Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,6 +76,6 @@ func TestOpenAllocsIndependentOfRows(t *testing.T) {
 		})
 	}
 	if small, large := allocs(1000), allocs(4000); large > small+16 {
-		t.Errorf("OpenFile allocates %.0f times for 1000 rows and %.0f for 4000; want the same", small, large)
+		t.Errorf("Open allocates %.0f times for 1000 rows and %.0f for 4000; want the same", small, large)
 	}
 }

@@ -11,20 +11,20 @@ import (
 )
 
 // TestVerifyPartitionsRejectsBodyCorruption pins the two integrity
-// layers of the partitioned verify pass against *body* damage — bit
-// flips in the bulk word section that every structural check in
-// OpenManifest (magic, sizes, params, fences) sails past:
+// layers of the verify pass against *body* damage — bit flips in the
+// bulk word section that every structural check in Open (magic, sizes,
+// params, fences) sails past:
 //
 //   - a flipped word bit breaks the partition's own CRC trailer, so
-//     Index.Verify inside VerifyPartitions rejects it, naming the
-//     partition;
+//     Index.Verify rejects it, naming the partition — in a manifest's
+//     partition file and in a bare index file alike;
 //   - a flipped word bit with the trailer recomputed to match is an
 //     internally consistent file from "a different build" — only the
 //     manifest's recorded CRC-32C can catch the swap, and the error
 //     must say so.
 func TestVerifyPartitionsRejectsBodyCorruption(t *testing.T) {
 	if !mmapSupported {
-		t.Skip("body corruption reaches VerifyPartitions only on mmap platforms; the copying loader checksums at open")
+		t.Skip("body corruption reaches Verify only on mmap platforms; the copying loader checksums at open")
 	}
 	ds := testWorkload(t)
 	p := testParams(512, 0, 3)
@@ -66,21 +66,21 @@ func TestVerifyPartitionsRejectsBodyCorruption(t *testing.T) {
 		return filepath.Join(dst, filepath.Base(manifest))
 	}
 
-	// verify opens the manifest (which must succeed: body damage is
-	// structurally invisible) and returns the VerifyPartitions error.
+	// verify opens the index (which must succeed: body damage is
+	// structurally invisible) and returns the Verify error.
 	verify := func(t *testing.T, m string) error {
 		t.Helper()
-		pi, err := OpenManifest(m)
+		pi, err := Open(m)
 		if err != nil {
-			t.Fatalf("OpenManifest rejected a structurally valid library: %v", err)
+			t.Fatalf("Open rejected a structurally valid library: %v", err)
 		}
 		defer pi.Close()
-		return pi.VerifyPartitions()
+		return pi.Verify()
 	}
 
 	t.Run("pristine", func(t *testing.T) {
 		if err := verify(t, cloneLibrary(t)); err != nil {
-			t.Fatalf("VerifyPartitions on a pristine library: %v", err)
+			t.Fatalf("Verify on a pristine library: %v", err)
 		}
 	})
 
@@ -99,10 +99,32 @@ func TestVerifyPartitionsRejectsBodyCorruption(t *testing.T) {
 		}
 		err = verify(t, m)
 		if err == nil {
-			t.Fatal("VerifyPartitions accepted a partition with a flipped word bit")
+			t.Fatal("Verify accepted a partition with a flipped word bit")
 		}
 		if !strings.Contains(err.Error(), "partition 1") || !strings.Contains(err.Error(), "corrupted") {
 			t.Fatalf("error %q does not name partition 1 as corrupted", err)
+		}
+	})
+
+	t.Run("flipped word bit in a bare file", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "lib.omsidx")
+		if err := SaveFile(path, p, built.Library()); err != nil {
+			t.Fatal(err)
+		}
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[len(img)-64] ^= 0x10
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err = verify(t, path)
+		if err == nil {
+			t.Fatal("Verify accepted a bare file with a flipped word bit")
+		}
+		if !strings.Contains(err.Error(), "partition 0 (lib.omsidx)") || !strings.Contains(err.Error(), "corrupted") {
+			t.Fatalf("error %q does not name partition 0 (lib.omsidx) as corrupted", err)
 		}
 	})
 
@@ -123,7 +145,7 @@ func TestVerifyPartitionsRejectsBodyCorruption(t *testing.T) {
 		}
 		err = verify(t, m)
 		if err == nil {
-			t.Fatal("VerifyPartitions accepted a swapped partition with a self-consistent trailer")
+			t.Fatal("Verify accepted a swapped partition with a self-consistent trailer")
 		}
 		if !strings.Contains(err.Error(), "partition 0") || !strings.Contains(err.Error(), "disagrees with manifest CRC") {
 			t.Fatalf("error %q does not attribute the manifest CRC disagreement to partition 0", err)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -73,7 +74,7 @@ func TestWriterLogGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pi, err := OpenManifest(manifest)
+	pi, err := Open(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +107,72 @@ func TestWriterLogGolden(t *testing.T) {
 		t.Fatalf("generation log differs from %s:\ngot:\n%s\nwant:\n%s", goldenWriterLog, got, want)
 	}
 
-	pi, err = OpenManifest(manifest)
+	pi, err = Open(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pi.Close()
-	if err := pi.VerifyPartitions(); err != nil {
+	if err := pi.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWritersRefuseBareFile pins that Open serving a bare index file as
+// a one-partition generation gives the manifest writers nothing to
+// publish on: each refuses it with the rebuild hint and leaves the file
+// byte for byte as it was.
+func TestWritersRefuseBareFile(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	lib := writerLibrary(t, "ref", []float64{500, 501, 502, 503}, rng)
+	p := testParams(128, 0, 3)
+	delta := writerLibrary(t, "d", []float64{501.5}, rng)
+	writers := []struct {
+		name  string
+		write func(path string, ix *Index) error
+	}{
+		{"Compact", func(path string, ix *Index) error {
+			_, err := Compact(path, 0)
+			return err
+		}},
+		{"AppendDelta", func(path string, ix *Index) error {
+			_, err := AppendDelta(path, ix.State, delta, 0)
+			return err
+		}},
+		{"AppendRetract", func(path string, ix *Index) error {
+			_, err := AppendRetract(path, ix.State, []string{"ref-1"}, ix.LiveIDs())
+			return err
+		}},
+	}
+	for _, w := range writers {
+		t.Run(w.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "lib.omsidx")
+			if err := SaveFile(path, p, lib); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			err = w.write(path, ix)
+			if err == nil || !strings.Contains(err.Error(), "rebuild it with omsbuild -partitions") {
+				t.Fatalf("%s on a bare index file: got %v, want the rebuild hint", w.name, err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, before) {
+				t.Fatalf("%s changed the bare index file", w.name)
+			}
+			if names, err := filepath.Glob(filepath.Join(dir, "*")); err != nil || len(names) != 1 {
+				t.Fatalf("%s left files beside the index: %v (%v)", w.name, names, err)
+			}
+		})
 	}
 }
