@@ -10,8 +10,6 @@ import (
 	"log"
 	"net/http"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/serve"
@@ -24,11 +22,6 @@ const (
 	maxBodyBytes    = 64 << 20
 	maxBodyPrealloc = 1 << 20
 )
-
-// maxConcurrentSearches bounds one request body's concurrent
-// submissions into the micro-batcher: several MaxBatch windows' worth
-// of traffic to coalesce, but far below the default MaxQueue.
-const maxConcurrentSearches = 256
 
 // mux routes the daemon's endpoints.
 func (d *daemon) mux() http.Handler {
@@ -74,10 +67,11 @@ type searchResponse struct {
 }
 
 // handleSearch parses the query spectra (MGF by default, JSON when the
-// Content-Type says so), submits each through the micro-batcher on the
-// request's context, and renders per-query results. Concurrent HTTP
-// requests and multi-spectrum bodies coalesce into shared engine
-// sweeps.
+// Content-Type says so), searches them as one submission to the
+// micro-batcher on the request's context, and renders per-query
+// results. The body pins one serving generation for its whole search,
+// so a SIGHUP swap mid-body never mixes indexes within one response,
+// and the old index stays mapped until its last body returns.
 func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// A body of the declared length is read into one allocation.
 	var body bytes.Buffer
@@ -96,62 +90,36 @@ func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// A bounded worker pool keeps one request body's in-flight
-	// submissions well under the batcher's admission limit (default
-	// MaxQueue 4096), so a large body saturates the coalescing window
-	// without tripping queue-full against itself, while leaving
-	// headroom for other clients.
 	results := make([]searchResult, len(queries))
-	var queueFull atomic.Bool
-	workers := min(len(queries), maxConcurrentSearches)
-	next := make(chan int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				q := queries[i]
-				res := searchResult{QueryID: q.ID}
-				// Each search pins the serving generation it was admitted
-				// to: a SIGHUP swap mid-body never mixes indexes within
-				// one search, and the old index stays mapped until its
-				// last search returns.
-				sv := d.acquire()
-				if sv == nil {
-					res.Error = serve.ErrClosed.Error()
-					results[i] = res
-					continue
-				}
-				psm, ok, err := sv.srv.Search(r.Context(), q)
-				sv.release()
-				res.Matched = ok
-				switch {
-				case err != nil:
-					res.Error = err.Error()
-					if errors.Is(err, serve.ErrQueueFull) {
-						queueFull.Store(true)
-					}
-				case ok:
-					res.Peptide = psm.Peptide
-					res.Score = psm.Score
-					res.MassShift = psm.MassShift
-					res.Decoy = psm.IsDecoy
-				}
-				results[i] = res
-			}
-		}()
+	var found []serve.Result
+	if sv := d.acquire(); sv != nil {
+		found = sv.srv.SearchMany(r.Context(), queries)
+		sv.release()
 	}
-	for i := range queries {
-		next <- i
+	queueFull := false
+	for i, q := range queries {
+		res := searchResult{QueryID: q.ID}
+		switch {
+		case found == nil:
+			res.Error = serve.ErrClosed.Error()
+		case found[i].Err != nil:
+			res.Error = found[i].Err.Error()
+			queueFull = queueFull || errors.Is(found[i].Err, serve.ErrQueueFull)
+		case found[i].OK:
+			psm := found[i].PSM
+			res.Matched = true
+			res.Peptide = psm.Peptide
+			res.Score = psm.Score
+			res.MassShift = psm.MassShift
+			res.Decoy = psm.IsDecoy
+		}
+		results[i] = res
 	}
-	close(next)
-	wg.Wait()
 
 	// A queue-full rejection anywhere signals backpressure for the
 	// whole response; partial results still ship in the body.
 	status := http.StatusOK
-	if queueFull.Load() {
+	if queueFull {
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	}

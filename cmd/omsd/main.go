@@ -91,8 +91,8 @@ func newHTTPServer(h http.Handler) *http.Server {
 func main() {
 	indexPath := flag.String("index", "", "library index or partition manifest path (required; build with omsbuild)")
 	addr := flag.String("addr", ":8993", "HTTP listen address")
-	maxBatch := flag.Int("maxbatch", 64, "most queued requests one batched sweep takes")
-	maxQueue := flag.Int("maxqueue", 4096, "admission bound on outstanding requests")
+	maxBatch := flag.Int("maxbatch", 64, "most queued queries one batched sweep takes")
+	maxQueue := flag.Int("maxqueue", 4096, "admission bound on outstanding queries")
 	standard := flag.Bool("standard", false, "narrow-window standard search instead of open search")
 	topk := flag.Int("topk", 0, "matches retrieved per query (0 = index setting)")
 	slowQuery := flag.Duration("slow-query", 0, "log a structured line for requests at or above this latency (0 = off)")

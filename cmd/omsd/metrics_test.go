@@ -24,7 +24,7 @@ import (
 
 // obsvDaemon is testDaemon with an explicit serve.Config, so
 // observability tests can set slow-query thresholds and ring sizes.
-func obsvDaemon(t *testing.T, cfg serve.Config) (*daemon, *msdata.Dataset) {
+func obsvDaemon(t testing.TB, cfg serve.Config) (*daemon, *msdata.Dataset) {
 	t.Helper()
 	ds, err := msdata.Generate(msdata.IPRG2012(0.001))
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -140,6 +141,54 @@ func TestReloadSwapConsistency(t *testing.T) {
 				}
 			}
 		}(w)
+	}
+	// Multi-spectrum bodies through the handler: one body is answered
+	// by one generation, so every matched query of a response names the
+	// same one.
+	body := append(append([]*spectrum.Spectrum(nil), ds.Queries...), ds.Queries...)
+	var mgf bytes.Buffer
+	if err := spectrum.WriteMGF(&mgf, body); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				rec := httptest.NewRecorder()
+				d.mux().ServeHTTP(rec, httptest.NewRequest("POST", "/search", bytes.NewReader(mgf.Bytes())))
+				var resp searchResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+					t.Errorf("body across swap: status %d, %v", rec.Code, err)
+					return
+				}
+				if len(resp.Results) != len(body) {
+					t.Errorf("%d results for a body of %d", len(resp.Results), len(body))
+					return
+				}
+				gens := map[string]int{}
+				for i, res := range resp.Results {
+					exp := want[body[i].ID]
+					switch {
+					case res.Error != "" || res.Matched != exp.ok:
+						t.Errorf("query %d (%s): %+v, both generations say matched=%v", i, body[i].ID, res, exp.ok)
+						return
+					case !res.Matched:
+					case res.Peptide == exp.a.Peptide && res.Score == exp.a.Score:
+						gens["A"]++
+					case res.Peptide == exp.b.Peptide && res.Score == exp.b.Score:
+						gens["B"]++
+					default:
+						t.Errorf("query %d (%s): %+v, consistent with neither generation", i, body[i].ID, res)
+						return
+					}
+				}
+				if len(gens) > 1 {
+					t.Errorf("one body answered by both generations: %v", gens)
+					return
+				}
+			}
+		}()
 	}
 	wg.Wait()
 	close(stop)

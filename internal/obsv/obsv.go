@@ -215,16 +215,16 @@ type QueryTrace struct {
 	QueryID   string
 	RequestID string
 	// BatchID is the dispatcher's flush sequence number; BatchSize the
-	// number of live requests scored in that flush.
+	// number of queries scored in that flush.
 	BatchID   uint64
 	BatchSize int
-	// Enqueued is the request's admission time; Total its
+	// Enqueued is the query's admission time; Total its
 	// enqueue → result-delivery latency.
 	Enqueued time.Time
 	Total    time.Duration
 	// StageNanos holds per-stage nanoseconds, indexed by Stage.
-	// QueueWait and Encode are this request's own; the batch-level
-	// stages are shared with every request in the batch.
+	// QueueWait and Encode are this query's own; the batch-level
+	// stages are shared with every query in the batch.
 	StageNanos [NumStages]int64
 	// RowsSwept and RowsAdmitted are the batch's swept-row and
 	// admitted-row counters.

@@ -33,8 +33,10 @@ func (e *stubEngine) Search(_ context.Context, qs []core.PreparedQuery, _ *obsv.
 const flushSteadyStateAllocs = 0
 
 // TestFlushAllocationFree gates the flush path at its baseline: a
-// full MaxBatch-sized batch scored through a stub engine, results
-// drained, must not allocate per flush after the first.
+// full MaxBatch-sized batch of multi-query requests (a body's 40
+// queries, a 16-query remainder and eight single queries) scored
+// through a stub engine, results drained, must not allocate per flush
+// after the first.
 func TestFlushAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")
@@ -48,17 +50,21 @@ func TestFlushAllocationFree(t *testing.T) {
 	s.stats.init(cfg)
 
 	ctx := context.Background()
-	batch := make([]*request, batchSize)
-	for i := range batch {
-		batch[i] = &request{ctx: ctx, enqueued: time.Now(), out: make(chan core.SearchResult, 1)}
+	var batch []*request
+	for _, n := range []int{40, 16, 1, 1, 1, 1, 1, 1, 1, 1} {
+		batch = append(batch, &request{pqs: make([]core.PreparedQuery, n), encNanos: make([]int64, n),
+			ctx: ctx, enqueued: time.Now(), res: make([]core.SearchResult, n), done: make(chan struct{}, 1)})
 	}
 	drain := func() {
 		for _, r := range batch {
-			<-r.out
+			<-r.done
 		}
 	}
 	s.flush(batch)
 	drain()
+	if st := s.stats.snapshot(0); st.Completed != batchSize || st.Batches != 1 {
+		t.Fatalf("first flush booked %d queries in %d batches, want %d in 1", st.Completed, st.Batches, batchSize)
+	}
 	allocs := testing.AllocsPerRun(50, func() {
 		s.flush(batch)
 		drain()

@@ -80,7 +80,8 @@ func benchQueries(n int) []*spectrum.Spectrum {
 // through the micro-batcher (one block-major sweep per flushed
 // batch); the perrequest variant is the same client fleet searching
 // the engine directly one query at a time, re-streaming the packed
-// store per query.
+// store per query; the body variant submits the same queries as
+// 64-query SearchMany bodies from one caller, one hand-off per body.
 // Acceptance: coalesced ≥ 1.3x the per-request throughput (ns/op is
 // per query — lower is better).
 func BenchmarkServeCoalesced(b *testing.B) {
@@ -124,6 +125,26 @@ func BenchmarkServeCoalesced(b *testing.B) {
 				b.Error(err)
 			}
 		})
+		b.StopTimer()
+		st := srv.Stats()
+		b.ReportMetric(st.MeanBatchSize, "batchsize/op")
+	})
+	b.Run("body", func(b *testing.B) {
+		srv, err := New(engine, Config{MaxBatch: clients, MaxQueue: 4 * clients})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += clients {
+			lo := i % len(queries)
+			for _, r := range srv.SearchMany(ctx, queries[lo:lo+min(clients, b.N-i)]) {
+				if r.Err != nil {
+					b.Error(r.Err)
+				}
+			}
+		}
 		b.StopTimer()
 		st := srv.Stats()
 		b.ReportMetric(st.MeanBatchSize, "batchsize/op")

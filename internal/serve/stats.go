@@ -9,57 +9,58 @@ import (
 
 // Stats is a snapshot of the serving counters.
 type Stats struct {
-	// Requests counts every submission exactly once: queries that fail
-	// preparation (Skipped/Errors) plus every admission attempt,
-	// counted when it enters SearchPrepared.
+	// Requests counts every submitted query exactly once: those that
+	// fail preparation (Skipped/Errors) plus every one offered to
+	// admission control.
 	Requests uint64
-	// Completed counts requests whose batch delivered a result —
+	// Completed counts queries whose batch delivered a result —
 	// including waiters that had already given up, so a cancellation
 	// racing a shared batch's sweep may appear in both Completed and
 	// Canceled (a lone request's sweep stops, so it is only Canceled).
 	Completed uint64
-	// Matched counts completed requests that produced a PSM.
+	// Matched counts completed queries that produced a PSM.
 	Matched uint64
 	// Skipped counts queries rejected before batching: failed
 	// preprocessing or an empty precursor window.
 	Skipped uint64
-	// Rejected counts admission-control rejections (ErrQueueFull).
+	// Rejected counts queries refused by admission control
+	// (ErrQueueFull).
 	Rejected uint64
-	// Canceled counts waiters whose context ended before they received
-	// a result.
+	// Canceled counts queries whose waiter's context ended before they
+	// received a result.
 	Canceled uint64
-	// Closed counts requests released by server shutdown.
+	// Closed counts queries released by server shutdown.
 	Closed uint64
 	// Errors counts query encoding failures.
 	Errors uint64
 	// Batches counts flushed batches.
 	Batches uint64
-	// QueueDepth is the number of requests outstanding right now.
+	// QueueDepth is the number of queries outstanding right now.
 	QueueDepth int
 	// MeanBatchSize is Completed / Batches.
 	MeanBatchSize float64
 	// BatchSizes is the batch-size histogram in power-of-two buckets:
 	// BatchSizes[i] counts batches with size in (2^(i-1), 2^i].
 	BatchSizes []BucketCount
-	// LatencyP50 and LatencyP99 are approximate request latency
+	// LatencyP50 and LatencyP99 are approximate query latency
 	// quantiles (enqueue → batch scored), resolved to the upper bound
 	// of exponential histogram buckets.
 	LatencyP50, LatencyP99 time.Duration
 	// LatencyBuckets is the raw latency histogram: power-of-two
-	// microsecond buckets, LatencyBuckets[i] counting requests with
+	// microsecond buckets, LatencyBuckets[i] counting queries with
 	// latency in (2^(i-1), 2^i] µs, plus a final overflow bucket.
 	LatencyBuckets []BucketCount
 	// LatencySum is the total enqueue→scored latency across completed
-	// requests — with Completed, the histogram's _sum/_count pair.
+	// queries — with Completed, the histogram's _sum/_count pair.
 	LatencySum time.Duration
 	// StageTotals is the cumulative per-stage time across all traced
-	// requests/batches, one entry per obsv stage in stage order.
+	// queries/batches, one entry per obsv stage in stage order.
 	StageTotals []StageTotal
 	// RowsSwept is the cumulative candidate-row counter of the traced
 	// sweeps, RowsAdmitted that of the swept rows their kernel admitted
 	// to a top-k heap.
 	RowsSwept, RowsAdmitted uint64
-	// SlowQueries counts requests at or above Config.SlowQueryThreshold
+	// SlowQueries counts queries at or above Config.SlowQueryThreshold
 	// (0 while the threshold is unset).
 	SlowQueries uint64
 }
@@ -121,50 +122,48 @@ func (c *collector) init(cfg Config) {
 	c.slowThresh = cfg.SlowQueryThreshold
 }
 
-// admit counts one submission entering SearchPrepared; all later
-// outcomes (rejected, canceled, closed, completed) refer back to it.
-func (c *collector) admit() {
+// admit counts n prepared queries offered to admission control; all
+// later outcomes (rejected, canceled, closed, completed) refer back to
+// them.
+func (c *collector) admit(n int) {
 	c.mu.Lock()
-	c.requests++
+	c.requests += uint64(n)
 	c.mu.Unlock()
 }
 
-func (c *collector) reject() {
+func (c *collector) reject(n int) {
 	c.mu.Lock()
-	c.rejected++
+	c.rejected += uint64(n)
 	c.mu.Unlock()
 }
 
-func (c *collector) cancel() {
+func (c *collector) cancel(n int) {
 	c.mu.Lock()
-	c.canceled++
+	c.canceled += uint64(n)
 	c.mu.Unlock()
 }
 
-func (c *collector) closedReject() {
+func (c *collector) closedReject(n int) {
 	c.mu.Lock()
-	c.closed++
+	c.closed += uint64(n)
 	c.mu.Unlock()
 }
 
-func (c *collector) skip() {
+// prepared counts the queries of a submission that never reach
+// admission: skipped by preprocessing or the precursor window, or
+// failed to encode.
+func (c *collector) prepared(skipped, failed int) {
 	c.mu.Lock()
-	c.requests++
-	c.skipped++
+	c.requests += uint64(skipped + failed)
+	c.skipped += uint64(skipped)
+	c.errors += uint64(failed)
 	c.mu.Unlock()
 }
 
-func (c *collector) prepareError() {
-	c.mu.Lock()
-	c.requests++
-	c.errors++
-	c.mu.Unlock()
-}
-
-// observeRequest records one delivered result: latency histogram and
-// sum, the request's own trace stages (queue wait, encode), the
+// observeRequest records one query's delivered result: latency histogram and
+// sum, the query's own trace stages (queue wait, encode), the
 // slow-query counter, and a slow-ring slot when the trace is among the
-// worst seen. It reports whether the request crossed the slow
+// worst seen. It reports whether the query crossed the slow
 // threshold so the dispatcher can fire OnSlowQuery outside the lock.
 func (c *collector) observeRequest(lat time.Duration, matched bool, qt *obsv.QueryTrace) bool {
 	c.mu.Lock()
@@ -193,7 +192,7 @@ func (c *collector) observeRequest(lat time.Duration, matched bool, qt *obsv.Que
 // ringOffer inserts a trace into the worst-latency ring: free slots
 // fill first, then the trace replaces the current minimum if it is
 // worse. The ring is preallocated, so an offer never allocates; the
-// O(SlowRingSize) scan runs under the collector lock once per request.
+// O(SlowRingSize) scan runs under the collector lock once per query.
 func (c *collector) ringOffer(qt *obsv.QueryTrace) {
 	if cap(c.ring) == 0 {
 		return

@@ -118,13 +118,15 @@ func TestSlowQueryCallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	completed := 0
 	for _, q := range queries {
 		if _, _, err := srv.Search(context.Background(), q); err == nil {
 			completed++
 		}
 	}
+	// A waiter has its result before the dispatcher books it; Close
+	// returns once every flush is booked and every callback has run.
+	srv.Close()
 	st := srv.Stats()
 	mu.Lock()
 	defer mu.Unlock()
