@@ -307,7 +307,7 @@ func BenchmarkSeedBatchTopK(b *testing.B) {
 func BenchmarkAblationDifferentialMapping(b *testing.B) {
 	var rmse float64
 	for i := 0; i < b.N; i++ {
-		cfg := accel.DefaultConfig()
+		cfg := core.DefaultOperatingPoint()
 		cfg.D = 512
 		cfg.NumBins = 300
 		cfg.NumChunks = 64

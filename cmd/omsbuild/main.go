@@ -87,7 +87,7 @@ func main() {
 
 	p := core.DefaultParams()
 	p.Accel.D = *d
-	p.Accel.NumChunks = max(*d/32, 32)
+	p.Accel.NumChunks = core.NumChunksFor(*d)
 	p.Accel.IDPrecision = *precision
 	p.Accel.Seed = *seed
 	p.ShardSize = *shardSize

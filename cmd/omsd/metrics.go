@@ -168,15 +168,15 @@ func slowView(qt *obsv.QueryTrace) slowTraceView {
 }
 
 // logSlowQuery is the threshold-triggered structured log line, wired
-// as the batcher's OnSlowQuery callback (dispatcher goroutine — one
-// Fprintf, no locks).
+// as the batcher's OnSlowQuery callback (dispatcher goroutine, one
+// write, no locks); its stage fields are obsv's, as in /debug/slowest.
 func logSlowQuery(qt obsv.QueryTrace) {
-	fmt.Fprintf(os.Stderr,
-		"omsd: slow-query query_id=%s request_id=%s batch_id=%d batch_size=%d total_us=%d queue_wait_us=%d encode_us=%d assemble_us=%d sweep_us=%d merge_us=%d rows_swept=%d rows_admitted=%d\n",
-		qt.QueryID, qt.RequestID, qt.BatchID, qt.BatchSize, qt.Total.Microseconds(),
-		qt.Stage(obsv.StageQueueWait).Microseconds(), qt.Stage(obsv.StageEncode).Microseconds(),
-		qt.Stage(obsv.StageAssemble).Microseconds(), qt.Stage(obsv.StageSweep).Microseconds(),
-		qt.Stage(obsv.StageMerge).Microseconds(), qt.RowsSwept, qt.RowsAdmitted)
+	b := fmt.Appendf(nil, "omsd: slow-query query_id=%s request_id=%s batch_id=%d batch_size=%d total_us=%d",
+		qt.QueryID, qt.RequestID, qt.BatchID, qt.BatchSize, qt.Total.Microseconds())
+	for s := range obsv.NumStages {
+		b = fmt.Appendf(b, " %s_us=%d", s, qt.Stage(s).Microseconds())
+	}
+	os.Stderr.Write(fmt.Appendf(b, " rows_swept=%d rows_admitted=%d\n", qt.RowsSwept, qt.RowsAdmitted))
 }
 
 // reqSeq numbers generated request IDs.

@@ -466,3 +466,40 @@ func TestBareFileReportsOnePartition(t *testing.T) {
 		t.Fatalf("%d oms_partition_refs series, want 1", n)
 	}
 }
+
+// TestSlowQueryLine pins the slow-query log line byte for byte: its
+// field names and order are what operators grep for, and its stage
+// fields are obsv's stages under their exposition names.
+func TestSlowQueryLine(t *testing.T) {
+	qt := obsv.QueryTrace{
+		QueryID:      "q-7",
+		RequestID:    "req-ci",
+		BatchID:      42,
+		BatchSize:    3,
+		Total:        1234567 * time.Nanosecond,
+		RowsSwept:    9000,
+		RowsAdmitted: 17,
+	}
+	for s := range qt.StageNanos {
+		qt.StageNanos[s] = int64(s+1)*1001000 + 999
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	stderr := os.Stderr
+	os.Stderr = w
+	logSlowQuery(qt)
+	os.Stderr = stderr
+	w.Close()
+	got, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "omsd: slow-query query_id=q-7 request_id=req-ci batch_id=42 batch_size=3 total_us=1234 " +
+		"queue_wait_us=1001 encode_us=2002 assemble_us=3003 sweep_us=4004 merge_us=5005 rows_swept=9000 rows_admitted=17\n"
+	if string(got) != want {
+		t.Errorf("slow-query line\n got %q\nwant %q", got, want)
+	}
+}

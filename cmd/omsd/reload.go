@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/hdc"
 	"repro/internal/libindex"
@@ -40,9 +39,9 @@ type servingConfig struct {
 type serving struct {
 	srv    *serve.Server
 	engine *core.Engine
-	// enc is the engine's encoder, accel what it was drawn for (buildNext).
+	// enc is the engine's encoder, op what it was drawn for (buildNext).
 	enc        *hdc.Encoder
-	accel      accel.Config
+	op         core.OperatingPoint
 	closeIndex func() error
 	desc       string
 	loaded     time.Time
@@ -90,7 +89,7 @@ func buildNext(cfg servingConfig, prev *serving) (*serving, error) {
 	}
 	set := ix.PartitionSet()
 	encoder := "drawn"
-	if prev != nil && prev.accel == p.Accel {
+	if prev != nil && prev.op == p.Accel {
 		set.Encoder, encoder = prev.enc, "kept"
 	}
 	engine, enc, err := core.NewPartitionedEngine(p, set)
@@ -105,7 +104,7 @@ func buildNext(cfg servingConfig, prev *serving) (*serving, error) {
 	sv := &serving{
 		engine:     engine,
 		enc:        enc,
-		accel:      p.Accel,
+		op:         p.Accel,
 		closeIndex: ix.Close,
 		desc: fmt.Sprintf("%s: manifest generation %d, %d references in %d partitions (%d deltas, %d tombstones), D=%d, mmap=%t, encoder %s",
 			cfg.indexPath, ov.Generation, engine.NumRefs(), len(set.Specs),

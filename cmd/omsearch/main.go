@@ -119,7 +119,7 @@ func main() {
 		check(err)
 		p := core.DefaultParams()
 		p.Accel.D = *d
-		p.Accel.NumChunks = max(*d/32, 32)
+		p.Accel.NumChunks = core.NumChunksFor(*d)
 		p.Accel.IDPrecision = *precision
 		p.Accel.Seed = *seed
 		p = queryTime(p)

@@ -26,7 +26,7 @@ func main() {
 		for precision := 1; precision <= 3; precision++ {
 			p := core.DefaultParams()
 			p.Accel.D = d
-			p.Accel.NumChunks = max(d/32, 32)
+			p.Accel.NumChunks = core.NumChunksFor(d)
 			p.Accel.IDPrecision = precision
 			p.Accel.Seed = int64(d + precision)
 			engine, _, err := core.BuildExact(p, ds.Library)

@@ -4,6 +4,9 @@
 // MVM), in-memory Hamming similarity search with differential weight
 // mapping (§4.1), and a chip floorplan/capacity model.
 //
+// The operating point (core.OperatingPoint) and the one draw of its
+// hypervector space (core.NewEncoderComponents) belong to core, so
+// accel imports core and nothing that serves imports accel or rram.
 // The HW encoder and searcher drive the cell-accurate rram.Crossbar
 // simulator to characterize hardware error rates (Fig. 9).
 // Characterize condenses them into a NoisyModel, which core.BuildNoisy
@@ -16,100 +19,27 @@ package accel
 import (
 	"fmt"
 	"math"
-	"time"
 
+	"repro/internal/core"
 	"repro/internal/hdc"
 	"repro/internal/rram"
 	"repro/internal/spectrum"
 )
-
-// Config describes one accelerator operating point.
-type Config struct {
-	// D is the hypervector dimension (paper: 8192).
-	D int
-	// Q is the number of intensity quantization levels (16–32).
-	Q int
-	// NumChunks is the chunk count of the chunked level set (§4.2.1).
-	NumChunks int
-	// IDPrecision is the multi-bit ID hypervector precision (1–3 bits,
-	// §4.2.2).
-	IDPrecision int
-	// NumBins is the m/z bin count (item memory size).
-	NumBins int
-	// BitsPerCell is the MLC storage density (1–3).
-	BitsPerCell int
-	// ActiveRows is the number of concurrently driven differential
-	// pairs (paper setting: 64 with 8-level cells).
-	ActiveRows int
-	// ADCBits is the column ADC resolution.
-	ADCBits int
-	// ArrayCols is the number of columns per physical array.
-	ArrayCols int
-	// Elapsed is the time since reference programming at which
-	// computations read the cells (the paper collects compute data at
-	// least 2 hours after programming).
-	Elapsed time.Duration
-	// Seed drives all randomness (item memories and device noise).
-	Seed int64
-}
-
-// DefaultConfig returns the paper's main operating point: D=8k, 3-bit
-// ID precision, 8-level cells, 64 activated rows.
-func DefaultConfig() Config {
-	return Config{
-		D:           8192,
-		Q:           16,
-		NumChunks:   256,
-		IDPrecision: 3,
-		NumBins:     1399,
-		BitsPerCell: 3,
-		ActiveRows:  64,
-		ADCBits:     8,
-		ArrayCols:   256,
-		Elapsed:     2 * time.Hour,
-		Seed:        1,
-	}
-}
-
-func (c Config) validate() error {
-	if c.D <= 0 || c.NumBins <= 0 {
-		return fmt.Errorf("accel: bad shape D=%d bins=%d", c.D, c.NumBins)
-	}
-	if c.ActiveRows < 1 {
-		return fmt.Errorf("accel: ActiveRows %d < 1", c.ActiveRows)
-	}
-	if c.BitsPerCell < 1 || c.BitsPerCell > 3 {
-		return fmt.Errorf("accel: BitsPerCell %d outside 1..3", c.BitsPerCell)
-	}
-	return nil
-}
-
-// NewEncoderComponents builds the item memory and chunked level set
-// for a configuration, shared by the software and hardware encoders.
-func NewEncoderComponents(cfg Config) (*hdc.ItemMemory, *hdc.ChunkedLevelSet, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	ids := hdc.NewItemMemory(cfg.D, cfg.NumBins, cfg.IDPrecision, cfg.Seed)
-	levels := hdc.NewChunkedLevelSet(cfg.D, cfg.Q, cfg.NumChunks, cfg.Seed+1)
-	return ids, levels, nil
-}
 
 // HWEncoder performs ID-Level encoding in memory (§4.2): peak ID
 // hypervectors are programmed as multi-bit weights, one differential
 // row pair per peak, and level inputs are applied chunk by chunk so
 // each cycle produces a full chunk of MAC outputs, MVM-style.
 type HWEncoder struct {
-	cfg    Config
-	ids    *hdc.ItemMemory
+	cfg    core.OperatingPoint
 	levels *hdc.ChunkedLevelSet
 	ideal  *hdc.Encoder
 	dev    *rram.Device
 }
 
 // NewHWEncoder builds the in-memory encoder.
-func NewHWEncoder(cfg Config) (*HWEncoder, error) {
-	ids, levels, err := NewEncoderComponents(cfg)
+func NewHWEncoder(cfg core.OperatingPoint) (*HWEncoder, error) {
+	ids, levels, err := core.NewEncoderComponents(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -117,9 +47,11 @@ func NewHWEncoder(cfg Config) (*HWEncoder, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.ArrayCols < 1 {
+		cfg.ArrayCols = 256 // the chip's array width
+	}
 	return &HWEncoder{
 		cfg:    cfg,
-		ids:    ids,
 		levels: levels,
 		ideal:  ideal,
 		dev:    rram.NewDevice(rram.DefaultDeviceConfig(), cfg.Seed+2),
@@ -141,17 +73,9 @@ func (e *HWEncoder) Encode(peaks []spectrum.QuantizedPeak) (hdc.BinaryHV, error)
 		return hdc.NewBinaryHV(e.cfg.D), nil
 	}
 	acc := make([]float64, e.cfg.D)
-	colTile := e.cfg.ArrayCols
-	if colTile < 1 {
-		colTile = 256
-	}
 	for lo := 0; lo < len(peaks); lo += e.cfg.ActiveRows {
-		hi := lo + e.cfg.ActiveRows
-		if hi > len(peaks) {
-			hi = len(peaks)
-		}
-		batch := peaks[lo:hi]
-		if err := e.encodeBatch(batch, acc, colTile); err != nil {
+		batch := peaks[lo:min(lo+e.cfg.ActiveRows, len(peaks))]
+		if err := e.encodeBatch(batch, acc); err != nil {
 			return hdc.BinaryHV{}, err
 		}
 	}
@@ -166,24 +90,22 @@ func (e *HWEncoder) Encode(peaks []spectrum.QuantizedPeak) (hdc.BinaryHV, error)
 
 // encodeBatch programs one row batch of ID weights and accumulates all
 // chunk MVMs into acc.
-func (e *HWEncoder) encodeBatch(batch []spectrum.QuantizedPeak, acc []float64, colTile int) error {
+func (e *HWEncoder) encodeBatch(batch []spectrum.QuantizedPeak, acc []float64) error {
 	n := len(batch)
 	// The item memory unpacks an ID per call; do it once per peak, not
 	// once per column tile.
 	ids := make([]hdc.IntHV, n)
 	for p, pk := range batch {
-		if pk.Bin < 0 || pk.Bin >= e.ids.NumBins() {
+		if pk.Bin < 0 || pk.Bin >= e.ideal.IDs.NumBins() {
 			return fmt.Errorf("accel: peak bin %d out of range", pk.Bin)
 		}
-		ids[p] = e.ids.ID(pk.Bin)
+		ids[p] = e.ideal.IDs.ID(pk.Bin)
 	}
-	// Column tiling: the D dimensions are spread across ceil(D/colTile)
-	// physical arrays; all share the same row weights (peak IDs).
-	for tileLo := 0; tileLo < e.cfg.D; tileLo += colTile {
-		tileHi := tileLo + colTile
-		if tileHi > e.cfg.D {
-			tileHi = e.cfg.D
-		}
+	// Column tiling: the D dimensions are spread across
+	// ceil(D/ArrayCols) physical arrays; all share the same row weights
+	// (peak IDs).
+	for tileLo := 0; tileLo < e.cfg.D; tileLo += e.cfg.ArrayCols {
+		tileHi := min(tileLo+e.cfg.ArrayCols, e.cfg.D)
 		xb, err := rram.NewCrossbar(rram.CrossbarConfig{
 			Rows:          2 * e.cfg.ActiveRows,
 			Cols:          tileHi - tileLo,
@@ -211,8 +133,8 @@ func (e *HWEncoder) encodeBatch(batch []spectrum.QuantizedPeak, acc []float64, c
 		for c := 0; c < e.levels.NumChunks(); c++ {
 			cLo, cHi := e.levels.ChunkBounds(c)
 			// Intersect chunk with this column tile.
-			lo := maxInt(cLo, tileLo)
-			hi := minInt(cHi, tileHi)
+			lo := max(cLo, tileLo)
+			hi := min(cHi, tileHi)
 			if lo >= hi {
 				continue
 			}
@@ -264,7 +186,7 @@ func (e *HWEncoder) BitErrorRate(peakLists [][]spectrum.QuantizedPeak) (float64,
 // inputs in groups of ActiveRows, and group MACs accumulate digitally
 // into per-reference dot products.
 type HWSearcher struct {
-	cfg  Config
+	cfg  core.OperatingPoint
 	refs []hdc.BinaryHV
 	dev  *rram.Device
 	// tiles[g][t] covers row group g (ActiveRows dims) and column tile
@@ -273,9 +195,12 @@ type HWSearcher struct {
 }
 
 // NewHWSearcher programs the reference set into crossbar tiles.
-func NewHWSearcher(cfg Config, refs []hdc.BinaryHV) (*HWSearcher, error) {
-	if err := cfg.validate(); err != nil {
+func NewHWSearcher(cfg core.OperatingPoint, refs []hdc.BinaryHV) (*HWSearcher, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.ArrayCols < 1 {
+		cfg.ArrayCols = 256 // the chip's array width
 	}
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("accel: empty reference set")
@@ -290,20 +215,16 @@ func NewHWSearcher(cfg Config, refs []hdc.BinaryHV) (*HWSearcher, error) {
 		refs: refs,
 		dev:  rram.NewDevice(rram.DefaultDeviceConfig(), cfg.Seed+3),
 	}
-	colTile := cfg.ArrayCols
-	if colTile < 1 {
-		colTile = 256
-	}
 	numGroups := (cfg.D + cfg.ActiveRows - 1) / cfg.ActiveRows
-	numTiles := (len(refs) + colTile - 1) / colTile
+	numTiles := (len(refs) + cfg.ArrayCols - 1) / cfg.ArrayCols
 	s.tiles = make([][]*rram.Crossbar, numGroups)
 	for g := 0; g < numGroups; g++ {
 		s.tiles[g] = make([]*rram.Crossbar, numTiles)
 		dimLo := g * cfg.ActiveRows
-		dimHi := minInt(dimLo+cfg.ActiveRows, cfg.D)
+		dimHi := min(dimLo+cfg.ActiveRows, cfg.D)
 		for t := 0; t < numTiles; t++ {
-			refLo := t * colTile
-			refHi := minInt(refLo+colTile, len(refs))
+			refLo := t * cfg.ArrayCols
+			refHi := min(refLo+cfg.ArrayCols, len(refs))
 			xb, err := rram.NewCrossbar(rram.CrossbarConfig{
 				Rows:          2 * cfg.ActiveRows,
 				Cols:          refHi - refLo,
@@ -343,7 +264,7 @@ func (s *HWSearcher) DotProducts(q hdc.BinaryHV) ([]float64, error) {
 	dots := make([]float64, len(s.refs))
 	for g, row := range s.tiles {
 		dimLo := g * s.cfg.ActiveRows
-		dimHi := minInt(dimLo+s.cfg.ActiveRows, s.cfg.D)
+		dimHi := min(dimLo+s.cfg.ActiveRows, s.cfg.D)
 		inputs := make([]float64, dimHi-dimLo)
 		for d := dimLo; d < dimHi; d++ {
 			inputs[d-dimLo] = float64(q.Bit(d))
@@ -382,18 +303,4 @@ func (s *HWSearcher) SearchRMSE(queries []hdc.BinaryHV) (float64, error) {
 		return 0, nil
 	}
 	return math.Sqrt(se / sw), nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

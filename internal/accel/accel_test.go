@@ -5,13 +5,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hdc"
 	"repro/internal/spectrum"
 )
 
 // smallConfig returns a fast, low-noise test configuration.
-func smallConfig() Config {
-	cfg := DefaultConfig()
+func smallConfig() core.OperatingPoint {
+	cfg := core.DefaultOperatingPoint()
 	cfg.D = 512
 	cfg.NumBins = 200
 	cfg.NumChunks = 64
@@ -31,7 +32,7 @@ func randomPeaks(rng *rand.Rand, n, bins, q int) []spectrum.QuantizedPeak {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
+	bad := []core.OperatingPoint{
 		{D: 0, NumBins: 10, ActiveRows: 8, BitsPerCell: 1},
 		{D: 64, NumBins: 0, ActiveRows: 8, BitsPerCell: 1},
 		{D: 64, NumBins: 10, ActiveRows: 0, BitsPerCell: 1},
@@ -155,6 +156,35 @@ func TestHWSearcherFindsPlantedMatch(t *testing.T) {
 	// value 512-20=492.
 	if sim := (dots[37] + float64(cfg.D)) / 2; sim < 470 || sim > 512 {
 		t.Errorf("similarity estimate = %v, want ~492", sim)
+	}
+}
+
+// TestHWSearcherDefaultArrayCols: an operating point without an array
+// width searches as one with the chip's 256 columns, also past the
+// first column tile.
+func TestHWSearcherDefaultArrayCols(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	refs := make([]hdc.BinaryHV, 300)
+	for i := range refs {
+		refs[i] = hdc.RandomBinaryHV(512, rng)
+	}
+	q := hdc.RandomBinaryHV(512, rng)
+	var dots [2][]float64
+	for i, cols := range []int{0, 256} {
+		cfg := smallConfig()
+		cfg.ArrayCols = cols
+		hw, err := NewHWSearcher(cfg, refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dots[i], err = hw.DotProducts(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := range refs {
+		if dots[0][j] != dots[1][j] {
+			t.Fatalf("reference %d: dot %v without an array width, %v at 256 columns", j, dots[0][j], dots[1][j])
+		}
 	}
 }
 

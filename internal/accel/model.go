@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/hdc"
 	"repro/internal/spectrum"
 )
@@ -28,10 +29,8 @@ type NoisyModel struct {
 // workloads using the exact crossbar simulation: numProbe random peak
 // lists for encoding BER and a numProbe x numProbe reference/query
 // search for similarity noise.
-func Characterize(cfg Config, numProbe int, seed int64) (NoisyModel, error) {
-	if numProbe < 2 {
-		numProbe = 2
-	}
+func Characterize(cfg core.OperatingPoint, numProbe int, seed int64) (NoisyModel, error) {
+	numProbe = max(numProbe, 2)
 	rng := rand.New(rand.NewSource(seed))
 
 	// Encoding BER probe. Keep the probe dimension moderate for
@@ -40,7 +39,7 @@ func Characterize(cfg Config, numProbe int, seed int64) (NoisyModel, error) {
 	probeCfg := cfg
 	if probeCfg.D > 1024 {
 		probeCfg.D = 1024
-		probeCfg.NumChunks = minInt(cfg.NumChunks, 64)
+		probeCfg.NumChunks = min(cfg.NumChunks, 64)
 	}
 	enc, err := NewHWEncoder(probeCfg)
 	if err != nil {

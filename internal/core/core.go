@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/accel"
 	"repro/internal/hdc"
 	"repro/internal/obsv"
 	"repro/internal/spectrum"
@@ -41,9 +40,11 @@ type SearchEngine interface {
 
 // Params configures an OMS engine.
 type Params struct {
-	// Accel is the HD/hardware operating point (dimension, precision,
-	// quantization levels, …).
-	Accel accel.Config
+	// Accel is the operating point: the hypervector space the engine
+	// encodes in (NewEncoder) and the chip parameters the simulated
+	// accelerator reads. The field keeps its name because every stored
+	// index's params JSON spells it.
+	Accel OperatingPoint
 	// Preprocess configures spectrum cleanup (§3.1).
 	Preprocess spectrum.PreprocessConfig
 	// Binner maps m/z to vector bins; its NumBins must equal
@@ -70,10 +71,10 @@ type Params struct {
 // DefaultParams returns the paper's evaluation configuration.
 func DefaultParams() Params {
 	binner := spectrum.DefaultBinner()
-	acfg := accel.DefaultConfig()
-	acfg.NumBins = binner.NumBins()
+	op := DefaultOperatingPoint()
+	op.NumBins = binner.NumBins()
 	return Params{
-		Accel:       acfg,
+		Accel:       op,
 		Preprocess:  spectrum.DefaultPreprocess(),
 		Binner:      binner,
 		Window:      units.OpenWindow(-150, +500),
@@ -340,7 +341,7 @@ type NoiseSpec struct {
 // spec.Seed+1; each query's encoding is flipped as it is prepared and
 // every score perturbed as it is swept (see noise).
 func BuildNoisy(p Params, library []*spectrum.Spectrum, spec NoiseSpec) (*Engine, error) {
-	enc, err := newExactEncoder(p.Accel)
+	enc, err := NewEncoder(p.Accel)
 	if err != nil {
 		return nil, err
 	}

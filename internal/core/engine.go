@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/fdr"
 	"repro/internal/hdc"
 	"repro/internal/obsv"
@@ -82,17 +81,6 @@ type Engine struct {
 	noise *noise
 }
 
-// newExactEncoder builds the exact ID-Level query/reference encoder,
-// deterministically from the operating point (item memories and level
-// sets are seeded).
-func newExactEncoder(a accel.Config) (*hdc.Encoder, error) {
-	ids, levels, err := accel.NewEncoderComponents(a)
-	if err != nil {
-		return nil, err
-	}
-	return hdc.NewEncoder(ids, levels)
-}
-
 // exactSearcher packs one partition's exact sharded searcher: over the
 // spec's packed word block when it has one (aliased, not copied),
 // otherwise copied from the library's hypervectors.
@@ -139,7 +127,7 @@ func NewPartitionedEngine(p Params, set PartitionSet) (*Engine, *hdc.Encoder, er
 	enc := set.Encoder
 	if enc == nil {
 		var err error
-		if enc, err = newExactEncoder(p.Accel); err != nil {
+		if enc, err = NewEncoder(p.Accel); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -162,7 +150,7 @@ func NewExactEngineFromLibrary(p Params, lib *Library) (*Engine, *hdc.Encoder, e
 // one partition. It returns the engine and the encoder used for the
 // library so callers can reuse or wrap it.
 func BuildExact(p Params, library []*spectrum.Spectrum) (*Engine, *hdc.Encoder, error) {
-	enc, err := newExactEncoder(p.Accel)
+	enc, err := NewEncoder(p.Accel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -198,9 +186,7 @@ func newEngine(p Params, enc *hdc.Encoder, set PartitionSet) (*Engine, error) {
 	if len(set.Specs) == 0 {
 		return nil, fmt.Errorf("core: no partitions")
 	}
-	if p.TopK < 1 {
-		p.TopK = 1
-	}
+	p.TopK = max(p.TopK, 1)
 	e := &Engine{
 		params:         p,
 		enc:            enc,
@@ -644,9 +630,7 @@ func (e *Engine) Search(ctx context.Context, qs []PreparedQuery, tr *obsv.Trace)
 		if contributors > 1 {
 			slices.SortFunc(r.Top, e.rowBefore)
 		}
-		if len(r.Top) > e.params.TopK {
-			r.Top = r.Top[:e.params.TopK]
-		}
+		r.Top = r.Top[:min(len(r.Top), e.params.TopK)]
 		if len(r.Top) > 0 {
 			entry := e.EntryAt(r.Top[0].Index)
 			r.PSM = fdr.PSM{QueryID: qs[qi].QueryID, Peptide: entry.Peptide, IsDecoy: entry.IsDecoy,

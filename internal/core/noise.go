@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/accel"
 	"repro/internal/hdc"
 )
 
@@ -21,7 +20,7 @@ import (
 // one score seed per non-empty query per sweep, in query order — so
 // results are reproducible per seed at any GOMAXPROCS.
 type noise struct {
-	model accel.NoisyModel
+	spec  NoiseSpec
 	mu    sync.Mutex
 	enc   *rand.Rand
 	score *rand.Rand
@@ -31,7 +30,7 @@ type noise struct {
 // stream from spec.Seed+2 (spec.Seed+1 drives the storage errors).
 func newNoise(spec NoiseSpec) *noise {
 	return &noise{
-		model: accel.NoisyModel{EncodeBER: spec.EncodeBER, SearchSigma: spec.SearchSigma},
+		spec:  spec,
 		enc:   rand.New(rand.NewSource(spec.Seed)),
 		score: rand.New(rand.NewSource(spec.Seed + 2)),
 	}
@@ -41,7 +40,7 @@ func newNoise(spec NoiseSpec) *noise {
 // bit-error rate.
 func (n *noise) flip(h hdc.BinaryHV) {
 	n.mu.Lock()
-	h.FlipBits(n.model.EncodeBER, n.enc)
+	h.FlipBits(n.spec.EncodeBER, n.enc)
 	n.mu.Unlock()
 }
 
@@ -63,7 +62,7 @@ func (n *noise) search(ctx context.Context, s *hdc.ShardedSearcher, queries []hd
 	for i, r := range ranges {
 		if r.Clamp(s.Len()).Empty() {
 			out[i] = []hdc.Match{}
-		} else if n.model.SearchSigma > 0 {
+		} else if n.spec.SearchSigma > 0 {
 			sources[i] = rand.New(rand.NewSource(n.score.Int63()))
 		}
 	}
@@ -94,7 +93,7 @@ func (n *noise) topK(sims []int, lo, k int, src *rand.Rand) []hdc.Match {
 	for j, sim := range sims {
 		v := float64(sim)
 		if src != nil {
-			v += src.NormFloat64() * n.model.SearchSigma
+			v += src.NormFloat64() * n.spec.SearchSigma
 		}
 		best = insertTopK(best, hdc.Match{Index: lo + j, Similarity: int(math.Round(v))}, k)
 	}
@@ -119,8 +118,5 @@ func insertTopK(best []hdc.Match, m hdc.Match, k int) []hdc.Match {
 	best = append(best, hdc.Match{})
 	copy(best[pos+1:], best[pos:])
 	best[pos] = m
-	if len(best) > k {
-		best = best[:k]
-	}
-	return best
+	return best[:min(len(best), k)]
 }

@@ -7,19 +7,18 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/accel"
 	"repro/internal/hdc"
 	"repro/internal/spectrum"
 )
 
 // smallEncoder is an exact encoder at a small operating point.
-func smallEncoder(t *testing.T) (*hdc.Encoder, accel.Config) {
+func smallEncoder(t *testing.T) (*hdc.Encoder, OperatingPoint) {
 	t.Helper()
-	cfg := accel.DefaultConfig()
+	cfg := DefaultOperatingPoint()
 	cfg.D = 512
 	cfg.NumBins = 200
 	cfg.NumChunks = 64
-	enc, err := newExactEncoder(cfg)
+	enc, err := NewEncoder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

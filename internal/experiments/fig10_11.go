@@ -236,7 +236,7 @@ func RenderFigure11(rows []Fig11Row, dataset string) string {
 // resulting error statistics next to the fixed constants used by the
 // quality experiments.
 func Characterized(opts Options) (accel.NoisyModel, error) {
-	cfg := accel.DefaultConfig()
+	cfg := core.DefaultOperatingPoint()
 	cfg.Seed = opts.Seed + 31
 	probes := 6
 	if opts.Quick {

@@ -59,7 +59,7 @@ func Figure13(opts Options) ([]Fig13Row, error) {
 	for _, d := range dims {
 		p := core.DefaultParams()
 		p.Accel.D = d
-		p.Accel.NumChunks = maxInt(d/32, 32)
+		p.Accel.NumChunks = core.NumChunksFor(d)
 		p.Accel.Seed = opts.Seed + int64(d)
 		ideal, _, err := core.BuildExact(p, ds.Library)
 		if err != nil {
@@ -168,11 +168,4 @@ func RenderStorage(rows []StorageRow) string {
 		fmt.Fprintf(&b, "%-12d %12d %7.0fx\n", r.BitsPerCell, r.HVs8k, r.VsSLC)
 	}
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

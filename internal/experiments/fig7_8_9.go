@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/accel"
+	"repro/internal/core"
 	"repro/internal/hdc"
 	"repro/internal/rram"
 	"repro/internal/spectrum"
@@ -167,7 +168,7 @@ func Figure9Encoding(opts Options) ([]Fig9Row, error) {
 	for _, n := range fig9RowCounts(opts.Quick) {
 		row := Fig9Row{Rows: n}
 		for bits := 1; bits <= 3; bits++ {
-			cfg := accel.DefaultConfig()
+			cfg := core.DefaultOperatingPoint()
 			cfg.D = d
 			cfg.NumBins = numBins
 			cfg.NumChunks = 64
@@ -217,7 +218,7 @@ func Figure9Search(opts Options) ([]Fig9Row, error) {
 	for _, n := range fig9RowCounts(opts.Quick) {
 		row := Fig9Row{Rows: n}
 		for bits := 1; bits <= 3; bits++ {
-			cfg := accel.DefaultConfig()
+			cfg := core.DefaultOperatingPoint()
 			cfg.D = d
 			cfg.NumBins = 300
 			cfg.NumChunks = 64

@@ -5,9 +5,7 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/accel"
 	"repro/internal/core"
-	"repro/internal/hdc"
 	"repro/internal/spectrum"
 )
 
@@ -135,11 +133,7 @@ func localizePositions(global []int) []int {
 // batch it appends with the library's stored params, so the appended
 // rows are directly comparable with every existing partition's.
 func BuildLibrary(spectra []*spectrum.Spectrum, p core.Params) (*core.Library, error) {
-	ids, levels, err := accel.NewEncoderComponents(p.Accel)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := hdc.NewEncoder(ids, levels)
+	enc, err := core.NewEncoder(p.Accel)
 	if err != nil {
 		return nil, err
 	}
