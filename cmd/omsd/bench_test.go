@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/spectrum"
 )
 
 // bodySpectra is how many spectra one BenchmarkSearchBodies request
@@ -23,19 +22,27 @@ const bodySpectra = 64
 // the test daemon with omsd's default batcher settings serves its
 // handler stack on a real 127.0.0.1 listener, and one client per CPU
 // posts 64-spectrum MGF bodies back to back, each waiting for its
-// answer before sending the next. b.N counts bodies; it reports the
-// spectra answered per second and the daemon's mean batch (queries per
-// sweep).
+// answer before sending the next — over the open window, and over the
+// standard one, where the sweep is small and the front end (parse,
+// preprocess, encode, respond) is most of the work. b.N counts bodies;
+// each leg reports the spectra answered per second, the daemon's mean
+// batch (queries per sweep) and the heap allocations per spectrum of
+// the whole process, client included.
 func BenchmarkSearchBodies(b *testing.B) {
-	d, ds := obsvDaemon(b, serve.Config{})
-	body := make([]*spectrum.Spectrum, bodySpectra)
-	for i := range body {
-		body[i] = ds.Queries[i%len(ds.Queries)]
+	for _, leg := range []struct {
+		name string
+		open bool
+	}{{"open", true}, {"standard", false}} {
+		b.Run(leg.name, func(b *testing.B) {
+			d, ds := searchDaemon(b, serve.Config{}, leg.open)
+			benchmarkBodies(b, d, bodyMGF(b, ds))
+		})
 	}
-	var mgf bytes.Buffer
-	if err := spectrum.WriteMGF(&mgf, body); err != nil {
-		b.Fatal(err)
-	}
+}
+
+// benchmarkBodies posts b.N copies of mgf to d from one closed-loop
+// client per CPU.
+func benchmarkBodies(b *testing.B, d *daemon, mgf []byte) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -50,14 +57,16 @@ func BenchmarkSearchBodies(b *testing.B) {
 
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var before, after runtime.MemStats
 	b.ResetTimer()
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for next.Add(1) <= int64(b.N) {
-				resp, err := client.Post(url, "chemical/x-mgf", bytes.NewReader(mgf.Bytes()))
+				resp, err := client.Post(url, "chemical/x-mgf", bytes.NewReader(mgf))
 				if err != nil {
 					b.Error(err)
 					return
@@ -73,10 +82,13 @@ func BenchmarkSearchBodies(b *testing.B) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
 	b.StopTimer()
 	sv := d.acquire()
 	st := sv.srv.Stats()
 	sv.release()
-	b.ReportMetric(float64(b.N*bodySpectra)/elapsed.Seconds(), "spectra/s")
+	spectra := float64(b.N * bodySpectra)
+	b.ReportMetric(spectra/elapsed.Seconds(), "spectra/s")
 	b.ReportMetric(st.MeanBatchSize, "batch")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/spectra, "allocs/spectrum")
 }

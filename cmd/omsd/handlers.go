@@ -8,9 +8,14 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/serve"
 	"repro/internal/spectrum"
@@ -22,6 +27,19 @@ const (
 	maxBodyBytes    = 64 << 20
 	maxBodyPrealloc = 1 << 20
 )
+
+// bufPool recycles /search's byte buffers: a request body until it is
+// parsed, then a JSON answer until it is written. A buffer goes back
+// only while its capacity is at most what a declared length
+// preallocates, so the pool never holds a large body.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func putBuf(b *[]byte) {
+	if cap(*b) <= maxBodyPrealloc+bytes.MinRead {
+		*b = (*b)[:0]
+		bufPool.Put(b)
+	}
+}
 
 // mux routes the daemon's endpoints.
 func (d *daemon) mux() http.Handler {
@@ -73,14 +91,25 @@ type searchResponse struct {
 // so a SIGHUP swap mid-body never mixes indexes within one response,
 // and the old index stays mapped until its last body returns.
 func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
-	// A body of the declared length is read into one allocation.
-	var body bytes.Buffer
+	// A body of the declared length is read into one pooled buffer,
+	// which the parsed spectra do not point into.
+	buf := bufPool.Get().(*[]byte)
+	body := bytes.NewBuffer(*buf)
 	body.Grow(int(min(max(r.ContentLength, 0), maxBodyPrealloc)) + bytes.MinRead)
-	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	*buf = body.Bytes()
+	if err != nil {
+		putBuf(buf)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("reading body: %v", err), status)
 		return
 	}
-	queries, err := parseQueries(r.Header.Get("Content-Type"), body.Bytes())
+	queries, err := parseQueries(r.Header.Get("Content-Type"), *buf)
+	putBuf(buf)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -135,7 +164,13 @@ func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(searchResponse{Results: results}); err != nil {
+	buf = bufPool.Get().(*[]byte)
+	defer putBuf(buf)
+	*buf, err = appendSearchResponse(*buf, searchResponse{Results: results})
+	if err == nil {
+		_, err = w.Write(*buf)
+	}
+	if err != nil {
 		log.Printf("omsd: writing JSON response: %v", err)
 	}
 }
@@ -177,7 +212,7 @@ func parseQueries(contentType string, body []byte) ([]*spectrum.Spectrum, error)
 		}
 	} else {
 		var err error
-		if queries, err = spectrum.ReadMGF(bytes.NewReader(body)); err != nil {
+		if queries, err = spectrum.ParseMGF(body); err != nil {
 			return nil, fmt.Errorf("parsing MGF body: %v", err)
 		}
 	}
@@ -204,6 +239,112 @@ func writeTSV(w io.Writer, results []searchResult) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// appendSearchResponse appends resp to dst as
+// json.NewEncoder(w).Encode(resp) writes it — HTML-escaped strings,
+// floats as ES6 numbers, omitempty fields left out, a trailing newline
+// — and fails where it fails, on a NaN or infinite float, with its
+// error and nothing appended.
+func appendSearchResponse(dst []byte, resp searchResponse) ([]byte, error) {
+	if resp.Results == nil {
+		return append(dst, "{\"results\":null}\n"...), nil
+	}
+	n0 := len(dst)
+	dst = append(dst, `{"results":[`...)
+	for i, res := range resp.Results {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(append(dst, `{"query_id":`...), res.QueryID)
+		dst = strconv.AppendBool(append(dst, `,"matched":`...), res.Matched)
+		if res.Peptide != "" {
+			dst = appendJSONString(append(dst, `,"peptide":`...), res.Peptide)
+		}
+		var err error
+		if dst, err = appendJSONFloat(append(dst, `,"score":`...), res.Score); err != nil {
+			return dst[:n0], err
+		}
+		if dst, err = appendJSONFloat(append(dst, `,"mass_shift":`...), res.MassShift); err != nil {
+			return dst[:n0], err
+		}
+		if res.Decoy {
+			dst = append(dst, `,"decoy":true`...)
+		}
+		if res.Error != "" {
+			dst = appendJSONString(append(dst, `,"error":`...), res.Error)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}\n"...), nil
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: 'f'
+// format, 'e' (with no zero-padded exponent) below 1e-6 and from 1e21
+// up in magnitude.
+func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-09 to e-9
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
+// appendJSONString appends s quoted as encoding/json quotes a string
+// with HTML escaping on: control bytes, '"', '\\', '<', '>' and '&'
+// escaped, invalid UTF-8 as \ufffd, and U+2028/U+2029 escaped.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 {
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		} else if c == '\u2028' || c == '\u2029' {
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		} else {
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // handleHealthz reports liveness and library identity.

@@ -26,6 +26,13 @@ import (
 // observability tests can set slow-query thresholds and ring sizes.
 func obsvDaemon(t testing.TB, cfg serve.Config) (*daemon, *msdata.Dataset) {
 	t.Helper()
+	return searchDaemon(t, cfg, true)
+}
+
+// searchDaemon is obsvDaemon searching the open window, or the
+// standard one when open is false.
+func searchDaemon(t testing.TB, cfg serve.Config, open bool) (*daemon, *msdata.Dataset) {
+	t.Helper()
 	ds, err := msdata.Generate(msdata.IPRG2012(0.001))
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +40,7 @@ func obsvDaemon(t testing.TB, cfg serve.Config) (*daemon, *msdata.Dataset) {
 	p := core.DefaultParams()
 	p.Accel.D = 1024
 	p.Accel.NumChunks = 64
+	p.Open = open
 	engine, _, err := core.BuildExact(p, ds.Library)
 	if err != nil {
 		t.Fatal(err)

@@ -168,6 +168,36 @@ func eachSpectrum(n int, serial bool, fn func(i int) error) error {
 	return cmp.Or(errs...)
 }
 
+// encodeScratch holds the intermediate lists of one spectrum's encode,
+// reused from spectrum to spectrum through scratchPool: the
+// preprocessed peaks, their bins and the quantized levels.
+type encodeScratch struct {
+	peaks   []spectrum.Peak
+	entries []spectrum.Entry
+	levels  []spectrum.QuantizedPeak
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
+
+// encode preprocesses, bins, quantizes and encodes s in sc's buffers —
+// the steps of Preprocess, Vectorize and EncodeVector, to the same
+// bits. ok is false when preprocessing rejects s; the hypervector is
+// the one allocation.
+func (sc *encodeScratch) encode(p *Params, enc *hdc.Encoder, s *spectrum.Spectrum) (hv hdc.BinaryHV, ok bool, err error) {
+	if sc.peaks, err = p.Preprocess.AppendPreprocess(sc.peaks[:0], s); err != nil {
+		return hdc.BinaryHV{}, false, nil
+	}
+	sc.entries = p.Binner.AppendVectorize(sc.entries[:0], sc.peaks)
+	sc.levels = sc.vector(p).AppendQuantize(sc.levels[:0], enc.Levels.Q())
+	hv, err = enc.Encode(sc.levels)
+	return hv, err == nil, err
+}
+
+// vector is the binned vector the last encode left in sc.
+func (sc *encodeScratch) vector(p *Params) spectrum.Vector {
+	return spectrum.Vector{Entries: sc.entries, NumBins: p.Binner.NumBins()}
+}
+
 // BuildLibrary preprocesses, vectorizes and encodes the reference
 // spectra through eachSpectrum, so the library is the same at any
 // GOMAXPROCS. Spectra failing preprocessing are skipped (counted in
@@ -182,13 +212,16 @@ func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc *hdc.Encoder) (*Li
 	kept := make([]bool, len(spectra))
 	err := eachSpectrum(len(spectra), false, func(i int) error {
 		s := spectra[i]
-		pre, err := p.Preprocess.Preprocess(s)
+		sc := scratchPool.Get().(*encodeScratch)
+		hv, ok, err := sc.encode(&p, enc, s)
+		scratchPool.Put(sc)
 		if err != nil {
-			return nil
-		}
-		if hvs[i], err = enc.EncodeVector(p.Binner.Vectorize(pre)); err != nil {
 			return fmt.Errorf("core: encoding library spectrum %s: %w", s.ID, err)
 		}
+		if !ok {
+			return nil
+		}
+		hvs[i] = hv
 		entries[i] = LibraryEntry{
 			ID:      s.ID,
 			Peptide: s.Peptide,

@@ -445,3 +445,31 @@ func TestRunProducesValidFDR(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareAllocs pins that a warmed Prepare allocates only the
+// hypervector it returns: preprocessing, binning and quantizing reuse a
+// pooled scratch, and the noise model flips the encoding in place.
+func TestPrepareAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	ds := testDataset(t)
+	p := testParams()
+	exact, _, err := BuildExact(p, ds.Library)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy, err := BuildNoisy(p, ds.Library, NoiseSpec{EncodeBER: 0.01, SearchSigma: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]*Engine{"exact": exact, "noisy": noisy} {
+		q := ds.Queries[0]
+		if _, ok, err := e.Prepare(q); !ok || err != nil {
+			t.Fatalf("%s: query %s prepares to ok=%v, %v", name, q.ID, ok, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { e.Prepare(q) }); allocs != 1 {
+			t.Errorf("%s: Prepare made %v allocations, want 1 (the hypervector)", name, allocs)
+		}
+	}
+}

@@ -359,24 +359,28 @@ type PreparedQuery struct {
 }
 
 // encodeQuery is the engine's one query-side encode step: preprocess,
-// vectorize and encode, then flip bits under the noise model. ok is
-// false when preprocessing rejects the spectrum as uninformative. The
-// binned vector is returned for callers that also score in the
-// spectral domain (Rescorer).
-func (e *Engine) encodeQuery(q *spectrum.Spectrum) (spectrum.Vector, hdc.BinaryHV, bool, error) {
-	pre, err := e.params.Preprocess.Preprocess(q)
+// vectorize and encode in a pooled scratch, then flip bits under the
+// noise model. ok is false when preprocessing rejects the spectrum as
+// uninformative. keep, when not nil, sees the binned vector while the
+// scratch still holds it, for callers that also score in the spectral
+// domain (Rescorer); it must copy what it keeps.
+func (e *Engine) encodeQuery(q *spectrum.Spectrum, keep func(spectrum.Vector)) (hdc.BinaryHV, bool, error) {
+	sc := scratchPool.Get().(*encodeScratch)
+	defer scratchPool.Put(sc)
+	hv, ok, err := sc.encode(&e.params, e.enc, q)
 	if err != nil {
-		return spectrum.Vector{}, hdc.BinaryHV{}, false, nil
+		return hdc.BinaryHV{}, false, fmt.Errorf("core: encoding query %s: %w", q.ID, err)
 	}
-	v := e.params.Binner.Vectorize(pre)
-	hv, err := e.enc.EncodeVector(v)
-	if err != nil {
-		return spectrum.Vector{}, hdc.BinaryHV{}, false, fmt.Errorf("core: encoding query %s: %w", q.ID, err)
+	if !ok {
+		return hdc.BinaryHV{}, false, nil
 	}
 	if e.noise != nil {
 		e.noise.flip(hv)
 	}
-	return v, hv, true, nil
+	if keep != nil {
+		keep(sc.vector(&e.params))
+	}
+	return hv, true, nil
 }
 
 // Prepare preprocesses and encodes one query and resolves its
@@ -384,7 +388,7 @@ func (e *Engine) encodeQuery(q *spectrum.Spectrum) (spectrum.Vector, hdc.BinaryH
 // preprocessing or no visible library row lies inside its precursor
 // window — exactly the conditions under which Search finds no match.
 func (e *Engine) Prepare(q *spectrum.Spectrum) (PreparedQuery, bool, error) {
-	_, hv, ok, err := e.encodeQuery(q)
+	hv, ok, err := e.encodeQuery(q, nil)
 	if err != nil || !ok {
 		return PreparedQuery{}, false, err
 	}

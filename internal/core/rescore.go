@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -70,7 +71,12 @@ func (r *Rescorer) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
 	qvs := make([]spectrum.Vector, len(queries))
 	err := eachSpectrum(len(queries), e.noise != nil, func(i int) error {
 		q := queries[i]
-		v, hv, ok, err := e.encodeQuery(q)
+		hv, ok, err := e.encodeQuery(q, func(v spectrum.Vector) {
+			// Normalized, but always a copy: the scratch's vector goes
+			// back to the pool, and Normalized returns a zero vector
+			// itself.
+			qvs[i] = v.Scale(1 / cmp.Or(v.Norm(), 1))
+		})
 		if err != nil || !ok {
 			return err
 		}
@@ -79,7 +85,6 @@ func (r *Rescorer) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
 		// shortlist is rescored, so the wider net costs only HD search.
 		lo, hi := r.lib.CandidateRange(mass, e.params.Window)
 		pqs[i] = PreparedQuery{QueryID: q.ID, HV: hv, Mass: mass, Lo: lo, Hi: hi}
-		qvs[i] = v.Normalized()
 		return nil
 	})
 	if err != nil {

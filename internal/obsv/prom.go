@@ -117,10 +117,14 @@ func (p *PromWriter) Flush() error {
 	return p.err
 }
 
-// Label renders one escaped label pair k="v".
+// labelEscaper escapes a label value; one for all calls, since building
+// a Replacer costs more than most values it escapes.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// Label renders one escaped label pair k="v". A value with nothing to
+// escape costs only the result.
 func Label(k, v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return k + `="` + r.Replace(v) + `"`
+	return k + `="` + labelEscaper.Replace(v) + `"`
 }
 
 // joinLabels joins pre-rendered label bodies, skipping empties.

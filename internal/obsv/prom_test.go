@@ -91,6 +91,16 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
+// TestLabelAllocs pins that a label with nothing to escape allocates
+// only the string it returns.
+func TestLabelAllocs(t *testing.T) {
+	var got string
+	allocs := testing.AllocsPerRun(100, func() { got = Label("partition", "17") })
+	if got != `partition="17"` || allocs != 1 {
+		t.Errorf("Label = %s in %v allocations, want partition=\"17\" in 1", got, allocs)
+	}
+}
+
 // TestParsePromRoundTrip writes with PromWriter and reads back with
 // ParseProm.
 func TestParsePromRoundTrip(t *testing.T) {

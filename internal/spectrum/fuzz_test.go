@@ -29,6 +29,40 @@ func referencePeakLine(line []byte) (Peak, error) {
 	return Peak{MZ: mz, Intensity: in}, nil
 }
 
+// referenceHeader is what a KEY=val header line means: the key
+// upper-cased by strings.ToUpper, PEPMASS's first strings.Fields field
+// and CHARGE's trimmed digits converted by strconv.
+func referenceHeader(s *Spectrum, line string) error {
+	key, val, _ := strings.Cut(line, "=")
+	switch strings.ToUpper(key) {
+	case "TITLE":
+		s.ID = val
+	case "PEPMASS":
+		fields := strings.Fields(val)
+		if len(fields) == 0 {
+			return fmt.Errorf("empty PEPMASS")
+		}
+		mz, err := strconv.ParseFloat(fields[0], 64)
+		if err != nil {
+			return fmt.Errorf("bad PEPMASS %q: %v", val, err)
+		}
+		s.PrecursorMZ = mz
+	case "CHARGE":
+		v := strings.TrimSuffix(strings.TrimSpace(val), "+")
+		v = strings.TrimSuffix(v, "-")
+		z, err := strconv.Atoi(v)
+		if err != nil {
+			return fmt.Errorf("bad CHARGE %q: %v", val, err)
+		}
+		s.Charge = max(z, 1)
+	case "SEQ":
+		s.Peptide = val
+	case "DECOY":
+		s.IsDecoy = val == "1" || strings.EqualFold(val, "true")
+	}
+	return nil
+}
+
 // The MGF/MSP parsers sit on the network request path of the omsd
 // search daemon, so they must be total: any byte stream either parses
 // or returns an error — never panics — and parsing is deterministic.
@@ -53,6 +87,9 @@ func FuzzReadMGF(f *testing.F) {
 	f.Add("BEGIN IONS\nTITLE=a\nPEPMASS=1\n1 1\nBEGIN IONS\nTITLE=b\nPEPMASS=1\nEND IONS\n")
 	f.Add("BEGIN IONS\nPEPMASS=1\nEND IONS\n  BEGIN IONS\nPEPMASS=2\nEND IONS\nBEGIN IONS\nTITLE=BEGIN IONS\nPEPMASS=3\nEND IONS")
 	f.Add("BEGIN IONS\r\nPEPMASS=1\r\n1 2\r\nEND IONS\r\nBEGIN IONS\r\nPEPMASS=1\r\n3 4\r\nEND IONS\r\n")
+	// Header keys in any case, ASCII or not (ToUpper maps "ı" and "ſ"
+	// to "I" and "S"), and values around the number parsers' edges.
+	f.Add("BEGIN IONS\ntitle=a=b\nPepMass= \t445.5\u00a01000\nCHARGE=\u2003+2+\nseq=\ndecoy=TRUE\ntıtle=x\npepmaſs=7\nTITLEX=y\nPEPMASS=1_0\nCHARGE=+\nCHARGE=99999999999999999999\nEND IONS\n")
 	f.Add("BEGIN IONS\nTITLE=" + strings.Repeat("long ", 20) + "\nPEPMASS=1\nEND IONS\nBEGIN IONS\nBEGIN IONS=\nBEGIN IONS 1\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		for _, line := range bytes.Split([]byte(data), []byte("\n")) {
@@ -69,6 +106,16 @@ func FuzzReadMGF(f *testing.F) {
 			// And a peak line parses, or fails, as it does without the
 			// fast path: split at unicode spaces, both fields to strconv.
 			line = bytes.TrimSpace(line)
+			// A header line sets what it sets, or fails, as the
+			// string-splitting reader did.
+			if key, val, ok := bytes.Cut(line, []byte("=")); ok {
+				got, want := Spectrum{Charge: 1}, Spectrum{Charge: 1}
+				gerr, werr := applyHeader(&got, key, val), referenceHeader(&want, string(line))
+				if errText(gerr) != errText(werr) || fmt.Sprintf("%+v %x", got, math.Float64bits(got.PrecursorMZ)) !=
+					fmt.Sprintf("%+v %x", want, math.Float64bits(want.PrecursorMZ)) {
+					t.Fatalf("header %q: %+v (%v), reference %+v (%v)", line, got, gerr, want, werr)
+				}
+			}
 			got, gerr := parsePeakLine(line)
 			want, werr := referencePeakLine(line)
 			if errText(gerr) != errText(werr) || math.Float64bits(got.MZ) != math.Float64bits(want.MZ) ||

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"unicode"
+	"unicode/utf8"
 )
 
 // This file implements a reader and writer for the Mascot Generic
@@ -63,6 +64,13 @@ func ReadMGF(r io.Reader) ([]*Spectrum, error) {
 	return readMGF(r, mgfBlockSize)
 }
 
+// ParseMGF parses MGF text that is all in memory — a request body —
+// as ReadMGF parses it, in place on the caller's goroutine. The spectra
+// keep no reference to text, so the caller may reuse it at once.
+func ParseMGF(text []byte) ([]*Spectrum, error) {
+	return parseMGF(text, 0, true)
+}
+
 // readMGF reads r in blocks of about blockSize bytes, each cut where a
 // line is exactly BEGIN IONS: there the parser's state does not depend
 // on the text before — no block is open, or the line is the "nested
@@ -106,7 +114,7 @@ func readMGF(r io.Reader, blockSize int) ([]*Spectrum, error) {
 		}
 		block, tail, baseLine := buf[:cut], buf[cut:fill], lines
 		if last && len(parts) == 0 {
-			return parseMGF(block, 0, true)
+			return ParseMGF(block)
 		}
 		p := new(part)
 		parts = append(parts, p)
@@ -161,7 +169,8 @@ func lastBeginIONS(text []byte) int {
 // input ends with it. All its peaks go into one arena — the block's
 // line count bounds them — and each spectrum takes a cap-limited piece,
 // so appending to one spectrum's Peaks copies them instead of writing
-// over its neighbour's.
+// over its neighbour's. Header values are read from the bytes too; only
+// TITLE and SEQ become strings, copies that the spectrum keeps.
 func parseMGF(block []byte, baseLine int, last bool) ([]*Spectrum, error) {
 	var (
 		spectra []*Spectrum
@@ -172,7 +181,7 @@ func parseMGF(block []byte, baseLine int, last bool) ([]*Spectrum, error) {
 	)
 	for line, rest := []byte(nil), block; len(rest) > 0; {
 		// Lines stay bytes: a peak line — nearly every line of a library
-		// — is split and parsed in place; only headers become strings.
+		// — is split and parsed in place, and so is a header.
 		line, rest, _ = bytes.Cut(rest, []byte("\n"))
 		line = bytes.TrimSpace(line)
 		lineNo++
@@ -198,8 +207,8 @@ func parseMGF(block []byte, baseLine int, last bool) ([]*Spectrum, error) {
 		case cur == nil:
 			// Global headers outside blocks are permitted and ignored.
 		case bytes.IndexByte(line, '=') >= 0:
-			key, val, _ := strings.Cut(string(line), "=")
-			if err := applyHeader(cur, strings.ToUpper(key), val); err != nil {
+			key, val, _ := bytes.Cut(line, []byte("="))
+			if err := applyHeader(cur, key, val); err != nil {
 				return nil, fmt.Errorf("mgf line %d: %v", lineNo, err)
 			}
 		default:
@@ -218,25 +227,31 @@ func parseMGF(block []byte, baseLine int, last bool) ([]*Spectrum, error) {
 	return spectra, nil
 }
 
-func applyHeader(s *Spectrum, key, val string) error {
-	switch key {
+// applyHeader sets the field a KEY=val header line names; the key
+// matches in any case, as strings.ToUpper folds it.
+func applyHeader(s *Spectrum, key, val []byte) error {
+	var buf [len("PEPMASS")]byte
+	switch string(upperKey(buf[:0], key)) {
 	case "TITLE":
-		s.ID = val
+		s.ID = string(val)
 	case "PEPMASS":
 		// PEPMASS may carry "mz [intensity]".
-		fields := strings.Fields(val)
-		if len(fields) == 0 {
+		field := bytes.TrimLeftFunc(val, unicode.IsSpace)
+		if i := bytes.IndexFunc(field, unicode.IsSpace); i >= 0 {
+			field = field[:i]
+		}
+		if len(field) == 0 {
 			return fmt.Errorf("empty PEPMASS")
 		}
-		mz, err := strconv.ParseFloat(fields[0], 64)
+		mz, err := strconv.ParseFloat(string(field), 64)
 		if err != nil {
 			return fmt.Errorf("bad PEPMASS %q: %v", val, err)
 		}
 		s.PrecursorMZ = mz
 	case "CHARGE":
-		v := strings.TrimSuffix(strings.TrimSpace(val), "+")
-		v = strings.TrimSuffix(v, "-")
-		z, err := strconv.Atoi(v)
+		v := bytes.TrimSuffix(bytes.TrimSpace(val), []byte("+"))
+		v = bytes.TrimSuffix(v, []byte("-"))
+		z, err := strconv.Atoi(string(v))
 		if err != nil {
 			return fmt.Errorf("bad CHARGE %q: %v", val, err)
 		}
@@ -245,11 +260,30 @@ func applyHeader(s *Spectrum, key, val string) error {
 		}
 		s.Charge = z
 	case "SEQ":
-		s.Peptide = val
+		s.Peptide = string(val)
 	case "DECOY":
-		s.IsDecoy = val == "1" || strings.EqualFold(val, "true")
+		s.IsDecoy = string(val) == "1" || bytes.EqualFold(val, []byte("true"))
 	}
 	return nil
+}
+
+// upperKey appends key upper-cased as strings.ToUpper would to dst, in
+// place when key is ASCII no longer than cap(dst); an ASCII key longer
+// than that — longer than any header name the reader knows — comes
+// back empty.
+func upperKey(dst, key []byte) []byte {
+	for i, c := range key {
+		switch {
+		case c >= utf8.RuneSelf:
+			return []byte(strings.ToUpper(string(key)))
+		case i == cap(dst):
+			return dst[:0]
+		case 'a' <= c && c <= 'z':
+			c -= 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // parsePeakLine parses the first two whitespace-separated fields of a

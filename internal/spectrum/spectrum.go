@@ -45,13 +45,15 @@ func (s *Spectrum) PrecursorMass() float64 {
 const protonMass = 1.007276466622
 
 // SortPeaks sorts the peak list by ascending m/z in place. A list
-// already in order — the readers sort, then Preprocess sorts its clone
+// already in order — the readers sort, then Preprocess sorts its copy
 // again — is left alone; the check is false on any NaN, so the sort
 // still sees every list it could reorder.
-func (s *Spectrum) SortPeaks() {
-	for i := 1; i < len(s.Peaks); i++ {
-		if !(s.Peaks[i-1].MZ <= s.Peaks[i].MZ) {
-			slices.SortFunc(s.Peaks, func(a, b Peak) int { return ascending(a.MZ, b.MZ) })
+func (s *Spectrum) SortPeaks() { sortPeaks(s.Peaks) }
+
+func sortPeaks(peaks []Peak) {
+	for i := 1; i < len(peaks); i++ {
+		if !(peaks[i-1].MZ <= peaks[i].MZ) {
+			slices.SortFunc(peaks, func(a, b Peak) int { return ascending(a.MZ, b.MZ) })
 			return
 		}
 	}
@@ -72,9 +74,11 @@ func ascending(a, b float64) int {
 }
 
 // BasePeak returns the most intense peak, or a zero Peak if empty.
-func (s *Spectrum) BasePeak() Peak {
+func (s *Spectrum) BasePeak() Peak { return basePeak(s.Peaks) }
+
+func basePeak(peaks []Peak) Peak {
 	var bp Peak
-	for _, p := range s.Peaks {
+	for _, p := range peaks {
 		if p.Intensity > bp.Intensity {
 			bp = p
 		}
@@ -181,12 +185,28 @@ var ErrTooFewPeaks = errors.New("spectrum: too few peaks after preprocessing")
 // returns a new spectrum; the input is not modified. It returns
 // ErrTooFewPeaks for spectra that end up with fewer than MinPeaks peaks.
 func (cfg PreprocessConfig) Preprocess(s *Spectrum) (*Spectrum, error) {
-	out := s.Clone()
-	out.SortPeaks()
+	peaks, err := cfg.AppendPreprocess(make([]Peak, 0, len(s.Peaks)), s)
+	if err != nil {
+		return nil, err
+	}
+	out := *s
+	out.Peaks = peaks
+	return &out, nil
+}
+
+// AppendPreprocess appends s's peaks to dst, filters and normalizes
+// the appended ones as Preprocess does and returns the extended slice;
+// s is not modified. On error it returns dst with its length unchanged
+// (and any capacity it grew).
+func (cfg PreprocessConfig) AppendPreprocess(dst []Peak, s *Spectrum) ([]Peak, error) {
+	n0 := len(dst)
+	dst = append(dst, s.Peaks...)
+	peaks := dst[n0:]
+	sortPeaks(peaks)
 
 	// m/z range and precursor removal.
-	kept := out.Peaks[:0]
-	for _, p := range out.Peaks {
+	kept := peaks[:0]
+	for _, p := range peaks {
 		if cfg.MinMZ > 0 && p.MZ < cfg.MinMZ {
 			continue
 		}
@@ -198,64 +218,63 @@ func (cfg PreprocessConfig) Preprocess(s *Spectrum) (*Spectrum, error) {
 		}
 		kept = append(kept, p)
 	}
-	out.Peaks = kept
+	peaks = kept
 
 	// Relative intensity threshold (fraction of base peak).
-	if cfg.NoiseFraction > 0 && len(out.Peaks) > 0 {
-		base := out.BasePeak().Intensity
-		thresh := base * cfg.NoiseFraction
-		kept = out.Peaks[:0]
-		for _, p := range out.Peaks {
+	if cfg.NoiseFraction > 0 && len(peaks) > 0 {
+		thresh := basePeak(peaks).Intensity * cfg.NoiseFraction
+		kept = peaks[:0]
+		for _, p := range peaks {
 			if p.Intensity >= thresh {
 				kept = append(kept, p)
 			}
 		}
-		out.Peaks = kept
+		peaks = kept
 	}
 
 	// Top-N by intensity, then restore m/z order.
-	if cfg.MaxPeaks > 0 && len(out.Peaks) > cfg.MaxPeaks {
-		slices.SortFunc(out.Peaks, func(a, b Peak) int { return ascending(b.Intensity, a.Intensity) })
-		out.Peaks = out.Peaks[:cfg.MaxPeaks]
-		out.SortPeaks()
+	if cfg.MaxPeaks > 0 && len(peaks) > cfg.MaxPeaks {
+		slices.SortFunc(peaks, func(a, b Peak) int { return ascending(b.Intensity, a.Intensity) })
+		peaks = peaks[:cfg.MaxPeaks]
+		sortPeaks(peaks)
 	}
 
-	if len(out.Peaks) < cfg.MinPeaks {
-		return nil, fmt.Errorf("%w: %d < %d (spectrum %s)",
-			ErrTooFewPeaks, len(out.Peaks), cfg.MinPeaks, s.ID)
+	if len(peaks) < cfg.MinPeaks {
+		return dst[:n0], fmt.Errorf("%w: %d < %d (spectrum %s)",
+			ErrTooFewPeaks, len(peaks), cfg.MinPeaks, s.ID)
 	}
 
-	applyNormalization(out, cfg.Norm)
-	return out, nil
+	applyNormalization(peaks, cfg.Norm)
+	return dst[:n0+len(peaks)], nil
 }
 
-func applyNormalization(s *Spectrum, n Normalization) {
+func applyNormalization(peaks []Peak, n Normalization) {
 	switch n {
 	case NormSqrt:
-		for i := range s.Peaks {
-			s.Peaks[i].Intensity = math.Sqrt(s.Peaks[i].Intensity)
+		for i := range peaks {
+			peaks[i].Intensity = math.Sqrt(peaks[i].Intensity)
 		}
 	case NormUnit:
 		var ss float64
-		for _, p := range s.Peaks {
+		for _, p := range peaks {
 			ss += p.Intensity * p.Intensity
 		}
 		if ss > 0 {
 			inv := 1 / math.Sqrt(ss)
-			for i := range s.Peaks {
-				s.Peaks[i].Intensity *= inv
+			for i := range peaks {
+				peaks[i].Intensity *= inv
 			}
 		}
 	case NormRank:
-		idx := make([]int, len(s.Peaks))
+		idx := make([]int, len(peaks))
 		for i := range idx {
 			idx[i] = i
 		}
 		sort.Slice(idx, func(a, b int) bool {
-			return s.Peaks[idx[a]].Intensity < s.Peaks[idx[b]].Intensity
+			return peaks[idx[a]].Intensity < peaks[idx[b]].Intensity
 		})
 		for rank, i := range idx {
-			s.Peaks[i].Intensity = float64(rank + 1)
+			peaks[i].Intensity = float64(rank + 1)
 		}
 	}
 }

@@ -181,12 +181,12 @@ func TestNormalizations(t *testing.T) {
 		)
 	}
 	sq := mk()
-	applyNormalization(sq, NormSqrt)
+	applyNormalization(sq.Peaks, NormSqrt)
 	if sq.Peaks[0].Intensity != 2 || sq.Peaks[1].Intensity != 3 || sq.Peaks[2].Intensity != 4 {
 		t.Errorf("sqrt norm: %+v", sq.Peaks)
 	}
 	un := mk()
-	applyNormalization(un, NormUnit)
+	applyNormalization(un.Peaks, NormUnit)
 	var ss float64
 	for _, p := range un.Peaks {
 		ss += p.Intensity * p.Intensity
@@ -195,12 +195,12 @@ func TestNormalizations(t *testing.T) {
 		t.Errorf("unit norm sum of squares = %v", ss)
 	}
 	rk := mk()
-	applyNormalization(rk, NormRank)
+	applyNormalization(rk.Peaks, NormRank)
 	if rk.Peaks[0].Intensity != 1 || rk.Peaks[1].Intensity != 2 || rk.Peaks[2].Intensity != 3 {
 		t.Errorf("rank norm: %+v", rk.Peaks)
 	}
 	none := mk()
-	applyNormalization(none, NormNone)
+	applyNormalization(none.Peaks, NormNone)
 	if none.Peaks[0].Intensity != 4 {
 		t.Errorf("none norm changed intensities")
 	}
@@ -208,7 +208,7 @@ func TestNormalizations(t *testing.T) {
 
 func TestNormUnitZeroVector(t *testing.T) {
 	s := makeSpec("a", 900, 2, Peak{MZ: 200, Intensity: 0})
-	applyNormalization(s, NormUnit) // must not divide by zero
+	applyNormalization(s.Peaks, NormUnit) // must not divide by zero
 	if s.Peaks[0].Intensity != 0 {
 		t.Error("zero vector changed")
 	}

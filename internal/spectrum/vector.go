@@ -74,14 +74,25 @@ type Vector struct {
 // Vectorize bins the spectrum's peaks, summing intensities of peaks
 // that share a bin in peak order.
 func (b Binner) Vectorize(s *Spectrum) Vector {
-	entries := make([]Entry, 0, len(s.Peaks))
-	for _, p := range s.Peaks {
+	return Vector{Entries: b.AppendVectorize(make([]Entry, 0, len(s.Peaks)), s.Peaks), NumBins: b.NumBins()}
+}
+
+// AppendVectorize appends the entries Vectorize makes of peaks to dst
+// and returns the extended slice.
+func (b Binner) AppendVectorize(dst []Entry, peaks []Peak) []Entry {
+	n0 := len(dst)
+	for _, p := range peaks {
 		if i, ok := b.Bin(p.MZ); ok {
-			entries = append(entries, Entry{Bin: i, Intensity: 0 + p.Intensity}) // 0+: a lone -0 sums to +0
+			dst = append(dst, Entry{Bin: i, Intensity: 0 + p.Intensity}) // 0+: a lone -0 sums to +0
 		}
 	}
-	// Stable, so equal bins keep peak order; a no-op on peaks in m/z order.
-	slices.SortStableFunc(entries, func(a, c Entry) int { return cmp.Compare(a.Bin, c.Bin) })
+	entries := dst[n0:]
+	// Stable, so equal bins keep peak order; peaks in m/z order are
+	// already in bin order, and need no sort at all.
+	byBin := func(a, c Entry) int { return cmp.Compare(a.Bin, c.Bin) }
+	if !slices.IsSortedFunc(entries, byBin) {
+		slices.SortStableFunc(entries, byBin)
+	}
 	merged := entries[:0]
 	for _, e := range entries {
 		if n := len(merged); n > 0 && merged[n-1].Bin == e.Bin {
@@ -90,7 +101,7 @@ func (b Binner) Vectorize(s *Spectrum) Vector {
 			merged = append(merged, e)
 		}
 	}
-	return Vector{Entries: merged, NumBins: b.NumBins()}
+	return dst[:n0+len(merged)]
 }
 
 // Norm returns the Euclidean norm of the vector.
@@ -184,6 +195,12 @@ func Cosine(a, b Vector) float64 {
 // level hypervector. A zero-intensity or empty vector yields level 0
 // entries.
 func (v Vector) Quantize(levels int) []QuantizedPeak {
+	return v.AppendQuantize(make([]QuantizedPeak, 0, len(v.Entries)), levels)
+}
+
+// AppendQuantize appends the peaks Quantize makes of v to dst and
+// returns the extended slice.
+func (v Vector) AppendQuantize(dst []QuantizedPeak, levels int) []QuantizedPeak {
 	if levels < 2 {
 		levels = 2
 	}
@@ -193,8 +210,7 @@ func (v Vector) Quantize(levels int) []QuantizedPeak {
 			maxI = e.Intensity
 		}
 	}
-	out := make([]QuantizedPeak, len(v.Entries))
-	for i, e := range v.Entries {
+	for _, e := range v.Entries {
 		lvl := 0
 		if maxI > 0 {
 			lvl = int(e.Intensity / maxI * float64(levels-1))
@@ -202,9 +218,9 @@ func (v Vector) Quantize(levels int) []QuantizedPeak {
 				lvl = levels - 1
 			}
 		}
-		out[i] = QuantizedPeak{Bin: e.Bin, Level: lvl}
+		dst = append(dst, QuantizedPeak{Bin: e.Bin, Level: lvl})
 	}
-	return out
+	return dst
 }
 
 // QuantizedPeak is a binned peak with its intensity quantized to a
