@@ -255,8 +255,10 @@ func TestParseMGFRetainsNoText(t *testing.T) {
 	for i := range text {
 		text[i] = 'X'
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("spectra changed with their text:\n%+v\nwant\n%+v", got, want)
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("spectrum %d changed with its text: %+v, want %+v", i, *got[i], *want[i])
+		}
 	}
 }
 
