@@ -6,8 +6,7 @@
 // milliseconds:
 //
 //	omsbuild -library lib.mgf -out lib.omsidx \
-//	         [-d 8192] [-precision 3] [-shardsize 2048] [-seed 1] \
-//	         [-partitions N]
+//	         [-d 8192] [-precision 3] [-seed 1] [-partitions N]
 //
 // The index records the full engine parameters (encoder seeds, binner,
 // preprocessing) alongside the packed mass-ordered hypervectors, the
@@ -27,16 +26,15 @@
 // A partitioned library is incrementally updatable:
 //
 //	omsbuild -append  -library new.mgf -out lib.manifest [-max-part-refs N]
-//	omsbuild -retract -ids id1,id2,... -out lib.manifest
+//	omsbuild -retract id1,id2,... -out lib.manifest
 //
-// -append encodes the new spectra with the library's stored params
-// (encoder identity, binner — the structural flags above are
-// rejected) and publishes them as small delta partitions under
-// one new manifest generation; -retract publishes tombstones hiding
-// the listed source ids. Both publish by appending one fsynced record
-// to the manifest log — a running omsd picks the new generation up on
-// SIGHUP, and omscompact folds accumulated deltas back into the base
-// tier.
+// -append encodes the new spectra with the manifest's stored params
+// (the structural flags above are rejected) and publishes them as
+// delta partitions under one new generation; -retract publishes
+// tombstones hiding the listed source ids. Each appends one fsynced
+// record to the manifest log under its writer lock. omsd only reads:
+// it serves the new generation after a SIGHUP, and omscompact folds the
+// deltas back into the base tier.
 package main
 
 import (
@@ -55,7 +53,6 @@ func main() {
 	out := flag.String("out", "", "output index path (default: library path + .omsidx); with -append/-retract: the existing manifest")
 	d := flag.Int("d", 8192, "HD dimension")
 	precision := flag.Int("precision", 3, "ID hypervector precision in bits (1-3)")
-	shardSize := flag.Int("shardsize", 0, "reference rows per search shard (0 = default)")
 	seed := flag.Int64("seed", 1, "random seed")
 	// -tiers and -bit-layout selected the removed K-tier ladder and
 	// entropy bit layout. They stay accepted only because the frozen
@@ -71,7 +68,7 @@ func main() {
 
 	if *appendMode || *retractIDs != "" {
 		incremental(*out, *libPath, *appendMode, *retractIDs, *maxPartRefs,
-			*d != 8192 || *precision != 3 || *shardSize != 0 || *seed != 1 || *partitions != 0)
+			*d != 8192 || *precision != 3 || *seed != 1 || *partitions != 0)
 		return
 	}
 
@@ -90,7 +87,6 @@ func main() {
 	p.Accel.NumChunks = core.NumChunksFor(*d)
 	p.Accel.IDPrecision = *precision
 	p.Accel.Seed = *seed
-	p.ShardSize = *shardSize
 
 	lib, err := libindex.BuildLibrary(library, p)
 	fatalIf(err)
@@ -128,7 +124,7 @@ func incremental(out, libPath string, appendMode bool, retractIDs string, maxPar
 		fatalIf(fmt.Errorf("-append and -retract are separate publishes; run them one at a time"))
 	}
 	if structuralFlags {
-		fatalIf(fmt.Errorf("-append/-retract use the library's stored params; -d/-precision/-shardsize/-seed/-partitions must not be set"))
+		fatalIf(fmt.Errorf("-append/-retract use the library's stored params; -d/-precision/-seed/-partitions must not be set"))
 	}
 	if !appendMode {
 		var ids []string

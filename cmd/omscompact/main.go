@@ -1,27 +1,24 @@
 // Command omscompact folds a partitioned library's delta tier back
-// into its base tier: every delta partition published by omsbuild
-// -append, every partition holding rows shadowed by tombstones or
-// newer re-additions, and (transitively) every base partition whose
-// mass fences touch one of those is merged, re-tiled into
-// mass-contiguous base partitions, and published atomically as one new
-// manifest generation — a single fsynced record append that a running
-// omsd picks up on SIGHUP (or via its own -compact-interval loop)
-// without dropping a query:
+// into its base tier: every delta partition omsbuild -append
+// published, every partition holding rows shadowed by tombstones or
+// newer re-additions, and every base partition whose mass fences touch
+// one of those is merged, re-tiled into mass-contiguous base
+// partitions, and published as one new manifest generation. It is the
+// only compactor; omsd only reads, so run it beside a live daemon and
+// send the daemon a SIGHUP after it:
 //
-//	omscompact -index lib.manifest [-max-part-refs N] [-sweep] [-gc]
+//	omscompact -index lib.manifest [-max-part-refs N] [-sweep] [-gc] && kill -HUP <omsd>
 //
-// Retired partition files are dropped from the manifest but left on
-// disk, because a not-yet-reloaded omsd may still be serving from
-// them. -sweep removes orphaned files no manifest record ever
-// referenced (the leftovers of a writer that crashed between writing
-// its partition files and publishing its record); it takes the
-// manifest's writer lock, so it never runs beside a publish. -gc additionally removes files that earlier
-// generations referenced but the current one no longer does; run it
-// only once every reader has reloaded past the compaction.
+// Retired partition files leave the manifest but stay on disk, since
+// an omsd that has not reloaded may still serve from them. -sweep
+// removes orphaned files no manifest record ever referenced (what a
+// writer that crashed before publishing left behind). -gc also removes
+// files only earlier generations referenced; run it only once every
+// reader has reloaded past the compaction.
 //
-// omscompact is a manifest writer: while another writer (omsbuild
-// -append/-retract, omscompact, or omsd -compact-interval) holds the
-// manifest's lock, it fails instead of racing it.
+// omscompact takes the manifest's writer lock: while another writer
+// (omsbuild -append/-retract or omscompact) holds it, it fails instead
+// of racing it.
 package main
 
 import (

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -91,13 +92,17 @@ type searchResponse struct {
 // so a SIGHUP swap mid-body never mixes indexes within one response,
 // and the old index stays mapped until its last body returns.
 func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
-	// A body of the declared length is read into one pooled buffer,
-	// which the parsed spectra do not point into.
+	// A declared length over the limit is refused unread. Any other
+	// body is read into one pooled buffer, which the parsed spectra do
+	// not point into.
+	if r.ContentLength > maxBodyBytes {
+		http.Error(w, fmt.Sprintf("reading body: %v", &http.MaxBytesError{Limit: maxBodyBytes}), http.StatusRequestEntityTooLarge)
+		return
+	}
 	buf := bufPool.Get().(*[]byte)
-	body := bytes.NewBuffer(*buf)
-	body.Grow(int(min(max(r.ContentLength, 0), maxBodyPrealloc)) + bytes.MinRead)
-	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	*buf = body.Bytes()
+	var err error
+	*buf = slices.Grow(*buf, int(min(max(r.ContentLength, 0), maxBodyPrealloc))+bytes.MinRead)
+	*buf, err = readBody(*buf, http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		putBuf(buf)
 		status := http.StatusBadRequest
@@ -172,6 +177,26 @@ func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		log.Printf("omsd: writing JSON response: %v", err)
+	}
+}
+
+// readBody appends r to dst until EOF. A full buffer doubles, but never
+// past maxBodyBytes+1: room for one byte more than the MaxBytesReader
+// r lets through before it fails.
+func readBody(dst []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			grown := make([]byte, len(dst), min(max(2*len(dst), bytes.MinRead), maxBodyBytes+1))
+			dst = grown[:copy(grown, dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
 	}
 }
 
@@ -466,8 +491,5 @@ func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 // writeJSON writes v as a JSON response.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil && !errors.Is(err, io.EOF) {
-		// The connection is gone; nothing useful left to do.
-		return
-	}
+	_ = json.NewEncoder(w).Encode(v) // a failed write: the client is gone, no one is left to tell
 }

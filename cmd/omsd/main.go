@@ -1,35 +1,21 @@
-// Command omsd is the resident open-modification-search daemon: it
-// opens a persistent library index (built by omsbuild) at startup —
-// memory-mapped, so startup is metadata-bound even for libraries far
-// bigger than RAM — and serves continuous query traffic over HTTP,
-// coalescing concurrent requests into block-major batched sweeps of
-// the packed reference store:
+// Command omsd is the resident open-modification-search daemon. It
+// memory-maps a library index built by omsbuild, so startup costs
+// metadata, not library size, and serves queries over HTTP, coalescing
+// concurrent requests into batched sweeps of the packed store:
 //
 //	omsd -index lib.omsidx [-addr :8993] [-maxbatch 64] \
-//	     [-maxqueue 4096] [-standard] [-topk 5]
+//	     [-maxqueue 4096] [-standard]
 //
-// -index accepts a partition manifest written by omsbuild -partitions
-// or a bare index file, which is served as a one-partition generation
-// 1 and reported as one on every endpoint. Each query's precursor
-// window is routed through the partitions' mass fences, the batched
-// search fans out across the partitions it reaches, and per-partition
-// top-k lists merge exactly — bit-identical over any partitioning.
+// -index takes a partition manifest (omsbuild -partitions) or a bare
+// index file, served as a one-partition generation 1; per-partition
+// top-k lists merge exactly, bit-identical over any partitioning.
 //
-// SIGHUP hot-reloads the index: the daemon rebuilds the engine from
-// the (possibly rewritten) index path and swaps it under live traffic.
-// Every in-flight search completes against exactly the generation that
-// admitted it — never a mix — and the old mapping is released only
-// after its last search returns. A failed reload leaves the current
-// index serving.
-//
-// A partitioned index is incrementally updatable while omsd serves it:
-// omsbuild -append publishes delta partitions (SIGHUP picks them up),
-// and -compact-interval D runs the in-process compactor every D,
-// folding accumulated deltas and tombstones back into the base tier
-// and hot-reloading the compacted generation — all without dropping a
-// query. Each pass publishes under the manifest's writer lock, so a
-// pass that meets another writer (omsbuild -append, omscompact) fails,
-// leaves the index unchanged, and is retried at the next interval.
+// omsd only reads its index and never takes the manifest's writer
+// lock; the writers are omsbuild -append/-retract and omscompact.
+// SIGHUP reloads the index path under live traffic: every search
+// completes against the one generation that admitted it, an old
+// mapping is released after its last search returns, and a failed
+// reload keeps the current one.
 //
 // Endpoints:
 //
@@ -37,24 +23,18 @@
 //	               ({"spectra":[{"id","precursor_mz","charge","peaks":[[mz,intensity],...]}]});
 //	               responds with PSM JSON, or TSV with ?format=tsv
 //	GET  /healthz  liveness + library identity
-//	GET  /stats    serving counters: queue depth, batch size
-//	               histogram, latency quantiles, per-partition
-//	               rows/fences/shadowed rows
-//	GET  /metrics  the same telemetry in Prometheus text exposition
-//	               format, plus per-stage pipeline timings, reload
-//	               generation and slow-query counters (DESIGN.md §10)
+//	GET  /stats    queue depth, batch sizes, latency quantiles,
+//	               per-partition rows/fences/shadowed rows
+//	GET  /metrics  the same in Prometheus text format, plus per-stage
+//	               timings and reload counters (DESIGN.md §10)
 //	GET  /debug/slowest
-//	               the worst-latency query traces with per-stage
-//	               timings, latency descending
+//	               the slowest query traces with per-stage timings
 //
-// Observability flags: -slow-query DURATION marks and logs requests at
-// or above the threshold (they surface in /debug/slowest and
-// oms_slow_queries_total either way); -access-log writes one
-// structured line per HTTP request with X-Request-ID propagation
-// (inbound header honored, generated otherwise, echoed on the
-// response, and joined to slow-query traces via request_id);
-// -debug-addr ADDR serves net/http/pprof on a second listener kept off
-// the query port.
+// -slow-query D logs requests at or above D (the slowest land in
+// /debug/slowest either way); -access-log logs one line per request,
+// with its X-Request-ID (honored or generated, echoed, and joined to
+// slow-query traces); -debug-addr serves net/http/pprof on a second
+// listener, off the query port.
 package main
 
 import (
@@ -71,7 +51,6 @@ import (
 	"time"
 
 	"repro/internal/hdc"
-	"repro/internal/libindex"
 )
 
 // Edge timeouts: a client gets readHeaderTimeout to finish its request
@@ -94,12 +73,9 @@ func main() {
 	maxBatch := flag.Int("maxbatch", 64, "most queued queries one batched sweep takes")
 	maxQueue := flag.Int("maxqueue", 4096, "admission bound on outstanding queries")
 	standard := flag.Bool("standard", false, "narrow-window standard search instead of open search")
-	topk := flag.Int("topk", 0, "matches retrieved per query (0 = index setting)")
 	slowQuery := flag.Duration("slow-query", 0, "log a structured line for requests at or above this latency (0 = off)")
 	accessLog := flag.Bool("access-log", false, "log one structured line per HTTP request")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off)")
-	compactInterval := flag.Duration("compact-interval", 0, "run the in-process compactor this often on a partitioned index, folding delta partitions and tombstones into the base tier and hot-reloading the result (0 = off; a pass that meets another manifest writer fails and is retried next interval)")
-	compactMaxRefs := flag.Int("compact-max-part-refs", 0, "with -compact-interval: max references per compacted partition (0 = one partition per mass gap)")
 	flag.Parse()
 
 	if *indexPath == "" {
@@ -111,7 +87,6 @@ func main() {
 		maxBatch:  *maxBatch,
 		maxQueue:  *maxQueue,
 		standard:  *standard,
-		topk:      *topk,
 		slowQuery: *slowQuery,
 	}
 	var d *daemon
@@ -140,42 +115,6 @@ func main() {
 		go func() {
 			if err := http.Serve(dln, debugMux); err != nil && !errors.Is(err, net.ErrClosed) {
 				fmt.Fprintf(os.Stderr, "omsd: pprof server: %v\n", err)
-			}
-		}()
-	}
-	if *compactInterval > 0 {
-		// Only a manifest has a log to compact.
-		_, err = libindex.LoadManifestLog(*indexPath)
-		fatalIf(err)
-		go func() {
-			// A pass that finds another writer holding the manifest's
-			// lock fails and is counted; the next tick retries. Each
-			// pass that actually publishes a generation is followed by
-			// a hot reload, exactly like a SIGHUP — in-flight searches
-			// finish against the generation that admitted them.
-			ticker := time.NewTicker(*compactInterval)
-			defer ticker.Stop()
-			for range ticker.C {
-				stats, err := libindex.Compact(*indexPath, *compactMaxRefs)
-				if err != nil {
-					d.compactFailures.Add(1)
-					fmt.Fprintf(os.Stderr, "omsd: compaction failed, index unchanged: %v\n", err)
-					continue
-				}
-				if stats.Noop {
-					continue
-				}
-				d.compactions.Add(1)
-				fmt.Fprintf(os.Stderr,
-					"omsd: compacted to generation %d: %d partitions -> %d (%d refs merged, %d shadowed refs dropped, %d tombstones cleared)\n",
-					stats.Generation, stats.DroppedPartitions, stats.NewPartitions,
-					stats.MergedRefs, stats.RemovedRefs, stats.ClearedTombstones)
-				nsv, err := d.reload()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "omsd: post-compaction reload failed, keeping current index: %v\n", err)
-					continue
-				}
-				fmt.Fprintf(os.Stderr, "omsd: reloaded %s\n", nsv.desc)
 			}
 		}()
 	}

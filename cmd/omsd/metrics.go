@@ -80,9 +80,6 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Gauge("oms_tombstones", "Outstanding retractions (tombstones).", float64(ov.Tombstones))
 	p.Gauge("oms_hidden_refs", "Physical rows shadowed by tombstones or newer-generation re-additions.", float64(ov.HiddenRefs))
 
-	p.Counter("oms_compactions_total", "In-process compactions published (omsd -compact-interval).", float64(d.compactions.Load()))
-	p.Counter("oms_compaction_failures_total", "In-process compaction attempts that failed.", float64(d.compactFailures.Load()))
-
 	p.Gauge("oms_reload_generation", "Serving generation id (1 = initial load, +1 per successful reload).", float64(d.generation.Load()))
 	p.Counter("oms_reload_total", "Successful index loads, including the initial one.", float64(d.generation.Load()))
 	p.Counter("oms_reload_failures_total", "Failed reload attempts (the previous index kept serving).", float64(d.reloadFailures.Load()))

@@ -126,7 +126,8 @@ func TestMetricsExposition(t *testing.T) {
 		"oms_index_references":           "gauge",
 		"oms_uptime_seconds":             "gauge",
 	}
-	// The K-tier ladder's families went with it; none may come back.
+	// The K-tier ladder's families went with it, and the in-process
+	// compactor's with it; none may come back.
 	for _, name := range []string{
 		"oms_tier_seconds_total",
 		"oms_cascade_rows_total",
@@ -136,6 +137,8 @@ func TestMetricsExposition(t *testing.T) {
 		"oms_partition_rows_prefiltered_total",
 		"oms_partition_rows_completed_total",
 		"oms_search_rows_completed_total",
+		"oms_compactions_total",
+		"oms_compaction_failures_total",
 	} {
 		if _, ok := fams[name]; ok {
 			t.Fatalf("removed family %s is exported", name)

@@ -21,7 +21,6 @@ type servingConfig struct {
 	maxBatch  int
 	maxQueue  int
 	standard  bool
-	topk      int
 	// slowQuery is the -slow-query latency threshold (0 = no threshold;
 	// the slow ring still keeps the worst traces).
 	slowQuery time.Duration
@@ -84,9 +83,6 @@ func buildNext(cfg servingConfig, prev *serving) (*serving, error) {
 	}
 	p := ix.Params
 	p.Open = !cfg.standard
-	if cfg.topk > 0 {
-		p.TopK = cfg.topk
-	}
 	set := ix.PartitionSet()
 	encoder := "drawn"
 	if prev != nil && prev.op == p.Accel {
@@ -136,11 +132,6 @@ type daemon struct {
 	// /metrics.
 	generation     atomic.Uint64
 	reloadFailures atomic.Uint64
-	// compactions / compactFailures count in-process compactor runs
-	// that published a generation, and runs that errored (-compact-
-	// interval; no-op passes count as neither).
-	compactions     atomic.Uint64
-	compactFailures atomic.Uint64
 }
 
 // newDaemon wires a daemon around a serving builder; call reload once

@@ -214,6 +214,36 @@ func TestSearchBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestSearchBodyDeclaredTooLarge pins that a declared Content-Length
+// over maxBodyBytes answers the same 413 before a byte is read.
+func TestSearchBodyDeclaredTooLarge(t *testing.T) {
+	d, _, _ := testDaemon(t)
+	body := &countingReader{r: comments{}}
+	req := httptest.NewRequest("POST", "/search", body)
+	req.ContentLength = maxBodyBytes + 1
+	rec := httptest.NewRecorder()
+	d.mux().ServeHTTP(rec, req)
+	if want := "reading body: http: request body too large"; rec.Code != http.StatusRequestEntityTooLarge ||
+		strings.TrimSpace(rec.Body.String()) != want {
+		t.Fatalf("status %d, body %q; want 413, %q", rec.Code, rec.Body.String(), want)
+	}
+	if body.n != 0 {
+		t.Fatalf("read %d body bytes before answering 413; want 0", body.n)
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
 // comments is an endless MGF text of comment lines.
 type comments struct{}
 

@@ -3,33 +3,25 @@
 //
 //	omsearch -library lib.mgf -queries q.mgf [-backend ideal|rram] \
 //	         [-d 8192] [-precision 3] [-seed 1] [-rescore 0] \
-//	         [-fdr 0.01] [-standard] [-shardsize 2048]
-//	omsearch -index lib.omsidx -queries q.mgf \
-//	         [-fdr 0.01] [-standard] [-shardsize 2048]
+//	         [-fdr 0.01] [-standard]
+//	omsearch -index lib.omsidx -queries q.mgf [-fdr 0.01] [-standard]
 //
-// With -library the encoded library is built from scratch; with
-// -index (built by omsbuild) the encoded, mass-ordered library and
-// its engine parameters are loaded from the persistent index in
-// milliseconds — the encoder-identity flags (-d, -precision, -seed)
-// come from the index and are ignored. -index accepts a partition
-// manifest written by omsbuild -partitions or a bare index file, a
-// one-partition generation; either is opened memory-mapped where
-// supported (the packed words become zero-copy searcher rows and fault
-// in lazily), each query's precursor window is routed to the
-// overlapping mass-fenced partitions, and their top-k lists merge
-// exactly — output is bit-identical over any partitioning, and to a
-// -library build at the same D/precision/seed. One stderr line per
-// partition follows the summary. Either way the queries are prepared
-// on every CPU (in input order on one, for the rram backend's seeded
-// query flips) and
-// the whole query set is scored by one block-major batch sweep of the
-// packed store, each query's precursor window a contiguous row range
-// streamed through the sharded engine's blocked XOR+popcount kernel.
-// -parallel is still accepted and has no effect. The query file is
-// parsed while the index opens (or the library is read and encoded)
-// and the engine, item memory included, is built; an unreadable query
-// file is still the error reported first. Results are written to
-// stdout as a TSV of accepted PSMs.
+// With -library the library is read and encoded here; with -index
+// (built by omsbuild) the encoded library and its engine parameters
+// are loaded instead, and -d, -precision and -seed are ignored. -index
+// takes a partition manifest or a bare index file (a one-partition
+// generation), memory-mapped where supported; each query's precursor
+// window is routed to the mass-fenced partitions it overlaps, and their
+// top-k lists merge exactly, so the output is bit-identical over any
+// partitioning and to a -library build at the same D/precision/seed.
+// One stderr line per partition follows the summary.
+//
+// The query file is parsed while the library arrives; an unreadable
+// query file is still the error reported first. The queries are
+// prepared on every CPU (in input order on one for the rram backend's
+// seeded query flips) and scored in one block-major batch sweep of the
+// packed store. -parallel is accepted and has no effect. The accepted
+// PSMs go to stdout as TSV.
 package main
 
 import (
@@ -56,7 +48,6 @@ func main() {
 	alpha := flag.Float64("fdr", 0.01, "FDR acceptance level")
 	standard := flag.Bool("standard", false, "narrow-window standard search instead of open search")
 	flag.Bool("parallel", false, "no effect: every search prepares on all CPUs and scores the query set in one sweep")
-	shardSize := flag.Int("shardsize", 0, "reference rows per search shard (0 = default)")
 	rescore := flag.Float64("rescore", 0, "blend factor for shifted-dot rescoring of the HD top-k candidates (0 = off, 1 = pure shifted-dot)")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
@@ -92,9 +83,6 @@ func main() {
 	queryTime := func(p core.Params) core.Params {
 		p.FDRAlpha = *alpha
 		p.Open = !*standard
-		if *shardSize > 0 {
-			p.ShardSize = *shardSize
-		}
 		return p
 	}
 	var (

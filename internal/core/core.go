@@ -184,7 +184,7 @@ var scratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 // bits. ok is false when preprocessing rejects s; the hypervector is
 // the one allocation.
 func (sc *encodeScratch) encode(p *Params, enc *hdc.Encoder, s *spectrum.Spectrum) (hv hdc.BinaryHV, ok bool, err error) {
-	if sc.peaks, err = p.Preprocess.AppendPreprocess(sc.peaks[:0], s); err != nil {
+	if sc.peaks, ok = p.Preprocess.AppendPreprocess(sc.peaks[:0], s); !ok {
 		return hdc.BinaryHV{}, false, nil
 	}
 	sc.entries = p.Binner.AppendVectorize(sc.entries[:0], sc.peaks)

@@ -471,5 +471,13 @@ func TestPrepareAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { e.Prepare(q) }); allocs != 1 {
 			t.Errorf("%s: Prepare made %v allocations, want 1 (the hypervector)", name, allocs)
 		}
+		// A spectrum preprocessing rejects costs nothing.
+		one := &spectrum.Spectrum{ID: "one-peak", PrecursorMZ: q.PrecursorMZ, Charge: q.Charge, Peaks: q.Peaks[:1]}
+		if _, ok, err := e.Prepare(one); ok || err != nil {
+			t.Fatalf("%s: one-peak query prepares to ok=%v, %v; want rejected", name, ok, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { e.Prepare(one) }); allocs != 0 {
+			t.Errorf("%s: a rejected Prepare made %v allocations, want 0", name, allocs)
+		}
 	}
 }

@@ -185,9 +185,9 @@ var ErrTooFewPeaks = errors.New("spectrum: too few peaks after preprocessing")
 // returns a new spectrum; the input is not modified. It returns
 // ErrTooFewPeaks for spectra that end up with fewer than MinPeaks peaks.
 func (cfg PreprocessConfig) Preprocess(s *Spectrum) (*Spectrum, error) {
-	peaks, err := cfg.AppendPreprocess(make([]Peak, 0, len(s.Peaks)), s)
-	if err != nil {
-		return nil, err
+	peaks, ok := cfg.AppendPreprocess(make([]Peak, 0, len(s.Peaks)), s)
+	if !ok {
+		return nil, fmt.Errorf("%w: fewer than %d (spectrum %s)", ErrTooFewPeaks, cfg.MinPeaks, s.ID)
 	}
 	out := *s
 	out.Peaks = peaks
@@ -196,9 +196,10 @@ func (cfg PreprocessConfig) Preprocess(s *Spectrum) (*Spectrum, error) {
 
 // AppendPreprocess appends s's peaks to dst, filters and normalizes
 // the appended ones as Preprocess does and returns the extended slice;
-// s is not modified. On error it returns dst with its length unchanged
-// (and any capacity it grew).
-func (cfg PreprocessConfig) AppendPreprocess(dst []Peak, s *Spectrum) ([]Peak, error) {
+// s is not modified. ok is false when fewer than MinPeaks peaks are
+// left, the one way preprocessing fails; dst then comes back with its
+// length unchanged (and any capacity it grew).
+func (cfg PreprocessConfig) AppendPreprocess(dst []Peak, s *Spectrum) (out []Peak, ok bool) {
 	n0 := len(dst)
 	dst = append(dst, s.Peaks...)
 	peaks := dst[n0:]
@@ -240,12 +241,11 @@ func (cfg PreprocessConfig) AppendPreprocess(dst []Peak, s *Spectrum) ([]Peak, e
 	}
 
 	if len(peaks) < cfg.MinPeaks {
-		return dst[:n0], fmt.Errorf("%w: %d < %d (spectrum %s)",
-			ErrTooFewPeaks, len(peaks), cfg.MinPeaks, s.ID)
+		return dst[:n0], false
 	}
 
 	applyNormalization(peaks, cfg.Norm)
-	return dst[:n0+len(peaks)], nil
+	return dst[:n0+len(peaks)], true
 }
 
 func applyNormalization(peaks []Peak, n Normalization) {
