@@ -5,18 +5,20 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/spectrum"
 )
 
-// buildSpectra is a library spanning several build chunks, in no mass
-// order, with every seventh spectrum too sparse to survive
-// preprocessing.
+// buildSpectra is a library of 785 spectra, in no mass order, with
+// every seventh spectrum too sparse to survive preprocessing.
 func buildSpectra() []*spectrum.Spectrum {
 	rng := rand.New(rand.NewSource(11))
-	spectra := make([]*spectrum.Spectrum, 3*spectrumChunk+17)
+	spectra := make([]*spectrum.Spectrum, 785)
 	for i := range spectra {
 		s := &spectrum.Spectrum{
 			ID:          fmt.Sprintf("ref-%d", i),
@@ -45,7 +47,7 @@ func atProcs(procs int, f func()) {
 }
 
 // TestBuildLibraryIdenticalAcrossProcs pins the parallel build's
-// join: chunks encoded on any number of CPUs land in input order, so
+// join: spectra encoded on any number of CPUs land in input order, so
 // entries, hypervectors, the sort permutation and the skip count do not
 // depend on GOMAXPROCS.
 func TestBuildLibraryIdenticalAcrossProcs(t *testing.T) {
@@ -78,16 +80,15 @@ func TestBuildLibraryIdenticalAcrossProcs(t *testing.T) {
 
 // TestBuildLibraryReportsFirstEncodeError pins that an encode failure
 // is reported for the first failing spectrum in input order, not the
-// first in time: two spectra carry a peak the encoder's item memory
-// has no bin for, one at the end of the first chunk and one at the
-// start of the second, which a second worker reaches long before.
+// first in time: two spectra two apart carry a peak the encoder's item
+// memory has no bin for, close enough that workers run both at once.
 func TestBuildLibraryReportsFirstEncodeError(t *testing.T) {
 	p := testParams()
 	enc := exactEncoder(t, p)
 	wide := p
 	wide.Preprocess.MaxMZ, wide.Binner.MaxMZ = 3000, 3000
 	spectra := buildSpectra()
-	first, second := spectrumChunk-2, spectrumChunk
+	first, second := 254, 256
 	for _, i := range []int{first, second} {
 		spectra[i].Peaks = append(spectra[i].Peaks, spectrum.Peak{MZ: 2500, Intensity: 50})
 	}
@@ -101,4 +102,87 @@ func TestBuildLibraryReportsFirstEncodeError(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestForEach pins the fan-out's contract: every index runs exactly
+// once at any GOMAXPROCS; the error returned is the first failing index
+// in input order even when a later index fails first; and serial walks
+// the indexes in ascending order on the caller, stopping at the first
+// error, as a loop that allocates nothing.
+func TestForEach(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		atProcs(procs, func() {
+			for _, n := range []int{0, 1, 2, 63, 64, 785} {
+				runs := make([]atomic.Int32, n)
+				if err := ForEach(n, false, func(i int) error {
+					runs[i].Add(1)
+					return nil
+				}); err != nil {
+					t.Fatalf("GOMAXPROCS=%d n=%d: %v", procs, n, err)
+				}
+				for i := range runs {
+					if got := runs[i].Load(); got != 1 {
+						t.Fatalf("GOMAXPROCS=%d n=%d: index %d ran %d times", procs, n, i, got)
+					}
+				}
+			}
+		})
+	}
+
+	// Index k is held back until k+1 has failed; k's error must win.
+	for _, procs := range []int{2, 8} {
+		atProcs(procs, func() {
+			for _, k := range []int{0, 5, 40} {
+				laterFailed := make(chan struct{})
+				err := ForEach(64, false, func(i int) error {
+					switch i {
+					case k:
+						select {
+						case <-laterFailed:
+						case <-time.After(10 * time.Second):
+							t.Errorf("GOMAXPROCS=%d: index %d never ran", procs, k+1)
+						}
+						time.Sleep(time.Millisecond) // let k+1's failure be recorded first
+						return fmt.Errorf("index %d", i)
+					case k + 1:
+						close(laterFailed)
+						return fmt.Errorf("index %d", i)
+					}
+					return nil
+				})
+				if want := fmt.Sprintf("index %d", k); err == nil || err.Error() != want {
+					t.Errorf("GOMAXPROCS=%d k=%d: got %v, want %q", procs, k, err, want)
+				}
+			}
+		})
+	}
+
+	atProcs(8, func() {
+		var order []int
+		err := ForEach(64, true, func(i int) error {
+			order = append(order, i)
+			if i == 40 {
+				return fmt.Errorf("index %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "index 40" {
+			t.Errorf("serial: got %v, want index 40's error", err)
+		}
+		want := make([]int, 41)
+		for i := range want {
+			want[i] = i
+		}
+		if !slices.Equal(order, want) {
+			t.Errorf("serial ran %v; want 0, 1, …, 40", order)
+		}
+		// One worker is a plain loop: nothing spawned, nothing allocated.
+		if raceEnabled {
+			return
+		}
+		noop := func(int) error { return nil }
+		if a := testing.AllocsPerRun(20, func() { ForEach(1, false, noop); ForEach(64, true, noop) }); a != 0 {
+			t.Errorf("one-worker ForEach allocates %.0f, want 0", a)
+		}
+	})
 }

@@ -15,7 +15,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -117,55 +116,63 @@ type Library struct {
 	Skipped int
 }
 
-// spectrumChunk is how many spectra a worker claims at a time: enough
-// that claiming costs nothing next to encoding them, few enough that a
-// small list still spreads over every CPU.
-const spectrumChunk = 256
-
-// eachSpectrum runs fn(i), which writes its result at position i, for
-// every i in [0, n) and returns the first error in input order. Chunks
-// claimed in input order run on every CPU, unless serial: then one
-// worker, the caller, walks the input in order (the noise model draws
-// its seeded query flips in encode order).
-func eachSpectrum(n int, serial bool, fn func(i int) error) error {
-	numChunks := (n + spectrumChunk - 1) / spectrumChunk
-	workers := 1
-	if !serial {
-		workers = min(runtime.GOMAXPROCS(0), numChunks)
-	}
-	errs := make([]error, numChunks)
-	// Chunks are claimed in input order and a claimed chunk is always
-	// finished, so once a chunk fails and claiming stops, every chunk
-	// before it has run: the first non-nil errs entry is the first
-	// failure in input order.
-	var next atomic.Int64
-	var failed atomic.Bool
-	work := func() {
-		for !failed.Load() {
-			c := int(next.Add(1)) - 1
-			if c >= numChunks {
-				return
-			}
-			for i := c * spectrumChunk; i < min((c+1)*spectrumChunk, n); i++ {
-				if err := fn(i); err != nil {
-					errs[c] = err
-					failed.Store(true)
-					break
-				}
+// ForEach runs fn(i) for every i in [0, n) and returns the error of
+// the first index, in input order, whose fn failed. It is the one
+// fan-out of the build and serving stack — the library build, the list
+// paths' query preparation, a served body's preparation and a batch's
+// partition sweeps: min(GOMAXPROCS, n) workers, the caller among them,
+// claim indexes one at a time in input order and stop claiming at the
+// first failure. A claimed index always finishes, so every index before
+// a failing one has run and the lowest failing index is the first in
+// input order. One worker — n <= 1, GOMAXPROCS 1 or serial (the noise
+// model draws its seeded query flips in encode order) — is a plain
+// ascending loop on the caller that stops at the first error and starts
+// and allocates nothing.
+func ForEach(n int, serial bool, fn func(i int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if serial || workers <= 1 {
+		for i := range n {
+			if err := fn(i); err != nil {
+				return err
 			}
 		}
+		return nil
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
+	f := &fanOut{fn: fn, n: n, first: n}
+	f.wg.Add(workers)
+	for range workers - 1 {
+		go f.work()
 	}
-	work()
-	wg.Wait()
-	return cmp.Or(errs...)
+	f.work()
+	f.wg.Wait()
+	return f.err
+}
+
+// fanOut is one parallel ForEach call: the claim counter and the
+// lowest failing index with its error.
+type fanOut struct {
+	fn    func(int) error
+	n     int
+	next  atomic.Int64
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	first int
+	err   error
+}
+
+func (f *fanOut) work() {
+	defer f.wg.Done()
+	for i := int(f.next.Add(1)) - 1; i < f.n; i = int(f.next.Add(1)) - 1 {
+		if err := f.fn(i); err != nil {
+			f.mu.Lock()
+			if i < f.first {
+				f.first, f.err = i, err
+			}
+			f.mu.Unlock()
+			f.next.Store(int64(f.n)) // no further claims
+			return
+		}
+	}
 }
 
 // encodeScratch holds the intermediate lists of one spectrum's encode,
@@ -199,7 +206,7 @@ func (sc *encodeScratch) vector(p *Params) spectrum.Vector {
 }
 
 // BuildLibrary preprocesses, vectorizes and encodes the reference
-// spectra through eachSpectrum, so the library is the same at any
+// spectra through ForEach, so the library is the same at any
 // GOMAXPROCS. Spectra failing preprocessing are skipped (counted in
 // Skipped), matching library-building practice; an encode failure is
 // reported for the first failing spectrum in input order.
@@ -210,7 +217,7 @@ func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc *hdc.Encoder) (*Li
 	entries := make([]LibraryEntry, len(spectra))
 	hvs := make([]hdc.BinaryHV, len(spectra))
 	kept := make([]bool, len(spectra))
-	err := eachSpectrum(len(spectra), false, func(i int) error {
+	err := ForEach(len(spectra), false, func(i int) error {
 		s := spectra[i]
 		sc := scratchPool.Get().(*encodeScratch)
 		hv, ok, err := sc.encode(&p, enc, s)

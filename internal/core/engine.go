@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/fdr"
@@ -477,42 +476,43 @@ func (e *Engine) partRange(p *partition, pq *PreparedQuery) (int, int) {
 	return p.lib.CandidateRange(pq.Mass, w)
 }
 
-// partBatch is one partition's share of a prepared batch: the queries
-// whose windows reach it (qIdx, ascending), their hypervectors and
-// local row ranges, and — after the sweep — their top-k lists or the
-// sweep's error. next is the merge's cursor into qIdx.
+// partBatch is one partition's share of a prepared batch: the
+// partition, the queries whose windows reach it (qIdx, ascending),
+// their hypervectors and local row ranges, and — after the sweep —
+// their top-k lists. next is the merge's cursor into qIdx.
 type partBatch struct {
+	part   int
 	qIdx   []int
 	hvs    []hdc.BinaryHV
 	ranges []hdc.RowRange
 	tops   [][]hdc.Match
-	err    error
 	next   int
 }
 
-// sweep runs partition i's block-major batch sweep at the global k: its
-// searcher masks the hidden rows, so what comes back is the partition's
-// visible top-k, under noisy scores when the engine carries noise. A
-// non-nil tr collects the exact sweep's rows plus one partition record
-// (index, candidate rows, wall time).
-func (e *Engine) sweep(ctx context.Context, i int, b *partBatch, tr *obsv.Trace) {
-	p := &e.parts[i]
+// sweep runs b's partition's block-major batch sweep at the global k:
+// its searcher masks the hidden rows, so what comes back is the
+// partition's visible top-k, under noisy scores when the engine carries
+// noise. A non-nil tr collects the exact sweep's rows plus one
+// partition record (index, candidate rows, wall time).
+func (e *Engine) sweep(ctx context.Context, b *partBatch, tr *obsv.Trace) (err error) {
+	p := &e.parts[b.part]
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
 	if e.noise != nil {
-		b.tops, b.err = e.noise.search(ctx, p.searcher, b.hvs, b.ranges, e.params.TopK)
+		b.tops, err = e.noise.search(ctx, p.searcher, b.hvs, b.ranges, e.params.TopK)
 	} else {
-		b.tops, b.err = p.searcher.Search(ctx, b.hvs, b.ranges, e.params.TopK, tr)
+		b.tops, err = p.searcher.Search(ctx, b.hvs, b.ranges, e.params.TopK, tr)
 	}
 	if tr != nil {
 		rows := 0
 		for _, r := range b.ranges {
 			rows += r.Len()
 		}
-		tr.AddPartition(i, rows, int64(time.Since(t0)))
+		tr.AddPartition(b.part, rows, int64(time.Since(t0)))
 	}
+	return err
 }
 
 // locate returns the partition holding a global row and the row's
@@ -551,23 +551,24 @@ type SearchResult struct {
 }
 
 // Search scores prepared queries — the engine's one search path — and
-// returns one result per query, in order. Each partition runs one
-// block-major sweep over the queries whose windows reach it, the first
-// on the calling goroutine and the rest in parallel, so a batch that
-// lands in one partition spawns nothing. The per-partition lists then
-// merge per query under rowBefore; only queries spanning partitions
-// need the sort. Exact results do not depend on the batch; noisy ones
-// draw one score seed per query in batch order (see noise).
+// returns one result per query, in order. Each partition the batch
+// reaches runs one block-major sweep over the queries whose windows
+// reach it; the sweeps are spread by ForEach, so a batch that lands in
+// one partition sweeps it on the calling goroutine and spawns nothing.
+// The per-partition lists then merge per query under rowBefore; only
+// queries spanning partitions need the sort. Exact results do not
+// depend on the batch; noisy ones draw one score seed per query in
+// batch order (see noise).
 //
 // A ctx done before or during the call stops every sweep at its next
-// row block, and Search returns ctx.Err() once all have returned. A
-// non-nil tr collects swept rows, per-partition sweep records and the
-// merge time; timing never alters control flow.
+// row block, and Search returns ctx.Err(). A non-nil tr collects swept
+// rows, per-partition sweep records and the merge time; timing never
+// alters control flow.
 func (e *Engine) Search(ctx context.Context, qs []PreparedQuery, tr *obsv.Trace) ([]SearchResult, error) {
-	batches := make([]partBatch, len(e.parts))
+	batches := make([]partBatch, 0, len(e.parts))
 	for i := range e.parts {
 		p := &e.parts[i]
-		b := &batches[i]
+		b := partBatch{part: i}
 		for qi := range qs {
 			lo, hi := e.partRange(p, &qs[qi])
 			if lo >= hi {
@@ -582,30 +583,12 @@ func (e *Engine) Search(ctx context.Context, qs []PreparedQuery, tr *obsv.Trace)
 			b.hvs = append(b.hvs, qs[qi].HV)
 			b.ranges = append(b.ranges, hdc.RowRange{Lo: lo, Hi: hi})
 		}
-	}
-	var wg sync.WaitGroup
-	inline := -1
-	for i := range batches {
-		switch {
-		case batches[i].qIdx == nil:
-		case inline < 0:
-			inline = i
-		default:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				e.sweep(ctx, i, &batches[i], tr)
-			}()
+		if b.qIdx != nil {
+			batches = append(batches, b)
 		}
 	}
-	if inline >= 0 {
-		e.sweep(ctx, inline, &batches[inline], tr)
-	}
-	wg.Wait()
-	for i := range batches {
-		if err := batches[i].err; err != nil {
-			return nil, err
-		}
+	if err := ForEach(len(batches), false, func(i int) error { return e.sweep(ctx, &batches[i], tr) }); err != nil {
+		return nil, err
 	}
 	var mergeT0 time.Time
 	if tr != nil {
@@ -622,7 +605,7 @@ func (e *Engine) Search(ctx context.Context, qs []PreparedQuery, tr *obsv.Trace)
 			}
 			top := b.tops[b.next] // visible rows only; to global row space in place
 			for j := range top {
-				top[j].Index += e.parts[i].start
+				top[j].Index += e.parts[b.part].start
 			}
 			b.next++
 			if contributors++; contributors == 1 {
@@ -656,7 +639,7 @@ func (e *Engine) EntryAt(global int) LibraryEntry {
 	return p.lib.Entries[r]
 }
 
-// SearchAll prepares every query through eachSpectrum — in query order
+// SearchAll prepares every query through ForEach — in query order
 // on one worker under the noise model — and scores the ones that pass
 // in one uncancellable Search, returning one best-match PSM per matched
 // query in query order. The noise streams draw in query order, so with
@@ -664,7 +647,7 @@ func (e *Engine) EntryAt(global int) LibraryEntry {
 func (e *Engine) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
 	pqs := make([]PreparedQuery, len(queries))
 	ok := make([]bool, len(queries))
-	err := eachSpectrum(len(queries), e.noise != nil, func(i int) (err error) {
+	err := ForEach(len(queries), e.noise != nil, func(i int) (err error) {
 		pqs[i], ok[i], err = e.Prepare(queries[i])
 		return err
 	})

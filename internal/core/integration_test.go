@@ -158,8 +158,8 @@ func TestNoisySearchAllMatchesSearchOne(t *testing.T) {
 	ds := testDataset(t)
 	p := testParams()
 	spec := NoiseSpec{EncodeBER: 0.02, RefStorageBER: 0.01, SearchSigma: 10, Seed: 9}
-	// Several chunks' worth, so a fan-out would have work to spread.
-	queries := slices.Repeat(ds.Queries, 2*spectrumChunk/len(ds.Queries)+1)
+	// Over 512 queries, so a fan-out has work to spread.
+	queries := slices.Repeat(ds.Queries, 512/len(ds.Queries)+1)
 	var oneCPU []fdr.PSM
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {

@@ -51,7 +51,9 @@ func (n *noise) flip(h hdc.BinaryHV) {
 // noise comes from its own stream, seeded by one master draw in query
 // order, so no batch materializes per-candidate noise up front. ctx is
 // checked once, before any draw. The one store BuildNoisy packs hides
-// no rows.
+// no rows. It claims queries in its own loop rather than ForEach's:
+// each worker reuses one score buffer, which a routine that hands fn
+// only an index cannot provide.
 func (n *noise) search(ctx context.Context, s *hdc.ShardedSearcher, queries []hdc.BinaryHV, ranges []hdc.RowRange, k int) ([][]hdc.Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

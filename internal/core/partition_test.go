@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -145,5 +146,73 @@ func TestWindowInsideOnePartitionTakesNoSort(t *testing.T) {
 	// one-partition list.
 	if got, want := topKList(engine, span), topKList(built, span); !slices.Equal(got, want) {
 		t.Errorf("spanning window: 4 partitions %v, one partition %v", got, want)
+	}
+}
+
+// TestPartitionedSearchIdenticalAcrossProcs pins the partition sweep's
+// fan-out: over 3 base partitions, a delta partition and a tombstone,
+// a batch reaching every partition returns the same results at any
+// GOMAXPROCS, and a canceled context returns ctx.Err().
+func TestPartitionedSearchIdenticalAcrossProcs(t *testing.T) {
+	ds := testDataset(t)
+	p := testParams()
+	built, enc, err := BuildExact(p, ds.Library)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := splitSet(t, built.Library(), 3)
+	set.Generation, set.Encoder = 3, enc
+	base := set.Specs[1].Lib
+	var entries []LibraryEntry
+	var hvs []hdc.BinaryHV
+	var srcPos []int
+	for r := 0; r < base.Len(); r += 5 {
+		entries, hvs = append(entries, base.Entries[r]), append(hvs, base.HVs[r])
+		srcPos = append(srcPos, len(srcPos))
+	}
+	delta, err := RestoreLibrary(entries, hvs, srcPos, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Specs = append(set.Specs, PartitionSpec{Lib: delta, Gen: 2, Delta: true})
+	set.Tombstones = map[string]uint64{set.Specs[0].Lib.Entries[1].ID: 3}
+	engine, _, err := NewPartitionedEngine(p, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := engine.OverlayStats(); o.Tombstones != 1 || o.HiddenRefs != len(entries)+1 {
+		t.Fatalf("overlay %+v; want 1 tombstone hiding %d rows", o, len(entries)+1)
+	}
+	var qs []PreparedQuery
+	for _, q := range ds.Queries {
+		if pq, ok, err := engine.Prepare(q); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			qs = append(qs, pq)
+		}
+	}
+	for i := range engine.parts {
+		if !slices.ContainsFunc(qs, func(q PreparedQuery) bool {
+			lo, hi := engine.partRange(&engine.parts[i], &q)
+			return lo < hi
+		}) {
+			t.Fatalf("no query reaches partition %d", i)
+		}
+	}
+	var want []SearchResult
+	for _, procs := range []int{1, 2, 8} {
+		atProcs(procs, func() {
+			got := search(engine, qs)
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("GOMAXPROCS=%d: results differ from GOMAXPROCS=1", procs)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if res, err := engine.Search(ctx, qs, nil); err != context.Canceled || res != nil {
+				t.Errorf("GOMAXPROCS=%d: canceled Search returned %d results, %v; want none, %v", procs, len(res), err, context.Canceled)
+			}
+		})
 	}
 }

@@ -3,7 +3,7 @@
 // arbitrarily many concurrent goroutines and flushes their queries
 // through one block-major batched top-k sweep per batch — the same
 // once-per-batch memory stream the offline batch path enjoys. A body
-// (SearchMany) is prepared on up to GOMAXPROCS goroutines and queued
+// (SearchMany) is prepared through core.ForEach and queued
 // as requests of at most MaxBatch queries each, so it reaches the
 // batcher in a handful of hand-offs rather than one per query.
 // Batching is group commit, not a timed window: the single dispatcher
@@ -41,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -192,8 +191,8 @@ func (s *Server) Search(ctx context.Context, q *spectrum.Spectrum) (fdr.PSM, boo
 
 // SearchMany searches a request body as one submission and returns
 // one Result per query, in input order. The queries are prepared
-// (preprocessing, encoding, candidate-range selection) on up to
-// GOMAXPROCS goroutines, inline for a single query; those that pass
+// (preprocessing, encoding, candidate-range selection) through
+// core.ForEach, inline for a single query; those that pass
 // are admitted as far as MaxQueue allows and queued back to back as
 // requests of at most MaxBatch queries. It returns when every admitted
 // query has its result, the context is done, or the server closes.
@@ -215,34 +214,21 @@ func (s *Server) SearchPrepared(ctx context.Context, pq core.PreparedQuery) (fdr
 	return out[0].PSM, out[0].OK, out[0].Err
 }
 
-// prepare runs Prepare over qs on min(GOMAXPROCS, len(qs)) goroutines
-// — the caller's among them — that claim indexes from an atomic
-// counter. It books skips and encoding failures (the latter into out)
-// and returns the queries that passed, in input order, with their
-// preparation times and input positions.
+// prepare runs Prepare over qs through core.ForEach. It books skips
+// and encoding failures (the latter into out; a failure stops no other
+// query's preparation) and returns the queries that passed, in input
+// order, with their preparation times and input positions.
 func (s *Server) prepare(qs []*spectrum.Spectrum, out []Result) (pqs []core.PreparedQuery, enc []int64, pos []int) {
 	n := len(qs)
 	pqs = make([]core.PreparedQuery, n)
 	enc = make([]int64, n)
 	ok := make([]bool, n)
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-			start := time.Now()
-			pqs[i], ok[i], out[i].Err = s.engine.Prepare(qs[i])
-			enc[i] = int64(time.Since(start))
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	core.ForEach(n, false, func(i int) error {
+		start := time.Now()
+		pqs[i], ok[i], out[i].Err = s.engine.Prepare(qs[i])
+		enc[i] = int64(time.Since(start))
+		return nil
+	})
 
 	pos = make([]int, 0, n)
 	var skipped, failed int
