@@ -116,18 +116,14 @@ type Library struct {
 	Skipped int
 }
 
-// ForEach runs fn(i) for every i in [0, n) and returns the error of
-// the first index, in input order, whose fn failed. It is the one
-// fan-out of the build and serving stack — the library build, the list
-// paths' query preparation, a served body's preparation and a batch's
-// partition sweeps: min(GOMAXPROCS, n) workers, the caller among them,
+// ForEach runs fn(i) for every i in [0, n) — the one fan-out of the
+// build and serving stack — and returns the first failing index's error
+// in input order. min(GOMAXPROCS, n) workers, the caller among them,
 // claim indexes one at a time in input order and stop claiming at the
-// first failure. A claimed index always finishes, so every index before
-// a failing one has run and the lowest failing index is the first in
-// input order. One worker — n <= 1, GOMAXPROCS 1 or serial (the noise
-// model draws its seeded query flips in encode order) — is a plain
-// ascending loop on the caller that stops at the first error and starts
-// and allocates nothing.
+// first failure; a claimed index always finishes, so every index before
+// a failing one has run. With one worker (n <= 1, GOMAXPROCS 1, or
+// serial: the noise model draws its seeded query flips in encode order)
+// it is a plain ascending loop on the caller that allocates nothing.
 func ForEach(n int, serial bool, fn func(i int) error) error {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if serial || workers <= 1 {

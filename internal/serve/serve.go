@@ -215,15 +215,16 @@ func (s *Server) SearchPrepared(ctx context.Context, pq core.PreparedQuery) (fdr
 }
 
 // prepare runs Prepare over qs through core.ForEach. It books skips
-// and encoding failures (the latter into out; a failure stops no other
-// query's preparation) and returns the queries that passed, in input
-// order, with their preparation times and input positions.
+// and encoding failures (the latter into out: fn never fails, so no
+// query's failure stops another's preparation) and returns the queries
+// that passed, in input order, with their preparation times and input
+// positions.
 func (s *Server) prepare(qs []*spectrum.Spectrum, out []Result) (pqs []core.PreparedQuery, enc []int64, pos []int) {
 	n := len(qs)
 	pqs = make([]core.PreparedQuery, n)
 	enc = make([]int64, n)
 	ok := make([]bool, n)
-	core.ForEach(n, false, func(i int) error {
+	_ = core.ForEach(n, false, func(i int) error {
 		start := time.Now()
 		pqs[i], ok[i], out[i].Err = s.engine.Prepare(qs[i])
 		enc[i] = int64(time.Since(start))
