@@ -39,7 +39,7 @@ func BenchmarkHammingSearch1k(b *testing.B) {
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(8192, rng)
 	}
-	s, err := hdc.NewShardedSearcher(refs, 0)
+	s, err := hdc.NewShardedSearcher(hdc.PackRows(refs), refs[0].D, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func BenchmarkShardedBatchTopK(b *testing.B) {
 		for _, nRefs := range []int{10_000, 100_000} {
 			b.Run(fmt.Sprintf("D%d/refs%d", d, nRefs), func(b *testing.B) {
 				refs, queries := batchBenchInputs(b, d, nRefs, batchBenchQueries)
-				s, err := hdc.NewShardedSearcher(refs, 0)
+				s, err := hdc.NewShardedSearcher(hdc.PackRows(refs), refs[0].D, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -182,7 +182,7 @@ func BenchmarkOpenSearchBatch(b *testing.B) {
 	for _, c := range []struct{ d, nRefs int }{{8192, 100_000}, {2048, 40_000}} {
 		b.Run(fmt.Sprintf("D%d/refs%dk", c.d, c.nRefs/1000), func(b *testing.B) {
 			refs, queries := batchBenchInputs(b, c.d, c.nRefs, nQueries)
-			s, err := hdc.NewShardedSearcher(refs, 0)
+			s, err := hdc.NewShardedSearcher(hdc.PackRows(refs), refs[0].D, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func BenchmarkSweepKernel(b *testing.B) {
 		for _, r := range refs {
 			packed = append(packed, r.Words...)
 		}
-		s, err := hdc.NewShardedSearcher(refs, 0)
+		s, err := hdc.NewShardedSearcher(hdc.PackRows(refs), refs[0].D, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -46,11 +46,26 @@ func putBuf(b *[]byte) {
 func (d *daemon) mux() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /search", d.handleSearch)
-	mux.HandleFunc("GET /healthz", d.handleHealthz)
-	mux.HandleFunc("GET /stats", d.handleStats)
-	mux.HandleFunc("GET /metrics", d.handleMetrics)
-	mux.HandleFunc("GET /debug/slowest", d.handleSlowest)
+	mux.HandleFunc("GET /healthz", d.reading(d.handleHealthz))
+	mux.HandleFunc("GET /stats", d.reading(d.handleStats))
+	mux.HandleFunc("GET /metrics", d.reading(d.handleMetrics))
+	mux.HandleFunc("GET /debug/slowest", d.reading(d.handleSlowest))
 	return mux
+}
+
+// reading wraps a read handler: it runs under a reference to the
+// current serving generation, released once it returns, and after
+// shutdown the request answers 503 "shutting down" instead.
+func (d *daemon) reading(h func(http.ResponseWriter, *serving)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sv := d.acquire()
+		if sv == nil {
+			http.Error(w, "shutting down", http.StatusServiceUnavailable)
+			return
+		}
+		defer sv.release()
+		h(w, sv)
+	}
 }
 
 // jsonSpectrum is one query spectrum in the JSON request body.
@@ -373,13 +388,7 @@ func appendJSONString(dst []byte, s string) []byte {
 }
 
 // handleHealthz reports liveness and library identity.
-func (d *daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	sv := d.acquire()
-	if sv == nil {
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
-		return
-	}
-	defer sv.release()
+func (d *daemon) handleHealthz(w http.ResponseWriter, sv *serving) {
 	ov := sv.engine.OverlayStats()
 	writeJSON(w, map[string]any{
 		"status":              "ok",
@@ -442,13 +451,7 @@ type overlayView struct {
 }
 
 // handleStats renders the serving counters.
-func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
-	sv := d.acquire()
-	if sv == nil {
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
-		return
-	}
-	defer sv.release()
+func (d *daemon) handleStats(w http.ResponseWriter, sv *serving) {
 	st := sv.srv.Stats()
 	view := statsView{
 		Requests:      st.Requests,

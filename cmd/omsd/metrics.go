@@ -19,13 +19,7 @@ import (
 // values come from one Stats snapshot plus the engine's partition
 // telemetry, so a scrape never blocks a search beyond the collector
 // mutex.
-func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	sv := d.acquire()
-	if sv == nil {
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
-		return
-	}
-	defer sv.release()
+func (d *daemon) handleMetrics(w http.ResponseWriter, sv *serving) {
 	st := sv.srv.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obsv.NewPromWriter(w)
@@ -124,13 +118,7 @@ type slowPartView struct {
 
 // handleSlowest renders the worst-latency query traces (latency
 // descending) with their per-stage timings.
-func (d *daemon) handleSlowest(w http.ResponseWriter, r *http.Request) {
-	sv := d.acquire()
-	if sv == nil {
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
-		return
-	}
-	defer sv.release()
+func (d *daemon) handleSlowest(w http.ResponseWriter, sv *serving) {
 	traces := sv.srv.Slowest()
 	views := make([]slowTraceView, 0, len(traces))
 	for i := range traces {

@@ -93,9 +93,6 @@ func buildNext(cfg servingConfig, prev *serving) (*serving, error) {
 		ix.Close()
 		return nil, err
 	}
-	// The searchers read the packed blocks; the per-entry hypervector
-	// views are dead weight in a resident process.
-	engine.ReleaseLibraryHVs()
 	ov := engine.OverlayStats()
 	sv := &serving{
 		engine:     engine,

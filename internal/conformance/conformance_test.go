@@ -289,7 +289,7 @@ func TestConformance(t *testing.T) {
 				oracle[qi] = fx.oracleOver(q.HV, rangeIndices(q.Lo, q.Hi, n), w.k)
 			}
 
-			searcher, err := hdc.NewShardedSearcher(fx.lib.HVs, w.shard)
+			searcher, err := hdc.NewShardedSearcher(fx.lib.Rows(), fx.p.Accel.D, w.shard)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,8 @@ import (
 )
 
 // The frozen benchmark (bench/) still names what follows: forwards to
-// Prepare and Search. ROADMAP item 1 deletes this file.
+// Prepare, Search, LibraryOver and NewPartitionedEngine. ROADMAP item 1
+// deletes this file.
 
 // TracedSearchEngine is the engine surface bench/ replays through.
 type TracedSearchEngine interface {
@@ -54,8 +55,23 @@ func (e *Engine) SearchPreparedTraced(qs []PreparedQuery, tr *obsv.Trace) ([]fdr
 	return psms, oks
 }
 
-// NewExactEngineFromPacked is NewPartitionedEngine over one library
-// whose hypervectors are views into block.
-func NewExactEngineFromPacked(p Params, lib *Library, block []uint64) (*Engine, *hdc.Encoder, error) {
-	return NewPartitionedEngine(p, oneSpec(lib, block))
+// NewExactEngineFromPacked is NewPartitionedEngine over one library;
+// block, the library's own rows (Library.Rows), is not read again.
+func NewExactEngineFromPacked(p Params, lib *Library, _ []uint64) (*Engine, *hdc.Encoder, error) {
+	return NewPartitionedEngine(p, oneSpec(lib))
+}
+
+// RestoreLibrary is LibraryOver over the hypervectors packed into a
+// fresh block, with HVs left as views of it (as SortByMass leaves them).
+func RestoreLibrary(entries []LibraryEntry, hvs []hdc.BinaryHV, srcPos []int, skipped int) (*Library, error) {
+	d := 0
+	if len(hvs) > 0 {
+		d = hvs[0].D
+	}
+	lib, err := LibraryOver(entries, hdc.PackRows(hvs), d, srcPos, skipped)
+	if err != nil {
+		return nil, err
+	}
+	lib.viewRows()
+	return lib, nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hdc"
 	"repro/internal/spectrum"
 )
 
@@ -75,6 +76,58 @@ func TestBuildLibraryIdenticalAcrossProcs(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d built a different library than GOMAXPROCS=1", procs)
 			}
 		})
+	}
+}
+
+// TestLibraryRowsFollowTheirEntries pins that the in-place mass sort
+// moves every packed row with its entry: a built library's row i is the
+// reference encode (Preprocess, Vectorize, EncodeVector) of entry i's
+// spectrum, and a hand-made library in shuffled order, ties included,
+// keeps each hypervector with its entry and its ties in input order,
+// with HVs left as views of the rows.
+func TestLibraryRowsFollowTheirEntries(t *testing.T) {
+	p := testParams()
+	enc := exactEncoder(t, p)
+	spectra := buildSpectra()
+	lib, err := BuildLibrary(spectra, p, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[string]*spectrum.Spectrum, len(spectra))
+	for _, s := range spectra {
+		byID[s.ID] = s
+	}
+	for i, e := range lib.Entries {
+		pre, err := p.Preprocess.Preprocess(byID[e.ID])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := enc.EncodeVector(p.Binner.Vectorize(pre))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !lib.Row(i).Equal(want) {
+			t.Fatalf("row %d is not the encoding of its entry %s", i, e.ID)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	const n = 500
+	hand := &Library{Entries: make([]LibraryEntry, n), HVs: make([]hdc.BinaryHV, n)}
+	for i := range hand.Entries {
+		hand.Entries[i] = LibraryEntry{ID: fmt.Sprint(i), Mass: float64(rng.Intn(n / 4))}
+		hand.HVs[i] = hdc.RandomBinaryHV(p.Accel.D, rng)
+	}
+	given := slices.Clone(hand.HVs)
+	hand.SortByMass()
+	for i, e := range hand.Entries {
+		src := hand.SourcePos(i)
+		if e.ID != fmt.Sprint(src) || !hand.Row(i).Equal(given[src]) || &hand.HVs[i].Words[0] != &hand.Row(i).Words[0] {
+			t.Fatalf("rank %d holds entry %s with another entry's row, or HVs[%d] is not a view of it", i, e.ID, i)
+		}
+		if i > 0 && (e.Mass < hand.Entries[i-1].Mass || e.Mass == hand.Entries[i-1].Mass && src < hand.SourcePos(i-1)) {
+			t.Fatalf("rank %d out of stable mass order", i)
+		}
 	}
 }
 

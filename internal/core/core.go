@@ -98,19 +98,28 @@ type LibraryEntry struct {
 
 // Library is an encoded, mass-ordered reference library: entries are
 // stored sorted by ascending precursor mass, so entry index == mass
-// rank, every precursor window selects a contiguous index range
-// [lo, hi) (CandidateRange), and a searcher packed over HVs streams
-// any candidate set as a contiguous row range.
+// rank and every precursor window selects a contiguous index range
+// [lo, hi) (CandidateRange). The library owns its rows as one packed
+// block in the same order (Rows), which every searcher over it aliases,
+// so a candidate set streams as a contiguous row range and each
+// reference is held once.
 type Library struct {
-	// Entries holds metadata parallel to the encoded hypervectors,
-	// sorted by ascending precursor mass.
+	// Entries holds metadata parallel to the packed rows, sorted by
+	// ascending precursor mass.
 	Entries []LibraryEntry
-	// HVs are the encoded reference hypervectors, parallel to Entries
-	// (and therefore also in ascending-mass order).
+	// HVs are the encoded reference hypervectors, parallel to Entries.
+	// A hand-made library lists them in any order for SortByMass, which
+	// packs them and leaves views of the packed rows here; a library
+	// over stored rows (LibraryOver) has none. Everything else reads
+	// Rows or Row.
 	HVs []hdc.BinaryHV
+	// rows is the packed block: row i, entry i's hypervector, is
+	// rows[i*w : (i+1)*w] with w = hdc.WordsPerHV(d).
+	rows []uint64
+	d    int
 	// srcPos is the permutation recorded by the mass sort: srcPos[i]
-	// is the position entry i (equivalently: packed searcher row i)
-	// occupied in the original build order of the kept spectra.
+	// is the position entry i (equivalently: packed row i) occupied in
+	// the original build order of the kept spectra.
 	srcPos []int
 	// Skipped counts reference spectra rejected by preprocessing.
 	Skipped int
@@ -182,49 +191,51 @@ type encodeScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 
-// encode preprocesses, bins, quantizes and encodes s in sc's buffers —
-// the steps of Preprocess, Vectorize and EncodeVector, to the same
-// bits. ok is false when preprocessing rejects s; the hypervector is
-// the one allocation.
-func (sc *encodeScratch) encode(p *Params, enc *hdc.Encoder, s *spectrum.Spectrum) (hv hdc.BinaryHV, ok bool, err error) {
+// quantize preprocesses, bins and quantizes s in sc's buffers — the
+// steps of Preprocess, Vectorize and EncodeVector before the encode, to
+// the same values — leaving the encoder's input in sc.levels and
+// allocating nothing once the buffers have grown. ok is false when
+// preprocessing rejects s.
+func (sc *encodeScratch) quantize(p *Params, enc *hdc.Encoder, s *spectrum.Spectrum) (ok bool) {
 	if sc.peaks, ok = p.Preprocess.AppendPreprocess(sc.peaks[:0], s); !ok {
-		return hdc.BinaryHV{}, false, nil
+		return false
 	}
 	sc.entries = p.Binner.AppendVectorize(sc.entries[:0], sc.peaks)
 	sc.levels = sc.vector(p).AppendQuantize(sc.levels[:0], enc.Levels.Q())
-	hv, err = enc.Encode(sc.levels)
-	return hv, err == nil, err
+	return true
 }
 
-// vector is the binned vector the last encode left in sc.
+// vector is the binned vector the last quantize left in sc.
 func (sc *encodeScratch) vector(p *Params) spectrum.Vector {
 	return spectrum.Vector{Entries: sc.entries, NumBins: p.Binner.NumBins()}
 }
 
 // BuildLibrary preprocesses, vectorizes and encodes the reference
 // spectra through ForEach, so the library is the same at any
-// GOMAXPROCS. Spectra failing preprocessing are skipped (counted in
-// Skipped), matching library-building practice; an encode failure is
-// reported for the first failing spectrum in input order.
+// GOMAXPROCS. Each spectrum is encoded straight into its row of the
+// library's block, which is then sorted by mass in place: the rows are
+// never held twice. Spectra failing preprocessing are skipped (counted
+// in Skipped), matching library-building practice; an encode failure
+// is reported for the first failing spectrum in input order.
 func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc *hdc.Encoder) (*Library, error) {
 	if enc == nil {
 		return nil, fmt.Errorf("core: nil encoder")
 	}
+	d := enc.D()
+	w := hdc.WordsPerHV(d)
 	entries := make([]LibraryEntry, len(spectra))
-	hvs := make([]hdc.BinaryHV, len(spectra))
+	rows := make([]uint64, len(spectra)*w)
 	kept := make([]bool, len(spectra))
 	err := ForEach(len(spectra), false, func(i int) error {
 		s := spectra[i]
 		sc := scratchPool.Get().(*encodeScratch)
-		hv, ok, err := sc.encode(&p, enc, s)
-		scratchPool.Put(sc)
-		if err != nil {
-			return fmt.Errorf("core: encoding library spectrum %s: %w", s.ID, err)
-		}
-		if !ok {
+		defer scratchPool.Put(sc)
+		if !sc.quantize(&p, enc, s) {
 			return nil
 		}
-		hvs[i] = hv
+		if err := enc.EncodeInto(hdc.BinaryHV{D: d, Words: rows[i*w : (i+1)*w]}, sc.levels); err != nil {
+			return fmt.Errorf("core: encoding library spectrum %s: %w", s.ID, err)
+		}
 		entries[i] = LibraryEntry{
 			ID:      s.ID,
 			Peptide: s.Peptide,
@@ -240,28 +251,43 @@ func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc *hdc.Encoder) (*Li
 	n := 0
 	for i, ok := range kept {
 		if ok {
-			entries[n], hvs[n] = entries[i], hvs[i]
+			entries[n] = entries[i]
+			copy(rows[n*w:(n+1)*w], rows[i*w:(i+1)*w])
 			n++
 		}
 	}
-	lib := &Library{Entries: entries[:n], HVs: hvs[:n], Skipped: len(spectra) - n}
-	if len(lib.Entries) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("core: empty library after preprocessing")
 	}
-	lib.SortByMass()
+	lib := &Library{Entries: entries[:n], rows: rows[: n*w : n*w], d: d, Skipped: len(spectra) - n}
+	lib.sortRows()
+	lib.viewRows()
 	return lib, nil
 }
 
-// SortByMass sorts entries and hypervectors in place by ascending
-// precursor mass (stable: equal masses keep their build order) and
-// records the permutation back to build order (SourcePos). Libraries
-// built by BuildLibrary are already sorted; a Library constructed by
-// hand must call it before CandidateRange or SourcePos are
-// meaningful, and before packing HVs into a searcher.
+// SortByMass packs a hand-made library's HVs into its row block, sorts
+// entries and rows by ascending precursor mass (stable: equal masses
+// keep their order), records the permutation back to that order
+// (SourcePos) and leaves HVs as views of the packed rows. A Library
+// constructed by hand must call it before it is searched, saved or
+// asked for CandidateRange or SourcePos. It panics when HVs and Entries
+// differ in length or the hypervectors in dimension.
 func (l *Library) SortByMass() {
 	if len(l.HVs) != len(l.Entries) {
 		panic(fmt.Sprintf("core: library has %d entries but %d hypervectors", len(l.Entries), len(l.HVs)))
 	}
+	l.rows, l.d = hdc.PackRows(l.HVs), 0
+	if len(l.HVs) > 0 {
+		l.d = l.HVs[0].D
+	}
+	l.sortRows()
+	l.viewRows()
+}
+
+// sortRows sorts the entries and their packed rows by ascending
+// precursor mass (stable), moving the rows in place, and records the
+// permutation (srcPos).
+func (l *Library) sortRows() {
 	perm := make([]int, len(l.Entries))
 	for i := range perm {
 		perm[i] = i
@@ -270,18 +296,43 @@ func (l *Library) SortByMass() {
 		return l.Entries[perm[a]].Mass < l.Entries[perm[b]].Mass
 	})
 	entries := make([]LibraryEntry, len(l.Entries))
-	hvs := make([]hdc.BinaryHV, len(l.HVs))
 	for rank, src := range perm {
 		entries[rank] = l.Entries[src]
-		hvs[rank] = l.HVs[src]
 	}
-	l.Entries, l.HVs, l.srcPos = entries, hvs, perm
+	// Row rank takes row perm[rank]: walk each cycle of perm with its
+	// first row held aside, so one row's worth of words is the only copy.
+	w := hdc.WordsPerHV(l.d)
+	row := func(i int) []uint64 { return l.rows[i*w : (i+1)*w] }
+	held := make([]uint64, w)
+	placed := make([]bool, len(perm))
+	for start := range perm {
+		if placed[start] {
+			continue
+		}
+		copy(held, row(start))
+		r := start
+		for ; perm[r] != start; r = perm[r] {
+			copy(row(r), row(perm[r]))
+			placed[r] = true
+		}
+		copy(row(r), held)
+		placed[r] = true
+	}
+	l.Entries, l.srcPos = entries, perm
+}
+
+// viewRows sets HVs to views of the packed rows.
+func (l *Library) viewRows() {
+	l.HVs = make([]hdc.BinaryHV, l.Len())
+	for i := range l.HVs {
+		l.HVs[i] = l.Row(i)
+	}
 }
 
 // Len returns the number of encoded references.
 func (l *Library) Len() int { return len(l.Entries) }
 
-// SourcePos returns the position entry i (= packed searcher row i)
+// SourcePos returns the position entry i (= packed row i)
 // occupied in the original build order of the kept spectra, before
 // the ascending-mass sort — the permutation mapping packed rows back
 // to build-order positions.
@@ -296,21 +347,22 @@ func (l *Library) SourcePositions() []int {
 	return out
 }
 
-// RestoreLibrary reassembles a Library from previously built parts —
-// mass-ordered entries, their hypervectors, the SourcePositions
-// permutation and the skipped count — without re-running
-// preprocessing or encoding. It is the load path of the persistent
-// library index: BuildLibrary's invariants (ascending mass order,
-// srcPos a permutation, parallel slices) are validated rather than
-// re-derived.
-func RestoreLibrary(entries []LibraryEntry, hvs []hdc.BinaryHV, srcPos []int, skipped int) (*Library, error) {
+// LibraryOver assembles a Library over rows already packed in mass
+// order — mass-ordered entries, their d-dimensional rows back to back,
+// the SourcePositions permutation and the skipped count — without
+// re-running preprocessing or encoding. The rows are aliased, not
+// copied (the load path of the persistent library index hands it a
+// mapped words section), and no per-row header is made: HVs stays nil.
+// BuildLibrary's invariants (ascending mass order, srcPos a
+// permutation, one row per entry) are validated rather than re-derived.
+func LibraryOver(entries []LibraryEntry, rows []uint64, d int, srcPos []int, skipped int) (*Library, error) {
 	n := len(entries)
 	if n == 0 {
 		return nil, fmt.Errorf("core: restoring empty library")
 	}
-	if len(hvs) != n || len(srcPos) != n {
-		return nil, fmt.Errorf("core: restoring library: %d entries, %d hypervectors, %d source positions",
-			n, len(hvs), len(srcPos))
+	if w := hdc.WordsPerHV(d); d <= 0 || len(rows) != n*w || len(srcPos) != n {
+		return nil, fmt.Errorf("core: restoring library: %d entries, %d packed words (%d per row at D=%d), %d source positions",
+			n, len(rows), w, d, len(srcPos))
 	}
 	for i := 1; i < n; i++ {
 		if entries[i].Mass < entries[i-1].Mass {
@@ -324,7 +376,19 @@ func RestoreLibrary(entries []LibraryEntry, hvs []hdc.BinaryHV, srcPos []int, sk
 		}
 		seen[p] = true
 	}
-	return &Library{Entries: entries, HVs: hvs, srcPos: srcPos, Skipped: skipped}, nil
+	return &Library{Entries: entries, rows: rows, d: d, srcPos: srcPos, Skipped: skipped}, nil
+}
+
+// Rows returns the packed row block, row-major in mass order
+// (len = Len() × hdc.WordsPerHV(D)); nil before SortByMass has packed a
+// hand-made library.
+func (l *Library) Rows() []uint64 { return l.rows }
+
+// Row returns packed row i as a hypervector view (len == cap, so an
+// append copies).
+func (l *Library) Row(i int) hdc.BinaryHV {
+	w := hdc.WordsPerHV(l.d)
+	return hdc.BinaryHV{D: l.d, Words: l.rows[i*w : (i+1)*w : (i+1)*w]}
 }
 
 // CandidateRange returns the half-open entry-index range [lo, hi) of
@@ -344,13 +408,13 @@ func (l *Library) CandidateRange(queryMass float64, w units.MassWindow) (lo, hi 
 
 // InjectStorageErrors flips every stored reference bit with the given
 // probability, modelling hypervector storage errors (Figs. 7/11). The
-// library is modified in place.
+// rows are modified in place, so this precedes any searcher over them.
 func (l *Library) InjectStorageErrors(rate float64, rng *rand.Rand) {
 	if rate <= 0 {
 		return
 	}
-	for i := range l.HVs {
-		l.HVs[i].FlipBits(rate, rng)
+	for i := range l.Len() {
+		l.Row(i).FlipBits(rate, rng)
 	}
 }
 
@@ -391,12 +455,12 @@ func BuildNoisy(p Params, library []*spectrum.Spectrum, spec NoiseSpec) (*Engine
 		byBuild[pos] = row
 	}
 	for _, row := range byBuild {
-		nz.flip(lib.HVs[row])
+		nz.flip(lib.Row(row))
 	}
 	if spec.RefStorageBER > 0 {
 		lib.InjectStorageErrors(spec.RefStorageBER, rand.New(rand.NewSource(spec.Seed+1)))
 	}
-	e, err := newEngine(p, enc, oneSpec(lib, nil))
+	e, err := newEngine(p, enc, oneSpec(lib))
 	if err != nil {
 		return nil, err
 	}

@@ -80,27 +80,10 @@ type Engine struct {
 	noise *noise
 }
 
-// exactSearcher packs one partition's exact sharded searcher: over the
-// spec's packed word block when it has one (aliased, not copied),
-// otherwise copied from the library's hypervectors.
-func (p Params) exactSearcher(spec PartitionSpec) (*hdc.ShardedSearcher, error) {
-	if spec.Block == nil {
-		return hdc.NewShardedSearcher(spec.Lib.HVs, p.ShardSize)
-	}
-	s, err := hdc.NewShardedSearcherFromPacked(spec.Block, p.Accel.D, p.ShardSize, hdc.CascadeConfig{})
-	if err != nil {
-		return nil, err
-	}
-	if s.Len() != spec.Lib.Len() {
-		return nil, fmt.Errorf("packed block holds %d rows but library has %d entries", s.Len(), spec.Lib.Len())
-	}
-	return s, nil
-}
-
 // oneSpec is the partition set of a library held in one store:
 // generation 1, rows from 0, nothing retracted.
-func oneSpec(lib *Library, block []uint64) PartitionSet {
-	set := PartitionSet{Specs: []PartitionSpec{{Lib: lib, Block: block, Gen: 1}}, Generation: 1}
+func oneSpec(lib *Library) PartitionSet {
+	set := PartitionSet{Specs: []PartitionSpec{{Lib: lib, Gen: 1}}, Generation: 1}
 	if lib != nil {
 		set.Skipped = lib.Skipped
 	}
@@ -112,16 +95,15 @@ func oneSpec(lib *Library, block []uint64) PartitionSet {
 // delta-tier specs in publish order. Tombstones and cross-generation
 // re-additions are resolved at construction into per-partition
 // hidden-row lists the sweep masks, so every search serves exactly the
-// visible set. The query encoder is set.Encoder, or drawn from p.Accel; each
-// partition's sharded searcher aliases its spec's packed block (a
-// memory-mapped index stays zero-copy: rows remain views that fault in
-// lazily) or, without one, is
-// packed from the library's hypervectors. No spectrum is
-// re-preprocessed or re-encoded. p must carry the same
-// encoder-identity fields (D, Q, NumChunks, IDPrecision, NumBins, Seed,
-// binner, preprocessing) the library was built with; query-time fields
-// (window, TopK, FDRAlpha, ShardSize) are free to differ. Blocks must stay alive (and mapped) for the engine's
-// lifetime.
+// visible set. The query encoder is set.Encoder, or drawn from p.Accel;
+// each partition's sharded searcher aliases its library's packed rows
+// (over a memory-mapped index they stay views that fault in lazily),
+// so the engine adds no copy of them. No spectrum is re-preprocessed or
+// re-encoded. p must carry the same encoder-identity fields (D, Q,
+// NumChunks, IDPrecision, NumBins, Seed, binner, preprocessing) the
+// library was built with; query-time fields (window, TopK, FDRAlpha,
+// ShardSize) are free to differ. The rows must stay alive (and mapped)
+// and unmodified for the engine's lifetime.
 func NewPartitionedEngine(p Params, set PartitionSet) (*Engine, *hdc.Encoder, error) {
 	enc := set.Encoder
 	if enc == nil {
@@ -138,10 +120,9 @@ func NewPartitionedEngine(p Params, set PartitionSet) (*Engine, *hdc.Encoder, er
 }
 
 // NewExactEngineFromLibrary is NewPartitionedEngine over one
-// already-encoded library (the copying load path of the library
-// index).
+// already-encoded library.
 func NewExactEngineFromLibrary(p Params, lib *Library) (*Engine, *hdc.Encoder, error) {
-	return NewPartitionedEngine(p, oneSpec(lib, nil))
+	return NewPartitionedEngine(p, oneSpec(lib))
 }
 
 // BuildExact constructs the ideal (software) engine from spectra: exact
@@ -157,7 +138,7 @@ func BuildExact(p Params, library []*spectrum.Spectrum) (*Engine, *hdc.Encoder, 
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := newEngine(p, enc, oneSpec(lib, nil))
+	e, err := newEngine(p, enc, oneSpec(lib))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -171,16 +152,16 @@ func NewEngine(p Params, lib *Library, enc *hdc.Encoder) (*Engine, error) {
 	if enc == nil {
 		return nil, fmt.Errorf("core: nil encoder")
 	}
-	return newEngine(p, enc, oneSpec(lib, nil))
+	return newEngine(p, enc, oneSpec(lib))
 }
 
 // newEngine validates a partition set and assembles the engine over
-// it, packing each partition's exact searcher once the partition's
-// library has passed validation and handing it the partition's hidden
-// rows. The configured dimension Params.Accel.D must match every
-// library's actual hypervector dimension: similarity scores are
-// normalized by it, so a silent mismatch would mis-scale every PSM
-// score.
+// it, wiring each partition's exact searcher over the library's rows
+// once the library has passed validation and handing it the
+// partition's hidden rows. The configured dimension Params.Accel.D
+// must match every library's actual hypervector dimension: similarity
+// scores are normalized by it, so a silent mismatch would mis-scale
+// every PSM score.
 func newEngine(p Params, enc *hdc.Encoder, set PartitionSet) (*Engine, error) {
 	if len(set.Specs) == 0 {
 		return nil, fmt.Errorf("core: no partitions")
@@ -202,11 +183,11 @@ func newEngine(p Params, enc *hdc.Encoder, set PartitionSet) (*Engine, error) {
 	hidden := HiddenRows(set.Specs, set.Tombstones)
 	for i, spec := range set.Specs {
 		lib := spec.Lib
-		if len(lib.HVs) != lib.Len() {
-			return nil, fmt.Errorf("core: partition %d has %d entries but %d hypervectors", i, lib.Len(), len(lib.HVs))
+		if lib.rows == nil {
+			return nil, fmt.Errorf("core: partition %d: library rows are not packed (SortByMass never ran?)", i)
 		}
-		if d := lib.HVs[0].D; d != p.Accel.D {
-			return nil, fmt.Errorf("core: partition %d: configured dimension D=%d does not match library hypervector dimension D=%d", i, p.Accel.D, d)
+		if lib.d != p.Accel.D {
+			return nil, fmt.Errorf("core: partition %d: configured dimension D=%d does not match library hypervector dimension D=%d", i, p.Accel.D, lib.d)
 		}
 		minMass := lib.Entries[0].Mass
 		maxMass := lib.Entries[lib.Len()-1].Mass
@@ -220,7 +201,7 @@ func newEngine(p Params, enc *hdc.Encoder, set PartitionSet) (*Engine, error) {
 			}
 			e.nBase++
 		}
-		searcher, err := p.exactSearcher(spec)
+		searcher, err := hdc.NewShardedSearcher(lib.rows, lib.d, p.ShardSize)
 		if err != nil {
 			return nil, fmt.Errorf("core: partition %d: %w", i, err)
 		}
@@ -262,22 +243,6 @@ func (e *Engine) NumRefs() int { return e.total }
 // preprocessing at build time (carried by the partition set: base
 // build plus every delta batch).
 func (e *Engine) Skipped() int { return e.skipped }
-
-// ReleaseLibraryHVs drops every partition's hypervector slices. A
-// copying searcher packed its own copy of every reference word and
-// retains nothing of the source, and the search path reads only
-// Entries and the packed store, so a long-lived serving process over a
-// built or loaded library halves its resident memory by releasing the
-// originals. Over a packed block the hypervectors are views into the
-// block the searcher aliases, so only the slice headers are freed.
-// After the call every Library.HVs is nil: the caller must not inject
-// storage errors, rebuild a searcher from these libraries, or save
-// them to an index.
-func (e *Engine) ReleaseLibraryHVs() {
-	for i := range e.parts {
-		e.parts[i].lib.HVs = nil
-	}
-}
 
 // OverlayStats describes the engine's incremental-update state: the
 // manifest generation it serves, the delta tier's size, and the
@@ -366,12 +331,12 @@ type PreparedQuery struct {
 func (e *Engine) encodeQuery(q *spectrum.Spectrum, keep func(spectrum.Vector)) (hdc.BinaryHV, bool, error) {
 	sc := scratchPool.Get().(*encodeScratch)
 	defer scratchPool.Put(sc)
-	hv, ok, err := sc.encode(&e.params, e.enc, q)
+	if !sc.quantize(&e.params, e.enc, q) {
+		return hdc.BinaryHV{}, false, nil
+	}
+	hv, err := e.enc.Encode(sc.levels)
 	if err != nil {
 		return hdc.BinaryHV{}, false, fmt.Errorf("core: encoding query %s: %w", q.ID, err)
-	}
-	if !ok {
-		return hdc.BinaryHV{}, false, nil
 	}
 	if e.noise != nil {
 		e.noise.flip(hv)

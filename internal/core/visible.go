@@ -3,16 +3,11 @@ package core
 import "repro/internal/hdc"
 
 // PartitionSpec describes one live partition of an incrementally
-// updated library: its library (and optionally the contiguous packed
-// word block its hypervectors are views over), plus the generation
-// coordinates the dedup merge orders rows by.
+// updated library: its library, plus the generation coordinates the
+// dedup merge orders rows by.
 type PartitionSpec struct {
 	// Lib is the partition's mass-sorted library slice.
 	Lib *Library
-	// Block, when non-nil, is the partition's packed word block
-	// (libindex.Index.Words) aliased into the searcher without copying;
-	// nil packs from Lib's hypervectors.
-	Block []uint64
 	// Gen is the manifest generation that introduced the partition's
 	// rows; GenRow is the partition's row offset within that
 	// generation, so (Gen, GenRow+localRow) totally orders every row

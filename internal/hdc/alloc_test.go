@@ -51,7 +51,7 @@ func allocSearcher(t *testing.T, d, n, shardSize, nq int) (*ShardedSearcher, []B
 	for i := range refs {
 		refs[i] = RandomBinaryHV(d, rng)
 	}
-	s, err := NewShardedSearcher(refs, shardSize)
+	s, err := packedSearcher(refs, shardSize)
 	if err != nil {
 		t.Fatal(err)
 	}

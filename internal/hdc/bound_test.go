@@ -72,7 +72,7 @@ func admissionBoundMatchesOracle(t *testing.T) {
 	for i := range queries {
 		queries[i] = q
 	}
-	s, err := NewShardedSearcher(refs, shard)
+	s, err := packedSearcher(refs, shard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func (c *pollCanceled) Done() <-chan struct{} {
 // rows per block) and 8 queries that each sweep all of it.
 func cancelFixture() (*ShardedSearcher, []BinaryHV, []RowRange) {
 	const d, n = 2048, 4096
-	s, err := NewShardedSearcher(randomRefs(d, n, 61), 512)
+	s, err := packedSearcher(randomRefs(d, n, 61), 512)
 	if err != nil {
 		panic(err)
 	}

@@ -75,15 +75,28 @@ func (e *Encoder) Accumulate(peaks []spectrum.QuantizedPeak, acc []int32) error 
 	return nil
 }
 
-// Encode encodes a quantized peak list into a binary hypervector.
+// Encode encodes a quantized peak list into a new binary hypervector.
 func (e *Encoder) Encode(peaks []spectrum.QuantizedPeak) (BinaryHV, error) {
-	if err := e.checkBins(peaks); err != nil {
+	h := NewBinaryHV(e.D())
+	if err := e.EncodeInto(h, peaks); err != nil {
 		return BinaryHV{}, err
 	}
-	h := NewBinaryHV(e.D())
+	return h, nil
+}
+
+// EncodeInto is Encode into h, a D-dimensional hypervector the caller
+// owns (a row of a packed block, say): every word of h is overwritten.
+// It panics when h is not D-dimensional.
+func (e *Encoder) EncodeInto(h BinaryHV, peaks []spectrum.QuantizedPeak) error {
+	if h.D != e.D() || len(h.Words) != WordsPerHV(h.D) {
+		panic(fmt.Sprintf("hdc: encoding into a D=%d hypervector of %d words with a D=%d encoder", h.D, len(h.Words), e.D()))
+	}
+	if err := e.checkBins(peaks); err != nil {
+		return err
+	}
 	signedSumWords(h.Words, e.IDs.planes, e.lv, e.IDs.Precision, peaks)
 	h.maskTail()
-	return h, nil
+	return nil
 }
 
 // signedSumWords is the bit-sliced ID-Level primitive (DESIGN.md §5):

@@ -56,7 +56,7 @@ func newFloorFixture(t *testing.T) floorFixture {
 	plant(short, 280, 300, 301)
 	f.ranges = []RowRange{{Lo: 0, Hi: floorN}, {Lo: 0, Hi: floorN}, {Lo: 197, Hi: 400}, {Lo: 400, Hi: floorN}}
 	f.hidden = []int{422, 231, 41, 198}
-	s, err := NewShardedSearcher(f.refs, floorShard)
+	s, err := packedSearcher(f.refs, floorShard)
 	if err != nil {
 		t.Fatal(err)
 	}

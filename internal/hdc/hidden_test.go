@@ -19,14 +19,24 @@ func visibleCands(lo, hi, n int, hidden []int) []int {
 	return out
 }
 
-// packedBlock concatenates the references' words: the block
-// NewShardedSearcherFromPacked aliases.
-func packedBlock(refs []BinaryHV) []uint64 {
-	var block []uint64
-	for _, r := range refs {
-		block = append(block, r.Words...)
+// packedSearcher is NewShardedSearcher over refs packed into a fresh
+// block of their own.
+func packedSearcher(refs []BinaryHV, shardSize int) (*ShardedSearcher, error) {
+	return NewShardedSearcher(PackRows(refs), refs[0].D, shardSize)
+}
+
+// embeddedBlock packs refs into a view with all-ones words on either
+// side (len == cap) — one partition's rows inside a larger index image —
+// so a sweep that strays past its rows scores words that are not theirs.
+func embeddedBlock(refs []BinaryHV) []uint64 {
+	const pad = 3
+	block := PackRows(refs)
+	buf := make([]uint64, len(block)+2*pad)
+	for i := range buf {
+		buf[i] = ^uint64(0)
 	}
-	return block
+	copy(buf[pad:], block)
+	return buf[pad : pad+len(block) : pad+len(block)]
 }
 
 // TestHiddenRowsMatchOracle holds the masked sweep to naiveTopK over
@@ -37,8 +47,9 @@ func packedBlock(refs []BinaryHV) []uint64 {
 // a range hidden whole, a range with fewer visible rows than k — and is
 // handed to Hide shuffled and with repeats. Every query's best matches
 // are planted on hidden rows, so a sweep that lets one through cannot
-// pass. Both row widths, copying and packed-block stores, a batch of
-// 64 and each query as a batch of one, both kernels.
+// pass. Both row widths, a block of its own ("copied") and one inside a
+// larger buffer ("packed"), a batch of 64 and each query as a batch of
+// one, both kernels.
 func TestHiddenRowsMatchOracle(t *testing.T) {
 	hiddenRowsMatchOracle(t)
 	t.Run("go-kernel", func(t *testing.T) {
@@ -117,9 +128,9 @@ func hiddenRowsMatchOracle(t *testing.T) {
 					var s *ShardedSearcher
 					var err error
 					if store == "copied" {
-						s, err = NewShardedSearcher(lrefs, shard)
+						s, err = packedSearcher(lrefs, shard)
 					} else {
-						s, err = NewShardedSearcherFromPacked(packedBlock(lrefs), lay.d, shard, CascadeConfig{})
+						s, err = NewShardedSearcher(embeddedBlock(lrefs), lay.d, shard)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -180,7 +191,7 @@ func prefixHVs(hvs []BinaryHV, d int) []BinaryHV {
 func TestHideIgnoresRowsOutsideTheStore(t *testing.T) {
 	const d, n = 64, 10
 	refs := randomRefs(d, n, 1)
-	s, err := NewShardedSearcher(refs, 4)
+	s, err := packedSearcher(refs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +227,7 @@ func FuzzHiddenRows(f *testing.F) {
 				refs[hidden[rng.Intn(len(hidden))]] = nearDup(queries[i], 0.02, rng)
 			}
 		}
-		s, err := NewShardedSearcher(refs, 1+rng.Intn(n))
+		s, err := packedSearcher(refs, 1+rng.Intn(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +260,7 @@ func BenchmarkSweepHidden(b *testing.B) {
 	}
 	for _, nHidden := range []int{0, 64, 1024} {
 		b.Run(fmt.Sprintf("hidden=%d", nHidden), func(b *testing.B) {
-			s, err := NewShardedSearcher(refs, 0)
+			s, err := packedSearcher(refs, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -34,8 +34,8 @@ type BinaryHV struct {
 
 // WordsPerHV returns the packed word count of a D-dimensional
 // hypervector: ceil(d/64). It is the row stride of every packed
-// hypervector store (BinaryHV.Words, the sharded searcher's shards,
-// the on-disk library index).
+// hypervector store (BinaryHV.Words, a library's rows, the on-disk
+// library index).
 func WordsPerHV(d int) int { return (d + 63) / 64 }
 
 // NewBinaryHV returns an all -1 (all bits clear) hypervector.

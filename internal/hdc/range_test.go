@@ -58,7 +58,7 @@ func onePathMatrix(t *testing.T) {
 	for _, lay := range layouts {
 		t.Run(lay.name, func(t *testing.T) {
 			refs, queries := plantedFixture(t, d, n, len(ranges), lay.k, 77)
-			s, err := NewShardedSearcher(refs, lay.shard)
+			s, err := packedSearcher(refs, lay.shard)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestSimilaritiesRangeIntoParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	d, n := 130, 300
 	refs := randomRefs(d, n, 22)
-	s, err := NewShardedSearcher(refs, 64)
+	s, err := packedSearcher(refs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSimilaritiesRangeIntoParity(t *testing.T) {
 // returns empty (non-nil) match lists.
 func TestBatchTopKRangeShapeChecks(t *testing.T) {
 	refs := randomRefs(64, 50, 31)
-	s, err := NewShardedSearcher(refs, 16)
+	s, err := packedSearcher(refs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

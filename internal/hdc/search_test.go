@@ -8,18 +8,20 @@ import (
 )
 
 func TestNewShardedSearcherValidation(t *testing.T) {
-	if _, err := NewShardedSearcher(nil, 0); err == nil {
+	if _, err := NewShardedSearcher(nil, 64, 0); err == nil {
 		t.Error("empty reference set accepted")
 	}
-	refs := []BinaryHV{NewBinaryHV(64), NewBinaryHV(65)}
-	if _, err := NewShardedSearcher(refs, 0); err == nil {
-		t.Error("mixed dimensions accepted")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("mixed dimensions packed")
+		}
+	}()
+	PackRows([]BinaryHV{NewBinaryHV(64), NewBinaryHV(65)})
 }
 
 func TestTopKFindsPlantedMatch(t *testing.T) {
 	refs := randomRefs(2048, 200, 1)
-	s, err := NewShardedSearcher(refs, 0)
+	s, err := packedSearcher(refs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestTopKFindsPlantedMatch(t *testing.T) {
 // perfect match outside it never appears, and inside it ranks first.
 func TestTopKRangeRestriction(t *testing.T) {
 	refs := randomRefs(1024, 50, 3)
-	s, _ := NewShardedSearcher(refs, 16)
+	s, _ := packedSearcher(refs, 16)
 	q := refs[10].Clone()
 	for _, r := range []RowRange{{Lo: 0, Hi: 10}, {Lo: 11, Hi: 50}} {
 		for _, m := range topKRange(s, q, r.Lo, r.Hi, 3) {
@@ -67,7 +69,7 @@ func TestTopKTieBreaksByIndex(t *testing.T) {
 	// Three identical references: ties resolve to ascending index.
 	base := NewBinaryHV(64)
 	refs := []BinaryHV{base.Clone(), base.Clone(), base.Clone()}
-	s, _ := NewShardedSearcher(refs, 0)
+	s, _ := packedSearcher(refs, 0)
 	top := topKRange(s, base, 0, 3, 2)
 	if top[0].Index != 0 || top[1].Index != 1 {
 		t.Errorf("tie break wrong: %+v", top)
@@ -81,7 +83,7 @@ func TestTopKMatchesBruteForceProperty(t *testing.T) {
 		n := 5 + rng.Intn(60)
 		k := 1 + rng.Intn(10)
 		refs := randomRefs(d, n, seed+1)
-		s, _ := NewShardedSearcher(refs, 1+rng.Intn(n))
+		s, _ := packedSearcher(refs, 1+rng.Intn(n))
 		q := RandomBinaryHV(d, rng)
 		got := topKRange(s, q, 0, n, k)
 		// Brute force.
@@ -110,7 +112,7 @@ func TestTopKMatchesBruteForceProperty(t *testing.T) {
 
 func TestSearcherAccessors(t *testing.T) {
 	refs := randomRefs(128, 9, 9)
-	s, _ := NewShardedSearcher(refs, 4)
+	s, _ := packedSearcher(refs, 4)
 	if s.Len() != 9 || s.D() != 128 || s.numShards() != 3 {
 		t.Errorf("accessors: len=%d d=%d shards=%d", s.Len(), s.D(), s.numShards())
 	}

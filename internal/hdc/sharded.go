@@ -38,19 +38,13 @@ func blockRows(words int) int {
 	return r
 }
 
-// CascadeConfig is empty and ignored: the K-tier ladder it once
-// selected is gone, and every store has the one row layout. It remains
-// only because the frozen benchmark passes it to
-// NewShardedSearcherFromPacked; ROADMAP item 1 deletes it.
-type CascadeConfig struct{}
-
 // ShardedSearcher is the sharded, batch-oriented exact Hamming search
 // engine — the software stand-in for the paper's in-memory search,
 // with the accelerator's one primitive: a batch of queries each
 // activates a contiguous block of mass-sorted rows
-// (Search; one query is a batch of one). Reference
-// hypervectors are packed row-major into fixed-size shards of
-// contiguous words (one shard per crossbar tile group), scored in full
+// (Search; one query is a batch of one). The reference hypervectors
+// are one row-major packed block, read in fixed-size shards of
+// contiguous rows (one shard per crossbar tile group), scored in full
 // with a blocked XOR+popcount kernel into reusable per-worker score
 // buffers, and shard-level top-k heaps are merged deterministically
 // (similarity descending, index ascending).
@@ -60,7 +54,10 @@ type ShardedSearcher struct {
 	n         int // total references
 	shardSize int // rows per shard (last shard may be shorter)
 	block     int // rows per kernel block (see kernelBlockBytes)
-	shards    []shard
+	// rows is the caller's packed block: row r's words are
+	// rows[r*words : (r+1)*words], and shard i is rows
+	// [i*shardSize, (i+1)*shardSize).
+	rows []uint64
 
 	// swept counts candidate rows covered by the sweep — the serving
 	// stack's sweep-volume counter.
@@ -69,88 +66,51 @@ type ShardedSearcher struct {
 	hidden []int
 }
 
-// shard is one fixed-size slice of the reference store.
-type shard struct {
-	// start is the global index of the shard's first row.
-	start int
-	// rows is the number of references in this shard.
-	rows int
-	// packed holds the shard's rows back to back: reference r's words
-	// occupy packed[r*words : (r+1)*words]. It is a private copy, or a
-	// view of a caller-owned block (NewShardedSearcherFromPacked).
-	packed []uint64
-}
-
-// NewShardedSearcher builds the engine over the reference
-// hypervectors (which must share one dimensionality), splitting them
-// into shards of shardSize rows (<= 0 selects DefaultShardSize).
-// The reference words are copied into the packed store: later in-place
-// mutation of the source hypervectors is not seen by this engine, and
-// the source slices may be released.
-func NewShardedSearcher(refs []BinaryHV, shardSize int) (*ShardedSearcher, error) {
-	if len(refs) == 0 {
-		return nil, fmt.Errorf("hdc: empty reference set")
-	}
-	d := refs[0].D
-	if d <= 0 {
-		return nil, fmt.Errorf("hdc: reference hypervectors have non-positive dimension %d", d)
-	}
-	for i, r := range refs {
-		if r.D != d {
-			return nil, fmt.Errorf("hdc: reference %d has D=%d, want %d", i, r.D, d)
-		}
-	}
-	s := newShardedShell(d, len(refs), shardSize)
-	for start := 0; start < len(refs); start += s.shardSize {
-		rows := min(s.shardSize, len(refs)-start)
-		sh := shard{start: start, rows: rows, packed: make([]uint64, 0, rows*s.words)}
-		for _, r := range refs[start : start+rows] {
-			sh.packed = append(sh.packed, r.Words[:s.words]...)
-		}
-		s.shards = append(s.shards, sh)
-	}
-	return s, nil
-}
-
-// NewShardedSearcherFromPacked builds the engine directly over a
-// contiguous packed word block — len(block) = n × WordsPerHV(d) words,
-// row-major in reference order, tail bits beyond d zero (the layout of
-// BinaryHV.Words concatenated, and of the words section of a library
-// index file). Unlike NewShardedSearcher, the block is aliased, not
-// copied: every shard's rows are zero-copy views into it, so with a
-// memory-mapped block (libindex.Open) construction touches no word
-// page and pages fault in as sweeps reach them. The caller must keep
-// the block alive — and, for a mapped block, mapped — for the
-// searcher's lifetime, and must not mutate it. The CascadeConfig is
-// ignored.
-func NewShardedSearcherFromPacked(block []uint64, d, shardSize int, _ CascadeConfig) (*ShardedSearcher, error) {
+// NewShardedSearcher builds the engine over a packed word block —
+// len(block) = n × WordsPerHV(d) words, row-major in reference order,
+// tail bits beyond d zero (core.Library.Rows, PackRows, and the words
+// section of a library index file) — swept in shards of shardSize
+// rows (<= 0 selects DefaultShardSize). The block is aliased, not
+// copied, so over a memory-mapped block (libindex.Open) construction
+// touches no word page and pages fault in as sweeps reach them. The
+// caller must keep the block alive — and, for a mapped block, mapped —
+// for the searcher's lifetime, and must not mutate it.
+func NewShardedSearcher(block []uint64, d, shardSize int) (*ShardedSearcher, error) {
 	if d <= 0 {
 		return nil, fmt.Errorf("hdc: non-positive dimension %d", d)
 	}
 	words := WordsPerHV(d)
 	if len(block) == 0 || len(block)%words != 0 {
-		return nil, fmt.Errorf("hdc: packed block of %d words is not a multiple of %d words per row", len(block), words)
+		return nil, fmt.Errorf("hdc: packed block of %d words is not a positive multiple of %d words per row", len(block), words)
 	}
-	s := newShardedShell(d, len(block)/words, shardSize)
-	for start := 0; start < s.n; start += s.shardSize {
-		rows := min(s.shardSize, s.n-start)
-		lo, hi := start*words, (start+rows)*words
-		// The searcher is the designed owner of this alias: the caller
-		// contract above pins the block (and its mapping) for the
-		// searcher's lifetime, and the sweep only ever reads it.
-		s.shards = append(s.shards, shard{start: start, rows: rows, packed: block[lo:hi:hi]})
-	}
-	return s, nil
-}
-
-// newShardedShell assembles the searcher metadata shared by both
-// constructors.
-func newShardedShell(d, n, shardSize int) *ShardedSearcher {
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
 	}
+	// The searcher is the designed owner of this alias: the caller
+	// contract above pins the block (and its mapping) for the searcher's
+	// lifetime, and the sweep only ever reads it.
+	return &ShardedSearcher{d: d, words: words, n: len(block) / words, shardSize: shardSize,
+		block: blockRows(words), rows: block[:len(block):len(block)]}, nil
+}
+
+// PackRows copies hypervectors of one dimension back to back into a
+// fresh block, the layout NewShardedSearcher reads. It panics when a
+// row's dimension or word count differs from the first row's: rows of
+// mixed widths have no packed layout.
+func PackRows(refs []BinaryHV) []uint64 {
+	if len(refs) == 0 {
+		return nil
+	}
+	d := refs[0].D
 	words := WordsPerHV(d)
-	return &ShardedSearcher{d: d, words: words, n: n, shardSize: shardSize, block: blockRows(words)}
+	block := make([]uint64, 0, len(refs)*words)
+	for i, r := range refs {
+		if r.D != d || len(r.Words) != words {
+			panic(fmt.Sprintf("hdc: packing row %d of D=%d (%d words) among rows of D=%d (%d words)", i, r.D, len(r.Words), d, words))
+		}
+		block = append(block, r.Words...)
+	}
+	return block
 }
 
 // D returns the hypervector dimension.
@@ -228,13 +188,8 @@ func (s *ShardedSearcher) SimilaritiesRangeInto(q BinaryHV, lo, hi int, dst []in
 	sc := scratchPool.Get().(*searchScratch)
 	defer scratchPool.Put(sc)
 	sc.mask = grown(sc.mask, maskWords(s.block))
-	for row := r.Lo; row < r.Hi; {
-		sh := &s.shards[row/s.shardSize]
-		end := min(r.Hi, sh.start+sh.rows)
-		for b := row; b < end; b += s.block {
-			xorPopRows(q.Words, sh.packed[(b-sh.start)*s.words:], s.words, min(s.block, end-b), 0, dst[b-r.Lo:], sc.mask)
-		}
-		row = end
+	for b := r.Lo; b < r.Hi; b += s.block {
+		xorPopRows(q.Words, s.rows[b*s.words:], s.words, min(s.block, r.Hi-b), 0, dst[b-r.Lo:], sc.mask)
 	}
 	for j := range dst {
 		dst[j] = s.d - dst[j]
@@ -539,8 +494,7 @@ func raiseFloor(floor *atomic.Int64, sim int) {
 // range intersects the shard, leaving each (query, shard) top-k heap in
 // the batch arena.
 func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
-	sh := &s.shards[si]
-	shLo, shHi := sh.start, sh.start+sh.rows
+	shLo, shHi := si*s.shardSize, min((si+1)*s.shardSize, s.n)
 	// The plan is sorted by range start: entries at or past this bound
 	// begin after the shard ends and cannot intersect it.
 	end := sort.Search(len(b.plan), func(j int) bool { return b.plan[j].r.Lo >= shHi })
@@ -587,7 +541,7 @@ func (s *ShardedSearcher) scanShard(b *batch, si int, sc *searchScratch) {
 			if len(sq.heap) == b.k {
 				limit = min(limit, s.d-sq.heap[0].Similarity+1)
 			}
-			xorPopRows(b.queries[b.plan[sq.j].qi].Words, sh.packed[(r0-shLo)*s.words:], s.words, r1-r0, limit, sc.dist, sc.mask)
+			xorPopRows(b.queries[b.plan[sq.j].qi].Words, s.rows[r0*s.words:], s.words, r1-r0, limit, sc.dist, sc.mask)
 			// Walk the admitted rows, skipping hidden ones by a merge
 			// with the block's cut of the hidden list.
 			h := 0

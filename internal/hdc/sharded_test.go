@@ -13,7 +13,7 @@ import (
 func TestSweepLargeParallel(t *testing.T) {
 	d, n := 256, 1<<13+100
 	refs := randomRefs(d, n, 42)
-	s, err := NewShardedSearcher(refs, 1024)
+	s, err := packedSearcher(refs, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSingleReferenceEdges(t *testing.T) {
 	refs := randomRefs(192, 1, 51)
 	rng := rand.New(rand.NewSource(52))
 	q := RandomBinaryHV(192, rng)
-	s, err := NewShardedSearcher(refs, 16)
+	s, err := packedSearcher(refs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCascadeExactParityParallel(t *testing.T) {
 	for j := 0; j < k; j++ {
 		refs[n/2+j*701] = nearDup(q, 0.02, rng)
 	}
-	s, err := NewShardedSearcher(refs, 1024)
+	s, err := packedSearcher(refs, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,39 +100,47 @@ func TestCascadeExactParityParallel(t *testing.T) {
 }
 
 // TestCascadeConfigValidation pins constructor rejection of degenerate
-// reference sets and packed blocks. (The name dates from when the
-// constructors also validated the pruning ladder's tier widths.)
+// packed blocks and PackRows' refusal of rows of mixed widths. (The name
+// dates from when the constructors also validated the pruning ladder's
+// tier widths.)
 func TestCascadeConfigValidation(t *testing.T) {
-	if _, err := NewShardedSearcher([]BinaryHV{{D: 0}}, 0); err == nil {
-		t.Error("zero-dimension reference accepted")
+	if _, err := NewShardedSearcher(make([]uint64, 4), 0, 0); err == nil {
+		t.Error("zero-dimension block accepted")
 	}
-	if _, err := NewShardedSearcher([]BinaryHV{{D: -8, Words: nil}}, 0); err == nil {
-		t.Error("negative-dimension reference accepted")
+	if _, err := NewShardedSearcher(make([]uint64, 4), -8, 0); err == nil {
+		t.Error("negative-dimension block accepted")
 	}
-	if _, err := NewShardedSearcher(nil, 0); err == nil {
-		t.Error("empty reference set accepted")
+	if _, err := NewShardedSearcher(nil, 128, 0); err == nil {
+		t.Error("empty block accepted")
 	}
-	if _, err := NewShardedSearcher([]BinaryHV{RandomBinaryHV(128, rand.New(rand.NewSource(1))), RandomBinaryHV(192, rand.New(rand.NewSource(2)))}, 0); err == nil {
-		t.Error("references of mixed dimension accepted")
-	}
-	if _, err := NewShardedSearcherFromPacked(make([]uint64, 4), 0, 0, CascadeConfig{}); err == nil {
-		t.Error("zero-dimension packed block accepted")
-	}
-	if _, err := NewShardedSearcherFromPacked(make([]uint64, 5), 128, 0, CascadeConfig{}); err == nil {
+	if _, err := NewShardedSearcher(make([]uint64, 5), 128, 0); err == nil {
 		t.Error("packed block of a partial row accepted")
+	}
+	for name, refs := range map[string][]BinaryHV{
+		"mixed dimension": {RandomBinaryHV(128, rand.New(rand.NewSource(1))), RandomBinaryHV(192, rand.New(rand.NewSource(2)))},
+		"short row":       {RandomBinaryHV(128, rand.New(rand.NewSource(1))), {D: 128, Words: make([]uint64, 1)}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PackRows packed references of %s", name)
+				}
+			}()
+			PackRows(refs)
+		}()
 	}
 }
 
 // TestCascadePackedRowAssembly pins that PackedRow returns every row
-// bit-identical to its source hypervector, over a copied store and
-// over a packed block, at an odd word count (5).
+// bit-identical to its source hypervector, over a block of its own and
+// over a view inside a larger buffer, at an odd word count (5).
 func TestCascadePackedRowAssembly(t *testing.T) {
 	refs := randomRefs(320, 41, 19)
-	copied, err := NewShardedSearcher(refs, 16)
+	copied, err := packedSearcher(refs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := NewShardedSearcherFromPacked(packedBlock(refs), 320, 16, CascadeConfig{})
+	packed, err := NewShardedSearcher(embeddedBlock(refs), 320, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +166,8 @@ func TestCascadePackedRowAssembly(t *testing.T) {
 // end flush with a kernel block, a shard and the store — so the rows
 // nearest the query sit where the block and shard walk turns. The
 // sweep must return the flat scan's matches on both kernels, over a
-// copied store ("planes") and a packed block, and count every row of
-// the range as swept.
+// block of its own ("planes") and one inside a larger buffer
+// ("packed"), and count every row of the range as swept.
 func TestLadderRunCompletion(t *testing.T) {
 	const d, n, shardSize, k = 2048, 1500, 600, 3
 	shared := []int{0, 8, 16}  // leading words copied from the query, by depth
@@ -211,9 +219,9 @@ func TestLadderRunCompletion(t *testing.T) {
 					if kernel == "go" {
 						useGoKernel(t)
 					}
-					s, err := NewShardedSearcher(refs, shardSize)
+					s, err := packedSearcher(refs, shardSize)
 					if store == "packed" {
-						s, err = NewShardedSearcherFromPacked(packedBlock(refs), d, shardSize, CascadeConfig{})
+						s, err = NewShardedSearcher(embeddedBlock(refs), d, shardSize)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -234,7 +242,7 @@ func TestLadderRunCompletion(t *testing.T) {
 }
 
 // numShards returns the shard count.
-func (s *ShardedSearcher) numShards() int { return len(s.shards) }
+func (s *ShardedSearcher) numShards() int { return (s.n + s.shardSize - 1) / s.shardSize }
 
 // packedRow returns a freshly allocated copy of the packed words of
 // reference row i exactly as stored in the engine. It panics with a
@@ -243,7 +251,5 @@ func (s *ShardedSearcher) packedRow(i int) []uint64 {
 	if i < 0 || i >= s.n {
 		panic(fmt.Sprintf("hdc: reference index %d out of range [0, %d)", i, s.n))
 	}
-	sh := &s.shards[i/s.shardSize]
-	row := (i - sh.start) * s.words
-	return slices.Clone(sh.packed[row : row+s.words])
+	return slices.Clone(s.rows[i*s.words : (i+1)*s.words])
 }

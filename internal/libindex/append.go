@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/hdc"
 	"repro/internal/spectrum"
 )
 
@@ -82,18 +83,22 @@ func publish(manifestPath string, st *ManifestState, p core.Params, rec LogRecor
 
 // cutLibrary cuts a mass-sorted library into the row-contiguous
 // libraries ending at the ascending row offsets ends (the last is
-// lib.Len()). Each keeps the relative build order of its own rows
-// (localizePositions) — what a partition file stores.
+// lib.Len()), each over its span of lib's rows. Each keeps the relative
+// build order of its own rows (localizePositions) — what a partition
+// file stores.
 func cutLibrary(lib *core.Library, ends []int) ([]*core.Library, error) {
 	srcPos := lib.SourcePositions()
 	if len(srcPos) != lib.Len() {
 		return nil, fmt.Errorf("libindex: library has %d entries but %d source positions (SortByMass never ran?)", lib.Len(), len(srcPos))
 	}
+	d := lib.Row(0).D
+	w := hdc.WordsPerHV(d)
+	rows := lib.Rows()
 	chunks := make([]*core.Library, len(ends))
 	lo := 0
 	for i, hi := range ends {
 		var err error
-		chunks[i], err = core.RestoreLibrary(lib.Entries[lo:hi:hi], lib.HVs[lo:hi:hi], localizePositions(srcPos[lo:hi]), 0)
+		chunks[i], err = core.LibraryOver(lib.Entries[lo:hi:hi], rows[lo*w:hi*w:hi*w], d, localizePositions(srcPos[lo:hi]), 0)
 		if err != nil {
 			return nil, fmt.Errorf("libindex: assembling partition %d: %w", i, err)
 		}
@@ -151,7 +156,7 @@ func AppendDelta(manifestPath string, st *ManifestState, lib *core.Library, maxP
 	if lib == nil || lib.Len() == 0 {
 		return 0, fmt.Errorf("libindex: refusing to append an empty delta batch")
 	}
-	if d := lib.HVs[0].D; d != st.D {
+	if d := lib.Row(0).D; d != st.D {
 		return 0, fmt.Errorf("libindex: delta batch has dimension D=%d, library has D=%d", d, st.D)
 	}
 	p, err := st.DecodeParams()

@@ -37,7 +37,7 @@ func BenchmarkIndexLoad(b *testing.B) {
 	b.Run("load", func(b *testing.B) {
 		b.SetBytes(int64(len(img)))
 		for i := 0; i < b.N; i++ {
-			lp, lib, _, err := loadImage(img)
+			lp, lib, err := loadImage(img)
 			if err != nil {
 				b.Fatal(err)
 			}

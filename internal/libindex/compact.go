@@ -126,7 +126,7 @@ func Compact(manifestPath string, maxPartRefs int) (CompactStats, error) {
 				continue
 			}
 			merged.Entries = append(merged.Entries, lib.Entries[r])
-			merged.HVs = append(merged.HVs, lib.HVs[r])
+			merged.HVs = append(merged.HVs, lib.Row(r))
 		}
 	}
 	merged.SortByMass()

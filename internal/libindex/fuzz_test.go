@@ -63,10 +63,10 @@ func FuzzIndexLoad(f *testing.F) {
 	binary.LittleEndian.PutUint32(badLen[permSectionOffset(badLen):], 7)
 	f.Add(badLen)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lp, llib, _, lerr := loadImage(data)
-		pp, plib, block, perr := parseIndex(data)
+		lp, llib, lerr := loadImage(data)
+		pp, plib, perr := parseIndex(data)
 		if perr == nil {
-			perr = verifyImage(data, block, pp.Accel.D)
+			perr = verifyImage(data, plib.Rows(), pp.Accel.D)
 		}
 		if (lerr == nil) != (perr == nil) {
 			t.Fatalf("Load and parseIndex+verifyImage disagree: Load err = %v, parse+verify err = %v", lerr, perr)
@@ -76,7 +76,7 @@ func FuzzIndexLoad(f *testing.F) {
 		}
 		// Every entry costs at least a mass, a source position, its
 		// metadata record and its packed words in the image.
-		n, words := llib.Len(), len(llib.HVs[0].Words)
+		n, words := llib.Len(), len(llib.Row(0).Words)
 		if n != plib.Len() || lp.Accel.D != pp.Accel.D || n*(8+8+9+8*words) > len(data) {
 			t.Fatalf("accepted image of %d bytes decodes to %d entries × %d words (parse: %d entries)",
 				len(data), n, words, plib.Len())

@@ -92,21 +92,18 @@ func Save(w io.Writer, p core.Params, lib *core.Library) error {
 	if lib == nil || lib.Len() == 0 {
 		return fmt.Errorf("libindex: refusing to save empty library")
 	}
-	n := lib.Len()
-	if len(lib.HVs) != n {
-		return fmt.Errorf("libindex: library has %d entries but %d hypervectors", n, len(lib.HVs))
-	}
-	d := lib.HVs[0].D
-	if p.Accel.D != d {
-		return fmt.Errorf("libindex: params dimension D=%d does not match library hypervector dimension D=%d", p.Accel.D, d)
-	}
 	// Refuse to write a file the decoder would reject: a hand-assembled
-	// library that never ran SortByMass has no permutation and may be
-	// out of mass order, and the failure should surface now rather
-	// than after the expensive build is gone.
+	// library that never ran SortByMass has no permutation and no packed
+	// rows and may be out of mass order, and the failure should surface
+	// now rather than after the expensive build is gone.
+	n := lib.Len()
 	srcPos := lib.SourcePositions()
 	if len(srcPos) != n {
 		return fmt.Errorf("libindex: library has %d entries but %d source positions (SortByMass never ran?)", n, len(srcPos))
+	}
+	d := lib.Row(0).D
+	if p.Accel.D != d {
+		return fmt.Errorf("libindex: params dimension D=%d does not match library hypervector dimension D=%d", p.Accel.D, d)
 	}
 	for i := 1; i < n; i++ {
 		if lib.Entries[i].Mass < lib.Entries[i-1].Mass {
@@ -156,14 +153,7 @@ func Save(w io.Writer, p core.Params, lib *core.Library) error {
 	// memory-mapped index can view it as []uint64 without copying.
 	var pad [8]byte
 	enc.bytes(pad[:-enc.n&7])
-	words := hdc.WordsPerHV(d)
-	for i, hv := range lib.HVs {
-		if hv.D != d || len(hv.Words) != words {
-			return fmt.Errorf("libindex: hypervector %d has D=%d (%d words), want D=%d (%d words)",
-				i, hv.D, len(hv.Words), d, words)
-		}
-		enc.u64s(hv.Words)
-	}
+	enc.u64s(lib.Rows())
 	if enc.err != nil {
 		return fmt.Errorf("libindex: writing index: %w", enc.err)
 	}
@@ -191,17 +181,17 @@ func SaveFile(path string, p core.Params, lib *core.Library) error {
 // decoder, shared with the mmap-backed path — and then, unlike a
 // mapping, eagerly verified (verifyImage), which the heap copy has
 // already paid the page touches for. It returns the parameters the
-// library was built with, the library, and the contiguous packed word
-// block its hypervectors are views over — no spectrum is re-encoded.
-func loadImage(data []byte) (core.Params, *core.Library, []uint64, error) {
-	p, lib, block, err := parseIndex(data)
+// library was built with and the library over the image's words — no
+// spectrum is re-encoded.
+func loadImage(data []byte) (core.Params, *core.Library, error) {
+	p, lib, err := parseIndex(data)
 	if err != nil {
-		return core.Params{}, nil, nil, err
+		return core.Params{}, nil, err
 	}
-	if err := verifyImage(data, block, p.Accel.D); err != nil {
-		return core.Params{}, nil, nil, err
+	if err := verifyImage(data, lib.Rows(), p.Accel.D); err != nil {
+		return core.Params{}, nil, err
 	}
-	return p, lib, block, nil
+	return p, lib, nil
 }
 
 // verifyImage is the integrity pass over a parsed index image that

@@ -82,7 +82,7 @@ func TestRoundTripSearchIdentical(t *testing.T) {
 			if err := Save(&buf, p, built.Library()); err != nil {
 				t.Fatalf("Save: %v", err)
 			}
-			lp, lib, _, err := loadImage(buf.Bytes())
+			lp, lib, err := loadImage(buf.Bytes())
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
@@ -104,7 +104,7 @@ func TestRoundTripSearchIdentical(t *testing.T) {
 				if lib.Entries[i] != built.Library().Entries[i] {
 					t.Fatalf("entry %d mismatch: %+v vs %+v", i, lib.Entries[i], built.Library().Entries[i])
 				}
-				if !lib.HVs[i].Equal(built.Library().HVs[i]) {
+				if !lib.Row(i).Equal(built.Library().Row(i)) {
 					t.Fatalf("hypervector %d differs after round trip", i)
 				}
 				if lib.SourcePos(i) != built.Library().SourcePos(i) {
@@ -146,11 +146,11 @@ func TestPackedStoreMatchesIndex(t *testing.T) {
 	if err := Save(&buf, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	lp, lib, _, err := loadImage(buf.Bytes())
+	lp, lib, err := loadImage(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := hdc.NewShardedSearcher(lib.HVs, lp.ShardSize)
+	s, err := hdc.NewShardedSearcher(lib.Rows(), lp.Accel.D, lp.ShardSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestOpenRejectsStoredPermutation(t *testing.T) {
 	}
 	img := withPermSection(t, buf.Bytes(), reversal(128))
 	const want = "rebuild the index with omsbuild"
-	if _, _, _, err := loadImage(img); err == nil || !strings.Contains(err.Error(), want) {
+	if _, _, err := loadImage(img); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("copying loader: got %v, want %q", err, want)
 	}
 	path := t.TempDir() + "/entropy.omsidx"
@@ -284,7 +284,7 @@ func TestLoadRejectsNonBijectivePerm(t *testing.T) {
 	perm[1] = perm[0]
 	img := withPermSection(t, buf.Bytes(), perm)
 	const want = "rebuild the index with omsbuild"
-	if _, _, _, err := loadImage(img); err == nil || !strings.Contains(err.Error(), want) {
+	if _, _, err := loadImage(img); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("copying loader: got %v, want %q", err, want)
 	}
 	path := t.TempDir() + "/dup.omsidx"
@@ -311,7 +311,7 @@ func TestVerifyRejectsTailBits(t *testing.T) {
 	// word and re-seal the checksum.
 	img[len(img)-5] |= 0x80
 	fixCRC(img)
-	if _, _, _, err := loadImage(img); err == nil || !strings.Contains(err.Error(), "bits set beyond dimension 100") {
+	if _, _, err := loadImage(img); err == nil || !strings.Contains(err.Error(), "bits set beyond dimension 100") {
 		t.Fatalf("Load: got %v, want a tail-bit rejection", err)
 	}
 	if !mmapSupported {
@@ -445,7 +445,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			img := append([]byte(nil), valid...)
 			img = tc.mutate(img)
-			_, _, _, err := loadImage(img)
+			_, _, err := loadImage(img)
 			if err == nil {
 				t.Fatalf("Load accepted a %s index", tc.name)
 			}
@@ -455,7 +455,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		})
 	}
 	// The pristine image must still load after all that slicing.
-	if _, _, _, err := loadImage(valid); err != nil {
+	if _, _, err := loadImage(valid); err != nil {
 		t.Fatalf("pristine image failed to load: %v", err)
 	}
 }

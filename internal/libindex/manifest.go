@@ -128,7 +128,7 @@ func SavePartitioned(manifestPath string, p core.Params, lib *core.Library, part
 		Type:    recordBase,
 		Format:  ManifestFormat,
 		Version: ManifestVersion,
-		D:       lib.HVs[0].D,
+		D:       lib.Row(0).D,
 		Skipped: lib.Skipped,
 		Params:  paramsJSON,
 	}, chunks)
@@ -337,12 +337,12 @@ func (ix *Index) checkTombstones() error {
 }
 
 // PartitionSet assembles the core engine inputs: every live partition
-// with its generation coordinates and packed block view, the
-// outstanding tombstones, and the generation — what
-// core.NewPartitionedEngine needs to serve the visible set exactly. The
-// blocks alias the mappings: no engine built from the set outlives
-// Close, after which PartitionSet panics descriptively rather than
-// handing out views into unmapped memory.
+// with its generation coordinates, the outstanding tombstones, and the
+// generation — what core.NewPartitionedEngine needs to serve the
+// visible set exactly. The libraries' rows alias the mappings: no
+// engine built from the set outlives Close, after which PartitionSet
+// panics descriptively rather than handing out views into unmapped
+// memory.
 func (ix *Index) PartitionSet() core.PartitionSet {
 	states := ix.State.Partitions()
 	set := core.PartitionSet{
@@ -351,9 +351,9 @@ func (ix *Index) PartitionSet() core.PartitionSet {
 		Skipped:    ix.State.Skipped,
 	}
 	for i, part := range ix.parts {
+		part.mustOpen()
 		set.Specs[i] = core.PartitionSpec{
 			Lib:    part.Lib,
-			Block:  part.Words(),
 			Gen:    states[i].Gen,
 			GenRow: states[i].GenRow,
 			Delta:  states[i].Delta,

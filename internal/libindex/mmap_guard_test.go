@@ -217,10 +217,10 @@ func TestMappingGuardFaultsOnWrite(t *testing.T) {
 			pi := g.open(g.manifest)
 			views := [][]uint64{ix.words()}
 			for _, spec := range pi.PartitionSet().Specs {
-				views = append(views, spec.Block)
+				views = append(views, spec.Lib.Rows())
 			}
-			for _, hv := range ix.parts[0].Lib.HVs {
-				views = append(views, hv.Words)
+			for lib, i := ix.parts[0].Lib, 0; i < lib.Len(); i++ {
+				views = append(views, lib.Row(i).Words)
 			}
 			for i, v := range views {
 				if len(v) != cap(v) {
@@ -247,17 +247,17 @@ func TestMappingGuardFaultsOnWrite(t *testing.T) {
 		{"partitioned: h.set = set", "manifest", true, func(g *guardFixture) {
 			var h holder
 			h.set = g.open(g.manifest).PartitionSet()
-			h.set.Specs[1].Block[0] = 1
+			h.set.Specs[1].Lib.Rows()[0] = 1
 		}},
 		{"opened: h.set = o.PartitionSet()", "opened", true, func(g *guardFixture) {
 			var h holder
 			h.set = g.open(g.file).PartitionSet()
-			h.set.Specs[0].Block[0] = 1
+			h.set.Specs[0].Lib.Rows()[0] = 1
 		}},
 		{"sharedWithSearcher: block[0] = 1", "file", true, func(g *guardFixture) {
 			ix := g.open(g.file)
 			block := ix.words()
-			if _, err := hdc.NewShardedSearcherFromPacked(block, ix.Params.Accel.D, 1024, hdc.CascadeConfig{}); err != nil {
+			if _, err := hdc.NewShardedSearcher(block, ix.Params.Accel.D, 1024); err != nil {
 				g.t.Fatal(err)
 			}
 			block[0] = 1
@@ -308,7 +308,7 @@ func TestMappingGuardFaultsOnStaleRead(t *testing.T) {
 			pi := g.open(g.manifest)
 			set := pi.PartitionSet()
 			g.must(pi.Close())
-			sink = set.Specs[len(set.Specs)-1].Block[0]
+			sink = set.Specs[len(set.Specs)-1].Lib.Rows()[0]
 		}},
 		{"openedEngineAfterClose", "opened", true, func(g *guardFixture) {
 			o := g.open(g.file)

@@ -13,9 +13,9 @@ import (
 )
 
 // partition is one opened index file: the decoded library and build
-// parameters plus the contiguous packed word block every hypervector
-// is a view over. When the file is memory-mapped (the normal case on
-// unix), the block aliases the mapping directly — opening costs one
+// parameters; the library's packed rows are the file's words section.
+// When the file is memory-mapped (the normal case on unix), the rows
+// alias the mapping directly — opening costs one
 // metadata parse, not a copy of the bulk words, and the word pages
 // fault in lazily as searches touch them. On platforms without mmap,
 // or when mapping fails, openPartition transparently falls back to the
@@ -24,7 +24,7 @@ type partition struct {
 	// Params are the engine parameters the file was built with
 	// (ShardSize from the header, everything else from the params JSON).
 	Params core.Params
-	// Lib is the decoded library; its HVs are views over Words.
+	// Lib is the decoded library; its Rows are Words.
 	Lib *core.Library
 
 	words  []uint64
@@ -38,24 +38,29 @@ type partition struct {
 }
 
 // Words returns the contiguous packed word block (n × WordsPerHV(d)),
-// row-major in mass order — the input of the packed searcher
-// constructors. The block aliases the mapping when the file is mapped:
-// no view outlives the partition's Close. Words panics after Close —
-// deterministically, on every platform, so a lifetime bug surfaces as
-// a descriptive panic at the call site instead of a SIGSEGV inside a
-// kernel loop on mmap platforms and silent success elsewhere.
+// row-major in mass order: Lib.Rows. The block aliases the mapping when
+// the file is mapped: no view outlives the partition's Close. Words
+// panics after Close (mustOpen).
 func (pt *partition) Words() []uint64 {
-	if pt.closed {
-		panic("libindex: Words on closed index " + pt.path + " (no view outlives its generation's Close)")
-	}
+	pt.mustOpen()
 	return pt.words
+}
+
+// mustOpen panics once the partition is closed — deterministically, on
+// every platform, so a lifetime bug surfaces as a descriptive panic at
+// the call site instead of a SIGSEGV inside a kernel loop on mmap
+// platforms and silent success elsewhere.
+func (pt *partition) mustOpen() {
+	if pt.closed {
+		panic("libindex: use of closed index " + pt.path + " (no view outlives its generation's Close)")
+	}
 }
 
 // Close releases the mapping and poisons the partition: the words view
 // is zeroed and Words panics afterwards, for a copied file exactly as
 // for a mapped one, so misuse does not depend on which loader ran.
-// Every view already handed out — Lib.HVs, Words results, and any
-// searcher or engine packed over them — is invalid after Close.
+// Every view already handed out — Lib.Rows, Words results, and any
+// searcher or engine over them — is invalid after Close.
 // Idempotent: the second and later calls return nil without touching
 // the mapping again.
 func (pt *partition) Close() error {
@@ -95,12 +100,12 @@ func openPartition(path string) (*partition, error) {
 	if err != nil {
 		return openCopied(f, path)
 	}
-	p, lib, words, err := parseIndex(data)
+	p, lib, err := parseIndex(data)
 	if err != nil {
 		munmapFile(data)
 		return nil, err
 	}
-	return newPartition(path, data, data, p, lib, words), nil
+	return newPartition(path, data, data, p, lib), nil
 }
 
 // openCopied is openPartition's fallback: the copying loader, wrapped
@@ -110,17 +115,17 @@ func openCopied(f *os.File, path string) (*partition, error) {
 	if err != nil {
 		return nil, fmt.Errorf("libindex: reading index: %w", err)
 	}
-	p, lib, block, err := loadImage(data)
+	p, lib, err := loadImage(data)
 	if err != nil {
 		return nil, err
 	}
-	return newPartition(path, data, nil, p, lib, block), nil
+	return newPartition(path, data, nil, p, lib), nil
 }
 
 // newPartition wraps a decoded image; mapped is the image if it is a
 // mapping, nil if it is a heap copy.
-func newPartition(path string, data, mapped []byte, p core.Params, lib *core.Library, words []uint64) *partition {
-	return &partition{Params: p, Lib: lib, words: words, mapped: mapped, path: path,
+func newPartition(path string, data, mapped []byte, p core.Params, lib *core.Library) *partition {
+	return &partition{Params: p, Lib: lib, words: lib.Rows(), mapped: mapped, path: path,
 		size: int64(len(data)), crc: binary.LittleEndian.Uint32(data[len(data)-4:])}
 }
 
@@ -185,14 +190,15 @@ func (c *byteCursor) u64() uint64 {
 // parseIndex is the one index decoder, behind both the mmap-backed
 // openPartition and the copying loadImage. It decodes an image in place:
 // metadata is copied out (entry strings must survive the mapping), the
-// packed words become a view over data when the section is 8-byte
-// aligned (always, for a page-aligned mapping) and are copied
-// otherwise. The CRC trailer is located but not verified, and the word
+// packed words become the library's rows (core.LibraryOver) as a view
+// over data when the section is 8-byte aligned (always, for a
+// page-aligned mapping) and as a copy otherwise; no per-row header is
+// made. The CRC trailer is located but not verified, and the word
 // pages are not touched — that is verifyImage, which loadImage runs eagerly
 // and a mapped index runs on request (Index.Verify).
-func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
-	fail := func(format string, args ...any) (core.Params, *core.Library, []uint64, error) {
-		return core.Params{}, nil, nil, fmt.Errorf("libindex: "+format, args...)
+func parseIndex(data []byte) (core.Params, *core.Library, error) {
+	fail := func(format string, args ...any) (core.Params, *core.Library, error) {
+		return core.Params{}, nil, fmt.Errorf("libindex: "+format, args...)
 	}
 	c := &byteCursor{data: data}
 	var hdr [6]byte
@@ -204,7 +210,7 @@ func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
 		return fail("not an OMS library index (bad magic %q)", hdr[:])
 	}
 	if version := c.u16(); c.err == nil && version != Version {
-		return core.Params{}, nil, nil, versionErr(version)
+		return core.Params{}, nil, versionErr(version)
 	}
 	d := int(c.u32())
 	shardSize := int(c.u32())
@@ -320,15 +326,11 @@ func parseIndex(data []byte) (core.Params, *core.Library, []uint64, error) {
 			block[i] = binary.LittleEndian.Uint64(data[wordsOff+i*8:])
 		}
 	}
-	hvs := make([]hdc.BinaryHV, n)
-	for i := range hvs {
-		hvs[i] = hdc.BinaryHV{D: d, Words: block[i*words : (i+1)*words : (i+1)*words]}
-	}
-	lib, err := core.RestoreLibrary(entries, hvs, srcPos, int(skipped))
+	lib, err := core.LibraryOver(entries, block, d, srcPos, int(skipped))
 	if err != nil {
-		return core.Params{}, nil, nil, err
+		return core.Params{}, nil, err
 	}
-	return p, lib, block, nil
+	return p, lib, nil
 }
 
 // str consumes a length-prefixed string, returning its bytes: a view of

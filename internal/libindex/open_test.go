@@ -91,7 +91,7 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 				if olib.Entries[i] != lib.Entries[i] {
 					t.Fatalf("entry %d mismatch", i)
 				}
-				if !olib.HVs[i].Equal(lib.HVs[i]) {
+				if !olib.Row(i).Equal(lib.Row(i)) {
 					t.Fatalf("hypervector %d differs between open and load", i)
 				}
 				if olib.SourcePos(i) != lib.SourcePos(i) {
@@ -256,7 +256,7 @@ func TestSavePartitionedRoundTrip(t *testing.T) {
 					if part.Lib.Entries[i] != lib.Entries[row] {
 						t.Fatalf("global row %d (partition %d row %d) entry mismatch", row, pidx, i)
 					}
-					if !part.Lib.HVs[i].Equal(lib.HVs[row]) {
+					if !part.Lib.Row(i).Equal(lib.Row(row)) {
 						t.Fatalf("global row %d hypervector mismatch", row)
 					}
 					row++

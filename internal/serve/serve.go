@@ -75,9 +75,6 @@ type Config struct {
 	// OnSlowQuery. 0 disables the threshold (the slow ring still keeps
 	// the worst traces).
 	SlowQueryThreshold time.Duration
-	// SlowRingSize is how many worst-latency query traces the server
-	// retains for Slowest (default 16).
-	SlowRingSize int
 	// OnSlowQuery, when set, is called from the dispatcher goroutine
 	// with a copy of each threshold-exceeding trace — keep it cheap
 	// (e.g. one structured log line); it runs between batches.
@@ -91,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4096
-	}
-	if c.SlowRingSize <= 0 {
-		c.SlowRingSize = 16
 	}
 	return c
 }

@@ -82,6 +82,10 @@ type StageTotal struct {
 // final overflow bucket.
 const latBuckets = 24
 
+// slowRingSize is how many worst-latency query traces a server retains
+// for Slowest.
+const slowRingSize = 16
+
 // collector accumulates the counters. Counter increments come from
 // many goroutines; histogram writes come only from the dispatcher.
 // One mutex keeps it simple — none of this is on the per-word hot
@@ -102,7 +106,7 @@ type collector struct {
 	slow                    uint64
 
 	// ring holds the worst-latency query traces (preallocated to
-	// SlowRingSize once; inserts replace the current minimum), and
+	// slowRingSize once; inserts replace the current minimum), and
 	// slowThresh mirrors Config.SlowQueryThreshold.
 	ring       []obsv.QueryTrace
 	slowThresh time.Duration
@@ -114,11 +118,7 @@ func (c *collector) init(cfg Config) {
 		buckets++
 	}
 	c.batchHist = make([]uint64, buckets+1)
-	rs := cfg.SlowRingSize
-	if rs <= 0 {
-		rs = 16
-	}
-	c.ring = make([]obsv.QueryTrace, 0, rs)
+	c.ring = make([]obsv.QueryTrace, 0, slowRingSize)
 	c.slowThresh = cfg.SlowQueryThreshold
 }
 
@@ -192,11 +192,8 @@ func (c *collector) observeRequest(lat time.Duration, matched bool, qt *obsv.Que
 // ringOffer inserts a trace into the worst-latency ring: free slots
 // fill first, then the trace replaces the current minimum if it is
 // worse. The ring is preallocated, so an offer never allocates; the
-// O(SlowRingSize) scan runs under the collector lock once per query.
+// O(slowRingSize) scan runs under the collector lock once per query.
 func (c *collector) ringOffer(qt *obsv.QueryTrace) {
-	if cap(c.ring) == 0 {
-		return
-	}
 	if len(c.ring) < cap(c.ring) {
 		c.ring = append(c.ring, *qt)
 		return

@@ -28,7 +28,7 @@ func RequestIDFrom(ctx context.Context) string {
 }
 
 // Slowest returns the worst-latency query traces the server has
-// retained (at most Config.SlowRingSize), sorted by total latency
+// retained (at most slowRingSize), sorted by total latency
 // descending. Every completed request competes for a slot regardless
 // of SlowQueryThreshold, so the ring is useful before any query
 // crosses the threshold.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -72,29 +73,30 @@ func TestTraceRecordsReachRing(t *testing.T) {
 	}
 }
 
-// TestSlowRingKeepsWorst floods a tiny ring and verifies replace-min:
-// the ring holds the N worst totals seen, not the N most recent.
+// TestSlowRingKeepsWorst floods the ring with more traces than it holds
+// and verifies replace-min: the ring keeps the slowRingSize worst totals
+// seen, not the most recent, and Slowest returns them latency
+// descending.
 func TestSlowRingKeepsWorst(t *testing.T) {
-	var c collector
-	c.init(Config{SlowRingSize: 3}.withDefaults())
-	totals := []time.Duration{5, 1, 9, 2, 7, 3, 8} // ring should end with 9, 8, 7
-	for i, total := range totals {
-		qt := obsv.QueryTrace{QueryID: "q", BatchID: uint64(i + 1), Total: total}
+	var s Server
+	c := &s.stats
+	c.init(Config{}.withDefaults())
+	const offered = 3 * slowRingSize
+	rng := rand.New(rand.NewSource(7))
+	for i, total := range rng.Perm(offered) { // totals 0…offered-1, shuffled
+		qt := obsv.QueryTrace{QueryID: "q", BatchID: uint64(i + 1), Total: time.Duration(total)}
 		c.mu.Lock()
 		c.ringOffer(&qt)
 		c.mu.Unlock()
 	}
-	got := map[time.Duration]bool{}
-	for _, qt := range c.slowestSnapshot() {
-		got[qt.Total] = true
+	kept := s.Slowest()
+	if len(kept) != slowRingSize {
+		t.Fatalf("ring holds %d traces, want %d", len(kept), slowRingSize)
 	}
-	for _, want := range []time.Duration{9, 8, 7} {
-		if !got[want] {
-			t.Fatalf("ring lost total %v: kept %v", want, got)
+	for i, qt := range kept {
+		if want := time.Duration(offered - 1 - i); qt.Total != want {
+			t.Fatalf("ring rank %d holds total %v, want %v (kept %v)", i, qt.Total, want, kept)
 		}
-	}
-	if len(got) != 3 {
-		t.Fatalf("ring holds %d traces, want 3", len(got))
 	}
 }
 
