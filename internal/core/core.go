@@ -107,10 +107,10 @@ type Library struct {
 	// Entries holds metadata parallel to the packed rows, sorted by
 	// ascending precursor mass.
 	Entries []LibraryEntry
-	// HVs are the encoded reference hypervectors, parallel to Entries.
-	// A hand-made library lists them in any order for SortByMass, which
-	// packs them and leaves views of the packed rows here; a library
-	// over stored rows (LibraryOver) has none. Everything else reads
+	// HVs are the encoded reference hypervectors, parallel to Entries:
+	// a hand-made library's input to SortByMass, which, like
+	// BuildLibrary, leaves views of the packed rows here. A library over
+	// stored rows (LibraryOver) has none; the engine and the index read
 	// Rows or Row.
 	HVs []hdc.BinaryHV
 	// rows is the packed block: row i, entry i's hypervector, is

@@ -16,8 +16,8 @@ import (
 )
 
 // partition is one mass-contiguous slice of the library: its own
-// entries and packed searcher, plus the routing and generation
-// coordinates the router and the merge consult.
+// library and the searcher over its rows, plus the routing and
+// generation coordinates the router and the merge consult.
 type partition struct {
 	lib      *Library
 	searcher *hdc.ShardedSearcher
@@ -46,10 +46,10 @@ type partition struct {
 // broadcasts each query and merges the per-array best matches. N
 // mass-contiguous base partitions tile the initial build and any
 // number of delta partitions (incremental appends) follow, each with
-// its own packed searcher (typically a zero-copy view over a
-// memory-mapped index file, see libindex.Open). A library that fits
-// one store — a single index file, or one built in memory — is the
-// same engine with one partition.
+// its own searcher over its library's rows (a memory-mapped index
+// file's words, see libindex.Open, or a built library's block). A
+// library that fits one store — a single index file, or one built in
+// memory — is the same engine with one partition.
 //
 // A query's precursor window is routed to the overlapping partitions
 // via the mass fences, the batch sweep fans out across them, and the
