@@ -7,9 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/hdc"
 	"repro/internal/spectrum"
@@ -45,6 +43,20 @@ func buildSpectra() []*spectrum.Spectrum {
 func atProcs(procs int, f func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f()
+}
+
+// TestBuildLibraryRowsExact pins that the rows of skipped spectra
+// leave no capacity behind: a build that skips a seventh of its input
+// holds a block of exactly its kept rows.
+func TestBuildLibraryRowsExact(t *testing.T) {
+	p := testParams()
+	lib, err := BuildLibrary(buildSpectra(), p, exactEncoder(t, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := lib.Rows(); lib.Skipped == 0 || cap(rows) != len(rows) {
+		t.Errorf("%d skipped: row block len %d, cap %d; want an exact block", lib.Skipped, len(rows), cap(rows))
+	}
 }
 
 // TestBuildLibraryIdenticalAcrossProcs pins the parallel build's
@@ -155,87 +167,4 @@ func TestBuildLibraryReportsFirstEncodeError(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestForEach pins the fan-out's contract: every index runs exactly
-// once at any GOMAXPROCS; the error returned is the first failing index
-// in input order even when a later index fails first; and serial walks
-// the indexes in ascending order on the caller, stopping at the first
-// error, as a loop that allocates nothing.
-func TestForEach(t *testing.T) {
-	for _, procs := range []int{1, 2, 8} {
-		atProcs(procs, func() {
-			for _, n := range []int{0, 1, 2, 63, 64, 785} {
-				runs := make([]atomic.Int32, n)
-				if err := ForEach(n, false, func(i int) error {
-					runs[i].Add(1)
-					return nil
-				}); err != nil {
-					t.Fatalf("GOMAXPROCS=%d n=%d: %v", procs, n, err)
-				}
-				for i := range runs {
-					if got := runs[i].Load(); got != 1 {
-						t.Fatalf("GOMAXPROCS=%d n=%d: index %d ran %d times", procs, n, i, got)
-					}
-				}
-			}
-		})
-	}
-
-	// Index k is held back until k+1 has failed; k's error must win.
-	for _, procs := range []int{2, 8} {
-		atProcs(procs, func() {
-			for _, k := range []int{0, 5, 40} {
-				laterFailed := make(chan struct{})
-				err := ForEach(64, false, func(i int) error {
-					switch i {
-					case k:
-						select {
-						case <-laterFailed:
-						case <-time.After(10 * time.Second):
-							t.Errorf("GOMAXPROCS=%d: index %d never ran", procs, k+1)
-						}
-						time.Sleep(time.Millisecond) // let k+1's failure be recorded first
-						return fmt.Errorf("index %d", i)
-					case k + 1:
-						close(laterFailed)
-						return fmt.Errorf("index %d", i)
-					}
-					return nil
-				})
-				if want := fmt.Sprintf("index %d", k); err == nil || err.Error() != want {
-					t.Errorf("GOMAXPROCS=%d k=%d: got %v, want %q", procs, k, err, want)
-				}
-			}
-		})
-	}
-
-	atProcs(8, func() {
-		var order []int
-		err := ForEach(64, true, func(i int) error {
-			order = append(order, i)
-			if i == 40 {
-				return fmt.Errorf("index %d", i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "index 40" {
-			t.Errorf("serial: got %v, want index 40's error", err)
-		}
-		want := make([]int, 41)
-		for i := range want {
-			want[i] = i
-		}
-		if !slices.Equal(order, want) {
-			t.Errorf("serial ran %v; want 0, 1, …, 40", order)
-		}
-		// One worker is a plain loop: nothing spawned, nothing allocated.
-		if raceEnabled {
-			return
-		}
-		noop := func(int) error { return nil }
-		if a := testing.AllocsPerRun(20, func() { ForEach(1, false, noop); ForEach(64, true, noop) }); a != 0 {
-			t.Errorf("one-worker ForEach allocates %.0f, want 0", a)
-		}
-	})
 }

@@ -18,10 +18,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/hdc"
 	"repro/internal/obsv"
@@ -125,61 +123,6 @@ type Library struct {
 	Skipped int
 }
 
-// ForEach runs fn(i) for every i in [0, n) — the one fan-out of the
-// build and serving stack — and returns the first failing index's error
-// in input order. min(GOMAXPROCS, n) workers, the caller among them,
-// claim indexes one at a time in input order and stop claiming at the
-// first failure; a claimed index always finishes, so every index before
-// a failing one has run. With one worker (n <= 1, GOMAXPROCS 1, or
-// serial: the noise model draws its seeded query flips in encode order)
-// it is a plain ascending loop on the caller that allocates nothing.
-func ForEach(n int, serial bool, fn func(i int) error) error {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if serial || workers <= 1 {
-		for i := range n {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	f := &fanOut{fn: fn, n: n, first: n}
-	f.wg.Add(workers)
-	for range workers - 1 {
-		go f.work()
-	}
-	f.work()
-	f.wg.Wait()
-	return f.err
-}
-
-// fanOut is one parallel ForEach call: the claim counter and the
-// lowest failing index with its error.
-type fanOut struct {
-	fn    func(int) error
-	n     int
-	next  atomic.Int64
-	wg    sync.WaitGroup
-	mu    sync.Mutex
-	first int
-	err   error
-}
-
-func (f *fanOut) work() {
-	defer f.wg.Done()
-	for i := int(f.next.Add(1)) - 1; i < f.n; i = int(f.next.Add(1)) - 1 {
-		if err := f.fn(i); err != nil {
-			f.mu.Lock()
-			if i < f.first {
-				f.first, f.err = i, err
-			}
-			f.mu.Unlock()
-			f.next.Store(int64(f.n)) // no further claims
-			return
-		}
-	}
-}
-
 // encodeScratch holds the intermediate lists of one spectrum's encode,
 // reused from spectrum to spectrum through scratchPool: the
 // preprocessed peaks, their bins and the quantized levels.
@@ -211,10 +154,11 @@ func (sc *encodeScratch) vector(p *Params) spectrum.Vector {
 }
 
 // BuildLibrary preprocesses, vectorizes and encodes the reference
-// spectra through ForEach, so the library is the same at any
+// spectra through hdc.ForEach, so the library is the same at any
 // GOMAXPROCS. Each spectrum is encoded straight into its row of the
 // library's block, which is then sorted by mass in place: the rows are
-// never held twice. Spectra failing preprocessing are skipped (counted
+// held twice only while a build that skipped spectra moves them into
+// an exact block. Spectra failing preprocessing are skipped (counted
 // in Skipped), matching library-building practice; an encode failure
 // is reported for the first failing spectrum in input order.
 func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc *hdc.Encoder) (*Library, error) {
@@ -226,7 +170,7 @@ func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc *hdc.Encoder) (*Li
 	entries := make([]LibraryEntry, len(spectra))
 	rows := make([]uint64, len(spectra)*w)
 	kept := make([]bool, len(spectra))
-	err := ForEach(len(spectra), false, func(i int) error {
+	err := hdc.ForEach(len(spectra), false, func(i int) error {
 		s := spectra[i]
 		sc := scratchPool.Get().(*encodeScratch)
 		defer scratchPool.Put(sc)
@@ -259,7 +203,10 @@ func BuildLibrary(spectra []*spectrum.Spectrum, p Params, enc *hdc.Encoder) (*Li
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty library after preprocessing")
 	}
-	lib := &Library{Entries: entries[:n], rows: rows[: n*w : n*w], d: d, Skipped: len(spectra) - n}
+	lib := &Library{Entries: entries[:n], rows: rows[:n*w], d: d, Skipped: len(spectra) - n}
+	if lib.Skipped > 0 { // leave no capacity for the skipped rows
+		lib.rows = append(make([]uint64, 0, n*w), lib.rows...)
+	}
 	lib.sortRows()
 	lib.viewRows()
 	return lib, nil

@@ -518,7 +518,7 @@ type SearchResult struct {
 // Search scores prepared queries — the engine's one search path — and
 // returns one result per query, in order. Each partition the batch
 // reaches runs one block-major sweep over the queries whose windows
-// reach it; the sweeps are spread by ForEach, so a batch that lands in
+// reach it; the sweeps are spread by hdc.ForEach, so a batch that lands in
 // one partition sweeps it on the calling goroutine and spawns nothing.
 // The per-partition lists then merge per query under rowBefore; only
 // queries spanning partitions need the sort. Exact results do not
@@ -552,7 +552,7 @@ func (e *Engine) Search(ctx context.Context, qs []PreparedQuery, tr *obsv.Trace)
 			batches = append(batches, b)
 		}
 	}
-	if err := ForEach(len(batches), false, func(i int) error { return e.sweep(ctx, &batches[i], tr) }); err != nil {
+	if err := hdc.ForEach(len(batches), false, func(i int) error { return e.sweep(ctx, &batches[i], tr) }); err != nil {
 		return nil, err
 	}
 	var mergeT0 time.Time
@@ -604,7 +604,7 @@ func (e *Engine) EntryAt(global int) LibraryEntry {
 	return p.lib.Entries[r]
 }
 
-// SearchAll prepares every query through ForEach — in query order
+// SearchAll prepares every query through hdc.ForEach — in query order
 // on one worker under the noise model — and scores the ones that pass
 // in one uncancellable Search, returning one best-match PSM per matched
 // query in query order. The noise streams draw in query order, so with
@@ -612,7 +612,7 @@ func (e *Engine) EntryAt(global int) LibraryEntry {
 func (e *Engine) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
 	pqs := make([]PreparedQuery, len(queries))
 	ok := make([]bool, len(queries))
-	err := ForEach(len(queries), e.noise != nil, func(i int) (err error) {
+	err := hdc.ForEach(len(queries), e.noise != nil, func(i int) (err error) {
 		pqs[i], ok[i], err = e.Prepare(queries[i])
 		return err
 	})

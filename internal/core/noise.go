@@ -4,9 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/hdc"
 )
@@ -46,14 +44,12 @@ func (n *noise) flip(h hdc.BinaryHV) {
 
 // search is the noisy form of s.Search, parallel across CPU cores:
 // each query's rows (clamped to the store) are bulk-scored through the
-// exact kernel and every score is perturbed before top-k selection,
-// which the bound-pruned exact sweep cannot do. A non-empty query's
-// noise comes from its own stream, seeded by one master draw in query
-// order, so no batch materializes per-candidate noise up front. ctx is
-// checked once, before any draw. The one store BuildNoisy packs hides
-// no rows. It claims queries in its own loop rather than ForEach's:
-// each worker reuses one score buffer, which a routine that hands fn
-// only an index cannot provide.
+// exact kernel into a pooled buffer and every score is perturbed
+// before top-k selection, which the bound-pruned exact sweep cannot
+// do. A non-empty query's noise comes from its own stream, seeded by
+// one master draw in query order, so no batch materializes
+// per-candidate noise up front. ctx is checked once, before any draw.
+// The one store BuildNoisy packs hides no rows.
 func (n *noise) search(ctx context.Context, s *hdc.ShardedSearcher, queries []hdc.BinaryHV, ranges []hdc.RowRange, k int) ([][]hdc.Match, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -69,56 +65,29 @@ func (n *noise) search(ctx context.Context, s *hdc.ShardedSearcher, queries []hd
 		}
 	}
 	n.mu.Unlock()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(queries)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sims []int
-			for i := int(next.Add(1)) - 1; i < len(queries); i = int(next.Add(1)) - 1 {
-				if r := ranges[i].Clamp(s.Len()); !r.Empty() {
-					sims = s.SimilaritiesRangeInto(queries[i], r.Lo, r.Hi, sims)
-					out[i] = n.topK(sims, r.Lo, k, sources[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	_ = hdc.ForEach(len(queries), false, func(i int) error { // never fails
+		if r := ranges[i].Clamp(s.Len()); !r.Empty() {
+			sims := simsPool.Get().(*[]int)
+			*sims = s.SimilaritiesRangeInto(queries[i], r.Lo, r.Hi, *sims)
+			out[i] = n.topK(*sims, r.Lo, k, sources[i])
+			simsPool.Put(sims)
+		}
+		return nil
+	})
 	return out, nil
 }
 
-// topK selects the k best of the scores of rows lo, lo+1, …, each
-// perturbed by one draw from src (nil for a noiseless model).
-func (n *noise) topK(sims []int, lo, k int, src *rand.Rand) []hdc.Match {
-	best := make([]hdc.Match, 0, k)
-	for j, sim := range sims {
-		v := float64(sim)
-		if src != nil {
-			v += src.NormFloat64() * n.spec.SearchSigma
-		}
-		best = insertTopK(best, hdc.Match{Index: lo + j, Similarity: int(math.Round(v))}, k)
-	}
-	return best
-}
+// simsPool holds the noisy search's score buffers.
+var simsPool = sync.Pool{New: func() any { return new([]int) }}
 
-// insertTopK inserts m into the sorted top-k slice, keeping at most k
-// entries ordered by descending similarity, ties by ascending index.
-func insertTopK(best []hdc.Match, m hdc.Match, k int) []hdc.Match {
-	pos := len(best)
-	for pos > 0 {
-		b := best[pos-1]
-		if b.Similarity > m.Similarity ||
-			(b.Similarity == m.Similarity && b.Index < m.Index) {
-			break
+// topK perturbs the scores of rows lo, lo+1, … in place, in row order,
+// each by one draw from src (nil for a noiseless model), and selects
+// their k best.
+func (n *noise) topK(sims []int, lo, k int, src *rand.Rand) []hdc.Match {
+	if src != nil {
+		for j, sim := range sims {
+			sims[j] = int(math.Round(float64(sim) + src.NormFloat64()*n.spec.SearchSigma))
 		}
-		pos--
 	}
-	if pos >= k {
-		return best
-	}
-	best = append(best, hdc.Match{})
-	copy(best[pos+1:], best[pos:])
-	best[pos] = m
-	return best[:min(len(best), k)]
+	return hdc.TopK(sims, lo, k)
 }

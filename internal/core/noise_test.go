@@ -198,30 +198,3 @@ func sameMatches(t *testing.T, a, b [][]hdc.Match) {
 		}
 	}
 }
-
-func TestInsertTopK(t *testing.T) {
-	var best []hdc.Match
-	ms := []hdc.Match{
-		{Index: 0, Similarity: 10},
-		{Index: 1, Similarity: 30},
-		{Index: 2, Similarity: 20},
-		{Index: 3, Similarity: 30},
-		{Index: 4, Similarity: 5},
-	}
-	for _, m := range ms {
-		best = insertTopK(best, m, 3)
-	}
-	want := []hdc.Match{
-		{Index: 1, Similarity: 30},
-		{Index: 3, Similarity: 30},
-		{Index: 2, Similarity: 20},
-	}
-	if len(best) != 3 {
-		t.Fatalf("len = %d", len(best))
-	}
-	for i := range want {
-		if best[i] != want[i] {
-			t.Errorf("best[%d] = %+v, want %+v", i, best[i], want[i])
-		}
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"repro/internal/fdr"
+	"repro/internal/hdc"
 	"repro/internal/spectrum"
 )
 
@@ -62,14 +63,14 @@ func NewRescorer(engine *Engine, library []*spectrum.Spectrum, alpha float64) (*
 	return r, nil
 }
 
-// SearchAll encodes every query through ForEach, keeping its binned
+// SearchAll encodes every query through hdc.ForEach, keeping its binned
 // vector, shortlists the ones with candidates in one batch sweep and
 // rescores each shortlist: one PSM per shortlisted query, in query order.
 func (r *Rescorer) SearchAll(queries []*spectrum.Spectrum) ([]fdr.PSM, error) {
 	e := r.engine
 	pqs := make([]PreparedQuery, len(queries))
 	qvs := make([]spectrum.Vector, len(queries))
-	err := ForEach(len(queries), e.noise != nil, func(i int) error {
+	err := hdc.ForEach(len(queries), e.noise != nil, func(i int) error {
 		q := queries[i]
 		hv, ok, err := e.encodeQuery(q, func(v spectrum.Vector) {
 			// Normalized, but always a copy: the scratch's vector goes

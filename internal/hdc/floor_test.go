@@ -127,9 +127,10 @@ func sweepInOrder(s *ShardedSearcher, b *batch, queries []BinaryHV, ranges []Row
 	out := make([][]Match, len(queries))
 	b.ctx = context.Background()
 	if s.prepare(b, queries, ranges, k, nil, out) {
+		var sc searchScratch
 		for _, si := range order {
 			at(si)
-			s.scanShard(b, si, &b.local)
+			s.scanShard(b, si, &sc)
 		}
 		s.merge(b, out)
 	}

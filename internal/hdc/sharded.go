@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -197,9 +196,10 @@ func (s *ShardedSearcher) SimilaritiesRangeInto(q BinaryHV, lo, hi int, dst []in
 	return dst
 }
 
-// searchScratch is the reusable per-worker sweep state: the block
-// distances and admission mask the kernel writes and one shard visit's
-// query clips — so a shard visit allocates nothing in steady state.
+// searchScratch is the reusable sweep state a shard visit takes from
+// scratchPool: the block distances and admission mask the kernel
+// writes and the visit's query clips — so a shard visit allocates
+// nothing in steady state.
 type searchScratch struct {
 	dist []int
 	mask []uint64
@@ -281,6 +281,17 @@ func sortedMatches(h []Match) []Match {
 	return out
 }
 
+// TopK returns the k best of rows lo, lo+1, … scored sims[0],
+// sims[1], …, ranked as Search ranks them: similarity descending, ties
+// by ascending index. k <= 0 yields an empty list.
+func TopK(sims []int, lo, k int) []Match {
+	h := make([]Match, 0, max(0, min(k, len(sims))))
+	for j := 0; k > 0 && j < len(sims); j++ {
+		h = offerTopK(h, Match{Index: lo + j, Similarity: sims[j]}, k)
+	}
+	return sortedMatches(h)
+}
+
 // rangeQuery is one active query of a batch: a clamped, non-empty row
 // range and the arena position of its per-shard heaps. A contiguous
 // range intersects a contiguous shard run, so shard si's heap is arena
@@ -318,19 +329,31 @@ type batch struct {
 	// published, −1 while none has filled. Its k-th best row is at least
 	// that similar, so every clip of the query admits no row below it.
 	floors []atomic.Int64
-	next   atomic.Int64 // next shard a worker claims, up to last
-	last   int
-	wg     sync.WaitGroup
-	local  searchScratch // the calling goroutine's worker scratch
+	s      *ShardedSearcher
+	first  int             // first shard of the span the ranges cover
+	last   int             // last shard of that span
+	shard  func(int) error // sweepShard, bound once in batchPool.New
 }
 
-var batchPool = sync.Pool{New: func() any { return &batch{} }}
+var batchPool = sync.Pool{New: func() any { b := new(batch); b.shard = b.sweepShard; return b }}
 
 // release returns the batch to the pool without pinning caller memory.
 // Search calls it only after every worker has returned.
 func (b *batch) release() {
-	b.ctx, b.queries, b.tr = nil, nil, nil
+	b.ctx, b.queries, b.tr, b.s = nil, nil, nil, nil
 	batchPool.Put(b)
+}
+
+// sweepShard sweeps the span's i-th shard with pooled scratch, or
+// returns ctx's error, claiming no more, once the call's ctx is done.
+func (b *batch) sweepShard(i int) error {
+	if b.stopped() {
+		return b.ctx.Err()
+	}
+	sc := scratchPool.Get().(*searchScratch)
+	b.s.scanShard(b, b.first+i, sc)
+	scratchPool.Put(sc)
+	return nil
 }
 
 // stopped polls the call's context without blocking.
@@ -353,8 +376,8 @@ func (b *batch) stopped() bool {
 // The scan is block-major: within a shard every cache-resident row
 // block is swept by all queries whose ranges cover it before the scan
 // advances, so the packed store streams from memory once per batch.
-// Only the shard span the ranges cover is visited, by min(GOMAXPROCS,
-// span) workers of which the calling goroutine is one. Per query and
+// Only the shard span the ranges cover is visited, its shards claimed
+// through ForEach, each with pooled scratch. Per query and
 // shard a top-k heap survives the sweep; the heaps merge per query,
 // exact because a range's top-k member is in its own shard's top-k.
 // Each clip's kernel call admits only rows that can still enter its
@@ -364,8 +387,8 @@ func (b *batch) stopped() bool {
 // visible rows of the range, so the query's top-k lies at or above the
 // floor; ties are admitted, so the index tie-break is unaffected.
 //
-// Workers poll ctx.Done() per claimed shard and per row block: once ctx
-// is done, each stops at its next block and Search returns ctx.Err()
+// Shards poll ctx.Done() when claimed and per row block: once ctx is
+// done, each stops at its next block and Search returns ctx.Err()
 // and no lists (RowsSwept keeps the rows swept before the stop). A
 // non-nil tr accumulates the swept and admitted rows and the merge
 // time; timing never alters control flow.
@@ -389,21 +412,8 @@ func (s *ShardedSearcher) Search(ctx context.Context, queries []BinaryHV, ranges
 	if !s.prepare(b, queries, ranges, k, tr, out) {
 		return out, nil
 	}
-	first := b.plan[0].first
-	b.next.Store(int64(first))
-	workers := min(runtime.GOMAXPROCS(0), b.last-first+1)
-	b.wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer b.wg.Done()
-			sc := scratchPool.Get().(*searchScratch)
-			defer scratchPool.Put(sc)
-			s.sweepShards(b, sc)
-		}()
-	}
-	s.sweepShards(b, &b.local)
-	b.wg.Wait()
-	if err := ctx.Err(); err != nil {
+	// A shard cut short at a row block returns no error; ctx.Err() does.
+	if err := cmp.Or(ForEach(b.last-b.first+1, false, b.shard), ctx.Err()); err != nil {
 		return nil, err
 	}
 	s.merge(b, out)
@@ -415,7 +425,7 @@ func (s *ShardedSearcher) Search(ctx context.Context, queries []BinaryHV, ranges
 // arena and their floors, reset. It reports whether any query is
 // active.
 func (s *ShardedSearcher) prepare(b *batch, queries []BinaryHV, ranges []RowRange, k int, tr *obsv.Trace, out [][]Match) bool {
-	b.queries, b.tr, b.k = queries, tr, k
+	b.s, b.queries, b.tr, b.k = s, queries, tr, k
 	b.hcap = min(k, s.shardSize)
 	b.plan = b.plan[:0]
 	for i, r := range ranges {
@@ -443,6 +453,7 @@ func (s *ShardedSearcher) prepare(b *batch, queries []BinaryHV, ranges []RowRang
 	}
 	b.heaps = grown(b.heaps, parts*b.hcap)
 	b.hlen = grown(b.hlen, parts)
+	b.first = b.plan[0].first
 	b.floors = grown(b.floors, len(b.plan))
 	for j := range b.floors {
 		b.floors[j].Store(-1)
@@ -473,14 +484,6 @@ func (s *ShardedSearcher) merge(b *batch, out [][]Match) {
 	}
 	if b.tr != nil {
 		b.tr.AddNanos(obsv.StageMerge, int64(time.Since(mergeT0)))
-	}
-}
-
-// sweepShards is one worker's loop: claim the next unvisited shard of
-// the batch's span until it is exhausted or the call's ctx is done.
-func (s *ShardedSearcher) sweepShards(b *batch, sc *searchScratch) {
-	for si := int(b.next.Add(1)) - 1; si <= b.last && !b.stopped(); si = int(b.next.Add(1)) - 1 {
-		s.scanShard(b, si, sc)
 	}
 }
 

@@ -3,7 +3,7 @@
 // arbitrarily many concurrent goroutines and flushes their queries
 // through one block-major batched top-k sweep per batch — the same
 // once-per-batch memory stream the offline batch path enjoys. A body
-// (SearchMany) is prepared through core.ForEach and queued
+// (SearchMany) is prepared through hdc.ForEach and queued
 // as requests of at most MaxBatch queries each, so it reaches the
 // batcher in a handful of hand-offs rather than one per query.
 // Batching is group commit, not a timed window: the single dispatcher
@@ -47,6 +47,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fdr"
+	"repro/internal/hdc"
 	"repro/internal/obsv"
 	"repro/internal/spectrum"
 )
@@ -186,7 +187,7 @@ func (s *Server) Search(ctx context.Context, q *spectrum.Spectrum) (fdr.PSM, boo
 // SearchMany searches a request body as one submission and returns
 // one Result per query, in input order. The queries are prepared
 // (preprocessing, encoding, candidate-range selection) through
-// core.ForEach, inline for a single query; those that pass
+// hdc.ForEach, inline for a single query; those that pass
 // are admitted as far as MaxQueue allows and queued back to back as
 // requests of at most MaxBatch queries. It returns when every admitted
 // query has its result, the context is done, or the server closes.
@@ -208,7 +209,7 @@ func (s *Server) SearchPrepared(ctx context.Context, pq core.PreparedQuery) (fdr
 	return out[0].PSM, out[0].OK, out[0].Err
 }
 
-// prepare runs Prepare over qs through core.ForEach. It books skips
+// prepare runs Prepare over qs through hdc.ForEach. It books skips
 // and encoding failures (the latter into out: fn never fails, so no
 // query's failure stops another's preparation) and returns the queries
 // that passed, in input order, with their preparation times and input
@@ -218,7 +219,7 @@ func (s *Server) prepare(qs []*spectrum.Spectrum, out []Result) (pqs []core.Prep
 	pqs = make([]core.PreparedQuery, n)
 	enc = make([]int64, n)
 	ok := make([]bool, n)
-	_ = core.ForEach(n, false, func(i int) error {
+	_ = hdc.ForEach(n, false, func(i int) error {
 		start := time.Now()
 		pqs[i], ok[i], out[i].Err = s.engine.Prepare(qs[i])
 		enc[i] = int64(time.Since(start))
