@@ -31,10 +31,14 @@
 // -append encodes the new spectra with the manifest's stored params
 // (the structural flags above are rejected) and publishes them as
 // delta partitions under one new generation; -retract publishes
-// tombstones hiding the listed source ids. Each appends one fsynced
-// record to the manifest log under its writer lock. omsd only reads:
-// it serves the new generation after a SIGHUP, and omscompact folds the
-// deltas back into the base tier.
+// tombstones hiding the listed source ids. A -partitions build over an
+// existing manifest is a rebuild: it publishes the whole library as one
+// new generation, whose stderr line names it, and replaces every
+// earlier partition and tombstone. Each appends one fsynced record to
+// the manifest log under its writer lock. omsd only reads: it serves
+// the new generation after a SIGHUP, omscompact folds the deltas back
+// into the base tier, and omscompact -gc removes the files a rebuild
+// or compaction retired once every reader has reloaded.
 package main
 
 import (
@@ -60,110 +64,99 @@ func main() {
 	// deletes both.
 	flag.String("tiers", "", "no effect (the K-tier ladder is gone); accepted for old command lines")
 	flag.String("bit-layout", "", "no effect (the entropy bit layout is gone); accepted for old command lines")
-	partitions := flag.Int("partitions", 0, "split the index into N mass-contiguous partitions plus a manifest (0 = single file)")
+	partitions := flag.Int("partitions", 0, "split the index into N mass-contiguous partitions plus a manifest (0 = single file); over an existing manifest, publish the rebuild as its next generation")
 	appendMode := flag.Bool("append", false, "append -library as delta partitions to the existing partitioned index at -out (new manifest generation)")
 	retractIDs := flag.String("retract", "", "publish tombstones for these comma-separated source ids to the partitioned index at -out")
 	maxPartRefs := flag.Int("max-part-refs", 0, "with -append: max references per delta partition (0 = one partition per append)")
 	flag.Parse()
 
-	if *appendMode || *retractIDs != "" {
-		incremental(*out, *libPath, *appendMode, *retractIDs, *maxPartRefs,
-			*d != 8192 || *precision != 3 || *seed != 1 || *partitions != 0)
+	// -append/-retract take the manifest's stored identity, never the
+	// structural flags, so a delta batch cannot diverge from its base.
+	switch incremental := *appendMode || *retractIDs != ""; {
+	case incremental && *out == "":
+		fatalIf(fmt.Errorf("-append/-retract require -out pointing at the existing manifest"))
+	case *appendMode && *retractIDs != "":
+		fatalIf(fmt.Errorf("-append and -retract are separate publishes; run them one at a time"))
+	case incremental && (*d != 8192 || *precision != 3 || *seed != 1 || *partitions != 0):
+		fatalIf(fmt.Errorf("-append/-retract use the library's stored params; -d/-precision/-seed/-partitions must not be set"))
+	case *retractIDs != "":
+		retract(*out, *retractIDs)
 		return
-	}
-
-	if *libPath == "" {
+	case *appendMode && *libPath == "":
+		fatalIf(fmt.Errorf("-append requires -library"))
+	case *libPath == "":
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *out == "" {
+	case *out == "":
 		*out = *libPath + ".omsidx"
 	}
-	library, err := spectrum.ReadSpectraFile(*libPath)
-	fatalIf(err)
 
+	spectra, err := spectrum.ReadSpectraFile(*libPath)
+	fatalIf(err)
 	p := core.DefaultParams()
 	p.Accel.D = *d
 	p.Accel.NumChunks = core.NumChunksFor(*d)
 	p.Accel.IDPrecision = *precision
 	p.Accel.Seed = *seed
-
-	lib, err := libindex.BuildLibrary(library, p)
+	var st *libindex.ManifestState
+	if *appendMode {
+		st, err = libindex.LoadManifestLog(*out)
+		fatalIf(err)
+		p, err = st.DecodeParams()
+		fatalIf(err)
+	}
+	lib, err := libindex.BuildLibrary(spectra, p)
 	fatalIf(err)
-	if *partitions > 0 {
+
+	switch {
+	case *appendMode:
+		if lib.Len() == 0 {
+			fatalIf(fmt.Errorf("every spectrum in %s was rejected by preprocessing; nothing to append", *libPath))
+		}
+		gen, err := libindex.AppendDelta(*out, st, lib, *maxPartRefs)
+		fatalIf(err)
+		fmt.Fprintf(os.Stderr,
+			"omsbuild: %s: generation %d appends %d references (%d skipped); %d delta partitions live\n",
+			*out, gen, lib.Len(), lib.Skipped, len(st.Deltas))
+	case *partitions > 0:
 		fatalIf(libindex.SavePartitioned(*out, p, lib, *partitions))
 		st, err := libindex.LoadManifestLog(*out)
 		fatalIf(err)
 		var total int64
-		parts := st.Partitions()
-		for _, part := range parts {
+		for _, part := range st.Base {
 			total += part.Bytes
 		}
 		fmt.Fprintf(os.Stderr,
-			"omsbuild: %s: %d references encoded (%d skipped), D=%d, %d partitions, %.1f MiB\n",
-			*out, lib.Len(), lib.Skipped, *d, len(parts), float64(total)/(1<<20))
-		return
+			"omsbuild: %s: generation %d: %d references encoded (%d skipped), D=%d, %d partitions, %.1f MiB\n",
+			*out, st.Generation, lib.Len(), lib.Skipped, *d, len(st.Base), float64(total)/(1<<20))
+	default:
+		fatalIf(libindex.SaveFile(*out, p, lib))
+		info, err := os.Stat(*out)
+		fatalIf(err)
+		fmt.Fprintf(os.Stderr,
+			"omsbuild: %s: %d references encoded (%d skipped), D=%d, %.1f MiB\n",
+			*out, lib.Len(), lib.Skipped, *d, float64(info.Size())/(1<<20))
 	}
-	fatalIf(libindex.SaveFile(*out, p, lib))
-
-	info, err := os.Stat(*out)
-	fatalIf(err)
-	fmt.Fprintf(os.Stderr,
-		"omsbuild: %s: %d references encoded (%d skipped), D=%d, %.1f MiB\n",
-		*out, lib.Len(), lib.Skipped, *d, float64(info.Size())/(1<<20))
 }
 
-// incremental handles -append and -retract: both load the manifest's
-// stored identity instead of taking structural flags, so a delta batch
-// can never silently diverge from the base build.
-func incremental(out, libPath string, appendMode bool, retractIDs string, maxPartRefs int, structuralFlags bool) {
-	if out == "" {
-		fatalIf(fmt.Errorf("-append/-retract require -out pointing at the existing manifest"))
-	}
-	if appendMode && retractIDs != "" {
-		fatalIf(fmt.Errorf("-append and -retract are separate publishes; run them one at a time"))
-	}
-	if structuralFlags {
-		fatalIf(fmt.Errorf("-append/-retract use the library's stored params; -d/-precision/-seed/-partitions must not be set"))
-	}
-	if !appendMode {
-		var ids []string
-		for _, id := range strings.Split(retractIDs, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				ids = append(ids, id)
-			}
+// retract publishes tombstones for the comma-separated ids against the
+// manifest's live ids.
+func retract(out, retractIDs string) {
+	var ids []string
+	for _, id := range strings.Split(retractIDs, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			ids = append(ids, id)
 		}
-		ix, err := libindex.Open(out)
-		fatalIf(err)
-		known := ix.LiveIDs()
-		st := ix.State
-		fatalIf(ix.Close())
-		gen, err := libindex.AppendRetract(out, st, ids, known)
-		fatalIf(err)
-		fmt.Fprintf(os.Stderr, "omsbuild: %s: generation %d retracts %d ids (%d tombstones outstanding)\n",
-			out, gen, len(ids), len(st.Tombstones))
-		return
 	}
-
-	if libPath == "" {
-		fatalIf(fmt.Errorf("-append requires -library"))
-	}
-	spectra, err := spectrum.ReadSpectraFile(libPath)
+	ix, err := libindex.Open(out)
 	fatalIf(err)
-	st, err := libindex.LoadManifestLog(out)
+	known := ix.LiveIDs()
+	st := ix.State
+	fatalIf(ix.Close())
+	gen, err := libindex.AppendRetract(out, st, ids, known)
 	fatalIf(err)
-	p, err := st.DecodeParams()
-	fatalIf(err)
-	lib, err := libindex.BuildLibrary(spectra, p)
-	fatalIf(err)
-	if lib.Len() == 0 {
-		fatalIf(fmt.Errorf("every spectrum in %s was rejected by preprocessing; nothing to append", libPath))
-	}
-	gen, err := libindex.AppendDelta(out, st, lib, maxPartRefs)
-	fatalIf(err)
-	fmt.Fprintf(os.Stderr,
-		"omsbuild: %s: generation %d appends %d references (%d skipped); %d delta partitions live\n",
-		out, gen, lib.Len(), lib.Skipped, len(st.Deltas))
+	fmt.Fprintf(os.Stderr, "omsbuild: %s: generation %d retracts %d ids (%d tombstones outstanding)\n",
+		out, gen, len(ids), len(st.Tombstones))
 }
 
 func fatalIf(err error) {

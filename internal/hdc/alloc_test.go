@@ -2,8 +2,11 @@ package hdc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"repro/internal/obsv"
@@ -35,13 +38,48 @@ const (
 	itemMemoryAllocs = 6
 )
 
-// sweepAllocs is the steady-state allocs/op of Search:
-// the result header and one match list per query, plus — when the
-// ranges span several shards — one closure per spawned worker (the
-// calling goroutine is the first worker, and the test box's
-// GOMAXPROCS bounds the rest).
-func sweepAllocs(queries, shards int) int {
-	return 1 + queries + min(runtime.GOMAXPROCS(0), shards) - 1
+// sweepAllocs is the steady-state allocs/op of Search at GOMAXPROCS
+// 1, where testing.AllocsPerRun measures: the result header and one
+// match list per query. At more procs, ForEach adds one allocation per
+// worker it spawns beside the caller: min(GOMAXPROCS, shards) - 1.
+func sweepAllocs(queries int) int { return 1 + queries }
+
+// parallelAllocs is the fewest mallocs per call that f makes at
+// GOMAXPROCS procs, over three rounds of 20 calls after 100, with the
+// collector off so no cycle empties a pool between calls. A thousand
+// parked goroutines are released first: the runtime keeps a dead
+// goroutine's descriptor on the free list of the P it exited on and
+// allocates a new one when the spawning P finds none, which a loaded
+// box otherwise does for hundreds of spawns. The runtime's remaining
+// occasional allocations land in some rounds; an allocation f makes
+// lands in every one.
+func parallelAllocs(procs int, f func()) float64 {
+	const runs = 20
+	best := math.Inf(1)
+	atProcs(procs, func() {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var parked sync.WaitGroup
+		release := make(chan struct{})
+		for range 1000 {
+			parked.Add(1)
+			go func() { defer parked.Done(); <-release }()
+		}
+		close(release)
+		parked.Wait()
+		for range 5 * runs {
+			f()
+		}
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				f()
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, float64(after.Mallocs-before.Mallocs)/runs)
+		}
+	})
+	return best
 }
 
 func allocSearcher(t *testing.T, d, n, shardSize, nq int) (*ShardedSearcher, []BinaryHV) {
@@ -116,20 +154,24 @@ func TestKernelSweepAllocationFree(t *testing.T) {
 
 // TestSweepSteadyStateAllocs pins the one search entry point to its
 // checked-in baseline across row width × batch size × shard count: a
-// batch allocates its result header plus one match list per query; everything else — plan, heap arena, worker scratch — is
-// pooled, and only a multi-shard span adds the worker goroutines. The
+// batch allocates its result header plus one match list per query;
+// everything else — plan, heap arena, worker scratch — is pooled. The
 // last case is a small range inside one shard of a five-shard store:
 // it must cost exactly what the one-shard store costs, i.e. the sweep
 // visits only the shard span its ranges cover and spawns nothing. Every
 // case runs again with rows hidden in every kernel block, and again
 // with a trace recording it, at the same pinned count: neither masking
-// nor tracing allocates.
+// nor tracing allocates. testing.AllocsPerRun measures at GOMAXPROCS 1,
+// so a second leg counts runtime.MemStats mallocs of the one-query
+// cases at GOMAXPROCS 2 and 8, where a multi-shard span adds exactly
+// the workers ForEach spawns.
 func TestSweepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-detector instrumentation")
 	}
-	run := func(t *testing.T, s *ShardedSearcher, queries []BinaryHV, r RowRange, want int) {
+	run := func(t *testing.T, s *ShardedSearcher, queries []BinaryHV, r RowRange, shards int) {
 		t.Helper()
+		want := sweepAllocs(len(queries))
 		ranges := make([]RowRange, len(queries))
 		for i := range ranges {
 			ranges[i] = r
@@ -147,19 +189,31 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 				}
 			}
 		}
+		if len(queries) > 1 {
+			return // the workers a sweep spawns follow its shards, not its batch
+		}
+		s.Hide(nil)
+		for _, procs := range []int{2, 8} {
+			spawned := min(procs, shards) - 1
+			a := parallelAllocs(procs, func() { sweepBatch(s, queries, ranges, 5, nil) })
+			if math.Abs(a-float64(want+spawned)) > 0.5 {
+				t.Errorf("GOMAXPROCS=%d: %d-query sweep of %+v over %d shards allocates %.2f allocs/op, want %d plus %d spawned workers",
+					procs, len(queries), r, s.numShards(), a, want, spawned)
+			}
+		}
 	}
 	for _, tc := range allocStores {
 		for _, shards := range []int{1, 4} {
 			for _, nq := range []int{1, 64} {
 				t.Run(fmt.Sprintf("%s/shards=%d/queries=%d", tc.name, shards, nq), func(t *testing.T) {
 					s, queries := allocSearcher(t, tc.d, 4096, 4096/shards, nq)
-					run(t, s, queries, RowRange{Lo: 0, Hi: s.Len()}, sweepAllocs(nq, shards))
+					run(t, s, queries, RowRange{Lo: 0, Hi: s.Len()}, shards)
 				})
 			}
 		}
 		t.Run(tc.name+"/one-shard-of-five", func(t *testing.T) {
 			s, queries := allocSearcher(t, tc.d, 5000, 1024, 1)
-			run(t, s, queries, RowRange{Lo: 2500, Hi: 2508}, sweepAllocs(1, 1))
+			run(t, s, queries, RowRange{Lo: 2500, Hi: 2508}, 1)
 		})
 	}
 }

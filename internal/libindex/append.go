@@ -10,20 +10,21 @@ import (
 	"repro/internal/spectrum"
 )
 
-// publish is the one publish path of the four manifest writers
+// publish is the one publish path of the manifest writers
 // (SavePartitioned, AppendDelta, AppendRetract, Compact): each builds
 // rec and the libraries its partition files hold, and publish, in order:
 //
-//   - unless rec is the base record (st == nil), takes the manifest's
-//     writer lock and refuses a stale writer (lockWriter): a second
-//     writer fails instead of racing this one, and one whose loaded
+//   - when a log is loaded (st != nil), takes the manifest's writer
+//     lock and refuses a stale writer (lockWriter): a second writer
+//     fails instead of racing this one, and one whose loaded
 //     generation is no longer the newest fails instead of overwriting
 //     the newer generation's files. The lock is held through the log
 //     append;
 //   - writes one partition file per chunk, in record-row order, and
 //     describes each in rec.Partitions;
-//   - publishes rec: the base record replaces the manifest, any later
-//     one is appended to the log and folded into st.
+//   - publishes rec: appended to the loaded log and folded into st,
+//     or with no log written as generation 1 in place of the path. A
+//     base record is the first record, or a rebuild.
 //
 // A crash before the record lands leaves orphaned files and the last
 // good generation (SweepOrphans reclaims the files); an error means

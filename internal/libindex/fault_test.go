@@ -347,7 +347,8 @@ type faultWriter struct {
 	name string
 	// setup builds the fixture the writer runs on and returns the
 	// manifest path and the visible rows at its generation (none for
-	// the base build, which starts from an empty directory).
+	// the base build, which starts from an empty directory; a rebuild
+	// runs over a manifest).
 	setup func(t *testing.T) (string, []libRow)
 	// write runs the writer, loading what it needs itself.
 	write func(t *testing.T, manifest string) error
@@ -412,6 +413,14 @@ var faultWriters = []faultWriter{
 			return err
 		},
 		after: func(t *testing.T, visible []libRow) []libRow { return visible },
+	},
+	{
+		name:  "rebuild",
+		setup: faultFixture,
+		write: func(t *testing.T, manifest string) error {
+			return SavePartitioned(manifest, testParams(128, 0, 3), syntheticDelta(t, "rebuilt", 6), 2)
+		},
+		after: func(t *testing.T, _ []libRow) []libRow { return buildOrder(syntheticDelta(t, "rebuilt", 6)) },
 	},
 }
 

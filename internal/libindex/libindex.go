@@ -172,7 +172,15 @@ func Save(w io.Writer, p core.Params, lib *core.Library) error {
 
 // SaveFile saves the library index to path atomically (writeAtomic):
 // readers, and a crash, see either the old index or the whole new one.
+// Over a log it renames under the writer lock: no publish appends to it.
 func SaveFile(path string, p core.Params, lib *core.Library) error {
+	if st, err := LoadManifestLog(path); err == nil {
+		unlock, err := lockWriter(path, st)
+		if err != nil {
+			return err
+		}
+		defer unlock()
+	}
 	return writeAtomic(path, func(f file) error { return Save(f, p, lib) })
 }
 

@@ -17,9 +17,10 @@ import (
 const lockHolderEnv = "LIBINDEX_TEST_HOLD_WRITER_LOCK"
 
 // TestWriterLockExcludesSecondProcess runs a second process that holds
-// a manifest's writer lock: while it does, an append and a sweep in
-// this process must fail naming the manifest and leave the log as it
-// was, and once the holder exits, the append must publish.
+// a manifest's writer lock: while it does, an append, a sweep, a
+// rebuild and a single-file save over the manifest in this process
+// must fail naming the manifest and leave the log as it was, and once
+// the holder exits, the append must publish.
 func TestWriterLockExcludesSecondProcess(t *testing.T) {
 	if manifest := os.Getenv(lockHolderEnv); manifest != "" {
 		holdWriterLock(t, manifest)
@@ -59,6 +60,13 @@ func TestWriterLockExcludesSecondProcess(t *testing.T) {
 	}
 	if _, err := SweepOrphans(manifest, st); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("sweep beside a lock holder returned %v, want %q", err, want)
+	}
+	p, lib := syntheticLibrary(t, 6, 128)
+	if err := SavePartitioned(manifest, p, lib, 2); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("rebuild beside a lock holder returned %v, want %q", err, want)
+	}
+	if err := SaveFile(manifest, p, lib); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("single-file save beside a lock holder returned %v, want %q", err, want)
 	}
 	if after, err := os.ReadFile(manifest); err != nil || string(after) != string(before) {
 		t.Fatalf("a refused writer changed the log (read error %v)", err)

@@ -16,10 +16,11 @@ import (
 // carrying its own CRC-32C, appended strictly in generation order.
 // Record types:
 //
-//	base    — generation 1, written by SavePartitioned: library
-//	          identity (d, params, skipped count) plus the
-//	          base-tier partition table, which tiles the
-//	          mass-sorted library with non-overlapping fences.
+//	base    — first record, or a rebuild (SavePartitioned): library
+//	          identity (d, params, skipped count) and the base-tier
+//	          partition table, tiling the mass-sorted library with
+//	          non-overlapping fences; it replaces every live
+//	          partition and tombstone.
 //	delta   — a small batch of newly encoded references published as
 //	          one or more mass-contiguous delta partitions whose
 //	          fences MAY overlap the base tier (and each other).
@@ -48,13 +49,13 @@ const (
 // with CRC32C itself set to zero.
 type LogRecord struct {
 	Type string `json:"type"`
-	// Format and Version identify the log; base record only.
+	// Format and Version identify the log; base records only.
 	Format  string `json:"format,omitempty"`
 	Version int    `json:"version,omitempty"`
-	// Generation is the record's generation number: 1 for the base
+	// Generation is the record's generation number: 1 for the first
 	// record, exactly previous+1 for every later record.
 	Generation uint64 `json:"generation"`
-	// D is the hypervector dimension (base record only).
+	// D is the hypervector dimension (base records only).
 	D int `json:"d,omitempty"`
 	// Skipped counts spectra rejected by preprocessing while building
 	// this record's partitions (base and delta records).
@@ -131,10 +132,10 @@ type ManifestState struct {
 	Generation uint64
 	// D is the hypervector dimension shared by every partition.
 	D int
-	// Skipped is the cumulative preprocessing-skip count (base build
-	// plus every delta batch).
+	// Skipped is the cumulative preprocessing-skip count (the last base
+	// build plus every delta batch after it).
 	Skipped int
-	// Params is the JSON-encoded core.Params from the base record.
+	// Params is the JSON-encoded core.Params from the last base record.
 	Params json.RawMessage
 	// Base holds the base-tier partitions in ascending mass order
 	// (non-overlapping fences up to boundary ties); Deltas holds the
@@ -154,8 +155,8 @@ type ManifestState struct {
 	tornTail     bool
 	unterminated bool
 	// everFiles records every partition file any record ever
-	// referenced, including dropped ones — the sweeper's notion of
-	// "not an orphan".
+	// referenced, including dropped and rebuilt-over ones — the
+	// sweeper's notion of "not an orphan".
 	everFiles map[string]bool
 	// bare marks the state Open synthesizes for a bare index file. No
 	// log backs it: Compact refuses it up front, and every other writer
@@ -252,7 +253,8 @@ func ParseManifestLog(data []byte) (*ManifestState, error) {
 				st.tornTail = true
 				break
 			}
-			return nil, fmt.Errorf("record %d (generation %d expected): %w", st.recordCount(), st.Generation+1, err)
+			// Generations count from 1, so st.Generation records applied.
+			return nil, fmt.Errorf("record %d (generation %d expected): %w", st.Generation, st.Generation+1, err)
 		}
 		off += advance
 		st.goodLen = off
@@ -265,10 +267,6 @@ func ParseManifestLog(data []byte) (*ManifestState, error) {
 	}
 	return st, nil
 }
-
-// recordCount is the number of records applied so far (for error
-// positions): generation numbers are contiguous from 1.
-func (st *ManifestState) recordCount() uint64 { return st.Generation }
 
 // decodeRecord parses one log line and verifies its checksum.
 func decodeRecord(line []byte) (LogRecord, error) {
@@ -314,11 +312,8 @@ func manifestVersionErr(v int) error {
 
 // apply folds one validated record into the state.
 func (st *ManifestState) apply(rec LogRecord, first bool) error {
-	if first != (rec.Type == recordBase) {
-		if first {
-			return fmt.Errorf("log starts with a %q record, want %q", rec.Type, recordBase)
-		}
-		return fmt.Errorf("second %q record (a log has exactly one)", recordBase)
+	if first && rec.Type != recordBase {
+		return fmt.Errorf("log starts with a %q record, want %q", rec.Type, recordBase)
 	}
 	if want := st.Generation + 1; rec.Generation != want {
 		if rec.Generation <= st.Generation {
@@ -364,7 +359,8 @@ func (st *ManifestState) applyBase(rec LogRecord) error {
 	st.D = rec.D
 	st.Skipped = rec.Skipped
 	st.Params = rec.Params
-	st.Base = parts
+	st.Base, st.Deltas = parts, nil
+	clear(st.Tombstones)
 	return st.checkBaseOrder()
 }
 
@@ -675,9 +671,9 @@ func lockWriter(manifestPath string, st *ManifestState) (unlock func(), err erro
 }
 
 // GenPartitionFileName returns the partition file name for generation
-// gen's i-th partition: "<base>.gNNNNNN.partNNN". Base-tier files from
-// the initial build keep the legacy PartitionFileName shape; every
-// later generation (deltas and compactions) uses this one, so file
+// gen's i-th partition: "<base>.gNNNNNN.partNNN". Files of a log's
+// first generation keep the PartitionFileName shape; every later
+// generation (deltas, compactions and rebuilds) uses this one, so file
 // names never collide across generations.
 func GenPartitionFileName(manifestPath string, gen uint64, i int) string {
 	return fmt.Sprintf("%s.g%06d.part%03d", manifestPath, gen, i)

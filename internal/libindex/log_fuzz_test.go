@@ -20,10 +20,11 @@ import (
 // fences, positive row counts — and a log the opener accepts must
 // additionally verify against the partition files byte for byte:
 // Open never serves a partially-applied generation. Structure
-// -aware seeds start from a real append/retract/compact history and
-// plant the interesting corruptions: a crash-truncated tail, a
-// duplicated generation, a tombstone for an id no partition carries,
-// and a delta record referencing a partition file that does not exist.
+// -aware seeds start from a real append/retract/rebuild/compact
+// history and plant the interesting corruptions: a crash-truncated
+// tail, a duplicated generation, a tombstone for an id no partition
+// carries, and a delta record referencing a partition file that does
+// not exist.
 func FuzzManifestLog(f *testing.F) {
 	dir, manifest := fuzzManifestFixture(f)
 	logBytes, err := os.ReadFile(manifest)
@@ -84,7 +85,7 @@ func FuzzManifestLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, perr := ParseManifestLog(data)
 		if perr == nil {
-			checkFoldedState(t, st)
+			checkFoldedState(t, st, data[:st.goodLen])
 		}
 
 		// The same bytes as an on-disk manifest next to the real
@@ -127,9 +128,21 @@ func FuzzManifestLog(f *testing.F) {
 }
 
 // checkFoldedState asserts the invariants every accepted fold must
-// satisfy, whatever bytes produced it.
-func checkFoldedState(t *testing.T, st *ManifestState) {
+// satisfy, whatever bytes produced it; applied holds the records it
+// folded.
+func checkFoldedState(t *testing.T, st *ManifestState, applied []byte) {
 	t.Helper()
+	var rebuilt uint64 // the last base record's generation
+	for _, line := range bytes.SplitAfter(applied, []byte("\n")) {
+		if rec, err := decodeRecord(bytes.TrimSuffix(line, []byte("\n"))); err == nil && rec.Type == recordBase {
+			rebuilt = rec.Generation
+		}
+	}
+	for _, p := range st.Partitions() {
+		if p.Gen < rebuilt {
+			t.Fatalf("partition %s carries generation %d, before the base record at generation %d", p.File, p.Gen, rebuilt)
+		}
+	}
 	if st.Generation < 1 {
 		t.Fatalf("accepted log folded to generation %d", st.Generation)
 	}
@@ -175,9 +188,10 @@ func checkFoldedState(t *testing.T, st *ManifestState) {
 }
 
 // fuzzManifestFixture builds a real manifest history on disk — base
-// build, two delta appends (one re-adding an existing id), a
-// retraction, a compaction, then one more delta so the final state
-// carries every record type — and returns its directory and path.
+// build, a delta append, a retraction, a rebuild of the same rows, a
+// delta re-adding an existing id, a compaction, then one more delta so
+// the final state carries every record type — and returns its
+// directory and path.
 func fuzzManifestFixture(f *testing.F) (dir, manifest string) {
 	f.Helper()
 	dir = f.TempDir()
@@ -214,7 +228,6 @@ func fuzzManifestFixture(f *testing.F) (dir, manifest string) {
 		}
 	}
 	appendSynthetic("da", 4, "")
-	appendSynthetic("db", 3, "ref-3")
 	st, err := LoadManifestLog(manifest)
 	if err != nil {
 		f.Fatal(err)
@@ -222,6 +235,10 @@ func fuzzManifestFixture(f *testing.F) (dir, manifest string) {
 	if _, err := AppendRetract(manifest, st, []string{"ref-5"}, map[string]bool{"ref-5": true}); err != nil {
 		f.Fatal(err)
 	}
+	if err := SavePartitioned(manifest, p, lib, 3); err != nil {
+		f.Fatal(err)
+	}
+	appendSynthetic("db", 3, "ref-3")
 	if _, err := Compact(manifest, 6); err != nil {
 		f.Fatal(err)
 	}

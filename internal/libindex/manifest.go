@@ -83,31 +83,31 @@ func decodeParams(raw []byte) (core.Params, error) {
 	return p, err
 }
 
-// PartitionFileName returns the conventional base-build partition
-// file name for a manifest path: "<base>.part%03d". Later generations
+// PartitionFileName returns the partition file name of a log's first
+// generation for a manifest path: "<base>.part%03d". Later generations
 // name their files with GenPartitionFileName.
 func PartitionFileName(manifestPath string, i int) string {
 	return fmt.Sprintf("%s.part%03d", manifestPath, i)
 }
 
 // SavePartitioned splits a built library into parts mass-contiguous
-// partition index files plus a generation-log manifest at
-// manifestPath (generation 1, the base record). Partition i is
-// written to PartitionFileName(manifestPath, i) as an ordinary
-// single-file index over its slice of the mass-sorted library (each
-// partition is loadable on its own), and the base record captures the
-// global mass fences, row offsets and per-file checksums that let a
+// partition index files, each an ordinary single-file index over its
+// slice of the mass-sorted library, and publishes them as one base
+// record of the generation-log manifest at manifestPath: the global
+// mass fences, row offsets and per-file checksums that let a
 // partitioned engine route precursor windows and verify integrity.
 // parts is clamped to the library size; parts <= 1 still produces a
-// manifest (with one partition) so callers can exercise the
-// partitioned path uniformly.
+// manifest with one partition. Over a log that loads, the build is a
+// rebuild, published like every other writer as the next generation;
+// the files it replaces stay until SweepRetired. When no log loads
+// (the path is missing, holds a bare index file, or a log no reader
+// can open), generation 1 replaces the path with PartitionFileName
+// files.
 //
-// Each partition file stores a rank-compressed local permutation (the
-// relative build order of its own rows); the global build-order
-// permutation is not recoverable from the partition files. The
-// library-wide skipped count is carried by the manifest and, so the
-// partition files' sum matches the single-file value, stored in
-// partition 0's file.
+// Each partition file stores the relative build order of its own rows,
+// so the global build order is not recoverable from the partition
+// files. The library-wide skipped count is carried by the record and,
+// so the files' sum matches the single-file value, by partition 0.
 func SavePartitioned(manifestPath string, p core.Params, lib *core.Library, parts int) error {
 	if lib == nil || lib.Len() == 0 {
 		return fmt.Errorf("libindex: refusing to save empty library")
@@ -124,7 +124,8 @@ func SavePartitioned(manifestPath string, p core.Params, lib *core.Library, part
 		return err
 	}
 	chunks[0].Skipped = lib.Skipped
-	_, err = publish(manifestPath, nil, p, LogRecord{
+	st, _ := LoadManifestLog(manifestPath) // nil: no log loads, so generation 1 replaces the path
+	_, err = publish(manifestPath, st, p, LogRecord{
 		Type:    recordBase,
 		Format:  ManifestFormat,
 		Version: ManifestVersion,

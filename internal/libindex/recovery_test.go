@@ -67,26 +67,42 @@ func syntheticDelta(t *testing.T, tag string, n int) *core.Library {
 // second must fail descriptively instead of truncating the log at the
 // length it loaded — which used to erase the first record while both
 // writers reported the same new generation. The first record and its
-// partition files must survive.
+// partition files must survive. A rebuild is a first writer like any
+// other: an append that loaded the log before it is refused too.
 func TestStaleWriterRefused(t *testing.T) {
+	type writer func(t *testing.T, manifest string, st *ManifestState, i int) (uint64, error)
+	retract := func(t *testing.T, manifest string, st *ManifestState, i int) (uint64, error) {
+		pi, err := Open(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		known := pi.LiveIDs()
+		if err := pi.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return AppendRetract(manifest, st, []string{fmt.Sprintf("ref-%d", i)}, known)
+	}
+	delta := func(t *testing.T, manifest string, st *ManifestState, i int) (uint64, error) {
+		return AppendDelta(manifest, st, syntheticDelta(t, fmt.Sprintf("w%d", i), 5), 2)
+	}
+	rebuild := func(t *testing.T, manifest string, _ *ManifestState, _ int) (uint64, error) {
+		p, lib := syntheticLibrary(t, 6, 128)
+		if err := SavePartitioned(manifest, p, lib, 2); err != nil {
+			return 0, err
+		}
+		st, err := LoadManifestLog(manifest)
+		if err != nil {
+			return 0, err
+		}
+		return st.Generation, nil
+	}
 	writers := []struct {
-		name  string
-		write func(t *testing.T, manifest string, st *ManifestState, i int) (uint64, error)
+		name         string
+		first, stale writer
 	}{
-		{"retract", func(t *testing.T, manifest string, st *ManifestState, i int) (uint64, error) {
-			pi, err := Open(manifest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			known := pi.LiveIDs()
-			if err := pi.Close(); err != nil {
-				t.Fatal(err)
-			}
-			return AppendRetract(manifest, st, []string{fmt.Sprintf("ref-%d", i)}, known)
-		}},
-		{"delta", func(t *testing.T, manifest string, st *ManifestState, i int) (uint64, error) {
-			return AppendDelta(manifest, st, syntheticDelta(t, fmt.Sprintf("w%d", i), 5), 2)
-		}},
+		{"retract", retract, retract},
+		{"delta", delta, delta},
+		{"delta_after_rebuild", rebuild, delta},
 	}
 	for _, w := range writers {
 		t.Run(w.name, func(t *testing.T) {
@@ -100,7 +116,7 @@ func TestStaleWriterRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			loaded := first.Generation
-			gen, err := w.write(t, manifest, first, 1)
+			gen, err := w.first(t, manifest, first, 1)
 			if err != nil || gen != loaded+1 {
 				t.Fatalf("first writer published generation %d, %v; want %d", gen, err, loaded+1)
 			}
@@ -109,7 +125,7 @@ func TestStaleWriterRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			gen, err = w.write(t, manifest, second, 2)
+			gen, err = w.stale(t, manifest, second, 2)
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("is at generation %d, this writer loaded %d", loaded+1, loaded)) {
 				t.Fatalf("stale writer published generation %d, err %v; want a stale-writer refusal", gen, err)
 			}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,5 +175,60 @@ func TestWritersRefuseBareFile(t *testing.T) {
 				t.Fatalf("%s left files beside the index: %v (%v)", w.name, names, err)
 			}
 		})
+	}
+}
+
+// TestRebuildPublishesAGeneration pins a base build over a manifest as
+// one more generation: after a delta and a retract, SavePartitioned of
+// other rows appends generation N+1 in generation-named files, drops
+// every live partition and tombstone, and searches like a from-scratch
+// build of its rows. The replaced generations' files are retired, not
+// orphaned: SweepOrphans keeps them and SweepRetired removes exactly
+// them.
+func TestRebuildPublishesAGeneration(t *testing.T) {
+	manifest := recoveryFixture(t)
+	st, err := LoadManifestLog(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AppendRetract(manifest, st, []string{"ref-2"}, map[string]bool{"ref-2": true}); err != nil {
+		t.Fatal(err)
+	}
+	var old []string
+	for _, ps := range st.Partitions() {
+		old = append(old, ps.File)
+	}
+	rebuilt := syntheticDelta(t, "rebuilt", 6)
+	if err := SavePartitioned(manifest, testParams(128, 0, 3), rebuilt, 3); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadManifestLog(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Generation != st.Generation+1 || len(got.Deltas) != 0 || len(got.Tombstones) != 0 || got.TotalRefs() != 6 {
+		t.Fatalf("rebuild folded to generation %d, %d deltas, %d tombstones, %d refs; want generation %d, 0, 0, 6",
+			got.Generation, len(got.Deltas), len(got.Tombstones), got.TotalRefs(), st.Generation+1)
+	}
+	for i, ps := range got.Base {
+		if want := filepath.Base(GenPartitionFileName(manifest, got.Generation, i)); ps.File != want || ps.Gen != got.Generation {
+			t.Fatalf("rebuilt partition %d is %s at generation %d, want %s at %d", i, ps.File, ps.Gen, want, got.Generation)
+		}
+	}
+	if gen, res := manifestGeneration(t, manifest); gen != got.Generation {
+		t.Fatalf("rebuilt manifest opens at generation %d, want %d", gen, got.Generation)
+	} else {
+		assertResults(t, "after the rebuild", res, scratchResults(t, buildOrder(rebuilt)))
+	}
+	if removed, err := SweepOrphans(manifest, got); err != nil || len(removed) != 0 {
+		t.Fatalf("SweepOrphans after a rebuild removed %v, %v; want nothing", removed, err)
+	}
+	removed, err := SweepRetired(manifest, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(old)
+	if !slices.Equal(removed, old) {
+		t.Fatalf("SweepRetired after a rebuild removed %v, want the replaced files %v", removed, old)
 	}
 }
