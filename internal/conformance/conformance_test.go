@@ -289,7 +289,7 @@ func TestConformance(t *testing.T) {
 				oracle[qi] = fx.oracleOver(q.HV, rangeIndices(q.Lo, q.Hi, n), w.k)
 			}
 
-			searcher, err := hdc.NewShardedSearcher(fx.lib.Rows(), fx.p.Accel.D, w.shard)
+			searcher, err := hdc.NewShardedSearcher(fx.p.Accel.D, w.shard, nil, nil, fx.lib.Rows())
 			if err != nil {
 				t.Fatal(err)
 			}

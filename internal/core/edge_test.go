@@ -185,7 +185,7 @@ func TestEmptyLibraryRejectedEverywhere(t *testing.T) {
 	if _, _, err := BuildExact(p, nil); err == nil {
 		t.Error("BuildExact accepted an empty library")
 	}
-	if _, err := hdc.NewShardedSearcher(nil, p.Accel.D, 0); err == nil {
+	if _, err := hdc.NewShardedSearcher(p.Accel.D, 0, nil, nil, nil); err == nil {
 		t.Error("NewShardedSearcher accepted an empty reference set")
 	}
 	if _, err := RestoreLibrary(nil, nil, nil, 0); err == nil {

@@ -4,9 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"sort"
-	"time"
 
 	"repro/internal/fdr"
 	"repro/internal/hdc"
@@ -16,13 +14,12 @@ import (
 )
 
 // partition is one mass-contiguous slice of the library: its own
-// library and the searcher over its rows, plus the routing and
-// generation coordinates the router and the merge consult.
+// library, plus the routing and generation coordinates the router and
+// the tie order consult.
 type partition struct {
-	lib      *Library
-	searcher *hdc.ShardedSearcher
-	// start is the global row index of the partition's first entry;
-	// local searcher row r is global row start+r.
+	lib *Library
+	// start is the global row index of the partition's first entry:
+	// its row r is the searcher's row start+r.
 	start int
 	// minMass, maxMass are the partition's mass fences (first and last
 	// entry mass — entries are mass-sorted).
@@ -52,18 +49,19 @@ type partition struct {
 // memory — is the same engine with one partition.
 //
 // A query's precursor window is routed to the overlapping partitions
-// via the mass fences, the batch sweep fans out across them, and the
-// per-partition top-k lists merge exactly: hidden rows are never offered
-// to a heap, so each partition returns the top-k of its visible rows, a
-// global top-k member is necessarily among them, and the merge order
-// (rowBefore) reproduces, bit for bit, what a one-partition engine over
-// the mass-sorted visible set returns.
+// via the mass fences, and one searcher sweeps every partition as a
+// span of one store: one fan-out over the shards of all of them, one
+// admission floor per query and one merge. Hidden rows are never
+// offered to a heap, and ties across partitions follow rowOrder, so
+// the result is, bit for bit, what a one-partition engine over the
+// mass-sorted visible set returns.
 type Engine struct {
-	params  Params
-	enc     *hdc.Encoder
-	parts   []partition
-	total   int
-	skipped int
+	params   Params
+	enc      *hdc.Encoder
+	parts    []partition
+	searcher *hdc.ShardedSearcher
+	total    int
+	skipped  int
 	// normD is the score normalizer: the hypervector dimension, which
 	// every partition is validated against at construction.
 	normD float64
@@ -96,8 +94,8 @@ func oneSpec(lib *Library) PartitionSet {
 // re-additions are resolved at construction into per-partition
 // hidden-row lists the sweep masks, so every search serves exactly the
 // visible set. The query encoder is set.Encoder, or drawn from p.Accel;
-// each partition's sharded searcher aliases its library's packed rows
-// (over a memory-mapped index they stay views that fault in lazily),
+// the one sharded searcher aliases each library's packed rows (over a
+// memory-mapped index they stay views that fault in lazily),
 // so the engine adds no copy of them. No spectrum is re-preprocessed or
 // re-encoded. p must carry the same encoder-identity fields (D, Q,
 // NumChunks, IDPrecision, NumBins, Seed, binner, preprocessing) the
@@ -156,9 +154,9 @@ func NewEngine(p Params, lib *Library, enc *hdc.Encoder) (*Engine, error) {
 }
 
 // newEngine validates a partition set and assembles the engine over
-// it, wiring each partition's exact searcher over the library's rows
-// once the library has passed validation and handing it the
-// partition's hidden rows. The configured dimension Params.Accel.D
+// it, wiring one exact searcher over the libraries' rows, in engine
+// order, once they have passed validation and handing it their hidden
+// rows and the tie order. The configured dimension Params.Accel.D
 // must match every library's actual hypervector dimension: similarity
 // scores are normalized by it, so a silent mismatch would mis-scale
 // every PSM score.
@@ -181,6 +179,8 @@ func newEngine(p Params, enc *hdc.Encoder, set PartitionSet) (*Engine, error) {
 		}
 	}
 	hidden := HiddenRows(set.Specs, set.Tombstones)
+	blocks := make([][]uint64, len(set.Specs))
+	var hiddenRows []int
 	for i, spec := range set.Specs {
 		lib := spec.Lib
 		if lib.rows == nil {
@@ -201,27 +201,29 @@ func newEngine(p Params, enc *hdc.Encoder, set PartitionSet) (*Engine, error) {
 			}
 			e.nBase++
 		}
-		searcher, err := hdc.NewShardedSearcher(lib.rows, lib.d, p.ShardSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: partition %d: %w", i, err)
-		}
-		searcher.Hide(hidden[i])
 		e.parts = append(e.parts, partition{
-			lib:      lib,
-			searcher: searcher,
-			start:    e.total,
-			minMass:  minMass,
-			maxMass:  maxMass,
-			gen:      spec.Gen,
-			genRow:   spec.GenRow,
-			delta:    spec.Delta,
-			hidden:   hidden[i],
+			lib:     lib,
+			start:   e.total,
+			minMass: minMass,
+			maxMass: maxMass,
+			gen:     spec.Gen,
+			genRow:  spec.GenRow,
+			delta:   spec.Delta,
+			hidden:  hidden[i],
 		})
+		blocks[i] = lib.rows
+		for _, r := range hidden[i] {
+			hiddenRows = append(hiddenRows, e.total+r)
+		}
 		e.total += lib.Len()
-		e.hiddenTotal += len(hidden[i])
 	}
+	e.hiddenTotal = len(hiddenRows)
 	if e.hiddenTotal >= e.total {
 		return nil, fmt.Errorf("core: every reference row is shadowed (all %d rows hidden)", e.total)
+	}
+	var err error
+	if e.searcher, err = hdc.NewShardedSearcher(p.Accel.D, p.ShardSize, hiddenRows, e.rowOrder, blocks...); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return e, nil
 }
@@ -298,7 +300,7 @@ func (e *Engine) PartitionStats() []PartitionStat {
 			StartRow: p.start, Refs: p.lib.Len(),
 			MinMass: p.minMass, MaxMass: p.maxMass,
 			Gen: p.gen, Delta: p.delta, HiddenRefs: len(p.hidden),
-			RowsSwept: p.searcher.RowsSwept(),
+			RowsSwept: e.searcher.RowsSwept(i),
 		}
 		out[i] = st
 	}
@@ -441,45 +443,6 @@ func (e *Engine) partRange(p *partition, pq *PreparedQuery) (int, int) {
 	return p.lib.CandidateRange(pq.Mass, w)
 }
 
-// partBatch is one partition's share of a prepared batch: the
-// partition, the queries whose windows reach it (qIdx, ascending),
-// their hypervectors and local row ranges, and — after the sweep —
-// their top-k lists. next is the merge's cursor into qIdx.
-type partBatch struct {
-	part   int
-	qIdx   []int
-	hvs    []hdc.BinaryHV
-	ranges []hdc.RowRange
-	tops   [][]hdc.Match
-	next   int
-}
-
-// sweep runs b's partition's block-major batch sweep at the global k:
-// its searcher masks the hidden rows, so what comes back is the
-// partition's visible top-k, under noisy scores when the engine carries
-// noise. A non-nil tr collects the exact sweep's rows plus one
-// partition record (index, candidate rows, wall time).
-func (e *Engine) sweep(ctx context.Context, b *partBatch, tr *obsv.Trace) (err error) {
-	p := &e.parts[b.part]
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	if e.noise != nil {
-		b.tops, err = e.noise.search(ctx, p.searcher, b.hvs, b.ranges, e.params.TopK)
-	} else {
-		b.tops, err = p.searcher.Search(ctx, b.hvs, b.ranges, e.params.TopK, tr)
-	}
-	if tr != nil {
-		rows := 0
-		for _, r := range b.ranges {
-			rows += r.Len()
-		}
-		tr.AddPartition(b.part, rows, int64(time.Since(t0)))
-	}
-	return err
-}
-
 // locate returns the partition holding a global row and the row's
 // index within it.
 func (e *Engine) locate(global int) (*partition, int) {
@@ -488,24 +451,44 @@ func (e *Engine) locate(global int) (*partition, int) {
 	return p, global - p.start
 }
 
-// rowBefore is the merge order over global matches: similarity
-// descending, ties by ascending (mass, generation, generation-row).
-// Over the visible set this is exactly the order a from-scratch build
-// yields — a stable mass sort of the entries in append order — so the
-// merge is bit-identical to a one-partition engine over that build.
-// Within one partition it is the searcher's own order (similarity
-// descending, ties by ascending row): rows are mass-sorted, the
-// generation is constant and the generation-row ascends with the row.
-func (e *Engine) rowBefore(a, b hdc.Match) int {
-	if c := cmp.Compare(b.Similarity, a.Similarity); c != 0 {
-		return c
+// rowOrder is the searcher's tie order over two global rows of equal
+// similarity: ascending (mass, generation, generation-row). Over the
+// visible set this is exactly the order a from-scratch build yields —
+// a stable mass sort of the entries in append order — so the search is
+// bit-identical to a one-partition engine over that build. Within one
+// partition it is the row order, as the searcher requires (rows are
+// mass-sorted, the generation is constant and the generation-row
+// ascends with the row), so two rows of one partition compare without
+// reading their entries.
+func (e *Engine) rowOrder(a, b int) int {
+	pa, ra := e.locate(a)
+	pb, rb := e.locate(b)
+	if pa == pb {
+		return cmp.Compare(ra, rb)
 	}
-	pa, ra := e.locate(a.Index)
-	pb, rb := e.locate(b.Index)
 	return cmp.Or(
 		cmp.Compare(pa.lib.Entries[ra].Mass, pb.lib.Entries[rb].Mass),
 		cmp.Compare(pa.gen, pb.gen),
 		cmp.Compare(pa.genRow+ra, pb.genRow+rb))
+}
+
+// plan lays a batch out as the searcher's ranges: per query, its base
+// range [Lo, Hi), then one global range per delta partition, empty
+// where the query's window misses it.
+func (e *Engine) plan(qs []PreparedQuery) ([]hdc.BinaryHV, []hdc.RowRange) {
+	deltas := e.parts[e.nBase:]
+	hvs := make([]hdc.BinaryHV, len(qs))
+	ranges := make([]hdc.RowRange, 0, len(qs)*(1+len(deltas)))
+	for qi := range qs {
+		pq := &qs[qi]
+		hvs[qi] = pq.HV
+		ranges = append(ranges, hdc.RowRange{Lo: pq.Lo, Hi: pq.Hi})
+		for i := range deltas {
+			lo, hi := e.partRange(&deltas[i], pq)
+			ranges = append(ranges, hdc.RowRange{Lo: deltas[i].start + lo, Hi: deltas[i].start + hi})
+		}
+	}
+	return hvs, ranges
 }
 
 // SearchResult is one prepared query's answer: its top-k list in global
@@ -516,81 +499,37 @@ type SearchResult struct {
 }
 
 // Search scores prepared queries — the engine's one search path — and
-// returns one result per query, in order. Each partition the batch
-// reaches runs one block-major sweep over the queries whose windows
-// reach it; the sweeps are spread by hdc.ForEach, so a batch that lands in
-// one partition sweeps it on the calling goroutine and spawns nothing.
-// The per-partition lists then merge per query under rowBefore; only
-// queries spanning partitions need the sort. Exact results do not
-// depend on the batch; noisy ones draw one score seed per query in
-// batch order (see noise).
+// returns one result per query, in order: one searcher call sweeps
+// every partition the batch reaches, so a batch inside one shard
+// spawns nothing, and its lists come back merged, in global rows.
+// Exact results do not depend on the batch; noisy ones draw one score
+// seed per query in batch order (see noise).
 //
-// A ctx done before or during the call stops every sweep at its next
-// row block, and Search returns ctx.Err(). A non-nil tr collects swept
-// rows, per-partition sweep records and the merge time; timing never
-// alters control flow.
+// A ctx done before or during the call stops the sweep at its next
+// row block, and Search returns ctx.Err(). A non-nil tr collects the
+// exact sweep's swept and admitted rows, per-partition sweep records
+// and merge time (the noisy one takes none); timing never alters
+// control flow.
 func (e *Engine) Search(ctx context.Context, qs []PreparedQuery, tr *obsv.Trace) ([]SearchResult, error) {
-	batches := make([]partBatch, 0, len(e.parts))
-	for i := range e.parts {
-		p := &e.parts[i]
-		b := partBatch{part: i}
-		for qi := range qs {
-			lo, hi := e.partRange(p, &qs[qi])
-			if lo >= hi {
-				continue
-			}
-			if b.qIdx == nil {
-				b.qIdx = make([]int, 0, len(qs)-qi)
-				b.hvs = make([]hdc.BinaryHV, 0, len(qs)-qi)
-				b.ranges = make([]hdc.RowRange, 0, len(qs)-qi)
-			}
-			b.qIdx = append(b.qIdx, qi)
-			b.hvs = append(b.hvs, qs[qi].HV)
-			b.ranges = append(b.ranges, hdc.RowRange{Lo: lo, Hi: hi})
-		}
-		if b.qIdx != nil {
-			batches = append(batches, b)
-		}
+	hvs, ranges := e.plan(qs)
+	var tops [][]hdc.Match
+	var err error
+	if e.noise != nil {
+		tops, err = e.noise.search(ctx, e.searcher, hvs, ranges, e.params.TopK)
+	} else {
+		tops, err = e.searcher.Search(ctx, hvs, ranges, e.params.TopK, tr)
 	}
-	if err := hdc.ForEach(len(batches), false, func(i int) error { return e.sweep(ctx, &batches[i], tr) }); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	var mergeT0 time.Time
-	if tr != nil {
-		mergeT0 = time.Now()
-	}
 	out := make([]SearchResult, len(qs))
-	for qi := range out {
-		r := &out[qi]
-		contributors := 0
-		for i := range batches {
-			b := &batches[i]
-			if b.next == len(b.qIdx) || b.qIdx[b.next] != qi {
-				continue
-			}
-			top := b.tops[b.next] // visible rows only; to global row space in place
-			for j := range top {
-				top[j].Index += e.parts[b.part].start
-			}
-			b.next++
-			if contributors++; contributors == 1 {
-				r.Top = top
-			} else {
-				r.Top = append(r.Top, top...)
-			}
+	for qi, top := range tops {
+		out[qi].Top = top
+		if len(top) > 0 {
+			entry := e.EntryAt(top[0].Index)
+			out[qi].PSM = fdr.PSM{QueryID: qs[qi].QueryID, Peptide: entry.Peptide, IsDecoy: entry.IsDecoy,
+				Score: float64(top[0].Similarity) / e.normD, MassShift: qs[qi].Mass - entry.Mass}
 		}
-		if contributors > 1 {
-			slices.SortFunc(r.Top, e.rowBefore)
-		}
-		r.Top = r.Top[:min(len(r.Top), e.params.TopK)]
-		if len(r.Top) > 0 {
-			entry := e.EntryAt(r.Top[0].Index)
-			r.PSM = fdr.PSM{QueryID: qs[qi].QueryID, Peptide: entry.Peptide, IsDecoy: entry.IsDecoy,
-				Score: float64(r.Top[0].Similarity) / e.normD, MassShift: qs[qi].Mass - entry.Mass}
-		}
-	}
-	if tr != nil {
-		tr.AddNanos(obsv.StageMerge, int64(time.Since(mergeT0)))
 	}
 	return out, nil
 }

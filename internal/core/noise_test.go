@@ -80,7 +80,7 @@ func randomStore(t *testing.T, rng *rand.Rand, n, d, shard int) (*hdc.ShardedSea
 	for i := range refs {
 		refs[i] = hdc.RandomBinaryHV(d, rng)
 	}
-	s, err := hdc.NewShardedSearcher(hdc.PackRows(refs), d, shard)
+	s, err := hdc.NewShardedSearcher(d, shard, nil, nil, hdc.PackRows(refs))
 	if err != nil {
 		t.Fatal(err)
 	}

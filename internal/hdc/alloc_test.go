@@ -139,7 +139,7 @@ func TestKernelSweepAllocationFree(t *testing.T) {
 			q := queries[0]
 			dst := s.SimilaritiesRangeInto(q, 0, s.Len(), nil)
 			for _, hidden := range [][]int{nil, everyNth(s.Len(), 37)} {
-				s.Hide(hidden)
+				s = s.hiding(hidden)
 				allocs := testing.AllocsPerRun(50, func() {
 					dst = s.SimilaritiesRangeInto(q, 0, s.Len(), dst)
 				})
@@ -177,7 +177,7 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 			ranges[i] = r
 		}
 		for _, hidden := range [][]int{nil, everyNth(s.Len(), 37)} {
-			s.Hide(hidden)
+			s = s.hiding(hidden)
 			for _, tr := range []*obsv.Trace{nil, {}} {
 				sweepBatch(s, queries, ranges, 5, tr)
 				allocs := testing.AllocsPerRun(50, func() {
@@ -192,7 +192,7 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 		if len(queries) > 1 {
 			return // the workers a sweep spawns follow its shards, not its batch
 		}
-		s.Hide(nil)
+		s = s.hiding(nil)
 		for _, procs := range []int{2, 8} {
 			spawned := min(procs, shards) - 1
 			a := parallelAllocs(procs, func() { sweepBatch(s, queries, ranges, 5, nil) })

@@ -18,5 +18,5 @@ type CascadeConfig struct{}
 // NewShardedSearcherFromPacked is NewShardedSearcher; the CascadeConfig
 // is ignored.
 func NewShardedSearcherFromPacked(block []uint64, d, shardSize int, _ CascadeConfig) (*ShardedSearcher, error) {
-	return NewShardedSearcher(block, d, shardSize)
+	return NewShardedSearcher(d, shardSize, nil, nil, block)
 }

@@ -80,7 +80,7 @@ func admissionBoundMatchesOracle(t *testing.T) {
 		t.Fatalf("kernel block is %d rows, the rows were laid out for 64", s.block)
 	}
 	for _, hid := range [][]int{nil, hidden} {
-		s.Hide(hid)
+		s = s.hiding(hid)
 		for _, k := range []int{1, 2, 3, 6, 65, 250} {
 			t.Run(fmt.Sprintf("hidden=%d/k=%d", len(hid), k), func(t *testing.T) {
 				check := func(path string, qi int, got []Match) {

@@ -83,7 +83,7 @@ func TestCancelStopsSweep(t *testing.T) {
 			if out, err := s.Search(ctx, queries, ranges, 5, nil); !errors.Is(err, context.Canceled) || out != nil {
 				t.Fatalf("pre-canceled: got %d lists, err %v; want none and context.Canceled", len(out), err)
 			}
-			if got := s.RowsSwept(); got != 0 {
+			if got := s.RowsSwept(0); got != 0 {
 				t.Fatalf("pre-canceled sweep counted %d rows, want 0", got)
 			}
 
@@ -92,7 +92,7 @@ func TestCancelStopsSweep(t *testing.T) {
 			if !errors.Is(err, context.Canceled) || err != pc.Err() || out != nil {
 				t.Fatalf("canceled mid-sweep: got %d lists, err %v; want none and ctx.Err() = %v", len(out), err, pc.Err())
 			}
-			if got := s.RowsSwept(); got == 0 || got >= total {
+			if got := s.RowsSwept(0); got == 0 || got >= total {
 				t.Fatalf("canceled mid-sweep swept %d rows, want some but fewer than the %d requested", got, total)
 			}
 

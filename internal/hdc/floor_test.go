@@ -98,7 +98,7 @@ func admissionFloorMatchesOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for _, hid := range [][]int{nil, f.hidden} {
-				f.s.Hide(hid)
+				f.s = f.s.hiding(hid)
 				for _, k := range []int{1, 5, floorShard, floorShard + 50} {
 					for qi, got := range sweepBatch(f.s, planted, f.ranges[:3], k, nil) {
 						f.check(t, fmt.Sprintf("hidden=%d batch", len(hid)), planted[qi], f.ranges[qi], k, hid, got)

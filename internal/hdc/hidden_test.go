@@ -22,7 +22,7 @@ func visibleCands(lo, hi, n int, hidden []int) []int {
 // packedSearcher is NewShardedSearcher over refs packed into a fresh
 // block of their own.
 func packedSearcher(refs []BinaryHV, shardSize int) (*ShardedSearcher, error) {
-	return NewShardedSearcher(PackRows(refs), refs[0].D, shardSize)
+	return NewShardedSearcher(refs[0].D, shardSize, nil, nil, PackRows(refs))
 }
 
 // embeddedBlock packs refs into a view with all-ones words on either
@@ -45,7 +45,7 @@ func embeddedBlock(refs []BinaryHV) []uint64 {
 // rows at 2048 bits, 256 at 512), of a shard, of the store and
 // of a query range, a run of consecutive rows across a block boundary,
 // a range hidden whole, a range with fewer visible rows than k — and is
-// handed to Hide shuffled and with repeats. Every query's best matches
+// handed to the constructor shuffled and with repeats. Every query's best matches
 // are planted on hidden rows, so a sweep that lets one through cannot
 // pass. Both row widths, a block of its own ("copied") and one inside a
 // larger buffer ("packed"), a batch of 64 and each query as a batch of
@@ -130,7 +130,7 @@ func hiddenRowsMatchOracle(t *testing.T) {
 					if store == "copied" {
 						s, err = packedSearcher(lrefs, shard)
 					} else {
-						s, err = NewShardedSearcher(embeddedBlock(lrefs), lay.d, shard)
+						s, err = NewShardedSearcher(lay.d, shard, nil, nil, embeddedBlock(lrefs))
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -138,9 +138,9 @@ func hiddenRowsMatchOracle(t *testing.T) {
 					if s.block != lay.block {
 						t.Fatalf("kernel block is %d rows, the hidden list was laid out for %d", s.block, lay.block)
 					}
-					s.Hide(shuffled)
+					s = s.hiding(shuffled)
 					if !slices.Equal(s.hidden, slices.Compact(slices.Sorted(slices.Values(hidden)))) {
-						t.Fatalf("Hide kept %v", s.hidden)
+						t.Fatalf("the searcher kept %v", s.hidden)
 					}
 					check := func(path string, qi int, got []Match) {
 						t.Helper()
@@ -149,7 +149,7 @@ func hiddenRowsMatchOracle(t *testing.T) {
 							t.Fatalf("%s: query %d range %+v\ngot  %v\nwant %v", path, qi, qRanges[qi], got, want)
 						}
 					}
-					sweptBefore := s.RowsSwept()
+					sweptBefore := s.RowsSwept(0)
 					for qi, got := range sweepBatch(s, lqueries, qRanges, k, nil) {
 						check("batch of 64", qi, got)
 					}
@@ -158,17 +158,17 @@ func hiddenRowsMatchOracle(t *testing.T) {
 					for _, r := range qRanges {
 						rows += uint64(r.Clamp(n).Len())
 					}
-					if got := s.RowsSwept() - sweptBefore; got != rows {
+					if got := s.RowsSwept(0) - sweptBefore; got != rows {
 						t.Errorf("RowsSwept advanced by %d over ranges holding %d rows", got, rows)
 					}
 					for qi := range lqueries[:len(ranges)] {
 						check("batch of one", qi, topKRange(s, lqueries[qi], qRanges[qi].Lo, qRanges[qi].Hi, k))
 					}
 					// Unhiding restores the plain sweep.
-					s.Hide(nil)
+					s = s.hiding(nil)
 					want := naiveTopK(lrefs, lay.d, lqueries[0], rangeCands(0, n, n), k)
 					if got := topKRange(s, lqueries[0], 0, n, k); !matchesEqual(got, want) {
-						t.Fatalf("after Hide(nil)\ngot  %v\nwant %v", got, want)
+						t.Fatalf("after hiding nothing\ngot  %v\nwant %v", got, want)
 					}
 				})
 			}
@@ -195,7 +195,7 @@ func TestHideIgnoresRowsOutsideTheStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Hide([]int{-3, 2, n, n + 7})
+	s = s.hiding([]int{-3, 2, n, n + 7})
 	want := naiveTopK(refs, d, refs[2], visibleCands(0, n, n, []int{2}), n)
 	if got := topKRange(s, refs[2], -5, n+5, n); !matchesEqual(got, want) {
 		t.Fatalf("got  %v\nwant %v", got, want)
@@ -231,7 +231,7 @@ func FuzzHiddenRows(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Hide(hidden)
+		s = s.hiding(hidden)
 		for qi, got := range sweepBatch(s, queries, ranges, k, nil) {
 			want := naiveTopK(refs, d, queries[qi], visibleCands(ranges[qi].Lo, ranges[qi].Hi, n, hidden), k)
 			if !matchesEqual(got, want) {
@@ -264,7 +264,7 @@ func BenchmarkSweepHidden(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s.Hide(rng.Perm(n)[:nHidden])
+			s = s.hiding(rng.Perm(n)[:nHidden])
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sweepBatch(s, queries, ranges, 1, nil)

@@ -27,7 +27,7 @@ func naiveTopK(refs []BinaryHV, d int, q BinaryHV, candidates []int, k int) []Ma
 		sim := hammingSimilarity(q, refs[i])
 		if h.Len() < k {
 			heap.Push(h, Match{Index: i, Similarity: sim})
-		} else if worse((*h)[0], Match{Index: i, Similarity: sim}) {
+		} else if worse((*h)[0], Match{Index: i, Similarity: sim}, nil) {
 			(*h)[0] = Match{Index: i, Similarity: sim}
 			heap.Fix(h, 0)
 		}
@@ -55,7 +55,7 @@ func naiveTopK(refs []BinaryHV, d int, q BinaryHV, candidates []int, k int) []Ma
 type matchHeap []Match
 
 func (h matchHeap) Len() int            { return len(h) }
-func (h matchHeap) Less(i, j int) bool  { return worse(h[i], h[j]) }
+func (h matchHeap) Less(i, j int) bool  { return worse(h[i], h[j], nil) }
 func (h matchHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *matchHeap) Push(x interface{}) { *h = append(*h, x.(Match)) }
 func (h *matchHeap) Pop() interface{} {

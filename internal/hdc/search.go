@@ -9,11 +9,15 @@ type Match struct {
 	Similarity int
 }
 
-// worse reports whether a ranks strictly below b (lower similarity, or
-// equal similarity with a larger index).
-func worse(a, b Match) bool {
+// worse reports whether a ranks strictly below b: lower similarity, or
+// equal similarity and later in the tie order — tie(a.Index, b.Index)
+// > 0 when tie is non-nil, a larger index otherwise.
+func worse(a, b Match, tie func(a, b int) int) bool {
 	if a.Similarity != b.Similarity {
 		return a.Similarity < b.Similarity
+	}
+	if tie != nil {
+		return tie(a.Index, b.Index) > 0
 	}
 	return a.Index > b.Index
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestNewShardedSearcherValidation(t *testing.T) {
-	if _, err := NewShardedSearcher(nil, 64, 0); err == nil {
+	if _, err := NewShardedSearcher(64, 0, nil, nil, nil); err == nil {
 		t.Error("empty reference set accepted")
 	}
 	defer func() {
@@ -91,7 +91,7 @@ func TestTopKMatchesBruteForceProperty(t *testing.T) {
 		for i := range refs {
 			all[i] = Match{Index: i, Similarity: hammingSimilarity(q, refs[i])}
 		}
-		sort.Slice(all, func(i, j int) bool { return worse(all[j], all[i]) })
+		sort.Slice(all, func(i, j int) bool { return worse(all[j], all[i], nil) })
 		if k > n {
 			k = n
 		}

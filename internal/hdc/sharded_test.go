@@ -104,16 +104,16 @@ func TestCascadeExactParityParallel(t *testing.T) {
 // dates from when the constructors also validated the pruning ladder's
 // tier widths.)
 func TestCascadeConfigValidation(t *testing.T) {
-	if _, err := NewShardedSearcher(make([]uint64, 4), 0, 0); err == nil {
+	if _, err := NewShardedSearcher(0, 0, nil, nil, make([]uint64, 4)); err == nil {
 		t.Error("zero-dimension block accepted")
 	}
-	if _, err := NewShardedSearcher(make([]uint64, 4), -8, 0); err == nil {
+	if _, err := NewShardedSearcher(-8, 0, nil, nil, make([]uint64, 4)); err == nil {
 		t.Error("negative-dimension block accepted")
 	}
-	if _, err := NewShardedSearcher(nil, 128, 0); err == nil {
+	if _, err := NewShardedSearcher(128, 0, nil, nil, nil); err == nil {
 		t.Error("empty block accepted")
 	}
-	if _, err := NewShardedSearcher(make([]uint64, 5), 128, 0); err == nil {
+	if _, err := NewShardedSearcher(128, 0, nil, nil, make([]uint64, 5)); err == nil {
 		t.Error("packed block of a partial row accepted")
 	}
 	for name, refs := range map[string][]BinaryHV{
@@ -140,7 +140,7 @@ func TestCascadePackedRowAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := NewShardedSearcher(embeddedBlock(refs), 320, 16)
+	packed, err := NewShardedSearcher(320, 16, nil, nil, embeddedBlock(refs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestLadderRunCompletion(t *testing.T) {
 					}
 					s, err := packedSearcher(refs, shardSize)
 					if store == "packed" {
-						s, err = NewShardedSearcher(embeddedBlock(refs), d, shardSize)
+						s, err = NewShardedSearcher(d, shardSize, nil, nil, embeddedBlock(refs))
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -232,7 +232,7 @@ func TestLadderRunCompletion(t *testing.T) {
 					if got := topKRange(s, q, r.Lo, r.Hi, k); !matchesEqual(got, want) {
 						t.Fatalf("matches diverged from the flat scan\ngot  %v\nwant %v", got, want)
 					}
-					if got := s.RowsSwept(); got != uint64(r.Len()) {
+					if got := s.RowsSwept(0); got != uint64(r.Len()) {
 						t.Fatalf("RowsSwept = %d over a range of %d rows", got, r.Len())
 					}
 				})
@@ -242,7 +242,23 @@ func TestLadderRunCompletion(t *testing.T) {
 }
 
 // numShards returns the shard count.
-func (s *ShardedSearcher) numShards() int { return (s.n + s.shardSize - 1) / s.shardSize }
+func (s *ShardedSearcher) numShards() int { return len(s.shards) }
+
+// hiding is a searcher over s's blocks and tie order that hides rows
+// (in place of any s hides).
+func (s *ShardedSearcher) hiding(rows []int) *ShardedSearcher {
+	var blocks [][]uint64
+	for i, sh := range s.shards {
+		if i == 0 || s.shards[i-1].span != sh.span {
+			blocks = append(blocks, sh.rows) // a span's first shard runs to its end
+		}
+	}
+	h, err := NewShardedSearcher(s.d, s.shardSize, rows, s.tie, blocks...)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
 
 // packedRow returns a freshly allocated copy of the packed words of
 // reference row i exactly as stored in the engine. It panics with a
@@ -251,5 +267,6 @@ func (s *ShardedSearcher) packedRow(i int) []uint64 {
 	if i < 0 || i >= s.n {
 		panic(fmt.Sprintf("hdc: reference index %d out of range [0, %d)", i, s.n))
 	}
-	return slices.Clone(s.rows[i*s.words : (i+1)*s.words])
+	sh := s.shards[s.shardOf(i)]
+	return slices.Clone(sh.rows[(i-sh.lo)*s.words:][:s.words])
 }

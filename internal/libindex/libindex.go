@@ -172,14 +172,12 @@ func Save(w io.Writer, p core.Params, lib *core.Library) error {
 
 // SaveFile saves the library index to path atomically (writeAtomic):
 // readers, and a crash, see either the old index or the whole new one.
-// Over a log it renames under the writer lock: no publish appends to it.
+// Over a path whose log loads it is a one-partition rebuild
+// (SavePartitioned): the next generation, published under the writer
+// lock, so the files the log named are retired, not stranded.
 func SaveFile(path string, p core.Params, lib *core.Library) error {
-	if st, err := LoadManifestLog(path); err == nil {
-		unlock, err := lockWriter(path, st)
-		if err != nil {
-			return err
-		}
-		defer unlock()
+	if _, err := LoadManifestLog(path); err == nil {
+		return SavePartitioned(path, p, lib, 1)
 	}
 	return writeAtomic(path, func(f file) error { return Save(f, p, lib) })
 }

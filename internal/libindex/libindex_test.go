@@ -150,7 +150,7 @@ func TestPackedStoreMatchesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := hdc.NewShardedSearcher(lib.Rows(), lp.Accel.D, lp.ShardSize)
+	s, err := hdc.NewShardedSearcher(lp.Accel.D, lp.ShardSize, nil, nil, lib.Rows())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -257,7 +257,7 @@ func TestMappingGuardFaultsOnWrite(t *testing.T) {
 		{"sharedWithSearcher: block[0] = 1", "file", true, func(g *guardFixture) {
 			ix := g.open(g.file)
 			block := ix.words()
-			if _, err := hdc.NewShardedSearcher(block, ix.Params.Accel.D, 1024); err != nil {
+			if _, err := hdc.NewShardedSearcher(ix.Params.Accel.D, 1024, nil, nil, block); err != nil {
 				g.t.Fatal(err)
 			}
 			block[0] = 1

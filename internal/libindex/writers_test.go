@@ -232,3 +232,44 @@ func TestRebuildPublishesAGeneration(t *testing.T) {
 		t.Fatalf("SweepRetired after a rebuild removed %v, want the replaced files %v", removed, old)
 	}
 }
+
+// TestSaveFileOverAManifestRebuilds pins a plain build over a manifest
+// as a one-partition rebuild: after a 3-partition build, SaveFile to
+// the same path publishes generation 2 with one partition, searches
+// like a from-scratch build, and once SweepRetired has run only the
+// log and the live partition file remain. It used to replace the log
+// with a bare index and strand the three partition files, which no
+// writer could then reclaim.
+func TestSaveFileOverAManifestRebuilds(t *testing.T) {
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "lib.manifest")
+	p, lib := syntheticLibrary(t, 10, 128)
+	if err := SavePartitioned(manifest, p, lib, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveFile(manifest, p, lib); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadManifestLog(manifest)
+	if err != nil {
+		t.Fatalf("the manifest's log no longer loads: %v", err)
+	}
+	if parts := st.Partitions(); st.Generation != 2 || len(parts) != 1 {
+		t.Fatalf("SaveFile folded to generation %d with %d partitions; want generation 2 with 1", st.Generation, len(parts))
+	}
+	if gen, res := manifestGeneration(t, manifest); gen != 2 {
+		t.Fatalf("the manifest opens at generation %d, want 2", gen)
+	} else {
+		assertResults(t, "after SaveFile", res, scratchResults(t, buildOrder(lib)))
+	}
+	if _, err := SweepRetired(manifest, st); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{manifest, filepath.Join(dir, st.Partitions()[0].File)}; !slices.Equal(names, want) {
+		t.Fatalf("after SweepRetired the directory holds %v, want %v", names, want)
+	}
+}

@@ -71,7 +71,8 @@ type PartSweep struct {
 	// Rows is the number of candidate rows the batch covered in this
 	// partition (summed over the batch's queries).
 	Rows int
-	// Nanos is the partition's sweep wall time within the batch.
+	// Nanos is the time the batch's shard visits spent in the
+	// partition, summed across workers.
 	Nanos int64
 }
 
