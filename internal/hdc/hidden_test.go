@@ -45,9 +45,9 @@ func embeddedBlock(refs []BinaryHV) []uint64 {
 // rows at 2048 bits, 256 at 512), of a shard, of the store and
 // of a query range, a run of consecutive rows across a block boundary,
 // a range hidden whole, a range with fewer visible rows than k — and is
-// handed to the constructor shuffled and with repeats. Every query's best matches
-// are planted on hidden rows, so a sweep that lets one through cannot
-// pass. Both row widths, a block of its own ("copied") and one inside a
+// handed to the constructor shuffled and with repeats. Every query's
+// best matches are planted on hidden rows, so a sweep that lets one
+// through cannot pass. Both row widths, a block of its own ("copied") and one inside a
 // larger buffer ("packed"), a batch of 64 and each query as a batch of
 // one, both kernels.
 func TestHiddenRowsMatchOracle(t *testing.T) {
@@ -202,8 +202,10 @@ func TestHideIgnoresRowsOutsideTheStore(t *testing.T) {
 	}
 }
 
-// FuzzHiddenRows draws a store geometry, a hidden set and a batch of
-// ranges from the seed and holds the sweep to the oracle.
+// FuzzHiddenRows draws a store geometry — its rows cut into spans —,
+// a hidden set and a batch of queries with two disjoint ranges each
+// from the seed and holds the sweep to the oracle over the visible rows
+// of both ranges.
 func FuzzHiddenRows(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(3))
 	f.Add(int64(2), uint16(0), uint8(1))
@@ -218,25 +220,34 @@ func FuzzHiddenRows(f *testing.F) {
 			hidden[i] = rng.Intn(n)
 		}
 		queries := make([]BinaryHV, 6)
-		ranges := make([]RowRange, len(queries))
+		ranges := make([]RowRange, 2*len(queries))
 		for i := range queries {
 			queries[i] = RandomBinaryHV(d, rng)
 			lo := rng.Intn(n)
-			ranges[i] = RowRange{Lo: lo, Hi: lo + rng.Intn(n-lo+1)}
+			hi := lo + rng.Intn(n-lo+1)
+			cut := lo + rng.Intn(hi-lo+1)
+			ranges[2*i], ranges[2*i+1] = RowRange{Lo: lo, Hi: cut}, RowRange{Lo: cut + rng.Intn(hi-cut+1), Hi: hi}
 			if len(hidden) > 0 { // make the hidden rows the ones worth returning
 				refs[hidden[rng.Intn(len(hidden))]] = nearDup(queries[i], 0.02, rng)
 			}
 		}
-		s, err := packedSearcher(refs, 1+rng.Intn(n))
+		block, words := PackRows(refs), WordsPerHV(d)
+		var blocks [][]uint64
+		for lo := 0; lo < n; {
+			hi := min(n, lo+1+rng.Intn(n))
+			blocks = append(blocks, block[lo*words:hi*words])
+			lo = hi
+		}
+		s, err := NewShardedSearcher(d, 1+rng.Intn(n), hidden, nil, blocks...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s = s.hiding(hidden)
 		for qi, got := range sweepBatch(s, queries, ranges, k, nil) {
-			want := naiveTopK(refs, d, queries[qi], visibleCands(ranges[qi].Lo, ranges[qi].Hi, n, hidden), k)
-			if !matchesEqual(got, want) {
-				t.Fatalf("shard %d: query %d range %+v hidden %v\ngot  %v\nwant %v",
-					s.shardSize, qi, ranges[qi], hidden, got, want)
+			r0, r1 := ranges[2*qi], ranges[2*qi+1]
+			cands := append(visibleCands(r0.Lo, r0.Hi, n, hidden), visibleCands(r1.Lo, r1.Hi, n, hidden)...)
+			if want := naiveTopK(refs, d, queries[qi], cands, k); !matchesEqual(got, want) {
+				t.Fatalf("%d spans, shard %d: query %d ranges %+v %+v hidden %v\ngot  %v\nwant %v",
+					len(blocks), s.shardSize, qi, r0, r1, hidden, got, want)
 			}
 		}
 	})
