@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -215,7 +216,8 @@ func TestPartitionedSearchIdenticalAcrossProcs(t *testing.T) {
 // spans every partition: one library split into 1, 2, 4 and 8 base
 // partitions (splitSet) answers one batch of open queries identically,
 // and at 4 partitions its rows admitted per query (obsv.Trace) stay
-// within 10 % of one partition's. Floors that stopped at a partition
+// within 10 % of one partition's. The trace holds one record per
+// partition reached, with the batch's candidate rows in it. Floors that stopped at a partition
 // edge admitted 158 rows per query at 4 partitions against 96 at one
 // (40 000 references, k = 5). GOMAXPROCS 1 fixes the shard claim
 // order, which the count depends on.
@@ -258,6 +260,23 @@ func TestAdmittedRowsAcrossPartitions(t *testing.T) {
 				t.Errorf("%d partitions: results differ from one partition's", n)
 			}
 			admitted[n] = float64(tr.RowsAdmitted()) / float64(len(qs))
+			wantRows, gotRows := map[int]int{}, map[int]int{}
+			for i := range engine.parts {
+				for qi := range qs {
+					if lo, hi := engine.partRange(&engine.parts[i], &qs[qi]); lo < hi {
+						wantRows[i] += hi - lo
+					}
+				}
+			}
+			for _, ps := range tr.Partitions() {
+				if _, dup := gotRows[ps.Index]; dup {
+					t.Errorf("%d partitions: partition %d recorded twice", n, ps.Index)
+				}
+				gotRows[ps.Index] = ps.Rows
+			}
+			if !maps.Equal(gotRows, wantRows) {
+				t.Errorf("%d partitions: trace records rows %v, want %v", n, gotRows, wantRows)
+			}
 		}
 	})
 	t.Logf("%d references, %d queries: rows admitted per query %v", built.NumRefs(), len(qs), admitted)
