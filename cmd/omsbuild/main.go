@@ -108,8 +108,7 @@ func main() {
 	lib, err := libindex.BuildLibrary(spectra, p)
 	fatalIf(err)
 
-	switch {
-	case *appendMode:
+	if *appendMode {
 		if lib.Len() == 0 {
 			fatalIf(fmt.Errorf("every spectrum in %s was rejected by preprocessing; nothing to append", *libPath))
 		}
@@ -118,25 +117,30 @@ func main() {
 		fmt.Fprintf(os.Stderr,
 			"omsbuild: %s: generation %d appends %d references (%d skipped); %d delta partitions live\n",
 			*out, gen, lib.Len(), lib.Skipped, len(st.Deltas))
-	case *partitions > 0:
+		return
+	}
+	if *partitions > 0 {
 		fatalIf(libindex.SavePartitioned(*out, p, lib, *partitions))
-		st, err := libindex.LoadManifestLog(*out)
-		fatalIf(err)
-		var total int64
-		for _, part := range st.Base {
-			total += part.Bytes
-		}
-		fmt.Fprintf(os.Stderr,
-			"omsbuild: %s: generation %d: %d references encoded (%d skipped), D=%d, %d partitions, %.1f MiB\n",
-			*out, st.Generation, lib.Len(), lib.Skipped, *d, len(st.Base), float64(total)/(1<<20))
-	default:
+	} else {
 		fatalIf(libindex.SaveFile(*out, p, lib))
+	}
+	// One report after either save: a log at -out (a -partitions build,
+	// or a plain one over a manifest, which rebuilds it) names its
+	// generation and sums its partition files; a bare file is its size.
+	name, layout, size := *out, "", int64(0)
+	if st, err := libindex.LoadManifestLog(*out); err == nil {
+		for _, ps := range st.Partitions() {
+			size += ps.Bytes
+		}
+		name = fmt.Sprintf("%s: generation %d", *out, st.Generation)
+		layout = fmt.Sprintf(", %d partitions", len(st.Partitions()))
+	} else {
 		info, err := os.Stat(*out)
 		fatalIf(err)
-		fmt.Fprintf(os.Stderr,
-			"omsbuild: %s: %d references encoded (%d skipped), D=%d, %.1f MiB\n",
-			*out, lib.Len(), lib.Skipped, *d, float64(info.Size())/(1<<20))
+		size = info.Size()
 	}
+	fmt.Fprintf(os.Stderr, "omsbuild: %s: %d references encoded (%d skipped), D=%d%s, %.1f MiB\n",
+		name, lib.Len(), lib.Skipped, *d, layout, float64(size)/(1<<20))
 }
 
 // retract publishes tombstones for the comma-separated ids against the

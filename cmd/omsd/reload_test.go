@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -649,5 +650,89 @@ func TestGenerationRefsBalanced(t *testing.T) {
 		if refs, closed := sv.refs.Load(), n.Load(); refs != 0 || closed != 1 {
 			t.Fatalf("%s: %d references, index closed %d times; want 0 and 1", sv.desc, refs, closed)
 		}
+	}
+}
+
+// TestReloadRefusesCorruptedPartition pins omsd's side of the one
+// integrity rule on the real serving path (on-disk manifest, the
+// builder main wires): the next generation is published, then a byte
+// of one of its partitions' words is flipped, the file's size kept. A
+// reload must fail naming that file and count the failure, the current
+// generation must keep answering a fixed body byte for byte, and a
+// start over the corrupted index must fail.
+func TestReloadRefusesCorruptedPartition(t *testing.T) {
+	ds, err := msdata.Generate(msdata.IPRG2012(0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.DefaultParams()
+	p.Accel.D = 512
+	p.Accel.NumChunks = 32
+	n := len(ds.Library) * 9 / 10
+	engine, _, err := core.BuildExact(p, ds.Library[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(t.TempDir(), "lib.manifest")
+	if err := libindex.SavePartitioned(manifest, p, engine.Library(), 3); err != nil {
+		t.Fatal(err)
+	}
+	cfg := servingConfig{indexPath: manifest, maxBatch: 8, maxQueue: 1024}
+	var d *daemon
+	d = newDaemon(func() (*serving, error) { return buildNext(cfg, d.acquire()) })
+	if _, err := d.reload(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.shutdown()
+	h := d.mux()
+	before := postQueries(t, h, ds, nil).Body.Bytes()
+	failures := func() float64 {
+		t.Helper()
+		v, ok := scrape(t, h)["oms_reload_failures_total"].Sample("oms_reload_failures_total", "")
+		if !ok {
+			t.Fatal("no oms_reload_failures_total sample")
+		}
+		return v
+	}
+	failed := failures()
+
+	st, err := libindex.LoadManifestLog(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := libindex.BuildLibrary(ds.Library[n:], p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := libindex.AppendDelta(manifest, st, delta, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = libindex.LoadManifestLog(manifest); err != nil {
+		t.Fatal(err)
+	}
+	file := st.Deltas[0].File
+	path := filepath.Join(filepath.Dir(manifest), file)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)-16] ^= 0x01 // the last row's words, before the CRC trailer
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := d.reload(); err == nil || !strings.Contains(err.Error(), file) {
+		t.Fatalf("reload over a corrupted partition: got %v, want an error naming %s", err, file)
+	}
+	if got := failures(); got != failed+1 {
+		t.Fatalf("oms_reload_failures_total %v after the refused reload, want %v", got, failed+1)
+	}
+	if after := postQueries(t, h, ds, nil).Body.Bytes(); !bytes.Equal(after, before) {
+		t.Fatal("the current generation answers differently after a refused reload")
+	}
+	if sv, err := buildServing(cfg); err == nil {
+		sv.refs.Store(1)
+		sv.release()
+		t.Fatal("a start over the corrupted index succeeded")
 	}
 }

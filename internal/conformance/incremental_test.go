@@ -380,16 +380,13 @@ func TestIncrementalBuildEquivalence(t *testing.T) {
 				verifyStep(t, step, manifest, p, st, ds.Queries)
 			}
 
-			// The final generation (a compacted one) must also pass the
-			// partition checksum verifier.
+			// The final generation (a compacted one) must open: Open
+			// checksums every partition against its record.
 			pi, err := libindex.Open(manifest)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("final Open: %v", err)
 			}
-			defer pi.Close()
-			if err := pi.Verify(); err != nil {
-				t.Fatalf("final Verify: %v", err)
-			}
+			pi.Close()
 		})
 	}
 }

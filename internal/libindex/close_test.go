@@ -1,7 +1,6 @@
 package libindex
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -99,14 +98,8 @@ func TestClosePoisonsCopiedIndex(t *testing.T) {
 	if err := SaveFile(path, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := openCopied(f, path)
-	if cerr := f.Close(); cerr != nil {
-		t.Fatal(cerr)
-	}
+	copyingLoader(t)
+	ix, err := openPartition(path)
 	if err != nil {
 		t.Fatal(err)
 	}

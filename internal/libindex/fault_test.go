@@ -291,9 +291,6 @@ func manifestGeneration(t *testing.T, manifest string) (uint64, [][]match) {
 		t.Fatalf("manifest does not open: %v", err)
 	}
 	defer pi.Close()
-	if err := pi.Verify(); err != nil {
-		t.Fatal(err)
-	}
 	set := pi.PartitionSet()
 	set.Encoder = faultEncoder
 	e, enc, err := core.NewPartitionedEngine(pi.Params, set)

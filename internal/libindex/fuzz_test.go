@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"repro/internal/hdc"
 )
 
-// FuzzIndexLoad drives crafted index images through the one decoder
-// from both sides: the copying loadImage, and parseIndex plus the
-// verifyImage pass a mapped index runs on request (Index.Verify). The
-// two must accept and reject exactly the same images — loadImage is
-// nothing but parse + verify, so a divergence means one side grew a
-// check the other lacks — and neither may panic or size an allocation
+// FuzzIndexLoad drives crafted index images through the one open
+// path, openPartition's decode: parseIndex, then the checksum and
+// tail-bit check (checkImage). Neither may panic or size an allocation
 // from an unvalidated header field: parseIndex checks the claimed
 // entry count against the image size before allocating anything, so
 // whatever an accepted image decodes to is backed byte for byte by the
@@ -63,23 +62,16 @@ func FuzzIndexLoad(f *testing.F) {
 	binary.LittleEndian.PutUint32(badLen[permSectionOffset(badLen):], 7)
 	f.Add(badLen)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lp, llib, lerr := loadImage(data)
-		pp, plib, perr := parseIndex(data)
-		if perr == nil {
-			perr = verifyImage(data, plib.Rows(), pp.Accel.D)
-		}
-		if (lerr == nil) != (perr == nil) {
-			t.Fatalf("Load and parseIndex+verifyImage disagree: Load err = %v, parse+verify err = %v", lerr, perr)
-		}
-		if lerr != nil {
+		p, lib, err := decodeImage(data)
+		if err != nil {
 			return
 		}
 		// Every entry costs at least a mass, a source position, its
 		// metadata record and its packed words in the image.
-		n, words := llib.Len(), len(llib.Row(0).Words)
-		if n != plib.Len() || lp.Accel.D != pp.Accel.D || n*(8+8+9+8*words) > len(data) {
-			t.Fatalf("accepted image of %d bytes decodes to %d entries × %d words (parse: %d entries)",
-				len(data), n, words, plib.Len())
+		n, words := lib.Len(), len(lib.Row(0).Words)
+		if words != hdc.WordsPerHV(p.Accel.D) || n*(8+8+9+8*words) > len(data) {
+			t.Fatalf("accepted image of %d bytes decodes to %d entries × %d words at D=%d",
+				len(data), n, words, p.Accel.D)
 		}
 	})
 }

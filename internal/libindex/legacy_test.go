@@ -101,7 +101,7 @@ func openLegacy(t *testing.T, p core.Params, lib *core.Library, rewrite paramsRe
 		t.Fatal(err)
 	}
 	legacy := legacyImage(t, modern.Bytes(), rewrite)
-	lp, llib, err := loadImage(legacy)
+	lp, llib, err := decodeImage(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,10 +44,10 @@
 // invariants the engine relies on (ascending masses, a true source
 // permutation) so a corrupted file can never silently mis-score
 // searches. The trailing checksum covers the header too, so
-// truncation, bit rot and partial writes are all detected; checking it
-// — and the zero tail bits beyond dimension d — touches every word
-// page, so the copying loader does it eagerly and a mapped index on request
-// (Index.Verify).
+// truncation, bit rot and partial writes are all detected: every
+// partition is checked against it, and against the zero tail bits
+// beyond dimension d, before it opens, whichever loader ran, and Open
+// holds each trailer to the CRC-32C its record carries.
 package libindex
 
 import (
@@ -182,34 +182,20 @@ func SaveFile(path string, p core.Params, lib *core.Library) error {
 	return writeAtomic(path, func(f file) error { return Save(f, p, lib) })
 }
 
-// loadImage is the copying loader behind openPartition's fallback: a
-// whole image read to the heap is decoded by parseIndex — the one
-// decoder, shared with the mmap-backed path — and then, unlike a
-// mapping, eagerly verified (verifyImage), which the heap copy has
-// already paid the page touches for. It returns the parameters the
-// library was built with and the library over the image's words — no
-// spectrum is re-encoded.
-func loadImage(data []byte) (core.Params, *core.Library, error) {
-	p, lib, err := parseIndex(data)
-	if err != nil {
-		return core.Params{}, nil, err
+// checkImage is the integrity check every partition passes before it
+// opens (openPartition): content, the image minus its 4-byte trailer,
+// must hash to the CRC-32C trailer at the end of data (truncation, bit
+// rot and partial writes all land here), and the packed-tail invariant
+// must hold — bits beyond dimension d are zero, or every Hamming
+// similarity would be silently skewed. The checksum goes first, so
+// damage reports as corruption rather than as whichever invariant it
+// happened to break.
+func checkImage(content io.Reader, data []byte, block []uint64, d int) error {
+	crc := crc32.New(castagnoli)
+	if _, err := io.Copy(crc, content); err != nil {
+		return fmt.Errorf("libindex: reading index: %w", err)
 	}
-	if err := verifyImage(data, lib.Rows(), p.Accel.D); err != nil {
-		return core.Params{}, nil, err
-	}
-	return p, lib, nil
-}
-
-// verifyImage is the integrity pass over a parsed index image that
-// touches every word page: the CRC-32C trailer must match every
-// preceding byte (truncation, bit rot and partial writes all land
-// here), and the packed-tail invariant must hold — bits beyond
-// dimension d are zero, or every Hamming similarity would be silently
-// skewed. The checksum goes first, so damage reports as corruption
-// rather than as whichever invariant it happened to break.
-func verifyImage(data []byte, block []uint64, d int) error {
-	got := crc32.Checksum(data[:len(data)-4], castagnoli)
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
+	got, want := crc.Sum32(), binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got != want {
 		return fmt.Errorf("libindex: checksum mismatch (file %08x, computed %08x): index is corrupted", want, got)
 	}

@@ -3,6 +3,7 @@ package libindex
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -47,19 +48,48 @@ func buildEngine(t testing.TB, p core.Params, library []*spectrum.Spectrum) *cor
 	return engine
 }
 
-// loadFile reads an index file the way Open does without a mapping:
-// through openCopied, the eagerly verified copying loader.
+// loadFile opens an index file with the copying loader, the one
+// openPartition falls back to where mapping is unavailable or fails.
 func loadFile(path string) (core.Params, *core.Library, error) {
-	f, err := os.Open(path)
+	defer func(prev func(*os.File, int64) ([]byte, error)) { mapFile = prev }(mapFile)
+	mapFile = noMapping
+	pt, err := openPartition(path)
 	if err != nil {
 		return core.Params{}, nil, err
 	}
-	defer f.Close()
-	ix, err := openCopied(f, path)
+	return pt.Params, pt.Lib, nil
+}
+
+// noMapping is a mapFile that always fails, so openPartition copies.
+func noMapping(*os.File, int64) ([]byte, error) {
+	return nil, errors.New("mapping disabled by the test")
+}
+
+// copyingLoader makes Open copy every partition to the heap for the
+// rest of the test, as it does where mapping is unavailable or fails.
+func copyingLoader(t testing.TB) {
+	prev := mapFile
+	mapFile = noMapping
+	t.Cleanup(func() { mapFile = prev })
+}
+
+// decodeImage runs an in-memory index image through openPartition's
+// decode (parse, then check), as a copied file's image would.
+func decodeImage(img []byte) (core.Params, *core.Library, error) {
+	pt, err := decodePartition(bytes.NewReader(img), "image.omsidx", img, nil)
 	if err != nil {
 		return core.Params{}, nil, err
 	}
-	return ix.Params, ix.Lib, nil
+	return pt.Params, pt.Lib, nil
+}
+
+// liveRefs sums the live partitions' row counts, hidden rows included.
+func liveRefs(st *ManifestState) int {
+	n := 0
+	for _, ps := range st.Partitions() {
+		n += ps.Refs
+	}
+	return n
 }
 
 // TestRoundTripSearchIdentical pins the core contract: save → load →
@@ -82,7 +112,7 @@ func TestRoundTripSearchIdentical(t *testing.T) {
 			if err := Save(&buf, p, built.Library()); err != nil {
 				t.Fatalf("Save: %v", err)
 			}
-			lp, lib, err := loadImage(buf.Bytes())
+			lp, lib, err := decodeImage(buf.Bytes())
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}
@@ -146,7 +176,7 @@ func TestPackedStoreMatchesIndex(t *testing.T) {
 	if err := Save(&buf, p, built.Library()); err != nil {
 		t.Fatal(err)
 	}
-	lp, lib, err := loadImage(buf.Bytes())
+	lp, lib, err := decodeImage(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +288,7 @@ func TestOpenRejectsStoredPermutation(t *testing.T) {
 	}
 	img := withPermSection(t, buf.Bytes(), reversal(128))
 	const want = "rebuild the index with omsbuild"
-	if _, _, err := loadImage(img); err == nil || !strings.Contains(err.Error(), want) {
+	if _, _, err := decodeImage(img); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("copying loader: got %v, want %q", err, want)
 	}
 	path := t.TempDir() + "/entropy.omsidx"
@@ -284,7 +314,7 @@ func TestLoadRejectsNonBijectivePerm(t *testing.T) {
 	perm[1] = perm[0]
 	img := withPermSection(t, buf.Bytes(), perm)
 	const want = "rebuild the index with omsbuild"
-	if _, _, err := loadImage(img); err == nil || !strings.Contains(err.Error(), want) {
+	if _, _, err := decodeImage(img); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("copying loader: got %v, want %q", err, want)
 	}
 	path := t.TempDir() + "/dup.omsidx"
@@ -297,9 +327,9 @@ func TestLoadRejectsNonBijectivePerm(t *testing.T) {
 }
 
 // TestVerifyRejectsTailBits pins the packed-tail invariant of the
-// verify pass: a checksummed image with a bit set beyond dimension d
-// is structurally perfect, so only verifyImage — eagerly in Load, on
-// request through Index.Verify for a mapped index — can reject it.
+// check every partition passes at open: a checksummed image with a bit
+// set beyond dimension d is structurally perfect, so only checkImage
+// can reject it — whichever loader opened it.
 func TestVerifyRejectsTailBits(t *testing.T) {
 	p, lib := syntheticLibrary(t, 6, 100) // 2 words per row, 36 live bits in the last
 	var buf bytes.Buffer
@@ -311,24 +341,30 @@ func TestVerifyRejectsTailBits(t *testing.T) {
 	// word and re-seal the checksum.
 	img[len(img)-5] |= 0x80
 	fixCRC(img)
-	if _, _, err := loadImage(img); err == nil || !strings.Contains(err.Error(), "bits set beyond dimension 100") {
-		t.Fatalf("Load: got %v, want a tail-bit rejection", err)
-	}
-	if !mmapSupported {
-		return // Open runs the copying loader here: same rejection, at open
+	const want = "bits set beyond dimension 100"
+	if _, _, err := decodeImage(img); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("decode: got %v, want a tail-bit rejection", err)
 	}
 	path := t.TempDir() + "/tail.omsidx"
 	if err := writeFile(path, img); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open rejected a structurally valid image: %v", err)
-	}
-	defer ix.Close()
-	if err := ix.Verify(); err == nil || !strings.Contains(err.Error(), "bits set beyond dimension 100") {
-		t.Fatalf("Verify: got %v, want a tail-bit rejection", err)
-	}
+	eachLoader(t, func(t *testing.T) {
+		if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "partition 0 (tail.omsidx)") || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open: got %v, want partition 0 (tail.omsidx) refused for %q", err, want)
+		}
+	})
+}
+
+// eachLoader runs f as a subtest per loader: "mapped" (openPartition's
+// default where the platform maps) and "copied" (its fallback).
+func eachLoader(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	t.Run("mapped", f)
+	t.Run("copied", func(t *testing.T) {
+		copyingLoader(t)
+		f(t)
+	})
 }
 
 func writeFile(path string, data []byte) error {
@@ -445,7 +481,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			img := append([]byte(nil), valid...)
 			img = tc.mutate(img)
-			_, _, err := loadImage(img)
+			_, _, err := decodeImage(img)
 			if err == nil {
 				t.Fatalf("Load accepted a %s index", tc.name)
 			}
@@ -455,7 +491,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		})
 	}
 	// The pristine image must still load after all that slicing.
-	if _, _, err := loadImage(valid); err != nil {
+	if _, _, err := decodeImage(valid); err != nil {
 		t.Fatalf("pristine image failed to load: %v", err)
 	}
 }

@@ -167,25 +167,6 @@ type ManifestState struct {
 // errSingleFile is every writer's refusal of a bare index file.
 var errSingleFile = errors.New("a single-file index, not a partition manifest: rebuild it with omsbuild -partitions to append, retract or compact")
 
-// TornTail reports whether the log ended in an unterminated,
-// non-validating fragment that was discarded — the signature of a
-// crash between a partition-file write and the record append, or
-// mid-append. The state reflects the last good generation.
-func (st *ManifestState) TornTail() bool { return st.tornTail }
-
-// TotalRefs sums the live partitions' row counts — physical rows,
-// including ones hidden by newer generations or tombstones.
-func (st *ManifestState) TotalRefs() int {
-	n := 0
-	for _, p := range st.Base {
-		n += p.Refs
-	}
-	for _, p := range st.Deltas {
-		n += p.Refs
-	}
-	return n
-}
-
 // Partitions returns the live partitions in engine order: the base
 // tier in ascending mass order, then the delta tier in publish order.
 func (st *ManifestState) Partitions() []PartitionState {

@@ -51,11 +51,10 @@ type PartitionInfo struct {
 	// mass-sorted).
 	MinMass float64 `json:"min_mass"`
 	MaxMass float64 `json:"max_mass"`
-	// Bytes is the partition file's size, cross-checked cheaply on
-	// every Open; CRC32C is the content checksum recorded at build
-	// time — the CRC-32C of the file image minus its own 4-byte
-	// trailer, i.e. the trailer value — cross-checked by the explicit
-	// Index.Verify pass. Recording the content CRC (not a whole-file
+	// Bytes is the partition file's size and CRC32C the content
+	// checksum recorded at build time — the CRC-32C of the file image
+	// minus its own 4-byte trailer, i.e. the trailer value — both
+	// cross-checked on every Open. Recording the content CRC (not a whole-file
 	// CRC, which is a constant for any file ending in its own CRC) is
 	// what lets the manifest distinguish an internally consistent file
 	// from a different build generation.
@@ -160,11 +159,11 @@ func savePartitionFile(path string, p core.Params, lib *core.Library) (crc uint3
 }
 
 // Index is an opened library index: a generation of partition files,
-// memory-mapped where supported, so opening a library far bigger than
-// RAM is metadata-bound and only the pages a query load touches become
-// resident. A manifest names the files in its log; a bare index file is
+// memory-mapped where supported, so a library far bigger than RAM
+// opens with one streamed checksum pass per file and only the pages a
+// query load touches become resident. A manifest names the files in its log; a bare index file is
 // generation 1 with one base partition, itself, so either layout opens,
-// verifies and closes through the same per-partition code.
+// is checked and closes through the same per-partition code.
 type Index struct {
 	// State is the folded generation-log state the index was opened at
 	// (for a bare index file, the fold of the base record a
@@ -179,8 +178,8 @@ type Index struct {
 // Open opens an index path, whichever layout it holds: a manifest (its
 // first non-space byte is '{') has its generation log folded, and
 // anything else is decoded as a bare index file. Every live partition
-// file is then cross-checked against its record (openParts). The bulk
-// words are not checksummed here — call Verify for the full pass.
+// file is checksummed as it opens (openPartition) and then
+// cross-checked against its record (openParts).
 func Open(path string) (*Index, error) {
 	manifest, err := isManifest(path)
 	if err != nil {
@@ -195,6 +194,8 @@ func Open(path string) (*Index, error) {
 		if part, err = openPartition(path); err == nil {
 			ix.parts = []*partition{part}
 			ix.State, err = bareState(filepath.Base(path), part)
+		} else {
+			err = fmt.Errorf("libindex: partition 0 (%s): %w", filepath.Base(path), err)
 		}
 	}
 	if err == nil {
@@ -255,12 +256,14 @@ func bareState(name string, part *partition) (*ManifestState, error) {
 
 // openParts opens every live partition not yet open, in engine order
 // (base tier ascending by mass, then the delta tier in publish order),
-// and cross-checks each against its record: size, row count, mass
-// fences, and the full params — encoder identity above all, or a
-// partition file from a different build generation would open cleanly
-// and silently mis-score every query against hypervectors its encoder
-// never produced. Every outstanding tombstone must name an id that some
-// older-generation partition carries.
+// and cross-checks each against its record: size, the full params —
+// encoder identity above all, or a partition file from a different
+// build generation would open cleanly and silently mis-score every
+// query against hypervectors its encoder never produced — row count,
+// mass fences, and last the content CRC-32C, which a file that checks
+// against its own trailer but is not the one the log recorded (a
+// replaced file) fails. Every outstanding tombstone must name an id
+// that some older-generation partition carries.
 func (ix *Index) openParts(dir string) error {
 	st := ix.State
 	p, err := st.DecodeParams()
@@ -286,7 +289,7 @@ func (ix *Index) openParts(dir string) error {
 			}
 			part, err := openPartition(partPath)
 			if err != nil {
-				return fmt.Errorf("libindex: partition %d: %w", i, err)
+				return fmt.Errorf("libindex: partition %d (%s): %w", i, info.File, err)
 			}
 			ix.parts = append(ix.parts, part)
 		}
@@ -305,6 +308,10 @@ func (ix *Index) openParts(dir string) error {
 		if lo, hi := lib.Entries[0].Mass, lib.Entries[lib.Len()-1].Mass; lo != info.MinMass || hi != info.MaxMass {
 			return fmt.Errorf("libindex: partition %d spans masses [%g, %g], manifest fences are [%g, %g]",
 				i, lo, hi, info.MinMass, info.MaxMass)
+		}
+		if part.crc != info.CRC32C {
+			return fmt.Errorf("libindex: partition %d (%s): file CRC %08x disagrees with manifest CRC %08x (file replaced since the manifest was written?)",
+				i, info.File, part.crc, info.CRC32C)
 		}
 	}
 	return ix.checkTombstones()
@@ -404,31 +411,4 @@ func (ix *Index) Close() error {
 		}
 	}
 	return first
-}
-
-// Verify checksums every partition file image against both its own
-// CRC-32C trailer (verifyImage, which also re-checks the packed-tail
-// invariant) and the content CRC-32C its record carries — the
-// explicit integrity pass Open deliberately skips (it would fault in
-// every page of every mapping). The record's checksum is over the
-// image minus the trailer, which is what lets it catch a partition
-// file that is internally consistent but from a different build than
-// the manifest describes (a whole-file CRC would be the same residue
-// constant for every self-consistent file).
-func (ix *Index) Verify() error {
-	states := ix.State.Partitions()
-	for i, part := range ix.parts {
-		info := states[i].PartitionInfo
-		// A copied image passed verifyImage in the loader already.
-		if part.mapped != nil {
-			if err := verifyImage(part.mapped, part.words, part.Params.Accel.D); err != nil {
-				return fmt.Errorf("libindex: partition %d (%s): %w", i, info.File, err)
-			}
-		}
-		if part.crc != info.CRC32C {
-			return fmt.Errorf("libindex: partition %d (%s): file CRC %08x disagrees with manifest CRC %08x (file replaced since the manifest was written?)",
-				i, info.File, part.crc, info.CRC32C)
-		}
-	}
-	return nil
 }

@@ -18,8 +18,9 @@ import (
 // alias the mapping directly — opening costs one
 // metadata parse, not a copy of the bulk words, and the word pages
 // fault in lazily as searches touch them. On platforms without mmap,
-// or when mapping fails, openPartition transparently falls back to the
-// copying loader and the block lives on the heap.
+// or when mapping fails, openPartition falls back to the copying
+// loader and the block lives on the heap; either way the file was
+// checked before it opened.
 type partition struct {
 	// Params are the engine parameters the file was built with
 	// (ShardSize from the header, everything else from the params JSON).
@@ -77,56 +78,54 @@ func (pt *partition) Close() error {
 	return munmapFile(m)
 }
 
-// openPartition opens an index file with the bulk word section
-// memory-mapped: the metadata sections are decoded and validated as
-// the copying loader does, but the packed words become a zero-copy
-// view over the mapping, so opening is metadata-bound and the words
-// are not checksummed (Index.Verify does that on request). Without
-// mmap, or when mapping fails, it falls back to the copying loader.
+// openPartition opens an index file and checks it before returning
+// it — the one integrity rule, whichever loader ran. The file is mapped
+// where the platform allows (the packed words become a zero-copy view
+// over the mapping, faulted in lazily as searches touch them) and read
+// to the heap otherwise or when mapping fails; either image is decoded
+// by parseIndex and held to its trailer and tail bits by checkImage.
 func openPartition(path string) (*partition, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if !mmapSupported {
-		return openCopied(f, path)
-	}
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	data, err := mmapFile(f, st.Size())
-	if err != nil {
-		return openCopied(f, path)
+	if data, err := mapFile(f, st.Size()); err == nil {
+		return decodePartition(f, path, data, data)
 	}
-	p, lib, err := parseIndex(data)
-	if err != nil {
-		munmapFile(data)
-		return nil, err
-	}
-	return newPartition(path, data, data, p, lib), nil
-}
-
-// openCopied is openPartition's fallback: the copying loader, wrapped
-// in the same partition shape (heap-backed block, nil mapping).
-func openCopied(f *os.File, path string) (*partition, error) {
 	data, err := io.ReadAll(f)
 	if err != nil {
 		return nil, fmt.Errorf("libindex: reading index: %w", err)
 	}
-	p, lib, err := loadImage(data)
-	if err != nil {
-		return nil, err
-	}
-	return newPartition(path, data, nil, p, lib), nil
+	return decodePartition(f, path, data, nil)
 }
 
-// newPartition wraps a decoded image; mapped is the image if it is a
-// mapping, nil if it is a heap copy.
-func newPartition(path string, data, mapped []byte, p core.Params, lib *core.Library) *partition {
+// mapFile maps an index file for openPartition: mmapFile, unless a test
+// makes it fail to drive the copying loader on a platform that maps.
+var mapFile = mmapFile
+
+// decodePartition parses and checks data, the image of file; mapped
+// is data if it is a mapping (released on failure), nil if a heap copy.
+// The checksum streams file rather than the mapping, so checking faults
+// in no word page: a reload does not make the new generation's words
+// resident while the old generation's still are.
+func decodePartition(file io.ReaderAt, path string, data, mapped []byte) (*partition, error) {
+	p, lib, err := parseIndex(data)
+	if err == nil {
+		err = checkImage(io.NewSectionReader(file, 0, int64(len(data))-4), data, lib.Rows(), p.Accel.D)
+	}
+	if err != nil {
+		if mapped != nil {
+			munmapFile(mapped)
+		}
+		return nil, err
+	}
 	return &partition{Params: p, Lib: lib, words: lib.Rows(), mapped: mapped, path: path,
-		size: int64(len(data)), crc: binary.LittleEndian.Uint32(data[len(data)-4:])}
+		size: int64(len(data)), crc: binary.LittleEndian.Uint32(data[len(data)-4:])}, nil
 }
 
 // byteCursor walks an in-memory index image with bounds-checked reads,
@@ -187,15 +186,14 @@ func (c *byteCursor) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// parseIndex is the one index decoder, behind both the mmap-backed
-// openPartition and the copying loadImage. It decodes an image in place:
+// parseIndex is the one index decoder, behind openPartition whichever
+// loader ran. It decodes an image in place:
 // metadata is copied out (entry strings must survive the mapping), the
 // packed words become the library's rows (core.LibraryOver) as a view
 // over data when the section is 8-byte aligned (always, for a
 // page-aligned mapping) and as a copy otherwise; no per-row header is
 // made. The CRC trailer is located but not verified, and the word
-// pages are not touched — that is verifyImage, which loadImage runs eagerly
-// and a mapped index runs on request (Index.Verify).
+// pages are not touched: checkImage does both.
 func parseIndex(data []byte) (core.Params, *core.Library, error) {
 	fail := func(format string, args ...any) (core.Params, *core.Library, error) {
 		return core.Params{}, nil, fmt.Errorf("libindex: "+format, args...)

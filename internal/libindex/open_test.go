@@ -98,10 +98,6 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 					t.Fatalf("source position %d mismatch", i)
 				}
 			}
-			if err := ix.Verify(); err != nil {
-				t.Fatalf("Verify on a pristine mapping: %v", err)
-			}
-
 			// Engine over the zero-copy block == engine over the loaded
 			// library, PSM for PSM.
 			packedEngine, _, err := core.NewPartitionedEngine(ix.Params, ix.PartitionSet())
@@ -134,8 +130,8 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 
 // TestOpenFileRejectsCorruption runs the Load corruption matrix
 // through Open's mmap parser — same crafted images, same refusals —
-// except the flipped-body-bit case, which only the full checksum pass
-// can see (Open defers it to Verify by design).
+// and a flipped body bit, which no structural check sees and the
+// checksum every partition passes at open does.
 func TestOpenFileRejectsCorruption(t *testing.T) {
 	ds := testWorkload(t)
 	p := testParams(512, 0, 3)
@@ -183,21 +179,11 @@ func TestOpenFileRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
-	// A flipped word bit is structurally invisible to Open but must be
-	// caught by the explicit Verify pass.
+	// A flipped word bit is structurally invisible; the checksum sees it.
 	img := append([]byte(nil), valid...)
 	img[len(img)-100] ^= 0x40
-	path := filepath.Join(dir, "flipped.omsidx")
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open rejected a structurally valid image: %v", err)
-	}
-	defer ix.Close()
-	if err := ix.Verify(); err == nil || !strings.Contains(err.Error(), "corrupted") {
-		t.Fatalf("Verify on a flipped-bit image: got %v, want corruption error", err)
+	if err := open(img); err == nil || !strings.Contains(err.Error(), "partition 0 (crafted.omsidx)") || !strings.Contains(err.Error(), "corrupted") {
+		t.Fatalf("Open on a flipped-bit image: got %v, want partition 0 (crafted.omsidx) named as corrupted", err)
 	}
 	// The pristine image must still open.
 	if err := open(append([]byte(nil), valid...)); err != nil {
@@ -237,12 +223,9 @@ func TestSavePartitionedRoundTrip(t *testing.T) {
 			if got := len(pi.parts); got != parts {
 				t.Fatalf("%d partitions opened, want %d", got, parts)
 			}
-			if pi.State.TotalRefs() != lib.Len() || pi.State.Skipped != lib.Skipped {
+			if refs := liveRefs(pi.State); refs != lib.Len() || pi.State.Skipped != lib.Skipped {
 				t.Fatalf("manifest identity %d/%d, want %d/%d",
-					pi.State.TotalRefs(), pi.State.Skipped, lib.Len(), lib.Skipped)
-			}
-			if err := pi.Verify(); err != nil {
-				t.Fatalf("Verify: %v", err)
+					refs, pi.State.Skipped, lib.Len(), lib.Skipped)
 			}
 			skippedSum, row := 0, 0
 			states := pi.State.Partitions()
@@ -312,9 +295,6 @@ func TestOpenBareFileIsGenerationOne(t *testing.T) {
 	if st.D != want.D || st.Skipped != want.Skipped || string(st.Params) != string(want.Params) {
 		t.Fatalf("bare file's identity D=%d skipped=%d params %s, SavePartitioned records D=%d skipped=%d params %s",
 			st.D, st.Skipped, st.Params, want.D, want.Skipped, want.Params)
-	}
-	if err := ix.Verify(); err != nil {
-		t.Fatalf("Verify on a pristine bare file: %v", err)
 	}
 }
 

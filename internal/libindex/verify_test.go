@@ -11,21 +11,19 @@ import (
 )
 
 // TestVerifyPartitionsRejectsBodyCorruption pins the two integrity
-// layers of the verify pass against *body* damage — bit flips in the
-// bulk word section that every structural check in Open (magic, sizes,
-// params, fences) sails past:
+// layers every partition passes as it opens against *body* damage —
+// bit flips in the bulk word section that every structural check
+// (magic, sizes, params, fences) sails past — with a mapped and with a
+// copied image alike:
 //
 //   - a flipped word bit breaks the partition's own CRC trailer, so
-//     Index.Verify rejects it, naming the partition — in a manifest's
+//     Open refuses it, naming the partition — in a manifest's
 //     partition file and in a bare index file alike;
 //   - a flipped word bit with the trailer recomputed to match is an
 //     internally consistent file from "a different build" — only the
 //     manifest's recorded CRC-32C can catch the swap, and the error
 //     must say so.
 func TestVerifyPartitionsRejectsBodyCorruption(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("body corruption reaches Verify only on mmap platforms; the copying loader checksums at open")
-	}
 	ds := testWorkload(t)
 	p := testParams(512, 0, 3)
 	built := buildEngine(t, p, ds.Library)
@@ -66,44 +64,41 @@ func TestVerifyPartitionsRejectsBodyCorruption(t *testing.T) {
 		return filepath.Join(dst, filepath.Base(manifest))
 	}
 
-	// verify opens the index (which must succeed: body damage is
-	// structurally invisible) and returns the Verify error.
-	verify := func(t *testing.T, m string) error {
-		t.Helper()
-		pi, err := Open(m)
-		if err != nil {
-			t.Fatalf("Open rejected a structurally valid library: %v", err)
+	// open opens the index, closing it if it opened, and returns Open's
+	// error.
+	open := func(m string) error {
+		ix, err := Open(m)
+		if err == nil {
+			ix.Close()
 		}
-		defer pi.Close()
-		return pi.Verify()
+		return err
+	}
+	// refused runs open on path under each loader and wants an error
+	// naming the partition and the fault.
+	refused := func(t *testing.T, path, partition, fault string) {
+		eachLoader(t, func(t *testing.T) {
+			err := open(path)
+			if err == nil || !strings.Contains(err.Error(), partition) || !strings.Contains(err.Error(), fault) {
+				t.Fatalf("Open: got %v, want %s refused as %q", err, partition, fault)
+			}
+		})
 	}
 
 	t.Run("pristine", func(t *testing.T) {
-		if err := verify(t, cloneLibrary(t)); err != nil {
-			t.Fatalf("Verify on a pristine library: %v", err)
-		}
+		m := cloneLibrary(t)
+		eachLoader(t, func(t *testing.T) {
+			if err := open(m); err != nil {
+				t.Fatalf("Open on a pristine library: %v", err)
+			}
+		})
 	})
 
 	t.Run("flipped word bit", func(t *testing.T) {
 		m := cloneLibrary(t)
-		part := PartitionFileName(m, 1)
-		img, err := os.ReadFile(part)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Flip one bit in the packed words, well clear of the metadata
 		// sections at the front and the 4-byte CRC trailer at the back.
-		img[len(img)-64] ^= 0x10
-		if err := os.WriteFile(part, img, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		err = verify(t, m)
-		if err == nil {
-			t.Fatal("Verify accepted a partition with a flipped word bit")
-		}
-		if !strings.Contains(err.Error(), "partition 1") || !strings.Contains(err.Error(), "corrupted") {
-			t.Fatalf("error %q does not name partition 1 as corrupted", err)
-		}
+		flipByte(t, PartitionFileName(m, 1), -64, 0x10)
+		refused(t, m, "partition 1 (lib.manifest.part001)", "corrupted")
 	})
 
 	t.Run("flipped word bit in a bare file", func(t *testing.T) {
@@ -111,44 +106,40 @@ func TestVerifyPartitionsRejectsBodyCorruption(t *testing.T) {
 		if err := SaveFile(path, p, built.Library()); err != nil {
 			t.Fatal(err)
 		}
-		img, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		img[len(img)-64] ^= 0x10
-		if err := os.WriteFile(path, img, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		err = verify(t, path)
-		if err == nil {
-			t.Fatal("Verify accepted a bare file with a flipped word bit")
-		}
-		if !strings.Contains(err.Error(), "partition 0 (lib.omsidx)") || !strings.Contains(err.Error(), "corrupted") {
-			t.Fatalf("error %q does not name partition 0 (lib.omsidx) as corrupted", err)
-		}
+		flipByte(t, path, -64, 0x10)
+		refused(t, path, "partition 0 (lib.omsidx)", "corrupted")
 	})
 
 	t.Run("swapped partition with consistent trailer", func(t *testing.T) {
 		m := cloneLibrary(t)
 		part := PartitionFileName(m, 0)
-		img, err := os.ReadFile(part)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Alter a word and recompute the file's own CRC trailer: the
 		// partition is now internally consistent but not the file the
 		// manifest recorded — the replaced-file case.
-		img[len(img)-32] ^= 0x04
+		img := flipByte(t, part, -32, 0x04)
 		binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.Checksum(img[:len(img)-4], castagnoli))
 		if err := os.WriteFile(part, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err = verify(t, m)
-		if err == nil {
-			t.Fatal("Verify accepted a swapped partition with a self-consistent trailer")
-		}
-		if !strings.Contains(err.Error(), "partition 0") || !strings.Contains(err.Error(), "disagrees with manifest CRC") {
-			t.Fatalf("error %q does not attribute the manifest CRC disagreement to partition 0", err)
-		}
+		refused(t, m, "partition 0 (lib.manifest.part000)", "disagrees with manifest CRC")
 	})
+}
+
+// flipByte XORs mask into the byte at off of the file at path (from
+// the end when off is negative), keeping its size, and returns the
+// image it wrote.
+func flipByte(t testing.TB, path string, off int, mask byte) []byte {
+	t.Helper()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off < 0 {
+		off += len(img)
+	}
+	img[off] ^= mask
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return img
 }

@@ -3,6 +3,7 @@ package libindex
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -113,9 +114,6 @@ func TestWriterLogGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pi.Close()
-	if err := pi.Verify(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestWritersRefuseBareFile pins that Open serving a bare index file as
@@ -206,9 +204,9 @@ func TestRebuildPublishesAGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Generation != st.Generation+1 || len(got.Deltas) != 0 || len(got.Tombstones) != 0 || got.TotalRefs() != 6 {
+	if got.Generation != st.Generation+1 || len(got.Deltas) != 0 || len(got.Tombstones) != 0 || liveRefs(got) != 6 {
 		t.Fatalf("rebuild folded to generation %d, %d deltas, %d tombstones, %d refs; want generation %d, 0, 0, 6",
-			got.Generation, len(got.Deltas), len(got.Tombstones), got.TotalRefs(), st.Generation+1)
+			got.Generation, len(got.Deltas), len(got.Tombstones), liveRefs(got), st.Generation+1)
 	}
 	for i, ps := range got.Base {
 		if want := filepath.Base(GenPartitionFileName(manifest, got.Generation, i)); ps.File != want || ps.Gen != got.Generation {
@@ -272,4 +270,50 @@ func TestSaveFileOverAManifestRebuilds(t *testing.T) {
 	if want := []string{manifest, filepath.Join(dir, st.Partitions()[0].File)}; !slices.Equal(names, want) {
 		t.Fatalf("after SweepRetired the directory holds %v, want %v", names, want)
 	}
+}
+
+// TestCompactRefusesCorruptedDelta pins that Compact checks what it
+// folds: a flipped byte in a delta partition's words, the file's size
+// kept, fails the compaction naming that partition, and the log and
+// every file beside it stay byte-identical. A compaction that went
+// ahead would re-seal the damaged rows under a fresh, valid CRC, past
+// the reach of any later check.
+func TestCompactRefusesCorruptedDelta(t *testing.T) {
+	manifest := recoveryFixture(t)
+	dir := filepath.Dir(manifest)
+	st, err := LoadManifestLog(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(st.Partitions(), func(ps PartitionState) bool { return ps.Delta })
+	if i < 0 {
+		t.Fatal("fixture has no delta partition")
+	}
+	file := st.Partitions()[i].File
+	flipByte(t, filepath.Join(dir, file), -16, 0x01) // the last row's words, before the trailer
+	before := dirFiles(t, dir)
+	_, err = Compact(manifest, 0)
+	if want := fmt.Sprintf("partition %d (%s)", i, file); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "corrupted") {
+		t.Fatalf("Compact over a corrupted delta: got %v, want %s refused as corrupted", err, want)
+	}
+	after := dirFiles(t, dir)
+	if !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Fatalf("the refused Compact changed the directory: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// dirFiles reads every file in dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }
