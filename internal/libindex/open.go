@@ -15,10 +15,10 @@ import (
 // partition is one opened index file: the decoded library and build
 // parameters; the library's packed rows are the file's words section.
 // When the file is memory-mapped (the normal case on unix), the rows
-// alias the mapping directly — opening costs one
-// metadata parse, not a copy of the bulk words, and the word pages
-// fault in lazily as searches touch them. On platforms without mmap,
-// or when mapping fails, openPartition falls back to the copying
+// alias the mapping directly — opening costs one metadata parse and one
+// streamed checksum pass, not a copy of the bulk words, and the word
+// pages fault in lazily as searches touch them. On platforms without
+// mmap, or when mapping fails, openPartition falls back to the copying
 // loader and the block lives on the heap; either way the file was
 // checked before it opened.
 type partition struct {
@@ -110,9 +110,10 @@ var mapFile = mmapFile
 
 // decodePartition parses and checks data, the image of file; mapped
 // is data if it is a mapping (released on failure), nil if a heap copy.
-// The checksum streams file rather than the mapping, so checking faults
-// in no word page: a reload does not make the new generation's words
-// resident while the old generation's still are.
+// The checksum streams file rather than the mapping, so it faults in no
+// word page: a reload does not make the new generation's words resident
+// while the old generation's still are. (The tail-bit check reads each
+// row's last word, but only where d is not a multiple of 64.)
 func decodePartition(file io.ReaderAt, path string, data, mapped []byte) (*partition, error) {
 	p, lib, err := parseIndex(data)
 	if err == nil {
