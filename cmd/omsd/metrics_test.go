@@ -156,10 +156,10 @@ func TestMetricsExposition(t *testing.T) {
 			t.Fatalf("family %s has no HELP line", name)
 		}
 	}
-	if v, ok := fams["oms_requests_completed_total"].Sample("oms_requests_completed_total", ""); !ok || v <= 0 {
+	if v, ok := fams["oms_requests_completed_total"].Samples["oms_requests_completed_total"]; !ok || v <= 0 {
 		t.Fatalf("no completed requests after traffic: %v", v)
 	}
-	if v, ok := fams["oms_reload_generation"].Sample("oms_reload_generation", ""); !ok || v != 1 {
+	if v, ok := fams["oms_reload_generation"].Samples["oms_reload_generation"]; !ok || v != 1 {
 		t.Fatalf("reload generation %v after initial load, want 1", v)
 	}
 	// Per-stage rollup: one sample per stage name, sweep nonzero.
@@ -167,14 +167,14 @@ func TestMetricsExposition(t *testing.T) {
 	if len(stages.Samples) != int(obsv.NumStages) {
 		t.Fatalf("%d stage samples, want %d: %v", len(stages.Samples), obsv.NumStages, stages.Samples)
 	}
-	if v, ok := stages.Sample("oms_stage_seconds_total", `stage="sweep"`); !ok || v <= 0 {
+	if v, ok := stages.Samples[`oms_stage_seconds_total{stage="sweep"}`]; !ok || v <= 0 {
 		t.Fatalf("no sweep time in stage rollup: %v", stages.Samples)
 	}
 	// Histogram integrity: bucket counts cumulative, _count equals the
 	// +Inf bucket.
 	lat := fams["oms_request_latency_seconds"]
-	count, _ := lat.Sample("oms_request_latency_seconds_count", "")
-	inf, _ := lat.Sample("oms_request_latency_seconds_bucket", `le="+Inf"`)
+	count := lat.Samples["oms_request_latency_seconds_count"]
+	inf := lat.Samples[`oms_request_latency_seconds_bucket{le="+Inf"}`]
 	if count <= 0 || count != inf {
 		t.Fatalf("latency histogram count %v != +Inf bucket %v", count, inf)
 	}
@@ -183,8 +183,11 @@ func TestMetricsExposition(t *testing.T) {
 	// its first reading.
 	postQueries(t, mux, ds, nil)
 	fams2 := scrape(t, mux)
-	for _, name := range obsv.CounterNames(fams) {
-		f1, f2 := fams[name], fams2[name]
+	for name, f1 := range fams {
+		if f1.Type != "counter" {
+			continue
+		}
+		f2 := fams2[name]
 		if f2 == nil {
 			t.Fatalf("counter family %s vanished on rescrape", name)
 		}
@@ -194,8 +197,8 @@ func TestMetricsExposition(t *testing.T) {
 			}
 		}
 	}
-	was, _ := fams["oms_requests_completed_total"].Sample("oms_requests_completed_total", "")
-	if got, _ := fams2["oms_requests_completed_total"].Sample("oms_requests_completed_total", ""); got <= was {
+	was := fams["oms_requests_completed_total"].Samples["oms_requests_completed_total"]
+	if got := fams2["oms_requests_completed_total"].Samples["oms_requests_completed_total"]; got <= was {
 		t.Fatalf("completed counter did not advance with traffic: %v -> %v", was, got)
 	}
 }
@@ -340,7 +343,7 @@ func TestSlowestEndpoint(t *testing.T) {
 	}
 	// The slow counter is visible on /metrics too.
 	fams := scrape(t, h)
-	if v, ok := fams["oms_slow_queries_total"].Sample("oms_slow_queries_total", ""); !ok || v <= 0 {
+	if v, ok := fams["oms_slow_queries_total"].Samples["oms_slow_queries_total"]; !ok || v <= 0 {
 		t.Fatalf("oms_slow_queries_total %v after slow traffic", v)
 	}
 }
@@ -469,7 +472,11 @@ func TestBareFileReportsOnePartition(t *testing.T) {
 		if f == nil {
 			t.Fatalf("family %s missing", want.family)
 		}
-		if v, ok := f.Sample(want.family, want.labels); !ok || v != want.v {
+		key := want.family
+		if want.labels != "" {
+			key += "{" + want.labels + "}"
+		}
+		if v, ok := f.Samples[key]; !ok || v != want.v {
 			t.Fatalf("%s{%s} = %v (present %v), want %v", want.family, want.labels, v, ok, want.v)
 		}
 	}

@@ -688,7 +688,7 @@ func TestReloadRefusesCorruptedPartition(t *testing.T) {
 	before := postQueries(t, h, ds, nil).Body.Bytes()
 	failures := func() float64 {
 		t.Helper()
-		v, ok := scrape(t, h)["oms_reload_failures_total"].Sample("oms_reload_failures_total", "")
+		v, ok := scrape(t, h)["oms_reload_failures_total"].Samples["oms_reload_failures_total"]
 		if !ok {
 			t.Fatal("no oms_reload_failures_total sample")
 		}

@@ -58,10 +58,6 @@ func NewHWEncoder(cfg core.OperatingPoint) (*HWEncoder, error) {
 	}, nil
 }
 
-// Ideal returns the noise-free software encoder over the same item
-// memory and level set, for ground-truth comparison.
-func (e *HWEncoder) Ideal() *hdc.Encoder { return e.ideal }
-
 // Encode runs the exact in-memory encoding simulation for one
 // quantized peak list: peaks are grouped into row batches of at most
 // ActiveRows; for each batch a crossbar holds the batch's ID
@@ -251,9 +247,6 @@ func NewHWSearcher(cfg core.OperatingPoint, refs []hdc.BinaryHV) (*HWSearcher, e
 	}
 	return s, nil
 }
-
-// Len returns the number of stored references.
-func (s *HWSearcher) Len() int { return len(s.refs) }
 
 // DotProducts returns the in-memory estimate of the bipolar dot
 // product between the query and every reference.

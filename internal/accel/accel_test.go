@@ -138,7 +138,9 @@ func TestHWSearcherFindsPlantedMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := refs[37].Clone()
-	q.FlipExact(20, rng)
+	for _, i := range rng.Perm(cfg.D)[:20] {
+		q.SetBit(i, q.Bit(i) < 0)
+	}
 	dots, err := hw.DotProducts(q)
 	if err != nil {
 		t.Fatal(err)

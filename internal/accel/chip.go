@@ -21,12 +21,6 @@ func DefaultChipSpec() ChipSpec {
 	return ChipSpec{TotalCells: 3_000_000, BitsPerCell: 3, SLCvsSRAMArea: 3}
 }
 
-// CapacityBits returns the raw storage capacity in bits for
-// non-differential hypervector storage (§4.3).
-func (c ChipSpec) CapacityBits() int {
-	return c.TotalCells * c.BitsPerCell
-}
-
 // HypervectorsStorable returns how many D-dimensional binary
 // hypervectors fit in non-differential storage.
 func (c ChipSpec) HypervectorsStorable(d int) int {
@@ -35,16 +29,6 @@ func (c ChipSpec) HypervectorsStorable(d int) int {
 	}
 	cellsPer := (d + c.BitsPerCell - 1) / c.BitsPerCell
 	return c.TotalCells / cellsPer
-}
-
-// DifferentialReferencesStorable returns how many D-dimensional
-// reference hypervectors fit when stored differentially for in-memory
-// search (two cells per dimension).
-func (c ChipSpec) DifferentialReferencesStorable(d int) int {
-	if d <= 0 {
-		return 0
-	}
-	return c.TotalCells / (2 * d)
 }
 
 // DensityVsSLC returns the storage-capacity improvement over an SLC

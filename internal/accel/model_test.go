@@ -49,8 +49,8 @@ func TestCharacterizeMoreBitsMoreError(t *testing.T) {
 
 func TestChipSpecCapacity(t *testing.T) {
 	spec := DefaultChipSpec()
-	if spec.CapacityBits() != 9_000_000 {
-		t.Errorf("capacity = %d", spec.CapacityBits())
+	if bits := spec.TotalCells * spec.BitsPerCell; bits != 9_000_000 {
+		t.Errorf("capacity = %d bits", bits)
 	}
 	if spec.DensityVsSLC() != 3 {
 		t.Errorf("density vs SLC = %v", spec.DensityVsSLC())
@@ -64,13 +64,6 @@ func TestChipSpecCapacity(t *testing.T) {
 	}
 	if spec.HypervectorsStorable(0) != 0 {
 		t.Error("zero dimension not handled")
-	}
-	// Differential search storage: 2 cells per dim.
-	if got := spec.DifferentialReferencesStorable(8192); got != 3_000_000/16384 {
-		t.Errorf("differential refs = %d", got)
-	}
-	if spec.DifferentialReferencesStorable(-1) != 0 {
-		t.Error("negative dimension not handled")
 	}
 	if spec.String() == "" {
 		t.Error("empty String")

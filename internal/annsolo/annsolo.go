@@ -108,9 +108,6 @@ func NewEngine(p Params, library []*spectrum.Spectrum) (*Engine, error) {
 	return e, nil
 }
 
-// Len returns the number of indexed references.
-func (e *Engine) Len() int { return len(e.entries) }
-
 // massRange returns indexed entries with mass in [lo, hi].
 func (e *Engine) massRange(lo, hi float64) []int {
 	first := sort.Search(len(e.byMass), func(i int) bool {

@@ -35,7 +35,7 @@ func TestEndToEndIdentifications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Len() == 0 {
+	if len(eng.entries) == 0 {
 		t.Fatal("no references indexed")
 	}
 	res, err := eng.Run(ds.Queries)

@@ -268,7 +268,9 @@ func TestAdmittedRowsAcrossPartitions(t *testing.T) {
 					}
 				}
 			}
-			for _, ps := range tr.Partitions() {
+			var qt obsv.QueryTrace
+			tr.Snapshot(&qt)
+			for _, ps := range qt.Parts[:qt.NumParts] {
 				if _, dup := gotRows[ps.Index]; dup {
 					t.Errorf("%d partitions: partition %d recorded twice", n, ps.Index)
 				}

@@ -91,58 +91,6 @@ func Filter(psms []PSM, alpha float64) (Result, error) {
 	return res, nil
 }
 
-// QValues computes the q-value (minimal FDR at which the PSM would be
-// accepted) for every input PSM, returned in the same order as the
-// input. Acceptance sets are score-threshold sets, so equal-score
-// PSMs share one raw FDR — evaluated at the end of their tie run,
-// matching Filter's never-split-ties contract — and the standard
-// monotonization (cumulative minimum from the bottom of the ranked
-// list) is applied.
-func QValues(psms []PSM) []float64 {
-	n := len(psms)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return psms[order[a]].Score > psms[order[b]].Score })
-
-	raw := make([]float64, n)
-	var targets, decoys int
-	runStart := 0
-	for rank, i := range order {
-		if psms[i].IsDecoy {
-			decoys++
-		} else {
-			targets++
-		}
-		if rank+1 < n && psms[order[rank+1]].Score == psms[i].Score {
-			continue // mid-run: the cut completes at the run's end
-		}
-		f := 1.0
-		if targets > 0 {
-			f = float64(decoys) / float64(targets)
-			if f > 1 {
-				f = 1
-			}
-		}
-		for r := runStart; r <= rank; r++ {
-			raw[r] = f
-		}
-		runStart = rank + 1
-	}
-	// Monotonize: q[rank] = min over ranks >= rank.
-	for rank := n - 2; rank >= 0; rank-- {
-		if raw[rank+1] < raw[rank] {
-			raw[rank] = raw[rank+1]
-		}
-	}
-	out := make([]float64, n)
-	for rank, i := range order {
-		out[i] = raw[rank]
-	}
-	return out
-}
-
 // UniquePeptides returns the distinct peptide keys among accepted
 // PSMs, a common reporting unit ("identified peptides", Fig. 10).
 func UniquePeptides(psms []PSM) map[string]bool {
@@ -152,7 +100,3 @@ func UniquePeptides(psms []PSM) map[string]bool {
 	}
 	return set
 }
-
-// CountIdentifications returns the number of accepted PSMs, the
-// "total # of identifications" metric of Figs. 11 and 13.
-func CountIdentifications(res Result) int { return len(res.Accepted) }

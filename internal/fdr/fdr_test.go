@@ -1,8 +1,8 @@
 package fdr
 
 import (
+	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -192,36 +192,33 @@ func TestFilterAllTargets(t *testing.T) {
 	}
 }
 
+// TestQValuesMonotoneInRank checks the q-value contract on Filter: a
+// PSM's q-value is the least alpha at which Filter accepts it, so
+// q-values rise with rank exactly when the acceptances at growing alpha
+// are nested: a threshold never rises and no accepted PSM drops out.
 func TestQValuesMonotoneInRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	psms := make([]PSM, 200)
 	for i := range psms {
 		psms[i] = PSM{Score: rng.Float64() * 100, IsDecoy: rng.Float64() < 0.3}
 	}
-	qs := QValues(psms)
-	type pair struct {
-		score float64
-		q     float64
-	}
-	pairs := make([]pair, len(psms))
-	for i := range psms {
-		pairs[i] = pair{psms[i].Score, qs[i]}
-	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].score > pairs[b].score })
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i].q < pairs[i-1].q-1e-12 {
-			t.Fatalf("q-values not monotone at rank %d: %v then %v", i, pairs[i-1].q, pairs[i].q)
+	prev := Result{Threshold: math.Inf(1)}
+	for _, alpha := range []float64{0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 0.99} {
+		res, err := Filter(psms, alpha)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, q := range qs {
-		if q < 0 || q > 1 {
-			t.Fatalf("q-value out of [0,1]: %v", q)
+		if len(res.Accepted) > 0 && res.Threshold > prev.Threshold || len(res.Accepted) < len(prev.Accepted) {
+			t.Fatalf("alpha %v: threshold %v, %d accepted after threshold %v, %d accepted",
+				alpha, res.Threshold, len(res.Accepted), prev.Threshold, len(prev.Accepted))
 		}
+		prev = res
 	}
 }
 
 func TestQValuesPerfectSeparation(t *testing.T) {
-	// All targets above all decoys: top q-values should be small.
+	// All targets above all decoys: every target has q = 0, so even a
+	// strict alpha accepts all of them and no decoy.
 	var psms []PSM
 	for i := 0; i < 50; i++ {
 		psms = append(psms, PSM{Score: 100 + float64(i)})
@@ -229,20 +226,20 @@ func TestQValuesPerfectSeparation(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		psms = append(psms, PSM{Score: float64(i), IsDecoy: true})
 	}
-	qs := QValues(psms)
-	for i := 0; i < 50; i++ {
-		if qs[i] > 0.05 {
-			t.Errorf("well-separated target %d has q=%v", i, qs[i])
-		}
+	res, err := Filter(psms, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Accepted) != 50 || res.DecoyCount != 0 || res.Threshold != 100 {
+		t.Errorf("well-separated targets: %d accepted, %d decoys, threshold %v", len(res.Accepted), res.DecoyCount, res.Threshold)
 	}
 }
 
-func TestQValuesEmpty(t *testing.T) {
-	if qs := QValues(nil); len(qs) != 0 {
-		t.Error("empty input should give empty q-values")
-	}
-}
-
+// TestFilterConsistentWithQValues checks Filter against q-values
+// computed by brute force: a target's q-value is the least decoy/target
+// ratio over the score cuts that accept it, a cut falling only between
+// different scores, and Filter accepts exactly the targets whose
+// q-value is at most alpha.
 func TestFilterConsistentWithQValues(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -256,13 +253,27 @@ func TestFilterConsistentWithQValues(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		qs := QValues(psms)
-		// Filter accepts the deepest prefix with running FDR <= alpha;
-		// a target PSM has q <= alpha exactly when it lies in that
-		// prefix, so the counts must agree.
 		want := 0
-		for i, p := range psms {
-			if !p.IsDecoy && qs[i] <= alpha+1e-12 {
+		for _, p := range psms {
+			if p.IsDecoy {
+				continue
+			}
+			q := math.Inf(1)
+			for _, cut := range psms {
+				if cut.Score > p.Score {
+					continue
+				}
+				var targets, decoys int
+				for _, o := range psms {
+					if o.Score >= cut.Score && o.IsDecoy {
+						decoys++
+					} else if o.Score >= cut.Score {
+						targets++
+					}
+				}
+				q = min(q, float64(decoys)/float64(targets))
+			}
+			if q <= alpha {
 				want++
 			}
 		}
@@ -282,9 +293,25 @@ func TestUniquePeptides(t *testing.T) {
 	}
 }
 
+// TestCountIdentifications checks that the "total # of identifications"
+// of Figs. 11 and 13, the length of Accepted, is the tally of targets at
+// or above the threshold.
 func TestCountIdentifications(t *testing.T) {
-	res := Result{Accepted: make([]PSM, 7)}
-	if CountIdentifications(res) != 7 {
-		t.Error("count wrong")
+	rng := rand.New(rand.NewSource(7))
+	psms := make([]PSM, 300)
+	for i := range psms {
+		// Targets outscore decoys on average, and scores tie often.
+		decoy := rng.Float64() < 0.3
+		psms[i] = PSM{Score: float64(rng.Intn(60)), IsDecoy: decoy}
+		if !decoy {
+			psms[i].Score += 30
+		}
+	}
+	res, err := Filter(psms, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Accepted) == 0 || len(res.Accepted) != res.TargetCount {
+		t.Errorf("%d identifications, %d targets counted", len(res.Accepted), res.TargetCount)
 	}
 }

@@ -53,28 +53,6 @@ func (e *Encoder) checkBins(peaks []spectrum.QuantizedPeak) error {
 	return nil
 }
 
-// Accumulate computes the pre-quantization accumulator
-// Σ ID_i ⊗ LV_i for a quantized peak list into acc, which must have
-// length D. It is the scalar reference: Encode equals Sign of it, and
-// the RRAM-simulated encoder is validated against it bit by bit.
-func (e *Encoder) Accumulate(peaks []spectrum.QuantizedPeak, acc []int32) error {
-	if len(acc) != e.D() {
-		return fmt.Errorf("hdc: accumulator length %d != D %d", len(acc), e.D())
-	}
-	if err := e.checkBins(peaks); err != nil {
-		return err
-	}
-	clear(acc)
-	for _, p := range peaks {
-		id := e.IDs.ID(p.Bin)
-		lv := e.Levels.Level(min(max(p.Level, 0), e.Levels.Q()-1))
-		for i, v := range id.Vals {
-			acc[i] += int32(v) * int32(lv.Bit(i))
-		}
-	}
-	return nil
-}
-
 // Encode encodes a quantized peak list into a new binary hypervector.
 func (e *Encoder) Encode(peaks []spectrum.QuantizedPeak) (BinaryHV, error) {
 	h := NewBinaryHV(e.D())

@@ -88,19 +88,6 @@ func (h BinaryHV) Clone() BinaryHV {
 	return BinaryHV{D: h.D, Words: w}
 }
 
-// Equal reports whether two hypervectors are identical.
-func (h BinaryHV) Equal(o BinaryHV) bool {
-	if h.D != o.D {
-		return false
-	}
-	for i := range h.Words {
-		if h.Words[i] != o.Words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // PopCount returns the number of +1 components.
 func (h BinaryHV) PopCount() int {
 	var c int
@@ -162,34 +149,6 @@ func (h BinaryHV) FlipBits(rate float64, rng *rand.Rand) int {
 	return flipped
 }
 
-// FlipExact flips exactly n distinct random components.
-func (h BinaryHV) FlipExact(n int, rng *rand.Rand) {
-	if n <= 0 {
-		return
-	}
-	if n >= h.D {
-		for i := range h.Words {
-			h.Words[i] = ^h.Words[i]
-		}
-		h.maskTail()
-		return
-	}
-	perm := rng.Perm(h.D)
-	for _, i := range perm[:n] {
-		h.Words[i/64] ^= 1 << (uint(i) % 64)
-	}
-}
-
-// Ints unpacks the hypervector into a bipolar int8 slice (for tests
-// and for feeding the crossbar simulator).
-func (h BinaryHV) Ints() []int8 {
-	out := make([]int8, h.D)
-	for i := 0; i < h.D; i++ {
-		out[i] = int8(h.Bit(i))
-	}
-	return out
-}
-
 // String summarizes the hypervector.
 func (h BinaryHV) String() string {
 	return fmt.Sprintf("BinaryHV{D=%d, +1s=%d}", h.D, h.PopCount())
@@ -202,9 +161,6 @@ type IntHV struct {
 	// Vals are the component values.
 	Vals []int8
 }
-
-// D returns the dimensionality.
-func (h IntHV) D() int { return len(h.Vals) }
 
 // clampPrecision bounds an ID precision to the supported 1–3 bits.
 func clampPrecision(precision int) int {

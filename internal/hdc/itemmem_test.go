@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -206,8 +207,8 @@ func TestItemMemoryIDRoundTrip(t *testing.T) {
 			im := NewItemMemory(d, 20, precision, 42)
 			for b, want := range seedIDs(d, 20, precision, 42) {
 				got := im.ID(b)
-				if got.D() != d {
-					t.Fatalf("D=%d p=%d bin %d: unpacked D %d", d, precision, b, got.D())
+				if len(got.Vals) != d {
+					t.Fatalf("D=%d p=%d bin %d: unpacked D %d", d, precision, b, len(got.Vals))
 				}
 				for i, v := range want.Vals {
 					if got.Vals[i] != v {
@@ -267,8 +268,8 @@ func TestItemMemoryShape(t *testing.T) {
 		t.Errorf("shape: %+v", im)
 	}
 	for i := 0; i < 10; i++ {
-		if im.ID(i).D() != 128 {
-			t.Fatalf("ID %d has D=%d", i, im.ID(i).D())
+		if len(im.ID(i).Vals) != 128 {
+			t.Fatalf("ID %d has D=%d", i, len(im.ID(i).Vals))
 		}
 	}
 }
@@ -325,10 +326,10 @@ func TestFlipLevelSetMonotoneSimilarity(t *testing.T) {
 
 func TestFlipLevelSetClampsLevelIndex(t *testing.T) {
 	ls := NewFlipLevelSet(256, 8, 1)
-	if !ls.Level(-3).Equal(ls.Level(0)) {
+	if !slices.Equal(ls.Level(-3).Words, ls.Level(0).Words) {
 		t.Error("negative level not clamped")
 	}
-	if !ls.Level(99).Equal(ls.Level(7)) {
+	if !slices.Equal(ls.Level(99).Words, ls.Level(7).Words) {
 		t.Error("overflow level not clamped")
 	}
 }

@@ -28,7 +28,9 @@ func TestTopKFindsPlantedMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	// Query = noisy copy of reference 123.
 	q := refs[123].Clone()
-	q.FlipExact(100, rng)
+	for _, i := range rng.Perm(q.D)[:100] {
+		q.SetBit(i, q.Bit(i) < 0)
+	}
 	top := topKRange(s, q, 0, s.Len(), 5)
 	if len(top) != 5 {
 		t.Fatalf("topk len = %d", len(top))
@@ -113,7 +115,7 @@ func TestTopKMatchesBruteForceProperty(t *testing.T) {
 func TestSearcherAccessors(t *testing.T) {
 	refs := randomRefs(128, 9, 9)
 	s, _ := packedSearcher(refs, 4)
-	if s.Len() != 9 || s.D() != 128 || s.numShards() != 3 {
-		t.Errorf("accessors: len=%d d=%d shards=%d", s.Len(), s.D(), s.numShards())
+	if s.Len() != 9 || s.d != 128 || s.numShards() != 3 {
+		t.Errorf("accessors: len=%d d=%d shards=%d", s.Len(), s.d, s.numShards())
 	}
 }

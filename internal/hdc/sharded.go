@@ -133,9 +133,6 @@ func PackRows(refs []BinaryHV) []uint64 {
 	return block
 }
 
-// D returns the hypervector dimension.
-func (s *ShardedSearcher) D() int { return s.d }
-
 // Len returns the number of references.
 func (s *ShardedSearcher) Len() int { return s.n }
 

@@ -73,7 +73,7 @@ func TestEntryStringsSurviveClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mmapSupported && !ix.Mapped() {
+	if !ix.Mapped() {
 		t.Fatal("index not mapped")
 	}
 	entries := ix.parts[0].Lib.Entries

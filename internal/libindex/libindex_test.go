@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,7 +135,7 @@ func TestRoundTripSearchIdentical(t *testing.T) {
 				if lib.Entries[i] != built.Library().Entries[i] {
 					t.Fatalf("entry %d mismatch: %+v vs %+v", i, lib.Entries[i], built.Library().Entries[i])
 				}
-				if !lib.Row(i).Equal(built.Library().Row(i)) {
+				if !slices.Equal(lib.Row(i).Words, built.Library().Row(i).Words) {
 					t.Fatalf("hypervector %d differs after round trip", i)
 				}
 				if lib.SourcePos(i) != built.Library().SourcePos(i) {

@@ -195,7 +195,7 @@ func Open(path string) (*Index, error) {
 			ix.parts = []*partition{part}
 			ix.State, err = bareState(filepath.Base(path), part)
 		} else {
-			err = fmt.Errorf("libindex: partition 0 (%s): %w", filepath.Base(path), err)
+			err = partitionError(0, filepath.Base(path), err)
 		}
 	}
 	if err == nil {
@@ -254,6 +254,19 @@ func bareState(name string, part *partition) (*ManifestState, error) {
 	}, true)
 }
 
+// partitionError names partition i's file in err, an error from
+// openPartition, keeping the package prefix once, at the front.
+func partitionError(i int, file string, err error) error {
+	return fmt.Errorf("libindex: partition %d (%s): %w", i, file, unprefixed{err})
+}
+
+// unprefixed is an error whose text drops a leading "libindex: ".
+type unprefixed struct{ error }
+
+func (e unprefixed) Error() string { return strings.TrimPrefix(e.error.Error(), "libindex: ") }
+
+func (e unprefixed) Unwrap() error { return e.error }
+
 // openParts opens every live partition not yet open, in engine order
 // (base tier ascending by mass, then the delta tier in publish order),
 // and cross-checks each against its record: size, the full params —
@@ -289,7 +302,7 @@ func (ix *Index) openParts(dir string) error {
 			}
 			part, err := openPartition(partPath)
 			if err != nil {
-				return fmt.Errorf("libindex: partition %d (%s): %w", i, info.File, err)
+				return partitionError(i, info.File, err)
 			}
 			ix.parts = append(ix.parts, part)
 		}

@@ -7,18 +7,14 @@ import (
 	"os"
 )
 
-// mmapSupported reports whether this platform can memory-map an index
-// file; when false openPartition falls back to the copying loader.
-const mmapSupported = false
-
 // mmapFile is unavailable on this platform: it fails, and openPartition
 // falls back to the copying loader.
 func mmapFile(f *os.File, size int64) ([]byte, error) {
 	return nil, fmt.Errorf("libindex: memory mapping not supported on this platform")
 }
 
-// munmapFile matches mmap_unix.go; it is never reached when
-// mmapSupported is false.
+// munmapFile matches mmap_unix.go; it is never reached, as mmapFile
+// never succeeds.
 func munmapFile(data []byte) error {
 	return nil
 }

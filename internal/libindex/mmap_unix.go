@@ -10,10 +10,6 @@ import (
 	"testing"
 )
 
-// mmapSupported reports whether this platform can memory-map an index
-// file; when false openPartition falls back to the copying loader.
-const mmapSupported = true
-
 // mmapFile maps size bytes of f read-only. The mapping is shared, so
 // the pages are backed by the page cache: cold partitions cost no heap
 // and fault in lazily, and a re-opened index whose pages are still

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -91,7 +92,7 @@ func TestOpenFileMatchesLoad(t *testing.T) {
 				if olib.Entries[i] != lib.Entries[i] {
 					t.Fatalf("entry %d mismatch", i)
 				}
-				if !olib.Row(i).Equal(lib.Row(i)) {
+				if !slices.Equal(olib.Row(i).Words, lib.Row(i).Words) {
 					t.Fatalf("hypervector %d differs between open and load", i)
 				}
 				if olib.SourcePos(i) != lib.SourcePos(i) {
@@ -239,7 +240,7 @@ func TestSavePartitionedRoundTrip(t *testing.T) {
 					if part.Lib.Entries[i] != lib.Entries[row] {
 						t.Fatalf("global row %d (partition %d row %d) entry mismatch", row, pidx, i)
 					}
-					if !part.Lib.Row(i).Equal(lib.Row(row)) {
+					if !slices.Equal(part.Lib.Row(i).Words, lib.Row(row).Words) {
 						t.Fatalf("global row %d hypervector mismatch", row)
 					}
 					row++

@@ -74,12 +74,15 @@ func TestVerifyPartitionsRejectsBodyCorruption(t *testing.T) {
 		return err
 	}
 	// refused runs open on path under each loader and wants an error
-	// naming the partition and the fault.
+	// naming the partition and the fault, with the package prefix once.
 	refused := func(t *testing.T, path, partition, fault string) {
 		eachLoader(t, func(t *testing.T) {
 			err := open(path)
 			if err == nil || !strings.Contains(err.Error(), partition) || !strings.Contains(err.Error(), fault) {
 				t.Fatalf("Open: got %v, want %s refused as %q", err, partition, fault)
+			}
+			if n := strings.Count(err.Error(), "libindex:"); n != 1 || !strings.HasPrefix(err.Error(), "libindex: ") {
+				t.Fatalf("Open: %q carries the package prefix %d times, want once, at the front", err, n)
 			}
 		})
 	}

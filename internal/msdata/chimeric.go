@@ -82,15 +82,3 @@ func Contaminate(ds *Dataset, cfg ChimericConfig) (*Dataset, error) {
 	}
 	return out, nil
 }
-
-// CountChimeric reports how many queries differ from the source
-// dataset (diagnostic for tests and examples).
-func CountChimeric(orig, contaminated *Dataset) int {
-	n := 0
-	for i := range orig.Queries {
-		if len(orig.Queries[i].Peaks) != len(contaminated.Queries[i].Peaks) {
-			n++
-		}
-	}
-	return n
-}

@@ -4,6 +4,17 @@ import (
 	"testing"
 )
 
+// contaminated counts the queries whose peak lists Contaminate grew.
+func contaminated(orig, out *Dataset) int {
+	n := 0
+	for i := range orig.Queries {
+		if len(orig.Queries[i].Peaks) != len(out.Queries[i].Peaks) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestContaminateValidation(t *testing.T) {
 	ds, err := Generate(IPRG2012(0.001))
 	if err != nil {
@@ -30,7 +41,7 @@ func TestContaminateAddsPeaks(t *testing.T) {
 	if len(out.Queries) != len(ds.Queries) {
 		t.Fatalf("query count changed")
 	}
-	n := CountChimeric(ds, out)
+	n := contaminated(ds, out)
 	if n == 0 {
 		t.Fatal("no queries contaminated")
 	}
@@ -58,7 +69,7 @@ func TestContaminateZeroFractionIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if CountChimeric(ds, out) != 0 {
+	if contaminated(ds, out) != 0 {
 		t.Error("zero fraction contaminated queries")
 	}
 }

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/peptide"
 	"repro/internal/spectrum"
-	"repro/internal/units"
 )
 
 // Config controls synthetic workload generation.
@@ -365,11 +364,4 @@ func (ds *Dataset) Summarize() Stats {
 	}
 	st.PrecursorMassRange = [2]float64{lo, hi}
 	return st
-}
-
-// OpenSearchWindow returns the wide precursor window used for these
-// datasets: wide enough to cover every PTM in the catalogue with
-// margin, matching open-search practice of a few hundred Da.
-func OpenSearchWindow() units.MassWindow {
-	return units.OpenWindow(-150, +500)
 }

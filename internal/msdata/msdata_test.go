@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/peptide"
-	"repro/internal/units"
 )
 
 func smallConfig() Config {
@@ -164,7 +164,7 @@ func TestModifiedQueryPrecursorShift(t *testing.T) {
 }
 
 func TestTheoreticalSpectrumShape(t *testing.T) {
-	p := peptide.MustNew("PEPTIDEK")
+	p := peptide.Peptide{Sequence: "PEPTIDEK"}
 	s := TheoreticalSpectrum(p, 2, 2)
 	if s.Peptide != "PEPTIDEK" || s.Charge != 2 {
 		t.Errorf("header: %+v", s)
@@ -236,15 +236,18 @@ func TestPresetClamping(t *testing.T) {
 	}
 }
 
+// TestOpenSearchWindowCoversCatalogue checks that the open search's
+// precursor window admits every modification the generator applies:
+// a modified query's mass exceeds its reference's by the shift.
 func TestOpenSearchWindowCoversCatalogue(t *testing.T) {
-	w := OpenSearchWindow()
+	w := core.DefaultParams().Window
+	covers := func(shift float64) bool { return shift >= w.Lower && shift <= w.Upper }
 	for _, m := range peptide.CommonModifications {
-		if !w.Contains(0, m.DeltaMass) {
+		if !covers(m.DeltaMass) {
 			t.Errorf("window %v does not cover %s (%v Da)", w, m.Name, m.DeltaMass)
 		}
 	}
-	if w.Contains(0, -200) || w.Contains(0, 600) {
+	if covers(-200) || covers(600) {
 		t.Error("window too wide")
 	}
-	_ = units.MassWindow(w) // type identity
 }

@@ -1,5 +1,5 @@
 // Package obsv is the stdlib-only observability layer of the serving
-// stack: a lightweight per-query stage-tracing API (Trace/Span) cheap
+// stack: a lightweight per-query stage-tracing API (Trace) cheap
 // enough for the kernel hot path, the trace record the slow-query ring
 // stores, and a small Prometheus text-exposition writer/parser pair
 // for the /metrics endpoint and its tests.
@@ -15,8 +15,8 @@
 //
 // Tracing is allocation-free on the hot path by construction: a Trace
 // is a fixed block of atomic counters owned by its caller (the serving
-// layer reuses one per dispatcher), a Span is a value, and every
-// method is nil-safe so untraced paths pay one branch;
+// layer reuses one per dispatcher), and every method is nil-safe so
+// untraced paths pay one branch;
 // TestSpanZeroAlloc pins the hot-path methods at zero allocations.
 package obsv
 
@@ -143,33 +143,6 @@ func (t *Trace) AddPartition(index, rows int, nanos int64) {
 	}
 }
 
-// Start opens a span on a stage; End accumulates its elapsed time.
-// The monotonic clock inside time.Now carries through time.Since, so
-// spans are immune to wall-clock steps.
-func (t *Trace) Start(s Stage) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{tr: t, stage: s, start: time.Now()}
-}
-
-// Span is one open stage measurement: a value, so starting and ending
-// a span allocates nothing.
-type Span struct {
-	tr    *Trace
-	stage Stage
-	start time.Time
-}
-
-// End closes the span, adding its elapsed nanoseconds to the stage.
-// Ending the zero Span (from a nil trace) is a no-op.
-func (sp Span) End() {
-	if sp.tr == nil {
-		return
-	}
-	sp.tr.stages[sp.stage].Add(int64(time.Since(sp.start)))
-}
-
 // StageNanos returns the accumulated nanoseconds of one stage.
 func (t *Trace) StageNanos(s Stage) int64 {
 	if t == nil || s >= NumStages {
@@ -192,17 +165,6 @@ func (t *Trace) RowsAdmitted() int64 {
 		return 0
 	}
 	return t.rowsAdmitted.Load()
-}
-
-// Partitions returns a copy of the recorded per-partition sweeps.
-func (t *Trace) Partitions() []PartSweep {
-	if t == nil {
-		return nil
-	}
-	n := min(int(t.nparts.Load()), len(t.parts))
-	out := make([]PartSweep, n)
-	copy(out, t.parts[:n])
-	return out
 }
 
 // QueryTrace is one request's completed trace record — the unit the

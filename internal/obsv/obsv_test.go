@@ -52,7 +52,7 @@ func TestTraceAccumulation(t *testing.T) {
 	if admitted := tr.RowsAdmitted(); admitted != 42 {
 		t.Errorf("RowsAdmitted() = %d, want 42", admitted)
 	}
-	parts := tr.Partitions()
+	parts := partitions(tr)
 	if len(parts) != 2 || parts[0] != (PartSweep{Index: 0, Rows: 400, Nanos: 7}) || parts[1] != (PartSweep{Index: 2, Rows: 600, Nanos: 9}) {
 		t.Errorf("Partitions() = %+v", parts)
 	}
@@ -76,24 +76,16 @@ func TestTraceAccumulation(t *testing.T) {
 	if admitted := tr.RowsAdmitted(); admitted != 0 {
 		t.Errorf("after Reset, RowsAdmitted() = %d", admitted)
 	}
-	if parts := tr.Partitions(); len(parts) != 0 {
-		t.Errorf("after Reset, Partitions() = %+v", parts)
+	if parts := partitions(tr); len(parts) != 0 {
+		t.Errorf("after Reset, partitions = %+v", parts)
 	}
 }
 
-// TestSpanMeasures checks a span records positive elapsed time on the
-// right stage.
-func TestSpanMeasures(t *testing.T) {
-	tr := &Trace{}
-	sp := tr.Start(StageMerge)
-	time.Sleep(time.Millisecond)
-	sp.End()
-	if got := tr.StageNanos(StageMerge); got < int64(time.Millisecond/2) {
-		t.Errorf("span recorded %dns, want >= ~1ms", got)
-	}
-	if got := tr.StageNanos(StageSweep); got != 0 {
-		t.Errorf("span leaked %dns into sweep", got)
-	}
+// partitions returns the per-partition sweeps a snapshot of tr holds.
+func partitions(tr *Trace) []PartSweep {
+	var qt QueryTrace
+	tr.Snapshot(&qt)
+	return qt.Parts[:qt.NumParts]
 }
 
 // TestNilTraceSafe pins the nil-receiver contract: every recording
@@ -106,8 +98,6 @@ func TestNilTraceSafe(t *testing.T) {
 	tr.AddRows(1)
 	tr.AddAdmitted(1)
 	tr.AddPartition(0, 1, 1)
-	sp := tr.Start(StageSweep)
-	sp.End()
 	var qt QueryTrace
 	tr.Snapshot(&qt)
 	if tr.StageNanos(StageSweep) != 0 {
@@ -116,7 +106,7 @@ func TestNilTraceSafe(t *testing.T) {
 	if tr.RowsSwept() != 0 || tr.RowsAdmitted() != 0 {
 		t.Error("nil trace reported rows")
 	}
-	if tr.Partitions() != nil {
+	if qt.NumParts != 0 {
 		t.Error("nil trace reported partitions")
 	}
 }
@@ -128,7 +118,7 @@ func TestPartitionOverflow(t *testing.T) {
 	for i := 0; i < MaxTracedPartitions+8; i++ {
 		tr.AddPartition(i, i, int64(i))
 	}
-	parts := tr.Partitions()
+	parts := partitions(tr)
 	if len(parts) != MaxTracedPartitions {
 		t.Fatalf("kept %d partition records, want %d", len(parts), MaxTracedPartitions)
 	}
@@ -163,20 +153,19 @@ func TestTraceConcurrent(t *testing.T) {
 	if swept := tr.RowsSwept(); swept != 2*workers*adds {
 		t.Errorf("concurrent AddRows lost updates: %d", swept)
 	}
-	if got := len(tr.Partitions()); got != workers {
+	if got := len(partitions(tr)); got != workers {
 		t.Errorf("concurrent AddPartition kept %d records, want %d", got, workers)
 	}
 }
 
-// TestSpanZeroAlloc is the zero-allocation baseline for span
-// start/stop on the kernel path: every Trace method a search calls,
+// TestSpanZeroAlloc is the zero-allocation baseline for recording a
+// stage's span on the kernel path: every Trace method a search calls,
 // on a live trace and on a nil one.
 func TestSpanZeroAlloc(t *testing.T) {
 	tr := &Trace{}
 	var qt QueryTrace
 	allocs := testing.AllocsPerRun(200, func() {
-		sp := tr.Start(StageSweep)
-		sp.End()
+		tr.AddNanos(StageSweep, 1)
 		tr.AddNanos(StageEncode, 1)
 		tr.AddRows(128)
 		tr.AddAdmitted(8)
@@ -185,16 +174,15 @@ func TestSpanZeroAlloc(t *testing.T) {
 		tr.Reset()
 	})
 	if allocs != 0 {
-		t.Errorf("span start/stop allocates %.1f allocs/op, want 0", allocs)
+		t.Errorf("stage recording allocates %.1f allocs/op, want 0", allocs)
 	}
 	var nilTr *Trace
 	allocs = testing.AllocsPerRun(200, func() {
-		sp := nilTr.Start(StageSweep)
-		sp.End()
+		nilTr.AddNanos(StageSweep, 1)
 		nilTr.AddRows(1)
 		nilTr.AddAdmitted(1)
 	})
 	if allocs != 0 {
-		t.Errorf("nil-trace span path allocates %.1f allocs/op, want 0", allocs)
+		t.Errorf("nil-trace recording path allocates %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -162,17 +161,6 @@ type PromFamily struct {
 	Samples map[string]float64
 }
 
-// Sample returns the value of the sample with the given full name and
-// label body ("" for unlabelled).
-func (f *PromFamily) Sample(name, labels string) (float64, bool) {
-	key := name
-	if labels != "" {
-		key = name + "{" + labels + "}"
-	}
-	v, ok := f.Samples[key]
-	return v, ok
-}
-
 // ParseProm parses text exposition output into metric families,
 // validating the structural rules the /metrics golden test relies on:
 // every sample belongs to a family whose HELP and TYPE lines precede
@@ -276,17 +264,4 @@ func validPromType(typ string) bool {
 		return true
 	}
 	return false
-}
-
-// CounterNames returns the sorted names of counter families — the
-// monotonicity test walks these across two scrapes.
-func CounterNames(fams map[string]*PromFamily) []string {
-	var out []string
-	for name, f := range fams {
-		if f.Type == "counter" {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

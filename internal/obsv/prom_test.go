@@ -122,28 +122,23 @@ func TestParsePromRoundTrip(t *testing.T) {
 	if len(fams) != 4 {
 		t.Fatalf("parsed %d families, want 4", len(fams))
 	}
-	if v, ok := fams["a_total"].Sample("a_total", ""); !ok || v != 5 {
+	if v, ok := fams["a_total"].Samples["a_total"]; !ok || v != 5 {
 		t.Errorf("a_total = %v, %v", v, ok)
 	}
 	if fams["a_total"].Type != "counter" || fams["a_total"].Help != "A." {
 		t.Errorf("a_total family = %+v", fams["a_total"])
 	}
-	if v, ok := fams["g"].Sample("g", ""); !ok || v != 1.25 {
+	if v, ok := fams["g"].Samples["g"]; !ok || v != 1.25 {
 		t.Errorf("g = %v, %v", v, ok)
 	}
-	if v, ok := fams["lab_total"].Sample("lab_total", `k="v"`); !ok || v != 2 {
+	if v, ok := fams["lab_total"].Samples[`lab_total{k="v"}`]; !ok || v != 2 {
 		t.Errorf("lab_total{k=v} = %v, %v", v, ok)
 	}
-	if v, ok := fams["h"].Sample("h_bucket", `le="2"`); !ok || v != 3 {
+	if v, ok := fams["h"].Samples[`h_bucket{le="2"}`]; !ok || v != 3 {
 		t.Errorf("h_bucket{le=2} = %v, %v (want cumulative 3)", v, ok)
 	}
-	if v, ok := fams["h"].Sample("h_count", ""); !ok || v != 3 {
+	if v, ok := fams["h"].Samples["h_count"]; !ok || v != 3 {
 		t.Errorf("h_count = %v, %v", v, ok)
-	}
-
-	names := CounterNames(fams)
-	if len(names) != 2 || names[0] != "a_total" || names[1] != "lab_total" {
-		t.Errorf("CounterNames = %v", names)
 	}
 }
 

@@ -38,16 +38,6 @@ func Alphabet() []byte {
 	return out
 }
 
-// ResidueMass returns the monoisotopic residue mass of the amino acid,
-// or an error if the letter is not a standard residue.
-func ResidueMass(aa byte) (float64, error) {
-	m, ok := residueMass[aa]
-	if !ok {
-		return 0, fmt.Errorf("peptide: unknown amino acid %q", string(aa))
-	}
-	return m, nil
-}
-
 // Modification is a named post-translational modification applied at a
 // specific residue position of a peptide.
 type Modification struct {
@@ -99,15 +89,6 @@ func New(sequence string) (Peptide, error) {
 	return Peptide{Sequence: seq}, nil
 }
 
-// MustNew is like New but panics on error; for tests and literals.
-func MustNew(sequence string) Peptide {
-	p, err := New(sequence)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // WithMod returns a copy of the peptide carrying an extra modification.
 func (p Peptide) WithMod(m Modification) Peptide {
 	mods := make([]Modification, len(p.Mods)+1)
@@ -118,9 +99,6 @@ func (p Peptide) WithMod(m Modification) Peptide {
 
 // Len returns the number of residues.
 func (p Peptide) Len() int { return len(p.Sequence) }
-
-// IsModified reports whether the peptide carries any modification.
-func (p Peptide) IsModified() bool { return len(p.Mods) > 0 }
 
 // ModMass returns the summed mass shift of all modifications in Da.
 func (p Peptide) ModMass() float64 {
@@ -163,12 +141,6 @@ func (p Peptide) String() string {
 	sb.WriteByte(']')
 	return sb.String()
 }
-
-// Key returns a canonical identity string ignoring modification
-// positions, used to compare identifications across search tools
-// (a modified and unmodified form of a peptide count as one peptide,
-// which is how open-search Venn comparisons are made).
-func (p Peptide) Key() string { return p.Sequence }
 
 // FragmentKind distinguishes the fragment ion series.
 type FragmentKind int

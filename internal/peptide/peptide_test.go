@@ -23,17 +23,18 @@ func TestAlphabetHas20(t *testing.T) {
 }
 
 func TestResidueMass(t *testing.T) {
-	m, err := ResidueMass('G')
+	// A one-residue peptide weighs its residue plus one water.
+	p, err := New("G")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(m-57.02146) > 1e-6 {
+	if m := p.Mass() - units.WaterMass; math.Abs(m-57.02146) > 1e-6 {
 		t.Errorf("G mass = %v", m)
 	}
-	if _, err := ResidueMass('X'); err == nil {
+	if _, err := New("X"); err == nil {
 		t.Error("expected error for unknown residue X")
 	}
-	if _, err := ResidueMass('B'); err == nil {
+	if _, err := New("B"); err == nil {
 		t.Error("expected error for unknown residue B")
 	}
 }
@@ -54,41 +55,32 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew should panic on invalid sequence")
-		}
-	}()
-	MustNew("ZZZ9")
-}
-
 func TestKnownPeptideMass(t *testing.T) {
 	// PEPTIDE monoisotopic mass is a textbook value: 799.3600 Da.
-	p := MustNew("PEPTIDE")
+	p := Peptide{Sequence: "PEPTIDE"}
 	if got := p.Mass(); math.Abs(got-799.3600) > 0.001 {
 		t.Errorf("PEPTIDE mass = %v, want ~799.36", got)
 	}
 }
 
 func TestModMassShiftsPrecursor(t *testing.T) {
-	p := MustNew("PEPTIDEK")
+	p := Peptide{Sequence: "PEPTIDEK"}
 	m0 := p.Mass()
 	mod := Modification{Name: "Phospho", DeltaMass: 79.966331, Position: 3}
 	pm := p.WithMod(mod)
 	if got := pm.Mass() - m0; math.Abs(got-79.966331) > 1e-9 {
 		t.Errorf("mod mass shift = %v, want 79.966331", got)
 	}
-	if !pm.IsModified() || p.IsModified() {
-		t.Error("IsModified flags wrong")
+	if len(pm.Mods) != 1 || len(p.Mods) != 0 {
+		t.Error("WithMod must add the modification to the copy only")
 	}
-	if pm.Key() != p.Key() {
-		t.Error("Key must ignore modifications")
+	if pm.Sequence != p.Sequence {
+		t.Error("WithMod must keep the sequence")
 	}
 }
 
 func TestWithModDoesNotMutateOriginal(t *testing.T) {
-	p := MustNew("ACDK")
+	p := Peptide{Sequence: "ACDK"}
 	_ = p.WithMod(CommonModifications[0])
 	if len(p.Mods) != 0 {
 		t.Error("WithMod mutated the receiver")
@@ -96,7 +88,7 @@ func TestWithModDoesNotMutateOriginal(t *testing.T) {
 }
 
 func TestMZMatchesUnits(t *testing.T) {
-	p := MustNew("LVKK")
+	p := Peptide{Sequence: "LVKK"}
 	for z := 1; z <= 3; z++ {
 		want := units.NeutralMassToMZ(p.Mass(), z)
 		if got := p.MZ(z); math.Abs(got-want) > 1e-12 {
@@ -106,7 +98,7 @@ func TestMZMatchesUnits(t *testing.T) {
 }
 
 func TestStringAnnotations(t *testing.T) {
-	p := MustNew("ACK")
+	p := Peptide{Sequence: "ACK"}
 	if p.String() != "ACK" {
 		t.Errorf("unmodified String = %q", p.String())
 	}
@@ -117,7 +109,7 @@ func TestStringAnnotations(t *testing.T) {
 }
 
 func TestFragmentsCountAndComplementarity(t *testing.T) {
-	p := MustNew("PEPTIDEK")
+	p := Peptide{Sequence: "PEPTIDEK"}
 	frags := p.Fragments(1)
 	n := p.Len()
 	if len(frags) != 2*(n-1) {
@@ -141,7 +133,7 @@ func TestFragmentsCountAndComplementarity(t *testing.T) {
 }
 
 func TestFragmentsMaxCharge(t *testing.T) {
-	p := MustNew("PEPTIDEK")
+	p := Peptide{Sequence: "PEPTIDEK"}
 	frags := p.Fragments(2)
 	if len(frags) != 2*(p.Len()-1)*2 {
 		t.Fatalf("fragment count with z<=2 = %d", len(frags))
@@ -158,7 +150,7 @@ func TestFragmentsMaxCharge(t *testing.T) {
 }
 
 func TestFragmentsShortPeptide(t *testing.T) {
-	p := MustNew("GK")
+	p := Peptide{Sequence: "GK"}
 	if frags := p.Fragments(1); len(frags) != 2 {
 		t.Errorf("GK fragments = %d, want 2", len(frags))
 	}
@@ -169,7 +161,7 @@ func TestFragmentsShortPeptide(t *testing.T) {
 }
 
 func TestLocalizedModShiftsCorrectFragments(t *testing.T) {
-	p := MustNew("AAAAK")
+	p := Peptide{Sequence: "AAAAK"}
 	mod := Modification{Name: "Phospho", DeltaMass: 80.0, Position: 1}
 	pm := p.WithMod(mod)
 	base := map[[2]int]float64{}
@@ -192,7 +184,7 @@ func TestLocalizedModShiftsCorrectFragments(t *testing.T) {
 }
 
 func TestUnlocalizedModShiftsOnlyYSeries(t *testing.T) {
-	p := MustNew("AAAAK")
+	p := Peptide{Sequence: "AAAAK"}
 	pm := p.WithMod(Modification{Name: "Open", DeltaMass: 50, Position: -1})
 	base := map[[2]int]float64{}
 	for _, f := range p.Fragments(1) {
@@ -255,7 +247,7 @@ func TestDigestLengthFilter(t *testing.T) {
 
 func TestDecoyPseudoReverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	p := MustNew("ABCDEFK"[0:0] + "ACDEFGK") // ACDEFGK
+	p := Peptide{Sequence: "ACDEFGK"} // ACDEFGK
 	d := Decoy(p, rng)
 	if d.Sequence[len(d.Sequence)-1] != 'K' {
 		t.Error("decoy must keep C-terminal residue")
@@ -270,14 +262,14 @@ func TestDecoyPseudoReverse(t *testing.T) {
 
 func TestDecoyPalindromeShuffled(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	p := MustNew("AAAK") // reversal of prefix is identical
+	p := Peptide{Sequence: "AAAK"} // reversal of prefix is identical
 	d := Decoy(p, rng)
 	// Shuffling AAA cannot change it; the 16-try loop gives up. The
 	// contract is only "mass preserved, terminus preserved".
 	if math.Abs(d.Mass()-p.Mass()) > 1e-9 {
 		t.Error("decoy mass changed")
 	}
-	p2 := MustNew("ABAK"[0:0] + "AGAK")
+	p2 := Peptide{Sequence: "AGAK"}
 	d2 := Decoy(p2, rng)
 	if d2.Sequence[3] != 'K' {
 		t.Error("terminus moved")

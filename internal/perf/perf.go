@@ -17,7 +17,6 @@
 package perf
 
 import (
-	"fmt"
 	"time"
 )
 
@@ -63,15 +62,6 @@ func IPRG2012Workload() Workload {
 	}
 }
 
-// HEK293Workload returns the paper-scale HEK293 operating point.
-func HEK293Workload() Workload {
-	w := IPRG2012Workload()
-	w.Name = "HEK293"
-	w.NumQueries = 47000
-	w.NumRefs = 3000000
-	return w
-}
-
 // AccelModel holds the accelerator's hardware constants.
 type AccelModel struct {
 	// CycleTime is one MVM sense+ADC cycle (open-circuit voltage
@@ -105,14 +95,6 @@ type Cost struct {
 	Total time.Duration
 	// Energy is the end-to-end energy in joules.
 	Energy float64
-}
-
-// PerQuery returns the mean per-query latency.
-func (c Cost) PerQuery(w Workload) time.Duration {
-	if w.NumQueries == 0 {
-		return 0
-	}
-	return c.Total / time.Duration(w.NumQueries)
 }
 
 // EncodeCyclesPerQuery returns the in-memory encoding cycle count for
@@ -215,21 +197,4 @@ func Figure12(m AccelModel, w Workload) []Fig12Row {
 		}
 	}
 	return rows
-}
-
-// SpeedupVs returns this work's speedup over the named baseline.
-func SpeedupVs(rows []Fig12Row, name string) (float64, error) {
-	var this, base *Fig12Row
-	for i := range rows {
-		switch rows[i].Name {
-		case "This Work":
-			this = &rows[i]
-		case name:
-			base = &rows[i]
-		}
-	}
-	if this == nil || base == nil {
-		return 0, fmt.Errorf("perf: rows missing %q or This Work", name)
-	}
-	return this.Speedup / base.Speedup, nil
 }

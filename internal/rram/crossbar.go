@@ -51,18 +51,6 @@ func (c CrossbarConfig) senseSigma() float64 {
 	return c.SenseNoiseSigma
 }
 
-// DefaultCrossbarConfig mirrors the paper's operating point: 64
-// activated rows, 8-level (3-bit) cells, moderate ADC resolution.
-func DefaultCrossbarConfig() CrossbarConfig {
-	return CrossbarConfig{
-		Rows:          256,
-		Cols:          256,
-		ADCBits:       6,
-		MaxActiveRows: 64,
-		WeightBits:    3,
-	}
-}
-
 // WeightMax returns the largest representable weight magnitude.
 func (c CrossbarConfig) WeightMax() float64 {
 	b := c.WeightBits
@@ -111,12 +99,6 @@ func NewCrossbar(cfg CrossbarConfig, dev *Device) (*Crossbar, error) {
 	}
 	return &Crossbar{cfg: cfg, dev: dev, cells: cells, nPairs: cfg.Rows / 2}, nil
 }
-
-// Config returns the crossbar configuration.
-func (x *Crossbar) Config() CrossbarConfig { return x.cfg }
-
-// NumPairs returns the number of differential weight rows (Rows/2).
-func (x *Crossbar) NumPairs() int { return x.nPairs }
 
 // ProgramWeights writes a weight matrix into the array: weights[i][j]
 // is the weight at differential pair i, column j, with magnitudes

@@ -31,14 +31,13 @@ func TestNewCrossbarValidation(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
-	cfg := DefaultCrossbarConfig()
-	cfg.MaxActiveRows = 9999
+	cfg := CrossbarConfig{Rows: 256, Cols: 256, ADCBits: 6, MaxActiveRows: 9999, WeightBits: 3}
 	x, err := NewCrossbar(cfg, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Config().MaxActiveRows != cfg.Rows/2 {
-		t.Errorf("MaxActiveRows not clamped: %d", x.Config().MaxActiveRows)
+	if x.cfg.MaxActiveRows != cfg.Rows/2 {
+		t.Errorf("MaxActiveRows not clamped: %d", x.cfg.MaxActiveRows)
 	}
 }
 
@@ -72,7 +71,7 @@ func TestDifferentialMappingEquations(t *testing.T) {
 	if err := x.ProgramWeights([][]float64{{2, -4}}); err != nil {
 		t.Fatal(err)
 	}
-	gmax := dev.Config().GMax
+	gmax := dev.cfg.GMax
 	// W=2, Wmax=4: g+ = (1+0.5)/2*gmax = 37.5, g- = 12.5.
 	if g := x.cells[0][0].target; math.Abs(g-0.75*gmax) > 1e-9 {
 		t.Errorf("g+ = %v, want %v", g, 0.75*gmax)

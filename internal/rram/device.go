@@ -77,12 +77,6 @@ type Cell struct {
 	programmed bool
 }
 
-// Programmed reports whether the cell has been programmed.
-func (c *Cell) Programmed() bool { return c.programmed }
-
-// Target returns the intended conductance in uS.
-func (c *Cell) Target() float64 { return c.target }
-
 // Device simulates a population of RRAM cells under one configuration.
 type Device struct {
 	cfg DeviceConfig
@@ -96,9 +90,6 @@ func NewDevice(cfg DeviceConfig, seed int64) *Device {
 	}
 	return &Device{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
 }
-
-// Config returns the device configuration.
-func (d *Device) Config() DeviceConfig { return d.cfg }
 
 // Program writes a target conductance (uS) into the cell, drawing
 // fresh write-noise and relaxation realizations. Targets are clamped
@@ -174,15 +165,6 @@ func NewLevelGrid(levels int, gmax float64) LevelGrid {
 	return LevelGrid{Levels: levels, GMax: gmax}
 }
 
-// BitsPerCell returns log2(Levels) for power-of-two grids.
-func (g LevelGrid) BitsPerCell() int {
-	b := 0
-	for l := g.Levels; l > 1; l >>= 1 {
-		b++
-	}
-	return b
-}
-
 // Target returns the conductance target of level L.
 func (g LevelGrid) Target(level int) float64 {
 	if level < 0 {
@@ -206,11 +188,6 @@ func (g LevelGrid) Decide(conductance float64) int {
 		l = g.Levels - 1
 	}
 	return l
-}
-
-// Separation returns the conductance distance between adjacent levels.
-func (g LevelGrid) Separation() float64 {
-	return g.GMax / float64(g.Levels-1)
 }
 
 // Histogram bins observed conductances of a cell population read at

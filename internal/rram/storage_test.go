@@ -2,6 +2,7 @@ package rram
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -67,7 +68,7 @@ func TestHVStoreRoundTripQuietDevice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !h.Equal(back) {
+		if !slices.Equal(h.Words, back.Words) {
 			t.Errorf("bits=%d: round trip corrupted %d bits",
 				bits, hdc.HammingDistance(h, back))
 		}
@@ -93,12 +94,16 @@ func TestHVStoreLen(t *testing.T) {
 	s, _ := NewHVStore(dev, 64, 1)
 	rng := newTestRNG(8)
 	for i := 0; i < 5; i++ {
-		if _, err := s.Store(hdc.RandomBinaryHV(64, rng)); err != nil {
+		idx, err := s.Store(hdc.RandomBinaryHV(64, rng))
+		if err != nil {
 			t.Fatal(err)
 		}
+		if idx != i {
+			t.Errorf("store %d returned index %d", i, idx)
+		}
 	}
-	if s.Len() != 5 || s.BitsPerCell() != 1 {
-		t.Errorf("Len=%d bits=%d", s.Len(), s.BitsPerCell())
+	if len(s.cells) != 5 || s.CellsPerHV() != 64 {
+		t.Errorf("stored %d hypervectors of %d cells", len(s.cells), s.CellsPerHV())
 	}
 }
 
@@ -167,7 +172,7 @@ func TestGrayHVStoreRoundTripQuietDevice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !h.Equal(back) {
+		if !slices.Equal(h.Words, back.Words) {
 			t.Errorf("gray bits=%d: corrupted %d bits", bits, hdc.HammingDistance(h, back))
 		}
 	}

@@ -86,15 +86,6 @@ func basePeak(peaks []Peak) Peak {
 	return bp
 }
 
-// TotalIonCurrent returns the summed intensity of all peaks.
-func (s *Spectrum) TotalIonCurrent() float64 {
-	var t float64
-	for _, p := range s.Peaks {
-		t += p.Intensity
-	}
-	return t
-}
-
 // Clone returns a deep copy of the spectrum.
 func (s *Spectrum) Clone() *Spectrum {
 	c := *s

@@ -43,9 +43,6 @@ func TestSortPeaksAndBasePeak(t *testing.T) {
 	if bp := s.BasePeak(); bp.Intensity != 50 {
 		t.Errorf("base peak = %v", bp)
 	}
-	if tic := s.TotalIonCurrent(); tic != 65 {
-		t.Errorf("TIC = %v", tic)
-	}
 }
 
 func TestCloneIsDeep(t *testing.T) {

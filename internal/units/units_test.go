@@ -8,26 +8,29 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// within reports whether offset lies in w's closed interval.
+func within(w MassWindow, offset float64) bool { return offset >= w.Lower && offset <= w.Upper }
+
 func TestDaToleranceContains(t *testing.T) {
-	tol := Da(0.5)
-	if !tol.Contains(1000, 1000.5) {
+	w := StandardWindow(1000, Da(0.5))
+	if !within(w, 0.5) {
 		t.Errorf("1000.5 should be within 0.5 Da of 1000")
 	}
-	if tol.Contains(1000, 1000.51) {
+	if within(w, 0.51) {
 		t.Errorf("1000.51 should be outside 0.5 Da of 1000")
 	}
-	if !tol.Contains(1000, 999.5) {
+	if !within(w, -0.5) {
 		t.Errorf("999.5 should be within 0.5 Da of 1000")
 	}
 }
 
 func TestPPMToleranceContains(t *testing.T) {
-	tol := PPM(10)
 	// 10 ppm of 1000 Da = 0.01 Da.
-	if !tol.Contains(1000, 1000.009) {
+	w := StandardWindow(1000, Tolerance{Value: 10, PPM: true})
+	if !within(w, 0.009) {
 		t.Errorf("1000.009 should be within 10 ppm of 1000")
 	}
-	if tol.Contains(1000, 1000.011) {
+	if within(w, 0.011) {
 		t.Errorf("1000.011 should be outside 10 ppm of 1000")
 	}
 }
@@ -36,15 +39,17 @@ func TestToleranceDelta(t *testing.T) {
 	if got := Da(0.25).Delta(5000); got != 0.25 {
 		t.Errorf("Da delta = %v, want 0.25", got)
 	}
-	if got := PPM(20).Delta(500); !almostEqual(got, 0.01, 1e-12) {
+	if got := (Tolerance{Value: 20, PPM: true}).Delta(500); !almostEqual(got, 0.01, 1e-12) {
 		t.Errorf("PPM delta = %v, want 0.01", got)
 	}
 }
 
 func TestToleranceWindow(t *testing.T) {
-	lo, hi := Da(1).Window(100)
-	if lo != 99 || hi != 101 {
-		t.Errorf("window = [%v,%v], want [99,101]", lo, hi)
+	// A Dalton tolerance's window does not scale with the reference.
+	for _, ref := range []float64{100, 5000} {
+		if w := StandardWindow(ref, Da(1)); w.Lower != -1 || w.Upper != 1 {
+			t.Errorf("window around %v = %v, want [-1, +1] Da", ref, w)
+		}
 	}
 }
 
@@ -52,7 +57,7 @@ func TestToleranceString(t *testing.T) {
 	if s := Da(0.5).String(); s != "0.5 Da" {
 		t.Errorf("String = %q", s)
 	}
-	if s := PPM(10).String(); s != "10 ppm" {
+	if s := (Tolerance{Value: 10, PPM: true}).String(); s != "10 ppm" {
 		t.Errorf("String = %q", s)
 	}
 }
@@ -62,34 +67,11 @@ func TestOpenWindowNormalizes(t *testing.T) {
 	if w.Lower != -150 || w.Upper != 500 {
 		t.Errorf("OpenWindow should normalize order, got %+v", w)
 	}
-	if w.Width() != 650 {
-		t.Errorf("Width = %v, want 650", w.Width())
-	}
-}
-
-func TestMassWindowContains(t *testing.T) {
-	w := OpenWindow(-150, 500)
-	ref := 2000.0
-	cases := []struct {
-		m    float64
-		want bool
-	}{
-		{2000, true},
-		{1850, true},
-		{1849.9, false},
-		{2500, true},
-		{2500.1, false},
-	}
-	for _, c := range cases {
-		if got := w.Contains(ref, c.m); got != c.want {
-			t.Errorf("Contains(%v, %v) = %v, want %v", ref, c.m, got, c.want)
-		}
-	}
 }
 
 func TestStandardWindow(t *testing.T) {
-	w := StandardWindow(1000, PPM(10))
-	if !almostEqual(w.Upper, 0.01, 1e-9) || !almostEqual(w.Lower, -0.01, 1e-9) {
+	w := StandardWindow(2000, Tolerance{Value: 10, PPM: true})
+	if !almostEqual(w.Upper, 0.02, 1e-9) || !almostEqual(w.Lower, -0.02, 1e-9) {
 		t.Errorf("StandardWindow = %+v", w)
 	}
 }
@@ -98,7 +80,7 @@ func TestMZRoundTrip(t *testing.T) {
 	for _, charge := range []int{1, 2, 3, 4} {
 		mass := 1234.5678
 		mz := NeutralMassToMZ(mass, charge)
-		back := MZToNeutralMass(mz, charge)
+		back := (mz - ProtonMass) * float64(charge)
 		if !almostEqual(mass, back, 1e-9) {
 			t.Errorf("charge %d: round trip %v -> %v", charge, mass, back)
 		}
@@ -109,17 +91,8 @@ func TestMZChargeZeroTreatedAsOne(t *testing.T) {
 	if got, want := NeutralMassToMZ(100, 0), NeutralMassToMZ(100, 1); got != want {
 		t.Errorf("charge 0 mz = %v, want %v", got, want)
 	}
-	if got, want := MZToNeutralMass(100, 0), MZToNeutralMass(100, 1); got != want {
-		t.Errorf("charge 0 mass = %v, want %v", got, want)
-	}
-}
-
-func TestPPMError(t *testing.T) {
-	if got := PPMError(1000, 1000.01); !almostEqual(got, 10, 1e-9) {
-		t.Errorf("PPMError = %v, want 10", got)
-	}
-	if got := PPMError(0, 5); got != 0 {
-		t.Errorf("PPMError with zero expected = %v, want 0", got)
+	if got, want := NeutralMassToMZ(100, -2), NeutralMassToMZ(100, 1); got != want {
+		t.Errorf("charge -2 mz = %v, want %v", got, want)
 	}
 }
 
@@ -127,7 +100,7 @@ func TestMZRoundTripProperty(t *testing.T) {
 	f := func(mass float64, charge uint8) bool {
 		m := math.Mod(math.Abs(mass), 5000) + 100
 		c := int(charge%4) + 1
-		back := MZToNeutralMass(NeutralMassToMZ(m, c), c)
+		back := (NeutralMassToMZ(m, c) - ProtonMass) * float64(c)
 		return almostEqual(m, back, 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -139,9 +112,14 @@ func TestToleranceSymmetryProperty(t *testing.T) {
 	f := func(ref float64, off float64) bool {
 		r := math.Mod(math.Abs(ref), 4000) + 200
 		o := math.Mod(off, 1.0)
-		tol := Da(0.5)
 		// Window containment must be symmetric in the offset sign.
-		return tol.Contains(r, r+o) == tol.Contains(r, r-o)
+		for _, tol := range []Tolerance{Da(0.5), {Value: 200, PPM: true}} {
+			w := StandardWindow(r, tol)
+			if within(w, o) != within(w, -o) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
