@@ -54,7 +54,7 @@ func TestTraceAccumulation(t *testing.T) {
 	}
 	parts := partitions(tr)
 	if len(parts) != 2 || parts[0] != (PartSweep{Index: 0, Rows: 400, Nanos: 7}) || parts[1] != (PartSweep{Index: 2, Rows: 600, Nanos: 9}) {
-		t.Errorf("Partitions() = %+v", parts)
+		t.Errorf("partitions = %+v", parts)
 	}
 
 	var qt QueryTrace
