@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"math"
 	"net/http"
 	"reflect"
@@ -18,6 +17,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/spectrum"
 )
@@ -46,9 +46,9 @@ func putBuf(b *[]byte) {
 func (d *daemon) mux() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /search", d.handleSearch)
-	mux.HandleFunc("GET /healthz", d.reading(d.handleHealthz))
-	mux.HandleFunc("GET /stats", d.reading(d.handleStats))
-	mux.HandleFunc("GET /metrics", d.reading(d.handleMetrics))
+	mux.HandleFunc("GET /healthz", d.rendering(writeHealthz))
+	mux.HandleFunc("GET /stats", d.rendering(func(w http.ResponseWriter, st *snapshot) { writeJSON(w, st) }))
+	mux.HandleFunc("GET /metrics", d.rendering(writeMetrics))
 	mux.HandleFunc("GET /debug/slowest", d.reading(d.handleSlowest))
 	return mux
 }
@@ -178,7 +178,7 @@ func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if err := writeTSV(w, results); err != nil {
 			// Status is already on the wire; all that's left is to note
 			// the truncated response.
-			log.Printf("omsd: writing TSV response: %v", err)
+			logger.Printf("writing TSV response: %v", err)
 		}
 		return
 	}
@@ -191,7 +191,7 @@ func (d *daemon) handleSearch(w http.ResponseWriter, r *http.Request) {
 		_, err = w.Write(*buf)
 	}
 	if err != nil {
-		log.Printf("omsd: writing JSON response: %v", err)
+		logger.Printf("writing JSON response: %v", err)
 	}
 }
 
@@ -387,108 +387,54 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(append(dst, s[start:]...), '"')
 }
 
-// handleHealthz reports liveness and library identity.
-func (d *daemon) handleHealthz(w http.ResponseWriter, sv *serving) {
-	ov := sv.engine.OverlayStats()
+// snapshot is one reading of a serving generation and the daemon
+// around it, taken once per read request: /healthz, /stats and
+// /metrics each render one. Its JSON encoding is the /stats body, under
+// the wire names that serve.Stats, core.PartitionStat and
+// core.OverlayStats carry as tags; the unexported fields are not shown.
+type snapshot struct {
+	serve.Stats
+	Partitions []core.PartitionStat `json:"partitions"`
+	Overlay    core.OverlayStats    `json:"overlay"`
+
+	refs, skippedRefs          int
+	generation, reloadFailures uint64
+	indexAge, uptime           time.Duration
+}
+
+// read takes a snapshot of sv and of the daemon's reload counters.
+func (d *daemon) read(sv *serving) *snapshot {
+	return &snapshot{
+		Stats:          sv.srv.Stats(),
+		Partitions:     sv.engine.PartitionStats(),
+		Overlay:        sv.engine.OverlayStats(),
+		refs:           sv.engine.NumRefs(),
+		skippedRefs:    sv.engine.Skipped(),
+		generation:     d.generation.Load(),
+		reloadFailures: d.reloadFailures.Load(),
+		indexAge:       time.Since(sv.loaded),
+		uptime:         time.Since(d.started),
+	}
+}
+
+// rendering is reading for an endpoint that renders one snapshot.
+func (d *daemon) rendering(render func(http.ResponseWriter, *snapshot)) http.HandlerFunc {
+	return d.reading(func(w http.ResponseWriter, sv *serving) { render(w, d.read(sv)) })
+}
+
+// writeHealthz reports liveness and library identity.
+func writeHealthz(w http.ResponseWriter, st *snapshot) {
 	writeJSON(w, map[string]any{
 		"status":              "ok",
-		"references":          sv.engine.NumRefs(),
-		"skipped":             sv.engine.Skipped(),
-		"partitions":          len(sv.engine.PartitionStats()),
-		"manifest_generation": ov.Generation,
-		"delta_partitions":    ov.DeltaPartitions,
-		"tombstones":          ov.Tombstones,
-		"index_age_seconds":   int64(time.Since(sv.loaded).Seconds()),
-		"uptime_seconds":      int64(time.Since(d.started).Seconds()),
+		"references":          st.refs,
+		"skipped":             st.skippedRefs,
+		"partitions":          len(st.Partitions),
+		"manifest_generation": st.Overlay.Generation,
+		"delta_partitions":    st.Overlay.DeltaPartitions,
+		"tombstones":          st.Overlay.Tombstones,
+		"index_age_seconds":   int64(st.indexAge.Seconds()),
+		"uptime_seconds":      int64(st.uptime.Seconds()),
 	})
-}
-
-// statsView maps serve.Stats onto stable wire names.
-type statsView struct {
-	Requests      uint64              `json:"requests"`
-	Completed     uint64              `json:"completed"`
-	Matched       uint64              `json:"matched"`
-	Skipped       uint64              `json:"skipped"`
-	Rejected      uint64              `json:"rejected"`
-	Canceled      uint64              `json:"canceled"`
-	Closed        uint64              `json:"closed"`
-	Errors        uint64              `json:"errors"`
-	Batches       uint64              `json:"batches"`
-	QueueDepth    int                 `json:"queue_depth"`
-	MeanBatchSize float64             `json:"mean_batch_size"`
-	BatchSizes    []serve.BucketCount `json:"batch_size_histogram"`
-	LatencyP50US  int64               `json:"latency_p50_us"`
-	LatencyP99US  int64               `json:"latency_p99_us"`
-
-	// Partitions has one entry per partition with its global row span,
-	// mass fences and shadowed rows.
-	Partitions []partitionView `json:"partitions"`
-
-	// Overlay is the incremental-update state the generation serves
-	// (manifest generation, delta tier, outstanding tombstones and the
-	// rows they shadow).
-	Overlay overlayView `json:"overlay"`
-}
-
-// partitionView maps core.PartitionStat onto stable wire names.
-type partitionView struct {
-	StartRow   int     `json:"start_row"`
-	Refs       int     `json:"refs"`
-	MinMass    float64 `json:"min_mass"`
-	MaxMass    float64 `json:"max_mass"`
-	Generation uint64  `json:"generation"`
-	Delta      bool    `json:"delta,omitempty"`
-	HiddenRefs int     `json:"hidden_refs,omitempty"`
-}
-
-// overlayView maps core.OverlayStats onto stable wire names.
-type overlayView struct {
-	Generation      uint64 `json:"generation"`
-	DeltaPartitions int    `json:"delta_partitions"`
-	DeltaRefs       int    `json:"delta_refs"`
-	Tombstones      int    `json:"tombstones"`
-	HiddenRefs      int    `json:"hidden_refs"`
-}
-
-// handleStats renders the serving counters.
-func (d *daemon) handleStats(w http.ResponseWriter, sv *serving) {
-	st := sv.srv.Stats()
-	view := statsView{
-		Requests:      st.Requests,
-		Completed:     st.Completed,
-		Matched:       st.Matched,
-		Skipped:       st.Skipped,
-		Rejected:      st.Rejected,
-		Canceled:      st.Canceled,
-		Closed:        st.Closed,
-		Errors:        st.Errors,
-		Batches:       st.Batches,
-		QueueDepth:    st.QueueDepth,
-		MeanBatchSize: st.MeanBatchSize,
-		BatchSizes:    st.BatchSizes,
-		LatencyP50US:  st.LatencyP50.Microseconds(),
-		LatencyP99US:  st.LatencyP99.Microseconds(),
-	}
-	for _, ps := range sv.engine.PartitionStats() {
-		view.Partitions = append(view.Partitions, partitionView{
-			StartRow:   ps.StartRow,
-			Refs:       ps.Refs,
-			MinMass:    ps.MinMass,
-			MaxMass:    ps.MaxMass,
-			Generation: ps.Gen,
-			Delta:      ps.Delta,
-			HiddenRefs: ps.HiddenRefs,
-		})
-	}
-	ov := sv.engine.OverlayStats()
-	view.Overlay = overlayView{
-		Generation:      ov.Generation,
-		DeltaPartitions: ov.DeltaPartitions,
-		DeltaRefs:       ov.DeltaRefs,
-		Tombstones:      ov.Tombstones,
-		HiddenRefs:      ov.HiddenRefs,
-	}
-	writeJSON(w, view)
 }
 
 // writeJSON writes v as a JSON response.

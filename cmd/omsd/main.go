@@ -41,7 +41,7 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
+	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -61,6 +61,10 @@ const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
+
+// logger is omsd's one stderr sink: every line starts "omsd: ". Tests
+// read what it writes by swapping its writer (SetOutput).
+var logger = log.New(os.Stderr, "omsd: ", 0)
 
 // newHTTPServer is the query listener's server over the given handler.
 func newHTTPServer(h http.Handler) *http.Server {
@@ -94,7 +98,7 @@ func main() {
 	start := time.Now()
 	sv, err := d.reload()
 	fatalIf(err)
-	fmt.Fprintf(os.Stderr, "omsd: loaded %s, engine up in %v, sweep kernel %s\n", sv.desc, time.Since(start).Round(time.Millisecond), hdc.KernelName())
+	logger.Printf("loaded %s, engine up in %v, sweep kernel %s", sv.desc, time.Since(start).Round(time.Millisecond), hdc.KernelName())
 
 	httpSrv := newHTTPServer(withRequestID(d.mux(), *accessLog))
 	ln, err := net.Listen("tcp", *addr)
@@ -111,10 +115,10 @@ func main() {
 		debugMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dln, err := net.Listen("tcp", *debugAddr)
 		fatalIf(err)
-		fmt.Fprintf(os.Stderr, "omsd: pprof on %s\n", dln.Addr())
+		logger.Printf("pprof on %s", dln.Addr())
 		go func() {
 			if err := http.Serve(dln, debugMux); err != nil && !errors.Is(err, net.ErrClosed) {
-				fmt.Fprintf(os.Stderr, "omsd: pprof server: %v\n", err)
+				logger.Printf("pprof server: %v", err)
 			}
 		}()
 	}
@@ -127,13 +131,13 @@ func main() {
 			reloadStart := time.Now()
 			nsv, err := d.reload()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "omsd: SIGHUP reload failed, keeping current index: %v\n", err)
+				logger.Printf("SIGHUP reload failed, keeping current index: %v", err)
 				continue
 			}
-			fmt.Fprintf(os.Stderr, "omsd: SIGHUP reloaded %s in %v\n", nsv.desc, time.Since(reloadStart).Round(time.Millisecond))
+			logger.Printf("SIGHUP reloaded %s in %v", nsv.desc, time.Since(reloadStart).Round(time.Millisecond))
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "omsd: listening on %s\n", ln.Addr())
+	logger.Printf("listening on %s", ln.Addr())
 	fatalIf(serveUntilShutdown(httpSrv, ln, stop, 10*time.Second))
 	d.shutdown()
 }
@@ -151,7 +155,7 @@ func serveUntilShutdown(httpSrv *http.Server, ln net.Listener, stop <-chan os.Si
 	shutdownErr := make(chan error, 1)
 	go func() {
 		<-stop
-		fmt.Fprintln(os.Stderr, "omsd: shutting down")
+		logger.Print("shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
 		shutdownErr <- httpSrv.Shutdown(ctx)
@@ -167,7 +171,6 @@ func serveUntilShutdown(httpSrv *http.Server, ln net.Listener, stop <-chan os.Si
 
 func fatalIf(err error) {
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "omsd: %v\n", err)
-		os.Exit(1)
+		logger.Fatal(err)
 	}
 }

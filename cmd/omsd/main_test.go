@@ -120,7 +120,7 @@ func TestSearchMGF(t *testing.T) {
 	// Stats must reflect the traffic.
 	rec = httptest.NewRecorder()
 	d.mux().ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
-	var st statsView
+	var st snapshot
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}

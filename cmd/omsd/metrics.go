@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 	"net/http"
 	"os"
 	"strconv"
@@ -13,14 +12,10 @@ import (
 	"repro/internal/serve"
 )
 
-// handleMetrics renders the serving counters in the Prometheus text
-// exposition format (version 0.0.4). Families and label names are
-// documented in DESIGN.md §10 and pinned by TestMetricsExposition; all
-// values come from one Stats snapshot plus the engine's partition
-// telemetry, so a scrape never blocks a search beyond the collector
-// mutex.
-func (d *daemon) handleMetrics(w http.ResponseWriter, sv *serving) {
-	st := sv.srv.Stats()
+// writeMetrics renders a snapshot in the Prometheus text exposition
+// format (version 0.0.4). Families and label names are documented in
+// DESIGN.md §10 and pinned by TestMetricsExposition.
+func writeMetrics(w http.ResponseWriter, st *snapshot) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obsv.NewPromWriter(w)
 
@@ -57,35 +52,34 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, sv *serving) {
 	p.Counter("oms_search_rows_swept_total", "Candidate rows covered by traced sweeps.", float64(st.RowsSwept))
 	p.Counter("oms_search_rows_admitted_total", "Swept rows the sweep kernel admitted to a top-k heap.", float64(st.RowsAdmitted))
 
-	stats := sv.engine.PartitionStats()
 	p.Family("oms_partition_refs", "References per partition.", "gauge")
-	for i, ps := range stats {
+	for i, ps := range st.Partitions {
 		p.Sample("oms_partition_refs", partLabel(i), float64(ps.Refs))
 	}
 	p.Family("oms_partition_rows_swept_total", "Candidate rows swept per partition.", "counter")
-	for i, ps := range stats {
+	for i, ps := range st.Partitions {
 		p.Sample("oms_partition_rows_swept_total", partLabel(i), float64(ps.RowsSwept))
 	}
 
-	ov := sv.engine.OverlayStats()
+	ov := st.Overlay
 	p.Gauge("oms_manifest_generation", "Manifest-log generation the current index serves.", float64(ov.Generation))
 	p.Gauge("oms_delta_partitions", "Delta-tier partitions in the current generation.", float64(ov.DeltaPartitions))
 	p.Gauge("oms_delta_refs", "References in the delta tier.", float64(ov.DeltaRefs))
 	p.Gauge("oms_tombstones", "Outstanding retractions (tombstones).", float64(ov.Tombstones))
 	p.Gauge("oms_hidden_refs", "Physical rows shadowed by tombstones or newer-generation re-additions.", float64(ov.HiddenRefs))
 
-	p.Gauge("oms_reload_generation", "Serving generation id (1 = initial load, +1 per successful reload).", float64(d.generation.Load()))
-	p.Counter("oms_reload_total", "Successful index loads, including the initial one.", float64(d.generation.Load()))
-	p.Counter("oms_reload_failures_total", "Failed reload attempts (the previous index kept serving).", float64(d.reloadFailures.Load()))
+	p.Gauge("oms_reload_generation", "Serving generation id (1 = initial load, +1 per successful reload).", float64(st.generation))
+	p.Counter("oms_reload_total", "Successful index loads, including the initial one.", float64(st.generation))
+	p.Counter("oms_reload_failures_total", "Failed reload attempts (the previous index kept serving).", float64(st.reloadFailures))
 
-	p.Gauge("oms_index_references", "Encoded references served by the current generation.", float64(sv.engine.NumRefs()))
-	p.Gauge("oms_index_skipped_refs", "Reference spectra rejected by preprocessing at build time.", float64(sv.engine.Skipped()))
-	p.Gauge("oms_index_partitions", "Partition count of the current index (a bare index file is one).", float64(len(stats)))
-	p.Gauge("oms_index_age_seconds", "Seconds since the current generation loaded.", time.Since(sv.loaded).Seconds())
-	p.Gauge("oms_uptime_seconds", "Seconds since daemon start.", time.Since(d.started).Seconds())
+	p.Gauge("oms_index_references", "Encoded references served by the current generation.", float64(st.refs))
+	p.Gauge("oms_index_skipped_refs", "Reference spectra rejected by preprocessing at build time.", float64(st.skippedRefs))
+	p.Gauge("oms_index_partitions", "Partition count of the current index (a bare index file is one).", float64(len(st.Partitions)))
+	p.Gauge("oms_index_age_seconds", "Seconds since the current generation loaded.", st.indexAge.Seconds())
+	p.Gauge("oms_uptime_seconds", "Seconds since daemon start.", st.uptime.Seconds())
 
 	if err := p.Flush(); err != nil {
-		log.Printf("omsd: writing /metrics response: %v", err)
+		logger.Printf("writing /metrics response: %v", err)
 	}
 }
 
@@ -154,14 +148,14 @@ func slowView(qt *obsv.QueryTrace) slowTraceView {
 
 // logSlowQuery is the threshold-triggered structured log line, wired
 // as the batcher's OnSlowQuery callback (dispatcher goroutine, one
-// write, no locks); its stage fields are obsv's, as in /debug/slowest.
+// write); its stage fields are obsv's, as in /debug/slowest.
 func logSlowQuery(qt obsv.QueryTrace) {
-	b := fmt.Appendf(nil, "omsd: slow-query query_id=%s request_id=%s batch_id=%d batch_size=%d total_us=%d",
+	b := fmt.Appendf(nil, "slow-query query_id=%s request_id=%s batch_id=%d batch_size=%d total_us=%d",
 		qt.QueryID, qt.RequestID, qt.BatchID, qt.BatchSize, qt.Total.Microseconds())
 	for s := range obsv.NumStages {
 		b = fmt.Appendf(b, " %s_us=%d", s, qt.Stage(s).Microseconds())
 	}
-	os.Stderr.Write(fmt.Appendf(b, " rows_swept=%d rows_admitted=%d\n", qt.RowsSwept, qt.RowsAdmitted))
+	logger.Printf("%s rows_swept=%d rows_admitted=%d", b, qt.RowsSwept, qt.RowsAdmitted)
 }
 
 // reqSeq numbers generated request IDs.
@@ -220,7 +214,7 @@ func withRequestID(next http.Handler, logLine bool) http.Handler {
 			sw.status = http.StatusOK
 		}
 		if logLine {
-			fmt.Fprintf(os.Stderr, "omsd: access method=%s path=%s status=%d bytes=%d duration_us=%d request_id=%s\n",
+			logger.Printf("access method=%s path=%s status=%d bytes=%d duration_us=%d request_id=%s",
 				r.Method, r.URL.Path, sw.status, sw.bytes, time.Since(start).Microseconds(), id)
 		}
 	})

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -378,31 +378,16 @@ func TestRequestIDMiddleware(t *testing.T) {
 		t.Fatalf("generated id %q (context %q)", gen, gotCtxID)
 	}
 
-	// Access-log line: swap stderr for a pipe and check the fields.
-	old := os.Stderr
-	pr, pw, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stderr = pw
+	// Access-log line: read it through the logger and check the fields.
 	rec = httptest.NewRecorder()
 	req = httptest.NewRequest("GET", "/stats", nil)
 	req.Header.Set("X-Request-ID", "req-logged")
-	withRequestID(inner, true).ServeHTTP(rec, req)
-	closeErr := pw.Close()
-	os.Stderr = old
-	if closeErr != nil {
-		t.Fatal(closeErr)
-	}
-	line, err := io.ReadAll(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	line := captureLog(func() { withRequestID(inner, true).ServeHTTP(rec, req) })
 	for _, want := range []string{
 		"omsd: access", "method=GET", "path=/stats", "status=418",
 		fmt.Sprintf("bytes=%d", len("short and stout")), "duration_us=", "request_id=req-logged",
 	} {
-		if !strings.Contains(string(line), want) {
+		if !strings.Contains(line, want) {
 			t.Fatalf("access log line %q missing %q", line, want)
 		}
 	}
@@ -428,7 +413,7 @@ func TestBareFileReportsOnePartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := servingConfig{indexPath: path, maxBatch: 8, maxQueue: 1024}
-	d := newDaemon(func() (*serving, error) { return buildServing(cfg) })
+	d := newDaemon(func() (*serving, error) { return buildNext(cfg, nil) })
 	sv, err := d.reload()
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +437,7 @@ func TestBareFileReportsOnePartition(t *testing.T) {
 	if health["partitions"] != 1.0 || health["manifest_generation"] != 1.0 || health["delta_partitions"] != 0.0 {
 		t.Fatalf("healthz %v, want one partition at generation 1", health)
 	}
-	var stats statsView
+	var stats snapshot
 	get("/stats", &stats)
 	if len(stats.Partitions) != 1 || stats.Partitions[0].Refs != engine.NumRefs() || stats.Overlay.Generation != 1 {
 		t.Fatalf("stats partitions %+v overlay %+v, want one partition of %d refs at generation 1",
@@ -501,23 +486,144 @@ func TestSlowQueryLine(t *testing.T) {
 	for s := range qt.StageNanos {
 		qt.StageNanos[s] = int64(s+1)*1001000 + 999
 	}
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	stderr := os.Stderr
-	os.Stderr = w
-	logSlowQuery(qt)
-	os.Stderr = stderr
-	w.Close()
-	got, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := captureLog(func() { logSlowQuery(qt) })
 	const want = "omsd: slow-query query_id=q-7 request_id=req-ci batch_id=42 batch_size=3 total_us=1234 " +
 		"queue_wait_us=1001 encode_us=2002 assemble_us=3003 sweep_us=4004 merge_us=5005 rows_swept=9000 rows_admitted=17\n"
-	if string(got) != want {
+	if got != want {
 		t.Errorf("slow-query line\n got %q\nwant %q", got, want)
 	}
+}
+
+// captureLog runs f with the daemon's logger writing to a buffer, and
+// returns what f logged.
+func captureLog(f func()) string {
+	var buf bytes.Buffer
+	logger.SetOutput(&buf)
+	defer logger.SetOutput(os.Stderr)
+	f()
+	return buf.String()
+}
+
+// TestReadBodiesWireShape pins the wire names of /healthz, /stats and
+// /debug/slowest, in order, after traffic over a manifest with a delta
+// partition and a tombstone, so that every optional key shows: dropping,
+// renaming or reordering a key fails it.
+func TestReadBodiesWireShape(t *testing.T) {
+	ds, err := msdata.Generate(msdata.IPRG2012(0.001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.DefaultParams()
+	p.Accel.D = 512
+	p.Accel.NumChunks = 32
+	n := len(ds.Library) * 9 / 10
+	engine, _, err := core.BuildExact(p, ds.Library[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(t.TempDir(), "lib.manifest")
+	if err := libindex.SavePartitioned(manifest, p, engine.Library(), 2); err != nil {
+		t.Fatal(err)
+	}
+	st, err := libindex.LoadManifestLog(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := libindex.BuildLibrary(ds.Library[n:], p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := libindex.AppendDelta(manifest, st, delta, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The tombstone hides a delta row, so the one partition that
+	// shows both optional keys shows them in their order.
+	retract := delta.Entries[0].ID
+	if _, err := libindex.AppendRetract(manifest, st, []string{retract}, map[string]bool{retract: true}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := servingConfig{indexPath: manifest, maxBatch: 8, maxQueue: 1024}
+	d := newDaemon(func() (*serving, error) { return buildNext(cfg, nil) })
+	if _, err := d.reload(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.shutdown()
+	h := withRequestID(d.mux(), false)
+	postQueries(t, h, ds, nil)
+
+	for _, c := range []struct {
+		path string
+		keys []string
+	}{
+		{"/healthz", []string{
+			"delta_partitions", "index_age_seconds", "manifest_generation", "partitions", "references",
+			"skipped", "status", "tombstones", "uptime_seconds",
+		}},
+		{"/stats", []string{
+			"requests", "completed", "matched", "skipped", "rejected", "canceled", "closed", "errors",
+			"batches", "queue_depth", "mean_batch_size",
+			"batch_size_histogram", "batch_size_histogram.le", "batch_size_histogram.count",
+			"latency_p50_us", "latency_p99_us",
+			"partitions", "partitions.start_row", "partitions.refs", "partitions.min_mass", "partitions.max_mass",
+			"partitions.generation", "partitions.delta", "partitions.hidden_refs",
+			"overlay", "overlay.generation", "overlay.delta_partitions", "overlay.delta_refs",
+			"overlay.tombstones", "overlay.hidden_refs",
+		}},
+		{"/debug/slowest", []string{
+			"slowest", "slowest.query_id", "slowest.request_id", "slowest.batch_id", "slowest.batch_size",
+			"slowest.total_us", "slowest.stages_us", "slowest.stages_us.assemble", "slowest.stages_us.encode",
+			"slowest.stages_us.merge", "slowest.stages_us.queue_wait", "slowest.stages_us.sweep",
+			"slowest.rows_swept", "slowest.rows_admitted",
+			"slowest.partitions", "slowest.partitions.partition", "slowest.partitions.rows", "slowest.partitions.sweep_us",
+		}},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", c.path, nil))
+		if got := keyPaths(t, rec.Body.Bytes()); !slices.Equal(got, c.keys) {
+			t.Errorf("%s keys\n got %q\nwant %q", c.path, got, c.keys)
+		}
+	}
+}
+
+// keyPaths lists the object keys of a JSON body as dotted paths, in
+// order of first appearance. An array's elements share their array's
+// path, so the list does not depend on how many there are.
+func keyPaths(t *testing.T, body []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	seen := map[string]bool{}
+	keys := []string{}
+	var walk func(path string)
+	walk = func(path string) {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("decoding %s: %v", body, err)
+		}
+		switch tok {
+		case json.Delim('{'):
+			for dec.More() {
+				k, err := dec.Token()
+				if err != nil {
+					t.Fatalf("decoding %s: %v", body, err)
+				}
+				key := strings.TrimPrefix(path+"."+k.(string), ".")
+				if !seen[key] {
+					seen[key] = true
+					keys = append(keys, key)
+				}
+				walk(key)
+			}
+		case json.Delim('['):
+			for dec.More() {
+				walk(path)
+			}
+		default:
+			return
+		}
+		if _, err := dec.Token(); err != nil { // the closing delimiter
+			t.Fatalf("decoding %s: %v", body, err)
+		}
+	}
+	walk("")
+	return keys
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,14 +56,11 @@ func (sv *serving) release() {
 		sv.srv.Close()
 		if sv.closeIndex != nil {
 			if err := sv.closeIndex(); err != nil {
-				fmt.Fprintf(os.Stderr, "omsd: closing retired index generation (%s): %v\n", sv.desc, err)
+				logger.Printf("closing retired index generation (%s): %v", sv.desc, err)
 			}
 		}
 	}
 }
-
-// buildServing builds a first generation: nothing to keep an encoder from.
-func buildServing(cfg servingConfig) (*serving, error) { return buildNext(cfg, nil) }
 
 // buildNext opens the index path (libindex.Open: a bare index file is
 // a one-partition generation), wires the engine and starts a

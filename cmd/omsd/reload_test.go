@@ -253,7 +253,7 @@ func TestIncrementalReloadSwapConsistency(t *testing.T) {
 		}
 		defer pi.Close()
 		sp := pi.Params
-		sp.Open = true // mirror buildServing's flag override
+		sp.Open = true // mirror buildNext's flag override
 		pe, _, err := core.NewPartitionedEngine(sp, pi.PartitionSet())
 		if err != nil {
 			t.Fatalf("snapshot: %v", err)
@@ -276,7 +276,7 @@ func TestIncrementalReloadSwapConsistency(t *testing.T) {
 		indexPath: manifest, maxBatch: 8,
 		maxQueue: 1024,
 	}
-	d := newDaemon(func() (*serving, error) { return buildServing(cfg) })
+	d := newDaemon(func() (*serving, error) { return buildNext(cfg, nil) })
 	if _, err := d.reload(); err != nil {
 		t.Fatal(err)
 	}
@@ -730,7 +730,7 @@ func TestReloadRefusesCorruptedPartition(t *testing.T) {
 	if after := postQueries(t, h, ds, nil).Body.Bytes(); !bytes.Equal(after, before) {
 		t.Fatal("the current generation answers differently after a refused reload")
 	}
-	if sv, err := buildServing(cfg); err == nil {
+	if sv, err := buildNext(cfg, nil); err == nil {
 		sv.refs.Store(1)
 		sv.release()
 		t.Fatal("a start over the corrupted index succeeded")

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -23,6 +24,8 @@ var (
 	// Names with an underscore are bench metric names (hdc.encode_us),
 	// not identifiers: the repo's Go names have none.
 	qualifiedIdent = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Za-z][A-Za-z0-9]*)\b(?:\.([A-Za-z][A-Za-z0-9]*)\b)?`)
+	// typeMember matches Type.Member where no package qualifies Type.
+	typeMember = regexp.MustCompile(`(?:^|[^.\w])([A-Z][A-Za-z0-9]*)\.([A-Za-z][A-Za-z0-9]*)\b`)
 	// metricFamily matches an oms_* metric name.
 	metricFamily = regexp.MustCompile(`\boms_[a-z0-9_]+`)
 	// testName matches a test, benchmark or fuzz target name; testDecl
@@ -146,10 +149,10 @@ func loadModulePackages(t *testing.T) (map[string]modulePackage, string, map[str
 }
 
 // TestDocsNameLiveCode fails when README.md or DESIGN.md back-quotes a
-// pkg.Identifier of this module, an oms_* metric family, a Test,
-// Benchmark or Fuzz name, or a -flag that the code no longer has (a
-// -flag may also be one of the go command's): a rename or a deletion
-// must take its prose along.
+// pkg.Identifier of this module, a Type.Member of a type the module
+// declares, an oms_* metric family, a Test, Benchmark or Fuzz name, or
+// a -flag that the code no longer has (a -flag may also be one of the
+// go command's): a rename or a deletion must take its prose along.
 func TestDocsNameLiveCode(t *testing.T) {
 	pkgs, src, tests, flags := loadModulePackages(t)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
@@ -157,34 +160,70 @@ func TestDocsNameLiveCode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		text := fencedBlock.ReplaceAllString(string(data), "")
-		for _, span := range inlineCode.FindAllStringSubmatch(text, -1) {
-			for _, m := range qualifiedIdent.FindAllStringSubmatch(span[1], -1) {
-				names, ok := pkgs[m[1]]
-				if !ok {
-					continue
-				}
-				if !names[m[2]] {
-					t.Errorf("%s: `%s` names %s.%s, which package %s does not declare", doc, span[1], m[1], m[2], m[1])
-				} else if m[3] != "" && !names[m[2]+"."+m[3]] && isTypeWithMembers(names, m[2]) {
-					t.Errorf("%s: `%s` names %s.%s.%s, which type %s.%s does not have", doc, span[1], m[1], m[2], m[3], m[1], m[2])
-				}
-			}
-			for _, metric := range metricFamily.FindAllString(span[1], -1) {
-				if !strings.Contains(src, `"`+metric+`"`) {
-					t.Errorf("%s: `%s` names metric family %s, which no code emits", doc, span[1], metric)
-				}
-			}
-			for _, name := range testName.FindAllString(span[1], -1) {
-				if !tests[name] {
-					t.Errorf("%s: `%s` names %s, which no _test.go file declares", doc, span[1], name)
-				}
-			}
-			if m := flagSpan.FindStringSubmatch(span[1]); m != nil && !flags[m[1]] && !toolchainFlags[m[1]] {
-				t.Errorf("%s: `%s` names flag -%s, which no command under cmd/ or bench/ registers", doc, span[1], m[1])
-			}
+		for _, stale := range staleNames(doc, string(data), pkgs, src, tests, flags) {
+			t.Error(stale)
 		}
 	}
+}
+
+// TestDocsNameLiveCodeCatchesTypeMembers plants spans in a document:
+// a member the module's type lacks is reported, one of a type declared
+// outside the module is not.
+func TestDocsNameLiveCodeCatchesTypeMembers(t *testing.T) {
+	pkgs, src, tests, flags := loadModulePackages(t)
+	text := "`Encoder.Accumulate`, `Params.Accel`, `Engine.Search(ctx, queries, trace)` and `Source64.Uint64`"
+	stale := staleNames("planted", text, pkgs, src, tests, flags)
+	if len(stale) != 1 || !strings.Contains(stale[0], "Encoder.Accumulate") {
+		t.Fatalf("stale names %q, want Encoder.Accumulate alone", stale)
+	}
+}
+
+// staleNames lists what the inline code spans of one document's text
+// name that the code does not have, one message each.
+func staleNames(doc, text string, pkgs map[string]modulePackage, src string, tests, flags map[string]bool) []string {
+	var stale []string
+	report := func(format string, args ...any) { stale = append(stale, fmt.Sprintf(format, args...)) }
+	for _, span := range inlineCode.FindAllStringSubmatch(fencedBlock.ReplaceAllString(text, ""), -1) {
+		for _, m := range qualifiedIdent.FindAllStringSubmatch(span[1], -1) {
+			names, ok := pkgs[m[1]]
+			if !ok {
+				continue
+			}
+			if !names[m[2]] {
+				report("%s: `%s` names %s.%s, which package %s does not declare", doc, span[1], m[1], m[2], m[1])
+			} else if m[3] != "" && !names[m[2]+"."+m[3]] && isTypeWithMembers(names, m[2]) {
+				report("%s: `%s` names %s.%s.%s, which type %s.%s does not have", doc, span[1], m[1], m[2], m[3], m[1], m[2])
+			}
+		}
+		// A type may be declared in several packages (core.Engine,
+		// annsolo.Engine): the member must be one of any of them.
+		for _, m := range typeMember.FindAllStringSubmatch(span[1], -1) {
+			declared, member := false, false
+			for _, names := range pkgs {
+				if names[m[1]] && isTypeWithMembers(names, m[1]) {
+					declared = true
+					member = member || names[m[1]+"."+m[2]]
+				}
+			}
+			if declared && !member {
+				report("%s: `%s` names %s.%s, which no type %s of the module has", doc, span[1], m[1], m[2], m[1])
+			}
+		}
+		for _, metric := range metricFamily.FindAllString(span[1], -1) {
+			if !strings.Contains(src, `"`+metric+`"`) {
+				report("%s: `%s` names metric family %s, which no code emits", doc, span[1], metric)
+			}
+		}
+		for _, name := range testName.FindAllString(span[1], -1) {
+			if !tests[name] {
+				report("%s: `%s` names %s, which no _test.go file declares", doc, span[1], name)
+			}
+		}
+		if m := flagSpan.FindStringSubmatch(span[1]); m != nil && !flags[m[1]] && !toolchainFlags[m[1]] {
+			report("%s: `%s` names flag -%s, which no command under cmd/ or bench/ registers", doc, span[1], m[1])
+		}
+	}
+	return stale
 }
 
 // isTypeWithMembers reports whether name has any method or field

@@ -251,12 +251,14 @@ func (e *Engine) Skipped() int { return e.skipped }
 // overlay resolved at construction.
 type OverlayStats struct {
 	// Generation is the manifest generation the engine was built from.
-	Generation uint64
+	Generation uint64 `json:"generation"`
 	// DeltaPartitions and DeltaRefs size the delta tier.
-	DeltaPartitions, DeltaRefs int
+	DeltaPartitions int `json:"delta_partitions"`
+	DeltaRefs       int `json:"delta_refs"`
 	// Tombstones counts outstanding retractions; HiddenRefs the rows
 	// shadowed by tombstones or newer-generation re-additions.
-	Tombstones, HiddenRefs int
+	Tombstones int `json:"tombstones"`
+	HiddenRefs int `json:"hidden_refs"`
 }
 
 // OverlayStats snapshots the incremental-update state — the serving
@@ -274,19 +276,22 @@ func (e *Engine) OverlayStats() OverlayStats {
 	return st
 }
 
-// PartitionStat is one partition's identity and sweep telemetry.
+// PartitionStat is one partition's identity and sweep telemetry; its
+// tags, like OverlayStats', are the names omsd's /stats shows.
 type PartitionStat struct {
 	// StartRow is the partition's first global row, Refs its size.
-	StartRow, Refs int
+	StartRow int `json:"start_row"`
+	Refs     int `json:"refs"`
 	// MinMass, MaxMass are the partition's mass fences.
-	MinMass, MaxMass float64
+	MinMass float64 `json:"min_mass"`
+	MaxMass float64 `json:"max_mass"`
 	// Gen is the generation that introduced the partition; Delta marks
 	// the delta tier; HiddenRefs counts its shadowed rows.
-	Gen        uint64
-	Delta      bool
-	HiddenRefs int
+	Gen        uint64 `json:"generation"`
+	Delta      bool   `json:"delta,omitempty"`
+	HiddenRefs int    `json:"hidden_refs,omitempty"`
 	// RowsSwept is the partition's cumulative range-scan row coverage.
-	RowsSwept uint64
+	RowsSwept uint64 `json:"-"`
 }
 
 // PartitionStats snapshots per-partition identity and swept-row

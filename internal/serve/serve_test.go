@@ -525,8 +525,8 @@ func TestStatsHistograms(t *testing.T) {
 	if batchTotal != st.Batches {
 		t.Fatalf("batch histogram total %d != batches %d", batchTotal, st.Batches)
 	}
-	if st.LatencyP50 <= 0 || st.LatencyP99 < st.LatencyP50 {
-		t.Fatalf("implausible latency quantiles p50=%v p99=%v", st.LatencyP50, st.LatencyP99)
+	if st.LatencyP50US <= 0 || st.LatencyP99US < st.LatencyP50US {
+		t.Fatalf("implausible latency quantiles p50=%dµs p99=%dµs", st.LatencyP50US, st.LatencyP99US)
 	}
 }
 

@@ -7,62 +7,64 @@ import (
 	"repro/internal/obsv"
 )
 
-// Stats is a snapshot of the serving counters.
+// Stats is a snapshot of the serving counters. Its JSON encoding is
+// omsd's /stats body; the fields tagged "-" are on /metrics only.
 type Stats struct {
 	// Requests counts every submitted query exactly once: those that
 	// fail preparation (Skipped/Errors) plus every one offered to
 	// admission control.
-	Requests uint64
+	Requests uint64 `json:"requests"`
 	// Completed counts queries whose batch delivered a result —
 	// including waiters that had already given up, so a cancellation
 	// racing a shared batch's sweep may appear in both Completed and
 	// Canceled (a lone request's sweep stops, so it is only Canceled).
-	Completed uint64
+	Completed uint64 `json:"completed"`
 	// Matched counts completed queries that produced a PSM.
-	Matched uint64
+	Matched uint64 `json:"matched"`
 	// Skipped counts queries rejected before batching: failed
 	// preprocessing or an empty precursor window.
-	Skipped uint64
+	Skipped uint64 `json:"skipped"`
 	// Rejected counts queries refused by admission control
 	// (ErrQueueFull).
-	Rejected uint64
+	Rejected uint64 `json:"rejected"`
 	// Canceled counts queries whose waiter's context ended before they
 	// received a result.
-	Canceled uint64
+	Canceled uint64 `json:"canceled"`
 	// Closed counts queries released by server shutdown.
-	Closed uint64
+	Closed uint64 `json:"closed"`
 	// Errors counts query encoding failures.
-	Errors uint64
+	Errors uint64 `json:"errors"`
 	// Batches counts flushed batches.
-	Batches uint64
+	Batches uint64 `json:"batches"`
 	// QueueDepth is the number of queries outstanding right now.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth"`
 	// MeanBatchSize is Completed / Batches.
-	MeanBatchSize float64
+	MeanBatchSize float64 `json:"mean_batch_size"`
 	// BatchSizes is the batch-size histogram in power-of-two buckets:
 	// BatchSizes[i] counts batches with size in (2^(i-1), 2^i].
-	BatchSizes []BucketCount
-	// LatencyP50 and LatencyP99 are approximate query latency
-	// quantiles (enqueue → batch scored), resolved to the upper bound
-	// of exponential histogram buckets.
-	LatencyP50, LatencyP99 time.Duration
+	BatchSizes []BucketCount `json:"batch_size_histogram"`
+	// LatencyP50US and LatencyP99US are approximate query latency
+	// quantiles in µs (enqueue → batch scored), resolved to the upper
+	// bound of exponential histogram buckets.
+	LatencyP50US int64 `json:"latency_p50_us"`
+	LatencyP99US int64 `json:"latency_p99_us"`
 	// LatencyBuckets is the raw latency histogram: power-of-two
 	// microsecond buckets, LatencyBuckets[i] counting queries with
 	// latency in (2^(i-1), 2^i] µs, plus a final overflow bucket.
-	LatencyBuckets []BucketCount
+	LatencyBuckets []BucketCount `json:"-"`
 	// LatencySum is the total enqueue→scored latency across completed
 	// queries — with Completed, the histogram's _sum/_count pair.
-	LatencySum time.Duration
+	LatencySum time.Duration `json:"-"`
 	// StageTotals is the cumulative per-stage time across all traced
 	// queries/batches, one entry per obsv stage in stage order.
-	StageTotals []StageTotal
+	StageTotals []StageTotal `json:"-"`
 	// RowsSwept is the cumulative candidate-row counter of the traced
 	// sweeps, RowsAdmitted that of the swept rows their kernel admitted
 	// to a top-k heap.
-	RowsSwept, RowsAdmitted uint64
+	RowsSwept, RowsAdmitted uint64 `json:"-"`
 	// SlowQueries counts queries at or above Config.SlowQueryThreshold
 	// (0 while the threshold is unset).
-	SlowQueries uint64
+	SlowQueries uint64 `json:"-"`
 }
 
 // BucketCount is one histogram bucket: Count observations with value
@@ -258,8 +260,8 @@ func (c *collector) snapshot(queueDepth int) Stats {
 	for i, n := range c.batchHist {
 		st.BatchSizes = append(st.BatchSizes, BucketCount{Le: 1 << i, Count: n})
 	}
-	st.LatencyP50 = latQuantile(&c.latHist, 0.50)
-	st.LatencyP99 = latQuantile(&c.latHist, 0.99)
+	st.LatencyP50US = latQuantile(&c.latHist, 0.50)
+	st.LatencyP99US = latQuantile(&c.latHist, 0.99)
 	for i, n := range c.latHist {
 		st.LatencyBuckets = append(st.LatencyBuckets, BucketCount{Le: 1 << i, Count: n})
 	}
@@ -273,9 +275,9 @@ func (c *collector) snapshot(queueDepth int) Stats {
 }
 
 // latQuantile resolves quantile q against the latency histogram,
-// returning the upper bound of the bucket where the cumulative count
-// crosses q.
-func latQuantile(hist *[latBuckets + 1]uint64, q float64) time.Duration {
+// returning the upper bound, in µs, of the bucket where the cumulative
+// count crosses q.
+func latQuantile(hist *[latBuckets + 1]uint64, q float64) int64 {
 	var total uint64
 	for _, n := range hist {
 		total += n
@@ -294,8 +296,8 @@ func latQuantile(hist *[latBuckets + 1]uint64, q float64) time.Duration {
 			if b >= latBuckets {
 				b = latBuckets // overflow bucket reports the cap
 			}
-			return time.Duration(1<<b) * time.Microsecond
+			return 1 << b
 		}
 	}
-	return time.Duration(1<<latBuckets) * time.Microsecond
+	return 1 << latBuckets
 }
