@@ -105,6 +105,9 @@ type Library struct {
 	// Entries holds metadata parallel to the packed rows, sorted by
 	// ascending precursor mass.
 	Entries []LibraryEntry
+	// masses is the entries' Mass column, the one CandidateRange
+	// searches: 8 bytes a row where an entry is 48.
+	masses []float64
 	// HVs are the encoded reference hypervectors, parallel to Entries:
 	// a hand-made library's input to SortByMass, which, like
 	// BuildLibrary, leaves views of the packed rows here. A library over
@@ -266,6 +269,16 @@ func (l *Library) sortRows() {
 		placed[r] = true
 	}
 	l.Entries, l.srcPos = entries, perm
+	l.masses = massColumn(entries)
+}
+
+// massColumn returns the entries' masses.
+func massColumn(entries []LibraryEntry) []float64 {
+	m := make([]float64, len(entries))
+	for i, e := range entries {
+		m[i] = e.Mass
+	}
+	return m
 }
 
 // viewRows sets HVs to views of the packed rows.
@@ -323,7 +336,7 @@ func LibraryOver(entries []LibraryEntry, rows []uint64, d int, srcPos []int, ski
 		}
 		seen[p] = true
 	}
-	return &Library{Entries: entries, rows: rows, d: d, srcPos: srcPos, Skipped: skipped}, nil
+	return &Library{Entries: entries, masses: massColumn(entries), rows: rows, d: d, srcPos: srcPos, Skipped: skipped}, nil
 }
 
 // Rows returns the packed row block, row-major in mass order
@@ -341,15 +354,16 @@ func (l *Library) Row(i int) hdc.BinaryHV {
 // CandidateRange returns the half-open entry-index range [lo, hi) of
 // references whose mass difference to the query (queryMass − refMass)
 // lies within the window — the open-search candidate set. Entries are
-// mass-sorted, so two binary searches suffice: O(log n) time, O(1)
-// space, no per-query slice allocation.
+// mass-sorted, so two binary searches of the mass column suffice:
+// O(log n) time, O(1) space, no per-query slice allocation.
 func (l *Library) CandidateRange(queryMass float64, w units.MassWindow) (lo, hi int) {
 	// queryMass − refMass ∈ [w.Lower, w.Upper]
 	// ⇔ refMass ∈ [queryMass − w.Upper, queryMass − w.Lower].
 	mLo := queryMass - w.Upper
 	mHi := queryMass - w.Lower
-	lo = sort.Search(len(l.Entries), func(i int) bool { return l.Entries[i].Mass >= mLo })
-	hi = lo + sort.Search(len(l.Entries)-lo, func(i int) bool { return l.Entries[lo+i].Mass > mHi })
+	m := l.masses
+	lo = sort.Search(len(m), func(i int) bool { return m[i] >= mLo })
+	hi = lo + sort.Search(len(m)-lo, func(i int) bool { return m[lo+i] > mHi })
 	return lo, hi
 }
 

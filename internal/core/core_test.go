@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fdr"
@@ -478,6 +480,33 @@ func TestPrepareAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, func() { e.Prepare(one) }); allocs != 0 {
 			t.Errorf("%s: a rejected Prepare made %v allocations, want 0", name, allocs)
+		}
+	}
+}
+
+// TestPrepareDropsNaNPeak pins that a NaN m/z lies in no range: a query
+// holding a NaN-m/z peak, first, in the middle or last, prepares to the
+// hypervector and candidate range it prepares to without it, where the
+// peak's bin was once int(NaN) and the encode failed.
+func TestPrepareDropsNaNPeak(t *testing.T) {
+	ds := testDataset(t)
+	e, _, err := BuildExact(testParams(), ds.Library)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range ds.Queries[:8] {
+		want, wok, err := e.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range []int{0, len(q.Peaks) / 2, len(q.Peaks)} {
+			nan := q.Clone()
+			nan.Peaks = slices.Insert(nan.Peaks, at, spectrum.Peak{MZ: math.NaN(), Intensity: 50})
+			got, ok, err := e.Prepare(nan)
+			if err != nil || ok != wok || got.Lo != want.Lo || got.Hi != want.Hi || !slices.Equal(got.HV.Words, want.HV.Words) {
+				t.Fatalf("query %s with a NaN peak at %d: ok=%v, %v, range [%d, %d); without it ok=%v, range [%d, %d), same words %v",
+					q.ID, at, ok, err, got.Lo, got.Hi, wok, want.Lo, want.Hi, slices.Equal(got.HV.Words, want.HV.Words))
+			}
 		}
 	}
 }

@@ -189,8 +189,8 @@ func newEngine(p Params, enc *hdc.Encoder, set PartitionSet) (*Engine, error) {
 		if lib.d != p.Accel.D {
 			return nil, fmt.Errorf("core: partition %d: configured dimension D=%d does not match library hypervector dimension D=%d", i, p.Accel.D, lib.d)
 		}
-		minMass := lib.Entries[0].Mass
-		maxMass := lib.Entries[lib.Len()-1].Mass
+		minMass := lib.masses[0]
+		maxMass := lib.masses[lib.Len()-1]
 		if !spec.Delta {
 			if i != e.nBase {
 				return nil, fmt.Errorf("core: base partition %d listed after a delta partition (base tier must come first)", i)
@@ -472,7 +472,7 @@ func (e *Engine) rowOrder(a, b int) int {
 		return cmp.Compare(ra, rb)
 	}
 	return cmp.Or(
-		cmp.Compare(pa.lib.Entries[ra].Mass, pb.lib.Entries[rb].Mass),
+		cmp.Compare(pa.lib.masses[ra], pb.lib.masses[rb]),
 		cmp.Compare(pa.gen, pb.gen),
 		cmp.Compare(pa.genRow+ra, pb.genRow+rb))
 }

@@ -247,9 +247,9 @@ func parseIndex(data []byte) (core.Params, *core.Library, error) {
 	if permLen := c.u32(); c.err == nil && permLen != 0 {
 		return fail("index stores a %d-entry bit-layout permutation (the removed entropy layout), which this build does not read: rebuild the index with omsbuild", permLen)
 	}
-	masses := make([]float64, n)
-	for i := range masses {
-		masses[i] = math.Float64frombits(c.u64())
+	entries := make([]core.LibraryEntry, n) // masses now, the rest from the entry section
+	for i := range entries {
+		entries[i].Mass = math.Float64frombits(c.u64())
 	}
 	srcPos := make([]int, n)
 	for i := range srcPos {
@@ -277,11 +277,11 @@ func parseIndex(data []byte) (core.Params, *core.Library, error) {
 		ln := len(sec.str())
 		return strs[sec.off-ln : sec.off]
 	}
-	entries := make([]core.LibraryEntry, n)
 	for i := range entries {
+		e := &entries[i]
 		flags := sec.u8()
-		id := next()
-		entries[i] = core.LibraryEntry{ID: id, Peptide: next(), IsDecoy: flags&1 != 0, Mass: masses[i]}
+		e.ID = next()
+		e.Peptide, e.IsDecoy = next(), flags&1 != 0
 	}
 	pad := c.take(int(-int64(c.off) & 7))
 	for _, b := range pad {
@@ -305,11 +305,11 @@ func parseIndex(data []byte) (core.Params, *core.Library, error) {
 		return fail("params dimension D=%d disagrees with header dimension %d", p.Accel.D, d)
 	}
 	p.ShardSize = shardSize // header is authoritative for the shard hint
-	for i, m := range masses {
-		if math.IsNaN(m) || math.IsInf(m, 0) {
+	for i, e := range entries {
+		if m := e.Mass; math.IsNaN(m) || math.IsInf(m, 0) {
 			return fail("non-finite precursor mass at entry %d", i)
 		}
-		if i > 0 && m < masses[i-1] {
+		if i > 0 && e.Mass < entries[i-1].Mass {
 			return fail("entries not in ascending mass order at index %d", i)
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -63,6 +63,62 @@ func referenceHeader(s *Spectrum, line string) error {
 	return nil
 }
 
+// referenceReadMGF is what MGF text means, read line by line: split
+// at '\n', each line trimmed, a peak line read by referencePeakLine and
+// a header by referenceHeader.
+func referenceReadMGF(text string) ([]*Spectrum, error) {
+	var spectra []*Spectrum
+	var cur *Spectrum
+	for i, line := range strings.Split(text, "\n") {
+		line = strings.TrimSpace(line)
+		switch {
+		case line == "" || line[0] == '#':
+		case line == "BEGIN IONS":
+			if cur != nil {
+				return nil, fmt.Errorf("mgf line %d: nested BEGIN IONS", i+1)
+			}
+			cur = &Spectrum{Charge: 1}
+		case line == "END IONS":
+			if cur == nil {
+				return nil, fmt.Errorf("mgf line %d: END IONS without BEGIN", i+1)
+			}
+			cur.SortPeaks()
+			spectra = append(spectra, cur)
+			cur = nil
+		case cur == nil:
+		case strings.Contains(line, "="):
+			if err := referenceHeader(cur, line); err != nil {
+				return nil, fmt.Errorf("mgf line %d: %v", i+1, err)
+			}
+		default:
+			p, err := referencePeakLine([]byte(line))
+			if err != nil {
+				return nil, fmt.Errorf("mgf line %d: %v", i+1, err)
+			}
+			cur.Peaks = append(cur.Peaks, p)
+		}
+	}
+	if cur != nil {
+		return nil, fmt.Errorf("mgf: unterminated IONS block at EOF")
+	}
+	return spectra, nil
+}
+
+// spectraText renders spectra with every float as its bits, so two
+// readings compare equal exactly when they hold the same values — a NaN
+// included, which reflect.DeepEqual never calls equal.
+func spectraText(spectra []*Spectrum) string {
+	var b strings.Builder
+	for _, s := range spectra {
+		fmt.Fprintf(&b, "%q %x %d %q %v %d:", s.ID, math.Float64bits(s.PrecursorMZ), s.Charge, s.Peptide, s.IsDecoy, len(s.Peaks))
+		for _, p := range s.Peaks {
+			fmt.Fprintf(&b, " %x/%x", math.Float64bits(p.MZ), math.Float64bits(p.Intensity))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // The MGF/MSP parsers sit on the network request path of the omsd
 // search daemon, so they must be total: any byte stream either parses
 // or returns an error — never panics — and parsing is deterministic.
@@ -91,6 +147,10 @@ func FuzzReadMGF(f *testing.F) {
 	// to "I" and "S"), and values around the number parsers' edges.
 	f.Add("BEGIN IONS\ntitle=a=b\nPepMass= \t445.5\u00a01000\nCHARGE=\u2003+2+\nseq=\ndecoy=TRUE\ntıtle=x\npepmaſs=7\nTITLEX=y\nPEPMASS=1_0\nCHARGE=+\nCHARGE=99999999999999999999\nEND IONS\n")
 	f.Add("BEGIN IONS\nTITLE=" + strings.Repeat("long ", 20) + "\nPEPMASS=1\nEND IONS\nBEGIN IONS\nBEGIN IONS=\nBEGIN IONS 1\n")
+	// Lines the one-walk peak reader takes or leaves: trailing blanks
+	// and CRs, a third field, leading blanks, a NaN, a last line with no
+	// newline.
+	f.Add("BEGIN IONS\nPEPMASS=1\n100.5 2 \t\r\n 101 3\n102 4 5\n103\t\t6\r\r\n104 7\v\n105. .5\nnan 1\n106 nan\n107 8\nEND IONS\nBEGIN IONS\n1 2")
 	f.Fuzz(func(t *testing.T, data string) {
 		for _, line := range bytes.Split([]byte(data), []byte("\n")) {
 			// Whatever the exact fast path takes, it reads to the bits
@@ -128,10 +188,15 @@ func FuzzReadMGF(f *testing.F) {
 		if (err == nil) != (err2 == nil) || len(first) != len(second) {
 			t.Fatalf("non-deterministic parse: %d/%v vs %d/%v", len(first), err, len(second), err2)
 		}
+		// The whole text reads as it does line by line: the same
+		// spectra, or the same error for the same line.
+		if want, werr := referenceReadMGF(data); errText(err) != errText(werr) || spectraText(first) != spectraText(want) {
+			t.Fatalf("read %d spectra, error %v; line by line %d, %v\n%s---\n%s", len(first), err, len(want), werr, spectraText(first), spectraText(want))
+		}
 		// Where the reader cuts its input into blocks shows in nothing.
 		for _, size := range []int{16, 64} {
 			got, gerr := readMGFIn(data, size)
-			if errText(gerr) != errText(err) || !reflect.DeepEqual(got, first) {
+			if errText(gerr) != errText(err) || spectraText(got) != spectraText(first) {
 				t.Fatalf("%d-byte blocks: %d spectra, error %v; one block: %d spectra, error %v", size, len(got), gerr, len(first), err)
 			}
 		}
@@ -194,4 +259,155 @@ func FuzzReadMSP(f *testing.F) {
 			}
 		}
 	})
+}
+
+// referencePreprocess is AppendPreprocess as the steps read one by one:
+// copy, sort by m/z, filter by range and precursor, find the base peak,
+// filter by it, cut to the MaxPeaks most intense and normalize, a pass
+// each. The range filter drops a NaN m/z.
+func referencePreprocess(cfg PreprocessConfig, s *Spectrum) ([]Peak, bool) {
+	peaks := append([]Peak(nil), s.Peaks...)
+	sortPeaks(peaks)
+	kept := peaks[:0]
+	for _, p := range peaks {
+		if cfg.MinMZ > 0 && !(p.MZ >= cfg.MinMZ) || cfg.MaxMZ > 0 && !(p.MZ <= cfg.MaxMZ) || math.IsNaN(p.MZ) {
+			continue
+		}
+		if cfg.RemovePrecursor && math.Abs(p.MZ-s.PrecursorMZ) <= cfg.PrecursorTol {
+			continue
+		}
+		kept = append(kept, p)
+	}
+	peaks = kept
+	if cfg.NoiseFraction > 0 && len(peaks) > 0 {
+		thresh := (&Spectrum{Peaks: peaks}).BasePeak().Intensity * cfg.NoiseFraction
+		kept = peaks[:0]
+		for _, p := range peaks {
+			if p.Intensity >= thresh {
+				kept = append(kept, p)
+			}
+		}
+		peaks = kept
+	}
+	if cfg.MaxPeaks > 0 && len(peaks) > cfg.MaxPeaks {
+		slices.SortFunc(peaks, func(a, b Peak) int { return ascending(b.Intensity, a.Intensity) })
+		peaks = peaks[:cfg.MaxPeaks]
+		sortPeaks(peaks)
+	}
+	if len(peaks) < cfg.MinPeaks {
+		return nil, false
+	}
+	applyNormalization(peaks, cfg.Norm)
+	return peaks, true
+}
+
+// referenceVectorize is AppendVectorize in three passes: bin every
+// peak, sort the entries stably by bin, merge equal bins.
+func referenceVectorize(b Binner, peaks []Peak) []Entry {
+	var entries []Entry
+	for _, p := range peaks {
+		if !(p.MZ >= b.MinMZ && p.MZ < b.MaxMZ) {
+			continue
+		}
+		i := int((p.MZ - b.MinMZ) / b.BinWidth)
+		if i >= b.NumBins() {
+			i = b.NumBins() - 1
+		}
+		entries = append(entries, Entry{Bin: i, Intensity: 0 + p.Intensity})
+	}
+	slices.SortStableFunc(entries, func(a, c Entry) int { return a.Bin - c.Bin })
+	merged := entries[:0]
+	for _, e := range entries {
+		if n := len(merged); n > 0 && merged[n-1].Bin == e.Bin {
+			merged[n-1].Intensity += e.Intensity
+		} else {
+			merged = append(merged, e)
+		}
+	}
+	return merged
+}
+
+// FuzzPreprocessChain holds the preprocessing chain — AppendPreprocess,
+// then AppendVectorize — to the references above, bit for bit, over peak lists in and out of m/z order with ties, NaNs,
+// infinities, zeros and negatives, under configurations that switch
+// each step on and off. Every 5 bytes of peaks make a peak: a flags
+// byte, then 16-bit m/z and intensity codes on grids coarse enough to
+// tie.
+func FuzzPreprocessChain(f *testing.F) {
+	f.Add([]byte("\x00\x10\x00\x01\x00\x00\x20\x00\x02\x00\x00\x30\x00\x03\x00\x00\x40\x00\x04\x00\x00\x50\x00\x05\x00"), uint16(0x0101), 500.0)
+	f.Add([]byte("\x00\x50\x00\x01\x00\x00\x20\x00\x02\x00\x00\x20\x00\x03\x00\x00\x40\x00\x04\x00\x01\x50\x00\x05\x00\x00\x60\x00\x00\x00"), uint16(0x0055), 900.0)
+	f.Add([]byte("\x02\x10\x00\x01\x00\x04\x10\x00\x01\x00\x08\x11\x00\x01\x00\x10\x12\x00\x01\x00\x20\x13\x00\xff\xff\x00\x14\x00\x01\x00"), uint16(0x01aa), 250.0)
+	f.Fuzz(func(t *testing.T, raw []byte, knobs uint16, precursor float64) {
+		s := &Spectrum{PrecursorMZ: precursor}
+		for ; len(raw) >= 5; raw = raw[5:] {
+			flags := raw[0]
+			p := Peak{
+				MZ:        50 + float64(uint16(raw[1])<<8|uint16(raw[2]))/40,
+				Intensity: float64(uint16(raw[3])<<8|uint16(raw[4])) / 8,
+			}
+			switch {
+			case flags&1 != 0:
+				p.MZ = math.NaN()
+			case flags&2 != 0:
+				p.MZ = math.Inf(1 - int(flags>>6&2))
+			}
+			switch {
+			case flags&4 != 0:
+				p.Intensity = math.NaN()
+			case flags&8 != 0:
+				p.Intensity = -p.Intensity
+			case flags&16 != 0:
+				p.Intensity = math.Copysign(0, -1)
+			case flags&32 != 0:
+				p.Intensity = math.Inf(1)
+			}
+			s.Peaks = append(s.Peaks, p)
+		}
+		if knobs&1 != 0 {
+			s.SortPeaks()
+		}
+		cfg := DefaultPreprocess()
+		cfg.Norm = Normalization(knobs >> 1 & 3)
+		cfg.MaxPeaks = []int{150, 0, 3, 8}[knobs>>3&3]
+		cfg.NoiseFraction = []float64{0.01, 0, 0.2, 1}[knobs>>5&3]
+		cfg.MinPeaks = int(knobs >> 7 & 3)
+		if knobs&(1<<9) != 0 {
+			cfg.MinMZ, cfg.MaxMZ = 0, 0
+		}
+		cfg.RemovePrecursor = knobs&(1<<10) == 0
+		b := DefaultBinner()
+		if knobs&(1<<11) != 0 {
+			b = Binner{MinMZ: 0, MaxMZ: 2000, BinWidth: 0.02}
+		}
+
+		want, wok := referencePreprocess(cfg, s)
+		prefix := []Peak{{MZ: 1, Intensity: 2}}
+		got, ok := cfg.AppendPreprocess(prefix, s)
+		if ok != wok || got[0] != prefix[0] || peaksText(got[1:]) != peaksText(want) {
+			t.Fatalf("%+v over %v: preprocessed to %v %v, reference %v %v", cfg, s.Peaks, got[1:], ok, want, wok)
+		}
+		// Vectorize the preprocessed peaks (in m/z order) and the raw ones
+		// (in any order), each from a non-empty dst.
+		for _, peaks := range [][]Peak{want, s.Peaks} {
+			want := referenceVectorize(b, peaks)
+			got := b.AppendVectorize([]Entry{{Bin: -1}}, peaks)
+			if got[0].Bin != -1 || entriesText(got[1:]) != entriesText(want) {
+				t.Fatalf("binning %v: %v, reference %v", peaks, got[1:], want)
+			}
+		}
+	})
+}
+
+// peaksText renders peaks with every float as its bits.
+func peaksText(peaks []Peak) string {
+	return spectraText([]*Spectrum{{Peaks: peaks}})
+}
+
+// entriesText renders entries with every intensity as its bits.
+func entriesText(entries []Entry) string {
+	var b strings.Builder
+	for _, e := range entries {
+		fmt.Fprintf(&b, " %d/%x", e.Bin, math.Float64bits(e.Intensity))
+	}
+	return b.String()
 }

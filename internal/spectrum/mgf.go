@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -180,11 +179,20 @@ func parseMGF(block []byte, baseLine int, last bool) ([]*Spectrum, error) {
 		lineNo  = baseLine
 	)
 	for line, rest := []byte(nil), block; len(rest) > 0; {
-		// Lines stay bytes: a peak line — nearly every line of a library
-		// — is split and parsed in place, and so is a header.
+		lineNo++
+		// Inside an IONS block, a peak line of two plain decimals — nearly
+		// every line of a library — is read straight from the text.
+		if cur != nil {
+			if p, n, ok := scanPeakLine(rest); ok {
+				arena = append(arena, p)
+				rest = rest[n:]
+				continue
+			}
+		}
+		// Any other line stays bytes too: it is cut, trimmed and split
+		// in place.
 		line, rest, _ = bytes.Cut(rest, []byte("\n"))
 		line = bytes.TrimSpace(line)
-		lineNo++
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
@@ -321,6 +329,40 @@ func parsePeakLine(line []byte) (Peak, error) {
 	return Peak{MZ: mz, Intensity: in}, nil
 }
 
+// scanPeakLine reads the line text starts with when it is two plain
+// decimals set off by spaces or tabs and followed only by spaces, tabs
+// or a CR, in one forward walk: scanDecimal, blanks, scanDecimal, the
+// newline. n counts the line with its newline. Such a line is one that
+// TrimSpace leaves as two fields for parsePeakLine's exact pass, with
+// the same digits on either side of the blanks, so it reads to the
+// same peak; ok is false on every other line, which the caller cuts
+// and reads as before — the only lines that can be something other
+// than a peak (blank, '#', '=', BEGIN or END IONS) or an error.
+func scanPeakLine(text []byte) (p Peak, n int, ok bool) {
+	blank := func(i int) bool { return i < len(text) && (text[i] == ' ' || text[i] == '\t') }
+	mz, i, ok := scanDecimal(text, 0)
+	if !ok || !blank(i) {
+		return Peak{}, 0, false
+	}
+	for blank(i) {
+		i++
+	}
+	in, i, ok := scanDecimal(text, i)
+	if !ok {
+		return Peak{}, 0, false
+	}
+	for ; i < len(text); i++ {
+		switch text[i] {
+		case ' ', '\t', '\r':
+		case '\n':
+			return Peak{MZ: mz, Intensity: in}, i + 1, true
+		default:
+			return Peak{}, 0, false
+		}
+	}
+	return Peak{MZ: mz, Intensity: in}, i, true
+}
+
 // scanDecimal reads the unsigned plain decimal at line[i:] — digits
 // with at most one point — and returns its value and where it stops.
 // ok is Clinger's exact case: at most 18 digits that, read as an
@@ -332,23 +374,26 @@ func parsePeakLine(line []byte) (Peak, error) {
 // '_' or a second point all leave it short of the field's end.
 func scanDecimal(line []byte, i int) (v float64, end int, ok bool) {
 	var m uint64
-	start, point := i, -1
-	for ; i < len(line); i++ {
-		if c := line[i]; c-'0' <= 9 {
-			m = m*10 + uint64(c-'0')
-		} else if c == '.' && point < 0 {
-			point = i
-		} else {
-			break
-		}
+	start := i
+	for ; i < len(line) && line[i]-'0' <= 9; i++ {
+		m = m*10 + uint64(line[i]-'0')
 	}
 	digits, frac := i-start, 0
-	if point >= 0 {
-		digits--
-		frac = i - 1 - point
+	if i < len(line) && line[i] == '.' {
+		i++
+		for ; i < len(line) && line[i]-'0' <= 9; i++ {
+			m = m*10 + uint64(line[i]-'0')
+		}
+		frac = i - start - digits - 1
+		digits += frac
 	}
 	if digits == 0 || digits > 18 || m >= 1<<53 || frac > 22 {
 		return 0, i, false
 	}
-	return float64(m) / math.Pow10(frac), i, true
+	return float64(m) / exactPow10[frac], i, true
 }
+
+// exactPow10 holds 10^0 .. 10^22, the powers of ten a float64 holds
+// exactly.
+var exactPow10 = [23]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}

@@ -74,11 +74,9 @@ func ascending(a, b float64) int {
 }
 
 // BasePeak returns the most intense peak, or a zero Peak if empty.
-func (s *Spectrum) BasePeak() Peak { return basePeak(s.Peaks) }
-
-func basePeak(peaks []Peak) Peak {
+func (s *Spectrum) BasePeak() Peak {
 	var bp Peak
-	for _, p := range peaks {
+	for _, p := range s.Peaks {
 		if p.Intensity > bp.Intensity {
 			bp = p
 		}
@@ -104,10 +102,10 @@ func (s *Spectrum) Validate() error {
 		return fmt.Errorf("spectrum %s: charge %d < 1", s.ID, s.Charge)
 	}
 	for i, p := range s.Peaks {
-		if p.MZ <= 0 || math.IsNaN(p.MZ) || math.IsInf(p.MZ, 0) {
+		if !(p.MZ > 0) || math.IsInf(p.MZ, 1) {
 			return fmt.Errorf("spectrum %s: bad m/z at peak %d: %v", s.ID, i, p.MZ)
 		}
-		if p.Intensity < 0 || math.IsNaN(p.Intensity) || math.IsInf(p.Intensity, 0) {
+		if !(p.Intensity >= 0) || math.IsInf(p.Intensity, 1) {
 			return fmt.Errorf("spectrum %s: bad intensity at peak %d: %v", s.ID, i, p.Intensity)
 		}
 	}
@@ -190,36 +188,42 @@ func (cfg PreprocessConfig) Preprocess(s *Spectrum) (*Spectrum, error) {
 // s is not modified. ok is false when fewer than MinPeaks peaks are
 // left, the one way preprocessing fails; dst then comes back with its
 // length unchanged (and any capacity it grew).
+//
+// The steps are: sort by m/z; drop peaks outside [MinMZ, MaxMZ] (a NaN
+// m/z among them) or within PrecursorTol of the precursor; drop peaks
+// under NoiseFraction of the base peak; keep the MaxPeaks most intense;
+// normalize. A list in m/z order, as the readers make them, takes two
+// passes: the range filter copies and finds the base peak, and the
+// noise filter takes NormSqrt's roots as it keeps when no top-N cut
+// can follow (that cut ranks the unrooted intensities, and distinct
+// intensities can share a root).
 func (cfg PreprocessConfig) AppendPreprocess(dst []Peak, s *Spectrum) (out []Peak, ok bool) {
 	n0 := len(dst)
-	dst = append(dst, s.Peaks...)
-	peaks := dst[n0:]
-	sortPeaks(peaks)
-
-	// m/z range and precursor removal.
-	kept := peaks[:0]
-	for _, p := range peaks {
-		if cfg.MinMZ > 0 && p.MZ < cfg.MinMZ {
-			continue
-		}
-		if cfg.MaxMZ > 0 && p.MZ > cfg.MaxMZ {
-			continue
-		}
-		if cfg.RemovePrecursor && math.Abs(p.MZ-s.PrecursorMZ) <= cfg.PrecursorTol {
-			continue
-		}
-		kept = append(kept, p)
+	dst, base, sorted := cfg.appendInRange(dst, s.Peaks, s.PrecursorMZ)
+	if !sorted {
+		// The whole list is sorted before the filter, as it always was:
+		// pdqsort is not stable, so sorting only the kept peaks could
+		// leave equal m/z values in another order.
+		dst = append(dst[:n0], s.Peaks...)
+		sortPeaks(dst[n0:])
+		dst, base, _ = cfg.appendInRange(dst[:n0], dst[n0:], s.PrecursorMZ)
 	}
-	peaks = kept
+	peaks := dst[n0:]
 
 	// Relative intensity threshold (fraction of base peak).
-	if cfg.NoiseFraction > 0 && len(peaks) > 0 {
-		thresh := basePeak(peaks).Intensity * cfg.NoiseFraction
-		kept = peaks[:0]
+	filter := cfg.NoiseFraction > 0
+	rooted := cfg.Norm == NormSqrt && (cfg.MaxPeaks <= 0 || len(peaks) <= cfg.MaxPeaks)
+	if filter || rooted {
+		thresh := base * cfg.NoiseFraction
+		kept := peaks[:0]
 		for _, p := range peaks {
-			if p.Intensity >= thresh {
-				kept = append(kept, p)
+			if filter && !(p.Intensity >= thresh) {
+				continue
 			}
+			if rooted {
+				p.Intensity = math.Sqrt(p.Intensity)
+			}
+			kept = append(kept, p)
 		}
 		peaks = kept
 	}
@@ -234,9 +238,44 @@ func (cfg PreprocessConfig) AppendPreprocess(dst []Peak, s *Spectrum) (out []Pea
 	if len(peaks) < cfg.MinPeaks {
 		return dst[:n0], false
 	}
-
-	applyNormalization(peaks, cfg.Norm)
+	if !rooted {
+		applyNormalization(peaks, cfg.Norm)
+	}
 	return dst[:n0+len(peaks)], true
+}
+
+// appendInRange appends the peaks of src inside [MinMZ, MaxMZ] — a
+// bound at or below 0 is off, and a NaN m/z is inside no range — and,
+// under RemovePrecursor, farther than PrecursorTol from precursor to
+// dst. It returns the extended slice, the kept peaks' base intensity
+// as BasePeak reads it, and whether src is in m/z order as sortPeaks
+// checks it. src may be dst's own tail: a peak is written no later
+// than it is read.
+func (cfg PreprocessConfig) appendInRange(dst, src []Peak, precursor float64) (out []Peak, base float64, sorted bool) {
+	lo, hi := math.Inf(-1), math.Inf(1)
+	if cfg.MinMZ > 0 {
+		lo = cfg.MinMZ
+	}
+	if cfg.MaxMZ > 0 {
+		hi = cfg.MaxMZ
+	}
+	dst = slices.Grow(dst, len(src))
+	sorted = true
+	prev := math.Inf(-1)
+	for i, p := range src {
+		if i > 0 && !(prev <= p.MZ) {
+			sorted = false
+		}
+		prev = p.MZ
+		if !(p.MZ >= lo && p.MZ <= hi) || cfg.RemovePrecursor && math.Abs(p.MZ-precursor) <= cfg.PrecursorTol {
+			continue
+		}
+		if p.Intensity > base {
+			base = p.Intensity
+		}
+		dst = append(dst, p)
+	}
+	return dst, base, sorted
 }
 
 func applyNormalization(peaks []Peak, n Normalization) {

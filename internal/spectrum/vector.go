@@ -37,16 +37,13 @@ func (b Binner) NumBins() int {
 	return n
 }
 
-// Bin returns the bin index for an m/z value and whether it is in range.
-func (b Binner) Bin(mz float64) (int, bool) {
-	if mz < b.MinMZ || mz >= b.MaxMZ {
+// bin returns the bin index for an m/z value and whether it is in
+// range (a NaN m/z is in no bin); n is NumBins().
+func (b Binner) bin(mz float64, n int) (int, bool) {
+	if !(mz >= b.MinMZ && mz < b.MaxMZ) {
 		return 0, false
 	}
-	i := int((mz - b.MinMZ) / b.BinWidth)
-	if i >= b.NumBins() {
-		i = b.NumBins() - 1
-	}
-	return i, true
+	return min(int((mz-b.MinMZ)/b.BinWidth), n-1), true
 }
 
 // Entry is one non-zero coordinate of a binned spectrum vector.
@@ -73,21 +70,42 @@ func (b Binner) Vectorize(s *Spectrum) Vector {
 }
 
 // AppendVectorize appends the entries Vectorize makes of peaks to dst
-// and returns the extended slice.
+// and returns the extended slice. Peaks in m/z order are binned in bin
+// order, so a peak's intensity joins the last entry when it shares its
+// bin; a peak that falls in an earlier bin hands the list to
+// appendByBin.
 func (b Binner) AppendVectorize(dst []Entry, peaks []Peak) []Entry {
+	n0, nb := len(dst), b.NumBins()
+	for _, p := range peaks {
+		i, ok := b.bin(p.MZ, nb)
+		if !ok {
+			continue
+		}
+		e := Entry{Bin: i, Intensity: 0 + p.Intensity} // 0+: a lone -0 sums to +0
+		switch n := len(dst); {
+		case n == n0 || dst[n-1].Bin < i:
+			dst = append(dst, e)
+		case dst[n-1].Bin == i:
+			dst[n-1].Intensity += e.Intensity
+		default:
+			return b.appendByBin(dst[:n0], peaks, nb)
+		}
+	}
+	return dst
+}
+
+// appendByBin is AppendVectorize for peaks out of m/z order: their
+// entries are sorted by bin, stably, so a bin's intensities still sum
+// in peak order.
+func (b Binner) appendByBin(dst []Entry, peaks []Peak, nb int) []Entry {
 	n0 := len(dst)
 	for _, p := range peaks {
-		if i, ok := b.Bin(p.MZ); ok {
-			dst = append(dst, Entry{Bin: i, Intensity: 0 + p.Intensity}) // 0+: a lone -0 sums to +0
+		if i, ok := b.bin(p.MZ, nb); ok {
+			dst = append(dst, Entry{Bin: i, Intensity: 0 + p.Intensity})
 		}
 	}
 	entries := dst[n0:]
-	// Stable, so equal bins keep peak order; peaks in m/z order are
-	// already in bin order, and need no sort at all.
-	byBin := func(a, c Entry) int { return cmp.Compare(a.Bin, c.Bin) }
-	if !slices.IsSortedFunc(entries, byBin) {
-		slices.SortStableFunc(entries, byBin)
-	}
+	slices.SortStableFunc(entries, func(a, c Entry) int { return cmp.Compare(a.Bin, c.Bin) })
 	merged := entries[:0]
 	for _, e := range entries {
 		if n := len(merged); n > 0 && merged[n-1].Bin == e.Bin {

@@ -31,9 +31,10 @@ func TestBinnerBinEdges(t *testing.T) {
 		{199.999, 99, true},
 		{200.0, 0, false},
 		{99.999, 0, false},
+		{math.NaN(), 0, false},
 	}
 	for _, c := range cases {
-		bin, ok := b.Bin(c.mz)
+		bin, ok := b.bin(c.mz, b.NumBins())
 		if ok != c.ok || (ok && bin != c.bin) {
 			t.Errorf("Bin(%v) = (%d,%v), want (%d,%v)", c.mz, bin, ok, c.bin, c.ok)
 		}
@@ -44,7 +45,7 @@ func TestBinCenterInverse(t *testing.T) {
 	b := DefaultBinner()
 	for _, i := range []int{0, 1, 700, b.NumBins() - 1} {
 		c := b.MinMZ + (float64(i)+0.5)*b.BinWidth
-		got, ok := b.Bin(c)
+		got, ok := b.bin(c, b.NumBins())
 		if !ok || got != i {
 			t.Errorf("Bin(centre of bin %d) = (%d,%v)", i, got, ok)
 		}
